@@ -1599,7 +1599,7 @@ class VoDService:
             return True
         paths = decision.candidate_paths or {decision.chosen_uid: decision.path}
         return any(
-            self.flows.path_fits(list(path.nodes), video.bitrate_mbps)
+            self.flows.path_fits(path.nodes, video.bitrate_mbps)
             for path in paths.values()
         )
 

@@ -391,7 +391,7 @@ class StreamingSession:
         lease = server.begin_serving(self._video.title_id) if server is not None else None
         path_nodes = decision.path.nodes
         local = decision.served_locally or decision.path.hop_count == 0
-        node_path = list(path_nodes)
+        quantum = self._rate_quantum_s
         start = self._sim.now
         remaining = size_mb
         min_rate = float("inf")
@@ -401,10 +401,12 @@ class StreamingSession:
             # quantum so background-traffic changes mid-cluster slow the
             # transfer down (or let it recover to the playback rate).
             while remaining > 1e-9:
-                rate, flow = self._acquire_rate(local, node_path)
-                min_rate = min(min_rate, rate)
-                time_needed = remaining * 8.0 / rate
-                step = min(time_needed, self._rate_quantum_s)
+                rate, flow = self._acquire_rate(local, path_nodes)
+                if rate < min_rate:
+                    min_rate = rate
+                step = remaining * 8.0 / rate
+                if step > quantum:
+                    step = quantum
                 yield Delay(step)
                 remaining -= rate * step / 8.0
                 if flow is not None:
@@ -435,25 +437,36 @@ class StreamingSession:
         if self._on_cluster is not None:
             self._on_cluster(cluster_record)
 
-    def _acquire_rate(self, local: bool, node_path: List[str]):
+    def _acquire_rate(self, local: bool, node_path: Tuple[str, ...]):
         """Pick the current transfer rate and reserve it on the path.
 
         Local serves read from disk; remote serves target the playback
         bitrate and degrade to the bottleneck's spare capacity (never below
-        :data:`MIN_TRANSFER_MBPS`) when the path is congested.
+        :data:`MIN_TRANSFER_MBPS`) when the path is congested.  On a path
+        with less than the floor to spare the session crawls at the floor
+        rate without a reservation, so progress continues.
         """
         if local:
             return self._local_read_mbps, None
-        target = self._video.bitrate_mbps
-        bottleneck = self._flows.bottleneck_mbps(node_path)
-        rate = min(target, bottleneck) if bottleneck > 0.0 else 0.0
-        rate = max(rate, MIN_TRANSFER_MBPS)
+        flows = self._flows
+        bottleneck = flows.bottleneck_mbps(node_path)
+        rate = self._video.bitrate_mbps
+        if rate > bottleneck:
+            rate = bottleneck
+        if rate < MIN_TRANSFER_MBPS:
+            rate = MIN_TRANSFER_MBPS
+        # Nothing runs between the measurement and the reservation (one
+        # thread, one event at a time), so a refusal is never a race: only
+        # the floor clamp can lift the rate above the spare capacity, and
+        # this is FlowManager.reserve's own refusal test.  Asking anyway
+        # would build, raise and discard a LinkCapacityError per step.
+        if rate > bottleneck + 1e-9:
+            return MIN_TRANSFER_MBPS, None
         try:
-            flow = self._flows.reserve(node_path, rate)
+            flow = flows.reserve(node_path, rate)
         except LinkCapacityError:
-            # The bottleneck moved between measurement and reservation
-            # (another session grabbed it); fall back to the floor rate
-            # without a reservation so progress continues.
+            # A path that crosses one link twice: the hops share capacity
+            # the bottleneck counted once.
             return MIN_TRANSFER_MBPS, None
         return rate, flow
 
@@ -517,7 +530,7 @@ class StreamingSession:
         lease = server.begin_serving(self._video.title_id) if server is not None else None
         path_nodes = decision.path.nodes
         local = decision.served_locally or decision.path.hop_count == 0
-        node_path = list(path_nodes)
+        quantum = self._rate_quantum_s
         start = self._sim.now
         remaining = size_mb
         min_rate = float("inf")
@@ -525,10 +538,12 @@ class StreamingSession:
         self._failover.track(self, decision)
         try:
             while remaining > 1e-9:
-                rate, flow = self._acquire_rate(local, node_path)
-                min_rate = min(min_rate, rate)
-                time_needed = remaining * 8.0 / rate
-                step = min(time_needed, self._rate_quantum_s)
+                rate, flow = self._acquire_rate(local, path_nodes)
+                if rate < min_rate:
+                    min_rate = rate
+                step = remaining * 8.0 / rate
+                if step > quantum:
+                    step = quantum
                 step_started = self._sim.now
                 yield Delay(step)
                 elapsed = self._sim.now - step_started

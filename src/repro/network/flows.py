@@ -5,21 +5,31 @@ The :class:`FlowManager` reserves atomically — either every link on the path
 accepts the reservation or none does — so link accounting can never be left
 half-updated by an admission failure mid-path.
 
-Hot-path shape: flash crowds reserve and release the same few node paths
-over and over, so the manager memoizes the path → link-tuple resolution
-(valid forever — links are never removed and parallel links are rejected,
-so an existing node pair can never resolve differently).  Reservation is
-check-then-commit: every link's free capacity is validated up front with
-the exact acceptance test :meth:`~repro.network.link.Link.reserve` applies,
-and only then are the links mutated — a failed admission touches nothing
-(no reserve/rollback churn in the link telemetry or the change journal).
+Hot-path shape: sessions reserve and release the same few node paths over
+and over, so the manager memoizes the path → link-tuple resolution (valid
+forever — links are never removed and parallel links are rejected, so an
+existing node pair can never resolve differently); a tuple path, which is
+what routing decisions and flows carry, is the memo key as it is, with no
+copy.  Reservation is check-then-commit: every link's free capacity is
+validated up front with the exact acceptance test
+:meth:`~repro.network.link.Link.reserve` applies, and only then are the
+links mutated — a failed admission touches nothing (no reserve/rollback
+churn in the link telemetry or the change journal).
+
+A refusal is predictable: on a simple path ``reserve(path, rate)`` raises
+exactly when ``rate > bottleneck_mbps(path) + 1e-9``.  The simulation is
+single-threaded, so nothing can take the capacity between a caller's
+measurement and its reservation; the streaming session therefore skips the
+call when that test says it would be refused (it happens only because the
+session's floor rate lifts the request above the spare capacity of a
+saturated path) instead of paying for an exception per transfer step.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import FlowError, LinkCapacityError
 from repro.network.link import Link
@@ -68,10 +78,12 @@ class FlowManager:
         """Snapshot of active flows."""
         return list(self._active.values())
 
-    def _links_of(self, node_path: Iterable[str]) -> Tuple[Link, ...]:
+    def _links_of(self, node_path: Sequence[str]) -> Tuple[Link, ...]:
         """Memoized path → link-tuple resolution (TopologyError on bad paths;
         only successful resolutions are cached, and they stay valid because
-        links are never removed)."""
+        links are never removed).  A tuple path — what routing decisions
+        and :class:`Flow` carry — is the memo key as it is (``tuple()`` of
+        a tuple is that tuple); any other sequence is copied into one."""
         key = tuple(node_path)
         links = self._path_links.get(key)
         if links is None:
@@ -81,7 +93,7 @@ class FlowManager:
             self._path_links[key] = links
         return links
 
-    def reserve(self, node_path: List[str], rate_mbps: float) -> Flow:
+    def reserve(self, node_path: Sequence[str], rate_mbps: float) -> Flow:
         """Atomically reserve ``rate_mbps`` along ``node_path``.
 
         A single-node path (source == destination, the paper's "adjacent
@@ -137,14 +149,20 @@ class FlowManager:
             link.release(flow.rate_mbps)
         del self._active[flow.flow_id]
 
-    def path_fits(self, node_path: List[str], rate_mbps: float) -> bool:
+    def path_fits(self, node_path: Sequence[str], rate_mbps: float) -> bool:
         """True if every link on the path has ``rate_mbps`` spare."""
         links = self._links_of(node_path)
         return all(link.free_mbps + 1e-9 >= rate_mbps for link in links)
 
-    def bottleneck_mbps(self, node_path: List[str]) -> float:
-        """Smallest spare capacity along the path (inf for a 1-node path)."""
-        links = self._links_of(node_path)
-        if not links:
-            return float("inf")
-        return min(link.free_mbps for link in links)
+    def bottleneck_mbps(self, node_path: Sequence[str]) -> float:
+        """Smallest spare capacity along the path (inf for a 1-node path).
+
+        ``rate > bottleneck_mbps(path) + 1e-9`` is exactly the condition
+        under which :meth:`reserve` refuses ``rate`` on a simple path.
+        """
+        bottleneck = float("inf")
+        for link in self._links_of(node_path):
+            free = link.free_mbps
+            if free < bottleneck:
+                bottleneck = free
+        return bottleneck

@@ -184,8 +184,10 @@ class Link:
 
     @property
     def free_mbps(self) -> float:
-        """Spare capacity in Mbps."""
-        return max(self.capacity_mbps - self.used_mbps, 0.0)
+        """Spare capacity in Mbps (capacity minus :attr:`used_mbps`)."""
+        used = self._background_mbps + self._reserved_mbps
+        capacity = self.capacity_mbps
+        return capacity - used if used < capacity else 0.0
 
     @property
     def utilization(self) -> float:

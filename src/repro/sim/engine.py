@@ -9,7 +9,7 @@ seed and schedule.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError, SimulationError
@@ -18,6 +18,18 @@ from repro.sim.events import Event
 #: Heaps smaller than this are never compacted: sweeping a few dozen
 #: entries off the top lazily is cheaper than any rebuild.
 COMPACTION_FLOOR = 64
+
+_INF = float("inf")
+
+#: One heap entry: ``(time, seq, handle)``.  The first two fields are the
+#: total order; ``seq`` is unique, so a comparison never reaches the handle.
+HeapEntry = Tuple[float, int, "EventHandle"]
+
+
+def _bad_delay(delay: Any) -> SchedulingError:
+    if delay == _INF:
+        return SchedulingError("delay must be finite")
+    return SchedulingError(f"delay must be non-negative and finite, got {delay!r}")
 
 
 class EventHandle:
@@ -80,7 +92,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[Tuple[Tuple[float, int], EventHandle]] = []
+        self._heap: List[HeapEntry] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -156,7 +168,9 @@ class Simulator:
         Raises:
             SchedulingError: If ``delay`` is negative or not finite.
         """
-        return self.schedule_at(self._now + self._check_delay(delay), callback, *args, name=name)
+        if not (0.0 <= delay < _INF):  # also rejects NaN
+            raise _bad_delay(delay)
+        return self._push(self._now + float(delay), callback, args, name)
 
     def schedule_at(
         self,
@@ -168,17 +182,22 @@ class Simulator:
         """Schedule ``callback(*args)`` at an absolute simulated time.
 
         Raises:
-            SchedulingError: If ``time`` is before the current time.
+            SchedulingError: If ``time`` is before the current time or not
+                finite (NaN would fire first and become the clock; ``inf``
+                would park the clock at infinity).
         """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule event {name or callback!r} at t={time}, "
-                f"which is before current time t={self._now}"
-            )
-        event = Event(time=float(time), seq=self._seq, callback=callback, args=args, name=name)
-        self._seq += 1
-        handle = EventHandle(event, on_cancel=self._note_cancel)
-        heapq.heappush(self._heap, (event.key, handle))
+        if not (self._now <= time < _INF):  # also rejects NaN
+            raise self._bad_time(time, name or callback)
+        return self._push(float(time), callback, args, name)
+
+    def _push(
+        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...], name: str
+    ) -> EventHandle:
+        """Put one validated event on the heap."""
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(Event(time, seq, callback, args, name), self._note_cancel)
+        heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
 
@@ -206,35 +225,36 @@ class Simulator:
             SchedulingError: On the first invalid entry; the heap is left
                 untouched (no partial batch is scheduled).
         """
-        new: List[Tuple[Tuple[float, int], EventHandle]] = []
+        new: List[HeapEntry] = []
         handles: List[EventHandle] = []
+        now, seq = self._now, self._seq
         for entry in entries:
             time_value, callback = entry[0], entry[1]
             args = tuple(entry[2]) if len(entry) > 2 else ()
             name = entry[3] if len(entry) > 3 else ""
             if absolute:
+                if not (now <= time_value < _INF):
+                    raise self._bad_time(time_value, name or callback)
                 time = float(time_value)
-                if time < self._now:
-                    raise SchedulingError(
-                        f"cannot schedule event {name or callback!r} at t={time}, "
-                        f"which is before current time t={self._now}"
-                    )
             else:
-                time = self._now + self._check_delay(time_value)
-            event = Event(time=time, seq=self._seq, callback=callback, args=args, name=name)
-            self._seq += 1
-            handle = EventHandle(event, on_cancel=self._note_cancel)
-            new.append((event.key, handle))
+                if not (0.0 <= time_value < _INF):
+                    raise _bad_delay(time_value)
+                time = now + float(time_value)
+            handle = EventHandle(Event(time, seq, callback, args, name), self._note_cancel)
+            new.append((time, seq, handle))
             handles.append(handle)
+            seq += 1
         if not new:
             return handles
+        # Nothing above touched the simulator: an invalid entry left no trace.
+        self._seq = seq
         heap = self._heap
         if len(new) >= max(len(heap) // 4, 8):
             heap.extend(new)
-            heapq.heapify(heap)
+            heapify(heap)
         else:
             for item in new:
-                heapq.heappush(heap, item)
+                heappush(heap, item)
         self._pending += len(new)
         return handles
 
@@ -249,22 +269,22 @@ class Simulator:
 
     def _compact(self) -> None:
         heap = self._heap
-        live = [entry for entry in heap if entry[1].pending]
+        live = [entry for entry in heap if not entry[2]._cancelled]
         # In-place so a running event loop holding a reference to the heap
         # list keeps seeing the compacted state.
         heap[:] = live
-        heapq.heapify(heap)
+        heapify(heap)
         self._compactions += 1
         if self.on_compaction is not None:
             self.on_compaction()
 
-    @staticmethod
-    def _check_delay(delay: float) -> float:
-        if not (delay >= 0.0):  # also rejects NaN
-            raise SchedulingError(f"delay must be non-negative and finite, got {delay!r}")
-        if delay == float("inf"):
-            raise SchedulingError("delay must be finite")
-        return float(delay)
+    def _bad_time(self, time: Any, label: Any) -> SchedulingError:
+        if time != time or time == _INF:
+            return SchedulingError(f"cannot schedule event {label!r} at non-finite t={time!r}")
+        return SchedulingError(
+            f"cannot schedule event {label!r} at t={time}, "
+            f"which is before current time t={self._now}"
+        )
 
     # ------------------------------------------------------------------ #
     # execution
@@ -274,7 +294,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0][1].event.time
+        return self._heap[0][0]
 
     def step(self) -> Optional[Event]:
         """Fire the single next pending event.
@@ -285,17 +305,13 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return None
-        _, handle = heapq.heappop(self._heap)
-        return self._fire(handle)
-
-    def _fire(self, handle: EventHandle) -> Event:
-        """Execute one popped pending event (clock advance + bookkeeping)."""
-        event = handle.event
-        self._now = event.time
+        time, _, handle = heappop(self._heap)
+        self._now = time
         handle._fired = True
         self._pending -= 1
         self._events_fired += 1
-        event.fire()
+        event = handle.event
+        event.callback(*event.args)
         return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -322,24 +338,28 @@ class Simulator:
             raise SchedulingError(f"run until={until} is before current time t={self._now}")
         self._running = True
         self._stopped = False
-        fired = 0
+        # One bound for both limits keeps the per-event test to a compare
+        # each; the heap alias survives compaction, which rebuilds in place.
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         heap = self._heap
-        sweep = self._drop_cancelled
+        fired = 0
         try:
-            # Fused loop: one cancelled-carcass sweep and one heap pop per
-            # event, instead of the peek()+step() pair (each of which swept
-            # the heap top and peek() re-read what step() popped).
+            # The body of step() inlined (sweep, pop, clock and counters,
+            # callback), so one event costs one heappop and one call; the
+            # engine's equivalence property holds the two to the same trace.
             while not self._stopped:
-                sweep()
-                if not heap:
+                while heap and heap[0][2]._cancelled:
+                    heappop(heap)
+                if not heap or heap[0][0] > horizon or fired >= budget:
                     break
-                handle = heap[0][1]
-                if until is not None and handle.event.time > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                heapq.heappop(heap)
-                self._fire(handle)
+                time, _, handle = heappop(heap)
+                self._now = time
+                handle._fired = True
+                self._pending -= 1
+                self._events_fired += 1
+                event = handle.event
+                event.callback(*event.args)
                 fired += 1
         finally:
             self._running = False
@@ -354,9 +374,10 @@ class Simulator:
     def _drop_cancelled(self) -> None:
         """Sweep cancelled carcasses off the heap top.
 
-        The one sweep shared by :meth:`peek`, :meth:`step` and the
-        :meth:`run` loop, so the carcass-skipping rule lives in one place.
+        Shared by :meth:`peek` and :meth:`step`; :meth:`run` inlines the
+        same rule.  A fired event has left the heap, so "not pending" on
+        the heap means cancelled.
         """
         heap = self._heap
-        while heap and not heap[0][1].pending:
-            heapq.heappop(heap)
+        while heap and heap[0][2]._cancelled:
+            heappop(heap)

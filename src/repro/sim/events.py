@@ -8,13 +8,15 @@ the tests assert because stream bookkeeping depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled callback.
+
+    An immutable record (assigning to a field raises ``AttributeError``);
+    a named tuple because the engine builds one per scheduled event and a
+    tuple is the cheapest immutable record the interpreter has.
 
     Attributes:
         time: Simulated time at which the event fires.
@@ -22,9 +24,6 @@ class Event:
         callback: Zero-result callable invoked when the event fires.
         args: Positional arguments passed to ``callback``.
         name: Optional human-readable label used in traces and error text.
-        key: The ``(time, seq)`` heap key, precomputed at construction so
-            the engine's push path reuses one tuple instead of building it
-            per call.
     """
 
     time: float
@@ -32,14 +31,15 @@ class Event:
     callback: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     name: str = ""
-    key: Tuple[float, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (self.time, self.seq))
+    @property
+    def key(self) -> Tuple[float, int]:
+        """The ``(time, seq)`` pair defining the engine's total order."""
+        return self[:2]
 
     def sort_key(self) -> Tuple[float, int]:
         """Key defining the engine's total order over events."""
-        return self.key
+        return self[:2]
 
     def fire(self) -> Any:
         """Invoke the callback with its stored arguments."""

@@ -12,15 +12,18 @@ streaming session that alternates "download cluster" / "re-run VRA" steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, NamedTuple, Optional
 
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
 
-@dataclass(frozen=True)
-class Delay:
-    """Yield value: suspend the process for ``duration`` simulated seconds."""
+class Delay(NamedTuple):
+    """Yield value: suspend the process for ``duration`` simulated seconds.
+
+    Immutable; a named tuple because a streaming session builds one per
+    transfer step.
+    """
 
     duration: float
 
@@ -56,8 +59,10 @@ class Signal:
         """
         self._trigger_count += 1
         waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            sim.schedule(0.0, process._resume, payload, name=f"signal:{self.name}")
+        if waiters:
+            name = f"signal:{self.name}"
+            for process in waiters:
+                sim.schedule(0.0, process._resume, payload, name=name)
         return len(waiters)
 
     def _register(self, process: "Process") -> None:
@@ -90,6 +95,11 @@ class Process:
         self._finished = False
         self._pending_handle: Optional[EventHandle] = None
         self.finished_signal = Signal(name=f"{self.name}.finished")
+        # Name of the delay wake-ups, built once rather than per wake-up.
+        # The pending delay event holds the same string, so a sleeping
+        # process costs no more memory than one formatted name; dropped in
+        # _finish because callers retain finished processes.
+        self._delay_name = f"delay:{self.name}"
         # Kick off on the next zero-delay tick so construction never runs
         # user code synchronously.
         self._pending_handle = sim.schedule(0.0, self._resume, None, name=f"start:{self.name}")
@@ -163,23 +173,32 @@ class Process:
 
     def _handle_yield(self, yielded: Any) -> None:
         if isinstance(yielded, Delay):
-            self._pending_handle = self._sim.schedule(
-                yielded.duration, self._resume, None, name=f"delay:{self.name}"
-            )
+            duration = yielded.duration
         elif isinstance(yielded, (int, float)):
-            self._pending_handle = self._sim.schedule(
-                float(yielded), self._resume, None, name=f"delay:{self.name}"
-            )
+            duration = yielded
         elif isinstance(yielded, WaitSignal):
             yielded.signal._register(self)
+            return
         else:
-            self.error = SimulationError(
+            self._fail(SimulationError(
                 f"process {self.name} yielded unsupported value {yielded!r}; "
                 "yield a Delay, a number, or a WaitSignal"
+            ))
+            return
+        try:
+            self._pending_handle = self._sim.schedule(
+                duration, self._resume, None, name=self._delay_name
             )
-            self._generator.close()
-            self._finish()
+        except SchedulingError as exc:  # negative or non-finite delay
+            self._fail(exc)
+
+    def _fail(self, error: BaseException) -> None:
+        """A bad yield value ends this process, not the event loop."""
+        self.error = error
+        self._generator.close()
+        self._finish()
 
     def _finish(self) -> None:
         self._finished = True
+        self._delay_name = ""
         self.finished_signal.trigger(self._sim, self)

@@ -5,7 +5,7 @@ import pytest
 from repro.client.requests import RequestStatus, VideoRequest
 from repro.core.session import StreamingSession
 from repro.core.vra import VraDecision
-from repro.errors import RoutingError
+from repro.errors import LinkCapacityError, RoutingError
 from repro.network.flows import FlowManager
 from repro.network.routing.paths import Path
 from repro.sim.engine import Simulator
@@ -24,9 +24,9 @@ def make_decision(nodes, cost=0.1):
     )
 
 
-def run_session(line, decide, video=None, cluster_mb=25.0, local_read_mbps=100.0):
+def run_session(line, decide, video=None, cluster_mb=25.0, local_read_mbps=100.0, flows=None):
     sim = Simulator()
-    flows = FlowManager(line)
+    flows = flows or FlowManager(line)
     video = video or VideoTitle("v", size_mb=100.0, duration_s=800.0)  # 1 Mbps
     request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=sim.now)
     session = StreamingSession(
@@ -132,6 +132,64 @@ class TestDegradation:
         record, _, _, _ = run_session(line, lambda: make_decision(["A", "B"]), video=video)
         assert record.completed
         assert all(c.rate_mbps == pytest.approx(0.05) for c in record.clusters)
+
+    @staticmethod
+    def counting_reserve(flows):
+        """Wrap ``flows.reserve`` on the instance (as the perf ledger's
+        tracer does) and count calls and refusals."""
+        seen = {"calls": 0, "refused": 0}
+        reserve = flows.reserve
+
+        def counted(node_path, rate_mbps):
+            seen["calls"] += 1
+            try:
+                return reserve(node_path, rate_mbps)
+            except LinkCapacityError:
+                seen["refused"] += 1
+                raise
+
+        flows.reserve = counted
+        return seen
+
+    def test_saturated_path_takes_the_floor_without_a_refused_reservation(self, line):
+        line.link_between("A", "B").set_background_mbps(10.0)
+        flows = FlowManager(line)
+        seen = self.counting_reserve(flows)
+        video = VideoTitle("v", size_mb=1.0, duration_s=8.0)
+        record, _, _, _ = run_session(
+            line, lambda: make_decision(["A", "B"]), video=video, flows=flows
+        )
+        assert record.completed
+        assert all(c.rate_mbps == pytest.approx(0.05) for c in record.clusters)
+        # The floor clamp lifted the rate above the spare capacity, which
+        # the bottleneck already shows: nothing is asked, nothing raised.
+        assert seen == {"calls": 0, "refused": 0}
+
+    def test_congested_path_reserves_through_the_instance_every_step(self, line):
+        line.link_between("A", "B").set_background_mbps(9.5)
+        flows = FlowManager(line)
+        seen = self.counting_reserve(flows)
+        record, _, sim, _ = run_session(line, lambda: make_decision(["A", "B"]), flows=flows)
+        assert record.completed
+        # 100 MB at 0.5 Mbps in 60 s quanta: one granted reservation a step.
+        assert seen == {"calls": sim.events_fired - 1, "refused": 0}
+        assert flows.active_count == 0
+
+    def test_path_crossing_a_link_twice_falls_back_to_the_floor(self, line):
+        # 1.5 Mbps free fits the 1 Mbps bottleneck test once, but the path
+        # crosses A-B three times: reserve's own refusal is the safety net.
+        link = line.link_between("A", "B")
+        link.set_background_mbps(8.5)
+        flows = FlowManager(line)
+        seen = self.counting_reserve(flows)
+        video = VideoTitle("v", size_mb=1.0, duration_s=8.0)
+        record, _, _, _ = run_session(
+            line, lambda: make_decision(["A", "B", "A", "B"]), video=video, flows=flows
+        )
+        assert record.completed
+        assert all(c.rate_mbps == pytest.approx(0.05) for c in record.clusters)
+        assert seen["calls"] == seen["refused"] > 0
+        assert flows.active_count == 0 and link.reserved_mbps == 0.0
 
     def test_decide_failure_fails_request(self, line):
         def decide():

@@ -47,6 +47,32 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             sim.schedule_at(2.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_schedule_at_non_finite_time_rejected(self, sim, bad):
+        fired = []
+        sim.schedule(3.0, fired.append, "ok")
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(bad, fired.append, "poison")
+        assert sim.pending_count == 1
+        assert sim.run() == 3.0  # the clock is neither NaN nor parked at inf
+        assert fired == ["ok"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_schedule_many_absolute_non_finite_time_is_atomic(self, sim, bad):
+        fired = []
+        with pytest.raises(SchedulingError):
+            sim.schedule_many(
+                [(1.0, fired.append, ("a",)), (bad, fired.append, ("poison",)),
+                 (2.0, fired.append, ("b",))],
+                absolute=True,
+            )
+        assert sim.pending_count == 0 and sim.heap_depth == 0
+        assert sim.peek() is None
+        # The refused batch consumed nothing: the next event is still first.
+        assert sim.schedule(1.0, fired.append, "next").event.seq == 0
+        assert sim.run() == 1.0
+        assert fired == ["next"]
+
     def test_zero_delay_allowed(self, sim):
         fired = []
         sim.schedule(0.0, lambda: fired.append(sim.now))

@@ -1,4 +1,4 @@
-"""Engine batching: schedule_many, precomputed keys, heap compaction."""
+"""Engine batching: schedule_many, event keys, heap compaction."""
 
 import pytest
 
@@ -11,13 +11,22 @@ class TestEventKey:
     def test_key_precomputed_at_construction(self):
         event = Event(time=4.0, seq=7, callback=lambda: None)
         assert event.key == (4.0, 7)
-        assert event.sort_key() is event.key
+        assert event.sort_key() == event.key
 
     def test_key_survives_frozen_dataclass(self):
         event = Event(time=1.0, seq=0, callback=lambda: None)
-        with pytest.raises(Exception):
-            event.time = 2.0
-        assert event.key == (1.0, 0)
+        for field, value in (("time", 2.0), ("seq", 9), ("key", (2.0, 9))):
+            with pytest.raises(AttributeError):
+                setattr(event, field, value)
+        assert event.key == event.sort_key() == (1.0, 0)
+
+    def test_engine_orders_by_the_key_of_the_event_it_returns(self):
+        sim = Simulator(start_time=2.0)
+        late = sim.schedule(1.0, lambda: None)
+        early = sim.schedule_at(2.5, lambda: None)
+        tied = sim.schedule(0.5, lambda: None)
+        assert [h.event.key for h in (late, early, tied)] == [(3.0, 0), (2.5, 1), (2.5, 2)]
+        assert [sim.step().key for _ in range(3)] == [(2.5, 1), (2.5, 2), (3.0, 0)]
 
 
 class TestScheduleMany:

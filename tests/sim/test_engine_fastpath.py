@@ -7,12 +7,31 @@ from repro.sim.engine import Simulator
 
 @pytest.fixture
 def sim() -> Simulator:
-    return Simulator()
+    """A simulator whose ``schedule`` records every handle it returns.
+
+    Wrapped on the instance, the way the perf ledger's tracer does: the
+    engine keeps an instance ``__dict__`` and callers look ``schedule`` up
+    on the instance at call time, so callbacks that reschedule are seen too.
+    """
+    sim = Simulator()
+    sim.handles = []
+    schedule = sim.schedule
+
+    def recording_schedule(*args, **kwargs):
+        handle = schedule(*args, **kwargs)
+        sim.handles.append(handle)
+        return handle
+
+    sim.schedule = recording_schedule
+    return sim
 
 
 def heap_pending(sim: Simulator) -> int:
-    """Reference count: scan the heap the way the old property did."""
-    return sum(1 for _, handle in sim._heap if handle.pending)
+    """Reference count from the public surface: every handle ever returned
+    that still reads pending (the heap holds these plus cancelled carcasses)."""
+    pending = sum(1 for handle in sim.handles if handle.pending)
+    assert pending <= sim.heap_depth <= len(sim.handles)
+    return pending
 
 
 class TestLivePendingCounter:

@@ -35,6 +35,10 @@ class TestEvent:
     def test_frozen(self):
         import pytest
 
-        event = Event(time=0.0, seq=0, callback=lambda: None)
+        event = Event(time=0.0, seq=0, callback=lambda: None, args=(1,), name="n")
+        for field in ("time", "seq", "callback", "args", "name", "key"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
         with pytest.raises(AttributeError):
-            event.time = 5.0  # type: ignore[misc]
+            event.extra = 1  # type: ignore[attr-defined]
+        assert event == Event(time=0.0, seq=0, callback=event.callback, args=(1,), name="n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.process import Delay, Process, Signal, WaitSignal
 
@@ -81,6 +81,36 @@ class TestProcessBasics:
         assert process.finished
         with pytest.raises(SimulationError):
             process.check()
+
+    @pytest.mark.parametrize(
+        "bad", [Delay(-1.0), Delay(float("nan")), Delay(float("inf")), -2, -0.5]
+    )
+    def test_bad_delay_errors_the_process_not_the_run(self, sim, bad):
+        log = []
+
+        def faulty():
+            yield Delay(1.0)
+            try:
+                yield bad
+            finally:
+                log.append(("faulty closed", sim.now))
+            log.append("unreachable")
+
+        def healthy():
+            for _ in range(3):
+                yield Delay(2.0)
+            log.append(("healthy done", sim.now))
+            return "ok"
+
+        bad_process = Process(sim, faulty())
+        good_process = Process(sim, healthy())
+        sim.run()  # must not raise: the other processes complete
+        assert log == [("faulty closed", 1.0), ("healthy done", 6.0)]
+        assert bad_process.finished and good_process.check() == "ok"
+        with pytest.raises(SchedulingError):
+            bad_process.check()
+        assert bad_process.finished_signal.trigger_count == 1
+        assert sim.pending_count == 0 and sim.now == 6.0
 
     def test_two_processes_interleave(self, sim):
         log = []
