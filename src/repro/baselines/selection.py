@@ -92,7 +92,7 @@ class _BaselineSelection:
             chosen_uid=chosen,
             served_locally=False,
             path=paths[chosen],
-            candidate_paths={uid: paths[uid] for uid in paths},
+            audit_of=lambda _weights: (dict(paths), None),
         )
 
 

@@ -10,15 +10,18 @@ Given a client request, the VRA:
    Dijkstra from the home server over those weights, and picks the
    candidate whose least-cost path is cheapest.
 
-The decision object keeps the complete audit trail — weight table, Dijkstra
+The decision object exposes the complete audit trail — weight table, Dijkstra
 result (with optional step trace for Tables 4-5), every candidate's best
-path — which is what the case-study benchmarks print.
+path — which is what the case-study benchmarks print.  Choosing only needs
+the *nearest* available holder, so the compiled path searches no further
+than that and completes the trail on first read (DESIGN.md §5b.12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.lvn import (
     DEFAULT_NORMALIZATION_CONSTANT,
@@ -60,6 +63,10 @@ EpochFn = Callable[[], Hashable]
 DeltaFn = Callable[[], Optional[FrozenSet[str]]]
 
 
+#: ``weights -> (candidate_paths, dijkstra_result)`` of one decision.
+AuditFn = Callable[[Dict[str, float]], Tuple[Dict[str, Path], Optional[DijkstraResult]]]
+
+
 @dataclass(frozen=True)
 class VraDecision:
     """The outcome of one VRA run.
@@ -73,14 +80,17 @@ class VraDecision:
             1-node path at cost 0.
         path: Least-cost path from the home server to ``chosen_uid`` (the
             download traverses it in reverse).
-        candidate_paths: Best path per polled-up candidate server.
         weights: The LVN table used (empty for local serves).
-        dijkstra_result: Full shortest-path tree (None for local serves).
         polled_out: Candidates that failed the availability poll.
         degraded: True when the decision was taken while the staleness
             guard had age-expired link stats inflated — the routing ran
             on conservative, not measured, weights.  Stamped by the
             service layer (``dataclasses.replace``), never by the VRA.
+        audit_of: Derives ``candidate_paths`` and ``dijkstra_result`` from
+            ``weights`` on first read (None: no candidates, no tree).  A
+            copy made by ``dataclasses.replace`` derives them afresh from
+            *its* ``weights``; read them while the decision is current —
+            the derivation sees the topology's online state at read time.
     """
 
     title_id: str
@@ -88,11 +98,24 @@ class VraDecision:
     chosen_uid: str
     served_locally: bool
     path: Path
-    candidate_paths: Dict[str, Path] = field(default_factory=dict)
     weights: Dict[str, float] = field(default_factory=dict)
-    dijkstra_result: Optional[DijkstraResult] = None
     polled_out: Sequence[str] = ()
     degraded: bool = False
+    audit_of: Optional[AuditFn] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _audit(self) -> Tuple[Dict[str, Path], Optional[DijkstraResult]]:
+        return ({}, None) if self.audit_of is None else self.audit_of(self.weights)
+
+    @property
+    def candidate_paths(self) -> Dict[str, Path]:
+        """Best path per polled-up, reachable candidate server."""
+        return self._audit[0]
+
+    @property
+    def dijkstra_result(self) -> Optional[DijkstraResult]:
+        """Complete shortest-path tree (None for local serves)."""
+        return self._audit[1]
 
     @property
     def cost(self) -> float:
@@ -296,13 +319,17 @@ class VirtualRoutingAlgorithm:
             return None
         return self._incremental.patch(dirty)
 
-    def _routing_state(self, home_uid: str) -> "tuple[Dict[str, float], DijkstraResult]":
-        """The LVN table and shortest-path tree for one decision.
+    def _routing_state(
+        self, home_uid: str, targets: Sequence[str]
+    ) -> "tuple[Dict[str, float], DijkstraResult]":
+        """The LVN table and shortest-path search for one decision.
 
-        With caching on, both come from the routing cache under a single
-        epoch token fetched once (so the pair is always mutually
-        consistent); cached decisions share the table/tree objects, which
-        callers treat as read-only audit state.
+        The compiled path searches only as far as the nearest of
+        ``targets`` (the available holders); the python path settles
+        everything.  With caching on, both come from the routing cache
+        under a single epoch token fetched once (so the pair is always
+        mutually consistent); cached decisions share the table/search
+        objects, which callers treat as read-only.
         """
         if self.cache is None:
             if (
@@ -312,25 +339,43 @@ class VirtualRoutingAlgorithm:
             ):
                 # Cache-less hot path: fused snapshot call (one version
                 # check, no weight-token round-trip).
-                return self._snapshot.routing_state(home_uid, self._used_of, self._k)
+                return self._snapshot.routing_state(home_uid, self._used_of, self._k, targets)
             weights = self._compute_weights()
-            return weights, self._run_dijkstra(home_uid, weights)
+            return weights, self._run_dijkstra(home_uid, weights, targets)
         epoch = self._epoch_of()
         weights = self.cache.weights(epoch, self._compute_weights)
         result = self.cache.tree(
-            epoch, home_uid, lambda: self._run_dijkstra(home_uid, weights)
+            epoch, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
         )
         return weights, result
 
-    def _run_dijkstra(self, home_uid: str, weights: Dict[str, float]) -> DijkstraResult:
+    def _run_dijkstra(
+        self, home_uid: str, weights: Dict[str, float], targets: Sequence[str] = ()
+    ) -> DijkstraResult:
         if self._snapshot is not None and not self._trace:
-            return self._snapshot.dijkstra(home_uid, weights)
+            return self._snapshot.dijkstra(home_uid, weights, targets)
         return dijkstra(
             self._topology,
             home_uid,
             weight=lambda link: weights[link.name],
             trace=self._trace,
         )
+
+    def _audit(
+        self, home_uid: str, available: Sequence[str], search: DijkstraResult,
+        weights: Dict[str, float],
+    ) -> Tuple[Dict[str, Path], DijkstraResult]:
+        """A routed decision's ``(candidate_paths, dijkstra_result)``.
+
+        The python path's search is the complete tree (and the only one
+        carrying trace steps), so it is the audit.  A compiled search is a
+        prefix, possibly a cached one that outlived deltas beyond its
+        radius: the audit is a full run under ``weights``, the table the
+        decision holds *now* — what a cold decision would embed.
+        """
+        if self._snapshot is not None and not self._trace:
+            search = self._snapshot.dijkstra(home_uid, weights)
+        return {uid: search.path(uid) for uid in available if search.reaches(uid)}, search
 
     def decide(
         self,
@@ -436,13 +481,15 @@ class VirtualRoutingAlgorithm:
                 "out or is the (title-less) home server"
             )
 
-        weights, result = self._routing_state(home_uid)
+        weights, result = self._routing_state(home_uid, available)
 
-        candidate_paths: Dict[str, Path] = {}
-        for uid in available:
-            if result.reaches(uid):
-                candidate_paths[uid] = result.path(uid)
-        if not candidate_paths:
+        # "From those alternative least cost paths choose the one with the
+        # smallest cost."  Ties break on server uid for determinism.  A
+        # search that stopped at the nearest holder also holds every holder
+        # tying with it, so this is the global minimum.
+        distances = result.distances
+        reachable = [(distances[uid], uid) for uid in available if uid in distances]
+        if not reachable:
             # The partition case: holders answered the poll but every path
             # from the home server is severed.  A distinct subclass so the
             # session retry loop / try_decide can treat it as transient.
@@ -450,20 +497,16 @@ class VirtualRoutingAlgorithm:
                 f"title {title_id!r}: no candidate server {available} is "
                 f"reachable from home server {home_uid!r}"
             )
-
-        # "From those alternative least cost paths choose the one with the
-        # smallest cost."  Ties break on server uid for determinism.
-        chosen_uid = min(candidate_paths, key=lambda uid: (candidate_paths[uid].cost, uid))
+        chosen_uid = min(reachable)[1]
         decision = VraDecision(
             title_id=title_id,
             home_uid=home_uid,
             chosen_uid=chosen_uid,
             served_locally=False,
-            path=candidate_paths[chosen_uid],
-            candidate_paths=candidate_paths,
+            path=result.path(chosen_uid),
             weights=weights,
-            dijkstra_result=result,
             polled_out=polled_out,
+            audit_of=partial(self._audit, home_uid, available, result),
         )
         if memo is not None:
             memo.put(cache_key, decision, tree=result, candidate_count=len(available))

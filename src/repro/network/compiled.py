@@ -8,7 +8,9 @@ object adjacency per decision.  Two kernels run on top:
 
 * :meth:`TopologySnapshot.weight_table_with_nv` — equations (1)-(4) over the
   link arrays, and
-* :meth:`TopologySnapshot.dijkstra` — shortest paths over the CSR arrays.
+* :meth:`TopologySnapshot.dijkstra` — shortest paths over the CSR arrays,
+  optionally goal-directed: given targets it stops at the nearest one and
+  returns that prefix of the full tree.
 
 Correctness contract — **bit-for-bit**, the same bar the incremental LVN
 table meets: every table, NV map and Dijkstra result must equal the python
@@ -31,7 +33,8 @@ down to dict insertion order.  The rules that enforce it:
   path's ``(distance, uid)`` string comparison — and relaxation stays
   strict, so settlement order, the predecessor tree and the
   :func:`~repro.network.routing.dijkstra.tree_unaffected` proofs are
-  untouched.
+  untouched.  A goal-directed run is the same loop cut short, so its
+  result is the full run's restricted to the nodes it settled.
 
 numpy is optional.  Below :data:`NUMPY_MIN_LINKS` links — or whenever numpy
 is not installed — the kernels run over plain python lists instead; both
@@ -42,7 +45,7 @@ what the no-numpy CI leg and the backend-equivalence property tests pin.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError, RoutingError, TopologyError
 from repro.network.link import Link
@@ -159,6 +162,7 @@ class TopologySnapshot:
         self._inc_nbr = inc_nbr
         self._linkless_uid = linkless_uid
         self._lv_cache: Dict[float, object] = {}
+        self._values_memo: Optional[Tuple[Dict[str, float], List[float], bool]] = None
         self._structure_version += 1
         self._token = (id(self), self._structure_version)
         self._node_count = n
@@ -373,56 +377,89 @@ class TopologySnapshot:
     # ------------------------------------------------------------------ #
     # Dijkstra over the CSR arrays
     # ------------------------------------------------------------------ #
-    def _weight_values(self, weights: Dict[str, float]) -> List[float]:
+    def _weight_values(self, weights: Dict[str, float]) -> Tuple[List[float], bool]:
+        """``weights`` as a link-aligned array, plus "no negative/NaN in it".
+
+        Memoized on the table's identity (tables are copy-on-write, see
+        :meth:`IncrementalLvnTable.patch`): a patched table is a plain
+        dict, and one routing epoch asks for the same table once per
+        Dijkstra run.
+        """
+        memo = self._values_memo
+        if memo is not None and memo[0] is weights:
+            return memo[1], memo[2]
         if (
             type(weights) is CompiledWeightTable
             and weights.structure_token == self._token
         ):
-            return weights.link_values
-        return [weights[name] for name in self._link_names]
+            values = weights.link_values
+        else:
+            values = [weights[name] for name in self._link_names]
+        valid = _all_valid(values)
+        self._values_memo = (weights, values, valid)
+        return values, valid
 
     def routing_state(
         self,
         source: str,
         used_of: Optional[Callable[[Link], float]] = None,
         normalization_constant: float = _DEFAULT_K,
+        targets: Iterable[str] = (),
     ) -> Tuple[CompiledWeightTable, DijkstraResult]:
-        """One decision's (weight table, shortest-path tree), fused.
+        """One decision's (weight table, shortest-path search), fused.
 
         The cache-less hot path calls both per decision; fusing them shares
-        the version check and hands the freshly computed value array to
-        Dijkstra without the token round-trip.
+        the version check.
         """
         table = self.weight_table_with_nv(used_of, normalization_constant, _nv=False)[0]
-        return table, self._run_dijkstra(source, table.link_values)
+        return table, self._search(source, table, targets)
 
-    def dijkstra(self, source: str, weights: Dict[str, float]) -> DijkstraResult:
-        """Single-source shortest paths, bit-identical to the python path.
+    def dijkstra(
+        self, source: str, weights: Dict[str, float], targets: Iterable[str] = ()
+    ) -> DijkstraResult:
+        """Shortest paths from ``source``, bit-identical to the python path.
 
-        Same determinism contract, error messages and dict insertion order
-        as :func:`repro.network.routing.dijkstra.dijkstra` (trace mode is
-        not supported here; the VRA falls back to the python path for it).
+        Without ``targets``: the full single-source tree — same determinism
+        contract, error messages and dict insertion order as
+        :func:`repro.network.routing.dijkstra.dijkstra` (trace mode is not
+        supported here; the VRA falls back to the python path for it).
+
+        With ``targets`` (the VRA passes the available holders) the search
+        stops once the nearest target is settled and the heap top is
+        *strictly* farther — every node tying with it is drained first —
+        and returns that prefix of the full tree (``complete`` False,
+        ``radius`` the nearest target's distance; see
+        :class:`~repro.network.routing.dijkstra.DijkstraResult`).  Unknown
+        or unreachable targets never stop it.  A table holding a negative
+        or NaN weight anywhere is searched in full, so the lazy scan raises
+        the python path's ``RoutingError`` for the python path's link even
+        when that link lies beyond the stopping radius.
         """
         self.refresh()
-        if source not in self._pos_of:
+        return self._search(source, weights, targets)
+
+    def _search(
+        self, source: str, weights: Dict[str, float], targets: Iterable[str]
+    ) -> DijkstraResult:
+        pos_of = self._pos_of
+        pos = pos_of.get(source)
+        if pos is None:
             # Checked before weight resolution so an unknown source raises
             # the python path's TopologyError even with stale/empty weights.
             raise TopologyError(
                 f"Dijkstra source {source!r} is not in topology {self._topology.name!r}"
             )
-        return self._run_dijkstra(source, self._weight_values(weights))
-
-    def _run_dijkstra(self, source: str, values: List[float]) -> DijkstraResult:
-        pos = self._pos_of.get(source)
-        if pos is None:
-            raise TopologyError(
-                f"Dijkstra source {source!r} is not in topology {self._topology.name!r}"
-            )
+        values, valid = self._weight_values(weights)
+        if not valid:
+            targets = ()  # full run: its lazy scan finds the link to blame
         n = self._node_count
         inf = float("inf")
         dist = [inf] * n
         prev = [-1] * n
         settled = bytearray(n)
+        goals = {pos_of[uid] for uid in targets if uid in pos_of}
+        radius = inf  # becomes the first settled target's distance
+        complete = True
         rank = self._rank
         adj, names = self._adj_online, self._link_names
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -434,7 +471,14 @@ class TopologySnapshot:
             d, _, u = heappop(heap)
             if settled[u]:
                 continue
+            if d > radius:
+                # Strictly farther than the nearest target: everything at
+                # its distance is settled, so min((cost, uid)) is decided.
+                complete = False
+                break
             settled[u] = 1
+            if u in goals:
+                radius = d
             # Offline links are already filtered out of the edge lists —
             # before validation, matching the python path's lazy scan.
             for v, i in adj[u]:
@@ -454,11 +498,26 @@ class TopologySnapshot:
                     prev[v] = u
                     heappush(heap, (candidate, rank[v], v))
 
+        if not complete:
+            # Reached-but-unsettled nodes hold tentative distances only.
+            reached = [p for p in reached if settled[p]]
         uids = self._uids
         distances = {uids[p]: dist[p] for p in reached}
         predecessors = {
             uids[p]: uids[prev[p]] if prev[p] >= 0 else None for p in reached
         }
         return DijkstraResult(
-            source=source, distances=distances, predecessors=predecessors
+            source=source,
+            distances=distances,
+            predecessors=predecessors,
+            complete=complete,
+            radius=inf if complete else radius,
         )
+
+
+def _all_valid(values: List[float]) -> bool:
+    """True iff no weight is negative or NaN.
+
+    ``min`` alone can step over a NaN; ``sum`` propagates it.
+    """
+    return not values or (min(values) >= 0.0 and sum(values) >= 0.0)

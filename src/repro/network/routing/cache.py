@@ -1,7 +1,7 @@
 """Epoch-versioned memoization of routing state.
 
-The VRA recomputes the LVN weight table (equations 1-4) and a full
-Dijkstra tree for every decision, yet its inputs only change when a
+The VRA recomputes the LVN weight table (equations 1-4) and a Dijkstra
+search for every decision, yet its inputs only change when a
 *routing epoch* advances: an SNMP sample lands in the limited-access
 database, a link fails or recovers, or — on the ground-truth path —
 link usage itself mutates.  Between epochs every recomputation is
@@ -9,8 +9,12 @@ byte-identical, so the service threads a cheap epoch token (see
 ``VoDService.routing_epoch``) through this cache and reuses:
 
 * the LVN ``weight_table`` — one per epoch, and
-* the ``DijkstraResult`` shortest-path tree — one per ``(epoch, source)``,
-  LRU-bounded by ``max_trees``.
+* the ``DijkstraResult`` — one per ``(epoch, source)``, LRU-bounded by
+  ``max_trees``.  The python path stores complete shortest-path trees;
+  the compiled path stores the *prefix* its goal-directed search settled
+  (everything within ``radius`` of the source), which answers any later
+  request with a target inside it and is replaced by a longer search
+  otherwise (:meth:`RoutingCache.tree`).
 
 Correctness contract: the epoch token MUST change whenever any routing
 input could have changed.  Under that contract a cache hit returns the
@@ -25,8 +29,8 @@ invalidation).  With a probe — wired up by the VRA from the topology and
 database change journals plus an incremental LVN table — the cache first
 asks it for ``(patched_weight_table, link_deltas)``; on success only the
 deltas are applied (a *partial* invalidation): the weight table is
-swapped for the patched copy and each cached Dijkstra tree is kept iff
-:func:`~repro.network.routing.dijkstra.tree_unaffected` proves it
+swapped for the patched copy and each cached Dijkstra tree or prefix is
+kept iff :func:`~repro.network.routing.dijkstra.tree_unaffected` proves it
 bit-for-bit valid against every delta (kept = *repaired*; dropped =
 *rerooted* lazily on the next request).  The probe returning None — the
 journals overflowed, or there is no base table yet — degrades to the
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.network.routing.dijkstra import DijkstraResult, LinkDelta, tree_unaffected
@@ -169,7 +173,7 @@ class RoutingCacheStats:
 
 @dataclass
 class RoutingCache:
-    """Per-epoch memo of the LVN table and Dijkstra trees.
+    """Per-epoch memo of the LVN table and Dijkstra trees / tree prefixes.
 
     Args:
         max_trees: LRU bound on cached trees; ``0`` disables the cache.
@@ -235,19 +239,31 @@ class RoutingCache:
         epoch: Hashable,
         source: str,
         compute: Callable[[], DijkstraResult],
+        targets: Sequence[str] = (),
     ) -> DijkstraResult:
-        """The Dijkstra tree from ``source`` for ``epoch`` (LRU-bounded)."""
+        """The Dijkstra search from ``source`` for ``epoch`` (LRU-bounded).
+
+        ``targets`` are the nodes the caller will read (none = the whole
+        tree).  A cached *prefix* answers iff one of them lies inside it:
+        the nearest target, and every target tying with it, is then inside
+        too.  Otherwise it is a miss — ``compute`` searches further out
+        under the current weights and its longer result replaces the
+        entry; a prefix is never extended in place.
+        """
         if not self.enabled:
             return compute()
         self.sync(epoch)
         cached = self._trees.get(source)
-        if cached is not None:
+        if cached is not None and (
+            cached.complete or not cached.distances.keys().isdisjoint(targets)
+        ):
             self.stats.tree_hits += 1
             self._trees.move_to_end(source)
             return cached
         self.stats.tree_misses += 1
         result = compute()
         self._trees[source] = result
+        self._trees.move_to_end(source)
         while len(self._trees) > self.max_trees:
             self._trees.popitem(last=False)
             self.stats.evictions += 1
@@ -402,17 +418,19 @@ class DecisionCache:
     * A **full** epoch transition flushes everything, exactly like the
       routing cache underneath.
     * A **partial** transition (delta-patched epoch) drops only decisions
-      whose shortest-path tree a :class:`LinkDelta` could have touched —
-      the same :func:`tree_unaffected` proof the routing cache runs for
-      its trees, memoized per distinct tree so a crowd of decisions over
-      one tree is judged once.  Locally-served decisions reference no
-      tree and survive every delta.
+      whose shortest-path search (a complete tree, or the prefix within
+      the chosen holder's distance) a :class:`LinkDelta` could have
+      touched — the same :func:`tree_unaffected` proof the routing cache
+      runs for its trees, memoized per distinct tree so a crowd of
+      decisions over one tree is judged once.  Locally-served decisions
+      reference no tree and survive every delta.
     * Surviving routed decisions are *refreshed*: their audit ``weights``
       table is rebased onto the patched table (``dataclasses.replace`` on
       the frozen decision), because that is the table a cold run after
       the delta would embed.  Choice, path and cost are provably
-      unchanged, so the refreshed decision stays bit-for-bit equal to a
-      cache-off recompute.
+      unchanged, and the decision's lazily completed audit trail is
+      derived from the table it holds when read, so the refreshed
+      decision stays bit-for-bit equal to a cache-off recompute.
     * Availability churn that never touches a journal — a holder filling
       its last stream slot, a title evicted by the DMA — is carried by
       the *key* (the holder signatures change), not by invalidation.
@@ -480,9 +498,9 @@ class DecisionCache:
             key: The full decision key; the caller guarantees that equal
                 keys within one epoch imply bit-identical decisions.
             decision: The decision object to hand back on hits.
-            tree: The Dijkstra tree the decision was derived from, or
-                None for locally-served decisions (which then survive
-                every link delta).
+            tree: The Dijkstra tree — or goal-directed prefix — the
+                decision was read from, or None for locally-served
+                decisions (which then survive every link delta).
             candidate_count: Polled-up remote candidates, replayed into
                 the ``vra.candidates`` histogram on hits so telemetry
                 matches a cache-off run.
@@ -528,9 +546,11 @@ class DecisionCache:
                 self._m_dropped.inc()
                 continue
             if getattr(entry.decision, "weights", None) is not table:
-                entry.decision = replace(entry.decision, weights=table)
                 self.stats.decisions_refreshed += 1
                 self._m_refreshed.inc()
+            # A fresh copy even when only online flags moved: it sheds an
+            # audit trail already completed under the pre-delta state.
+            entry.decision = replace(entry.decision, weights=table)
             survivors[key] = entry
         self._entries = survivors
         self._full = len(self._entries) >= self.max_decisions

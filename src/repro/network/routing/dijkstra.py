@@ -70,19 +70,34 @@ class DijkstraStep:
 
 @dataclass
 class DijkstraResult:
-    """Shortest-path tree from a single source.
+    """Shortest-path tree from a single source, or a prefix of it.
+
+    :func:`dijkstra` always settles the whole graph (``complete``).  The
+    compiled goal-directed search
+    (:meth:`repro.network.compiled.TopologySnapshot.dijkstra` with
+    targets) may stop early; what it returns is then a *prefix* of the
+    full tree — exactly the nodes whose final distance is ``<= radius``,
+    with the distances, predecessors and relative insertion order the full
+    run gives them.  A node absent from a prefix is either unreachable or
+    farther than ``radius``; only a complete result tells the two apart.
 
     Attributes:
         source: Source node uid.
-        distances: Uid -> final shortest distance (unreachable uids absent).
+        distances: Uid -> final shortest distance (unreachable uids — and,
+            in a prefix, uids beyond ``radius`` — absent).
         predecessors: Uid -> previous hop on the shortest path.
         steps: Trace rows (empty unless trace mode was requested).
+        complete: True when every reachable node was settled.
+        radius: Distance up to which the search settled every node
+            (``inf`` for a complete result).
     """
 
     source: str
     distances: Dict[str, float]
     predecessors: Dict[str, Optional[str]]
     steps: List[DijkstraStep] = field(default_factory=list)
+    complete: bool = True
+    radius: float = float("inf")
 
     def reaches(self, target: str) -> bool:
         """True if ``target`` is reachable from the source."""
@@ -222,9 +237,11 @@ def tree_unaffected(result: DijkstraResult, delta: LinkDelta) -> bool:
     """True if ``delta`` provably leaves ``result`` bit-for-bit identical.
 
     The rules are sound but conservative: a True verdict guarantees that a
-    fresh :func:`dijkstra` run over the post-delta weights would return the
-    exact distances and predecessors already cached; a False verdict only
-    means the proof failed, and the caller re-roots from scratch.
+    fresh run over the post-delta weights — :func:`dijkstra` for a
+    complete result, the same goal-directed search for a prefix — would
+    return the exact distances and predecessors already cached; a False
+    verdict only means the proof failed, and the caller re-roots from
+    scratch.
 
     Soundness leans on the determinism contract (uid tie-break + strict
     relaxation): the final predecessor of a node is the earliest-settled
@@ -233,53 +250,58 @@ def tree_unaffected(result: DijkstraResult, delta: LinkDelta) -> bool:
     final distance moves and no settlement-order tie is disturbed.
 
     Per-delta rules (``u``/``v`` the endpoints, ``d`` the cached
-    distances):
+    distances, ``radius`` the result's settled radius — ``inf`` for a
+    complete tree, where "outside" can only mean unreachable):
 
     * offline before and after — the link is invisible to both runs.
-    * removal (online -> offline): safe iff the link is not a tree edge;
-      every cached shortest path survives, so no distance moves.
-    * insertion (offline -> online, or a brand-new link): safe if both
-      endpoints are unreachable (the edge stays outside the routed
-      component); unsafe if exactly one is reachable (new reachability);
-      with both reachable, safe iff ``min(du, dv) + w_new > max(du, dv)``
-      *strictly* — equality would let the new edge become the
-      earliest-settled achiever and steal a predecessor.
-    * weight change on a live link: unsafe on a tree edge; on a non-tree
-      edge, treat as remove-then-insert (the strict bound above, with the
-      new weight).
+    * online afterwards with a negative or NaN weight — never proven; the
+      fresh run decides whether the link is scanned and raises.
+    * both endpoints outside — the link lies wholly beyond the radius (or
+      outside the routed component): no path through it can reach, or
+      bring a node to within, the radius.
+    * one endpoint inside (``d_in``) — safe iff the link is offline
+      afterwards (it led outwards, so it carried no cached path) or
+      ``d_in + w_new > radius`` *strictly*: the outside endpoint stays
+      outside.  Equality would settle it in the tie drain.  For a
+      complete tree this is never true of an online link (new
+      reachability).
+    * both inside, removal (online -> offline): safe iff the link is not
+      a tree edge; every cached shortest path survives, so no distance
+      moves.
+    * both inside, insertion (offline -> online, or a brand-new link):
+      safe iff ``min(du, dv) + w_new > max(du, dv)`` *strictly* —
+      equality would let the new edge become the earliest-settled
+      achiever and steal a predecessor.
+    * both inside, weight change on a live link: unsafe on a tree edge;
+      on a non-tree edge, treat as remove-then-insert (the strict bound
+      above, with the new weight).
 
     The rules compose: a batch of deltas that each pass individually is
     jointly safe, because passing removals keep every cached distance
-    achievable and passing insertions keep every cached distance optimal.
+    achievable and passing insertions keep every cached distance optimal
+    and every outside node outside.  A surviving prefix is only ever
+    *read*; anything beyond its radius is searched afresh under the
+    current weights.
     """
-    link = delta.link
-    if not delta.was_online and not delta.now_online:
-        return True
+    if not delta.now_online:
+        if not delta.was_online:
+            return True
+    elif not (delta.new_weight >= 0.0):
+        return False
 
-    u, v = link.a_uid, link.b_uid
-    preds = result.predecessors
-    is_tree_edge = preds.get(u) == v or preds.get(v) == u
-
-    if delta.was_online and not delta.now_online:
-        return not is_tree_edge
-
+    u, v = delta.link.a_uid, delta.link.b_uid
     du = result.distances.get(u)
     dv = result.distances.get(v)
-    if not delta.was_online:  # insertion
-        if du is None and dv is None:
-            return True
-        if du is None or dv is None:
-            return False
-        return min(du, dv) + delta.new_weight > max(du, dv)
-
-    # Online throughout: a pure weight change.
-    if is_tree_edge:
-        return False
-    if du is None and dv is None:
-        return True
     if du is None or dv is None:
-        # An online link with exactly one reachable endpoint cannot occur
-        # in a consistent cached run; refuse the proof rather than trust it.
+        if (du is None and dv is None) or not delta.now_online:
+            return True
+        return (dv if du is None else du) + delta.new_weight > result.radius
+
+    preds = result.predecessors
+    is_tree_edge = preds.get(u) == v or preds.get(v) == u
+    if not delta.now_online:
+        return not is_tree_edge
+    if delta.was_online and is_tree_edge:
         return False
     return min(du, dv) + delta.new_weight > max(du, dv)
 

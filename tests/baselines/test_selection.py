@@ -129,3 +129,33 @@ class TestHomeOnly:
 
         with pytest.raises(TopologyError):
             HomeOnlySelection(grnet_8am, origin_uid="U9")
+
+
+class TestFullTreeConsumer:
+    """The baselines iterate ``result.distances`` of a *complete* min-hop
+    tree; a goal-directed prefix (which stops at the nearest holder) would
+    silently drop every farther candidate."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda t: RandomSelection(t, rng=random.Random(0)), MinHopSelection],
+    )
+    def test_candidate_paths_span_every_reachable_node(
+        self, grnet_8am, factory, monkeypatch
+    ):
+        import repro.baselines.selection as selection
+
+        trees = []
+        real = selection.dijkstra
+
+        def recording(*args, **kwargs):
+            trees.append(real(*args, **kwargs))
+            return trees[-1]
+
+        monkeypatch.setattr(selection, "dijkstra", recording)
+        # U1 is one hop from U2, U5 three: a prefix would end at U1.
+        decision = factory(grnet_8am).decide("U2", "m", holders=["U1", "U5"])
+        assert trees and all(tree.complete for tree in trees)
+        assert set(decision.candidate_paths) == set(grnet_8am.node_uids()) - {"U2"}
+        assert decision.candidate_paths["U5"].hop_count == 3
+        assert decision.dijkstra_result is None

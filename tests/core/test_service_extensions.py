@@ -7,6 +7,7 @@ from repro.client.requests import RequestStatus
 from repro.core.lvn import node_validation
 from repro.core.service import ServiceConfig, VoDService
 from repro.core.vra import VirtualRoutingAlgorithm
+from repro.database.records import LinkStats
 from repro.errors import ReproError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
@@ -194,3 +195,28 @@ class TestStrictQosAdmission:
         service.sim.run(until=service.sim.now + 5 * 24 * 3600.0)
         assert request.status is RequestStatus.COMPLETED
         assert session.record.qos_violation_count > 0
+
+    def test_admission_consults_every_candidate_not_just_the_search_prefix(self):
+        """The compiled search stops at the nearest holder; admission must
+        still see the farther candidates' paths (the lazily completed
+        audit trail), or a saturated winner would block a servable title."""
+        service = make_service(strict_qos_admission=True, use_reported_stats=True)
+        service.seed_title("U4", movie())
+        service.seed_title("U5", movie())
+        service.start()
+        admin = service.database.limited_access()
+        for link in service.topology.links():  # the 8am sample, as SNMP saw it
+            admin.update_link_stats(
+                link.name,
+                LinkStats(link.used_mbps, link.utilization, service.sim.now),
+            )
+        # Since that sample, the winner's first hop filled up (not yet polled).
+        choked = service.topology.link_named("Patra-Ioannina")
+        choked.set_background_mbps(choked.capacity_mbps)
+
+        decision = service.decide("U2", "m1")
+        assert decision.chosen_uid == "U4" and decision.path.nodes == ("U2", "U3", "U4")
+        assert not service.flows.path_fits(decision.path.nodes, movie().bitrate_mbps)
+        assert set(decision.candidate_paths) == {"U4", "U5"}
+        assert decision.dijkstra_result.complete
+        assert service._qos_admissible("U2", "m1", movie())

@@ -118,3 +118,71 @@ class TestConfiguration:
             "U2", "movie", holders=["U4"]
         )
         assert decision.dijkstra_result.steps == []
+
+
+class TestGoalDirectedSearch:
+    """The compiled path searches to the nearest holder only; the decision
+    and its lazily completed audit trail must not show it."""
+
+    def cached_vra(self, topology, **kwargs):
+        return VirtualRoutingAlgorithm(
+            topology,
+            compiled=True,
+            epoch_of=lambda: (topology.traffic_version, topology.state_version),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_idle_network_equidistant_holders_pick_smallest_uid(self, grnet, compiled):
+        # No traffic: every LVN is 0, every holder ties at cost 0.
+        vra = VirtualRoutingAlgorithm(grnet, compiled=compiled)
+        decision = vra.decide("U1", "movie", holders=["U6", "U3", "U5"])
+        assert decision.cost == 0.0
+        assert decision.chosen_uid == "U3"
+        assert set(decision.candidate_paths) == {"U3", "U5", "U6"}
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_partitioned_holders_still_raise(self, grnet_8am, compiled):
+        from repro.errors import NoReachableHolderError
+
+        for link in grnet_8am.links_at("U2"):
+            link.online = False
+        vra = VirtualRoutingAlgorithm(grnet_8am, compiled=compiled)
+        with pytest.raises(NoReachableHolderError, match=r"\['U4', 'U5'\]"):
+            vra.decide("U2", "movie", holders=["U4", "U5"])
+
+    def test_decision_is_read_from_a_prefix_and_audited_in_full(self, grnet_8am):
+        vra = self.cached_vra(grnet_8am, decision_cache_size=8)
+        oracle = VirtualRoutingAlgorithm(grnet_8am)
+        decision = vra.decide("U2", "movie", holders=["U1", "U5"], cache_key="k")
+        expected = oracle.decide("U2", "movie", holders=["U1", "U5"])
+        search = vra.decision_cache.peek("k").tree
+        assert not search.complete and not search.reaches("U5")
+        assert (decision.chosen_uid, decision.path) == (expected.chosen_uid, expected.path)
+        # The audit trail is the complete tree and every candidate's path.
+        assert decision.dijkstra_result.complete
+        assert decision.dijkstra_result.distances == expected.dijkstra_result.distances
+        assert decision.candidate_paths == expected.candidate_paths
+        assert set(decision.candidate_paths) == {"U1", "U5"}
+        assert decision.dijkstra_result is decision.dijkstra_result  # derived once
+
+    def test_second_title_beyond_the_cached_prefix_is_researched(self, grnet_8am):
+        vra = self.cached_vra(grnet_8am)
+        oracle = VirtualRoutingAlgorithm(grnet_8am)
+        near = vra.decide("U2", "near", holders=["U1"])
+        assert vra.cache_stats.tree_misses == 1
+        far = vra.decide("U2", "far", holders=["U5"])  # U5 outside that prefix
+        assert (vra.cache_stats.tree_hits, vra.cache_stats.tree_misses) == (0, 2)
+        assert far.path == oracle.decide("U2", "far", holders=["U5"]).path
+        # The longer search replaced the short one and serves both titles.
+        again = vra.decide("U2", "near", holders=["U1"])
+        assert (vra.cache_stats.tree_hits, vra.cache_stats.tree_misses) == (1, 2)
+        assert again.path == near.path
+
+    def test_python_and_trace_paths_still_get_complete_trees(self, grnet_8am):
+        for kwargs in ({"compiled": False}, {"compiled": True, "trace": True}):
+            decision = VirtualRoutingAlgorithm(grnet_8am, **kwargs).decide(
+                "U2", "movie", holders=["U1", "U5"]
+            )
+            assert decision.dijkstra_result.complete
+            assert len(decision.dijkstra_result.distances) == grnet_8am.node_count

@@ -178,3 +178,19 @@ class TestDijkstraTraceAgainstTable5:
         assert final.paths["U4"] == ("U2", "U3", "U4")
         assert final.paths["U5"] == ("U2", "U1", "U6", "U5")
         assert final.paths["U6"] == ("U2", "U1", "U6")
+
+
+class TestFullTreeConsumer:
+    @pytest.mark.parametrize("exp_id", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_outcome_audits_every_candidate_over_the_complete_tree(self, exp_id, trace):
+        """Tables 4-5 print every candidate's path and the whole step
+        table — never the goal-directed prefix that stops at the winner."""
+        outcome = run_experiment(exp_id, trace=trace)
+        spec = outcome.spec
+        candidates = set(spec.holder_uids) - {spec.home_uid}
+        assert set(outcome.candidate_paths) == candidates
+        assert set(outcome.candidate_costs) == candidates
+        tree = outcome.decision.dijkstra_result
+        assert tree.complete and len(tree.distances) == 6
+        assert len(tree.steps) == (6 if trace else 0)

@@ -104,3 +104,16 @@ class TestRenderTimeline:
         )
         assert "empty" not in mixed
         assert "full" in mixed
+
+
+class TestFullTreeConsumer:
+    def test_experiment_report_lists_every_candidate_and_every_step(self):
+        """The report needs the losing candidates' paths and all six
+        Dijkstra rows; a goal-directed prefix would end at the winner."""
+        outcome = run_experiment("A")
+        text = render_experiment(outcome)
+        assert "U2,U3,U4" in text  # the winner
+        assert "U2,U1,U6,U5" in text  # the loser's best path, farther out
+        assert outcome.decision.dijkstra_result.complete
+        # The last row settles all six nodes, U5 (beyond the winner) last.
+        assert "{U2,U3,U1,U6,U4,U5}" in text

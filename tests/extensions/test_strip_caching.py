@@ -204,3 +204,26 @@ class TestGranularityComparison:
             evaluator = make_evaluator(granularity=granularity, cache_mb=1_000.0)
             hits[granularity] = evaluator.replay(list(events)).byte_hit_ratio
         assert hits["strip"] == pytest.approx(hits["title"])
+
+
+class TestFullTreeConsumer:
+    def test_requests_route_over_complete_trees(self, monkeypatch):
+        """Holders are looked up in the tree *after* it is built, so the
+        evaluator must never be handed a goal-directed prefix."""
+        import repro.extensions.strip_caching as strip_caching
+
+        trees = []
+        real = strip_caching.dijkstra
+
+        def recording(*args, **kwargs):
+            trees.append(real(*args, **kwargs))
+            return trees[-1]
+
+        monkeypatch.setattr(strip_caching, "dijkstra", recording)
+        for granularity in ("strip", "title"):
+            evaluator = make_evaluator(granularity=granularity)
+            assert evaluator.request("U5", "t1") > 0.0  # origin U2, hops away
+        assert len(trees) == 2
+        for tree in trees:
+            assert tree.complete and tree.radius == float("inf")
+            assert set(tree.distances) == set(NODES)

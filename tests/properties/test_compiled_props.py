@@ -12,14 +12,14 @@ properties compare representations, not just values.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.network.compiled as compiled_mod
 from repro.core.lvn import weight_table_with_nv
 from repro.core.lvn_delta import IncrementalLvnTable
 from repro.core.vra import VirtualRoutingAlgorithm
-from repro.errors import LinkCapacityError, ReproError, RoutingError
+from repro.errors import LinkCapacityError, ReproError
 from repro.network.compiled import TopologySnapshot
 from repro.network.flows import FlowManager
 from repro.network.grnet import GRNET_LINKS, GRNET_NODES, build_grnet_topology
@@ -217,56 +217,146 @@ class TestFlowLedgerEquivalence:
             assert fast_ledger == ref_ledger
 
 
-def decision_fingerprint(vra, home):
-    holders = [uid for uid in NODES if uid != home]
+def decision_fingerprint(vra, home, holders=None, down=(), cache_key=None):
+    """Everything observable about one decision — the lazily completed
+    audit trail included, dict insertion order and float reprs and all."""
+    if holders is None:
+        holders = [uid for uid in NODES if uid != home]
     try:
-        d = vra.decide(home, "t", holders=holders)
-    except RoutingError as exc:
-        return ("error", str(exc))
+        d = vra.decide(
+            home, "t", holders=holders, poll=lambda uid: uid not in down,
+            cache_key=cache_key,
+        )
+    except ReproError as exc:
+        return ("error", type(exc).__name__, str(exc))
     return (
         d.chosen_uid,
+        d.served_locally,
         d.path.nodes,
         repr(d.cost),
+        d.polled_out,
         [(name, repr(w)) for name, w in sorted(d.weights.items())],
-        {uid: (p.nodes, repr(p.cost)) for uid, p in d.candidate_paths.items()},
+        [(uid, p.nodes, repr(p.cost)) for uid, p in d.candidate_paths.items()],
+        None if d.dijkstra_result is None else tree_fingerprint(d.dijkstra_result),
     )
 
 
+#: A routed run: churn, then one decision over a random *subset* of
+#: holders, some of them polled out.
+holder_sets = st.lists(st.sampled_from(NODES), min_size=1, max_size=5, unique=True)
+routed_runs = st.lists(
+    st.tuples(
+        link_ops,
+        st.sampled_from(NODES),
+        holder_sets,
+        st.frozensets(st.sampled_from(NODES), max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def journal_delta_of(topology):
+    cursor = {"topo": topology.change_journal.head}
+
+    def delta_of():
+        cursor["topo"], names = topology.change_journal.since(cursor["topo"])
+        return names
+
+    return delta_of
+
+
 class TestVraEquivalence:
-    @given(churn_runs)
-    @settings(max_examples=50, deadline=None)
-    def test_compiled_vra_decisions_match_python_vra(self, runs):
+    @given(routed_runs, st.sampled_from(BACKENDS))
+    @settings(max_examples=80, deadline=None)
+    def test_compiled_vra_decisions_match_python_vra(self, runs, backend):
+        """Goal-directed compiled search vs the full-tree python oracle."""
         topology = build_grnet_topology()
         fast = VirtualRoutingAlgorithm(topology, compiled=True)
+        fast._snapshot._force_backend = backend
         plain = VirtualRoutingAlgorithm(topology, compiled=False)
-        for ops, home in runs:
+        for ops, home, holders, down in runs:
             apply_ops(topology, ops)
-            assert decision_fingerprint(fast, home) == decision_fingerprint(
-                plain, home
-            )
+            assert decision_fingerprint(
+                fast, home, holders, down
+            ) == decision_fingerprint(plain, home, holders, down)
 
-    @given(churn_runs)
-    @settings(max_examples=40, deadline=None)
-    def test_compiled_delta_vra_matches_python_cold(self, runs):
-        """Compiled snapshot + incremental LVN + delta journal, against a
-        cache-less pure-python VRA computing everything from scratch."""
+    @given(routed_runs, st.sampled_from(BACKENDS))
+    @example(
+        # An online flip beyond the radius that moves no weight: the
+        # memoized decision survives with the *same* table and must still
+        # shed the audit trail it completed before the flip.
+        runs=[
+            (
+                [("Patra-Ioannina", "traffic", 1.0), ("Patra-Athens", "toggle", 0.0)],
+                "U2", ["U1", "U3"], frozenset(),
+            ),
+            ([("Thessaloniki-Athens", "toggle", 0.0)], "U1", ["U1"], frozenset()),
+        ],
+        backend="list",
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_compiled_delta_vra_matches_python_cold(self, runs, backend):
+        """Compiled snapshot + incremental LVN + delta journal + both memo
+        layers, against a cache-less pure-python VRA computing everything
+        from scratch.  Decisions that survive ``DecisionCache.apply`` keep
+        their key across churn batches, so their audit trail must equal a
+        cold run under the *patched* table."""
         topology = build_grnet_topology()
-        cursor = {"topo": topology.change_journal.head}
-
-        def delta_of():
-            cursor["topo"], names = topology.change_journal.since(cursor["topo"])
-            return names
-
         cached = VirtualRoutingAlgorithm(
             topology,
             compiled=True,
             epoch_of=lambda: (topology.traffic_version, topology.state_version),
-            delta_of=delta_of,
+            delta_of=journal_delta_of(topology),
+            decision_cache_size=64,
         )
+        cached._snapshot._force_backend = backend
         assert cached.delta_maintenance
         plain = VirtualRoutingAlgorithm(topology, compiled=False)
-        for ops, home in runs:
+        asked = []
+        for ops, home, holders, down in runs:
             apply_ops(topology, ops)
-            assert decision_fingerprint(cached, home) == decision_fingerprint(
-                plain, home
-            )
+            asked.append((home, tuple(holders), down))
+            # Re-ask every earlier question too: those are the decisions
+            # the memo may have carried across this batch's deltas.
+            for key in asked:
+                assert decision_fingerprint(
+                    cached, *key, cache_key=key
+                ) == decision_fingerprint(plain, *key)
+
+    def test_decision_surviving_a_weight_delta_rebases_its_audit(self):
+        """Deterministic instance of the above: the nearest holder is one
+        hop away, the traffic change lands beyond that radius, the memoized
+        decision survives — and its audit is the cold run under the new
+        table, not the tree of the old one."""
+        topology = build_grnet_topology()
+        cached = VirtualRoutingAlgorithm(
+            topology,
+            compiled=True,
+            epoch_of=lambda: (topology.traffic_version, topology.state_version),
+            delta_of=journal_delta_of(topology),
+            decision_cache_size=8,
+        )
+        plain = VirtualRoutingAlgorithm(topology, compiled=False)
+        home, holders = "U1", ["U2", "U5"]
+        for link in topology.links():  # make every link cost something
+            link.set_background_mbps(0.1 * link.capacity_mbps)
+        first = cached.decide(home, "t", holders, cache_key="k")
+        assert first.chosen_uid == "U2" and first.path.nodes == ("U1", "U2")
+        before = tree_fingerprint(first.dijkstra_result)
+
+        far = next(
+            link for link in topology.links()
+            if "U1" not in link.key and "U2" not in link.key
+        )
+        far.set_background_mbps(0.9 * far.capacity_mbps)
+        again = cached.decide(home, "t", holders, cache_key="k")
+        stats = cached.decision_cache_stats
+        assert (stats.hits, stats.decisions_refreshed, stats.decisions_dropped) == (1, 1, 0)
+        assert again is not first and again.weights is not first.weights
+        assert decision_fingerprint(cached, home, holders, cache_key="k") == (
+            decision_fingerprint(plain, home, holders)
+        )
+        assert tree_fingerprint(again.dijkstra_result) != before
+        # The decision handed out earlier still audits against *its* table.
+        assert tree_fingerprint(first.dijkstra_result) == before

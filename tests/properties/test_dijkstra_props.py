@@ -1,12 +1,14 @@
-"""Property-based tests: Dijkstra optimality vs networkx on random graphs."""
+"""Property-based tests: Dijkstra optimality vs networkx on random graphs,
+and the goal-directed prefix contract of the compiled search."""
 
-import networkx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.compiled import TopologySnapshot
 from repro.network.link import Link
 from repro.network.node import Node
-from repro.network.routing.dijkstra import dijkstra
+from repro.network.routing.dijkstra import LinkDelta, dijkstra, tree_unaffected
 from repro.network.topology import Topology
 
 
@@ -50,6 +52,7 @@ def random_weighted_topology(draw):
 @given(random_weighted_topology())
 @settings(max_examples=60, deadline=None)
 def test_distances_match_networkx(data):
+    networkx = pytest.importorskip("networkx")
     topology, weights = data
     graph = networkx.Graph()
     for link in topology.links():
@@ -93,3 +96,145 @@ def test_triangle_inequality_over_tree(data):
             w = weights[link.name]
             assert result.cost(b) <= result.cost(a) + w + 1e-9
             assert result.cost(a) <= result.cost(b) + w + 1e-9
+
+
+# --------------------------------------------------------------------- #
+# Goal-directed search: prefix contract and the prefix proof rules
+# --------------------------------------------------------------------- #
+#: Small integer weights (zero included) so equidistant nodes, tie drains
+#: and the strict/non-strict edge of every proof rule come up constantly.
+TIE_WEIGHTS = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 5.0])
+
+
+@st.composite
+def tie_heavy_search(draw):
+    """(topology, weights, source, targets) on a graph full of ties, with
+    some links offline (so insertions and partitions occur)."""
+    node_count = draw(st.integers(min_value=2, max_value=10))
+    uids = [f"N{i}" for i in range(node_count)]
+    topology = Topology(name="ties")
+    for uid in uids:
+        topology.add_node(Node(uid))
+    weights = {}
+    pairs = [(uids[i], uids[draw(st.integers(0, i - 1))]) for i in range(1, node_count)]
+    pairs += draw(
+        st.lists(st.tuples(st.sampled_from(uids), st.sampled_from(uids)), max_size=14)
+    )
+    for a, b in pairs:
+        if a == b or topology.has_link_between(a, b):
+            continue
+        link = Link(a, b, capacity_mbps=10.0)
+        topology.add_link(link)
+        weights[link.name] = draw(TIE_WEIGHTS)
+        if draw(st.integers(0, 5)) == 0:
+            link.online = False
+    source = draw(st.sampled_from(uids))
+    targets = draw(st.lists(st.sampled_from(uids + ["ghost"]), max_size=4))
+    return topology, weights, source, targets
+
+
+def items(result):
+    return list(result.distances.items()), list(result.predecessors.items())
+
+
+@given(tie_heavy_search())
+@settings(max_examples=150, deadline=None)
+def test_goal_directed_result_is_a_prefix_of_the_full_tree(data):
+    """Stop rule + tie drain: the search returns exactly the nodes within
+    ``radius`` — values and insertion order as in the python oracle — and
+    the nearest target by ``min((cost, uid))`` is always inside."""
+    topology, weights, source, targets = data
+    snapshot = TopologySnapshot(topology)
+    full = dijkstra(topology, source, lambda link: weights[link.name])
+    prefix = snapshot.dijkstra(source, weights, targets)
+
+    reachable = [(full.distances[t], t) for t in targets if t in full.distances]
+    if prefix.complete:
+        assert prefix.radius == float("inf")
+        assert items(prefix) == items(full)
+    else:
+        # Stopped early: some target was settled, at exactly the radius.
+        assert prefix.radius == min(reachable)[0]
+        assert len(prefix.distances) < len(full.distances)
+    inside = [uid for uid, d in full.distances.items() if d <= prefix.radius]
+    assert list(prefix.distances) == inside
+    assert items(prefix) == (
+        [(uid, full.distances[uid]) for uid in inside],
+        [(uid, full.predecessors[uid]) for uid in inside],
+    )
+    if reachable:
+        cost, chosen = min(reachable)
+        assert prefix.distances[chosen] == cost
+        assert prefix.path(chosen) == full.path(chosen)
+        # Every target tying with the winner was drained too.
+        assert all(t in prefix.distances for d, t in reachable if d == cost)
+    # No targets means the whole tree, as every full-tree consumer expects.
+    assert items(snapshot.dijkstra(source, weights)) == items(full)
+
+
+delta_ops = st.lists(
+    st.tuples(st.integers(min_value=0), st.sampled_from(["toggle", "weight"]), TIE_WEIGHTS),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(tie_heavy_search(), delta_ops)
+@settings(max_examples=300, deadline=None)
+def test_prefix_proof_implies_identical_fresh_search(data, ops):
+    """Whenever ``tree_unaffected`` passes every delta of a batch on a
+    prefix (or a complete tree), a fresh goal-directed run under the
+    post-delta weights returns the identical result."""
+    topology, weights, source, targets = data
+    snapshot = TopologySnapshot(topology)
+    cached = snapshot.dijkstra(source, weights, targets)
+
+    links = list(topology.links())
+    patched = dict(weights)  # tables are copy-on-write
+    before = {link.name: (weights[link.name], link.online) for link in links}
+    for index, kind, value in ops:
+        link = links[index % len(links)]
+        if kind == "toggle":
+            link.online = not link.online
+        else:
+            patched[link.name] = value
+    deltas = [
+        LinkDelta(link, before[link.name][0], patched[link.name],
+                  before[link.name][1], link.online)
+        for link in links
+        if before[link.name] != (patched[link.name], link.online)
+    ]
+    if all(tree_unaffected(cached, delta) for delta in deltas):
+        fresh = snapshot.dijkstra(source, patched, targets)
+        assert fresh.distances == cached.distances
+        assert fresh.predecessors == cached.predecessors
+        # A removal can exhaust the fresh search exactly at the cached
+        # radius; the cached prefix then merely claims less than it could.
+        assert fresh.radius == cached.radius or (
+            fresh.complete and not cached.complete
+        )
+
+
+@given(tie_heavy_search(), st.integers(min_value=0), st.sampled_from([-1.0, float("nan")]))
+@settings(max_examples=60, deadline=None)
+def test_invalid_weight_anywhere_raises_like_the_full_run(data, index, bad):
+    """Validation fallback: a negative/NaN weight — even beyond the
+    stopping radius — raises the oracle's error for the oracle's link, and
+    is never proven harmless to a cached search."""
+    topology, weights, source, targets = data
+    snapshot = TopologySnapshot(topology)
+    cached = snapshot.dijkstra(source, weights, targets)
+    link = list(topology.links())[index % topology.link_count]
+    patched = {**weights, link.name: bad}
+
+    def outcome(run):
+        try:
+            return items(run())
+        except Exception as exc:  # noqa: BLE001 - compared by type and text
+            return type(exc).__name__, str(exc)
+
+    oracle = outcome(lambda: dijkstra(topology, source, lambda l: patched[l.name]))
+    assert outcome(lambda: snapshot.dijkstra(source, patched, targets)) == oracle
+    if link.online:
+        delta = LinkDelta(link, weights[link.name], bad, True, True)
+        assert not tree_unaffected(cached, delta)
