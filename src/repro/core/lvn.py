@@ -163,10 +163,8 @@ def weight_table_with_nv(
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """:func:`weight_table` plus the per-node NV map it was built from.
 
-    The incremental LVN maintenance layer (delta-scoped routing-cache
-    invalidation) keeps the NV map as live state and re-derives only the
-    entries whose inputs moved; routing both the cold and the patched
-    paths through this one function is what keeps them bit-for-bit equal.
+    The NV map is what the compiled kernel's differential tests compare
+    against, node by node.
     """
     used = _ground_truth if used_of is None else used_of
     nv: Dict[str, float] = {

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.changes import JournalCursor
 from repro.client.client import Client
 from repro.client.requests import VideoRequest
 from repro.core.admission_queue import (
@@ -55,7 +54,7 @@ from repro.errors import (
     TitleUnavailableError,
 )
 from repro.network.flows import FlowManager
-from repro.network.link import STATE_CHANGE, Link
+from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
@@ -148,23 +147,14 @@ class ServiceConfig:
             Between routing epochs (SNMP database writes, link failures,
             topology growth) the VRA reuses the LVN table and per-home
             shortest-path trees instead of recomputing them — decisions
-            are bit-for-bit identical either way.  ``0`` disables the
-            cache and restores recompute-per-decision behaviour exactly.
-            The cache is also auto-disabled when
-            ``use_server_load_in_vra`` is on, because live stream-slot
-            occupancy feeds the weights without a version counter.
-        routing_delta_updates: Delta-scoped cache invalidation (requires
-            an active routing cache).  When on, routing epochs are
-            absorbed by patching only the weight-table entries whose
-            links actually changed — drained from the topology and
-            database change journals — and by revalidating cached
-            Dijkstra trees in place, instead of flushing the whole cache
-            per epoch.  Decisions stay bit-for-bit identical (journal
-            overflow falls back to the full flush); this only changes
-            how much work an epoch transition costs, which the
-            ``benchmarks/test_bench_incremental_lvn.py`` drumbeat
-            scenarios measure.  Off restores PR 1's flush-per-epoch
-            behaviour exactly.
+            are bit-for-bit identical either way.  A new epoch costs one
+            cold table build and a link-by-link diff against the previous
+            table; cached trees the differences provably leave intact are
+            kept.  ``0`` disables the cache and restores
+            recompute-per-decision behaviour exactly.  The cache is also
+            auto-disabled when ``use_server_load_in_vra`` is on, because
+            live stream-slot occupancy feeds the weights without a version
+            counter.
         compiled_routing: Route the VRA's weight-table builds and Dijkstra
             runs through the array-compiled topology snapshot
             (:class:`~repro.network.compiled.TopologySnapshot`): the
@@ -175,9 +165,8 @@ class ServiceConfig:
             kernels reproduce the python path down to the last ulp and to
             dict insertion order (the equivalence property suites pin
             this) — so the knob only changes what a cache/memo miss
-            costs.  On by default; turn off (or uninstall numpy — the
-            snapshot then runs its plain-list backend, still faster than
-            the object loops) to get PR 7's exact execution path.
+            costs.  On by default; turn off to run the readable
+            reference path (``core/lvn.py`` + the python ``dijkstra``).
             Ignored when ``use_server_load_in_vra`` is on, because the
             compiled kernel implements the paper's exact eq. (2) without
             the workload extension.
@@ -247,8 +236,8 @@ class ServiceConfig:
             weight to look saturated (reported-stats path only).  After
             ``breaker_cooldown_s`` the breaker half-opens and the next
             success closes it.  Transitions ride the existing
-            version-counter/journal machinery — no new invalidation
-            paths.  ``0`` (default) disables breakers entirely.
+            version-counter machinery — no new invalidation paths.  ``0``
+            (default) disables breakers entirely.
         breaker_window_s: Sliding failure-count window.
         breaker_cooldown_s: Open-state dwell before the half-open probe.
         max_stats_age_s: Staleness guard over the SNMP-fed link stats
@@ -299,7 +288,6 @@ class ServiceConfig:
     placement: Optional[PlacementConfig] = None
     vra_trace: bool = False
     routing_cache_size: int = 128
-    routing_delta_updates: bool = True
     compiled_routing: bool = True
     decision_cache_size: int = 0
     admission_queue_capacity: int = 0
@@ -414,14 +402,16 @@ class VoDService:
         #: signatures only when some availability input actually changed.
         self._availability_version = 0
         #: Same-state decision replay: ``(home_uid, title_id) ->
-        #: (freshness token, decision, candidate_count)``.  While the
-        #: token is unchanged, every routing and availability input of
-        #: that pair's decision is provably unchanged, so the stored
-        #: decision is returned as-is — the flash-crowd O(1) fast path.
-        #: Metadata-only (one tuple per home/title pair ever decided).
-        self._decision_replay: Dict[
-            Tuple[str, str], Tuple[Tuple[int, int, int, int], VraDecision, int]
-        ] = {}
+        #: (decision, candidate_count)``.  While the freshness token is
+        #: unchanged, every routing and availability input of that pair's
+        #: decision is provably unchanged, so the stored decision is
+        #: returned as-is — the flash-crowd O(1) fast path.
+        #: The token's counters only grow, so entries of an older token
+        #: can never hit again: the dict holds the pairs decided under
+        #: ``_replay_token`` only and is cleared when the token moves
+        #: (each entry pins that state's weight table and search prefix).
+        self._decision_replay: Dict[Tuple[str, str], Tuple[VraDecision, int]] = {}
+        self._replay_token: Optional[Tuple[int, int, int, int]] = None
         self._register_service_instruments()
 
         #: Deployment-wide placement-policy choice, resolved once; every
@@ -539,19 +529,6 @@ class VoDService:
         # Live server load feeds the weights without a version counter, so
         # epoch caching cannot see those changes; fall back to recompute.
         cacheable = not self.config.use_server_load_in_vra
-        delta_on = (
-            cacheable
-            and self.config.routing_delta_updates
-            and self.config.routing_cache_size > 0
-        )
-        # Journal cursors for delta-scoped invalidation.  Starting at the
-        # current heads skips the initialisation-phase records; the VRA's
-        # first (cold) weight build snapshots every link anyway.
-        self._topo_cursor = JournalCursor(
-            topology.change_journal,
-            kinds=(STATE_CHANGE,) if self.config.use_reported_stats else None,
-        )
-        self._stats_cursor = JournalCursor(self.database.stats_journal)
         # On the reported-stats path the staleness guard and open link
         # breakers interpose on the used-bandwidth reads; without either
         # the plain reader keeps the default path byte-identical.
@@ -567,7 +544,6 @@ class VoDService:
             trace=self.config.vra_trace,
             epoch_of=self.routing_epoch if cacheable else None,
             cache_size=self.config.routing_cache_size,
-            delta_of=self._routing_delta if delta_on else None,
             decision_cache_size=(
                 self.config.decision_cache_size
                 if self.config.routing_cache_size > 0
@@ -1001,10 +977,13 @@ class VoDService:
                 # so the stored decision is returned without re-entering the
                 # VRA — one dict probe and one tuple compare per request.
                 token = self._freshness()
+                if token != self._replay_token:
+                    self._decision_replay.clear()
+                    self._replay_token = token
                 replay = self._decision_replay.get((home_uid, title_id))
-                if replay is not None and replay[0] == token:
-                    decision = replay[1]
-                    self.vra.count_replayed(decision, replay[2])
+                if replay is not None:
+                    decision = replay[0]
+                    self.vra.count_replayed(decision, replay[1])
                     if self._obs_enabled:
                         self._m_decision_latency.observe(0.0)
                     if self.tracer.enabled:
@@ -1050,7 +1029,7 @@ class VoDService:
             ):
                 # Stamped outside the VRA so its memo keeps the unmarked
                 # decision; the replay layer below stores the marked one
-                # (safe: every stale-set flip touches the journaled links,
+                # (safe: every stale-set flip bumps the link-stats version,
                 # which stales the freshness token).
                 decision = replace(decision, degraded=True)
             if token is not None:
@@ -1060,7 +1039,7 @@ class VoDService:
                 entry = self.vra.decision_cache.peek(cache_key)
                 if entry is not None:
                     self._decision_replay[(home_uid, title_id)] = (
-                        token, decision, entry.candidate_count
+                        decision, entry.candidate_count
                     )
             if self.tracer.enabled:
                 self._trace_decision(home_uid, title_id, decision)
@@ -1120,7 +1099,7 @@ class VoDService:
         class of change the availability version covers; any memoized
         decision still naming the server is evicted defensively.  A link
         breaker changes that link's effective weight, which is exactly
-        what a reported-stats write would — so it is journaled as one.
+        what a reported-stats write would — so it bumps the same version.
         """
         if kind == KIND_SERVER:
             self._bump_availability()
@@ -1225,24 +1204,6 @@ class VoDService:
             self.topology.traffic_version,
             self.topology.state_version,
         )
-
-    def _routing_delta(self) -> Optional[FrozenSet[str]]:
-        """Names of links whose VRA-visible inputs may have moved.
-
-        Drains this service's cursors on the change journals that back
-        :meth:`routing_epoch`: on the reported-stats path, structural
-        topology changes (online/offline, expansion) plus database
-        value changes; on the ground-truth path, every topology change.
-        Returns None when a journal overflowed — the caller (the routing
-        cache's delta probe) then falls back to a full flush.
-        """
-        if self.config.use_reported_stats:
-            structural = self._topo_cursor.drain()
-            reported = self._stats_cursor.drain()
-            if structural is None or reported is None:
-                return None
-            return structural | reported
-        return self._topo_cursor.drain()
 
     def snapshot(self) -> Dict[str, object]:
         """One-call operational snapshot of the running service.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.lvn import (
     DEFAULT_NORMALIZATION_CONSTANT,
@@ -29,7 +29,6 @@ from repro.core.lvn import (
     UsedBandwidthFn,
     weight_table,
 )
-from repro.core.lvn_delta import IncrementalLvnTable
 from repro.errors import (
     NoReachableHolderError,
     ReproError,
@@ -45,7 +44,12 @@ from repro.network.routing.cache import (
     RoutingCacheStats,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.network.routing.dijkstra import DijkstraResult, dijkstra
+from repro.network.routing.dijkstra import (
+    DijkstraResult,
+    LinkDelta,
+    dijkstra,
+    link_deltas,
+)
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
 
@@ -55,13 +59,6 @@ PollFn = Callable[[str], bool]
 #: Routing-epoch provider: an opaque hashable token that changes whenever
 #: any input of the LVN equations or Dijkstra could have changed.
 EpochFn = Callable[[], Hashable]
-
-#: Dirty-link provider backing delta-scoped cache invalidation: the names
-#: of every link whose routing-visible inputs may have moved since the
-#: previous call (drained from the topology/database change journals), or
-#: None when the journals overflowed and only a full flush is safe.
-DeltaFn = Callable[[], Optional[FrozenSet[str]]]
-
 
 #: ``weights -> (candidate_paths, dijkstra_result)`` of one decision.
 AuditFn = Callable[[Dict[str, float]], Tuple[Dict[str, Path], Optional[DijkstraResult]]]
@@ -146,18 +143,13 @@ class VirtualRoutingAlgorithm:
             memoized per epoch — a cache hit returns the same decision
             bit-for-bit as a cold run, because the provider's contract is
             to change whenever any routing input could have changed.
-            None (the default) recomputes everything per decision,
-            exactly the paper's Figure 5.
+            The token says *when* to look; on a change the VRA builds one
+            cold table, diffs it link by link against the previous one,
+            and the cache keeps every tree the differences provably leave
+            intact (:meth:`_delta_probe`).  None (the default) recomputes
+            everything per decision, exactly the paper's Figure 5.
         cache_size: LRU bound on cached Dijkstra trees; ``0`` disables
             caching entirely even when ``epoch_of`` is given.
-        delta_of: Optional dirty-link provider.  When given alongside an
-            active cache (and ``node_load`` is None — the incremental
-            table does not model the workload extension), epoch
-            transitions are absorbed by patching the LVN table for just
-            the dirty links and revalidating cached Dijkstra trees
-            in place, instead of flushing everything.  A None return
-            from the provider (journal overflow) falls back to the full
-            flush, so the delta path can never change a decision.
         decision_cache_size: LRU bound on whole memoized decisions
             (:class:`~repro.network.routing.cache.DecisionCache`).  Only
             active alongside the routing cache; ``0`` (the default)
@@ -192,7 +184,6 @@ class VirtualRoutingAlgorithm:
         trace: bool = False,
         epoch_of: Optional[EpochFn] = None,
         cache_size: int = DEFAULT_TREE_CAPACITY,
-        delta_of: Optional[DeltaFn] = None,
         decision_cache_size: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         compiled: bool = False,
@@ -211,22 +202,14 @@ class VirtualRoutingAlgorithm:
                 f"routing cache size must be >= 0, got {cache_size!r}"
             )
         cacheable = epoch_of is not None and cache_size > 0
-        self._delta_of = delta_of
-        self._incremental: Optional[IncrementalLvnTable] = (
-            IncrementalLvnTable(
-                topology, used_of, normalization_constant, snapshot=self._snapshot
-            )
-            if cacheable and delta_of is not None and node_load is None
-            else None
-        )
         self.cache: Optional[RoutingCache] = (
-            RoutingCache(
-                max_trees=cache_size,
-                delta_probe=self._delta_probe if self._incremental is not None else None,
-            )
+            RoutingCache(max_trees=cache_size, delta_probe=self._delta_probe)
             if cacheable
             else None
         )
+        #: The table the cache holds and each link's online flag under it
+        #: — what the next epoch is diffed against.
+        self._diff_base: Optional[Tuple[Dict[str, float], Dict[str, bool]]] = None
         if decision_cache_size < 0:
             raise ReproError(
                 f"decision cache size must be >= 0, got {decision_cache_size!r}"
@@ -274,8 +257,9 @@ class VirtualRoutingAlgorithm:
 
     @property
     def delta_maintenance(self) -> bool:
-        """True when the cache patches epochs from dirty-link deltas."""
-        return self._incremental is not None
+        """True when epoch transitions are absorbed as link deltas (any
+        active cache does)."""
+        return self.cache is not None
 
     def count_replayed(self, decision: "VraDecision", candidate_count: int) -> None:
         """Telemetry parity for a decision replayed by an outer memo layer.
@@ -300,24 +284,47 @@ class VirtualRoutingAlgorithm:
         """Current LVN table ("Calculate the Link Validation Number for
         each network link")."""
         if self.cache is not None:
-            return self.cache.weights(self._epoch_of(), self._compute_weights)
+            return self.cache.weights(self._epoch_of(), self._base_weights)
         return self._compute_weights()
 
     def _compute_weights(self) -> Dict[str, float]:
-        if self._incremental is not None:
-            # Rebase the incremental table on the exact cold result the
-            # cache stores, so later patches start from cached truth.
-            return self._incremental.rebuild()
+        """One cold build of the LVN table — the only builder there is."""
         if self._snapshot is not None:
             return self._snapshot.weight_table(self._used_of, self._k)
         return weight_table(self._topology, self._used_of, self._k, self._node_load)
 
-    def _delta_probe(self):
-        """Cache callback: patched (table, deltas), or None to full-flush."""
-        dirty = self._delta_of()
-        if dirty is None:
+    def _base_weights(self) -> Dict[str, float]:
+        """The routing cache's miss path: a cold build, remembered with the
+        online flags it saw as what the next epoch is diffed against."""
+        table = self._compute_weights()
+        self._diff_base = (
+            table,
+            {link.name: link.online for link in self._topology.links()},
+        )
+        return table
+
+    def _delta_probe(self) -> Optional[Tuple[Dict[str, float], List[LinkDelta]]]:
+        """Cache callback on an epoch change: ``(table, deltas)``.
+
+        The table is a fresh cold build, never a patched one, so whatever
+        was handed out before keeps exactly what it saw.  When no weight
+        and no online flag moved, the previous table *object* comes back
+        with no deltas — the identity the Dijkstra value memo and the
+        decision cache test for.  None only before the first build, when
+        nothing can be cached yet.
+        """
+        base = self._diff_base
+        if base is None:
             return None
-        return self._incremental.patch(dirty)
+        old, was_online = base
+        new = self._compute_weights()
+        deltas = link_deltas(self._topology.links(), old, was_online, new)
+        if not deltas:
+            return old, []
+        for delta in deltas:
+            was_online[delta.link.name] = delta.now_online
+        self._diff_base = (new, was_online)
+        return new, deltas
 
     def _routing_state(
         self, home_uid: str, targets: Sequence[str]
@@ -332,18 +339,14 @@ class VirtualRoutingAlgorithm:
         objects, which callers treat as read-only.
         """
         if self.cache is None:
-            if (
-                self._snapshot is not None
-                and self._incremental is None
-                and not self._trace
-            ):
+            if self._snapshot is not None and not self._trace:
                 # Cache-less hot path: fused snapshot call (one version
                 # check, no weight-token round-trip).
                 return self._snapshot.routing_state(home_uid, self._used_of, self._k, targets)
             weights = self._compute_weights()
             return weights, self._run_dijkstra(home_uid, weights, targets)
         epoch = self._epoch_of()
-        weights = self.cache.weights(epoch, self._compute_weights)
+        weights = self.cache.weights(epoch, self._base_weights)
         result = self.cache.tree(
             epoch, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
         )

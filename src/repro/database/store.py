@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.changes import ChangeJournal
 from repro.database.access import AccessLevel, DatabaseHandle
 from repro.database.records import LinkEntry, LinkStats, ServerEntry, TitleInfo
 from repro.errors import DuplicateEntryError, MissingEntryError
@@ -32,13 +31,6 @@ class ServiceDatabase:
         self._holder_fractions: Dict[Tuple[str, str], float] = {}
         self._locations_version = 0
         self._link_stats_version = 0
-        #: Journal of links whose *routing-visible* reported value moved.
-        #: ``link_stats_version`` bumps on every write (the epoch contract
-        #: of PR 1), but a write that re-reports the same ``used_mbps`` the
-        #: VRA already sees is recorded nowhere — the common steady-SNMP
-        #: round leaves this journal empty, which is what lets the routing
-        #: cache patch instead of flush.
-        self.stats_journal = ChangeJournal()
 
     @property
     def link_stats_version(self) -> int:
@@ -96,7 +88,6 @@ class ServiceDatabase:
             raise DuplicateEntryError(f"link {entry.link_name!r} already registered")
         self._links[entry.link_name] = entry
         self._link_stats_version += 1
-        self.stats_journal.record(entry.link_name)
         return entry
 
     def register_title(self, info: TitleInfo) -> TitleInfo:
@@ -254,17 +245,11 @@ class ServiceDatabase:
         """Record the latest SNMP sample for a link.
 
         Every write bumps :attr:`link_stats_version` (the routing-epoch
-        contract), but the link lands in :attr:`stats_journal` only when
-        the value the VRA actually reads (``used_mbps``) changed — the
-        dirty-set contract (DESIGN.md) is about routing inputs, not about
-        write traffic.
+        contract), whether or not the value moved; what actually moved is
+        found by diffing weight tables (DESIGN.md §5b.7).
         """
-        entry = self.link_entry(link_name)
-        changed = stats.used_mbps != entry.used_mbps
-        entry.latest_stats = stats
+        self.link_entry(link_name).latest_stats = stats
         self._link_stats_version += 1
-        if changed:
-            self.stats_journal.record(link_name)
 
     def touch_links(self, link_names: Iterable[str]) -> None:
         """Mark links whose *routing-visible* weight changed without a
@@ -272,16 +257,14 @@ class ServiceDatabase:
         trips and resets).
 
         The entries themselves are untouched — the adjustment lives in
-        the service's weight provider — but the epoch counter bumps and
-        the links land in :attr:`stats_journal`, so the delta-scoped
-        routing cache repairs exactly these weights on the next decision.
-        Cache invalidation thereby rides the existing machinery with no
-        new paths.
+        the service's weight provider — but the epoch counter bumps, so
+        the next decision rebuilds the weight table and the routing cache
+        repairs exactly the weights that differ.  Cache invalidation
+        thereby rides the existing machinery with no new paths.
         """
         touched = False
         for link_name in link_names:
             self.link_entry(link_name)  # validate
-            self.stats_journal.record(link_name)
             touched = True
         if touched:
             self._link_stats_version += 1

@@ -113,8 +113,8 @@ def render_routing_cache(stats: Optional[RoutingCacheStats], title: str = "") ->
         f"{table}\n"
         f"invalidations (epoch changes): {stats.invalidations} "
         f"({stats.full_invalidations} full flush(es), "
-        f"{stats.partial_invalidations} delta patch(es) over "
-        f"{stats.dirty_links} dirty link(s)); "
+        f"{stats.partial_invalidations} table diff(s) over "
+        f"{stats.dirty_links} changed link(s)); "
         f"trees repaired in place: {stats.trees_repaired}, "
         f"rerooted: {stats.trees_rerooted}; "
         f"LRU evictions: {stats.evictions}"

@@ -12,22 +12,15 @@ object adjacency per decision.  Two kernels run on top:
   optionally goal-directed: given targets it stops at the nearest one and
   returns that prefix of the full tree.
 
-Correctness contract — **bit-for-bit**, the same bar the incremental LVN
-table meets: every table, NV map and Dijkstra result must equal the python
-path (:func:`repro.core.lvn.weight_table_with_nv`,
+Correctness contract — **bit-for-bit**: every table, NV map and Dijkstra
+result must equal the python path
+(:func:`repro.core.lvn.weight_table_with_nv`,
 :func:`repro.network.routing.dijkstra.dijkstra`) down to the last ulp *and*
 down to dict insertion order.  The rules that enforce it:
 
-* NV segment sums accumulate strictly left-to-right in ``links_at`` order,
-  exactly like the python ``sum()``.  ``np.add.reduceat`` is deliberately
-  *not* used: numpy reduces pairwise, which diverges from sequential
-  addition in the last ulp.  The numpy backend instead accumulates padded
-  per-node columns one at a time — each step an elementwise add, so every
-  node's sum is still left-to-right — and masked-out (offline) or padding
-  entries contribute ``0.0``, which is bitwise-neutral for the non-negative
-  partial sums these equations produce.
-* Elementwise divide/multiply/add/maximum are IEEE-correctly rounded in
-  both numpy and CPython, so vectorizing them is order-free and safe.
+* The kernel executes the python path's scalar operations in the python
+  path's order: NV segment sums accumulate strictly left-to-right in
+  ``links_at`` order, exactly like the python ``sum()``.
 * Dijkstra's heap orders by ``(distance, uid-rank)`` where the rank is the
   node's index in sorted-uid order — the same total order as the python
   path's ``(distance, uid)`` string comparison — and relaxation stays
@@ -36,10 +29,7 @@ down to dict insertion order.  The rules that enforce it:
   untouched.  A goal-directed run is the same loop cut short, so its
   result is the full run's restricted to the nodes it settled.
 
-numpy is optional.  Below :data:`NUMPY_MIN_LINKS` links — or whenever numpy
-is not installed — the kernels run over plain python lists instead; both
-backends execute the exact same sequence of scalar operations, which is
-what the no-numpy CI leg and the backend-equivalence property tests pin.
+Everything here is plain python lists — the standard library only.
 """
 
 from __future__ import annotations
@@ -51,17 +41,6 @@ from repro.errors import ReproError, RoutingError, TopologyError
 from repro.network.link import Link
 from repro.network.routing.dijkstra import DijkstraResult
 from repro.network.topology import Topology
-
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Link count below which the list backend is used even when numpy is
-#: available: at GRNET-class sizes the per-call overhead of a dozen array
-#: ops exceeds the cost of the plain loops, and the two backends are
-#: bit-identical anyway so the switch is purely a latency decision.
-NUMPY_MIN_LINKS = 256
 
 #: The paper's suggested normalization constant (eq. 4); mirrors
 #: ``repro.core.lvn.DEFAULT_NORMALIZATION_CONSTANT`` without importing the
@@ -80,7 +59,7 @@ class CompiledWeightTable(dict):
     rebuilt its structure (the dict fallback still works then).
     """
 
-    __slots__ = ("link_values", "structure_token")
+    __slots__ = ("link_values", "structure_token", "__weakref__")
 
 
 class TopologySnapshot:
@@ -106,8 +85,6 @@ class TopologySnapshot:
         self._topology = topology
         self._seen_state_version = -1
         self._structure_version = 0
-        #: Test hook: force "list" or "numpy" kernels regardless of size.
-        self._force_backend: Optional[str] = None
         self._rebuild_structure()
         self._seen_state_version = topology.state_version
 
@@ -161,33 +138,12 @@ class TopologySnapshot:
         self._inc_link = inc_link
         self._inc_nbr = inc_nbr
         self._linkless_uid = linkless_uid
-        self._lv_cache: Dict[float, object] = {}
+        self._lv_cache: Dict[float, List[float]] = {}
         self._values_memo: Optional[Tuple[Dict[str, float], List[float], bool]] = None
         self._structure_version += 1
         self._token = (id(self), self._structure_version)
         self._node_count = n
         self._link_count = len(links)
-
-        if _np is None:
-            self._np_ready = False
-        else:
-            self._np_ready = True
-            self._cap_arr = _np.asarray(self._cap, dtype=_np.float64)
-            self._a_pos_arr = _np.asarray(self._a_pos, dtype=_np.intp)
-            self._b_pos_arr = _np.asarray(self._b_pos, dtype=_np.intp)
-            # Padded incidence matrix for the sequential-column NV
-            # reduction: row p lists node p's incident link indices, padded
-            # with the sentinel slot L whose used bandwidth reads 0.0.
-            sentinel = len(links)
-            degrees = [inc_off[p + 1] - inc_off[p] for p in range(n)]
-            maxdeg = max(degrees, default=0)
-            pad = _np.full((n, maxdeg), sentinel, dtype=_np.intp)
-            for p in range(n):
-                start, end = inc_off[p], inc_off[p + 1]
-                if end > start:
-                    pad[p, : end - start] = inc_link[start:end]
-            self._pad_idx = pad
-            self._maxdeg = maxdeg
         self._rebuild_online_derived()
 
     def _rebuild_online_derived(self) -> None:
@@ -224,12 +180,6 @@ class TopologySnapshot:
         self._nv_links = nv_links
         self._nv_cap = nv_cap
         self._adj_online = adj
-        if self._np_ready:
-            self._online_arr = _np.asarray(online, dtype=bool)
-            cap_total = _np.asarray(nv_cap, dtype=_np.float64)
-            dead = cap_total == 0.0
-            self._dead_arr = dead
-            self._safe_cap_arr = _np.where(dead, 1.0, cap_total)
 
     def _refresh_online(self) -> None:
         links = self._links
@@ -256,30 +206,13 @@ class TopologySnapshot:
     # ------------------------------------------------------------------ #
     # LVN kernel (equations 1-4)
     # ------------------------------------------------------------------ #
-    def _lv_values(self, normalization_constant: float, as_array: bool):
-        """Per-link LV = capacity / K (eq. 4), cached per (K, backend).
-
-        The list variant must hold plain python floats — the table the
-        kernel hands back is audit state that gets JSON-serialized, so
-        numpy scalars may never leak out of the numpy backend (whose
-        ``tolist()`` conversion strips them).
-        """
-        key = (normalization_constant, as_array)
-        cached = self._lv_cache.get(key)
+    def _lv_values(self, normalization_constant: float) -> List[float]:
+        """Per-link LV = capacity / K (eq. 4), cached per K."""
+        cached = self._lv_cache.get(normalization_constant)
         if cached is None:
-            if as_array:
-                cached = self._cap_arr / normalization_constant
-            else:
-                cached = [cap / normalization_constant for cap in self._cap]
-            self._lv_cache[key] = cached
+            cached = [cap / normalization_constant for cap in self._cap]
+            self._lv_cache[normalization_constant] = cached
         return cached
-
-    def _use_numpy(self) -> bool:
-        if self._force_backend == "numpy":
-            return self._np_ready
-        if self._force_backend == "list":
-            return False
-        return self._np_ready and self._link_count >= NUMPY_MIN_LINKS
 
     def weight_table(
         self,
@@ -319,11 +252,7 @@ class TopologySnapshot:
         else:
             used_vals = [used_of(link) for link in links]
 
-        if self._use_numpy():
-            nv_vals, weights = self._kernel_numpy(used_vals, normalization_constant)
-        else:
-            nv_vals, weights = self._kernel_list(used_vals, normalization_constant)
-
+        nv_vals, weights = self._kernel_list(used_vals, normalization_constant)
         table = CompiledWeightTable(zip(self._link_names, weights))
         table.link_values = weights
         table.structure_token = self._token
@@ -340,7 +269,7 @@ class TopologySnapshot:
                 for i in segment:
                     total_used += used_vals[i]
                 nv_vals[p] = total_used / total_cap
-        lv = self._lv_values(k, as_array=False)
+        lv = self._lv_values(k)
         weights = [
             (nv_vals[a] if nv_vals[a] >= nv_vals[b] else nv_vals[b]) + (u / c) * v
             for a, b, u, c, v in zip(
@@ -349,40 +278,14 @@ class TopologySnapshot:
         ]
         return nv_vals, weights
 
-    def _kernel_numpy(
-        self, used_vals: List[float], k: float
-    ) -> Tuple[List[float], List[float]]:
-        count = self._link_count
-        used_arr = _np.asarray(used_vals, dtype=_np.float64)
-        # Extended (L+1)-slot array: offline links and the padding
-        # sentinel both read 0.0, a bitwise no-op for these sums.  The
-        # capacity totals (eq. 1 denominators) only depend on structure and
-        # online state, so they come precomputed from the refresh.
-        ext_used = _np.zeros(count + 1)
-        ext_used[:count] = _np.where(self._online_arr, used_arr, 0.0)
-        padded_used = ext_used[self._pad_idx]
-        if self._maxdeg:
-            total_used = padded_used[:, 0].copy()
-            # Column-at-a-time accumulation: every node's sum proceeds
-            # strictly left-to-right, exactly like the python sum().
-            for j in range(1, self._maxdeg):
-                total_used += padded_used[:, j]
-        else:  # pragma: no cover - only reachable with zero nodes
-            total_used = _np.zeros(self._node_count)
-        nv_arr = _np.where(self._dead_arr, 0.0, total_used / self._safe_cap_arr)
-        lu = (used_arr / self._cap_arr) * self._lv_values(k, as_array=True)
-        weights = _np.maximum(nv_arr[self._a_pos_arr], nv_arr[self._b_pos_arr]) + lu
-        return nv_arr.tolist(), weights.tolist()
-
     # ------------------------------------------------------------------ #
     # Dijkstra over the CSR arrays
     # ------------------------------------------------------------------ #
     def _weight_values(self, weights: Dict[str, float]) -> Tuple[List[float], bool]:
         """``weights`` as a link-aligned array, plus "no negative/NaN in it".
 
-        Memoized on the table's identity (tables are copy-on-write, see
-        :meth:`IncrementalLvnTable.patch`): a patched table is a plain
-        dict, and one routing epoch asks for the same table once per
+        Memoized on the table's identity (a table is never mutated once
+        built): one routing epoch asks for the same table once per
         Dijkstra run.
         """
         memo = self._values_memo

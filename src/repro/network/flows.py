@@ -14,7 +14,7 @@ copy.  Reservation is check-then-commit: every link's free capacity is
 validated up front with the exact acceptance test
 :meth:`~repro.network.link.Link.reserve` applies, and only then are the
 links mutated — a failed admission touches nothing (no reserve/rollback
-churn in the link telemetry or the change journal).
+churn in the link telemetry or the version counters).
 
 A refusal is predictable: on a simple path ``reserve(path, rate)`` raises
 exactly when ``rate > bottleneck_mbps(path) + 1e-9``.  The simulation is

@@ -69,8 +69,8 @@ class Link:
     _reserve_count: int = field(default=0, repr=False, compare=False)
     _peak_reserved_mbps: float = field(default=0.0, repr=False, compare=False)
     #: Set by :meth:`Topology.add_link` so the owning topology can expose a
-    #: combined version — and a per-link dirty journal — without scanning
-    #: every link per lookup.  Called with ``(kind, link)``.
+    #: combined version without scanning every link per lookup.  Called
+    #: with ``(kind, link)``.
     _version_listener: Optional[Callable[[str, "Link"], None]] = field(
         default=None, repr=False, compare=False
     )

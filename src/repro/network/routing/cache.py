@@ -23,19 +23,20 @@ reproduces lives in the database values themselves, not in the act of
 recomputing, so memoization preserves it exactly (the VRA still sees
 exactly the last SNMP sample).
 
-Epoch transitions come in two flavours.  Without a ``delta_probe`` the
-cache behaves as in PR 1: a new epoch token flushes everything (a *full*
-invalidation).  With a probe — wired up by the VRA from the topology and
-database change journals plus an incremental LVN table — the cache first
-asks it for ``(patched_weight_table, link_deltas)``; on success only the
-deltas are applied (a *partial* invalidation): the weight table is
-swapped for the patched copy and each cached Dijkstra tree or prefix is
-kept iff :func:`~repro.network.routing.dijkstra.tree_unaffected` proves it
+The epoch token says *when* something may have moved; a table diff says
+*what* did.  On a new token the cache asks its ``delta_probe`` — the VRA
+builds one cold weight table and compares it link by link with the
+previous one — for ``(weight_table, link_deltas)`` and applies only the
+deltas (a *partial* invalidation): the table is swapped for the new one
+(the probe hands back the *same object* when nothing moved) and each
+cached Dijkstra tree or prefix is kept iff
+:func:`~repro.network.routing.dijkstra.tree_unaffected` proves it
 bit-for-bit valid against every delta (kept = *repaired*; dropped =
-*rerooted* lazily on the next request).  The probe returning None — the
-journals overflowed, or there is no base table yet — degrades to the
-full flush, so delta maintenance can only ever cost performance, never
-correctness.
+*rerooted* lazily on the next request).  Without a probe, or when the
+probe answers None (the VRA's does only before its first table exists,
+when nothing is cached yet), a new token flushes everything (a *full*
+invalidation) — the cache's own degenerate case, so delta maintenance can
+only ever cost performance, never correctness.
 
 ``max_trees=0`` disables the cache entirely: every call computes fresh
 and no counters move, restoring the uncached behaviour exactly.
@@ -61,9 +62,9 @@ DEFAULT_TREE_CAPACITY = 128
 #: concurrent crowds.
 DEFAULT_DECISION_CAPACITY = 4096
 
-#: Signature of the delta probe: None means "cannot patch, flush fully";
-#: otherwise the patched weight table plus the link deltas to revalidate
-#: cached trees against.
+#: Signature of the delta probe: None means "no previous table to diff
+#: against, flush fully"; otherwise the current weight table plus the link
+#: deltas to revalidate cached trees against.
 DeltaProbe = Callable[[], Optional[Tuple[Dict[str, float], List[LinkDelta]]]]
 
 #: ``EpochTransition.kind`` values.
@@ -78,14 +79,13 @@ class EpochTransition:
 
     Returned by :meth:`RoutingCache.sync` so layers stacked above the
     routing cache (the :class:`DecisionCache`) can scope their own
-    invalidation to the same event without re-draining the change
-    journals:
+    invalidation to the same event without deriving the deltas again:
 
     * ``initial`` — the cache's very first epoch; nothing was cached yet.
     * ``full`` — everything was flushed (no delta probe, or the probe
-      could not patch).
+      had no previous table).
     * ``partial`` — the epoch was absorbed in place: ``weights`` is the
-      post-patch LVN table and ``deltas`` lists exactly the links whose
+      current LVN table and ``deltas`` lists exactly the links whose
       weight or online state moved (empty for a no-op epoch).
     """
 
@@ -104,8 +104,8 @@ class RoutingCacheStats:
         tree_hits: Dijkstra-tree requests answered from cache.
         tree_misses: Dijkstra-tree requests that recomputed.
         full_invalidations: Epoch transitions that flushed everything
-            (no delta probe, or the probe could not patch).
-        partial_invalidations: Epoch transitions absorbed by patching
+            (no delta probe, or the probe had no previous table).
+        partial_invalidations: Epoch transitions absorbed by swapping
             the weight table and revalidating trees against link deltas.
         dirty_links: Link deltas applied across all partial
             invalidations (0 deltas = a no-op epoch, the steady-SNMP
@@ -178,15 +178,15 @@ class RoutingCache:
     Args:
         max_trees: LRU bound on cached trees; ``0`` disables the cache.
         delta_probe: Optional callable consulted on every epoch
-            transition; see the module docstring.  None restores PR 1's
-            flush-on-every-epoch behaviour.
+            transition; see the module docstring.  None flushes on
+            every epoch.
 
     The cache holds state for exactly one epoch at a time: the first
-    lookup under a new epoch token either patches the previous epoch's
-    state via the delta probe or flushes it (counted as a partial or
-    full invalidation respectively).  Keeping only the live epoch is
-    deliberate — stale epochs can never be asked for again, because the
-    version counters feeding the token are monotonic.
+    lookup under a new epoch token either carries the previous epoch's
+    state across the delta probe's differences or flushes it (counted
+    as a partial or full invalidation respectively).  Keeping only the
+    live epoch is deliberate — stale epochs can never be asked for again,
+    because the version counters feeding the token are monotonic.
     """
 
     max_trees: int = DEFAULT_TREE_CAPACITY
@@ -277,7 +277,7 @@ class RoutingCache:
         )
         self._m_partial = registry.counter(
             "routing.partial_invalidations", subsystem="network",
-            description="epoch transitions absorbed by delta-patching the cache",
+            description="epoch transitions absorbed as link deltas, not a flush",
         )
         self._m_repaired = registry.counter(
             "routing.trees_repaired", subsystem="network",
@@ -354,7 +354,7 @@ class DecisionCacheStats:
         decisions_dropped: Decisions dropped because a link delta touched
             their shortest-path tree.
         decisions_refreshed: Decisions kept across a weight-changing delta
-            batch, with their audit weight table rebased onto the patched
+            batch, with their audit weight table rebased onto the new
             one (choice, path and cost provably unchanged).
         evictions: Decisions dropped by the LRU bound.
     """
@@ -417,7 +417,7 @@ class DecisionCache:
 
     * A **full** epoch transition flushes everything, exactly like the
       routing cache underneath.
-    * A **partial** transition (delta-patched epoch) drops only decisions
+    * A **partial** transition (diffed epoch) drops only decisions
       whose shortest-path search (a complete tree, or the prefix within
       the chosen holder's distance) a :class:`LinkDelta` could have
       touched — the same :func:`tree_unaffected` proof the routing cache
@@ -425,15 +425,15 @@ class DecisionCache:
       decisions over one tree is judged once.  Locally-served decisions
       reference no tree and survive every delta.
     * Surviving routed decisions are *refreshed*: their audit ``weights``
-      table is rebased onto the patched table (``dataclasses.replace`` on
+      table is rebased onto the new table (``dataclasses.replace`` on
       the frozen decision), because that is the table a cold run after
       the delta would embed.  Choice, path and cost are provably
       unchanged, and the decision's lazily completed audit trail is
       derived from the table it holds when read, so the refreshed
       decision stays bit-for-bit equal to a cache-off recompute.
-    * Availability churn that never touches a journal — a holder filling
-      its last stream slot, a title evicted by the DMA — is carried by
-      the *key* (the holder signatures change), not by invalidation.
+    * Availability churn that never moves the routing epoch — a holder
+      filling its last stream slot, a title evicted by the DMA — is carried
+      by the *key* (the holder signatures change), not by invalidation.
 
     ``max_decisions=0`` disables the cache entirely: lookups miss, stores
     are dropped, and no counters move.
@@ -578,10 +578,10 @@ class DecisionCache:
         """Drop every cached decision whose chosen source is ``uid``.
 
         Circuit-breaker transitions change which servers the service's
-        holder filter admits without moving any journal-backed version
-        counter; the service evicts the transitioning server's decisions
-        here so a probe (or a re-opened breaker) can never replay a
-        choice made under the previous breaker state.
+        holder filter admits without moving the routing epoch; the
+        service evicts the transitioning server's decisions here so a
+        probe (or a re-opened breaker) can never replay a choice made
+        under the previous breaker state.
 
         Returns:
             The number of decisions dropped.

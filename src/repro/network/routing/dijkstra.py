@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.link import Link
@@ -213,8 +213,7 @@ def dijkstra(
 class LinkDelta:
     """One link's routing-relevant change between two weight snapshots.
 
-    Produced by the incremental LVN table
-    (:class:`repro.core.lvn_delta.IncrementalLvnTable`) and consumed by
+    Produced by :func:`link_deltas` and consumed by
     :func:`tree_unaffected` to decide whether a cached Dijkstra tree is
     still bit-for-bit valid.
 
@@ -231,6 +230,32 @@ class LinkDelta:
     new_weight: float
     was_online: bool
     now_online: bool
+
+
+def link_deltas(
+    links: Iterable[Link],
+    old_weights: Mapping[str, float],
+    was_online: Mapping[str, bool],
+    new_weights: Mapping[str, float],
+) -> List[LinkDelta]:
+    """Every link whose weight or online flag differs between two epochs.
+
+    ``old_weights`` / ``was_online`` describe the previous epoch,
+    ``new_weights`` and the links' live ``online`` flags the current one.
+    An online flip is a delta even at an identical weight (Dijkstra skips
+    offline links); a link absent from the previous epoch reports
+    ``old_weight=None, was_online=False``.
+    """
+    deltas: List[LinkDelta] = []
+    for link in links:
+        name = link.name
+        old = old_weights.get(name)
+        before = was_online.get(name, False)
+        new = new_weights[name]
+        now = link.online
+        if old != new or before != now:
+            deltas.append(LinkDelta(link, old, new, before, now))
+    return deltas
 
 
 def tree_unaffected(result: DijkstraResult, delta: LinkDelta) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.changes import DEFAULT_JOURNAL_CAPACITY, ChangeJournal
 from repro.errors import TopologyError
 from repro.network.link import STATE_CHANGE, Link, link_key
 from repro.network.node import Node
@@ -24,11 +23,7 @@ class Topology:
     :class:`~repro.errors.TopologyError`.
     """
 
-    def __init__(
-        self,
-        name: str = "network",
-        journal_capacity: int = DEFAULT_JOURNAL_CAPACITY,
-    ):
+    def __init__(self, name: str = "network"):
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
@@ -36,14 +31,8 @@ class Topology:
         self._adjacency: Dict[str, List[Link]] = {}
         self._state_version = 0
         self._traffic_version = 0
-        #: Per-link change log backing delta-scoped routing-cache
-        #: invalidation: every version bump also records *which* link
-        #: moved (keyed by link name, kind = state/traffic).  A fault
-        #: storm larger than ``journal_capacity`` overflows the journal,
-        #: which delta consumers must answer with a full recompute.
-        self.change_journal = ChangeJournal(capacity=journal_capacity)
-        #: Optional listener fired (after versioning/journaling) whenever
-        #: a link's online state flips, with the link.  The service wires
+        #: Optional listener fired (after versioning) whenever a link's
+        #: online state flips, with the link.  The service wires
         #: its resilience layer here — session supervisor preemption and
         #: link circuit breakers — so fault events reach them in the same
         #: event that flipped the link.
@@ -69,7 +58,6 @@ class Topology:
             self._state_version += 1
         else:
             self._traffic_version += 1
-        self.change_journal.record(link.name, kind)
         if kind == STATE_CHANGE and self.on_state_change is not None:
             self.on_state_change(link)
 
@@ -114,7 +102,6 @@ class Topology:
         self._adjacency[link.b_uid].append(link)
         link._version_listener = self._on_link_change
         self._state_version += 1
-        self.change_journal.record(link.name, STATE_CHANGE)
         return link
 
     # ------------------------------------------------------------------ #

@@ -87,7 +87,6 @@ def run_manifest(
         "topology": topology_fingerprint(service.topology),
         "knobs": {
             "routing_cache_size": config.routing_cache_size,
-            "routing_delta_updates": config.routing_delta_updates,
             "decision_cache_size": config.decision_cache_size,
             "admission_queue_capacity": config.admission_queue_capacity,
             "phase_profiling": getattr(config, "phase_profiling", False),

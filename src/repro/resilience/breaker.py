@@ -14,7 +14,7 @@ A :class:`CircuitBreaker` follows the classic three-state machine:
 The :class:`BreakerBoard` owns one breaker per server uid and per link
 name, creates them lazily, and funnels every state transition through a
 single ``on_transition`` callback — the service uses it to ride the
-existing version-counter/change-journal machinery (availability bumps
+existing version-counter machinery (availability bumps
 for servers, database link touches for links), so cache invalidation
 needs no new paths.
 

@@ -47,7 +47,7 @@ class NodeStatisticsModule:
         self._previous: Optional[Tuple[float, Dict[str, Tuple[int, int]]]] = None
         self.samples_written = 0
         #: Writes whose ``used_mbps`` differed from the entry's previous
-        #: value — the only writes that dirty the routing delta journal.
+        #: value — the only writes that can move an LVN weight.
         self.changed_samples = 0
 
     @property
@@ -149,7 +149,7 @@ class StatisticsService:
         self._m_changed = registry.counter(
             "snmp.changed_samples", subsystem="snmp",
             description="stats writes whose used_mbps differed from the "
-            "previous entry (the ones that dirty the routing delta journal)",
+            "previous entry (the only ones that can move an LVN weight)",
         )
         self._m_blackout_skips = registry.counter(
             "fault.snmp_blackout_skips", subsystem="snmp",

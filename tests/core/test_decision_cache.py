@@ -10,6 +10,8 @@ and the new snapshot sections.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -244,6 +246,25 @@ class TestServiceWiring:
             chosen.end_serving(lease)
         third = service.decide("U2", "movie")
         assert third.chosen_uid == first.chosen_uid
+
+    def test_replay_forgets_everything_decided_under_an_older_token(self):
+        """The token's counters only grow, so a replay entry of an older
+        token can never hit again — and must not pin that epoch's table."""
+        service = build_service(decision_cache_size=256)
+        report_traffic(service)
+        service.decide("U2", "movie")
+        service.decide("U3", "movie")
+        assert set(service._decision_replay) == {("U2", "movie"), ("U3", "movie")}
+        old_table = weakref.ref(service.decide("U2", "movie").weights)
+        assert old_table() is not None
+
+        report_traffic(service, "4pm")  # the token (and every weight) moves
+        fresh = service.decide("U2", "movie")
+        assert set(service._decision_replay) == {("U2", "movie")}
+        assert service._decision_replay["U2", "movie"][0] is fresh
+        assert service.decide("U2", "movie") is fresh  # still replays
+        gc.collect()
+        assert old_table() is None
 
     def test_dma_title_and_disk_and_crash_churn_move_the_token(self):
         service = build_service(decision_cache_size=256)

@@ -13,8 +13,6 @@ from repro.network.node import Node
 from repro.network.routing.dijkstra import dijkstra
 from repro.network.topology import Topology
 
-BACKENDS = ["list", "numpy"]
-
 
 def small_topology():
     t = Topology(name="t")
@@ -87,38 +85,32 @@ class TestStructure:
 
 
 class TestWeightKernel:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_grnet_table_bit_identical(self, backend):
+    def test_grnet_table_bit_identical(self):
         topo = build_grnet_topology()
         apply_traffic_sample(topo, "10am")
         snap = TopologySnapshot(topo)
-        snap._force_backend = backend
         assert_tables_identical(
             snap.weight_table_with_nv(None, 10.0),
             weight_table_with_nv(topo, None, 10.0),
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_offline_links_excluded_like_python_path(self, backend):
+    def test_offline_links_excluded_like_python_path(self):
         topo = small_topology()
         topo.link_named("ab").set_background_mbps(4.0)
         topo.link_named("bc").online = False
         snap = TopologySnapshot(topo)
-        snap._force_backend = backend
         assert_tables_identical(
             snap.weight_table_with_nv(None, 10.0),
             weight_table_with_nv(topo, None, 10.0),
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_offline_node_gets_nv_zero_in_both_paths(self, backend):
+    def test_all_offline_node_gets_nv_zero_in_both_paths(self):
         # The shared degenerate-topology rule: a node whose every link is
         # offline prices at NV 0.0 — no error — in both implementations.
         topo = small_topology()
         topo.link_named("ab").online = False
         topo.link_named("ad").online = False  # node A fully offline
         snap = TopologySnapshot(topo)
-        snap._force_backend = backend
         compiled = snap.weight_table_with_nv(None, 10.0)
         python = weight_table_with_nv(topo, None, 10.0)
         assert compiled[1]["A"] == 0.0
@@ -161,12 +153,10 @@ class TestWeightKernel:
 
 
 class TestCompiledDijkstra:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_grnet_trees_bit_identical(self, backend):
+    def test_grnet_trees_bit_identical(self):
         topo = build_grnet_topology()
         apply_traffic_sample(topo, "4pm")
         snap = TopologySnapshot(topo)
-        snap._force_backend = backend
         table = snap.weight_table(None, 10.0)
         for source in topo.node_uids():
             compiled = snap.dijkstra(source, table)

@@ -1,7 +1,7 @@
-"""Unit tests: incremental LVN table, tree revalidation, delta cache."""
+"""Unit tests: the LVN table across epochs, tree revalidation, delta cache."""
 
 from repro.core.lvn import weight_table
-from repro.core.lvn_delta import IncrementalLvnTable
+from repro.core.vra import VirtualRoutingAlgorithm
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.network.link import Link
 from repro.network.node import Node
@@ -10,110 +10,114 @@ from repro.network.routing.dijkstra import LinkDelta, dijkstra, tree_unaffected
 from repro.network.topology import Topology
 
 
-def drain_all(topology):
-    """Fresh dirty-set from the topology journal (test convenience)."""
-    _, keys = topology.change_journal.since(0)
-    return keys
+def cached_vra(topology):
+    """A cached VRA on the ground-truth epoch: ``weights()`` builds the
+    table, ``_delta_probe()`` is what the cache asks on an epoch change."""
+    return VirtualRoutingAlgorithm(
+        topology,
+        epoch_of=lambda: (topology.traffic_version, topology.state_version),
+    )
 
 
 class TestIncrementalLvnTable:
+    """The LVN table across epochs: one cold build, diffed with the last."""
+
     def test_patch_before_rebuild_returns_none(self):
+        # No previous table: the one transition that is not a diff.
         topology = build_grnet_topology()
-        table = IncrementalLvnTable(topology)
-        assert table.patch({"Patra-Athens"}) is None
+        assert cached_vra(topology)._delta_probe() is None
 
     def test_rebuild_matches_cold_weight_table(self):
         topology = build_grnet_topology()
         apply_traffic_sample(topology, "8am")
-        table = IncrementalLvnTable(topology)
-        assert table.rebuild() == weight_table(topology)
+        assert cached_vra(topology).weights() == weight_table(topology)
 
     def test_patch_after_traffic_change_is_bit_for_bit(self):
         topology = build_grnet_topology()
         apply_traffic_sample(topology, "8am")
-        incremental = IncrementalLvnTable(topology)
-        incremental.rebuild()
+        vra = cached_vra(topology)
+        vra.weights()
         topology.link_named("Patra-Athens").set_background_mbps(1.7)
-        patched, deltas = incremental.patch({"Patra-Athens"})
-        assert patched == weight_table(topology)
+        table, deltas = vra._delta_probe()
+        assert table == weight_table(topology)
+        assert list(table) == list(weight_table(topology))
         assert any(d.link.name == "Patra-Athens" for d in deltas)
 
     def test_patch_recomputes_neighbors_of_affected_nodes(self):
         # Patra-Athens traffic moves NV(U1) and NV(U2), so every link at
-        # U1/U2 must be repriced even though only one link was dirty.
+        # U1/U2 is repriced even though only one link's traffic moved.
         topology = build_grnet_topology()
         apply_traffic_sample(topology, "8am")
-        incremental = IncrementalLvnTable(topology)
-        before = incremental.rebuild()
+        vra = cached_vra(topology)
+        before = vra.weights()
         topology.link_named("Patra-Athens").set_background_mbps(1.9)
-        patched, _ = incremental.patch({"Patra-Athens"})
-        cold = weight_table(topology)
-        assert patched == cold
-        assert patched["Patra-Ioannina"] != before["Patra-Ioannina"]
-        assert patched["Athens-Heraklio"] != before["Athens-Heraklio"]
+        table, deltas = vra._delta_probe()
+        assert table == weight_table(topology)
+        assert table["Patra-Ioannina"] != before["Patra-Ioannina"]
+        assert table["Athens-Heraklio"] != before["Athens-Heraklio"]
+        moved = {d.link.name: (d.old_weight, d.new_weight) for d in deltas}
+        assert moved == {
+            name: (before[name], table[name])
+            for name in table
+            if table[name] != before[name]
+        }
 
     def test_unchanged_dirty_link_yields_same_table_object(self):
-        # The SNMP drumbeat: a journaled link whose value did not actually
-        # move must cost nothing — same dict object, zero deltas.
+        # The SNMP drumbeat: an epoch in which no value actually moved
+        # hands back the same dict object and zero deltas.
         topology = build_grnet_topology()
         apply_traffic_sample(topology, "8am")
-        incremental = IncrementalLvnTable(topology)
-        base = incremental.rebuild()
-        patched, deltas = incremental.patch({"Patra-Athens"})
-        assert patched is base
+        vra = cached_vra(topology)
+        base = vra.weights()
+        link = topology.link_named("Patra-Athens")
+        original = link.background_mbps
+        link.set_background_mbps(0.0)
+        link.set_background_mbps(original)  # the epoch moved, the value did not
+        table, deltas = vra._delta_probe()
+        assert table is base
         assert deltas == []
+        # ...and the next epoch is still diffed against that same object.
+        link.set_background_mbps(1.9)
+        table, deltas = vra._delta_probe()
+        assert table is not base and table == weight_table(topology)
+        assert {d.old_weight for d in deltas} <= set(base.values())
 
     def test_patch_is_copy_on_write(self):
         topology = build_grnet_topology()
         apply_traffic_sample(topology, "8am")
-        incremental = IncrementalLvnTable(topology)
-        base = incremental.rebuild()
+        vra = cached_vra(topology)
+        base = vra.weights()
         snapshot = dict(base)
         topology.link_named("Patra-Athens").set_background_mbps(1.9)
-        patched, _ = incremental.patch({"Patra-Athens"})
-        assert patched is not base
+        table, _ = vra._delta_probe()
+        assert table is not base
         assert base == snapshot  # past decisions' audit state untouched
 
     def test_offline_flip_produces_delta_even_at_same_weight(self):
         topology = build_grnet_topology()
-        incremental = IncrementalLvnTable(topology)
-        incremental.rebuild()
+        vra = cached_vra(topology)
+        vra.weights()
         link = topology.link_named("Patra-Athens")
         link.online = False
-        patched, deltas = incremental.patch({"Patra-Athens"})
-        assert patched == weight_table(topology)
+        table, deltas = vra._delta_probe()
+        assert table == weight_table(topology)
         flip = [d for d in deltas if d.link.name == "Patra-Athens"]
         assert flip and flip[0].was_online and not flip[0].now_online
+        assert flip[0].old_weight == flip[0].new_weight
 
     def test_new_link_patches_to_cold_result(self):
         topology = build_grnet_topology()
         apply_traffic_sample(topology, "8am")
-        incremental = IncrementalLvnTable(topology)
-        incremental.rebuild()
+        vra = cached_vra(topology)
+        vra.weights()
         topology.add_node(Node("U7", name="Larissa"))
         topology.add_link(Link("U7", "U1", capacity_mbps=4.0, name="Larissa-Athens"))
-        patched, deltas = incremental.patch({"Larissa-Athens"})
-        assert patched == weight_table(topology)
+        table, deltas = vra._delta_probe()
+        assert table == weight_table(topology)
+        assert list(table) == list(weight_table(topology))
         new = [d for d in deltas if d.link.name == "Larissa-Athens"]
         assert new and new[0].old_weight is None and new[0].now_online
-
-    def test_unknown_dirty_name_falls_back_to_none(self):
-        topology = build_grnet_topology()
-        incremental = IncrementalLvnTable(topology)
-        incremental.rebuild()
-        assert incremental.patch({"no-such-link"}) is None
-
-    def test_journal_driven_patch_matches_cold_after_churn(self):
-        topology = build_grnet_topology()
-        apply_traffic_sample(topology, "8am")
-        incremental = IncrementalLvnTable(topology)
-        incremental.rebuild()
-        cursor = topology.change_journal.head
-        topology.link_named("Xanthi-Heraklio").set_background_mbps(1.2)
-        topology.link_named("Thessaloniki-Ioannina").online = False
-        cursor, dirty = topology.change_journal.since(cursor)
-        patched, _ = incremental.patch(dirty)
-        assert patched == weight_table(topology)
+        assert not new[0].was_online
 
 
 def grnet_tree(source="U2"):

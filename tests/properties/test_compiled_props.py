@@ -5,9 +5,8 @@ contract: under ANY interleaving of traffic rewrites and link failures /
 recoveries, the compiled kernels must reproduce the pure-python path
 *byte for byte* — same weight/NV tables (same dict order, same float
 reprs), same Dijkstra trees (same settlement order, same tie-breaks),
-same exceptions — on both the list backend and the numpy backend.  A
-last-ulp drift here would silently change admission decisions, so these
-properties compare representations, not just values.
+same exceptions.  A last-ulp drift here would silently change admission
+decisions, so these properties compare representations, not just values.
 """
 
 import json
@@ -15,9 +14,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.network.compiled as compiled_mod
 from repro.core.lvn import weight_table_with_nv
-from repro.core.lvn_delta import IncrementalLvnTable
 from repro.core.vra import VirtualRoutingAlgorithm
 from repro.errors import LinkCapacityError, ReproError
 from repro.network.compiled import TopologySnapshot
@@ -28,7 +25,6 @@ from repro.network.routing.dijkstra import dijkstra
 NODES = sorted(GRNET_NODES)
 LINK_NAMES = [name for name, _, _ in GRNET_LINKS]
 CAPACITY = {name: capacity for name, _, capacity in GRNET_LINKS}
-BACKENDS = ["list"] + (["numpy"] if compiled_mod._np is not None else [])
 
 #: One churn op: rewrite a link's background traffic or flip it offline.
 link_ops = st.lists(
@@ -80,12 +76,11 @@ def tree_fingerprint(result):
 
 
 class TestWeightTableEquivalence:
-    @given(churn_runs, st.sampled_from(BACKENDS))
+    @given(churn_runs)
     @settings(max_examples=60, deadline=None)
-    def test_tables_bit_identical_under_churn(self, runs, backend):
+    def test_tables_bit_identical_under_churn(self, runs):
         topology = build_grnet_topology()
         snapshot = TopologySnapshot(topology)
-        snapshot._force_backend = backend
         for ops, _home in runs:
             apply_ops(topology, ops)
             compiled = tables_or_error(
@@ -101,30 +96,6 @@ class TestWeightTableEquivalence:
                 weights, _ = snapshot.weight_table_with_nv(None, 10.0)
                 reference, _ = weight_table_with_nv(topology, None, 10.0)
                 assert json.dumps(weights) == json.dumps(reference)
-
-    @given(churn_runs, st.sampled_from(BACKENDS))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_table_rebased_on_snapshot_matches_python(
-        self, runs, backend
-    ):
-        """The delta cache seeded from compiled rebuilds stays bit-exact."""
-        topology = build_grnet_topology()
-        snapshot = TopologySnapshot(topology)
-        snapshot._force_backend = backend
-        incremental = IncrementalLvnTable(
-            topology, snapshot=snapshot, normalization_constant=10.0
-        )
-        incremental.rebuild()
-        for ops, _home in runs:
-            apply_ops(topology, ops)
-            patched = incremental.patch({name for name, _, _ in ops})
-            weights = incremental.rebuild() if patched is None else patched[0]
-            reference, _ = weight_table_with_nv(topology, None, 10.0)
-            # Patched tables are copy-on-write updates, so dict order can
-            # differ from a cold build — compare sorted, bit-for-bit.
-            assert sorted((n, repr(w)) for n, w in weights.items()) == sorted(
-                (n, repr(w)) for n, w in reference.items()
-            )
 
 
 class TestDijkstraEquivalence:
@@ -256,24 +227,13 @@ routed_runs = st.lists(
 )
 
 
-def journal_delta_of(topology):
-    cursor = {"topo": topology.change_journal.head}
-
-    def delta_of():
-        cursor["topo"], names = topology.change_journal.since(cursor["topo"])
-        return names
-
-    return delta_of
-
-
 class TestVraEquivalence:
-    @given(routed_runs, st.sampled_from(BACKENDS))
+    @given(routed_runs)
     @settings(max_examples=80, deadline=None)
-    def test_compiled_vra_decisions_match_python_vra(self, runs, backend):
+    def test_compiled_vra_decisions_match_python_vra(self, runs):
         """Goal-directed compiled search vs the full-tree python oracle."""
         topology = build_grnet_topology()
         fast = VirtualRoutingAlgorithm(topology, compiled=True)
-        fast._snapshot._force_backend = backend
         plain = VirtualRoutingAlgorithm(topology, compiled=False)
         for ops, home, holders, down in runs:
             apply_ops(topology, ops)
@@ -281,7 +241,7 @@ class TestVraEquivalence:
                 fast, home, holders, down
             ) == decision_fingerprint(plain, home, holders, down)
 
-    @given(routed_runs, st.sampled_from(BACKENDS))
+    @given(routed_runs)
     @example(
         # An online flip beyond the radius that moves no weight: the
         # memoized decision survives with the *same* table and must still
@@ -293,24 +253,21 @@ class TestVraEquivalence:
             ),
             ([("Thessaloniki-Athens", "toggle", 0.0)], "U1", ["U1"], frozenset()),
         ],
-        backend="list",
     )
     @settings(max_examples=80, deadline=None)
-    def test_compiled_delta_vra_matches_python_cold(self, runs, backend):
-        """Compiled snapshot + incremental LVN + delta journal + both memo
-        layers, against a cache-less pure-python VRA computing everything
-        from scratch.  Decisions that survive ``DecisionCache.apply`` keep
-        their key across churn batches, so their audit trail must equal a
-        cold run under the *patched* table."""
+    def test_compiled_delta_vra_matches_python_cold(self, runs):
+        """Compiled snapshot + epoch diffing + both memo layers, against a
+        cache-less pure-python VRA computing everything from scratch.
+        Decisions that survive ``DecisionCache.apply`` keep their key
+        across churn batches, so their audit trail must equal a cold run
+        under the *new* table."""
         topology = build_grnet_topology()
         cached = VirtualRoutingAlgorithm(
             topology,
             compiled=True,
             epoch_of=lambda: (topology.traffic_version, topology.state_version),
-            delta_of=journal_delta_of(topology),
             decision_cache_size=64,
         )
-        cached._snapshot._force_backend = backend
         assert cached.delta_maintenance
         plain = VirtualRoutingAlgorithm(topology, compiled=False)
         asked = []
@@ -334,7 +291,6 @@ class TestVraEquivalence:
             topology,
             compiled=True,
             epoch_of=lambda: (topology.traffic_version, topology.state_version),
-            delta_of=journal_delta_of(topology),
             decision_cache_size=8,
         )
         plain = VirtualRoutingAlgorithm(topology, compiled=False)

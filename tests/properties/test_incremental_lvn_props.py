@@ -1,23 +1,27 @@
 """Property tests: delta-maintained routing is bit-for-bit cold routing.
 
-The delta path (dirty-link journals -> incremental LVN patch -> lazy tree
-revalidation) is an optimisation with a correctness contract: under ANY
-interleaving of traffic rewrites, link failures/recoveries, and SNMP-style
-database writes (including same-value drumbeat writes), a delta-cached VRA
-must produce exactly the decisions a cache-less VRA computes from scratch —
-same server, same path, same cost, same weight table, and the same
-exceptions when routing is impossible.
+The delta path (epoch change -> one cold LVN table diffed with the last ->
+lazy tree revalidation) is an optimisation with a correctness contract:
+under ANY interleaving of traffic rewrites, link failures/recoveries, and
+SNMP-style database writes (including same-value drumbeat writes), a
+delta-cached VRA must produce exactly the decisions a cache-less VRA
+computes from scratch — same server, same path, same cost, same weight
+table, and the same exceptions when routing is impossible.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.lvn import weight_table
+from repro.core.service import ServiceConfig, VoDService
 from repro.core.vra import VirtualRoutingAlgorithm
 from repro.database.records import LinkEntry, LinkStats
 from repro.database.store import ServiceDatabase
 from repro.errors import RoutingError
 from repro.network.grnet import GRNET_LINKS, GRNET_NODES, build_grnet_topology
-from repro.network.link import STATE_CHANGE
+from repro.network.link import Link
+from repro.network.node import Node
+from repro.sim.engine import Simulator
 
 NODES = sorted(GRNET_NODES)
 LINK_NAMES = [name for name, _, _ in GRNET_LINKS]
@@ -25,7 +29,7 @@ CAPACITY = {name: capacity for name, _, capacity in GRNET_LINKS}
 
 #: One churn op: (link, kind, utilisation).  "traffic" rewrites background
 #: load, "toggle" flips online, "same" rewrites the current value — the
-#: SNMP drumbeat that must journal nothing.
+#: SNMP drumbeat that must yield no delta.
 link_ops = st.lists(
     st.tuples(
         st.sampled_from(LINK_NAMES),
@@ -53,32 +57,14 @@ def apply_ops(topology, ops):
 
 
 def delta_vra(topology, used_of=None, db=None):
-    """A cached VRA wired to journals the way VoDService wires one."""
-    cursors = {
-        "topo": topology.change_journal.head,
-        "stats": db.stats_journal.head if db is not None else 0,
-    }
-
-    def delta_of():
-        if db is None:
-            cursors["topo"], names = topology.change_journal.since(cursors["topo"])
-            return names
-        cursors["topo"], structural = topology.change_journal.since(
-            cursors["topo"], kinds=(STATE_CHANGE,)
-        )
-        cursors["stats"], reported = db.stats_journal.since(cursors["stats"])
-        if structural is None or reported is None:
-            return None
-        return structural | reported
+    """A cached VRA on the epoch token VoDService hands its VRA."""
 
     def epoch_of():
         if db is None:
             return ("net", topology.traffic_version, topology.state_version)
         return ("db", db.link_stats_version, topology.state_version)
 
-    return VirtualRoutingAlgorithm(
-        topology, used_of=used_of, epoch_of=epoch_of, delta_of=delta_of
-    )
+    return VirtualRoutingAlgorithm(topology, used_of=used_of, epoch_of=epoch_of)
 
 
 def decision_fingerprint(vra, home):
@@ -172,3 +158,105 @@ def test_dirty_link_disconnecting_cached_tree_source():
     recovered = decision_fingerprint(cached, "U2")
     assert recovered == decision_fingerprint(plain, "U2")
     assert recovered[0] != "error"
+
+
+# --------------------------------------------------------------------------- #
+# the probe itself, at the service level
+# --------------------------------------------------------------------------- #
+#: One service-level op: traffic churn, an online flip, an SNMP sample for one
+#: link, a link-breaker trip, clock ageing (staleness toggles; breaker
+#: cooldowns run out) or runtime expansion.
+service_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["traffic", "toggle", "report", "trip", "age", "expand"]),
+        st.sampled_from(LINK_NAMES),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ),
+    min_size=0,
+    max_size=5,
+)
+
+
+def apply_service_ops(service, ops):
+    topology, sim = service.topology, service.sim
+    for kind, name, u in ops:
+        link = topology.link_named(name)
+        if kind == "traffic":
+            link.set_background_mbps(u * link.capacity_mbps)
+        elif kind == "toggle":
+            link.online = not link.online
+        elif kind == "report":
+            service.database.update_link_stats(
+                name,
+                LinkStats(
+                    used_mbps=link.used_mbps,
+                    utilization=link.used_mbps / link.capacity_mbps,
+                    timestamp=sim.now,
+                ),
+            )
+        elif kind == "trip":
+            for _ in range(service.config.breaker_threshold):
+                service.breakers.link_failure(name)
+        elif kind == "age":
+            sim.run(until=sim.now + 200.0 * u)
+            service.staleness_guard.refresh()
+        else:
+            uid = f"X{topology.node_count}"
+            service.add_server(
+                Node(uid), [Link(uid, link.a_uid, capacity_mbps=1.0 + 9.0 * u)]
+            )
+
+
+@given(st.lists(service_ops, min_size=1, max_size=8), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches, compiled):
+    """Epoch says when, diff says what: whatever moved the epoch, the
+    table the cache ends up with is ``core.lvn.weight_table`` bit for bit
+    and in key order, the deltas are exactly the links whose weight or
+    online flag differ, and an epoch that moved nothing keeps the very
+    same table object."""
+    service = VoDService(
+        Simulator(),
+        build_grnet_topology(),
+        ServiceConfig(
+            compiled_routing=compiled,
+            breaker_threshold=2,
+            breaker_cooldown_s=100.0,
+            max_stats_age_s=90.0,
+        ),
+    )
+    topology, vra = service.topology, service.vra
+
+    def cold():
+        table = weight_table(
+            topology, service._guarded_used, service.config.normalization_constant
+        )
+        return table, {link.name: link.online for link in topology.links()}
+
+    held = vra.weights()
+    before, was_online = cold()
+    assert list(map(repr, held.items())) == list(map(repr, before.items()))
+    for ops in batches:
+        apply_service_ops(service, ops)
+        transition = vra.cache.sync(service.routing_epoch())
+        after, now_online = cold()
+        moves = [
+            (name, before.get(name), after[name], was_online.get(name, False), online)
+            for name, online in now_online.items()
+        ]
+        expected = [m for m in moves if m[1] != m[2] or m[3] != m[4]]
+        got = [] if transition is None else [
+            (d.link.name, d.old_weight, d.new_weight, d.was_online, d.now_online)
+            for d in transition.deltas
+        ]
+        assert got == expected
+        assert transition is None or transition.kind == "partial"
+        table = vra.weights()
+        if expected:
+            assert table is not held
+            assert list(map(repr, table.items())) == list(map(repr, after.items()))
+        else:
+            assert table is held
+        assert list(map(repr, held.items())) == list(map(repr, before.items()))
+        held, before, was_online = table, after, now_online
+    assert vra.cache_stats.full_invalidations == 0

@@ -6,8 +6,13 @@ these paths.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -70,6 +75,26 @@ class TestTopLevelConvenience:
 
         assert "VoDService" in repro.__doc__
         assert "build_grnet_topology" in repro.__doc__
+
+
+class TestStandardLibraryOnly:
+    def test_importing_the_package_pulls_in_no_third_party_module(self):
+        # A fresh interpreter: this process already imported the test
+        # oracles (networkx) and hypothesis' optional numpy support.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = (
+            "import sys, repro, repro.cli, repro.obs.stream; "
+            "print([m for m in ('numpy', 'networkx', 'scipy') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestErrorCatchability:
