@@ -15,9 +15,9 @@ import random
 
 import pytest
 
-from repro.core.dma import DiskManipulationAlgorithm, DmaAction
 from repro.core.service import ServiceConfig
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
+from repro.placement import PlacementAction, WholeTitleDma
 from repro.storage.array import DiskArray
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import regional_scenario
@@ -44,10 +44,10 @@ def test_figure2_dma_converges_to_most_popular(benchmark, show):
 
     def run_stream():
         array = DiskArray(disk_count=4, disk_capacity_mb=200.0, cluster_mb=25.0)
-        dma = DiskManipulationAlgorithm(array)
+        dma = WholeTitleDma(array)
         hits = 0
         for title_id in stream:
-            if dma.on_request(by_id[title_id]).action is DmaAction.HIT:
+            if dma.on_request(by_id[title_id]).action is PlacementAction.HIT:
                 hits += 1
         return dma, hits
 

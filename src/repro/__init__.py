@@ -40,7 +40,6 @@ Quickstart::
     print(session.record.servers_used, session.record.startup_delay_s)
 """
 
-from repro.core.dma import DiskManipulationAlgorithm, DmaAction, DmaResult
 from repro.core.lvn import link_validation_number, weight_table
 from repro.placement.base import (
     PlacementAction,
@@ -65,9 +64,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Client",
-    "DiskManipulationAlgorithm",
-    "DmaAction",
-    "DmaResult",
     "Link",
     "Node",
     "PlacementAction",

@@ -45,8 +45,10 @@ def _add_fast_path_arguments(subparser: argparse.ArgumentParser) -> None:
     group = subparser.add_argument_group("fast path")
     group.add_argument(
         "--decision-cache-size", type=int, default=0, metavar="N",
-        help="LRU bound on whole-decision memoization (0 disables; "
-             "requires the routing cache, which is on by default)",
+        help="any N > 0 turns on whole-decision memoization (0 disables; "
+             "at most one decision per (home, title) of the current state "
+             "is held, so N bounds nothing; requires the routing cache, "
+             "which is on by default)",
     )
     group.add_argument(
         "--admission-queue-capacity", type=int, default=0, metavar="N",
@@ -262,10 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     placement.add_argument("--disk-count", type=int, default=2)
     placement.add_argument("--disk-capacity-mb", type=float, default=500.0)
     placement.add_argument("--check", action="store_true",
-                           help="also run the replay gates: the DMA run must "
-                                "reproduce byte-identically and match the "
-                                "deprecated DiskManipulationAlgorithm shim; "
-                                "exit 1 on any gate failure")
+                           help="also run the replay gate: the DMA run must "
+                                "reproduce byte-identically; exit 1 on "
+                                "gate failure")
     _add_placement_arguments(placement)
 
     obs = commands.add_parser(
@@ -486,17 +487,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"QoS violations ....... {metrics.qos_violation_fraction:.3f}")
     print(f"transport cost ....... {metrics.megabyte_hops:.0f} MB-hops")
     service = result.service
-    # Alternative --selection policies replace service.vra wholesale and
-    # carry no memo; only the real VRA exposes a decision cache.
-    if getattr(service.vra, "decision_cache", None) is not None:
-        from repro.experiments.report import render_decision_cache
-
-        print()
-        print(
-            render_decision_cache(
-                service.vra.decision_cache_stats, title="Decision cache"
-            )
-        )
     if service.admission_queue is not None:
         from repro.experiments.report import render_admission_queue
 

@@ -2,14 +2,12 @@
 
 * :mod:`repro.core.lvn` — the link-validation equations (1)-(4);
 * :mod:`repro.core.vra` — the Virtual Routing Algorithm (Figure 5);
-* :mod:`repro.core.dma` — the Disk Manipulation Algorithm (Figure 2);
 * :mod:`repro.core.session` — per-cluster streaming with dynamic
   server switching;
 * :mod:`repro.core.service` — the :class:`~repro.core.service.VoDService`
   facade wiring database, SNMP, servers and the algorithms together.
 """
 
-from repro.core.dma import DiskManipulationAlgorithm, DmaAction, DmaResult
 from repro.core.lvn import (
     DEFAULT_NORMALIZATION_CONSTANT,
     link_traffic,
@@ -25,9 +23,6 @@ from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 
 __all__ = [
     "DEFAULT_NORMALIZATION_CONSTANT",
-    "DiskManipulationAlgorithm",
-    "DmaAction",
-    "DmaResult",
     "ServiceConfig",
     "SessionRecord",
     "StreamingSession",

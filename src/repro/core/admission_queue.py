@@ -26,7 +26,7 @@ seeded replay produces the identical admit/delay/shed outcome for every
 request — the property the determinism tests pin.
 
 Requests admitted inside the same tick form a *batch cohort*: with the
-decision cache on, the whole cohort for one ``(home, title)`` key resolves
+decision memo on, the whole cohort for one ``(home, title)`` key resolves
 against a single cached :class:`~repro.core.vra.VraDecision`, which is the
 "batches of queued same-key requests are resolved with a single cached
 decision" half of the flash-crowd story.  The queue tracks cohort sizes
@@ -87,7 +87,7 @@ class AdmissionQueueStats:
         batches: Completed drain-tick cohorts (>= 1 admission each).
         max_batch: Largest completed cohort.
         coalesced: Same-key admissions beyond the first inside a cohort —
-            each one is a request the decision cache answers for free.
+            each one is a request the decision memo answers for free.
     """
 
     offered: int = 0

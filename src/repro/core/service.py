@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.client.client import Client
 from repro.client.requests import VideoRequest
@@ -170,17 +170,19 @@ class ServiceConfig:
             Ignored when ``use_server_load_in_vra`` is on, because the
             compiled kernel implements the paper's exact eq. (2) without
             the workload extension.
-        decision_cache_size: LRU bound on *whole-decision* memoization
-            (see :class:`~repro.network.routing.cache.DecisionCache`).
-            Within a routing epoch, requests sharing ``(home server,
-            title, holder availability signature, QoS class)`` are
-            answered from one cached :class:`VraDecision` instead of
-            re-running the poll/LVN/Dijkstra pipeline — the flash-crowd
-            fast path.  Epoch transitions invalidate delta-scoped: only
-            decisions whose Dijkstra tree a changed link could touch are
-            dropped.  Decisions are bit-for-bit identical either way.
-            ``0`` (default) disables it; requires an active routing
-            cache (same ``use_server_load_in_vra`` caveat).
+        decision_cache_size: Any positive value turns on the
+            *whole-decision* memo — the flash-crowd fast path.  While no
+            server-availability, title-location, link-stats/traffic or
+            topology-state counter has moved, a repeated ``(home server,
+            title)`` request is answered with the :class:`VraDecision`
+            object the first one got instead of re-running the
+            poll/LVN/Dijkstra pipeline; when any of them moves, the whole
+            memo is cleared.  It holds at most one decision per pair of
+            the current state, so there is no bound to choose — the value
+            is only an on/off switch.  Decisions are bit-for-bit identical
+            either way.  ``0`` (default) disables it; negative values are
+            rejected; requires an active routing cache (same
+            ``use_server_load_in_vra`` caveat).
         admission_queue_capacity: Enables the load-leveling admission
             front-end (:class:`~repro.core.admission_queue.AdmissionQueue`)
             when > 0: requests drain from a bounded deterministic FIFO at
@@ -364,8 +366,7 @@ class VoDService:
         self.config = config if config is not None else ServiceConfig()
         #: Structured event trace (disabled by default); categories:
         #: request.submitted / request.blocked, vra.decision,
-        #: placement.pass (plus the legacy dma.pass alias under the
-        #: deprecated shim), session.finished, service.expanded, and the
+        #: placement.pass, session.finished, service.expanded, and the
         #: span.* categories of the observability layer.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: The telemetry instrument registry.  Disabled (all no-ops)
@@ -396,22 +397,23 @@ class VoDService:
         self.sessions: List[SessionRecord] = []
         #: Server-availability generation: bumped by every server whenever
         #: anything feeding a VRA poll answer moves (online state, title
-        #: residency, disk health, stream slots).  Together with the
-        #: database's title-locations version it stamps the decision-key
-        #: cache below, so the flash-crowd hot path rebuilds holder
-        #: signatures only when some availability input actually changed.
+        #: residency, disk health, stream slots), and by server-breaker
+        #: transitions (they change the holder filter).  One of the four
+        #: counters of the decision memo's freshness token.
         self._availability_version = 0
-        #: Same-state decision replay: ``(home_uid, title_id) ->
-        #: (decision, candidate_count)``.  While the freshness token is
-        #: unchanged, every routing and availability input of that pair's
-        #: decision is provably unchanged, so the stored decision is
-        #: returned as-is — the flash-crowd O(1) fast path.
-        #: The token's counters only grow, so entries of an older token
-        #: can never hit again: the dict holds the pairs decided under
-        #: ``_replay_token`` only and is cleared when the token moves
-        #: (each entry pins that state's weight table and search prefix).
-        self._decision_replay: Dict[Tuple[str, str], Tuple[VraDecision, int]] = {}
+        #: The whole-decision memo: ``(home_uid, title_id) -> decision``.
+        #: While the freshness token is unchanged, every routing and
+        #: availability input of that pair's decision is provably
+        #: unchanged, so the stored decision is returned as-is — the
+        #: flash-crowd O(1) fast path.  The token's counters only grow,
+        #: so entries of an older token can never hit again: the dict
+        #: holds the pairs decided under ``_replay_token`` only and is
+        #: cleared when the token moves (each entry pins that state's
+        #: weight table and search prefix).
+        self._decision_replay: Dict[Tuple[str, str], VraDecision] = {}
         self._replay_token: Optional[Tuple[int, int, int, int]] = None
+        self._decision_hits = 0
+        self._decision_misses = 0
         self._register_service_instruments()
 
         #: Deployment-wide placement-policy choice, resolved once; every
@@ -536,6 +538,11 @@ class VoDService:
         if self.config.use_reported_stats:
             guarded = self.staleness_guard is not None or self.breakers is not None
             used_of = self._guarded_used if guarded else self._reported_used
+        if self.config.decision_cache_size < 0:
+            raise ServiceError(
+                "decision cache size must be >= 0, got "
+                f"{self.config.decision_cache_size!r}"
+            )
         self.vra = VirtualRoutingAlgorithm(
             topology,
             used_of=used_of,
@@ -544,18 +551,26 @@ class VoDService:
             trace=self.config.vra_trace,
             epoch_of=self.routing_epoch if cacheable else None,
             cache_size=self.config.routing_cache_size,
-            decision_cache_size=(
-                self.config.decision_cache_size
-                if self.config.routing_cache_size > 0
-                else 0
-            ),
             metrics=self.obs,
             compiled=self.config.compiled_routing,
         )
-        self._decision_memo_on = self.vra.decision_cache is not None
+        # The memo rides on the routing cache's enabling condition: with
+        # no version counter over the weights there is no token either.
+        self._decision_memo_on = (
+            self.vra.cache is not None and self.config.decision_cache_size > 0
+        )
+        if self._decision_memo_on:
+            self._m_decision_hits = self.obs.counter(
+                "decision.hits", subsystem="core",
+                description="decide() calls answered whole from the decision memo",
+            )
+            self._m_decision_misses = self.obs.counter(
+                "decision.misses", subsystem="core",
+                description="decision-memo lookups that ran the VRA",
+            )
         if self.vra.cache is not None:
             self.vra.cache.phase_timer = self.profiler.timer("cache_sync")
-        # Freshness token for the same-state replay layer: four version
+        # Freshness token for the decision memo: four version
         # counters covering every input a VRA decision reads — server
         # availability (poll answers), title holder lists, reported link
         # stats, and topology structure/traffic.  Reads the underlying
@@ -577,12 +592,6 @@ class VoDService:
                 topo._traffic_version,
                 topo._state_version,
             )
-        #: Optional QoS-class hook for decision memoization: maps a title
-        #: id to a hashable service class folded into the decision key.
-        #: None (default) treats every request as one class — today's
-        #: VRA has no QoS-class input, so this is forward compatibility
-        #: for the user-class extension surveyed in PAPERS.md.
-        self.qos_class_of: Optional[Callable[[str], Hashable]] = None
         #: The load-leveling admission front-end; None when the knob is 0
         #: (requests go straight to session start, legacy-identical).
         self.admission_queue: Optional[AdmissionQueue] = None
@@ -787,9 +796,9 @@ class VoDService:
         return stats.hit_rate if stats is not None else 0.0
 
     def _decision_hit_rate(self) -> float:
-        """Decision-memo hit rate, 0.0 when that layer is off."""
-        stats = getattr(self.vra, "decision_cache_stats", None)
-        return stats.hit_rate if stats is not None else 0.0
+        """Decision-memo hits over lookups, 0.0 before any (or when off)."""
+        total = self._decision_hits + self._decision_misses
+        return self._decision_hits / total if total else 0.0
 
     # ------------------------------------------------------------------ #
     # initialisation phase
@@ -964,61 +973,62 @@ class VoDService:
             raise ServiceError(f"unknown server {home_uid!r}")
         return self._submit_at(home_uid, title_id, client_id)
 
+    @property
+    def vra(self):
+        """The server-selection policy: the built-in
+        :class:`VirtualRoutingAlgorithm`, or whatever was assigned over it
+        (``service.vra = MinHopSelection(service.topology)``)."""
+        return self._vra
+
+    @vra.setter
+    def vra(self, policy) -> None:
+        # The memo's freshness token covers the built-in VRA's inputs; it
+        # says nothing about a substitute's (RandomSelection draws from an
+        # RNG), so a replaced policy always runs unmemoized.
+        self._vra = policy
+        self._decision_memo_on = False
+
     def decide(self, home_uid: str, title_id: str) -> VraDecision:
         """One VRA decision for a request at ``home_uid`` (no streaming)."""
         t_phase = self._t_decide.start()
         try:
-            cache_key: Optional[Hashable] = None
-            token: Optional[Tuple[int, int, int, int]] = None
-            if self._decision_memo_on:
-                # Same-state replay: while the freshness token is unchanged,
-                # every input of this pair's previous decision (holder list,
-                # poll answers, LVN weights, topology) is provably unchanged,
-                # so the stored decision is returned without re-entering the
-                # VRA — one dict probe and one tuple compare per request.
+            memo_on = self._decision_memo_on
+            if memo_on:
+                # While the freshness token is unchanged, every input of
+                # this pair's previous decision (holder list, poll answers,
+                # LVN weights, topology) is provably unchanged, so the
+                # stored decision is returned without re-entering the VRA —
+                # one tuple compare and one dict probe per request.
                 token = self._freshness()
                 if token != self._replay_token:
                     self._decision_replay.clear()
                     self._replay_token = token
-                replay = self._decision_replay.get((home_uid, title_id))
-                if replay is not None:
-                    decision = replay[0]
-                    self.vra.count_replayed(decision, replay[1])
+                decision = self._decision_replay.get((home_uid, title_id))
+                if decision is not None:
+                    self._decision_hits += 1
+                    self._m_decision_hits.inc()
+                    self._vra.count_replayed(decision)
                     if self._obs_enabled:
                         self._m_decision_latency.observe(0.0)
                     if self.tracer.enabled:
                         self._trace_decision(home_uid, title_id, decision)
                     return decision
-                # The memo key is the promise that a cached decision's inputs
-                # are reproduced exactly: beyond the routing epoch (synced
-                # inside the VRA), each holder's poll answer is a function of
-                # its (online, title-resident, headroom-bucket) signature.
-                holders = self.database.servers_with_title(title_id, min_fraction=1.0)
-                if self.breakers is not None:
-                    # Filter *before* keying, so the memo key describes
-                    # the holder set the VRA actually saw.  Transitions
-                    # bump the availability version, staling the token.
-                    holders = self.breakers.filter_servers(holders)
-                cache_key = (
-                    home_uid,
-                    title_id,
-                    frozenset(self._holder_signature(uid, title_id) for uid in holders),
-                    self.qos_class_of(title_id) if self.qos_class_of is not None else None,
-                )
-            else:
-                # Full holders only: a server advertising a prefix fraction
-                # cannot source a whole remote stream, so the VRA prefers
-                # full holders by construction.
-                holders = self.database.servers_with_title(title_id, min_fraction=1.0)
-                if self.breakers is not None:
-                    holders = self.breakers.filter_servers(holders)
+                self._decision_misses += 1
+                self._m_decision_misses.inc()
+            # Full holders only: a server advertising a prefix fraction
+            # cannot source a whole remote stream, so the VRA prefers
+            # full holders by construction.
+            holders = self.database.servers_with_title(title_id, min_fraction=1.0)
+            if self.breakers is not None:
+                # Server-breaker transitions bump the availability version,
+                # staling the token.
+                holders = self.breakers.filter_servers(holders)
             started = perf_counter() if self._obs_enabled else 0.0
-            decision = self.vra.decide(
+            decision = self._vra.decide(
                 home_uid,
                 title_id,
                 holders,
                 poll=lambda uid: self.servers[uid].can_provide(title_id),
-                cache_key=cache_key,
             )
             if self._obs_enabled:
                 self._m_decision_latency.observe((perf_counter() - started) * 1e3)
@@ -1027,20 +1037,13 @@ class VoDService:
                 and self.staleness_guard.degraded
                 and not decision.degraded
             ):
-                # Stamped outside the VRA so its memo keeps the unmarked
-                # decision; the replay layer below stores the marked one
+                # Stamped outside the VRA; the memo stores the marked one
                 # (safe: every stale-set flip bumps the link-stats version,
                 # which stales the freshness token).
                 decision = replace(decision, degraded=True)
-            if token is not None:
-                # Arm the replay layer.  The candidate count comes from the
-                # VRA's memo entry (just stored or refreshed) so a replayed
-                # request lands the exact histogram sample a cold run would.
-                entry = self.vra.decision_cache.peek(cache_key)
-                if entry is not None:
-                    self._decision_replay[(home_uid, title_id)] = (
-                        decision, entry.candidate_count
-                    )
+            if memo_on:
+                # Errors never get here, so they are never stored.
+                self._decision_replay[(home_uid, title_id)] = decision
             if self.tracer.enabled:
                 self._trace_decision(home_uid, title_id, decision)
             return decision
@@ -1096,15 +1099,12 @@ class VoDService:
         """Ride breaker transitions on the existing invalidation machinery.
 
         A server breaker changes holder filtering, which is exactly the
-        class of change the availability version covers; any memoized
-        decision still naming the server is evicted defensively.  A link
-        breaker changes that link's effective weight, which is exactly
-        what a reported-stats write would — so it bumps the same version.
+        class of change the availability version covers.  A link breaker
+        changes that link's effective weight, which is exactly what a
+        reported-stats write would — so it bumps the same version.
         """
         if kind == KIND_SERVER:
             self._bump_availability()
-            if self.vra.decision_cache is not None:
-                self.vra.decision_cache.evict_server(target)
         elif self.config.use_reported_stats:
             self.database.touch_links([target])
         if self.tracer.enabled:
@@ -1128,25 +1128,6 @@ class VoDService:
                 f"{len(changed)} link(s) changed staleness",
                 links=list(changed),
             )
-
-    def _holder_signature(self, uid: str, title_id: str) -> Tuple[str, bool, int]:
-        """One holder's contribution to the decision-memo key.
-
-        ``can_provide`` is ``online and has_title and headroom > 0``; the
-        signature carries ``(uid, online-and-resident, headroom bucket)``
-        where the bucket is ``bit_length`` of the free stream slots (0
-        means saturated).  The poll answer is exactly ``flag and bucket >
-        0``, so equal keys guarantee equal poll outcomes while stream
-        churn within a power-of-two band keeps the key stable.
-        """
-        server = self.servers[uid]
-        admission = server.admission
-        headroom = admission.max_streams - admission.active_count
-        return (
-            uid,
-            server.online and server.has_title(title_id),
-            headroom.bit_length() if headroom > 0 else 0,
-        )
 
     def try_decide(self, home_uid: str, title_id: str) -> DecideOutcome:
         """One VRA decision that degrades to an explicit outcome.
@@ -1215,7 +1196,6 @@ class VoDService:
         """
         cache_stats = getattr(self.vra, "cache_stats", None)
         cache_dict = cache_stats.as_dict() if cache_stats is not None else None
-        decision_stats = getattr(self.vra, "decision_cache_stats", None)
         snapshot: Dict[str, object] = {
             "time": self.sim.now,
             "server_count": len(self.servers),
@@ -1227,7 +1207,13 @@ class VoDService:
             "routing_epoch": self.routing_epoch(),
             "routing_cache": cache_dict,
             "decision_cache": (
-                decision_stats.as_dict() if decision_stats is not None else None
+                {
+                    "hits": self._decision_hits,
+                    "misses": self._decision_misses,
+                    "hit_rate": self._decision_hit_rate(),
+                }
+                if self._decision_memo_on
+                else None
             ),
             "admission_queue": (
                 self.admission_queue.snapshot()
@@ -1296,21 +1282,6 @@ class VoDService:
             evicted=list(dma_result.evicted),
             resident_fraction=dma_result.resident_fraction,
         )
-        if self.tracer.enabled and home_server.legacy_policy:
-            # Back-compat alias: deployments still constructing the
-            # deprecated DiskManipulationAlgorithm shim keep seeing the
-            # historical trace family alongside the new one.
-            self.tracer.record(
-                self.sim.now,
-                "dma.pass",
-                f"{home_uid}: {title_id} -> {dma_result.action.value} "
-                f"(points {dma_result.points}, evicted {list(dma_result.evicted)})",
-                home_uid=home_uid,
-                title_id=title_id,
-                action=dma_result.action.value,
-                points=dma_result.points,
-                evicted=list(dma_result.evicted),
-            )
         dma_stored = dma_result.cached and dma_result.action.value != "hit"
         self._m_requests.inc()
         span: Optional[SessionSpan] = None

@@ -38,8 +38,6 @@ from repro.errors import (
 from repro.network.compiled import TopologySnapshot
 from repro.network.routing.cache import (
     DEFAULT_TREE_CAPACITY,
-    DecisionCache,
-    DecisionCacheStats,
     RoutingCache,
     RoutingCacheStats,
 )
@@ -79,6 +77,10 @@ class VraDecision:
             download traverses it in reverse).
         weights: The LVN table used (empty for local serves).
         polled_out: Candidates that failed the availability poll.
+        candidate_count: Remote candidates that passed it (0 for local
+            serves) — the ``vra.candidates`` sample, carried so that a
+            replayed decision counts what a cold run would
+            (:meth:`VirtualRoutingAlgorithm.count_replayed`).
         degraded: True when the decision was taken while the staleness
             guard had age-expired link stats inflated — the routing ran
             on conservative, not measured, weights.  Stamped by the
@@ -97,6 +99,7 @@ class VraDecision:
     path: Path
     weights: Dict[str, float] = field(default_factory=dict)
     polled_out: Sequence[str] = ()
+    candidate_count: int = 0
     degraded: bool = False
     audit_of: Optional[AuditFn] = field(default=None, repr=False, compare=False)
 
@@ -150,14 +153,6 @@ class VirtualRoutingAlgorithm:
             everything per decision, exactly the paper's Figure 5.
         cache_size: LRU bound on cached Dijkstra trees; ``0`` disables
             caching entirely even when ``epoch_of`` is given.
-        decision_cache_size: LRU bound on whole memoized decisions
-            (:class:`~repro.network.routing.cache.DecisionCache`).  Only
-            active alongside the routing cache; ``0`` (the default)
-            disables whole-decision memoization and restores the
-            run-Figure-5-per-request behaviour exactly.  Lookups happen
-            only for :meth:`decide` calls that pass a ``cache_key``,
-            because the key is what guarantees the poll answers are
-            reproducible (see :meth:`decide`).
         metrics: Optional telemetry registry; when given (and enabled)
             the VRA counts decisions / local serves, records a
             candidate-count histogram under the ``vra.*`` families, and
@@ -184,7 +179,6 @@ class VirtualRoutingAlgorithm:
         trace: bool = False,
         epoch_of: Optional[EpochFn] = None,
         cache_size: int = DEFAULT_TREE_CAPACITY,
-        decision_cache_size: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         compiled: bool = False,
     ):
@@ -210,17 +204,6 @@ class VirtualRoutingAlgorithm:
         #: The table the cache holds and each link's online flag under it
         #: — what the next epoch is diffed against.
         self._diff_base: Optional[Tuple[Dict[str, float], Dict[str, bool]]] = None
-        if decision_cache_size < 0:
-            raise ReproError(
-                f"decision cache size must be >= 0, got {decision_cache_size!r}"
-            )
-        #: Whole-decision memo (None unless sized and the routing cache
-        #: is active — the decision layer leans on its epoch transitions).
-        self.decision_cache: Optional[DecisionCache] = (
-            DecisionCache(max_decisions=decision_cache_size)
-            if cacheable and decision_cache_size > 0
-            else None
-        )
         self.decision_count = 0
         # Instruments resolve once here; a disabled registry hands back
         # shared no-ops, so the decide() hot path pays one call per event.
@@ -240,8 +223,6 @@ class VirtualRoutingAlgorithm:
         )
         if self.cache is not None and metrics is not None:
             self.cache.attach_metrics(metrics)
-        if self.decision_cache is not None and metrics is not None:
-            self.decision_cache.attach_metrics(metrics)
 
     @property
     def cache_stats(self) -> Optional[RoutingCacheStats]:
@@ -249,36 +230,25 @@ class VirtualRoutingAlgorithm:
         return self.cache.stats if self.cache is not None else None
 
     @property
-    def decision_cache_stats(self) -> Optional[DecisionCacheStats]:
-        """Whole-decision memo counters, or None when that layer is off."""
-        return (
-            self.decision_cache.stats if self.decision_cache is not None else None
-        )
-
-    @property
     def delta_maintenance(self) -> bool:
         """True when epoch transitions are absorbed as link deltas (any
         active cache does)."""
         return self.cache is not None
 
-    def count_replayed(self, decision: "VraDecision", candidate_count: int) -> None:
-        """Telemetry parity for a decision replayed by an outer memo layer.
+    def count_replayed(self, decision: "VraDecision") -> None:
+        """Telemetry parity for a decision replayed by the service's memo.
 
-        The service's same-state fast path hands back a previously
-        returned decision without re-entering :meth:`decide`; this counts
-        exactly what a decide() call answering from the decision cache
-        would have counted, so every counter and hit rate is identical
-        whichever layer served the request.
+        The service hands back a previously returned decision without
+        re-entering :meth:`decide`; this counts exactly what the
+        :meth:`decide` call that produced it counted, so every ``vra.*``
+        instrument reads the same with the memo on or off.
         """
         self.decision_count += 1
         self._m_decisions.inc()
-        memo = self.decision_cache
-        if memo is not None:
-            memo.count_hit()
         if decision.served_locally:
             self._m_local_serves.inc()
         else:
-            self._m_candidates.observe(candidate_count)
+            self._m_candidates.observe(decision.candidate_count)
 
     def weights(self) -> Dict[str, float]:
         """Current LVN table ("Calculate the Link Validation Number for
@@ -309,9 +279,8 @@ class VirtualRoutingAlgorithm:
         The table is a fresh cold build, never a patched one, so whatever
         was handed out before keeps exactly what it saw.  When no weight
         and no online flag moved, the previous table *object* comes back
-        with no deltas — the identity the Dijkstra value memo and the
-        decision cache test for.  None only before the first build, when
-        nothing can be cached yet.
+        with no deltas — the identity the Dijkstra value memo tests for.
+        None only before the first build, when nothing can be cached yet.
         """
         base = self._diff_base
         if base is None:
@@ -386,7 +355,6 @@ class VirtualRoutingAlgorithm:
         title_id: str,
         holders: Iterable[str],
         poll: Optional[PollFn] = None,
-        cache_key: Optional[Hashable] = None,
     ) -> VraDecision:
         """Run Figure 5 for one request.
 
@@ -401,13 +369,6 @@ class VirtualRoutingAlgorithm:
             poll: Availability poll; servers answering False are excluded
                 ("Poll all of those servers to find out which ones can
                 provide the video").  Defaults to everyone-available.
-            cache_key: Whole-decision memo key (None skips the decision
-                cache).  Passing a key is the caller's promise that the
-                key fully determines this call's inputs beyond the
-                routing epoch — in particular every holder's poll answer
-                (the service layer folds each holder's online/title/
-                stream-headroom state into the key).  Callers with ad-hoc
-                ``poll`` callbacks must pass None.
 
         Returns:
             The :class:`VraDecision` with the full audit trail.
@@ -420,29 +381,6 @@ class VirtualRoutingAlgorithm:
         """
         self.decision_count += 1
         self._m_decisions.inc()
-        memo = self.decision_cache
-        if memo is not None and cache_key is not None:
-            # One epoch sync covers both cache layers; the decision cache
-            # scopes its invalidation to the same transition the routing
-            # cache just absorbed (or flushed on).  The epoch compare is
-            # inlined so the overwhelmingly common unchanged-epoch case
-            # costs one tuple comparison, not a sync round-trip.
-            cache = self.cache
-            epoch = self._epoch_of()
-            if epoch != cache.epoch:
-                memo.apply(cache.sync(epoch))
-            entry = memo.get(cache_key)
-            if entry is not None:
-                decision: VraDecision = entry.decision
-                # Replay the per-decision telemetry a cold run would have
-                # emitted, so counters stay identical with the cache off.
-                if decision.served_locally:
-                    self._m_local_serves.inc()
-                else:
-                    self._m_candidates.observe(entry.candidate_count)
-                return decision
-        else:
-            memo = None
         # Normalize once: the caller may hand us any iterable (generator,
         # set, database list); one pass builds the ordered, deduplicated
         # tuple every later step works from.
@@ -457,16 +395,13 @@ class VirtualRoutingAlgorithm:
         # the requested video THEN authorize ... QUIT".
         if home_uid in holder_list and poll_fn(home_uid):
             self._m_local_serves.inc()
-            decision = VraDecision(
+            return VraDecision(
                 title_id=title_id,
                 home_uid=home_uid,
                 chosen_uid=home_uid,
                 served_locally=True,
                 path=Path(nodes=(home_uid,), cost=0.0),
             )
-            if memo is not None:
-                memo.put(cache_key, decision, tree=None)
-            return decision
 
         # Single pass: each remote holder is polled exactly once and lands
         # in exactly one of the two buckets.
@@ -501,7 +436,7 @@ class VirtualRoutingAlgorithm:
                 f"reachable from home server {home_uid!r}"
             )
         chosen_uid = min(reachable)[1]
-        decision = VraDecision(
+        return VraDecision(
             title_id=title_id,
             home_uid=home_uid,
             chosen_uid=chosen_uid,
@@ -509,8 +444,6 @@ class VirtualRoutingAlgorithm:
             path=result.path(chosen_uid),
             weights=weights,
             polled_out=polled_out,
+            candidate_count=len(available),
             audit_of=partial(self._audit, home_uid, available, result),
         )
-        if memo is not None:
-            memo.put(cache_key, decision, tree=result, candidate_count=len(available))
-        return decision

@@ -12,7 +12,6 @@ The policy knobs are strings so benchmark parameter sweeps stay declarative:
 ``selection``  ``"vra"`` | ``"random"`` | ``"minhop"`` | ``"static"``
                | ``"origin:<uid>"``
 ``cache``      ``"dma"`` | ``"dma-greedy"`` (evict_until_fits) |
-               ``"dma-legacy"`` (deprecated shim, dma.* telemetry) |
                ``"nocache"`` | ``"lru"`` | ``"fullrep"``
 ``switching``  ``"always"`` | ``"never"`` | ``"period:<n>"``
 =============  =====================================================
@@ -44,6 +43,7 @@ from repro.network.grnet import build_grnet_topology
 from repro.network.topology import Topology
 from repro.placement.whole_title import WholeTitleDma
 from repro.sim.engine import Simulator
+from repro.sim.process import Process
 from repro.sim.trace import Tracer
 from repro.workload.scenarios import WorkloadScenario
 from repro.workload.traces import Table2Replayer
@@ -124,15 +124,6 @@ def _apply_selection(service: VoDService, key: str, seed: int) -> None:
         raise ReproError(f"unknown selection policy {key!r}")
 
 
-def _legacy_dma_factory(array, on_store, on_evict):
-    """The deprecated DiskManipulationAlgorithm shim — used by the
-    equivalence gate to prove shim-vs-policy byte-identity (and to keep
-    exercising the dma.* telemetry aliases)."""
-    from repro.core.dma import DiskManipulationAlgorithm
-
-    return DiskManipulationAlgorithm(array, on_store=on_store, on_evict=on_evict)
-
-
 def _apply_cache(service: VoDService, key: str) -> None:
     if key == "dma":
         return
@@ -140,7 +131,6 @@ def _apply_cache(service: VoDService, key: str) -> None:
         "dma-greedy": lambda array, on_store, on_evict: WholeTitleDma(
             array, on_store=on_store, on_evict=on_evict, evict_until_fits=True
         ),
-        "dma-legacy": _legacy_dma_factory,
         "nocache": NoCachePolicy,
         "lru": LruCachePolicy,
         "fullrep": FullReplicationPolicy,
@@ -185,7 +175,13 @@ def build_service(experiment: ServiceExperiment) -> VoDService:
 
 
 def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
-    """Run one experiment end to end and summarise it."""
+    """Run one experiment end to end and summarise it.
+
+    Raises:
+        ServiceError: If any session's process died on an unhandled
+            exception (such a session is neither completed nor failed, so
+            the metrics alone would hide it); the first one is chained.
+    """
     service = build_service(experiment)
     sim = service.sim
     if experiment.service_hook is not None:
@@ -195,11 +191,14 @@ def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
         Table2Replayer(sim, service.topology).start()
     service.start()
 
+    processes: List[Process] = []
     sim.schedule_many(
         (
             (
                 experiment.start_time + event.time_s,
-                lambda e=event: service.request_by_home(e.home_uid, e.title_id, e.client_id),
+                lambda e=event: processes.append(
+                    service.request_by_home(e.home_uid, e.title_id, e.client_id)[2]
+                ),
                 (),
                 f"request:{event.client_id}",
             )
@@ -212,6 +211,13 @@ def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
     if horizon is None:
         horizon = experiment.start_time + experiment.scenario.duration_s + 3 * 3600.0
     sim.run(until=horizon)
+    crashed = [process for process in processes if process.error is not None]
+    if crashed:
+        first = crashed[0]
+        raise ServiceError(
+            f"{len(crashed)} of {len(processes)} session process(es) died on "
+            f"an unhandled exception; first: {first.name}: {first.error!r}"
+        ) from first.error
     # Stop periodic tasks implicitly by abandoning the simulator; sessions
     # that outlive the horizon are reported as incomplete by the metrics.
     return SweepResult(

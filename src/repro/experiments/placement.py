@@ -12,17 +12,15 @@ them on the axes the placement literature argues about:
 * **network load** — megabyte-hops transported, the metric whole-title
   caching optimises.
 
-:func:`run_placement_experiment` also hosts the PR's equivalence gates
+:func:`run_placement_experiment` also hosts the replay gate
 (``check=True``): the default DMA policy must replay byte-identically
-run-to-run *and* byte-identically against the deprecated
-``DiskManipulationAlgorithm`` shim.
+run-to-run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,18 +124,15 @@ class PlacementOutcome:
 
 @dataclass(frozen=True)
 class PlacementComparison:
-    """The full comparison: one outcome per policy plus gate verdicts.
+    """The full comparison: one outcome per policy plus the gate verdict.
 
     Attributes:
         outcomes: Per-policy outcomes, in :data:`PLACEMENT_KINDS` order.
         deterministic: DMA rerun fingerprint matched (None = not checked).
-        shim_equivalent: DMA-vs-legacy-shim fingerprints matched
-            (None = not checked).
     """
 
     outcomes: Tuple[PlacementOutcome, ...]
     deterministic: Optional[bool] = None
-    shim_equivalent: Optional[bool] = None
 
     def outcome_for(self, kind: str) -> PlacementOutcome:
         """The outcome of one policy kind.
@@ -152,8 +147,8 @@ class PlacementComparison:
 
     @property
     def gates_passed(self) -> bool:
-        """True when every executed gate held (vacuously true unchecked)."""
-        return self.deterministic is not False and self.shim_equivalent is not False
+        """True when the replay gate held (vacuously true unchecked)."""
+        return self.deterministic is not False
 
 
 def _placement_config(
@@ -199,13 +194,11 @@ def _run_one(
     scenario: WorkloadScenario,
     config: ServiceConfig,
     kind: str,
-    cache: str = "dma",
 ) -> SweepResult:
     experiment = ServiceExperiment(
-        name=f"placement:{kind}" if cache == "dma" else f"placement:{cache}",
+        name=f"placement:{kind}",
         scenario=scenario,
         config=config,
-        cache=cache,
         start_time=START_TIME_S,
     )
     return run_service_experiment(experiment)
@@ -239,9 +232,8 @@ def run_placement_experiment(
         prefix_minutes / partial_floor / hot_points: Policy knobs.
         kinds: Placement kinds to compare (subset of
             :data:`PLACEMENT_KINDS`).
-        check: Also run the equivalence gates: the DMA run must replay
-            byte-identically, and must match the deprecated
-            ``DiskManipulationAlgorithm`` shim byte-for-byte.
+        check: Also run the replay gate: the DMA run must replay
+            byte-identically.
 
     Raises:
         ReproError: For an unknown placement kind, or when ``check`` is
@@ -253,7 +245,7 @@ def run_placement_experiment(
                 f"unknown placement kind {kind!r}; expected one of {PLACEMENT_KINDS}"
             )
     if check and "dma" not in kinds:
-        raise ReproError("equivalence gates need the 'dma' kind in the comparison")
+        raise ReproError("the replay gate needs the 'dma' kind in the comparison")
 
     from repro.network.grnet import build_grnet_topology
 
@@ -304,30 +296,17 @@ def run_placement_experiment(
         )
 
     deterministic: Optional[bool] = None
-    shim_equivalent: Optional[bool] = None
     if check:
         rerun = _run_one(scenario, config_for("dma"), "dma")
         deterministic = (
             session_fingerprint(rerun.service.sessions) == fingerprints["dma"]
         )
-        with warnings.catch_warnings():
-            # The whole point of this leg is constructing the deprecated
-            # shim; its warning is expected, not noise.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = _run_one(scenario, config_for("dma"), "dma", cache="dma-legacy")
-        shim_equivalent = (
-            session_fingerprint(legacy.service.sessions) == fingerprints["dma"]
-        )
 
-    return PlacementComparison(
-        outcomes=tuple(outcomes),
-        deterministic=deterministic,
-        shim_equivalent=shim_equivalent,
-    )
+    return PlacementComparison(outcomes=tuple(outcomes), deterministic=deterministic)
 
 
 def render_placement_comparison(comparison: PlacementComparison) -> str:
-    """The paper-style comparison table plus gate verdict lines."""
+    """The paper-style comparison table plus the gate verdict line."""
     headers = [
         "Placement",
         "Hit rate",
@@ -364,10 +343,5 @@ def render_placement_comparison(comparison: PlacementComparison) -> str:
         lines.append(
             "replay determinism (dma rerun): "
             + ("PASS" if comparison.deterministic else "FAIL")
-        )
-    if comparison.shim_equivalent is not None:
-        lines.append(
-            "dma-policy equivalence (legacy shim): "
-            + ("PASS" if comparison.shim_equivalent else "FAIL")
         )
     return "\n".join(lines)

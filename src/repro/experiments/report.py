@@ -17,7 +17,7 @@ from repro.experiments.casestudy import (
 from repro.core.admission_queue import AdmissionQueueStats
 from repro.metrics.timeseries import TimeSeries
 from repro.network import grnet
-from repro.network.routing.cache import DecisionCacheStats, RoutingCacheStats
+from repro.network.routing.cache import RoutingCacheStats
 from repro.network.routing.dijkstra import DijkstraStep
 
 #: Sparkline glyphs, blank through full block (9 levels).
@@ -119,34 +119,6 @@ def render_routing_cache(stats: Optional[RoutingCacheStats], title: str = "") ->
         f"rerooted: {stats.trees_rerooted}; "
         f"LRU evictions: {stats.evictions}"
     )
-
-
-def render_decision_cache(stats: Optional[DecisionCacheStats], title: str = "") -> str:
-    """Decision-cache counter table for experiment/benchmark reports.
-
-    Args:
-        stats: The VRA's whole-decision memo counters; None renders a
-            "cache off" stub (the memo rides on the routing cache, so it
-            is also off whenever the routing cache is).
-        title: Table caption; defaults to a generic one.
-    """
-    caption = title or "Decision cache — whole-decision memoization"
-    if stats is None:
-        return f"{caption}\n(decision cache disabled)"
-    total = stats.hits + stats.misses
-    headers = ["Counter", "Value"]
-    rows = [
-        ["Hits", str(stats.hits)],
-        ["Misses", str(stats.misses)],
-        ["Hit rate", f"{stats.hit_rate:.2%}" if total else "-"],
-        ["Full flushes", str(stats.full_invalidations)],
-        ["Delta revalidations", str(stats.partial_invalidations)],
-        ["Decisions flushed", str(stats.decisions_flushed)],
-        ["Decisions dropped (tree hit by delta)", str(stats.decisions_dropped)],
-        ["Decisions refreshed (weights rebased)", str(stats.decisions_refreshed)],
-        ["LRU evictions", str(stats.evictions)],
-    ]
-    return render_table(headers, rows, title=caption)
 
 
 def render_admission_queue(

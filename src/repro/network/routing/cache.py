@@ -45,7 +45,7 @@ and no counters move, restoring the uncached behaviour exactly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -57,41 +57,10 @@ from repro.obs.registry import NULL_COUNTER, Counter, MetricsRegistry
 #: steady state, so this comfortably covers topologies of ~128 nodes).
 DEFAULT_TREE_CAPACITY = 128
 
-#: Default LRU bound on whole memoized decisions; one flash crowd keys a
-#: handful of (home, title, holder-signature) tuples, so this covers many
-#: concurrent crowds.
-DEFAULT_DECISION_CAPACITY = 4096
-
 #: Signature of the delta probe: None means "no previous table to diff
 #: against, flush fully"; otherwise the current weight table plus the link
 #: deltas to revalidate cached trees against.
 DeltaProbe = Callable[[], Optional[Tuple[Dict[str, float], List[LinkDelta]]]]
-
-#: ``EpochTransition.kind`` values.
-EPOCH_INITIAL = "initial"
-EPOCH_FULL = "full"
-EPOCH_PARTIAL = "partial"
-
-
-@dataclass(frozen=True)
-class EpochTransition:
-    """How the routing cache absorbed one epoch change.
-
-    Returned by :meth:`RoutingCache.sync` so layers stacked above the
-    routing cache (the :class:`DecisionCache`) can scope their own
-    invalidation to the same event without deriving the deltas again:
-
-    * ``initial`` — the cache's very first epoch; nothing was cached yet.
-    * ``full`` — everything was flushed (no delta probe, or the probe
-      had no previous table).
-    * ``partial`` — the epoch was absorbed in place: ``weights`` is the
-      current LVN table and ``deltas`` lists exactly the links whose
-      weight or online state moved (empty for a no-op epoch).
-    """
-
-    kind: str
-    weights: Optional[Dict[str, float]] = None
-    deltas: Tuple[LinkDelta, ...] = ()
 
 
 @dataclass
@@ -290,23 +259,18 @@ class RoutingCache:
         self._weights = None
         self._trees.clear()
 
-    def sync(self, epoch: Hashable) -> Optional[EpochTransition]:
-        """Bring the cache onto ``epoch``; returns how it got there.
-
-        Called implicitly by :meth:`weights`/:meth:`tree`, and explicitly
-        by the :class:`DecisionCache` layer, which forwards the returned
-        :class:`EpochTransition` into its own invalidation pass.  Returns
-        None when the epoch is unchanged (nothing to do).
-        """
+    def sync(self, epoch: Hashable) -> None:
+        """Bring the cache onto ``epoch`` (called by :meth:`weights` and
+        :meth:`tree`; a no-op while the epoch is unchanged)."""
         if epoch == self._epoch:
-            return None
+            return
         t_phase = self.phase_timer.start()
         try:
-            return self._sync_changed(epoch)
+            self._sync_changed(epoch)
         finally:
             self.phase_timer.stop(t_phase)
 
-    def _sync_changed(self, epoch: Hashable) -> EpochTransition:
+    def _sync_changed(self, epoch: Hashable) -> None:
         if self._epoch is not None and self.delta_probe is not None:
             patched = self.delta_probe()
             if patched is not None:
@@ -328,291 +292,9 @@ class RoutingCache:
                         else:
                             self.stats.trees_rerooted += 1
                     self._trees = survivors
-                return EpochTransition(
-                    EPOCH_PARTIAL, weights=table, deltas=tuple(deltas)
-                )
-        initial = self._epoch is None
-        if not initial:
+                return
+        if self._epoch is not None:
             self.stats.full_invalidations += 1
         self._epoch = epoch
         self._weights = None
         self._trees.clear()
-        return EpochTransition(EPOCH_INITIAL if initial else EPOCH_FULL)
-
-
-@dataclass
-class DecisionCacheStats:
-    """Hit/miss/invalidation counters of one :class:`DecisionCache`.
-
-    Attributes:
-        hits: Decisions answered whole from cache.
-        misses: Lookups that fell through to a full VRA run.
-        full_invalidations: Epoch transitions that flushed every decision.
-        partial_invalidations: Epoch transitions absorbed by revalidating
-            decisions against the link deltas.
-        decisions_flushed: Decisions dropped by full invalidations.
-        decisions_dropped: Decisions dropped because a link delta touched
-            their shortest-path tree.
-        decisions_refreshed: Decisions kept across a weight-changing delta
-            batch, with their audit weight table rebased onto the new
-            one (choice, path and cost provably unchanged).
-        evictions: Decisions dropped by the LRU bound.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    full_invalidations: int = 0
-    partial_invalidations: int = 0
-    decisions_flushed: int = 0
-    decisions_dropped: int = 0
-    decisions_refreshed: int = 0
-    evictions: int = 0
-
-    @property
-    def invalidations(self) -> int:
-        """Total epoch transitions handled (full flushes + partials)."""
-        return self.full_invalidations + self.partial_invalidations
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups, in [0, 1] (0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict for snapshots, traces and reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "full_invalidations": self.full_invalidations,
-            "partial_invalidations": self.partial_invalidations,
-            "decisions_flushed": self.decisions_flushed,
-            "decisions_dropped": self.decisions_dropped,
-            "decisions_refreshed": self.decisions_refreshed,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-@dataclass
-class _DecisionEntry:
-    """One memoized decision plus the state its validity hangs on."""
-
-    decision: object
-    tree: Optional[DijkstraResult]
-    candidate_count: int
-
-
-class DecisionCache:
-    """Whole-decision memo layered above the :class:`RoutingCache`.
-
-    Every request sharing a key — the caller builds it from the home
-    server, title, per-holder availability signature and QoS class — is
-    answered with the *same* :class:`~repro.core.vra.VraDecision` within
-    one routing epoch, so a 10k-request flash crowd costs one Dijkstra
-    run plus 10k dict hits.
-
-    Invalidation contract (what evicts a whole decision vs. a tree):
-
-    * A **full** epoch transition flushes everything, exactly like the
-      routing cache underneath.
-    * A **partial** transition (diffed epoch) drops only decisions
-      whose shortest-path search (a complete tree, or the prefix within
-      the chosen holder's distance) a :class:`LinkDelta` could have
-      touched — the same :func:`tree_unaffected` proof the routing cache
-      runs for its trees, memoized per distinct tree so a crowd of
-      decisions over one tree is judged once.  Locally-served decisions
-      reference no tree and survive every delta.
-    * Surviving routed decisions are *refreshed*: their audit ``weights``
-      table is rebased onto the new table (``dataclasses.replace`` on
-      the frozen decision), because that is the table a cold run after
-      the delta would embed.  Choice, path and cost are provably
-      unchanged, and the decision's lazily completed audit trail is
-      derived from the table it holds when read, so the refreshed
-      decision stays bit-for-bit equal to a cache-off recompute.
-    * Availability churn that never moves the routing epoch — a holder
-      filling its last stream slot, a title evicted by the DMA — is carried
-      by the *key* (the holder signatures change), not by invalidation.
-
-    ``max_decisions=0`` disables the cache entirely: lookups miss, stores
-    are dropped, and no counters move.
-    """
-
-    def __init__(self, max_decisions: int = DEFAULT_DECISION_CAPACITY):
-        if max_decisions < 0:
-            raise ReproError(
-                f"decision cache size must be >= 0, got {max_decisions!r}"
-            )
-        self.max_decisions = max_decisions
-        self.stats = DecisionCacheStats()
-        self._entries: "OrderedDict[Hashable, _DecisionEntry]" = OrderedDict()
-        self._on = max_decisions > 0
-        self._full = False
-        self._m_hits: Counter = NULL_COUNTER
-        self._m_misses: Counter = NULL_COUNTER
-        self._m_refreshed: Counter = NULL_COUNTER
-        self._m_dropped: Counter = NULL_COUNTER
-
-    @property
-    def enabled(self) -> bool:
-        """False when ``max_decisions`` is 0 (pass-through mode)."""
-        return self.max_decisions > 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[_DecisionEntry]:
-        """The live entry under ``key``, or None (counted as hit/miss)."""
-        if not self._on:
-            return None
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            self._m_misses.inc()
-            return None
-        self.stats.hits += 1
-        self._m_hits.inc()
-        if self._full:
-            # LRU ordering only matters once eviction is possible; below
-            # capacity the reorder is skipped to keep the hit path lean.
-            self._entries.move_to_end(key)
-        return entry
-
-    def peek(self, key: Hashable) -> Optional[_DecisionEntry]:
-        """The entry under ``key`` without hit/miss accounting or LRU
-        reordering (introspection; the service's replay layer reads the
-        candidate count it just stored)."""
-        return self._entries.get(key)
-
-    def put(
-        self,
-        key: Hashable,
-        decision: object,
-        tree: Optional[DijkstraResult],
-        candidate_count: int = 0,
-    ) -> None:
-        """Memoize ``decision`` under ``key`` (LRU-bounded).
-
-        Args:
-            key: The full decision key; the caller guarantees that equal
-                keys within one epoch imply bit-identical decisions.
-            decision: The decision object to hand back on hits.
-            tree: The Dijkstra tree — or goal-directed prefix — the
-                decision was read from, or None for locally-served
-                decisions (which then survive every link delta).
-            candidate_count: Polled-up remote candidates, replayed into
-                the ``vra.candidates`` histogram on hits so telemetry
-                matches a cache-off run.
-        """
-        if not self._on:
-            return
-        self._entries[key] = _DecisionEntry(decision, tree, candidate_count)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_decisions:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._full = len(self._entries) >= self.max_decisions
-
-    def apply(self, transition: Optional[EpochTransition]) -> None:
-        """Absorb one routing-epoch transition (from :meth:`RoutingCache.sync`)."""
-        if transition is None or transition.kind == EPOCH_INITIAL:
-            return
-        if transition.kind == EPOCH_FULL:
-            if self._entries:
-                self.stats.decisions_flushed += len(self._entries)
-                self._entries.clear()
-                self._full = False
-            self.stats.full_invalidations += 1
-            return
-        self.stats.partial_invalidations += 1
-        deltas = transition.deltas
-        if not deltas or not self._entries:
-            return
-        table = transition.weights
-        verdicts: Dict[int, bool] = {}
-        survivors: "OrderedDict[Hashable, _DecisionEntry]" = OrderedDict()
-        for key, entry in self._entries.items():
-            tree = entry.tree
-            if tree is None:  # local serve: no routing state involved
-                survivors[key] = entry
-                continue
-            verdict = verdicts.get(id(tree))
-            if verdict is None:
-                verdict = all(tree_unaffected(tree, d) for d in deltas)
-                verdicts[id(tree)] = verdict
-            if not verdict:
-                self.stats.decisions_dropped += 1
-                self._m_dropped.inc()
-                continue
-            if getattr(entry.decision, "weights", None) is not table:
-                self.stats.decisions_refreshed += 1
-                self._m_refreshed.inc()
-            # A fresh copy even when only online flags moved: it sheds an
-            # audit trail already completed under the pre-delta state.
-            entry.decision = replace(entry.decision, weights=table)
-            survivors[key] = entry
-        self._entries = survivors
-        self._full = len(self._entries) >= self.max_decisions
-
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Resolve the ``decision.*`` counters from a registry."""
-        self._m_hits = registry.counter(
-            "decision.hits", subsystem="core",
-            description="VRA decisions answered whole from the decision cache",
-        )
-        self._m_misses = registry.counter(
-            "decision.misses", subsystem="core",
-            description="decision-cache lookups that ran the full VRA",
-        )
-        self._m_refreshed = registry.counter(
-            "decision.refreshed", subsystem="core",
-            description="cached decisions rebased in place across link deltas",
-        )
-        self._m_dropped = registry.counter(
-            "decision.dropped", subsystem="core",
-            description="cached decisions evicted by a link delta on their tree",
-        )
-
-    def evict_server(self, uid: str) -> int:
-        """Drop every cached decision whose chosen source is ``uid``.
-
-        Circuit-breaker transitions change which servers the service's
-        holder filter admits without moving the routing epoch; the
-        service evicts the transitioning server's decisions here so a
-        probe (or a re-opened breaker) can never replay a choice made
-        under the previous breaker state.
-
-        Returns:
-            The number of decisions dropped.
-        """
-        if not self._entries:
-            return 0
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if getattr(entry.decision, "chosen_uid", None) == uid
-        ]
-        for key in stale:
-            del self._entries[key]
-            self.stats.decisions_dropped += 1
-            self._m_dropped.inc()
-        if stale:
-            self._full = len(self._entries) >= self.max_decisions
-        return len(stale)
-
-    def count_hit(self) -> None:
-        """Count a hit answered by an outer replay layer.
-
-        The service's same-state fast path can prove (via its freshness
-        token) that a previously returned decision is still exact without
-        re-entering the VRA; it calls this so hit-rate reporting matches
-        what a full lookup would have counted.
-        """
-        self.stats.hits += 1
-        self._m_hits.inc()
-
-    def clear(self) -> None:
-        """Drop all cached decisions (counters are preserved)."""
-        self._entries.clear()
-        self._full = False

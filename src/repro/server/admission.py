@@ -26,8 +26,8 @@ class AdmissionController:
         self.admitted_count = 0
         self._peak_active = 0
         #: Optional listener fired whenever the occupied-slot count moves
-        #: (an input of the VRA poll answer; the service's decision-key
-        #: cache invalidates on it).
+        #: (an input of the VRA poll answer; the service's decision memo
+        #: is cleared on it).
         self.on_change: Optional[Callable[[], None]] = None
 
     @property

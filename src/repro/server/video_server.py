@@ -22,18 +22,6 @@ from repro.storage.array import DiskArray
 from repro.storage.video import VideoTitle
 
 
-class _FanoutCounter:
-    """Mirror every increment onto several counters (the legacy ``dma.*``
-    telemetry alias when the deprecated shim is the active policy)."""
-
-    def __init__(self, *counters):
-        self._counters = counters
-
-    def inc(self, amount: float = 1.0) -> None:
-        for counter in self._counters:
-            counter.inc(amount)
-
-
 class VideoServer:
     """One node's video server.
 
@@ -89,7 +77,7 @@ class VideoServer:
         #: Optional listener fired whenever anything feeding this server's
         #: VRA poll answer (:meth:`can_provide`) can move: online state,
         #: title residency/pending downloads, disk health, stream slots.
-        #: The service wires it to invalidate its decision-key cache.
+        #: The service wires it to its decision memo's freshness token.
         self.on_availability_change: Optional[Callable[[], None]] = None
         self.admission.on_change = self._touch_availability
         self.array.on_change = self._touch_availability
@@ -151,22 +139,10 @@ class VideoServer:
         labels = {"server": self.node_uid}
         tracker = getattr(self.policy, "tracker", None)
         if tracker is not None:
-            points = registry.counter(
+            tracker.points_counter = registry.counter(
                 "placement.points_awarded", subsystem="server", labels=labels,
                 description="popularity points awarded by the placement policy",
             )
-            if self.legacy_policy:
-                # Deprecated-shim deployments keep seeing the historical
-                # dma.* family alongside the new one.
-                points = _FanoutCounter(
-                    points,
-                    registry.counter(
-                        "dma.points_awarded", subsystem="server", labels=labels,
-                        description="popularity points awarded by the DMA "
-                        "(legacy alias of placement.points_awarded)",
-                    ),
-                )
-            tracker.points_counter = points
         if hasattr(self.policy, "lost_victim_counter"):
             self.policy.lost_victim_counter = registry.counter(
                 "placement.lost_victims", subsystem="server", labels=labels,
@@ -215,15 +191,6 @@ class VideoServer:
     def dma(self, policy: PlacementPolicy) -> None:
         self.policy = policy
         self._wire_policy_metrics()
-
-    @property
-    def legacy_policy(self) -> bool:
-        """True when the active policy came in through the deprecated
-        ``DiskManipulationAlgorithm`` shim (drives dma.* telemetry and
-        trace aliases)."""
-        from repro.core.dma import DiskManipulationAlgorithm
-
-        return isinstance(self.policy, DiskManipulationAlgorithm)
 
     def set_cache_policy(self, factory) -> None:
         """Swap the placement policy for a baseline cache policy.

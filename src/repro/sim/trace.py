@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Set, TextIO
 #: pads to the longest registered category so dump columns line up; new
 #: categories register themselves on first record.
 _REGISTERED_CATEGORIES: Set[str] = {
-    "dma.pass",
     "placement.pass",
     "request.blocked",
     "request.submitted",

@@ -50,7 +50,7 @@ class DiskArray:
         self._failed_disks: Set[int] = set()
         #: Optional listener fired when servability can move (store,
         #: remove, disk failure/restore) — an input of the VRA poll
-        #: answer; the service's decision-key cache invalidates on it.
+        #: answer; the service's decision memo is cleared on it.
         self.on_change: Optional[Callable[[], None]] = None
 
     def _touch(self) -> None:

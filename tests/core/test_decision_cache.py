@@ -1,15 +1,10 @@
-"""Unit tests for the whole-decision memo and its service wiring.
-
-Covers the :class:`~repro.network.routing.cache.DecisionCache` mechanics
-directly (LRU, hit/miss accounting, epoch-transition invalidation), then
-the :class:`~repro.core.service.VoDService` integration: the freshness
-token that powers the same-state replay layer (pinned against
+"""The whole-decision memo as :class:`~repro.core.service.VoDService`
+wires it: the freshness token that clears it (pinned against
 ``routing_epoch()`` as promised in the service source), the availability
-hooks that keep holder signatures honest, telemetry parity on replays,
-and the new snapshot sections.
+hooks that move the token, telemetry parity on replays, and the snapshot
+sections.
 """
 
-import dataclasses
 import gc
 import weakref
 
@@ -19,143 +14,12 @@ from repro.core.service import ServiceConfig, VoDService
 from repro.database.records import LinkStats
 from repro.errors import ReproError, RoutingError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
-from repro.network.link import Link
-from repro.network.routing.cache import (
-    EPOCH_FULL,
-    EPOCH_INITIAL,
-    EPOCH_PARTIAL,
-    DecisionCache,
-    EpochTransition,
-)
-from repro.network.routing.dijkstra import DijkstraResult, LinkDelta
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 
 
-@dataclasses.dataclass(frozen=True)
-class FakeDecision:
-    """Minimal stand-in with the ``weights`` field the refresh rebases."""
-
-    label: str
-    weights: object = None
-
-
-# --------------------------------------------------------------------- #
-# DecisionCache mechanics
-# --------------------------------------------------------------------- #
-class TestDecisionCacheUnit:
-    def test_negative_size_rejected(self):
-        with pytest.raises(ReproError, match="decision cache size"):
-            DecisionCache(max_decisions=-1)
-
-    def test_size_zero_is_inert_passthrough(self):
-        cache = DecisionCache(max_decisions=0)
-        assert not cache.enabled
-        cache.put("k", FakeDecision("d"), tree=None)
-        assert cache.get("k") is None
-        assert len(cache) == 0
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
-
-    def test_hit_miss_and_peek_accounting(self):
-        cache = DecisionCache(max_decisions=4)
-        assert cache.get("k") is None
-        cache.put("k", FakeDecision("d"), tree=None, candidate_count=2)
-        entry = cache.get("k")
-        assert entry.decision.label == "d"
-        assert entry.candidate_count == 2
-        assert cache.peek("k") is entry  # no accounting
-        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        cache.count_hit()  # the service replay layer's parity path
-        assert cache.stats.hits == 2
-
-    def test_lru_evicts_least_recently_used(self):
-        cache = DecisionCache(max_decisions=2)
-        cache.put("a", FakeDecision("a"), tree=None)
-        cache.put("b", FakeDecision("b"), tree=None)
-        cache.get("a")  # refresh "a" so "b" is the LRU victim
-        cache.put("c", FakeDecision("c"), tree=None)
-        assert cache.peek("a") is not None
-        assert cache.peek("b") is None
-        assert cache.peek("c") is not None
-        assert cache.stats.evictions == 1
-
-    def test_initial_and_none_transitions_are_noops(self):
-        cache = DecisionCache(max_decisions=4)
-        cache.put("k", FakeDecision("d"), tree=None)
-        cache.apply(None)
-        cache.apply(EpochTransition(EPOCH_INITIAL))
-        assert cache.peek("k") is not None
-        assert cache.stats.invalidations == 0
-
-    def test_full_transition_flushes_everything(self):
-        cache = DecisionCache(max_decisions=4)
-        cache.put("k1", FakeDecision("d1"), tree=None)
-        cache.put("k2", FakeDecision("d2"), tree=None)
-        cache.apply(EpochTransition(EPOCH_FULL))
-        assert len(cache) == 0
-        assert cache.stats.full_invalidations == 1
-        assert cache.stats.decisions_flushed == 2
-
-    def test_partial_transition_scopes_drops_to_touched_trees(self):
-        # Tree rooted at A over link A-B; the delta hits that tree edge.
-        touched_tree = DijkstraResult(
-            source="A",
-            distances={"A": 0.0, "B": 1.0},
-            predecessors={"A": None, "B": "A"},
-        )
-        # Tree of a disjoint component: the delta's endpoints are
-        # unreachable from it, so the proof keeps it bit-for-bit valid.
-        spared_tree = DijkstraResult(
-            source="C", distances={"C": 0.0}, predecessors={"C": None}
-        )
-        delta = LinkDelta(
-            link=Link("A", "B", capacity_mbps=10.0),
-            old_weight=1.0,
-            new_weight=2.0,
-            was_online=True,
-            now_online=True,
-        )
-        table = {"A-B": 2.0}
-        cache = DecisionCache(max_decisions=8)
-        cache.put("dropped", FakeDecision("routed"), tree=touched_tree)
-        cache.put("spared", FakeDecision("routed", weights={}), tree=spared_tree)
-        cache.put("local", FakeDecision("local"), tree=None)
-        cache.apply(
-            EpochTransition(EPOCH_PARTIAL, weights=table, deltas=(delta,))
-        )
-        assert cache.peek("dropped") is None
-        assert cache.peek("local") is not None  # no routing state involved
-        spared = cache.peek("spared")
-        assert spared is not None
-        assert spared.decision.weights is table  # rebased onto the patch
-        stats = cache.stats
-        assert stats.partial_invalidations == 1
-        assert stats.decisions_dropped == 1
-        assert stats.decisions_refreshed == 1
-
-    def test_empty_delta_batch_keeps_everything_untouched(self):
-        cache = DecisionCache(max_decisions=4)
-        decision = FakeDecision("d", weights={"L": 1.0})
-        cache.put("k", decision, tree=None)
-        cache.apply(EpochTransition(EPOCH_PARTIAL, weights={}, deltas=()))
-        assert cache.peek("k").decision is decision
-        assert cache.stats.partial_invalidations == 1
-        assert cache.stats.decisions_refreshed == 0
-
-    def test_clear_preserves_counters(self):
-        cache = DecisionCache(max_decisions=4)
-        cache.put("k", FakeDecision("d"), tree=None)
-        cache.get("k")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 1
-
-
-# --------------------------------------------------------------------- #
-# Service wiring
-# --------------------------------------------------------------------- #
 def build_service(**config_kwargs) -> VoDService:
     service = VoDService(
         Simulator(), build_grnet_topology(), ServiceConfig(**config_kwargs)
@@ -181,14 +45,20 @@ def report_traffic(service: VoDService, label: str = "8am") -> None:
 
 
 class TestServiceWiring:
+    def test_negative_size_rejected(self):
+        with pytest.raises(ReproError, match="decision cache size"):
+            build_service(decision_cache_size=-1)
+
     def test_decision_cache_rides_on_the_routing_cache(self):
         service = build_service(routing_cache_size=0, decision_cache_size=256)
-        assert service.vra.decision_cache is None  # no epoch, no memo
-        assert service.decide("U2", "movie").chosen_uid in {"U4", "U5"}
+        assert service.snapshot()["decision_cache"] is None  # no epoch, no memo
+        first = service.decide("U2", "movie")
+        assert first.chosen_uid in {"U4", "U5"}
+        assert service.decide("U2", "movie") is not first
 
     def test_default_config_leaves_the_memo_off(self):
         service = build_service()
-        assert service.vra.decision_cache is None
+        assert service.snapshot()["decision_cache"] is None
         assert service.admission_queue is None
 
     def test_replay_returns_the_cached_object_with_counter_parity(self):
@@ -198,8 +68,8 @@ class TestServiceWiring:
         second = service.decide("U2", "movie")
         assert second is first  # same-state replay, not a recompute
         assert service.vra.decision_count == decisions_before + 1
-        stats = service.vra.decision_cache_stats
-        assert stats.hits == 1 and stats.misses == 1
+        stats = service.snapshot()["decision_cache"]
+        assert stats["hits"] == 1 and stats["misses"] == 1
 
     @pytest.mark.parametrize("use_reported_stats", [True, False])
     def test_freshness_token_pins_routing_epoch(self, use_reported_stats):
@@ -261,7 +131,7 @@ class TestServiceWiring:
         report_traffic(service, "4pm")  # the token (and every weight) moves
         fresh = service.decide("U2", "movie")
         assert set(service._decision_replay) == {("U2", "movie")}
-        assert service._decision_replay["U2", "movie"][0] is fresh
+        assert service._decision_replay["U2", "movie"] is fresh
         assert service.decide("U2", "movie") is fresh  # still replays
         gc.collect()
         assert old_table() is None
@@ -285,10 +155,10 @@ class TestServiceWiring:
         for _ in range(2):
             with pytest.raises(RoutingError):
                 service.decide("U2", "movie")
-        stats = service.vra.decision_cache_stats
-        assert stats.hits == 0
-        assert stats.misses == 2
-        assert len(service.vra.decision_cache) == 0
+        stats = service.snapshot()["decision_cache"]
+        assert stats["hits"] == 0
+        assert stats["misses"] == 2
+        assert len(service._decision_replay) == 0
 
     def test_snapshot_reports_the_new_sections(self):
         plain = build_service()

@@ -1,8 +1,6 @@
 """Service-level placement behaviour: trace families, fraction-aware
 holder advertisement, and the prefix-local serving fast path."""
 
-import warnings
-
 import pytest
 
 from repro.core.service import ServiceConfig, VoDService
@@ -35,27 +33,6 @@ class TestTraceFamilies:
         assert passes
         assert "resident_fraction" in passes[0].data
         assert tracer.events("dma.pass") == []
-
-    def test_legacy_shim_also_emits_dma_pass_alias(self, grnet_8am):
-        from repro.experiments.harness import _legacy_dma_factory
-
-        tracer = Tracer()
-        service = build_service(grnet_8am, tracer=tracer)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for server in service.servers.values():
-                server.set_cache_policy(_legacy_dma_factory)
-        service.seed_title("U4", title())
-        service.request_by_home("U2", "m")
-        service.sim.run(until=service.sim.now + 3600.0)
-        new_family = tracer.events("placement.pass")
-        old_family = tracer.events("dma.pass")
-        assert len(new_family) == len(old_family) == 1
-        # Identical payload, minus the fraction field the old family
-        # never had.
-        legacy_data = dict(new_family[0].data)
-        legacy_data.pop("resident_fraction")
-        assert old_family[0].data == legacy_data
 
 
 class TestFractionAwareAdvertisement:

@@ -152,11 +152,12 @@ class TestGoalDirectedSearch:
             vra.decide("U2", "movie", holders=["U4", "U5"])
 
     def test_decision_is_read_from_a_prefix_and_audited_in_full(self, grnet_8am):
-        vra = self.cached_vra(grnet_8am, decision_cache_size=8)
+        vra = self.cached_vra(grnet_8am)
         oracle = VirtualRoutingAlgorithm(grnet_8am)
-        decision = vra.decide("U2", "movie", holders=["U1", "U5"], cache_key="k")
+        decision = vra.decide("U2", "movie", holders=["U1", "U5"])
         expected = oracle.decide("U2", "movie", holders=["U1", "U5"])
-        search = vra.decision_cache.peek("k").tree
+        # A hit (compute is never called): the prefix the decision read.
+        search = vra.cache.tree(vra.cache.epoch, "U2", None, [decision.chosen_uid])
         assert not search.complete and not search.reaches("U5")
         assert (decision.chosen_uid, decision.path) == (expected.chosen_uid, expected.path)
         # The audit trail is the complete tree and every candidate's path.

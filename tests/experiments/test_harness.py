@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.service import ServiceConfig
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceError
 from repro.experiments.harness import (
     ServiceExperiment,
     build_service,
@@ -132,6 +132,42 @@ class TestRunExperiment:
         assert result.metrics.session_count == len(experiment.scenario.events)
         assert result.metrics.completed_count > 0
         assert result.metrics.failed_count == 0
+
+    @pytest.mark.parametrize(
+        "selection", ["vra", "minhop", "random", "static", "origin:U1"]
+    )
+    def test_every_selection_policy_runs_its_sessions_to_the_end(self, selection):
+        experiment = ServiceExperiment(
+            name="t",
+            scenario=small_scenario(),
+            config=small_config(decision_cache_size=256),
+            selection=selection,
+            seed_origin_uids=["U1"] if selection == "origin:U1" else None,
+            run_until=24 * 3600.0,  # long enough for the slowest stream
+        )
+        result = run_service_experiment(experiment)
+        assert result.metrics.completed_count > 0
+        assert all(record.request.finished for record in result.service.sessions)
+        # The memo's token vouches for the built-in VRA's inputs only.
+        memo = result.service.snapshot()["decision_cache"]
+        assert (memo is not None) == (selection == "vra")
+
+    def test_a_session_process_dying_on_an_unhandled_exception_raises(self):
+        def broken(decide):
+            def raising():
+                raise RuntimeError("boom")
+
+            return raising
+
+        experiment = ServiceExperiment(
+            name="t",
+            scenario=small_scenario(),
+            config=small_config(),
+            service_hook=lambda service: setattr(service, "decide_wrapper", broken),
+        )
+        with pytest.raises(ServiceError, match="boom") as raised:
+            run_service_experiment(experiment)
+        assert isinstance(raised.value.__cause__, RuntimeError)
 
     def test_table2_replay_loads_background(self):
         experiment = ServiceExperiment(

@@ -13,7 +13,7 @@ from repro.experiments.placement import (
 
 @pytest.fixture(scope="module")
 def comparison() -> PlacementComparison:
-    # Small but real: all three policies plus both equivalence gates.
+    # Small but real: all three policies plus the replay gate.
     return run_placement_experiment(
         requests_per_node=4, catalog_size=6, check=True
     )
@@ -35,7 +35,6 @@ class TestComparison:
 
     def test_gates_pass(self, comparison):
         assert comparison.deterministic is True
-        assert comparison.shim_equivalent is True
         assert comparison.gates_passed
 
     def test_unknown_kind_rejected(self):
@@ -61,7 +60,6 @@ class TestRendering:
             "partial",
             "Hit rate",
             "replay determinism (dma rerun): PASS",
-            "dma-policy equivalence (legacy shim): PASS",
         ):
             assert needle in text
 

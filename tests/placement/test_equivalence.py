@@ -1,18 +1,13 @@
 """Policy-equivalence suite: the default placement path must be
 byte-identical to the historical DMA behaviour.
 
-Three angles:
+Two angles:
 
-* the deprecated ``DiskManipulationAlgorithm`` shim and the default
-  ``WholeTitleDma`` produce identical session records on the same
-  workload (flash crowd and regional);
 * an explicit ``PlacementConfig(kind="dma")`` equals the legacy
   ``ServiceConfig.evict_until_fits`` spelling (the config redesign is
   behaviour-neutral);
 * chaos replays are deterministic and placement-config-invariant.
 """
-
-import warnings
 
 import pytest
 
@@ -68,22 +63,6 @@ def regional():
     return regional_scenario(
         list(GRNET_NODES), requests_per_node=8, seed=23, catalog=catalog()
     )
-
-
-class TestShimEquivalence:
-    def test_flash_crowd_byte_identical(self, flash_crowd):
-        default = run_fingerprint(flash_crowd, small_config())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_fingerprint(flash_crowd, small_config(), cache="dma-legacy")
-        assert default == legacy
-
-    def test_regional_byte_identical(self, regional):
-        default = run_fingerprint(regional, small_config())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_fingerprint(regional, small_config(), cache="dma-legacy")
-        assert default == legacy
 
 
 class TestConfigEquivalence:

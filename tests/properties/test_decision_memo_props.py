@@ -3,7 +3,9 @@
 The whole-decision memo and the load-leveling admission queue are pure
 performance machinery: with the memo on, every session record must stay
 byte-identical to a memo-off run of the same interleaving of requests,
-link flaps, server crashes and traffic shifts; with the queue on but
+link flaps, server crashes, traffic shifts and SNMP blackouts — under
+any combination of the resilience knobs, whose breaker and staleness
+transitions the memo's token has to cover; with the queue on but
 under-loaded (drain quota never exhausted) the front-end must fall
 through to the exact legacy admission path; and an over-loaded queue
 must shed *deterministically* — the same arrival sequence sheds the
@@ -11,11 +13,12 @@ same requests on every replay, because the shed set is a pure function
 of arrivals (ISSUE 6's "instead of timing out mid-decision" contract).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
+from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 
@@ -29,17 +32,23 @@ def build_service(**overrides):
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     config = ServiceConfig(
-        cluster_mb=100.0,
-        disk_count=2,
-        disk_capacity_mb=1_000.0,
-        snmp_period_s=300.0,
-        use_reported_stats=False,
-        routing_cache_size=64,
-        **overrides,
+        **{
+            "cluster_mb": 100.0,
+            "disk_count": 2,
+            "disk_capacity_mb": 1_000.0,
+            "snmp_period_s": 300.0,
+            "use_reported_stats": False,
+            "routing_cache_size": 64,
+            **overrides,
+        }
     )
     service = VoDService(Simulator(), topology, config)
-    service.seed_title("U4", VideoTitle("m1", size_mb=300.0, duration_s=1_800.0))
-    service.seed_title("U2", VideoTitle("m2", size_mb=200.0, duration_s=1_200.0))
+    # Two holders each, so a server breaker's holder filter has a choice
+    # to change (it never filters down to nothing).
+    for uid in ("U4", "U5"):
+        service.seed_title(uid, VideoTitle("m1", size_mb=300.0, duration_s=1_800.0))
+    for uid in ("U2", "U6"):
+        service.seed_title(uid, VideoTitle("m2", size_mb=200.0, duration_s=1_200.0))
     service.start()
     return service
 
@@ -60,6 +69,20 @@ def apply_step(service, step, request_counter):
     elif kind == "crash":
         server = service.servers[HOMES[step[1] % len(HOMES)]]
         server.online = not server.online
+    elif kind == "blackout":  # what an injected SnmpBlackout does, toggled
+        collector = service.statistics
+        collector.restore() if collector.blacked_out else collector.blackout()
+    elif kind == "probe":
+        # Bare decisions, asked twice: sessions move the memo's token with
+        # every stream they start, so these are the calls it answers — the
+        # second from the first, and the first from an earlier probe's
+        # unless a step in between moved the token.
+        home, title = HOMES[step[1] % len(HOMES)], TITLES[step[2] % len(TITLES)]
+        for _ in range(2):
+            outcome = service.try_decide(home, title)
+            # Decisions compare by value: choice, path, weight table,
+            # polled-out holders, candidate count, degraded stamp.
+            service.probes.append((outcome.outcome, outcome.reason, outcome.decision))
     else:  # traffic
         _, link_index, fraction = step
         link = service.topology.link_named(LINKS[link_index % len(LINKS)])
@@ -69,6 +92,7 @@ def apply_step(service, step, request_counter):
 def run_interleaving(service, steps):
     """Replay (gap_s, step) pairs on the sim clock, then drain sessions."""
     counter = iter(range(1_000_000))
+    service.probes = []
     now = service.sim.now
     for gap_s, step in steps:
         now += gap_s
@@ -134,6 +158,12 @@ steps = st.lists(
             st.tuples(
                 st.just("crash"), st.integers(min_value=0, max_value=len(HOMES) - 1)
             ),
+            st.tuples(st.just("blackout")),
+            st.tuples(
+                st.just("probe"),
+                st.integers(min_value=0, max_value=len(HOMES) - 1),
+                st.integers(min_value=0, max_value=len(TITLES) - 1),
+            ),
             st.tuples(
                 st.just("traffic"),
                 st.integers(min_value=0, max_value=len(LINKS) - 1),
@@ -146,14 +176,65 @@ steps = st.lists(
 )
 
 
-@given(steps)
-@settings(max_examples=25, deadline=None)
-def test_decision_memo_invisible_in_session_records(interleaving):
-    plain = run_interleaving(build_service(decision_cache_size=0), interleaving)
+#: Every knob whose transitions (breaker trips and probes, staleness
+#: flips, failover re-decisions, retries, fractional holders) have to move
+#: the memo's token.  The staleness guard needs the reported-stats arm.
+knobs = st.fixed_dictionaries(
+    {
+        "use_reported_stats": st.booleans(),
+        "session_failover": st.booleans(),
+        "breaker_threshold": st.sampled_from([0, 1, 2]),
+        "max_stats_age_s": st.sampled_from([None, 400.0]),
+        "retry_attempts": st.sampled_from([0, 2]),
+        "placement": st.sampled_from([None, PlacementConfig(kind="partial")]),
+    }
+).map(lambda k: k if k["use_reported_stats"] else {**k, "max_stats_age_s": None})
+
+
+QUIET = {
+    "use_reported_stats": False,
+    "session_failover": False,
+    "breaker_threshold": 0,
+    "max_stats_age_s": None,
+    "retry_attempts": 0,
+    "placement": None,
+}
+
+
+@given(steps, knobs)
+@example(
+    # A server breaker half-opens on its cooldown timer: U5 is let back
+    # into the holder set with nothing else in the network moving.
+    interleaving=[
+        (0.0, ("crash", 4)),
+        (0.0, ("crash", 4)),
+        (0.0, ("probe", 0, 0)),
+        (400.0, ("probe", 0, 0)),
+    ],
+    config={**QUIET, "breaker_threshold": 1},
+)
+@example(
+    # Links age out during a blackout: the guard's periodic check flips
+    # them stale (weights inflated, decisions stamped degraded) with no
+    # SNMP round writing anything.
+    interleaving=[
+        (400.0, ("blackout",)),
+        (0.0, ("probe", 0, 0)),
+        (600.0, ("probe", 0, 0)),
+    ],
+    config={**QUIET, "use_reported_stats": True, "max_stats_age_s": 400.0},
+)
+@settings(max_examples=60, deadline=None)
+def test_decision_memo_invisible_in_session_records(interleaving, config):
+    plain = run_interleaving(
+        build_service(decision_cache_size=0, **config), interleaving
+    )
     memoed = run_interleaving(
-        build_service(decision_cache_size=256), interleaving
+        build_service(decision_cache_size=256, **config), interleaving
     )
     assert service_fingerprint(memoed) == service_fingerprint(plain)
+    assert memoed.probes == plain.probes
+    assert memoed.vra.decision_count == plain.vra.decision_count
 
 
 @given(steps)

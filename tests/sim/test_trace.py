@@ -161,8 +161,7 @@ class TestServiceIntegration:
         categories = tracer.categories()
         assert "request.submitted" in categories
         assert "placement.pass" in categories
-        # The legacy dma.pass alias only appears under the deprecated
-        # DiskManipulationAlgorithm shim; the default policy stays clean.
+        # The pre-placement trace family is gone for good.
         assert "dma.pass" not in categories
         assert "vra.decision" in categories
         assert "session.finished" in categories

@@ -204,7 +204,6 @@ class TestPlacement:
         assert code == 0
         out = capsys.readouterr().out
         assert "replay determinism (dma rerun): PASS" in out
-        assert "dma-policy equivalence (legacy shim): PASS" in out
 
     def test_bad_knob_rejected(self):
         with pytest.raises(SystemExit):

@@ -53,7 +53,6 @@ class TestTopLevelConvenience:
     def test_headline_classes_importable_from_root(self):
         from repro import (  # noqa: F401
             Client,
-            DiskManipulationAlgorithm,
             ServiceConfig,
             Simulator,
             Topology,
