@@ -2,9 +2,8 @@
 
 A flapping link is the worst case for the epoch-versioned routing
 cache: every transition bumps ``state_version``, so each flap forces an
-epoch change between decisions.  The cache rebuilds the LVN table,
-diffs it against the previous one, and keeps every Dijkstra tree the
-flapped link provably does not touch.
+epoch change between decisions, and an epoch change drops the LVN table
+and every cached Dijkstra tree.
 
 The storm comes from the fault-injection subsystem itself: a seeded
 :class:`~repro.faults.FaultSchedule` of link flaps replayed by a
@@ -14,11 +13,11 @@ streams comparable, and the bit-for-bit equivalence assert inside
 ``measure`` is the real acceptance criterion — a cache that is fast but
 wrong under churn would stream over a dead link.
 
-Acceptance bars: decisions stay bit-for-bit identical (including
-identical refusals while a storm severs every path), every flap epoch
-is absorbed as link deltas (zero full flushes), and the cache still
-answers a majority of lookups from memory despite an epoch change on
-every flap.
+Acceptance bar: decisions stay bit-for-bit identical (including
+identical refusals while a storm severs every path).  Rates and hit
+rates are printed, not gated: on six nodes the cache is worth about
+nothing under churn, with or without keeping trees across epochs
+(DESIGN.md §5b.7).
 
 A third service runs the same storm with the whole-decision memo on
 top: it must stay bit-for-bit too.  A flap storm is the memo's worst
@@ -99,42 +98,36 @@ def measure():
     schedule = flap_schedule()
     assert len(schedule) > 0  # the storm actually storms
     cold = build_service(routing_cache_size=0)
-    delta = build_service()
+    cached = build_service()
     memo = build_service(decision_cache_size=128)
     for home in HOMES:  # warm all caches before timing
         cold.decide(home, "movie")
-        delta.decide(home, "movie")
+        cached.decide(home, "movie")
         memo.decide(home, "movie")
     cold_rate, cold_decisions = churn_rate(cold, schedule)
-    delta_rate, delta_decisions = churn_rate(delta, schedule)
+    cached_rate, cached_decisions = churn_rate(cached, schedule)
     memo_rate, memo_decisions = churn_rate(memo, schedule)
-    assert delta_decisions == cold_decisions  # bit-for-bit under the storm
+    assert cached_decisions == cold_decisions  # bit-for-bit under the storm
     assert memo_decisions == cold_decisions  # ... with the decision memo too
     return (
         cold_rate,
-        delta_rate,
+        cached_rate,
         memo_rate,
-        delta.vra.cache_stats,
+        cached.vra.cache_stats,
         memo.snapshot()["decision_cache"],
     )
 
 
 def test_fault_churn_cache_behaviour(benchmark, show):
-    cold_rate, delta_rate, memo_rate, stats, memo_stats = benchmark.pedantic(
+    cold_rate, cached_rate, memo_rate, stats, memo_stats = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
     show(
         f"Fault churn [GRNET, seeded link-flap storm, "
         f"{FLAP_RATE_PER_H:.0f} flaps/h]: {cold_rate:,.0f} decisions/s "
-        f"cache-less vs {delta_rate:,.0f} cached "
-        f"({delta_rate / cold_rate:.1f}x) vs {memo_rate:,.0f} with the "
+        f"cache-less vs {cached_rate:,.0f} cached "
+        f"({cached_rate / cold_rate:.1f}x) vs {memo_rate:,.0f} with the "
         f"decision memo, routing hit rate {stats.hit_rate:.1%}, "
         f"decision-memo hit rate {memo_stats['hit_rate']:.1%}\n"
-        + render_routing_cache(stats, title="Link-flap churn delta counters")
+        + render_routing_cache(stats, title="Link-flap churn cache counters")
     )
-    # Every flap is a real epoch change, absorbed as a handful of link
-    # deltas: no full flush, a majority of lookups answered warm.
-    assert stats.hit_rate >= 0.5
-    assert stats.full_invalidations == 0
-    assert stats.partial_invalidations > 0
-    assert stats.dirty_links > 0

@@ -147,10 +147,9 @@ class ServiceConfig:
             Between routing epochs (SNMP database writes, link failures,
             topology growth) the VRA reuses the LVN table and per-home
             shortest-path trees instead of recomputing them — decisions
-            are bit-for-bit identical either way.  A new epoch costs one
-            cold table build and a link-by-link diff against the previous
-            table; cached trees the differences provably leave intact are
-            kept.  ``0`` disables the cache and restores
+            are bit-for-bit identical either way.  A new epoch drops all
+            of it: one cold table build, then one search per home asked.
+            ``0`` disables the cache and restores
             recompute-per-decision behaviour exactly.  The cache is also
             auto-disabled when ``use_server_load_in_vra`` is on, because
             live stream-slot occupancy feeds the weights without a version

@@ -42,12 +42,7 @@ from repro.network.routing.cache import (
     RoutingCacheStats,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.network.routing.dijkstra import (
-    DijkstraResult,
-    LinkDelta,
-    dijkstra,
-    link_deltas,
-)
+from repro.network.routing.dijkstra import DijkstraResult, dijkstra
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
 
@@ -146,18 +141,14 @@ class VirtualRoutingAlgorithm:
             memoized per epoch — a cache hit returns the same decision
             bit-for-bit as a cold run, because the provider's contract is
             to change whenever any routing input could have changed.
-            The token says *when* to look; on a change the VRA builds one
-            cold table, diffs it link by link against the previous one,
-            and the cache keeps every tree the differences provably leave
-            intact (:meth:`_delta_probe`).  None (the default) recomputes
-            everything per decision, exactly the paper's Figure 5.
+            A new token drops everything cached under the old one.  None
+            (the default) recomputes everything per decision, exactly the
+            paper's Figure 5.
         cache_size: LRU bound on cached Dijkstra trees; ``0`` disables
             caching entirely even when ``epoch_of`` is given.
         metrics: Optional telemetry registry; when given (and enabled)
-            the VRA counts decisions / local serves, records a
-            candidate-count histogram under the ``vra.*`` families, and
-            exposes the cache's delta-maintenance counters under
-            ``routing.*``.
+            the VRA counts decisions / local serves and records a
+            candidate-count histogram under the ``vra.*`` families.
         compiled: Route weight-table builds and Dijkstra runs through the
             array-compiled :class:`~repro.network.compiled.TopologySnapshot`
             instead of the per-link python loops.  Output is bit-for-bit
@@ -197,13 +188,8 @@ class VirtualRoutingAlgorithm:
             )
         cacheable = epoch_of is not None and cache_size > 0
         self.cache: Optional[RoutingCache] = (
-            RoutingCache(max_trees=cache_size, delta_probe=self._delta_probe)
-            if cacheable
-            else None
+            RoutingCache(max_trees=cache_size) if cacheable else None
         )
-        #: The table the cache holds and each link's online flag under it
-        #: — what the next epoch is diffed against.
-        self._diff_base: Optional[Tuple[Dict[str, float], Dict[str, bool]]] = None
         self.decision_count = 0
         # Instruments resolve once here; a disabled registry hands back
         # shared no-ops, so the decide() hot path pays one call per event.
@@ -221,19 +207,11 @@ class VirtualRoutingAlgorithm:
             subsystem="core",
             description="available remote candidates per routed decision",
         )
-        if self.cache is not None and metrics is not None:
-            self.cache.attach_metrics(metrics)
 
     @property
     def cache_stats(self) -> Optional[RoutingCacheStats]:
         """Hit/miss/invalidation counters, or None when caching is off."""
         return self.cache.stats if self.cache is not None else None
-
-    @property
-    def delta_maintenance(self) -> bool:
-        """True when epoch transitions are absorbed as link deltas (any
-        active cache does)."""
-        return self.cache is not None
 
     def count_replayed(self, decision: "VraDecision") -> None:
         """Telemetry parity for a decision replayed by the service's memo.
@@ -254,7 +232,7 @@ class VirtualRoutingAlgorithm:
         """Current LVN table ("Calculate the Link Validation Number for
         each network link")."""
         if self.cache is not None:
-            return self.cache.weights(self._epoch_of(), self._base_weights)
+            return self.cache.weights(self._epoch_of(), self._compute_weights)
         return self._compute_weights()
 
     def _compute_weights(self) -> Dict[str, float]:
@@ -262,38 +240,6 @@ class VirtualRoutingAlgorithm:
         if self._snapshot is not None:
             return self._snapshot.weight_table(self._used_of, self._k)
         return weight_table(self._topology, self._used_of, self._k, self._node_load)
-
-    def _base_weights(self) -> Dict[str, float]:
-        """The routing cache's miss path: a cold build, remembered with the
-        online flags it saw as what the next epoch is diffed against."""
-        table = self._compute_weights()
-        self._diff_base = (
-            table,
-            {link.name: link.online for link in self._topology.links()},
-        )
-        return table
-
-    def _delta_probe(self) -> Optional[Tuple[Dict[str, float], List[LinkDelta]]]:
-        """Cache callback on an epoch change: ``(table, deltas)``.
-
-        The table is a fresh cold build, never a patched one, so whatever
-        was handed out before keeps exactly what it saw.  When no weight
-        and no online flag moved, the previous table *object* comes back
-        with no deltas — the identity the Dijkstra value memo tests for.
-        None only before the first build, when nothing can be cached yet.
-        """
-        base = self._diff_base
-        if base is None:
-            return None
-        old, was_online = base
-        new = self._compute_weights()
-        deltas = link_deltas(self._topology.links(), old, was_online, new)
-        if not deltas:
-            return old, []
-        for delta in deltas:
-            was_online[delta.link.name] = delta.now_online
-        self._diff_base = (new, was_online)
-        return new, deltas
 
     def _routing_state(
         self, home_uid: str, targets: Sequence[str]
@@ -308,14 +254,10 @@ class VirtualRoutingAlgorithm:
         objects, which callers treat as read-only.
         """
         if self.cache is None:
-            if self._snapshot is not None and not self._trace:
-                # Cache-less hot path: fused snapshot call (one version
-                # check, no weight-token round-trip).
-                return self._snapshot.routing_state(home_uid, self._used_of, self._k, targets)
             weights = self._compute_weights()
             return weights, self._run_dijkstra(home_uid, weights, targets)
         epoch = self._epoch_of()
-        weights = self.cache.weights(epoch, self._base_weights)
+        weights = self.cache.weights(epoch, self._compute_weights)
         result = self.cache.tree(
             epoch, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
         )
@@ -341,8 +283,7 @@ class VirtualRoutingAlgorithm:
 
         The python path's search is the complete tree (and the only one
         carrying trace steps), so it is the audit.  A compiled search is a
-        prefix, possibly a cached one that outlived deltas beyond its
-        radius: the audit is a full run under ``weights``, the table the
+        prefix: the audit is a full run under ``weights``, the table the
         decision holds *now* — what a cold decision would embed.
         """
         if self._snapshot is not None and not self._trace:

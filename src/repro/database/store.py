@@ -245,8 +245,8 @@ class ServiceDatabase:
         """Record the latest SNMP sample for a link.
 
         Every write bumps :attr:`link_stats_version` (the routing-epoch
-        contract), whether or not the value moved; what actually moved is
-        found by diffing weight tables (DESIGN.md §5b.7).
+        contract), whether or not the value moved: the token says when
+        to rebuild, nothing records what moved (DESIGN.md §5b.7).
         """
         self.link_entry(link_name).latest_stats = stats
         self._link_stats_version += 1
@@ -258,9 +258,9 @@ class ServiceDatabase:
 
         The entries themselves are untouched — the adjustment lives in
         the service's weight provider — but the epoch counter bumps, so
-        the next decision rebuilds the weight table and the routing cache
-        repairs exactly the weights that differ.  Cache invalidation
-        thereby rides the existing machinery with no new paths.
+        the next decision rebuilds the weight table and searches under
+        it.  Cache invalidation thereby rides the existing machinery
+        with no new paths.
         """
         touched = False
         for link_name in link_names:

@@ -111,12 +111,7 @@ def render_routing_cache(stats: Optional[RoutingCacheStats], title: str = "") ->
     table = render_table(headers, rows, title=caption)
     return (
         f"{table}\n"
-        f"invalidations (epoch changes): {stats.invalidations} "
-        f"({stats.full_invalidations} full flush(es), "
-        f"{stats.partial_invalidations} table diff(s) over "
-        f"{stats.dirty_links} changed link(s)); "
-        f"trees repaired in place: {stats.trees_repaired}, "
-        f"rerooted: {stats.trees_rerooted}; "
+        f"invalidations (epoch changes): {stats.invalidations}; "
         f"LRU evictions: {stats.evictions}"
     )
 

@@ -24,10 +24,9 @@ down to dict insertion order.  The rules that enforce it:
 * Dijkstra's heap orders by ``(distance, uid-rank)`` where the rank is the
   node's index in sorted-uid order — the same total order as the python
   path's ``(distance, uid)`` string comparison — and relaxation stays
-  strict, so settlement order, the predecessor tree and the
-  :func:`~repro.network.routing.dijkstra.tree_unaffected` proofs are
-  untouched.  A goal-directed run is the same loop cut short, so its
-  result is the full run's restricted to the nodes it settled.
+  strict, so settlement order and the predecessor tree are untouched.
+  A goal-directed run is the same loop cut short, so its result is the
+  full run's restricted to the nodes it settled.
 
 Everything here is plain python lists — the standard library only.
 """
@@ -302,21 +301,6 @@ class TopologySnapshot:
         self._values_memo = (weights, values, valid)
         return values, valid
 
-    def routing_state(
-        self,
-        source: str,
-        used_of: Optional[Callable[[Link], float]] = None,
-        normalization_constant: float = _DEFAULT_K,
-        targets: Iterable[str] = (),
-    ) -> Tuple[CompiledWeightTable, DijkstraResult]:
-        """One decision's (weight table, shortest-path search), fused.
-
-        The cache-less hot path calls both per decision; fusing them shares
-        the version check.
-        """
-        table = self.weight_table_with_nv(used_of, normalization_constant, _nv=False)[0]
-        return table, self._search(source, table, targets)
-
     def dijkstra(
         self, source: str, weights: Dict[str, float], targets: Iterable[str] = ()
     ) -> DijkstraResult:
@@ -339,11 +323,6 @@ class TopologySnapshot:
         when that link lies beyond the stopping radius.
         """
         self.refresh()
-        return self._search(source, weights, targets)
-
-    def _search(
-        self, source: str, weights: Dict[str, float], targets: Iterable[str]
-    ) -> DijkstraResult:
         pos_of = self._pos_of
         pos = pos_of.get(source)
         if pos is None:

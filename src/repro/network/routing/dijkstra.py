@@ -16,15 +16,15 @@ the benchmark reports the delta explicitly.
 Determinism contract: ties are broken by node uid (not by relaxation
 history), and a relaxation only wins on a *strict* improvement.  The
 result is therefore a pure function of (topology, online set, weights),
-which is what lets :func:`tree_unaffected` prove that a cached tree is
-bit-for-bit identical to a fresh run after a set of link deltas.
+which is what lets a tree cached under one routing epoch stand in for a
+fresh run anywhere in that epoch.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.link import Link
@@ -174,8 +174,7 @@ def dijkstra(
     steps: List[DijkstraStep] = []
     # Ties break on the node uid, so settlement order — and therefore the
     # predecessor tree — depends only on the final weights, never on the
-    # order relaxations happened to occur in.  The tree-revalidation rules
-    # of :func:`tree_unaffected` rely on this.
+    # order relaxations happened to occur in.
     heap: List[Tuple[float, str]] = [(0.0, source)]
 
     while heap:
@@ -207,128 +206,6 @@ def dijkstra(
     return DijkstraResult(
         source=source, distances=distances, predecessors=predecessors, steps=steps
     )
-
-
-@dataclass(frozen=True)
-class LinkDelta:
-    """One link's routing-relevant change between two weight snapshots.
-
-    Produced by :func:`link_deltas` and consumed by
-    :func:`tree_unaffected` to decide whether a cached Dijkstra tree is
-    still bit-for-bit valid.
-
-    Attributes:
-        link: The link that changed.
-        old_weight: LVN before the change (None if the link is new).
-        new_weight: LVN after the change.
-        was_online: Online state before the change (False for new links).
-        now_online: Online state after the change.
-    """
-
-    link: Link
-    old_weight: Optional[float]
-    new_weight: float
-    was_online: bool
-    now_online: bool
-
-
-def link_deltas(
-    links: Iterable[Link],
-    old_weights: Mapping[str, float],
-    was_online: Mapping[str, bool],
-    new_weights: Mapping[str, float],
-) -> List[LinkDelta]:
-    """Every link whose weight or online flag differs between two epochs.
-
-    ``old_weights`` / ``was_online`` describe the previous epoch,
-    ``new_weights`` and the links' live ``online`` flags the current one.
-    An online flip is a delta even at an identical weight (Dijkstra skips
-    offline links); a link absent from the previous epoch reports
-    ``old_weight=None, was_online=False``.
-    """
-    deltas: List[LinkDelta] = []
-    for link in links:
-        name = link.name
-        old = old_weights.get(name)
-        before = was_online.get(name, False)
-        new = new_weights[name]
-        now = link.online
-        if old != new or before != now:
-            deltas.append(LinkDelta(link, old, new, before, now))
-    return deltas
-
-
-def tree_unaffected(result: DijkstraResult, delta: LinkDelta) -> bool:
-    """True if ``delta`` provably leaves ``result`` bit-for-bit identical.
-
-    The rules are sound but conservative: a True verdict guarantees that a
-    fresh run over the post-delta weights — :func:`dijkstra` for a
-    complete result, the same goal-directed search for a prefix — would
-    return the exact distances and predecessors already cached; a False
-    verdict only means the proof failed, and the caller re-roots from
-    scratch.
-
-    Soundness leans on the determinism contract (uid tie-break + strict
-    relaxation): the final predecessor of a node is the earliest-settled
-    neighbor achieving its final distance, so transient relaxations that a
-    changed link adds or removes cannot alter the output as long as no
-    final distance moves and no settlement-order tie is disturbed.
-
-    Per-delta rules (``u``/``v`` the endpoints, ``d`` the cached
-    distances, ``radius`` the result's settled radius — ``inf`` for a
-    complete tree, where "outside" can only mean unreachable):
-
-    * offline before and after — the link is invisible to both runs.
-    * online afterwards with a negative or NaN weight — never proven; the
-      fresh run decides whether the link is scanned and raises.
-    * both endpoints outside — the link lies wholly beyond the radius (or
-      outside the routed component): no path through it can reach, or
-      bring a node to within, the radius.
-    * one endpoint inside (``d_in``) — safe iff the link is offline
-      afterwards (it led outwards, so it carried no cached path) or
-      ``d_in + w_new > radius`` *strictly*: the outside endpoint stays
-      outside.  Equality would settle it in the tie drain.  For a
-      complete tree this is never true of an online link (new
-      reachability).
-    * both inside, removal (online -> offline): safe iff the link is not
-      a tree edge; every cached shortest path survives, so no distance
-      moves.
-    * both inside, insertion (offline -> online, or a brand-new link):
-      safe iff ``min(du, dv) + w_new > max(du, dv)`` *strictly* —
-      equality would let the new edge become the earliest-settled
-      achiever and steal a predecessor.
-    * both inside, weight change on a live link: unsafe on a tree edge;
-      on a non-tree edge, treat as remove-then-insert (the strict bound
-      above, with the new weight).
-
-    The rules compose: a batch of deltas that each pass individually is
-    jointly safe, because passing removals keep every cached distance
-    achievable and passing insertions keep every cached distance optimal
-    and every outside node outside.  A surviving prefix is only ever
-    *read*; anything beyond its radius is searched afresh under the
-    current weights.
-    """
-    if not delta.now_online:
-        if not delta.was_online:
-            return True
-    elif not (delta.new_weight >= 0.0):
-        return False
-
-    u, v = delta.link.a_uid, delta.link.b_uid
-    du = result.distances.get(u)
-    dv = result.distances.get(v)
-    if du is None or dv is None:
-        if (du is None and dv is None) or not delta.now_online:
-            return True
-        return (dv if du is None else du) + delta.new_weight > result.radius
-
-    preds = result.predecessors
-    is_tree_edge = preds.get(u) == v or preds.get(v) == u
-    if not delta.now_online:
-        return not is_tree_edge
-    if delta.was_online and is_tree_edge:
-        return False
-    return min(du, dv) + delta.new_weight > max(du, dv)
 
 
 def _snapshot_step(

@@ -19,8 +19,8 @@ The stale set is recomputed on a periodic simulated-clock tick and after
 every SNMP collection round; whenever membership changes the guard
 reports the changed links so the service can
 :meth:`~repro.database.store.ServiceDatabase.touch_links` them — the
-existing epoch/delta invalidation machinery then repairs exactly those
-weights, and no new cache-invalidation path is needed.
+routing epoch moves, the next decision rebuilds the weight table, and
+no new cache-invalidation path is needed.
 """
 
 from __future__ import annotations

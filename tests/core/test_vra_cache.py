@@ -117,6 +117,24 @@ class TestInvalidationEdges:
         # The recomputed weights reflect the new sample, not the cached 0s.
         assert decision.weights["Patra-Ioannina"] > 0.0
 
+    def test_every_snmp_round_flushes_and_every_table_build_is_a_counted_miss(self):
+        service = build_service()
+        stats = service.vra.cache_stats
+        homes = ("U1", "U2", "U6")
+        # The repeated sample is the drumbeat: an epoch in which no value moved.
+        rounds = ("8am", "10am", "10am", "6pm")
+        for done, label in enumerate(rounds):
+            report_traffic(service, label)
+            misses, hits = stats.tree_misses, stats.tree_hits
+            for home in homes * 2:
+                service.decide(home, "movie")
+            # Nothing cached under the older token answered: one search per
+            # home, then one hit per home.
+            assert stats.tree_misses == misses + len(homes)
+            assert stats.tree_hits == hits + len(homes)
+            assert stats.invalidations == done
+            assert stats.weight_misses == stats.invalidations + 1
+
     def test_link_failure_bumps_epoch_between_snmp_rounds(self):
         service = build_service()
         report_traffic(service, "8am")

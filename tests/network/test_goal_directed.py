@@ -13,7 +13,7 @@ from repro.network.compiled import TopologySnapshot
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.cache import RoutingCache
-from repro.network.routing.dijkstra import LinkDelta, dijkstra, tree_unaffected
+from repro.network.routing.dijkstra import dijkstra
 from repro.network.topology import Topology
 
 INF = float("inf")
@@ -165,58 +165,6 @@ class TestWeightArrayMemo:
             snap.dijkstra("S", weights)
 
 
-class TestPrefixProof:
-    """``tree_unaffected`` on a prefix: S, A, B inside radius 2."""
-
-    def setup_method(self):
-        self.topology, self.weights = build({**LINE, "S-B": 4.0})
-        self.prefix = TopologySnapshot(self.topology).dijkstra(
-            "S", self.weights, ["B"]
-        )
-        assert set(self.prefix.distances) == {"S", "A", "B"}
-
-    def delta(self, name, new_weight, was_online=True, now_online=True):
-        link = self.topology.link_named(name)
-        return LinkDelta(link, self.weights[name], new_weight, was_online, now_online)
-
-    def test_both_endpoints_outside_is_unaffected_whatever_happens(self):
-        assert tree_unaffected(self.prefix, self.delta("C-D", 0.0))
-        assert tree_unaffected(self.prefix, self.delta("C-D", 1.0, True, False))
-        assert tree_unaffected(self.prefix, self.delta("C-D", 0.0, False, True))
-
-    def test_one_inside_needs_the_far_end_to_stay_strictly_outside(self):
-        # B (d=2) - C: C stays out iff 2 + w > 2.
-        assert tree_unaffected(self.prefix, self.delta("B-C", 0.5))
-        assert not tree_unaffected(self.prefix, self.delta("B-C", 0.0))
-        # A (d=1) - E: boundary at w = 1.
-        assert tree_unaffected(self.prefix, self.delta("A-E", 1.5))
-        assert not tree_unaffected(self.prefix, self.delta("A-E", 1.0))
-        assert not tree_unaffected(self.prefix, self.delta("A-E", 0.5))
-        # Coming online follows the same bound; going offline always passes.
-        assert tree_unaffected(self.prefix, self.delta("A-E", 5.0, False, True))
-        assert not tree_unaffected(self.prefix, self.delta("A-E", 1.0, False, True))
-        assert tree_unaffected(self.prefix, self.delta("A-E", 5.0, True, False))
-
-    def test_both_inside_keeps_the_full_tree_rules(self):
-        assert not tree_unaffected(self.prefix, self.delta("S-A", 1.5))  # tree edge
-        assert not tree_unaffected(self.prefix, self.delta("S-A", 1.0, True, False))
-        assert tree_unaffected(self.prefix, self.delta("S-B", 3.0))  # non-tree, 0+3 > 2
-        assert not tree_unaffected(self.prefix, self.delta("S-B", 2.0))  # would tie
-        assert tree_unaffected(self.prefix, self.delta("S-B", 4.0, True, False))
-
-    def test_complete_tree_treats_a_half_reachable_online_link_as_affected(self):
-        self.topology.link_named("B-C").online = False
-        full = TopologySnapshot(self.topology).dijkstra("S", self.weights)
-        assert full.complete and not full.reaches("C")
-        assert not tree_unaffected(full, self.delta("B-C", 100.0, False, True))
-        assert tree_unaffected(full, self.delta("C-D", 100.0))  # wholly outside
-
-    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
-    def test_invalid_weight_is_never_proven(self, bad):
-        assert not tree_unaffected(self.prefix, self.delta("C-D", bad))
-        assert tree_unaffected(self.prefix, self.delta("C-D", bad, True, False))
-
-
 class TestRoutingCachePrefixes:
     def setup_method(self):
         self.topology, self.weights = build(LINE)
@@ -224,12 +172,12 @@ class TestRoutingCachePrefixes:
         self.cache = RoutingCache()
         self.runs = []
 
-    def tree(self, targets, epoch=1):
+    def tree(self, targets):
         def compute():
             self.runs.append(tuple(targets))
             return self.snap.dijkstra("S", self.weights, targets)
 
-        return self.cache.tree(epoch, "S", compute, targets)
+        return self.cache.tree(1, "S", compute, targets)
 
     def test_prefix_answers_any_target_inside_it(self):
         first = self.tree(["C"])
@@ -253,16 +201,3 @@ class TestRoutingCachePrefixes:
         assert full.complete
         assert self.tree(["ghost"]) is full and self.tree([]) is full
         assert self.cache.stats.tree_misses == 2
-
-    def test_surviving_prefix_is_not_extended_with_stale_weights(self):
-        """A delta beyond the radius keeps the prefix; a later target out
-        there is searched under the *current* table."""
-        self.cache = RoutingCache(delta_probe=lambda: (self.weights, self.deltas))
-        prefix = self.tree(["A"], epoch=1)
-        link = self.topology.link_named("C-D")
-        self.weights = {**self.weights, "C-D": 7.0}
-        self.deltas = [LinkDelta(link, 1.0, 7.0, True, True)]
-        assert self.tree(["A"], epoch=2) is prefix
-        assert self.cache.stats.trees_repaired == 1
-        beyond = self.tree(["D"], epoch=2)
-        assert beyond.distances["D"] == 10.0

@@ -1,14 +1,17 @@
 """Integration tests: the service's unified telemetry layer end to end."""
 
+import copy
+
 import pytest
 
 from repro.core.service import ServiceConfig, VoDService
+from repro.experiments.placement import session_fingerprint
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
 
 
-def run_service(topology, observability=True, tracer=None, period=30.0):
+def run_service(topology, observability=True, tracer=None, period=30.0, **config):
     sim = Simulator(start_time=8 * 3600.0)
     service = VoDService(
         sim,
@@ -18,6 +21,7 @@ def run_service(topology, observability=True, tracer=None, period=30.0):
             use_reported_stats=False,
             observability=observability,
             telemetry_period_s=period,
+            **config,
         ),
         tracer=tracer,
     )
@@ -93,6 +97,21 @@ class TestEnabled:
         }
         assert serves["U4"] == 2.0  # sourced both clusters
         assert serves["U2"] == 0.0
+
+    def test_phase_profiler_times_every_decision_and_epoch_change(self, grnet_8am):
+        plain = run_service(copy.deepcopy(grnet_8am))
+        service = run_service(grnet_8am, phase_profiling=True)
+        obs, stats = service.obs, service.vra.cache_stats
+        assert obs.histogram("obs.phase.vra_decide_ms").count == service.vra.decision_count
+        # The first sync is timed too, though it has nothing to flush.
+        assert stats.invalidations > 0
+        assert obs.histogram("obs.phase.cache_sync_ms").count == stats.invalidations + 1
+        for gauge in ("obs.memory.peak_rss_kb", "obs.memory.allocated_blocks"):
+            [(_, series)] = service.telemetry.series_for(gauge)
+            assert len(series) > 1 and series.maximum() > 0.0
+        # Wall-clock timing never reaches the simulation.
+        assert not any(f.startswith(("obs.phase.", "obs.memory.")) for f in plain.obs.families())
+        assert session_fingerprint(service.sessions) == session_fingerprint(plain.sessions)
 
 
 class TestDisabled:

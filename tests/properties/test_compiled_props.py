@@ -243,8 +243,8 @@ class TestVraEquivalence:
     @given(routed_runs)
     @example(
         # An online flip beyond the radius that moves no weight: the
-        # cached prefix survives with the *same* table, and the decision
-        # read from it must still audit against the flipped topology.
+        # table comes out equal, yet the decision's audit trail must be
+        # built against the flipped topology.
         runs=[
             (
                 [("Patra-Ioannina", "traffic", 1.0), ("Patra-Athens", "toggle", 0.0)],
@@ -255,10 +255,10 @@ class TestVraEquivalence:
     )
     @settings(max_examples=80, deadline=None)
     def test_compiled_delta_vra_matches_python_cold(self, runs):
-        """Compiled snapshot + epoch diffing + the routing cache, against
-        a cache-less pure-python VRA computing everything from scratch.
-        Prefixes that survive a churn batch's deltas answer the re-asked
-        questions, so their audit trail must equal a cold run under the
+        """Compiled snapshot + the routing cache, against a cache-less
+        pure-python VRA computing everything from scratch.  Re-asked
+        questions are answered by prefixes cached since the last churn
+        batch, so their audit trail must equal a cold run under the
         *new* table."""
         topology = build_grnet_topology()
         cached = VirtualRoutingAlgorithm(
@@ -266,14 +266,14 @@ class TestVraEquivalence:
             compiled=True,
             epoch_of=lambda: (topology.traffic_version, topology.state_version),
         )
-        assert cached.delta_maintenance
+        assert cached.cache is not None
         plain = VirtualRoutingAlgorithm(topology, compiled=False)
         asked = []
         for ops, home, holders, down in runs:
             apply_ops(topology, ops)
             asked.append((home, tuple(holders), down))
-            # Re-ask every earlier question too: those are the searches
-            # the cache may have carried across this batch's deltas.
+            # Re-ask every earlier question too: a search cached before
+            # this batch must not answer any of them.
             for key in asked:
                 assert decision_fingerprint(cached, *key) == decision_fingerprint(
                     plain, *key
