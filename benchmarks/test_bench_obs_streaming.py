@@ -8,13 +8,19 @@ workload:
    grows 10x.  The buffered exporter's span list would grow linearly;
    the streamer flushes each span the moment it closes, so the peak is
    O(concurrent sessions + ring capacity), not O(total sessions).
-2. The write-behind cost stays below 3% of the run's wall time.  Raw
-   A/B wall-clock deltas drown in scheduler noise, so the bound is
+2. The *live* write-behind share stays below 3% of the run's wall time.
+   Raw A/B wall-clock deltas drown in scheduler noise, so the bound is
    computed from measured parts: the rows whose writes land *inside*
    the run (spans flushed live + ring spills) x microbenched per-row
    sink cost, against the streamed run's measured wall time.  The
    finish-time drain of ring contents and instrument totals is the same
-   export a buffered run performs, so it is not streaming overhead.
+   export a buffered run performs, so it is not streaming overhead —
+   but it is most of the artifact, so its cost is printed beside the
+   gate (every row x the per-row cost, and the measured ``finish()``),
+   together with the obs-on / obs-off wall ratio of the same crowd.
+   Those are printed, not gated: a ratio of two ~50 ms runs is noise in
+   CI, and the gate on a whole instrumented run is the perf ledger's
+   ``chaos_storm`` ``wall_s``.
 """
 
 import io
@@ -38,8 +44,12 @@ MAX_OVERHEAD_FRACTION = 0.03
 MAX_PEAK_GROWTH = 1.25
 
 
-def run_streamed_crowd(viewer_count: int, path):
-    """One flash-crowd run with the write-behind streamer attached."""
+def run_streamed_crowd(viewer_count: int, path, observability: bool = True):
+    """One flash-crowd run with the write-behind streamer attached.
+
+    Returns ``(result, footer, wall, finish_s)``: ``wall`` is the run
+    without the final drain, ``finish_s`` the drain (``finish()``) alone.
+    """
     scenario = flash_crowd_scenario(
         "U2", SPECIAL, viewer_count=viewer_count, start_s=600.0, ramp_s=7_200.0
     )
@@ -63,7 +73,7 @@ def run_streamed_crowd(viewer_count: int, path):
             disk_capacity_mb=1_000.0,
             max_streams=256,
             use_reported_stats=False,
-            observability=True,
+            observability=observability,
         ),
         seed_origin_uids=["U4"],
         run_until=12 * 3600.0,
@@ -72,8 +82,10 @@ def run_streamed_crowd(viewer_count: int, path):
     started = perf_counter()
     result = run_service_experiment(experiment)
     wall = perf_counter() - started
+    started = perf_counter()
     footer = box["streamer"].finish()
-    return result, footer, wall
+    finish_s = perf_counter() - started
+    return result, footer, wall, finish_s
 
 
 def sink_cost_per_row(rows: int = 20_000) -> float:
@@ -102,8 +114,8 @@ def test_peak_resident_rows_flat_at_10x_sessions(benchmark, show, tmp_path):
         )
 
     (small, large) = benchmark.pedantic(measure, rounds=1, iterations=1)
-    small_result, small_footer, _ = small
-    large_result, large_footer, _ = large
+    small_result, small_footer, _, _ = small
+    large_result, large_footer, _, _ = large
     sessions_small = small_result.metrics.session_count
     sessions_large = large_result.metrics.session_count
     assert sessions_large == 10 * sessions_small
@@ -124,21 +136,34 @@ def test_peak_resident_rows_flat_at_10x_sessions(benchmark, show, tmp_path):
 
 
 def test_streaming_overhead_below_three_percent(benchmark, show, tmp_path):
-    (result, footer, wall) = benchmark.pedantic(
+    (result, footer, wall, finish_s) = benchmark.pedantic(
         lambda: run_streamed_crowd(40, tmp_path / "crowd.jsonl"),
         rounds=1,
         iterations=1,
     )
+    plain_result, _, plain_wall, _ = run_streamed_crowd(
+        40, tmp_path / "plain.jsonl", observability=False
+    )
     assert result.metrics.completed_count == result.metrics.session_count
+    assert plain_result.metrics.completed_count == result.metrics.completed_count
     live_rows = footer["spans_flushed"] + footer["samples_spilled"]
     per_row = sink_cost_per_row()
     overhead = live_rows * per_row
     fraction = overhead / wall
     show(
-        f"STREAM-COST: {live_rows} live rows x {per_row * 1e6:.2f} us/row = "
-        f"{overhead * 1e3:.3f} ms over a {wall * 1e3:.0f} ms run "
-        f"-> {fraction:.3%} (bound {MAX_OVERHEAD_FRACTION:.0%}); "
-        f"{footer['rows_written']} total rows in the artifact"
+        f"STREAM-COST (gated, live write-behind share): {live_rows} live rows x "
+        f"{per_row * 1e6:.2f} us/row = {overhead * 1e3:.3f} ms over a "
+        f"{wall * 1e3:.0f} ms run -> {fraction:.3%} (bound "
+        f"{MAX_OVERHEAD_FRACTION:.0%})\n"
+        f"STREAM-COST (printed, whole artifact): {footer['rows_written']} rows x "
+        f"{per_row * 1e6:.2f} us/row = "
+        f"{footer['rows_written'] * per_row * 1e3:.1f} ms at the write() cost "
+        f"(samples drain cheaper, through write_samples); finish() measured "
+        f"{finish_s * 1e3:.1f} ms, after the timed wall\n"
+        f"STREAM-COST (printed, same crowd): observability on "
+        f"{(wall + finish_s) * 1e3:.0f} ms (run {wall * 1e3:.0f} + finish "
+        f"{finish_s * 1e3:.0f}) vs off {plain_wall * 1e3:.0f} ms -> "
+        f"{(wall + finish_s) / plain_wall:.2f}x"
     )
     assert footer["spans_flushed"] == result.metrics.session_count
     assert footer["rows_written"] > 1_000

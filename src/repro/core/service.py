@@ -394,6 +394,11 @@ class VoDService:
         self._subnet_map: Dict[str, str] = {}
         self._clients: Dict[str, Client] = {}
         self.sessions: List[SessionRecord] = []
+        #: How many requests in ``sessions`` are terminal: bumped where a
+        #: request ends (``_on_session_finish``, ``_fail_blocked``,
+        #: ``_shed_request``) so ``service.sessions_active`` is counted,
+        #: not scanned.
+        self._sessions_finished = 0
         #: Server-availability generation: bumped by every server whenever
         #: anything feeding a VRA poll answer moves (online state, title
         #: residency, disk health, stream slots), and by server-breaker
@@ -712,9 +717,7 @@ class VoDService:
         obs.gauge(
             "service.sessions_active", subsystem="service",
             description="sessions submitted and not yet finished",
-            callback=lambda: float(
-                sum(1 for r in self.sessions if not r.request.finished)
-            ),
+            callback=lambda: float(len(self.sessions) - self._sessions_finished),
         )
         obs.gauge(
             "service.flows_active", subsystem="network",
@@ -1260,27 +1263,29 @@ class VoDService:
             submitted_at=self.sim.now,
         )
         home_server = self.servers[home_uid]
-        self.tracer.record(
-            self.sim.now,
-            "request.submitted",
-            f"{client_id} at {home_uid} requests {title_id}",
-            client_id=client_id,
-            home_uid=home_uid,
-            title_id=title_id,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "request.submitted",
+                f"{client_id} at {home_uid} requests {title_id}",
+                client_id=client_id,
+                home_uid=home_uid,
+                title_id=title_id,
+            )
         dma_result = home_server.on_download_begins(video)
-        self.tracer.record(
-            self.sim.now,
-            "placement.pass",
-            f"{home_uid}: {title_id} -> {dma_result.action.value} "
-            f"(points {dma_result.points}, evicted {list(dma_result.evicted)})",
-            home_uid=home_uid,
-            title_id=title_id,
-            action=dma_result.action.value,
-            points=dma_result.points,
-            evicted=list(dma_result.evicted),
-            resident_fraction=dma_result.resident_fraction,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "placement.pass",
+                f"{home_uid}: {title_id} -> {dma_result.action.value} "
+                f"(points {dma_result.points}, evicted {list(dma_result.evicted)})",
+                home_uid=home_uid,
+                title_id=title_id,
+                action=dma_result.action.value,
+                points=dma_result.points,
+                evicted=list(dma_result.evicted),
+                resident_fraction=dma_result.resident_fraction,
+            )
         dma_stored = dma_result.cached and dma_result.action.value != "hit"
         self._m_requests.inc()
         span: Optional[SessionSpan] = None
@@ -1548,18 +1553,20 @@ class VoDService:
             "qos-blocked: no candidate path can sustain "
             f"{video.bitrate_mbps:.2f} Mbps"
         )
+        self._sessions_finished += 1
         self._m_blocked.inc()
         if span is not None:
             self._close_span(span, request.status.value)
-        self.tracer.record(
-            self.sim.now,
-            "request.blocked",
-            f"{request.client_id} at {request.home_uid}: {request.title_id} "
-            f"blocked ({video.bitrate_mbps:.2f} Mbps unsustainable)",
-            client_id=request.client_id,
-            home_uid=request.home_uid,
-            title_id=request.title_id,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "request.blocked",
+                f"{request.client_id} at {request.home_uid}: {request.title_id} "
+                f"blocked ({video.bitrate_mbps:.2f} Mbps unsustainable)",
+                client_id=request.client_id,
+                home_uid=request.home_uid,
+                title_id=request.title_id,
+            )
         if dma_stored:
             home_server.abort_download(request.title_id)
 
@@ -1605,16 +1612,17 @@ class VoDService:
         delay = self.config.requeue_delay_s
         for attempt in range(1, attempts + 1):
             self._m_requeues.inc()
-            self.tracer.record(
-                self.sim.now,
-                "request.requeued",
-                f"{request.client_id} at {request.home_uid}: "
-                f"{request.title_id} re-queued ({attempt}/{attempts})",
-                client_id=request.client_id,
-                home_uid=request.home_uid,
-                title_id=request.title_id,
-                attempt=attempt,
-            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now,
+                    "request.requeued",
+                    f"{request.client_id} at {request.home_uid}: "
+                    f"{request.title_id} re-queued ({attempt}/{attempts})",
+                    client_id=request.client_id,
+                    home_uid=request.home_uid,
+                    title_id=request.title_id,
+                    attempt=attempt,
+                )
             if span is not None:
                 span.add(self.sim.now, "requeued", attempt=attempt, delay_s=delay)
             yield Delay(delay)
@@ -1679,18 +1687,20 @@ class VoDService:
         request.mark_failed(
             f"admission-shed: queue full ({slot.depth} waiting)"
         )
+        self._sessions_finished += 1
         if span is not None:
             self._close_span(span, request.status.value)
-        self.tracer.record(
-            self.sim.now,
-            "request.shed",
-            f"{request.client_id} at {request.home_uid}: {request.title_id} "
-            f"shed (admission queue full, {slot.depth} waiting)",
-            client_id=request.client_id,
-            home_uid=request.home_uid,
-            title_id=request.title_id,
-            depth=slot.depth,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "request.shed",
+                f"{request.client_id} at {request.home_uid}: {request.title_id} "
+                f"shed (admission queue full, {slot.depth} waiting)",
+                client_id=request.client_id,
+                home_uid=request.home_uid,
+                title_id=request.title_id,
+                depth=slot.depth,
+            )
         if dma_stored:
             home_server.abort_download(request.title_id)
         session = StreamingSession(
@@ -1757,22 +1767,24 @@ class VoDService:
             self._m_stall.observe(record.stall_s)
         else:
             self._m_failed.inc()
+        self._sessions_finished += 1
         if span is not None:
             self._close_span(span, record.request.status.value)
-        self.tracer.record(
-            self.sim.now,
-            "session.finished",
-            f"{record.request.client_id}: {record.request.title_id} "
-            f"{record.request.status.value}, sources {record.servers_used}, "
-            f"{record.switch_count} switch(es)",
-            client_id=record.request.client_id,
-            title_id=record.request.title_id,
-            status=record.request.status.value,
-            servers_used=record.servers_used,
-            switches=record.switch_count,
-            startup_s=record.startup_delay_s,
-            stall_s=record.stall_s,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "session.finished",
+                f"{record.request.client_id}: {record.request.title_id} "
+                f"{record.request.status.value}, sources {record.servers_used}, "
+                f"{record.switch_count} switch(es)",
+                client_id=record.request.client_id,
+                title_id=record.request.title_id,
+                status=record.request.status.value,
+                servers_used=record.servers_used,
+                switches=record.switch_count,
+                startup_s=record.startup_delay_s,
+                stall_s=record.stall_s,
+            )
 
     def _server_hardware(self, node_uid: str) -> Dict[str, float]:
         """Effective hardware knobs for one node (uniform + overrides).

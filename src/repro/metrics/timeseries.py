@@ -76,6 +76,10 @@ class TimeSeries:
         """All samples as (time, value) pairs."""
         return list(zip(self._times, self._values))
 
+    def times(self) -> List[float]:
+        """Just the sample times."""
+        return list(self._times)
+
     def values(self) -> List[float]:
         """Just the sample values."""
         return list(self._values)

@@ -27,6 +27,12 @@ from repro.obs.spans import SessionSpan
 from repro.sim.trace import Tracer
 
 
+#: The one JSON encoder every telemetry row goes through: the same
+#: defaults and bytes as ``json.dumps(row, sort_keys=True)``, without
+#: constructing a ``JSONEncoder`` per row.
+encode_row = json.JSONEncoder(sort_keys=True).encode
+
+
 def telemetry_rows(
     registry: MetricsRegistry,
     sampler: Optional[TelemetrySampler] = None,
@@ -66,7 +72,7 @@ def export_jsonl(rows: Iterable[Dict[str, object]], out: TextIO) -> int:
     """Write rows as JSON Lines; returns the row count."""
     count = 0
     for row in rows:
-        out.write(json.dumps(row, sort_keys=True))
+        out.write(encode_row(row))
         out.write("\n")
         count += 1
     return count

@@ -64,6 +64,11 @@ class TelemetrySampler:
         self._capacity = capacity
         self._sample_counters = sample_counters
         self._series: Dict[SeriesKey, TimeSeries] = {}
+        #: The sampling plan: (instrument, its series) in sampling order,
+        #: valid while the registry holds ``_planned_for`` instruments.
+        self._plan: List[Tuple[Instrument, TimeSeries]] = []
+        self._planned_for = -1
+        self._resident = 0
         self._spill: Optional[SpillCallback] = None
         self._task = PeriodicTask(sim, period_s, self.sample, name="telemetry")
 
@@ -109,13 +114,26 @@ class TelemetrySampler:
     # sampling
     # ------------------------------------------------------------------ #
     def sample(self) -> None:
-        """Snapshot every gauge (and counter) into its series, at sim-now."""
+        """Snapshot every gauge (and counter) into its series, at sim-now.
+
+        One tick costs O(instruments): it walks a cached plan of
+        (instrument, series) pairs — gauges then counters, each sorted by
+        (name, labels) — instead of sorting the registry.  The plan is
+        rebuilt only when ``len(registry)`` changed, which is sound
+        because a registry only ever gains instruments: an unchanged
+        length means an unchanged catalog.
+        """
+        if len(self._registry) != self._planned_for:
+            instruments: List[Instrument] = list(self._registry.gauges())
+            if self._sample_counters:
+                instruments += self._registry.counters()
+            self._plan = [(i, self._series_for(i)) for i in instruments]
+            self._planned_for = len(self._registry)
         now = self._sim.now
-        for gauge in self._registry.gauges():
-            self._series_for(gauge).record(now, gauge.value)
-        if self._sample_counters:
-            for counter in self._registry.counters():
-                self._series_for(counter).record(now, counter.value)
+        for instrument, series in self._plan:
+            held = len(series)
+            series.record(now, instrument.value)
+            self._resident += len(series) - held
 
     def _series_for(self, instrument: Instrument) -> TimeSeries:
         key = (instrument.name, instrument.labels)
@@ -148,8 +166,12 @@ class TelemetrySampler:
         return dict(self._series)
 
     def resident_samples(self) -> int:
-        """Samples currently held in rings (the sampler's live footprint)."""
-        return sum(len(series) for series in self._series.values())
+        """Samples currently held in rings (the sampler's live footprint).
+
+        A running count kept by :meth:`sample` (ring appends minus
+        evictions), so reading it is O(1) however many series exist.
+        """
+        return self._resident
 
     def series_for(self, name: str) -> List[Tuple[Dict[str, str], TimeSeries]]:
         """All series of one family as (labels, series) pairs, sorted."""

@@ -23,15 +23,23 @@ no rotation).
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.obs.export import CSV_FIELDS, csv_record
+from repro.obs.export import CSV_FIELDS, csv_record, encode_row
 
 #: Where a sink writes: a filesystem path or an open text handle.
 SinkTarget = Union[str, Path, IO[str]]
+
+#: How ``json`` spells the floats ``repr`` spells differently.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """``x`` exactly as ``json`` writes it (``float.__repr__`` otherwise)."""
+    text = repr(x)
+    return _NON_FINITE.get(text, text)
 
 
 class TelemetrySink:
@@ -96,6 +104,26 @@ class TelemetrySink:
         else:
             self.skipped += 1
 
+    def write_samples(
+        self,
+        name: str,
+        labels: Dict[str, str],
+        times: Sequence[float],
+        values: Sequence[float],
+    ) -> None:
+        """Write one series' samples (parallel ``times`` / ``values``).
+
+        Equivalent, byte for byte and counter for counter, to one
+        :meth:`write` of ``{"kind": "sample", "name": name, "labels":
+        labels, "time": t, "value": v}`` per sample — which is what this
+        default does; a format may override it to encode the part of the
+        row that is constant across the series once.
+        """
+        for t, v in zip(times, values):
+            self.write(
+                {"kind": "sample", "name": name, "labels": labels, "time": t, "value": v}
+            )
+
     def write_footer(self, footer: Dict[str, object]) -> None:
         """Write the run-footer control row (into the last part)."""
         self._emit_control({"kind": "footer", **footer})
@@ -144,13 +172,38 @@ class JsonlTelemetrySink(TelemetrySink):
     """One JSON object per line; every row kind is representable."""
 
     def _emit_control(self, row: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(row, sort_keys=True))
+        self._handle.write(encode_row(row))
         self._handle.write("\n")
 
     def _emit_data(self, row: Dict[str, object]) -> bool:
-        self._handle.write(json.dumps(row, sort_keys=True))
+        self._handle.write(encode_row(row))
         self._handle.write("\n")
         return True
+
+    def write_samples(
+        self,
+        name: str,
+        labels: Dict[str, str],
+        times: Sequence[float],
+        values: Sequence[float],
+    ) -> None:
+        """The series-constant head of the line is encoded once; each
+        float is then written as ``json`` writes it (``float.__repr__``,
+        ``NaN``, ``Infinity``, ``-Infinity``).  Rotation is checked per
+        row and the counters move exactly as under :meth:`write`."""
+        if not times:
+            return
+        head = encode_row({"kind": "sample", "labels": labels, "name": name})[:-1]
+        limit = self.max_rows_per_file
+        for t, v in zip(times, values):
+            if limit is not None and self._rows_in_part >= limit:
+                self._rotate()
+            self._handle.write(
+                f'{head}, "time": {_json_float(t)}, "value": {_json_float(v)}}}\n'
+            )
+            self._rows_in_part += 1
+        self.written += len(times)
+        self.by_kind["sample"] = self.by_kind.get("sample", 0) + len(times)
 
 
 class CsvTelemetrySink(TelemetrySink):
@@ -168,7 +221,7 @@ class CsvTelemetrySink(TelemetrySink):
         self._writer.writerow(CSV_FIELDS)
 
     def _emit_control(self, row: Dict[str, object]) -> None:
-        self._handle.write("# " + json.dumps(row, sort_keys=True) + "\r\n")
+        self._handle.write("# " + encode_row(row) + "\r\n")
 
     def _emit_data(self, row: Dict[str, object]) -> bool:
         record = csv_record(row)

@@ -34,9 +34,14 @@ class SpanEvent:
     attrs: Dict[str, object]
 
 
-@dataclass
+@dataclass(eq=False)
 class SessionSpan:
     """The telemetry trail of one client request.
+
+    A span is its request's trail, not a value: spans compare and hash by
+    identity (``eq=False``), so handing one off — ``service.spans.remove``
+    when the streamer flushes it — is a pointer scan that can never pick
+    a different span whose fields happen to be equal.
 
     Attributes:
         request_id: The request's unique id.
@@ -61,10 +66,10 @@ class SessionSpan:
     sink: Optional[Tracer] = None
 
     def add(self, time: float, kind: str, **attrs: object) -> SpanEvent:
-        """Record one event (and forward it to the tracer sink)."""
+        """Record one event (and forward it to an enabled tracer sink)."""
         event = SpanEvent(time=time, kind=kind, attrs=attrs)
         self.events.append(event)
-        if self.sink is not None:
+        if self.sink is not None and self.sink.enabled:
             self.sink.record(
                 time,
                 f"span.{kind}",

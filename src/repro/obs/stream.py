@@ -163,7 +163,14 @@ class StreamingTelemetry:
                 self._service.telemetry.set_spill(self._spill)
 
     def finish(self) -> Dict[str, object]:
-        """Drain everything still live, write the footer, close the sink."""
+        """Drain everything still live, write the footer, close the sink.
+
+        Rows leave in :func:`~repro.obs.export.telemetry_rows`' order.
+        Ring contents go through :meth:`TelemetrySink.write_samples`, one
+        call per series (the same rows ``telemetry_rows`` would yield for
+        the sampler, a line each); counters, histograms and still-open
+        spans go through :meth:`TelemetrySink.write`.
+        """
         if self._finished:
             return self.footer or {}
         if not self._started:
@@ -171,7 +178,12 @@ class StreamingTelemetry:
         self._finished = True
         service = self._service
         self._note_resident()
-        for row in telemetry_rows(service.obs, service.telemetry, self._remaining_spans()):
+        if service.telemetry is not None:
+            for (name, labels), series in sorted(service.telemetry.series().items()):
+                self._sink.write_samples(
+                    name, dict(labels), series.times(), series.values()
+                )
+        for row in telemetry_rows(service.obs, None, self._remaining_spans()):
             self._sink.write(row)
         self.footer = self._build_footer()
         self._sink.write_footer(self.footer)
@@ -206,10 +218,9 @@ class StreamingTelemetry:
         times: List[float],
         values: List[float],
     ) -> None:
-        for t, v in zip(times, values):
-            self._sink.write(
-                {"kind": "sample", "name": name, "labels": labels, "time": t, "value": v}
-            )
+        """Ring-overflow hook: the evicted samples of one series go to the
+        sink as the rows the final drain would have written for them."""
+        self._sink.write_samples(name, labels, times, values)
         self.samples_spilled += len(times)
 
     # ------------------------------------------------------------------ #

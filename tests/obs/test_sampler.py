@@ -60,24 +60,57 @@ class TestSampling:
         sim = Simulator()
         registry = MetricsRegistry()
         registry.gauge("g", callback=lambda: sim.now)
-        sampler = TelemetrySampler(sim, registry, period_s=1.0, capacity=3)
+        registry.counter("c")
+        sampler = TelemetrySampler(sim, registry, period_s=1.0, capacity=4)
+        spilled = []
+        sampler.set_spill(
+            lambda name, labels, times, values: spilled.extend((name, t) for t in times)
+        )
         sampler.start()
-        sim.run(until=10.0)
+        while sim.peek() is not None and sim.peek() <= 10.0:
+            sim.step()
+            # The running count is the sum of ring lengths, tick by tick.
+            assert sampler.resident_samples() == sum(
+                len(s) for s in sampler.series().values()
+            )
         series = sampler.get("g")
-        assert len(series) == 3
-        assert series.dropped_count > 0
+        assert len(series) == 4
+        assert series.dropped_count == 7
         assert series.samples()[-1] == (10.0, 10.0)
+        assert sampler.resident_samples() == 8
+        # Every evicted sample reached the hook: oldest first, and within a
+        # tick in sampling order (gauges, then counters).
+        assert spilled == [(name, float(t)) for t in range(7) for name in ("g", "c")]
 
     def test_instruments_registered_mid_run_join_sampling(self):
         sim = Simulator()
         registry = MetricsRegistry()
-        sampler = TelemetrySampler(sim, registry, period_s=10.0)
-        sampler.start()
-        sim.schedule_at(
-            15.0, lambda: registry.gauge("late", callback=lambda: 1.0), name="register"
+        registry.gauge("m", callback=lambda: 0.0)
+        sampler = TelemetrySampler(sim, registry, period_s=10.0, capacity=2)
+        spilled = []
+        sampler.set_spill(
+            lambda name, labels, times, values: spilled.extend((name, t) for t in times)
         )
+        sampler.start()
+
+        def register():
+            registry.gauge("late", callback=lambda: 1.0)
+            registry.gauge("a.first", callback=lambda: 2.0)  # sorts before "m"
+
+        sim.schedule_at(15.0, register, name="register")
         sim.run(until=30.0)
-        assert [t for t, _ in sampler.get("late").samples()] == [20.0, 30.0]
+        for name in ("late", "a.first"):
+            assert [t for t, _ in sampler.get(name).samples()] == [20.0, 30.0]
+        assert spilled == [("m", 0.0), ("m", 10.0)]
+        # Once the newcomers overflow too, each tick spills in sorted
+        # sampling order: the late "a.first" ahead of the original "m".
+        del spilled[:]
+        sim.run(until=50.0)
+        assert spilled == [
+            ("a.first", 20.0), ("late", 20.0), ("m", 20.0),
+            ("a.first", 30.0), ("late", 30.0), ("m", 30.0),
+        ]
+        assert sampler.resident_samples() == 6
 
 
 class TestLifecycle:

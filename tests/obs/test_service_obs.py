@@ -181,3 +181,140 @@ class TestBlockedRequests:
         assert service.obs.counter("service.requests_blocked").value == 1.0
         assert len(service.spans) == 1
         assert service.spans[0].status == "failed"
+
+
+class TestEveryEnding:
+    """One seeded run that ends sessions every way the service can.
+
+    With ``requeue_attempts=0`` a strict-QoS rejection blocks at once
+    (at submit, or at admit time for a delayed request); with a budget
+    it re-queues until the budget is exhausted.  Both share the other
+    endings: completed, failed mid-stream, shed.
+    """
+
+    @staticmethod
+    def build(topology, requeue_attempts, observability=True, tracer=None):
+        sim = Simulator(start_time=8 * 3600.0)
+        service = VoDService(
+            sim,
+            topology,
+            ServiceConfig(
+                cluster_mb=100.0,
+                use_reported_stats=False,
+                observability=observability,
+                telemetry_period_s=30.0,
+                strict_qos_admission=True,
+                requeue_attempts=requeue_attempts,
+                requeue_delay_s=45.0,
+                # One admission per 60 s tick, one waiter: the second
+                # request of a tick is delayed, the third is shed.
+                admission_queue_capacity=1,
+                admission_rate_per_s=0.01,
+                admission_tick_s=60.0,
+            ),
+            tracer=tracer,
+        )
+        service.seed_title("U4", VideoTitle("m", size_mb=200.0, duration_s=1200.0))
+        service.seed_title("U5", VideoTitle("solo", size_mb=200.0, duration_s=1200.0))
+        # A bitrate no GRNET link can sustain.
+        service.seed_title("U4", VideoTitle("huge", size_mb=2000.0, duration_s=60.0))
+        return service
+
+    @staticmethod
+    def drive(service, check=lambda: None):
+        """Submit the six requests; ``check`` runs after every event."""
+        sim = service.sim
+
+        def run_for(seconds):
+            end = sim.now + seconds
+            while sim.peek() is not None and sim.peek() <= end:
+                sim.step()
+                check()
+            sim.run(until=end)
+
+        def submit(home, title, client):
+            request, _, _ = service.request_by_home(home, title, client)
+            check()
+            return request
+
+        service.start()
+        check()
+        requests = {
+            "completed": submit("U2", "m", "a"),
+            "midstream": submit("U6", "solo", "b"),  # delayed one tick
+            "shed": submit("U1", "m", "c"),
+        }
+        run_for(200.0)
+        assert requests["midstream"].status.value == "streaming"
+        service.servers["U5"].online = False  # the last holder of "solo"
+        check()
+        run_for(100.0)
+        requests["blocked"] = submit("U2", "huge", "d")
+        run_for(200.0)
+        submit("U6", "m", "e")  # takes the tick's one immediate slot
+        requests["delayed_blocked"] = submit("U2", "huge", "f")
+        run_for(3600.0)
+        return requests
+
+    @staticmethod
+    def assert_endings(service, requests, requeue_attempts):
+        assert requests["completed"].status.value == "completed"
+        assert all(r.finished for r in requests.values())
+        assert "polled out" in requests["midstream"].failure_reason
+        assert requests["shed"].failure_reason.startswith("admission-shed")
+        for name in ("blocked", "delayed_blocked"):
+            assert requests[name].failure_reason.startswith("qos-blocked")
+        waits = {r.request.client_id: r.admission_wait_s for r in service.sessions}
+        assert waits["b"] > 0.0 and waits["f"] > 0.0 and waits["d"] == 0.0
+        if service.obs.enabled:
+            counter = service.obs.counter
+            assert counter("service.sessions_completed").value == 2.0
+            assert counter("service.sessions_failed").value == 1.0
+            assert counter("service.requests_blocked").value == 2.0
+            assert counter("admission.shed").value == 1.0
+            # Both blocked requests spent the whole budget first.
+            assert counter("resilience.requeues").value == 2.0 * requeue_attempts
+
+    @pytest.mark.parametrize("requeue_attempts", [0, 2])
+    def test_sessions_active_is_counted_and_equals_the_scan(
+        self, grnet_8am, requeue_attempts
+    ):
+        service = self.build(grnet_8am, requeue_attempts)
+        gauge = service.obs.gauge("service.sessions_active")
+        peak = [0.0]
+
+        def check():
+            scanned = sum(1 for r in service.sessions if not r.request.finished)
+            assert gauge.value == scanned
+            peak[0] = max(peak[0], gauge.value)
+
+        requests = self.drive(service, check)
+        self.assert_endings(service, requests, requeue_attempts)
+        assert peak[0] >= 2.0 and gauge.value == 0.0
+
+        class Unscannable(list):
+            def __iter__(self):
+                raise AssertionError("telemetry iterated service.sessions")
+
+        service.sessions = Unscannable(service.sessions)
+        service.telemetry.sample()
+        assert service.telemetry.get("service.sessions_active").last()[1] == 0.0
+
+    @pytest.mark.parametrize("observability", [True, False])
+    @pytest.mark.parametrize("requeue_attempts", [0, 2])
+    def test_disabled_tracer_is_never_handed_a_record(
+        self, grnet_8am, requeue_attempts, observability
+    ):
+        class Untouchable(Tracer):
+            def __init__(self):
+                super().__init__(enabled=False)
+
+            def record(self, time, category, message, **data):
+                raise AssertionError(f"formatted {category!r} for a disabled tracer")
+
+        service = self.build(
+            grnet_8am, requeue_attempts, observability, tracer=Untouchable()
+        )
+        requests = self.drive(service)
+        self.assert_endings(service, requests, requeue_attempts)
+        assert all(not span.open for span in service.spans)

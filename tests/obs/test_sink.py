@@ -3,8 +3,13 @@
 import csv
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.obs.export import CSV_FIELDS
@@ -111,3 +116,60 @@ class TestCsv:
         assert isinstance(open_sink(tmp_path / "a.csv", "csv"), CsvTelemetrySink)
         with pytest.raises(ReproError):
             open_sink(tmp_path / "a.xml", "xml")
+
+
+#: Floats whose ``repr`` and JSON spellings are the likeliest to part ways.
+AWKWARD_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    1e22, 1e16, 0.1 + 0.2, 3.0, -7.0, 28_800.0,
+]
+floats = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats())
+#: Quotes, backslashes, control characters and non-ASCII all included.
+texts = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "Θεσσαλονίκη", "\n\t"]),
+    st.text(max_size=8),
+)
+series = st.tuples(
+    texts,
+    st.dictionaries(texts, texts, max_size=3),
+    st.lists(st.tuples(floats, floats), max_size=7),
+)
+
+
+class TestWriteSamples:
+    @given(
+        st.lists(series, min_size=1, max_size=4),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from(["jsonl", "csv"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_artifact_as_one_write_per_sample(self, batches, max_rows, fmt):
+        """``write_samples`` is ``write`` per sample: bytes, counters,
+        parts and per-part manifests, across rotation."""
+
+        def artifact(directory, batched):
+            sink = open_sink(Path(directory) / f"run.{fmt}", fmt, max_rows_per_file=max_rows)
+            sink.write_manifest(MANIFEST)
+            for name, labels, samples in batches:
+                times = [t for t, _ in samples]
+                values = [v for _, v in samples]
+                if batched:
+                    sink.write_samples(name, labels, times, values)
+                else:
+                    for t, v in samples:
+                        sink.write(
+                            {"kind": "sample", "name": name, "labels": labels,
+                             "time": t, "value": v}
+                        )
+            sink.write_footer({"rows_written": sink.written})
+            sink.close()
+            return (
+                [part.name for part in sink.part_paths],
+                [part.read_bytes() for part in sink.part_paths],
+                sink.written,
+                sink.skipped,
+                sink.by_kind,
+            )
+
+        with tempfile.TemporaryDirectory() as one, tempfile.TemporaryDirectory() as two:
+            assert artifact(one, batched=True) == artifact(two, batched=False)

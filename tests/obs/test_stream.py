@@ -7,6 +7,7 @@ import repro
 from repro.core.service import ServiceConfig, VoDService
 from repro.obs.export import telemetry_rows
 from repro.obs.sink import JsonlTelemetrySink
+from repro.obs.spans import SessionSpan
 from repro.obs.stream import (
     MANIFEST_SCHEMA,
     StreamingTelemetry,
@@ -109,6 +110,27 @@ class TestStreaming:
         streamer.finish()
         span_rows = [r for r in read_jsonl(path) if r["kind"] == "span"]
         assert len(span_rows) == 1
+
+    def test_a_closed_span_is_removed_by_identity_not_by_value(self, grnet_8am, tmp_path):
+        service = build_service(grnet_8am)
+        path = tmp_path / "run.jsonl"
+        streamer = StreamingTelemetry(service, JsonlTelemetrySink(path))
+        streamer.start()
+        now = service.sim.now
+        ids = dict(request_id=7, client_id="c", title_id="m", home_uid="U2")
+        first = SessionSpan(started_at=now, **ids)
+        second = SessionSpan(started_at=now, **ids)
+        service.spans.extend([first, second])
+        # Finished directly, not through the service: still on the list.
+        first.finish(now, "failed")
+        service._close_span(second, "failed")
+        assert first.to_dict() == second.to_dict()  # equal field for field
+        # The span that closed is the one that left; its twin stays.
+        assert streamer.spans_flushed == 1
+        assert len(service.spans) == 1 and service.spans[0] is first
+        streamer.finish()
+        span_rows = [r for r in read_jsonl(path) if r["kind"] == "span"]
+        assert [r["request_id"] for r in span_rows] == [7, 7]
 
 
 class TestBuffered:

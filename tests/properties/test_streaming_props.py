@@ -13,8 +13,10 @@ values, so two separate runs — however identically seeded — would never
 be row-identical.  Rings get ample capacity (no overflow) because the
 buffered path can only see what a ring still holds, while streaming
 spills evictions; equality over lossy rings is exactly the asymmetry the
-pipeline exists to create.  Phase profiling stays off: its rows are
-wall-clock by design.
+pipeline exists to create.  The spill path has its own property instead:
+the same arrivals streamed over tiny rings and over ample ones must leave
+the same ``sample`` and ``counter`` lines.  Phase profiling stays off: its
+rows are wall-clock by design.
 """
 
 import io
@@ -40,7 +42,7 @@ LINKS = tuple(link.name for link in build_grnet_topology().links())
 DRAIN_S = 4 * 3600.0
 
 
-def build_service():
+def build_service(telemetry_capacity=4096):
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     config = ServiceConfig(
@@ -49,7 +51,7 @@ def build_service():
         use_reported_stats=False,
         observability=True,
         telemetry_period_s=120.0,
-        telemetry_capacity=4096,
+        telemetry_capacity=telemetry_capacity,
     )
     service = VoDService(Simulator(start_time=8 * 3600.0), topology, config)
     service.seed_title("U4", VideoTitle("m1", size_mb=300.0, duration_s=1_800.0))
@@ -98,9 +100,9 @@ requests = st.lists(
 )
 
 
-@given(requests)
-@settings(max_examples=15, deadline=None)
-def test_streamed_rows_match_buffered_export_for_simulate_runs(arrivals):
+def replay(arrivals):
+    """The run function submitting ``arrivals`` and draining the service."""
+
     def run(service):
         now = service.sim.now
         for index, (gap_s, home, title) in enumerate(arrivals):
@@ -111,11 +113,43 @@ def test_streamed_rows_match_buffered_export_for_simulate_runs(arrivals):
             )
         service.sim.run(until=now + DRAIN_S)
 
-    streamed, buffered, streamer = streamed_and_buffered(build_service(), run)
+    return run
+
+
+@given(requests)
+@settings(max_examples=15, deadline=None)
+def test_streamed_rows_match_buffered_export_for_simulate_runs(arrivals):
+    streamed, buffered, streamer = streamed_and_buffered(
+        build_service(), replay(arrivals)
+    )
     assert streamed == buffered
     # Every finished span left through the live hook, not the final drain.
     finished = sum(1 for row in map(json.loads, streamed) if row["kind"] == "span")
     assert streamer.spans_flushed <= finished
+
+
+@given(requests)
+@settings(max_examples=10, deadline=None)
+def test_spilled_samples_stream_the_same_lines_as_ample_rings(arrivals):
+    def stream(telemetry_capacity):
+        service = build_service(telemetry_capacity)
+        out = io.StringIO()
+        streamer = StreamingTelemetry(service, JsonlTelemetrySink(out))
+        streamer.start()
+        service.start()
+        replay(arrivals)(service)
+        streamer.finish()
+        lines = Counter(
+            line
+            for line in out.getvalue().splitlines()
+            if json.loads(line)["kind"] in ("sample", "counter")
+        )
+        return lines, streamer.samples_spilled
+
+    spilling, spilled = stream(4)
+    ample, unspilled = stream(4096)
+    assert spilled > 0 and unspilled == 0
+    assert spilling == ample
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
