@@ -991,32 +991,39 @@ class VoDService:
         self._decision_memo_on = False
 
     def decide(self, home_uid: str, title_id: str) -> VraDecision:
-        """One VRA decision for a request at ``home_uid`` (no streaming)."""
-        t_phase = self._t_decide.start()
-        try:
-            memo_on = self._decision_memo_on
-            if memo_on:
-                # While the freshness token is unchanged, every input of
-                # this pair's previous decision (holder list, poll answers,
-                # LVN weights, topology) is provably unchanged, so the
-                # stored decision is returned without re-entering the VRA —
-                # one tuple compare and one dict probe per request.
-                token = self._freshness()
-                if token != self._replay_token:
-                    self._decision_replay.clear()
-                    self._replay_token = token
-                decision = self._decision_replay.get((home_uid, title_id))
-                if decision is not None:
-                    self._decision_hits += 1
+        """One VRA decision for a request at ``home_uid`` (no streaming).
+
+        While the freshness token is unchanged, every input of this pair's
+        previous decision (holder list, poll answers, LVN weights,
+        topology) is provably unchanged, so the stored decision is
+        returned without re-entering the VRA — one tuple compare and one
+        dict probe.  A replay feeds ``repro.obs`` only with observability
+        on: a disabled registry hands out no-ops (DESIGN.md §5b.14).
+        """
+        memo_on = self._decision_memo_on
+        if memo_on:
+            token = self._freshness()
+            if token != self._replay_token:
+                self._decision_replay.clear()
+                self._replay_token = token
+            decision = self._decision_replay.get((home_uid, title_id))
+            if decision is not None:
+                self._decision_hits += 1
+                if self._obs_enabled:
+                    t_phase = self._t_decide.start()
                     self._m_decision_hits.inc()
                     self._vra.count_replayed(decision)
-                    if self._obs_enabled:
-                        self._m_decision_latency.observe(0.0)
-                    if self.tracer.enabled:
-                        self._trace_decision(home_uid, title_id, decision)
-                    return decision
-                self._decision_misses += 1
-                self._m_decision_misses.inc()
+                    self._m_decision_latency.observe(0.0)
+                    self._t_decide.stop(t_phase)
+                else:
+                    self._vra.decision_count += 1
+                if self.tracer.enabled:
+                    self._trace_decision(home_uid, title_id, decision)
+                return decision
+            self._decision_misses += 1
+            self._m_decision_misses.inc()
+        t_phase = self._t_decide.start()
+        try:
             # Full holders only: a server advertising a prefix fraction
             # cannot source a whole remote stream, so the VRA prefers
             # full holders by construction.
@@ -1049,7 +1056,6 @@ class VoDService:
             if self.tracer.enabled:
                 self._trace_decision(home_uid, title_id, decision)
             return decision
-
         finally:
             self._t_decide.stop(t_phase)
 
@@ -1151,14 +1157,15 @@ class VoDService:
         except RoutingError as exc:
             outcome, reason = NO_AVAILABLE_HOLDER, str(exc)
         self._m_degraded.inc()
-        self.tracer.record(
-            self.sim.now,
-            "vra.degraded",
-            f"{title_id} at {home_uid}: {outcome}",
-            home_uid=home_uid,
-            title_id=title_id,
-            outcome=outcome,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "vra.degraded",
+                f"{title_id} at {home_uid}: {outcome}",
+                home_uid=home_uid,
+                title_id=title_id,
+                outcome=outcome,
+            )
         return DecideOutcome(outcome, reason=reason)
 
     # ------------------------------------------------------------------ #
@@ -1169,10 +1176,11 @@ class VoDService:
 
         The token changes whenever a decision could differ from the
         previous one: on the paper-faithful path (``use_reported_stats``)
-        that is a limited-access database write (SNMP collector rounds,
-        admin updates) or a structural change (link online/offline,
-        runtime expansion); on the ground-truth path it additionally
-        tracks every link-usage mutation.  Equal tokens guarantee
+        that is a limited-access database write (one bump per SNMP round
+        or admin update — read "moved / did not move", nothing else) or a
+        structural change (link online/offline, runtime expansion); on
+        the ground-truth path it additionally tracks every link-usage
+        mutation.  Equal tokens guarantee
         bit-identical LVN tables and Dijkstra trees, which is what lets
         the routing cache reuse them safely.
         """

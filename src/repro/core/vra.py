@@ -219,7 +219,8 @@ class VirtualRoutingAlgorithm:
         The service hands back a previously returned decision without
         re-entering :meth:`decide`; this counts exactly what the
         :meth:`decide` call that produced it counted, so every ``vra.*``
-        instrument reads the same with the memo on or off.
+        instrument reads the same with the memo on or off (observability
+        off: all no-ops, so the service bumps ``decision_count`` itself).
         """
         self.decision_count += 1
         self._m_decisions.inc()

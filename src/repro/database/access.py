@@ -10,7 +10,7 @@ full-access handle raise :class:`~repro.errors.AccessDeniedError`.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, List, Set
+from typing import TYPE_CHECKING, List, Mapping, Set
 
 from repro.errors import AccessDeniedError
 
@@ -92,6 +92,11 @@ class DatabaseHandle:
         """Write an SNMP sample into a link entry (the SNMP module's job)."""
         self._require_admin("update_link_stats")
         self._database.update_link_stats(link_name, stats)
+
+    def update_link_stats_round(self, samples: Mapping[str, "LinkStats"]) -> None:
+        """Write one whole SNMP collection round (one epoch bump)."""
+        self._require_admin("update_link_stats_round")
+        self._database.update_link_stats_round(samples)
 
     def update_server_config(self, server_uid: str, **attributes: object) -> None:
         """Change configuration attributes of a server entry."""

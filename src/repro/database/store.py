@@ -10,7 +10,7 @@ have the requested video title" step reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.database.access import AccessLevel, DatabaseHandle
 from repro.database.records import LinkEntry, LinkStats, ServerEntry, TitleInfo
@@ -34,8 +34,8 @@ class ServiceDatabase:
 
     @property
     def link_stats_version(self) -> int:
-        """Monotonic counter bumped on every link-entry write (SNMP
-        collector rounds, admin updates, runtime link registration).
+        """Monotonic counter bumped on every link-entry write (once per
+        SNMP collection round, admin update or runtime link registration).
 
         The paper-faithful VRA reads link usage from this database, so any
         epoch that embeds this counter is guaranteed to change whenever the
@@ -242,7 +242,7 @@ class ServiceDatabase:
     # limited-access mutations
     # ------------------------------------------------------------------ #
     def update_link_stats(self, link_name: str, stats: LinkStats) -> None:
-        """Record the latest SNMP sample for a link.
+        """Record the latest SNMP sample for one link (the admin write).
 
         Every write bumps :attr:`link_stats_version` (the routing-epoch
         contract), whether or not the value moved: the token says when
@@ -250,6 +250,18 @@ class ServiceDatabase:
         """
         self.link_entry(link_name).latest_stats = stats
         self._link_stats_version += 1
+
+    def update_link_stats_round(self, samples: Mapping[str, LinkStats]) -> None:
+        """Record one SNMP collection round: every sample is stored and
+        :attr:`link_stats_version` bumps **once** — a round is one flush
+        (DESIGN.md §5b.14).  An empty round (a baseline poll) bumps
+        nothing; an unknown link raises before anything is stored.
+        """
+        entries = [self.link_entry(link_name) for link_name in samples]
+        for entry, stats in zip(entries, samples.values()):
+            entry.latest_stats = stats
+        if entries:
+            self._link_stats_version += 1
 
     def touch_links(self, link_names: Iterable[str]) -> None:
         """Mark links whose *routing-visible* weight changed without a

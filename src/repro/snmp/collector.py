@@ -6,9 +6,10 @@ statistics module on every server is responsible for inserting the line
 utilization of all the adjacent to the node links used by the VoD network."
 
 :class:`StatisticsService` instantiates one module per node and drives them
-all from one periodic task.  Because every link has two endpoints, each link
-entry is written twice per period — exactly the benign redundancy the
-paper's design implies (last write wins).
+all from one periodic task.  The two endpoint modules of a link always
+compute the same sample, so a round asks one *reporter* per link — the
+earlier-created of the two — and writes the whole round to the database at
+once: one store per link, one epoch bump per round (DESIGN.md §5b.14).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.obs.phase import NO_PHASE_TIMER
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTask
-from repro.snmp.agent import SnmpAgent
+from repro.snmp.agent import LinkSubset, SnmpAgent
 from repro.snmp.counters import counter_delta, delta_to_mbps
 
 #: The paper suggests 1-2 minutes; 90 s is the midpoint default.
@@ -44,10 +45,13 @@ class NodeStatisticsModule:
         self.node_uid = node_uid
         self._db = admin_db
         self._agent = SnmpAgent(topology, node_uid, start_time=start_time)
-        self._previous: Optional[Tuple[float, Dict[str, Tuple[int, int]]]] = None
+        #: Time of the previous poll (None before the baseline poll) and,
+        #: per link, ``(poll time, in octets, out octets)`` of its own.
+        self._polled_at: Optional[float] = None
+        self._previous: Dict[str, Tuple[float, int, int]] = {}
         self.samples_written = 0
-        #: Writes whose ``used_mbps`` differed from the entry's previous
-        #: value — the only writes that can move an LVN weight.
+        #: Samples whose ``used_mbps`` differed from the entry's previous
+        #: value — the only ones that can move an LVN weight.
         self.changed_samples = 0
 
     @property
@@ -55,44 +59,52 @@ class NodeStatisticsModule:
         """The underlying SNMP agent (exposed for tests)."""
         return self._agent
 
-    def collect(self, now: float) -> Dict[str, LinkStats]:
-        """Poll the agent and write per-link utilisation into the database.
+    def sample(self, now: float, links: LinkSubset = None) -> Dict[str, LinkStats]:
+        """Poll the agent and turn the counter deltas into (unwritten) samples.
 
-        The first poll only establishes the counter baseline; rates are
+        The first poll only establishes the counter baseline (of every
+        adjacent link, so a later whole :meth:`collect` has one); rates are
         produced from the second poll onward, like any real SNMP poller.
 
         Returns:
-            The stats written this round, keyed by link name (empty on the
-            baseline poll).
+            The samples, keyed by link name (empty on the baseline poll).
         """
-        counters = self._agent.poll(now)
-        written: Dict[str, LinkStats] = {}
-        if self._previous is not None:
-            prev_time, prev_counters = self._previous
-            interval = now - prev_time
-            if interval <= 0.0:
-                raise SnmpError(
-                    f"statistics module at {self.node_uid!r}: non-positive "
-                    f"poll interval {interval}"
-                )
+        polled_at = self._polled_at
+        if polled_at is not None and now <= polled_at:
+            raise SnmpError(
+                f"statistics module at {self.node_uid!r}: non-positive "
+                f"poll interval {now - polled_at}"
+            )
+        counters = self._agent.poll(now, None if polled_at is None else links)
+        samples: Dict[str, LinkStats] = {}
+        if polled_at is not None:
             for link_name, (in_now, out_now) in counters.items():
                 # A link first seen this round (runtime expansion) has no
                 # baseline yet; treat the current reading as its baseline.
-                in_prev, out_prev = prev_counters.get(link_name, (in_now, out_now))
+                prev_time, in_prev, out_prev = self._previous.get(
+                    link_name, (polled_at, in_now, out_now)
+                )
                 octets = counter_delta(in_prev, in_now) + counter_delta(out_prev, out_now)
-                used_mbps = delta_to_mbps(octets, interval)
+                used_mbps = delta_to_mbps(octets, now - prev_time)
                 entry = self._db.link_entry(link_name)
-                stats = LinkStats(
+                if used_mbps != entry.used_mbps:
+                    self.changed_samples += 1
+                samples[link_name] = LinkStats(
                     used_mbps=used_mbps,
                     utilization=min(used_mbps / entry.total_bandwidth_mbps, 1.0),
                     timestamp=now,
                 )
-                if used_mbps != entry.used_mbps:
-                    self.changed_samples += 1
-                self._db.update_link_stats(link_name, stats)
-                written[link_name] = stats
-                self.samples_written += 1
-        self._previous = (now, counters)
+            self.samples_written += len(samples)
+        self._polled_at = now
+        for link_name, (in_now, out_now) in counters.items():
+            self._previous[link_name] = (now, in_now, out_now)
+        return samples
+
+    def collect(self, now: float) -> Dict[str, LinkStats]:
+        """Sample every adjacent link, write the samples into the database
+        and return them keyed by link name (none on the baseline poll)."""
+        written = self.sample(now)
+        self._db.update_link_stats_round(written)
         return written
 
 
@@ -158,7 +170,10 @@ class StatisticsService:
         )
 
     def add_node(self, node_uid: str) -> NodeStatisticsModule:
-        """Start a statistics module for a node added at runtime."""
+        """Start a statistics module for a node added at runtime (one per
+        node: asking for a second raises :class:`SnmpError`)."""
+        if any(module.node_uid == node_uid for module in self._modules):
+            raise SnmpError(f"node {node_uid!r} already has a statistics module")
         module = NodeStatisticsModule(
             self._topology, node_uid, self._db, start_time=self._sim.now
         )
@@ -217,10 +232,17 @@ class StatisticsService:
         try:
             now = self._sim.now
             self._m_rounds.inc()
+            # One reporter per link: the earlier-created endpoint module —
+            # on a new link's first round the only one past its baseline.
+            samples: Dict[str, LinkStats] = {}
             for module in self._modules:
+                adjacent = self._topology.links_at(module.node_uid)
+                links = [link for link in adjacent if link.name not in samples]
                 changed_before = module.changed_samples
-                self._m_samples.inc(len(module.collect(now)))
+                samples.update(module.sample(now, links))
                 self._m_changed.inc(module.changed_samples - changed_before)
+            self._m_samples.inc(len(samples))
+            self._db.update_link_stats_round(samples)
         finally:
             self.phase_timer.stop(t_phase)
         if self.on_round is not None:

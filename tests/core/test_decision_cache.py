@@ -196,3 +196,162 @@ class TestServiceWiring:
             assert records[shed].completed_at is None
         assert service.admission_queue.stats.shed == 2
         assert service.admission_queue.stats.released == 2
+
+
+class TestStalenessFlipMovesTheToken:
+    """A stale-set flip writes nothing to the database, so only the
+    ``touch_links`` call in ``_on_staleness_change`` tells the memo."""
+
+    @staticmethod
+    def scenario():
+        """Decide, age the stats out under a collector blackout, decide,
+        lift the blackout, decide: ``(decision, memo misses)`` each time."""
+        topology = build_grnet_topology()
+        apply_traffic_sample(topology, "8am")
+        service = VoDService(
+            Simulator(),
+            topology,
+            ServiceConfig(
+                decision_cache_size=256, snmp_period_s=60.0, max_stats_age_s=150.0
+            ),
+        )
+        service.seed_title("U4", MOVIE)
+        service.seed_title("U5", MOVIE)
+        service.start()
+        sim = service.sim
+        sim.run(until=121.0)  # two rounds: fresh, non-zero reported stats
+        observed = []
+
+        def decide_twice():
+            service.decide("U2", "movie")
+            observed.append((service.decide("U2", "movie"), service._decision_misses))
+
+        decide_twice()
+        service.statistics.blackout()
+        sim.run(until=400.0)  # no round writes; the guard's check ages links out
+        assert service.staleness_guard.degraded
+        decide_twice()
+        service.statistics.restore()
+        sim.run(until=481.0)
+        assert not service.staleness_guard.degraded
+        decide_twice()
+        return service, observed
+
+    @staticmethod
+    def check(service, observed):
+        from repro.core.lvn import weight_table
+
+        (fresh, m1), (stale, m2), (healed, m3) = observed
+        assert (m1, m2, m3) == (1, 2, 3)  # one fresh VRA run per state
+        assert [d.degraded for d in (fresh, stale, healed)] == [False, True, False]
+        # The stale answer searched under inflated weights, not a replay
+        # of the fresh table ...
+        assert stale.weights != fresh.weights
+        assert all(stale.weights[name] >= fresh.weights[name] for name in fresh.weights)
+        # ... and the healed one under what the guard reads now.
+        assert healed.weights == weight_table(
+            service.topology, service._guarded_used, service.config.normalization_constant
+        )
+
+    def test_stale_flip_and_heal_each_force_a_fresh_decision(self):
+        self.check(*self.scenario())
+
+    def test_the_check_kills_the_touch_links_mutation(self, monkeypatch):
+        from repro.database.store import ServiceDatabase
+
+        monkeypatch.setattr(ServiceDatabase, "touch_links", lambda self, names: None)
+        service, observed = self.scenario()
+        with pytest.raises(AssertionError):
+            self.check(service, observed)
+
+
+class TestReplayPaysForTheTokenOnce:
+    """Reader rule of DESIGN.md §5b.14: with observability off a replay
+    calls nothing in ``repro.obs``; with it on every instrument reads as
+    if the VRA had run."""
+
+    def test_replays_touch_no_instrument_when_observability_is_off(self, monkeypatch):
+        from repro.obs.phase import _NullPhaseTimer
+        from repro.obs.registry import _NullCounter, _NullHistogram
+
+        service = build_service(decision_cache_size=256)
+        assert not service.obs.enabled
+
+        def forbid(patch):
+            def boom(*args, **kwargs):
+                raise AssertionError("a replay reached repro.obs")
+
+            patch.setattr(_NullCounter, "inc", boom)
+            patch.setattr(_NullHistogram, "observe", boom)
+            patch.setattr(_NullPhaseTimer, "start", boom)
+            patch.setattr(_NullPhaseTimer, "stop", boom)
+
+        first = service.decide("U2", "movie")  # miss: may call the no-ops
+        with monkeypatch.context() as patch:
+            forbid(patch)
+            for _ in range(5):
+                assert service.decide("U2", "movie") is first
+        report_traffic(service)  # the token moves
+        second = service.decide("U2", "movie")  # miss again
+        assert second is not first
+        with monkeypatch.context() as patch:
+            forbid(patch)
+            for _ in range(3):
+                assert service.decide("U2", "movie") is second
+        stats = service.snapshot()["decision_cache"]
+        assert (stats["hits"], stats["misses"]) == (8, 2)
+        assert service.vra.decision_count == 10
+
+    def test_instruments_read_the_same_with_the_memo_on_or_off(self):
+        def run(decision_cache_size):
+            service = build_service(
+                decision_cache_size=decision_cache_size,
+                observability=True,
+                phase_profiling=True,
+            )
+            for round_ in range(3):
+                for home in ("U1", "U2", "U3", "U4"):  # U4 serves locally
+                    for _ in range(3):
+                        service.decide(home, "movie")
+                report_traffic(service, ("8am", "4pm", "8am")[round_])
+            return service
+
+        plain, memoed = run(0), run(256)
+        obs = memoed.obs
+        decisions = obs.counter("vra.decisions").value
+        assert decisions == memoed.vra.decision_count == 36
+        assert obs.counter("decision.hits").value == 24
+        assert obs.counter("decision.hits").value + obs.counter("decision.misses").value == decisions
+        assert obs.histogram("obs.phase.vra_decide_ms").count == decisions
+        assert obs.histogram("vra.decision_latency_ms").count == decisions
+        for name in ("vra.decisions", "vra.local_serves"):
+            assert obs.counter(name).value == plain.obs.counter(name).value
+        for name in ("vra.candidates", "vra.decision_latency_ms", "obs.phase.vra_decide_ms"):
+            assert obs.histogram(name).count == plain.obs.histogram(name).count
+        assert obs.histogram("vra.candidates").total == plain.obs.histogram("vra.candidates").total
+
+
+class TestTryDecideTrace:
+    def test_degraded_outcome_is_traced_only_when_the_tracer_is_on(self):
+        from repro.sim.trace import Tracer
+
+        def run(tracer):
+            service = VoDService(
+                Simulator(), build_grnet_topology(), ServiceConfig(), tracer=tracer
+            )
+            service.seed_title("U4", MOVIE)
+            service.start()
+            service.servers["U4"].online = False
+            return service.try_decide("U2", "movie")
+
+        tracer = Tracer()
+        outcome = run(tracer)
+        assert not outcome.ok
+        [record] = tracer.events("vra.degraded")
+        assert record.message == f"movie at U2: {outcome.outcome}"
+        assert record.data == {
+            "home_uid": "U2", "title_id": "movie", "outcome": outcome.outcome
+        }
+        silent = Tracer(enabled=False)
+        assert run(silent).outcome == outcome.outcome
+        assert silent.events() == []

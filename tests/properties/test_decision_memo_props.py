@@ -143,6 +143,23 @@ def service_fingerprint(service):
     return tuple(record_fingerprint(record) for record in service.sessions)
 
 
+#: Telemetry on, sampled rarely: the property reads instruments, not series.
+OBSERVED = {"observability": True, "telemetry_period_s": 3_600.0}
+
+
+def decision_instruments(service):
+    """Every ``vra.*`` instrument a decision feeds (wall-clock histograms
+    by count only): a replay must leave each reading what a VRA run would."""
+    obs = service.obs
+    return (
+        obs.counter("vra.decisions").value,
+        obs.counter("vra.local_serves").value,
+        obs.histogram("vra.candidates").count,
+        obs.histogram("vra.candidates").total,
+        obs.histogram("vra.decision_latency_ms").count,
+    )
+
+
 steps = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
@@ -227,14 +244,21 @@ QUIET = {
 @settings(max_examples=60, deadline=None)
 def test_decision_memo_invisible_in_session_records(interleaving, config):
     plain = run_interleaving(
-        build_service(decision_cache_size=0, **config), interleaving
+        build_service(decision_cache_size=0, **OBSERVED, **config), interleaving
     )
     memoed = run_interleaving(
-        build_service(decision_cache_size=256, **config), interleaving
+        build_service(decision_cache_size=256, **OBSERVED, **config), interleaving
     )
     assert service_fingerprint(memoed) == service_fingerprint(plain)
     assert memoed.probes == plain.probes
     assert memoed.vra.decision_count == plain.vra.decision_count
+    assert decision_instruments(memoed) == decision_instruments(plain)
+    obs = memoed.obs
+    assert (
+        obs.counter("decision.hits").value + obs.counter("decision.misses").value
+        == obs.counter("vra.decisions").value
+        == memoed.vra.decision_count
+    )
 
 
 @given(steps)

@@ -56,3 +56,21 @@ class TestSnmpAgent:
         first = agent.poll(10.0)
         second = agent.poll(10.0)
         assert first == second
+
+    def test_polling_a_subset_leaves_the_other_intervals_open(self, grnet):
+        """Each link keeps its own last-advance time: an interface that
+        was not asked for is neither integrated nor read, and catches up
+        over its whole open interval when it is next polled."""
+        athens, ioannina = (
+            grnet.link_named("Patra-Athens"), grnet.link_named("Patra-Ioannina")
+        )
+        athens.set_background_mbps(1.0)
+        ioannina.set_background_mbps(1.0)
+        agent = SnmpAgent(grnet, "U2")
+        agent.poll(0.0)
+        partial = agent.poll(60.0, [athens])
+        assert list(partial) == ["Patra-Athens"]
+        assert sum(partial["Patra-Athens"]) == pytest.approx(7_500_000, rel=1e-6)
+        whole = agent.poll(120.0)
+        assert sum(whole["Patra-Athens"]) == pytest.approx(15_000_000, rel=1e-6)
+        assert sum(whole["Patra-Ioannina"]) == pytest.approx(15_000_000, rel=1e-6)
