@@ -523,7 +523,6 @@ class VoDService:
                 sim,
                 self.servers,
                 self.database,
-                topology,
                 backoff_s=self.config.failover_backoff_s,
                 registry=self.obs,
             )
@@ -1359,8 +1358,6 @@ class VoDService:
         process = Process(
             self.sim, session.run(), name=f"session:{client_id}:{title_id}"
         )
-        if self.supervisor is not None:
-            self.supervisor.adopt(session, process)
         return request, session, process
 
     def _build_session(
@@ -1601,8 +1598,6 @@ class VoDService:
             self._requeue_body(request, video, home_server, dma_stored, span, session),
             name=f"requeued:{request.request_id}",
         )
-        if self.supervisor is not None:
-            self.supervisor.adopt(session, process)
         return request, session, process
 
     def _requeue_body(
@@ -1678,8 +1673,6 @@ class VoDService:
             return result
 
         process = Process(self.sim, delayed(), name=f"queued:{request.request_id}")
-        if self.supervisor is not None:
-            self.supervisor.adopt(session, process)
         return request, session, process
 
     def _shed_request(

@@ -11,23 +11,29 @@ process: before every cluster it re-runs the VRA, switches source servers
 when the decision changes, reserves bandwidth along the chosen path for the
 cluster transfer, and keeps playback-continuity bookkeeping (startup delay,
 stalls) so the QoS effect of switching is measurable.
+
+The generator wakes once per cluster segment, not once per rate-update
+step: it yields a :class:`_Transfer`, which steps itself on the engine
+(release, measure the path, reserve what it offers, sleep up to
+``rate_update_period_s``) and resumes the session only when the segment is
+delivered or a failover supervisor preempted it (DESIGN.md §5b.11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # runtime coupling stays duck-typed (tests pass fakes)
     from repro.resilience.supervisor import SessionSupervisor as FailoverControl
 
 from repro.client.requests import VideoRequest
 from repro.core.vra import VraDecision
-from repro.errors import LinkCapacityError, ReproError, RoutingError
+from repro.errors import LinkCapacityError, ReproError, RoutingError, SchedulingError
 from repro.network.flows import FlowManager
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay
+from repro.sim.process import Delay, Park, Process
 from repro.storage.striping import cluster_sizes
 from repro.storage.video import VideoTitle
 
@@ -46,6 +52,8 @@ MIN_TRANSFER_MBPS = 0.05
 DEFAULT_RATE_UPDATE_PERIOD_S = 60.0
 
 DecideFn = Callable[[], VraDecision]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,140 @@ class SessionRecord:
         return self.completed_at is not None
 
 
+class _Transfer(Park):
+    """One segment of a cluster in flight: a reservation that steps itself.
+
+    A session yields the transfer and sleeps.  :meth:`_tick` is the event
+    callback of every rate-update step: it credits the step that ended,
+    gives the reservation back, and either takes the rate the path offers
+    now and schedules the next tick, or — the segment delivered, or
+    preempted — resumes the session in the same event.  So a step costs no
+    generator wake-up, and the events are those the session would have
+    scheduled itself, one ``delay:<process>`` a step.
+
+    Attributes:
+        server_uid, title_id, links: What the failover supervisor indexes
+            the segment by (``links`` is empty for a home-server serve).
+        remaining: Undelivered MB.
+        min_rate: Slowest step rate so far, Mbps.
+        reason: Why the supervisor preempted the segment (None: it did not).
+    """
+
+    __slots__ = (
+        "server_uid", "title_id", "links", "remaining", "min_rate", "reason",
+        "_sim", "_flows", "_path", "_target_mbps", "_quantum", "_by_elapsed",
+        "_process", "_rate", "_step", "_started", "_flow",
+    )
+
+    def __init__(self, session: "StreamingSession", decision: VraDecision, size_mb: float):
+        path = decision.path
+        local = decision.served_locally or path.hop_count == 0
+        self.server_uid = decision.chosen_uid
+        self.title_id = session._video.title_id
+        self.links = () if local else session._flows.links_of(path.nodes)
+        self.remaining = size_mb
+        self.min_rate = _INF
+        self.reason: Optional[str] = None
+        self._sim = session._sim
+        self._flows = session._flows
+        self._path = path.nodes
+        # Local serves read from disk; remote ones target the playback rate.
+        self._target_mbps = (
+            session._local_read_mbps if local else session._video.bitrate_mbps
+        )
+        self._quantum = session._rate_quantum_s
+        # A preemptible step is credited by the clock; one nothing can cut
+        # by its scheduled length, as the loop without a supervisor did.
+        self._by_elapsed = session._failover is not None
+        self._process: Optional[Process] = None
+        # The step in flight (_step and _started are set with _rate).
+        self._rate: Optional[float] = None
+        self._flow = None
+
+    def _park(self, process: Process) -> None:
+        self._process = process
+        self._tick(True)
+
+    def preempt(self, reason: str) -> None:
+        """Abandon the segment now: the pending tick is cancelled and one
+        zero-delay ``poke:<process>`` tick settles the step it cut short and
+        wakes the session to re-decide.  The first reason wins."""
+        if self.reason is None:
+            self.reason = reason
+        process = self._process
+        if process is not None:
+            handle = process._pending_handle
+            if handle is not None and handle.cancel():
+                process._pending_handle = self._sim.schedule(
+                    0.0, self._tick, True, name=f"poke:{process.name}"
+                )
+
+    def settle(self, cut: bool) -> None:
+        """Credit the step in flight, if any, and release its reservation.
+        ``cut``: the step may have ended early (a poke, a preemption, the
+        generator closing), so only the elapsed time is credited."""
+        rate = self._rate
+        if rate is None:
+            return
+        self._rate = None
+        step = self._step
+        if cut or self._by_elapsed:
+            step = min(self._sim.now - self._started, step)
+        self.remaining -= rate * step / 8.0
+        if self._flow is not None:
+            self._flows.release(self._flow)
+            self._flow = None
+
+    def _tick(self, cut: bool = False) -> None:
+        self.settle(cut)
+        process = self._process
+        if self.remaining <= 1e-9 or self.reason is not None:
+            process._resume(None)
+            return
+        # Remote serves degrade to the bottleneck's spare capacity, never
+        # below MIN_TRANSFER_MBPS: with less than the floor to spare the
+        # session crawls at the floor rate without a reservation.
+        rate = self._target_mbps
+        links = self.links
+        if links:
+            bottleneck = _INF
+            for link in links:
+                free = link.free_mbps
+                if free < bottleneck:
+                    bottleneck = free
+            if rate > bottleneck:
+                rate = bottleneck
+            if rate < MIN_TRANSFER_MBPS:
+                rate = MIN_TRANSFER_MBPS
+            # FlowManager.reserve's own refusal test (nothing runs between
+            # the measurement and the reservation, so it is exact): asking
+            # anyway would build and discard a LinkCapacityError per step.
+            if rate > bottleneck + 1e-9:
+                rate = MIN_TRANSFER_MBPS
+            else:
+                try:
+                    self._flow = self._flows.reserve(self._path, rate)
+                except LinkCapacityError:
+                    # A path that crosses one link twice: the hops share
+                    # capacity the bottleneck counted once.
+                    rate = MIN_TRANSFER_MBPS
+        if rate < self.min_rate:
+            self.min_rate = rate
+        step = self.remaining * 8.0 / rate
+        if step > self._quantum:
+            step = self._quantum
+        self._rate = rate
+        self._step = step
+        sim = self._sim
+        self._started = sim.now
+        try:
+            process._pending_handle = sim.schedule(
+                step, self._tick, name=process._delay_name
+            )
+        except SchedulingError as exc:  # NaN or negative step
+            process._fail(exc)
+
+
 class StreamingSession:
     """Drives one video delivery, cluster by cluster.
 
@@ -222,11 +364,11 @@ class StreamingSession:
             succeeds, with the simulated time the boundary was blocked.
         failover: Optional mid-stream failover control (the service's
             :class:`~repro.resilience.supervisor.SessionSupervisor`).
-            When set, cluster delivery runs the preemptible segment path:
-            the supervisor indexes each segment via ``track``/``untrack``
-            and may :meth:`preempt` it, after which the session re-runs
-            its decision function and migrates the rest of the cluster.
-            None (the default) keeps the legacy transfer loop untouched.
+            When set, the supervisor indexes each segment's transfer via
+            ``track``/``untrack`` and may preempt it, after which the
+            session re-runs its decision function and migrates the rest
+            of the cluster.  None (the default): nothing can preempt a
+            segment, so every cluster is one segment.
         on_failover: Optional callback ``(stall_s)`` fired per completed
             mid-stream migration (the service's span/telemetry hook).
     """
@@ -271,27 +413,10 @@ class StreamingSession:
         self._on_recover = on_recover
         self._failover = failover
         self._on_failover = on_failover
-        self._preempt_reason: Optional[str] = None
         self.record = SessionRecord(request=request)
 
-    @property
-    def title_id(self) -> str:
-        """The title this session delivers (supervisor index key)."""
-        return self._video.title_id
-
-    def preempt(self, reason: str) -> None:
-        """Flag the in-flight transfer segment for mid-stream failover.
-
-        Called by the session supervisor when a fault hits the serving
-        server or a path link; the segment loop checks the flag on its
-        next wake-up (usually the supervisor's immediate ``poke``),
-        abandons the segment, and re-decides.  The first reason wins.
-        """
-        if self._preempt_reason is None:
-            self._preempt_reason = reason
-
     # ------------------------------------------------------------------ #
-    def run(self) -> Generator[Delay, None, SessionRecord]:
+    def run(self) -> Generator[Any, None, SessionRecord]:
         """Generator body to wrap in a :class:`repro.sim.process.Process`."""
         request = self.record.request
         request.mark_streaming()
@@ -313,13 +438,9 @@ class StreamingSession:
                 switched = previous_server is not None and server_uid != previous_server
                 if switched:
                     self.record.switch_count += 1
-                previous_server = server_uid
-                if self._failover is None:
-                    yield from self._transfer_cluster(index, size_mb, decision, switched)
-                else:
-                    previous_server = yield from self._deliver_cluster(
-                        index, size_mb, decision, switched, get_decision
-                    )
+                previous_server = yield from self._deliver_cluster(
+                    index, size_mb, decision, switched, get_decision
+                )
         except ReproError as exc:
             request.mark_failed(str(exc))
             self._finish()
@@ -384,95 +505,6 @@ class StreamingSession:
             return decision
 
     # ------------------------------------------------------------------ #
-    def _transfer_cluster(
-        self, index: int, size_mb: float, decision: VraDecision, switched: bool
-    ) -> Generator[Delay, None, None]:
-        server = self._servers.get(decision.chosen_uid)
-        lease = server.begin_serving(self._video.title_id) if server is not None else None
-        path_nodes = decision.path.nodes
-        local = decision.served_locally or decision.path.hop_count == 0
-        quantum = self._rate_quantum_s
-        start = self._sim.now
-        remaining = size_mb
-        min_rate = float("inf")
-        flow = None
-        try:
-            # Best-effort transfer: re-evaluate the achievable rate every
-            # quantum so background-traffic changes mid-cluster slow the
-            # transfer down (or let it recover to the playback rate).
-            while remaining > 1e-9:
-                rate, flow = self._acquire_rate(local, path_nodes)
-                if rate < min_rate:
-                    min_rate = rate
-                step = remaining * 8.0 / rate
-                if step > quantum:
-                    step = quantum
-                yield Delay(step)
-                remaining -= rate * step / 8.0
-                if flow is not None:
-                    self._flows.release(flow)
-                    flow = None
-        finally:
-            if flow is not None:
-                self._flows.release(flow)
-            if server is not None and lease is not None:
-                server.end_serving(lease)
-        end = self._sim.now
-        qos_violated = min_rate < self._video.bitrate_mbps - 1e-9
-        if qos_violated:
-            self.record.qos_violation_count += 1
-        average_rate = size_mb * 8.0 / (end - start) if end > start else min_rate
-        cluster_record = ClusterRecord(
-            index=index,
-            server_uid=decision.chosen_uid,
-            path_nodes=path_nodes,
-            rate_mbps=average_rate,
-            start=start,
-            end=end,
-            size_mb=size_mb,
-            switched=switched,
-            qos_violated=qos_violated,
-        )
-        self.record.clusters.append(cluster_record)
-        if self._on_cluster is not None:
-            self._on_cluster(cluster_record)
-
-    def _acquire_rate(self, local: bool, node_path: Tuple[str, ...]):
-        """Pick the current transfer rate and reserve it on the path.
-
-        Local serves read from disk; remote serves target the playback
-        bitrate and degrade to the bottleneck's spare capacity (never below
-        :data:`MIN_TRANSFER_MBPS`) when the path is congested.  On a path
-        with less than the floor to spare the session crawls at the floor
-        rate without a reservation, so progress continues.
-        """
-        if local:
-            return self._local_read_mbps, None
-        flows = self._flows
-        bottleneck = flows.bottleneck_mbps(node_path)
-        rate = self._video.bitrate_mbps
-        if rate > bottleneck:
-            rate = bottleneck
-        if rate < MIN_TRANSFER_MBPS:
-            rate = MIN_TRANSFER_MBPS
-        # Nothing runs between the measurement and the reservation (one
-        # thread, one event at a time), so a refusal is never a race: only
-        # the floor clamp can lift the rate above the spare capacity, and
-        # this is FlowManager.reserve's own refusal test.  Asking anyway
-        # would build, raise and discard a LinkCapacityError per step.
-        if rate > bottleneck + 1e-9:
-            return MIN_TRANSFER_MBPS, None
-        try:
-            flow = flows.reserve(node_path, rate)
-        except LinkCapacityError:
-            # A path that crosses one link twice: the hops share capacity
-            # the bottleneck counted once.
-            return MIN_TRANSFER_MBPS, None
-        return rate, flow
-
-    # ------------------------------------------------------------------ #
-    # failover delivery path (active only when a supervisor is installed)
-    # ------------------------------------------------------------------ #
     def _deliver_cluster(
         self,
         index: int,
@@ -480,107 +512,76 @@ class StreamingSession:
         decision: VraDecision,
         switched: bool,
         get_decision: DecideFn,
-    ) -> Generator[Delay, None, str]:
+    ) -> Generator[Any, None, str]:
         """Deliver one cluster as a chain of preemptible segments.
 
-        The fault-free case is exactly one segment (same events as the
-        legacy loop, plus track/untrack bookkeeping).  When a segment is
-        preempted mid-flight, the remainder of the cluster re-enters the
-        VRA and continues from a surviving holder; each segment leaves
-        its own partial :class:`ClusterRecord` (sizes sum to the cluster
-        size, so the playback-continuity math is unchanged).
+        The fault-free case is exactly one segment, and the generator
+        sleeps through it: the :class:`_Transfer` steps on the engine and
+        wakes it when the segment is over.  Only a session under a
+        failover supervisor can be preempted mid-flight; the remainder of
+        its cluster then re-enters the VRA and continues from a surviving
+        holder, and each segment leaves its own partial
+        :class:`ClusterRecord` (sizes sum to the cluster size, so the
+        playback-continuity math is unchanged).
 
         Returns:
             The uid of the server that delivered the final bytes, which
             becomes ``previous_server`` for boundary-switch detection.
         """
-        remaining = size_mb
-        current = decision
-        segment_switched = switched
+        control = self._failover
+        title_id = self._video.title_id
         while True:
-            remaining = yield from self._transfer_segment(
-                index, remaining, current, segment_switched
-            )
+            transfer = _Transfer(self, decision, size_mb)
+            server = self._servers.get(decision.chosen_uid)
+            lease = server.begin_serving(title_id) if server is not None else None
+            start = self._sim.now
+            if control is not None:
+                control.track(transfer)
+            try:
+                # One pass per wake-up; a poke that is not a preemption
+                # parks the transfer again, which settles the step it cut.
+                while transfer.remaining > 1e-9 and transfer.reason is None:
+                    yield transfer
+            finally:
+                if control is not None:
+                    control.untrack(transfer)
+                transfer.settle(True)
+                if lease is not None:
+                    server.end_serving(lease)
+            end = self._sim.now
+            remaining = transfer.remaining
+            # Only a supervised segment can stop short of its cluster.  A
+            # finished one is booked whole without a supervisor and as what
+            # its steps credited with one (under 1e-9 MB apart): the two
+            # polling loops this one replaced, bit for bit.
+            delivered = size_mb if control is None else size_mb - remaining
+            if delivered > 1e-9:
+                min_rate = transfer.min_rate
+                qos_violated = min_rate < self._video.bitrate_mbps - 1e-9
+                if qos_violated:
+                    self.record.qos_violation_count += 1
+                cluster_record = ClusterRecord(
+                    index=index,
+                    server_uid=decision.chosen_uid,
+                    path_nodes=decision.path.nodes,
+                    rate_mbps=delivered * 8.0 / (end - start) if end > start else min_rate,
+                    start=start,
+                    end=end,
+                    size_mb=delivered,
+                    switched=switched,
+                    qos_violated=qos_violated,
+                )
+                self.record.clusters.append(cluster_record)
+                if self._on_cluster is not None:
+                    self._on_cluster(cluster_record)
             if remaining <= 1e-9:
-                return current.chosen_uid
-            reason = self._preempt_reason or "fault"
-            self._preempt_reason = None
-            old_uid = current.chosen_uid
-            current = yield from self._failover_decide(get_decision, reason)
-            segment_switched = current.chosen_uid != old_uid
-            if segment_switched:
+                return decision.chosen_uid
+            size_mb = remaining
+            old_uid = decision.chosen_uid
+            decision = yield from self._failover_decide(get_decision, transfer.reason)
+            switched = decision.chosen_uid != old_uid
+            if switched:
                 self.record.switch_count += 1
-
-    def _transfer_segment(
-        self, index: int, size_mb: float, decision: VraDecision, switched: bool
-    ) -> Generator[Delay, None, float]:
-        """One preemptible slice of a cluster transfer.
-
-        Mirrors :meth:`_transfer_cluster`, with two differences: the
-        supervisor indexes the segment while it is in flight, and
-        progress accounting uses the *elapsed* time of each step — a
-        preempting ``poke`` cuts the delay short, so only the bytes
-        actually moved are credited.
-
-        Returns:
-            The undelivered remainder in MB (0 when the segment — and
-            with it the cluster — completed).
-        """
-        server = self._servers.get(decision.chosen_uid)
-        lease = server.begin_serving(self._video.title_id) if server is not None else None
-        path_nodes = decision.path.nodes
-        local = decision.served_locally or decision.path.hop_count == 0
-        quantum = self._rate_quantum_s
-        start = self._sim.now
-        remaining = size_mb
-        min_rate = float("inf")
-        flow = None
-        self._failover.track(self, decision)
-        try:
-            while remaining > 1e-9:
-                rate, flow = self._acquire_rate(local, path_nodes)
-                if rate < min_rate:
-                    min_rate = rate
-                step = remaining * 8.0 / rate
-                if step > quantum:
-                    step = quantum
-                step_started = self._sim.now
-                yield Delay(step)
-                elapsed = self._sim.now - step_started
-                remaining -= rate * min(elapsed, step) / 8.0
-                if flow is not None:
-                    self._flows.release(flow)
-                    flow = None
-                if self._preempt_reason is not None:
-                    break
-        finally:
-            self._failover.untrack(self)
-            if flow is not None:
-                self._flows.release(flow)
-            if server is not None and lease is not None:
-                server.end_serving(lease)
-        end = self._sim.now
-        delivered = size_mb - remaining
-        if delivered > 1e-9:
-            qos_violated = min_rate < self._video.bitrate_mbps - 1e-9
-            if qos_violated:
-                self.record.qos_violation_count += 1
-            average_rate = delivered * 8.0 / (end - start) if end > start else min_rate
-            cluster_record = ClusterRecord(
-                index=index,
-                server_uid=decision.chosen_uid,
-                path_nodes=path_nodes,
-                rate_mbps=average_rate,
-                start=start,
-                end=end,
-                size_mb=delivered,
-                switched=switched,
-                qos_violated=qos_violated,
-            )
-            self.record.clusters.append(cluster_record)
-            if self._on_cluster is not None:
-                self._on_cluster(cluster_record)
-        return max(remaining, 0.0)
 
     def _boundary_decide(
         self, get_decision: DecideFn
@@ -662,7 +663,5 @@ class StreamingSession:
         self.record.stall_s = stall
 
     def _finish(self) -> None:
-        if self._failover is not None:
-            self._failover.discard(self)
         if self._on_finish is not None:
             self._on_finish(self.record)

@@ -78,12 +78,14 @@ class FlowManager:
         """Snapshot of active flows."""
         return list(self._active.values())
 
-    def _links_of(self, node_path: Sequence[str]) -> Tuple[Link, ...]:
+    def links_of(self, node_path: Sequence[str]) -> Tuple[Link, ...]:
         """Memoized path → link-tuple resolution (TopologyError on bad paths;
         only successful resolutions are cached, and they stay valid because
-        links are never removed).  A tuple path — what routing decisions
-        and :class:`Flow` carry — is the memo key as it is (``tuple()`` of
-        a tuple is that tuple); any other sequence is copied into one."""
+        links are never removed, so a caller may hold the tuple — a transfer
+        resolves its path once and reads the links every step).  A tuple
+        path — what routing decisions and :class:`Flow` carry — is the memo
+        key as it is (``tuple()`` of a tuple is that tuple); any other
+        sequence is copied into one."""
         key = tuple(node_path)
         links = self._path_links.get(key)
         if links is None:
@@ -109,7 +111,7 @@ class FlowManager:
             raise FlowError("flow path must contain at least one node")
         if not (rate_mbps > 0.0):
             raise FlowError(f"flow rate must be positive, got {rate_mbps!r}")
-        links = self._links_of(node_path)
+        links = self.links_of(node_path)
         if len(set(links)) == len(links):
             # Normal case — no repeated links (shortest paths are simple).
             # Check every link with Link.reserve's own acceptance test,
@@ -145,13 +147,13 @@ class FlowManager:
         """
         if flow.flow_id not in self._active:
             raise FlowError(f"flow {flow.flow_id} is not active (double release?)")
-        for link in self._links_of(flow.node_path):
+        for link in self.links_of(flow.node_path):
             link.release(flow.rate_mbps)
         del self._active[flow.flow_id]
 
     def path_fits(self, node_path: Sequence[str], rate_mbps: float) -> bool:
         """True if every link on the path has ``rate_mbps`` spare."""
-        links = self._links_of(node_path)
+        links = self.links_of(node_path)
         return all(link.free_mbps + 1e-9 >= rate_mbps for link in links)
 
     def bottleneck_mbps(self, node_path: Sequence[str]) -> float:
@@ -161,7 +163,7 @@ class FlowManager:
         under which :meth:`reserve` refuses ``rate`` on a simple path.
         """
         bottleneck = float("inf")
-        for link in self._links_of(node_path):
+        for link in self.links_of(node_path):
             free = link.free_mbps
             if free < bottleneck:
                 bottleneck = free

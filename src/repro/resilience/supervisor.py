@@ -5,10 +5,11 @@ boundaries.  The :class:`SessionSupervisor` closes the gap between
 boundaries: it keeps an index of every active transfer segment keyed by
 serving server and by the links of its delivery path, and the moment a
 fault hits one of those resources (server crash, disk failure, path link
-offline) it *preempts* the session — cancels its pending transfer-step
-event via :meth:`repro.sim.process.Process.poke` — so the session
-re-runs the VRA immediately and migrates the remainder of the cluster to
-a surviving holder instead of stalling until the boundary (or dying).
+offline) it *preempts* the transfer — the transfer cancels its pending
+step event and settles the cut step in a zero-delay ``poke:`` event — so
+the session re-runs the VRA immediately and migrates the remainder of
+the cluster to a surviving holder instead of stalling until the boundary
+(or dying).
 
 A session under failover fails only when no full copy of its title
 remains registered anywhere — transient outages (crashed holders that
@@ -24,36 +25,33 @@ the simulation clock, so seeded chaos runs replay bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.database.store import ServiceDatabase
 from repro.obs.registry import MetricsRegistry
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 if TYPE_CHECKING:  # import cycle: session takes the supervisor as a param
-    from repro.core.session import StreamingSession
-    from repro.core.vra import VraDecision
+    from repro.core.session import _Transfer
     from repro.network.link import Link
-    from repro.network.topology import Topology
 
 
 class SessionSupervisor:
-    """Index of active sessions by the resources currently serving them.
+    """Index of active transfers by the resources currently serving them.
 
     The service constructs one when ``ServiceConfig.session_failover`` is
-    on, adopts every session process it spawns, and routes fault events
-    (server/link state changes, disk failures) into it.  Sessions call
-    :meth:`track` / :meth:`untrack` around each transfer segment and use
-    the supervisor as their failover-control surface (:attr:`backoff_s`,
-    :meth:`holder_online`, :meth:`note_failover`, :meth:`note_failed`).
+    on and routes fault events (server/link state changes, disk failures)
+    into it.  Sessions call :meth:`track` / :meth:`untrack` around each
+    transfer segment — the transfer carries the server uid and the link
+    tuple it already resolved — and use the supervisor as their
+    failover-control surface (:attr:`backoff_s`, :meth:`holder_online`,
+    :meth:`note_failover`, :meth:`note_failed`).
 
     Args:
         sim: The simulation engine.
         servers: The service's servers by node uid.
         database: The service database (full-holder lookups).
-        topology: The network (resolves decision paths to link names).
         backoff_s: Wait between failover re-decide attempts while holders
             exist but none is currently usable (e.g. stream slots full).
         registry: Telemetry registry for the ``resilience.*`` instruments
@@ -65,20 +63,17 @@ class SessionSupervisor:
         sim: Simulator,
         servers: Dict[str, VideoServer],
         database: ServiceDatabase,
-        topology: "Topology",
         backoff_s: float = 15.0,
         registry: Optional[MetricsRegistry] = None,
     ):
         self._sim = sim
         self._servers = servers
         self._database = database
-        self._topology = topology
         self.backoff_s = backoff_s
-        self._procs: Dict["StreamingSession", Process] = {}
-        #: session -> (server uid, link names) of the in-flight segment.
-        self._tracked: Dict["StreamingSession", Tuple[str, Tuple[str, ...]]] = {}
-        self._by_server: Dict[str, Dict["StreamingSession", None]] = {}
-        self._by_link: Dict[str, Dict["StreamingSession", None]] = {}
+        #: In-flight segments by serving server and by path link name;
+        #: the buckets are insertion-ordered sets.
+        self._by_server: Dict[str, Dict["_Transfer", None]] = {}
+        self._by_link: Dict[str, Dict["_Transfer", None]] = {}
         #: Deterministic counters and logs (reports + property suites).
         self.preemption_count = 0
         self.failover_count = 0
@@ -106,54 +101,32 @@ class SessionSupervisor:
         )
 
     # ------------------------------------------------------------------ #
-    # session registry (service + session call sites)
+    # segment index (session call sites)
     # ------------------------------------------------------------------ #
-    def adopt(self, session: "StreamingSession", process: Process) -> None:
-        """Register the process driving ``session`` (enables preemption)."""
-        self._procs[session] = process
-
-    def track(self, session: "StreamingSession", decision: "VraDecision") -> None:
+    def track(self, transfer: "_Transfer") -> None:
         """Index a transfer segment by its source server and path links."""
-        self.untrack(session)
-        if decision.served_locally or decision.path.hop_count == 0:
-            links: Tuple[str, ...] = ()
-        else:
-            links = tuple(
-                link.name for link in self._topology.path_links(decision.path.nodes)
-            )
-        uid = decision.chosen_uid
-        self._tracked[session] = (uid, links)
-        self._by_server.setdefault(uid, {})[session] = None
-        for name in links:
-            self._by_link.setdefault(name, {})[session] = None
+        self._by_server.setdefault(transfer.server_uid, {})[transfer] = None
+        for link in transfer.links:
+            self._by_link.setdefault(link.name, {})[transfer] = None
 
-    def untrack(self, session: "StreamingSession") -> None:
-        """Drop the session's segment index entry (segment over)."""
-        entry = self._tracked.pop(session, None)
-        if entry is None:
-            return
-        uid, links = entry
-        bucket = self._by_server.get(uid)
+    def untrack(self, transfer: "_Transfer") -> None:
+        """Drop the segment's index entries (segment over)."""
+        self._drop(self._by_server, transfer.server_uid, transfer)
+        for link in transfer.links:
+            self._drop(self._by_link, link.name, transfer)
+
+    @staticmethod
+    def _drop(index: Dict[str, Dict["_Transfer", None]], key: str, transfer) -> None:
+        bucket = index.get(key)
         if bucket is not None:
-            bucket.pop(session, None)
+            bucket.pop(transfer, None)
             if not bucket:
-                del self._by_server[uid]
-        for name in links:
-            bucket = self._by_link.get(name)
-            if bucket is not None:
-                bucket.pop(session, None)
-                if not bucket:
-                    del self._by_link[name]
-
-    def discard(self, session: "StreamingSession") -> None:
-        """Forget a finished session entirely."""
-        self.untrack(session)
-        self._procs.pop(session, None)
+                del index[key]
 
     @property
     def tracked_count(self) -> int:
         """Active transfer segments currently indexed."""
-        return len(self._tracked)
+        return sum(len(bucket) for bucket in self._by_server.values())
 
     # ------------------------------------------------------------------ #
     # fault-event intake (service + injector call sites)
@@ -178,28 +151,22 @@ class SessionSupervisor:
         if not bucket:
             return
         server = self._servers.get(server_uid)
-        for session in list(bucket):
-            if server is None or not server.has_title(session.title_id):
-                self._preempt(session, f"disk:{server_uid}")
+        for transfer in list(bucket):
+            if server is None or not server.has_title(transfer.title_id):
+                self._preempt(transfer, f"disk:{server_uid}")
 
     def _preempt_bucket(
-        self, bucket: Optional[Dict["StreamingSession", None]], reason: str
+        self, bucket: Optional[Dict["_Transfer", None]], reason: str
     ) -> None:
         if not bucket:
             return
-        for session in list(bucket):
-            self._preempt(session, reason)
+        for transfer in list(bucket):
+            self._preempt(transfer, reason)
 
-    def _preempt(self, session: "StreamingSession", reason: str) -> None:
-        session.preempt(reason)
+    def _preempt(self, transfer: "_Transfer", reason: str) -> None:
+        transfer.preempt(reason)
         self.preemption_count += 1
         self._m_preemptions.inc()
-        process = self._procs.get(session)
-        if process is not None:
-            # Best-effort: a session between delay events (its wake is
-            # already queued at this timestamp) sees the preempt flag on
-            # that wake instead.
-            process.poke(reason)
 
     # ------------------------------------------------------------------ #
     # failover-control surface (session call sites)

@@ -3,7 +3,10 @@
 A :class:`Process` wraps a generator that yields either
 
 * :class:`Delay` (or a bare non-negative number) — suspend for that long, or
-* :class:`WaitSignal` — suspend until a :class:`Signal` is triggered.
+* a :class:`Park` — hand the wake-up to the yielded object itself:
+  :class:`WaitSignal` suspends until a :class:`Signal` is triggered, and a
+  streaming session's transfer ticks on the engine by itself and resumes
+  the generator when its segment is over.
 
 This is the idiom used by long-lived actors in the simulation, e.g. a
 streaming session that alternates "download cluster" / "re-run VRA" steps.
@@ -26,6 +29,24 @@ class Delay(NamedTuple):
     """
 
     duration: float
+
+
+class Park:
+    """Yield value base: the yielded object decides when the process wakes.
+
+    The process calls :meth:`_park` once, right after the ``yield``, and
+    then sleeps until the object calls ``process._resume(payload)``.  An
+    object that waits on engine events of its own keeps the pending one in
+    ``process._pending_handle`` (and names it ``process._delay_name``), so
+    :meth:`Process.interrupt` and :meth:`Process.poke` cancel it exactly as
+    they cancel a :class:`Delay`; a :class:`~repro.errors.SchedulingError`
+    from a later event of its own goes to ``process._fail``.
+    """
+
+    __slots__ = ()
+
+    def _park(self, process: "Process") -> None:
+        raise NotImplementedError
 
 
 class Signal:
@@ -70,10 +91,13 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class WaitSignal:
+class WaitSignal(Park):
     """Yield value: suspend the process until ``signal`` is triggered."""
 
     signal: Signal
+
+    def _park(self, process: "Process") -> None:
+        self.signal._register(process)
 
 
 class Process:
@@ -135,11 +159,10 @@ class Process:
 
         The pending delay event is cancelled and the generator resumes via
         a zero-delay event with ``payload`` as the value of the ``yield``
-        expression.  Unlike :meth:`interrupt` the generator keeps running —
-        this is the preemption primitive the session supervisor uses to
-        pull a streaming session out of a long transfer step the moment a
-        fault hits its source.  A process waiting on a signal (no pending
-        delay event) or already finished is left alone.
+        expression.  Unlike :meth:`interrupt` the generator keeps running.
+        A process parked on an object that keeps its pending event here (a
+        session's transfer) is woken the same way, mid-step; one waiting
+        on a signal (no pending event) or already finished is left alone.
 
         Returns:
             True if the process was sleeping and has been rescheduled.
@@ -172,20 +195,20 @@ class Process:
         self._handle_yield(yielded)
 
     def _handle_yield(self, yielded: Any) -> None:
-        if isinstance(yielded, Delay):
-            duration = yielded.duration
-        elif isinstance(yielded, (int, float)):
-            duration = yielded
-        elif isinstance(yielded, WaitSignal):
-            yielded.signal._register(self)
-            return
-        else:
-            self._fail(SimulationError(
-                f"process {self.name} yielded unsupported value {yielded!r}; "
-                "yield a Delay, a number, or a WaitSignal"
-            ))
-            return
         try:
+            if isinstance(yielded, Park):
+                yielded._park(self)
+                return
+            if isinstance(yielded, Delay):
+                duration = yielded.duration
+            elif isinstance(yielded, (int, float)):
+                duration = yielded
+            else:
+                self._fail(SimulationError(
+                    f"process {self.name} yielded unsupported value {yielded!r}; "
+                    "yield a Delay, a number, or a Park such as WaitSignal"
+                ))
+                return
             self._pending_handle = self._sim.schedule(
                 duration, self._resume, None, name=self._delay_name
             )

@@ -216,6 +216,34 @@ class TestDegradation:
         assert flows.active_count == 0  # nothing leaked
 
 
+class TestPoke:
+    def run_once(self, line, poke_at=None):
+        sim = Simulator()
+        flows = FlowManager(line)
+        video = VideoTitle("v", size_mb=100.0, duration_s=800.0)  # 1 Mbps
+        request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0)
+        session = StreamingSession(
+            sim=sim, request=request, video=video, cluster_mb=25.0,
+            decide=lambda: make_decision(["A", "B"]), flows=flows, servers={},
+        )
+        process = Process(sim, session.run(), name="poked")
+        if poke_at is not None:
+            sim.schedule_at(poke_at, process.poke)
+        sim.run()
+        return session.record, flows
+
+    def test_a_poked_step_is_credited_for_the_time_it_ran(self, line):
+        clean, _ = self.run_once(line)
+        # 30 s into a 60 s step, no supervisor: the step moved half its bytes.
+        record, flows = self.run_once(line, poke_at=90.0)
+        assert record.completed
+        assert sum(c.size_mb for c in record.clusters) == 100.0
+        assert record.completed_at >= clean.completed_at
+        assert record.completed_at == pytest.approx(800.0)
+        assert flows.active_count == 0
+        assert all(link.reserved_mbps == 0.0 for link in line.links())
+
+
 class TestPlaybackMetrics:
     def test_stall_accounts_for_late_clusters(self, line):
         # First cluster fast (local), rest slow (remote congested) --

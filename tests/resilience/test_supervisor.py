@@ -127,6 +127,43 @@ class TestMidStreamFailover:
         assert service.supervisor.tracked_count == 0
 
 
+class TestFaultAtAClusterBoundary:
+    def run_once(self, flap_at=None):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.seed_title("U5", feature())
+        service.start()
+        sim = service.sim
+        source = service.decide("U2", "feature").chosen_uid
+        if flap_at is not None:
+            # Queued before the session exists, so it fires ahead of the
+            # step that completes the cluster at the same instant.
+            def flap():
+                service.servers[source].online = False
+                service.servers[source].online = True
+
+            sim.schedule_at(flap_at, flap)
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim.run(until=sim.now + 3 * 3600.0)
+        assert request.status is RequestStatus.COMPLETED
+        return service, session.record
+
+    def test_a_fault_as_the_cluster_completes_does_not_haunt_the_next_one(self):
+        _, clean = self.run_once()
+        assert len(clean.clusters) == 8
+        service, record = self.run_once(flap_at=clean.clusters[0].end)
+        # The segment was preempted with nothing left to move: the cluster
+        # is complete, so no failover happens and the reason dies with the
+        # transfer instead of abandoning cluster 1 after one quantum.
+        assert service.supervisor.preemption_count == 1
+        assert service.supervisor.failover_count == 0
+        assert record.failover_count == 0
+        assert [c.index for c in record.clusters] == list(range(8))
+        assert [c.size_mb for c in record.clusters] == [c.size_mb for c in clean.clusters]
+        assert service.flows.active_count == 0
+        assert service.supervisor.tracked_count == 0
+
+
 class TestFaultFreeEquivalence:
     def run_once(self, session_failover):
         service = make_service(session_failover=session_failover)
