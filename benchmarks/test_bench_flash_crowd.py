@@ -1,4 +1,4 @@
-"""X10 — flash-crowd absorption, plus the decision-path burst benchmark.
+"""X10 — flash-crowd absorption.
 
 The DMA's "most popular" concept, stress-tested: a crowd of 40 viewers at
 one node requests the same title over two hours.  With the DMA, the first
@@ -7,26 +7,16 @@ fetch remotely, then switch to the local copy per cluster once it commits)
 and everyone afterwards is served locally; without caching every viewer
 drags the title across the backbone and the 2 Mb links collapse.
 
-The second half measures the *control plane* under the same pressure: a
-burst of identical requests is exactly the workload the whole-decision
-memo was built for — between faults and SNMP rounds nothing its
-freshness token covers moves, so the service answers each (home, title)
-pair from the memo instead of re-running the poll + LVN + Dijkstra + the
-min-cost scan per viewer.  Acceptance: decisions bit-for-bit identical
-across cache-off / routing-cache-only / decision-memo, and the warm
-decision-memo rate at least 5x the routing-cache-only rate of the same
-run (the CI smoke gate).
+The control plane under a decision burst is the perf ledger's
+``decision_burst`` workload (``benchmarks/ledger/``); memo equivalence is
+held by ``tests/properties/test_decision_memo_props.py``.
 """
-
-import time
 
 import pytest
 
-from repro.core.service import ServiceConfig, VoDService
+from repro.core.service import ServiceConfig
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
 from repro.metrics.analysis import analyze_sessions
-from repro.network.grnet import build_grnet_topology
-from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import flash_crowd_scenario
 
@@ -94,71 +84,3 @@ def test_x10_dma_absorbs_the_crowd(benchmark, show):
         f"under DMA: {origin_mb:.0f} MB total"
     )
 
-
-# --------------------------------------------------------------------- #
-# Decision-path burst throughput
-# --------------------------------------------------------------------- #
-
-MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
-BURST_HOMES = ["U1", "U2", "U3", "U5", "U6"]
-
-
-def build_decision_service(routing_cache_size, decision_cache_size):
-    service = VoDService(
-        Simulator(),
-        build_grnet_topology(),
-        ServiceConfig(
-            routing_cache_size=routing_cache_size,
-            decision_cache_size=decision_cache_size,
-            use_reported_stats=False,
-        ),
-    )
-    service.seed_title("U4", MOVIE)
-    service.start()
-    return service
-
-
-def burst(service, count):
-    """(decisions/s, fingerprints) for ``count`` flash-crowd decisions."""
-    fingerprints = []
-    start = time.perf_counter()
-    for i in range(count):
-        d = service.decide(BURST_HOMES[i % len(BURST_HOMES)], "movie")
-        fingerprints.append((d.home_uid, d.chosen_uid, d.path.nodes, d.cost))
-    return count / (time.perf_counter() - start), fingerprints
-
-
-def measure_burst(count):
-    """Burst rates for cache-off / routing-cache-only / decision-memo."""
-    off = build_decision_service(0, 0)
-    routing = build_decision_service(128, 0)
-    decision = build_decision_service(128, 256)
-    for home in BURST_HOMES:  # warm both memo layers before timing
-        routing.decide(home, "movie")
-        decision.decide(home, "movie")
-    off_rate, off_prints = burst(off, count)
-    routing_rate, routing_prints = burst(routing, count)
-    decision_rate, decision_prints = burst(decision, count)
-    # The acceptance criterion under all the speed: caching layers must
-    # be invisible in the decisions themselves.
-    assert decision_prints == routing_prints == off_prints
-    return off_rate, routing_rate, decision_rate, decision.snapshot()["decision_cache"]
-
-
-@pytest.mark.parametrize("count", [1_000, 10_000])
-def test_flash_crowd_decision_burst(benchmark, show, count):
-    off_rate, routing_rate, decision_rate, stats = benchmark.pedantic(
-        measure_burst, args=(count,), rounds=1, iterations=1
-    )
-    show(
-        f"Flash-crowd burst [{count:,} decisions, GRNET]: "
-        f"{off_rate:,.0f}/s cache-off, {routing_rate:,.0f}/s routing-cache, "
-        f"{decision_rate:,.0f}/s decision-memo "
-        f"({decision_rate / routing_rate:.1f}x over routing-cache); memo "
-        f"{stats['hits']:,} hits / {stats['misses']:,} misses"
-    )
-    assert stats is not None and stats["hit_rate"] > 0.9
-    # CI smoke gate: warm whole-decision memo at least 5x the
-    # routing-cache-only path of the same run, on the larger burst.
-    if count >= 10_000:
-        assert decision_rate >= 5.0 * routing_rate

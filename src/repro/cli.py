@@ -130,20 +130,16 @@ def _add_telemetry_arguments(subparser: argparse.ArgumentParser) -> None:
              "close and sampler rings spill when full, holding memory "
              "O(active sessions + ring capacity); requires --telemetry-out",
     )
-    group.add_argument(
-        "--phase-profile", action="store_true",
-        help="record wall-clock obs.phase.* histograms (VRA decide, "
-             "cache sync, admission drain, fault injection, SNMP "
-             "collection) and obs.memory.* gauges",
-    )
 
 
-def _telemetry_hook(args: argparse.Namespace, label: str):
+def _telemetry_hook(args: argparse.Namespace, label: str, keep_spans: bool = False):
     """(service hook, state box) attaching a streaming sink, or (None, {}).
 
     The hook starts a :class:`~repro.obs.stream.StreamingTelemetry` on
     the freshly built service; the caller finishes it after the run via
-    ``box["streamer"]`` and prints the footer line.
+    ``box["streamer"]`` and prints the footer line.  ``keep_spans`` leaves
+    flushed spans in ``service.spans`` for a caller that reports them
+    after the run.
     """
     if args.telemetry_out is None:
         if args.stream_telemetry:
@@ -160,6 +156,7 @@ def _telemetry_hook(args: argparse.Namespace, label: str):
         streamer = StreamingTelemetry(
             service, sink,
             seed=args.seed, label=label, stream=args.stream_telemetry,
+            keep_spans=keep_spans,
         )
         streamer.start()
         box["streamer"] = streamer
@@ -458,8 +455,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             disk_capacity_mb=args.disk_capacity_mb,
             max_streams=64,
             use_reported_stats=False,
-            observability=args.telemetry_out is not None or args.phase_profile,
-            phase_profiling=args.phase_profile,
+            observability=args.telemetry_out is not None,
             placement=_placement_config_from(args, args.placement),
             **_fast_path_config_kwargs(args),
         ),
@@ -496,11 +492,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 service.admission_queue.stats, title="Admission queue"
             )
         )
-    if args.phase_profile:
-        from repro.experiments.report import render_phase_profile
-
-        print()
-        print(render_phase_profile(service.obs, title="Phase profile"))
     if args.report:
         from repro.metrics.analysis import analyze_sessions, render_analysis
 
@@ -567,7 +558,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             catalog=catalog,
         )
     tracer = Tracer(enabled=True)
-    hook, telemetry_box = _telemetry_hook(args, label=f"obs:{args.scenario}")
+    # The summary and the --format export below read service.spans, so a
+    # streamed run keeps its flushed spans there (obs runs are small).
+    hook, telemetry_box = _telemetry_hook(
+        args, label=f"obs:{args.scenario}", keep_spans=True
+    )
     experiment = ServiceExperiment(
         name="obs",
         scenario=scenario,
@@ -579,7 +574,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             use_reported_stats=False,
             observability=True,
             telemetry_period_s=args.sample_period,
-            phase_profiling=args.phase_profile,
             **_fast_path_config_kwargs(args),
         ),
         seed=args.seed,
@@ -640,22 +634,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_resilience_experiment,
     )
 
-    config = None
-    if args.telemetry_out is not None or args.phase_profile:
-        # Telemetry needs an observability-enabled config; carry the CLI
-        # retry knobs over so behaviour matches the default-config path.
-        config = ServiceConfig(
-            retry_attempts=args.retry_attempts,
-            retry_backoff_s=args.retry_backoff,
-            session_failover=args.failover,
-            failover_backoff_s=args.failover_backoff,
-            breaker_threshold=args.breaker_threshold,
-            breaker_window_s=args.breaker_window,
-            breaker_cooldown_s=args.breaker_cooldown,
-            max_stats_age_s=args.max_stats_age,
-            observability=True,
-            phase_profiling=args.phase_profile,
-        )
+    config = ServiceConfig(
+        retry_attempts=args.retry_attempts,
+        retry_backoff_s=args.retry_backoff,
+        session_failover=args.failover,
+        failover_backoff_s=args.failover_backoff,
+        breaker_threshold=args.breaker_threshold,
+        breaker_window_s=args.breaker_window,
+        breaker_cooldown_s=args.breaker_cooldown,
+        max_stats_age_s=args.max_stats_age,
+        observability=args.telemetry_out is not None,
+    )
     hook, telemetry_box = _telemetry_hook(args, label="chaos")
     run = run_resilience_experiment(
         seed=args.seed,
@@ -667,14 +656,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         disk_failure_rate_per_h=args.disk_failure_rate,
         snmp_blackout_rate_per_h=args.snmp_blackout_rate,
         mean_fault_duration_s=args.mean_fault_duration,
-        retry_attempts=args.retry_attempts,
-        retry_backoff_s=args.retry_backoff,
-        session_failover=args.failover,
-        failover_backoff_s=args.failover_backoff,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window_s=args.breaker_window,
-        breaker_cooldown_s=args.breaker_cooldown,
-        max_stats_age_s=args.max_stats_age,
         config=config,
         service_hook=hook,
     )

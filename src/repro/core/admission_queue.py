@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from repro.errors import ReproError
-from repro.obs.phase import NO_PHASE_TIMER
 from repro.obs.registry import MetricsRegistry
 
 #: Default drain rate when the queue is enabled without an explicit rate.
@@ -164,9 +163,6 @@ class AdmissionQueue:
         #: drains even at sub-1/tick rates.
         self.quota_per_tick = max(1, int(rate_per_s * tick_s + 1e-9))
         self.stats = AdmissionQueueStats()
-        #: Wall-clock timer around offer() (obs.phase.admission_drain_ms);
-        #: the service swaps in a live timer when phase profiling is on.
-        self.phase_timer = NO_PHASE_TIMER
         self._cursor_tick = 0  # tick currently being filled
         self._cursor_used = 0  # admissions already assigned to it
         self._pending = 0  # delayed admissions not yet released
@@ -215,13 +211,6 @@ class AdmissionQueue:
             The :class:`AdmissionSlot`; the caller must invoke
             :meth:`release` when a *delayed* slot fires.
         """
-        t_phase = self.phase_timer.start()
-        try:
-            return self._offer(now, key)
-        finally:
-            self.phase_timer.stop(t_phase)
-
-    def _offer(self, now: float, key: Hashable) -> AdmissionSlot:
         self.stats.offered += 1
         if self._pending >= self.capacity:
             self.stats.shed += 1

@@ -58,7 +58,6 @@ from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
-from repro.obs.phase import PhaseProfiler
 from repro.placement.base import PlacementConfig
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import KIND_SERVER, BreakerBoard
@@ -258,19 +257,11 @@ class ServiceConfig:
             gauges), a sim-time sampler snapshotting gauges into ring
             buffers, and per-request session spans sinking into the
             tracer.  Default off — the disabled path routes every
-            instrument call to shared no-ops (see
-            ``benchmarks/test_bench_obs_overhead.py`` for the cost).
+            instrument call to shared no-ops (the enabled cost is the
+            ledger's ``chaos_storm`` workload, ``benchmarks/ledger/``).
         telemetry_period_s: Simulated seconds between telemetry samples
             (only meaningful with ``observability=True``).
         telemetry_capacity: Ring bound per sampled time series.
-        phase_profiling: Register the phase profiler: wall-clock
-            ``obs.phase.*`` histograms around VRA decide, routing-cache
-            sync, admission drain, fault injection and SNMP collection,
-            plus ``obs.memory.*`` gauges (peak RSS, live allocated
-            blocks) sampled on the sim clock.  Wall-clock timings are
-            not replay-deterministic, so this stays off for seeded
-            equivalence runs; requires ``observability=True`` to record
-            anything.  Default off — disabled timers are shared no-ops.
     """
 
     cluster_mb: float = 64.0
@@ -312,7 +303,6 @@ class ServiceConfig:
     observability: bool = False
     telemetry_period_s: float = 60.0
     telemetry_capacity: int = DEFAULT_SERIES_CAPACITY
-    phase_profiling: bool = False
     #: Per-node hardware overrides ("we propose the use of as many disks
     #: as possible" — sites differ): node uid -> subset of
     #: {disk_count, disk_capacity_mb, max_streams}.  Unlisted nodes use
@@ -380,11 +370,6 @@ class VoDService:
         #: Per-request session spans (populated only when observability
         #: is on).
         self.spans: List[SessionSpan] = []
-        #: Phase profiler: wall-clock ``obs.phase.*`` histograms and
-        #: ``obs.memory.*`` gauges.  Hands out shared no-op timers unless
-        #: ``config.phase_profiling`` (and observability) are on.
-        self.profiler = PhaseProfiler(self.obs, enabled=self.config.phase_profiling)
-        self._t_decide = self.profiler.timer("vra_decide")
         #: Write-behind streaming hook: called with each session span the
         #: moment it finishes (installed by
         #: :class:`repro.obs.stream.StreamingTelemetry`; None otherwise).
@@ -468,7 +453,6 @@ class VoDService:
             period_s=self.config.snmp_period_s,
         )
         self.statistics.attach_metrics(self.obs)
-        self.statistics.phase_timer = self.profiler.timer("snmp_collect")
 
         # Resilience layer (every knob default-off: the attributes below
         # stay None and the legacy execution path is byte-identical).
@@ -571,8 +555,6 @@ class VoDService:
                 "decision.misses", subsystem="core",
                 description="decision-memo lookups that ran the VRA",
             )
-        if self.vra.cache is not None:
-            self.vra.cache.phase_timer = self.profiler.timer("cache_sync")
         # Freshness token for the decision memo: four version
         # counters covering every input a VRA decision reads — server
         # availability (poll answers), title holder lists, reported link
@@ -605,7 +587,6 @@ class VoDService:
                 tick_s=self.config.admission_tick_s,
             )
             self.admission_queue.attach_metrics(self.obs)
-            self.admission_queue.phase_timer = self.profiler.timer("admission_drain")
         #: Periodic sim-time gauge sampler (a no-op when observability is
         #: off; started alongside the SNMP collector in :meth:`start`).
         self.telemetry = TelemetrySampler(
@@ -1009,11 +990,9 @@ class VoDService:
             if decision is not None:
                 self._decision_hits += 1
                 if self._obs_enabled:
-                    t_phase = self._t_decide.start()
                     self._m_decision_hits.inc()
                     self._vra.count_replayed(decision)
                     self._m_decision_latency.observe(0.0)
-                    self._t_decide.stop(t_phase)
                 else:
                     self._vra.decision_count += 1
                 if self.tracer.enabled:
@@ -1021,42 +1000,38 @@ class VoDService:
                 return decision
             self._decision_misses += 1
             self._m_decision_misses.inc()
-        t_phase = self._t_decide.start()
-        try:
-            # Full holders only: a server advertising a prefix fraction
-            # cannot source a whole remote stream, so the VRA prefers
-            # full holders by construction.
-            holders = self.database.servers_with_title(title_id, min_fraction=1.0)
-            if self.breakers is not None:
-                # Server-breaker transitions bump the availability version,
-                # staling the token.
-                holders = self.breakers.filter_servers(holders)
-            started = perf_counter() if self._obs_enabled else 0.0
-            decision = self._vra.decide(
-                home_uid,
-                title_id,
-                holders,
-                poll=lambda uid: self.servers[uid].can_provide(title_id),
-            )
-            if self._obs_enabled:
-                self._m_decision_latency.observe((perf_counter() - started) * 1e3)
-            if (
-                self.staleness_guard is not None
-                and self.staleness_guard.degraded
-                and not decision.degraded
-            ):
-                # Stamped outside the VRA; the memo stores the marked one
-                # (safe: every stale-set flip bumps the link-stats version,
-                # which stales the freshness token).
-                decision = replace(decision, degraded=True)
-            if memo_on:
-                # Errors never get here, so they are never stored.
-                self._decision_replay[(home_uid, title_id)] = decision
-            if self.tracer.enabled:
-                self._trace_decision(home_uid, title_id, decision)
-            return decision
-        finally:
-            self._t_decide.stop(t_phase)
+        # Full holders only: a server advertising a prefix fraction
+        # cannot source a whole remote stream, so the VRA prefers
+        # full holders by construction.
+        holders = self.database.servers_with_title(title_id, min_fraction=1.0)
+        if self.breakers is not None:
+            # Server-breaker transitions bump the availability version,
+            # staling the token.
+            holders = self.breakers.filter_servers(holders)
+        started = perf_counter() if self._obs_enabled else 0.0
+        decision = self._vra.decide(
+            home_uid,
+            title_id,
+            holders,
+            poll=lambda uid: self.servers[uid].can_provide(title_id),
+        )
+        if self._obs_enabled:
+            self._m_decision_latency.observe((perf_counter() - started) * 1e3)
+        if (
+            self.staleness_guard is not None
+            and self.staleness_guard.degraded
+            and not decision.degraded
+        ):
+            # Stamped outside the VRA; the memo stores the marked one
+            # (safe: every stale-set flip bumps the link-stats version,
+            # which stales the freshness token).
+            decision = replace(decision, degraded=True)
+        if memo_on:
+            # Errors never get here, so they are never stored.
+            self._decision_replay[(home_uid, title_id)] = decision
+        if self.tracer.enabled:
+            self._trace_decision(home_uid, title_id, decision)
+        return decision
 
     def _close_span(self, span: SessionSpan, status: str) -> None:
         """Finish a span and hand it to the streaming hook, if installed."""

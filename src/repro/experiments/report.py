@@ -17,7 +17,6 @@ from repro.experiments.casestudy import (
 from repro.core.admission_queue import AdmissionQueueStats
 from repro.metrics.timeseries import TimeSeries
 from repro.network import grnet
-from repro.network.routing.cache import RoutingCacheStats
 from repro.network.routing.dijkstra import DijkstraStep
 
 #: Sparkline glyphs, blank through full block (9 levels).
@@ -74,48 +73,6 @@ def render_table3() -> str:
     return render_table(headers, rows, title="Table 3 — Link Validation Numbers (eqs. 1-4)")
 
 
-def render_routing_cache(stats: Optional[RoutingCacheStats], title: str = "") -> str:
-    """Routing-cache counter table for experiment/benchmark reports.
-
-    Args:
-        stats: The VRA's cache counters; None renders a "cache off" stub
-            (baseline selection policies replace the VRA entirely).
-        title: Table caption; defaults to a generic one.
-    """
-    caption = title or "Routing cache — epoch-versioned LVN/Dijkstra reuse"
-    if stats is None:
-        return f"{caption}\n(routing cache disabled)"
-    headers = ["Layer", "Hits", "Misses", "Hit rate"]
-    weight_total = stats.weight_hits + stats.weight_misses
-    tree_total = stats.tree_hits + stats.tree_misses
-    rows = [
-        [
-            "LVN weight table",
-            str(stats.weight_hits),
-            str(stats.weight_misses),
-            f"{stats.weight_hits / weight_total:.2%}" if weight_total else "-",
-        ],
-        [
-            "Dijkstra trees",
-            str(stats.tree_hits),
-            str(stats.tree_misses),
-            f"{stats.tree_hits / tree_total:.2%}" if tree_total else "-",
-        ],
-        [
-            "Total",
-            str(stats.hits),
-            str(stats.misses),
-            f"{stats.hit_rate:.2%}" if (stats.hits + stats.misses) else "-",
-        ],
-    ]
-    table = render_table(headers, rows, title=caption)
-    return (
-        f"{table}\n"
-        f"invalidations (epoch changes): {stats.invalidations}; "
-        f"LRU evictions: {stats.evictions}"
-    )
-
-
 def render_admission_queue(
     stats: Optional[AdmissionQueueStats], title: str = ""
 ) -> str:
@@ -143,39 +100,6 @@ def render_admission_queue(
         ["Largest cohort", str(stats.max_batch)],
         ["Same-key coalesced", str(stats.coalesced)],
     ]
-    return render_table(headers, rows, title=caption)
-
-
-def render_phase_profile(registry, title: str = "") -> str:
-    """Phase-profiler table (obs.phase.* / obs.memory.*) for reports.
-
-    Args:
-        registry: A :class:`~repro.obs.registry.MetricsRegistry`; renders
-            a "profiling off" stub when no phase histograms recorded.
-        title: Table caption; defaults to a generic one.
-    """
-    caption = title or "Phase profile — wall-clock time per subsystem"
-    phases = [
-        h for h in registry.histograms()
-        if h.name.startswith("obs.phase.") and h.count > 0
-    ]
-    if not phases:
-        return f"{caption}\n(phase profiling disabled)"
-    headers = ["Phase", "Calls", "Total ms", "Mean ms", "p95 ms", "Max ms"]
-    rows = []
-    for histogram in sorted(phases, key=lambda h: -h.total):
-        summary = histogram.summary()
-        rows.append([
-            histogram.name[len("obs.phase."):].replace("_ms", ""),
-            f"{summary['count']:g}",
-            f"{histogram.total:.2f}",
-            f"{summary['mean']:.4f}",
-            f"{summary['p95']:.4f}",
-            f"{summary['max']:.4f}",
-        ])
-    for gauge in registry.gauges():
-        if gauge.name.startswith("obs.memory."):
-            rows.append([gauge.name, "-", "-", "-", "-", f"{gauge.value:g}"])
     return render_table(headers, rows, title=caption)
 
 

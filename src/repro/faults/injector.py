@@ -73,10 +73,6 @@ class FaultInjector:
         self._registry = registry if registry is not None else service.obs
         self._started = False
         self._started_at = 0.0
-        #: Wall-clock timer around each injection/recovery body
-        #: (obs.phase.fault_inject_ms; a shared no-op unless the
-        #: service's phase-profiling knob is on).
-        self._phase_timer = service.profiler.timer("fault_inject")
 
         #: Plain deterministic counters — the resilience report reads
         #: these, never the obs instruments (which may be disabled).
@@ -164,13 +160,6 @@ class FaultInjector:
     # apply / recover
     # ------------------------------------------------------------------ #
     def _apply(self, event: FaultEvent) -> None:
-        t_phase = self._phase_timer.start()
-        try:
-            self._do_apply(event)
-        finally:
-            self._phase_timer.stop(t_phase)
-
-    def _do_apply(self, event: FaultEvent) -> None:
         token = (event.kind, event.target)
         depth = self._depth.get(token, 0)
         self._depth[token] = depth + 1
@@ -221,13 +210,6 @@ class FaultInjector:
         )
 
     def _recover(self, event: FaultEvent) -> None:
-        t_phase = self._phase_timer.start()
-        try:
-            self._do_recover(event)
-        finally:
-            self._phase_timer.stop(t_phase)
-
-    def _do_recover(self, event: FaultEvent) -> None:
         token = (event.kind, event.target)
         depth = self._depth.get(token, 0)
         if depth <= 0:  # pragma: no cover - apply always precedes recover

@@ -42,7 +42,6 @@ from typing import Callable, Dict, Hashable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.network.routing.dijkstra import DijkstraResult
-from repro.obs.phase import NO_PHASE_TIMER, PhaseTimer
 
 #: Default LRU bound on cached Dijkstra trees (one per home server is the
 #: steady state, so this comfortably covers topologies of ~128 nodes).
@@ -119,9 +118,6 @@ class RoutingCache:
     _trees: "OrderedDict[str, DijkstraResult]" = field(
         default_factory=OrderedDict, repr=False
     )
-    #: Wall-clock timer around epoch transitions (obs.phase.cache_sync_ms);
-    #: the service swaps in a live timer when phase profiling is on.
-    phase_timer: PhaseTimer = field(default=NO_PHASE_TIMER, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_trees < 0:
@@ -199,9 +195,7 @@ class RoutingCache:
         :meth:`tree`; a no-op while the epoch is unchanged)."""
         if epoch == self._epoch:
             return
-        t_phase = self.phase_timer.start()
         if self._epoch is not None:
             self.stats.invalidations += 1
         self.clear()
         self._epoch = epoch
-        self.phase_timer.stop(t_phase)

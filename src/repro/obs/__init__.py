@@ -5,8 +5,8 @@ Three cooperating pieces turn a service run into measurable telemetry:
 * :mod:`repro.obs.registry` — a metrics registry handing out Counter /
   Gauge / Histogram instruments, labelled by subsystem.  A disabled
   registry returns shared no-op instruments, so instrumented hot paths
-  cost one dynamic dispatch when observability is off (benchmarked in
-  ``benchmarks/test_bench_obs_overhead.py``).
+  cost one dynamic dispatch when observability is off (the enabled
+  path's cost is the ``chaos_storm`` workload of ``benchmarks/ledger/``).
 * :mod:`repro.obs.sampler` — a periodic simulator process snapshotting
   every registered gauge into ring-buffered
   :class:`~repro.metrics.timeseries.TimeSeries`.
@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         summarize_telemetry,
         telemetry_rows,
     )
-    from repro.obs.phase import NO_PHASE_TIMER, PhaseProfiler, PhaseTimer
     from repro.obs.sampler import TelemetrySampler
     from repro.obs.sink import (
         CsvTelemetrySink,
@@ -61,9 +60,6 @@ _LAZY = {
     "export_jsonl": "repro.obs.export",
     "summarize_telemetry": "repro.obs.export",
     "telemetry_rows": "repro.obs.export",
-    "NO_PHASE_TIMER": "repro.obs.phase",
-    "PhaseProfiler": "repro.obs.phase",
-    "PhaseTimer": "repro.obs.phase",
     "CsvTelemetrySink": "repro.obs.sink",
     "JsonlTelemetrySink": "repro.obs.sink",
     "TelemetrySink": "repro.obs.sink",
@@ -93,12 +89,9 @@ __all__ = [
     "Histogram",
     "JsonlTelemetrySink",
     "MetricsRegistry",
-    "NO_PHASE_TIMER",
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "PhaseProfiler",
-    "PhaseTimer",
     "SessionSpan",
     "SpanEvent",
     "StreamingTelemetry",

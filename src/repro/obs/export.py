@@ -179,20 +179,6 @@ def summarize_telemetry(
                 f"p95={s['p95']:.3f} max={s['max']:.3f}"
             )
 
-    phases = [h for h in registry.histograms() if h.name.startswith("obs.phase.") and h.count > 0]
-    if phases:
-        lines.append("phase profile (wall-clock ms per call):")
-        for histogram in sorted(phases, key=lambda h: -h.total):
-            s = histogram.summary()
-            name = histogram.name[len("obs.phase."):]
-            lines.append(
-                f"  {name:<24} n={s['count']:<7g} total={histogram.total:9.2f} ms  "
-                f"mean={s['mean']:.4f} p95={s['p95']:.4f}"
-            )
-        for gauge in registry.gauges():
-            if gauge.name.startswith("obs.memory."):
-                lines.append(f"  {gauge.name:<24} {gauge.value:12g}")
-
     if sampler is not None:
         hottest = _hottest_series(sampler, "link.utilization", top)
         if hottest:

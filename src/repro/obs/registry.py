@@ -8,8 +8,8 @@ callers can resolve instruments eagerly and keep only the hot-path call
 
 A registry constructed with ``enabled=False`` hands out shared no-op
 instruments and records nothing; the disabled hot path is a single
-method call on a singleton (see ``benchmarks/test_bench_obs_overhead.py``
-for the measured cost).
+method call on a singleton (``tests/obs/test_service_obs.py::TestDisabled``
+holds a disabled service to zero registered instruments).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 :class:`~repro.core.service.VoDService` to a
 :class:`~repro.obs.sink.TelemetrySink`:
 
-- the run manifest is written first (config hash, seed, topology, cache
-  knobs, code version) so every artifact is self-describing;
+- the run manifest is written first (config and its hash, seed,
+  topology, code version) so every artifact is self-describing;
 - session spans are flushed the moment they close (via the service's
   ``on_span_finished`` hook) and dropped from ``service.spans``;
 - sampler rings spill evicted samples to the sink instead of discarding
@@ -30,17 +30,32 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro.obs.export import telemetry_rows
-from repro.obs.phase import peak_rss_kb
 from repro.obs.sink import TelemetrySink
 from repro.obs.spans import SessionSpan
 
+try:  # pragma: no cover - always present on POSIX
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    resource = None  # type: ignore[assignment]
+
 #: Manifest layout version; bump on incompatible schema changes.
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
+
+
+def peak_rss_kb() -> float:
+    """Peak resident set size of this process in KiB (0.0 if unknown)."""
+    if resource is None:
+        return 0.0
+    peak = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    if sys.platform == "darwin":  # ru_maxrss is bytes on macOS, KiB on Linux
+        peak /= 1024.0
+    return peak
 
 
 def config_hash(config) -> str:
@@ -85,14 +100,6 @@ def run_manifest(
         "config_hash": config_hash(config),
         "config": asdict(config),
         "topology": topology_fingerprint(service.topology),
-        "knobs": {
-            "routing_cache_size": config.routing_cache_size,
-            "decision_cache_size": config.decision_cache_size,
-            "admission_queue_capacity": config.admission_queue_capacity,
-            "phase_profiling": getattr(config, "phase_profiling", False),
-            "telemetry_period_s": config.telemetry_period_s,
-            "telemetry_capacity": config.telemetry_capacity,
-        },
     }
 
 

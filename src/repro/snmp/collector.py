@@ -20,7 +20,6 @@ from repro.database.access import DatabaseHandle
 from repro.database.records import LinkStats
 from repro.errors import SnmpError
 from repro.network.topology import Topology
-from repro.obs.phase import NO_PHASE_TIMER
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTask
@@ -134,10 +133,6 @@ class StatisticsService:
         #: Collection rounds skipped because a blackout was active.
         self.blackout_skips = 0
         self._m_rounds = NULL_COUNTER
-        #: Wall-clock timer around one collection round
-        #: (obs.phase.snmp_collect_ms); the service swaps in a live
-        #: timer when phase profiling is on.
-        self.phase_timer = NO_PHASE_TIMER
         self._m_samples = NULL_COUNTER
         self._m_changed = NULL_COUNTER
         self._m_blackout_skips = NULL_COUNTER
@@ -228,22 +223,18 @@ class StatisticsService:
             self.blackout_skips += 1
             self._m_blackout_skips.inc()
             return
-        t_phase = self.phase_timer.start()
-        try:
-            now = self._sim.now
-            self._m_rounds.inc()
-            # One reporter per link: the earlier-created endpoint module —
-            # on a new link's first round the only one past its baseline.
-            samples: Dict[str, LinkStats] = {}
-            for module in self._modules:
-                adjacent = self._topology.links_at(module.node_uid)
-                links = [link for link in adjacent if link.name not in samples]
-                changed_before = module.changed_samples
-                samples.update(module.sample(now, links))
-                self._m_changed.inc(module.changed_samples - changed_before)
-            self._m_samples.inc(len(samples))
-            self._db.update_link_stats_round(samples)
-        finally:
-            self.phase_timer.stop(t_phase)
+        now = self._sim.now
+        self._m_rounds.inc()
+        # One reporter per link: the earlier-created endpoint module —
+        # on a new link's first round the only one past its baseline.
+        samples: Dict[str, LinkStats] = {}
+        for module in self._modules:
+            adjacent = self._topology.links_at(module.node_uid)
+            links = [link for link in adjacent if link.name not in samples]
+            changed_before = module.changed_samples
+            samples.update(module.sample(now, links))
+            self._m_changed.inc(module.changed_samples - changed_before)
+        self._m_samples.inc(len(samples))
+        self._db.update_link_stats_round(samples)
         if self.on_round is not None:
             self.on_round()

@@ -271,7 +271,6 @@ class TestReplayPaysForTheTokenOnce:
     if the VRA had run."""
 
     def test_replays_touch_no_instrument_when_observability_is_off(self, monkeypatch):
-        from repro.obs.phase import _NullPhaseTimer
         from repro.obs.registry import _NullCounter, _NullHistogram
 
         service = build_service(decision_cache_size=256)
@@ -283,8 +282,6 @@ class TestReplayPaysForTheTokenOnce:
 
             patch.setattr(_NullCounter, "inc", boom)
             patch.setattr(_NullHistogram, "observe", boom)
-            patch.setattr(_NullPhaseTimer, "start", boom)
-            patch.setattr(_NullPhaseTimer, "stop", boom)
 
         first = service.decide("U2", "movie")  # miss: may call the no-ops
         with monkeypatch.context() as patch:
@@ -307,7 +304,6 @@ class TestReplayPaysForTheTokenOnce:
             service = build_service(
                 decision_cache_size=decision_cache_size,
                 observability=True,
-                phase_profiling=True,
             )
             for round_ in range(3):
                 for home in ("U1", "U2", "U3", "U4"):  # U4 serves locally
@@ -322,11 +318,10 @@ class TestReplayPaysForTheTokenOnce:
         assert decisions == memoed.vra.decision_count == 36
         assert obs.counter("decision.hits").value == 24
         assert obs.counter("decision.hits").value + obs.counter("decision.misses").value == decisions
-        assert obs.histogram("obs.phase.vra_decide_ms").count == decisions
         assert obs.histogram("vra.decision_latency_ms").count == decisions
         for name in ("vra.decisions", "vra.local_serves"):
             assert obs.counter(name).value == plain.obs.counter(name).value
-        for name in ("vra.candidates", "vra.decision_latency_ms", "obs.phase.vra_decide_ms"):
+        for name in ("vra.candidates", "vra.decision_latency_ms"):
             assert obs.histogram(name).count == plain.obs.histogram(name).count
         assert obs.histogram("vra.candidates").total == plain.obs.histogram("vra.candidates").total
 

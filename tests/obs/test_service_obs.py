@@ -98,21 +98,6 @@ class TestEnabled:
         assert serves["U4"] == 2.0  # sourced both clusters
         assert serves["U2"] == 0.0
 
-    def test_phase_profiler_times_every_decision_and_epoch_change(self, grnet_8am):
-        plain = run_service(copy.deepcopy(grnet_8am))
-        service = run_service(grnet_8am, phase_profiling=True)
-        obs, stats = service.obs, service.vra.cache_stats
-        assert obs.histogram("obs.phase.vra_decide_ms").count == service.vra.decision_count
-        # The first sync is timed too, though it has nothing to flush.
-        assert stats.invalidations > 0
-        assert obs.histogram("obs.phase.cache_sync_ms").count == stats.invalidations + 1
-        for gauge in ("obs.memory.peak_rss_kb", "obs.memory.allocated_blocks"):
-            [(_, series)] = service.telemetry.series_for(gauge)
-            assert len(series) > 1 and series.maximum() > 0.0
-        # Wall-clock timing never reaches the simulation.
-        assert not any(f.startswith(("obs.phase.", "obs.memory.")) for f in plain.obs.families())
-        assert session_fingerprint(service.sessions) == session_fingerprint(plain.sessions)
-
 
 class TestDisabled:
     def test_disabled_service_registers_nothing(self, grnet_8am):
@@ -122,6 +107,12 @@ class TestDisabled:
         assert service.telemetry.series() == {}
         # The run itself is unaffected.
         assert service.sessions[0].completed
+
+    def test_telemetry_never_reaches_the_simulation(self, grnet_8am):
+        on = run_service(copy.deepcopy(grnet_8am))
+        off = run_service(grnet_8am, observability=False)
+        assert len(on.obs) > 0 and len(off.obs) == 0
+        assert session_fingerprint(on.sessions) == session_fingerprint(off.sessions)
 
     def test_explicit_registry_overrides_config(self, grnet_8am):
         from repro.obs.registry import MetricsRegistry

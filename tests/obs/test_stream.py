@@ -5,6 +5,7 @@ from collections import Counter
 
 import repro
 from repro.core.service import ServiceConfig, VoDService
+from repro.experiments.harness import ServiceExperiment, run_service_experiment
 from repro.obs.export import telemetry_rows
 from repro.obs.sink import JsonlTelemetrySink
 from repro.obs.spans import SessionSpan
@@ -17,6 +18,7 @@ from repro.obs.stream import (
 )
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
+from repro.workload.scenarios import flash_crowd_scenario
 
 
 def build_service(topology, **overrides):
@@ -133,6 +135,63 @@ class TestStreaming:
         assert [r["request_id"] for r in span_rows] == [7, 7]
 
 
+class TestMemoryBound:
+    """Resident telemetry is O(active sessions + ring capacity), not
+    O(total sessions): a 10x larger flash crowd adds fewer resident rows
+    than it adds sessions (with spans kept in RAM it adds exactly one per
+    session).  Small rings keep the spans' share of the peak visible."""
+
+    @staticmethod
+    def streamed_crowd(viewer_count, path):
+        scenario = flash_crowd_scenario(
+            "U2",
+            VideoTitle("special", size_mb=300.0, duration_s=1_800.0),
+            viewer_count=viewer_count,
+            start_s=600.0,
+            ramp_s=7_200.0,
+        )
+        box = {}
+
+        def hook(service):
+            box["streamer"] = StreamingTelemetry(service, JsonlTelemetrySink(path))
+            box["streamer"].start()
+
+        result = run_service_experiment(
+            ServiceExperiment(
+                name=f"stream-{viewer_count}",
+                scenario=scenario,
+                config=ServiceConfig(
+                    cluster_mb=100.0,
+                    disk_count=2,
+                    disk_capacity_mb=1_000.0,
+                    max_streams=256,
+                    use_reported_stats=False,
+                    observability=True,
+                    telemetry_capacity=16,
+                ),
+                seed_origin_uids=["U4"],
+                run_until=12 * 3600.0,
+                service_hook=hook,
+            )
+        )
+        return result, box["streamer"].finish()
+
+    def test_peak_resident_rows_flat_at_10x_sessions(self, tmp_path):
+        small, small_footer = self.streamed_crowd(4, tmp_path / "small.jsonl")
+        large, large_footer = self.streamed_crowd(40, tmp_path / "large.jsonl")
+        sessions = large.metrics.session_count
+        added = sessions - small.metrics.session_count
+        assert added > 0
+        assert large.metrics.completed_count == sessions
+        # Every finished span left RAM through the sink; none piled up.
+        assert large.service.spans == []
+        assert large_footer["spans_flushed"] == sessions
+        assert large_footer["rows_by_kind"]["span"] == sessions
+        assert large_footer["rows_written"] > 1_000
+        growth = large_footer["peak_resident_rows"] - small_footer["peak_resident_rows"]
+        assert growth < added
+
+
 class TestBuffered:
     def test_stream_false_produces_the_same_artifact_frame(self, grnet_8am, tmp_path):
         service = build_service(grnet_8am)
@@ -170,8 +229,11 @@ class TestManifest:
         assert head["topology"]["node_count"] == 6
         assert head["topology"]["link_count"] == 7
         assert len(head["topology"]["hash"]) == 64
-        assert head["knobs"]["phase_profiling"] is False
-        assert head["knobs"]["telemetry_period_s"] == 30.0
+        assert "knobs" not in head  # the config row already carries them
+        assert head["config"]["telemetry_period_s"] == 30.0
+        assert head["config"]["routing_cache_size"] == service.config.routing_cache_size
+        assert head["config"]["decision_cache_size"] == 0
+        assert head["config"]["admission_queue_capacity"] == 0
 
     def test_config_hash_tracks_config_changes(self, grnet_8am):
         a = build_service(grnet_8am)

@@ -15,8 +15,7 @@ buffered path can only see what a ring still holds, while streaming
 spills evictions; equality over lossy rings is exactly the asymmetry the
 pipeline exists to create.  The spill path has its own property instead:
 the same arrivals streamed over tiny rings and over ample ones must leave
-the same ``sample`` and ``counter`` lines.  Phase profiling stays off: its
-rows are wall-clock by design.
+the same ``sample`` and ``counter`` lines.
 """
 
 import io

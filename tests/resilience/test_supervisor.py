@@ -173,11 +173,15 @@ class TestFaultFreeEquivalence:
         request, session, _ = service.request_by_home("U2", "feature")
         service.sim.run(until=service.sim.now + 3 * 3600.0)
         assert request.status is RequestStatus.COMPLETED
-        return session.record
+        return service, session.record
 
     def test_supervisor_is_invisible_without_faults(self):
-        on = self.run_once(True)
-        off = self.run_once(False)
+        service, on = self.run_once(True)
+        _, off = self.run_once(False)
+        supervisor = service.supervisor
+        assert supervisor is not None
+        assert (supervisor.preemption_count, supervisor.failover_count) == (0, 0)
+        assert supervisor.tracked_count == 0
         assert on.failover_count == 0
         assert len(on.clusters) == len(off.clusters)
         for a, b in zip(on.clusters, off.clusters):

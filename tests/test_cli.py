@@ -300,6 +300,31 @@ class TestObs:
         assert any(r["category"].startswith("span.") for r in rows)
         assert any(r["category"] == "vra.decision" for r in rows)
 
+    def test_streaming_keeps_the_spans_in_the_report(self, capsys, tmp_path):
+        import json
+
+        def spans_line(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if line.startswith("spans:")]
+
+        def span_rows(argv):
+            out = tmp_path / "rows.jsonl"
+            assert main(argv + ["--format", "jsonl", "--out", str(out)]) == 0
+            capsys.readouterr()
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            # Client and outcome only: request ids count across runs in one
+            # process, and decision events carry wall-clock latency.
+            return [(r["client_id"], r["status"]) for r in rows if r["kind"] == "span"]
+
+        streamed = ["--telemetry-out", str(tmp_path / "t.jsonl"), "--stream-telemetry"]
+        plain_line = spans_line(self.FAST)
+        assert len(plain_line) == 1
+        assert spans_line(self.FAST + streamed) == plain_line
+        plain_rows = span_rows(self.FAST)
+        assert plain_rows
+        assert span_rows(self.FAST + streamed) == plain_rows
+
     def test_bad_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["obs", "--scenario", "tsunami"])
