@@ -41,15 +41,8 @@ from repro.workload.scenarios import regional_scenario
 
 
 def _add_fast_path_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Decision-memo / admission-queue knobs shared by run subcommands."""
+    """Admission-queue / routing-path knobs shared by run subcommands."""
     group = subparser.add_argument_group("fast path")
-    group.add_argument(
-        "--decision-cache-size", type=int, default=0, metavar="N",
-        help="any N > 0 turns on whole-decision memoization (0 disables; "
-             "at most one decision per (home, title) of the current state "
-             "is held, so N bounds nothing; requires the routing cache, "
-             "which is on by default)",
-    )
     group.add_argument(
         "--admission-queue-capacity", type=int, default=0, metavar="N",
         help="enable the load-leveling admission queue with N waiting "
@@ -65,17 +58,16 @@ def _add_fast_path_arguments(subparser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--no-compiled-routing", action="store_true",
-        help="price decisions with the per-link python loops instead of "
-             "the array-compiled topology snapshot; decisions are "
-             "bit-for-bit identical either way, only slower on cache "
-             "misses (see DESIGN.md on the compiled-snapshot contract)",
+        help="run the reference path: the per-link python loops, "
+             "paper-style Dijkstra step tables and no epoch memo; "
+             "decisions are bit-for-bit identical either way, only slower "
+             "(see DESIGN.md on the compiled-snapshot contract)",
     )
 
 
 def _fast_path_config_kwargs(args: argparse.Namespace) -> dict:
     """Map the shared fast-path CLI knobs onto ``ServiceConfig`` fields."""
     return {
-        "decision_cache_size": args.decision_cache_size,
         "admission_queue_capacity": args.admission_queue_capacity,
         "admission_rate_per_s": args.admission_rate,
         "admission_tick_s": args.admission_tick,

@@ -140,47 +140,13 @@ class ServiceConfig:
             delete a title's last network-wide copy.  Default True — a
             deployable service needs it; set False for exact Figure 2
             behaviour (the hazard is pinned by a failure-injection test).
-        vra_trace: Record paper-style Dijkstra step tables per decision.
-        routing_cache_size: LRU bound on the epoch-versioned routing
-            cache's Dijkstra trees (see :mod:`repro.network.routing.cache`).
-            Between routing epochs (SNMP database writes, link failures,
-            topology growth) the VRA reuses the LVN table and per-home
-            shortest-path trees instead of recomputing them — decisions
-            are bit-for-bit identical either way.  A new epoch drops all
-            of it: one cold table build, then one search per home asked.
-            ``0`` disables the cache and restores
-            recompute-per-decision behaviour exactly.  The cache is also
-            auto-disabled when ``use_server_load_in_vra`` is on, because
-            live stream-slot occupancy feeds the weights without a version
-            counter.
-        compiled_routing: Route the VRA's weight-table builds and Dijkstra
-            runs through the array-compiled topology snapshot
-            (:class:`~repro.network.compiled.TopologySnapshot`): the
-            topology is frozen into int-indexed CSR arrays, refreshed off
-            its ``state_version`` counter, and the LVN/Dijkstra kernels
-            run over flat arrays instead of per-link object loops.
-            Decisions are bit-for-bit identical either way — the compiled
-            kernels reproduce the python path down to the last ulp and to
-            dict insertion order (the equivalence property suites pin
-            this) — so the knob only changes what a cache/memo miss
-            costs.  On by default; turn off to run the readable
-            reference path (``core/lvn.py`` + the python ``dijkstra``).
-            Ignored when ``use_server_load_in_vra`` is on, because the
-            compiled kernel implements the paper's exact eq. (2) without
-            the workload extension.
-        decision_cache_size: Any positive value turns on the
-            *whole-decision* memo — the flash-crowd fast path.  While no
-            server-availability, title-location, link-stats/traffic or
-            topology-state counter has moved, a repeated ``(home server,
-            title)`` request is answered with the :class:`VraDecision`
-            object the first one got instead of re-running the
-            poll/LVN/Dijkstra pipeline; when any of them moves, the whole
-            memo is cleared.  It holds at most one decision per pair of
-            the current state, so there is no bound to choose — the value
-            is only an on/off switch.  Decisions are bit-for-bit identical
-            either way.  ``0`` (default) disables it; negative values are
-            rejected; requires an active routing cache (same
-            ``use_server_load_in_vra`` caveat).
+        compiled_routing: Run the VRA on the array-compiled kernels
+            (:class:`~repro.network.compiled.TopologySnapshot`; python ones
+            under ``use_server_load_in_vra``) behind its epoch memo
+            (:mod:`repro.network.routing.cache`).  ``False`` is the one
+            reference path: ``core/lvn.py``, the python ``dijkstra`` with
+            Tables 4-5 step traces, no memo.  Decisions are bit-for-bit
+            identical either way (the equivalence suites pin it).
         admission_queue_capacity: Enables the load-leveling admission
             front-end (:class:`~repro.core.admission_queue.AdmissionQueue`)
             when > 0: requests drain from a bounded deterministic FIFO at
@@ -278,10 +244,7 @@ class ServiceConfig:
     evict_until_fits: bool = False
     pin_seeded_titles: bool = True
     placement: Optional[PlacementConfig] = None
-    vra_trace: bool = False
-    routing_cache_size: int = 128
     compiled_routing: bool = True
-    decision_cache_size: int = 0
     admission_queue_capacity: int = 0
     admission_rate_per_s: float = DEFAULT_ADMISSION_RATE_PER_S
     admission_tick_s: float = DEFAULT_ADMISSION_TICK_S
@@ -387,22 +350,9 @@ class VoDService:
         #: Server-availability generation: bumped by every server whenever
         #: anything feeding a VRA poll answer moves (online state, title
         #: residency, disk health, stream slots), and by server-breaker
-        #: transitions (they change the holder filter).  One of the four
-        #: counters of the decision memo's freshness token.
+        #: transitions (they change the holder filter).  Part of the epoch
+        #: memo's token (see the VRA wiring below).
         self._availability_version = 0
-        #: The whole-decision memo: ``(home_uid, title_id) -> decision``.
-        #: While the freshness token is unchanged, every routing and
-        #: availability input of that pair's decision is provably
-        #: unchanged, so the stored decision is returned as-is — the
-        #: flash-crowd O(1) fast path.  The token's counters only grow,
-        #: so entries of an older token can never hit again: the dict
-        #: holds the pairs decided under ``_replay_token`` only and is
-        #: cleared when the token moves (each entry pins that state's
-        #: weight table and search prefix).
-        self._decision_replay: Dict[Tuple[str, str], VraDecision] = {}
-        self._replay_token: Optional[Tuple[int, int, int, int]] = None
-        self._decision_hits = 0
-        self._decision_misses = 0
         self._register_service_instruments()
 
         #: Deployment-wide placement-policy choice, resolved once; every
@@ -515,9 +465,6 @@ class VoDService:
                 server.on_state_change = self._on_server_state
             topology.on_state_change = self._on_link_state
 
-        # Live server load feeds the weights without a version counter, so
-        # epoch caching cannot see those changes; fall back to recompute.
-        cacheable = not self.config.use_server_load_in_vra
         # On the reported-stats path the staleness guard and open link
         # breakers interpose on the used-bandwidth reads; without either
         # the plain reader keeps the default path byte-identical.
@@ -525,58 +472,42 @@ class VoDService:
         if self.config.use_reported_stats:
             guarded = self.staleness_guard is not None or self.breakers is not None
             used_of = self._guarded_used if guarded else self._reported_used
-        if self.config.decision_cache_size < 0:
-            raise ServiceError(
-                "decision cache size must be >= 0, got "
-                f"{self.config.decision_cache_size!r}"
-            )
-        self.vra = VirtualRoutingAlgorithm(
+        # The epoch memo's token: the routing part (reported link stats or
+        # live traffic, topology state), then the availability part (poll
+        # answers, holder lists), which joins the routing part when stream
+        # slots feed the weights.  Raw counters: it runs once per decide();
+        # a parity test pins it to routing_epoch().
+        db, topo = self.database, self.topology
+        if self.config.use_reported_stats:
+            token_of = lambda: (db._link_stats_version, topo._state_version,  # noqa: E731
+                                self._availability_version, db._locations_version)
+        else:
+            token_of = lambda: (topo._traffic_version, topo._state_version,  # noqa: E731
+                                self._availability_version, db._locations_version)
+        load_in_vra = self.config.use_server_load_in_vra
+        reference = not self.config.compiled_routing
+        self._vra = VirtualRoutingAlgorithm(
             topology,
             used_of=used_of,
             normalization_constant=self.config.normalization_constant,
-            node_load=self._server_load if self.config.use_server_load_in_vra else None,
-            trace=self.config.vra_trace,
-            epoch_of=self.routing_epoch if cacheable else None,
-            cache_size=self.config.routing_cache_size,
+            node_load=self._server_load if load_in_vra else None,
+            trace=reference,
+            epoch_of=None if reference else token_of,
+            routing_width=3 if load_in_vra else 2,
             metrics=self.obs,
-            compiled=self.config.compiled_routing,
+            compiled=not reference,
         )
-        # The memo rides on the routing cache's enabling condition: with
-        # no version counter over the weights there is no token either.
-        self._decision_memo_on = (
-            self.vra.cache is not None and self.config.decision_cache_size > 0
+        #: The VRA's epoch memo, which ``decide`` reads and fills; None on
+        #: the reference path and once ``vra`` is replaced.
+        self._memo = self._vra.cache
+        self._m_decision_hits = self.obs.counter(
+            "decision.hits", subsystem="core",
+            description="decide() calls answered whole from the epoch memo",
         )
-        if self._decision_memo_on:
-            self._m_decision_hits = self.obs.counter(
-                "decision.hits", subsystem="core",
-                description="decide() calls answered whole from the decision memo",
-            )
-            self._m_decision_misses = self.obs.counter(
-                "decision.misses", subsystem="core",
-                description="decision-memo lookups that ran the VRA",
-            )
-        # Freshness token for the decision memo: four version
-        # counters covering every input a VRA decision reads — server
-        # availability (poll answers), title holder lists, reported link
-        # stats, and topology structure/traffic.  Reads the underlying
-        # counters directly (not the properties) because this runs per
-        # decision on the hot path; a parity test pins the closure
-        # against routing_epoch().
-        db, topo = self.database, self.topology
-        if self.config.use_reported_stats:
-            self._freshness = lambda: (
-                self._availability_version,
-                db._locations_version,
-                db._link_stats_version,
-                topo._state_version,
-            )
-        else:
-            self._freshness = lambda: (
-                self._availability_version,
-                db._locations_version,
-                topo._traffic_version,
-                topo._state_version,
-            )
+        self._m_decision_misses = self.obs.counter(
+            "decision.misses", subsystem="core",
+            description="epoch-memo decision lookups that ran the VRA",
+        )
         #: The load-leveling admission front-end; None when the knob is 0
         #: (requests go straight to session start, legacy-identical).
         self.admission_queue: Optional[AdmissionQueue] = None
@@ -706,13 +637,13 @@ class VoDService:
         )
         obs.gauge(
             "routing.cache_hit_rate", subsystem="core",
-            description="routing-cache hits over lookups, in [0, 1]",
-            callback=self._cache_hit_rate,
+            description="epoch-memo table/tree hits over lookups, in [0, 1]",
+            callback=lambda: self._memo.stats.hit_rate if self._memo else 0.0,
         )
         obs.gauge(
             "decision.cache_hit_rate", subsystem="core",
-            description="whole-decision memo hits over lookups, in [0, 1]",
-            callback=self._decision_hit_rate,
+            description="epoch-memo decision replays over lookups, in [0, 1]",
+            callback=lambda: self._memo.decision_stats.hit_rate if self._memo else 0.0,
         )
         obs.gauge(
             "admission.queue_depth", subsystem="service",
@@ -771,16 +702,6 @@ class VoDService:
             description="bandwidth reserved by VoD flows (Mbps)",
             callback=lambda l=link: l.reserved_mbps,
         )
-
-    def _cache_hit_rate(self) -> float:
-        """Routing-cache hit rate, 0.0 when caching is off or replaced."""
-        stats = getattr(self.vra, "cache_stats", None)
-        return stats.hit_rate if stats is not None else 0.0
-
-    def _decision_hit_rate(self) -> float:
-        """Decision-memo hits over lookups, 0.0 before any (or when off)."""
-        total = self._decision_hits + self._decision_misses
-        return self._decision_hits / total if total else 0.0
 
     # ------------------------------------------------------------------ #
     # initialisation phase
@@ -964,31 +885,30 @@ class VoDService:
 
     @vra.setter
     def vra(self, policy) -> None:
-        # The memo's freshness token covers the built-in VRA's inputs; it
-        # says nothing about a substitute's (RandomSelection draws from an
+        # The memo's token covers the built-in VRA's inputs; it says
+        # nothing about a substitute's (RandomSelection draws from an
         # RNG), so a replaced policy always runs unmemoized.
         self._vra = policy
-        self._decision_memo_on = False
+        self._memo = None
 
     def decide(self, home_uid: str, title_id: str) -> VraDecision:
         """One VRA decision for a request at ``home_uid`` (no streaming).
 
-        While the freshness token is unchanged, every input of this pair's
+        While the memo's token is unchanged, every input of this pair's
         previous decision (holder list, poll answers, LVN weights,
         topology) is provably unchanged, so the stored decision is
         returned without re-entering the VRA — one tuple compare and one
         dict probe.  A replay feeds ``repro.obs`` only with observability
         on: a disabled registry hands out no-ops (DESIGN.md §5b.14).
         """
-        memo_on = self._decision_memo_on
-        if memo_on:
-            token = self._freshness()
-            if token != self._replay_token:
-                self._decision_replay.clear()
-                self._replay_token = token
-            decision = self._decision_replay.get((home_uid, title_id))
+        memo = self._memo
+        if memo is not None:
+            token = memo.token_of()
+            if token != memo.token:
+                memo.sync(token)
+            decision = memo.decisions.get((home_uid, title_id))
             if decision is not None:
-                self._decision_hits += 1
+                memo.decision_stats.hits += 1
                 if self._obs_enabled:
                     self._m_decision_hits.inc()
                     self._vra.count_replayed(decision)
@@ -998,7 +918,7 @@ class VoDService:
                 if self.tracer.enabled:
                     self._trace_decision(home_uid, title_id, decision)
                 return decision
-            self._decision_misses += 1
+            memo.decision_stats.misses += 1
             self._m_decision_misses.inc()
         # Full holders only: a server advertising a prefix fraction
         # cannot source a whole remote stream, so the VRA prefers
@@ -1024,11 +944,11 @@ class VoDService:
         ):
             # Stamped outside the VRA; the memo stores the marked one
             # (safe: every stale-set flip bumps the link-stats version,
-            # which stales the freshness token).
+            # which moves the token).
             decision = replace(decision, degraded=True)
-        if memo_on:
+        if memo is not None:
             # Errors never get here, so they are never stored.
-            self._decision_replay[(home_uid, title_id)] = decision
+            memo.decisions[(home_uid, title_id)] = decision
         if self.tracer.enabled:
             self._trace_decision(home_uid, title_id, decision)
         return decision
@@ -1055,7 +975,7 @@ class VoDService:
         )
 
     def _bump_availability(self) -> None:
-        """A server's poll-answer inputs moved; stale the replay tokens."""
+        """A server's poll-answer inputs moved; this moves the memo token."""
         self._availability_version += 1
 
     # ------------------------------------------------------------------ #
@@ -1156,7 +1076,8 @@ class VoDService:
         the ground-truth path it additionally tracks every link-usage
         mutation.  Equal tokens guarantee
         bit-identical LVN tables and Dijkstra trees, which is what lets
-        the routing cache reuse them safely.
+        the epoch memo reuse them safely (it is the memo token's routing
+        part, less the node-load extension's availability counter).
         """
         if self.config.use_reported_stats:
             return (
@@ -1173,13 +1094,14 @@ class VoDService:
     def snapshot(self) -> Dict[str, object]:
         """One-call operational snapshot of the running service.
 
-        Includes the routing-cache hit/miss/invalidation counters, so
-        operators (and the benchmark reports) can see how often the VRA
-        actually recomputed.  Also records the snapshot into the event
-        trace when tracing is enabled.
+        Includes the epoch memo's counters — table/tree under
+        ``routing_cache``, decision replays under ``decision_cache`` (both
+        None when the memo is off) — so operators (and the benchmark
+        reports) can see how often the VRA actually recomputed.  Also
+        records the snapshot into the event trace when tracing is enabled.
         """
-        cache_stats = getattr(self.vra, "cache_stats", None)
-        cache_dict = cache_stats.as_dict() if cache_stats is not None else None
+        memo = self._memo
+        cache_dict = memo.stats.as_dict() if memo else None
         snapshot: Dict[str, object] = {
             "time": self.sim.now,
             "server_count": len(self.servers),
@@ -1190,26 +1112,14 @@ class VoDService:
             "vra_decisions": getattr(self.vra, "decision_count", 0),
             "routing_epoch": self.routing_epoch(),
             "routing_cache": cache_dict,
-            "decision_cache": (
-                {
-                    "hits": self._decision_hits,
-                    "misses": self._decision_misses,
-                    "hit_rate": self._decision_hit_rate(),
-                }
-                if self._decision_memo_on
-                else None
-            ),
+            "decision_cache": memo.decision_stats.as_dict() if memo else None,
             "admission_queue": (
                 self.admission_queue.snapshot()
                 if self.admission_queue is not None
                 else None
             ),
         }
-        cache_label = (
-            f"cache {cache_dict['hit_rate']:.2%} hit rate"
-            if cache_dict is not None
-            else "cache off"
-        )
+        cache_label = f"cache {cache_dict['hit_rate']:.2%} hit rate" if memo else "cache off"
         self.tracer.record(
             self.sim.now,
             "service.snapshot",

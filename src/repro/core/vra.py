@@ -31,13 +31,12 @@ from repro.core.lvn import (
 )
 from repro.errors import (
     NoReachableHolderError,
-    ReproError,
     RoutingError,
     TitleUnavailableError,
 )
 from repro.network.compiled import TopologySnapshot
 from repro.network.routing.cache import (
-    DEFAULT_TREE_CAPACITY,
+    DecisionCacheStats,
     RoutingCache,
     RoutingCacheStats,
 )
@@ -49,8 +48,8 @@ from repro.network.topology import Topology
 #: Poll callback: may a given server currently provide the title?
 PollFn = Callable[[str], bool]
 
-#: Routing-epoch provider: an opaque hashable token that changes whenever
-#: any input of the LVN equations or Dijkstra could have changed.
+#: Memo-token provider: a hashable that changes whenever any input of the
+#: LVN equations or Dijkstra (for a service: of a decision) could have.
 EpochFn = Callable[[], Hashable]
 
 #: ``weights -> (candidate_paths, dijkstra_result)`` of one decision.
@@ -136,29 +135,20 @@ class VirtualRoutingAlgorithm:
             configuration factor(s)"); None gives the paper's exact eq. 2.
         trace: When True, every Dijkstra run records the paper-style step
             table (Tables 4-5) into the decision's ``dijkstra_result``.
-        epoch_of: Optional routing-epoch provider.  When given (and
-            ``cache_size > 0``) the LVN table and Dijkstra trees are
-            memoized per epoch — a cache hit returns the same decision
-            bit-for-bit as a cold run, because the provider's contract is
-            to change whenever any routing input could have changed.
-            A new token drops everything cached under the old one.  None
-            (the default) recomputes everything per decision, exactly the
-            paper's Figure 5.
-        cache_size: LRU bound on cached Dijkstra trees; ``0`` disables
-            caching entirely even when ``epoch_of`` is given.
+        epoch_of: Optional memo-token provider.  When given, the VRA owns
+            the epoch memo ``cache`` (:mod:`repro.network.routing.cache`);
+            None (the default) recomputes everything per decision,
+            exactly the paper's Figure 5.
+        routing_width: Leading token entries forming its routing part
+            (None: all of it).
         metrics: Optional telemetry registry; when given (and enabled)
             the VRA counts decisions / local serves and records a
             candidate-count histogram under the ``vra.*`` families.
         compiled: Route weight-table builds and Dijkstra runs through the
             array-compiled :class:`~repro.network.compiled.TopologySnapshot`
-            instead of the per-link python loops.  Output is bit-for-bit
-            identical either way (the equivalence property suites pin it);
-            this only changes the cost of a cache/memo miss.  Automatically
-            ignored when ``node_load`` is active (the compiled kernel
-            implements the paper's exact eq. 2, not the workload
-            extension); trace-mode Dijkstra runs also fall back to the
-            python path, which is the only implementation of the
-            paper-style step tables.
+            (bit-for-bit identical output).  Ignored under ``node_load``
+            (the kernel implements only the paper's exact eq. 2); trace
+            runs use the python path, the only one with step tables.
     """
 
     def __init__(
@@ -169,7 +159,7 @@ class VirtualRoutingAlgorithm:
         node_load: Optional[NodeLoadFn] = None,
         trace: bool = False,
         epoch_of: Optional[EpochFn] = None,
-        cache_size: int = DEFAULT_TREE_CAPACITY,
+        routing_width: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         compiled: bool = False,
     ):
@@ -178,17 +168,11 @@ class VirtualRoutingAlgorithm:
         self._k = normalization_constant
         self._node_load = node_load
         self._trace = trace
-        self._epoch_of = epoch_of
         self._snapshot: Optional[TopologySnapshot] = (
             TopologySnapshot(topology) if compiled and node_load is None else None
         )
-        if cache_size < 0:
-            raise ReproError(
-                f"routing cache size must be >= 0, got {cache_size!r}"
-            )
-        cacheable = epoch_of is not None and cache_size > 0
         self.cache: Optional[RoutingCache] = (
-            RoutingCache(max_trees=cache_size) if cacheable else None
+            RoutingCache(epoch_of, routing_width) if epoch_of is not None else None
         )
         self.decision_count = 0
         # Instruments resolve once here; a disabled registry hands back
@@ -210,8 +194,13 @@ class VirtualRoutingAlgorithm:
 
     @property
     def cache_stats(self) -> Optional[RoutingCacheStats]:
-        """Hit/miss/invalidation counters, or None when caching is off."""
+        """Table/tree counters of the memo, or None when it is off."""
         return self.cache.stats if self.cache is not None else None
+
+    @property
+    def decision_cache_stats(self) -> Optional[DecisionCacheStats]:
+        """Whole-decision replay counters of the memo, or None when off."""
+        return self.cache.decision_stats if self.cache is not None else None
 
     def count_replayed(self, decision: "VraDecision") -> None:
         """Telemetry parity for a decision replayed by the service's memo.
@@ -233,7 +222,7 @@ class VirtualRoutingAlgorithm:
         """Current LVN table ("Calculate the Link Validation Number for
         each network link")."""
         if self.cache is not None:
-            return self.cache.weights(self._epoch_of(), self._compute_weights)
+            return self.cache.weights(self.cache.token_of(), self._compute_weights)
         return self._compute_weights()
 
     def _compute_weights(self) -> Dict[str, float]:
@@ -249,18 +238,18 @@ class VirtualRoutingAlgorithm:
 
         The compiled path searches only as far as the nearest of
         ``targets`` (the available holders); the python path settles
-        everything.  With caching on, both come from the routing cache
-        under a single epoch token fetched once (so the pair is always
-        mutually consistent); cached decisions share the table/search
-        objects, which callers treat as read-only.
+        everything.  With the memo on, both come from it under a single
+        token fetched once (so the pair is always mutually consistent);
+        cached decisions share the table/search objects, which callers
+        treat as read-only.
         """
         if self.cache is None:
             weights = self._compute_weights()
             return weights, self._run_dijkstra(home_uid, weights, targets)
-        epoch = self._epoch_of()
-        weights = self.cache.weights(epoch, self._compute_weights)
+        token = self.cache.token_of()
+        weights = self.cache.weights(token, self._compute_weights)
         result = self.cache.tree(
-            epoch, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
+            token, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
         )
         return weights, result
 

@@ -48,7 +48,7 @@ class ServiceDatabase:
         """Monotonic counter bumped whenever any title's holder list
         changes (advertisements and withdrawals).  Equal values guarantee
         every :meth:`servers_with_title` answer is unchanged — one input
-        of the service's decision-memo freshness token."""
+        of the VRA epoch memo's token (its availability part)."""
         return self._locations_version
 
     # ------------------------------------------------------------------ #

@@ -15,7 +15,6 @@ from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.topology import Topology
 from repro.network.flows import Flow, FlowManager
-from repro.network.routing.bellman_ford import BellmanFordResult, bellman_ford
 from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep, dijkstra
 from repro.network.routing.paths import Path
 from repro.network.topologies import (
@@ -28,7 +27,6 @@ from repro.network.topologies import (
 )
 
 __all__ = [
-    "BellmanFordResult",
     "DijkstraResult",
     "DijkstraStep",
     "Flow",
@@ -37,7 +35,6 @@ __all__ = [
     "Node",
     "Path",
     "Topology",
-    "bellman_ford",
     "dijkstra",
     "grid_topology",
     "line_topology",

@@ -5,9 +5,8 @@ paper's VRA; it offers a *trace mode* that records the per-step tentative
 distance table in exactly the layout of the paper's Tables 4 and 5.
 """
 
-from repro.network.routing.bellman_ford import BellmanFordResult, bellman_ford
 from repro.network.routing.cache import (
-    DEFAULT_TREE_CAPACITY,
+    DecisionCacheStats,
     RoutingCache,
     RoutingCacheStats,
 )
@@ -15,13 +14,11 @@ from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep, dijkstr
 from repro.network.routing.paths import Path
 
 __all__ = [
-    "BellmanFordResult",
-    "DEFAULT_TREE_CAPACITY",
+    "DecisionCacheStats",
     "DijkstraResult",
     "DijkstraStep",
     "Path",
     "RoutingCache",
     "RoutingCacheStats",
-    "bellman_ford",
     "dijkstra",
 ]

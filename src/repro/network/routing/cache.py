@@ -1,64 +1,48 @@
-"""Epoch-versioned memoization of routing state.
+"""The one epoch memo in front of the VRA.
 
-The VRA recomputes the LVN weight table (equations 1-4) and a Dijkstra
-search for every decision, yet its inputs only change when a
-*routing epoch* advances: an SNMP sample lands in the limited-access
-database, a link fails or recovers, or — on the ground-truth path —
-link usage itself mutates.  Between epochs every recomputation is
-byte-identical, so the service threads a cheap epoch token (see
-``VoDService.routing_epoch``) through this cache and reuses:
+The VRA (paper Figure 5) is a pure function of the holder list, the poll
+answers, the SNMP-reported link usage and the topology state, and each
+moves only when a version counter does.  The service threads one flat
+token over those counters through this memo.  Its leading
+``routing_width`` entries are the *routing part* (``routing_epoch()``'s
+counters, plus server availability when the node-load extension folds
+stream slots into the weights); while it stands the memo reuses the LVN
+``weight_table`` and one ``DijkstraResult`` per home — a complete tree on
+the python path, the goal-directed *prefix* (everything within ``radius``)
+on the compiled one (:meth:`RoutingCache.tree`).  The rest is the
+*availability part* (poll answers, holder lists): while the whole token
+stands, the service replays the :class:`~repro.core.vra.VraDecision` per
+``(home, title)`` stored here.  :meth:`RoutingCache.sync` flushes
+everything when the routing part moves and only the decisions when just
+the availability part does — every stream-slot change bumps it, far more
+often than an SNMP round lands (DESIGN.md §5b.8).
 
-* the LVN ``weight_table`` — one per epoch, and
-* the ``DijkstraResult`` — one per ``(epoch, source)``, LRU-bounded by
-  ``max_trees``.  The python path stores complete shortest-path trees;
-  the compiled path stores the *prefix* its goal-directed search settled
-  (everything within ``radius`` of the source), which answers any later
-  request with a target inside it and is replaced by a longer search
-  otherwise (:meth:`RoutingCache.tree`).
-
-Correctness contract: the epoch token MUST change whenever any routing
-input could have changed.  Under that contract a cache hit returns the
-same decision bit-for-bit as a cold run; the SNMP *staleness* the paper
-reproduces lives in the database values themselves, not in the act of
-recomputing, so memoization preserves it exactly (the VRA still sees
-exactly the last SNMP sample).
-
-The epoch token says *when* something may have moved; nothing needs to
-say *what*.  A new token is a flush: the table and every cached search
-are dropped and rebuilt on demand under the new token (DESIGN.md §5b.7
-records why nothing is carried across — an SNMP round rewrites most
-links, so almost no tree survives one and proving that one did costs
-what re-running it does).
-
-``max_trees=0`` disables the cache entirely: every call computes fresh
-and no counters move, restoring the uncached behaviour exactly.
+Correctness contract: the token MUST change whenever any input could have
+changed; a hit then returns the same decision bit-for-bit as a cold run
+(the SNMP *staleness* the paper reproduces lives in the database values,
+not in the act of recomputing).  A move is a flush, never a repair: an
+SNMP round rewrites most links, so almost no tree survives one and
+proving that one did costs what re-running it does (DESIGN.md §5b.7).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
 from repro.network.routing.dijkstra import DijkstraResult
-
-#: Default LRU bound on cached Dijkstra trees (one per home server is the
-#: steady state, so this comfortably covers topologies of ~128 nodes).
-DEFAULT_TREE_CAPACITY = 128
 
 
 @dataclass
 class RoutingCacheStats:
-    """Hit/miss/invalidation counters of one :class:`RoutingCache`.
+    """Table/tree counters of one :class:`RoutingCache`.
 
     Attributes:
-        weight_hits: LVN table requests answered from cache.
+        weight_hits: LVN table requests answered from the memo.
         weight_misses: LVN table requests that recomputed.
-        tree_hits: Dijkstra-tree requests answered from cache.
+        tree_hits: Dijkstra-tree requests answered from the memo.
         tree_misses: Dijkstra-tree requests that recomputed.
-        invalidations: Epoch transitions (each one flushed everything).
-        evictions: Trees dropped by the LRU bound (not by invalidation).
+        invalidations: Routing-part moves (each one flushed everything).
     """
 
     weight_hits: int = 0
@@ -66,23 +50,21 @@ class RoutingCacheStats:
     tree_hits: int = 0
     tree_misses: int = 0
     invalidations: int = 0
-    evictions: int = 0
 
     @property
     def hits(self) -> int:
-        """Total cache hits (weights + trees)."""
+        """Total hits (weights + trees)."""
         return self.weight_hits + self.tree_hits
 
     @property
     def misses(self) -> int:
-        """Total cache misses (weights + trees)."""
+        """Total misses (weights + trees)."""
         return self.weight_misses + self.tree_misses
 
     @property
     def hit_rate(self) -> float:
         """Hits over total lookups, in [0, 1] (0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return _rate(self.hits, self.misses)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dict for snapshots, traces and reports."""
@@ -92,56 +74,67 @@ class RoutingCacheStats:
             "tree_hits": self.tree_hits,
             "tree_misses": self.tree_misses,
             "invalidations": self.invalidations,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
 
 
 @dataclass
-class RoutingCache:
-    """Per-epoch memo of the LVN table and Dijkstra trees / tree prefixes.
+class DecisionCacheStats:
+    """Whole-decision replay counters of one :class:`RoutingCache`.
 
-    Args:
-        max_trees: LRU bound on cached trees; ``0`` disables the cache.
-
-    The cache holds state for exactly one epoch at a time: the first
-    lookup under a new epoch token drops everything cached under the
-    previous one (counted as an invalidation).  Keeping only the live
-    epoch is deliberate — stale epochs can never be asked for again,
-    because the version counters feeding the token are monotonic.
+    Attributes:
+        hits: ``decide()`` calls answered with a stored decision.
+        misses: Lookups that ran the VRA.
     """
 
-    max_trees: int = DEFAULT_TREE_CAPACITY
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over lookups, in [0, 1] (0 before any lookup)."""
+        return _rate(self.hits, self.misses)
+
+    def as_dict(self) -> Dict[str, float]:
+        """Flat dict for snapshots."""
+        return {"hits": self.hits, "misses": self.misses, "hit_rate": self.hit_rate}
+
+
+def _rate(hits: int, misses: int) -> float:
+    total = hits + misses
+    return hits / total if total else 0.0
+
+
+@dataclass
+class RoutingCache:
+    """The memo of one token: LVN table, search per home, decisions.
+
+    Args:
+        token_of: The token provider its owner reads before a lookup
+            (the memo itself only compares what it is handed).
+        routing_width: How many leading entries of a tuple token form the
+            routing part; ``None`` makes the whole token (any hashable)
+            routing.  Older tokens are never asked for again: the
+            counters feeding them are monotonic.
+    """
+
+    token_of: Optional[Callable[[], Hashable]] = field(default=None, repr=False)
+    routing_width: Optional[int] = None
     stats: RoutingCacheStats = field(default_factory=RoutingCacheStats)
-    _epoch: Optional[Hashable] = field(default=None, repr=False)
+    decision_stats: DecisionCacheStats = field(default_factory=DecisionCacheStats)
+    #: The token everything below was computed under (None before use).
+    token: Optional[Hashable] = field(default=None, repr=False)
+    #: ``(home_uid, title_id) -> VraDecision`` under ``token``; filled and
+    #: read by the service, dropped here on every token move.
+    decisions: Dict[Tuple[str, str], Any] = field(default_factory=dict, repr=False)
     _weights: Optional[Dict[str, float]] = field(default=None, repr=False)
-    _trees: "OrderedDict[str, DijkstraResult]" = field(
-        default_factory=OrderedDict, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.max_trees < 0:
-            raise ReproError(
-                f"routing cache size must be >= 0, got {self.max_trees!r}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """False when ``max_trees`` is 0 (pass-through mode)."""
-        return self.max_trees > 0
-
-    @property
-    def epoch(self) -> Optional[Hashable]:
-        """The epoch token currently cached (None before first use)."""
-        return self._epoch
+    _trees: Dict[str, DijkstraResult] = field(default_factory=dict, repr=False)
 
     def weights(
-        self, epoch: Hashable, compute: Callable[[], Dict[str, float]]
+        self, token: Hashable, compute: Callable[[], Dict[str, float]]
     ) -> Dict[str, float]:
-        """The LVN table for ``epoch``, computing via ``compute`` on miss."""
-        if not self.enabled:
-            return compute()
-        self.sync(epoch)
+        """The LVN table for ``token``, computing via ``compute`` on miss."""
+        self.sync(token)
         if self._weights is None:
             self.stats.weight_misses += 1
             self._weights = compute()
@@ -151,12 +144,12 @@ class RoutingCache:
 
     def tree(
         self,
-        epoch: Hashable,
+        token: Hashable,
         source: str,
         compute: Callable[[], DijkstraResult],
         targets: Sequence[str] = (),
     ) -> DijkstraResult:
-        """The Dijkstra search from ``source`` for ``epoch`` (LRU-bounded).
+        """The Dijkstra search from ``source`` for ``token``.
 
         ``targets`` are the nodes the caller will read (none = the whole
         tree).  A cached *prefix* answers iff one of them lies inside it:
@@ -165,37 +158,36 @@ class RoutingCache:
         under the current weights and its longer result replaces the
         entry; a prefix is never extended in place.
         """
-        if not self.enabled:
-            return compute()
-        self.sync(epoch)
+        self.sync(token)
         cached = self._trees.get(source)
         if cached is not None and (
             cached.complete or not cached.distances.keys().isdisjoint(targets)
         ):
             self.stats.tree_hits += 1
-            self._trees.move_to_end(source)
             return cached
         self.stats.tree_misses += 1
         result = compute()
         self._trees[source] = result
-        self._trees.move_to_end(source)
-        while len(self._trees) > self.max_trees:
-            self._trees.popitem(last=False)
-            self.stats.evictions += 1
         return result
 
     def clear(self) -> None:
         """Drop all cached state (counters are preserved)."""
-        self._epoch = None
+        self.token = None
+        self.decisions.clear()
         self._weights = None
         self._trees.clear()
 
-    def sync(self, epoch: Hashable) -> None:
-        """Bring the cache onto ``epoch`` (called by :meth:`weights` and
-        :meth:`tree`; a no-op while the epoch is unchanged)."""
-        if epoch == self._epoch:
+    def sync(self, token: Hashable) -> None:
+        """Bring the memo onto ``token``: a no-op while it is unchanged,
+        a decisions-only drop when just the availability part moved, and
+        a full flush when the routing part did."""
+        if token == self.token:
             return
-        if self._epoch is not None:
-            self.stats.invalidations += 1
-        self.clear()
-        self._epoch = epoch
+        old, width = self.token, self.routing_width
+        if old is None or width is None or token[:width] != old[:width]:
+            if old is not None:
+                self.stats.invalidations += 1
+            self._weights = None
+            self._trees.clear()
+        self.decisions.clear()
+        self.token = token

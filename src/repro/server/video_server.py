@@ -77,7 +77,7 @@ class VideoServer:
         #: Optional listener fired whenever anything feeding this server's
         #: VRA poll answer (:meth:`can_provide`) can move: online state,
         #: title residency/pending downloads, disk health, stream slots.
-        #: The service wires it to its decision memo's freshness token.
+        #: The service wires it to the VRA epoch memo's token.
         self.on_availability_change: Optional[Callable[[], None]] = None
         self.admission.on_change = self._touch_availability
         self.array.on_change = self._touch_availability

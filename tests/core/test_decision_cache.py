@@ -1,8 +1,8 @@
-"""The whole-decision memo as :class:`~repro.core.service.VoDService`
-wires it: the freshness token that clears it (pinned against
-``routing_epoch()`` as promised in the service source), the availability
-hooks that move the token, telemetry parity on replays, and the snapshot
-sections.
+"""The decision half of the VRA's epoch memo as
+:class:`~repro.core.service.VoDService` wires it: the token that clears
+it (its routing part pinned against ``routing_epoch()`` as promised in the
+service source), the availability hooks that move the token, telemetry
+parity on replays, and the snapshot sections.
 """
 
 import gc
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.database.records import LinkStats
-from repro.errors import ReproError, RoutingError
+from repro.errors import RoutingError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
@@ -45,24 +45,23 @@ def report_traffic(service: VoDService, label: str = "8am") -> None:
 
 
 class TestServiceWiring:
-    def test_negative_size_rejected(self):
-        with pytest.raises(ReproError, match="decision cache size"):
-            build_service(decision_cache_size=-1)
-
     def test_decision_cache_rides_on_the_routing_cache(self):
-        service = build_service(routing_cache_size=0, decision_cache_size=256)
-        assert service.snapshot()["decision_cache"] is None  # no epoch, no memo
+        service = build_service(compiled_routing=False)
+        assert service.snapshot()["decision_cache"] is None  # reference: no memo
         first = service.decide("U2", "movie")
         assert first.chosen_uid in {"U4", "U5"}
         assert service.decide("U2", "movie") is not first
 
-    def test_default_config_leaves_the_memo_off(self):
+    def test_default_config_turns_the_memo_on(self):
         service = build_service()
-        assert service.snapshot()["decision_cache"] is None
+        assert service.snapshot()["decision_cache"] == {
+            "hits": 0, "misses": 0, "hit_rate": 0.0
+        }
+        assert service.vra.cache.decisions == {}
         assert service.admission_queue is None
 
     def test_replay_returns_the_cached_object_with_counter_parity(self):
-        service = build_service(decision_cache_size=256)
+        service = build_service()
         first = service.decide("U2", "movie")
         decisions_before = service.vra.decision_count
         second = service.decide("U2", "movie")
@@ -73,14 +72,15 @@ class TestServiceWiring:
 
     @pytest.mark.parametrize("use_reported_stats", [True, False])
     def test_freshness_token_pins_routing_epoch(self, use_reported_stats):
-        """The replay token must change whenever ``routing_epoch()``
-        does — the parity promised in the service source."""
-        service = build_service(
-            decision_cache_size=256, use_reported_stats=use_reported_stats
-        )
+        """The memo token's routing part is ``routing_epoch()``'s
+        counters, so it moves whenever the epoch does — the parity
+        promised in the service source."""
+        service = build_service(use_reported_stats=use_reported_stats)
 
         def observe():
-            return service._freshness(), service.routing_epoch()
+            token, epoch = service.vra.cache.token_of(), service.routing_epoch()
+            assert token[:2] == epoch[1:]
+            return token, epoch
 
         token, epoch = observe()
         for mutate in (
@@ -101,7 +101,7 @@ class TestServiceWiring:
             token, epoch = new_token, new_epoch
 
     def test_availability_churn_invalidates_the_replay(self):
-        service = build_service(decision_cache_size=256)
+        service = build_service()
         first = service.decide("U2", "movie")
         chosen = service.servers[first.chosen_uid]
         # Fill the chosen holder's last stream slots: its poll answer
@@ -120,36 +120,36 @@ class TestServiceWiring:
     def test_replay_forgets_everything_decided_under_an_older_token(self):
         """The token's counters only grow, so a replay entry of an older
         token can never hit again — and must not pin that epoch's table."""
-        service = build_service(decision_cache_size=256)
+        service = build_service()
         report_traffic(service)
         service.decide("U2", "movie")
         service.decide("U3", "movie")
-        assert set(service._decision_replay) == {("U2", "movie"), ("U3", "movie")}
+        assert set(service.vra.cache.decisions) == {("U2", "movie"), ("U3", "movie")}
         old_table = weakref.ref(service.decide("U2", "movie").weights)
         assert old_table() is not None
 
         report_traffic(service, "4pm")  # the token (and every weight) moves
         fresh = service.decide("U2", "movie")
-        assert set(service._decision_replay) == {("U2", "movie")}
-        assert service._decision_replay["U2", "movie"] is fresh
+        assert set(service.vra.cache.decisions) == {("U2", "movie")}
+        assert service.vra.cache.decisions["U2", "movie"] is fresh
         assert service.decide("U2", "movie") is fresh  # still replays
         gc.collect()
         assert old_table() is None
 
     def test_dma_title_and_disk_and_crash_churn_move_the_token(self):
-        service = build_service(decision_cache_size=256)
-        token = service._freshness()
+        service = build_service()
+        token = service.vra.cache.token_of()
         service.database.add_title_to_server("U1", "movie")
-        assert service._freshness() != token
-        token = service._freshness()
+        assert service.vra.cache.token_of() != token
+        token = service.vra.cache.token_of()
         service.servers["U4"].array.fail_disk(0)
-        assert service._freshness() != token
-        token = service._freshness()
+        assert service.vra.cache.token_of() != token
+        token = service.vra.cache.token_of()
         service.servers["U5"].online = False
-        assert service._freshness() != token
+        assert service.vra.cache.token_of() != token
 
     def test_errors_are_never_cached(self):
-        service = build_service(decision_cache_size=256)
+        service = build_service()
         for link in service.topology.links():
             link.online = False
         for _ in range(2):
@@ -158,14 +158,13 @@ class TestServiceWiring:
         stats = service.snapshot()["decision_cache"]
         assert stats["hits"] == 0
         assert stats["misses"] == 2
-        assert len(service._decision_replay) == 0
+        assert len(service.vra.cache.decisions) == 0
 
     def test_snapshot_reports_the_new_sections(self):
-        plain = build_service()
+        plain = build_service(compiled_routing=False)
         assert plain.snapshot()["decision_cache"] is None
         assert plain.snapshot()["admission_queue"] is None
         tuned = build_service(
-            decision_cache_size=256,
             admission_queue_capacity=8,
             admission_rate_per_s=2.0,
         )
@@ -176,7 +175,6 @@ class TestServiceWiring:
 
     def test_queue_delay_and_shed_surface_in_session_records(self):
         service = build_service(
-            decision_cache_size=256,
             admission_queue_capacity=2,
             admission_rate_per_s=1.0 / 60.0,
             admission_tick_s=60.0,
@@ -211,9 +209,7 @@ class TestStalenessFlipMovesTheToken:
         service = VoDService(
             Simulator(),
             topology,
-            ServiceConfig(
-                decision_cache_size=256, snmp_period_s=60.0, max_stats_age_s=150.0
-            ),
+            ServiceConfig(snmp_period_s=60.0, max_stats_age_s=150.0),
         )
         service.seed_title("U4", MOVIE)
         service.seed_title("U5", MOVIE)
@@ -224,7 +220,7 @@ class TestStalenessFlipMovesTheToken:
 
         def decide_twice():
             service.decide("U2", "movie")
-            observed.append((service.decide("U2", "movie"), service._decision_misses))
+            observed.append((service.decide("U2", "movie"), service.vra.decision_cache_stats.misses))
 
         decide_twice()
         service.statistics.blackout()
@@ -273,7 +269,7 @@ class TestReplayPaysForTheTokenOnce:
     def test_replays_touch_no_instrument_when_observability_is_off(self, monkeypatch):
         from repro.obs.registry import _NullCounter, _NullHistogram
 
-        service = build_service(decision_cache_size=256)
+        service = build_service()
         assert not service.obs.enabled
 
         def forbid(patch):
@@ -300,10 +296,9 @@ class TestReplayPaysForTheTokenOnce:
         assert service.vra.decision_count == 10
 
     def test_instruments_read_the_same_with_the_memo_on_or_off(self):
-        def run(decision_cache_size):
+        def run(compiled_routing):
             service = build_service(
-                decision_cache_size=decision_cache_size,
-                observability=True,
+                compiled_routing=compiled_routing, observability=True
             )
             for round_ in range(3):
                 for home in ("U1", "U2", "U3", "U4"):  # U4 serves locally
@@ -312,7 +307,7 @@ class TestReplayPaysForTheTokenOnce:
                 report_traffic(service, ("8am", "4pm", "8am")[round_])
             return service
 
-        plain, memoed = run(0), run(256)
+        plain, memoed = run(False), run(True)
         obs = memoed.obs
         decisions = obs.counter("vra.decisions").value
         assert decisions == memoed.vra.decision_count == 36

@@ -157,7 +157,7 @@ class TestGoalDirectedSearch:
         decision = vra.decide("U2", "movie", holders=["U1", "U5"])
         expected = oracle.decide("U2", "movie", holders=["U1", "U5"])
         # A hit (compute is never called): the prefix the decision read.
-        search = vra.cache.tree(vra.cache.epoch, "U2", None, [decision.chosen_uid])
+        search = vra.cache.tree(vra.cache.token, "U2", None, [decision.chosen_uid])
         assert not search.complete and not search.reaches("U5")
         assert (decision.chosen_uid, decision.path) == (expected.chosen_uid, expected.path)
         # The audit trail is the complete tree and every candidate's path.

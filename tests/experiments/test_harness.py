@@ -140,7 +140,7 @@ class TestRunExperiment:
         experiment = ServiceExperiment(
             name="t",
             scenario=small_scenario(),
-            config=small_config(decision_cache_size=256),
+            config=small_config(),
             selection=selection,
             seed_origin_uids=["U1"] if selection == "origin:U1" else None,
             run_until=24 * 3600.0,  # long enough for the slowest stream

@@ -1,9 +1,10 @@
-"""Equivalence of the epoch-versioned routing cache.
+"""Equivalence of the VRA's epoch memo.
 
-The whole point of the cache is that it changes *nothing* about routed
+The whole point of the memo is that it changes *nothing* about routed
 decisions — only how often they are recomputed.  These tests run a full
 flash-crowd service experiment (dynamic per-cluster switching on) twice,
-with the cache enabled and disabled, and require every VRA decision —
+on the default path and on the reference path (``compiled_routing=False``:
+no memo), and require every VRA decision —
 chosen server, path and cost — and every delivered cluster to be
 identical.
 """
@@ -18,13 +19,13 @@ from repro.workload.scenarios import flash_crowd_scenario
 SPECIAL = VideoTitle("special", size_mb=200.0, duration_s=1_200.0)
 
 
-def run_flash_crowd(cache_size: int, use_reported_stats: bool):
+def run_flash_crowd(compiled_routing: bool, use_reported_stats: bool):
     """One flash-crowd run; returns (decision log, session records)."""
     scenario = flash_crowd_scenario(
         "U2", SPECIAL, viewer_count=12, start_s=300.0, ramp_s=1_800.0
     )
     experiment = ServiceExperiment(
-        name=f"equiv-cache{cache_size}",
+        name=f"equiv-compiled{compiled_routing}",
         scenario=scenario,
         config=ServiceConfig(
             cluster_mb=50.0,
@@ -32,7 +33,7 @@ def run_flash_crowd(cache_size: int, use_reported_stats: bool):
             disk_capacity_mb=1_000.0,
             max_streams=64,
             use_reported_stats=use_reported_stats,
-            routing_cache_size=cache_size,
+            compiled_routing=compiled_routing,
         ),
         seed_origin_uids=["U4"],
         run_until=5 * 3600.0,
@@ -78,10 +79,10 @@ def run_flash_crowd(cache_size: int, use_reported_stats: bool):
 @pytest.mark.parametrize("use_reported_stats", [True, False])
 def test_flash_crowd_decisions_identical_with_and_without_cache(use_reported_stats):
     cached_decisions, cached_clusters, cached_service = run_flash_crowd(
-        128, use_reported_stats
+        True, use_reported_stats
     )
     plain_decisions, plain_clusters, plain_service = run_flash_crowd(
-        0, use_reported_stats
+        False, use_reported_stats
     )
 
     assert len(cached_decisions) == len(plain_decisions) > 0

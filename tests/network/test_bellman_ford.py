@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RoutingError, TopologyError
-from repro.network.routing.bellman_ford import bellman_ford
+from tests.network._bellman_ford import bellman_ford
 from repro.network.routing.dijkstra import dijkstra
 
 

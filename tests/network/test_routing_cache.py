@@ -5,7 +5,6 @@ import pytest
 
 from repro.database.records import LinkEntry, LinkStats
 from repro.database.store import ServiceDatabase
-from repro.errors import ReproError
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.cache import RoutingCache, RoutingCacheStats
@@ -140,45 +139,11 @@ class TestRoutingCache:
         assert cache.stats.tree_misses == 2
         assert cache.stats.tree_hits == 0
 
-    def test_tree_lru_eviction(self):
-        topology = Topology(name="tri")
-        for uid in "ABC":
-            topology.add_node(Node(uid))
-        topology.add_link(Link("A", "B", capacity_mbps=10.0))
-        topology.add_link(Link("B", "C", capacity_mbps=10.0))
-        cache = RoutingCache(max_trees=2)
-        epoch = ("db", 1)
-        cache.tree(epoch, "A", lambda: self.tree_for(topology, "A"))
-        cache.tree(epoch, "B", lambda: self.tree_for(topology, "B"))
-        # Touch A so B is the least recently used entry.
-        cache.tree(epoch, "A", lambda: self.tree_for(topology, "A"))
-        cache.tree(epoch, "C", lambda: self.tree_for(topology, "C"))
-        assert cache.stats.evictions == 1
-        cache.tree(epoch, "A", lambda: self.tree_for(topology, "A"))
-        assert cache.stats.tree_hits == 2  # A twice; B was evicted, C fresh
-        cache.tree(epoch, "B", lambda: self.tree_for(topology, "B"))
-        assert cache.stats.tree_misses == 4
-
-    def test_size_zero_is_pass_through(self):
-        topology, _ = build_pair()
-        cache = RoutingCache(max_trees=0)
-        assert not cache.enabled
-        results = [
-            cache.tree(("db", 1), "A", lambda: self.tree_for(topology))
-            for _ in range(3)
-        ]
-        assert results[0] is not results[1]
-        assert cache.stats == RoutingCacheStats()
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ReproError):
-            RoutingCache(max_trees=-1)
-
     def test_clear_preserves_counters(self):
         cache = RoutingCache()
         cache.weights(("db", 1), lambda: {})
         cache.clear()
-        assert cache.epoch is None
+        assert cache.token is None
         assert cache.stats.weight_misses == 1
 
     def test_stats_dict_and_hit_rate(self):

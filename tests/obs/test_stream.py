@@ -231,8 +231,7 @@ class TestManifest:
         assert len(head["topology"]["hash"]) == 64
         assert "knobs" not in head  # the config row already carries them
         assert head["config"]["telemetry_period_s"] == 30.0
-        assert head["config"]["routing_cache_size"] == service.config.routing_cache_size
-        assert head["config"]["decision_cache_size"] == 0
+        assert head["config"]["compiled_routing"] is True
         assert head["config"]["admission_queue_capacity"] == 0
 
     def test_config_hash_tracks_config_changes(self, grnet_8am):

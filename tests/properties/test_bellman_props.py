@@ -3,7 +3,7 @@ weights, on random connected graphs."""
 
 from hypothesis import given, settings
 
-from repro.network.routing.bellman_ford import bellman_ford
+from tests.network._bellman_ford import bellman_ford
 from repro.network.routing.dijkstra import dijkstra
 
 from .topology_strategies import random_weighted_topology

@@ -1,8 +1,9 @@
 """Property tests: the flash-crowd fast path is invisible in outcomes.
 
-The whole-decision memo and the load-leveling admission queue are pure
+The epoch memo and the load-leveling admission queue are pure
 performance machinery: with the memo on, every session record must stay
-byte-identical to a memo-off run of the same interleaving of requests,
+byte-identical to a reference-path run (``compiled_routing=False``: no
+memo at all) of the same interleaving of requests,
 link flaps, server crashes, traffic shifts and SNMP blackouts — under
 any combination of the resilience knobs, whose breaker and staleness
 transitions the memo's token has to cover; with the queue on but
@@ -38,7 +39,6 @@ def build_service(**overrides):
             "disk_capacity_mb": 1_000.0,
             "snmp_period_s": 300.0,
             "use_reported_stats": False,
-            "routing_cache_size": 64,
             **overrides,
         }
     )
@@ -244,10 +244,10 @@ QUIET = {
 @settings(max_examples=60, deadline=None)
 def test_decision_memo_invisible_in_session_records(interleaving, config):
     plain = run_interleaving(
-        build_service(decision_cache_size=0, **OBSERVED, **config), interleaving
+        build_service(compiled_routing=False, **OBSERVED, **config), interleaving
     )
     memoed = run_interleaving(
-        build_service(decision_cache_size=256, **OBSERVED, **config), interleaving
+        build_service(**OBSERVED, **config), interleaving
     )
     assert service_fingerprint(memoed) == service_fingerprint(plain)
     assert memoed.probes == plain.probes
@@ -270,7 +270,6 @@ def test_underloaded_admission_queue_is_transparent(interleaving):
     plain = run_interleaving(build_service(), interleaving)
     queued = run_interleaving(
         build_service(
-            decision_cache_size=256,
             admission_queue_capacity=10_000,
             admission_rate_per_s=1e6,
         ),
@@ -287,8 +286,7 @@ def test_overloaded_admission_queue_replays_deterministically(interleaving):
     def run_once():
         service = run_interleaving(
             build_service(
-                decision_cache_size=256,
-                admission_queue_capacity=2,
+                    admission_queue_capacity=2,
                 admission_rate_per_s=1.0 / 120.0,
                 admission_tick_s=60.0,
             ),
@@ -315,7 +313,6 @@ def test_burst_sheds_beyond_capacity_deterministically():
 
     def run_once():
         service = build_service(
-            decision_cache_size=256,
             admission_queue_capacity=3,
             admission_rate_per_s=1.0 / 60.0,
             admission_tick_s=60.0,

@@ -205,9 +205,9 @@ def apply_service_ops(service, ops):
             )
 
 
-@given(st.lists(service_ops, min_size=1, max_size=8), st.booleans())
+@given(st.lists(service_ops, min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
-def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches, compiled):
+def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches):
     """The token says when: whatever moved a routing input also moved the
     epoch, so the table the cache holds is ``core.lvn.weight_table`` bit
     for bit and in key order; an unmoved epoch keeps the very same table
@@ -216,7 +216,6 @@ def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches, compil
         Simulator(),
         build_grnet_topology(),
         ServiceConfig(
-            compiled_routing=compiled,
             breaker_threshold=2,
             breaker_cooldown_s=100.0,
             max_stats_age_s=90.0,

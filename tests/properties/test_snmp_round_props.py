@@ -53,7 +53,7 @@ def build_pair(topology):
         service = VoDService(
             Simulator(),
             copy.deepcopy(topology),
-            ServiceConfig(snmp_period_s=PERIOD_S, cluster_mb=20.0, decision_cache_size=64),
+            ServiceConfig(snmp_period_s=PERIOD_S, cluster_mb=20.0),
         )
         if oracle:
             use_both_ends_oracle(service)

@@ -100,6 +100,13 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--cache", "magic"])
 
+    @pytest.mark.parametrize("command", ["simulate", "obs"])
+    def test_decision_cache_size_rejected(self, command, capsys):
+        # The epoch memo is always on behind the built-in VRA: no knob.
+        with pytest.raises(SystemExit):
+            main([command, "--decision-cache-size", "256"])
+        assert "--decision-cache-size" in capsys.readouterr().err
+
     def test_placement_option_accepted(self, capsys):
         code = main(
             [
