@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.client.client import Client
 from repro.client.requests import VideoRequest
@@ -31,7 +31,6 @@ from repro.core.admission_queue import (
     DEFAULT_ADMISSION_RATE_PER_S,
     DEFAULT_ADMISSION_TICK_S,
     AdmissionQueue,
-    AdmissionSlot,
 )
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT
 from repro.core.session import (
@@ -40,6 +39,7 @@ from repro.core.session import (
     NO_RETRY,
     ClusterRecord,
     RetryPolicy,
+    SessionObserver,
     SessionRecord,
     StreamingSession,
 )
@@ -125,16 +125,12 @@ class ServiceConfig:
             path can sustain the title's playback rate, instead of
             admitting it at a degraded rate.  Blocked requests fail with
             a ``qos-blocked:`` reason.  Default off = paper behaviour.
-        evict_until_fits: DMA extension (DESIGN.md X2); default off.
-            Honoured by the default whole-title placement; ignored when
-            ``placement`` is set explicitly (the config object carries
-            its own knob).
         placement: Declarative placement-policy choice
             (:class:`~repro.placement.base.PlacementConfig`): whole-title
-            DMA (default), prefix replication, or popularity-weighted
-            partial caching, plus per-policy knobs.  ``None`` resolves to
-            the paper-faithful DMA honouring ``evict_until_fits`` — the
-            byte-identical default path.
+            DMA (default, the paper's Figure 2), prefix replication, or
+            popularity-weighted partial caching, plus per-policy knobs
+            such as the DMA's ``evict_until_fits`` extension (DESIGN.md
+            X2).
         pin_seeded_titles: Seed-pinning extension: initialisation-phase
             titles are exempt from cache eviction so the DMA can never
             delete a title's last network-wide copy.  Default True — a
@@ -241,9 +237,8 @@ class ServiceConfig:
     use_reported_stats: bool = True
     use_server_load_in_vra: bool = False
     strict_qos_admission: bool = False
-    evict_until_fits: bool = False
     pin_seeded_titles: bool = True
-    placement: Optional[PlacementConfig] = None
+    placement: PlacementConfig = PlacementConfig()
     compiled_routing: bool = True
     admission_queue_capacity: int = 0
     admission_rate_per_s: float = DEFAULT_ADMISSION_RATE_PER_S
@@ -272,14 +267,6 @@ class ServiceConfig:
     #: the uniform values above.
     server_overrides: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    def resolved_placement(self) -> PlacementConfig:
-        """The effective placement config: the explicit object when set,
-        otherwise the paper-faithful whole-title DMA honouring the legacy
-        ``evict_until_fits`` knob."""
-        if self.placement is not None:
-            return self.placement
-        return PlacementConfig(kind="dma", evict_until_fits=self.evict_until_fits)
-
     def retry_policy(self) -> RetryPolicy:
         """The session retry policy these knobs describe (shared NO_RETRY
         singleton when disabled, so the default path allocates nothing)."""
@@ -299,6 +286,96 @@ def _points_table_size(server: VideoServer) -> float:
     (the caching baselines keep no popularity state)."""
     tracker = getattr(server.dma, "tracker", None)
     return float(len(tracker)) if tracker is not None else 0.0
+
+
+class _RequestObserver(SessionObserver):
+    """What one request's session tells the service: delivery and
+    resilience counters, span events, breaker successes, and at the end
+    the DMA commit or abort of the download its submit began."""
+
+    __slots__ = ("service", "span", "home_server", "dma_stored")
+
+    def __init__(
+        self, service: "VoDService", span: Optional[SessionSpan],
+        home_server: VideoServer, dma_stored: bool,
+    ):
+        self.service = service
+        self.span = span
+        self.home_server = home_server
+        self.dma_stored = dma_stored
+
+    def cluster(self, record: ClusterRecord) -> None:
+        service = self.service
+        service._m_clusters.inc()
+        if record.switched:
+            service._m_switches.inc()
+        if service.breakers is not None:
+            # A delivered cluster is the success signal that closes
+            # half-open breakers along the serving path.
+            link_names = (
+                [link.name for link in service.topology.path_links(record.path_nodes)]
+                if len(record.path_nodes) > 1
+                else []
+            )
+            service.breakers.path_success(record.server_uid, link_names)
+        span = self.span
+        if span is None:
+            return
+        if record.switched:
+            span.add(record.start, "switch", cluster=record.index, to_server=record.server_uid)
+        span.add(
+            record.end,
+            "cluster.delivered",
+            index=record.index,
+            server_uid=record.server_uid,
+            rate_mbps=record.rate_mbps,
+            size_mb=record.size_mb,
+            qos_violated=record.qos_violated,
+        )
+
+    def retry(self, wait_s: float) -> None:
+        self.service._m_retries.inc()
+
+    def recover(self, outage_s: float) -> None:
+        self.service._m_recoveries.inc()
+        self.service._m_recovery_s.observe(outage_s)
+
+    def failover(self, stall_s: float) -> None:
+        if self.span is not None:
+            self.span.add(self.service.sim.now, "failover", stall_s=stall_s)
+
+    def finish(self, record: SessionRecord) -> None:
+        service = self.service
+        title_id = record.request.title_id
+        if self.dma_stored:
+            if record.completed:
+                self.home_server.commit_download(title_id)
+            else:
+                self.home_server.abort_download(title_id)
+        if record.completed:
+            service._m_completed.inc()
+            service._m_startup.observe(record.startup_delay_s)
+            service._m_stall.observe(record.stall_s)
+        else:
+            service._m_failed.inc()
+        service._sessions_finished += 1
+        status = record.request.status.value
+        if self.span is not None:
+            service._close_span(self.span, status)
+        if service.tracer.enabled:
+            service.tracer.record(
+                service.sim.now,
+                "session.finished",
+                f"{record.request.client_id}: {title_id} {status}, "
+                f"sources {record.servers_used}, {record.switch_count} switch(es)",
+                client_id=record.request.client_id,
+                title_id=title_id,
+                status=status,
+                servers_used=record.servers_used,
+                switches=record.switch_count,
+                startup_s=record.startup_delay_s,
+                stall_s=record.stall_s,
+            )
 
 
 class VoDService:
@@ -343,9 +420,8 @@ class VoDService:
         self._clients: Dict[str, Client] = {}
         self.sessions: List[SessionRecord] = []
         #: How many requests in ``sessions`` are terminal: bumped where a
-        #: request ends (``_on_session_finish``, ``_fail_blocked``,
-        #: ``_shed_request``) so ``service.sessions_active`` is counted,
-        #: not scanned.
+        #: request ends (the session observer's ``finish``, ``_reject``)
+        #: so ``service.sessions_active`` is counted, not scanned.
         self._sessions_finished = 0
         #: Server-availability generation: bumped by every server whenever
         #: anything feeding a VRA poll answer moves (online state, title
@@ -355,46 +431,13 @@ class VoDService:
         self._availability_version = 0
         self._register_service_instruments()
 
-        #: Deployment-wide placement-policy choice, resolved once; every
-        #: server (including runtime-added ones) builds its policy from it.
-        self.placement_config = self.config.resolved_placement()
         # Overrides may name nodes that do not exist *yet*: they apply
         # when that node joins via add_server (runtime expansion).
         self.servers: Dict[str, VideoServer] = {}
         for node in topology.nodes():
-            hardware = self._server_hardware(node.uid)
-            server = VideoServer(
-                node_uid=node.uid,
-                database=self.database,
-                disk_count=hardware["disk_count"],
-                disk_capacity_mb=hardware["disk_capacity_mb"],
-                cluster_mb=self.config.cluster_mb,
-                max_streams=hardware["max_streams"],
-                pin_seeded=self.config.pin_seeded_titles,
-                placement=self.placement_config,
-            )
-            self.servers[node.uid] = server
-            server.on_availability_change = self._bump_availability
-            server.attach_metrics(self.obs)
-            self._register_server_gauges(server)
-            self.database.register_server(
-                ServerEntry(
-                    server_uid=node.uid,
-                    disk_count=hardware["disk_count"],
-                    disk_capacity_mb=hardware["disk_capacity_mb"],
-                    cache_capacity_mb=hardware["disk_count"] * hardware["disk_capacity_mb"],
-                    max_streams=hardware["max_streams"],
-                )
-            )
+            self._join_server(node)
         for link in topology.links():
-            self.database.register_link(
-                LinkEntry(
-                    link_name=link.name,
-                    endpoints=link.endpoints,
-                    total_bandwidth_mbps=link.capacity_mbps,
-                )
-            )
-            self._register_link_gauges(link)
+            self._join_link(link)
 
         self.statistics = StatisticsService(
             sim,
@@ -790,6 +833,26 @@ class VoDService:
         self.topology.add_node(node)
         for link in links:
             self.topology.add_link(link)
+        server = self._join_server(node)
+        if self.supervisor is not None or self.breakers is not None:
+            server.on_state_change = self._on_server_state
+        self._bump_availability()
+        for link in links:
+            self._join_link(link)
+        self.statistics.add_node(node.uid)
+        self.tracer.record(
+            self.sim.now,
+            "service.expanded",
+            f"node {node.uid} ({node.name}) joined with "
+            f"{len(links)} link(s)",
+            node_uid=node.uid,
+            links=[link.name for link in links],
+        )
+        return server
+
+    def _join_server(self, node: Node) -> VideoServer:
+        """Build one node's video server and register it everywhere: the
+        server map, the availability token, metrics and the database."""
         hardware = self._server_hardware(node.uid)
         server = VideoServer(
             node_uid=node.uid,
@@ -799,13 +862,10 @@ class VoDService:
             cluster_mb=self.config.cluster_mb,
             max_streams=hardware["max_streams"],
             pin_seeded=self.config.pin_seeded_titles,
-            placement=self.placement_config,
+            placement=self.config.placement,
         )
         self.servers[node.uid] = server
         server.on_availability_change = self._bump_availability
-        if self.supervisor is not None or self.breakers is not None:
-            server.on_state_change = self._on_server_state
-        self._bump_availability()
         server.attach_metrics(self.obs)
         self._register_server_gauges(server)
         self.database.register_server(
@@ -817,25 +877,18 @@ class VoDService:
                 max_streams=hardware["max_streams"],
             )
         )
-        for link in links:
-            self.database.register_link(
-                LinkEntry(
-                    link_name=link.name,
-                    endpoints=link.endpoints,
-                    total_bandwidth_mbps=link.capacity_mbps,
-                )
-            )
-            self._register_link_gauges(link)
-        self.statistics.add_node(node.uid)
-        self.tracer.record(
-            self.sim.now,
-            "service.expanded",
-            f"node {node.uid} ({node.name}) joined with "
-            f"{len(links)} link(s)",
-            node_uid=node.uid,
-            links=[link.name for link in links],
-        )
         return server
+
+    def _join_link(self, link: Link) -> None:
+        """Register one link's database entry and gauges."""
+        self.database.register_link(
+            LinkEntry(
+                link_name=link.name,
+                endpoints=link.endpoints,
+                total_bandwidth_mbps=link.capacity_mbps,
+            )
+        )
+        self._register_link_gauges(link)
 
     # ------------------------------------------------------------------ #
     # request path (the web module behaviour)
@@ -1197,73 +1250,156 @@ class VoDService:
                 dma_action=dma_result.action.value,
                 dma_points=dma_result.points,
             )
-
-        # Load-leveling front-end: the queue sits *before* the strict-QoS
-        # decision so an overload sheds cheaply instead of paying a VRA
-        # run per doomed request.  Zero-wait slots fall through to the
-        # exact legacy path below, so an idle queue is byte-identical to
-        # no queue at all.
-        wait_s = 0.0
-        if self.admission_queue is not None:
-            slot = self.admission_queue.offer(self.sim.now, (home_uid, title_id))
-            if slot.shed:
-                return self._shed_request(request, video, home_server, dma_stored, span, slot)
-            wait_s = slot.wait_s
-            if wait_s > 0.0:
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        self.sim.now,
-                        "request.queued",
-                        f"{client_id} at {home_uid}: {title_id} admission "
-                        f"delayed {wait_s:.3f}s ({slot.depth} ahead)",
-                        client_id=client_id,
-                        home_uid=home_uid,
-                        title_id=title_id,
-                        wait_s=wait_s,
-                        depth=slot.depth,
-                    )
-                if span is not None:
-                    span.add(
-                        self.sim.now, "queued",
-                        wait_s=wait_s, admit_at=slot.admit_at, depth=slot.depth,
-                    )
-                return self._delay_request(
-                    request, video, home_server, dma_stored, span, wait_s
-                )
-
-        if self.config.strict_qos_admission and not self._qos_admissible(
-            home_uid, title_id, video
-        ):
-            if self.config.requeue_attempts > 0:
-                return self._requeue_request(request, video, home_server, dma_stored, span)
-            return self._block_request(request, video, home_server, dma_stored, span)
-
-        session = self._build_session(request, video, home_server, dma_stored, span)
+        observer = _RequestObserver(self, span, home_server, dma_stored)
+        session = self._build_session(request, video, observer)
         self.sessions.append(session.record)
+
+        # What can be settled at submit is settled here; the rest runs in
+        # the request's one process (_admit), named after how it began.
+        # The load-leveling queue sits *before* the strict-QoS decision so
+        # an overload sheds cheaply instead of paying a VRA run per doomed
+        # request; a zero-wait slot is exactly the no-queue path.
+        name = f"session:{client_id}:{title_id}"
+        wait_s, refusal = 0.0, None
+        slot = (
+            self.admission_queue.offer(self.sim.now, (home_uid, title_id))
+            if self.admission_queue is not None
+            else None
+        )
+        if slot is not None and slot.shed:
+            name = f"shed:{request.request_id}"
+            self._reject(
+                request, observer,
+                f"admission-shed: queue full ({slot.depth} waiting)",
+                "request.shed", depth=slot.depth,
+            )
+        elif slot is not None and slot.wait_s > 0.0:
+            name = f"queued:{request.request_id}"
+            wait_s = session.record.admission_wait_s = slot.wait_s
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now,
+                    "request.queued",
+                    f"{client_id} at {home_uid}: {title_id} admission "
+                    f"delayed {wait_s:.3f}s ({slot.depth} ahead)",
+                    client_id=client_id,
+                    home_uid=home_uid,
+                    title_id=title_id,
+                    wait_s=wait_s,
+                    depth=slot.depth,
+                )
+            if span is not None:
+                span.add(
+                    self.sim.now, "queued",
+                    wait_s=wait_s, admit_at=slot.admit_at, depth=slot.depth,
+                )
+        else:
+            refusal = self._qos_refusal(home_uid, title_id, video)
+            if refusal is not None and self.config.requeue_attempts > 0:
+                name = f"requeued:{request.request_id}"
+            elif refusal is not None:
+                name = f"blocked:{request.request_id}"
+                self._m_blocked.inc()
+                self._reject(request, observer, refusal, "request.blocked")
         process = Process(
-            self.sim, session.run(), name=f"session:{client_id}:{title_id}"
+            self.sim, self._admit(session, observer, video, wait_s, refusal), name=name
         )
         return request, session, process
 
+    def _admit(
+        self, session: StreamingSession, observer: "_RequestObserver",
+        video: VideoTitle, wait_s: float, refusal: Optional[str],
+    ) -> Generator[Any, None, SessionRecord]:
+        """The one process of a request: the admission-queue wait, the
+        strict-QoS re-queue loop, then the stream itself.
+
+        A request :meth:`_submit_at` already rejected (shed, or blocked
+        with no re-queue budget) ends on the process's first step.
+        ``refusal`` is the submit-time strict-QoS verdict; a queued
+        request is checked at *admit* time instead — by then the flash
+        crowd ahead of it has been leveled, so the check sees the state
+        the session will start under.  A refused request waits
+        ``requeue_delay_s`` and re-checks, up to ``requeue_attempts``
+        times (holders flapping back online usually re-admit it early),
+        before it fails with the ``qos-blocked:`` reason.
+        """
+        request = session.record.request
+        if request.finished:
+            return session.record
+        home_uid, title_id = request.home_uid, request.title_id
+        if wait_s > 0.0:
+            yield Delay(wait_s)
+            self.admission_queue.release()
+            refusal = self._qos_refusal(home_uid, title_id, video)
+        attempts = self.config.requeue_attempts
+        attempt = 0
+        while refusal is not None and attempt < attempts:
+            attempt += 1
+            self._m_requeues.inc()
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now,
+                    "request.requeued",
+                    f"{request.client_id} at {home_uid}: "
+                    f"{title_id} re-queued ({attempt}/{attempts})",
+                    client_id=request.client_id,
+                    home_uid=home_uid,
+                    title_id=title_id,
+                    attempt=attempt,
+                )
+            if observer.span is not None:
+                observer.span.add(
+                    self.sim.now, "requeued",
+                    attempt=attempt, delay_s=self.config.requeue_delay_s,
+                )
+            yield Delay(self.config.requeue_delay_s)
+            refusal = self._qos_refusal(home_uid, title_id, video)
+        if refusal is not None:
+            self._m_blocked.inc()
+            self._reject(request, observer, refusal, "request.blocked")
+            return session.record
+        return (yield from session.run())
+
+    def _reject(
+        self, request: VideoRequest, observer: "_RequestObserver",
+        reason: str, category: str, **data: object,
+    ) -> None:
+        """End a request before its stream starts (shed, or strict-QoS
+        blocked): fail it with ``reason``, count it finished, close its
+        span, write the ``category`` trace row and abort the DMA download
+        its submit began."""
+        request.mark_failed(reason)
+        self._sessions_finished += 1
+        if observer.span is not None:
+            self._close_span(observer.span, request.status.value)
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                category,
+                f"{request.client_id} at {request.home_uid}: "
+                f"{request.title_id} {reason}",
+                client_id=request.client_id,
+                home_uid=request.home_uid,
+                title_id=request.title_id,
+                **data,
+            )
+        if observer.dma_stored:
+            observer.home_server.abort_download(request.title_id)
+
     def _build_session(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan],
+        self, request: VideoRequest, video: VideoTitle, observer: "_RequestObserver"
     ) -> StreamingSession:
-        """The fully wired streaming session for an admitted request."""
+        """The fully wired streaming session for a request."""
         home_uid, title_id = request.home_uid, request.title_id
         decide = lambda: self.decide(home_uid, title_id)  # noqa: E731
         if self.decide_wrapper is not None:
             decide = self.decide_wrapper(decide)
-        if span is not None:
+        if observer.span is not None:
             # Wrap *outside* decide_wrapper so the span sees the decision
             # the session actually uses (e.g. NeverSwitch's frozen one).
-            decide = self._span_decide(decide, span)
+            decide = self._span_decide(decide, observer.span)
         decide_for_cluster = None
-        if self.placement_config.fractional:
+        if self.config.placement.fractional:
             # Prefix-serving fast path: while a requested cluster is
             # resident on the home server's healthy disks and a stream
             # slot is free, serve it locally; the VRA routes the suffix.
@@ -1284,19 +1420,7 @@ class VoDService:
             rate_update_period_s=self.config.rate_update_period_s,
             retry=self._retry_policy,
             failover=self.supervisor,
-            on_failover=(
-                self._failover_hook(span) if self.supervisor is not None else None
-            ),
-            on_finish=lambda record: self._on_session_finish(
-                record, home_server, dma_stored, span
-            ),
-            on_cluster=(
-                self._cluster_hook(span)
-                if self._obs_enabled or self.breakers is not None
-                else None
-            ),
-            on_retry=self._note_retry,
-            on_recover=self._note_recovery,
+            observer=observer,
         )
 
     def _prefix_cluster_decider(
@@ -1330,24 +1454,6 @@ class VoDService:
 
         return decide_cluster
 
-    def _failover_hook(self, span: Optional[SessionSpan]) -> Callable[[float], None]:
-        """Session callback: one mid-stream failover completed."""
-
-        def hook(stall_s: float) -> None:
-            if span is not None:
-                span.add(self.sim.now, "failover", stall_s=stall_s)
-
-        return hook
-
-    def _note_retry(self, wait_s: float) -> None:
-        """Session callback: one cluster-boundary retry was taken."""
-        self._m_retries.inc()
-
-    def _note_recovery(self, outage_s: float) -> None:
-        """Session callback: a blocked cluster boundary found a source."""
-        self._m_recoveries.inc()
-        self._m_recovery_s.observe(outage_s)
-
     def _span_decide(
         self, decide: Callable[[], VraDecision], span: SessionSpan
     ) -> Callable[[], VraDecision]:
@@ -1369,308 +1475,30 @@ class VoDService:
 
         return wrapped
 
-    def _cluster_hook(
-        self, span: Optional[SessionSpan]
-    ) -> Callable[[ClusterRecord], None]:
-        """Per-cluster delivery hook: counters plus span events."""
+    def _qos_refusal(
+        self, home_uid: str, title_id: str, video: VideoTitle
+    ) -> Optional[str]:
+        """Strict-QoS check: None when the request may start (always,
+        unless ``strict_qos_admission``), else its ``qos-blocked:`` reason.
 
-        def hook(record: ClusterRecord) -> None:
-            self._m_clusters.inc()
-            if record.switched:
-                self._m_switches.inc()
-            if self.breakers is not None:
-                # A delivered cluster is the success signal that closes
-                # half-open breakers along the serving path.
-                link_names = (
-                    [
-                        link.name
-                        for link in self.topology.path_links(record.path_nodes)
-                    ]
-                    if len(record.path_nodes) > 1
-                    else []
-                )
-                self.breakers.path_success(record.server_uid, link_names)
-            if span is None:
-                return
-            if record.switched:
-                span.add(
-                    record.start,
-                    "switch",
-                    cluster=record.index,
-                    to_server=record.server_uid,
-                )
-            span.add(
-                record.end,
-                "cluster.delivered",
-                index=record.index,
-                server_uid=record.server_uid,
-                rate_mbps=record.rate_mbps,
-                size_mb=record.size_mb,
-                qos_violated=record.qos_violated,
-            )
-
-        return hook
-
-    def _qos_admissible(self, home_uid: str, title_id: str, video: VideoTitle) -> bool:
-        """Strict-QoS check: can *some* candidate sustain the playback rate?
-
-        Local serves are always admissible; remote candidates are checked
-        against the current spare capacity along their least-cost paths.
+        Local serves always pass; remote candidates are checked against
+        the current spare capacity along their least-cost paths.  When
+        the VRA finds no source at all (every holder polled out, or the
+        home partitioned from them) the reason carries the VRA's message.
         """
+        if not self.config.strict_qos_admission:
+            return None
         try:
             decision = self.decide(home_uid, title_id)
-        except ReproError:
-            return False
+        except ReproError as exc:
+            return f"qos-blocked: {exc}"
         if decision.served_locally:
-            return True
+            return None
         paths = decision.candidate_paths or {decision.chosen_uid: decision.path}
-        return any(
-            self.flows.path_fits(path.nodes, video.bitrate_mbps)
-            for path in paths.values()
-        )
-
-    def _fail_blocked(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan],
-    ) -> None:
-        """Terminal admission-rejection bookkeeping (shared by the
-        reject-immediately and requeue-exhausted paths)."""
-        request.mark_failed(
-            "qos-blocked: no candidate path can sustain "
-            f"{video.bitrate_mbps:.2f} Mbps"
-        )
-        self._sessions_finished += 1
-        self._m_blocked.inc()
-        if span is not None:
-            self._close_span(span, request.status.value)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "request.blocked",
-                f"{request.client_id} at {request.home_uid}: {request.title_id} "
-                f"blocked ({video.bitrate_mbps:.2f} Mbps unsustainable)",
-                client_id=request.client_id,
-                home_uid=request.home_uid,
-                title_id=request.title_id,
-            )
-        if dma_stored:
-            home_server.abort_download(request.title_id)
-
-    def _requeue_request(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan] = None,
-    ) -> Tuple[VideoRequest, StreamingSession, Process]:
-        """Hold a strict-QoS-rejected request and re-attempt admission.
-
-        Instead of dropping the request, it waits ``requeue_delay_s`` and
-        re-checks admissibility up to ``requeue_attempts`` times (the
-        crash-recovery-storm path: holders flapping back online usually
-        re-admit the request on an early attempt).  Only after the budget
-        is exhausted does the request fail with the ``qos-blocked`` reason.
-        """
-        session = self._build_session(request, video, home_server, dma_stored, span)
-        self.sessions.append(session.record)
-        process = Process(
-            self.sim,
-            self._requeue_body(request, video, home_server, dma_stored, span, session),
-            name=f"requeued:{request.request_id}",
-        )
-        return request, session, process
-
-    def _requeue_body(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan],
-        session: StreamingSession,
-    ):
-        """The strict-QoS re-attempt loop (a sim-process generator),
-        shared by :meth:`_requeue_request` and the delayed-admission path."""
-        attempts = self.config.requeue_attempts
-        delay = self.config.requeue_delay_s
-        for attempt in range(1, attempts + 1):
-            self._m_requeues.inc()
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.sim.now,
-                    "request.requeued",
-                    f"{request.client_id} at {request.home_uid}: "
-                    f"{request.title_id} re-queued ({attempt}/{attempts})",
-                    client_id=request.client_id,
-                    home_uid=request.home_uid,
-                    title_id=request.title_id,
-                    attempt=attempt,
-                )
-            if span is not None:
-                span.add(self.sim.now, "requeued", attempt=attempt, delay_s=delay)
-            yield Delay(delay)
-            if self._qos_admissible(request.home_uid, request.title_id, video):
-                result = yield from session.run()
-                return result
-        self._fail_blocked(request, video, home_server, dma_stored, span)
-        return session.record
-
-    def _delay_request(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan],
-        wait_s: float,
-    ) -> Tuple[VideoRequest, StreamingSession, Process]:
-        """Admit a queued request after its load-leveling delay.
-
-        The strict-QoS admission check (when enabled) runs at *admit*
-        time, not offer time — by then the flash crowd ahead of this
-        request has already been leveled, so the check sees the state the
-        session will actually start under.
-        """
-        session = self._build_session(request, video, home_server, dma_stored, span)
-        session.record.admission_wait_s = wait_s
-        self.sessions.append(session.record)
-        queue = self.admission_queue
-
-        def delayed():
-            yield Delay(wait_s)
-            queue.release()
-            if self.config.strict_qos_admission and not self._qos_admissible(
-                request.home_uid, request.title_id, video
-            ):
-                if self.config.requeue_attempts > 0:
-                    result = yield from self._requeue_body(
-                        request, video, home_server, dma_stored, span, session
-                    )
-                    return result
-                self._fail_blocked(request, video, home_server, dma_stored, span)
-                return session.record
-            result = yield from session.run()
-            return result
-
-        process = Process(self.sim, delayed(), name=f"queued:{request.request_id}")
-        return request, session, process
-
-    def _shed_request(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan],
-        slot: AdmissionSlot,
-    ) -> Tuple[VideoRequest, StreamingSession, Process]:
-        """Reject a request at the admission queue (overload shed)."""
-        request.mark_failed(
-            f"admission-shed: queue full ({slot.depth} waiting)"
-        )
-        self._sessions_finished += 1
-        if span is not None:
-            self._close_span(span, request.status.value)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "request.shed",
-                f"{request.client_id} at {request.home_uid}: {request.title_id} "
-                f"shed (admission queue full, {slot.depth} waiting)",
-                client_id=request.client_id,
-                home_uid=request.home_uid,
-                title_id=request.title_id,
-                depth=slot.depth,
-            )
-        if dma_stored:
-            home_server.abort_download(request.title_id)
-        session = StreamingSession(
-            sim=self.sim,
-            request=request,
-            video=video,
-            cluster_mb=self.config.cluster_mb,
-            decide=lambda: self.decide(request.home_uid, request.title_id),
-            flows=self.flows,
-            servers=self.servers,
-        )
-        self.sessions.append(session.record)
-
-        def _already_shed():
-            return session.record
-            yield  # pragma: no cover - makes this a generator
-
-        process = Process(self.sim, _already_shed(), name=f"shed:{request.request_id}")
-        return request, session, process
-
-    def _block_request(
-        self,
-        request: VideoRequest,
-        video: VideoTitle,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan] = None,
-    ) -> Tuple[VideoRequest, StreamingSession, Process]:
-        """Reject a request at admission time (strict-QoS extension)."""
-        self._fail_blocked(request, video, home_server, dma_stored, span)
-        session = StreamingSession(
-            sim=self.sim,
-            request=request,
-            video=video,
-            cluster_mb=self.config.cluster_mb,
-            decide=lambda: self.decide(request.home_uid, request.title_id),
-            flows=self.flows,
-            servers=self.servers,
-        )
-        self.sessions.append(session.record)
-
-        def _already_blocked():
-            return session.record
-            yield  # pragma: no cover - makes this a generator
-
-        process = Process(self.sim, _already_blocked(), name=f"blocked:{request.request_id}")
-        return request, session, process
-
-    def _on_session_finish(
-        self,
-        record: SessionRecord,
-        home_server: VideoServer,
-        dma_stored: bool,
-        span: Optional[SessionSpan] = None,
-    ) -> None:
-        if dma_stored:
-            if record.completed:
-                home_server.commit_download(record.request.title_id)
-            else:
-                home_server.abort_download(record.request.title_id)
-        if record.completed:
-            self._m_completed.inc()
-            self._m_startup.observe(record.startup_delay_s)
-            self._m_stall.observe(record.stall_s)
-        else:
-            self._m_failed.inc()
-        self._sessions_finished += 1
-        if span is not None:
-            self._close_span(span, record.request.status.value)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "session.finished",
-                f"{record.request.client_id}: {record.request.title_id} "
-                f"{record.request.status.value}, sources {record.servers_used}, "
-                f"{record.switch_count} switch(es)",
-                client_id=record.request.client_id,
-                title_id=record.request.title_id,
-                status=record.request.status.value,
-                servers_used=record.servers_used,
-                switches=record.switch_count,
-                startup_s=record.startup_delay_s,
-                stall_s=record.stall_s,
-            )
+        rate = video.bitrate_mbps
+        if any(self.flows.path_fits(path.nodes, rate) for path in paths.values()):
+            return None
+        return f"qos-blocked: no candidate path can sustain {rate:.2f} Mbps"
 
     def _server_hardware(self, node_uid: str) -> Dict[str, float]:
         """Effective hardware knobs for one node (uniform + overrides).

@@ -198,6 +198,36 @@ class SessionRecord:
         return self.completed_at is not None
 
 
+class SessionObserver:
+    """What a running session reports back; every method here is a no-op.
+
+    A listener subclasses it and overrides what it needs (the service keeps
+    one per request).  :data:`NO_OBSERVER` is the default, so the session
+    never checks for None.
+    """
+
+    __slots__ = ()
+
+    def cluster(self, record: ClusterRecord) -> None:
+        """A cluster, or one failover segment of it, was delivered."""
+
+    def retry(self, wait_s: float) -> None:
+        """A cluster-boundary retry is about to wait ``wait_s``."""
+
+    def recover(self, outage_s: float) -> None:
+        """A retry found a source after ``outage_s`` of blocked boundary."""
+
+    def failover(self, stall_s: float) -> None:
+        """A mid-stream migration completed after stalling ``stall_s``."""
+
+    def finish(self, record: SessionRecord) -> None:
+        """The session ended, completed or failed."""
+
+
+#: Shared no-op observer.
+NO_OBSERVER = SessionObserver()
+
+
 class _Transfer(Park):
     """One segment of a cluster in flight: a reservation that steps itself.
 
@@ -335,6 +365,10 @@ class _Transfer(Park):
 class StreamingSession:
     """Drives one video delivery, cluster by cluster.
 
+    Two collaborators sit beside the decision functions: an optional
+    ``failover`` control that can preempt a segment and steer the
+    re-decide, and one ``observer`` that only listens.
+
     Args:
         sim: The simulation engine.
         request: The client request being served.
@@ -355,13 +389,6 @@ class StreamingSession:
         local_read_mbps: Transfer rate for home-server serves.
         retry: Cluster-boundary retry policy (default: disabled —
             fail-fast, the paper's behaviour).
-        on_finish: Optional callback receiving the final SessionRecord.
-        on_cluster: Optional callback receiving each ClusterRecord as it
-            is delivered (the observability layer's span hook).
-        on_retry: Optional callback ``(wait_s)`` fired per retry taken
-            (the service's resilience counters).
-        on_recover: Optional callback ``(outage_s)`` fired when a retry
-            succeeds, with the simulated time the boundary was blocked.
         failover: Optional mid-stream failover control (the service's
             :class:`~repro.resilience.supervisor.SessionSupervisor`).
             When set, the supervisor indexes each segment's transfer via
@@ -369,8 +396,10 @@ class StreamingSession:
             session re-runs its decision function and migrates the rest
             of the cluster.  None (the default): nothing can preempt a
             segment, so every cluster is one segment.
-        on_failover: Optional callback ``(stall_s)`` fired per completed
-            mid-stream migration (the service's span/telemetry hook).
+        observer: The :class:`SessionObserver` told of each delivered
+            cluster, retry, recovery, failover and of the finish (the
+            service's counters, span and DMA commit/abort).  Default: the
+            shared no-op :data:`NO_OBSERVER`.
     """
 
     def __init__(
@@ -386,12 +415,8 @@ class StreamingSession:
         local_read_mbps: float = DEFAULT_LOCAL_READ_MBPS,
         rate_update_period_s: float = DEFAULT_RATE_UPDATE_PERIOD_S,
         retry: RetryPolicy = NO_RETRY,
-        on_finish: Optional[Callable[[SessionRecord], None]] = None,
-        on_cluster: Optional[Callable[[ClusterRecord], None]] = None,
-        on_retry: Optional[Callable[[float], None]] = None,
-        on_recover: Optional[Callable[[float], None]] = None,
         failover: Optional["FailoverControl"] = None,
-        on_failover: Optional[Callable[[float], None]] = None,
+        observer: SessionObserver = NO_OBSERVER,
     ):
         if not (rate_update_period_s > 0.0):
             raise ReproError(
@@ -407,12 +432,8 @@ class StreamingSession:
         self._local_read_mbps = local_read_mbps
         self._rate_quantum_s = rate_update_period_s
         self._retry = retry
-        self._on_finish = on_finish
-        self._on_cluster = on_cluster
-        self._on_retry = on_retry
-        self._on_recover = on_recover
         self._failover = failover
-        self._on_failover = on_failover
+        self._observer = observer
         self.record = SessionRecord(request=request)
 
     # ------------------------------------------------------------------ #
@@ -443,12 +464,12 @@ class StreamingSession:
                 )
         except ReproError as exc:
             request.mark_failed(str(exc))
-            self._finish()
+            self._observer.finish(self.record)
             return self.record
         request.mark_completed()
         self.record.completed_at = self._sim.now
         self._compute_playback_metrics()
-        self._finish()
+        self._observer.finish(self.record)
         return self.record
 
     def _decider_for(self, index: int) -> DecideFn:
@@ -493,15 +514,13 @@ class StreamingSession:
                 tries += 1
                 self.record.retry_count += 1
                 self.record.retry_wait_s += wait
-                if self._on_retry is not None:
-                    self._on_retry(wait)
+                self._observer.retry(wait)
                 yield Delay(wait)
                 backoff = min(backoff * policy.multiplier, policy.max_backoff_s)
                 continue
             if blocked_since is not None:
                 self.record.recovered = True
-                if self._on_recover is not None:
-                    self._on_recover(self._sim.now - blocked_since)
+                self._observer.recover(self._sim.now - blocked_since)
             return decision
 
     # ------------------------------------------------------------------ #
@@ -572,8 +591,7 @@ class StreamingSession:
                     qos_violated=qos_violated,
                 )
                 self.record.clusters.append(cluster_record)
-                if self._on_cluster is not None:
-                    self._on_cluster(cluster_record)
+                self._observer.cluster(cluster_record)
             if remaining <= 1e-9:
                 return decision.chosen_uid
             size_mb = remaining
@@ -635,8 +653,7 @@ class StreamingSession:
             self.record.failover_count += 1
             self.record.failover_stall_s += stall
             control.note_failover(stall)
-            if self._on_failover is not None:
-                self._on_failover(stall)
+            self._observer.failover(stall)
             return decision
 
     def _compute_playback_metrics(self) -> None:
@@ -661,7 +678,3 @@ class StreamingSession:
                 playback_cursor = record.end
             playback_cursor += record.size_mb * seconds_per_mb
         self.record.stall_s = stall
-
-    def _finish(self) -> None:
-        if self._on_finish is not None:
-            self._on_finish(self.record)

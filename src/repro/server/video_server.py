@@ -33,10 +33,8 @@ class VideoServer:
         disk_capacity_mb: Capacity of each disk.
         cluster_mb: Common striping cluster size ``c``.
         max_streams: Concurrent streams the server will source.
-        evict_until_fits: Forwarded to the default DMA placement policy
-            (extension; ignored when ``placement`` is given).
-        placement: Declarative placement-policy choice; None builds the
-            paper-faithful whole-title DMA honouring ``evict_until_fits``.
+        placement: Declarative placement-policy choice; the default is
+            the paper-faithful whole-title DMA.
     """
 
     def __init__(
@@ -47,17 +45,14 @@ class VideoServer:
         disk_capacity_mb: float,
         cluster_mb: float,
         max_streams: int = 32,
-        evict_until_fits: bool = False,
         defer_dma_advertisements: bool = True,
         pin_seeded: bool = False,
-        placement: Optional[PlacementConfig] = None,
+        placement: PlacementConfig = PlacementConfig(),
     ):
         self.node_uid = node_uid
         self._database = database
         self.array = DiskArray(disk_count, disk_capacity_mb, cluster_mb)
         self.admission = AdmissionController(max_streams)
-        if placement is None:
-            placement = PlacementConfig(kind="dma", evict_until_fits=evict_until_fits)
         self.placement_config = placement
         self.policy: PlacementPolicy = placement.build(
             self.array,

@@ -4,7 +4,8 @@ Until PR 23 a session's generator woke once per rate-update step and there
 were two copies of the loop: ``_transfer_cluster`` (no supervisor) and
 ``_deliver_cluster`` / ``_transfer_segment`` (failover on), both through
 ``_acquire_rate``.  They are kept here **verbatim** (the second entry point
-renamed ``_deliver_segments``; nothing else touched) as the reference the
+renamed ``_deliver_segments``, the cluster callback now the session
+observer's ``cluster``; nothing else touched) as the reference the
 engine-driven transfer is held to, event for event and bit for bit
 (``tests/properties/test_session_props.py``).
 
@@ -126,8 +127,7 @@ class PollingSession(StreamingSession):
             qos_violated=qos_violated,
         )
         self.record.clusters.append(cluster_record)
-        if self._on_cluster is not None:
-            self._on_cluster(cluster_record)
+        self._observer.cluster(cluster_record)
 
     def _acquire_rate(self, local: bool, node_path: Tuple[str, ...]):
         """Pick the current transfer rate and reserve it on the path.
@@ -268,6 +268,5 @@ class PollingSession(StreamingSession):
                 qos_violated=qos_violated,
             )
             self.record.clusters.append(cluster_record)
-            if self._on_cluster is not None:
-                self._on_cluster(cluster_record)
+            self._observer.cluster(cluster_record)
         return max(remaining, 0.0)

@@ -219,4 +219,17 @@ class TestStrictQosAdmission:
         assert not service.flows.path_fits(decision.path.nodes, movie().bitrate_mbps)
         assert set(decision.candidate_paths) == {"U4", "U5"}
         assert decision.dijkstra_result.complete
-        assert service._qos_admissible("U2", "m1", movie())
+        assert service._qos_refusal("U2", "m1", movie()) is None
+
+    def test_a_request_no_holder_can_source_is_blocked_for_that_reason(self):
+        """When the VRA finds no source at all, the block names the holder
+        that is polled out, not a rate no path can sustain."""
+        service = make_service(strict_qos_admission=True)
+        service.seed_title("U5", movie())
+        service.servers["U5"].online = False
+        request, _, _ = service.request_by_home("U2", "m1")
+        assert request.status is RequestStatus.FAILED
+        reason = request.failure_reason
+        assert reason.startswith("qos-blocked: ")
+        assert "U5" in reason and "polled out" in reason
+        assert "sustain" not in reason

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client.requests import RequestStatus, VideoRequest
-from repro.core.session import StreamingSession
+from repro.core.session import SessionObserver, StreamingSession
 from repro.core.vra import VraDecision
 from repro.errors import LinkCapacityError, RoutingError
 from repro.network.flows import FlowManager
@@ -257,12 +257,23 @@ class TestPlaybackMetrics:
         assert record.completed
         assert record.stall_s > 0.0
 
-    def test_on_finish_callback_receives_record(self, line):
+    def test_observer_hears_each_cluster_and_the_finish(self, line):
         sim = Simulator()
         flows = FlowManager(line)
         video = VideoTitle("v", size_mb=50.0, duration_s=400.0)
         request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0)
-        finished = []
+
+        class Recorder(SessionObserver):
+            def __init__(self):
+                self.heard = []
+
+            def cluster(self, record):
+                self.heard.append(("cluster", record.index))
+
+            def finish(self, record):
+                self.heard.append(("finish", record))
+
+        observer = Recorder()
         session = StreamingSession(
             sim=sim,
             request=request,
@@ -271,8 +282,10 @@ class TestPlaybackMetrics:
             decide=lambda: make_decision(["A", "B"]),
             flows=flows,
             servers={},
-            on_finish=finished.append,
+            observer=observer,
         )
         Process(sim, session.run())
         sim.run()
-        assert finished == [session.record]
+        assert observer.heard == [
+            ("cluster", 0), ("cluster", 1), ("finish", session.record)
+        ]

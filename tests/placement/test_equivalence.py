@@ -3,9 +3,8 @@ byte-identical to the historical DMA behaviour.
 
 Two angles:
 
-* an explicit ``PlacementConfig(kind="dma")`` equals the legacy
-  ``ServiceConfig.evict_until_fits`` spelling (the config redesign is
-  behaviour-neutral);
+* an explicit ``PlacementConfig(kind="dma")`` equals the default
+  ``ServiceConfig`` (the default placement is the paper's DMA);
 * chaos replays are deterministic and placement-config-invariant.
 """
 
@@ -72,18 +71,6 @@ class TestConfigEquivalence:
             regional, small_config(placement=PlacementConfig(kind="dma"))
         )
         assert implicit == explicit
-
-    def test_placement_subsumes_evict_until_fits_knob(self, regional):
-        legacy_knob = run_fingerprint(
-            regional, small_config(evict_until_fits=True)
-        )
-        new_knob = run_fingerprint(
-            regional,
-            small_config(
-                placement=PlacementConfig(kind="dma", evict_until_fits=True)
-            ),
-        )
-        assert legacy_knob == new_knob
 
     def test_runs_are_deterministic(self, flash_crowd):
         assert run_fingerprint(flash_crowd, small_config()) == run_fingerprint(

@@ -203,7 +203,7 @@ knobs = st.fixed_dictionaries(
         "breaker_threshold": st.sampled_from([0, 1, 2]),
         "max_stats_age_s": st.sampled_from([None, 400.0]),
         "retry_attempts": st.sampled_from([0, 2]),
-        "placement": st.sampled_from([None, PlacementConfig(kind="partial")]),
+        "placement": st.sampled_from([PlacementConfig(), PlacementConfig(kind="partial")]),
     }
 ).map(lambda k: k if k["use_reported_stats"] else {**k, "max_stats_age_s": None})
 
@@ -214,7 +214,7 @@ QUIET = {
     "breaker_threshold": 0,
     "max_stats_age_s": None,
     "retry_attempts": 0,
-    "placement": None,
+    "placement": PlacementConfig(),
 }
 
 
