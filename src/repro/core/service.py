@@ -407,6 +407,8 @@ class VoDService:
             else MetricsRegistry(enabled=self.config.observability)
         )
         self._obs_enabled = self.obs.enabled
+        #: Whether a memo replay feeds anything besides its hit counter.
+        self._replays_watched = self._obs_enabled or self.tracer.enabled
         #: Per-request session spans (populated only when observability
         #: is on).
         self.spans: List[SessionSpan] = []
@@ -414,7 +416,9 @@ class VoDService:
         #: moment it finishes (installed by
         #: :class:`repro.obs.stream.StreamingTelemetry`; None otherwise).
         self.on_span_finished: Optional[Callable[[SessionSpan], None]] = None
-        self.database = ServiceDatabase()
+        #: Ticks with every memo-token input (DESIGN.md §5b.14).
+        self._clock = topology.clock
+        self.database = ServiceDatabase(self._clock)
         self.flows = FlowManager(topology)
         self._subnet_map: Dict[str, str] = {}
         self._clients: Dict[str, Client] = {}
@@ -515,18 +519,15 @@ class VoDService:
         if self.config.use_reported_stats:
             guarded = self.staleness_guard is not None or self.breakers is not None
             used_of = self._guarded_used if guarded else self._reported_used
-        # The epoch memo's token: the routing part (reported link stats or
-        # live traffic, topology state), then the availability part (poll
-        # answers, holder lists), which joins the routing part when stream
-        # slots feed the weights.  Raw counters: it runs once per decide();
-        # a parity test pins it to routing_epoch().
-        db, topo = self.database, self.topology
-        if self.config.use_reported_stats:
-            token_of = lambda: (db._link_stats_version, topo._state_version,  # noqa: E731
-                                self._availability_version, db._locations_version)
-        else:
-            token_of = lambda: (topo._traffic_version, topo._state_version,  # noqa: E731
-                                self._availability_version, db._locations_version)
+        # The epoch memo's token: the routing part (routing_epoch()'s raw
+        # counters, a parity test pins them), then the availability part
+        # (poll answers, holder lists), which joins the routing part when
+        # stream slots feed the weights.  Read once per clock tick.
+        db, topo, reported = self.database, topology, self.config.use_reported_stats
+        token_of = lambda: (db._link_stats_version if reported else topo._traffic_version,  # noqa: E731
+                            topo._state_version, self._availability_version, db._locations_version)
+        if not reported:
+            topo.traffic_clock = self._clock  # live traffic is a token input
         load_in_vra = self.config.use_server_load_in_vra
         reference = not self.config.compiled_routing
         self._vra = VirtualRoutingAlgorithm(
@@ -540,9 +541,12 @@ class VoDService:
             metrics=self.obs,
             compiled=not reference,
         )
+        self._builtin_vra = self._vra
         #: The VRA's epoch memo, which ``decide`` reads and fills; None on
-        #: the reference path and once ``vra`` is replaced.
+        #: the reference path and while another policy is installed.
         self._memo = self._vra.cache
+        if self._memo is not None:
+            self._memo.clock = self._clock
         self._m_decision_hits = self.obs.counter(
             "decision.hits", subsystem="core",
             description="decide() calls answered whole from the epoch memo",
@@ -940,9 +944,12 @@ class VoDService:
     def vra(self, policy) -> None:
         # The memo's token covers the built-in VRA's inputs; it says
         # nothing about a substitute's (RandomSelection draws from an
-        # RNG), so a replaced policy always runs unmemoized.
+        # RNG), so a replaced policy always runs unmemoized; restoring the
+        # built-in one re-attaches its memo.
         self._vra = policy
-        self._memo = None
+        self._memo = policy.cache if policy is self._builtin_vra else None
+        if self._memo is not None:
+            self._memo.seen = -1  # re-read the token before any replay
 
     def decide(self, home_uid: str, title_id: str) -> VraDecision:
         """One VRA decision for a request at ``home_uid`` (no streaming).
@@ -950,26 +957,24 @@ class VoDService:
         While the memo's token is unchanged, every input of this pair's
         previous decision (holder list, poll answers, LVN weights,
         topology) is provably unchanged, so the stored decision is
-        returned without re-entering the VRA — one tuple compare and one
-        dict probe.  A replay feeds ``repro.obs`` only with observability
-        on: a disabled registry hands out no-ops (DESIGN.md §5b.14).
+        returned without re-entering the VRA.  The token itself is read
+        only when the input clock moved: a replay is one int compare and
+        one dict probe (DESIGN.md §5b.14).
         """
         memo = self._memo
         if memo is not None:
-            token = memo.token_of()
-            if token != memo.token:
-                memo.sync(token)
+            if self._clock.value != memo.seen:
+                memo.current()
             decision = memo.decisions.get((home_uid, title_id))
             if decision is not None:
                 memo.decision_stats.hits += 1
-                if self._obs_enabled:
-                    self._m_decision_hits.inc()
-                    self._vra.count_replayed(decision)
-                    self._m_decision_latency.observe(0.0)
-                else:
-                    self._vra.decision_count += 1
-                if self.tracer.enabled:
-                    self._trace_decision(home_uid, title_id, decision)
+                if self._replays_watched:  # instruments read as if the VRA ran
+                    if self._obs_enabled:
+                        self._m_decision_hits.inc()
+                        self._vra.count_replayed(decision)
+                        self._m_decision_latency.observe(0.0)
+                    if self.tracer.enabled:
+                        self._trace_decision(home_uid, title_id, decision)
                 return decision
             memo.decision_stats.misses += 1
             self._m_decision_misses.inc()
@@ -1030,6 +1035,7 @@ class VoDService:
     def _bump_availability(self) -> None:
         """A server's poll-answer inputs moved; this moves the memo token."""
         self._availability_version += 1
+        self._clock.value += 1
 
     # ------------------------------------------------------------------ #
     # resilience-layer fan-out (wired only when a knob is on)
@@ -1126,11 +1132,10 @@ class VoDService:
         that is a limited-access database write (one bump per SNMP round
         or admin update — read "moved / did not move", nothing else) or a
         structural change (link online/offline, runtime expansion); on
-        the ground-truth path it additionally tracks every link-usage
-        mutation.  Equal tokens guarantee
-        bit-identical LVN tables and Dijkstra trees, which is what lets
-        the epoch memo reuse them safely (it is the memo token's routing
-        part, less the node-load extension's availability counter).
+        the ground-truth path it also tracks every link-usage mutation.
+        Equal tokens guarantee bit-identical LVN tables and Dijkstra
+        trees: it is the memo token's routing part (less the node-load
+        extension's availability counter).
         """
         if self.config.use_reported_stats:
             return (

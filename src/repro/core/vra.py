@@ -174,7 +174,7 @@ class VirtualRoutingAlgorithm:
         self.cache: Optional[RoutingCache] = (
             RoutingCache(epoch_of, routing_width) if epoch_of is not None else None
         )
-        self.decision_count = 0
+        self._runs = 0
         # Instruments resolve once here; a disabled registry hands back
         # shared no-ops, so the decide() hot path pays one call per event.
         registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
@@ -193,6 +193,11 @@ class VirtualRoutingAlgorithm:
         )
 
     @property
+    def decision_count(self) -> int:
+        """Decisions answered: VRA runs plus replays of its memo."""
+        return self._runs + (self.cache.decision_stats.hits if self.cache else 0)
+
+    @property
     def cache_stats(self) -> Optional[RoutingCacheStats]:
         """Table/tree counters of the memo, or None when it is off."""
         return self.cache.stats if self.cache is not None else None
@@ -208,10 +213,8 @@ class VirtualRoutingAlgorithm:
         The service hands back a previously returned decision without
         re-entering :meth:`decide`; this counts exactly what the
         :meth:`decide` call that produced it counted, so every ``vra.*``
-        instrument reads the same with the memo on or off (observability
-        off: all no-ops, so the service bumps ``decision_count`` itself).
+        instrument reads the same with the memo on or off.
         """
-        self.decision_count += 1
         self._m_decisions.inc()
         if decision.served_locally:
             self._m_local_serves.inc()
@@ -222,7 +225,7 @@ class VirtualRoutingAlgorithm:
         """Current LVN table ("Calculate the Link Validation Number for
         each network link")."""
         if self.cache is not None:
-            return self.cache.weights(self.cache.token_of(), self._compute_weights)
+            return self.cache.weights(self.cache.current(), self._compute_weights)
         return self._compute_weights()
 
     def _compute_weights(self) -> Dict[str, float]:
@@ -238,15 +241,15 @@ class VirtualRoutingAlgorithm:
 
         The compiled path searches only as far as the nearest of
         ``targets`` (the available holders); the python path settles
-        everything.  With the memo on, both come from it under a single
-        token fetched once (so the pair is always mutually consistent);
+        everything.  With the memo on, both come from it under the one
+        synced token (so the pair is always mutually consistent);
         cached decisions share the table/search objects, which callers
         treat as read-only.
         """
         if self.cache is None:
             weights = self._compute_weights()
             return weights, self._run_dijkstra(home_uid, weights, targets)
-        token = self.cache.token_of()
+        token = self.cache.current()
         weights = self.cache.weights(token, self._compute_weights)
         result = self.cache.tree(
             token, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
@@ -310,7 +313,7 @@ class VirtualRoutingAlgorithm:
             NoReachableHolderError: If holders are available but the home
                 server is partitioned from all of them.
         """
-        self.decision_count += 1
+        self._runs += 1
         self._m_decisions.inc()
         # Normalize once: the caller may hand us any iterable (generator,
         # set, database list); one pass builds the ordered, deduplicated

@@ -10,17 +10,20 @@ have the requested video title" step reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.database.access import AccessLevel, DatabaseHandle
 from repro.database.records import LinkEntry, LinkStats, ServerEntry, TitleInfo
 from repro.errors import DuplicateEntryError, MissingEntryError
+from repro.network.topology import InputClock
 
 
 class ServiceDatabase:
     """Authoritative state store of the VoD service."""
 
-    def __init__(self):
+    def __init__(self, clock: Optional[InputClock] = None):
+        #: Ticked with every version bump below (the service's memo clock).
+        self._clock = clock if clock is not None else InputClock()
         self._servers: Dict[str, ServerEntry] = {}
         self._links: Dict[str, LinkEntry] = {}
         self._titles: Dict[str, TitleInfo] = {}
@@ -29,6 +32,7 @@ class ServiceDatabase:
         #: when below 1.0 — servers registered through ``ServerEntry``
         #: title sets and plain advertisements are full holders by default.
         self._holder_fractions: Dict[Tuple[str, str], float] = {}
+        #: Bumped with every holder-list change (advertise / withdraw).
         self._locations_version = 0
         self._link_stats_version = 0
 
@@ -42,14 +46,6 @@ class ServiceDatabase:
         VRA's routing inputs could have changed — the contract the
         epoch-versioned routing cache relies on."""
         return self._link_stats_version
-
-    @property
-    def title_locations_version(self) -> int:
-        """Monotonic counter bumped whenever any title's holder list
-        changes (advertisements and withdrawals).  Equal values guarantee
-        every :meth:`servers_with_title` answer is unchanged — one input
-        of the VRA epoch memo's token (its availability part)."""
-        return self._locations_version
 
     # ------------------------------------------------------------------ #
     # handles
@@ -88,6 +84,7 @@ class ServiceDatabase:
             raise DuplicateEntryError(f"link {entry.link_name!r} already registered")
         self._links[entry.link_name] = entry
         self._link_stats_version += 1
+        self._clock.value += 1
         return entry
 
     def register_title(self, info: TitleInfo) -> TitleInfo:
@@ -179,6 +176,7 @@ class ServiceDatabase:
         else:
             self._holder_fractions[(title_id, server_uid)] = fraction
         self._locations_version += 1
+        self._clock.value += 1
 
     def remove_title_from_server(self, server_uid: str, title_id: str) -> None:
         """Withdraw a title from a server (placement-policy cache eviction).
@@ -197,6 +195,7 @@ class ServiceDatabase:
             holders.discard(server_uid)
         self._holder_fractions.pop((title_id, server_uid), None)
         self._locations_version += 1
+        self._clock.value += 1
 
     def holds_title(self, server_uid: str, title_id: str) -> bool:
         """True when the server currently advertises the title (any
@@ -250,6 +249,7 @@ class ServiceDatabase:
         """
         self.link_entry(link_name).latest_stats = stats
         self._link_stats_version += 1
+        self._clock.value += 1
 
     def update_link_stats_round(self, samples: Mapping[str, LinkStats]) -> None:
         """Record one SNMP collection round: every sample is stored and
@@ -262,6 +262,7 @@ class ServiceDatabase:
             entry.latest_stats = stats
         if entries:
             self._link_stats_version += 1
+            self._clock.value += 1
 
     def touch_links(self, link_names: Iterable[str]) -> None:
         """Mark links whose *routing-visible* weight changed without a
@@ -280,6 +281,7 @@ class ServiceDatabase:
             touched = True
         if touched:
             self._link_stats_version += 1
+            self._clock.value += 1
 
     def update_server_config(self, server_uid: str, **attributes: object) -> None:
         """Update configuration attributes on a server entry.

@@ -20,9 +20,12 @@ often than an SNMP round lands (DESIGN.md §5b.8).
 Correctness contract: the token MUST change whenever any input could have
 changed; a hit then returns the same decision bit-for-bit as a cold run
 (the SNMP *staleness* the paper reproduces lives in the database values,
-not in the act of recomputing).  A move is a flush, never a repair: an
-SNMP round rewrites most links, so almost no tree survives one and
-proving that one did costs what re-running it does (DESIGN.md §5b.7).
+not in the act of recomputing).  With a ``clock`` the token is read only
+when the clock moved, so every bump of a token input MUST tick it too:
+the token stays the contract, the clock only says whether to read it.
+A move is a flush, never a repair: an SNMP round rewrites most links, so
+almost no tree survives one and proving that one did costs what
+re-running it does (DESIGN.md §5b.7).
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ class RoutingCache:
             routing part; ``None`` makes the whole token (any hashable)
             routing.  Older tokens are never asked for again: the
             counters feeding them are monotonic.
+        clock: Ticks with every token input (None: read it per lookup).
     """
 
     token_of: Optional[Callable[[], Hashable]] = field(default=None, repr=False)
@@ -127,8 +131,19 @@ class RoutingCache:
     #: ``(home_uid, title_id) -> VraDecision`` under ``token``; filled and
     #: read by the service, dropped here on every token move.
     decisions: Dict[Tuple[str, str], Any] = field(default_factory=dict, repr=False)
+    clock: Any = field(default=None, repr=False)
+    #: ``clock.value`` at the last token read (-1: read it next time).
+    seen: int = field(default=-1, repr=False)
     _weights: Optional[Dict[str, float]] = field(default=None, repr=False)
     _trees: Dict[str, DijkstraResult] = field(default_factory=dict, repr=False)
+
+    def current(self) -> Hashable:
+        """The synced token, read from ``token_of`` only if the clock
+        moved since the last read (always, without a clock)."""
+        if self.clock is None or self.clock.value != self.seen:
+            self.seen = -1 if self.clock is None else self.clock.value
+            self.sync(self.token_of())
+        return self.token
 
     def weights(
         self, token: Hashable, compute: Callable[[], Dict[str, float]]
@@ -173,6 +188,7 @@ class RoutingCache:
     def clear(self) -> None:
         """Drop all cached state (counters are preserved)."""
         self.token = None
+        self.seen = -1
         self.decisions.clear()
         self._weights = None
         self._trees.clear()

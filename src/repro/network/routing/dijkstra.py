@@ -98,6 +98,8 @@ class DijkstraResult:
     steps: List[DijkstraStep] = field(default_factory=list)
     complete: bool = True
     radius: float = float("inf")
+    #: ``target -> Path`` already walked (a result is never mutated).
+    _paths: Dict[str, Path] = field(default_factory=dict, repr=False, compare=False)
 
     def reaches(self, target: str) -> bool:
         """True if ``target`` is reachable from the source."""
@@ -122,6 +124,9 @@ class DijkstraResult:
         Raises:
             RoutingError: If ``target`` is unreachable.
         """
+        path = self._paths.get(target)
+        if path is not None:
+            return path
         cost = self.cost(target)
         nodes: List[str] = []
         cursor: Optional[str] = target
@@ -133,7 +138,8 @@ class DijkstraResult:
             raise RoutingError(
                 f"broken predecessor chain for {target!r} from {self.source!r}"
             )
-        return Path(nodes=tuple(nodes), cost=cost)
+        path = self._paths[target] = Path(nodes=tuple(nodes), cost=cost)
+        return path
 
     def node_path(self, target: str) -> Tuple[str, ...]:
         """Node-uid tuple of the shortest path (convenience)."""

@@ -15,6 +15,16 @@ from repro.network.link import STATE_CHANGE, Link, link_key
 from repro.network.node import Node
 
 
+class InputClock:
+    """Ticks with every bump of a memo-token input: the epoch memo reads
+    its token only when this moved (``RoutingCache.current``)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class Topology:
     """An undirected graph of nodes and capacity-limited links.
 
@@ -31,6 +41,10 @@ class Topology:
         self._adjacency: Dict[str, List[Link]] = {}
         self._state_version = 0
         self._traffic_version = 0
+        #: Ticked by structural changes (a service shares ``clock`` with
+        #: its database and memo) and by traffic ones (``clock`` too only
+        #: on the ground-truth path, whose token reads live traffic).
+        self.clock, self.traffic_clock = InputClock(), InputClock()
         #: Optional listener fired (after versioning) whenever a link's
         #: online state flips, with the link.  The service wires
         #: its resilience layer here — session supervisor preemption and
@@ -56,8 +70,10 @@ class Topology:
     def _on_link_change(self, kind: str, link: Link) -> None:
         if kind == STATE_CHANGE:
             self._state_version += 1
+            self.clock.value += 1
         else:
             self._traffic_version += 1
+            self.traffic_clock.value += 1
         if kind == STATE_CHANGE and self.on_state_change is not None:
             self.on_state_change(link)
 
@@ -75,6 +91,7 @@ class Topology:
         self._nodes[node.uid] = node
         self._adjacency[node.uid] = []
         self._state_version += 1
+        self.clock.value += 1
         return node
 
     def add_link(self, link: Link) -> Link:
@@ -102,6 +119,7 @@ class Topology:
         self._adjacency[link.b_uid].append(link)
         link._version_listener = self._on_link_change
         self._state_version += 1
+        self.clock.value += 1
         return link
 
     # ------------------------------------------------------------------ #
