@@ -4,8 +4,10 @@
 Runs the quickstart workload with ``observability=True`` so the unified
 telemetry layer is live: a metrics registry of counters/gauges/histograms,
 a sim-time sampler snapshotting them into ring-buffered time series, and
-one session span per client request.  Afterwards the script prints the
-operator summary, a link-utilisation sparkline timeline, and the top-N
+one session span per client request.  The tracer and a
+:class:`~repro.obs.stream.StreamingTelemetry` share one in-memory row
+stream.  Afterwards the script prints the operator summary read from
+that stream, a link-utilisation sparkline timeline, and the top-N
 hottest cache entries (DMA popularity points per server).
 
 Run:  python examples/observability.py
@@ -14,7 +16,7 @@ Run:  python examples/observability.py
 from repro import Client, ServiceConfig, Simulator, VideoTitle, VoDService
 from repro.experiments.report import render_timeline
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
-from repro.obs import summarize_telemetry
+from repro.obs import MemoryTelemetrySink, StreamingTelemetry, summarize_telemetry
 from repro.sim.trace import Tracer
 
 
@@ -25,13 +27,15 @@ def main() -> None:
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
 
-    tracer = Tracer(enabled=True)
+    sink = MemoryTelemetrySink()  # one row stream for the whole run
     service = VoDService(
         sim,
         topology,
         ServiceConfig(cluster_mb=50.0, observability=True, telemetry_period_s=120.0),
-        tracer=tracer,
+        tracer=Tracer(sink=sink),
     )
+    streamer = StreamingTelemetry(service, sink)
+    streamer.start()
     for i in (1, 2, 3):
         service.seed_title(
             "U4", VideoTitle(f"movie-{i}", size_mb=400.0, duration_s=2700.0)
@@ -62,7 +66,8 @@ def main() -> None:
     service.submit(viewers[3], "movie-3")
     sim.run(until=sim.now + 4 * 3600.0)
 
-    print(summarize_telemetry(service.obs, service.telemetry, service.spans, tracer))
+    streamer.finish()
+    print(summarize_telemetry(service.obs, sink))
 
     # The sampler kept one ring-buffered series per gauge; render the
     # backbone links as sparklines (same view `python -m repro obs
@@ -92,12 +97,12 @@ def main() -> None:
         state = "cached" if cached else "evicted/remote"
         print(f"  {uid} {title_id:<10} {points:3d} points  [{state}]")
 
-    spans = service.spans
-    finished = sum(1 for span in spans if not span.open)
+    spans = [row for row in sink.rows if row["kind"] == "span"]
+    finished = sum(1 for row in spans if row["finished_at"] is not None)
     print()
     print(
         f"spans: {len(spans)} sessions traced, {finished} finished, "
-        f"{sum(span.switch_count for span in spans)} mid-stream switches"
+        f"{sum(row['switch_count'] for row in spans)} mid-stream switches"
     )
 
 

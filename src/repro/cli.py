@@ -108,52 +108,41 @@ def _placement_config_from(args: argparse.Namespace, kind: str) -> PlacementConf
 
 
 def _add_telemetry_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Streaming-telemetry knobs shared by run subcommands."""
-    group = subparser.add_argument_group("telemetry")
-    group.add_argument(
+    """The telemetry file option shared by run subcommands."""
+    subparser.add_argument(
         "--telemetry-out", metavar="FILE", default=None,
-        help="export the run's telemetry (manifest + rows + footer) to "
-             "FILE; JSONL by default, CSV when FILE ends in .csv.  "
+        help="write the run's telemetry (manifest + rows + footer) to "
+             "FILE behind the run: spans as they close, sampler rings as "
+             "they fill.  JSONL by default, CSV when FILE ends in .csv.  "
              "Enables observability for the run",
     )
-    group.add_argument(
-        "--stream-telemetry", action="store_true",
-        help="write telemetry behind the run: spans flush on session "
-             "close and sampler rings spill when full, holding memory "
-             "O(active sessions + ring capacity); requires --telemetry-out",
-    )
 
 
-def _telemetry_hook(args: argparse.Namespace, label: str, keep_spans: bool = False):
-    """(service hook, state box) attaching a streaming sink, or (None, {}).
-
-    The hook starts a :class:`~repro.obs.stream.StreamingTelemetry` on
-    the freshly built service; the caller finishes it after the run via
-    ``box["streamer"]`` and prints the footer line.  ``keep_spans`` leaves
-    flushed spans in ``service.spans`` for a caller that reports them
-    after the run.
-    """
-    if args.telemetry_out is None:
-        if args.stream_telemetry:
-            raise SystemExit("--stream-telemetry requires --telemetry-out")
-        return None, {}
-    from repro.obs.sink import open_sink
+def _streaming_hook(open_target, seed: int, label: str):
+    """(service hook, state box): the hook starts a
+    :class:`~repro.obs.stream.StreamingTelemetry` over the sink
+    ``open_target()`` returns on the freshly built service; the caller
+    finishes it after the run via ``box["streamer"]``."""
     from repro.obs.stream import StreamingTelemetry
 
-    fmt = "csv" if args.telemetry_out.endswith(".csv") else "jsonl"
     box: dict = {}
 
     def hook(service) -> None:
-        sink = open_sink(args.telemetry_out, fmt)
-        streamer = StreamingTelemetry(
-            service, sink,
-            seed=args.seed, label=label, stream=args.stream_telemetry,
-            keep_spans=keep_spans,
-        )
-        streamer.start()
-        box["streamer"] = streamer
+        box["streamer"] = StreamingTelemetry(service, open_target(), seed=seed, label=label)
+        box["streamer"].start()
 
     return hook, box
+
+
+def _telemetry_hook(args: argparse.Namespace, label: str):
+    """:func:`_streaming_hook` over a ``--telemetry-out`` file sink, or
+    (None, {}) without one."""
+    if args.telemetry_out is None:
+        return None, {}
+    from repro.obs.sink import open_sink
+
+    fmt = "csv" if args.telemetry_out.endswith(".csv") else "jsonl"
+    return _streaming_hook(lambda: open_sink(args.telemetry_out, fmt), args.seed, label)
 
 
 def _finish_telemetry(args: argparse.Namespace, box: dict) -> None:
@@ -162,9 +151,8 @@ def _finish_telemetry(args: argparse.Namespace, box: dict) -> None:
     if streamer is None:
         return
     footer = streamer.finish()
-    mode = "streamed" if args.stream_telemetry else "buffered"
     print(
-        f"telemetry: {footer['rows_written']} rows {mode} to "
+        f"telemetry: {footer['rows_written']} rows written to "
         f"{args.telemetry_out} ({footer['rows_skipped']} skipped, "
         f"{footer['spans_flushed']} spans flushed live, "
         f"{footer['samples_spilled']} samples spilled, "
@@ -268,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--out", metavar="FILE", default=None,
                      help="write the jsonl/csv export to FILE instead of stdout")
     obs.add_argument("--trace-out", metavar="FILE", default=None,
-                     help="also write the structured event trace (span.* "
-                          "categories included) as JSONL")
+                     help="also write the run's trace and span rows as JSONL")
     obs.add_argument("--timeline", metavar="FAMILY", default=None,
                      help="print a sparkline timeline of one sampled gauge "
                           "family, e.g. link.utilization")
@@ -281,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulated seconds between telemetry samples")
     obs.add_argument("--seed", type=int, default=23)
     _add_fast_path_arguments(obs)
-    _add_telemetry_arguments(obs)
 
     chaos = commands.add_parser(
         "chaos",
@@ -521,12 +507,8 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_timeline
-    from repro.obs.export import (
-        export_csv,
-        export_jsonl,
-        summarize_telemetry,
-        telemetry_rows,
-    )
+    from repro.obs.export import summarize_telemetry
+    from repro.obs.sink import MemoryTelemetrySink, open_sink
     from repro.sim.trace import Tracer
     from repro.storage.video import VideoTitle
     from repro.workload.scenarios import flash_crowd_scenario
@@ -549,12 +531,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             seed=args.seed,
             catalog=catalog,
         )
-    tracer = Tracer(enabled=True)
-    # The summary and the --format export below read service.spans, so a
-    # streamed run keeps its flushed spans there (obs runs are small).
-    hook, telemetry_box = _telemetry_hook(
-        args, label=f"obs:{args.scenario}", keep_spans=True
-    )
+    # One row stream: the tracer and the streamer share one memory sink,
+    # which the summary reads and the exports copy through a file sink.
+    sink = MemoryTelemetrySink()
+    hook, box = _streaming_hook(lambda: sink, args.seed, f"obs:{args.scenario}")
     experiment = ServiceExperiment(
         name="obs",
         scenario=scenario,
@@ -569,41 +549,27 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             **_fast_path_config_kwargs(args),
         ),
         seed=args.seed,
-        tracer=tracer,
+        tracer=Tracer(sink=sink),
         service_hook=hook,
     )
-    result = run_service_experiment(experiment)
-    service = result.service
-    _finish_telemetry(args, telemetry_box)
+    service = run_service_experiment(experiment).service
+    box["streamer"].finish()
 
     if args.format == "summary":
-        print(
-            summarize_telemetry(
-                service.obs, service.telemetry, service.spans, tracer
-            )
-        )
+        print(summarize_telemetry(service.obs, sink))
     else:
-        rows = telemetry_rows(service.obs, service.telemetry, service.spans)
+        out = open_sink(args.out if args.out is not None else sys.stdout, args.format)
+        sink.copy_to(out)
         if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                if args.format == "jsonl":
-                    count = export_jsonl(rows, handle)
-                    print(f"wrote {count} jsonl rows to {args.out}")
-                else:
-                    written, skipped = export_csv(rows, handle)
-                    print(
-                        f"wrote {written} csv rows to {args.out} "
-                        f"({skipped} span rows skipped)"
-                    )
-        elif args.format == "jsonl":
-            export_jsonl(rows, sys.stdout)
-        else:
-            export_csv(rows, sys.stdout)
+            print(
+                f"wrote {out.written} {args.format} rows to {args.out} "
+                f"({out.skipped} skipped)"
+            )
 
     if args.trace_out is not None:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            count = tracer.export_jsonl(handle)
-        print(f"wrote {count} trace events to {args.trace_out}")
+        out = open_sink(args.trace_out, "jsonl")
+        sink.copy_to(out, kinds=("trace", "span"))
+        print(f"wrote {out.written} trace and span rows to {args.trace_out}")
 
     if args.timeline is not None:
         pairs = service.telemetry.series_for(args.timeline)

@@ -28,7 +28,9 @@ class VideoRequest:
     """One client request for one title.
 
     Attributes:
-        request_id: Unique per-process id.
+        request_id: Unique id: a service numbers the requests it creates
+            1, 2, ...; a request built on its own draws from a
+            per-process counter.
         client_id: The requesting client.
         home_uid: The client's adjacent server (resolved from its address).
         title_id: The requested title.

@@ -21,8 +21,8 @@ link bandwidths and per-server title lists) maps to the constructor plus
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.client.client import Client
@@ -215,12 +215,12 @@ class ServiceConfig:
             refresh; ``None`` (default) follows ``snmp_period_s``.
         observability: Enable the unified telemetry layer: a live
             metrics registry (per-link utilisation, cache occupancy,
-            stream load, VRA decision counters/latency, sim-engine
-            gauges), a sim-time sampler snapshotting gauges into ring
-            buffers, and per-request session spans sinking into the
-            tracer.  Default off — the disabled path routes every
-            instrument call to shared no-ops (the enabled cost is the
-            ledger's ``chaos_storm`` workload, ``benchmarks/ledger/``).
+            stream load, VRA decision counters, sim-engine gauges), a
+            sim-time sampler snapshotting gauges into ring buffers, and
+            per-request session spans.  Default off — the disabled path
+            routes every instrument call to shared no-ops (the enabled
+            cost is the ledger's ``chaos_storm`` workload,
+            ``benchmarks/ledger/``).
         telemetry_period_s: Simulated seconds between telemetry samples
             (only meaningful with ``observability=True``).
         telemetry_capacity: Ring bound per sampled time series.
@@ -395,8 +395,7 @@ class VoDService:
         self.config = config if config is not None else ServiceConfig()
         #: Structured event trace (disabled by default); categories:
         #: request.submitted / request.blocked, vra.decision,
-        #: placement.pass, session.finished, service.expanded, and the
-        #: span.* categories of the observability layer.
+        #: placement.pass, session.finished, service.expanded.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: The telemetry instrument registry.  Disabled (all no-ops)
         #: unless ``config.observability`` is set or an enabled registry
@@ -410,8 +409,10 @@ class VoDService:
         #: Whether a memo replay feeds anything besides its hit counter.
         self._replays_watched = self._obs_enabled or self.tracer.enabled
         #: Per-request session spans (populated only when observability
-        #: is on).
+        #: is on).  Every span stays here unless a streamer takes it.
         self.spans: List[SessionSpan] = []
+        #: Numbers the requests this service creates: 1, 2, ...
+        self._request_ids = itertools.count(1)
         #: Write-behind streaming hook: called with each session span the
         #: moment it finishes (installed by
         #: :class:`repro.obs.stream.StreamingTelemetry`; None otherwise).
@@ -610,10 +611,6 @@ class VoDService:
         self._m_switches = obs.counter(
             "session.switches", subsystem="core",
             description="mid-stream server switches",
-        )
-        self._m_decision_latency = obs.histogram(
-            "vra.decision_latency_ms", subsystem="core",
-            description="wall-clock latency of one VRA decision (ms)",
         )
         self._m_retries = obs.counter(
             "resilience.retries", subsystem="core",
@@ -972,7 +969,6 @@ class VoDService:
                     if self._obs_enabled:
                         self._m_decision_hits.inc()
                         self._vra.count_replayed(decision)
-                        self._m_decision_latency.observe(0.0)
                     if self.tracer.enabled:
                         self._trace_decision(home_uid, title_id, decision)
                 return decision
@@ -986,15 +982,12 @@ class VoDService:
             # Server-breaker transitions bump the availability version,
             # staling the token.
             holders = self.breakers.filter_servers(holders)
-        started = perf_counter() if self._obs_enabled else 0.0
         decision = self._vra.decide(
             home_uid,
             title_id,
             holders,
             poll=lambda uid: self.servers[uid].can_provide(title_id),
         )
-        if self._obs_enabled:
-            self._m_decision_latency.observe((perf_counter() - started) * 1e3)
         if (
             self.staleness_guard is not None
             and self.staleness_guard.degraded
@@ -1207,6 +1200,7 @@ class VoDService:
     ) -> Tuple[VideoRequest, StreamingSession, Process]:
         video = self.title_video(title_id)
         request = VideoRequest(
+            request_id=next(self._request_ids),
             client_id=client_id,
             home_uid=home_uid,
             title_id=title_id,
@@ -1246,7 +1240,6 @@ class VoDService:
                 title_id=title_id,
                 home_uid=home_uid,
                 started_at=self.sim.now,
-                sink=self.tracer,
             )
             self.spans.append(span)
             span.add(
@@ -1465,7 +1458,6 @@ class VoDService:
         """Record each per-cluster VRA decision into the session span."""
 
         def wrapped() -> VraDecision:
-            started = perf_counter()
             decision = decide()
             span.add(
                 self.sim.now,
@@ -1474,7 +1466,6 @@ class VoDService:
                 cost=decision.cost,
                 served_locally=decision.served_locally,
                 epoch=list(self.routing_epoch()),
-                latency_ms=(perf_counter() - started) * 1e3,
             )
             return decision
 

@@ -10,12 +10,17 @@ Three cooperating pieces turn a service run into measurable telemetry:
 * :mod:`repro.obs.sampler` — a periodic simulator process snapshotting
   every registered gauge into ring-buffered
   :class:`~repro.metrics.timeseries.TimeSeries`.
-* :mod:`repro.obs.spans` — per-request session spans recording the VRA
-  decision (latency + routing epoch), per-cluster deliveries and
-  mid-stream switches, sinking into the structured
-  :class:`~repro.sim.trace.Tracer`.
+* :mod:`repro.obs.spans` — per-request session spans recording each VRA
+  decision (with its routing epoch), per-cluster deliveries and
+  mid-stream switches.
 
-:mod:`repro.obs.export` serialises all of it to JSONL/CSV for the
+Every row a run records reaches a file or memory through one
+:class:`~repro.obs.sink.TelemetrySink` (JSONL, CSV or
+:class:`~repro.obs.sink.MemoryTelemetrySink`): the structured
+:class:`~repro.sim.trace.Tracer`'s ``trace`` rows, and the spans,
+sampler spills, end-of-run drain (:func:`~repro.obs.export.telemetry_rows`),
+manifest and footer written by :class:`~repro.obs.stream.StreamingTelemetry`.
+:func:`~repro.obs.export.summarize_telemetry` reads a memory sink for the
 ``python -m repro obs`` CLI subcommand.
 """
 
@@ -31,22 +36,18 @@ from repro.obs.registry import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
 )
+from repro.obs.sink import (
+    CsvTelemetrySink,
+    JsonlTelemetrySink,
+    MemoryTelemetrySink,
+    TelemetrySink,
+    open_sink,
+)
 from repro.obs.spans import SessionSpan, SpanEvent
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.obs.export import (
-        export_csv,
-        export_jsonl,
-        summarize_telemetry,
-        telemetry_rows,
-    )
+    from repro.obs.export import summarize_telemetry, telemetry_rows
     from repro.obs.sampler import TelemetrySampler
-    from repro.obs.sink import (
-        CsvTelemetrySink,
-        JsonlTelemetrySink,
-        TelemetrySink,
-        open_sink,
-    )
     from repro.obs.stream import StreamingTelemetry, run_manifest
 
 # The sampler (and through it the export module) depends on
@@ -56,14 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
 # first attribute access, after the core package finished initialising.
 _LAZY = {
     "TelemetrySampler": "repro.obs.sampler",
-    "export_csv": "repro.obs.export",
-    "export_jsonl": "repro.obs.export",
     "summarize_telemetry": "repro.obs.export",
     "telemetry_rows": "repro.obs.export",
-    "CsvTelemetrySink": "repro.obs.sink",
-    "JsonlTelemetrySink": "repro.obs.sink",
-    "TelemetrySink": "repro.obs.sink",
-    "open_sink": "repro.obs.sink",
     "StreamingTelemetry": "repro.obs.stream",
     "run_manifest": "repro.obs.stream",
 }
@@ -88,6 +83,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlTelemetrySink",
+    "MemoryTelemetrySink",
     "MetricsRegistry",
     "NULL_COUNTER",
     "NULL_GAUGE",
@@ -97,8 +93,6 @@ __all__ = [
     "StreamingTelemetry",
     "TelemetrySampler",
     "TelemetrySink",
-    "export_csv",
-    "export_jsonl",
     "open_sink",
     "run_manifest",
     "summarize_telemetry",

@@ -73,11 +73,6 @@ class TelemetrySampler:
         self._task = PeriodicTask(sim, period_s, self.sample, name="telemetry")
 
     @property
-    def period_s(self) -> float:
-        """Sampling period in simulated seconds."""
-        return self._task.period
-
-    @property
     def sample_count(self) -> int:
         """Sampling rounds taken so far."""
         return self._task.fire_count

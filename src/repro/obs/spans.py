@@ -1,21 +1,16 @@
 """Per-request session spans.
 
 A :class:`SessionSpan` follows one client request end to end: submission,
-the DMA pass, every VRA decision (with its routing epoch and wall-clock
-decision latency), every cluster delivery, every mid-stream switch, and
-the final outcome.  It unifies the loose per-category trace records the
-service used to emit ad hoc — the structured
-:class:`~repro.sim.trace.Tracer` stays the sink (each span event is also
-recorded there under a ``span.<kind>`` category), and spans additionally
-keep their events together per request for export and analysis.
+the DMA pass, every VRA decision (with its routing epoch), every cluster
+delivery, every mid-stream switch, and the final outcome.  A span keeps
+its events together per request; it reaches the telemetry stream once,
+as one ``span`` row (:meth:`SessionSpan.to_dict`) when it closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,6 @@ class SessionSpan:
         events: Recorded events, in order.
         finished_at: Simulated completion time (None while running).
         status: Final request status (None while running).
-        sink: Optional tracer receiving every event as ``span.<kind>``.
     """
 
     request_id: int
@@ -63,20 +57,11 @@ class SessionSpan:
     events: List[SpanEvent] = field(default_factory=list)
     finished_at: Optional[float] = None
     status: Optional[str] = None
-    sink: Optional[Tracer] = None
 
     def add(self, time: float, kind: str, **attrs: object) -> SpanEvent:
-        """Record one event (and forward it to an enabled tracer sink)."""
+        """Record one event."""
         event = SpanEvent(time=time, kind=kind, attrs=attrs)
         self.events.append(event)
-        if self.sink is not None and self.sink.enabled:
-            self.sink.record(
-                time,
-                f"span.{kind}",
-                f"{self.client_id}/{self.title_id}",
-                request_id=self.request_id,
-                **attrs,
-            )
         return event
 
     def finish(self, time: float, status: str) -> None:
@@ -125,7 +110,7 @@ class SessionSpan:
         return seen
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (used by the JSONL export)."""
+        """JSON-ready representation (the body of the ``span`` row)."""
         return {
             "request_id": self.request_id,
             "client_id": self.client_id,

@@ -6,24 +6,20 @@
 
 - the run manifest is written first (config and its hash, seed,
   topology, code version) so every artifact is self-describing;
-- session spans are flushed the moment they close (via the service's
-  ``on_span_finished`` hook) and dropped from ``service.spans``;
+- session spans are written once, as a ``span`` row, the moment they
+  close (via the service's ``on_span_finished`` slot), and dropped from
+  ``service.spans``;
 - sampler rings spill evicted samples to the sink instead of discarding
   them (via :meth:`TelemetrySampler.set_spill`);
 - :meth:`finish` drains whatever is still live (ring contents, counter
-  totals, histogram summaries, still-open spans) and writes the footer
-  (row totals, wall time, peak RSS), closing the sink.
+  totals, histogram summaries, still-open spans) through
+  :func:`~repro.obs.export.telemetry_rows`, writes the footer (row
+  totals, wall time, peak RSS: the only wall-clock values in the stream)
+  and closes the sink.
 
-Streamed output is row-for-row content-identical to the buffered
-:func:`~repro.obs.export.telemetry_rows` export of the same run (same
-rows; spans ordered by close time instead of grouped at the end), while
-memory stays O(active sessions + ring capacity).
-
-Constructed with ``stream=False`` the same class produces the identical
-artifact format from a fully buffered run: manifest, one-shot drain,
-footer.  ``keep_spans=True`` flushes spans without removing them from
-``service.spans`` — the mode the equivalence property tests use to
-compare streamed output against the buffered rows of the *same* run.
+The streamed data rows are, as a multiset, the ``telemetry_rows`` of a
+same-seed run with no streamer, while memory stays O(active sessions +
+ring capacity).
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None  # type: ignore[assignment]
 
 #: Manifest layout version; bump on incompatible schema changes.
-MANIFEST_SCHEMA = 2
+MANIFEST_SCHEMA = 3
 
 
 def peak_rss_kb() -> float:
@@ -111,13 +107,6 @@ class StreamingTelemetry:
         sink: Where rows go; closed by :meth:`finish`.
         seed: Recorded in the manifest (the run's RNG seed, if any).
         label: Free-form run label recorded in the manifest.
-        stream: When True (default) spans flush on close and sampler
-            rings spill on overflow; when False nothing is hooked and
-            :meth:`finish` performs one buffered drain — same artifact,
-            O(total sessions) memory.
-        keep_spans: Flush spans without removing them from
-            ``service.spans`` (test mode: lets the same run be exported
-            both streamed and buffered for equivalence checks).
     """
 
     def __init__(
@@ -127,17 +116,12 @@ class StreamingTelemetry:
         *,
         seed: Optional[int] = None,
         label: Optional[str] = None,
-        stream: bool = True,
-        keep_spans: bool = False,
     ):
         self._service = service
-        self._sink = sink
+        #: The sink this run streams into.
+        self.sink = sink
         self._seed = seed
         self._label = label
-        self._stream = stream
-        self._keep_spans = keep_spans
-        self._flushed_ids: set = set()
-        self._prev_span_hook = None
         self._wall_start: Optional[float] = None
         self._started = False
         self._finished = False
@@ -146,28 +130,21 @@ class StreamingTelemetry:
         self.peak_resident_rows = 0
         self.footer: Optional[Dict[str, object]] = None
 
-    @property
-    def sink(self) -> TelemetrySink:
-        """The sink this run streams into."""
-        return self._sink
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Write the manifest and (in streaming mode) install the hooks."""
+        """Write the manifest and install the span and spill hooks."""
         if self._started:
             return
         self._started = True
         self._wall_start = time.perf_counter()
-        self._sink.write_manifest(
+        self.sink.write_manifest(
             run_manifest(self._service, seed=self._seed, label=self._label)
         )
-        if self._stream:
-            self._prev_span_hook = self._service.on_span_finished
-            self._service.on_span_finished = self._span_finished
-            if self._service.telemetry is not None:
-                self._service.telemetry.set_spill(self._spill)
+        self._service.on_span_finished = self._span_finished
+        if self._service.telemetry is not None:
+            self._service.telemetry.set_spill(self._spill)
 
     def finish(self) -> Dict[str, object]:
         """Drain everything still live, write the footer, close the sink.
@@ -187,36 +164,30 @@ class StreamingTelemetry:
         self._note_resident()
         if service.telemetry is not None:
             for (name, labels), series in sorted(service.telemetry.series().items()):
-                self._sink.write_samples(
+                self.sink.write_samples(
                     name, dict(labels), series.times(), series.values()
                 )
-        for row in telemetry_rows(service.obs, None, self._remaining_spans()):
-            self._sink.write(row)
+        for row in telemetry_rows(service.obs, None, service.spans):
+            self.sink.write(row)
         self.footer = self._build_footer()
-        self._sink.write_footer(self.footer)
-        self._sink.close()
-        if self._stream:
-            service.on_span_finished = self._prev_span_hook
-            if service.telemetry is not None:
-                service.telemetry.set_spill(None)
+        self.sink.write_footer(self.footer)
+        self.sink.close()
+        service.on_span_finished = None
+        if service.telemetry is not None:
+            service.telemetry.set_spill(None)
         return self.footer
 
     # ------------------------------------------------------------------ #
     # hooks
     # ------------------------------------------------------------------ #
     def _span_finished(self, span: SessionSpan) -> None:
-        self._sink.write({"kind": "span", **span.to_dict()})
+        self.sink.write({"kind": "span", **span.to_dict()})
         self.spans_flushed += 1
-        if self._keep_spans:
-            self._flushed_ids.add(span.request_id)
-        else:
-            try:
-                self._service.spans.remove(span)
-            except ValueError:
-                pass
+        try:
+            self._service.spans.remove(span)
+        except ValueError:
+            pass
         self._note_resident()
-        if self._prev_span_hook is not None:
-            self._prev_span_hook(span)
 
     def _spill(
         self,
@@ -227,18 +198,12 @@ class StreamingTelemetry:
     ) -> None:
         """Ring-overflow hook: the evicted samples of one series go to the
         sink as the rows the final drain would have written for them."""
-        self._sink.write_samples(name, labels, times, values)
+        self.sink.write_samples(name, labels, times, values)
         self.samples_spilled += len(times)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _remaining_spans(self) -> List[SessionSpan]:
-        spans = self._service.spans
-        if self._keep_spans:
-            return [s for s in spans if s.request_id not in self._flushed_ids]
-        return list(spans)
-
     def _note_resident(self) -> None:
         resident = len(self._service.spans)
         telemetry = self._service.telemetry
@@ -249,12 +214,9 @@ class StreamingTelemetry:
 
     def _build_footer(self) -> Dict[str, object]:
         service = self._service
-        sink = self._sink
         wall = time.perf_counter() - (self._wall_start or time.perf_counter())
         return {
-            "rows_written": sink.written,
-            "rows_skipped": sink.skipped,
-            "rows_by_kind": dict(sorted(sink.by_kind.items())),
+            **self.sink.totals(),
             "spans_flushed": self.spans_flushed,
             "samples_spilled": self.samples_spilled,
             "peak_resident_rows": self.peak_resident_rows,

@@ -1,22 +1,23 @@
 """Structured event tracing.
 
-A :class:`Tracer` collects timestamped, categorised events from anywhere
-in the service (VRA decisions, DMA actions, cluster deliveries, SNMP
-polls) for debugging and post-run analysis.  Tracing is opt-in and cheap:
-a disabled tracer discards events without formatting anything.
-
-The tracer is also the sink for the structured session spans of
-:mod:`repro.obs.spans`; :meth:`Tracer.to_jsonl` / :meth:`Tracer.export_jsonl`
-serialise a run's full trace as JSON Lines for offline analysis.
+A :class:`Tracer` turns timestamped, categorised events from anywhere in
+the service (VRA decisions, placement passes, request outcomes, SNMP
+polls) into ``trace`` rows on a telemetry sink
+(:mod:`repro.obs.sink`), the one row stream a run writes.  Tracing is
+opt-in and cheap: a disabled tracer discards events without formatting
+anything.  By default a tracer writes into its own unbounded
+:class:`~repro.obs.sink.MemoryTelemetrySink`, whose rows its query
+methods read; session spans are rows of their own, not trace events.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, TextIO
+from typing import Dict, List, Optional, Set
 
-#: Categories the service and its spans are known to emit.  ``format()``
+from repro.obs.sink import MemoryTelemetrySink, TelemetrySink
+
+#: Categories the service is known to emit.  ``format()``
 #: pads to the longest registered category so dump columns line up; new
 #: categories register themselves on first record.
 _REGISTERED_CATEGORIES: Set[str] = {
@@ -27,11 +28,6 @@ _REGISTERED_CATEGORIES: Set[str] = {
     "service.snapshot",
     "session.finished",
     "snmp.round",
-    "span.cluster.delivered",
-    "span.finished",
-    "span.submitted",
-    "span.switch",
-    "span.vra.decision",
     "vra.decision",
 }
 _PAD_WIDTH: int = max(len(category) for category in _REGISTERED_CATEGORIES)
@@ -86,121 +82,67 @@ class TraceEvent:
         register_category(self.category)
         return f"[{self.time:10.1f}s] {self.category:<{_PAD_WIDTH}} {self.message}"
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready representation of this event."""
-        return {
-            "time": self.time,
-            "category": self.category,
-            "message": self.message,
-            **{f"data.{key}": _jsonable(value) for key, value in self.data.items()},
-        }
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
 
 class Tracer:
-    """Collects :class:`TraceEvent` records.
+    """A thin producer of ``trace`` rows over one telemetry sink.
+
+    Each recorded event becomes one row ``{"kind": "trace", "time",
+    "category", "message", "data"}``.  The query methods read the trace
+    rows a :class:`~repro.obs.sink.MemoryTelemetrySink` holds (rows of
+    other kinds sharing the sink are skipped).
 
     Args:
         enabled: Disabled tracers drop events immediately.
-        capacity: Keep at most this many events (oldest dropped first);
-            None keeps everything.
+        sink: Where rows go; a fresh unbounded memory sink by default.
+            Bound a trace with ``MemoryTelemetrySink(capacity=...)``.
     """
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None):
+    def __init__(self, enabled: bool = True, sink: Optional[TelemetrySink] = None):
         self.enabled = enabled
-        self.capacity = capacity
-        self._events: List[TraceEvent] = []
-        self._dropped = 0
+        self.sink = sink if sink is not None else MemoryTelemetrySink()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(1 for row in self.sink.rows if row["kind"] == "trace")
 
-    @property
-    def dropped_count(self) -> int:
-        """Events discarded due to the capacity bound.
-
-        Part of the public API: the ``obs`` CLI summaries report it so a
-        truncated trace is never mistaken for a complete one.
-        """
-        return self._dropped
-
-    def record(
-        self,
-        time: float,
-        category: str,
-        message: str,
-        **data: object,
-    ) -> None:
+    def record(self, time: float, category: str, message: str, **data: object) -> None:
         """Record one event (no-op when disabled)."""
         if not self.enabled:
             return
         register_category(category)
-        self._events.append(
-            TraceEvent(time=time, category=category, message=message, data=data)
+        self.sink.write(
+            {"kind": "trace", "time": time, "category": category, "message": message, "data": data}
         )
-        if self.capacity is not None and len(self._events) > self.capacity:
-            overflow = len(self._events) - self.capacity
-            del self._events[:overflow]
-            self._dropped += overflow
 
     def events(self, category: Optional[str] = None) -> List[TraceEvent]:
-        """All events, optionally filtered by category prefix.
+        """All kept events, optionally filtered by category prefix.
 
         ``category="vra"`` matches ``"vra"`` and ``"vra.decision"`` but
         not ``"vrawhatever"``.
         """
-        if category is None:
-            return list(self._events)
-        prefix = category + "."
+        prefix = f"{category}."
         return [
-            event
-            for event in self._events
-            if event.category == category or event.category.startswith(prefix)
+            TraceEvent(row["time"], row["category"], row["message"], row["data"])
+            for row in self.sink.rows
+            if row["kind"] == "trace"
+            and (category is None or f"{row['category']}.".startswith(prefix))
         ]
 
     def between(self, start: float, end: float) -> List[TraceEvent]:
         """Events with start <= time < end."""
-        return [e for e in self._events if start <= e.time < end]
+        return [e for e in self.events() if start <= e.time < end]
 
     def categories(self) -> List[str]:
         """Distinct categories recorded, sorted."""
-        return sorted({event.category for event in self._events})
+        return sorted({event.category for event in self.events()})
 
     def clear(self) -> None:
-        """Drop all recorded events."""
-        self._events.clear()
-        self._dropped = 0
+        """Drop every row the memory sink keeps, and its drop count."""
+        self.sink.rows.clear()
+        self.sink.dropped = 0
 
     def dump(self, limit: Optional[int] = None) -> str:
         """Formatted multi-line dump of the newest ``limit`` events."""
-        events = self._events if limit is None else self._events[-limit:]
+        events = self.events()
+        if limit is not None:
+            events = events[-limit:]
         return "\n".join(event.format() for event in events)
-
-    # ------------------------------------------------------------------ #
-    # JSONL export
-    # ------------------------------------------------------------------ #
-    def to_jsonl(self, category: Optional[str] = None) -> str:
-        """The trace as JSON Lines text (one event per line).
-
-        Args:
-            category: Optional category-prefix filter, as in
-                :meth:`events`.
-        """
-        return "\n".join(
-            json.dumps(event.to_dict(), sort_keys=True)
-            for event in self.events(category)
-        )
-
-    def export_jsonl(self, out: TextIO, category: Optional[str] = None) -> int:
-        """Write the trace as JSON Lines; returns the event count."""
-        count = 0
-        for event in self.events(category):
-            out.write(json.dumps(event.to_dict(), sort_keys=True))
-            out.write("\n")
-            count += 1
-        return count

@@ -4,18 +4,20 @@ import csv
 import io
 import json
 
-from repro.obs.export import (
-    CSV_FIELDS,
-    export_csv,
-    export_jsonl,
-    summarize_telemetry,
-    telemetry_rows,
-)
+from repro.obs.export import summarize_telemetry, telemetry_rows
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TelemetrySampler
+from repro.obs.sink import CSV_FIELDS, CsvTelemetrySink, JsonlTelemetrySink, MemoryTelemetrySink
 from repro.obs.spans import SessionSpan
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
+
+
+def write_all(sink, rows):
+    for row in rows:
+        sink.write(row)
+    sink.close()
+    return sink
 
 
 def make_run():
@@ -25,7 +27,7 @@ def make_run():
     registry.gauge("link.utilization", labels={"link": "a-b"}, callback=lambda: 0.5)
     counter = registry.counter("vra.decisions")
     counter.inc(3.0)
-    hist = registry.histogram("vra.decision_latency_ms")
+    hist = registry.histogram("session.startup_s")
     hist.observe(0.2)
     sampler = TelemetrySampler(sim, registry, period_s=10.0)
     sampler.start()
@@ -65,7 +67,7 @@ class TestJsonl:
     def test_every_line_is_valid_json(self):
         registry, sampler, spans = make_run()
         out = io.StringIO()
-        count = export_jsonl(telemetry_rows(registry, sampler, spans), out)
+        count = write_all(JsonlTelemetrySink(out), telemetry_rows(registry, sampler, spans)).written
         lines = out.getvalue().strip().splitlines()
         assert len(lines) == count > 0
         parsed = [json.loads(line) for line in lines]
@@ -76,7 +78,8 @@ class TestCsv:
     def test_header_and_span_accounting(self):
         registry, sampler, spans = make_run()
         out = io.StringIO()
-        written, skipped = export_csv(telemetry_rows(registry, sampler, spans), out)
+        sink = write_all(CsvTelemetrySink(out), telemetry_rows(registry, sampler, spans))
+        written, skipped = sink.written, sink.skipped
         rows = list(csv.reader(io.StringIO(out.getvalue())))
         assert rows[0] == CSV_FIELDS
         assert rows[0][:5] == ["kind", "name", "labels", "time", "value"]
@@ -90,12 +93,12 @@ class TestCsv:
 
     def test_histogram_distribution_columns(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("vra.decision_latency_ms")
+        hist = registry.histogram("session.startup_s")
         for value in (1.0, 2.0, 3.0, 4.0):
             hist.observe(value)
         out = io.StringIO()
-        written, skipped = export_csv(telemetry_rows(registry), out)
-        assert (written, skipped) == (1, 0)
+        sink = write_all(CsvTelemetrySink(out), telemetry_rows(registry))
+        assert (sink.written, sink.skipped) == (1, 0)
         rows = list(csv.DictReader(io.StringIO(out.getvalue())))
         row = rows[0]
         assert row["kind"] == "histogram"
@@ -108,7 +111,7 @@ class TestCsv:
         # Non-histogram rows leave the distribution columns empty.
         registry.counter("c").inc()
         out = io.StringIO()
-        export_csv(telemetry_rows(registry), out)
+        write_all(CsvTelemetrySink(out), telemetry_rows(registry))
         counter_row = next(
             r for r in csv.DictReader(io.StringIO(out.getvalue())) if r["kind"] == "counter"
         )
@@ -123,11 +126,19 @@ class TestSummary:
 
     def test_enabled_summary_mentions_instruments_and_trace_drops(self):
         registry, sampler, spans = make_run()
-        tracer = Tracer(capacity=1)
+        sink = MemoryTelemetrySink(capacity=1)
+        tracer = Tracer(sink=sink)
         tracer.record(0.0, "a", "x")
         tracer.record(1.0, "b", "y")
-        text = summarize_telemetry(registry, sampler, spans, tracer)
+        text = summarize_telemetry(registry, sink)
         assert "instruments:" in text
-        assert "vra.decisions" in text
-        assert "spans: 1 sessions (1 finished)" in text
         assert "1 dropped by capacity bound" in text
+        # Everything else is read from the rows the sink holds.
+        sink = MemoryTelemetrySink()
+        write_all(sink, telemetry_rows(registry, sampler, spans))
+        text = summarize_telemetry(registry, sink)
+        assert "sampling: 3 rounds" in text
+        assert "vra.decisions" in text
+        assert "session.startup_s" in text
+        assert "a-b" in text  # the one link, as the hottest
+        assert "spans: 1 sessions (1 finished)" in text

@@ -9,7 +9,9 @@ generator and its session callbacks one observer; the refactor must leave
 every one of them unchanged:
 
 * the session fingerprint (every record, reason and cluster);
-* the ordered trace categories, spans included;
+* the ordered trace categories;
+* each span row's event kinds, in submission order (spans are rows of
+  their own, not ``span.*`` trace events);
 * the name of each request's one process (request ids read ``#``);
 * ``sim.events_fired``.
 """
@@ -21,7 +23,13 @@ import pytest
 import tests.obs.test_service_obs as service_obs
 from repro.experiments.placement import session_fingerprint
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
+from repro.obs.export import telemetry_rows
 from repro.sim.trace import Tracer
+
+#: The event kinds of the spans both pins share.
+SERVED = ("submitted", "vra.decision", "cluster.delivered", "vra.decision",
+          "cluster.delivered", "finished")
+QUEUED_THEN_SERVED = ("submitted", "queued", "vra.decision", "cluster.delivered", "finished")
 
 
 class Pin(NamedTuple):
@@ -29,6 +37,7 @@ class Pin(NamedTuple):
     events_fired: int
     processes: Tuple[str, ...]
     categories: list
+    span_kinds: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
 
 
 PINS = {
@@ -37,54 +46,51 @@ PINS = {
         events_fired=239,
         processes=("session:a:m", "queued:#", "shed:#", "blocked:#", "session:e:m", "queued:#"),
         categories="""
-            request.submitted placement.pass span.submitted
-            vra.decision request.submitted placement.pass
-            span.submitted request.queued span.queued
-            request.submitted placement.pass span.submitted
-            span.finished request.shed vra.decision
-            span.vra.decision vra.decision vra.decision
-            span.vra.decision request.submitted placement.pass
-            span.submitted vra.decision span.finished
-            request.blocked request.submitted placement.pass
-            span.submitted vra.decision request.submitted
-            placement.pass span.submitted request.queued span.queued
-            vra.decision span.vra.decision vra.decision
-            span.finished request.blocked span.cluster.delivered
-            vra.decision span.vra.decision span.cluster.delivered
-            span.finished session.finished span.cluster.delivered
-            vra.decision span.vra.decision span.cluster.delivered
-            span.finished session.finished span.cluster.delivered
-            span.finished session.finished
+            request.submitted placement.pass vra.decision
+            request.submitted placement.pass request.queued
+            request.submitted placement.pass request.shed vra.decision
+            vra.decision vra.decision request.submitted placement.pass
+            vra.decision request.blocked request.submitted
+            placement.pass vra.decision request.submitted
+            placement.pass request.queued vra.decision vra.decision
+            request.blocked vra.decision session.finished vra.decision
+            session.finished session.finished
         """.split(),
+        span_kinds=(
+            ("a", "completed", SERVED),
+            ("b", "failed", QUEUED_THEN_SERVED),
+            ("c", "failed", ("submitted", "finished")),
+            ("d", "failed", ("submitted", "finished")),
+            ("e", "completed", SERVED),
+            ("f", "failed", ("submitted", "queued", "finished")),
+        ),
     ),
     2: Pin(
         fingerprint="e494f7993699dc5c9ce162d8cea0f885e08b84a4749b5ee3167864feace1f23e",
         events_fired=243,
         processes=("session:a:m", "queued:#", "shed:#", "requeued:#", "session:e:m", "queued:#"),
         categories="""
-            request.submitted placement.pass span.submitted
-            vra.decision request.submitted placement.pass
-            span.submitted request.queued span.queued
-            request.submitted placement.pass span.submitted
-            span.finished request.shed vra.decision
-            span.vra.decision vra.decision vra.decision
-            span.vra.decision request.submitted placement.pass
-            span.submitted vra.decision request.requeued
-            span.requeued vra.decision request.requeued
-            span.requeued vra.decision span.finished request.blocked
-            request.submitted placement.pass span.submitted
-            vra.decision request.submitted placement.pass
-            span.submitted request.queued span.queued vra.decision
-            span.vra.decision vra.decision request.requeued
-            span.requeued vra.decision request.requeued
-            span.requeued span.cluster.delivered vra.decision
-            span.vra.decision vra.decision span.finished
-            request.blocked span.cluster.delivered span.finished
-            session.finished span.cluster.delivered vra.decision
-            span.vra.decision span.cluster.delivered span.finished
-            session.finished span.cluster.delivered span.finished
+            request.submitted placement.pass vra.decision
+            request.submitted placement.pass request.queued
+            request.submitted placement.pass request.shed vra.decision
+            vra.decision vra.decision request.submitted placement.pass
+            vra.decision request.requeued vra.decision
+            request.requeued vra.decision request.blocked
+            request.submitted placement.pass vra.decision
+            request.submitted placement.pass request.queued
+            vra.decision vra.decision request.requeued vra.decision
+            request.requeued vra.decision vra.decision request.blocked
+            session.finished vra.decision session.finished
             session.finished
         """.split(),
+        span_kinds=(
+            ("a", "completed", SERVED),
+            ("b", "failed", QUEUED_THEN_SERVED),
+            ("c", "failed", ("submitted", "finished")),
+            ("d", "failed", ("submitted", "requeued", "requeued", "finished")),
+            ("e", "completed", SERVED),
+            ("f", "failed", ("submitted", "queued", "requeued", "requeued", "finished")),
+        ),
     ),
 }
 
@@ -111,6 +117,11 @@ def run_every_ending(requeue_attempts: int) -> Pin:
         events_fired=service.sim.events_fired,
         processes=tuple(processes),
         categories=[event.category for event in tracer.events()],
+        span_kinds=tuple(
+            (row["client_id"], row["status"], tuple(e["kind"] for e in row["events"]))
+            for row in telemetry_rows(service.obs, None, service.spans)
+            if row["kind"] == "span"
+        ),
     )
 
 
@@ -121,4 +132,5 @@ def test_every_ending_replays_the_pinned_lifecycle(requeue_attempts):
     assert run.fingerprint == pinned.fingerprint
     assert run.processes == pinned.processes
     assert run.categories == pinned.categories
+    assert run.span_kinds == pinned.span_kinds
     assert run.events_fired == pinned.events_fired

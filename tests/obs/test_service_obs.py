@@ -44,7 +44,6 @@ class TestEnabled:
             "dma.points_table_size",
             "routing.cache_hit_rate",
             "vra.decisions",
-            "vra.decision_latency_ms",
             "service.requests_submitted",
             "session.clusters_delivered",
             "sim.events_fired",
@@ -58,9 +57,6 @@ class TestEnabled:
         assert obs.counter("service.sessions_completed").value == 1.0
         assert obs.counter("vra.decisions").value >= 2.0
         assert obs.counter("session.clusters_delivered").value == 2.0
-        latency = obs.histogram("vra.decision_latency_ms")
-        assert latency.count >= 2
-        assert latency.max > 0.0
         assert obs.histogram("session.startup_s").count == 1
 
     def test_sampler_records_link_utilisation_timeline(self, grnet_8am):
@@ -83,11 +79,11 @@ class TestEnabled:
         assert span.servers_used == ["U4"]
         decision = span.events_of("vra.decision")[0]
         assert decision.attrs["chosen_uid"] == "U4"
-        assert decision.attrs["latency_ms"] > 0.0
         assert isinstance(decision.attrs["epoch"], list)
-        # Span events also landed in the tracer sink.
-        assert "span.vra.decision" in tracer.categories()
-        assert "span.cluster.delivered" in tracer.categories()
+        # No wall-clock values in the span, and no span copies in the
+        # trace: the span reaches the row stream once, as a span row.
+        assert "latency_ms" not in decision.attrs
+        assert not any(c.startswith("span.") for c in tracer.categories())
 
     def test_per_server_labeled_counters(self, grnet_8am):
         service = run_service(grnet_8am)

@@ -12,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.obs.export import CSV_FIELDS
-from repro.obs.sink import CsvTelemetrySink, JsonlTelemetrySink, open_sink
+from repro.obs.sink import (
+    CSV_FIELDS,
+    CsvTelemetrySink,
+    JsonlTelemetrySink,
+    MemoryTelemetrySink,
+    open_sink,
+)
 
 MANIFEST = {"seed": 23, "config_hash": "abc"}
 
@@ -114,8 +119,57 @@ class TestCsv:
     def test_open_sink_dispatch(self, tmp_path):
         assert isinstance(open_sink(tmp_path / "a.jsonl", "jsonl"), JsonlTelemetrySink)
         assert isinstance(open_sink(tmp_path / "a.csv", "csv"), CsvTelemetrySink)
+        assert isinstance(open_sink(None, "memory"), MemoryTelemetrySink)
         with pytest.raises(ReproError):
             open_sink(tmp_path / "a.xml", "xml")
+        with pytest.raises(ReproError):
+            open_sink(tmp_path / "a.jsonl", "memory")
+
+
+class TestMemory:
+    def test_keeps_rows_and_frame_apart(self):
+        sink = MemoryTelemetrySink()
+        sink.write_manifest(MANIFEST)
+        for i in range(3):
+            sink.write(sample_row(i))
+        sink.write_samples("h", {"x": "1"}, [5.0], [6.0])
+        sink.write_footer({"wall_time_s": 1.0})
+        sink.close()
+        assert list(sink.rows) == [sample_row(i) for i in range(3)] + [
+            {"kind": "sample", "name": "h", "labels": {"x": "1"}, "time": 5.0, "value": 6.0}
+        ]
+        assert sink.manifest == {"kind": "manifest", **MANIFEST}
+        assert sink.footer == {"kind": "footer", "wall_time_s": 1.0}
+        assert (sink.written, sink.skipped, sink.dropped) == (4, 0, 0)
+        assert sink.by_kind == {"sample": 4}
+
+    def test_capacity_drops_the_oldest_and_counts_them(self):
+        sink = MemoryTelemetrySink(capacity=2)
+        for i in range(5):
+            sink.write(sample_row(i))
+        assert [row["time"] for row in sink.rows] == [3.0, 4.0]
+        assert (sink.written, sink.dropped) == (5, 3)
+
+    def test_copy_is_the_artifact_a_file_sink_writes(self, tmp_path):
+        rows = [sample_row(0), {"kind": "span", "request_id": 1}, sample_row(1)]
+        direct = JsonlTelemetrySink(tmp_path / "direct.jsonl")
+        memory = MemoryTelemetrySink()
+        for sink in (direct, memory):
+            sink.write_manifest(MANIFEST)
+            for row in rows:
+                sink.write(row)
+            sink.write_footer({**sink.totals(), "wall_time_s": 1.0})
+            sink.close()
+        memory.copy_to(JsonlTelemetrySink(tmp_path / "copy.jsonl"))
+        assert (tmp_path / "copy.jsonl").read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
+        # A filtered copy reports its own totals in the footer.
+        out = io.StringIO()
+        memory.copy_to(JsonlTelemetrySink(out), kinds=("span",))
+        copied = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [row["kind"] for row in copied] == ["manifest", "span", "footer"]
+        assert copied[-1]["rows_written"] == 1
+        assert copied[-1]["rows_by_kind"] == {"span": 1}
+        assert copied[-1]["wall_time_s"] == 1.0
 
 
 #: Floats whose ``repr`` and JSON spellings are the likeliest to part ways.

@@ -1,13 +1,16 @@
 """Unit tests for write-behind streaming: hooks, manifest, footer, memory."""
 
+import hashlib
 import json
 from collections import Counter
 
 import repro
+from repro.cli import main
 from repro.core.service import ServiceConfig, VoDService
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
+from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs.export import telemetry_rows
-from repro.obs.sink import JsonlTelemetrySink
+from repro.obs.sink import JsonlTelemetrySink, MemoryTelemetrySink
 from repro.obs.spans import SessionSpan
 from repro.obs.stream import (
     MANIFEST_SCHEMA,
@@ -19,6 +22,12 @@ from repro.obs.stream import (
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import flash_crowd_scenario
+
+
+def grnet_8am_topology():
+    topology = build_grnet_topology()
+    apply_traffic_sample(topology, "8am")
+    return topology
 
 
 def build_service(topology, **overrides):
@@ -100,19 +109,6 @@ class TestStreaming:
         assert streamer.samples_spilled > 0
         assert sample_multiset(read_jsonl(path)) == expected
 
-    def test_keep_spans_does_not_double_emit(self, grnet_8am, tmp_path):
-        service = build_service(grnet_8am)
-        path = tmp_path / "run.jsonl"
-        streamer = StreamingTelemetry(
-            service, JsonlTelemetrySink(path), keep_spans=True
-        )
-        streamer.start()
-        drive(service)
-        assert len(service.spans) == 1  # retained for in-memory consumers
-        streamer.finish()
-        span_rows = [r for r in read_jsonl(path) if r["kind"] == "span"]
-        assert len(span_rows) == 1
-
     def test_a_closed_span_is_removed_by_identity_not_by_value(self, grnet_8am, tmp_path):
         service = build_service(grnet_8am)
         path = tmp_path / "run.jsonl"
@@ -192,22 +188,72 @@ class TestMemoryBound:
         assert growth < added
 
 
-class TestBuffered:
-    def test_stream_false_produces_the_same_artifact_frame(self, grnet_8am, tmp_path):
-        service = build_service(grnet_8am)
-        path = tmp_path / "run.jsonl"
-        streamer = StreamingTelemetry(
-            service, JsonlTelemetrySink(path), seed=3, stream=False
+class TestMemory:
+    def test_streamed_rows_are_the_rows_of_a_run_without_a_streamer(self):
+        reference = build_service(grnet_8am_topology())
+        drive(reference)
+        expected = Counter(
+            json.dumps(row, sort_keys=True)
+            for row in telemetry_rows(reference.obs, reference.telemetry, reference.spans)
         )
+        service = build_service(grnet_8am_topology())
+        sink = MemoryTelemetrySink()
+        streamer = StreamingTelemetry(service, sink)
         streamer.start()
         drive(service)
-        assert len(service.spans) == 1  # nothing hooked, nothing dropped
-        assert streamer.spans_flushed == 0
         streamer.finish()
-        rows = read_jsonl(path)
-        assert rows[0]["kind"] == "manifest"
-        assert rows[-1]["kind"] == "footer"
-        assert sum(1 for r in rows if r["kind"] == "span") == 1
+        assert service.spans == [] and reference.spans  # one took it, one kept it
+        assert Counter(json.dumps(row, sort_keys=True) for row in sink.rows) == expected
+
+    def test_a_memory_copy_is_the_artifact_a_file_sink_writes(self, tmp_path):
+        paths = []
+        for sink in (None, MemoryTelemetrySink()):
+            path = tmp_path / f"run{len(paths)}.jsonl"
+            service = build_service(grnet_8am_topology())
+            streamer = StreamingTelemetry(
+                service, sink or JsonlTelemetrySink(path), seed=3, label="unit"
+            )
+            streamer.start()
+            drive(service)
+            streamer.finish()
+            if sink is not None:
+                sink.copy_to(JsonlTelemetrySink(path))
+            paths.append(path)
+        direct, copied = (path.read_text().splitlines() for path in paths)
+        # Byte-identical up to the footer, the one row with wall-clock values.
+        assert direct[:-1] == copied[:-1]
+        assert len(direct) > 100
+        wall_clock = ("wall_time_s", "peak_rss_kb")
+        footers = [json.loads(lines[-1]) for lines in (direct, copied)]
+        for footer in footers:
+            for key in wall_clock:
+                footer.pop(key)
+        assert footers[0] == footers[1]
+
+
+#: sha256 of the sorted data rows (manifest and footer dropped) that
+#: ``chaos --seed 42 --duration-hours 1 --requests-per-node 5
+#: --telemetry-out`` streamed before the decision-latency histogram and
+#: the span events' ``latency_ms`` left the stream (both dropped from the
+#: reference before hashing): every other row is unchanged.
+PINNED_CHAOS_ROWS = (28_891, "4ef57f5c79c53f08575b520f32259a213853f727a6155adb928fe1362d5e25bc")
+
+
+class TestPinnedRows:
+    def test_chaos_stream_reproduces_the_pinned_row_multiset(self, tmp_path, capsys):
+        path = tmp_path / "chaos.jsonl"
+        argv = ["chaos", "--seed", "42", "--duration-hours", "1",
+                "--requests-per-node", "5", "--telemetry-out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows = sorted(
+            json.dumps(row, sort_keys=True)
+            for row in read_jsonl(path)
+            if row["kind"] not in ("manifest", "footer")
+        )
+        digest = hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
+        assert (len(rows), digest) == PINNED_CHAOS_ROWS
+        assert "latency" not in path.read_text()
 
 
 class TestManifest:

@@ -148,15 +148,14 @@ OBSERVED = {"observability": True, "telemetry_period_s": 3_600.0}
 
 
 def decision_instruments(service):
-    """Every ``vra.*`` instrument a decision feeds (wall-clock histograms
-    by count only): a replay must leave each reading what a VRA run would."""
+    """Every ``vra.*`` instrument a decision feeds: a replay must leave
+    each reading what a VRA run would."""
     obs = service.obs
     return (
         obs.counter("vra.decisions").value,
         obs.counter("vra.local_serves").value,
         obs.histogram("vra.candidates").count,
         obs.histogram("vra.candidates").total,
-        obs.histogram("vra.decision_latency_ms").count,
     )
 
 

@@ -4,18 +4,17 @@ The write-behind pipeline must never change *what* a run reports — only
 *when* it leaves memory.  For any seeded run (plain simulate-style
 request interleavings and chaos-style runs under a fault storm) the
 multiset of data rows in the streamed JSONL artifact must equal the
-classic buffered :func:`~repro.obs.export.telemetry_rows` export of the
-same run.
+:func:`~repro.obs.export.telemetry_rows` of a separate same-seed run with
+no streamer, which keeps every span.  Data rows hold no wall-clock value
+and a service numbers its own requests, so the two runs are exact
+replays of each other.
 
-The comparison uses the streamer's ``keep_spans=True`` mode so the *same*
-run can be exported both ways: span latency fields carry wall-clock
-values, so two separate runs — however identically seeded — would never
-be row-identical.  Rings get ample capacity (no overflow) because the
-buffered path can only see what a ring still holds, while streaming
-spills evictions; equality over lossy rings is exactly the asymmetry the
-pipeline exists to create.  The spill path has its own property instead:
-the same arrivals streamed over tiny rings and over ample ones must leave
-the same ``sample`` and ``counter`` lines.
+Rings get ample capacity (no overflow) because the unstreamed run can
+only see what a ring still holds, while streaming spills evictions;
+equality over lossy rings is exactly the asymmetry the pipeline exists to
+create.  The spill path has its own property instead: the same arrivals
+streamed over tiny rings and over ample ones must leave the same
+``sample`` and ``counter`` lines.
 """
 
 import io
@@ -63,18 +62,21 @@ def canonical(rows):
     return Counter(json.dumps(row, sort_keys=True) for row in rows)
 
 
-def streamed_and_buffered(service, run):
-    """Drive one run with streaming attached; export it both ways."""
-    out = io.StringIO()
-    streamer = StreamingTelemetry(
-        service, JsonlTelemetrySink(out), keep_spans=True
+def streamed_and_buffered(run):
+    """Drive ``run`` twice on fresh services: once with nothing attached
+    (its :func:`telemetry_rows`), once streamed to JSONL."""
+    reference = build_service()
+    reference.start()
+    run(reference)
+    buffered = canonical(
+        telemetry_rows(reference.obs, reference.telemetry, reference.spans)
     )
+    service = build_service()
+    out = io.StringIO()
+    streamer = StreamingTelemetry(service, JsonlTelemetrySink(out))
     streamer.start()
     service.start()
     run(service)
-    buffered = canonical(
-        telemetry_rows(service.obs, service.telemetry, service.spans)
-    )
     streamer.finish()
     lines = out.getvalue().splitlines()
     parsed = [json.loads(line) for line in lines]
@@ -118,9 +120,7 @@ def replay(arrivals):
 @given(requests)
 @settings(max_examples=15, deadline=None)
 def test_streamed_rows_match_buffered_export_for_simulate_runs(arrivals):
-    streamed, buffered, streamer = streamed_and_buffered(
-        build_service(), replay(arrivals)
-    )
+    streamed, buffered, streamer = streamed_and_buffered(replay(arrivals))
     assert streamed == buffered
     # Every finished span left through the live hook, not the final drain.
     finished = sum(1 for row in map(json.loads, streamed) if row["kind"] == "span")
@@ -154,7 +154,6 @@ def test_spilled_samples_stream_the_same_lines_as_ample_rings(arrivals):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_streamed_rows_match_buffered_export_for_chaos_runs(seed):
-    service = build_service()
     schedule = FaultSchedule.seeded(
         seed,
         duration_s=2 * 3600.0,
@@ -177,5 +176,5 @@ def test_streamed_rows_match_buffered_export_for_chaos_runs(seed):
             svc.request_by_home(home, TITLES[index % len(TITLES)], f"c{index}")
         svc.sim.run(until=now + DRAIN_S)
 
-    streamed, buffered, _ = streamed_and_buffered(service, run)
+    streamed, buffered, _ = streamed_and_buffered(run)
     assert streamed == buffered

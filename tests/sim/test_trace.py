@@ -1,7 +1,9 @@
 """Unit tests for the structured tracer."""
 
+import io
 import json
 
+from repro.obs.sink import MemoryTelemetrySink, open_sink
 from repro.sim.trace import (
     TraceEvent,
     Tracer,
@@ -27,23 +29,32 @@ class TestRecording:
         assert len(tracer) == 0
 
     def test_capacity_bound_drops_oldest(self):
-        tracer = Tracer(capacity=3)
+        sink = MemoryTelemetrySink(capacity=3)
+        tracer = Tracer(sink=sink)
         for i in range(5):
             tracer.record(float(i), "c", f"event-{i}")
         assert len(tracer) == 3
-        assert tracer.dropped_count == 2
+        assert sink.dropped == 2
+        assert sink.written == 5
         assert [e.message for e in tracer.events()] == [
             "event-2",
             "event-3",
             "event-4",
         ]
+        # The bound is the sink's, whoever writes: the oldest rows go.
+        for i in range(2):
+            sink.write({"kind": "span", "request_id": i})
+        assert [row["kind"] for row in sink.rows] == ["trace", "span", "span"]
+        assert sink.dropped == 4
+        assert [e.message for e in tracer.events()] == ["event-4"]
 
     def test_clear(self):
-        tracer = Tracer()
+        tracer = Tracer(sink=MemoryTelemetrySink(capacity=1))
         tracer.record(1.0, "a", "x")
+        tracer.record(2.0, "a", "y")
         tracer.clear()
         assert len(tracer) == 0
-        assert tracer.dropped_count == 0
+        assert tracer.sink.dropped == 0
 
 
 class TestQueries:
@@ -89,17 +100,17 @@ class TestQueries:
 
 class TestFormatPadding:
     def test_pad_width_covers_every_registered_category(self):
-        # The historical bug: format() hard-coded an 18-char pad, which
-        # "span.cluster.delivered" (22 chars) overflowed, breaking column
-        # alignment.  The width now derives from the registered set.
+        # The historical bug: format() hard-coded an 18-char pad, which a
+        # 22-char category overflowed, breaking column alignment.  The
+        # width now derives from the registered set.
         assert category_pad_width() == max(
             len(category) for category in registered_categories()
         )
-        assert category_pad_width() >= len("span.cluster.delivered")
+        assert category_pad_width() >= len("request.submitted")
 
     def test_known_categories_align(self):
         short = TraceEvent(1.0, "dma.pass", "m", {}).format()
-        long = TraceEvent(1.0, "span.cluster.delivered", "m", {}).format()
+        long = TraceEvent(1.0, "request.submitted", "m", {}).format()
         assert short.index(" m") == long.index(" m")
 
     def test_unseen_category_registers_and_grows_the_pad(self):
@@ -118,27 +129,35 @@ class TestFormatPadding:
         assert registered_categories().count("dma.pass") == 1
 
 
-class TestJsonlExport:
-    def test_to_jsonl_round_trips(self):
+class TestTraceRows:
+    def test_trace_rows_round_trip_through_a_jsonl_sink(self):
         tracer = Tracer()
         tracer.record(1.0, "vra.decision", "chose U4", chosen_uid="U4", cost=0.5)
         tracer.record(2.0, "dma.pass", "stored", evicted=("a", "b"))
-        lines = tracer.to_jsonl().splitlines()
-        rows = [json.loads(line) for line in lines]
-        assert rows[0]["category"] == "vra.decision"
-        assert rows[0]["data.chosen_uid"] == "U4"
-        # Tuples coerced to lists so the export is valid JSON.
-        assert rows[1]["data.evicted"] == ["a", "b"]
-
-    def test_export_jsonl_counts_and_filters(self):
-        import io
-
-        tracer = Tracer()
-        tracer.record(1.0, "vra.decision", "a")
-        tracer.record(2.0, "dma.pass", "b")
         out = io.StringIO()
-        assert tracer.export_jsonl(out, category="vra") == 1
-        assert json.loads(out.getvalue())["category"] == "vra.decision"
+        tracer.sink.copy_to(open_sink(out, "jsonl"))
+        rows = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [row["kind"] for row in rows] == ["trace", "trace"]
+        assert rows[0]["category"] == "vra.decision"
+        assert rows[0]["data"] == {"chosen_uid": "U4", "cost": 0.5}
+        # Tuples encode as lists, so the stream is valid JSON.
+        assert rows[1]["data"]["evicted"] == ["a", "b"]
+
+    def test_queries_read_only_the_trace_rows_of_a_shared_sink(self):
+        sink = MemoryTelemetrySink()
+        tracer = Tracer(sink=sink)
+        tracer.record(1.0, "vra.decision", "a")
+        sink.write({"kind": "span", "request_id": 1})
+        tracer.record(2.0, "dma.pass", "b")
+        assert len(tracer) == 2
+        assert [e.message for e in tracer.events("vra")] == ["a"]
+        assert tracer.categories() == ["dma.pass", "vra.decision"]
+        out = io.StringIO()
+        sink.copy_to(open_sink(out, "jsonl"), kinds=("trace",))
+        assert [json.loads(line)["category"] for line in out.getvalue().splitlines()] == [
+            "vra.decision",
+            "dma.pass",
+        ]
 
 
 class TestServiceIntegration:
