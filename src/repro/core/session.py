@@ -32,7 +32,7 @@ from repro.core.vra import VraDecision
 from repro.errors import LinkCapacityError, ReproError, RoutingError, SchedulingError
 from repro.network.flows import FlowManager
 from repro.server.video_server import VideoServer
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.process import Delay, Park, Process
 from repro.storage.striping import cluster_sizes
 from repro.storage.video import VideoTitle
@@ -234,10 +234,11 @@ class _Transfer(Park):
     A session yields the transfer and sleeps.  :meth:`_tick` is the event
     callback of every rate-update step: it credits the step that ended,
     gives the reservation back, and either takes the rate the path offers
-    now and schedules the next tick, or — the segment delivered, or
+    now and sleeps until the next tick, or — the segment delivered, or
     preempted — resumes the session in the same event.  So a step costs no
     generator wake-up, and the events are those the session would have
-    scheduled itself, one ``delay:<process>`` a step.
+    scheduled itself, one ``delay:<process>`` a step, all on one handle
+    that each step re-arms until a cut (:meth:`settle`) lets it go.
 
     Attributes:
         server_uid, title_id, links: What the failover supervisor indexes
@@ -250,7 +251,7 @@ class _Transfer(Park):
     __slots__ = (
         "server_uid", "title_id", "links", "remaining", "min_rate", "reason",
         "_sim", "_flows", "_path", "_target_mbps", "_quantum", "_by_elapsed",
-        "_process", "_rate", "_step", "_started", "_flow",
+        "_process", "_rate", "_step", "_started", "_flow", "_handle", "__weakref__",
     )
 
     def __init__(self, session: "StreamingSession", decision: VraDecision, size_mb: float):
@@ -277,6 +278,8 @@ class _Transfer(Park):
         # The step in flight (_step and _started are set with _rate).
         self._rate: Optional[float] = None
         self._flow = None
+        # The tick's handle; None before the first step and after a cut.
+        self._handle: Optional[EventHandle] = None
 
     def _park(self, process: Process) -> None:
         self._process = process
@@ -299,7 +302,10 @@ class _Transfer(Park):
     def settle(self, cut: bool) -> None:
         """Credit the step in flight, if any, and release its reservation.
         ``cut``: the step may have ended early (a poke, a preemption, the
-        generator closing), so only the elapsed time is credited."""
+        generator closing), so only the elapsed time is credited, and the
+        tick's handle, cancelled or done with, is dropped."""
+        if cut:
+            self._handle = None
         rate = self._rate
         if rate is None:
             return
@@ -355,9 +361,11 @@ class _Transfer(Park):
         sim = self._sim
         self._started = sim.now
         try:
-            process._pending_handle = sim.schedule(
-                step, self._tick, name=process._delay_name
-            )
+            if cut:  # the first step, or the first after a poke
+                self._handle = sim.schedule(step, self._tick, name=process._delay_name)
+            else:  # called by the handle that just fired
+                sim.rearm(self._handle, step)
+            process._pending_handle = self._handle
         except SchedulingError as exc:  # NaN or negative step
             process._fail(exc)
 

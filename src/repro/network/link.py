@@ -42,6 +42,8 @@ class Link:
         capacity_mbps: Total bandwidth of the link (LBW in the paper).
         name: Human-readable label, e.g. ``"Patra-Athens"``.
         attributes: Free-form metadata.
+        free_mbps: Spare capacity in Mbps (capacity minus
+            :attr:`used_mbps`); a field every used-bandwidth change resets.
     """
 
     a_uid: str
@@ -49,12 +51,7 @@ class Link:
     capacity_mbps: float
     name: str = ""
     attributes: Dict[str, object] = field(default_factory=dict)
-    #: Administrative/operational state.  A failed link (``online=False``)
-    #: is skipped by routing and excluded from the LVN node validations;
-    #: existing reservations are not forcibly torn down (in-flight cluster
-    #: transfers finish at their current rate and reroute at the next
-    #: cluster boundary, the same cadence the paper's switching uses).
-    online: bool = True
+    _online: bool = field(default=True, repr=False)
     _background_mbps: float = field(default=0.0, repr=False)
     _reserved_mbps: float = field(default=0.0, repr=False)
     #: Monotonic counter of online/offline transitions (routing-relevant
@@ -74,6 +71,7 @@ class Link:
     _version_listener: Optional[Callable[[str, "Link"], None]] = field(
         default=None, repr=False, compare=False
     )
+    free_mbps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.capacity_mbps > 0.0):
@@ -83,18 +81,22 @@ class Link:
         self.a_uid, self.b_uid = link_key(self.a_uid, self.b_uid)
         if not self.name:
             self.name = f"{self.a_uid}-{self.b_uid}"
+        self._set_free()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        # ``online`` is flipped by direct attribute assignment all over the
-        # failure-injection code paths; intercept the transition here so the
-        # routing epoch advances no matter who flips it.
-        if name == "online":
-            previous = self.__dict__.get("online")
-            object.__setattr__(self, name, value)
-            if previous is not None and bool(previous) != bool(value):
-                self._notify(STATE_CHANGE)
-            return
-        object.__setattr__(self, name, value)
+    @property
+    def online(self) -> bool:
+        """Administrative/operational state.  A failed link is skipped by
+        routing and excluded from the LVN node validations; existing
+        reservations are not forcibly torn down (in-flight cluster transfers
+        finish at their current rate and reroute at the next cluster
+        boundary).  A flip advances :attr:`state_version`."""
+        return self._online
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        previous, self._online = self._online, value
+        if bool(previous) != bool(value):
+            self._notify(STATE_CHANGE)
 
     # ------------------------------------------------------------------ #
     # change versioning
@@ -111,10 +113,10 @@ class Link:
 
     def _notify(self, kind: str) -> None:
         if kind == STATE_CHANGE:
-            object.__setattr__(self, "_state_version", self.__dict__.get("_state_version", 0) + 1)
+            self._state_version += 1
         else:
-            object.__setattr__(self, "_traffic_version", self.__dict__.get("_traffic_version", 0) + 1)
-        listener = self.__dict__.get("_version_listener")
+            self._traffic_version += 1
+        listener = self._version_listener
         if listener is not None:
             listener(kind, self)
 
@@ -160,6 +162,7 @@ class Link:
         clamped = min(float(mbps), self.capacity_mbps)
         if clamped != self._background_mbps:
             self._background_mbps = clamped
+            self._set_free()
             self._notify(TRAFFIC_CHANGE)
 
     @property
@@ -182,12 +185,10 @@ class Link:
         """Total used bandwidth (UBW in the paper): background + reserved."""
         return min(self._background_mbps + self._reserved_mbps, self.capacity_mbps)
 
-    @property
-    def free_mbps(self) -> float:
-        """Spare capacity in Mbps (capacity minus :attr:`used_mbps`)."""
+    def _set_free(self) -> None:
         used = self._background_mbps + self._reserved_mbps
         capacity = self.capacity_mbps
-        return capacity - used if used < capacity else 0.0
+        self.free_mbps = capacity - used if used < capacity else 0.0
 
     @property
     def utilization(self) -> float:
@@ -214,6 +215,7 @@ class Link:
             self._reserve_count += 1
             if self._reserved_mbps > self._peak_reserved_mbps:
                 self._peak_reserved_mbps = self._reserved_mbps
+            self._set_free()
             self._notify(TRAFFIC_CHANGE)
 
     def release(self, mbps: float) -> None:
@@ -229,6 +231,7 @@ class Link:
         if self._reserved_mbps < 1e-12:
             # Snap float dust so an idle link reads exactly zero.
             self._reserved_mbps = 0.0
+        self._set_free()
         if mbps > 0.0:
             self._notify(TRAFFIC_CHANGE)
 

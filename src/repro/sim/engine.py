@@ -1,10 +1,10 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` maintains a binary heap of :class:`~repro.sim.events.Event`
-records and a simulated clock.  Everything in the reproduction — SNMP
-collector periods, video cluster transfer completions, client arrivals —
-is driven by this one loop, which keeps runs fully deterministic for a given
-seed and schedule.
+:class:`Simulator` maintains a binary heap of scheduled events (each one
+an :class:`EventHandle`) and a simulated clock.  Everything in the
+reproduction — SNMP collector periods, video cluster transfer completions,
+client arrivals — is driven by this one loop, which keeps runs fully
+deterministic for a given seed and schedule.
 """
 
 from __future__ import annotations
@@ -33,19 +33,32 @@ def _bad_delay(delay: Any) -> SchedulingError:
 
 
 class EventHandle:
-    """Cancellation handle returned by :meth:`Simulator.schedule`.
+    """A scheduled event, as :meth:`Simulator.schedule` returns it.
 
-    Cancelling is O(1): the handle is flagged and the engine discards the
-    event when it reaches the top of the heap.
+    The handle *is* the event (``time, seq, callback, args, name``);
+    :attr:`event` builds the immutable :class:`Event` value on demand, and
+    :meth:`Simulator.rearm` pushes a fired handle again.  Cancelling is
+    O(1): the handle is flagged and the engine discards the event when it
+    reaches the top of the heap.
     """
 
-    __slots__ = ("event", "_cancelled", "_fired", "_on_cancel")
+    __slots__ = ("time", "seq", "callback", "args", "name", "_cancelled", "_fired", "_sim")
 
-    def __init__(self, event: Event, on_cancel: Optional[Callable[[], None]] = None):
-        self.event = event
+    def __init__(self, time: float, seq: int, callback: Callable[..., Any],
+                 args: Tuple[Any, ...], name: str, sim: "Simulator"):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.name = name
         self._cancelled = False
         self._fired = False
-        self._on_cancel = on_cancel
+        self._sim = sim
+
+    @property
+    def event(self) -> Event:
+        """The event as it stands: its current ``(time, seq)`` and callback."""
+        return Event(self.time, self.seq, self.callback, self.args, self.name)
 
     @property
     def cancelled(self) -> bool:
@@ -54,7 +67,7 @@ class EventHandle:
 
     @property
     def fired(self) -> bool:
-        """True once the event's callback has run."""
+        """True once the event's callback has run (and it was not re-armed)."""
         return self._fired
 
     @property
@@ -72,8 +85,7 @@ class EventHandle:
         if not self.pending:
             return False
         self._cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
+        self._sim._note_cancel()
         return True
 
 
@@ -165,23 +177,15 @@ class Simulator:
             *args: Positional arguments stored with the event.
             name: Optional label used in error messages and traces.
 
+        Returns:
+            The event's handle; once fired, :meth:`rearm` can push it again.
+
         Raises:
             SchedulingError: If ``delay`` is negative or not finite.
         """
         if not (0.0 <= delay < _INF):  # also rejects NaN
             raise _bad_delay(delay)
-        # _push's body inlined: this is the call every transfer step makes,
-        # so it is one frame (the engine equivalence property holds it to
-        # the same trace as schedule_at and schedule_many).
-        time = self._now + float(delay)
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(
-            tuple.__new__(Event, (time, seq, callback, args, name)), self._note_cancel
-        )
-        heappush(self._heap, (time, seq, handle))
-        self._pending += 1
-        return handle
+        return self._push(self._now + float(delay), callback, args, name)
 
     def schedule_at(
         self,
@@ -207,7 +211,28 @@ class Simulator:
         """Put one validated event on the heap."""
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(Event(time, seq, callback, args, name), self._note_cancel)
+        handle = EventHandle(time, seq, callback, args, name, self)
+        heappush(self._heap, (time, seq, handle))
+        self._pending += 1
+        return handle
+
+    def rearm(self, handle: EventHandle, delay: float) -> EventHandle:
+        """Push a *fired* handle again, to fire ``delay`` from now, with a
+        fresh ``seq`` from :meth:`schedule`'s counter: the firing order of a
+        fresh ``schedule`` of the same callback, without a new handle.
+
+        Raises:
+            SchedulingError: If ``delay`` is negative or not finite.
+            SimulationError: If the handle is pending or cancelled.
+        """
+        if not (0.0 <= delay < _INF):  # also rejects NaN
+            raise _bad_delay(delay)
+        if not handle._fired:
+            raise SimulationError(f"cannot re-arm unfired event {handle.name or handle.callback!r}")
+        time = handle.time = self._now + float(delay)
+        seq = handle.seq = self._seq
+        self._seq = seq + 1
+        handle._fired = False
         heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
@@ -251,7 +276,7 @@ class Simulator:
                 if not (0.0 <= time_value < _INF):
                     raise _bad_delay(time_value)
                 time = now + float(time_value)
-            handle = EventHandle(Event(time, seq, callback, args, name), self._note_cancel)
+            handle = EventHandle(time, seq, callback, args, name, self)
             new.append((time, seq, handle))
             handles.append(handle)
             seq += 1
@@ -321,8 +346,9 @@ class Simulator:
         handle._fired = True
         self._pending -= 1
         self._events_fired += 1
+        # Built first: a callback that re-arms the handle moves its seq.
         event = handle.event
-        event.callback(*event.args)
+        handle.callback(*handle.args)
         return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -369,8 +395,7 @@ class Simulator:
                 handle._fired = True
                 self._pending -= 1
                 self._events_fired += 1
-                event = handle.event
-                event.callback(*event.args)
+                handle.callback(*handle.args)
                 fired += 1
         finally:
             self._running = False

@@ -136,9 +136,12 @@ class Tracer:
         return sorted({event.category for event in self.events()})
 
     def clear(self) -> None:
-        """Drop every row the memory sink keeps, and its drop count."""
-        self.sink.rows.clear()
-        self.sink.dropped = 0
+        """Drop the sink's trace rows; a shared sink's other rows and its
+        drop count stay."""
+        rows = self.sink.rows
+        kept = [row for row in rows if row["kind"] != "trace"]
+        rows.clear()
+        rows.extend(kept)
 
     def dump(self, limit: Optional[int] = None) -> str:
         """Formatted multi-line dump of the newest ``limit`` events."""

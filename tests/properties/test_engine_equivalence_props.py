@@ -12,13 +12,22 @@ Events are observed the way the perf ledger's tracer observes them: the
 ``schedule*`` methods are wrapped on the simulator *instance*, so the trace
 only sees a ``Process`` wake-up if the process reaches ``sim.schedule``
 through the instance at call time and passes ``name=`` as a keyword.
+
+``Simulator.rearm`` gets a program of its own: schedule, re-arm (a fired
+handle, often from inside its own callback) and cancel must fire the same
+``(time, seq, name, args)`` trace through ``run`` and through ``step``, and
+the same trace as the program with every re-arm spelled as a fresh
+``schedule``; a refused re-arm leaves the heap as it was.
 """
 
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.process import Delay, Process, Signal, WaitSignal
 
@@ -229,3 +238,133 @@ def test_run_is_a_loop_of_step(seed, stop_after, phases):
     assert {name.partition(":")[0] for _, _, name in by_run.trace} <= {
         "tick", "at", "batch", "start", "delay", "poke", "signal",
     }
+
+
+class RearmWorld:
+    """A seeded program over handle *slots*: each slot holds the latest
+    handle of one recurring event.  ``fresh=True`` spells every re-arm as a
+    new ``schedule`` of the same callback, args and name (the slot then
+    holds the new handle), which is the reference ``rearm`` must match."""
+
+    def __init__(self, seed, fresh, budget=150):
+        self.sim = Simulator(start_time=50.0)
+        self.rng = random.Random(seed)
+        self.fresh = fresh
+        self.budget = budget
+        self.slots = []
+        self.trace = []  # (time, seq, name, args) of every event fired
+        self.refusals = 0
+
+    def _delay(self):
+        return self.rng.choice([0.0, 0.0, 1.0, 2.0, 2.0, 5.0, 60.0])
+
+    def add(self):
+        slot = len(self.slots)
+        self.slots.append(
+            self.sim.schedule(self._delay(), self.fire, slot, f"arg{slot}", name=f"ev:{slot}")
+        )
+
+    def rearm(self, slot, delay):
+        handle = self.slots[slot]
+        if self.fresh:
+            self.slots[slot] = self.sim.schedule(
+                delay, handle.callback, *handle.args, name=handle.name
+            )
+        else:
+            assert self.sim.rearm(handle, delay) is handle
+            assert handle.pending
+
+    def fire(self, slot, tag):
+        sim, handle = self.sim, self.slots[slot]
+        assert handle.fired and handle.time == sim.now
+        self.trace.append((handle.time, handle.seq, handle.name, (slot, tag)))
+        if self.budget > 0 and self.rng.random() < 0.6:
+            self.budget -= 1
+            self.rearm(slot, self._delay())  # the handle that is firing
+        for _ in range(self.rng.randint(0, 2)):
+            if self.budget <= 0:
+                return
+            self.budget -= 1
+            self.operation()
+
+    def refuse(self, handle):
+        """A re-arm that must raise and leave the simulator untouched."""
+        sim = self.sim
+        before = (sim.heap_depth, sim.pending_count, handle.pending, handle.cancelled)
+        if handle.fired:  # a bad delay on a fired handle
+            error, delay = SchedulingError, self.rng.choice([-1.0, math.inf, math.nan])
+        else:  # any delay on a pending or cancelled handle
+            error, delay = SimulationError, self._delay()
+        with pytest.raises(error):
+            sim.rearm(handle, delay)
+        assert (sim.heap_depth, sim.pending_count, handle.pending, handle.cancelled) == before
+        self.refusals += 1
+
+    def operation(self):
+        rng, slots = self.rng, self.slots
+        kind = rng.choice(["add", "add", "rearm", "cancel", "refuse"])
+        if kind == "add":
+            self.add()
+        elif kind == "rearm":
+            fired = [slot for slot, handle in enumerate(slots) if handle.fired]
+            if fired:
+                self.rearm(rng.choice(fired), self._delay())
+        elif slots:
+            handle = slots[rng.randrange(len(slots))]
+            if kind == "cancel":
+                handle.cancel()
+            else:
+                self.refuse(handle)
+
+    def drain(self, by_step):
+        sim = self.sim
+        if not by_step:
+            sim.run()
+            return
+        while sim.peek() is not None:
+            event = sim.step()
+            # Built before the callback ran: a re-arm inside it moved the
+            # handle, not the event step() reports.
+            assert (event.time, event.seq, event.name, event.args) == self.trace[-1]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_rearm_fires_like_a_fresh_schedule(seed):
+    worlds = {}
+    for fresh in (False, True):
+        for by_step in (False, True):
+            world = RearmWorld(seed, fresh)
+            for _ in range(10):
+                world.operation()
+            world.drain(by_step)
+            worlds[fresh, by_step] = world
+    reference = worlds[True, True]
+    for world in worlds.values():
+        assert world.trace == reference.trace
+        assert world.refusals == reference.refusals
+        assert world.sim.events_fired == len(world.trace)
+        assert world.sim.pending_count == 0 == world.sim.heap_depth
+        assert world.sim.now == reference.sim.now
+    assert reference.trace == sorted(reference.trace, key=lambda row: row[:2])
+
+
+def test_step_returns_the_event_that_fired_when_its_callback_rearms():
+    sim = Simulator()
+    handles = []
+
+    def again(label):
+        if sim.now < 3.0:
+            sim.rearm(handles[0], 1.0)
+
+    handles.append(sim.schedule(1.0, again, "x", name="poll"))
+    events = []
+    while sim.peek() is not None:
+        events.append(sim.step())
+    assert [(e.time, e.seq, e.name, e.args) for e in events] == [
+        (1.0, 0, "poll", ("x",)), (2.0, 1, "poll", ("x",)), (3.0, 2, "poll", ("x",)),
+    ]
+    assert handles[0].fired and handles[0].seq == 2
+    # A handle can be re-armed after its callback ran outside one, too.
+    sim.rearm(handles[0], 0.5)
+    assert handles[0].event.key == (3.5, 3) and sim.pending_count == 1

@@ -54,7 +54,24 @@ class TestRecording:
         tracer.record(2.0, "a", "y")
         tracer.clear()
         assert len(tracer) == 0
-        assert tracer.sink.dropped == 0
+        # The drop count is the sink's history, not the tracer's to reset.
+        assert tracer.sink.dropped == 1
+
+    def test_clear_keeps_other_rows_of_a_shared_sink(self):
+        # ``repro obs`` shares one memory sink between its tracer and its
+        # telemetry streamer: clearing the trace must not lose the spans.
+        sink = MemoryTelemetrySink()
+        tracer = Tracer(sink=sink)
+        tracer.record(1.0, "a", "x")
+        sink.write({"kind": "span", "request_id": 7})
+        tracer.record(2.0, "a", "y")
+        sink.write({"kind": "sample", "series": "s", "value": 1.0})
+        tracer.clear()
+        assert len(tracer) == 0
+        assert [row["kind"] for row in sink.rows] == ["span", "sample"]
+        assert sink.rows[0]["request_id"] == 7
+        tracer.record(3.0, "a", "z")
+        assert [e.message for e in tracer.events()] == ["z"]
 
 
 class TestQueries:
