@@ -19,7 +19,7 @@ from repro.experiments.report import render_experiment
 def test_table4_experiment_a(benchmark, show):
     outcome = benchmark(run_experiment, "A")
 
-    steps = outcome.decision.dijkstra_result.steps
+    steps = outcome.steps
     assert len(steps) == 6
 
     # Step 1 matches the paper's first row exactly: D3=0.075, D1=0.083,

@@ -15,7 +15,7 @@ from repro.experiments.report import render_experiment
 
 def test_table5_experiment_b(benchmark, show):
     outcome = benchmark(run_experiment, "B")
-    steps = outcome.decision.dijkstra_result.steps
+    steps = outcome.steps
 
     # Step 1: D3=0.45 via U2,U3 and D1=0.632 via U2,U1; others "R".
     first = steps[0]

@@ -41,7 +41,7 @@ from repro.workload.scenarios import regional_scenario
 
 
 def _add_fast_path_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Admission-queue / routing-path knobs shared by run subcommands."""
+    """Admission-queue knobs shared by run subcommands."""
     group = subparser.add_argument_group("fast path")
     group.add_argument(
         "--admission-queue-capacity", type=int, default=0, metavar="N",
@@ -56,13 +56,6 @@ def _add_fast_path_arguments(subparser: argparse.ArgumentParser) -> None:
         "--admission-tick", type=float, default=1.0, metavar="S",
         help="admission-queue drain-tick width in simulated seconds",
     )
-    group.add_argument(
-        "--no-compiled-routing", action="store_true",
-        help="run the reference path: the per-link python loops, "
-             "paper-style Dijkstra step tables and no epoch memo; "
-             "decisions are bit-for-bit identical either way, only slower "
-             "(see DESIGN.md on the compiled-snapshot contract)",
-    )
 
 
 def _fast_path_config_kwargs(args: argparse.Namespace) -> dict:
@@ -71,7 +64,6 @@ def _fast_path_config_kwargs(args: argparse.Namespace) -> dict:
         "admission_queue_capacity": args.admission_queue_capacity,
         "admission_rate_per_s": args.admission_rate,
         "admission_tick_s": args.admission_tick,
-        "compiled_routing": not args.no_compiled_routing,
     }
 
 
@@ -507,7 +499,7 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_timeline
-    from repro.obs.export import summarize_telemetry
+    from repro.obs.export import sample_series, summarize_telemetry
     from repro.obs.sink import MemoryTelemetrySink, open_sink
     from repro.sim.trace import Tracer
     from repro.storage.video import VideoTitle
@@ -572,13 +564,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"wrote {out.written} trace and span rows to {args.trace_out}")
 
     if args.timeline is not None:
-        pairs = service.telemetry.series_for(args.timeline)
         rows = [
-            (
-                ",".join(str(v) for _, v in sorted(labels.items())) or args.timeline,
-                series,
-            )
-            for labels, series in pairs
+            (",".join(map(str, labels.values())) or args.timeline, series)
+            for labels, series in sample_series(sink.rows, args.timeline)
         ]
         print(render_timeline(rows, title=f"{args.timeline} timeline"))
     return 0

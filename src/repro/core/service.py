@@ -140,8 +140,8 @@ class ServiceConfig:
             (:class:`~repro.network.compiled.TopologySnapshot`; python ones
             under ``use_server_load_in_vra``) behind its epoch memo
             (:mod:`repro.network.routing.cache`).  ``False`` is the one
-            reference path: ``core/lvn.py``, the python ``dijkstra`` with
-            Tables 4-5 step traces, no memo.  Decisions are bit-for-bit
+            reference path: the python kernels (``core/lvn.py``, the dict
+            ``dijkstra``) and no memo.  Decisions are bit-for-bit
             identical either way (the equivalence suites pin it).
         admission_queue_capacity: Enables the load-leveling admission
             front-end (:class:`~repro.core.admission_queue.AdmissionQueue`)
@@ -536,7 +536,6 @@ class VoDService:
             used_of=used_of,
             normalization_constant=self.config.normalization_constant,
             node_load=self._server_load if load_in_vra else None,
-            trace=reference,
             epoch_of=None if reference else token_of,
             routing_width=3 if load_in_vra else 2,
             metrics=self.obs,

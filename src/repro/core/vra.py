@@ -11,10 +11,12 @@ Given a client request, the VRA:
    candidate whose least-cost path is cheapest.
 
 The decision object exposes the complete audit trail — weight table, Dijkstra
-result (with optional step trace for Tables 4-5), every candidate's best
-path — which is what the case-study benchmarks print.  Choosing only needs
-the *nearest* available holder, so the compiled path searches no further
-than that and completes the trail on first read (DESIGN.md §5b.12).
+result, every candidate's best path — which is what the case-study benchmarks
+print.  It never carries a step table: the Tables 4-5 printers ask
+:func:`~repro.network.routing.dijkstra.dijkstra` for one themselves.
+Choosing only needs the *nearest* available holder, so the compiled path
+searches no further than that and completes the trail on first read
+(DESIGN.md §5b.12).
 """
 
 from __future__ import annotations
@@ -133,8 +135,6 @@ class VirtualRoutingAlgorithm:
         node_load: Optional server-workload term folded into the node
             validations (the paper's future-work extension for "Server
             configuration factor(s)"); None gives the paper's exact eq. 2.
-        trace: When True, every Dijkstra run records the paper-style step
-            table (Tables 4-5) into the decision's ``dijkstra_result``.
         epoch_of: Optional memo-token provider.  When given, the VRA owns
             the epoch memo ``cache`` (:mod:`repro.network.routing.cache`);
             None (the default) recomputes everything per decision,
@@ -147,8 +147,7 @@ class VirtualRoutingAlgorithm:
         compiled: Route weight-table builds and Dijkstra runs through the
             array-compiled :class:`~repro.network.compiled.TopologySnapshot`
             (bit-for-bit identical output).  Ignored under ``node_load``
-            (the kernel implements only the paper's exact eq. 2); trace
-            runs use the python path, the only one with step tables.
+            (the kernel implements only the paper's exact eq. 2).
     """
 
     def __init__(
@@ -157,7 +156,6 @@ class VirtualRoutingAlgorithm:
         used_of: Optional[UsedBandwidthFn] = None,
         normalization_constant: float = DEFAULT_NORMALIZATION_CONSTANT,
         node_load: Optional[NodeLoadFn] = None,
-        trace: bool = False,
         epoch_of: Optional[EpochFn] = None,
         routing_width: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -167,7 +165,6 @@ class VirtualRoutingAlgorithm:
         self._used_of = used_of
         self._k = normalization_constant
         self._node_load = node_load
-        self._trace = trace
         self._snapshot: Optional[TopologySnapshot] = (
             TopologySnapshot(topology) if compiled and node_load is None else None
         )
@@ -259,14 +256,9 @@ class VirtualRoutingAlgorithm:
     def _run_dijkstra(
         self, home_uid: str, weights: Dict[str, float], targets: Sequence[str] = ()
     ) -> DijkstraResult:
-        if self._snapshot is not None and not self._trace:
+        if self._snapshot is not None:
             return self._snapshot.dijkstra(home_uid, weights, targets)
-        return dijkstra(
-            self._topology,
-            home_uid,
-            weight=lambda link: weights[link.name],
-            trace=self._trace,
-        )
+        return dijkstra(self._topology, home_uid, weight=lambda link: weights[link.name])
 
     def _audit(
         self, home_uid: str, available: Sequence[str], search: DijkstraResult,
@@ -274,12 +266,12 @@ class VirtualRoutingAlgorithm:
     ) -> Tuple[Dict[str, Path], DijkstraResult]:
         """A routed decision's ``(candidate_paths, dijkstra_result)``.
 
-        The python path's search is the complete tree (and the only one
-        carrying trace steps), so it is the audit.  A compiled search is a
-        prefix: the audit is a full run under ``weights``, the table the
-        decision holds *now* — what a cold decision would embed.
+        The python path's search is the complete tree, so it is the audit.
+        A compiled search is a prefix: the audit is a full run under
+        ``weights``, the table the decision holds *now* — what a cold
+        decision would embed.
         """
-        if self._snapshot is not None and not self._trace:
+        if self._snapshot is not None:
             search = self._snapshot.dijkstra(home_uid, weights)
         return {uid: search.path(uid) for uid in available if search.reaches(uid)}, search
 

@@ -8,7 +8,7 @@ traffic samples:
 * :func:`compute_table3_lvn` — equations (1)-(4) over each sampling instant
   (Table 3);
 * :func:`run_experiment` — Experiments A-D, each yielding the full VRA
-  decision with a paper-style Dijkstra step trace (Tables 4-5);
+  decision and a paper-style Dijkstra step trace (Tables 4-5);
 * :func:`table2_deltas` / :func:`table3_deltas` — cell-by-cell comparison
   against the values printed in the paper.
 
@@ -27,6 +27,7 @@ from typing import Dict, List, Tuple
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT, weight_table
 from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.network import grnet
+from repro.network.routing.dijkstra import DijkstraStep, dijkstra
 from repro.network.topology import Topology
 
 
@@ -75,11 +76,13 @@ class ExperimentOutcome:
 
     Attributes:
         spec: The experiment definition.
-        decision: Full VRA decision (trace included).
+        decision: Full VRA decision.
         candidate_costs: Candidate server -> recomputed least cost.
         candidate_paths: Candidate server -> recomputed least-cost path.
         chosen_uid: Recomputed winner.
         expectation: The paper's printed/corrected values for diffing.
+        steps: The paper-style Dijkstra step table from the home server
+            over ``decision.weights`` (Tables 4-5); empty when not traced.
     """
 
     spec: ExperimentSpec
@@ -88,6 +91,7 @@ class ExperimentOutcome:
     candidate_paths: Dict[str, Tuple[str, ...]]
     chosen_uid: str
     expectation: PaperExpectation
+    steps: List[DijkstraStep]
 
     @property
     def matches_corrected(self) -> bool:
@@ -277,8 +281,9 @@ def run_experiment(exp_id: str, trace: bool = True) -> ExperimentOutcome:
     """
     spec = EXPERIMENTS[exp_id]
     topology = topology_at(spec.time_label)
-    vra = VirtualRoutingAlgorithm(topology, trace=trace)
+    vra = VirtualRoutingAlgorithm(topology)
     decision = vra.decide(spec.home_uid, title_id=f"case-study-{exp_id}", holders=list(spec.holder_uids))
+    steps = dijkstra(topology, spec.home_uid, lambda link: decision.weights[link.name], trace=trace).steps
     candidate_costs = {uid: path.cost for uid, path in decision.candidate_paths.items()}
     candidate_paths = {uid: path.nodes for uid, path in decision.candidate_paths.items()}
     return ExperimentOutcome(
@@ -288,6 +293,7 @@ def run_experiment(exp_id: str, trace: bool = True) -> ExperimentOutcome:
         candidate_paths=candidate_paths,
         chosen_uid=decision.chosen_uid,
         expectation=PAPER_EXPERIMENTS[exp_id],
+        steps=steps,
     )
 
 

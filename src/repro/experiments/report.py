@@ -152,7 +152,7 @@ def render_timeline(
 
     Built for the telemetry sampler's output: each row is a
     ``(label, series)`` pair (e.g. from
-    :meth:`~repro.obs.sampler.TelemetrySampler.series_for`), rendered as
+    :func:`~repro.obs.export.sample_series`), rendered as
     one sparkline resampled to ``width`` buckets (peak-preserving, so a
     short utilisation spike never disappears).  Every row is scaled
     against its own peak, annotated on the right.
@@ -192,7 +192,7 @@ def render_experiment(outcome: ExperimentOutcome) -> str:
         f"Experiment {spec.exp_id}: {spec.description}",
         "",
     ]
-    if outcome.decision.dijkstra_result is not None and outcome.decision.dijkstra_result.steps:
+    if outcome.steps:
         other_nodes = [
             uid
             for uid in ("U3", "U1", "U4", "U5", "U6", "U2")
@@ -200,7 +200,7 @@ def render_experiment(outcome: ExperimentOutcome) -> str:
         ]
         lines.append(
             render_dijkstra_trace(
-                outcome.decision.dijkstra_result.steps,
+                outcome.steps,
                 destinations=other_nodes,
                 title=f"Dijkstra step table from {spec.home_uid} at {spec.time_label}",
             )

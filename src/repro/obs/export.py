@@ -14,7 +14,7 @@ and ``span`` rows (one full session span, see :mod:`repro.obs.spans`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.timeseries import TimeSeries
 from repro.obs.registry import MetricsRegistry
@@ -139,15 +139,24 @@ def summarize_telemetry(
     return "\n".join(lines)
 
 
-def _hottest_series(samples: Sequence[Dict[str, object]], family: str, top: int):
-    """(labels, peak, time-average) of a family's series, hottest first."""
+def sample_series(
+    rows: Iterable[Dict[str, object]], family: str
+) -> List[Tuple[Dict[str, str], TimeSeries]]:
+    """One family's series rebuilt from a stream's ``sample`` rows (spilled
+    ones included), as (labels, series) pairs sorted by labels."""
     series: Dict[Tuple[Tuple[str, str], ...], TimeSeries] = {}
-    for row in samples:
-        if row["name"] == family:
+    for row in rows:
+        if row["kind"] == "sample" and row["name"] == family:
             key = tuple(sorted(row["labels"].items()))
             series.setdefault(key, TimeSeries(family)).record(row["time"], row["value"])
+    return [(dict(key), series[key]) for key in sorted(series)]
+
+
+def _hottest_series(samples: Sequence[Dict[str, object]], family: str, top: int):
+    """(labels, peak, time-average) of a family's series, hottest first."""
     ranked = [
-        (dict(key), one.maximum(), one.time_average()) for key, one in series.items()
+        (labels, one.maximum(), one.time_average())
+        for labels, one in sample_series(samples, family)
     ]
     ranked.sort(key=lambda row: (-row[1], sorted(row[0].items())))
     return ranked[:top]

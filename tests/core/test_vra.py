@@ -107,12 +107,6 @@ class TestConfiguration:
         for name in table_k10:
             assert table_k5[name] >= table_k10[name]
 
-    def test_trace_mode_records_steps(self, grnet_8am):
-        vra = VirtualRoutingAlgorithm(grnet_8am, trace=True)
-        decision = vra.decide("U2", "movie", holders=["U4", "U5"])
-        assert decision.dijkstra_result is not None
-        assert len(decision.dijkstra_result.steps) == grnet_8am.node_count
-
     def test_no_trace_by_default(self, grnet_8am):
         decision = VirtualRoutingAlgorithm(grnet_8am).decide(
             "U2", "movie", holders=["U4"]
@@ -180,9 +174,9 @@ class TestGoalDirectedSearch:
         assert (vra.cache_stats.tree_hits, vra.cache_stats.tree_misses) == (1, 2)
         assert again.path == near.path
 
-    def test_python_and_trace_paths_still_get_complete_trees(self, grnet_8am):
-        for kwargs in ({"compiled": False}, {"compiled": True, "trace": True}):
-            decision = VirtualRoutingAlgorithm(grnet_8am, **kwargs).decide(
+    def test_python_and_compiled_audits_are_complete_trees(self, grnet_8am):
+        for compiled in (False, True):
+            decision = VirtualRoutingAlgorithm(grnet_8am, compiled=compiled).decide(
                 "U2", "movie", holders=["U1", "U5"]
             )
             assert decision.dijkstra_result.complete

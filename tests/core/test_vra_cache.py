@@ -61,7 +61,7 @@ class TestCacheWiring:
         assert service.vra.decision_cache_stats is None
         decision = service.decide("U2", "movie")
         assert decision.chosen_uid in {"U4", "U5"}
-        assert decision.dijkstra_result.steps  # Tables 4-5 step traces
+        assert decision.dijkstra_result.steps == []  # a decision never carries a step table
 
     def test_server_load_extension_runs_memoized(self):
         service = build_service(use_server_load_in_vra=True)

@@ -141,13 +141,25 @@ class TestHarnessPlumbing:
 
     def test_trace_recorded_by_default(self):
         outcome = run_experiment("B")
-        steps = outcome.decision.dijkstra_result.steps
+        steps = outcome.steps
         assert len(steps) == 6
         assert steps[0].settled == ("U2",)
 
+    def test_trace_mode_records_steps(self):
+        """The step table is a search of its own over the decision's
+        weights: one step per node, ending on the decision's tree."""
+        outcome = run_experiment("A")
+        tree = outcome.decision.dijkstra_result
+        assert len(outcome.steps) == len(tree.distances)
+        final = outcome.steps[-1]
+        for uid, dist in tree.distances.items():
+            if uid != outcome.spec.home_uid:
+                assert final.distances[uid] == pytest.approx(dist)
+                assert final.paths[uid] == tree.path(uid).nodes
+
     def test_trace_disabled(self):
         outcome = run_experiment("B", trace=False)
-        assert outcome.decision.dijkstra_result.steps == []
+        assert outcome.steps == []
 
     def test_topology_at_loads_sample(self):
         topology = topology_at("4pm")
@@ -161,7 +173,7 @@ class TestDijkstraTraceAgainstTable5:
     """Row-level checks of the Experiment B trace against the paper."""
 
     def test_step1_tentative_distances(self):
-        steps = run_experiment("B").decision.dijkstra_result.steps
+        steps = run_experiment("B").steps
         first = steps[0]
         assert first.distances["U3"] == pytest.approx(0.455, abs=6e-3)
         assert first.distances["U1"] == pytest.approx(0.632, abs=6e-3)
@@ -170,11 +182,11 @@ class TestDijkstraTraceAgainstTable5:
         assert "U6" not in first.distances
 
     def test_settlement_order_matches_table5(self):
-        steps = run_experiment("B").decision.dijkstra_result.steps
+        steps = run_experiment("B").steps
         assert steps[-1].settled == ("U2", "U3", "U1", "U4", "U6", "U5")
 
     def test_final_paths_match_table5(self):
-        final = run_experiment("B").decision.dijkstra_result.steps[-1]
+        final = run_experiment("B").steps[-1]
         assert final.paths["U4"] == ("U2", "U3", "U4")
         assert final.paths["U5"] == ("U2", "U1", "U6", "U5")
         assert final.paths["U6"] == ("U2", "U1", "U6")
@@ -193,4 +205,5 @@ class TestFullTreeConsumer:
         assert set(outcome.candidate_costs) == candidates
         tree = outcome.decision.dijkstra_result
         assert tree.complete and len(tree.distances) == 6
-        assert len(tree.steps) == (6 if trace else 0)
+        assert tree.steps == []
+        assert len(outcome.steps) == (6 if trace else 0)

@@ -46,7 +46,7 @@ class TestPaperTables:
     def test_dijkstra_trace_layout(self):
         outcome = run_experiment("B")
         text = render_dijkstra_trace(
-            outcome.decision.dijkstra_result.steps,
+            outcome.steps,
             destinations=["U3", "U1", "U4", "U5", "U6"],
             title="Table 5",
         )

@@ -5,15 +5,19 @@ for the array-compiled :class:`~repro.network.compiled.TopologySnapshot`.
 The contract is *bit-for-bit* service-level equivalence: the same scenario
 run compiled and pure-python must produce identical VRA decisions (server,
 path, cost), identical per-cluster delivery records, and identical session
-outcomes — across a flash crowd, a link-churn storm, and a seeded chaos
-run with fault injection.
+outcomes — across a flash crowd, a link-churn storm, a churning 200-node
+backbone, and a seeded chaos run with fault injection.
 """
+
+import random
 
 import pytest
 
 from repro.core.service import ServiceConfig
 from repro.experiments.harness import ServiceExperiment, build_service
 from repro.experiments.resilience import run_resilience_experiment
+from repro.network.grnet import build_grnet_topology
+from repro.network.topologies import random_topology
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import flash_crowd_scenario, regional_scenario
 
@@ -57,7 +61,8 @@ def session_fingerprint(service):
 
 
 def run_scenario(scenario, compiled, churn=None, run_until=5 * 3600.0,
-                 disk_count=2, disk_capacity_mb=1_000.0):
+                 disk_count=2, disk_capacity_mb=1_000.0,
+                 topology_factory=build_grnet_topology, seed_origin_uids=("U4",)):
     experiment = ServiceExperiment(
         name=f"compiled-{compiled}",
         scenario=scenario,
@@ -69,7 +74,8 @@ def run_scenario(scenario, compiled, churn=None, run_until=5 * 3600.0,
             use_reported_stats=True,
             compiled_routing=compiled,
         ),
-        seed_origin_uids=["U4"],
+        topology_factory=topology_factory,
+        seed_origin_uids=list(seed_origin_uids),
         run_until=run_until,
     )
     service = build_service(experiment)
@@ -144,6 +150,44 @@ def test_link_churn_bit_identical():
     )
     assert fast == plain
     assert len(fast[0]) > 0
+
+
+def backbone200():
+    """The 200-node backbone of the ledger's ``backbone200_churn``."""
+    return random_topology(200, extra_links=300, capacity_mbps=34.0, rng=random.Random(2000))
+
+
+def test_backbone200_churn_bit_identical():
+    """The ledger's ``backbone200_churn``, scaled down: short clips on the
+    200-node backbone while 25 links' traffic is re-drawn every 60 s."""
+    uids = list(backbone200().node_uids())
+    catalog = [VideoTitle(f"clip-{i:02d}", size_mb=100.0, duration_s=300.0) for i in range(20)]
+
+    def scenario():
+        return regional_scenario(
+            uids, requests_per_node=1, horizon_s=900.0, seed=42, catalog=catalog
+        )
+
+    def churn(service):
+        rng = random.Random(42)
+        links = list(service.topology.links())
+
+        def redraw():
+            for link in rng.sample(links, 25):
+                link.set_background_mbps(rng.uniform(0.0, 0.8) * link.capacity_mbps)
+
+        service.sim.schedule_many(
+            ((60.0 * i, redraw, (), "churn:tick") for i in range(1, 20)), absolute=True
+        )
+
+    kwargs = dict(
+        churn=churn, run_until=2_400.0, topology_factory=backbone200,
+        seed_origin_uids=uids[::10],
+    )
+    fast = run_scenario(scenario(), compiled=True, **kwargs)
+    plain = run_scenario(scenario(), compiled=False, **kwargs)
+    assert fast == plain
+    assert len(fast[0]) > len(fast[1]) > 100
 
 
 @pytest.mark.parametrize("seed", [13, 29])

@@ -298,6 +298,27 @@ class TestObs:
         assert "link.utilization" in out
         assert "peak" in out
 
+    def test_timeline_draws_every_sample_not_the_ring(self, capsys, tmp_path):
+        """A sampler ring keeps the last 1,440 samples of a series; the
+        timeline reads the run's row stream, which holds them all."""
+        import json
+
+        from repro.obs.sampler import DEFAULT_SERIES_CAPACITY
+
+        path = tmp_path / "run.jsonl"
+        argv = self.FAST[:-1] + ["20", "--timeline", "link.utilization"]
+        assert main(argv + ["--format", "jsonl", "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        samples = [r for r in rows if r["kind"] == "sample" and r["name"] == "link.utilization"]
+        per_link = {}
+        for row in samples:
+            per_link.setdefault(row["labels"]["link"], []).append(row["time"])
+        assert max(len(times) for times in per_link.values()) > DEFAULT_SERIES_CAPACITY
+        first = min(row["time"] for row in samples)
+        last = max(row["time"] for row in samples)
+        assert f"t = {first:g} .. {last:g} s" in out
+
     def test_trace_export(self, capsys, tmp_path):
         import json
 
