@@ -511,7 +511,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     ]
     if args.scenario == "flash-crowd":
         scenario = flash_crowd_scenario(
-            GRNET_NODES[0],
+            next(iter(GRNET_NODES)),
             catalog[0],
             viewer_count=args.requests_per_node * len(GRNET_NODES),
             seed=args.seed,

@@ -20,7 +20,6 @@ The policy knobs are strings so benchmark parameter sweeps stay declarative:
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -225,40 +224,3 @@ def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
         metrics=summarize_sessions(service.sessions),
         service=service,
     )
-
-
-def _experiment_metrics(experiment: ServiceExperiment) -> SessionMetrics:
-    """Worker entry point: run one experiment, ship back only the metrics.
-
-    A :class:`SweepResult` holds the live service (closures, simulator),
-    which cannot cross a process boundary; the aggregate metrics can.
-    """
-    return run_service_experiment(experiment).metrics
-
-
-def run_service_experiments(
-    experiments: Sequence[ServiceExperiment],
-    jobs: int = 1,
-) -> List[SessionMetrics]:
-    """Run a batch of experiments, optionally across worker processes.
-
-    Args:
-        experiments: The definitions to run.  For ``jobs > 1`` each must
-            be picklable: a module-level ``topology_factory``, no tracer.
-        jobs: Worker processes; ``1`` runs serially in this process,
-            ``None`` uses one per CPU.
-
-    Returns:
-        One :class:`SessionMetrics` per experiment, in input order — the
-        same values at any job count, since every experiment is an
-        isolated deterministic simulation.  Callers needing the live
-        service must use :func:`run_service_experiment` serially.
-    """
-    from repro.experiments.sweeps import resolve_jobs
-
-    batch = list(experiments)
-    workers = min(resolve_jobs(jobs), max(len(batch), 1))
-    if workers <= 1:
-        return [run_service_experiment(e).metrics for e in batch]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_experiment_metrics, batch))

@@ -134,17 +134,6 @@ class PlacementComparison:
     outcomes: Tuple[PlacementOutcome, ...]
     deterministic: Optional[bool] = None
 
-    def outcome_for(self, kind: str) -> PlacementOutcome:
-        """The outcome of one policy kind.
-
-        Raises:
-            ReproError: If that kind was not part of the comparison.
-        """
-        for outcome in self.outcomes:
-            if outcome.kind == kind:
-                return outcome
-        raise ReproError(f"no outcome for placement kind {kind!r}")
-
     @property
     def gates_passed(self) -> bool:
         """True when the replay gate held (vacuously true unchecked)."""

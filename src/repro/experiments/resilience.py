@@ -15,7 +15,7 @@ bit-for-bit (the replay test pins this).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.experiments.harness import ServiceExperiment, build_service

@@ -69,7 +69,7 @@ class FaultEvent:
     @property
     def target(self) -> str:
         """What the fault hits (link name, server uid, ...)."""
-        return "network"
+        raise NotImplementedError
 
     @property
     def recovery_time_s(self) -> float:

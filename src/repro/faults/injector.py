@@ -39,12 +39,11 @@ from repro.faults.events import (
     LINK_FLAP,
     SERVER_CRASH,
     SNMP_BLACKOUT,
-    DiskFailure,
     FaultEvent,
     LinkDegrade,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.obs.registry import NULL_COUNTER, NULL_HISTOGRAM, MetricsRegistry
+from repro.obs.registry import NULL_HISTOGRAM, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.service import VoDService
@@ -121,11 +120,6 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def started(self) -> bool:
-        """True once :meth:`start` has scheduled the timeline."""
-        return self._started
-
     @property
     def active_faults(self) -> int:
         """Fault windows currently open."""

@@ -15,7 +15,7 @@ A :class:`FaultSchedule` is an immutable, time-ordered list of
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.faults.events import (
@@ -215,10 +215,3 @@ class FaultSchedule:
     def horizon_s(self) -> float:
         """When the last recovery lands (0 for an empty schedule)."""
         return max((e.recovery_time_s for e in self._events), default=0.0)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Event counts per fault kind (every kind present, maybe 0)."""
-        counts = {kind: 0 for kind in FAULT_KINDS}
-        for event in self._events:
-            counts[event.kind] += 1
-        return counts

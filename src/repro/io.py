@@ -1,4 +1,4 @@
-"""JSON (de)serialisation for topologies, catalogs and scenarios.
+"""JSON (de)serialisation for topologies.
 
 The paper's service is configured by administrators entering node, link
 and title information; this module gives that configuration a durable
@@ -13,30 +13,24 @@ Schema (all sizes in the units used throughout the library)::
       "links": [{"a": "U2", "b": "U1", "capacity_mbps": 2.0,
                  "name": "Patra-Athens", "background_mbps": 0.2}, ...]
     }
-
-    {
-      "titles": [{"title_id": "movie-1", "name": "...", "size_mb": 700.0,
-                  "duration_s": 5400.0, "bitrate_mbps": 1.04}, ...]
-    }
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path as FilePath
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from repro.errors import ReproError
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.topology import Topology
-from repro.storage.video import VideoTitle
 
 PathLike = Union[str, FilePath]
 
 
 class SerializationError(ReproError):
-    """Raised for malformed topology/catalog documents."""
+    """Raised for malformed topology documents."""
 
 
 # ---------------------------------------------------------------------- #
@@ -108,63 +102,3 @@ def load_topology(path: PathLike) -> Topology:
     except (OSError, json.JSONDecodeError) as exc:
         raise SerializationError(f"cannot load topology from {path}: {exc}") from exc
     return topology_from_dict(document)
-
-
-# ---------------------------------------------------------------------- #
-# catalogs
-# ---------------------------------------------------------------------- #
-def catalog_to_dict(titles: List[VideoTitle]) -> Dict:
-    """Serialise a title catalog."""
-    return {
-        "titles": [
-            {
-                "title_id": title.title_id,
-                "name": title.name,
-                "size_mb": title.size_mb,
-                "duration_s": title.duration_s,
-                "bitrate_mbps": title.bitrate_mbps,
-            }
-            for title in titles
-        ]
-    }
-
-
-def catalog_from_dict(document: Dict) -> List[VideoTitle]:
-    """Build a catalog from :func:`catalog_to_dict` output.
-
-    Raises:
-        SerializationError: On missing keys or malformed entries.
-    """
-    try:
-        return [
-            VideoTitle(
-                title_id=doc["title_id"],
-                name=doc.get("name", ""),
-                size_mb=float(doc["size_mb"]),
-                duration_s=float(doc["duration_s"]),
-                bitrate_mbps=float(doc.get("bitrate_mbps", 0.0)),
-            )
-            for doc in document["titles"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed catalog document: {exc}") from exc
-
-
-def save_catalog(titles: List[VideoTitle], path: PathLike) -> None:
-    """Write a catalog to a JSON file."""
-    FilePath(path).write_text(
-        json.dumps(catalog_to_dict(titles), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_catalog(path: PathLike) -> List[VideoTitle]:
-    """Read a catalog from a JSON file.
-
-    Raises:
-        SerializationError: On unreadable or malformed files.
-    """
-    try:
-        document = json.loads(FilePath(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"cannot load catalog from {path}: {exc}") from exc
-    return catalog_from_dict(document)

@@ -64,26 +64,6 @@ class RunAnalysis:
     title_demand: List[Tuple[str, int]] = field(default_factory=list)
     switch_histogram: Dict[int, int] = field(default_factory=dict)
 
-    def busiest_link(self) -> Tuple[str, str]:
-        """Endpoints of the link that carried the most VoD bytes.
-
-        Raises:
-            ValueError: If no cluster ever crossed a link.
-        """
-        if not self.link_load:
-            raise ValueError("no network transport in this run")
-        return self.link_load[0].endpoints
-
-    def top_server(self) -> str:
-        """The server that sourced the most bytes.
-
-        Raises:
-            ValueError: If nothing was served.
-        """
-        if not self.server_load:
-            raise ValueError("no sessions in this run")
-        return self.server_load[0].server_uid
-
 
 def analyze_sessions(records: Sequence[SessionRecord]) -> RunAnalysis:
     """Build a :class:`RunAnalysis` from session records."""

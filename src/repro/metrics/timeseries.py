@@ -90,25 +90,6 @@ class TimeSeries:
             return None
         return (self._times[-1], self._values[-1])
 
-    def value_at(self, time: float) -> float:
-        """Piecewise-constant (sample-and-hold) value at ``time``.
-
-        Raises:
-            ReproError: If the series is empty or ``time`` precedes the
-                first sample.
-        """
-        if not self._times:
-            raise ReproError(f"time series {self.name!r} is empty")
-        if time < self._times[0]:
-            raise ReproError(
-                f"time {time} precedes first sample at {self._times[0]}"
-            )
-        # Linear scan from the end: queries usually ask near the present.
-        for i in range(len(self._times) - 1, -1, -1):
-            if self._times[i] <= time:
-                return self._values[i]
-        raise AssertionError("unreachable: first-sample check covers this")
-
     def time_average(self, until: Optional[float] = None) -> float:
         """Time-weighted mean of the piecewise-constant signal.
 

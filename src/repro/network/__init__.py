@@ -17,14 +17,7 @@ from repro.network.topology import Topology
 from repro.network.flows import Flow, FlowManager
 from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep, dijkstra
 from repro.network.routing.paths import Path
-from repro.network.topologies import (
-    grid_topology,
-    line_topology,
-    random_topology,
-    ring_topology,
-    star_topology,
-    tree_topology,
-)
+from repro.network.topologies import random_topology
 
 __all__ = [
     "DijkstraResult",
@@ -36,10 +29,5 @@ __all__ = [
     "Path",
     "Topology",
     "dijkstra",
-    "grid_topology",
-    "line_topology",
     "random_topology",
-    "ring_topology",
-    "star_topology",
-    "tree_topology",
 ]

@@ -61,10 +61,6 @@ class Link:
     #: and flow reservations) — routing-relevant only on the ground-truth
     #: (``use_reported_stats=False``) path.
     _traffic_version: int = field(default=0, repr=False, compare=False)
-    #: Telemetry: reservations granted over the link's lifetime, and the
-    #: high-water mark of concurrently reserved VoD bandwidth.
-    _reserve_count: int = field(default=0, repr=False, compare=False)
-    _peak_reserved_mbps: float = field(default=0.0, repr=False, compare=False)
     #: Set by :meth:`Topology.add_link` so the owning topology can expose a
     #: combined version without scanning every link per lookup.  Called
     #: with ``(kind, link)``.
@@ -171,16 +167,6 @@ class Link:
         return self._reserved_mbps
 
     @property
-    def reserve_count(self) -> int:
-        """Reservations granted over the link's lifetime (telemetry)."""
-        return self._reserve_count
-
-    @property
-    def peak_reserved_mbps(self) -> float:
-        """High-water mark of concurrently reserved bandwidth (telemetry)."""
-        return self._peak_reserved_mbps
-
-    @property
     def used_mbps(self) -> float:
         """Total used bandwidth (UBW in the paper): background + reserved."""
         return min(self._background_mbps + self._reserved_mbps, self.capacity_mbps)
@@ -212,9 +198,6 @@ class Link:
             )
         if mbps > 0.0:
             self._reserved_mbps += mbps
-            self._reserve_count += 1
-            if self._reserved_mbps > self._peak_reserved_mbps:
-                self._peak_reserved_mbps = self._reserved_mbps
             self._set_free()
             self._notify(TRAFFIC_CHANGE)
 
@@ -237,9 +220,3 @@ class Link:
 
     def __hash__(self) -> int:
         return hash(self.key)
-
-    def __repr__(self) -> str:
-        return (
-            f"Link({self.name!r}, {self.capacity_mbps:g} Mbps, "
-            f"used={self.used_mbps:.3f})"
-        )

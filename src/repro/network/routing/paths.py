@@ -46,6 +46,3 @@ class Path:
     def as_label(self) -> str:
         """Paper-style comma-joined node list, e.g. ``"U2,U1,U6,U5"``."""
         return ",".join(self.nodes)
-
-    def __repr__(self) -> str:
-        return f"Path({self.as_label()}, cost={self.cost:.4f})"

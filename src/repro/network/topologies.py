@@ -1,11 +1,11 @@
-"""Synthetic topology generators.
+"""Synthetic topology generator: a seeded random connected graph.
 
-The paper argues the service suits "a large variety of diverse networks";
-these constructors provide the standard shapes used by the examples,
-benchmarks and tests: stars, rings, lines, trees, grids and random
-connected graphs.  All return validated :class:`~repro.network.topology.
-Topology` objects with uniform link capacity (override per link afterwards
-for heterogeneous designs).
+The paper argues the service suits "a large variety of diverse networks".
+:func:`random_topology` builds the synthetic backbones the benchmarks use
+(the 200-node churn workload, the X3 selection baselines).  Any other shape
+is a JSON file: ``repro export-grnet`` writes the GRNET template, edit it,
+and ``repro simulate --topology FILE`` runs on it; in code, build a
+:class:`~repro.network.topology.Topology` node by node.
 """
 
 from __future__ import annotations
@@ -24,115 +24,6 @@ def _add_nodes(topology: Topology, count: int, prefix: str) -> List[str]:
     for uid in uids:
         topology.add_node(Node(uid))
     return uids
-
-
-def star_topology(leaf_count: int, capacity_mbps: float = 10.0) -> Topology:
-    """A hub (``H0``) with ``leaf_count`` spokes (``L0``..).
-
-    Raises:
-        TopologyError: If fewer than one leaf is requested.
-    """
-    if leaf_count < 1:
-        raise TopologyError(f"star needs >= 1 leaf, got {leaf_count}")
-    topology = Topology(name=f"star-{leaf_count}")
-    topology.add_node(Node("H0", name="hub"))
-    for i in range(leaf_count):
-        leaf = topology.add_node(Node(f"L{i}"))
-        topology.add_link(Link("H0", leaf.uid, capacity_mbps=capacity_mbps))
-    topology.validate()
-    return topology
-
-
-def ring_topology(node_count: int, capacity_mbps: float = 10.0) -> Topology:
-    """A cycle ``R0-R1-...-R(n-1)-R0``.
-
-    Raises:
-        TopologyError: If fewer than three nodes are requested.
-    """
-    if node_count < 3:
-        raise TopologyError(f"ring needs >= 3 nodes, got {node_count}")
-    topology = Topology(name=f"ring-{node_count}")
-    uids = _add_nodes(topology, node_count, "R")
-    for i, uid in enumerate(uids):
-        topology.add_link(
-            Link(uid, uids[(i + 1) % node_count], capacity_mbps=capacity_mbps)
-        )
-    topology.validate()
-    return topology
-
-
-def line_topology(node_count: int, capacity_mbps: float = 10.0) -> Topology:
-    """A path ``P0-P1-...-P(n-1)``.
-
-    Raises:
-        TopologyError: If fewer than two nodes are requested.
-    """
-    if node_count < 2:
-        raise TopologyError(f"line needs >= 2 nodes, got {node_count}")
-    topology = Topology(name=f"line-{node_count}")
-    uids = _add_nodes(topology, node_count, "P")
-    for a, b in zip(uids, uids[1:]):
-        topology.add_link(Link(a, b, capacity_mbps=capacity_mbps))
-    topology.validate()
-    return topology
-
-
-def tree_topology(
-    depth: int, branching: int = 2, capacity_mbps: float = 10.0
-) -> Topology:
-    """A complete tree of the given depth and branching factor.
-
-    Node ``T0`` is the root; children of ``Tk`` are numbered breadth-first.
-
-    Raises:
-        TopologyError: For non-positive depth or branching.
-    """
-    if depth < 1:
-        raise TopologyError(f"tree needs depth >= 1, got {depth}")
-    if branching < 1:
-        raise TopologyError(f"tree needs branching >= 1, got {branching}")
-    topology = Topology(name=f"tree-d{depth}b{branching}")
-    topology.add_node(Node("T0"))
-    frontier = ["T0"]
-    serial = 1
-    for _ in range(depth):
-        next_frontier = []
-        for parent in frontier:
-            for _ in range(branching):
-                child = f"T{serial}"
-                serial += 1
-                topology.add_node(Node(child))
-                topology.add_link(Link(parent, child, capacity_mbps=capacity_mbps))
-                next_frontier.append(child)
-        frontier = next_frontier
-    topology.validate()
-    return topology
-
-
-def grid_topology(rows: int, cols: int, capacity_mbps: float = 10.0) -> Topology:
-    """A rows x cols mesh; node ``Gr.c`` connects to its 4-neighbours.
-
-    Raises:
-        TopologyError: For dimensions below 1x2 / 2x1.
-    """
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise TopologyError(f"grid needs >= 2 nodes, got {rows}x{cols}")
-    topology = Topology(name=f"grid-{rows}x{cols}")
-    for r in range(rows):
-        for c in range(cols):
-            topology.add_node(Node(f"G{r}.{c}"))
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                topology.add_link(
-                    Link(f"G{r}.{c}", f"G{r}.{c + 1}", capacity_mbps=capacity_mbps)
-                )
-            if r + 1 < rows:
-                topology.add_link(
-                    Link(f"G{r}.{c}", f"G{r + 1}.{c}", capacity_mbps=capacity_mbps)
-                )
-    topology.validate()
-    return topology
 
 
 def random_topology(

@@ -73,10 +73,6 @@ def __getattr__(name: str):
     return value
 
 
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-
 __all__ = [
     "Counter",
     "CsvTelemetrySink",

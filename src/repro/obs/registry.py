@@ -59,10 +59,6 @@ class Instrument:
         """Labels as a plain dict (for export rows)."""
         return dict(self.labels)
 
-    def __repr__(self) -> str:
-        label_text = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"{type(self).__name__}({self.name}{{{label_text}}})"
-
 
 class Counter(Instrument):
     """Monotonically increasing count."""

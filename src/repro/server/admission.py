@@ -24,7 +24,6 @@ class AdmissionController:
         self._next_lease = 1
         self.rejected_count = 0
         self.admitted_count = 0
-        self._peak_active = 0
         #: Optional listener fired whenever the occupied-slot count moves
         #: (an input of the VRA poll answer; the service's decision memo
         #: is cleared on it).
@@ -34,11 +33,6 @@ class AdmissionController:
     def active_count(self) -> int:
         """Streams currently admitted."""
         return len(self._active)
-
-    @property
-    def peak_active(self) -> int:
-        """High-water mark of concurrently admitted streams (telemetry)."""
-        return self._peak_active
 
     @property
     def load(self) -> float:
@@ -68,8 +62,6 @@ class AdmissionController:
         self._next_lease += 1
         self._active.add(lease)
         self.admitted_count += 1
-        if len(self._active) > self._peak_active:
-            self._peak_active = len(self._active)
         if self.on_change is not None:
             self.on_change()
         return lease

@@ -350,9 +350,3 @@ class VideoServer:
                 self._database.remove_title_from_server(self.node_uid, title_id)
         else:
             self._database.remove_title_from_server(self.node_uid, title_id)
-
-    def __repr__(self) -> str:
-        return (
-            f"VideoServer({self.node_uid!r}, titles={len(self.stored_title_ids())}, "
-            f"streams={self.admission.active_count}/{self.admission.max_streams})"
-        )

@@ -33,11 +33,6 @@ class RngRegistry:
             self._streams[name] = random.Random(self._derive_seed(name))
         return self._streams[name]
 
-    def reseed(self, master_seed: int) -> None:
-        """Reset the registry under a new master seed, dropping all streams."""
-        self.master_seed = int(master_seed)
-        self._streams.clear()
-
     def names(self) -> Iterator[str]:
         """Names of streams created so far."""
         return iter(sorted(self._streams))

@@ -19,8 +19,7 @@ class PeriodicTask:
 
     The first firing happens at ``start_delay`` (default: one full period)
     after :meth:`start`.  The callback may call :meth:`stop` to end the
-    series, and :meth:`set_period` to change the cadence from the next
-    firing onward.
+    series.
     """
 
     def __init__(
@@ -54,12 +53,6 @@ class PeriodicTask:
     def running(self) -> bool:
         """True while the task is armed."""
         return self._running
-
-    def set_period(self, period: float) -> None:
-        """Change the period; takes effect when the next firing is armed."""
-        if not (period > 0.0):
-            raise SchedulingError(f"period must be positive, got {period!r}")
-        self._period = float(period)
 
     def start(self, start_delay: Optional[float] = None) -> None:
         """Arm the task.  ``start_delay`` defaults to one period."""

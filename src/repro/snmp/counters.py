@@ -56,9 +56,6 @@ class OctetCounter:
         """Advance by traffic expressed in megabits (1 Mbit = 125000 octets)."""
         return self.add_octets(int(round(megabits * 1e6 / 8.0)))
 
-    def __repr__(self) -> str:
-        return f"OctetCounter(value={self._value}, wraps={self._wraps})"
-
 
 def counter_delta(previous: int, current: int) -> int:
     """Octets transferred between two polls of a Counter32.

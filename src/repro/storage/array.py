@@ -247,10 +247,6 @@ class DiskArray:
         """Ids of fully resident videos, sorted."""
         return sorted(self._videos)
 
-    def stored_videos(self) -> List[VideoTitle]:
-        """Resident video objects, sorted by id."""
-        return [self._videos[tid] for tid in self.stored_title_ids()]
-
     # ------------------------------------------------------------------ #
     # fractional segments (prefix / partial placement policies)
     # ------------------------------------------------------------------ #
@@ -401,10 +397,3 @@ class DiskArray:
         if not (0 <= cluster_index < count):
             return False
         return layout.assignments[cluster_index][1] not in self._failed_disks
-
-    def __repr__(self) -> str:
-        return (
-            f"DiskArray(disks={self.disk_count}, cluster={self.cluster_mb:g} MB, "
-            f"videos={len(self._videos)}, used={self.used_mb:.1f}/"
-            f"{self.total_capacity_mb:.1f} MB)"
-        )

@@ -32,11 +32,6 @@ class PopularityTracker:
     def __len__(self) -> int:
         return len(self._points)
 
-    @property
-    def tracked_count(self) -> int:
-        """Number of titles in the points table (telemetry gauge)."""
-        return len(self._points)
-
     def give_point(self, title_id: str) -> int:
         """Award one point ("Give a point to the Video").
 
@@ -89,37 +84,6 @@ class PopularityTracker:
             self._points.items(),
             key=lambda item: (-item[1], self._first_seen[item[0]]),
         )
-
-    def forget(self, title_id: str) -> None:
-        """Drop a title's history entirely.
-
-        The DMA does *not* call this on eviction — evicted titles keep their
-        points so they can re-enter the cache, exactly as Figure 2 implies.
-        Exposed for experiments that want periodic popularity decay.
-
-        Raises:
-            CacheError: If the title was never tracked.
-        """
-        if title_id not in self._points:
-            raise CacheError(f"title {title_id!r} is not tracked")
-        del self._points[title_id]
-        del self._first_seen[title_id]
-
-    def decay(self, factor: float) -> None:
-        """Multiply every title's points by ``factor`` (floor), an ageing
-        extension for long-running deployments.
-
-        Raises:
-            CacheError: If the factor is outside [0, 1].
-        """
-        if not (0.0 <= factor <= 1.0):
-            raise CacheError(f"decay factor must be in [0, 1], got {factor!r}")
-        for title_id in self._points:
-            self._points[title_id] = int(self._points[title_id] * factor)
-
-    def tracked_title_ids(self) -> List[str]:
-        """All tracked titles, sorted."""
-        return sorted(self._points)
 
     def _ensure_tracked(self, title_id: str) -> None:
         if not title_id:

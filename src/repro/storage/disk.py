@@ -94,19 +94,6 @@ class Disk:
         """True if the (title, index) cluster is resident."""
         return (title_id, cluster_index) in self._clusters
 
-    def clusters_of(self, title_id: str) -> List[StoredCluster]:
-        """All clusters of one title on this disk, by cluster index."""
-        return sorted(
-            (c for (tid, _), c in self._clusters.items() if tid == title_id),
-            key=lambda c: c.cluster_index,
-        )
-
     def title_ids(self) -> List[str]:
         """Distinct titles with at least one cluster here, sorted."""
         return sorted({tid for tid, _ in self._clusters})
-
-    def __repr__(self) -> str:
-        return (
-            f"Disk(index={self.disk_index}, used={self._used_mb:.1f}/"
-            f"{self.capacity_mb:.1f} MB, clusters={len(self._clusters)})"
-        )

@@ -70,20 +70,3 @@ class CatalogGenerator:
                 )
             )
         return titles
-
-    def uniform_catalog(
-        self, count: int, size_mb: float, duration_s: float, prefix: str = "title"
-    ) -> List[VideoTitle]:
-        """Catalog of identical-shape titles (isolates policy effects)."""
-        if count < 1:
-            raise WorkloadError(f"catalog count must be >= 1, got {count}")
-        width = max(3, len(str(count)))
-        return [
-            VideoTitle(
-                title_id=f"{prefix}-{rank:0{width}d}",
-                name=f"{prefix.title()} #{rank}",
-                size_mb=size_mb,
-                duration_s=duration_s,
-            )
-            for rank in range(1, count + 1)
-        ]

@@ -11,7 +11,7 @@ rotated Zipf ranking over a shared catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import WorkloadError
 from repro.sim.rng import RngRegistry
@@ -54,24 +54,6 @@ class WorkloadScenario:
     def duration_s(self) -> float:
         """Time of the last event (0 for an empty schedule)."""
         return self.events[-1].time_s if self.events else 0.0
-
-    def events_by_home(self) -> Dict[str, List[RequestEvent]]:
-        """Events grouped by home server."""
-        grouped: Dict[str, List[RequestEvent]] = {}
-        for event in self.events:
-            grouped.setdefault(event.home_uid, []).append(event)
-        return grouped
-
-    def title_by_id(self, title_id: str) -> VideoTitle:
-        """Catalog lookup.
-
-        Raises:
-            WorkloadError: If the id is not in the catalog.
-        """
-        for title in self.catalog:
-            if title.title_id == title_id:
-                return title
-        raise WorkloadError(f"title {title_id!r} is not in the scenario catalog")
 
 
 def regional_scenario(

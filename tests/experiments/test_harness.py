@@ -8,7 +8,6 @@ from repro.experiments.harness import (
     ServiceExperiment,
     build_service,
     run_service_experiment,
-    run_service_experiments,
 )
 from repro.workload.scenarios import regional_scenario
 
@@ -200,27 +199,3 @@ class TestRunExperiment:
         )
         result = run_service_experiment(experiment)
         assert result.metrics.completed_count == 0
-
-
-class TestParallelBatch:
-    def _experiments(self):
-        return [
-            ServiceExperiment(
-                name=f"batch-{seed}",
-                scenario=small_scenario(seed=seed),
-                config=small_config(),
-            )
-            for seed in (11, 17)
-        ]
-
-    def test_parallel_batch_matches_serial(self):
-        serial = run_service_experiments(self._experiments(), jobs=1)
-        parallel = run_service_experiments(self._experiments(), jobs=2)
-        assert parallel == serial
-        assert len(parallel) == 2
-        assert all(m.completed_count > 0 for m in parallel)
-
-    def test_order_follows_input_not_completion(self):
-        metrics = run_service_experiments(self._experiments(), jobs=2)
-        expected = [run_service_experiment(e).metrics for e in self._experiments()]
-        assert metrics == expected

@@ -82,10 +82,10 @@ class TestScriptedSchedule:
         )
         assert len(schedule) == 3
         assert schedule.horizon_s == 140.0
-        counts = schedule.counts_by_kind()
-        assert counts["link-flap"] == 2
-        assert counts["snmp-blackout"] == 1
-        assert counts["server-crash"] == 0
+        kinds = [event.kind for event in schedule]
+        assert kinds.count("link-flap") == 2
+        assert kinds.count("snmp-blackout") == 1
+        assert kinds.count("server-crash") == 0
 
     def test_empty_schedule(self):
         schedule = FaultSchedule()

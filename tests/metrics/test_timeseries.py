@@ -69,27 +69,6 @@ class TestRecording:
         assert series.last() == (1.0, 9.0)
 
 
-class TestValueAt:
-    def test_sample_and_hold(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        series.record(10.0, 2.0)
-        assert series.value_at(0.0) == 1.0
-        assert series.value_at(9.99) == 1.0
-        assert series.value_at(10.0) == 2.0
-        assert series.value_at(50.0) == 2.0
-
-    def test_before_first_sample_rejected(self):
-        series = TimeSeries()
-        series.record(10.0, 1.0)
-        with pytest.raises(ReproError):
-            series.value_at(5.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            TimeSeries().value_at(0.0)
-
-
 class TestTimeAverage:
     def test_piecewise_constant_integral(self):
         series = TimeSeries()

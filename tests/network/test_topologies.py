@@ -1,99 +1,37 @@
-"""Unit tests for the synthetic topology generators."""
+"""Unit tests for the synthetic topology generator, and the service on
+star, ring, tree, grid and random shapes."""
 
 import random
 
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.topologies import (
-    grid_topology,
-    line_topology,
-    random_topology,
-    ring_topology,
-    star_topology,
-    tree_topology,
-)
+from repro.network.link import Link
+from repro.network.node import Node
+from repro.network.topologies import random_topology
+from repro.network.topology import Topology
 
 
-class TestStar:
-    def test_shape(self):
-        topology = star_topology(5)
-        assert topology.node_count == 6
-        assert topology.link_count == 5
-        assert topology.degree("H0") == 5
-        assert all(topology.degree(f"L{i}") == 1 for i in range(5))
-
-    def test_minimum(self):
-        with pytest.raises(TopologyError):
-            star_topology(0)
-
-    def test_capacity_applied(self):
-        topology = star_topology(2, capacity_mbps=4.0)
-        assert all(l.capacity_mbps == 4.0 for l in topology.links())
+def explicit_topology(name, pairs):
+    """A validated topology with one 10 Mbps link per (a, b) pair, in order."""
+    topology = Topology(name=name)
+    for a, b in pairs:
+        for uid in (a, b):
+            if not topology.has_node(uid):
+                topology.add_node(Node(uid))
+        topology.add_link(Link(a, b, capacity_mbps=10.0))
+    topology.validate()
+    return topology
 
 
-class TestRing:
-    def test_shape(self):
-        topology = ring_topology(6)
-        assert topology.node_count == 6
-        assert topology.link_count == 6
-        assert all(topology.degree(uid) == 2 for uid in topology.node_uids())
-
-    def test_wraps_around(self):
-        topology = ring_topology(4)
-        assert topology.has_link_between("R3", "R0")
-
-    def test_minimum(self):
-        with pytest.raises(TopologyError):
-            ring_topology(2)
-
-
-class TestLine:
-    def test_shape(self):
-        topology = line_topology(4)
-        assert topology.link_count == 3
-        assert topology.degree("P0") == 1
-        assert topology.degree("P1") == 2
-
-    def test_minimum(self):
-        with pytest.raises(TopologyError):
-            line_topology(1)
-
-
-class TestTree:
-    def test_binary_tree_counts(self):
-        topology = tree_topology(depth=3, branching=2)
-        assert topology.node_count == 1 + 2 + 4 + 8
-        assert topology.link_count == topology.node_count - 1
-
-    def test_ternary_tree(self):
-        topology = tree_topology(depth=2, branching=3)
-        assert topology.node_count == 1 + 3 + 9
-        assert topology.degree("T0") == 3
-
-    def test_validation(self):
-        with pytest.raises(TopologyError):
-            tree_topology(depth=0)
-        with pytest.raises(TopologyError):
-            tree_topology(depth=2, branching=0)
-
-
-class TestGrid:
-    def test_shape(self):
-        topology = grid_topology(3, 4)
-        assert topology.node_count == 12
-        # links: 3 rows x 3 horizontal + 2 x 4 vertical = 9 + 8.
-        assert topology.link_count == 17
-        assert topology.degree("G0.0") == 2  # corner
-        assert topology.degree("G1.1") == 4  # interior
-
-    def test_single_row_is_a_line(self):
-        topology = grid_topology(1, 5)
-        assert topology.link_count == 4
-
-    def test_minimum(self):
-        with pytest.raises(TopologyError):
-            grid_topology(1, 1)
+STAR = [("H0", f"L{i}") for i in range(5)]
+RING = [(f"R{i}", f"R{(i + 1) % 6}") for i in range(6)]
+TREE = [("T0", f"T{c}") for c in (1, 2, 3)] + [
+    (f"T{parent}", f"T{3 * parent + k}") for parent in (1, 2, 3) for k in (1, 2, 3)
+]
+GRID = [(f"G{r}.{c}", f"G{r}.{c + 1}") for r in range(3) for c in range(2)] + [
+    (f"G{r}.{c}", f"G{r + 1}.{c}") for r in range(2) for c in range(3)
+]
 
 
 class TestRandom:
@@ -127,10 +65,10 @@ class TestServiceOnGeneratedTopologies:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: star_topology(5, capacity_mbps=10.0),
-            lambda: ring_topology(6, capacity_mbps=10.0),
-            lambda: tree_topology(2, 3, capacity_mbps=10.0),
-            lambda: grid_topology(3, 3, capacity_mbps=10.0),
+            lambda: explicit_topology("star-5", STAR),
+            lambda: explicit_topology("ring-6", RING),
+            lambda: explicit_topology("tree-d2b3", TREE),
+            lambda: explicit_topology("grid-3x3", GRID),
             lambda: random_topology(8, extra_links=4, rng=random.Random(5)),
         ],
     )

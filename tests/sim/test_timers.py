@@ -44,18 +44,6 @@ class TestPeriodicTask:
         sim.run(until=100.0)
         assert times == [5.0, 10.0]
 
-    def test_set_period_changes_cadence(self, sim):
-        times = []
-
-        def callback():
-            times.append(sim.now)
-            task.set_period(20.0)
-
-        task = PeriodicTask(sim, 5.0, callback)
-        task.start()
-        sim.run(until=50.0)
-        assert times == [5.0, 25.0, 45.0]
-
     def test_fire_count(self, sim):
         task = PeriodicTask(sim, 1.0, lambda: None)
         task.start()
@@ -75,11 +63,6 @@ class TestPeriodicTask:
             PeriodicTask(sim, 0.0, lambda: None)
         with pytest.raises(SchedulingError):
             PeriodicTask(sim, -5.0, lambda: None)
-
-    def test_set_invalid_period_rejected(self, sim):
-        task = PeriodicTask(sim, 1.0, lambda: None)
-        with pytest.raises(SchedulingError):
-            task.set_period(0.0)
 
     def test_restart_after_stop(self, sim):
         times = []

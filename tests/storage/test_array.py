@@ -113,7 +113,6 @@ class TestQueries:
         array.store(video("b", 25.0))
         array.store(video("a", 25.0))
         assert array.stored_title_ids() == ["a", "b"]
-        assert [v.title_id for v in array.stored_videos()] == ["a", "b"]
 
     def test_layout_for_preview_matches_store(self, array):
         preview = array.layout_for(video("v", 110.0))

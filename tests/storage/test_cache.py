@@ -21,7 +21,7 @@ class TestPoints:
         tracker = PopularityTracker()
         tracker.track("v")
         assert tracker.points_of("v") == 0
-        assert tracker.tracked_title_ids() == ["v"]
+        assert tracker.ranking() == [("v", 0)]
 
     def test_empty_title_rejected(self):
         with pytest.raises(CacheError):
@@ -73,30 +73,3 @@ class TestRanking:
         tracker.give_point("first")
         tracker.give_point("second")
         assert tracker.ranking() == [("first", 1), ("second", 1)]
-
-
-class TestForgetAndDecay:
-    def test_forget_removes_history(self):
-        tracker = PopularityTracker()
-        tracker.give_point("v")
-        tracker.forget("v")
-        assert tracker.points_of("v") == 0
-        assert tracker.tracked_title_ids() == []
-
-    def test_forget_unknown_rejected(self):
-        with pytest.raises(CacheError):
-            PopularityTracker().forget("v")
-
-    def test_decay_halves_points(self):
-        tracker = PopularityTracker()
-        for _ in range(5):
-            tracker.give_point("v")
-        tracker.decay(0.5)
-        assert tracker.points_of("v") == 2  # floor(2.5)
-
-    def test_decay_factor_validated(self):
-        tracker = PopularityTracker()
-        with pytest.raises(CacheError):
-            tracker.decay(1.5)
-        with pytest.raises(CacheError):
-            tracker.decay(-0.1)

@@ -54,13 +54,6 @@ class TestDisk:
         assert disk.fits(100.0)
         assert not disk.fits(100.1)
 
-    def test_clusters_of_sorted_by_index(self):
-        disk = Disk(0, 100.0)
-        disk.store(StoredCluster("v", 3, 5.0))
-        disk.store(StoredCluster("v", 0, 5.0))
-        disk.store(StoredCluster("w", 1, 5.0))
-        assert [c.cluster_index for c in disk.clusters_of("v")] == [0, 3]
-
     def test_title_ids(self):
         disk = Disk(0, 100.0)
         disk.store(StoredCluster("b", 0, 5.0))

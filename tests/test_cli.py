@@ -273,6 +273,16 @@ class TestObs:
         assert "spans:" in out
         assert "hottest links" in out
 
+    def test_flash_crowd_scenario_runs(self, capsys):
+        """The crowd gathers at the first GRNET node, U1 (Athens)."""
+        argv = ["obs", "--scenario", "flash-crowd", "--requests-per-node", "1",
+                "--catalog-size", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "Telemetry summary" in out
+        assert "placement.points_awarded{server=U1}" in out
+        assert "service.sessions_completed                              6" in out
+
     def test_jsonl_export_is_valid_and_diverse(self, capsys, tmp_path):
         import json
 

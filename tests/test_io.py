@@ -1,4 +1,4 @@
-"""Unit tests for JSON (de)serialisation of topologies and catalogs."""
+"""Unit tests for JSON (de)serialisation of topologies."""
 
 import json
 
@@ -6,17 +6,12 @@ import pytest
 
 from repro.io import (
     SerializationError,
-    catalog_from_dict,
-    catalog_to_dict,
-    load_catalog,
     load_topology,
-    save_catalog,
     save_topology,
     topology_from_dict,
     topology_to_dict,
 )
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
-from repro.storage.video import VideoTitle
 
 
 class TestTopologyRoundtrip:
@@ -84,25 +79,3 @@ class TestTopologyErrors:
         path.write_text("{not json")
         with pytest.raises(SerializationError):
             load_topology(path)
-
-
-class TestCatalogRoundtrip:
-    def test_roundtrip_preserves_titles(self):
-        titles = [
-            VideoTitle("m1", size_mb=700.0, duration_s=5400.0, name="First"),
-            VideoTitle("m2", size_mb=900.0, duration_s=6000.0, bitrate_mbps=2.0),
-        ]
-        restored = catalog_from_dict(catalog_to_dict(titles))
-        assert restored == titles
-
-    def test_file_roundtrip(self, tmp_path):
-        titles = [VideoTitle("m1", size_mb=700.0, duration_s=5400.0)]
-        path = tmp_path / "catalog.json"
-        save_catalog(titles, path)
-        assert load_catalog(path) == titles
-
-    def test_malformed_catalog_rejected(self):
-        with pytest.raises(SerializationError):
-            catalog_from_dict({"titles": [{"title_id": "x"}]})
-        with pytest.raises(SerializationError):
-            catalog_from_dict({})

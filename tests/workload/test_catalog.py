@@ -44,8 +44,3 @@ class TestCatalogGenerator:
     def test_invalid_count_rejected(self):
         with pytest.raises(WorkloadError):
             CatalogGenerator().generate(0)
-
-    def test_uniform_catalog_identical_shapes(self):
-        titles = CatalogGenerator().uniform_catalog(5, size_mb=500.0, duration_s=3000.0)
-        assert all(t.size_mb == 500.0 and t.duration_s == 3000.0 for t in titles)
-        assert len({t.title_id for t in titles}) == 5

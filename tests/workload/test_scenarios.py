@@ -6,6 +6,13 @@ from repro.errors import WorkloadError
 from repro.workload.scenarios import regional_scenario
 
 
+def events_by_home(scenario):
+    grouped = {}
+    for event in scenario.events:
+        grouped.setdefault(event.home_uid, []).append(event)
+    return grouped
+
+
 class TestRegionalScenario:
     def test_events_sorted_by_time(self):
         scenario = regional_scenario(["U1", "U2"], catalog_size=10, requests_per_node=20)
@@ -36,7 +43,7 @@ class TestRegionalScenario:
             zipf_exponent=1.2,
             seed=5,
         )
-        by_home = scenario.events_by_home()
+        by_home = events_by_home(scenario)
 
         def top_title(events):
             counts = {}
@@ -57,7 +64,7 @@ class TestRegionalScenario:
             zipf_exponent=1.5,
             seed=5,
         )
-        by_home = scenario.events_by_home()
+        by_home = events_by_home(scenario)
         favourites = set()
         for events in by_home.values():
             counts = {}
@@ -70,13 +77,6 @@ class TestRegionalScenario:
         scenario = regional_scenario(["U1", "U2"], catalog_size=5, requests_per_node=20)
         ids = [e.client_id for e in scenario.events]
         assert len(ids) == len(set(ids))
-
-    def test_title_by_id(self):
-        scenario = regional_scenario(["U1"], catalog_size=5, requests_per_node=5)
-        title = scenario.catalog[0]
-        assert scenario.title_by_id(title.title_id) is title
-        with pytest.raises(WorkloadError):
-            scenario.title_by_id("ghost")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(WorkloadError):
