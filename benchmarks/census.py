@@ -104,9 +104,9 @@ REASONS: List[Tuple[str, str, List[str]]] = [
      ["sim/process.py::Process._fail"]),
     ("fault", "starts a new part file when one reaches its row cap",
      ["obs/sink.py::FileTelemetrySink._rotate"]),
-    ("fault", "ring overflow: a full sample ring spills its oldest samples to the sink",
-     ["obs/stream.py::StreamingTelemetry._spill",
-      "obs/sampler.py::TelemetrySampler._spill_hook"]),
+    ("fault", "spells a non-finite sample (NaN, Infinity) as json does; a "
+     "finite one takes the sample writer's repr path",
+     ["obs/sink.py::_json_float"]),
     ("fault", "a session is about to fail with no online full holder left",
      ["resilience/supervisor.py::SessionSupervisor.note_failed"]),
     ("fault", "a deferred download failed: the partial bytes and any stale "
@@ -191,8 +191,6 @@ REASONS: List[Tuple[str, str, List[str]]] = [
       "metrics/stats.py::stddev",
       "metrics/stats.py::confidence_interval_95",
       "metrics/stats.py::histogram",
-      "metrics/timeseries.py::TimeSeries.dropped_count",
-      "metrics/timeseries.py::TimeSeries.last",
       "network/flows.py::FlowManager.active_flows",
       "network/node.py::Node.__hash__",
       "network/node.py::Node.__eq__",
@@ -202,10 +200,7 @@ REASONS: List[Tuple[str, str, List[str]]] = [
       "network/topology.py::Topology.total_capacity_mbps",
       "obs/registry.py::Gauge.set",
       "obs/registry.py::MetricsRegistry.find",
-      "obs/sampler.py::TelemetrySampler.sample_count",
       "obs/sampler.py::TelemetrySampler.stop",
-      "obs/sampler.py::TelemetrySampler.families",
-      "obs/sampler.py::TelemetrySampler.get",
       "obs/spans.py::SessionSpan.open",
       "obs/spans.py::SessionSpan.duration_s",
       "placement/base.py::PlacementPolicy.pin",
@@ -219,15 +214,6 @@ REASONS: List[Tuple[str, str, List[str]]] = [
       "server/video_server.py::VideoServer.pending_title_ids",
       "sim/rng.py::RngRegistry.names",
       "sim/timers.py::PeriodicTask.fire_count",
-      "sim/trace.py::registered_categories",
-      "sim/trace.py::category_pad_width",
-      "sim/trace.py::TraceEvent.format",
-      "sim/trace.py::Tracer.__len__",
-      "sim/trace.py::Tracer.events",
-      "sim/trace.py::Tracer.between",
-      "sim/trace.py::Tracer.categories",
-      "sim/trace.py::Tracer.clear",
-      "sim/trace.py::Tracer.dump",
       "snmp/agent.py::SnmpAgent.link_names",
       "snmp/collector.py::StatisticsService.stop",
       "snmp/counters.py::OctetCounter.wraps",

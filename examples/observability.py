@@ -3,10 +3,10 @@
 
 Runs the quickstart workload with ``observability=True`` so the unified
 telemetry layer is live: a metrics registry of counters/gauges/histograms,
-a sim-time sampler snapshotting them into ring-buffered time series, and
-one session span per client request.  The tracer and a
-:class:`~repro.obs.stream.StreamingTelemetry` share one in-memory row
-stream.  Afterwards the script prints the operator summary read from
+a sim-time sampler writing each snapshot as ``sample`` rows, and one
+session span per client request, written as a ``span`` row when it
+closes.  The tracer and a :class:`~repro.obs.stream.StreamingTelemetry`
+share one in-memory row stream.  Afterwards the script prints the operator summary read from
 that stream, a link-utilisation sparkline timeline, and the top-N
 hottest cache entries (DMA popularity points per server).
 
@@ -17,6 +17,7 @@ from repro import Client, ServiceConfig, Simulator, VideoTitle, VoDService
 from repro.experiments.report import render_timeline
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs import MemoryTelemetrySink, StreamingTelemetry, summarize_telemetry
+from repro.obs.export import sample_series
 from repro.sim.trace import Tracer
 
 
@@ -69,12 +70,12 @@ def main() -> None:
     streamer.finish()
     print(summarize_telemetry(service.obs, sink))
 
-    # The sampler kept one ring-buffered series per gauge; render the
-    # backbone links as sparklines (same view `python -m repro obs
+    # Rebuild the backbone links' series from the stream's sample rows
+    # and render them as sparklines (the view `python -m repro obs
     # --timeline link.utilization` gives for the canned scenarios).
     rows = [
         (labels.get("link", "?"), series)
-        for labels, series in service.telemetry.series_for("link.utilization")
+        for labels, series in sample_series(sink.rows, "link.utilization")
     ]
     print()
     print(render_timeline(rows, title="link utilization over the day", width=48))

@@ -12,7 +12,8 @@ Exposes the reproduction's main entry points without writing Python::
     python -m repro sweep-cluster-size         # the X4 ablation summary
 
 Every subcommand prints plain text to stdout and exits 0 on success; bad
-arguments exit 2 (argparse) and reproduction mismatches exit 1.
+arguments exit 2 (argparse, or ``repro: error: ...`` for a value the
+model rejects) and reproduction mismatches exit 1.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.service import ServiceConfig
+from repro.errors import ReproError
 from repro.placement.base import PLACEMENT_KINDS, PlacementConfig
 from repro.experiments.casestudy import (
     EXPERIMENTS,
@@ -104,9 +106,9 @@ def _add_telemetry_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--telemetry-out", metavar="FILE", default=None,
         help="write the run's telemetry (manifest + rows + footer) to "
-             "FILE behind the run: spans as they close, sampler rings as "
-             "they fill.  JSONL by default, CSV when FILE ends in .csv.  "
-             "Enables observability for the run",
+             "FILE as the run goes: each sampler tick's rows when it is "
+             "taken, each span when it closes.  JSONL by default, CSV when "
+             "FILE ends in .csv.  Enables observability for the run",
     )
 
 
@@ -138,7 +140,8 @@ def _telemetry_hook(args: argparse.Namespace, label: str):
 
 
 def _finish_telemetry(args: argparse.Namespace, box: dict) -> None:
-    """Drain and close the streaming sink; print the footer line."""
+    """Write the end-of-run rows, close the streaming sink; print the
+    footer line."""
     streamer = box.get("streamer")
     if streamer is None:
         return
@@ -146,10 +149,16 @@ def _finish_telemetry(args: argparse.Namespace, box: dict) -> None:
     print(
         f"telemetry: {footer['rows_written']} rows written to "
         f"{args.telemetry_out} ({footer['rows_skipped']} skipped, "
-        f"{footer['spans_flushed']} spans flushed live, "
-        f"{footer['samples_spilled']} samples spilled, "
-        f"peak {footer['peak_resident_rows']} resident rows)"
+        f"{footer['spans_flushed']} spans flushed live)"
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["vra", "random", "minhop", "static"])
     simulate.add_argument("--switching", default="always",
                           help="'always', 'never' or 'period:<n>'")
-    simulate.add_argument("--catalog-size", type=int, default=18)
+    simulate.add_argument("--catalog-size", type=_positive_int, default=18)
     simulate.add_argument("--title-mb", type=float, default=150.0,
                           help="uniform title size; keep below the per-server cache")
     simulate.add_argument("--title-minutes", type=float, default=60.0)
@@ -223,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the placement policies (DMA, prefix, partial) on GRNET",
     )
     placement.add_argument("--requests-per-node", type=int, default=12)
-    placement.add_argument("--catalog-size", type=int, default=12)
+    placement.add_argument("--catalog-size", type=_positive_int, default=12)
     placement.add_argument("--seed", type=int, default=23)
     placement.add_argument("--title-mb", type=float, default=400.0,
                            help="uniform title size; the default overflows "
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--scenario", choices=["regional", "flash-crowd"],
                      default="regional")
     obs.add_argument("--requests-per-node", type=int, default=12)
-    obs.add_argument("--catalog-size", type=int, default=8)
+    obs.add_argument("--catalog-size", type=_positive_int, default=8)
     obs.add_argument("--sample-period", type=float, default=60.0,
                      help="simulated seconds between telemetry samples")
     obs.add_argument("--seed", type=int, default=23)
@@ -717,6 +726,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
+    except ReproError as error:
+        # A bad value the parser could not check (a period, a file, a
+        # size the model rejects): the message, not a traceback.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

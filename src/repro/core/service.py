@@ -63,7 +63,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import KIND_SERVER, BreakerBoard
 from repro.resilience.staleness import StalenessGuard
 from repro.resilience.supervisor import SessionSupervisor
-from repro.obs.sampler import DEFAULT_SERIES_CAPACITY, TelemetrySampler
+from repro.obs.sampler import TelemetrySampler
 from repro.obs.spans import SessionSpan
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
@@ -216,14 +216,13 @@ class ServiceConfig:
         observability: Enable the unified telemetry layer: a live
             metrics registry (per-link utilisation, cache occupancy,
             stream load, VRA decision counters, sim-engine gauges), a
-            sim-time sampler snapshotting gauges into ring buffers, and
-            per-request session spans.  Default off — the disabled path
-            routes every instrument call to shared no-ops (the enabled
-            cost is the ledger's ``chaos_storm`` workload,
-            ``benchmarks/ledger/``).
+            sim-time sampler writing gauge snapshots into the run's
+            telemetry sink, and per-request session spans.  Default off
+            — the disabled path routes every instrument call to shared
+            no-ops (the enabled cost is the ledger's ``chaos_storm``
+            workload, ``benchmarks/ledger/``).
         telemetry_period_s: Simulated seconds between telemetry samples
             (only meaningful with ``observability=True``).
-        telemetry_capacity: Ring bound per sampled time series.
     """
 
     cluster_mb: float = 64.0
@@ -260,7 +259,6 @@ class ServiceConfig:
     staleness_check_period_s: Optional[float] = None
     observability: bool = False
     telemetry_period_s: float = 60.0
-    telemetry_capacity: int = DEFAULT_SERIES_CAPACITY
     #: Per-node hardware overrides ("we propose the use of as many disks
     #: as possible" — sites differ): node uid -> subset of
     #: {disk_count, disk_capacity_mb, max_streams}.  Unlisted nodes use
@@ -408,15 +406,12 @@ class VoDService:
         self._obs_enabled = self.obs.enabled
         #: Whether a memo replay feeds anything besides its hit counter.
         self._replays_watched = self._obs_enabled or self.tracer.enabled
-        #: Per-request session spans (populated only when observability
-        #: is on).  Every span stays here unless a streamer takes it.
-        self.spans: List[SessionSpan] = []
+        #: The session spans still open, by request id (populated only
+        #: when observability is on).  A span leaves when it closes, as a
+        #: ``span`` row written into ``telemetry.sink``.
+        self.open_spans: Dict[int, SessionSpan] = {}
         #: Numbers the requests this service creates: 1, 2, ...
         self._request_ids = itertools.count(1)
-        #: Write-behind streaming hook: called with each session span the
-        #: moment it finishes (installed by
-        #: :class:`repro.obs.stream.StreamingTelemetry`; None otherwise).
-        self.on_span_finished: Optional[Callable[[SessionSpan], None]] = None
         #: Ticks with every memo-token input (DESIGN.md §5b.14).
         self._clock = topology.clock
         self.database = ServiceDatabase(self._clock)
@@ -567,11 +562,9 @@ class VoDService:
             self.admission_queue.attach_metrics(self.obs)
         #: Periodic sim-time gauge sampler (a no-op when observability is
         #: off; started alongside the SNMP collector in :meth:`start`).
+        #: Its ``sink`` is the run's one telemetry sink.
         self.telemetry = TelemetrySampler(
-            sim,
-            self.obs,
-            period_s=self.config.telemetry_period_s,
-            capacity=self.config.telemetry_capacity,
+            sim, self.obs, period_s=self.config.telemetry_period_s
         )
         self._started = False
         #: Resolved once: every session shares the same policy object.
@@ -1004,10 +997,11 @@ class VoDService:
         return decision
 
     def _close_span(self, span: SessionSpan, status: str) -> None:
-        """Finish a span and hand it to the streaming hook, if installed."""
+        """Finish a span and write it, as its ``span`` row, into the run's
+        sink; the service keeps nothing of it."""
         span.finish(self.sim.now, status)
-        if self.on_span_finished is not None:
-            self.on_span_finished(span)
+        self.open_spans.pop(span.request_id, None)
+        self.telemetry.sink.write({"kind": "span", **span.to_dict()})
 
     def _trace_decision(
         self, home_uid: str, title_id: str, decision: VraDecision
@@ -1240,7 +1234,7 @@ class VoDService:
                 home_uid=home_uid,
                 started_at=self.sim.now,
             )
-            self.spans.append(span)
+            self.open_spans[span.request_id] = span
             span.add(
                 self.sim.now,
                 "submitted",

@@ -7,7 +7,7 @@ is the right mean for utilisation-style metrics.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -17,39 +17,15 @@ class TimeSeries:
 
     Args:
         name: Label used in error messages and exports.
-        capacity: Optional ring bound — keep at most this many samples,
-            dropping the oldest first (the telemetry sampler uses this so
-            long runs stay bounded).  None keeps everything.
-        on_drop: Optional callback invoked with the (times, values) lists
-            about to be evicted by the capacity bound, letting a streaming
-            sink spill them instead of losing them.  Dropped samples are
-            still counted in :attr:`dropped_count`.
     """
 
-    def __init__(
-        self,
-        name: str = "",
-        capacity: Optional[int] = None,
-        on_drop: Optional[Callable[[List[float], List[float]], None]] = None,
-    ):
-        if capacity is not None and capacity < 1:
-            raise ReproError(
-                f"time series {name!r}: capacity must be >= 1, got {capacity!r}"
-            )
+    def __init__(self, name: str = ""):
         self.name = name
-        self.capacity = capacity
-        self.on_drop = on_drop
         self._times: List[float] = []
         self._values: List[float] = []
-        self._dropped = 0
 
     def __len__(self) -> int:
         return len(self._times)
-
-    @property
-    def dropped_count(self) -> int:
-        """Samples discarded due to the capacity bound."""
-        return self._dropped
 
     def record(self, time: float, value: float) -> None:
         """Append one sample.
@@ -64,31 +40,14 @@ class TimeSeries:
             )
         self._times.append(float(time))
         self._values.append(float(value))
-        if self.capacity is not None and len(self._times) > self.capacity:
-            overflow = len(self._times) - self.capacity
-            if self.on_drop is not None:
-                self.on_drop(self._times[:overflow], self._values[:overflow])
-            del self._times[:overflow]
-            del self._values[:overflow]
-            self._dropped += overflow
 
     def samples(self) -> List[Tuple[float, float]]:
         """All samples as (time, value) pairs."""
         return list(zip(self._times, self._values))
 
-    def times(self) -> List[float]:
-        """Just the sample times."""
-        return list(self._times)
-
     def values(self) -> List[float]:
         """Just the sample values."""
         return list(self._values)
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        """The most recent sample, or None when empty."""
-        if not self._times:
-            return None
-        return (self._times[-1], self._values[-1])
 
     def time_average(self, until: Optional[float] = None) -> float:
         """Time-weighted mean of the piecewise-constant signal.

@@ -8,18 +8,22 @@ Three cooperating pieces turn a service run into measurable telemetry:
   cost one dynamic dispatch when observability is off (the enabled
   path's cost is the ``chaos_storm`` workload of ``benchmarks/ledger/``).
 * :mod:`repro.obs.sampler` — a periodic simulator process snapshotting
-  every registered gauge into ring-buffered
-  :class:`~repro.metrics.timeseries.TimeSeries`.
+  every registered gauge and writing each snapshot, when it takes it, as
+  ``sample`` rows into the run's sink.
 * :mod:`repro.obs.spans` — per-request session spans recording each VRA
   decision (with its routing epoch), per-cluster deliveries and
   mid-stream switches.
 
 Every row a run records reaches a file or memory through one
 :class:`~repro.obs.sink.TelemetrySink` (JSONL, CSV or
-:class:`~repro.obs.sink.MemoryTelemetrySink`): the structured
-:class:`~repro.sim.trace.Tracer`'s ``trace`` rows, and the spans,
-sampler spills, end-of-run drain (:func:`~repro.obs.export.telemetry_rows`),
-manifest and footer written by :class:`~repro.obs.stream.StreamingTelemetry`.
+:class:`~repro.obs.sink.MemoryTelemetrySink`) when it happens: the
+structured :class:`~repro.sim.trace.Tracer`'s ``trace`` rows; each
+sampler tick's ``sample`` rows and each closed span's ``span`` row,
+written into the run's one sink (``service.telemetry.sink``, a memory
+sink unless a :class:`~repro.obs.stream.StreamingTelemetry` points it at
+its own); and the manifest, end-of-run rows
+(:func:`~repro.obs.export.telemetry_rows`) and footer the streamer
+writes.
 :func:`~repro.obs.export.summarize_telemetry` reads a memory sink for the
 ``python -m repro obs`` CLI subcommand.
 """

@@ -1,11 +1,13 @@
-"""The one flatten function, and the run summary that reads a row stream.
+"""The end-of-run rows, and the run summary that reads a row stream.
 
-:func:`telemetry_rows` flattens one run's end-of-run telemetry into the
-JSON-ready row dicts every :class:`~repro.obs.sink.TelemetrySink` writes:
-``sample`` rows (one sampler snapshot of a gauge or counter), ``counter``
-and ``histogram`` rows (end-of-run totals and distribution summaries),
-and ``span`` rows (one full session span, see :mod:`repro.obs.spans`).
-:class:`~repro.obs.stream.StreamingTelemetry` drains a run through it.
+:func:`telemetry_rows` flattens what a run holds only at its end into
+the JSON-ready row dicts every :class:`~repro.obs.sink.TelemetrySink`
+writes: ``counter`` and ``histogram`` rows (end-of-run totals and
+distribution summaries) and the ``span`` rows of the sessions still
+open (see :mod:`repro.obs.spans`).  ``sample`` rows and closed spans
+are not among them: the sampler and the service write those when they
+happen.  :meth:`~repro.obs.stream.StreamingTelemetry.finish` writes
+these rows.
 
 :func:`summarize_telemetry` renders the operator-facing text summary the
 ``python -m repro obs`` subcommand prints, from the rows of a
@@ -18,28 +20,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.timeseries import TimeSeries
 from repro.obs.registry import MetricsRegistry
-from repro.obs.sampler import TelemetrySampler
 from repro.obs.sink import MemoryTelemetrySink
 from repro.obs.spans import SessionSpan
 
 
 def telemetry_rows(
     registry: MetricsRegistry,
-    sampler: Optional[TelemetrySampler] = None,
-    spans: Optional[Sequence[SessionSpan]] = None,
+    spans: Iterable[SessionSpan] = (),
 ) -> Iterator[Dict[str, object]]:
-    """Flatten one run's telemetry into JSON-ready row dicts."""
-    if sampler is not None:
-        for (name, labels), series in sorted(sampler.series().items()):
-            label_dict = dict(labels)
-            for time, value in series.samples():
-                yield {
-                    "kind": "sample",
-                    "name": name,
-                    "labels": label_dict,
-                    "time": time,
-                    "value": value,
-                }
+    """The end-of-run rows: counter totals, histogram summaries, then
+    one ``span`` row per span in ``spans``."""
     for counter in registry.counters():
         yield {
             "kind": "counter",
@@ -54,7 +44,7 @@ def telemetry_rows(
             "labels": histogram.label_dict(),
             **histogram.summary(),
         }
-    for span in spans or ():
+    for span in spans:
         yield {"kind": "span", **span.to_dict()}
 
 
@@ -142,8 +132,8 @@ def summarize_telemetry(
 def sample_series(
     rows: Iterable[Dict[str, object]], family: str
 ) -> List[Tuple[Dict[str, str], TimeSeries]]:
-    """One family's series rebuilt from a stream's ``sample`` rows (spilled
-    ones included), as (labels, series) pairs sorted by labels."""
+    """One family's series rebuilt from a stream's ``sample`` rows, as
+    (labels, series) pairs sorted by labels."""
     series: Dict[Tuple[Tuple[str, str], ...], TimeSeries] = {}
     for row in rows:
         if row["kind"] == "sample" and row["name"] == family:

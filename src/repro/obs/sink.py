@@ -1,8 +1,10 @@
 """Telemetry sinks: the one writer every telemetry row goes through.
 
 A :class:`TelemetrySink` takes rows one at a time from every producer
-of a run: the tracer (``trace`` rows), and the spans, sampler spills,
-final drain, manifest and footer of
+of a run, when they happen: the tracer (``trace`` rows), the sampler
+(``sample`` rows, through :meth:`TelemetrySink.sample_writer`), the
+service (a ``span`` row as each span closes), and the manifest,
+end-of-run rows and footer of
 :class:`~repro.obs.stream.StreamingTelemetry`.  :func:`open_sink` builds
 one of three formats: ``jsonl`` and ``csv`` write to a path (owned,
 closed, rotatable into ``path.1``, ``path.2``, ...) or an open handle
@@ -19,12 +21,15 @@ import csv
 import json
 from collections import deque
 from pathlib import Path
-from typing import IO, Collection, Deque, Dict, List, Optional, Sequence, Union
+from typing import IO, Callable, Collection, Deque, Dict, List, Optional, Union
 
 from repro.errors import ReproError
 
 #: Where a file sink writes: a filesystem path or an open text handle.
 SinkTarget = Union[str, Path, IO[str]]
+
+#: Writes one series' ``sample`` row: ``write(time, value)``.
+SampleWriter = Callable[[float, float], None]
 
 #: The one JSON encoder every telemetry row goes through: the same
 #: defaults and bytes as ``json.dumps(row, sort_keys=True)``, without
@@ -109,25 +114,24 @@ class TelemetrySink:
         else:
             self.skipped += 1
 
-    def write_samples(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        times: Sequence[float],
-        values: Sequence[float],
-    ) -> None:
-        """Write one series' samples (parallel ``times`` / ``values``).
+    def sample_writer(self, name: str, labels: Dict[str, str]) -> SampleWriter:
+        """A ``write(time, value)`` for one series' ``sample`` rows.
 
-        Equivalent, byte for byte and counter for counter, to one
+        Each call is, byte for byte and counter for counter, one
         :meth:`write` of ``{"kind": "sample", "name": name, "labels":
-        labels, "time": t, "value": v}`` per sample — which is what this
+        labels, "time": time, "value": value}`` — which is what this
         default does; a format may override it to encode the part of the
-        row that is constant across the series once.
+        row that is constant across the series once.  ``write`` is looked
+        up at call time, so a wrapper installed on the instance sees
+        every row.
         """
-        for t, v in zip(times, values):
+
+        def write_sample(time: float, value: float) -> None:
             self.write(
-                {"kind": "sample", "name": name, "labels": labels, "time": t, "value": v}
+                {"kind": "sample", "name": name, "labels": labels, "time": time, "value": value}
             )
+
+        return write_sample
 
     def write_footer(self, footer: Dict[str, object]) -> None:
         """Write the run-footer control row (into the last part)."""
@@ -213,30 +217,29 @@ class JsonlTelemetrySink(FileTelemetrySink):
         self._emit_control(row)
         return True
 
-    def write_samples(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        times: Sequence[float],
-        values: Sequence[float],
-    ) -> None:
+    def sample_writer(self, name: str, labels: Dict[str, str]) -> SampleWriter:
         """The series-constant head of the line is encoded once; each
         float is then written as ``json`` writes it (``float.__repr__``,
         ``NaN``, ``Infinity``, ``-Infinity``).  Rotation is checked per
         row and the counters move exactly as under :meth:`write`."""
-        if not times:
-            return
         head = encode_row({"kind": "sample", "labels": labels, "name": name})[:-1]
         limit = self.max_rows_per_file
-        for t, v in zip(times, values):
-            if limit is not None and self._rows_in_part >= limit:
-                self._rotate()
-            self._handle.write(
-                f'{head}, "time": {_json_float(t)}, "value": {_json_float(v)}}}\n'
-            )
-            self._rows_in_part += 1
-        self.written += len(times)
-        self.by_kind["sample"] = self.by_kind.get("sample", 0) + len(times)
+        by_kind = self.by_kind
+
+        def write_sample(time: float, value: float) -> None:
+            if limit is not None:  # the part count matters only to rotation
+                if self._rows_in_part >= limit:
+                    self._rotate()
+                self._rows_in_part += 1
+            if time - time == 0.0 and value - value == 0.0:  # both finite
+                line = f'{head}, "time": {time!r}, "value": {value!r}}}\n'
+            else:
+                line = f'{head}, "time": {_json_float(time)}, "value": {_json_float(value)}}}\n'
+            self._handle.write(line)
+            self.written += 1
+            by_kind["sample"] = by_kind.get("sample", 0) + 1
+
+        return write_sample
 
 
 class CsvTelemetrySink(FileTelemetrySink):

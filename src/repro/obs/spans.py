@@ -34,9 +34,8 @@ class SessionSpan:
     """The telemetry trail of one client request.
 
     A span is its request's trail, not a value: spans compare and hash by
-    identity (``eq=False``), so handing one off — ``service.spans.remove``
-    when the streamer flushes it — is a pointer scan that can never pick
-    a different span whose fields happen to be equal.
+    identity (``eq=False``).  The service holds it, by request id, only
+    while it is open.
 
     Attributes:
         request_id: The request's unique id.

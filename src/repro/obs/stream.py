@@ -1,4 +1,4 @@
-"""Write-behind streaming of one run's telemetry.
+"""Streaming of one run's telemetry into a sink.
 
 :class:`StreamingTelemetry` couples a running
 :class:`~repro.core.service.VoDService` to a
@@ -6,20 +6,21 @@
 
 - the run manifest is written first (config and its hash, seed,
   topology, code version) so every artifact is self-describing;
-- session spans are written once, as a ``span`` row, the moment they
-  close (via the service's ``on_span_finished`` slot), and dropped from
-  ``service.spans``;
-- sampler rings spill evicted samples to the sink instead of discarding
-  them (via :meth:`TelemetrySampler.set_spill`);
-- :meth:`finish` drains whatever is still live (ring contents, counter
-  totals, histogram summaries, still-open spans) through
+- :meth:`~StreamingTelemetry.start` then writes through whatever rows
+  the service's default memory sink already holds and points the run's
+  one sink attribute (``service.telemetry.sink``) at the streamer's
+  sink, so each sampler tick's ``sample`` rows and each span's ``span``
+  row (written the moment it closes) land there as they happen;
+- :meth:`~StreamingTelemetry.finish` writes what exists only at the end
+  (counter totals, histogram summaries, still-open spans) through
   :func:`~repro.obs.export.telemetry_rows`, writes the footer (row
   totals, wall time, peak RSS: the only wall-clock values in the stream)
   and closes the sink.
 
-The streamed data rows are, as a multiset, the ``telemetry_rows`` of a
-same-seed run with no streamer, while memory stays O(active sessions +
-ring capacity).
+The streamed data rows are, in order, the rows a same-seed run with no
+streamer leaves in its default memory sink followed by its
+``telemetry_rows``; the streamer holds nothing itself, and the service
+holds only its open spans.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.obs.export import telemetry_rows
-from repro.obs.sink import TelemetrySink
-from repro.obs.spans import SessionSpan
+from repro.obs.sink import MemoryTelemetrySink, TelemetrySink
 
 try:  # pragma: no cover - always present on POSIX
     import resource
@@ -100,7 +100,7 @@ def run_manifest(
 
 
 class StreamingTelemetry:
-    """Drains one service's telemetry into a sink, behind the run.
+    """Streams one service's telemetry into a sink, as the run goes.
 
     Args:
         service: The (observability-enabled) service under measurement.
@@ -125,16 +125,14 @@ class StreamingTelemetry:
         self._wall_start: Optional[float] = None
         self._started = False
         self._finished = False
-        self.spans_flushed = 0
-        self.samples_spilled = 0
-        self.peak_resident_rows = 0
         self.footer: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Write the manifest and install the span and spill hooks."""
+        """Write the manifest and the rows the service already holds, and
+        make this streamer's sink the run's sink."""
         if self._started:
             return
         self._started = True
@@ -142,18 +140,20 @@ class StreamingTelemetry:
         self.sink.write_manifest(
             run_manifest(self._service, seed=self._seed, label=self._label)
         )
-        self._service.on_span_finished = self._span_finished
-        if self._service.telemetry is not None:
-            self._service.telemetry.set_spill(self._spill)
+        telemetry = self._service.telemetry
+        held = telemetry.sink
+        if isinstance(held, MemoryTelemetrySink) and held is not self.sink:
+            for row in held.rows:
+                self.sink.write(row)
+        telemetry.sink = self.sink
 
     def finish(self) -> Dict[str, object]:
-        """Drain everything still live, write the footer, close the sink.
+        """Write the end-of-run rows and the footer, close the sink, and
+        give the run a fresh memory sink.
 
-        Rows leave in :func:`~repro.obs.export.telemetry_rows`' order.
-        Ring contents go through :meth:`TelemetrySink.write_samples`, one
-        call per series (the same rows ``telemetry_rows`` would yield for
-        the sampler, a line each); counters, histograms and still-open
-        spans go through :meth:`TelemetrySink.write`.
+        Counter totals, histogram summaries and still-open spans leave in
+        :func:`~repro.obs.export.telemetry_rows`' order, through
+        :meth:`TelemetrySink.write`.
         """
         if self._finished:
             return self.footer or {}
@@ -161,65 +161,29 @@ class StreamingTelemetry:
             self.start()
         self._finished = True
         service = self._service
-        self._note_resident()
-        if service.telemetry is not None:
-            for (name, labels), series in sorted(service.telemetry.series().items()):
-                self.sink.write_samples(
-                    name, dict(labels), series.times(), series.values()
-                )
-        for row in telemetry_rows(service.obs, None, service.spans):
+        # Every request of an instrumented run has a span, and each left
+        # as a row when it closed: all but the open ones were flushed.
+        spans_flushed = (
+            len(service.sessions) - len(service.open_spans) if service.obs.enabled else 0
+        )
+        for row in telemetry_rows(service.obs, service.open_spans.values()):
             self.sink.write(row)
-        self.footer = self._build_footer()
+        self.footer = self._build_footer(spans_flushed)
         self.sink.write_footer(self.footer)
         self.sink.close()
-        service.on_span_finished = None
-        if service.telemetry is not None:
-            service.telemetry.set_spill(None)
+        # A run that goes on writes into a fresh memory sink, not a closed one.
+        service.telemetry.sink = MemoryTelemetrySink()
         return self.footer
-
-    # ------------------------------------------------------------------ #
-    # hooks
-    # ------------------------------------------------------------------ #
-    def _span_finished(self, span: SessionSpan) -> None:
-        self.sink.write({"kind": "span", **span.to_dict()})
-        self.spans_flushed += 1
-        try:
-            self._service.spans.remove(span)
-        except ValueError:
-            pass
-        self._note_resident()
-
-    def _spill(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        times: List[float],
-        values: List[float],
-    ) -> None:
-        """Ring-overflow hook: the evicted samples of one series go to the
-        sink as the rows the final drain would have written for them."""
-        self.sink.write_samples(name, labels, times, values)
-        self.samples_spilled += len(times)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _note_resident(self) -> None:
-        resident = len(self._service.spans)
-        telemetry = self._service.telemetry
-        if telemetry is not None:
-            resident += telemetry.resident_samples()
-        if resident > self.peak_resident_rows:
-            self.peak_resident_rows = resident
-
-    def _build_footer(self) -> Dict[str, object]:
+    def _build_footer(self, spans_flushed: int) -> Dict[str, object]:
         service = self._service
         wall = time.perf_counter() - (self._wall_start or time.perf_counter())
         return {
             **self.sink.totals(),
-            "spans_flushed": self.spans_flushed,
-            "samples_spilled": self.samples_spilled,
-            "peak_resident_rows": self.peak_resident_rows,
+            "spans_flushed": spans_flushed,
             "sim_time_end": service.sim.now,
             "events_fired": service.sim.events_fired,
             "wall_time_s": wall,

@@ -16,6 +16,7 @@ from repro.errors import RoutingError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
+from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 
@@ -335,11 +336,11 @@ class TestTryDecideTrace:
         tracer = Tracer()
         outcome = run(tracer)
         assert not outcome.ok
-        [record] = tracer.events("vra.degraded")
-        assert record.message == f"movie at U2: {outcome.outcome}"
-        assert record.data == {
+        [record] = trace_rows(tracer, "vra.degraded")
+        assert record["message"] == f"movie at U2: {outcome.outcome}"
+        assert record["data"] == {
             "home_uid": "U2", "title_id": "movie", "outcome": outcome.outcome
         }
         silent = Tracer(enabled=False)
         assert run(silent).outcome == outcome.outcome
-        assert silent.events() == []
+        assert trace_rows(silent) == []

@@ -30,6 +30,7 @@ from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
+from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 #: Every home asks for the one title its two holders (U4, U5) serve.
@@ -301,8 +302,8 @@ class TestHitPathIsAProbe:
         report("4pm")(service)  # routing bump
         decide_all()
         rows = [
-            (event.data["home_uid"], event.data["chosen_uid"], event.data["cost"])
-            for event in tracer.events("vra.decision")
+            (row["data"]["home_uid"], row["data"]["chosen_uid"], row["data"]["cost"])
+            for row in trace_rows(tracer, "vra.decision")
         ]
         return readings, rows, service.vra.cache_stats.as_dict()
 

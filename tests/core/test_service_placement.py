@@ -8,6 +8,7 @@ from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
+from tests.trace_rows import trace_rows
 
 
 def build_service(grnet_8am, tracer=None, **config_kwargs) -> VoDService:
@@ -29,10 +30,10 @@ class TestTraceFamilies:
         service.seed_title("U4", title())
         service.request_by_home("U2", "m")
         service.sim.run(until=service.sim.now + 3600.0)
-        passes = tracer.events("placement.pass")
+        passes = trace_rows(tracer, "placement.pass")
         assert passes
-        assert "resident_fraction" in passes[0].data
-        assert tracer.events("dma.pass") == []
+        assert "resident_fraction" in passes[0]["data"]
+        assert trace_rows(tracer, "dma.pass") == []
 
 
 class TestFractionAwareAdvertisement:

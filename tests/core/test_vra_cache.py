@@ -10,6 +10,7 @@ from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
+from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 
@@ -245,9 +246,9 @@ class TestSnapshot:
             sim, build_grnet_topology(), ServiceConfig(), tracer=Tracer(enabled=True)
         )
         service.snapshot()
-        events = service.tracer.events("service.snapshot")
+        events = trace_rows(service.tracer, "service.snapshot")
         assert len(events) == 1
-        assert "routing_cache" in events[0].data
+        assert "routing_cache" in events[0]["data"]
 
 
 class TestTwoPartToken:

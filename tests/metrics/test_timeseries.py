@@ -7,39 +7,12 @@ from repro.metrics.timeseries import TimeSeries
 
 
 class TestCapacity:
-    def test_ring_drops_oldest_first(self):
-        series = TimeSeries("ring", capacity=3)
-        for t in range(5):
-            series.record(float(t), float(t * 10))
-        assert len(series) == 3
-        assert series.dropped_count == 2
-        assert series.samples() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-
     def test_unbounded_by_default(self):
         series = TimeSeries()
         for t in range(100):
             series.record(float(t), 1.0)
         assert len(series) == 100
-        assert series.dropped_count == 0
-
-    def test_on_drop_spills_evicted_samples_in_order(self):
-        spilled = []
-        series = TimeSeries(
-            "t",
-            capacity=2,
-            on_drop=lambda times, values: spilled.append((list(times), list(values))),
-        )
-        series.record(0.0, 1.0)
-        series.record(1.0, 2.0)
-        assert spilled == []  # nothing spilled until the ring overflows
-        series.record(2.0, 3.0)
-        assert spilled == [([0.0], [1.0])]
-        assert series.dropped_count == 1
-        assert series.samples() == [(1.0, 2.0), (2.0, 3.0)]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ReproError):
-            TimeSeries(capacity=0)
+        assert series.samples()[0] == (0.0, 1.0)
 
 
 class TestRecording:
@@ -61,12 +34,6 @@ class TestRecording:
         series.record(10.0, 1.0)
         with pytest.raises(ReproError):
             series.record(5.0, 2.0)
-
-    def test_last(self):
-        series = TimeSeries()
-        assert series.last() is None
-        series.record(1.0, 9.0)
-        assert series.last() == (1.0, 9.0)
 
 
 class TestTimeAverage:

@@ -40,12 +40,20 @@ def make_run():
     return registry, sampler, [span]
 
 
+def run_rows(registry, sampler, spans):
+    """The run's rows: the samples its sampler wrote, then the end-of-run rows."""
+    return list(sampler.sink.rows) + list(telemetry_rows(registry, spans))
+
+
 class TestRows:
     def test_row_kinds_and_contents(self):
         registry, sampler, spans = make_run()
-        rows = list(telemetry_rows(registry, sampler, spans))
+        rows = run_rows(registry, sampler, spans)
         kinds = {row["kind"] for row in rows}
         assert kinds == {"sample", "counter", "histogram", "span"}
+        assert {row["kind"] for row in telemetry_rows(registry, spans)} == {
+            "counter", "histogram", "span"
+        }  # samples are written when taken, not at the end
         sample = next(r for r in rows if r["kind"] == "sample" and r["name"] == "link.utilization")
         assert sample["labels"] == {"link": "a-b"}
         assert sample["value"] == 0.5
@@ -67,7 +75,7 @@ class TestJsonl:
     def test_every_line_is_valid_json(self):
         registry, sampler, spans = make_run()
         out = io.StringIO()
-        count = write_all(JsonlTelemetrySink(out), telemetry_rows(registry, sampler, spans)).written
+        count = write_all(JsonlTelemetrySink(out), run_rows(registry, sampler, spans)).written
         lines = out.getvalue().strip().splitlines()
         assert len(lines) == count > 0
         parsed = [json.loads(line) for line in lines]
@@ -78,7 +86,7 @@ class TestCsv:
     def test_header_and_span_accounting(self):
         registry, sampler, spans = make_run()
         out = io.StringIO()
-        sink = write_all(CsvTelemetrySink(out), telemetry_rows(registry, sampler, spans))
+        sink = write_all(CsvTelemetrySink(out), run_rows(registry, sampler, spans))
         written, skipped = sink.written, sink.skipped
         rows = list(csv.reader(io.StringIO(out.getvalue())))
         assert rows[0] == CSV_FIELDS
@@ -135,7 +143,7 @@ class TestSummary:
         assert "1 dropped by capacity bound" in text
         # Everything else is read from the rows the sink holds.
         sink = MemoryTelemetrySink()
-        write_all(sink, telemetry_rows(registry, sampler, spans))
+        write_all(sink, run_rows(registry, sampler, spans))
         text = summarize_telemetry(registry, sink)
         assert "sampling: 3 rounds" in text
         assert "vra.decisions" in text

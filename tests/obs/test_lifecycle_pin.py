@@ -25,6 +25,7 @@ from repro.experiments.placement import session_fingerprint
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs.export import telemetry_rows
 from repro.sim.trace import Tracer
+from tests.trace_rows import trace_rows
 
 #: The event kinds of the spans both pins share.
 SERVED = ("submitted", "vra.decision", "cluster.delivered", "vra.decision",
@@ -112,15 +113,22 @@ def run_every_ending(requeue_attempts: int) -> Pin:
     service.request_by_home = recording_submit
     requests = scenario.drive(service)
     scenario.assert_endings(service, requests, requeue_attempts)
+    # Closed spans were written as they closed; the open ones (none, once
+    # every request ended) come with the end-of-run rows.
+    spans = [
+        row
+        for row in [*service.telemetry.sink.rows,
+                    *telemetry_rows(service.obs, service.open_spans.values())]
+        if row["kind"] == "span"
+    ]
     return Pin(
         fingerprint=session_fingerprint(service.sessions),
         events_fired=service.sim.events_fired,
         processes=tuple(processes),
-        categories=[event.category for event in tracer.events()],
+        categories=[row["category"] for row in trace_rows(tracer)],
         span_kinds=tuple(
             (row["client_id"], row["status"], tuple(e["kind"] for e in row["events"]))
-            for row in telemetry_rows(service.obs, None, service.spans)
-            if row["kind"] == "span"
+            for row in sorted(spans, key=lambda row: row["request_id"])
         ),
     )
 

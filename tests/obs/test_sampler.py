@@ -5,7 +5,18 @@ import pytest
 from repro.errors import ReproError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TelemetrySampler
+from repro.obs.sink import MemoryTelemetrySink
 from repro.sim.engine import Simulator
+
+
+def samples(sampler, name, labels=None):
+    """(time, value) of one series' ``sample`` rows in the sampler's sink."""
+    return [
+        (row["time"], row["value"])
+        for row in sampler.sink.rows
+        if row["kind"] == "sample" and row["name"] == name
+        and (labels is None or row["labels"] == labels)
+    ]
 
 
 class TestSampling:
@@ -20,10 +31,7 @@ class TestSampling:
         sim.schedule_at(15.0, lambda: box.update(v=5.0), name="bump")
         sim.run(until=30.0)
 
-        series = sampler.get("g")
-        assert series is not None
-        assert series.samples() == [(0.0, 1.0), (10.0, 1.0), (20.0, 5.0), (30.0, 5.0)]
-        assert sampler.sample_count >= 3
+        assert samples(sampler, "g") == [(0.0, 1.0), (10.0, 1.0), (20.0, 5.0), (30.0, 5.0)]
 
     def test_counters_sampled_by_default(self):
         sim = Simulator()
@@ -33,7 +41,7 @@ class TestSampling:
         sampler.start()
         sim.schedule_at(5.0, lambda: counter.inc(3.0), name="inc")
         sim.run(until=10.0)
-        assert sampler.get("c").values() == [0.0, 3.0]
+        assert [value for _, value in samples(sampler, "c")] == [0.0, 3.0]
 
     def test_counter_sampling_can_be_disabled(self):
         sim = Simulator()
@@ -42,7 +50,7 @@ class TestSampling:
         sampler = TelemetrySampler(sim, registry, period_s=10.0, sample_counters=False)
         sampler.start()
         sim.run(until=20.0)
-        assert sampler.get("c") is None
+        assert samples(sampler, "c") == []
 
     def test_labeled_instruments_get_distinct_series(self):
         sim = Simulator()
@@ -52,45 +60,32 @@ class TestSampling:
         sampler = TelemetrySampler(sim, registry, period_s=10.0)
         sampler.start()
         sim.run(until=10.0)
-        pairs = sampler.series_for("link.util")
-        assert [labels for labels, _ in pairs] == [{"link": "a"}, {"link": "b"}]
-        assert sampler.families() == ["link.util"]
+        assert samples(sampler, "link.util", {"link": "a"}) == [(0.0, 0.25), (10.0, 0.25)]
+        assert samples(sampler, "link.util", {"link": "b"}) == [(0.0, 0.75), (10.0, 0.75)]
+        assert {row["name"] for row in sampler.sink.rows} == {"link.util"}
 
-    def test_ring_capacity_drops_oldest(self):
+    def test_each_tick_writes_its_rows_when_taken(self):
         sim = Simulator()
         registry = MetricsRegistry()
-        registry.gauge("g", callback=lambda: sim.now)
+        registry.gauge("g", callback=lambda: int(sim.now))
         registry.counter("c")
-        sampler = TelemetrySampler(sim, registry, period_s=1.0, capacity=4)
-        spilled = []
-        sampler.set_spill(
-            lambda name, labels, times, values: spilled.extend((name, t) for t in times)
-        )
+        sampler = TelemetrySampler(sim, registry, period_s=1.0)
         sampler.start()
         while sim.peek() is not None and sim.peek() <= 10.0:
             sim.step()
-            # The running count is the sum of ring lengths, tick by tick.
-            assert sampler.resident_samples() == sum(
-                len(s) for s in sampler.series().values()
-            )
-        series = sampler.get("g")
-        assert len(series) == 4
-        assert series.dropped_count == 7
-        assert series.samples()[-1] == (10.0, 10.0)
-        assert sampler.resident_samples() == 8
-        # Every evicted sample reached the hook: oldest first, and within a
-        # tick in sampling order (gauges, then counters).
-        assert spilled == [(name, float(t)) for t in range(7) for name in ("g", "c")]
+            # Every tick up to now is already in the sink: nothing waits.
+            assert [(row["name"], row["time"]) for row in sampler.sink.rows] == [
+                (name, float(t)) for t in range(int(sim.now) + 1) for name in ("g", "c")
+            ]
+        # A gauge's integer reading is written as a float, as a time is.
+        assert samples(sampler, "g")[-1] == (10.0, 10.0)
+        assert all(isinstance(row["value"], float) for row in sampler.sink.rows)
 
     def test_instruments_registered_mid_run_join_sampling(self):
         sim = Simulator()
         registry = MetricsRegistry()
         registry.gauge("m", callback=lambda: 0.0)
-        sampler = TelemetrySampler(sim, registry, period_s=10.0, capacity=2)
-        spilled = []
-        sampler.set_spill(
-            lambda name, labels, times, values: spilled.extend((name, t) for t in times)
-        )
+        sampler = TelemetrySampler(sim, registry, period_s=10.0)
         sampler.start()
 
         def register():
@@ -100,17 +95,27 @@ class TestSampling:
         sim.schedule_at(15.0, register, name="register")
         sim.run(until=30.0)
         for name in ("late", "a.first"):
-            assert [t for t, _ in sampler.get(name).samples()] == [20.0, 30.0]
-        assert spilled == [("m", 0.0), ("m", 10.0)]
-        # Once the newcomers overflow too, each tick spills in sorted
-        # sampling order: the late "a.first" ahead of the original "m".
-        del spilled[:]
-        sim.run(until=50.0)
-        assert spilled == [
+            assert [t for t, _ in samples(sampler, name)] == [20.0, 30.0]
+        # Each tick writes in sorted sampling order: the late "a.first"
+        # ahead of the original "m".
+        assert [(row["name"], row["time"]) for row in sampler.sink.rows] == [
+            ("m", 0.0), ("m", 10.0),
             ("a.first", 20.0), ("late", 20.0), ("m", 20.0),
             ("a.first", 30.0), ("late", 30.0), ("m", 30.0),
         ]
-        assert sampler.resident_samples() == 6
+
+    def test_a_new_sink_takes_the_next_tick(self):
+        sim = Simulator()
+        registry = MetricsRegistry()
+        registry.gauge("g", callback=lambda: 1.0)
+        sampler = TelemetrySampler(sim, registry, period_s=10.0)
+        first = sampler.sink
+        sampler.start()
+        sim.run(until=10.0)
+        sampler.sink = MemoryTelemetrySink()
+        sim.run(until=30.0)
+        assert samples(sampler, "g") == [(20.0, 1.0), (30.0, 1.0)]
+        assert [row["time"] for row in first.rows] == [0.0, 10.0]
 
 
 class TestLifecycle:
@@ -119,8 +124,8 @@ class TestLifecycle:
         sampler = TelemetrySampler(sim, MetricsRegistry(enabled=False))
         sampler.start()
         sim.run(until=600.0)
-        assert sampler.series() == {}
-        assert sampler.sample_count == 0
+        assert sampler.sink is None
+        assert sim.events_fired == 0
 
     def test_stop_keeps_recorded_series(self):
         sim = Simulator()
@@ -131,7 +136,7 @@ class TestLifecycle:
         sim.run(until=10.0)
         sampler.stop()
         sim.run(until=100.0)
-        assert len(sampler.get("g")) == 2
+        assert len(samples(sampler, "g")) == 2
 
     def test_start_is_idempotent(self):
         sim = Simulator()
@@ -142,7 +147,7 @@ class TestLifecycle:
         sampler.start()
         sim.run(until=10.0)
         # One immediate sample plus one periodic — not doubled.
-        assert len(sampler.get("g")) == 2
+        assert len(samples(sampler, "g")) == 2
 
     def test_invalid_period_rejected(self):
         with pytest.raises(ReproError):

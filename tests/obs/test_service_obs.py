@@ -6,9 +6,19 @@ import pytest
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.experiments.placement import session_fingerprint
+from repro.obs.export import sample_series
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
+from tests.trace_rows import trace_rows
+
+
+def rows_of(service, kind, name=None):
+    """The rows of one kind (and name) in the service's telemetry sink."""
+    return [
+        row for row in service.telemetry.sink.rows
+        if row["kind"] == kind and (name is None or row["name"] == name)
+    ]
 
 
 def run_service(topology, observability=True, tracer=None, period=30.0, **config):
@@ -61,7 +71,7 @@ class TestEnabled:
 
     def test_sampler_records_link_utilisation_timeline(self, grnet_8am):
         service = run_service(grnet_8am)
-        pairs = service.telemetry.series_for("link.utilization")
+        pairs = sample_series(service.telemetry.sink.rows, "link.utilization")
         assert len(pairs) == service.topology.link_count
         assert all(len(series) > 1 for _, series in pairs)
         # The transfer reserved bandwidth somewhere: some link peaked > 0.
@@ -70,20 +80,21 @@ class TestEnabled:
     def test_span_follows_the_request_end_to_end(self, grnet_8am):
         tracer = Tracer()
         service = run_service(grnet_8am, tracer=tracer)
-        assert len(service.spans) == 1
-        span = service.spans[0]
-        assert not span.open
-        assert span.status == "completed"
-        assert span.home_uid == "U2"
-        assert span.decision_count == 2  # one per 100 MB cluster
-        assert span.servers_used == ["U4"]
-        decision = span.events_of("vra.decision")[0]
-        assert decision.attrs["chosen_uid"] == "U4"
-        assert isinstance(decision.attrs["epoch"], list)
+        # The span closed, so it left the service as its one span row.
+        assert service.open_spans == {}
+        [span] = rows_of(service, "span")
+        assert span["finished_at"] is not None
+        assert span["status"] == "completed"
+        assert span["home_uid"] == "U2"
+        assert span["decision_count"] == 2  # one per 100 MB cluster
+        assert span["servers_used"] == ["U4"]
+        decision = next(e for e in span["events"] if e["kind"] == "vra.decision")
+        assert decision["chosen_uid"] == "U4"
+        assert isinstance(decision["epoch"], list)
         # No wall-clock values in the span, and no span copies in the
         # trace: the span reaches the row stream once, as a span row.
-        assert "latency_ms" not in decision.attrs
-        assert not any(c.startswith("span.") for c in tracer.categories())
+        assert "latency_ms" not in decision
+        assert not any(row["category"].startswith("span.") for row in trace_rows(tracer))
 
     def test_per_server_labeled_counters(self, grnet_8am):
         service = run_service(grnet_8am)
@@ -99,8 +110,8 @@ class TestDisabled:
     def test_disabled_service_registers_nothing(self, grnet_8am):
         service = run_service(grnet_8am, observability=False)
         assert len(service.obs) == 0
-        assert service.spans == []
-        assert service.telemetry.series() == {}
+        assert service.open_spans == {}
+        assert service.telemetry.sink is None
         # The run itself is unaffected.
         assert service.sessions[0].completed
 
@@ -139,9 +150,10 @@ class TestRuntimeExpansion:
             for c in service.obs.find("server.serves")
         )
         service.telemetry.sample()
-        assert service.telemetry.get(
-            "link.utilization", {"link": "Larissa-Athens"}
-        ) is not None
+        assert any(
+            row["labels"] == {"link": "Larissa-Athens"}
+            for row in rows_of(service, "sample", "link.utilization")
+        )
 
 
 class TestBlockedRequests:
@@ -166,8 +178,9 @@ class TestBlockedRequests:
         assert request.finished
         assert request.status.value == "failed"
         assert service.obs.counter("service.requests_blocked").value == 1.0
-        assert len(service.spans) == 1
-        assert service.spans[0].status == "failed"
+        assert service.open_spans == {}
+        [span] = rows_of(service, "span")
+        assert span["status"] == "failed"
 
 
 class TestEveryEnding:
@@ -285,7 +298,7 @@ class TestEveryEnding:
 
         service.sessions = Unscannable(service.sessions)
         service.telemetry.sample()
-        assert service.telemetry.get("service.sessions_active").last()[1] == 0.0
+        assert rows_of(service, "sample", "service.sessions_active")[-1]["value"] == 0.0
 
     @pytest.mark.parametrize("observability", [True, False])
     @pytest.mark.parametrize("requeue_attempts", [0, 2])
@@ -304,4 +317,4 @@ class TestEveryEnding:
         )
         requests = self.drive(service)
         self.assert_endings(service, requests, requeue_attempts)
-        assert all(not span.open for span in service.spans)
+        assert service.open_spans == {}

@@ -132,7 +132,7 @@ class TestMemory:
         sink.write_manifest(MANIFEST)
         for i in range(3):
             sink.write(sample_row(i))
-        sink.write_samples("h", {"x": "1"}, [5.0], [6.0])
+        sink.sample_writer("h", {"x": "1"})(5.0, 6.0)
         sink.write_footer({"wall_time_s": 1.0})
         sink.close()
         assert list(sink.rows) == [sample_row(i) for i in range(3)] + [
@@ -190,7 +190,7 @@ series = st.tuples(
 )
 
 
-class TestWriteSamples:
+class TestSampleWriter:
     @given(
         st.lists(series, min_size=1, max_size=4),
         st.sampled_from([None, 1, 3]),
@@ -198,19 +198,22 @@ class TestWriteSamples:
     )
     @settings(max_examples=120, deadline=None)
     def test_same_artifact_as_one_write_per_sample(self, batches, max_rows, fmt):
-        """``write_samples`` is ``write`` per sample: bytes, counters,
+        """A ``sample_writer`` call is one ``write``: bytes, counters,
         parts and per-part manifests, across rotation."""
 
-        def artifact(directory, batched):
+        def artifact(directory, per_series):
             sink = open_sink(Path(directory) / f"run.{fmt}", fmt, max_rows_per_file=max_rows)
             sink.write_manifest(MANIFEST)
-            for name, labels, samples in batches:
-                times = [t for t, _ in samples]
-                values = [v for _, v in samples]
-                if batched:
-                    sink.write_samples(name, labels, times, values)
-                else:
-                    for t, v in samples:
+            writers = [sink.sample_writer(name, labels) for name, labels, _ in batches]
+            # Ticks interleave the series, as the sampler's do.
+            for tick in range(max(len(samples) for _, _, samples in batches)):
+                for (name, labels, samples), write in zip(batches, writers):
+                    if tick >= len(samples):
+                        continue
+                    t, v = samples[tick]
+                    if per_series:
+                        write(t, v)
+                    else:
                         sink.write(
                             {"kind": "sample", "name": name, "labels": labels,
                              "time": t, "value": v}
@@ -226,4 +229,4 @@ class TestWriteSamples:
             )
 
         with tempfile.TemporaryDirectory() as one, tempfile.TemporaryDirectory() as two:
-            assert artifact(one, batched=True) == artifact(two, batched=False)
+            assert artifact(one, per_series=True) == artifact(two, per_series=False)

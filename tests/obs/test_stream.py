@@ -1,17 +1,16 @@
-"""Unit tests for write-behind streaming: hooks, manifest, footer, memory."""
+"""Unit tests for streaming: rows as they happen, manifest, footer."""
 
+import gc
 import hashlib
 import json
-from collections import Counter
+import weakref
 
 import repro
 from repro.cli import main
 from repro.core.service import ServiceConfig, VoDService
-from repro.experiments.harness import ServiceExperiment, run_service_experiment
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs.export import telemetry_rows
 from repro.obs.sink import JsonlTelemetrySink, MemoryTelemetrySink
-from repro.obs.spans import SessionSpan
 from repro.obs.stream import (
     MANIFEST_SCHEMA,
     StreamingTelemetry,
@@ -21,7 +20,6 @@ from repro.obs.stream import (
 )
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
-from repro.workload.scenarios import flash_crowd_scenario
 
 
 def grnet_8am_topology():
@@ -55,14 +53,6 @@ def read_jsonl(path):
         return [json.loads(line) for line in handle]
 
 
-def sample_multiset(rows):
-    return Counter(
-        (r["name"], tuple(sorted(r["labels"].items())), r["time"], r["value"])
-        for r in rows
-        if r["kind"] == "sample"
-    )
-
-
 class TestStreaming:
     def test_spans_flush_on_close_and_leave_memory(self, grnet_8am, tmp_path):
         service = build_service(grnet_8am)
@@ -73,137 +63,94 @@ class TestStreaming:
         streamer.start()
         drive(service)
         # The session closed mid-run: its span went to the sink, not RAM.
-        assert service.spans == []
-        assert streamer.spans_flushed == 1
+        assert service.open_spans == {}
+        assert streamer.sink.by_kind["span"] == 1
         footer = streamer.finish()
         span_rows = [r for r in read_jsonl(path) if r["kind"] == "span"]
         assert len(span_rows) == 1
         assert span_rows[0]["status"] == "completed"
         assert footer["rows_by_kind"]["span"] == 1
+        assert footer["spans_flushed"] == 1
 
-    def test_finish_restores_hooks(self, grnet_8am, tmp_path):
+    def test_start_points_the_runs_sink_at_the_streamer(self, grnet_8am, tmp_path):
+        service = build_service(grnet_8am)
+        held = service.telemetry.sink
+        assert isinstance(held, MemoryTelemetrySink)
+        service.start()  # the immediate sample lands in the default sink
+        assert held.written > 0
+        path = tmp_path / "r.jsonl"
+        streamer = StreamingTelemetry(service, JsonlTelemetrySink(path))
+        streamer.start()
+        assert service.telemetry.sink is streamer.sink
+        streamer.finish()
+        rows = read_jsonl(path)
+        # The rows taken before start() follow the manifest, in order.
+        assert rows[0]["kind"] == "manifest"
+        assert rows[1 : 1 + held.written] == list(held.rows)
+
+    def test_a_run_that_goes_on_after_finish_writes_to_memory(self, grnet_8am, tmp_path):
         service = build_service(grnet_8am)
         streamer = StreamingTelemetry(service, JsonlTelemetrySink(tmp_path / "r.jsonl"))
         streamer.start()
-        assert service.on_span_finished is not None
+        service.start()
+        service.request_by_home("U2", "m")
         streamer.finish()
-        assert service.on_span_finished is None
-        for _, series in service.telemetry.series_for("link.utilization"):
-            assert series.on_drop is None
+        assert streamer.sink.closed
+        service.sim.run(until=service.sim.now + 3600.0)  # the span closes here
+        kinds = {row["kind"] for row in service.telemetry.sink.rows}
+        assert kinds == {"sample", "span"}
 
-    def test_ring_spill_loses_no_samples(self, grnet_8am, tmp_path):
-        # Reference: ample rings, classic buffered export.
-        buffered = build_service(grnet_8am, telemetry_capacity=4096)
-        drive(buffered)
-        expected = sample_multiset(
-            telemetry_rows(buffered.obs, buffered.telemetry, buffered.spans)
-        )
+    def test_sink_holds_every_sample_up_to_now(self):
+        checkpoints = [8 * 3600.0 + t for t in (0.0, 45.0, 600.0, 1_800.0, 3_600.0)]
+        reference = build_service(grnet_8am_topology())
+        drive(reference)
+        expected = [row for row in reference.telemetry.sink.rows if row["kind"] == "sample"]
 
-        # Same deterministic run, tiny rings: overflow spills to the sink.
-        service = build_service(grnet_8am, telemetry_capacity=8)
-        path = tmp_path / "run.jsonl"
-        streamer = StreamingTelemetry(service, JsonlTelemetrySink(path))
-        streamer.start()
-        drive(service)
-        streamer.finish()
-        assert streamer.samples_spilled > 0
-        assert sample_multiset(read_jsonl(path)) == expected
+        service = build_service(grnet_8am_topology())
+        sink = MemoryTelemetrySink()
+        StreamingTelemetry(service, sink).start()
+        service.start()
+        service.request_by_home("U2", "m")
+        for until in checkpoints:
+            service.sim.run(until=until)
+            # Nothing waits for finish(): every sample taken so far is in.
+            assert [row for row in sink.rows if row["kind"] == "sample"] == [
+                row for row in expected if row["time"] <= until
+            ]
 
-    def test_a_closed_span_is_removed_by_identity_not_by_value(self, grnet_8am, tmp_path):
+    def test_a_closed_span_is_held_by_nothing_in_the_service(self, grnet_8am):
         service = build_service(grnet_8am)
-        path = tmp_path / "run.jsonl"
-        streamer = StreamingTelemetry(service, JsonlTelemetrySink(path))
-        streamer.start()
-        now = service.sim.now
-        ids = dict(request_id=7, client_id="c", title_id="m", home_uid="U2")
-        first = SessionSpan(started_at=now, **ids)
-        second = SessionSpan(started_at=now, **ids)
-        service.spans.extend([first, second])
-        # Finished directly, not through the service: still on the list.
-        first.finish(now, "failed")
-        service._close_span(second, "failed")
-        assert first.to_dict() == second.to_dict()  # equal field for field
-        # The span that closed is the one that left; its twin stays.
-        assert streamer.spans_flushed == 1
-        assert len(service.spans) == 1 and service.spans[0] is first
-        streamer.finish()
-        span_rows = [r for r in read_jsonl(path) if r["kind"] == "span"]
-        assert [r["request_id"] for r in span_rows] == [7, 7]
-
-
-class TestMemoryBound:
-    """Resident telemetry is O(active sessions + ring capacity), not
-    O(total sessions): a 10x larger flash crowd adds fewer resident rows
-    than it adds sessions (with spans kept in RAM it adds exactly one per
-    session).  Small rings keep the spans' share of the peak visible."""
-
-    @staticmethod
-    def streamed_crowd(viewer_count, path):
-        scenario = flash_crowd_scenario(
-            "U2",
-            VideoTitle("special", size_mb=300.0, duration_s=1_800.0),
-            viewer_count=viewer_count,
-            start_s=600.0,
-            ramp_s=7_200.0,
-        )
-        box = {}
-
-        def hook(service):
-            box["streamer"] = StreamingTelemetry(service, JsonlTelemetrySink(path))
-            box["streamer"].start()
-
-        result = run_service_experiment(
-            ServiceExperiment(
-                name=f"stream-{viewer_count}",
-                scenario=scenario,
-                config=ServiceConfig(
-                    cluster_mb=100.0,
-                    disk_count=2,
-                    disk_capacity_mb=1_000.0,
-                    max_streams=256,
-                    use_reported_stats=False,
-                    observability=True,
-                    telemetry_capacity=16,
-                ),
-                seed_origin_uids=["U4"],
-                run_until=12 * 3600.0,
-                service_hook=hook,
-            )
-        )
-        return result, box["streamer"].finish()
-
-    def test_peak_resident_rows_flat_at_10x_sessions(self, tmp_path):
-        small, small_footer = self.streamed_crowd(4, tmp_path / "small.jsonl")
-        large, large_footer = self.streamed_crowd(40, tmp_path / "large.jsonl")
-        sessions = large.metrics.session_count
-        added = sessions - small.metrics.session_count
-        assert added > 0
-        assert large.metrics.completed_count == sessions
-        # Every finished span left RAM through the sink; none piled up.
-        assert large.service.spans == []
-        assert large_footer["spans_flushed"] == sessions
-        assert large_footer["rows_by_kind"]["span"] == sessions
-        assert large_footer["rows_written"] > 1_000
-        growth = large_footer["peak_resident_rows"] - small_footer["peak_resident_rows"]
-        assert growth < added
+        service.start()
+        request, _, _ = service.request_by_home("U2", "m")
+        span = weakref.ref(service.open_spans[request.request_id])
+        service.sim.run(until=service.sim.now + 3600.0)
+        assert request.status.value == "completed"
+        gc.collect()
+        assert span() is None
+        assert service.open_spans == {}
+        [row] = [r for r in service.telemetry.sink.rows if r["kind"] == "span"]
+        assert row["request_id"] == request.request_id
 
 
 class TestMemory:
     def test_streamed_rows_are_the_rows_of_a_run_without_a_streamer(self):
         reference = build_service(grnet_8am_topology())
         drive(reference)
-        expected = Counter(
-            json.dumps(row, sort_keys=True)
-            for row in telemetry_rows(reference.obs, reference.telemetry, reference.spans)
-        )
+        expected = [
+            *reference.telemetry.sink.rows,
+            *telemetry_rows(reference.obs, reference.open_spans.values()),
+        ]
         service = build_service(grnet_8am_topology())
         sink = MemoryTelemetrySink()
         streamer = StreamingTelemetry(service, sink)
         streamer.start()
         drive(service)
         streamer.finish()
-        assert service.spans == [] and reference.spans  # one took it, one kept it
-        assert Counter(json.dumps(row, sort_keys=True) for row in sink.rows) == expected
+        # Same rows, in the same order: each row leaves when it happens.
+        assert [json.dumps(row, sort_keys=True) for row in sink.rows] == [
+            json.dumps(row, sort_keys=True) for row in expected
+        ]
+        assert {row["kind"] for row in expected} == {"sample", "span", "counter", "histogram"}
 
     def test_a_memory_copy_is_the_artifact_a_file_sink_writes(self, tmp_path):
         paths = []
@@ -282,7 +229,7 @@ class TestManifest:
 
     def test_config_hash_tracks_config_changes(self, grnet_8am):
         a = build_service(grnet_8am)
-        b = build_service(grnet_8am, telemetry_capacity=8)
+        b = build_service(grnet_8am, max_streams=8)
         assert config_hash(a.config) != config_hash(b.config)
         assert config_hash(a.config) == config_hash(build_service(grnet_8am).config)
 
@@ -310,11 +257,11 @@ class TestFooter:
         assert footer["rows_written"] == sum(footer["rows_by_kind"].values())
         assert footer["rows_written"] == streamer.sink.written
         assert footer["spans_flushed"] == 1
+        assert "samples_spilled" not in footer and "peak_resident_rows" not in footer
         assert footer["sim_time_end"] == service.sim.now
         assert footer["events_fired"] == service.sim.events_fired
         assert footer["wall_time_s"] >= 0.0
         assert footer["peak_rss_kb"] > 0
-        assert footer["peak_resident_rows"] >= 1
         tail = read_jsonl(path)[-1]
         assert tail["kind"] == "footer"
         assert tail["rows_written"] == footer["rows_written"]

@@ -1,25 +1,18 @@
-"""Property tests: streamed telemetry is content-identical to buffered.
+"""Property tests: a streamed run writes the rows an unstreamed run keeps.
 
-The write-behind pipeline must never change *what* a run reports — only
-*when* it leaves memory.  For any seeded run (plain simulate-style
-request interleavings and chaos-style runs under a fault storm) the
-multiset of data rows in the streamed JSONL artifact must equal the
-:func:`~repro.obs.export.telemetry_rows` of a separate same-seed run with
-no streamer, which keeps every span.  Data rows hold no wall-clock value
-and a service numbers its own requests, so the two runs are exact
+Streaming must never change *what* a run reports, nor the order: every
+row leaves when it happens, wherever it goes.  For any seeded run (plain
+simulate-style request interleavings and chaos-style runs under a fault
+storm) the data rows of the streamed JSONL artifact must equal, line for
+line and in the same order, the rows a separate same-seed run with no
+streamer leaves in its default memory sink followed by its end-of-run
+:func:`~repro.obs.export.telemetry_rows`.  Data rows hold no wall-clock
+value and a service numbers its own requests, so the two runs are exact
 replays of each other.
-
-Rings get ample capacity (no overflow) because the unstreamed run can
-only see what a ring still holds, while streaming spills evictions;
-equality over lossy rings is exactly the asymmetry the pipeline exists to
-create.  The spill path has its own property instead: the same arrivals
-streamed over tiny rings and over ample ones must leave the same
-``sample`` and ``counter`` lines.
 """
 
 import io
 import json
-from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +22,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs.export import telemetry_rows
-from repro.obs.sink import JsonlTelemetrySink
+from repro.obs.sink import JsonlTelemetrySink, encode_row
 from repro.obs.stream import StreamingTelemetry
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
@@ -40,7 +33,7 @@ LINKS = tuple(link.name for link in build_grnet_topology().links())
 DRAIN_S = 4 * 3600.0
 
 
-def build_service(telemetry_capacity=4096):
+def build_service():
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     config = ServiceConfig(
@@ -49,7 +42,6 @@ def build_service(telemetry_capacity=4096):
         use_reported_stats=False,
         observability=True,
         telemetry_period_s=120.0,
-        telemetry_capacity=telemetry_capacity,
     )
     service = VoDService(Simulator(start_time=8 * 3600.0), topology, config)
     service.seed_title("U4", VideoTitle("m1", size_mb=300.0, duration_s=1_800.0))
@@ -57,37 +49,31 @@ def build_service(telemetry_capacity=4096):
     return service
 
 
-def canonical(rows):
-    """Multiset of rows under the exact serialisation the sink uses."""
-    return Counter(json.dumps(row, sort_keys=True) for row in rows)
-
-
-def streamed_and_buffered(run):
+def streamed_and_unstreamed(run):
     """Drive ``run`` twice on fresh services: once with nothing attached
-    (its :func:`telemetry_rows`), once streamed to JSONL."""
+    (its memory sink's rows, then its end-of-run rows), once streamed to
+    JSONL.  Both as the lines the JSONL sink writes, in order."""
     reference = build_service()
     reference.start()
     run(reference)
-    buffered = canonical(
-        telemetry_rows(reference.obs, reference.telemetry, reference.spans)
-    )
+    unstreamed = [
+        encode_row(row)
+        for row in [
+            *reference.telemetry.sink.rows,
+            *telemetry_rows(reference.obs, reference.open_spans.values()),
+        ]
+    ]
     service = build_service()
     out = io.StringIO()
     streamer = StreamingTelemetry(service, JsonlTelemetrySink(out))
     streamer.start()
     service.start()
     run(service)
-    streamer.finish()
+    footer = streamer.finish()
     lines = out.getvalue().splitlines()
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[0]["kind"] == "manifest"
-    assert parsed[-1]["kind"] == "footer"
-    streamed = Counter(
-        line
-        for line, row in zip(lines, parsed)
-        if row["kind"] not in ("manifest", "footer")
-    )
-    return streamed, buffered, streamer
+    assert json.loads(lines[0])["kind"] == "manifest"
+    assert json.loads(lines[-1])["kind"] == "footer"
+    return lines[1:-1], unstreamed, footer
 
 
 requests = st.lists(
@@ -120,35 +106,12 @@ def replay(arrivals):
 @given(requests)
 @settings(max_examples=15, deadline=None)
 def test_streamed_rows_match_buffered_export_for_simulate_runs(arrivals):
-    streamed, buffered, streamer = streamed_and_buffered(replay(arrivals))
-    assert streamed == buffered
-    # Every finished span left through the live hook, not the final drain.
-    finished = sum(1 for row in map(json.loads, streamed) if row["kind"] == "span")
-    assert streamer.spans_flushed <= finished
-
-
-@given(requests)
-@settings(max_examples=10, deadline=None)
-def test_spilled_samples_stream_the_same_lines_as_ample_rings(arrivals):
-    def stream(telemetry_capacity):
-        service = build_service(telemetry_capacity)
-        out = io.StringIO()
-        streamer = StreamingTelemetry(service, JsonlTelemetrySink(out))
-        streamer.start()
-        service.start()
-        replay(arrivals)(service)
-        streamer.finish()
-        lines = Counter(
-            line
-            for line in out.getvalue().splitlines()
-            if json.loads(line)["kind"] in ("sample", "counter")
-        )
-        return lines, streamer.samples_spilled
-
-    spilling, spilled = stream(4)
-    ample, unspilled = stream(4096)
-    assert spilled > 0 and unspilled == 0
-    assert spilling == ample
+    streamed, unstreamed, footer = streamed_and_unstreamed(replay(arrivals))
+    assert streamed == unstreamed
+    # Every finished span left when it closed, not with the end-of-run rows.
+    spans = [row for row in map(json.loads, streamed) if row["kind"] == "span"]
+    finished = sum(1 for row in spans if row["finished_at"] is not None)
+    assert footer["spans_flushed"] == finished
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -176,5 +139,5 @@ def test_streamed_rows_match_buffered_export_for_chaos_runs(seed):
             svc.request_by_home(home, TITLES[index % len(TITLES)], f"c{index}")
         svc.sim.run(until=now + DRAIN_S)
 
-    streamed, buffered, _ = streamed_and_buffered(run)
-    assert streamed == buffered
+    streamed, unstreamed, _ = streamed_and_unstreamed(run)
+    assert streamed == unstreamed

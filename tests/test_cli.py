@@ -309,11 +309,9 @@ class TestObs:
         assert "peak" in out
 
     def test_timeline_draws_every_sample_not_the_ring(self, capsys, tmp_path):
-        """A sampler ring keeps the last 1,440 samples of a series; the
-        timeline reads the run's row stream, which holds them all."""
+        """The timeline reads the run's row stream, which holds every
+        sample of a series: more than a day's 1,440 at one a minute."""
         import json
-
-        from repro.obs.sampler import DEFAULT_SERIES_CAPACITY
 
         path = tmp_path / "run.jsonl"
         argv = self.FAST[:-1] + ["20", "--timeline", "link.utilization"]
@@ -324,7 +322,7 @@ class TestObs:
         per_link = {}
         for row in samples:
             per_link.setdefault(row["labels"]["link"], []).append(row["time"])
-        assert max(len(times) for times in per_link.values()) > DEFAULT_SERIES_CAPACITY
+        assert max(len(times) for times in per_link.values()) > 1_440
         first = min(row["time"] for row in samples)
         last = max(row["time"] for row in samples)
         assert f"t = {first:g} .. {last:g} s" in out
@@ -360,3 +358,33 @@ class TestObs:
     def test_bad_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["obs", "--scenario", "tsunami"])
+
+
+class TestBadValues:
+    """A value the parser cannot check but the model rejects ends the run
+    with one ``repro: error:`` line on stderr and exit code 2, not a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["obs", "--sample-period", "0"], "sample period must be positive"),
+            (["simulate", "--topology", "{tmp}/missing.json"], "cannot load topology"),
+            (["chaos", "--duration-hours", "-1"], "duration must be positive"),
+            (["simulate", "--cluster-mb", "0"], "cluster size must be positive"),
+        ],
+    )
+    def test_a_rejected_value_is_one_error_line(self, argv, message, capsys, tmp_path):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "placement", "obs"])
+    def test_catalog_size_must_be_positive(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--catalog-size", "0"])
+        assert excinfo.value.code == 2
+        assert "--catalog-size: must be a positive integer" in capsys.readouterr().err
