@@ -5,6 +5,8 @@ Runs every user path in this process under one :mod:`cProfile` profiler:
 * the CLI matrix (:data:`CLI_MATRIX`, every subcommand and the options
   that switch code on);
 * every ``examples/*.py`` script, as ``__main__``;
+* the ``python`` blocks of ``docs/TUTORIAL.md``, in order, as one script
+  (``tests/test_tutorial.py`` runs the same code);
 * each perf-ledger workload as ``benchmarks/ledger/run.py --child trace``
   runs it, with the ledger's ``tracing.Tracer`` installed and
   ``tracing.counters`` read, at :data:`LEDGER_SCALE` of the nominal size.
@@ -14,14 +16,18 @@ included) is *reached* when the profiler saw it called at least once.  A
 function whose body does nothing (a docstring, ``pass``, ``...`` or
 ``raise NotImplementedError``) declares an interface or a no-op default;
 it has no code to reach and is not counted.  Every unreached function must
-be deleted or carry one named reason in :data:`REASONS`; ``--check`` exits
-1 when one does not.
+be deleted or carry one named reason in :data:`REASONS`, of one of the
+:data:`KINDS` ``paper``, ``fault``, ``reference``, ``bench`` or ``item5``
+(code that only its own unit tests call has no reason to stay).
+``--check`` exits 1 when one does not, and when a :data:`REASONS` key
+covers no unreached function any more (a user path reaches all of it:
+the reason is stale).
 
 Usage::
 
     python3 benchmarks/census.py            # the unreached table by file
     python3 benchmarks/census.py --list     # ... and every unreached function
-    python3 benchmarks/census.py --check    # exit 1 on an unreasoned function
+    python3 benchmarks/census.py --check    # exit 1 on an unreasoned function or a stale key
 
 Standard library only; about 35 s on one Intel Xeon core.
 """
@@ -35,6 +41,7 @@ import cProfile
 import importlib.util
 import io
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -47,6 +54,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 LEDGER = ROOT / "benchmarks" / "ledger"
 EXAMPLES = ROOT / "examples"
+TUTORIAL = ROOT / "docs" / "TUTORIAL.md"
 
 #: Reason kinds a :data:`REASONS` entry may use.
 KINDS = {
@@ -55,19 +63,26 @@ KINDS = {
     "reference": "an oracle that tests compare the production path against",
     "bench": "regenerates an EXPERIMENTS.md row from benchmarks/",
     "item5": "strip-level caching, the paper's future work (ROADMAP item 5)",
-    "deferred": "unreached, and its removal is a later change",
 }
 
-#: Why an unreached function stays: (kind, why, keys).  A key is a file
-#: under ``src/repro`` (every function in it), ``file::Class`` (every
+#: Why an unreached function stays: (kind, why, keys, tests).  A key is a
+#: file under ``src/repro`` (every function in it), ``file::Class`` (every
 #: method) or ``file::qualified.name`` (the function and the functions
-#: nested in it).  ``tests/test_census_reasons.py`` checks every key names
-#: code that exists and every kind is one of :data:`KINDS`.
-REASONS: List[Tuple[str, str, List[str]]] = [
+#: nested in it).  ``tests`` are the test node ids (``path::Class::name``,
+#: from the repository root) that need the code.
+#: ``tests/test_census_reasons.py`` checks every key names code that
+#: exists, every kind is one of :data:`KINDS`, every named test exists,
+#: and the named tests' files mention each public ``paper`` and
+#: ``reference`` key's last name segment.
+REASONS: List[Tuple[str, str, List[str], List[str]]] = [
     # -- paper: the paper's own API, kept and tested though no path calls it
     ("paper", "the limited-access database module: admin reads and writes go "
      "through a handle (paper: the database's full-/limited-access split)",
-     ["database/access.py::DatabaseHandle"]),
+     ["database/access.py::DatabaseHandle"],
+     ["tests/conformance/test_paper_interface.py::TestDatabaseModules::"
+      "test_each_module_is_a_database_handle_at_its_level",
+      "tests/conformance/test_paper_interface.py::TestDatabaseModules::"
+      "test_administrators_write_network_and_configuration"]),
     ("paper", "the full-access database view behind DatabaseHandle: catalogue "
      "browsing, search and server configuration (paper: the database module)",
      ["database/store.py::ServiceDatabase.full_access",
@@ -77,161 +92,170 @@ REASONS: List[Tuple[str, str, List[str]]] = [
       "database/store.py::ServiceDatabase.server_title_ids",
       "database/store.py::ServiceDatabase.server_uids",
       "database/store.py::ServiceDatabase.link_entries",
-      "database/store.py::ServiceDatabase.update_server_config"]),
-    ("paper", "the SNMP module's write of one link sample into the limited-access "
-     "database (paper: statistics module); collectors batch it per round",
-     ["database/store.py::ServiceDatabase.update_link_stats"]),
+      "database/store.py::ServiceDatabase.update_server_config"],
+     ["tests/conformance/test_paper_interface.py::TestDatabaseModules::"
+      "test_users_browse_and_search_the_catalogue",
+      "tests/conformance/test_paper_interface.py::TestDatabaseModules::"
+      "test_administrators_write_network_and_configuration"]),
+    ("paper", "the statistics module's write of its link samples into the "
+     "limited-access database (paper: statistics module); the collector "
+     "batches one round of every module",
+     ["database/store.py::ServiceDatabase.update_link_stats",
+      "snmp/collector.py::NodeStatisticsModule.collect"],
+     ["tests/conformance/test_paper_interface.py::TestDatabaseModules::"
+      "test_administrators_write_network_and_configuration",
+      "tests/snmp/test_collector.py::TestNodeStatisticsModule::"
+      "test_second_poll_writes_utilization"]),
     ("paper", "equation (1) for one link; weight_table computes the whole column",
-     ["core/lvn.py::link_validation_number"]),
+     ["core/lvn.py::link_validation_number"],
+     ["tests/core/test_lvn.py::TestLinkValidationNumber::test_eq1_patra_athens_8am"]),
     ("paper", "Figure 3 striping: p = ceil(size / c) clusters laid cyclically "
      "over the disks, and which disk holds each",
      ["storage/striping.py::StripingLayout.disk_of",
       "storage/striping.py::StripingLayout.clusters_on_disk",
       "storage/striping.py::StripingLayout.total_mb",
-      "storage/video.py::VideoTitle.cluster_count"]),
+      "storage/video.py::VideoTitle.cluster_count"],
+     ["tests/storage/test_striping.py::TestStripingLayoutObject::test_disk_of",
+      "tests/storage/test_striping.py::TestStripingLayoutObject::test_clusters_on_disk",
+      "tests/storage/test_striping.py::TestStripingLayoutObject::"
+      "test_total_mb_equals_video_size",
+      "tests/storage/test_video.py::TestVideoTitle::test_cluster_count_helper"]),
     ("paper", "Figure 2 points: the DMA's request count per title",
-     ["placement/base.py::PlacementPolicy.points_of"]),
+     ["placement/base.py::PlacementPolicy.points_of"],
+     ["tests/integration/test_end_to_end.py::TestFullRequestCycle::"
+      "test_popularity_counts_accumulate_per_home_server"]),
     ("paper", "Tables 4-5 print the search path home-to-server; the video data "
      "walks it the other way",
      ["core/vra.py::VraDecision.download_route",
-      "network/routing/paths.py::Path.reversed"]),
+      "network/routing/paths.py::Path.reversed"],
+     ["tests/core/test_vra.py::TestRemoteSelection::test_download_route_reverses_path"]),
     # -- fault: error, validation and fault handlers
     ("fault", "builds the SchedulingError of a bad delay or event time",
-     ["sim/engine.py::_bad_delay", "sim/engine.py::Simulator._bad_time"]),
+     ["sim/engine.py::_bad_delay", "sim/engine.py::Simulator._bad_time"],
+     ["tests/sim/test_engine.py::TestScheduling::test_negative_delay_rejected",
+      "tests/sim/test_engine.py::TestScheduling::test_schedule_at_non_finite_time_rejected"]),
     ("fault", "sweeps cancelled events once they crowd the heap",
-     ["sim/engine.py::Simulator._compact"]),
+     ["sim/engine.py::Simulator._compact"],
+     ["tests/sim/test_engine_batch.py::TestCompaction::"
+      "test_compaction_triggers_when_carcasses_outnumber_pending"]),
     ("fault", "a bad yield value ends its process, not the event loop",
-     ["sim/process.py::Process._fail"]),
+     ["sim/process.py::Process._fail"],
+     ["tests/sim/test_process.py::TestProcessBasics::"
+      "test_unsupported_yield_value_errors_process"]),
     ("fault", "starts a new part file when one reaches its row cap",
-     ["obs/sink.py::FileTelemetrySink._rotate"]),
+     ["obs/sink.py::FileTelemetrySink._rotate"],
+     ["tests/obs/test_sink.py::TestJsonl::test_rotation_repeats_manifest_per_part"]),
     ("fault", "spells a non-finite sample (NaN, Infinity) as json does; a "
      "finite one takes the sample writer's repr path",
-     ["obs/sink.py::_json_float"]),
+     ["obs/sink.py::_json_float"],
+     ["tests/obs/test_sink.py::TestSampleWriter::"
+      "test_same_artifact_as_one_write_per_sample"]),
     ("fault", "a session is about to fail with no online full holder left",
-     ["resilience/supervisor.py::SessionSupervisor.note_failed"]),
+     ["resilience/supervisor.py::SessionSupervisor.note_failed"],
+     ["tests/resilience/test_supervisor.py::TestMidStreamFailover::"
+      "test_session_fails_only_when_last_copy_is_gone"]),
     ("fault", "a deferred download failed: the partial bytes and any stale "
      "advertisement go",
-     ["server/video_server.py::VideoServer.abort_download"]),
+     ["server/video_server.py::VideoServer.abort_download"],
+     ["tests/server/test_video_server.py::TestDeferredAdvertisement::"
+      "test_abort_drops_partial_bytes"]),
     # -- reference: oracles the tests compare the production path against
     ("reference", "the single-step engine the engine-equivalence properties "
-     "compare run() against",
+     "compare run() against, and the event an ordering test reads the key of",
      ["sim/engine.py::Simulator.step", "sim/engine.py::Simulator.peek",
       "sim/engine.py::Simulator._drop_cancelled", "sim/engine.py::Simulator.stop",
       "sim/engine.py::EventHandle.event", "sim/engine.py::EventHandle.cancelled",
-      "sim/engine.py::EventHandle.fired", "sim/events.py::Event"]),
+      "sim/engine.py::EventHandle.fired", "sim/events.py::Event"],
+     ["tests/properties/test_engine_equivalence_props.py::test_run_is_a_loop_of_step",
+      "tests/properties/test_engine_equivalence_props.py::"
+      "test_step_returns_the_event_that_fired_when_its_callback_rearms",
+      "tests/sim/test_engine_batch.py::TestEventKey::"
+      "test_engine_orders_by_the_key_of_the_event_it_returns"]),
     ("reference", "processes that wait on a signal, interrupt or poke: the "
-     "engine-equivalence properties and the polling-session oracle drive them",
+     "engine-equivalence properties drive them and compare their state",
      ["sim/process.py::Signal", "sim/process.py::WaitSignal",
       "sim/process.py::Process.finished", "sim/process.py::Process.check",
-      "sim/process.py::Process.interrupt", "sim/process.py::Process.poke"]),
+      "sim/process.py::Process.interrupt", "sim/process.py::Process.poke"],
+     ["tests/properties/test_engine_equivalence_props.py::test_run_is_a_loop_of_step",
+      "tests/sim/test_process.py::TestParkedTransfer::"
+      "test_interrupt_mid_step_releases_the_flow_and_the_lease",
+      "tests/sim/test_process.py::TestProcessBasics::"
+      "test_bad_delay_errors_the_process_not_the_run"]),
     ("reference", "the Zipf probabilities the sampler's frequencies are tested against",
-     ["workload/zipf.py::ZipfSampler.probability_of_rank"]),
+     ["workload/zipf.py::ZipfSampler.probability_of_rank"],
+     ["tests/workload/test_zipf.py::TestZipfSampler::test_empirical_matches_theoretical"]),
     ("reference", "the full search a compiled prefix search must agree with "
-     "(DESIGN.md 5b.12), and the path helpers the routing properties compare",
+     "(DESIGN.md 5b.12), and the path helpers the routing tests compare",
      ["core/vra.py::VraDecision.dijkstra_result",
       "network/routing/dijkstra.py::DijkstraResult.node_path",
-      "network/routing/paths.py::Path.source",
-      "network/routing/paths.py::Path.destination"]),
-    ("reference", "counts a memo replay as the VRA call it stands for; the "
-     "memo-parity properties compare every vra.* instrument (DESIGN.md 5b.14)",
-     ["core/vra.py::VirtualRoutingAlgorithm.count_replayed"]),
-    ("reference", "the session properties assert no session failed while this "
+      "network/routing/paths.py::Path.source"],
+     ["tests/core/test_vra.py::TestGoalDirectedSearch::"
+      "test_decision_is_read_from_a_prefix_and_audited_in_full",
+      "tests/network/test_compiled.py::TestCompiledDijkstra::test_grnet_trees_bit_identical",
+      "tests/core/test_vra.py::TestRemoteSelection::test_candidate_paths_cover_all_available"]),
+    ("reference", "the supervisor test asserts no session failed while this "
      "was True",
-     ["resilience/supervisor.py::SessionSupervisor.holder_online"]),
+     ["resilience/supervisor.py::SessionSupervisor.holder_online"],
+     ["tests/resilience/test_supervisor.py::TestMidStreamFailover::"
+      "test_session_fails_only_when_last_copy_is_gone"]),
+    ("reference", "the supervisor's index must be empty once every session "
+     "ended: the failover tests' leak check",
+     ["resilience/supervisor.py::SessionSupervisor.tracked_count"],
+     ["tests/resilience/test_supervisor.py::TestMidStreamFailover::"
+      "test_crash_migrates_before_the_cluster_boundary",
+      "tests/resilience/test_supervisor.py::TestFaultFreeEquivalence::"
+      "test_supervisor_is_invisible_without_faults"]),
+    ("reference", "a DMA copy is advertised only once its download completed: "
+     "the soak's and the service's stranded-advertisement check",
+     ["server/video_server.py::VideoServer.pending_title_ids"],
+     ["tests/integration/test_soak.py::TestSoak::test_no_stranded_pending_advertisements",
+      "tests/core/test_service.py::TestDmaIntegration::"
+      "test_remote_fetch_caches_at_home_after_completion"]),
     ("reference", "exactly the condition under which reserve() refuses a rate; "
      "the flow properties and the polling-session oracle read it",
-     ["network/flows.py::FlowManager.bottleneck_mbps",
-      "network/flows.py::Flow.hop_count"]),
-    ("reference", "input-clock counters the routing-cache and compiled-kernel "
-     "properties compare between the memo and the reference path",
+     ["network/flows.py::FlowManager.bottleneck_mbps"],
+     ["tests/properties/test_flows_props.py::"
+      "test_reserve_refuses_exactly_when_the_rate_exceeds_the_bottleneck",
+      "tests/properties/test_session_props.py::test_transfer_matches_the_polling_oracle"]),
+    ("reference", "per-link and per-server change counters: the value-aware "
+     "setter and zero-reserve tests read them to show a no-op notifies nothing, "
+     "and the structure token shows an online flip rebuilds no structure",
      ["network/link.py::Link.state_version", "network/link.py::Link.traffic_version",
       "server/video_server.py::VideoServer.state_version",
-      "network/compiled.py::TopologySnapshot.structure_token"]),
-    ("reference", "the both-ends SNMP oracle reads the poll period, the blackout "
-     "state and one module's collection",
-     ["snmp/collector.py::StatisticsService.period_s",
-      "snmp/collector.py::StatisticsService.blacked_out",
-      "snmp/collector.py::NodeStatisticsModule.agent",
-      "snmp/collector.py::NodeStatisticsModule.collect",
-      "sim/timers.py::PeriodicTask.period"]),
+      "network/compiled.py::TopologySnapshot.structure_token"],
+     ["tests/faults/test_value_aware_state.py::TestLinkOnlineValueAware::"
+      "test_same_value_assign_bumps_nothing",
+      "tests/faults/test_value_aware_state.py::TestServerOnlineValueAware::"
+      "test_same_value_assign_bumps_nothing",
+      "tests/network/test_routing_cache.py::TestLinkVersions::test_zero_reserve_is_not_a_change",
+      "tests/network/test_compiled.py::TestStructure::"
+      "test_online_flip_refreshes_mask_without_structure_rebuild"]),
+    ("reference", "the both-ends SNMP oracle copies the poll period and skips a "
+     "blacked-out round; the one-reporter test reads each end's agent",
+     ["snmp/collector.py::StatisticsService.blacked_out",
+      "snmp/collector.py::NodeStatisticsModule.agent"],
+     ["tests/snmp/test_collector.py::TestOneReporterPerLink::"
+      "test_rounds_match_the_both_ends_oracle",
+      "tests/snmp/test_collector.py::TestOneReporterPerLink::"
+      "test_both_endpoints_always_compute_the_same_sample"]),
     # -- bench: regenerates an EXPERIMENTS.md row from benchmarks/
     ("bench", "the X3 centralised-service baseline (selection 'origin:<uid>')",
-     ["baselines/selection.py::HomeOnlySelection"]),
+     ["baselines/selection.py::HomeOnlySelection"],
+     ["benchmarks/test_bench_vra_baselines.py::test_x3_service_level"]),
     ("bench", "Tables 2-3 computed against printed: test_bench_table2/3 and the "
      "ledger's paper_table3_max_abs_err",
      ["experiments/casestudy.py::table2_deltas", "experiments/casestudy.py::table3_deltas",
-      "experiments/casestudy.py::CellDelta"]),
+      "experiments/casestudy.py::CellDelta"],
+     ["benchmarks/test_bench_table2.py::test_table2_reproduction",
+      "benchmarks/test_bench_table3.py::test_table3_reproduction"]),
     ("bench", "the DMA bench draws its request stream and reads the cached set",
      ["workload/zipf.py::ZipfSampler.sample_many",
-      "placement/base.py::PlacementPolicy.cached_title_ids"]),
+      "placement/base.py::PlacementPolicy.cached_title_ids"],
+     ["benchmarks/test_bench_dma.py::test_figure2_dma_converges_to_most_popular"]),
     # -- item5: strip-level caching, the paper's future work
     ("item5", "strip-level distributed caching (ROADMAP item 5)",
-     ["extensions/strip_caching.py"]),
-    # -- deferred: unreached; taking it out is a later change
-    ("deferred", "VoDService.snapshot (TUTORIAL 8) and what only it reads",
-     ["core/service.py::VoDService.snapshot",
-      "core/service.py::VoDService.completed_sessions",
-      "core/admission_queue.py::AdmissionQueue.snapshot",
-      "core/admission_queue.py::AdmissionQueueStats.as_dict",
-      "network/routing/cache.py::RoutingCacheStats.as_dict",
-      "network/routing/cache.py::DecisionCacheStats.as_dict"]),
-    ("deferred", "try_decide: deleting it drops resilience.degraded_decisions and "
-     "245 rows of the pinned chaos stream",
-     ["core/service.py::VoDService.try_decide", "core/service.py::DecideOutcome"]),
-    ("deferred", "read only by its unit tests; it goes with them in the next "
-     "census pass (ROADMAP item 15)",
-     ["core/admission_queue.py::AdmissionQueue.finalize",
-      "faults/injector.py::FaultInjector.active_faults",
-      "faults/injector.py::FaultInjector.report",
-      "faults/schedule.py::FaultSchedule.scripted",
-      "faults/schedule.py::FaultSchedule.events",
-      "faults/schedule.py::FaultSchedule.__eq__",
-      "faults/schedule.py::FaultSchedule.__hash__",
-      "database/store.py::ServiceDatabase.holder_fraction",
-      "metrics/stats.py::stddev",
-      "metrics/stats.py::confidence_interval_95",
-      "metrics/stats.py::histogram",
-      "network/flows.py::FlowManager.active_flows",
-      "network/node.py::Node.__hash__",
-      "network/node.py::Node.__eq__",
-      "network/node.py::Node.__repr__",
-      "network/routing/cache.py::RoutingCache.clear",
-      "network/topology.py::Topology.degree",
-      "network/topology.py::Topology.total_capacity_mbps",
-      "obs/registry.py::Gauge.set",
-      "obs/registry.py::MetricsRegistry.find",
-      "obs/sampler.py::TelemetrySampler.stop",
-      "obs/spans.py::SessionSpan.open",
-      "obs/spans.py::SessionSpan.duration_s",
-      "placement/base.py::PlacementPolicy.pin",
-      "placement/base.py::PlacementPolicy.resident_ids",
-      "resilience/breaker.py::BreakerBoard.server_state",
-      "resilience/breaker.py::BreakerBoard.link_state",
-      "resilience/staleness.py::StalenessGuard.stale_links",
-      "resilience/staleness.py::StalenessGuard.is_stale",
-      "resilience/supervisor.py::SessionSupervisor.tracked_count",
-      "resilience/supervisor.py::SessionSupervisor.report",
-      "server/video_server.py::VideoServer.pending_title_ids",
-      "sim/rng.py::RngRegistry.names",
-      "sim/timers.py::PeriodicTask.fire_count",
-      "snmp/agent.py::SnmpAgent.link_names",
-      "snmp/collector.py::StatisticsService.stop",
-      "snmp/counters.py::OctetCounter.wraps",
-      "storage/array.py::DiskArray.free_mb",
-      "storage/array.py::DiskArray.disks",
-      "storage/array.py::DiskArray.failed_disk_indices",
-      "storage/array.py::DiskArray.video",
-      "storage/array.py::DiskArray.layout",
-      "storage/array.py::DiskArray.resident_cluster_count",
-      "storage/array.py::DiskArray.has_segment",
-      "storage/array.py::DiskArray.partial_title_ids",
-      "storage/disk.py::Disk.cluster_count",
-      "storage/disk.py::Disk.has_cluster",
-      "storage/disk.py::Disk.title_ids",
-      "workload/arrivals.py::PoissonArrivals.stream",
-      "workload/arrivals.py::UniformArrivals",
-      "workload/traces.py::Table2Replayer.stop",
-      "workload/zipf.py::ZipfSampler.items"]),
+     ["extensions/strip_caching.py"],
+     ["tests/extensions/test_strip_caching.py::TestEvaluator::test_replay_returns_report"]),
 ]
 
 #: CLI invocations, run as ``repro.cli.main(argv)``.  ``{tmp}`` is a
@@ -331,16 +355,28 @@ def functions() -> List[Function]:
     return found
 
 
-def reason_for(function: Function):
-    """The (kind, why) covering ``function``, or None."""
+def _covering_keys(function: Function) -> set:
+    """Every key that would cover ``function``: its file and each prefix
+    of its qualified name."""
     parts = function.qualname.split(".")
-    covering = {function.path} | {
+    return {function.path} | {
         f"{function.path}::{'.'.join(parts[:end])}" for end in range(1, len(parts) + 1)
     }
-    for kind, why, keys in REASONS:
+
+
+def reason_for(function: Function):
+    """The (kind, why) covering ``function``, or None."""
+    covering = _covering_keys(function)
+    for kind, why, keys, _ in REASONS:
         if covering.intersection(keys):
             return kind, why
     return None
+
+
+def stale_keys(unreached: List[Function]) -> List[str]:
+    """The :data:`REASONS` keys that cover no unreached function."""
+    covered = set().union(*map(_covering_keys, unreached))
+    return [key for _, _, keys, _ in REASONS for key in keys if key not in covered]
 
 
 # ---------------------------------------------------------------------- #
@@ -375,6 +411,14 @@ def _example_paths():
         )
 
 
+def _tutorial_paths():
+    text = TUTORIAL.read_text(encoding="utf-8")
+    code = "\n".join(re.findall(r"```python\n(.*?)```", text, re.S))
+    code = "\n".join(line for line in code.splitlines() if line.strip() != "...")
+    compiled = compile(code, str(TUTORIAL), "exec")
+    yield "docs/TUTORIAL.md", lambda: exec(compiled, {})  # noqa: S102
+
+
 def _ledger_paths():
     sys.path.insert(0, str(LEDGER))
     spec = importlib.util.spec_from_file_location("ledger_run", LEDGER / "run.py")
@@ -392,7 +436,7 @@ def reached_code() -> set:
     sys.path.insert(0, str(SRC))
     profiler = cProfile.Profile()
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        for paths in (_cli_paths(tmp), _example_paths(), _ledger_paths()):
+        for paths in (_cli_paths(tmp), _example_paths(), _tutorial_paths(), _ledger_paths()):
             for label, body in paths:
                 profiler.enable()
                 try:
@@ -458,7 +502,12 @@ def main(argv=None) -> int:
         print(f"\n{len(missing)} unreached function(s) with no reason in REASONS:")
         for function in missing:
             print(f"  {function.key}")
-    return 1 if args.check and missing else 0
+    stale = stale_keys(unreached)
+    if stale:
+        print(f"\n{len(stale)} REASONS key(s) a user path now reaches in full:")
+        for key in stale:
+            print(f"  {key}")
+    return 1 if args.check and (missing or stale) else 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ def test_figure3_array_balance(benchmark, show):
     def store_cycle():
         array = DiskArray(disk_count=8, disk_capacity_mb=400.0, cluster_mb=64.0)
         array.store(video)
-        usage = [disk.used_mb for disk in array.disks()]
+        usage = [array.disk(i).used_mb for i in range(array.disk_count)]
         array.remove("big")
         return usage
 

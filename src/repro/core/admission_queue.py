@@ -36,7 +36,7 @@ and same-key coalescing counts so reports can show it happening.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional, Set
 
 from repro.errors import ReproError
 from repro.obs.registry import MetricsRegistry
@@ -68,8 +68,7 @@ class AdmissionSlot:
 
 @dataclass
 class AdmissionQueueStats:
-    """Counters of one :class:`AdmissionQueue` (mirrors the RoutingCache
-    stats style: a plain mutable dataclass plus ``as_dict``).
+    """Counters of one :class:`AdmissionQueue`, current after every offer.
 
     Attributes:
         offered: Requests presented to the queue.
@@ -83,8 +82,9 @@ class AdmissionQueueStats:
         total_wait_s: Sum of assigned waits over delayed requests.
         max_wait_s: Largest single assigned wait.
         max_depth: High-water mark of simultaneously waiting requests.
-        batches: Completed drain-tick cohorts (>= 1 admission each).
-        max_batch: Largest completed cohort.
+        batches: Drain-tick cohorts (>= 1 admission each), the one
+            still filling included.
+        max_batch: Largest cohort.
         coalesced: Same-key admissions beyond the first inside a cohort —
             each one is a request the decision memo answers for free.
     """
@@ -111,24 +111,6 @@ class AdmissionQueueStats:
     def shed_rate(self) -> float:
         """Shed requests over offered, in [0, 1] (0.0 before traffic)."""
         return self.shed / self.offered if self.offered else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for snapshots and reports."""
-        return {
-            "offered": self.offered,
-            "queued": self.queued,
-            "immediate": self.immediate,
-            "delayed": self.delayed,
-            "shed": self.shed,
-            "released": self.released,
-            "shed_rate": self.shed_rate,
-            "mean_wait_s": self.mean_wait_s,
-            "max_wait_s": self.max_wait_s,
-            "max_depth": self.max_depth,
-            "batches": self.batches,
-            "max_batch": self.max_batch,
-            "coalesced": self.coalesced,
-        }
 
 
 class AdmissionQueue:
@@ -166,7 +148,7 @@ class AdmissionQueue:
         self._cursor_tick = 0  # tick currently being filled
         self._cursor_used = 0  # admissions already assigned to it
         self._pending = 0  # delayed admissions not yet released
-        self._cohort: Dict[Hashable, int] = {}
+        self._cohort: Set[Hashable] = set()  # keys admitted into _cohort_tick
         self._cohort_tick: Optional[int] = None
         self._cohort_size = 0
         registry = MetricsRegistry(enabled=False)
@@ -250,37 +232,21 @@ class AdmissionQueue:
             self._pending -= 1
         self.stats.released += 1
 
-    def finalize(self) -> None:
-        """Flush the in-flight drain-tick cohort into the batch stats.
-
-        Call at end of run (reports, benchmarks); cohorts otherwise only
-        count once a later tick starts filling.
-        """
-        self._flush_cohort()
-        self._cohort_tick = None
-
-    def snapshot(self) -> Dict[str, float]:
-        """Non-mutating stats view plus the live queue depth."""
-        view = self.stats.as_dict()
-        view["depth"] = self._pending
-        return view
-
     # ------------------------------------------------------------------ #
     def _note_cohort(self, tick: int, key: Hashable) -> None:
+        stats = self.stats
         if self._cohort_tick != tick:
-            self._flush_cohort()
+            # The size histogram sees a cohort once the next one starts.
+            if self._cohort_size:
+                self._m_batch.observe(float(self._cohort_size))
+            self._cohort.clear()
+            self._cohort_size = 0
             self._cohort_tick = tick
-        self._cohort[key] = self._cohort.get(key, 0) + 1
+            stats.batches += 1
+        if key in self._cohort:
+            stats.coalesced += 1
+        else:
+            self._cohort.add(key)
         self._cohort_size += 1
-
-    def _flush_cohort(self) -> None:
-        if self._cohort_size:
-            self.stats.batches += 1
-            if self._cohort_size > self.stats.max_batch:
-                self.stats.max_batch = self._cohort_size
-            self.stats.coalesced += sum(
-                count - 1 for count in self._cohort.values() if count > 1
-            )
-            self._m_batch.observe(float(self._cohort_size))
-        self._cohort.clear()
-        self._cohort_size = 0
+        if self._cohort_size > stats.max_batch:
+            stats.max_batch = self._cohort_size

@@ -46,13 +46,7 @@ from repro.core.session import (
 from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.database.records import LinkEntry, ServerEntry
 from repro.database.store import ServiceDatabase
-from repro.errors import (
-    NoReachableHolderError,
-    ReproError,
-    RoutingError,
-    ServiceError,
-    TitleUnavailableError,
-)
+from repro.errors import ReproError, ServiceError
 from repro.network.flows import FlowManager
 from repro.network.link import Link
 from repro.network.node import Node
@@ -71,34 +65,6 @@ from repro.sim.process import Delay, Process
 from repro.sim.trace import Tracer
 from repro.snmp.collector import DEFAULT_POLL_PERIOD_S, StatisticsService
 from repro.storage.video import VideoTitle
-
-#: ``DecideOutcome.outcome`` values.
-DECIDE_OK = "ok"
-NO_HOLDER = "no-holder"
-NO_REACHABLE_HOLDER = "no-reachable-holder"
-NO_AVAILABLE_HOLDER = "no-available-holder"
-
-
-@dataclass(frozen=True)
-class DecideOutcome:
-    """Explicit result of a degradable VRA decision (:meth:`VoDService.try_decide`).
-
-    Instead of an exception, an impossible decision comes back as an
-    outcome string — ``no-holder`` (title nowhere), ``no-reachable-holder``
-    (the home server is partitioned from every holder), or
-    ``no-available-holder`` (every holder polled out: crashed, at stream
-    capacity, or disk-failed).  ``decision`` is set only for ``ok``.
-    """
-
-    outcome: str
-    decision: Optional[VraDecision] = None
-    reason: str = ""
-
-    @property
-    def ok(self) -> bool:
-        """True when a decision was produced."""
-        return self.outcome == DECIDE_OK
-
 
 @dataclass
 class ServiceConfig:
@@ -623,10 +589,6 @@ class VoDService:
             description="strict-QoS admission rejections re-queued "
             "instead of dropped",
         )
-        self._m_degraded = obs.counter(
-            "resilience.degraded_decisions", subsystem="core",
-            description="try_decide calls that returned a non-ok outcome",
-        )
         self._m_startup = obs.histogram(
             "session.startup_s", subsystem="core",
             description="startup delay of completed sessions (s)",
@@ -1076,37 +1038,6 @@ class VoDService:
                 links=list(changed),
             )
 
-    def try_decide(self, home_uid: str, title_id: str) -> DecideOutcome:
-        """One VRA decision that degrades to an explicit outcome.
-
-        Where :meth:`decide` raises, this returns a :class:`DecideOutcome`
-        naming what is wrong — ``no-holder``, ``no-reachable-holder``
-        (home server partitioned from every holder), or
-        ``no-available-holder`` (every holder polled out).  Resilience
-        tooling and operators poll this instead of catching exceptions;
-        non-ok outcomes land on the ``resilience.degraded_decisions``
-        counter and in the trace.
-        """
-        try:
-            return DecideOutcome(DECIDE_OK, decision=self.decide(home_uid, title_id))
-        except TitleUnavailableError as exc:
-            outcome, reason = NO_HOLDER, str(exc)
-        except NoReachableHolderError as exc:
-            outcome, reason = NO_REACHABLE_HOLDER, str(exc)
-        except RoutingError as exc:
-            outcome, reason = NO_AVAILABLE_HOLDER, str(exc)
-        self._m_degraded.inc()
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "vra.degraded",
-                f"{title_id} at {home_uid}: {outcome}",
-                home_uid=home_uid,
-                title_id=title_id,
-                outcome=outcome,
-            )
-        return DecideOutcome(outcome, reason=reason)
-
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
@@ -1134,47 +1065,6 @@ class VoDService:
             self.topology.traffic_version,
             self.topology.state_version,
         )
-
-    def snapshot(self) -> Dict[str, object]:
-        """One-call operational snapshot of the running service.
-
-        Includes the epoch memo's counters — table/tree under
-        ``routing_cache``, decision replays under ``decision_cache`` (both
-        None when the memo is off) — so operators (and the benchmark
-        reports) can see how often the VRA actually recomputed.  Also
-        records the snapshot into the event trace when tracing is enabled.
-        """
-        memo = self._memo
-        cache_dict = memo.stats.as_dict() if memo else None
-        snapshot: Dict[str, object] = {
-            "time": self.sim.now,
-            "server_count": len(self.servers),
-            "link_count": self.topology.link_count,
-            "session_count": len(self.sessions),
-            "completed_sessions": len(self.completed_sessions()),
-            "active_flows": self.flows.active_count,
-            "vra_decisions": getattr(self.vra, "decision_count", 0),
-            "routing_epoch": self.routing_epoch(),
-            "routing_cache": cache_dict,
-            "decision_cache": memo.decision_stats.as_dict() if memo else None,
-            "admission_queue": (
-                self.admission_queue.snapshot()
-                if self.admission_queue is not None
-                else None
-            ),
-        }
-        cache_label = f"cache {cache_dict['hit_rate']:.2%} hit rate" if memo else "cache off"
-        self.tracer.record(
-            self.sim.now,
-            "service.snapshot",
-            f"{snapshot['vra_decisions']} decision(s), {cache_label}",
-            **{k: v for k, v in snapshot.items() if k != "time"},
-        )
-        return snapshot
-
-    def completed_sessions(self) -> List[SessionRecord]:
-        """Finished session records (completed or failed)."""
-        return [record for record in self.sessions if record.request.finished]
 
     def title_video(self, title_id: str) -> VideoTitle:
         """Reconstruct the storage-layer video object from the catalog."""

@@ -356,7 +356,7 @@ class VirtualRoutingAlgorithm:
         if not reachable:
             # The partition case: holders answered the poll but every path
             # from the home server is severed.  A distinct subclass so the
-            # session retry loop / try_decide can treat it as transient.
+            # session retry loop can treat it as transient.
             raise NoReachableHolderError(
                 f"title {title_id!r}: no candidate server {available} is "
                 f"reachable from home server {home_uid!r}"

@@ -202,14 +202,6 @@ class ServiceDatabase:
         fraction)."""
         return server_uid in self._title_locations.get(title_id, ())
 
-    def holder_fraction(self, title_id: str, server_uid: str) -> float:
-        """Advertised resident fraction of a holder: 1.0 for a full holder
-        (including pre-fraction advertisements), the advertised fraction
-        for a prefix/partial holder, 0.0 for a non-holder."""
-        if server_uid not in self._title_locations.get(title_id, ()):
-            return 0.0
-        return self._holder_fractions.get((title_id, server_uid), 1.0)
-
     def server_title_ids(self, server_uid: str) -> Set[str]:
         """Copy of the title-id set advertised by one server."""
         return set(self.server_entry(server_uid).title_ids)

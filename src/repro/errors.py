@@ -77,8 +77,8 @@ class NoReachableHolderError(RoutingError):
     The partition case of the VRA: servers answered the availability poll,
     yet every least-cost path from the home server is severed (link
     failures).  Distinguished from the generic :class:`RoutingError` so
-    resilience-aware callers (session retry/backoff,
-    ``VoDService.try_decide``) can treat it as a transient condition.
+    resilience-aware callers (session retry/backoff) can treat it as a
+    transient condition.
     """
 
 

@@ -121,11 +121,6 @@ class FaultInjector:
     # lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def active_faults(self) -> int:
-        """Fault windows currently open."""
-        return self._active
-
-    @property
     def mean_mttr_s(self) -> float:
         """Mean injection-to-recovery time over recovered faults (s)."""
         if self._mttr_count == 0:
@@ -270,20 +265,3 @@ class FaultInjector:
             raise FaultInjectionError(
                 f"fault targets unknown server {uid!r}"
             ) from None
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def report(self) -> Dict[str, object]:
-        """Deterministic summary of the injection campaign so far.
-
-        Every value is a count or a simulated-time figure, so the same
-        seed and schedule reproduce this dict exactly.
-        """
-        return {
-            "scheduled": len(self.schedule),
-            "injected": dict(self.injected_by_kind),
-            "recovered": dict(self.recovered_by_kind),
-            "active": self._active,
-            "mean_mttr_s": self.mean_mttr_s,
-        }

@@ -1,10 +1,10 @@
 """Fault schedules: scripted and seeded-random fault timelines.
 
 A :class:`FaultSchedule` is an immutable, time-ordered list of
-:class:`~repro.faults.events.FaultEvent` instances.  Two constructors:
+:class:`~repro.faults.events.FaultEvent` instances:
 
-* :meth:`FaultSchedule.scripted` — hand-written timelines for tests and
-  targeted experiments;
+* ``FaultSchedule(events)`` — a hand-written timeline (any order) for
+  tests and targeted experiments;
 * :meth:`FaultSchedule.seeded` — Poisson-process fault storms derived
   from a master seed via :class:`~repro.sim.rng.RngRegistry`, one
   independent stream per fault kind so changing one rate never shifts
@@ -59,11 +59,6 @@ class FaultSchedule:
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
-    @classmethod
-    def scripted(cls, *events: FaultEvent) -> "FaultSchedule":
-        """Build a schedule from explicit events (any order)."""
-        return cls(events)
-
     @classmethod
     def seeded(
         cls,
@@ -192,24 +187,11 @@ class FaultSchedule:
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
-    @property
-    def events(self) -> Tuple[FaultEvent, ...]:
-        """The events, sorted by injection time."""
-        return self._events
-
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self._events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultSchedule):
-            return NotImplemented
-        return self._events == other._events
-
-    def __hash__(self) -> int:
-        return hash(self._events)
 
     @property
     def horizon_s(self) -> float:

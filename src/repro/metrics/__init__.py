@@ -3,7 +3,7 @@ time series used by the benchmark harness."""
 
 from repro.metrics.analysis import RunAnalysis, analyze_sessions, render_analysis
 from repro.metrics.collectors import SessionMetrics, summarize_sessions
-from repro.metrics.stats import confidence_interval_95, mean, percentile, stddev
+from repro.metrics.stats import mean, percentile
 from repro.metrics.timeseries import TimeSeries
 
 __all__ = [
@@ -11,10 +11,8 @@ __all__ = [
     "SessionMetrics",
     "TimeSeries",
     "analyze_sessions",
-    "confidence_interval_95",
     "mean",
     "percentile",
     "render_analysis",
-    "stddev",
     "summarize_sessions",
 ]

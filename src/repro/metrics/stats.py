@@ -8,7 +8,7 @@ minimal environments.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import ReproError
 
@@ -26,15 +26,6 @@ def mean(values: Sequence[float]) -> float:
     """
     _require_data(values, "mean")
     return sum(values) / len(values)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation (n-1 denominator; 0 for a single value)."""
-    _require_data(values, "stddev")
-    if len(values) == 1:
-        return 0.0
-    m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -56,37 +47,3 @@ def percentile(values: Sequence[float], q: float) -> float:
         return ordered[low]
     fraction = position - low
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
-def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
-    """Normal-approximation 95% confidence interval for the mean.
-
-    Returns:
-        (low, high); degenerate (m, m) for a single observation.
-    """
-    _require_data(values, "confidence interval")
-    m = mean(values)
-    if len(values) == 1:
-        return (m, m)
-    half_width = 1.96 * stddev(values) / math.sqrt(len(values))
-    return (m - half_width, m + half_width)
-
-
-def histogram(values: Sequence[float], bin_count: int) -> List[Tuple[float, int]]:
-    """Equal-width histogram as (bin lower edge, count) pairs.
-
-    Raises:
-        ReproError: On empty input or non-positive bin count.
-    """
-    _require_data(values, "histogram")
-    if bin_count < 1:
-        raise ReproError(f"bin count must be >= 1, got {bin_count}")
-    low, high = min(values), max(values)
-    if low == high:
-        return [(low, len(values))]
-    width = (high - low) / bin_count
-    counts = [0] * bin_count
-    for v in values:
-        index = min(int((v - low) / width), bin_count - 1)
-        counts[index] += 1
-    return [(low + i * width, counts[i]) for i in range(bin_count)]

@@ -54,11 +54,6 @@ class Flow:
     node_path: Tuple[str, ...]
     rate_mbps: float
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return max(len(self.node_path) - 1, 0)
-
 
 class FlowManager:
     """Creates and releases flows against a topology's links."""
@@ -73,10 +68,6 @@ class FlowManager:
     def active_count(self) -> int:
         """Number of currently reserved flows."""
         return len(self._active)
-
-    def active_flows(self) -> List[Flow]:
-        """Snapshot of active flows."""
-        return list(self._active.values())
 
     def links_of(self, node_path: Sequence[str]) -> Tuple[Link, ...]:
         """Memoized path → link-tuple resolution (TopologyError on bad paths;

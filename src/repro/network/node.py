@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 
-@dataclass
+@dataclass(eq=False)
 class Node:
     """A network node.
 
@@ -20,6 +20,9 @@ class Node:
         uid: Unique identifier within a topology (e.g. ``"U2"``).
         name: Human-readable label (e.g. ``"Patra"``); defaults to ``uid``.
         attributes: Free-form metadata (coordinates, AS number, ...).
+
+    A topology keys its nodes by ``uid``; a node itself compares by
+    identity.
     """
 
     uid: str
@@ -31,16 +34,3 @@ class Node:
             raise ValueError("node uid must be a non-empty string")
         if not self.name:
             self.name = self.uid
-
-    def __hash__(self) -> int:
-        return hash(self.uid)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Node):
-            return self.uid == other.uid
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        if self.name != self.uid:
-            return f"Node({self.uid!r}, {self.name!r})"
-        return f"Node({self.uid!r})"

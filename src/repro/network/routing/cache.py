@@ -69,17 +69,6 @@ class RoutingCacheStats:
         """Hits over total lookups, in [0, 1] (0 before any lookup)."""
         return _rate(self.hits, self.misses)
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict for snapshots, traces and reports."""
-        return {
-            "weight_hits": self.weight_hits,
-            "weight_misses": self.weight_misses,
-            "tree_hits": self.tree_hits,
-            "tree_misses": self.tree_misses,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass
 class DecisionCacheStats:
@@ -97,10 +86,6 @@ class DecisionCacheStats:
     def hit_rate(self) -> float:
         """Hits over lookups, in [0, 1] (0 before any lookup)."""
         return _rate(self.hits, self.misses)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict for snapshots."""
-        return {"hits": self.hits, "misses": self.misses, "hit_rate": self.hit_rate}
 
 
 def _rate(hits: int, misses: int) -> float:
@@ -184,14 +169,6 @@ class RoutingCache:
         result = compute()
         self._trees[source] = result
         return result
-
-    def clear(self) -> None:
-        """Drop all cached state (counters are preserved)."""
-        self.token = None
-        self.seen = -1
-        self.decisions.clear()
-        self._weights = None
-        self._trees.clear()
 
     def sync(self, token: Hashable) -> None:
         """Bring the memo onto ``token``: a no-op while it is unchanged,

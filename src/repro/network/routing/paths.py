@@ -28,11 +28,6 @@ class Path:
         return self.nodes[0]
 
     @property
-    def destination(self) -> str:
-        """Last node of the path."""
-        return self.nodes[-1]
-
-    @property
     def hop_count(self) -> int:
         """Number of links traversed."""
         return len(self.nodes) - 1

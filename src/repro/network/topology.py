@@ -194,10 +194,6 @@ class Topology:
         """Uids of nodes directly connected to ``uid``."""
         return [link.other_end(uid) for link in self.links_at(uid)]
 
-    def degree(self, uid: str) -> int:
-        """Number of links at a node."""
-        return len(self.links_at(uid))
-
     # ------------------------------------------------------------------ #
     # analysis
     # ------------------------------------------------------------------ #
@@ -238,10 +234,6 @@ class Topology:
         """
         uids = list(node_uids)
         return [self.link_between(a, b) for a, b in zip(uids, uids[1:])]
-
-    def total_capacity_mbps(self) -> float:
-        """Sum of all link capacities (diagnostic)."""
-        return sum(link.capacity_mbps for link in self._links.values())
 
     def __repr__(self) -> str:
         return (

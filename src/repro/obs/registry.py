@@ -84,9 +84,9 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """Point-in-time value, either set directly or observed via callback."""
+    """Point-in-time value observed via a callback (0.0 without one)."""
 
-    __slots__ = ("_value", "_callback")
+    __slots__ = ("_callback",)
 
     kind = "gauge"
 
@@ -99,25 +99,12 @@ class Gauge(Instrument):
         callback: Optional[Callable[[], float]] = None,
     ):
         super().__init__(name, subsystem, labels, description)
-        self._value = 0.0
         self._callback = callback
 
     @property
     def value(self) -> float:
-        """Current value (evaluates the callback for observable gauges)."""
-        if self._callback is not None:
-            return float(self._callback())
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Set the current value (direct gauges only).
-
-        Raises:
-            ReproError: If the gauge is callback-backed.
-        """
-        if self._callback is not None:
-            raise ReproError(f"gauge {self.name!r} is callback-backed; cannot set()")
-        self._value = float(value)
+        """Current value: the callback's, evaluated now."""
+        return float(self._callback()) if self._callback is not None else 0.0
 
 
 class Histogram(Instrument):
@@ -210,13 +197,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: D102 - hot no-op
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -226,7 +206,7 @@ class _NullHistogram(Histogram):
 
 #: The singletons every disabled registry hands out.
 NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
+NULL_GAUGE = Gauge("null")
 NULL_HISTOGRAM = _NullHistogram("null")
 
 
@@ -330,7 +310,3 @@ class MetricsRegistry:
     def families(self) -> List[str]:
         """Distinct instrument family names, sorted."""
         return sorted({name for (_, name, _) in self._instruments})
-
-    def find(self, name: str) -> List[Instrument]:
-        """Every instrument of one family (any kind), sorted by labels."""
-        return [i for i in self.instruments() if i.name == name]

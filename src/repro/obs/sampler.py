@@ -83,11 +83,6 @@ class TelemetrySampler:
             self.sample()
             self._task.start()
 
-    def stop(self) -> None:
-        """Stop periodic sampling (rows already written stay written)."""
-        if self._task.running:
-            self._task.stop()
-
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #

@@ -72,18 +72,6 @@ class SessionSpan:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def open(self) -> bool:
-        """True while the request is still in flight."""
-        return self.finished_at is None
-
-    @property
-    def duration_s(self) -> Optional[float]:
-        """Submission-to-finish span length (None while open)."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
     def events_of(self, kind: str) -> List[SpanEvent]:
         """Events of one kind, in order."""
         return [event for event in self.events if event.kind == kind]

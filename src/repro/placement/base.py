@@ -177,14 +177,6 @@ class PlacementPolicy(abc.ABC):
         self.tracker.track(video.title_id)
         self._note_store(video.title_id)
 
-    def pin(self, title_id: str) -> None:
-        """Exempt a title from eviction (seed-pinning extension)."""
-        self.pinned.add(title_id)
-
-    def resident_ids(self) -> List[str]:
-        """Ids with *any* local residency (full or prefix), sorted."""
-        return self.array.resident_title_ids()
-
     # ------------------------------------------------------------------ #
     # shared helpers / introspection
     # ------------------------------------------------------------------ #

@@ -211,16 +211,6 @@ class BreakerBoard:
         filtered = [uid for uid in holders if self.server_allowed(uid)]
         return filtered if filtered else holders
 
-    def server_state(self, uid: str) -> str:
-        """Current breaker state for a server (closed when untracked)."""
-        breaker = self._servers.get(uid)
-        return breaker.state if breaker is not None else BREAKER_CLOSED
-
-    def link_state(self, name: str) -> str:
-        """Current breaker state for a link (closed when untracked)."""
-        breaker = self._links.get(name)
-        return breaker.state if breaker is not None else BREAKER_CLOSED
-
     @property
     def trip_count(self) -> int:
         """Total open transitions across both kinds."""

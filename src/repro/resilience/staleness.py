@@ -25,7 +25,7 @@ no new cache-invalidation path is needed.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.database.store import ServiceDatabase
 from repro.errors import ReproError
@@ -101,15 +101,6 @@ class StalenessGuard:
     def stale_count(self) -> int:
         """Number of currently stale links (feeds ``snmp.stale_links``)."""
         return len(self._stale)
-
-    @property
-    def stale_links(self) -> FrozenSet[str]:
-        """The current stale set (a snapshot-safe frozen copy)."""
-        return frozenset(self._stale)
-
-    def is_stale(self, link_name: str) -> bool:
-        """Is this link's latest sample older than ``max_stats_age_s``?"""
-        return link_name in self._stale
 
     def adjusted_used(self, link: Link, used_mbps: float) -> float:
         """The conservative used-bandwidth figure for weight computation.

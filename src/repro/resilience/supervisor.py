@@ -210,13 +210,3 @@ class SessionSupervisor:
             {"at_s": self._sim.now, "title_id": title_id, "reason": reason}
         )
         self._m_failed.inc()
-
-    # ------------------------------------------------------------------ #
-    def report(self) -> Dict[str, object]:
-        """Deterministic summary for experiment reports."""
-        return {
-            "preemptions": self.preemption_count,
-            "failovers": self.failover_count,
-            "failover_stall_s_total": sum(self.stall_log),
-            "failed_no_holder": self.failed_count,
-        }

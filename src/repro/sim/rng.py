@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator
+from typing import Dict
 
 
 class RngRegistry:
@@ -32,10 +32,6 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(self._derive_seed(name))
         return self._streams[name]
-
-    def names(self) -> Iterator[str]:
-        """Names of streams created so far."""
-        return iter(sorted(self._streams))
 
     def _derive_seed(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.master_seed}:{name}".encode("utf-8")).digest()

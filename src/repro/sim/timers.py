@@ -36,18 +36,7 @@ class PeriodicTask:
         self._callback = callback
         self.name = name
         self._handle: Optional[EventHandle] = None
-        self._fire_count = 0
         self._running = False
-
-    @property
-    def period(self) -> float:
-        """Current firing period in simulated seconds."""
-        return self._period
-
-    @property
-    def fire_count(self) -> int:
-        """Number of times the callback has run."""
-        return self._fire_count
 
     @property
     def running(self) -> bool:
@@ -72,7 +61,6 @@ class PeriodicTask:
     def _fire(self) -> None:
         if not self._running:
             return
-        self._fire_count += 1
         self._callback()
         if self._running:
             self._handle = self._sim.schedule(self._period, self._fire, name=f"{self.name}:tick")

@@ -10,7 +10,7 @@ agents between simulation events, so a poll reads the rate found at poll time
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import SnmpError
 from repro.network.link import Link
@@ -41,11 +41,6 @@ class SnmpAgent:
             link.name: (OctetCounter(), OctetCounter())
             for link in topology.links_at(node_uid)
         }
-
-    @property
-    def link_names(self) -> List[str]:
-        """Names of the links this agent instruments, sorted."""
-        return sorted(self._counters)
 
     def advance(self, now: float, links: LinkSubset = None) -> None:
         """Integrate traffic at the links' current rates up to ``now``.

@@ -126,6 +126,8 @@ class StatisticsService:
             NodeStatisticsModule(topology, node.uid, admin_db, start_time=sim.now)
             for node in topology.nodes()
         ]
+        #: Poll period in simulated seconds.
+        self.period_s = float(period_s)
         self._task = PeriodicTask(sim, period_s, self._collect_all, name="snmp")
         #: Nesting depth of active blackouts (overlapping fault windows
         #: stack); collection rounds are skipped whole while > 0.
@@ -180,19 +182,10 @@ class StatisticsService:
         """The per-node statistics modules."""
         return list(self._modules)
 
-    @property
-    def period_s(self) -> float:
-        """Current poll period in simulated seconds."""
-        return self._task.period
-
     def start(self) -> None:
         """Begin periodic collection; also takes the baseline poll now."""
         self._collect_all()
         self._task.start()
-
-    def stop(self) -> None:
-        """Stop periodic collection."""
-        self._task.stop()
 
     # ------------------------------------------------------------------ #
     # blackout (fault-injection surface)

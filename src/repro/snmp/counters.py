@@ -18,23 +18,17 @@ COUNTER32_MODULUS = 2**32
 class OctetCounter:
     """A wrapping Counter32 of transferred octets."""
 
-    __slots__ = ("_value", "_wraps")
+    __slots__ = ("_value",)
 
     def __init__(self, initial: int = 0):
         if initial < 0:
             raise SnmpError(f"counter cannot start negative, got {initial}")
         self._value = initial % COUNTER32_MODULUS
-        self._wraps = initial // COUNTER32_MODULUS
 
     @property
     def value(self) -> int:
         """Current 32-bit counter value, in [0, 2**32)."""
         return self._value
-
-    @property
-    def wraps(self) -> int:
-        """How many times the counter has wrapped (not visible via SNMP)."""
-        return self._wraps
 
     def add_octets(self, octets: int) -> int:
         """Advance the counter by a non-negative octet count.
@@ -47,9 +41,7 @@ class OctetCounter:
         """
         if octets < 0:
             raise SnmpError(f"cannot add negative octets ({octets})")
-        total = self._value + octets
-        self._wraps += total // COUNTER32_MODULUS
-        self._value = total % COUNTER32_MODULUS
+        self._value = (self._value + octets) % COUNTER32_MODULUS
         return self._value
 
     def add_megabits(self, megabits: float) -> int:

@@ -74,11 +74,6 @@ class DiskArray:
         """Aggregate used space across all disks."""
         return sum(d.used_mb for d in self._disks)
 
-    @property
-    def free_mb(self) -> float:
-        """Aggregate free space across all disks."""
-        return sum(d.free_mb for d in self._disks)
-
     def disk(self, index: int) -> Disk:
         """One disk by 0-based index.
 
@@ -89,18 +84,9 @@ class DiskArray:
             raise StorageError(f"disk index {index} out of range 0..{len(self._disks) - 1}")
         return self._disks[index]
 
-    def disks(self) -> List[Disk]:
-        """All disks, in index order."""
-        return list(self._disks)
-
     # ------------------------------------------------------------------ #
     # disk failures (fault-injection surface)
     # ------------------------------------------------------------------ #
-    @property
-    def failed_disk_indices(self) -> List[int]:
-        """Indices of currently failed disks, sorted."""
-        return sorted(self._failed_disks)
-
     def fail_disk(self, index: int) -> None:
         """Mark one disk failed.
 
@@ -182,7 +168,7 @@ class DiskArray:
         if not self.can_store(video):
             raise StorageError(
                 f"video {video.title_id!r} ({video.size_mb:.1f} MB) does not "
-                f"fit on the array (free={self.free_mb:.1f} MB)"
+                f"fit on the array (free={self.total_capacity_mb - self.used_mb:.1f} MB)"
             )
         layout = self.layout_for(video)
         for cluster_index, disk_index, size_mb in layout.assignments:
@@ -220,28 +206,6 @@ class DiskArray:
     def has_video(self, title_id: str) -> bool:
         """True if the full video is resident."""
         return title_id in self._videos
-
-    def video(self, title_id: str) -> VideoTitle:
-        """The stored video object.
-
-        Raises:
-            StorageError: If the video is not stored.
-        """
-        try:
-            return self._videos[title_id]
-        except KeyError:
-            raise StorageError(f"video {title_id!r} is not stored on this array") from None
-
-    def layout(self, title_id: str) -> StripingLayout:
-        """The layout of a stored video.
-
-        Raises:
-            StorageError: If the video is not stored.
-        """
-        try:
-            return self._layouts[title_id]
-        except KeyError:
-            raise StorageError(f"video {title_id!r} is not stored on this array") from None
 
     def stored_title_ids(self) -> List[str]:
         """Ids of fully resident videos, sorted."""
@@ -311,7 +275,7 @@ class DiskArray:
                 raise StorageError(
                     f"segment of video {title_id!r} ({fraction:.3f} of "
                     f"{video.size_mb:.1f} MB) does not fit on the array "
-                    f"(free={self.free_mb:.1f} MB)"
+                    f"(free={self.total_capacity_mb - self.used_mb:.1f} MB)"
                 )
             layout = self._partial_layouts.get(title_id) or self.layout_for(video)
             for cluster_index, disk_index, size_mb in layout.assignments[
@@ -349,20 +313,6 @@ class DiskArray:
         if video.size_mb <= 0.0:
             return 1.0
         return min(1.0, resident_mb / video.size_mb)
-
-    def resident_cluster_count(self, title_id: str) -> int:
-        """Number of leading clusters resident (full count when stored)."""
-        if title_id in self._videos:
-            return self._layouts[title_id].cluster_count
-        return self._partial_counts.get(title_id, 0)
-
-    def has_segment(self, title_id: str) -> bool:
-        """True if a partial (not full) segment of the video is resident."""
-        return title_id in self._partials
-
-    def partial_title_ids(self) -> List[str]:
-        """Ids with a partial segment resident, sorted."""
-        return sorted(self._partials)
 
     def resident_title_ids(self) -> List[str]:
         """Ids with any residency — full or partial — sorted."""

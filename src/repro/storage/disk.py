@@ -8,7 +8,7 @@ which reasons purely about *capacity-oriented* storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import StorageError
 
@@ -49,11 +49,6 @@ class Disk:
         """Spare capacity in megabytes."""
         return max(self.capacity_mb - self._used_mb, 0.0)
 
-    @property
-    def cluster_count(self) -> int:
-        """Number of stored clusters."""
-        return len(self._clusters)
-
     def fits(self, size_mb: float) -> bool:
         """True if a cluster of ``size_mb`` fits in the spare capacity."""
         return size_mb <= self.free_mb + 1e-9
@@ -89,11 +84,3 @@ class Disk:
             raise StorageError(f"disk {self.disk_index}: no cluster {key}")
         self._used_mb = max(self._used_mb - cluster.size_mb, 0.0)
         return cluster
-
-    def has_cluster(self, title_id: str, cluster_index: int) -> bool:
-        """True if the (title, index) cluster is resident."""
-        return (title_id, cluster_index) in self._clusters
-
-    def title_ids(self) -> List[str]:
-        """Distinct titles with at least one cluster here, sorted."""
-        return sorted({tid for tid, _ in self._clusters})

@@ -9,7 +9,7 @@ diurnal background traffic (including replaying the paper's Table 2), and
 examples and benchmarks.
 """
 
-from repro.workload.arrivals import PoissonArrivals, UniformArrivals
+from repro.workload.arrivals import PoissonArrivals
 from repro.workload.catalog import CatalogGenerator
 from repro.workload.traces import DiurnalTrafficShaper, Table2Replayer
 from repro.workload.zipf import ZipfSampler, zipf_weights
@@ -27,7 +27,6 @@ __all__ = [
     "PoissonArrivals",
     "RequestEvent",
     "Table2Replayer",
-    "UniformArrivals",
     "WorkloadScenario",
     "ZipfSampler",
     "flash_crowd_scenario",

@@ -1,14 +1,13 @@
 """Request arrival processes.
 
 :class:`PoissonArrivals` generates exponential inter-arrival gaps (the
-standard model for independent viewers); :class:`UniformArrivals` spaces
-requests evenly, useful for load benchmarks where variance is unwanted.
+standard model for independent viewers).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import WorkloadError
 
@@ -49,48 +48,3 @@ class PoissonArrivals:
                 break
             times.append(t)
         return times
-
-    def stream(self, start: float = 0.0) -> Iterator[float]:
-        """Endless iterator of arrival instants."""
-        t = start
-        while True:
-            t += self.next_gap()
-            yield t
-
-
-class UniformArrivals:
-    """Deterministic, evenly spaced arrivals.
-
-    Args:
-        period_s: Gap between consecutive arrivals.
-    """
-
-    def __init__(self, period_s: float):
-        if not (period_s > 0.0):
-            raise WorkloadError(f"arrival period must be positive, got {period_s!r}")
-        self.period_s = period_s
-
-    def times_until(self, horizon_s: float, start: float = 0.0) -> List[float]:
-        """All arrival instants in (start, horizon_s].
-
-        Instants are computed as ``start + i * period`` (not by repeated
-        addition), so long schedules carry no float drift.
-        """
-        if horizon_s < start:
-            raise WorkloadError(f"horizon {horizon_s} precedes start {start}")
-        times: List[float] = []
-        index = 1
-        while True:
-            t = start + index * self.period_s
-            if t > horizon_s:
-                break
-            times.append(t)
-            index += 1
-        return times
-
-    def stream(self, start: float = 0.0) -> Iterator[float]:
-        """Endless iterator of arrival instants (drift-free)."""
-        index = 1
-        while True:
-            yield start + index * self.period_s
-            index += 1

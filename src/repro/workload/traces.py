@@ -39,10 +39,6 @@ class Table2Replayer:
         self._apply()
         self._task.start()
 
-    def stop(self) -> None:
-        """Stop refreshing background traffic."""
-        self._task.stop()
-
     def _apply(self) -> None:
         for name, mbps in grnet.interpolated_traffic(self._sim.now).items():
             self._topology.link_named(name).set_background_mbps(mbps)

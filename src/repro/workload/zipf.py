@@ -61,11 +61,6 @@ class ZipfSampler:
         # Guard the final bucket against float dust.
         self._cumulative[-1] = 1.0
 
-    @property
-    def items(self) -> List[str]:
-        """The catalog in rank order."""
-        return list(self._items)
-
     def probability_of_rank(self, rank: int) -> float:
         """Request probability of the item at 1-based ``rank``."""
         if not (1 <= rank <= len(self._items)):

@@ -9,7 +9,11 @@ identical on every replay.
 import pytest
 
 from repro.core.admission_queue import AdmissionQueue
+from repro.core.service import ServiceConfig, VoDService
 from repro.errors import ReproError
+from repro.network.grnet import build_grnet_topology
+from repro.sim.engine import Simulator
+from repro.storage.video import VideoTitle
 
 
 class TestValidation:
@@ -103,8 +107,7 @@ class TestPacing:
         def run():
             queue = AdmissionQueue(capacity=2, rate_per_s=1.0, tick_s=1.0)
             slots = [queue.offer(now, key) for now, key in arrivals]
-            queue.finalize()
-            return slots, queue.snapshot()
+            return slots, queue.stats, queue.depth
 
         assert run() == run()
 
@@ -115,36 +118,64 @@ class TestCohorts:
         queue.offer(0.0, key="a")
         queue.offer(0.0, key="a")
         queue.offer(0.0, key="b")
-        # The fourth offer rolls the cursor to tick 1, flushing the cohort.
+        # The fourth offer rolls the cursor to tick 1: a second cohort.
         queue.offer(0.0, key="b")
         stats = queue.stats
-        assert stats.batches == 1
+        assert stats.batches == 2
         assert stats.max_batch == 3
         assert stats.coalesced == 1  # the second "a" rides the first's decision
 
-    def test_finalize_flushes_the_inflight_cohort(self):
+    def test_the_inflight_cohort_counts_as_it_fills(self):
         queue = AdmissionQueue(capacity=10, rate_per_s=10.0, tick_s=1.0)
         queue.offer(0.0, key="a")
         queue.offer(0.0, key="a")
-        assert queue.stats.batches == 0  # still filling the first tick
-        queue.finalize()
-        assert queue.stats.batches == 1
+        assert queue.stats.batches == 1  # the first tick, still filling
         assert queue.stats.max_batch == 2
-        queue.finalize()  # idempotent: nothing new to flush
-        assert queue.stats.batches == 1
+        assert queue.stats.coalesced == 1
 
-    def test_snapshot_carries_counters_and_live_depth(self):
+    def test_stats_carry_counters_beside_the_live_depth(self):
         queue = AdmissionQueue(capacity=2, rate_per_s=1.0 / 60.0, tick_s=60.0)
         queue.offer(0.0, key="a")
         queue.offer(0.0, key="a")
-        view = queue.snapshot()
-        assert view["offered"] == 2
-        assert view["immediate"] == 1
-        assert view["delayed"] == 1
-        assert view["depth"] == 1
-        assert view["mean_wait_s"] == 60.0
+        stats = queue.stats
+        assert stats.offered == 2
+        assert stats.immediate == 1
+        assert stats.delayed == 1
+        assert queue.depth == 1
+        assert stats.mean_wait_s == 60.0
 
     def test_empty_queue_rates_are_zero(self):
         queue = AdmissionQueue(capacity=1)
         assert queue.stats.mean_wait_s == 0.0
         assert queue.stats.shed_rate == 0.0
+
+
+class TestServiceRun:
+    def test_after_a_run_batches_are_the_drain_ticks_used(self):
+        service = VoDService(
+            Simulator(),
+            build_grnet_topology(),
+            ServiceConfig(
+                admission_queue_capacity=20, admission_rate_per_s=2.0, admission_tick_s=1.0
+            ),
+        )
+        service.seed_title("U4", VideoTitle("movie", size_mb=60.0, duration_s=600.0))
+        service.start()
+        queue = service.admission_queue
+        ticks = []
+        offer = queue.offer
+
+        def recording_offer(now, key):
+            slot = offer(now, key)
+            if not slot.shed:
+                ticks.append(int(slot.admit_at / queue.tick_s))
+            return slot
+
+        queue.offer = recording_offer
+        for index in range(7):
+            service.request_by_home("U2", "movie", f"c{index}")
+        service.sim.run(until=service.sim.now + 3_600.0)
+        assert ticks == [0, 0, 1, 1, 2, 2, 3]  # two a tick; the last cohort has one
+        stats = queue.stats
+        assert stats.batches == len(set(ticks))
+        assert (stats.max_batch, stats.coalesced) == (2, 3)

@@ -2,7 +2,7 @@
 :class:`~repro.core.service.VoDService` wires it: the token that clears
 it (its routing part pinned against ``routing_epoch()`` as promised in the
 service source), the availability hooks that move the token, telemetry
-parity on replays, and the snapshot sections.
+parity on replays, and the counters the VRA and the admission queue keep.
 """
 
 import gc
@@ -16,6 +16,7 @@ from repro.errors import RoutingError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
+from tests.decide_outcome import decide_outcome
 from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
@@ -48,16 +49,15 @@ def report_traffic(service: VoDService, label: str = "8am") -> None:
 class TestServiceWiring:
     def test_decision_cache_rides_on_the_routing_cache(self):
         service = build_service(compiled_routing=False)
-        assert service.snapshot()["decision_cache"] is None  # reference: no memo
+        assert service.vra.decision_cache_stats is None  # reference: no memo
         first = service.decide("U2", "movie")
         assert first.chosen_uid in {"U4", "U5"}
         assert service.decide("U2", "movie") is not first
 
     def test_default_config_turns_the_memo_on(self):
         service = build_service()
-        assert service.snapshot()["decision_cache"] == {
-            "hits": 0, "misses": 0, "hit_rate": 0.0
-        }
+        stats = service.vra.decision_cache_stats
+        assert (stats.hits, stats.misses, stats.hit_rate) == (0, 0, 0.0)
         assert service.vra.cache.decisions == {}
         assert service.admission_queue is None
 
@@ -68,8 +68,8 @@ class TestServiceWiring:
         second = service.decide("U2", "movie")
         assert second is first  # same-state replay, not a recompute
         assert service.vra.decision_count == decisions_before + 1
-        stats = service.snapshot()["decision_cache"]
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        stats = service.vra.decision_cache_stats
+        assert stats.hits == 1 and stats.misses == 1
 
     @pytest.mark.parametrize("use_reported_stats", [True, False])
     def test_freshness_token_pins_routing_epoch(self, use_reported_stats):
@@ -156,23 +156,22 @@ class TestServiceWiring:
         for _ in range(2):
             with pytest.raises(RoutingError):
                 service.decide("U2", "movie")
-        stats = service.snapshot()["decision_cache"]
-        assert stats["hits"] == 0
-        assert stats["misses"] == 2
+        stats = service.vra.decision_cache_stats
+        assert stats.hits == 0
+        assert stats.misses == 2
         assert len(service.vra.cache.decisions) == 0
 
-    def test_snapshot_reports_the_new_sections(self):
+    def test_stats_report_the_new_sections(self):
         plain = build_service(compiled_routing=False)
-        assert plain.snapshot()["decision_cache"] is None
-        assert plain.snapshot()["admission_queue"] is None
+        assert plain.vra.decision_cache_stats is None
+        assert plain.admission_queue is None
         tuned = build_service(
             admission_queue_capacity=8,
             admission_rate_per_s=2.0,
         )
         tuned.decide("U2", "movie")
-        snapshot = tuned.snapshot()
-        assert snapshot["decision_cache"]["misses"] == 1
-        assert snapshot["admission_queue"]["offered"] == 0
+        assert tuned.vra.decision_cache_stats.misses == 1
+        assert tuned.admission_queue.stats.offered == 0
 
     def test_queue_delay_and_shed_surface_in_session_records(self):
         service = build_service(
@@ -292,8 +291,8 @@ class TestReplayPaysForTheTokenOnce:
             forbid(patch)
             for _ in range(3):
                 assert service.decide("U2", "movie") is second
-        stats = service.snapshot()["decision_cache"]
-        assert (stats["hits"], stats["misses"]) == (8, 2)
+        stats = service.vra.decision_cache_stats
+        assert (stats.hits, stats.misses) == (8, 2)
         assert service.vra.decision_count == 10
 
     def test_instruments_read_the_same_with_the_memo_on_or_off(self):
@@ -320,8 +319,8 @@ class TestReplayPaysForTheTokenOnce:
         assert obs.histogram("vra.candidates").total == plain.obs.histogram("vra.candidates").total
 
 
-class TestTryDecideTrace:
-    def test_degraded_outcome_is_traced_only_when_the_tracer_is_on(self):
+class TestFailedDecision:
+    def test_a_failure_is_the_same_with_the_tracer_on_or_off(self):
         from repro.sim.trace import Tracer
 
         def run(tracer):
@@ -331,16 +330,10 @@ class TestTryDecideTrace:
             service.seed_title("U4", MOVIE)
             service.start()
             service.servers["U4"].online = False
-            return service.try_decide("U2", "movie")
+            return decide_outcome(service, "U2", "movie")
 
-        tracer = Tracer()
-        outcome = run(tracer)
-        assert not outcome.ok
-        [record] = trace_rows(tracer, "vra.degraded")
-        assert record["message"] == f"movie at U2: {outcome.outcome}"
-        assert record["data"] == {
-            "home_uid": "U2", "title_id": "movie", "outcome": outcome.outcome
-        }
+        outcome = run(Tracer())
+        assert outcome[0] == "RoutingError"  # the one holder polled out
         silent = Tracer(enabled=False)
-        assert run(silent).outcome == outcome.outcome
+        assert run(silent) == outcome
         assert trace_rows(silent) == []

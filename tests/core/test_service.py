@@ -191,7 +191,7 @@ class TestIntrospection:
         service.request_by_home("U2", "m1")
         assert len(service.sessions) == 1
         service.sim.run(until=service.sim.now + 2 * 3600.0)
-        assert len(service.completed_sessions()) == 1
+        assert [record.request.finished for record in service.sessions] == [True]
 
     def test_title_video_roundtrip(self, service):
         original = movie()

@@ -1,8 +1,6 @@
 """Service-level placement behaviour: trace families, fraction-aware
 holder advertisement, and the prefix-local serving fast path."""
 
-import pytest
-
 from repro.core.service import ServiceConfig, VoDService
 from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
@@ -48,8 +46,10 @@ class TestFractionAwareAdvertisement:
         service.request_by_home("U2", "m")
         service.sim.run(until=service.sim.now + 3600.0)
         # 15 of 60 minutes -> a quarter of the title at the home server.
-        assert service.database.holder_fraction("m", "U2") == pytest.approx(0.25)
-        assert service.database.holder_fraction("m", "U4") == 1.0
+        holders = service.database.servers_with_title
+        assert holders("m", min_fraction=0.25) == ["U2", "U4"]
+        assert holders("m", min_fraction=0.26) == ["U4"]
+        assert holders("m", min_fraction=1.0) == ["U4"]
 
     def test_vra_prefers_full_holders_over_prefix_holders(self, grnet_8am):
         service = build_service(

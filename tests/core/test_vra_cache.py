@@ -8,9 +8,7 @@ from repro.core.vra import VirtualRoutingAlgorithm
 from repro.database.records import LinkStats
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
-from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 
@@ -219,36 +217,24 @@ class TestHoldersNormalization:
         assert decision.polled_out == ("U5", "U6")
 
 
-class TestSnapshot:
-    def test_snapshot_reports_cache_counters(self):
+class TestCacheStats:
+    def test_vra_reports_cache_counters(self):
         service = build_service()
         service.decide("U2", "movie")
         service.decide("U2", "movie")
         churn_a_stream_slot(service)
         service.decide("U2", "movie")
-        snapshot = service.snapshot()
-        assert snapshot["vra_decisions"] == 3
-        assert snapshot["routing_cache"]["tree_hits"] == 1
-        assert snapshot["decision_cache"] == {
-            "hits": 1, "misses": 2, "hit_rate": pytest.approx(1 / 3)
-        }
-        assert snapshot["routing_epoch"] == service.routing_epoch()
+        vra = service.vra
+        assert vra.decision_count == 3
+        assert vra.cache_stats.tree_hits == 1
+        stats = vra.decision_cache_stats
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert stats.hit_rate == pytest.approx(1 / 3)
 
-    def test_snapshot_with_cache_off(self):
+    def test_stats_with_cache_off(self):
         service = build_service(compiled_routing=False)
-        snapshot = service.snapshot()
-        assert snapshot["routing_cache"] is None
-        assert snapshot["decision_cache"] is None
-
-    def test_snapshot_traced_when_enabled(self):
-        sim = Simulator()
-        service = VoDService(
-            sim, build_grnet_topology(), ServiceConfig(), tracer=Tracer(enabled=True)
-        )
-        service.snapshot()
-        events = trace_rows(service.tracer, "service.snapshot")
-        assert len(events) == 1
-        assert "routing_cache" in events[0]["data"]
+        assert service.vra.cache_stats is None
+        assert service.vra.decision_cache_stats is None
 
 
 class TestTwoPartToken:

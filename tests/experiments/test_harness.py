@@ -148,7 +148,7 @@ class TestRunExperiment:
         assert result.metrics.completed_count > 0
         assert all(record.request.finished for record in result.service.sessions)
         # The memo's token vouches for the built-in VRA's inputs only.
-        memo = result.service.snapshot()["decision_cache"]
+        memo = getattr(result.service.vra, "decision_cache_stats", None)
         assert (memo is not None) == (selection == "vra")
 
     def test_a_session_process_dying_on_an_unhandled_exception_raises(self):

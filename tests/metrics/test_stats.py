@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.metrics.stats import (
-    confidence_interval_95,
-    histogram,
-    mean,
-    percentile,
-    stddev,
-)
+from repro.metrics.stats import mean, percentile
 
 
 class TestMean:
@@ -22,19 +16,6 @@ class TestMean:
     def test_empty_rejected(self):
         with pytest.raises(ReproError):
             mean([])
-
-
-class TestStddev:
-    def test_known_value(self):
-        assert stddev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == pytest.approx(
-            2.13808993, abs=1e-6
-        )
-
-    def test_single_value_is_zero(self):
-        assert stddev([5.0]) == 0.0
-
-    def test_constant_sequence_is_zero(self):
-        assert stddev([3.0] * 10) == 0.0
 
 
 class TestPercentile:
@@ -57,32 +38,3 @@ class TestPercentile:
 
     def test_single_value(self):
         assert percentile([4.0], 95.0) == 4.0
-
-
-class TestConfidenceInterval:
-    def test_contains_mean(self):
-        data = [1.0, 2.0, 3.0, 4.0, 5.0]
-        low, high = confidence_interval_95(data)
-        assert low <= mean(data) <= high
-
-    def test_single_observation_degenerate(self):
-        assert confidence_interval_95([3.0]) == (3.0, 3.0)
-
-    def test_tighter_with_more_data(self):
-        narrow = confidence_interval_95([5.0, 5.1, 4.9] * 30)
-        wide = confidence_interval_95([5.0, 5.1, 4.9])
-        assert (narrow[1] - narrow[0]) < (wide[1] - wide[0])
-
-
-class TestHistogram:
-    def test_counts_sum_to_n(self):
-        data = [0.5, 1.5, 2.5, 2.6, 2.7]
-        bins = histogram(data, 3)
-        assert sum(count for _, count in bins) == 5
-
-    def test_constant_data_single_bin(self):
-        assert histogram([2.0, 2.0], 5) == [(2.0, 2)]
-
-    def test_invalid_bins_rejected(self):
-        with pytest.raises(ReproError):
-            histogram([1.0], 0)

@@ -13,7 +13,7 @@ class TestReservation:
         assert line.link_between("A", "B").reserved_mbps == 4.0
         assert line.link_between("B", "C").reserved_mbps == 4.0
         assert line.link_between("C", "D").reserved_mbps == 0.0
-        assert flow.hop_count == 2
+        assert flow.node_path == ("A", "B", "C")
 
     def test_release_returns_bandwidth(self, line):
         flows = FlowManager(line)
@@ -25,7 +25,6 @@ class TestReservation:
     def test_single_node_path_reserves_nothing(self, line):
         flows = FlowManager(line)
         flow = flows.reserve(["A"], 1.0)
-        assert flow.hop_count == 0
         assert all(link.reserved_mbps == 0.0 for link in line.links())
         flows.release(flow)
 
@@ -66,9 +65,9 @@ class TestReservation:
         flows = FlowManager(line)
         a = flows.reserve(["A", "B"], 1.0)
         flows.reserve(["B", "C"], 1.0)
-        assert len(flows.active_flows()) == 2
+        assert flows.active_count == 2
         flows.release(a)
-        assert len(flows.active_flows()) == 1
+        assert flows.active_count == 1
 
 
 class TestCapacityQueries:

@@ -16,18 +16,7 @@ class TestNode:
         with pytest.raises(ValueError):
             Node("")
 
-    def test_equality_by_uid(self):
-        assert Node("U1", name="Athens") == Node("U1", name="Other")
-        assert Node("U1") != Node("U2")
-
-    def test_hashable_by_uid(self):
-        assert len({Node("U1"), Node("U1", name="Athens"), Node("U2")}) == 2
-
     def test_attributes_dict_is_per_instance(self):
         a, b = Node("A"), Node("B")
         a.attributes["x"] = 1
         assert "x" not in b.attributes
-
-    def test_repr_shows_name_when_distinct(self):
-        assert "Athens" in repr(Node("U1", name="Athens"))
-        assert repr(Node("U1")) == "Node('U1')"

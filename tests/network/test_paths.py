@@ -9,12 +9,11 @@ class TestPath:
     def test_basic_properties(self):
         path = Path(nodes=("U2", "U1", "U6", "U5"), cost=0.315)
         assert path.source == "U2"
-        assert path.destination == "U5"
         assert path.hop_count == 3
 
     def test_single_node_path(self):
         path = Path(nodes=("U1",), cost=0.0)
-        assert path.source == path.destination == "U1"
+        assert path.source == "U1"
         assert path.hop_count == 0
 
     def test_empty_path_rejected(self):

@@ -29,22 +29,12 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_direct_set(self):
-        gauge = Gauge("g")
-        gauge.set(4.0)
-        assert gauge.value == 4.0
-
     def test_callback_backed(self):
         box = {"v": 1.0}
         gauge = Gauge("g", callback=lambda: box["v"])
         assert gauge.value == 1.0
         box["v"] = 9.0
         assert gauge.value == 9.0
-
-    def test_set_on_callback_gauge_rejected(self):
-        gauge = Gauge("g", callback=lambda: 0.0)
-        with pytest.raises(ReproError):
-            gauge.set(1.0)
 
 
 class TestHistogram:
@@ -116,7 +106,8 @@ class TestRegistry:
         b = registry.counter("server.serves", labels={"server": "U2"})
         assert a is not b
         assert a.label_dict() == {"server": "U1"}
-        assert len(registry.find("server.serves")) == 2
+        labels = [c.label_dict() for c in registry.counters()]
+        assert labels == [{"server": "U1"}, {"server": "U2"}]
 
     def test_label_order_does_not_matter(self):
         registry = MetricsRegistry()
@@ -159,7 +150,6 @@ class TestDisabledRegistry:
 
     def test_noop_instruments_record_nothing(self):
         NULL_COUNTER.inc(5.0)
-        NULL_GAUGE.set(5.0)
         NULL_HISTOGRAM.observe(5.0)
         assert NULL_COUNTER.value == 0.0
         assert NULL_GAUGE.value == 0.0

@@ -127,17 +127,6 @@ class TestLifecycle:
         assert sampler.sink is None
         assert sim.events_fired == 0
 
-    def test_stop_keeps_recorded_series(self):
-        sim = Simulator()
-        registry = MetricsRegistry()
-        registry.gauge("g", callback=lambda: 1.0)
-        sampler = TelemetrySampler(sim, registry, period_s=10.0)
-        sampler.start()
-        sim.run(until=10.0)
-        sampler.stop()
-        sim.run(until=100.0)
-        assert len(samples(sampler, "g")) == 2
-
     def test_start_is_idempotent(self):
         sim = Simulator()
         registry = MetricsRegistry()

@@ -16,12 +16,10 @@ def make_span():
 class TestLifecycle:
     def test_open_until_finished(self):
         span = make_span()
-        assert span.open
-        assert span.duration_s is None
+        assert span.finished_at is None
         span.finish(160.0, "completed")
-        assert not span.open
+        assert span.finished_at == 160.0
         assert span.status == "completed"
-        assert span.duration_s == 60.0
         assert span.events[-1].kind == "finished"
 
     def test_event_queries(self):

@@ -180,10 +180,12 @@ class TestMemory:
 
 #: sha256 of the sorted data rows (manifest and footer dropped) that
 #: ``chaos --seed 42 --duration-hours 1 --requests-per-node 5
-#: --telemetry-out`` streamed before the decision-latency histogram and
-#: the span events' ``latency_ms`` left the stream (both dropped from the
-#: reference before hashing): every other row is unchanged.
-PINNED_CHAOS_ROWS = (28_891, "4ef57f5c79c53f08575b520f32259a213853f727a6155adb928fe1362d5e25bc")
+#: --telemetry-out`` streams.  Rows of instruments that left the service
+#: were dropped from the earlier reference before hashing (the
+#: decision-latency histogram, the span events' ``latency_ms``, and the
+#: 245 ``resilience.degraded_decisions`` sample and counter rows): every
+#: other row is unchanged.
+PINNED_CHAOS_ROWS = (28_646, "7ffc0040732a621a66fd883b7fbac59634e31938e89f64c27075558bb3ea5843")
 
 
 class TestPinnedRows:

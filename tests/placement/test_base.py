@@ -53,13 +53,6 @@ class TestPolicyContract:
         assert total == policy.pass_count == 4
         assert policy.action_counts["hit"] == policy.hit_count == 1
 
-    def test_resident_ids_mirrors_array(self, array):
-        policy = WholeTitleDma(array)
-        policy.seed(video("b"))
-        policy.seed(video("a"))
-        assert policy.resident_ids() == ["a", "b"]
-        assert policy.resident_ids() == array.resident_title_ids()
-
     def test_seed_gives_no_point(self, array):
         policy = WholeTitleDma(array)
         policy.seed(video("v"))
@@ -70,7 +63,7 @@ class TestPolicyContract:
         policy = WholeTitleDma(array)
         policy.seed(video("a"))
         policy.seed(video("b"))
-        policy.pin("a")
+        policy.pinned.add("a")
         policy.on_request(video("c"))  # 1 point beats both 0-point residents
         assert array.has_video("a")   # pinned survives
         assert not array.has_video("b")
@@ -82,7 +75,6 @@ class TestPolicyContract:
             result = policy.on_request(video("v"))
             assert isinstance(result, PlacementResult)
             assert policy.pass_count == 1
-            assert isinstance(policy.resident_ids(), list)
 
 
 class TestPlacementConfig:

@@ -35,7 +35,8 @@ class TestProportionalBehaviour:
         assert result.action is PlacementAction.PREFIX_STORED
         # The floor, rounded up to whole clusters.
         assert 0.25 <= result.resident_fraction < 1.0
-        assert array.has_segment("cold")
+        assert "cold" in array.resident_title_ids()
+        assert not array.has_video("cold")
 
     def test_fraction_grows_with_points(self, array):
         # Two 400 MB titles over a 200 MB array: the repeatedly-requested
@@ -75,11 +76,11 @@ class TestProportionalBehaviour:
         policy.on_request(video("a", size_mb=400.0))  # grabs the array
         policy.on_request(video("b", size_mb=400.0))  # 1 !> 1: point only
         policy.on_request(video("b", size_mb=400.0))  # 2 > 1: evicts a, cuts segment
-        first = array.resident_cluster_count("b")
+        first = array.resident_fraction("b")
         assert first > 0
         assert not array.has_video("a")
         policy.on_request(video("b", size_mb=400.0))  # share grew: extend
-        assert array.resident_cluster_count("b") > first
+        assert array.resident_fraction("b") > first
         # Still partial: capacity (200) / size (400) caps the share at 0.5.
         assert not array.has_video("b")
         assert array.resident_fraction("b") <= 0.5 + 1e-9

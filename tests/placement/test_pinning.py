@@ -21,7 +21,7 @@ class TestPinnedEviction:
         policy = WholeTitleDma(array)
         policy.seed(video("keep"))
         policy.seed(video("lose"))
-        policy.pin("keep")
+        policy.pinned.add("keep")
         result = policy.on_request(video("new", 100.0))  # 1 > 0 for both
         assert array.has_video("keep")
         assert "keep" not in result.evicted
@@ -30,7 +30,7 @@ class TestPinnedEviction:
         policy = WholeTitleDma(array, evict_until_fits=True)
         policy.seed(video("keep"))
         policy.seed(video("lose"))
-        policy.pin("keep")
+        policy.pinned.add("keep")
         result = policy.on_request(video("new", 100.0))
         # Greedy eviction may only consume the unpinned resident; the
         # newcomer still does not fit and the victim is lost.
@@ -44,7 +44,7 @@ class TestPinnedEviction:
         policy.seed(video("keep", 25.0))
         policy.seed(video("a", 25.0))
         policy.seed(video("b", 25.0))
-        policy.pin("keep")
+        policy.pinned.add("keep")
         result = policy.on_request(video("new", 75.0))  # needs both a and b gone
         assert result.action is PlacementAction.REPLACED
         assert set(result.evicted) == {"a", "b"}
@@ -55,8 +55,8 @@ class TestPinnedEviction:
         policy = WholeTitleDma(array, evict_until_fits=True)
         policy.seed(video("a"))
         policy.seed(video("b"))
-        policy.pin("a")
-        policy.pin("b")
+        policy.pinned.add("a")
+        policy.pinned.add("b")
         result = policy.on_request(video("new", 100.0))
         assert result.action is PlacementAction.POINT_ONLY
         assert result.evicted == ()

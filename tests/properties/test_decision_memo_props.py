@@ -22,6 +22,7 @@ from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
+from tests.decide_outcome import decide_outcome
 
 HOMES = ("U1", "U2", "U3", "U4", "U5", "U6")
 TITLES = ("m1", "m2")
@@ -79,10 +80,9 @@ def apply_step(service, step, request_counter):
         # unless a step in between moved the token.
         home, title = HOMES[step[1] % len(HOMES)], TITLES[step[2] % len(TITLES)]
         for _ in range(2):
-            outcome = service.try_decide(home, title)
             # Decisions compare by value: choice, path, weight table,
             # polled-out holders, candidate count, degraded stamp.
-            service.probes.append((outcome.outcome, outcome.reason, outcome.decision))
+            service.probes.append(decide_outcome(service, home, title))
     else:  # traffic
         _, link_index, fraction = step
         link = service.topology.link_named(LINKS[link_index % len(LINKS)])
@@ -296,7 +296,7 @@ def test_overloaded_admission_queue_replays_deterministically(interleaving):
             for record in service.sessions
             if (record.request.failure_reason or "").startswith("admission-shed")
         )
-        return service_fingerprint(service), shed, service.admission_queue.snapshot()
+        return service_fingerprint(service), shed, service.admission_queue.stats
 
     first_prints, first_shed, first_snapshot = run_once()
     second_prints, second_shed, second_snapshot = run_once()

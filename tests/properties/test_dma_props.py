@@ -27,7 +27,8 @@ def test_capacity_never_exceeded(stream, greedy):
     dma = WholeTitleDma(array, evict_until_fits=greedy)
     for title_id in stream:
         dma.on_request(video(title_id))
-        for disk in array.disks():
+        for index in range(array.disk_count):
+            disk = array.disk(index)
             assert disk.used_mb <= disk.capacity_mb + 1e-9
 
 

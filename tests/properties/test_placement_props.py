@@ -55,7 +55,8 @@ def test_capacity_never_exceeded(stream, factory):
     for title_id in stream:
         policy.on_request(video(title_id))
         assert array.used_mb <= array.total_capacity_mb + 1e-9
-        for disk in array.disks():
+        for index in range(array.disk_count):
+            disk = array.disk(index)
             assert disk.used_mb <= disk.capacity_mb + 1e-9
 
 
@@ -77,10 +78,16 @@ def test_full_and_partial_residency_are_disjoint(stream, factory):
     policy = factory(array)
     for title_id in stream:
         policy.on_request(video(title_id))
-        for tid in CATALOG:
-            assert not (array.has_video(tid) and array.has_segment(tid))
-        resident = set(array.stored_title_ids()) | set(array.partial_title_ids())
-        assert sorted(resident) == array.resident_title_ids()
+        resident = array.resident_title_ids()
+        assert set(array.stored_title_ids()) <= set(resident)
+        for tid in CATALOG:  # full, partial or absent: exactly one
+            fraction = array.resident_fraction(tid)
+            if array.has_video(tid):
+                assert fraction == 1.0
+            elif tid in resident:
+                assert 0.0 < fraction < 1.0
+            else:
+                assert fraction == 0.0
 
 
 @given(request_streams, policy_factories)

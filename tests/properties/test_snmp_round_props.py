@@ -25,6 +25,7 @@ from repro.network.link import Link
 from repro.network.node import Node
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
+from tests.decide_outcome import decide_outcome
 from tests.snmp.both_ends_oracle import link_stats, use_both_ends_oracle
 
 from .topology_strategies import random_weighted_topology
@@ -115,7 +116,7 @@ def test_one_reporter_round_equals_the_both_ends_round(drawn, rounds):
         assert link_stats(new.database) == link_stats(old.database)
         assert changed_samples(new) == changed_samples(old)
         home = new.topology.node_uids()[-1]
-        outcomes = [service.try_decide(home, "clip") for service in pair]
+        outcomes = [decide_outcome(service, home, "clip") for service in pair]
         assert outcomes[0] == outcomes[1]
         assert new.vra.cache_stats.invalidations == old.vra.cache_stats.invalidations
     for service in pair:

@@ -30,7 +30,7 @@ def test_adjacency_is_symmetric(data):
 @settings(max_examples=60, deadline=None)
 def test_degree_sums_to_twice_link_count(data):
     topology, _ = data
-    total_degree = sum(topology.degree(uid) for uid in topology.node_uids())
+    total_degree = sum(len(topology.links_at(uid)) for uid in topology.node_uids())
     assert total_degree == 2 * topology.link_count
 
 

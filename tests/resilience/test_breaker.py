@@ -13,6 +13,7 @@ from repro.resilience.breaker import (
     CircuitBreaker,
 )
 from repro.sim.engine import Simulator
+from tests.resilience.breaker_log import state_of
 
 
 class TestCircuitBreaker:
@@ -93,7 +94,7 @@ class TestBreakerBoard:
         board.server_failure("U4")
         assert board.server_allowed("U4") is True
         board.server_failure("U4")
-        assert board.server_state("U4") == BREAKER_OPEN
+        assert state_of(board, "U4") == BREAKER_OPEN
         assert board.server_allowed("U4") is False
         assert board.filter_servers(["U4", "U5"]) == ["U5"]
         assert board.opened_by_kind[KIND_SERVER] == 1
@@ -118,9 +119,9 @@ class TestBreakerBoard:
         board.server_failure("U4")
         board.server_failure("U4")
         sim.run(until=299.0)
-        assert board.server_state("U4") == BREAKER_OPEN
+        assert state_of(board, "U4") == BREAKER_OPEN
         sim.run(until=301.0)
-        assert board.server_state("U4") == BREAKER_HALF_OPEN
+        assert state_of(board, "U4") == BREAKER_HALF_OPEN
         assert board.half_open_by_kind[KIND_SERVER] == 1
         assert board.server_allowed("U4") is True
 
@@ -132,12 +133,12 @@ class TestBreakerBoard:
         board.link_failure("l1")
         sim.run(until=301.0)
         board.path_success("U4", ["l1", "never-tripped"])
-        assert board.server_state("U4") == BREAKER_CLOSED
-        assert board.link_state("l1") == BREAKER_CLOSED
+        assert state_of(board, "U4") == BREAKER_CLOSED
+        assert state_of(board, "l1") == BREAKER_CLOSED
         assert board.closed_by_kind[KIND_SERVER] == 1
         assert board.closed_by_kind[KIND_LINK] == 1
         # Links the board never saw stay untracked (implicitly closed).
-        assert board.link_state("never-tripped") == BREAKER_CLOSED
+        assert state_of(board, "never-tripped") == BREAKER_CLOSED
         assert (KIND_SERVER, "U4", BREAKER_HALF_OPEN, BREAKER_CLOSED) in transitions
 
     def test_link_breaker_opens_and_reopens_on_failed_probe(self):
@@ -163,9 +164,9 @@ class TestBreakerBoard:
         board.server_failure("U4")  # open at t=0, probe due t=300
         sim.schedule(100.0, board.server_failure, "U4")  # deadline -> 400
         sim.run(until=399.0)
-        assert board.server_state("U4") == BREAKER_OPEN
+        assert state_of(board, "U4") == BREAKER_OPEN
         sim.run(until=401.0)
-        assert board.server_state("U4") == BREAKER_HALF_OPEN
+        assert state_of(board, "U4") == BREAKER_HALF_OPEN
         assert board.half_open_by_kind[KIND_SERVER] == 1
 
     def test_log_is_chronological(self):

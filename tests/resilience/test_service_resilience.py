@@ -10,6 +10,7 @@ from repro.resilience.breaker import (
     BREAKER_OPEN,
 )
 from repro.sim.engine import Simulator
+from tests.resilience.breaker_log import state_of
 from repro.storage.video import VideoTitle
 
 
@@ -46,7 +47,7 @@ class TestServerBreakerRouting:
         other = "U5" if first == "U4" else "U4"
 
         flap(service.servers[first], 2)
-        assert service.breakers.server_state(first) == BREAKER_OPEN
+        assert state_of(service.breakers, first) == BREAKER_OPEN
         # Both replicas are online again, but the flapping one is held
         # out of the candidate list until its breaker is probed.
         assert service.decide("U2", "news").chosen_uid == other
@@ -62,23 +63,23 @@ class TestServerBreakerRouting:
         sim = service.sim
 
         flap(service.servers[first], 2)
-        assert service.breakers.server_state(first) == BREAKER_OPEN
+        assert state_of(service.breakers, first) == BREAKER_OPEN
         sim.run(until=sim.now + 301.0)
-        assert service.breakers.server_state(first) == BREAKER_HALF_OPEN
+        assert state_of(service.breakers, first) == BREAKER_HALF_OPEN
 
         # The half-open server is admitted again; the first cluster it
         # delivers counts as the successful probe and closes the breaker.
         request, _, _ = service.request_by_home("U2", "news")
         sim.run(until=sim.now + 2 * 3600.0)
         assert request.status is RequestStatus.COMPLETED
-        assert service.breakers.server_state(first) == BREAKER_CLOSED
+        assert state_of(service.breakers, first) == BREAKER_CLOSED
 
     def test_all_holders_tripped_falls_back_to_unfiltered(self):
         service = make_service(breaker_threshold=2)
         service.seed_title("U4", news())
         service.start()
         flap(service.servers["U4"], 2)
-        assert service.breakers.server_state("U4") == BREAKER_OPEN
+        assert state_of(service.breakers, "U4") == BREAKER_OPEN
         # The only holder is tripped: the breaker must not manufacture a
         # routing failure the breaker-less service would not have had.
         assert service.decide("U2", "news").chosen_uid == "U4"

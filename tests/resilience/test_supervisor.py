@@ -84,9 +84,9 @@ class TestMidStreamFailover:
         request, session, _ = service.request_by_home("U2", "feature")
         injector = FaultInjector(
             service,
-            FaultSchedule.scripted(
+            FaultSchedule([
                 DiskFailure(600.0, 3_600.0, server_uid=source, disk_index=0)
-            ),
+            ]),
         )
         injector.start()
         sim = service.sim

@@ -35,9 +35,3 @@ class TestRngRegistry:
         busy.stream("another")
         values = [busy.stream("keep").random() for _ in range(5)]
         assert values == baseline
-
-    def test_names_lists_created_streams(self):
-        rngs = RngRegistry(0)
-        rngs.stream("b")
-        rngs.stream("a")
-        assert list(rngs.names()) == ["a", "b"]

@@ -10,7 +10,7 @@ from repro.snmp.counters import counter_delta
 class TestSnmpAgent:
     def test_instruments_adjacent_links_only(self, grnet):
         agent = SnmpAgent(grnet, "U2")
-        assert agent.link_names == ["Patra-Athens", "Patra-Ioannina"]
+        assert sorted(agent.poll(0.0)) == ["Patra-Athens", "Patra-Ioannina"]
 
     def test_unknown_node_rejected(self, grnet):
         from repro.errors import TopologyError

@@ -93,18 +93,6 @@ class TestStatisticsService:
         service = StatisticsService(sim, grnet, database.limited_access())
         assert len(service.modules) == grnet.node_count
 
-    def test_stop_halts_updates(self, grnet):
-        sim = Simulator()
-        grnet.link_named("Patra-Athens").set_background_mbps(1.0)
-        database = make_db(grnet)
-        service = StatisticsService(sim, grnet, database.limited_access(), period_s=60.0)
-        service.start()
-        sim.run(until=70.0)
-        stamp = database.link_entry("Patra-Athens").latest_stats.timestamp
-        service.stop()
-        sim.run(until=700.0)
-        assert database.link_entry("Patra-Athens").latest_stats.timestamp == stamp
-
     def test_invalid_period_rejected(self, grnet):
         sim = Simulator()
         database = make_db(grnet)
@@ -138,7 +126,7 @@ class TestOneReporterPerLink:
         database = make_db(grnet)
         admin = database.limited_access()
         ends = [NodeStatisticsModule(grnet, uid, admin) for uid in link.endpoints]
-        wrapped = False
+        wrapped, previous = False, 0
         for step in range(40):
             now = 9_000.0 * step  # ~1 Mbps a direction-pair: a wrap every ~8 polls
             link.set_background_mbps((step * 0.37) % link.capacity_mbps)
@@ -146,7 +134,9 @@ class TestOneReporterPerLink:
             assert first.get(link.name) == second.get(link.name)
             counters = [module.agent.poll(now)[link.name] for module in ends]
             assert counters[0] == counters[1]
-            wrapped = wrapped or ends[0].agent._counters[link.name][0].wraps > 0
+            # A value below the previous poll's means the counter wrapped.
+            wrapped = wrapped or counters[0][0] < previous
+            previous = counters[0][0]
         assert wrapped
 
     def test_reporter_is_the_earlier_created_endpoint(self, grnet):

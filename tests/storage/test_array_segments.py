@@ -21,35 +21,32 @@ class TestStoreSegment:
     def test_stores_leading_clusters_only(self, array):
         achieved = array.store_segment(video(), 0.3)
         assert achieved == pytest.approx(0.3)
-        assert array.has_segment("v")
+        assert array.resident_title_ids() == ["v"]
         assert not array.has_video("v")
-        assert array.resident_cluster_count("v") == 3
-        assert array.used_mb == pytest.approx(30.0)
+        assert array.used_mb == pytest.approx(30.0)  # 3 clusters of 10 MB
 
     def test_fraction_rounds_up_to_whole_clusters(self, array):
         achieved = array.store_segment(video(), 0.25)
         assert achieved == pytest.approx(0.3)  # 2.5 -> 3 clusters
-        assert array.resident_cluster_count("v") == 3
+        assert array.used_mb == pytest.approx(30.0)
 
     def test_extension_adds_only_new_clusters(self, array):
         array.store_segment(video(), 0.3)
         achieved = array.store_segment(video(), 0.6)
         assert achieved == pytest.approx(0.6)
-        assert array.resident_cluster_count("v") == 6
         assert array.used_mb == pytest.approx(60.0)
 
     def test_shrinking_is_a_noop(self, array):
         array.store_segment(video(), 0.6)
         achieved = array.store_segment(video(), 0.2)
         assert achieved == pytest.approx(0.6)
-        assert array.resident_cluster_count("v") == 6
+        assert array.used_mb == pytest.approx(60.0)
 
     def test_full_fraction_promotes_to_stored_video(self, array):
         array.store_segment(video(), 0.5)
         achieved = array.store_segment(video(), 1.0)
         assert achieved == 1.0
         assert array.has_video("v")
-        assert not array.has_segment("v")
         assert array.resident_fraction("v") == 1.0
         assert "v" in array.stored_title_ids()
 
@@ -88,7 +85,6 @@ class TestResidencyQueries:
         array.store_segment(video("part", 100.0), 0.3)
         assert array.resident_title_ids() == ["full", "part"]
         assert array.stored_title_ids() == ["full"]
-        assert array.partial_title_ids() == ["part"]
 
     def test_remove_clears_partial_segment(self, array):
         array.store_segment(video(), 0.5)

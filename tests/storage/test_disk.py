@@ -11,7 +11,6 @@ class TestDisk:
         disk = Disk(0, capacity_mb=100.0)
         assert disk.used_mb == 0.0
         assert disk.free_mb == 100.0
-        assert disk.cluster_count == 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(StorageError):
@@ -23,7 +22,6 @@ class TestDisk:
         disk.store(StoredCluster("v", 1, 20.0))
         assert disk.used_mb == pytest.approx(50.0)
         assert disk.free_mb == pytest.approx(50.0)
-        assert disk.cluster_count == 2
 
     def test_overflow_rejected(self):
         disk = Disk(0, 100.0)
@@ -43,7 +41,8 @@ class TestDisk:
         removed = disk.remove("v", 0)
         assert removed.size_mb == 40.0
         assert disk.used_mb == 0.0
-        assert not disk.has_cluster("v", 0)
+        with pytest.raises(StorageError):  # the cluster is gone
+            disk.remove("v", 0)
 
     def test_remove_missing_rejected(self):
         with pytest.raises(StorageError):
@@ -53,9 +52,3 @@ class TestDisk:
         disk = Disk(0, 100.0)
         assert disk.fits(100.0)
         assert not disk.fits(100.1)
-
-    def test_title_ids(self):
-        disk = Disk(0, 100.0)
-        disk.store(StoredCluster("b", 0, 5.0))
-        disk.store(StoredCluster("a", 0, 5.0))
-        assert disk.title_ids() == ["a", "b"]

@@ -1,20 +1,24 @@
 """Guard for the reachability census's reason table.
 
 ``benchmarks/census.py`` keeps, for every ``src/`` function no user path
-reaches, one named reason.  This reads the table with :mod:`ast` only (it
-runs nothing) and fails when an entry names code that no longer exists in
-``src/repro`` — a stale entry left behind by a later deletion — or uses a
-reason kind outside the census's six.
+reaches, one named reason and the tests that need the code.  This reads
+the table with :mod:`ast` only (it runs nothing) and fails when an entry
+names code that no longer exists in ``src/repro`` — a stale entry left
+behind by a later deletion — uses a reason kind outside the census's
+five, or names a test that does not exist.  A ``paper`` or ``reference``
+key must also be mentioned by a named test's file (or a test helper that
+file imports): the test reaches it on purpose, not by accident.
 """
 
 import ast
+import re
 from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CENSUS = ROOT / "benchmarks" / "census.py"
 PACKAGE = ROOT / "src" / "repro"
-KINDS = {"paper", "fault", "reference", "bench", "item5", "deferred"}
+KINDS = {"paper", "fault", "reference", "bench", "item5"}
 
 
 def _assigned(name):
@@ -32,7 +36,7 @@ def _assigned(name):
 
 
 @lru_cache(maxsize=None)
-def _qualnames(path):
+def _qualnames(path, separator="."):
     """Every class and function qualified name defined in one file."""
     names = set()
 
@@ -40,7 +44,7 @@ def _qualnames(path):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 names.add(prefix + child.name)
-                visit(child, prefix + child.name + ".")
+                visit(child, prefix + child.name + separator)
             else:
                 visit(child, prefix)
 
@@ -48,20 +52,40 @@ def _qualnames(path):
     return names
 
 
+@lru_cache(maxsize=None)
+def _text_with_helpers(path):
+    """A test file's text plus that of the ``tests`` modules it imports."""
+    texts = [path.read_text()]
+    for node in ast.walk(ast.parse(texts[0])):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = path.parent.joinpath(*[".."] * (node.level - 1))
+                module = base.joinpath(*(node.module or "").split("."))
+            elif (node.module or "").startswith("tests."):
+                module = ROOT.joinpath(*node.module.split("."))
+            else:
+                continue
+            helper = module.with_suffix(".py")
+            if helper.is_file():
+                texts.append(helper.read_text())
+    return "\n".join(texts)
+
+
 def test_kinds_match_the_census():
     assert set(_assigned("KINDS")) == KINDS
 
 
 def test_every_reason_uses_a_known_kind_and_says_why():
-    for kind, why, keys in _assigned("REASONS"):
+    for kind, why, keys, tests in _assigned("REASONS"):
         assert kind in KINDS, (kind, keys)
         assert why.strip(), keys
         assert keys, why
+        assert tests, why
 
 
 def test_every_key_names_existing_code():
     stale = []
-    for _, _, keys in _assigned("REASONS"):
+    for _, _, keys, _ in _assigned("REASONS"):
         for key in keys:
             path, _, qualname = key.partition("::")
             file = PACKAGE / path
@@ -71,5 +95,32 @@ def test_every_key_names_existing_code():
 
 
 def test_no_key_is_listed_twice():
-    keys = [key for _, _, group in _assigned("REASONS") for key in group]
+    keys = [key for _, _, group, _ in _assigned("REASONS") for key in group]
     assert len(keys) == len(set(keys))
+
+
+def test_every_named_test_exists():
+    missing = []
+    for _, _, _, tests in _assigned("REASONS"):
+        for node_id in tests:
+            path, _, qualname = node_id.partition("::")
+            file = ROOT / path
+            if not file.is_file() or qualname not in _qualnames(file, "::"):
+                missing.append(node_id)
+    assert missing == []
+
+
+def test_paper_and_reference_keys_are_mentioned_by_their_tests():
+    """A private helper (``_name``) is reached through the public call
+    that runs it, so only public names must appear."""
+    unmentioned = []
+    for kind, _, keys, tests in _assigned("REASONS"):
+        if kind not in ("paper", "reference"):
+            continue
+        texts = [_text_with_helpers(ROOT / node_id.partition("::")[0]) for node_id in tests]
+        for key in keys:
+            last = re.split(r"::|\.|/", key.removesuffix(".py"))[-1]
+            pattern = re.compile(rf"\b{re.escape(last)}\b")
+            if not last.startswith("_") and not any(pattern.search(t) for t in texts):
+                unmentioned.append(key)
+    assert unmentioned == []

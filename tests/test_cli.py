@@ -83,6 +83,19 @@ class TestSimulate:
         assert "sessions" in out
         assert "transport cost" in out
 
+    def test_admission_report_counts_the_last_drain_cohort(self, capsys):
+        argv = ["simulate", "--requests-per-node", "3", "--admission-queue-capacity", "4"]
+        assert main(argv) == 0
+        rows = dict(
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.count("|") == 1
+        )
+        # Every request was admitted at once, each in its own drain tick.
+        assert rows["Offered"] == rows["Admitted immediately"] == "22"
+        assert rows["Largest cohort"] == "1"
+        assert rows["Drain cohorts"] == "22"
+
     def test_policy_options_accepted(self, capsys):
         code = main(
             [

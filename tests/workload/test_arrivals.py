@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.arrivals import PoissonArrivals, UniformArrivals
+from repro.workload.arrivals import PoissonArrivals
 
 
 class TestPoissonArrivals:
@@ -37,27 +37,3 @@ class TestPoissonArrivals:
     def test_horizon_before_start_rejected(self):
         with pytest.raises(WorkloadError):
             PoissonArrivals(1.0).times_until(5.0, start=10.0)
-
-    def test_stream_is_endless_and_increasing(self):
-        stream = PoissonArrivals(1.0, rng=random.Random(4)).stream()
-        times = [next(stream) for _ in range(100)]
-        assert times == sorted(times)
-        assert len(set(times)) == 100
-
-
-class TestUniformArrivals:
-    def test_even_spacing(self):
-        times = UniformArrivals(10.0).times_until(35.0)
-        assert times == [10.0, 20.0, 30.0]
-
-    def test_start_offset(self):
-        times = UniformArrivals(10.0).times_until(35.0, start=15.0)
-        assert times == [25.0, 35.0]
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(WorkloadError):
-            UniformArrivals(0.0)
-
-    def test_stream(self):
-        stream = UniformArrivals(2.5).stream(start=10.0)
-        assert [next(stream) for _ in range(3)] == [12.5, 15.0, 17.5]

@@ -26,17 +26,6 @@ class TestTable2Replayer:
             traffic_at("10am")["Patra-Athens"], abs=0.05
         )
 
-    def test_stop_freezes_levels(self):
-        sim = Simulator(start_time=8 * 3600.0)
-        topology = build_grnet_topology()
-        replayer = Table2Replayer(sim, topology, update_period_s=60.0)
-        replayer.start()
-        sim.run(until=9 * 3600.0)
-        frozen = topology.link_named("Patra-Athens").background_mbps
-        replayer.stop()
-        sim.run(until=16 * 3600.0)
-        assert topology.link_named("Patra-Athens").background_mbps == frozen
-
 
 class TestDiurnalTrafficShaper:
     def test_utilization_bounds(self, triangle):
