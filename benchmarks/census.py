@@ -23,11 +23,19 @@ be deleted or carry one named reason in :data:`REASONS`, of one of the
 covers no unreached function any more (a user path reaches all of it:
 the reason is stale).
 
+The knob pass applies the same rule to the fields of the config
+dataclasses (:data:`CONFIGS`): a field is *set* when a user path passes
+it to the constructor, by keyword or by position.  A field no user path
+sets has one value in use, so it must become a constant or carry a
+:data:`REASONS` entry keyed ``file::Class.field``; ``--check`` also exits
+1 when one does not, and when such an entry names a field a user path
+sets.
+
 Usage::
 
     python3 benchmarks/census.py            # the unreached table by file
     python3 benchmarks/census.py --list     # ... and every unreached function
-    python3 benchmarks/census.py --check    # exit 1 on an unreasoned function or a stale key
+    python3 benchmarks/census.py --check    # exit 1 on an unreasoned function, field or a stale key
 
 Standard library only; about 35 s on one Intel Xeon core.
 """
@@ -38,6 +46,8 @@ import argparse
 import ast
 import contextlib
 import cProfile
+import dataclasses
+import importlib
 import importlib.util
 import io
 import os
@@ -65,20 +75,32 @@ KINDS = {
     "item5": "strip-level caching, the paper's future work (ROADMAP item 5)",
 }
 
-#: Why an unreached function stays: (kind, why, keys, tests).  A key is a
-#: file under ``src/repro`` (every function in it), ``file::Class`` (every
-#: method) or ``file::qualified.name`` (the function and the functions
-#: nested in it).  ``tests`` are the test node ids (``path::Class::name``,
-#: from the repository root) that need the code.
-#: ``tests/test_census_reasons.py`` checks every key names code that
-#: exists, every kind is one of :data:`KINDS`, every named test exists,
-#: and the named tests' files mention each public ``paper`` and
-#: ``reference`` key's last name segment.
+#: The config dataclasses of the knob pass, as ``file::Class`` keys.
+CONFIGS = ("core/service.py::ServiceConfig", "placement/base.py::PlacementConfig")
+
+#: Why an unreached function or an unset config field stays: (kind, why,
+#: keys, tests).  A key is a file under ``src/repro`` (every function in
+#: it), ``file::Class`` (every method), ``file::qualified.name`` (the
+#: function and the functions nested in it) or, for a class of
+#: :data:`CONFIGS`, ``file::Class.field`` (one field).  ``tests`` are the
+#: test node ids (``path::Class::name``, from the repository root) that
+#: need the code or set the field.  ``tests/test_census_reasons.py``
+#: checks every key names code or a field that exists, every kind is one
+#: of :data:`KINDS`, every named test exists, and the named tests' files
+#: mention each field and each public ``paper`` and ``reference`` key's
+#: last name segment.
 REASONS: List[Tuple[str, str, List[str], List[str]]] = [
     # -- paper: the paper's own API, kept and tested though no path calls it
     ("paper", "the limited-access database module: admin reads and writes go "
      "through a handle (paper: the database's full-/limited-access split)",
-     ["database/access.py::DatabaseHandle"],
+     ["database/access.py::DatabaseHandle.list_titles",
+      "database/access.py::DatabaseHandle.search_titles",
+      "database/access.py::DatabaseHandle.servers_with_title",
+      "database/access.py::DatabaseHandle.server_title_ids",
+      "database/access.py::DatabaseHandle.server_entry",
+      "database/access.py::DatabaseHandle.link_entries",
+      "database/access.py::DatabaseHandle.update_link_stats",
+      "database/access.py::DatabaseHandle.update_server_config"],
      ["tests/conformance/test_paper_interface.py::TestDatabaseModules::"
       "test_each_module_is_a_database_handle_at_its_level",
       "tests/conformance/test_paper_interface.py::TestDatabaseModules::"
@@ -124,6 +146,15 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["placement/base.py::PlacementPolicy.points_of"],
      ["tests/integration/test_end_to_end.py::TestFullRequestCycle::"
       "test_popularity_counts_accumulate_per_home_server"]),
+    ("paper", "the K of equation (4), the LVN normalisation; the paper suggests "
+     "10 and every user path keeps it (repro lvn varies K outside the service)",
+     ["core/service.py::ServiceConfig.normalization_constant"],
+     ["tests/core/test_service.py::TestDecide::test_normalization_constant_is_the_k_of_eq4"]),
+    ("paper", "exact Figure 2: pin_seeded_titles=False lets the DMA evict a "
+     "title's last network-wide copy, the hazard the failure-injection test pins",
+     ["core/service.py::ServiceConfig.pin_seeded_titles"],
+     ["tests/integration/test_failure_injection.py::TestUnavailableTitles::"
+      "test_dma_can_evict_last_network_copy"]),
     ("paper", "Tables 4-5 print the search path home-to-server; the video data "
      "walks it the other way",
      ["core/vra.py::VraDecision.download_route",
@@ -142,9 +173,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["sim/process.py::Process._fail"],
      ["tests/sim/test_process.py::TestProcessBasics::"
       "test_unsupported_yield_value_errors_process"]),
-    ("fault", "starts a new part file when one reaches its row cap",
-     ["obs/sink.py::FileTelemetrySink._rotate"],
-     ["tests/obs/test_sink.py::TestJsonl::test_rotation_repeats_manifest_per_part"]),
     ("fault", "spells a non-finite sample (NaN, Infinity) as json does; a "
      "finite one takes the sample writer's repr path",
      ["obs/sink.py::_json_float"],
@@ -165,16 +193,15 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["sim/engine.py::Simulator.step", "sim/engine.py::Simulator.peek",
       "sim/engine.py::Simulator._drop_cancelled", "sim/engine.py::Simulator.stop",
       "sim/engine.py::EventHandle.event", "sim/engine.py::EventHandle.cancelled",
-      "sim/engine.py::EventHandle.fired", "sim/events.py::Event"],
+      "sim/engine.py::EventHandle.fired", "sim/events.py::Event.key"],
      ["tests/properties/test_engine_equivalence_props.py::test_run_is_a_loop_of_step",
       "tests/properties/test_engine_equivalence_props.py::"
       "test_step_returns_the_event_that_fired_when_its_callback_rearms",
       "tests/sim/test_engine_batch.py::TestEventKey::"
       "test_engine_orders_by_the_key_of_the_event_it_returns"]),
-    ("reference", "processes that wait on a signal, interrupt or poke: the "
+    ("reference", "processes that are interrupted or poked: the "
      "engine-equivalence properties drive them and compare their state",
-     ["sim/process.py::Signal", "sim/process.py::WaitSignal",
-      "sim/process.py::Process.finished", "sim/process.py::Process.check",
+     ["sim/process.py::Process.finished", "sim/process.py::Process.check",
       "sim/process.py::Process.interrupt", "sim/process.py::Process.poke"],
      ["tests/properties/test_engine_equivalence_props.py::test_run_is_a_loop_of_step",
       "tests/sim/test_process.py::TestParkedTransfer::"
@@ -272,7 +299,7 @@ CLI_MATRIX: List[List[str]] = [
     ["simulate", "--requests-per-node", "2", "--selection", "random",
      "--switching", "period:2", "--cache", "dma-greedy"],
     ["simulate", "--requests-per-node", "2", "--selection", "static", "--cache", "nocache"],
-    ["simulate", "--requests-per-node", "2", "--cache", "fullrep"],
+    ["simulate", "--requests-per-node", "2", "--cache", "fullrep", "--title-mb", "120"],
     ["simulate", "--requests-per-node", "2", "--placement", "prefix"],
     ["simulate", "--requests-per-node", "2", "--placement", "partial"],
     ["placement", "--requests-per-node", "3", "--catalog-size", "4", "--check"],
@@ -373,10 +400,63 @@ def reason_for(function: Function):
     return None
 
 
+def _is_field_key(key: str) -> bool:
+    """Does ``key`` name a config field (``file::Class.field``)?"""
+    return key.rpartition(".")[0] in CONFIGS
+
+
 def stale_keys(unreached: List[Function]) -> List[str]:
-    """The :data:`REASONS` keys that cover no unreached function."""
+    """The function :data:`REASONS` keys that cover no unreached function."""
     covered = set().union(*map(_covering_keys, unreached))
-    return [key for _, _, keys, _ in REASONS for key in keys if key not in covered]
+    return [
+        key for _, _, keys, _ in REASONS for key in keys
+        if not _is_field_key(key) and key not in covered
+    ]
+
+
+# ---------------------------------------------------------------------- #
+# the fields of the config dataclasses
+# ---------------------------------------------------------------------- #
+def _config_class(config: str):
+    path, _, name = config.partition("::")
+    module = importlib.import_module("repro." + path.removesuffix(".py").replace("/", "."))
+    return getattr(module, name)
+
+
+def config_fields() -> List[str]:
+    """Every field of every :data:`CONFIGS` class, as ``file::Class.field``."""
+    return [
+        f"{config}.{field.name}"
+        for config in CONFIGS
+        for field in dataclasses.fields(_config_class(config))
+    ]
+
+
+def _recording(init, config: str, names: List[str], passed: set):
+    """``init`` that first adds the field keys of its arguments to ``passed``."""
+
+    def __init__(self, *args, **kwargs):
+        passed.update(f"{config}.{name}" for name in [*names[: len(args)], *kwargs])
+        init(self, *args, **kwargs)
+
+    return __init__
+
+
+@contextlib.contextmanager
+def recording_config_fields(passed: set):
+    """Add to ``passed`` the field key of every argument a
+    :data:`CONFIGS` constructor is called with, while the block runs."""
+    originals = {}
+    for config in CONFIGS:
+        cls = _config_class(config)
+        names = [field.name for field in dataclasses.fields(cls) if field.init]
+        originals[cls] = cls.__init__
+        cls.__init__ = _recording(cls.__init__, config, names, passed)
+    try:
+        yield
+    finally:
+        for cls, init in originals.items():
+            cls.__init__ = init
 
 
 # ---------------------------------------------------------------------- #
@@ -430,12 +510,12 @@ def _ledger_paths():
         yield f"ledger {name}", lambda argv=argv: ledger.main(argv)
 
 
-def reached_code() -> set:
+def reached_code(passed: set) -> set:
     """(file, first line) of every code object under ``src/repro`` that a
-    user path called."""
+    user path called; adds to ``passed`` the config fields they set."""
     sys.path.insert(0, str(SRC))
     profiler = cProfile.Profile()
-    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp, recording_config_fields(passed):
         for paths in (_cli_paths(tmp), _example_paths(), _tutorial_paths(), _ledger_paths()):
             for label, body in paths:
                 profiler.enable()
@@ -484,13 +564,15 @@ def report(unreached: List[Function], total: Dict[str, int], listing: bool) -> N
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if an unreached function has no reason")
+                        help="exit 1 if an unreached function or a config field "
+                             "no user path sets has no reason, or a key is stale")
     parser.add_argument("--list", action="store_true",
                         help="print every unreached function with its reason kind")
     args = parser.parse_args(argv)
 
     print("user paths:", flush=True)
-    reached = reached_code()
+    passed: set = set()
+    reached = reached_code(passed)
     every = functions()
     total: Dict[str, int] = {}
     for function in every:
@@ -507,7 +589,27 @@ def main(argv=None) -> int:
         print(f"\n{len(stale)} REASONS key(s) a user path now reaches in full:")
         for key in stale:
             print(f"  {key}")
-    return 1 if args.check and (missing or stale) else 0
+    fields = config_fields()
+    unset = [key for key in fields if key not in passed]
+    field_keys = {key: kind for kind, _, keys, _ in REASONS for key in keys if _is_field_key(key)}
+    print(f"\nconfig fields no user path sets: {len(unset)} of {len(fields)}")
+    for config in CONFIGS:
+        print(f"  {config}: {sum(key.startswith(config + '.') for key in fields)} fields")
+    for key in unset:
+        print(f"{field_keys.get(key, '-'):<10}{key}")
+    unreasoned = [key for key in unset if key not in field_keys]
+    if unreasoned:
+        print(f"\n{len(unreasoned)} config field(s) no user path sets, with no reason "
+              "in REASONS (make each a constant):")
+        for key in unreasoned:
+            print(f"  {key}")
+    set_keys = [key for key in field_keys if key in passed]
+    if set_keys:
+        print(f"\n{len(set_keys)} REASONS field key(s) a user path now sets:")
+        for key in set_keys:
+            print(f"  {key}")
+    failed = missing or stale or unreasoned or set_keys
+    return 1 if args.check and failed else 0
 
 
 if __name__ == "__main__":

@@ -161,6 +161,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (0.0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -207,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--switching", default="always",
                           help="'always', 'never' or 'period:<n>'")
     simulate.add_argument("--catalog-size", type=_positive_int, default=18)
-    simulate.add_argument("--title-mb", type=float, default=150.0,
+    simulate.add_argument("--title-mb", type=_positive_float, default=150.0,
                           help="uniform title size; keep below the per-server cache")
-    simulate.add_argument("--title-minutes", type=float, default=60.0)
+    simulate.add_argument("--title-minutes", type=_positive_float, default=60.0)
     simulate.add_argument("--requests-per-node", type=int, default=30)
     simulate.add_argument("--zipf", type=float, default=1.0)
     simulate.add_argument("--cluster-mb", type=float, default=50.0)
@@ -234,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     placement.add_argument("--requests-per-node", type=int, default=12)
     placement.add_argument("--catalog-size", type=_positive_int, default=12)
     placement.add_argument("--seed", type=int, default=23)
-    placement.add_argument("--title-mb", type=float, default=400.0,
+    placement.add_argument("--title-mb", type=_positive_float, default=400.0,
                            help="uniform title size; the default overflows "
                                 "the per-server cache so placement matters")
-    placement.add_argument("--title-minutes", type=float, default=60.0)
+    placement.add_argument("--title-minutes", type=_positive_float, default=60.0)
     placement.add_argument("--cluster-mb", type=float, default=50.0)
     placement.add_argument("--disk-count", type=int, default=2)
     placement.add_argument("--disk-capacity-mb", type=float, default=500.0)
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the X4 ablation: switching granularity vs congestion damage",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_positive_int, default=None, metavar="N",
         help="worker processes for the sweep points (default: one per "
         "CPU; 1 = serial; output is identical at any job count)",
     )
@@ -391,11 +399,6 @@ def _cmd_lvn(time_label: str, k: float) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.storage.video import VideoTitle
 
-    if args.placement != "dma" and args.cache != "dma":
-        raise SystemExit(
-            "--placement overrides the default cache policy; "
-            "it cannot be combined with --cache=" + args.cache
-        )
     topology_factory = None
     if args.topology is not None:
         from repro.io import load_topology
@@ -703,7 +706,13 @@ def _cmd_sweep_cluster_size(jobs: Optional[int] = None) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.placement != "dma" and args.cache != "dma":
+        parser.error(
+            "--placement overrides the default cache policy; "
+            "it cannot be combined with --cache=" + args.cache
+        )
     try:
         if args.command == "case-study":
             return _cmd_case_study()

@@ -34,8 +34,6 @@ from repro.core.admission_queue import (
 )
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT
 from repro.core.session import (
-    DEFAULT_LOCAL_READ_MBPS,
-    DEFAULT_RATE_UPDATE_PERIOD_S,
     NO_RETRY,
     ClusterRecord,
     RetryPolicy,
@@ -66,6 +64,10 @@ from repro.sim.trace import Tracer
 from repro.snmp.collector import DEFAULT_POLL_PERIOD_S, StatisticsService
 from repro.storage.video import VideoTitle
 
+#: Simulated wait before a strict-QoS refusal re-checks admission.
+REQUEUE_DELAY_S = 60.0
+
+
 @dataclass
 class ServiceConfig:
     """Deployment knobs of the VoD service.
@@ -78,7 +80,6 @@ class ServiceConfig:
         max_streams: Concurrent outgoing streams per server.
         snmp_period_s: Statistics-module period (paper: 1-2 minutes).
         normalization_constant: The K of equation (4).
-        local_read_mbps: Disk read rate for home-server serves.
         use_reported_stats: When True (paper-faithful) the VRA reads link
             usage from the limited-access database, i.e. the latest SNMP
             sample; when False it reads live ground truth from the links.
@@ -94,9 +95,8 @@ class ServiceConfig:
         placement: Declarative placement-policy choice
             (:class:`~repro.placement.base.PlacementConfig`): whole-title
             DMA (default, the paper's Figure 2), prefix replication, or
-            popularity-weighted partial caching, plus per-policy knobs
-            such as the DMA's ``evict_until_fits`` extension (DESIGN.md
-            X2).
+            popularity-weighted partial caching, plus the prefix and
+            partial policies' knobs (DESIGN.md X2).
         pin_seeded_titles: Seed-pinning extension: initialisation-phase
             titles are exempt from cache eviction so the DMA can never
             delete a title's last network-wide copy.  Default True — a
@@ -125,22 +125,15 @@ class ServiceConfig:
             up to this many times instead of failing instantly.  ``0``
             (default) is the paper's fail-fast behaviour, byte-identical
             to pre-retry runs.
-        retry_backoff_s: First retry delay in simulated seconds.
-        retry_backoff_multiplier: Exponential backoff growth factor.
-        retry_max_backoff_s: Ceiling on any single retry delay.
+        retry_backoff_s: First retry delay in simulated seconds; each
+            further retry doubles it, up to 300 s
+            (:class:`~repro.core.session.RetryPolicy`).
         requeue_attempts: Strict-QoS admission re-queue budget.  Under
             ``strict_qos_admission``, a rejected request waits
-            ``requeue_delay_s`` and re-attempts admission up to this many
-            times before failing — crash-recovery storms then shed load
-            by delaying rather than dropping.  ``0`` (default) keeps the
-            reject-immediately behaviour.
-        requeue_delay_s: Simulated wait between admission re-attempts.
-        retry_deadline_s: Overall cap on the total simulated time one
-            cluster boundary may spend in retry backoff, across all
-            attempts.  A retry whose full backoff would cross the
-            deadline waits only the remaining slack; once the budget is
-            exhausted the next failure propagates.  ``None`` (default)
-            keeps the per-attempt-only policy, bit-for-bit.
+            :data:`REQUEUE_DELAY_S` and re-attempts admission up to this
+            many times before failing — crash-recovery storms then shed
+            load by delaying rather than dropping.  ``0`` (default) keeps
+            the reject-immediately behaviour.
         session_failover: Mid-stream session failover
             (:class:`~repro.resilience.supervisor.SessionSupervisor`).
             Active transfer segments are indexed by their source server
@@ -171,14 +164,12 @@ class ServiceConfig:
         max_stats_age_s: Staleness guard over the SNMP-fed link stats
             (:class:`~repro.resilience.staleness.StalenessGuard`).  A
             link whose latest sample is older than this — e.g. during an
-            ``SnmpBlackout`` — has its headroom shrunk by
-            ``stale_inflation_factor`` in the LVN weights, and every
-            decision taken while any link is stale is marked
-            ``degraded``.  Requires ``use_reported_stats``.  ``None``
-            (default) trusts samples of any age, as the paper does.
-        stale_inflation_factor: Headroom divisor for stale links (> 1).
-        staleness_check_period_s: Spacing of the guard's periodic
-            refresh; ``None`` (default) follows ``snmp_period_s``.
+            ``SnmpBlackout`` — has its headroom shrunk four-fold in the
+            LVN weights, and every decision taken while any link is
+            stale is marked ``degraded``.  The guard re-checks every
+            ``snmp_period_s``.  Requires ``use_reported_stats``.
+            ``None`` (default) trusts samples of any age, as the paper
+            does.
         observability: Enable the unified telemetry layer: a live
             metrics registry (per-link utilisation, cache occupancy,
             stream load, VRA decision counters, sim-engine gauges), a
@@ -197,8 +188,6 @@ class ServiceConfig:
     max_streams: int = 32
     snmp_period_s: float = DEFAULT_POLL_PERIOD_S
     normalization_constant: float = DEFAULT_NORMALIZATION_CONSTANT
-    local_read_mbps: float = DEFAULT_LOCAL_READ_MBPS
-    rate_update_period_s: float = DEFAULT_RATE_UPDATE_PERIOD_S
     use_reported_stats: bool = True
     use_server_load_in_vra: bool = False
     strict_qos_admission: bool = False
@@ -210,19 +199,13 @@ class ServiceConfig:
     admission_tick_s: float = DEFAULT_ADMISSION_TICK_S
     retry_attempts: int = 0
     retry_backoff_s: float = 30.0
-    retry_backoff_multiplier: float = 2.0
-    retry_max_backoff_s: float = 300.0
     requeue_attempts: int = 0
-    requeue_delay_s: float = 60.0
-    retry_deadline_s: Optional[float] = None
     session_failover: bool = False
     failover_backoff_s: float = 15.0
     breaker_threshold: int = 0
     breaker_window_s: float = 600.0
     breaker_cooldown_s: float = 300.0
     max_stats_age_s: Optional[float] = None
-    stale_inflation_factor: float = 4.0
-    staleness_check_period_s: Optional[float] = None
     observability: bool = False
     telemetry_period_s: float = 60.0
     #: Per-node hardware overrides ("we propose the use of as many disks
@@ -236,13 +219,7 @@ class ServiceConfig:
         singleton when disabled, so the default path allocates nothing)."""
         if self.retry_attempts <= 0:
             return NO_RETRY
-        return RetryPolicy(
-            attempts=self.retry_attempts,
-            backoff_s=self.retry_backoff_s,
-            multiplier=self.retry_backoff_multiplier,
-            max_backoff_s=self.retry_max_backoff_s,
-            deadline_s=self.retry_deadline_s,
-        )
+        return RetryPolicy(attempts=self.retry_attempts, backoff_s=self.retry_backoff_s)
 
 
 def _points_table_size(server: VideoServer) -> float:
@@ -431,12 +408,7 @@ class VoDService:
                 self.database,
                 topology,
                 max_age_s=self.config.max_stats_age_s,
-                inflation_factor=self.config.stale_inflation_factor,
-                check_period_s=(
-                    self.config.staleness_check_period_s
-                    if self.config.staleness_check_period_s is not None
-                    else self.config.snmp_period_s
-                ),
+                check_period_s=self.config.snmp_period_s,
                 on_change=self._on_staleness_change,
             )
             # Fresh samples clear staleness in the collection round that
@@ -1200,7 +1172,7 @@ class VoDService:
         request is checked at *admit* time instead — by then the flash
         crowd ahead of it has been leveled, so the check sees the state
         the session will start under.  A refused request waits
-        ``requeue_delay_s`` and re-checks, up to ``requeue_attempts``
+        :data:`REQUEUE_DELAY_S` and re-checks, up to ``requeue_attempts``
         times (holders flapping back online usually re-admit it early),
         before it fails with the ``qos-blocked:`` reason.
         """
@@ -1231,9 +1203,9 @@ class VoDService:
             if observer.span is not None:
                 observer.span.add(
                     self.sim.now, "requeued",
-                    attempt=attempt, delay_s=self.config.requeue_delay_s,
+                    attempt=attempt, delay_s=REQUEUE_DELAY_S,
                 )
-            yield Delay(self.config.requeue_delay_s)
+            yield Delay(REQUEUE_DELAY_S)
             refusal = self._qos_refusal(home_uid, title_id, video)
         if refusal is not None:
             self._m_blocked.inc()
@@ -1297,8 +1269,6 @@ class VoDService:
             flows=self.flows,
             servers=self.servers,
             decide_for_cluster=decide_for_cluster,
-            local_read_mbps=self.config.local_read_mbps,
-            rate_update_period_s=self.config.rate_update_period_s,
             retry=self._retry_policy,
             failover=self.supervisor,
             observer=observer,

@@ -22,7 +22,7 @@ delivered or a failover supervisor preempted it (DESIGN.md §5b.11).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, ClassVar, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # runtime coupling stays duck-typed (tests pass fakes)
     from repro.resilience.supervisor import SessionSupervisor as FailoverControl
@@ -63,47 +63,34 @@ class RetryPolicy:
     When a per-cluster decision raises a :class:`RoutingError` (every
     holder crashed, the home server is partitioned, admission slots are
     exhausted network-wide), the session waits ``backoff_s`` of simulated
-    time and retries, doubling up to ``max_backoff_s``, at most
-    ``attempts`` times per cluster.  ``attempts=0`` (the default) restores
-    the fail-fast behaviour exactly — no extra events, no extra decide
-    calls — which is what keeps fault-free runs byte-identical.
+    time and retries, multiplying the wait by :attr:`MULTIPLIER` up to
+    :attr:`MAX_BACKOFF_S`, at most ``attempts`` times per cluster.
+    ``attempts=0`` (the default) restores the fail-fast behaviour exactly
+    — no extra events, no extra decide calls — which is what keeps
+    fault-free runs byte-identical.
 
     Attributes:
         attempts: Maximum retries per cluster boundary (0 = disabled).
         backoff_s: First retry delay in simulated seconds.
-        multiplier: Backoff growth factor between consecutive retries.
-        max_backoff_s: Ceiling on any single retry delay.
-        deadline_s: Cap on the *total* backoff a session may accumulate
-            across all its cluster boundaries, so exponential backoff
-            cannot exceed the session's overall slack.  The final wait
-            is clipped to the remaining budget; a retry needed with no
-            budget left re-raises instead of sleeping.  ``None`` (the
-            default) keeps the attempt-count-only behaviour bit-for-bit.
     """
+
+    #: Backoff growth factor between consecutive retries.
+    MULTIPLIER: ClassVar[float] = 2.0
+    #: Ceiling on any single retry delay, simulated seconds.
+    MAX_BACKOFF_S: ClassVar[float] = 300.0
 
     attempts: int = 0
     backoff_s: float = 30.0
-    multiplier: float = 2.0
-    max_backoff_s: float = 300.0
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.attempts < 0:
             raise ReproError(f"retry attempts must be >= 0, got {self.attempts!r}")
         if not (self.backoff_s > 0.0):
             raise ReproError(f"retry backoff must be positive, got {self.backoff_s!r}")
-        if self.multiplier < 1.0:
+        if self.backoff_s > self.MAX_BACKOFF_S:
             raise ReproError(
-                f"retry multiplier must be >= 1, got {self.multiplier!r}"
-            )
-        if self.max_backoff_s < self.backoff_s:
-            raise ReproError(
-                f"max backoff {self.max_backoff_s!r} below initial "
-                f"backoff {self.backoff_s!r}"
-            )
-        if self.deadline_s is not None and not (self.deadline_s > 0.0):
-            raise ReproError(
-                f"retry deadline must be positive, got {self.deadline_s!r}"
+                f"retry backoff {self.backoff_s!r} exceeds the "
+                f"{self.MAX_BACKOFF_S!r} s ceiling"
             )
 
     @property
@@ -509,22 +496,14 @@ class StreamingSession:
             except RoutingError as exc:
                 if tries >= policy.attempts:
                     raise
-                wait = backoff
-                if policy.deadline_s is not None:
-                    # Total-backoff budget across the whole session: clip
-                    # this wait to the remaining slack, fail when spent.
-                    slack = policy.deadline_s - self.record.retry_wait_s
-                    if slack <= 1e-12:
-                        raise
-                    wait = min(backoff, slack)
                 if blocked_since is None:
                     blocked_since = self._sim.now
                 tries += 1
                 self.record.retry_count += 1
-                self.record.retry_wait_s += wait
-                self._observer.retry(wait)
-                yield Delay(wait)
-                backoff = min(backoff * policy.multiplier, policy.max_backoff_s)
+                self.record.retry_wait_s += backoff
+                self._observer.retry(backoff)
+                yield Delay(backoff)
+                backoff = min(backoff * policy.MULTIPLIER, policy.MAX_BACKOFF_S)
                 continue
             if blocked_since is not None:
                 self.record.recovered = True

@@ -58,10 +58,6 @@ class DatabaseHandle:
         """Case-insensitive substring search over title names."""
         return self._database.search_titles(query)
 
-    def title_info(self, title_id: str) -> "TitleInfo":
-        """Catalog information for a title."""
-        return self._database.title_info(title_id)
-
     def servers_with_title(self, title_id: str) -> List[str]:
         """Uids of servers currently advertising a title."""
         return self._database.servers_with_title(title_id)
@@ -103,7 +99,3 @@ class DatabaseHandle:
         self._require_admin("update_server_config")
         self._database.update_server_config(server_uid, **attributes)
 
-    def set_server_online(self, server_uid: str, online: bool) -> None:
-        """Mark a server up or down (used by failure-injection tests)."""
-        self._require_admin("set_server_online")
-        self._database.update_server_config(server_uid, online=online)

@@ -28,6 +28,10 @@ from repro.network.topology import Topology
 from repro.sim.trace import Tracer
 from repro.workload.scenarios import regional_scenario
 
+#: The chaos run's default service: five cluster-boundary retries from
+#: 20 s, every other resilience layer off (``repro chaos``'s defaults).
+CHAOS_CONFIG = ServiceConfig(retry_attempts=5, retry_backoff_s=20.0)
+
 
 @dataclass(frozen=True)
 class ResilienceReport:
@@ -123,15 +127,7 @@ def run_resilience_experiment(
     snmp_blackout_rate_per_h: float = 0.5,
     mean_fault_duration_s: float = 300.0,
     degrade_fraction: float = 0.5,
-    retry_attempts: int = 5,
-    retry_backoff_s: float = 20.0,
-    session_failover: bool = False,
-    failover_backoff_s: float = 15.0,
-    breaker_threshold: int = 0,
-    breaker_window_s: float = 600.0,
-    breaker_cooldown_s: float = 300.0,
-    max_stats_age_s: Optional[float] = None,
-    config: Optional[ServiceConfig] = None,
+    config: ServiceConfig = CHAOS_CONFIG,
     topology_factory: Callable[[], Topology] = build_grnet_topology,
     tracer: Optional[Tracer] = None,
     name: str = "resilience",
@@ -145,6 +141,8 @@ def run_resilience_experiment(
     with the rates given, targeting every link and server of the
     topology.  Sessions run with retry/backoff enabled (unless a custom
     ``config`` says otherwise), so mid-stream source loss is survivable.
+    Every resilience setting (retry, failover, breakers, staleness) is a
+    ``config`` field.
 
     Args:
         seed: Master seed for workload and fault schedule alike.
@@ -157,22 +155,7 @@ def run_resilience_experiment(
         snmp_blackout_rate_per_h: Collector blackouts per hour.
         mean_fault_duration_s: Mean fault window length.
         degrade_fraction: Capacity fraction per bandwidth shortage.
-        retry_attempts: Session retry budget (ignored with ``config``).
-        retry_backoff_s: First retry delay (ignored with ``config``).
-        session_failover: Enable the mid-stream failover supervisor
-            (ignored with ``config``).
-        failover_backoff_s: Supervisor re-decide backoff (ignored with
-            ``config``).
-        breaker_threshold: Circuit-breaker trip threshold, 0 = off
-            (ignored with ``config``).
-        breaker_window_s: Breaker failure-count window (ignored with
-            ``config``).
-        breaker_cooldown_s: Breaker half-open cooldown (ignored with
-            ``config``).
-        max_stats_age_s: Staleness-guard sample age limit, None = off
-            (ignored with ``config``).
-        config: Full service config override; defaults to a standard
-            config with the retry/resilience knobs above applied.
+        config: The service config; defaults to :data:`CHAOS_CONFIG`.
         topology_factory: Builds the network (defaults to GRNET).
         tracer: Optional structured trace handed to the service.
         name: Report label.
@@ -183,17 +166,6 @@ def run_resilience_experiment(
     Returns:
         The :class:`ResilienceRun` with the deterministic report.
     """
-    if config is None:
-        config = ServiceConfig(
-            retry_attempts=retry_attempts,
-            retry_backoff_s=retry_backoff_s,
-            session_failover=session_failover,
-            failover_backoff_s=failover_backoff_s,
-            breaker_threshold=breaker_threshold,
-            breaker_window_s=breaker_window_s,
-            breaker_cooldown_s=breaker_cooldown_s,
-            max_stats_age_s=max_stats_age_s,
-        )
     # Fault targets come from a probe topology; build_service constructs
     # its own instance from the same factory, so only names cross over.
     probe = topology_factory()

@@ -120,12 +120,9 @@ def summarize_telemetry(
             f"{decisions} VRA decisions, {switches} switches"
         )
     trace = rows.get("trace", [])
-    if trace or (sink is not None and sink.dropped):
+    if trace:
         categories = {row["category"] for row in trace}
-        lines.append(
-            f"trace: {len(trace)} events in {len(categories)} "
-            f"categories, {sink.dropped} dropped by capacity bound"
-        )
+        lines.append(f"trace: {len(trace)} events in {len(categories)} categories")
     return "\n".join(lines)
 
 

@@ -6,22 +6,20 @@ of a run, when they happen: the tracer (``trace`` rows), the sampler
 service (a ``span`` row as each span closes), and the manifest,
 end-of-run rows and footer of
 :class:`~repro.obs.stream.StreamingTelemetry`.  :func:`open_sink` builds
-one of three formats: ``jsonl`` and ``csv`` write to a path (owned,
-closed, rotatable into ``path.1``, ``path.2``, ...) or an open handle
-behind the run; ``memory`` (:class:`MemoryTelemetrySink`) keeps the rows
-for in-process readers and copies them through a file sink on demand.
-The ``manifest`` (first, and at the head of every rotated part) and
-``footer`` (last) control rows frame the data rows and do not count
-toward their totals.
+one of three formats: ``jsonl`` and ``csv`` write to a path (owned and
+closed by the sink) or an open handle behind the run; ``memory``
+(:class:`MemoryTelemetrySink`) keeps every row for in-process readers
+and copies them through a file sink on demand.  The ``manifest``
+(first) and ``footer`` (last) control rows frame the data rows and do
+not count toward their totals.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from pathlib import Path
-from typing import IO, Callable, Collection, Deque, Dict, List, Optional, Union
+from typing import IO, Callable, Collection, Dict, List, Optional, Union
 
 from repro.errors import ReproError
 
@@ -72,43 +70,37 @@ def csv_record(row: Dict[str, object]) -> Optional[List[object]]:
 
 
 class TelemetrySink:
-    """Base class: counting, rotation and the manifest/footer frame.
+    """Base class: counting and the manifest/footer frame.
 
     Subclasses implement ``_emit_control`` (manifest/footer rows) and
-    ``_emit_data`` (one telemetry row; return False to skip it); a sink
-    that rotates implements ``_rotate``.
+    ``_emit_data`` (one telemetry row; return False to skip it).
 
     Attributes:
-        written: Data rows written (all parts).
+        written: Data rows written.
         skipped: Data rows the format could not represent.
         by_kind: Written-row counts per ``kind`` discriminator.
         manifest: The manifest control row (None until written).
-        part_paths: Paths written so far (empty unless writing to a path).
-        max_rows_per_file: Rotation bound (None: never rotate).
+        part_paths: The file written, as a one-element list (empty for
+            an open handle or a memory sink).
     """
 
-    def __init__(self, max_rows_per_file: Optional[int] = None):
+    def __init__(self):
         self.written = 0
         self.skipped = 0
         self.by_kind: Dict[str, int] = {}
         self.manifest: Optional[Dict[str, object]] = None
         self.part_paths: List[Path] = []
-        self.max_rows_per_file = max_rows_per_file
         self.closed = False
-        self._rows_in_part = 0
 
     def write_manifest(self, manifest: Dict[str, object]) -> None:
-        """Write the run-manifest control row (kept for rotated parts)."""
+        """Write the run-manifest control row."""
         self.manifest = {"kind": "manifest", **manifest}
         self._emit_control(self.manifest)
 
     def write(self, row: Dict[str, object]) -> None:
-        """Write one telemetry row, rotating first if the part is full."""
-        if self.max_rows_per_file is not None and self._rows_in_part >= self.max_rows_per_file:
-            self._rotate()
+        """Write one telemetry row."""
         if self._emit_data(row):
             self.written += 1
-            self._rows_in_part += 1
             kind = str(row.get("kind", "?"))
             self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         else:
@@ -134,7 +126,7 @@ class TelemetrySink:
         return write_sample
 
     def write_footer(self, footer: Dict[str, object]) -> None:
-        """Write the run-footer control row (into the last part)."""
+        """Write the run-footer control row."""
         self._emit_control({"kind": "footer", **footer})
 
     def totals(self) -> Dict[str, object]:
@@ -157,27 +149,22 @@ class TelemetrySink:
 
 
 class FileTelemetrySink(TelemetrySink):
-    """A sink writing text lines to a path (rotating) or an open handle.
+    """A sink writing text lines to a path or an open handle.
 
-    Subclasses add ``_emit_header`` (once per part) to the format hooks.
+    Subclasses add ``_emit_header`` (once, before any row) to the format
+    hooks.
     """
 
-    #: newline= argument used when the sink opens its own files.
+    #: newline= argument used when the sink opens its own file.
     _newline: Optional[str] = None
 
-    def __init__(self, target: SinkTarget, max_rows_per_file: Optional[int] = None):
-        if max_rows_per_file is not None and max_rows_per_file < 1:
-            raise ReproError(
-                f"max_rows_per_file must be >= 1, got {max_rows_per_file!r}"
-            )
+    def __init__(self, target: SinkTarget):
         self._owns_handle = isinstance(target, (str, Path))
-        if not self._owns_handle and max_rows_per_file is not None:
-            raise ReproError("rotation requires a path target, not an open handle")
-        super().__init__(max_rows_per_file)
+        super().__init__()
         if self._owns_handle:
-            base = Path(target)
-            self._handle: IO[str] = open(base, "w", encoding="utf-8", newline=self._newline)
-            self.part_paths.append(base)
+            path = Path(target)
+            self._handle: IO[str] = open(path, "w", encoding="utf-8", newline=self._newline)
+            self.part_paths.append(path)
         else:
             self._handle = target
         self._emit_header()
@@ -192,18 +179,8 @@ class FileTelemetrySink(TelemetrySink):
             self._handle.flush()
         self.closed = True
 
-    def _rotate(self) -> None:
-        self._handle.close()
-        next_path = Path(f"{self.part_paths[0]}.{len(self.part_paths)}")
-        self.part_paths.append(next_path)
-        self._handle = open(next_path, "w", encoding="utf-8", newline=self._newline)
-        self._rows_in_part = 0
-        self._emit_header()
-        if self.manifest is not None:
-            self._emit_control(self.manifest)
-
     def _emit_header(self) -> None:
-        """Per-part prologue (CSV header row); default none."""
+        """Prologue (CSV header row); default none."""
 
 
 class JsonlTelemetrySink(FileTelemetrySink):
@@ -220,17 +197,12 @@ class JsonlTelemetrySink(FileTelemetrySink):
     def sample_writer(self, name: str, labels: Dict[str, str]) -> SampleWriter:
         """The series-constant head of the line is encoded once; each
         float is then written as ``json`` writes it (``float.__repr__``,
-        ``NaN``, ``Infinity``, ``-Infinity``).  Rotation is checked per
-        row and the counters move exactly as under :meth:`write`."""
+        ``NaN``, ``Infinity``, ``-Infinity``).  The counters move exactly
+        as under :meth:`write`."""
         head = encode_row({"kind": "sample", "labels": labels, "name": name})[:-1]
-        limit = self.max_rows_per_file
         by_kind = self.by_kind
 
         def write_sample(time: float, value: float) -> None:
-            if limit is not None:  # the part count matters only to rotation
-                if self._rows_in_part >= limit:
-                    self._rotate()
-                self._rows_in_part += 1
             if time - time == 0.0 and value - value == 0.0:  # both finite
                 line = f'{head}, "time": {time!r}, "value": {value!r}}}\n'
             else:
@@ -268,27 +240,20 @@ class CsvTelemetrySink(FileTelemetrySink):
 
 
 class MemoryTelemetrySink(TelemetrySink):
-    """Keeps rows in memory for in-process readers.
-
-    Args:
-        capacity: Keep at most this many data rows, dropping the oldest
-            first; None keeps everything.
+    """Keeps every row in memory for in-process readers.
 
     Attributes:
-        rows: The kept data rows, oldest first.
-        dropped: Rows the capacity bound pushed out.
+        rows: The data rows, oldest first.
         footer: The footer control row (None until written).
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self):
         super().__init__()
-        self.capacity = capacity
-        self.rows: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self.dropped = 0
+        self.rows: List[Dict[str, object]] = []
         self.footer: Optional[Dict[str, object]] = None
 
     def copy_to(self, sink: TelemetrySink, kinds: Optional[Collection[str]] = None) -> None:
-        """Write the manifest, the kept rows (only ``kinds``, when given)
+        """Write the manifest, the rows (only ``kinds``, when given)
         and the footer through ``sink``, then close it.  The copy's footer
         reports the copy's own row totals."""
         if self.manifest is not None:
@@ -305,25 +270,19 @@ class MemoryTelemetrySink(TelemetrySink):
             self.footer = row
 
     def _emit_data(self, row: Dict[str, object]) -> bool:
-        if len(self.rows) == self.capacity:
-            self.dropped += 1
         self.rows.append(row)
         return True
 
 
-def open_sink(
-    target: Optional[SinkTarget],
-    fmt: str = "jsonl",
-    max_rows_per_file: Optional[int] = None,
-) -> TelemetrySink:
+def open_sink(target: Optional[SinkTarget], fmt: str = "jsonl") -> TelemetrySink:
     """Build the sink for a format name: ``"jsonl"`` or ``"csv"`` (writing
-    to ``target``), or ``"memory"`` (no target, unbounded)."""
+    to ``target``), or ``"memory"`` (no target)."""
     if fmt == "jsonl":
-        return JsonlTelemetrySink(target, max_rows_per_file=max_rows_per_file)
+        return JsonlTelemetrySink(target)
     if fmt == "csv":
-        return CsvTelemetrySink(target, max_rows_per_file=max_rows_per_file)
+        return CsvTelemetrySink(target)
     if fmt == "memory":
-        if target is not None or max_rows_per_file is not None:
-            raise ReproError("a memory sink takes no target and does not rotate")
+        if target is not None:
+            raise ReproError("a memory sink takes no target")
         return MemoryTelemetrySink()
     raise ReproError(f"unknown telemetry sink format {fmt!r} (jsonl, csv or memory)")

@@ -223,8 +223,8 @@ class FractionalPlacementPolicy(PlacementPolicy):
 
         Mirrors the DMA's comparison — a victim is only deleted while the
         newcomer's points strictly exceed the victim's — but, like the
-        ``evict_until_fits`` extension, keeps going until the segment fits
-        or no qualifying victim remains.
+        greedy DMA (``--cache dma-greedy``), keeps going until the segment
+        fits or no qualifying victim remains.
         """
         evicted: List[str] = []
         candidates = (
@@ -308,8 +308,6 @@ class PlacementConfig:
         kind: ``"dma"`` (whole-title Figure 2, the default),
             ``"prefix"`` (first-N-minutes prefix of hot titles) or
             ``"partial"`` (popularity-proportional fractional caching).
-        evict_until_fits: DMA extension — keep evicting while the
-            newcomer still out-scores victims (kind ``dma`` only).
         prefix_minutes: Prefix length cached for hot titles, in playback
             minutes (kind ``prefix``).
         hot_points: Points a title needs before its prefix is cut
@@ -319,7 +317,6 @@ class PlacementConfig:
     """
 
     kind: str = "dma"
-    evict_until_fits: bool = False
     prefix_minutes: float = 10.0
     hot_points: int = 2
     partial_floor: float = 0.1
@@ -365,7 +362,6 @@ class PlacementConfig:
                 on_store=on_store,
                 on_evict=on_evict,
                 on_partial=on_partial,
-                evict_until_fits=self.evict_until_fits,
             )
         if self.kind == "prefix":
             return PrefixReplication(

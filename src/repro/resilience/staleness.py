@@ -9,10 +9,11 @@ weight of every age-expired link by shrinking its apparent headroom::
 
     used' = capacity - (capacity - used) / factor
 
-so a link with a fresh sample keeps its real weight while a stale one
-looks ``factor``× more loaded than last reported — paths over stale
-links are still usable (the network never partitions) but lose
-tie-breaks against freshly-measured ones.  Decisions taken while any
+with ``factor`` = :data:`STALE_INFLATION_FACTOR`, so a link with a fresh
+sample keeps its real weight while a stale one looks ``factor``× more
+loaded than last reported — paths over stale links are still usable
+(the network never partitions) but lose tie-breaks against
+freshly-measured ones.  Decisions taken while any
 link is stale are marked ``degraded`` by the service.
 
 The stale set is recomputed on a periodic simulated-clock tick and after
@@ -34,6 +35,10 @@ from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTask
 
+#: Headroom divisor for stale links: a stale link keeps a quarter of its
+#: last-reported headroom.
+STALE_INFLATION_FACTOR = 4.0
+
 #: Changed-membership callback: the link names entering or leaving the
 #: stale set this refresh.
 ChangeFn = Callable[[List[str]], None]
@@ -49,7 +54,6 @@ class StalenessGuard:
         max_age_s: A sample older than this is stale.  A link that never
             received a sample (timestamp 0.0 baseline) ages like any
             other, so a blackout from t=0 trips the guard too.
-        inflation_factor: Headroom divisor for stale links (> 1).
         check_period_s: Spacing of the periodic refresh tick.
         on_change: Invoked with the sorted list of links whose staleness
             flipped — the service routes this into ``touch_links``.
@@ -61,16 +65,11 @@ class StalenessGuard:
         database: ServiceDatabase,
         topology: Topology,
         max_age_s: float,
-        inflation_factor: float = 4.0,
         check_period_s: float = 60.0,
         on_change: Optional[ChangeFn] = None,
     ):
         if not (max_age_s > 0.0):
             raise ReproError(f"max_stats_age_s must be positive, got {max_age_s!r}")
-        if not (inflation_factor > 1.0):
-            raise ReproError(
-                f"stale inflation factor must exceed 1.0, got {inflation_factor!r}"
-            )
         if not (check_period_s > 0.0):
             raise ReproError(
                 f"staleness check period must be positive, got {check_period_s!r}"
@@ -79,7 +78,6 @@ class StalenessGuard:
         self._database = database
         self._topology = topology
         self.max_age_s = max_age_s
-        self.inflation_factor = inflation_factor
         self._stale: Set[str] = set()
         self.on_change = on_change
         #: Number of refreshes that changed the stale set (for reports).
@@ -106,7 +104,7 @@ class StalenessGuard:
         """The conservative used-bandwidth figure for weight computation.
 
         Fresh links pass through untouched; stale links keep only
-        ``1/factor`` of their last-reported headroom.  The input is
+        ``1/STALE_INFLATION_FACTOR`` of their last-reported headroom.  The input is
         clamped to capacity first so an over-reported link cannot come
         out *less* loaded than reported.
         """
@@ -114,7 +112,7 @@ class StalenessGuard:
             return used_mbps
         capacity = link.capacity_mbps
         headroom = capacity - min(used_mbps, capacity)
-        return capacity - headroom / self.inflation_factor
+        return capacity - headroom / STALE_INFLATION_FACTOR
 
     # ------------------------------------------------------------------ #
     def refresh(self) -> List[str]:

@@ -45,7 +45,6 @@ class VideoServer:
         disk_capacity_mb: float,
         cluster_mb: float,
         max_streams: int = 32,
-        defer_dma_advertisements: bool = True,
         pin_seeded: bool = False,
         placement: PlacementConfig = PlacementConfig(),
     ):
@@ -80,7 +79,6 @@ class VideoServer:
         # A title the DMA stores during a request is only *bytes in flight*
         # until that request's own download completes; deferral keeps it out
         # of the catalog (and out of the VRA's holder list) until then.
-        self._defer_dma_advertisements = defer_dma_advertisements
         self._seeding = False
         self._pending_advertisements: Set[str] = set()
         #: Seed-pinning extension: when True, titles loaded at
@@ -324,10 +322,10 @@ class VideoServer:
     def _advertise(self, title_id: str) -> None:
         self._m_dma_stores.inc()
         self._touch_availability()
-        if self._defer_dma_advertisements and not self._seeding:
-            self._pending_advertisements.add(title_id)
-        else:
+        if self._seeding:
             self._database.add_title_to_server(self.node_uid, title_id)
+        else:
+            self._pending_advertisements.add(title_id)
 
     def _advertise_partial(self, title_id: str, fraction: float) -> None:
         """Advertise a prefix/partial segment, fraction aware and

@@ -13,7 +13,7 @@ identical semantics, which is the substitution documented in DESIGN.md §2.
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.events import Event
-from repro.sim.process import Delay, Process, Signal, WaitSignal
+from repro.sim.process import Delay, Process
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTask
 
@@ -24,7 +24,5 @@ __all__ = [
     "PeriodicTask",
     "Process",
     "RngRegistry",
-    "Signal",
     "Simulator",
-    "WaitSignal",
 ]

@@ -36,17 +36,3 @@ class Event(NamedTuple):
     def key(self) -> Tuple[float, int]:
         """The ``(time, seq)`` pair defining the engine's total order."""
         return self[:2]
-
-    def sort_key(self) -> Tuple[float, int]:
-        """Key defining the engine's total order over events."""
-        return self[:2]
-
-    def fire(self) -> Any:
-        """Invoke the callback with its stored arguments."""
-        return self.callback(*self.args)
-
-    def label(self) -> str:
-        """Readable label for traces: the explicit name or callback repr."""
-        if self.name:
-            return self.name
-        return getattr(self.callback, "__qualname__", repr(self.callback))

@@ -3,8 +3,7 @@
 A :class:`Process` wraps a generator that yields either
 
 * :class:`Delay` (or a bare non-negative number) — suspend for that long, or
-* a :class:`Park` — hand the wake-up to the yielded object itself:
-  :class:`WaitSignal` suspends until a :class:`Signal` is triggered, and a
+* a :class:`Park` — hand the wake-up to the yielded object itself: a
   streaming session's transfer ticks on the engine by itself and resumes
   the generator when its segment is over.
 
@@ -14,8 +13,7 @@ streaming session that alternates "download cluster" / "re-run VRA" steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Generator, List, NamedTuple, Optional
+from typing import Any, Generator, NamedTuple, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import EventHandle, Simulator
@@ -49,57 +47,6 @@ class Park:
         raise NotImplementedError
 
 
-class Signal:
-    """A one-to-many wake-up condition.
-
-    Processes yield :class:`WaitSignal` on a signal; :meth:`trigger` resumes
-    every waiter at the current simulated time, passing ``payload`` back as
-    the value of the ``yield`` expression.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._waiters: List[Process] = []
-        self._trigger_count = 0
-
-    @property
-    def trigger_count(self) -> int:
-        """Number of times this signal has been triggered."""
-        return self._trigger_count
-
-    @property
-    def waiter_count(self) -> int:
-        """Number of processes currently blocked on this signal."""
-        return len(self._waiters)
-
-    def trigger(self, sim: Simulator, payload: Any = None) -> int:
-        """Wake all waiting processes via zero-delay events.
-
-        Returns:
-            The number of processes that were woken.
-        """
-        self._trigger_count += 1
-        waiters, self._waiters = self._waiters, []
-        if waiters:
-            name = f"signal:{self.name}"
-            for process in waiters:
-                sim.schedule(0.0, process._resume, payload, name=name)
-        return len(waiters)
-
-    def _register(self, process: "Process") -> None:
-        self._waiters.append(process)
-
-
-@dataclass(frozen=True)
-class WaitSignal(Park):
-    """Yield value: suspend the process until ``signal`` is triggered."""
-
-    signal: Signal
-
-    def _park(self, process: "Process") -> None:
-        self.signal._register(process)
-
-
 class Process:
     """Drives a generator as a cooperative simulated process.
 
@@ -118,7 +65,6 @@ class Process:
         self.error: Optional[BaseException] = None
         self._finished = False
         self._pending_handle: Optional[EventHandle] = None
-        self.finished_signal = Signal(name=f"{self.name}.finished")
         # Name of the delay wake-ups, built once rather than per wake-up.
         # The pending delay event holds the same string, so a sleeping
         # process costs no more memory than one formatted name; dropped in
@@ -161,8 +107,8 @@ class Process:
         a zero-delay event with ``payload`` as the value of the ``yield``
         expression.  Unlike :meth:`interrupt` the generator keeps running.
         A process parked on an object that keeps its pending event here (a
-        session's transfer) is woken the same way, mid-step; one waiting
-        on a signal (no pending event) or already finished is left alone.
+        session's transfer) is woken the same way, mid-step; one parked
+        with no pending event, or already finished, is left alone.
 
         Returns:
             True if the process was sleeping and has been rescheduled.
@@ -206,7 +152,7 @@ class Process:
             else:
                 self._fail(SimulationError(
                     f"process {self.name} yielded unsupported value {yielded!r}; "
-                    "yield a Delay, a number, or a Park such as WaitSignal"
+                    "yield a Delay, a number, or a Park"
                 ))
                 return
             self._pending_handle = self._sim.schedule(
@@ -224,4 +170,3 @@ class Process:
     def _finish(self) -> None:
         self._finished = True
         self._delay_name = ""
-        self.finished_signal.trigger(self._sim, self)

@@ -5,9 +5,10 @@ the service (VRA decisions, placement passes, request outcomes, SNMP
 polls) into ``trace`` rows on a telemetry sink
 (:mod:`repro.obs.sink`), the one row stream a run writes.  Tracing is
 opt-in and cheap: a disabled tracer discards events without formatting
-anything.  By default a tracer writes into its own unbounded
-:class:`~repro.obs.sink.MemoryTelemetrySink`; readers read that sink's
-rows.  Session spans are rows of their own, not trace events.
+anything.  By default a tracer writes into its own
+:class:`~repro.obs.sink.MemoryTelemetrySink`, which keeps every row;
+readers read that sink's rows.  Session spans are rows of their own,
+not trace events.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ class Tracer:
 
     Args:
         enabled: Disabled tracers drop events immediately.
-        sink: Where rows go; a fresh unbounded memory sink by default.
-            Bound a trace with ``MemoryTelemetrySink(capacity=...)``.
+        sink: Where rows go; a fresh memory sink by default.
     """
 
     def __init__(self, enabled: bool = True, sink: Optional[TelemetrySink] = None):

@@ -5,6 +5,7 @@ import pytest
 from repro.client.client import Client
 from repro.client.requests import RequestStatus
 from repro.core.service import ServiceConfig, VoDService
+from repro.core.vra import VirtualRoutingAlgorithm
 from repro.errors import ServiceError
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
@@ -164,6 +165,14 @@ class TestDecide:
         decision = svc.decide("U2", "m1")
         assert decision.chosen_uid == "U5"
         svc.servers["U4"].end_serving(lease)
+
+    def test_normalization_constant_is_the_k_of_eq4(self, grnet_8am):
+        # Equation (4) with K=5 on the 8am traffic, through the service's
+        # own (compiled, memoised) VRA.
+        svc = VoDService(Simulator(), grnet_8am, small_config(normalization_constant=5.0))
+        expected = VirtualRoutingAlgorithm(grnet_8am, normalization_constant=5.0).weights()
+        assert svc.vra.weights() == expected
+        assert expected != VirtualRoutingAlgorithm(grnet_8am).weights()
 
 
 class TestStatisticsIntegration:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client.requests import RequestStatus
-from repro.core.service import ServiceConfig, VoDService
+from repro.core.service import REQUEUE_DELAY_S, ServiceConfig, VoDService
 from repro.experiments.resilience import (
     render_resilience_report,
     run_resilience_experiment,
@@ -164,76 +164,6 @@ class TestCrashRecovery:
         assert not session.record.recovered
 
 
-class TestRetryDeadline:
-    """``RetryPolicy.deadline_s``: a total-backoff cap across boundaries."""
-
-    def make_service(self, **overrides):
-        defaults = dict(
-            cluster_mb=50.0,
-            use_reported_stats=False,
-            retry_attempts=10,
-            retry_backoff_s=60.0,
-        )
-        defaults.update(overrides)
-        sim = Simulator()
-        topology = build_grnet_topology()
-        apply_traffic_sample(topology, "8am")
-        return VoDService(sim, topology, ServiceConfig(**defaults))
-
-    def crashed_session(self, **overrides):
-        service = self.make_service(**overrides)
-        service.seed_title("U4", VideoTitle("m1", size_mb=400.0, duration_s=3600.0))
-        injector = FaultInjector(
-            service,
-            # Down far longer than any deadline under test.
-            FaultSchedule([ServerCrash(600.0, 7_200.0, server_uid="U4")]),
-        )
-        request, session, _ = service.request_by_home("U2", "m1")
-        injector.start()
-        service.sim.run(until=12 * 3600.0)
-        return request, session
-
-    def test_deadline_caps_total_backoff(self):
-        request, session = self.crashed_session(retry_deadline_s=90.0)
-        # The ladder would wait 60 + 120 + ...; the budget clips the
-        # second wait to 30 s and the third retry fails with no slack
-        # left — long before the 10-attempt budget is spent.
-        assert request.status is RequestStatus.FAILED
-        assert session.record.retry_count == 2
-        assert session.record.retry_wait_s == pytest.approx(90.0)
-
-    def test_no_deadline_matches_a_non_binding_one(self):
-        """``deadline_s=None`` must be bit-identical to an unreachable cap."""
-
-        def run(deadline):
-            service = self.make_service(
-                retry_attempts=6, retry_deadline_s=deadline
-            )
-            service.seed_title(
-                "U4", VideoTitle("m1", size_mb=400.0, duration_s=3600.0)
-            )
-            injector = FaultInjector(
-                service,
-                FaultSchedule([ServerCrash(600.0, 400.0, server_uid="U4")]),
-            )
-            request, _, _ = service.request_by_home("U2", "m1")
-            injector.start()
-            service.sim.run(until=6 * 3600.0)
-            assert request.status is RequestStatus.COMPLETED
-            return session_fingerprint(service)
-
-        assert run(None) == run(1e9)
-
-    def test_deadline_validation(self):
-        from repro.core.session import RetryPolicy
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            RetryPolicy(attempts=1, deadline_s=0.0)
-        with pytest.raises(ReproError):
-            RetryPolicy(attempts=1, deadline_s=-5.0)
-
-
 class TestRequeue:
     def test_strict_qos_rejection_requeues_and_admits_after_recovery(self):
         """Admission storms re-queue instead of dropping: a request arriving
@@ -251,7 +181,6 @@ class TestRequeue:
                 use_reported_stats=False,
                 strict_qos_admission=True,
                 requeue_attempts=5,
-                requeue_delay_s=120.0,
             ),
         )
         service.seed_title("U4", VideoTitle("m1", size_mb=150.0, duration_s=900.0))
@@ -260,7 +189,7 @@ class TestRequeue:
             link.set_background_mbps(link.capacity_mbps)
         request, session, _ = service.request_by_home("U2", "m1")
         # ...then clear the congestion before the budget runs out.
-        sim.schedule(300.0, lambda: [
+        sim.schedule(2.5 * REQUEUE_DELAY_S, lambda: [
             link.set_background_mbps(0.0) for link in service.topology.links()
         ])
         sim.run(until=24 * 3600.0)
@@ -279,7 +208,6 @@ class TestRequeue:
                 use_reported_stats=False,
                 strict_qos_admission=True,
                 requeue_attempts=2,
-                requeue_delay_s=60.0,
             ),
         )
         service.seed_title("U4", VideoTitle("m1", size_mb=150.0, duration_s=900.0))

@@ -6,7 +6,9 @@ strict QoS at submit, blocked at admit time after a queue wait, and (with
 a budget) re-queued until the budget runs out.  The constants below were
 recorded from the service before its admission path became one process
 generator and its session callbacks one observer; the refactor must leave
-every one of them unchanged:
+every one of them unchanged (the re-queue pin's category order was
+re-recorded once, when the re-queue wait became the fixed 60 s
+``REQUEUE_DELAY_S`` instead of the scenario's 45 s):
 
 * the session fingerprint (every record, reason and cluster);
 * the ordered trace categories;
@@ -80,8 +82,8 @@ PINS = {
             request.submitted placement.pass vra.decision
             request.submitted placement.pass request.queued
             vra.decision vra.decision request.requeued vra.decision
-            request.requeued vra.decision vra.decision request.blocked
-            session.finished vra.decision session.finished
+            vra.decision request.requeued session.finished
+            vra.decision request.blocked vra.decision session.finished
             session.finished
         """.split(),
         span_kinds=(

@@ -207,7 +207,6 @@ class TestEveryEnding:
                 telemetry_period_s=30.0,
                 strict_qos_admission=True,
                 requeue_attempts=requeue_attempts,
-                requeue_delay_s=45.0,
                 # One admission per 60 s tick, one waiter: the second
                 # request of a tick is delayed, the third is shed.
                 admission_queue_capacity=1,

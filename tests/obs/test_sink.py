@@ -1,4 +1,4 @@
-"""Unit tests for the streaming telemetry sinks (JSONL/CSV, rotation)."""
+"""Unit tests for the streaming telemetry sinks (JSONL/CSV/memory)."""
 
 import csv
 import io
@@ -60,34 +60,6 @@ class TestJsonl:
         assert not out.closed
         assert json.loads(out.getvalue())["kind"] == "sample"
 
-    def test_rotation_repeats_manifest_per_part(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        sink = JsonlTelemetrySink(path, max_rows_per_file=2)
-        sink.write_manifest(MANIFEST)
-        for i in range(5):
-            sink.write(sample_row(i))
-        sink.write_footer({"done": True})
-        sink.close()
-        assert sink.part_paths == [path, tmp_path / "run.jsonl.1", tmp_path / "run.jsonl.2"]
-        parts = [read_jsonl(p) for p in sink.part_paths]
-        # Every part leads with the same manifest — each file is
-        # self-describing on its own.
-        for part in parts:
-            assert part[0]["kind"] == "manifest"
-            assert part[0]["seed"] == 23
-        # 2 + 2 + 1 data rows; the footer lands in the last part.
-        assert [len(p) - 1 for p in parts] == [2, 2, 2]
-        assert parts[-1][-1]["kind"] == "footer"
-        times = [row["time"] for part in parts for row in part if row["kind"] == "sample"]
-        assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_rotation_requires_a_path(self):
-        with pytest.raises(ReproError):
-            JsonlTelemetrySink(io.StringIO(), max_rows_per_file=10)
-
-    def test_invalid_rotation_bound(self, tmp_path):
-        with pytest.raises(ReproError):
-            JsonlTelemetrySink(tmp_path / "x.jsonl", max_rows_per_file=0)
 
 
 class TestCsv:
@@ -140,15 +112,8 @@ class TestMemory:
         ]
         assert sink.manifest == {"kind": "manifest", **MANIFEST}
         assert sink.footer == {"kind": "footer", "wall_time_s": 1.0}
-        assert (sink.written, sink.skipped, sink.dropped) == (4, 0, 0)
+        assert (sink.written, sink.skipped) == (4, 0)
         assert sink.by_kind == {"sample": 4}
-
-    def test_capacity_drops_the_oldest_and_counts_them(self):
-        sink = MemoryTelemetrySink(capacity=2)
-        for i in range(5):
-            sink.write(sample_row(i))
-        assert [row["time"] for row in sink.rows] == [3.0, 4.0]
-        assert (sink.written, sink.dropped) == (5, 3)
 
     def test_copy_is_the_artifact_a_file_sink_writes(self, tmp_path):
         rows = [sample_row(0), {"kind": "span", "request_id": 1}, sample_row(1)]
@@ -193,16 +158,15 @@ series = st.tuples(
 class TestSampleWriter:
     @given(
         st.lists(series, min_size=1, max_size=4),
-        st.sampled_from([None, 1, 3]),
         st.sampled_from(["jsonl", "csv"]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_same_artifact_as_one_write_per_sample(self, batches, max_rows, fmt):
-        """A ``sample_writer`` call is one ``write``: bytes, counters,
-        parts and per-part manifests, across rotation."""
+    def test_same_artifact_as_one_write_per_sample(self, batches, fmt):
+        """A ``sample_writer`` call is one ``write``: bytes and
+        counters."""
 
         def artifact(directory, per_series):
-            sink = open_sink(Path(directory) / f"run.{fmt}", fmt, max_rows_per_file=max_rows)
+            sink = open_sink(Path(directory) / f"run.{fmt}", fmt)
             sink.write_manifest(MANIFEST)
             writers = [sink.sample_writer(name, labels) for name, labels, _ in batches]
             # Ticks interleave the series, as the sampler's do.

@@ -112,10 +112,6 @@ class TestPlacementConfig:
             )
             assert type(policy) is cls
 
-    def test_build_forwards_dma_greedy_knob(self, array):
-        policy = PlacementConfig(kind="dma", evict_until_fits=True).build(array)
-        assert policy.evict_until_fits
-
     def test_build_forwards_hooks(self, array):
         stored, evicted = [], []
         policy = PlacementConfig(kind="dma").build(

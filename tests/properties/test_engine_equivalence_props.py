@@ -3,7 +3,7 @@
 ``run`` inlines the body of ``step`` (cancelled-top sweep, pop, clock and
 counters, callback); ``step`` stays the plain reference.  A seeded program
 mixing ``schedule`` / ``schedule_at`` / ``schedule_many`` / ``cancel`` /
-``Process`` delays, signals and ``poke`` — issued up front and from inside
+``Process`` delays and ``poke`` — issued up front and from inside
 callbacks — is played on two simulators, one drained by ``run`` and one by
 ``peek`` + ``step``, and must leave the same ``(time, seq, name)`` trace,
 clock, ``pending_count`` and ``events_fired`` after every phase.
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Process, Signal, WaitSignal
+from repro.sim.process import Delay, Process
 
 
 class World:
@@ -41,7 +41,6 @@ class World:
         self.trace = []  # (time, seq, name) of every event fired
         self.handles = []
         self.processes = []
-        self.signal = Signal("gate")
         self.stopped = False
         self.stop_after = stop_after
         self.budget = budget  # operations left: bounds the program
@@ -112,7 +111,7 @@ class World:
         sim, rng = self.sim, self.rng
         kind = rng.choice(
             ["schedule", "schedule", "at", "many", "cancel", "cancel_top",
-             "process", "poke", "trigger"]
+             "process", "poke"]
         )
         if kind == "schedule":
             sim.schedule(self._delay(), self.act, name=self._name("tick"))
@@ -140,15 +139,10 @@ class World:
         elif kind == "poke":
             if self.processes:
                 rng.choice(self.processes).poke("poked")
-        elif kind == "trigger":
-            self.signal.trigger(sim, "go")
 
     def body(self, steps):
         for _ in range(steps):
-            if self.rng.random() < 0.25:
-                yield WaitSignal(self.signal)
-            else:
-                yield Delay(self._delay())
+            yield Delay(self._delay())
             self.act()
 
     # -- the two ways to drain ------------------------------------------ #
@@ -185,7 +179,6 @@ class World:
             self.sim.events_fired,
             [(h.pending, h.fired, h.cancelled) for h in self.handles],
             [(p.finished, p.result, repr(p.error)) for p in self.processes],
-            self.signal.waiter_count,
         )
 
 
@@ -236,7 +229,7 @@ def test_run_is_a_loop_of_step(seed, stop_after, phases):
     # Every wake-up carries its family prefix (what the ledger's tracer
     # attributes callbacks by), passed as the ``name=`` keyword.
     assert {name.partition(":")[0] for _, _, name in by_run.trace} <= {
-        "tick", "at", "batch", "start", "delay", "poke", "signal",
+        "tick", "at", "batch", "start", "delay", "poke",
     }
 
 

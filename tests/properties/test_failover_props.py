@@ -12,6 +12,7 @@ replay determinism and the knobs-off equivalence contract.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.service import ServiceConfig
 from repro.experiments.resilience import run_resilience_experiment
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -19,7 +20,7 @@ crash_rates = st.floats(min_value=1.0, max_value=8.0, allow_nan=False)
 flap_rates = st.floats(min_value=0.0, max_value=6.0, allow_nan=False)
 
 
-def run_storm(seed, crash_rate, flap_rate, **kwargs):
+def run_storm(seed, crash_rate, flap_rate, **knobs):
     return run_resilience_experiment(
         seed=seed,
         duration_s=1_800.0,
@@ -27,8 +28,7 @@ def run_storm(seed, crash_rate, flap_rate, **kwargs):
         server_crash_rate_per_h=crash_rate,
         link_flap_rate_per_h=flap_rate,
         mean_fault_duration_s=300.0,
-        retry_attempts=0,
-        **kwargs,
+        config=ServiceConfig(retry_attempts=0, **knobs),
     )
 
 

@@ -116,15 +116,18 @@ class TestAvailabilityUnderStorm:
         seed=11,
         duration_s=2 * 3600.0,
         requests_per_node=12,
-        retry_attempts=0,
         server_crash_rate_per_h=6.0,
         link_flap_rate_per_h=4.0,
         mean_fault_duration_s=600.0,
     )
 
     def test_failover_strictly_improves_availability(self):
-        off = run_resilience_experiment(**self.STORM)
-        on = run_resilience_experiment(session_failover=True, **self.STORM)
+        off = run_resilience_experiment(
+            config=ServiceConfig(retry_attempts=0), **self.STORM
+        )
+        on = run_resilience_experiment(
+            config=ServiceConfig(retry_attempts=0, session_failover=True), **self.STORM
+        )
         assert off.report.failed_count > 0  # the storm actually bites
         assert on.report.availability > off.report.availability
         assert on.report.failed_count < off.report.failed_count
@@ -133,9 +136,12 @@ class TestAvailabilityUnderStorm:
 
     def test_report_carries_breaker_and_staleness_sections(self):
         run = run_resilience_experiment(
-            session_failover=True,
-            breaker_threshold=2,
-            max_stats_age_s=300.0,
+            config=ServiceConfig(
+                retry_attempts=0,
+                session_failover=True,
+                breaker_threshold=2,
+                max_stats_age_s=300.0,
+            ),
             **self.STORM,
         )
         report = run.report.as_dict()

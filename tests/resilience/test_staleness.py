@@ -38,7 +38,6 @@ class TestStalenessGuardUnit:
         service = make_service()
         for kwargs in (
             dict(max_age_s=0.0),
-            dict(max_age_s=100.0, inflation_factor=1.0),
             dict(max_age_s=100.0, check_period_s=0.0),
         ):
             with pytest.raises(ReproError):
@@ -76,7 +75,6 @@ class TestStalenessGuardUnit:
             service.database,
             service.topology,
             max_age_s=100.0,
-            inflation_factor=4.0,
         )
         link = next(iter(service.topology.links()))
         assert guard.adjusted_used(link, 1.0) == 1.0  # fresh: passthrough

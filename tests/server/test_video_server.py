@@ -137,12 +137,6 @@ class TestDeferredAdvertisement:
         assert result.evicted == ("a",)
         assert server._database.servers_with_title("a") == []
 
-    def test_immediate_advertisement_mode(self):
-        server = make_server(defer_dma_advertisements=False)
-        server.on_download_begins(video())
-        assert server.has_title("v")
-        assert server._database.servers_with_title("v") == ["U1"]
-
 
 class TestDmaHitPath:
     def test_request_for_seeded_title_is_hit(self):

@@ -11,14 +11,13 @@ class TestEventKey:
     def test_key_precomputed_at_construction(self):
         event = Event(time=4.0, seq=7, callback=lambda: None)
         assert event.key == (4.0, 7)
-        assert event.sort_key() == event.key
 
     def test_key_survives_frozen_dataclass(self):
         event = Event(time=1.0, seq=0, callback=lambda: None)
         for field, value in (("time", 2.0), ("seq", 9), ("key", (2.0, 9))):
             with pytest.raises(AttributeError):
                 setattr(event, field, value)
-        assert event.key == event.sort_key() == (1.0, 0)
+        assert event.key == (1.0, 0)
 
     def test_engine_orders_by_the_key_of_the_event_it_returns(self):
         sim = Simulator(start_time=2.0)

@@ -9,7 +9,7 @@ from repro.errors import SchedulingError, SimulationError
 from repro.network.flows import FlowManager
 from repro.network.routing.paths import Path
 from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Park, Process, Signal, WaitSignal
+from repro.sim.process import Delay, Park, Process
 from repro.storage.video import VideoTitle
 
 
@@ -115,7 +115,6 @@ class TestProcessBasics:
         assert bad_process.finished and good_process.check() == "ok"
         with pytest.raises(SchedulingError):
             bad_process.check()
-        assert bad_process.finished_signal.trigger_count == 1
         assert sim.pending_count == 0 and sim.now == 6.0
 
     def test_two_processes_interleave(self, sim):
@@ -273,13 +272,8 @@ class TestPark:
         process = Process(sim, body())
         sim.run()
         assert process.check() == 1
-        triggers = process.finished_signal.trigger_count
         process._resume("late")
-        assert process.check() == 1
-        assert process.finished_signal.trigger_count == triggers
-
-    def test_wait_signal_is_a_park(self, sim):
-        assert isinstance(WaitSignal(Signal("s")), Park)
+        assert process.check() == 1 and process.finished
 
     def test_object_without_the_protocol_is_still_unsupported(self, sim):
         class LooksParked:
@@ -355,66 +349,3 @@ class TestParkedTransfer:
         assert bad_session.record.clusters == []
         assert good.check() is good_session.record and good_session.record.completed
         assert flows.active_count == 0 and servers["B"].active_streams == 0
-
-
-class TestSignals:
-    def test_signal_wakes_waiter_with_payload(self, sim):
-        received = []
-
-        def waiter():
-            payload = yield WaitSignal(signal)
-            received.append((sim.now, payload))
-
-        signal = Signal("data")
-        Process(sim, waiter())
-        sim.schedule(4.0, lambda: signal.trigger(sim, "hello"))
-        sim.run()
-        assert received == [(4.0, "hello")]
-
-    def test_signal_wakes_all_waiters(self, sim):
-        woken = []
-
-        def waiter(name):
-            yield WaitSignal(signal)
-            woken.append(name)
-
-        signal = Signal()
-        for name in ("a", "b", "c"):
-            Process(sim, waiter(name))
-        sim.schedule(1.0, lambda: signal.trigger(sim))
-        sim.run()
-        assert sorted(woken) == ["a", "b", "c"]
-
-    def test_trigger_with_no_waiters_returns_zero(self, sim):
-        signal = Signal()
-        assert signal.trigger(sim) == 0
-        assert signal.trigger_count == 1
-
-    def test_finished_signal_fires_on_completion(self, sim):
-        results = []
-
-        def body():
-            yield Delay(2.0)
-            return 42
-
-        def watcher():
-            finished_process = yield WaitSignal(process.finished_signal)
-            results.append(finished_process.result)
-
-        process = Process(sim, body())
-        Process(sim, watcher())
-        sim.run()
-        assert results == [42]
-
-    def test_waiter_count_tracks_registrations(self, sim):
-        signal = Signal()
-
-        def waiter():
-            yield WaitSignal(signal)
-
-        Process(sim, waiter())
-        Process(sim, waiter())
-        sim.run(until=0.0)  # let both park
-        assert signal.waiter_count == 2
-        signal.trigger(sim)
-        assert signal.waiter_count == 0

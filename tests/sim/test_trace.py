@@ -24,26 +24,6 @@ class TestRecording:
         assert trace_rows(tracer) == []
         assert tracer.sink.written == 0
 
-    def test_capacity_bound_drops_oldest(self):
-        sink = MemoryTelemetrySink(capacity=3)
-        tracer = Tracer(sink=sink)
-        for i in range(5):
-            tracer.record(float(i), "c", f"event-{i}")
-        assert len(trace_rows(tracer)) == 3
-        assert sink.dropped == 2
-        assert sink.written == 5
-        assert [row["message"] for row in trace_rows(tracer)] == [
-            "event-2",
-            "event-3",
-            "event-4",
-        ]
-        # The bound is the sink's, whoever writes: the oldest rows go.
-        for i in range(2):
-            sink.write({"kind": "span", "request_id": i})
-        assert [row["kind"] for row in sink.rows] == ["trace", "span", "span"]
-        assert sink.dropped == 4
-        assert [row["message"] for row in trace_rows(tracer)] == ["event-4"]
-
 
 class TestTraceRows:
     def test_trace_rows_round_trip_through_a_jsonl_sink(self):

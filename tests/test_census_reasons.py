@@ -1,13 +1,15 @@
 """Guard for the reachability census's reason table.
 
 ``benchmarks/census.py`` keeps, for every ``src/`` function no user path
-reaches, one named reason and the tests that need the code.  This reads
-the table with :mod:`ast` only (it runs nothing) and fails when an entry
-names code that no longer exists in ``src/repro`` — a stale entry left
-behind by a later deletion — uses a reason kind outside the census's
-five, or names a test that does not exist.  A ``paper`` or ``reference``
-key must also be mentioned by a named test's file (or a test helper that
-file imports): the test reaches it on purpose, not by accident.
+reaches and every config field no user path sets, one named reason and
+the tests that need the code or set the field.  This reads the table
+with :mod:`ast` only (it runs nothing) and fails when an entry names
+code or a field that no longer exists in ``src/repro`` — a stale entry
+left behind by a later deletion — uses a reason kind outside the
+census's five, or names a test that does not exist.  A field key, and a
+``paper`` or ``reference`` key, must also be mentioned by a named test's
+file (or a test helper that file imports): the test reaches it on
+purpose, not by accident.
 """
 
 import ast
@@ -71,6 +73,40 @@ def _text_with_helpers(path):
     return "\n".join(texts)
 
 
+@lru_cache(maxsize=None)
+def _fields(path, class_name):
+    """The annotated (dataclass) fields of one class, ``ClassVar`` aside."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return {
+                statement.target.id
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and "ClassVar" not in ast.unparse(statement.annotation)
+            }
+    return set()
+
+
+def _field_key(key):
+    """(file, class, field) when ``key`` names a config field, else None."""
+    config, _, name = key.rpartition(".")
+    if config not in _assigned("CONFIGS"):
+        return None
+    path, _, class_name = config.partition("::")
+    return path, class_name, name
+
+
+def _keys(kinds=None):
+    """(key, named tests) of every REASONS key, of ``kinds`` when given."""
+    return [
+        (key, tests)
+        for kind, _, keys, tests in _assigned("REASONS")
+        if kinds is None or kind in kinds
+        for key in keys
+    ]
+
+
 def test_kinds_match_the_census():
     assert set(_assigned("KINDS")) == KINDS
 
@@ -85,13 +121,44 @@ def test_every_reason_uses_a_known_kind_and_says_why():
 
 def test_every_key_names_existing_code():
     stale = []
-    for _, _, keys, _ in _assigned("REASONS"):
-        for key in keys:
-            path, _, qualname = key.partition("::")
-            file = PACKAGE / path
-            if not file.is_file() or (qualname and qualname not in _qualnames(file)):
-                stale.append(key)
+    for key, _ in _keys():
+        if _field_key(key):
+            continue
+        path, _, qualname = key.partition("::")
+        file = PACKAGE / path
+        if not file.is_file() or (qualname and qualname not in _qualnames(file)):
+            stale.append(key)
     assert stale == []
+
+
+def test_the_config_classes_exist():
+    for config in _assigned("CONFIGS"):
+        path, _, class_name = config.partition("::")
+        assert _fields(PACKAGE / path, class_name), config
+
+
+def test_every_field_key_names_an_existing_dataclass_field():
+    fields = [_field_key(key) for key, _ in _keys() if _field_key(key)]
+    assert fields, "the knob pass keeps no field"
+    missing = [
+        (path, class_name, name)
+        for path, class_name, name in fields
+        if name not in _fields(PACKAGE / path, class_name)
+    ]
+    assert missing == []
+
+
+def test_field_keys_are_mentioned_by_their_tests():
+    """A kept field is set by the tests named for it."""
+    unmentioned = []
+    for key, tests in _keys():
+        if not _field_key(key):
+            continue
+        name = _field_key(key)[2]
+        texts = [_text_with_helpers(ROOT / node_id.partition("::")[0]) for node_id in tests]
+        if not any(re.search(rf"\b{re.escape(name)}\s*=", text) for text in texts):
+            unmentioned.append(key)
+    assert unmentioned == []
 
 
 def test_no_key_is_listed_twice():
@@ -114,13 +181,10 @@ def test_paper_and_reference_keys_are_mentioned_by_their_tests():
     """A private helper (``_name``) is reached through the public call
     that runs it, so only public names must appear."""
     unmentioned = []
-    for kind, _, keys, tests in _assigned("REASONS"):
-        if kind not in ("paper", "reference"):
-            continue
+    for key, tests in _keys(("paper", "reference")):
         texts = [_text_with_helpers(ROOT / node_id.partition("::")[0]) for node_id in tests]
-        for key in keys:
-            last = re.split(r"::|\.|/", key.removesuffix(".py"))[-1]
-            pattern = re.compile(rf"\b{re.escape(last)}\b")
-            if not last.startswith("_") and not any(pattern.search(t) for t in texts):
-                unmentioned.append(key)
+        last = re.split(r"::|\.|/", key.removesuffix(".py"))[-1]
+        pattern = re.compile(rf"\b{re.escape(last)}\b")
+        if not last.startswith("_") and not any(pattern.search(t) for t in texts):
+            unmentioned.append(key)
     assert unmentioned == []

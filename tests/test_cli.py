@@ -401,3 +401,28 @@ class TestBadValues:
             main([command, "--catalog-size", "0"])
         assert excinfo.value.code == 2
         assert "--catalog-size: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["simulate", "--title-mb", "-5"], "--title-mb"),
+            (["simulate", "--title-minutes", "0"], "--title-minutes"),
+            (["placement", "--title-mb", "0"], "--title-mb"),
+            (["placement", "--title-minutes", "nan"], "--title-minutes"),
+            (["sweep-cluster-size", "--jobs", "0"], "--jobs"),
+            (["sweep-cluster-size", "--jobs", "-3"], "--jobs"),
+        ],
+    )
+    def test_non_positive_size_or_job_count_is_a_usage_error(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {option}: must be a positive" in capsys.readouterr().err
+
+    def test_placement_with_a_baseline_cache_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--placement", "prefix", "--cache", "lru"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "cannot be combined with --cache=lru" in err
