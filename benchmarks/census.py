@@ -24,12 +24,17 @@ covers no unreached function any more (a user path reaches all of it:
 the reason is stale).
 
 The knob pass applies the same rule to the fields of the config
-dataclasses (:data:`CONFIGS`): a field is *set* when a user path passes
-it to the constructor, by keyword or by position.  A field no user path
-sets has one value in use, so it must become a constant or carry a
+dataclasses (:data:`CONFIGS`): a field is *in use* when ``src/repro``
+code reads it with two distinct values while the user paths run.  A read
+is an attribute access on a config instance from a function of the
+package; serialisation (``dataclasses.asdict`` or ``replace``, the
+generated ``__repr__`` and ``__eq__``, the ledger's manifest) runs
+outside it and a ``__post_init__`` only validates, so neither counts.  A
+field read with one value (or none) must become a constant or carry a
 :data:`REASONS` entry keyed ``file::Class.field``; ``--check`` also exits
-1 when one does not, and when such an entry names a field a user path
-sets.
+1 when one does not, and when such an entry names a field in use.  A
+field passed a second value only where nothing reads it, or passed only
+its default, has one value in use.
 
 Usage::
 
@@ -57,7 +62,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -78,13 +83,14 @@ KINDS = {
 #: The config dataclasses of the knob pass, as ``file::Class`` keys.
 CONFIGS = ("core/service.py::ServiceConfig", "placement/base.py::PlacementConfig")
 
-#: Why an unreached function or an unset config field stays: (kind, why,
-#: keys, tests).  A key is a file under ``src/repro`` (every function in
-#: it), ``file::Class`` (every method), ``file::qualified.name`` (the
-#: function and the functions nested in it) or, for a class of
-#: :data:`CONFIGS`, ``file::Class.field`` (one field).  ``tests`` are the
-#: test node ids (``path::Class::name``, from the repository root) that
-#: need the code or set the field.  ``tests/test_census_reasons.py``
+#: Why an unreached function or a config field read with one value
+#: stays: (kind, why, keys, tests).  A key is a file under ``src/repro``
+#: (every function in it), ``file::Class`` (every method),
+#: ``file::qualified.name`` (the function and the functions nested in it)
+#: or, for a class of :data:`CONFIGS`, ``file::Class.field`` (one field).
+#: ``tests`` are the test node ids (``path::Class::name``, from the
+#: repository root) that need the code or set the field to another value.
+#: ``tests/test_census_reasons.py``
 #: checks every key names code or a field that exists, every kind is one
 #: of :data:`KINDS`, every named test exists, and the named tests' files
 #: mention each field and each public ``paper`` and ``reference`` key's
@@ -150,6 +156,12 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      "10 and every user path keeps it (repro lvn varies K outside the service)",
      ["core/service.py::ServiceConfig.normalization_constant"],
      ["tests/core/test_service.py::TestDecide::test_normalization_constant_is_the_k_of_eq4"]),
+    ("paper", "the statistics modules' collection period: PAPER.md's mapping "
+     "table makes the SNMP collector period configurable (the paper polls every "
+     "1-2 minutes; every user path keeps the 90 s default)",
+     ["core/service.py::ServiceConfig.snmp_period_s"],
+     ["tests/integration/test_snmp_pipeline.py::TestSnmpToVraPipeline::"
+      "test_reported_weights_track_replayed_day"]),
     ("paper", "exact Figure 2: pin_seeded_titles=False lets the DMA evict a "
      "title's last network-wide copy, the hazard the failure-injection test pins",
      ["core/service.py::ServiceConfig.pin_seeded_titles"],
@@ -432,31 +444,82 @@ def config_fields() -> List[str]:
     ]
 
 
-def _recording(init, config: str, names: List[str], passed: set):
-    """``init`` that first adds the field keys of its arguments to ``passed``."""
+class Read(NamedTuple):
+    """One read of a config field: its key, the value (hashable: a value
+    that is not hashable by itself is keyed by its ``repr``), and the
+    reading code as ``file::function`` under ``src/repro``, or None when
+    the code is outside the package."""
 
-    def __init__(self, *args, **kwargs):
-        passed.update(f"{config}.{name}" for name in [*names[: len(args)], *kwargs])
-        init(self, *args, **kwargs)
+    field: str
+    value: object
+    caller: Optional[str]
 
-    return __init__
+
+def values_in_use(reads) -> Dict[str, set]:
+    """The distinct values each field key was read with by package code,
+    validation (``__post_init__``) aside."""
+    values: Dict[str, set] = {}
+    for read in reads:
+        if read.caller is None or read.caller.endswith("::__post_init__"):
+            continue
+        values.setdefault(read.field, set()).add(read.value)
+    return values
+
+
+def single_valued(fields: List[str], reads) -> List[str]:
+    """The keys of ``fields`` the package read with fewer than two values."""
+    values = values_in_use(reads)
+    return [key for key in fields if len(values.get(key, ())) < 2]
+
+
+def _hashable(value) -> object:
+    try:
+        hash(value)
+    except TypeError:
+        return repr(value)
+    return value
 
 
 @contextlib.contextmanager
-def recording_config_fields(passed: set):
-    """Add to ``passed`` the field key of every argument a
-    :data:`CONFIGS` constructor is called with, while the block runs."""
+def recording_config_reads(reads: set):
+    """Add a :class:`Read` to ``reads`` for every field read of a
+    :data:`CONFIGS` instance while the block runs."""
+    package = str(PACKAGE) + os.sep
+    callers: Dict[object, Optional[str]] = {}
+
+    def caller_of(code) -> Optional[str]:
+        if code not in callers:
+            file = code.co_filename
+            callers[code] = (
+                f"{Path(file).relative_to(PACKAGE).as_posix()}::{code.co_name}"
+                if file.startswith(package) else None
+            )
+        return callers[code]
+
+    def recording(get, config: str, names: frozenset):
+        def __getattribute__(self, name):
+            value = get(self, name)
+            if name in names:
+                caller = caller_of(sys._getframe(1).f_code)
+                reads.add(Read(f"{config}.{name}", _hashable(value), caller))
+            return value
+
+        return __getattribute__
+
     originals = {}
     for config in CONFIGS:
         cls = _config_class(config)
-        names = [field.name for field in dataclasses.fields(cls) if field.init]
-        originals[cls] = cls.__init__
-        cls.__init__ = _recording(cls.__init__, config, names, passed)
+        names = frozenset(field.name for field in dataclasses.fields(cls))
+        originals[cls] = cls.__dict__.get("__getattribute__")
+        cls.__getattribute__ = recording(cls.__getattribute__, config, names)
     try:
         yield
     finally:
-        for cls, init in originals.items():
-            cls.__init__ = init
+        for cls, get in originals.items():
+            if get is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = get
 
 
 # ---------------------------------------------------------------------- #
@@ -510,12 +573,12 @@ def _ledger_paths():
         yield f"ledger {name}", lambda argv=argv: ledger.main(argv)
 
 
-def reached_code(passed: set) -> set:
+def reached_code(reads: set) -> set:
     """(file, first line) of every code object under ``src/repro`` that a
-    user path called; adds to ``passed`` the config fields they set."""
+    user path called; adds to ``reads`` the config field reads they made."""
     sys.path.insert(0, str(SRC))
     profiler = cProfile.Profile()
-    with tempfile.TemporaryDirectory(prefix="census-") as tmp, recording_config_fields(passed):
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp, recording_config_reads(reads):
         for paths in (_cli_paths(tmp), _example_paths(), _tutorial_paths(), _ledger_paths()):
             for label, body in paths:
                 profiler.enable()
@@ -565,14 +628,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if an unreached function or a config field "
-                             "no user path sets has no reason, or a key is stale")
+                             "read with one value has no reason, or a key is stale")
     parser.add_argument("--list", action="store_true",
                         help="print every unreached function with its reason kind")
     args = parser.parse_args(argv)
 
     print("user paths:", flush=True)
-    passed: set = set()
-    reached = reached_code(passed)
+    reads: set = set()
+    reached = reached_code(reads)
     every = functions()
     total: Dict[str, int] = {}
     for function in every:
@@ -590,25 +653,27 @@ def main(argv=None) -> int:
         for key in stale:
             print(f"  {key}")
     fields = config_fields()
-    unset = [key for key in fields if key not in passed]
+    single = single_valued(fields, reads)
+    values = values_in_use(reads)
     field_keys = {key: kind for kind, _, keys, _ in REASONS for key in keys if _is_field_key(key)}
-    print(f"\nconfig fields no user path sets: {len(unset)} of {len(fields)}")
+    print(f"\nconfig fields read with one value: {len(single)} of {len(fields)}")
     for config in CONFIGS:
         print(f"  {config}: {sum(key.startswith(config + '.') for key in fields)} fields")
-    for key in unset:
-        print(f"{field_keys.get(key, '-'):<10}{key}")
-    unreasoned = [key for key in unset if key not in field_keys]
+    for key in single:
+        shown = ", ".join(sorted(map(repr, values.get(key, ())))) or "never read"
+        print(f"{field_keys.get(key, '-'):<10}{key}  ({shown})")
+    unreasoned = [key for key in single if key not in field_keys]
     if unreasoned:
-        print(f"\n{len(unreasoned)} config field(s) no user path sets, with no reason "
+        print(f"\n{len(unreasoned)} config field(s) read with one value, with no reason "
               "in REASONS (make each a constant):")
         for key in unreasoned:
             print(f"  {key}")
-    set_keys = [key for key in field_keys if key in passed]
-    if set_keys:
-        print(f"\n{len(set_keys)} REASONS field key(s) a user path now sets:")
-        for key in set_keys:
+    in_use = [key for key in field_keys if key not in single]
+    if in_use:
+        print(f"\n{len(in_use)} REASONS field key(s) a user path now reads with two values:")
+        for key in in_use:
             print(f"  {key}")
-    failed = missing or stale or unreasoned or set_keys
+    failed = missing or stale or unreasoned or in_use
     return 1 if args.check and failed else 0
 
 

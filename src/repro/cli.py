@@ -77,11 +77,6 @@ def _add_placement_arguments(subparser: argparse.ArgumentParser) -> None:
         help="prefix length cached for hot titles under --placement=prefix",
     )
     group.add_argument(
-        "--hot-points", type=int, default=2, metavar="N",
-        help="popularity points before a title earns a prefix copy "
-             "(--placement=prefix)",
-    )
-    group.add_argument(
         "--partial-floor", type=float, default=0.1, metavar="FRACTION",
         help="minimum cached fraction per admitted title under "
              "--placement=partial",
@@ -91,11 +86,7 @@ def _add_placement_arguments(subparser: argparse.ArgumentParser) -> None:
 def _placement_config_from(args: argparse.Namespace, kind: str) -> PlacementConfig:
     """Build the single placement config object from the shared CLI knobs."""
     if kind == "prefix":
-        return PlacementConfig(
-            kind="prefix",
-            prefix_minutes=args.prefix_minutes,
-            hot_points=args.hot_points,
-        )
+        return PlacementConfig(kind="prefix", prefix_minutes=args.prefix_minutes)
     if kind == "partial":
         return PlacementConfig(kind="partial", partial_floor=args.partial_floor)
     return PlacementConfig(kind="dma")
@@ -300,24 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--mean-fault-duration", type=float, default=300.0,
                        metavar="S", help="mean fault window length (s)")
     chaos.add_argument("--retry-attempts", type=int, default=5,
-                       help="session retry budget per cluster boundary")
-    chaos.add_argument("--retry-backoff", type=float, default=20.0,
-                       metavar="S", help="first retry delay (s)")
+                       help="session retry budget per cluster boundary "
+                            "(the first retry waits 20 s, each further one "
+                            "twice the last, up to 300 s)")
     chaos.add_argument("--failover", action="store_true",
                        help="enable the mid-stream session-failover "
                             "supervisor")
-    chaos.add_argument("--failover-backoff", type=float, default=15.0,
-                       metavar="S",
-                       help="wait between failover re-decide attempts (s)")
     chaos.add_argument("--breaker-threshold", type=int, default=0,
                        metavar="N",
-                       help="circuit-breaker trip threshold (failures per "
-                            "window); 0 disables breakers")
-    chaos.add_argument("--breaker-window", type=float, default=600.0,
-                       metavar="S", help="breaker failure-count window (s)")
-    chaos.add_argument("--breaker-cooldown", type=float, default=300.0,
-                       metavar="S",
-                       help="open-state dwell before the half-open probe (s)")
+                       help="circuit-breaker trip threshold (failures "
+                            "within 600 s; an open breaker probes again "
+                            "after 300 s); 0 disables breakers")
     chaos.add_argument("--max-stats-age", type=float, default=None,
                        metavar="S",
                        help="staleness guard: SNMP samples older than this "
@@ -499,7 +483,6 @@ def _cmd_placement(args: argparse.Namespace) -> int:
         disk_capacity_mb=args.disk_capacity_mb,
         prefix_minutes=args.prefix_minutes,
         partial_floor=args.partial_floor,
-        hot_points=args.hot_points,
         check=args.check,
     )
     print(render_placement_comparison(comparison))
@@ -594,12 +577,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         retry_attempts=args.retry_attempts,
-        retry_backoff_s=args.retry_backoff,
         session_failover=args.failover,
-        failover_backoff_s=args.failover_backoff,
         breaker_threshold=args.breaker_threshold,
-        breaker_window_s=args.breaker_window,
-        breaker_cooldown_s=args.breaker_cooldown,
         max_stats_age_s=args.max_stats_age,
         observability=args.telemetry_out is not None,
     )

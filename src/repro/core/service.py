@@ -34,9 +34,7 @@ from repro.core.admission_queue import (
 )
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT
 from repro.core.session import (
-    NO_RETRY,
     ClusterRecord,
-    RetryPolicy,
     SessionObserver,
     SessionRecord,
     StreamingSession,
@@ -63,9 +61,6 @@ from repro.sim.process import Delay, Process
 from repro.sim.trace import Tracer
 from repro.snmp.collector import DEFAULT_POLL_PERIOD_S, StatisticsService
 from repro.storage.video import VideoTitle
-
-#: Simulated wait before a strict-QoS refusal re-checks admission.
-REQUEUE_DELAY_S = 60.0
 
 
 @dataclass
@@ -122,18 +117,11 @@ class ServiceConfig:
         retry_attempts: Cluster-boundary retry budget per cluster.  When a
             per-cluster VRA run finds no source (all holders crashed,
             partitioned, or polled out), the session backs off and retries
-            up to this many times instead of failing instantly.  ``0``
-            (default) is the paper's fail-fast behaviour, byte-identical
-            to pre-retry runs.
-        retry_backoff_s: First retry delay in simulated seconds; each
-            further retry doubles it, up to 300 s
-            (:class:`~repro.core.session.RetryPolicy`).
-        requeue_attempts: Strict-QoS admission re-queue budget.  Under
-            ``strict_qos_admission``, a rejected request waits
-            :data:`REQUEUE_DELAY_S` and re-attempts admission up to this
-            many times before failing — crash-recovery storms then shed
-            load by delaying rather than dropping.  ``0`` (default) keeps
-            the reject-immediately behaviour.
+            up to this many times instead of failing instantly, waiting
+            20 s and then twice the last wait, up to 300 s
+            (:meth:`~repro.core.session.StreamingSession._decide_or_wait`).
+            ``0`` (default) is the paper's fail-fast behaviour,
+            byte-identical to pre-retry runs.
         session_failover: Mid-stream session failover
             (:class:`~repro.resilience.supervisor.SessionSupervisor`).
             Active transfer segments are indexed by their source server
@@ -141,26 +129,23 @@ class ServiceConfig:
             failure taking the title, path link offline) *preempts* the
             session immediately — it re-runs the VRA and migrates the
             remainder of the cluster to a surviving holder, stalling
-            through ``failover_backoff_s`` waits while holders exist but
-            none is currently usable.  A session fails only when no
-            online full holder of its title remains.  Default off —
+            through 15 s waits while holders exist but none is currently
+            usable.  A session fails only when no online full holder of
+            its title remains.  Default off —
             faults mid-transfer then play out exactly as before (the
             stream limps to the boundary or dies there).
-        failover_backoff_s: Wait between failover re-decide attempts.
         breaker_threshold: Per-server/per-link circuit breakers
             (:class:`~repro.resilience.breaker.BreakerBoard`) trip after
-            this many failures inside ``breaker_window_s``.  An open
+            this many failures inside a 600 s window.  An open
             server breaker filters that server out of the VRA's holder
             set (never to emptiness — with every holder tripped the
             unfiltered set is used, so breakers cannot cause a failure);
             an open link breaker conservatively inflates that link's
             weight to look saturated (reported-stats path only).  After
-            ``breaker_cooldown_s`` the breaker half-opens and the next
-            success closes it.  Transitions ride the existing
-            version-counter machinery — no new invalidation paths.  ``0``
-            (default) disables breakers entirely.
-        breaker_window_s: Sliding failure-count window.
-        breaker_cooldown_s: Open-state dwell before the half-open probe.
+            a 300 s cooldown the breaker half-opens and the next success
+            closes it.  Transitions ride the existing version-counter
+            machinery — no new invalidation paths.  ``0`` (default)
+            disables breakers entirely.
         max_stats_age_s: Staleness guard over the SNMP-fed link stats
             (:class:`~repro.resilience.staleness.StalenessGuard`).  A
             link whose latest sample is older than this — e.g. during an
@@ -198,13 +183,8 @@ class ServiceConfig:
     admission_rate_per_s: float = DEFAULT_ADMISSION_RATE_PER_S
     admission_tick_s: float = DEFAULT_ADMISSION_TICK_S
     retry_attempts: int = 0
-    retry_backoff_s: float = 30.0
-    requeue_attempts: int = 0
     session_failover: bool = False
-    failover_backoff_s: float = 15.0
     breaker_threshold: int = 0
-    breaker_window_s: float = 600.0
-    breaker_cooldown_s: float = 300.0
     max_stats_age_s: Optional[float] = None
     observability: bool = False
     telemetry_period_s: float = 60.0
@@ -214,12 +194,10 @@ class ServiceConfig:
     #: the uniform values above.
     server_overrides: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    def retry_policy(self) -> RetryPolicy:
-        """The session retry policy these knobs describe (shared NO_RETRY
-        singleton when disabled, so the default path allocates nothing)."""
-        if self.retry_attempts <= 0:
-            return NO_RETRY
-        return RetryPolicy(attempts=self.retry_attempts, backoff_s=self.retry_backoff_s)
+    def __post_init__(self) -> None:
+        for name in ("admission_queue_capacity", "retry_attempts", "breaker_threshold"):
+            if getattr(self, name) < 0:
+                raise ServiceError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 def _points_table_size(server: VideoServer) -> float:
@@ -426,8 +404,6 @@ class VoDService:
             self.breakers = BreakerBoard(
                 sim,
                 threshold=self.config.breaker_threshold,
-                window_s=self.config.breaker_window_s,
-                cooldown_s=self.config.breaker_cooldown_s,
                 on_transition=self._on_breaker_transition,
                 registry=self.obs,
             )
@@ -438,7 +414,6 @@ class VoDService:
                 sim,
                 self.servers,
                 self.database,
-                backoff_s=self.config.failover_backoff_s,
                 registry=self.obs,
             )
         if self.supervisor is not None or self.breakers is not None:
@@ -505,8 +480,6 @@ class VoDService:
             sim, self.obs, period_s=self.config.telemetry_period_s
         )
         self._started = False
-        #: Resolved once: every session shares the same policy object.
-        self._retry_policy = self.config.retry_policy()
         #: Optional per-session wrapper around the decide function, used by
         #: the switching baselines (e.g. ``NeverSwitch``): called once per
         #: session with the fresh decide closure, returns the one to use.
@@ -555,11 +528,6 @@ class VoDService:
             "resilience.recovery_s", subsystem="core",
             description="simulated time a cluster boundary stayed blocked "
             "before a retry succeeded (s)",
-        )
-        self._m_requeues = obs.counter(
-            "resilience.requeues", subsystem="service",
-            description="strict-QoS admission rejections re-queued "
-            "instead of dropped",
         )
         self._m_startup = obs.histogram(
             "session.startup_s", subsystem="core",
@@ -1113,7 +1081,7 @@ class VoDService:
         # an overload sheds cheaply instead of paying a VRA run per doomed
         # request; a zero-wait slot is exactly the no-queue path.
         name = f"session:{client_id}:{title_id}"
-        wait_s, refusal = 0.0, None
+        wait_s = 0.0
         slot = (
             self.admission_queue.offer(self.sim.now, (home_uid, title_id))
             if self.admission_queue is not None
@@ -1148,69 +1116,40 @@ class VoDService:
                 )
         else:
             refusal = self._qos_refusal(home_uid, title_id, video)
-            if refusal is not None and self.config.requeue_attempts > 0:
-                name = f"requeued:{request.request_id}"
-            elif refusal is not None:
+            if refusal is not None:
                 name = f"blocked:{request.request_id}"
                 self._m_blocked.inc()
                 self._reject(request, observer, refusal, "request.blocked")
         process = Process(
-            self.sim, self._admit(session, observer, video, wait_s, refusal), name=name
+            self.sim, self._admit(session, observer, video, wait_s), name=name
         )
         return request, session, process
 
     def _admit(
         self, session: StreamingSession, observer: "_RequestObserver",
-        video: VideoTitle, wait_s: float, refusal: Optional[str],
+        video: VideoTitle, wait_s: float,
     ) -> Generator[Any, None, SessionRecord]:
-        """The one process of a request: the admission-queue wait, the
-        strict-QoS re-queue loop, then the stream itself.
+        """The one process of a request: the admission-queue wait, then
+        the stream itself.
 
-        A request :meth:`_submit_at` already rejected (shed, or blocked
-        with no re-queue budget) ends on the process's first step.
-        ``refusal`` is the submit-time strict-QoS verdict; a queued
-        request is checked at *admit* time instead — by then the flash
-        crowd ahead of it has been leveled, so the check sees the state
-        the session will start under.  A refused request waits
-        :data:`REQUEUE_DELAY_S` and re-checks, up to ``requeue_attempts``
-        times (holders flapping back online usually re-admit it early),
-        before it fails with the ``qos-blocked:`` reason.
+        A request :meth:`_submit_at` already rejected (shed, or blocked)
+        ends on the process's first step.  A queued request is checked
+        for strict QoS at *admit* time instead of at submit — by then the
+        flash crowd ahead of it has been leveled, so the check sees the
+        state the session will start under — and a refused one fails
+        with the ``qos-blocked:`` reason.
         """
         request = session.record.request
         if request.finished:
             return session.record
-        home_uid, title_id = request.home_uid, request.title_id
         if wait_s > 0.0:
             yield Delay(wait_s)
             self.admission_queue.release()
-            refusal = self._qos_refusal(home_uid, title_id, video)
-        attempts = self.config.requeue_attempts
-        attempt = 0
-        while refusal is not None and attempt < attempts:
-            attempt += 1
-            self._m_requeues.inc()
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.sim.now,
-                    "request.requeued",
-                    f"{request.client_id} at {home_uid}: "
-                    f"{title_id} re-queued ({attempt}/{attempts})",
-                    client_id=request.client_id,
-                    home_uid=home_uid,
-                    title_id=title_id,
-                    attempt=attempt,
-                )
-            if observer.span is not None:
-                observer.span.add(
-                    self.sim.now, "requeued",
-                    attempt=attempt, delay_s=REQUEUE_DELAY_S,
-                )
-            yield Delay(REQUEUE_DELAY_S)
-            refusal = self._qos_refusal(home_uid, title_id, video)
-        if refusal is not None:
-            self._m_blocked.inc()
-            self._reject(request, observer, refusal, "request.blocked")
-            return session.record
+            refusal = self._qos_refusal(request.home_uid, request.title_id, video)
+            if refusal is not None:
+                self._m_blocked.inc()
+                self._reject(request, observer, refusal, "request.blocked")
+                return session.record
         return (yield from session.run())
 
     def _reject(
@@ -1269,7 +1208,7 @@ class VoDService:
             flows=self.flows,
             servers=self.servers,
             decide_for_cluster=decide_for_cluster,
-            retry=self._retry_policy,
+            retry_attempts=self.config.retry_attempts,
             failover=self.supervisor,
             observer=observer,
         )

@@ -22,7 +22,7 @@ delivered or a failover supervisor preempted it (DESIGN.md §5b.11).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # runtime coupling stays duck-typed (tests pass fakes)
     from repro.resilience.supervisor import SessionSupervisor as FailoverControl
@@ -51,56 +51,19 @@ MIN_TRANSFER_MBPS = 0.05
 #: cluster boundaries, exactly as the paper prescribes.
 DEFAULT_RATE_UPDATE_PERIOD_S = 60.0
 
+#: A cluster-boundary retry first waits this long, in simulated seconds,
+#: and each further retry of the same boundary waits twice as long as the
+#: one before, up to :data:`RETRY_MAX_WAIT_S`.
+RETRY_FIRST_WAIT_S = 20.0
+RETRY_MAX_WAIT_S = 300.0
+
+#: A failover stall re-decides this often while a full holder of the
+#: title is registered somewhere.
+FAILOVER_WAIT_S = 15.0
+
 DecideFn = Callable[[], VraDecision]
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry-with-backoff for cluster-boundary VRA failures.
-
-    When a per-cluster decision raises a :class:`RoutingError` (every
-    holder crashed, the home server is partitioned, admission slots are
-    exhausted network-wide), the session waits ``backoff_s`` of simulated
-    time and retries, multiplying the wait by :attr:`MULTIPLIER` up to
-    :attr:`MAX_BACKOFF_S`, at most ``attempts`` times per cluster.
-    ``attempts=0`` (the default) restores the fail-fast behaviour exactly
-    — no extra events, no extra decide calls — which is what keeps
-    fault-free runs byte-identical.
-
-    Attributes:
-        attempts: Maximum retries per cluster boundary (0 = disabled).
-        backoff_s: First retry delay in simulated seconds.
-    """
-
-    #: Backoff growth factor between consecutive retries.
-    MULTIPLIER: ClassVar[float] = 2.0
-    #: Ceiling on any single retry delay, simulated seconds.
-    MAX_BACKOFF_S: ClassVar[float] = 300.0
-
-    attempts: int = 0
-    backoff_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 0:
-            raise ReproError(f"retry attempts must be >= 0, got {self.attempts!r}")
-        if not (self.backoff_s > 0.0):
-            raise ReproError(f"retry backoff must be positive, got {self.backoff_s!r}")
-        if self.backoff_s > self.MAX_BACKOFF_S:
-            raise ReproError(
-                f"retry backoff {self.backoff_s!r} exceeds the "
-                f"{self.MAX_BACKOFF_S!r} s ceiling"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """True when the session should retry at all."""
-        return self.attempts > 0
-
-
-#: Shared disabled policy: the default fail-fast behaviour.
-NO_RETRY = RetryPolicy()
 
 
 @dataclass(frozen=True)
@@ -143,7 +106,7 @@ class SessionRecord:
         switch_count: Number of mid-stream server changes.
         qos_violation_count: Clusters delivered below the playback rate.
         completed_at: Simulated completion time (None if failed/running).
-        retry_count: Cluster-boundary VRA retries taken (retry policy).
+        retry_count: Cluster-boundary VRA retries taken (retry budget).
         retry_wait_s: Total simulated time spent in retry backoff.
         recovered: True when at least one cluster boundary failed and a
             later retry found a source again (the resilience headline).
@@ -382,8 +345,8 @@ class StreamingSession:
         flows: Bandwidth reservation manager for the topology.
         servers: Video servers by node uid (for admission bookkeeping).
         local_read_mbps: Transfer rate for home-server serves.
-        retry: Cluster-boundary retry policy (default: disabled —
-            fail-fast, the paper's behaviour).
+        retry_attempts: Retries per cluster boundary when no source is
+            found (0, the default: fail fast, the paper's behaviour).
         failover: Optional mid-stream failover control (the service's
             :class:`~repro.resilience.supervisor.SessionSupervisor`).
             When set, the supervisor indexes each segment's transfer via
@@ -409,7 +372,7 @@ class StreamingSession:
         decide_for_cluster: Optional[Callable[[int], VraDecision]] = None,
         local_read_mbps: float = DEFAULT_LOCAL_READ_MBPS,
         rate_update_period_s: float = DEFAULT_RATE_UPDATE_PERIOD_S,
-        retry: RetryPolicy = NO_RETRY,
+        retry_attempts: int = 0,
         failover: Optional["FailoverControl"] = None,
         observer: SessionObserver = NO_OBSERVER,
     ):
@@ -426,7 +389,7 @@ class StreamingSession:
         self._servers = servers
         self._local_read_mbps = local_read_mbps
         self._rate_quantum_s = rate_update_period_s
-        self._retry = retry
+        self._retry_attempts = retry_attempts
         self._failover = failover
         self._observer = observer
         self.record = SessionRecord(request=request)
@@ -440,16 +403,7 @@ class StreamingSession:
         try:
             for index, size_mb in enumerate(self._cluster_sizes):
                 get_decision = self._decider_for(index)
-                if self._failover is not None:
-                    # Boundary outages also ride the failover control:
-                    # the retry budget runs first (byte-identical while
-                    # it lasts), then the supervisor stalls the session
-                    # through the outage instead of letting it die.
-                    decision = yield from self._boundary_decide(get_decision)
-                elif self._retry.enabled:
-                    decision = yield from self._decide_with_retry(get_decision)
-                else:
-                    decision = get_decision()
+                decision = yield from self._decide_or_wait(get_decision)
                 server_uid = decision.chosen_uid
                 switched = previous_server is not None and server_uid != previous_server
                 if switched:
@@ -473,42 +427,6 @@ class StreamingSession:
         if self._decide_for_cluster is None:
             return self._decide
         return lambda: self._decide_for_cluster(index)
-
-    def _decide_with_retry(
-        self, get_decision: DecideFn
-    ) -> Generator[Delay, None, VraDecision]:
-        """One cluster-boundary decision under the retry policy.
-
-        Transient routing failures — every holder crashed or polled out,
-        the home server partitioned from all of them — are retried with
-        exponential backoff instead of failing the session outright.
-        Non-routing errors propagate immediately; exhausting the budget
-        re-raises the last routing error (the session then fails exactly
-        as it would have fail-fast, just later).
-        """
-        policy = self._retry
-        backoff = policy.backoff_s
-        blocked_since: Optional[float] = None
-        tries = 0
-        while True:
-            try:
-                decision = get_decision()
-            except RoutingError as exc:
-                if tries >= policy.attempts:
-                    raise
-                if blocked_since is None:
-                    blocked_since = self._sim.now
-                tries += 1
-                self.record.retry_count += 1
-                self.record.retry_wait_s += backoff
-                self._observer.retry(backoff)
-                yield Delay(backoff)
-                backoff = min(backoff * policy.MULTIPLIER, policy.MAX_BACKOFF_S)
-                continue
-            if blocked_since is not None:
-                self.record.recovered = True
-                self._observer.recover(self._sim.now - blocked_since)
-            return decision
 
     # ------------------------------------------------------------------ #
     def _deliver_cluster(
@@ -583,64 +501,78 @@ class StreamingSession:
                 return decision.chosen_uid
             size_mb = remaining
             old_uid = decision.chosen_uid
-            decision = yield from self._failover_decide(get_decision, transfer.reason)
+            decision = yield from self._decide_or_wait(get_decision, transfer.reason)
             switched = decision.chosen_uid != old_uid
             if switched:
                 self.record.switch_count += 1
 
-    def _boundary_decide(
-        self, get_decision: DecideFn
+    def _decide_or_wait(
+        self, get_decision: DecideFn, preempted: Optional[str] = None
     ) -> Generator[Delay, None, VraDecision]:
-        """One cluster-boundary decision under the failover safety net.
+        """One decision, waiting out routing failures while that may help.
 
-        The configured retry policy runs first, exactly as it would
-        without a supervisor; only when it gives up (fail-fast with no
-        budget, or the budget spent) does the failover control take
-        over and stall the session through the outage instead of
-        failing it.
+        A :class:`RoutingError` (every holder crashed or polled out, the
+        home server partitioned from them, their stream slots full) is
+        waited out in two phases, in this order:
+
+        * the retry budget, at a cluster boundary only (``preempted`` is
+          None): up to ``retry_attempts`` waits of
+          :data:`RETRY_FIRST_WAIT_S`, doubling up to
+          :data:`RETRY_MAX_WAIT_S`.  Each is counted in ``retry_count``
+          and ``retry_wait_s``; a source found here marks the session
+          ``recovered``;
+        * the failover stall, under a supervisor only: a boundary whose
+          budget is spent re-decides at once, and a segment the
+          supervisor preempted (``preempted`` is its reason) starts here.
+          A failure waits :data:`FAILOVER_WAIT_S` while a full holder of
+          the title is registered somewhere; when none remains, the
+          supervisor logs the verdict and the session fails.  The
+          decision that ends the stall counts one failover.
+
+        Without a supervisor the last routing error propagates once the
+        budget is spent (with none, the first: the paper's fail-fast).
+        Other errors propagate at once.
         """
-        try:
-            if self._retry.enabled:
-                decision = yield from self._decide_with_retry(get_decision)
-            else:
-                decision = get_decision()
-        except RoutingError:
-            decision = yield from self._failover_decide(get_decision, "boundary")
-        return decision
-
-    def _failover_decide(
-        self, get_decision: DecideFn, reason: str
-    ) -> Generator[Delay, None, VraDecision]:
-        """Find a replacement source after a fault or routing outage.
-
-        Routing failures while a full copy of the title is still
-        registered somewhere are transient — the holder is crashed (it
-        will recover), its slots are full, or the path is congested —
-        so the session stalls ``backoff_s`` and retries.  Only when no
-        full holder *remains* anywhere (the last copy was lost) does
-        the supervisor log the verdict and fail the session; by then no
-        online full holder can exist either, which is the invariant the
-        property suite pins.
-        """
+        record = self.record
         control = self._failover
-        stall_started = self._sim.now
+        reason = preempted
+        wait = RETRY_FIRST_WAIT_S
+        tries = 0
+        blocked_since = stall_started = self._sim.now
         while True:
             try:
                 decision = get_decision()
             except RoutingError as exc:
-                if not control.holder_exists(self._video.title_id):
+                if reason is None and tries < self._retry_attempts:
+                    tries += 1
+                    record.retry_count += 1
+                    record.retry_wait_s += wait
+                    self._observer.retry(wait)
+                    yield Delay(wait)
+                    wait = min(wait * 2.0, RETRY_MAX_WAIT_S)
+                elif control is None:
+                    raise
+                elif reason is None:
+                    reason = "boundary"
+                    stall_started = self._sim.now
+                elif control.holder_exists(self._video.title_id):
+                    yield Delay(FAILOVER_WAIT_S)
+                else:
                     control.note_failed(self._video.title_id, reason)
                     raise ReproError(
                         f"failover ({reason}): no full holder of title "
                         f"{self._video.title_id!r} remains: {exc}"
                     ) from exc
-                yield Delay(control.backoff_s)
                 continue
-            stall = self._sim.now - stall_started
-            self.record.failover_count += 1
-            self.record.failover_stall_s += stall
-            control.note_failover(stall)
-            self._observer.failover(stall)
+            if reason is not None:
+                stall = self._sim.now - stall_started
+                record.failover_count += 1
+                record.failover_stall_s += stall
+                control.note_failover(stall)
+                self._observer.failover(stall)
+            elif tries:
+                record.recovered = True
+                self._observer.recover(self._sim.now - blocked_since)
             return decision
 
     def _compute_playback_metrics(self) -> None:

@@ -146,7 +146,12 @@ def _apply_switching(service: VoDService, key: str) -> None:
     if key == "never":
         service.decide_wrapper = NeverSwitch
     elif key.startswith("period:"):
-        period = int(key.split(":", 1)[1])
+        try:
+            period = int(key.split(":", 1)[1])
+        except ValueError:
+            raise ReproError(
+                f"switching period must be an integer, got {key!r}"
+            ) from None
         service.decide_wrapper = lambda decide: PeriodicRecompute(decide, period)
     else:
         raise ReproError(f"unknown switching policy {key!r}")

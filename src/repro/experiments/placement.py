@@ -144,12 +144,9 @@ def _placement_config(
     kind: str,
     prefix_minutes: float,
     partial_floor: float,
-    hot_points: int,
 ) -> PlacementConfig:
     if kind == "prefix":
-        return PlacementConfig(
-            kind="prefix", prefix_minutes=prefix_minutes, hot_points=hot_points
-        )
+        return PlacementConfig(kind="prefix", prefix_minutes=prefix_minutes)
     if kind == "partial":
         return PlacementConfig(kind="partial", partial_floor=partial_floor)
     return PlacementConfig(kind="dma")
@@ -204,7 +201,6 @@ def run_placement_experiment(
     disk_capacity_mb: float = 500.0,
     prefix_minutes: float = 10.0,
     partial_floor: float = 0.1,
-    hot_points: int = 2,
     kinds: Sequence[str] = PLACEMENT_KINDS,
     check: bool = False,
 ) -> PlacementComparison:
@@ -218,7 +214,7 @@ def run_placement_experiment(
         cluster_mb / disk_count / disk_capacity_mb: Server storage shape;
             the defaults fit ~2.5 whole titles per server, so placement
             pressure is real.
-        prefix_minutes / partial_floor / hot_points: Policy knobs.
+        prefix_minutes / partial_floor: Policy knobs.
         kinds: Placement kinds to compare (subset of
             :data:`PLACEMENT_KINDS`).
         check: Also run the replay gate: the DMA run must replay
@@ -261,9 +257,7 @@ def run_placement_experiment(
             disk_capacity_mb=disk_capacity_mb,
             max_streams=64,
             use_reported_stats=False,
-            placement=_placement_config(
-                kind, prefix_minutes, partial_floor, hot_points
-            ),
+            placement=_placement_config(kind, prefix_minutes, partial_floor),
         )
 
     outcomes: List[PlacementOutcome] = []

@@ -1,6 +1,6 @@
 """Resilience experiment: a seeded fault storm against the full service.
 
-Runs a regional workload on a topology while a
+Runs a regional workload on GRNET while a
 :class:`~repro.faults.injector.FaultInjector` replays a seeded
 :class:`~repro.faults.schedule.FaultSchedule` — links flapping and
 degrading, servers crashing, disks dying, the SNMP collectors going
@@ -24,13 +24,11 @@ from repro.faults.schedule import FaultSchedule
 from repro.metrics.collectors import SessionMetrics, summarize_sessions
 from repro.metrics.stats import percentile
 from repro.network.grnet import build_grnet_topology
-from repro.network.topology import Topology
-from repro.sim.trace import Tracer
 from repro.workload.scenarios import regional_scenario
 
-#: The chaos run's default service: five cluster-boundary retries from
-#: 20 s, every other resilience layer off (``repro chaos``'s defaults).
-CHAOS_CONFIG = ServiceConfig(retry_attempts=5, retry_backoff_s=20.0)
+#: The chaos run's default service: five cluster-boundary retries, every
+#: other resilience layer off (``repro chaos``'s defaults).
+CHAOS_CONFIG = ServiceConfig(retry_attempts=5)
 
 
 @dataclass(frozen=True)
@@ -126,17 +124,13 @@ def run_resilience_experiment(
     disk_failure_rate_per_h: float = 0.5,
     snmp_blackout_rate_per_h: float = 0.5,
     mean_fault_duration_s: float = 300.0,
-    degrade_fraction: float = 0.5,
     config: ServiceConfig = CHAOS_CONFIG,
-    topology_factory: Callable[[], Topology] = build_grnet_topology,
-    tracer: Optional[Tracer] = None,
-    name: str = "resilience",
     service_hook: Optional[Callable[..., None]] = None,
 ) -> ResilienceRun:
     """Run one seeded chaos experiment end to end.
 
     The workload is :func:`~repro.workload.scenarios.regional_scenario`
-    over every node; the fault storm is
+    over every GRNET node; the fault storm is
     :meth:`FaultSchedule.seeded <repro.faults.schedule.FaultSchedule.seeded>`
     with the rates given, targeting every link and server of the
     topology.  Sessions run with retry/backoff enabled (unless a custom
@@ -154,11 +148,7 @@ def run_resilience_experiment(
         disk_failure_rate_per_h: Disk failures per hour.
         snmp_blackout_rate_per_h: Collector blackouts per hour.
         mean_fault_duration_s: Mean fault window length.
-        degrade_fraction: Capacity fraction per bandwidth shortage.
         config: The service config; defaults to :data:`CHAOS_CONFIG`.
-        topology_factory: Builds the network (defaults to GRNET).
-        tracer: Optional structured trace handed to the service.
-        name: Report label.
         service_hook: Optional callable invoked with the freshly built
             service before it starts (e.g. to attach a streaming
             telemetry sink).
@@ -166,9 +156,9 @@ def run_resilience_experiment(
     Returns:
         The :class:`ResilienceRun` with the deterministic report.
     """
-    # Fault targets come from a probe topology; build_service constructs
-    # its own instance from the same factory, so only names cross over.
-    probe = topology_factory()
+    # Fault targets come from a probe topology; build_service builds its
+    # own GRNET instance, so only names cross over.
+    probe = build_grnet_topology()
     node_uids = list(probe.node_uids())
     link_names = [link.name for link in probe.links()]
     schedule = FaultSchedule.seeded(
@@ -182,7 +172,6 @@ def run_resilience_experiment(
         disk_failure_rate_per_h=disk_failure_rate_per_h,
         snmp_blackout_rate_per_h=snmp_blackout_rate_per_h,
         mean_fault_duration_s=mean_fault_duration_s,
-        degrade_fraction=degrade_fraction,
         disks_per_server=config.disk_count,
     )
 
@@ -193,11 +182,9 @@ def run_resilience_experiment(
         seed=seed,
     )
     experiment = ServiceExperiment(
-        name=name,
+        name="resilience",
         scenario=scenario,
         config=config,
-        topology_factory=topology_factory,
-        tracer=tracer,
     )
     service = build_service(experiment)
     if service_hook is not None:
@@ -216,14 +203,13 @@ def run_resilience_experiment(
     # last fault windows close (schedule recoveries may outlive them).
     sim.run(until=max(duration_s, schedule.horizon_s) + 3 * 3600.0)
 
-    report = _build_report(name, seed, duration_s, service, injector, schedule)
+    report = _build_report(seed, duration_s, service, injector, schedule)
     return ResilienceRun(
         report=report, service=service, injector=injector, schedule=schedule
     )
 
 
 def _build_report(
-    name: str,
     seed: int,
     duration_s: float,
     service: VoDService,
@@ -241,7 +227,7 @@ def _build_report(
     breakers = service.breakers
     guard = service.staleness_guard
     return ResilienceReport(
-        name=name,
+        name="resilience",
         seed=seed,
         duration_s=duration_s,
         session_count=len(records),

@@ -310,15 +310,12 @@ class PlacementConfig:
             ``"partial"`` (popularity-proportional fractional caching).
         prefix_minutes: Prefix length cached for hot titles, in playback
             minutes (kind ``prefix``).
-        hot_points: Points a title needs before its prefix is cut
-            (kind ``prefix``).
         partial_floor: Minimum fraction cached for any requested title
             (kind ``partial``).
     """
 
     kind: str = "dma"
     prefix_minutes: float = 10.0
-    hot_points: int = 2
     partial_floor: float = 0.1
 
     def __post_init__(self) -> None:
@@ -331,8 +328,6 @@ class PlacementConfig:
             raise ServiceError(
                 f"prefix_minutes must be positive, got {self.prefix_minutes!r}"
             )
-        if self.hot_points < 1:
-            raise ServiceError(f"hot_points must be >= 1, got {self.hot_points!r}")
         if not (0.0 < self.partial_floor <= 1.0):
             raise ServiceError(
                 f"partial_floor must be in (0, 1], got {self.partial_floor!r}"
@@ -370,7 +365,6 @@ class PlacementConfig:
                 on_evict=on_evict,
                 on_partial=on_partial,
                 prefix_minutes=self.prefix_minutes,
-                hot_points=self.hot_points,
             )
         return PopularityWeightedPartial(
             array,

@@ -11,7 +11,8 @@ a little suffix traffic for a far wider cache reach: where the DMA fits
 Placement rules, per request:
 
 * full title resident -> HIT (point awarded), like the DMA;
-* otherwise award a point; once the title reaches ``hot_points`` points,
+* otherwise award a point; once the title reaches
+  :data:`HOT_TITLE_POINTS` points,
   cut (or extend toward) a prefix of ``prefix_minutes`` of playback,
   evicting strictly-less-popular residents for room;
 * titles shorter than the prefix window are stored whole — that is an
@@ -41,6 +42,10 @@ from repro.storage.array import DiskArray
 from repro.storage.cache import PopularityTracker
 from repro.storage.video import VideoTitle
 
+#: Points a title needs before its prefix is cut: the second request
+#: makes a title hot (arXiv 1003.4049's hot-title threshold).
+HOT_TITLE_POINTS = 2
+
 
 class PrefixReplication(FractionalPlacementPolicy):
     """First-N-minutes prefix caching of hot titles.
@@ -52,7 +57,6 @@ class PrefixReplication(FractionalPlacementPolicy):
         on_evict: Withdrawal hook.
         on_partial: Fraction-aware advertisement hook for prefix segments.
         prefix_minutes: Playback minutes of prefix to keep for hot titles.
-        hot_points: Points a title must reach before its prefix is cut.
     """
 
     def __init__(
@@ -63,12 +67,9 @@ class PrefixReplication(FractionalPlacementPolicy):
         on_evict: StoreHook = None,
         on_partial: PartialHook = None,
         prefix_minutes: float = 10.0,
-        hot_points: int = 2,
     ):
         if not (prefix_minutes > 0.0):
             raise CacheError(f"prefix_minutes must be positive, got {prefix_minutes!r}")
-        if hot_points < 1:
-            raise CacheError(f"hot_points must be >= 1, got {hot_points!r}")
         super().__init__(
             array,
             tracker=tracker,
@@ -77,7 +78,6 @@ class PrefixReplication(FractionalPlacementPolicy):
             on_partial=on_partial,
         )
         self.prefix_minutes = float(prefix_minutes)
-        self.hot_points = int(hot_points)
 
     def target_fraction(self, video: VideoTitle) -> float:
         """Fraction of ``video`` covered by the prefix window."""
@@ -101,7 +101,7 @@ class PrefixReplication(FractionalPlacementPolicy):
         points = self.tracker.give_point(title_id)
         current = self.array.resident_fraction(title_id)
         target = self.target_fraction(video)
-        if points < self.hot_points or target <= current + 1e-9:
+        if points < HOT_TITLE_POINTS or target <= current + 1e-9:
             return PlacementResult(
                 title_id=title_id,
                 action=PlacementAction.POINT_ONLY,

@@ -4,9 +4,10 @@ A :class:`CircuitBreaker` follows the classic three-state machine:
 
 * **closed** — the resource participates normally; failures are counted
   in a sliding window;
-* **open** — after ``threshold`` failures inside ``window_s`` the
-  resource is held out (servers leave the holder set the VRA polls,
-  links get their LVN weight inflated to worst-case) for ``cooldown_s``;
+* **open** — after ``threshold`` failures inside
+  :data:`BREAKER_WINDOW_S` the resource is held out (servers leave the
+  holder set the VRA polls, links get their LVN weight inflated to
+  worst-case) for :data:`BREAKER_COOLDOWN_S`;
 * **half-open** — after the cooldown one probe is admitted again; the
   first success closes the breaker, the first failure re-opens it with a
   fresh cooldown.
@@ -42,6 +43,11 @@ BREAKER_HALF_OPEN = "half-open"
 KIND_SERVER = "server"
 KIND_LINK = "link"
 
+#: Failures are counted over this sliding window, simulated seconds.
+BREAKER_WINDOW_S = 600.0
+#: An open breaker half-opens this long after its last failure.
+BREAKER_COOLDOWN_S = 300.0
+
 #: Transition callback: ``(kind, target, old_state, new_state)``.
 TransitionFn = Callable[[str, str, str, str], None]
 
@@ -51,26 +57,17 @@ class CircuitBreaker:
 
     Args:
         key: The guarded resource (server uid or link name), for reports.
-        threshold: Failures within the window that trip the breaker.
-        window_s: Sliding failure-count window, simulated seconds.
-        cooldown_s: Open time before the half-open probe, simulated
-            seconds.
+        threshold: Failures within :data:`BREAKER_WINDOW_S` that trip
+            the breaker.
     """
 
-    __slots__ = ("key", "threshold", "window_s", "cooldown_s", "state",
-                 "opened_at", "_failures")
+    __slots__ = ("key", "threshold", "state", "opened_at", "_failures")
 
-    def __init__(self, key: str, threshold: int, window_s: float, cooldown_s: float):
+    def __init__(self, key: str, threshold: int):
         if threshold < 1:
             raise ReproError(f"breaker threshold must be >= 1, got {threshold!r}")
-        if not (window_s > 0.0):
-            raise ReproError(f"breaker window must be positive, got {window_s!r}")
-        if not (cooldown_s > 0.0):
-            raise ReproError(f"breaker cooldown must be positive, got {cooldown_s!r}")
         self.key = key
         self.threshold = threshold
-        self.window_s = window_s
-        self.cooldown_s = cooldown_s
         self.state = BREAKER_CLOSED
         self.opened_at = float("-inf")
         self._failures: Deque[float] = deque()
@@ -96,7 +93,7 @@ class CircuitBreaker:
             self.opened_at = now
             return False
         failures = self._failures
-        floor = now - self.window_s
+        floor = now - BREAKER_WINDOW_S
         while failures and failures[0] < floor:
             failures.popleft()
         failures.append(now)
@@ -120,7 +117,7 @@ class CircuitBreaker:
         which case a newer expiry event is already scheduled)."""
         if self.state != BREAKER_OPEN:
             return False
-        if now - self.opened_at < self.cooldown_s - 1e-9:
+        if now - self.opened_at < BREAKER_COOLDOWN_S - 1e-9:
             return False
         self.state = BREAKER_HALF_OPEN
         return True
@@ -131,7 +128,7 @@ class BreakerBoard:
 
     Args:
         sim: The simulation engine (schedules half-open probes).
-        threshold / window_s / cooldown_s: Shared breaker parameters.
+        threshold: Shared breaker trip threshold.
         on_transition: Invoked on *every* state change with
             ``(kind, target, old_state, new_state)`` — the service's hook
             into the version-counter machinery.
@@ -144,15 +141,11 @@ class BreakerBoard:
         self,
         sim: Simulator,
         threshold: int,
-        window_s: float,
-        cooldown_s: float,
         on_transition: Optional[TransitionFn] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         self._sim = sim
         self._threshold = threshold
-        self._window_s = window_s
-        self._cooldown_s = cooldown_s
         self.on_transition = on_transition
         self._servers: Dict[str, CircuitBreaker] = {}
         self._links: Dict[str, CircuitBreaker] = {}
@@ -249,9 +242,7 @@ class BreakerBoard:
     def _breaker(self, table: Dict[str, CircuitBreaker], key: str) -> CircuitBreaker:
         breaker = table.get(key)
         if breaker is None:
-            breaker = CircuitBreaker(
-                key, self._threshold, self._window_s, self._cooldown_s
-            )
+            breaker = CircuitBreaker(key, self._threshold)
             table[key] = breaker
         return breaker
 
@@ -260,7 +251,7 @@ class BreakerBoard:
         if breaker.record_failure(self._sim.now):
             self._note(kind, target, was, BREAKER_OPEN)
             self._sim.schedule(
-                breaker.cooldown_s,
+                BREAKER_COOLDOWN_S,
                 self._probe,
                 kind,
                 breaker,
@@ -275,7 +266,7 @@ class BreakerBoard:
             # scheduling a fresh expiry (record_failure returned False
             # there); chase the moved deadline so the breaker can't get
             # stuck open with no probe pending.
-            remaining = breaker.opened_at + breaker.cooldown_s - self._sim.now
+            remaining = breaker.opened_at + BREAKER_COOLDOWN_S - self._sim.now
             self._sim.schedule(
                 max(remaining, 0.0),
                 self._probe,

@@ -45,15 +45,13 @@ class SessionSupervisor:
     into it.  Sessions call :meth:`track` / :meth:`untrack` around each
     transfer segment — the transfer carries the server uid and the link
     tuple it already resolved — and use the supervisor as their
-    failover-control surface (:attr:`backoff_s`, :meth:`holder_online`,
+    failover-control surface (:meth:`holder_exists`,
     :meth:`note_failover`, :meth:`note_failed`).
 
     Args:
         sim: The simulation engine.
         servers: The service's servers by node uid.
         database: The service database (full-holder lookups).
-        backoff_s: Wait between failover re-decide attempts while holders
-            exist but none is currently usable (e.g. stream slots full).
         registry: Telemetry registry for the ``resilience.*`` instruments
             (deterministic counters below are what reports read).
     """
@@ -63,13 +61,11 @@ class SessionSupervisor:
         sim: Simulator,
         servers: Dict[str, VideoServer],
         database: ServiceDatabase,
-        backoff_s: float = 15.0,
         registry: Optional[MetricsRegistry] = None,
     ):
         self._sim = sim
         self._servers = servers
         self._database = database
-        self.backoff_s = backoff_s
         #: In-flight segments by serving server and by path link name;
         #: the buckets are insertion-ordered sets.
         self._by_server: Dict[str, Dict["_Transfer", None]] = {}

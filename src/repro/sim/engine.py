@@ -154,7 +154,7 @@ class Simulator:
 
         The engine rebuilds the heap whenever carcasses outnumber pending
         events (above :data:`COMPACTION_FLOOR`), so cancellation-heavy
-        retry/requeue workloads hold O(pending) memory instead of growing
+        failover workloads hold O(pending) memory instead of growing
         the heap until the carcasses happen to reach the top.
         """
         return self._compactions
@@ -297,7 +297,7 @@ class Simulator:
     def _note_cancel(self) -> None:
         self._pending -= 1
         # Compact when carcasses outnumber live events: lazy top-sweeping
-        # alone lets a cancellation-heavy workload (retry storms, requeue
+        # alone lets a cancellation-heavy workload (failover storms, poke
         # churn) grow the heap with bodies that never reach the top.
         heap = self._heap
         if len(heap) >= COMPACTION_FLOOR and len(heap) - self._pending > self._pending:

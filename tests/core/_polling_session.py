@@ -5,7 +5,8 @@ were two copies of the loop: ``_transfer_cluster`` (no supervisor) and
 ``_deliver_cluster`` / ``_transfer_segment`` (failover on), both through
 ``_acquire_rate``.  They are kept here **verbatim** (the second entry point
 renamed ``_deliver_segments``, the cluster callback now the session
-observer's ``cluster``; nothing else touched) as the reference the
+observer's ``cluster``, the failover re-decide now the session's one
+``_decide_or_wait`` loop; nothing else touched) as the reference the
 engine-driven transfer is held to, event for event and bit for bit
 (``tests/properties/test_session_props.py``).
 
@@ -196,7 +197,7 @@ class PollingSession(StreamingSession):
             reason = self._preempt_reason or "fault"
             self._preempt_reason = None
             old_uid = current.chosen_uid
-            current = yield from self._failover_decide(get_decision, reason)
+            current = yield from self._decide_or_wait(get_decision, reason)
             segment_switched = current.chosen_uid != old_uid
             if segment_switched:
                 self.record.switch_count += 1

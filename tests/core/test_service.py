@@ -33,6 +33,16 @@ def movie(title_id="m1", size_mb=400.0, duration_s=3600.0):
     return VideoTitle(title_id, size_mb=size_mb, duration_s=duration_s)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "name", ["admission_queue_capacity", "retry_attempts", "breaker_threshold"]
+    )
+    def test_negative_count_is_rejected_not_read_as_off(self, name):
+        with pytest.raises(ServiceError, match=f"{name} must be >= 0"):
+            ServiceConfig(**{name: -1})
+        assert getattr(ServiceConfig(**{name: 0}), name) == 0
+
+
 class TestInitialisation:
     def test_one_server_and_entry_per_node(self, service, grnet_8am):
         assert set(service.servers) == {n.uid for n in grnet_8am.nodes()}

@@ -38,13 +38,12 @@ class TestFractionAwareAdvertisement:
     def test_prefix_holder_advertised_with_fraction(self, grnet_8am):
         service = build_service(
             grnet_8am,
-            placement=PlacementConfig(
-                kind="prefix", prefix_minutes=15.0, hot_points=1
-            ),
+            placement=PlacementConfig(kind="prefix", prefix_minutes=15.0),
         )
         service.seed_title("U4", title())
-        service.request_by_home("U2", "m")
-        service.sim.run(until=service.sim.now + 3600.0)
+        for _ in range(2):  # the second request makes the title hot at U2
+            service.request_by_home("U2", "m")
+            service.sim.run(until=service.sim.now + 3600.0)
         # 15 of 60 minutes -> a quarter of the title at the home server.
         holders = service.database.servers_with_title
         assert holders("m", min_fraction=0.25) == ["U2", "U4"]
@@ -54,19 +53,18 @@ class TestFractionAwareAdvertisement:
     def test_vra_prefers_full_holders_over_prefix_holders(self, grnet_8am):
         service = build_service(
             grnet_8am,
-            placement=PlacementConfig(
-                kind="prefix", prefix_minutes=15.0, hot_points=1
-            ),
+            placement=PlacementConfig(kind="prefix", prefix_minutes=15.0),
         )
         service.seed_title("U4", title())
-        service.request_by_home("U2", "m")
-        service.sim.run(until=service.sim.now + 3600.0)
+        for _ in range(2):  # the second request makes the title hot at U2
+            service.request_by_home("U2", "m")
+            service.sim.run(until=service.sim.now + 3600.0)
         # U2 now holds a prefix; the full-holder list must exclude it.
         holders = service.database.servers_with_title("m", min_fraction=1.0)
         assert holders == ["U4"]
         # A neighbouring request must therefore stream its remote clusters
-        # from U4, never from the prefix holder U2.  (U1 cuts its own
-        # prefix on the pass, so its first cluster is local to U1.)
+        # from U4, never from the prefix holder U2.  (It is U1's first
+        # request of the title, so U1 holds no prefix of its own yet.)
         _, session, _ = service.request_by_home("U1", "m")
         service.sim.run(until=service.sim.now + 3600.0)
         sources = {c.server_uid for c in session.record.clusters}
@@ -78,11 +76,11 @@ class TestPrefixLocalServing:
     def test_prefix_clusters_served_locally_suffix_remote(self, grnet_8am):
         service = build_service(
             grnet_8am,
-            placement=PlacementConfig(
-                kind="prefix", prefix_minutes=15.0, hot_points=1
-            ),
+            placement=PlacementConfig(kind="prefix", prefix_minutes=15.0),
         )
         service.seed_title("U4", title())
+        service.request_by_home("U2", "m")  # the title's first point at U2
+        service.sim.run(until=service.sim.now + 4 * 3600.0)
         _, session, _ = service.request_by_home("U2", "m")
         service.sim.run(until=service.sim.now + 4 * 3600.0)
         record = session.record

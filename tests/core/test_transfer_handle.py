@@ -39,8 +39,6 @@ def make_decision(nodes):
 class Control:
     """A failover control that keeps only weak references to what it tracks."""
 
-    backoff_s = 5.0
-
     def __init__(self):
         self.tracked = []
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client.requests import RequestStatus
-from repro.core.service import REQUEUE_DELAY_S, ServiceConfig, VoDService
+from repro.core.service import ServiceConfig, VoDService
 from repro.experiments.resilience import (
     render_resilience_report,
     run_resilience_experiment,
@@ -103,7 +103,6 @@ class TestCrashRecovery:
             snmp_period_s=60.0,
             use_reported_stats=False,
             retry_attempts=6,
-            retry_backoff_s=60.0,
         )
         defaults.update(overrides)
         sim = Simulator()
@@ -149,11 +148,11 @@ class TestCrashRecovery:
 
     def test_exhausted_retry_budget_fails(self):
         """An outage longer than the whole backoff ladder still fails."""
-        service = self.make_service(retry_attempts=2, retry_backoff_s=10.0)
+        service = self.make_service(retry_attempts=2)
         service.seed_title("U4", VideoTitle("m1", size_mb=400.0, duration_s=3600.0))
         injector = FaultInjector(
             service,
-            # Down for far longer than 10 + 20 s of backoff.
+            # Down for far longer than 20 + 40 s of backoff.
             FaultSchedule([ServerCrash(600.0, 7_200.0, server_uid="U4")]),
         )
         request, session, _ = service.request_by_home("U2", "m1")
@@ -163,57 +162,3 @@ class TestCrashRecovery:
         assert session.record.retry_count == 2
         assert not session.record.recovered
 
-
-class TestRequeue:
-    def test_strict_qos_rejection_requeues_and_admits_after_recovery(self):
-        """Admission storms re-queue instead of dropping: a request arriving
-        while every path is saturated is admitted on a later attempt."""
-        sim = Simulator()
-        topology = build_grnet_topology()
-        apply_traffic_sample(topology, "8am")
-        service = VoDService(
-            sim,
-            topology,
-            ServiceConfig(
-                cluster_mb=50.0,
-                disk_count=2,
-                disk_capacity_mb=1_000.0,
-                use_reported_stats=False,
-                strict_qos_admission=True,
-                requeue_attempts=5,
-            ),
-        )
-        service.seed_title("U4", VideoTitle("m1", size_mb=150.0, duration_s=900.0))
-        # Saturate everything so admission rejects...
-        for link in service.topology.links():
-            link.set_background_mbps(link.capacity_mbps)
-        request, session, _ = service.request_by_home("U2", "m1")
-        # ...then clear the congestion before the budget runs out.
-        sim.schedule(2.5 * REQUEUE_DELAY_S, lambda: [
-            link.set_background_mbps(0.0) for link in service.topology.links()
-        ])
-        sim.run(until=24 * 3600.0)
-        assert request.status is RequestStatus.COMPLETED
-
-    def test_requeue_budget_exhaustion_blocks(self):
-        sim = Simulator()
-        topology = build_grnet_topology()
-        service = VoDService(
-            sim,
-            topology,
-            ServiceConfig(
-                cluster_mb=50.0,
-                disk_count=2,
-                disk_capacity_mb=1_000.0,
-                use_reported_stats=False,
-                strict_qos_admission=True,
-                requeue_attempts=2,
-            ),
-        )
-        service.seed_title("U4", VideoTitle("m1", size_mb=150.0, duration_s=900.0))
-        for link in service.topology.links():
-            link.set_background_mbps(link.capacity_mbps)  # never clears
-        request, _, _ = service.request_by_home("U2", "m1")
-        sim.run(until=24 * 3600.0)
-        assert request.status is RequestStatus.FAILED
-        assert request.failure_reason.startswith("qos-blocked")

@@ -198,7 +198,6 @@ def test_chaos_run_bit_identical(seed):
     def config(compiled):
         return ServiceConfig(
             retry_attempts=5,
-            retry_backoff_s=20.0,
             compiled_routing=compiled,
         )
 

@@ -2,13 +2,11 @@
 
 ``TestEveryEnding``'s scenario ends requests every way the service can:
 completed, failed mid-stream, shed at the admission queue, blocked by
-strict QoS at submit, blocked at admit time after a queue wait, and (with
-a budget) re-queued until the budget runs out.  The constants below were
-recorded from the service before its admission path became one process
-generator and its session callbacks one observer; the refactor must leave
-every one of them unchanged (the re-queue pin's category order was
-re-recorded once, when the re-queue wait became the fixed 60 s
-``REQUEUE_DELAY_S`` instead of the scenario's 45 s):
+strict QoS at submit, and blocked at admit time after a queue wait.  The
+constants below were recorded from the service before its admission path
+became one process generator and its session callbacks one observer, and
+before a session's retry and failover waits became one loop; a refactor
+must leave every one of them unchanged:
 
 * the session fingerprint (every record, reason and cluster);
 * the ordered trace categories;
@@ -20,8 +18,6 @@ re-recorded once, when the re-queue wait became the fixed 60 s
 
 from typing import NamedTuple, Tuple
 
-import pytest
-
 import tests.obs.test_service_obs as service_obs
 from repro.experiments.placement import session_fingerprint
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
@@ -29,7 +25,7 @@ from repro.obs.export import telemetry_rows
 from repro.sim.trace import Tracer
 from tests.trace_rows import trace_rows
 
-#: The event kinds of the spans both pins share.
+#: The event kinds of the served spans.
 SERVED = ("submitted", "vra.decision", "cluster.delivered", "vra.decision",
           "cluster.delivered", "finished")
 QUEUED_THEN_SERVED = ("submitted", "queued", "vra.decision", "cluster.delivered", "finished")
@@ -43,67 +39,38 @@ class Pin(NamedTuple):
     span_kinds: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
 
 
-PINS = {
-    0: Pin(
-        fingerprint="e494f7993699dc5c9ce162d8cea0f885e08b84a4749b5ee3167864feace1f23e",
-        events_fired=239,
-        processes=("session:a:m", "queued:#", "shed:#", "blocked:#", "session:e:m", "queued:#"),
-        categories="""
-            request.submitted placement.pass vra.decision
-            request.submitted placement.pass request.queued
-            request.submitted placement.pass request.shed vra.decision
-            vra.decision vra.decision request.submitted placement.pass
-            vra.decision request.blocked request.submitted
-            placement.pass vra.decision request.submitted
-            placement.pass request.queued vra.decision vra.decision
-            request.blocked vra.decision session.finished vra.decision
-            session.finished session.finished
-        """.split(),
-        span_kinds=(
-            ("a", "completed", SERVED),
-            ("b", "failed", QUEUED_THEN_SERVED),
-            ("c", "failed", ("submitted", "finished")),
-            ("d", "failed", ("submitted", "finished")),
-            ("e", "completed", SERVED),
-            ("f", "failed", ("submitted", "queued", "finished")),
-        ),
+PIN = Pin(
+    fingerprint="e494f7993699dc5c9ce162d8cea0f885e08b84a4749b5ee3167864feace1f23e",
+    events_fired=239,
+    processes=("session:a:m", "queued:#", "shed:#", "blocked:#", "session:e:m", "queued:#"),
+    categories="""
+        request.submitted placement.pass vra.decision
+        request.submitted placement.pass request.queued
+        request.submitted placement.pass request.shed vra.decision
+        vra.decision vra.decision request.submitted placement.pass
+        vra.decision request.blocked request.submitted
+        placement.pass vra.decision request.submitted
+        placement.pass request.queued vra.decision vra.decision
+        request.blocked vra.decision session.finished vra.decision
+        session.finished session.finished
+    """.split(),
+    span_kinds=(
+        ("a", "completed", SERVED),
+        ("b", "failed", QUEUED_THEN_SERVED),
+        ("c", "failed", ("submitted", "finished")),
+        ("d", "failed", ("submitted", "finished")),
+        ("e", "completed", SERVED),
+        ("f", "failed", ("submitted", "queued", "finished")),
     ),
-    2: Pin(
-        fingerprint="e494f7993699dc5c9ce162d8cea0f885e08b84a4749b5ee3167864feace1f23e",
-        events_fired=243,
-        processes=("session:a:m", "queued:#", "shed:#", "requeued:#", "session:e:m", "queued:#"),
-        categories="""
-            request.submitted placement.pass vra.decision
-            request.submitted placement.pass request.queued
-            request.submitted placement.pass request.shed vra.decision
-            vra.decision vra.decision request.submitted placement.pass
-            vra.decision request.requeued vra.decision
-            request.requeued vra.decision request.blocked
-            request.submitted placement.pass vra.decision
-            request.submitted placement.pass request.queued
-            vra.decision vra.decision request.requeued vra.decision
-            vra.decision request.requeued session.finished
-            vra.decision request.blocked vra.decision session.finished
-            session.finished
-        """.split(),
-        span_kinds=(
-            ("a", "completed", SERVED),
-            ("b", "failed", QUEUED_THEN_SERVED),
-            ("c", "failed", ("submitted", "finished")),
-            ("d", "failed", ("submitted", "requeued", "requeued", "finished")),
-            ("e", "completed", SERVED),
-            ("f", "failed", ("submitted", "queued", "requeued", "requeued", "finished")),
-        ),
-    ),
-}
+)
 
 
-def run_every_ending(requeue_attempts: int) -> Pin:
+def run_every_ending() -> Pin:
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     tracer = Tracer()
     scenario = service_obs.TestEveryEnding
-    service = scenario.build(topology, requeue_attempts, tracer=tracer)
+    service = scenario.build(topology, 0, tracer=tracer)
     processes = []
     submit = service.request_by_home
 
@@ -114,7 +81,7 @@ def run_every_ending(requeue_attempts: int) -> Pin:
 
     service.request_by_home = recording_submit
     requests = scenario.drive(service)
-    scenario.assert_endings(service, requests, requeue_attempts)
+    scenario.assert_endings(service, requests, 0)
     # Closed spans were written as they closed; the open ones (none, once
     # every request ended) come with the end-of-run rows.
     spans = [
@@ -135,10 +102,9 @@ def run_every_ending(requeue_attempts: int) -> Pin:
     )
 
 
-@pytest.mark.parametrize("requeue_attempts", sorted(PINS))
-def test_every_ending_replays_the_pinned_lifecycle(requeue_attempts):
-    pinned = PINS[requeue_attempts]
-    run = run_every_ending(requeue_attempts)
+def test_every_ending_replays_the_pinned_lifecycle():
+    pinned = PIN
+    run = run_every_ending()
     assert run.fingerprint == pinned.fingerprint
     assert run.processes == pinned.processes
     assert run.categories == pinned.categories

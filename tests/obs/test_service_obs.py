@@ -188,14 +188,14 @@ class TestBlockedRequests:
 class TestEveryEnding:
     """One seeded run that ends sessions every way the service can.
 
-    With ``requeue_attempts=0`` a strict-QoS rejection blocks at once
-    (at submit, or at admit time for a delayed request); with a budget
-    it re-queues until the budget is exhausted.  Both share the other
-    endings: completed, failed mid-stream, shed.
+    A strict-QoS rejection blocks at once (at submit, or at admit time
+    for a delayed request).  With ``retry_attempts=2`` the mid-stream
+    failure first waits out its retry budget at the cluster boundary;
+    the other endings are the same: completed, shed, blocked.
     """
 
     @staticmethod
-    def build(topology, requeue_attempts, observability=True, tracer=None):
+    def build(topology, retry_attempts, observability=True, tracer=None):
         sim = Simulator(start_time=8 * 3600.0)
         service = VoDService(
             sim,
@@ -206,7 +206,7 @@ class TestEveryEnding:
                 observability=observability,
                 telemetry_period_s=30.0,
                 strict_qos_admission=True,
-                requeue_attempts=requeue_attempts,
+                retry_attempts=retry_attempts,
                 # One admission per 60 s tick, one waiter: the second
                 # request of a tick is delayed, the third is shed.
                 admission_queue_capacity=1,
@@ -258,7 +258,7 @@ class TestEveryEnding:
         return requests
 
     @staticmethod
-    def assert_endings(service, requests, requeue_attempts):
+    def assert_endings(service, requests, retry_attempts):
         assert requests["completed"].status.value == "completed"
         assert all(r.finished for r in requests.values())
         assert "polled out" in requests["midstream"].failure_reason
@@ -273,14 +273,14 @@ class TestEveryEnding:
             assert counter("service.sessions_failed").value == 1.0
             assert counter("service.requests_blocked").value == 2.0
             assert counter("admission.shed").value == 1.0
-            # Both blocked requests spent the whole budget first.
-            assert counter("resilience.requeues").value == 2.0 * requeue_attempts
+            # The mid-stream failure spent the whole budget first.
+            assert counter("resilience.retries").value == retry_attempts
 
-    @pytest.mark.parametrize("requeue_attempts", [0, 2])
+    @pytest.mark.parametrize("retry_attempts", [0, 2])
     def test_sessions_active_is_counted_and_equals_the_scan(
-        self, grnet_8am, requeue_attempts
+        self, grnet_8am, retry_attempts
     ):
-        service = self.build(grnet_8am, requeue_attempts)
+        service = self.build(grnet_8am, retry_attempts)
         gauge = service.obs.gauge("service.sessions_active")
         peak = [0.0]
 
@@ -290,7 +290,7 @@ class TestEveryEnding:
             peak[0] = max(peak[0], gauge.value)
 
         requests = self.drive(service, check)
-        self.assert_endings(service, requests, requeue_attempts)
+        self.assert_endings(service, requests, retry_attempts)
         assert peak[0] >= 2.0 and gauge.value == 0.0
 
         class Unscannable(list):
@@ -302,9 +302,9 @@ class TestEveryEnding:
         assert rows_of(service, "sample", "service.sessions_active")[-1]["value"] == 0.0
 
     @pytest.mark.parametrize("observability", [True, False])
-    @pytest.mark.parametrize("requeue_attempts", [0, 2])
+    @pytest.mark.parametrize("retry_attempts", [0, 2])
     def test_disabled_tracer_is_never_handed_a_record(
-        self, grnet_8am, requeue_attempts, observability
+        self, grnet_8am, retry_attempts, observability
     ):
         class Untouchable(Tracer):
             def __init__(self):
@@ -314,8 +314,8 @@ class TestEveryEnding:
                 raise AssertionError(f"formatted {category!r} for a disabled tracer")
 
         service = self.build(
-            grnet_8am, requeue_attempts, observability, tracer=Untouchable()
+            grnet_8am, retry_attempts, observability, tracer=Untouchable()
         )
         requests = self.drive(service)
-        self.assert_endings(service, requests, requeue_attempts)
+        self.assert_endings(service, requests, retry_attempts)
         assert service.open_spans == {}

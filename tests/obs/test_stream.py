@@ -182,10 +182,10 @@ class TestMemory:
 #: ``chaos --seed 42 --duration-hours 1 --requests-per-node 5
 #: --telemetry-out`` streams.  Rows of instruments that left the service
 #: were dropped from the earlier reference before hashing (the
-#: decision-latency histogram, the span events' ``latency_ms``, and the
-#: 245 ``resilience.degraded_decisions`` sample and counter rows): every
-#: other row is unchanged.
-PINNED_CHAOS_ROWS = (28_646, "7ffc0040732a621a66fd883b7fbac59634e31938e89f64c27075558bb3ea5843")
+#: decision-latency histogram, the span events' ``latency_ms``, the 245
+#: ``resilience.degraded_decisions`` and the 245 ``resilience.requeues``
+#: sample and counter rows): every other row is unchanged.
+PINNED_CHAOS_ROWS = (28_401, "b068967447523bd949b378e0306efdc1f53b596d4ae47dc3355eac10c5650343")
 
 
 class TestPinnedRows:

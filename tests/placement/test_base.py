@@ -96,8 +96,6 @@ class TestPlacementConfig:
             PlacementConfig(kind="prefix", prefix_minutes=0.0)
         with pytest.raises(ServiceError):
             PlacementConfig(kind="partial", partial_floor=1.5)
-        with pytest.raises(ServiceError):
-            PlacementConfig(kind="prefix", hot_points=-1)
 
     def test_build_constructs_matching_policy(self, array):
         cases = {

@@ -91,10 +91,9 @@ class TestChaosReplayEquivalence:
             )
             return session_fingerprint(run.service.sessions)
 
-        base = ServiceConfig(retry_attempts=5, retry_backoff_s=20.0)
+        base = ServiceConfig(retry_attempts=5)
         explicit = ServiceConfig(
             retry_attempts=5,
-            retry_backoff_s=20.0,
             placement=PlacementConfig(kind="dma"),
         )
         first = chaos_fingerprint(base)

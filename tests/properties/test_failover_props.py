@@ -97,7 +97,6 @@ def test_knobs_off_runs_match_explicit_default_knobs(seed):
         4.0,
         3.0,
         session_failover=False,
-        failover_backoff_s=15.0,
         breaker_threshold=0,
         max_stats_age_s=None,
     )

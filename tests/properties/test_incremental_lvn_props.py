@@ -196,7 +196,7 @@ def apply_service_ops(service, ops):
             for _ in range(service.config.breaker_threshold):
                 service.breakers.link_failure(name)
         elif kind == "age":
-            sim.run(until=sim.now + 200.0 * u)
+            sim.run(until=sim.now + 600.0 * u)
             service.staleness_guard.refresh()
         else:
             uid = f"X{topology.node_count}"
@@ -217,7 +217,6 @@ def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches):
         build_grnet_topology(),
         ServiceConfig(
             breaker_threshold=2,
-            breaker_cooldown_s=100.0,
             max_stats_age_s=90.0,
         ),
     )

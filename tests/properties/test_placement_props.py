@@ -27,8 +27,8 @@ def make_array() -> DiskArray:
 request_streams = st.lists(st.sampled_from(CATALOG), min_size=1, max_size=100)
 policy_factories = st.sampled_from(
     [
-        lambda a: PrefixReplication(a, prefix_minutes=8.0, hot_points=2),
-        lambda a: PrefixReplication(a, prefix_minutes=30.0, hot_points=1),
+        lambda a: PrefixReplication(a, prefix_minutes=8.0),
+        lambda a: PrefixReplication(a, prefix_minutes=30.0),
         lambda a: PopularityWeightedPartial(a, floor_fraction=0.15),
         lambda a: PopularityWeightedPartial(a, floor_fraction=0.6),
     ]

@@ -160,8 +160,7 @@ class Control:
     session tracks (a transfer, or the polling session itself) and
     preempts it through its own ``preempt(reason)``."""
 
-    def __init__(self, backoff_s):
-        self.backoff_s = backoff_s
+    def __init__(self):
         self.tracked = {}
         self.preemptions = 0
         self.stalls = []
@@ -208,7 +207,7 @@ def build_world(scenario, session_class, faults=()):
     sim = Simulator()
     flows = FlowManager(topology)
     servers = {uid: SlotServer() for route in ROUTES for uid in route}
-    control = Control(scenario["backoff_s"]) if scenario["supervised"] else None
+    control = Control() if scenario["supervised"] else None
     count = len(scenario["sessions"])
     sessions, processes = [None] * count, [None] * count
 
@@ -382,7 +381,6 @@ fault_specs = st.tuples(
 )
 scenarios = st.fixed_dictionaries({
     "supervised": st.booleans(),
-    "backoff_s": st.sampled_from([5.0, 15.0, 90.0]),
     # Shorter than a step, about a cluster, and longer than any cluster.
     "period_s": st.sampled_from([7.5, 60.0, 240.0, 50_000.0]),
     "cluster_mb": st.sampled_from([10.0, 25.0, 50.0]),
@@ -408,7 +406,7 @@ def test_transfer_matches_the_polling_oracle(scenario):
 
 def one_session_scenario(**overrides):
     scenario = {
-        "supervised": True, "backoff_s": 15.0, "period_s": 60.0, "cluster_mb": 25.0,
+        "supervised": True, "period_s": 60.0, "cluster_mb": 25.0,
         "backgrounds": [0.2] * 7, "traffic": [],
         "sessions": [{"start": 0, "size_mb": 75.0, "bitrate": 1.0, "choices": [2, 3]}],
         "faults": [],

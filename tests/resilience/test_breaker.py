@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.resilience.breaker import (
     BREAKER_CLOSED,
+    BREAKER_COOLDOWN_S,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     KIND_LINK,
@@ -17,16 +18,14 @@ from tests.resilience.breaker_log import state_of
 
 
 class TestCircuitBreaker:
+    """Timings on the constant 600 s window and 300 s cooldown."""
+
     def test_parameter_validation(self):
         with pytest.raises(ReproError):
-            CircuitBreaker("x", threshold=0, window_s=10.0, cooldown_s=10.0)
-        with pytest.raises(ReproError):
-            CircuitBreaker("x", threshold=1, window_s=0.0, cooldown_s=10.0)
-        with pytest.raises(ReproError):
-            CircuitBreaker("x", threshold=1, window_s=10.0, cooldown_s=0.0)
+            CircuitBreaker("x", threshold=0)
 
     def test_trips_at_threshold_within_window(self):
-        b = CircuitBreaker("srv", threshold=3, window_s=100.0, cooldown_s=50.0)
+        b = CircuitBreaker("srv", threshold=3)
         assert b.record_failure(0.0) is False
         assert b.record_failure(10.0) is False
         assert b.state == BREAKER_CLOSED and b.allowed
@@ -34,55 +33,55 @@ class TestCircuitBreaker:
         assert b.state == BREAKER_OPEN and not b.allowed
 
     def test_window_pruning_prevents_trip(self):
-        b = CircuitBreaker("srv", threshold=3, window_s=100.0, cooldown_s=50.0)
+        b = CircuitBreaker("srv", threshold=3)
         b.record_failure(0.0)
-        b.record_failure(10.0)
-        # The first failure ages out before the third one lands.
-        assert b.record_failure(150.0) is False
+        b.record_failure(60.0)
+        # Both failures age out of the 600 s window before the third lands.
+        assert b.record_failure(900.0) is False
         assert b.state == BREAKER_CLOSED
+        assert b.record_failure(910.0) is False
+        assert b.record_failure(920.0) is True
 
     def test_half_open_after_cooldown_then_close(self):
-        b = CircuitBreaker("srv", threshold=1, window_s=100.0, cooldown_s=50.0)
+        b = CircuitBreaker("srv", threshold=1)
         assert b.record_failure(0.0) is True
-        assert b.half_open(30.0) is False  # cooldown not elapsed
+        assert b.half_open(180.0) is False  # cooldown not elapsed
         assert b.state == BREAKER_OPEN
-        assert b.half_open(50.0) is True
+        assert b.half_open(BREAKER_COOLDOWN_S) is True
         assert b.state == BREAKER_HALF_OPEN and b.allowed
-        assert b.record_success(60.0) is True
+        assert b.record_success(360.0) is True
         assert b.state == BREAKER_CLOSED
 
     def test_half_open_failure_reopens(self):
-        b = CircuitBreaker("srv", threshold=1, window_s=100.0, cooldown_s=50.0)
+        b = CircuitBreaker("srv", threshold=1)
         b.record_failure(0.0)
-        b.half_open(50.0)
-        assert b.record_failure(60.0) is True  # failed probe
+        b.half_open(300.0)
+        assert b.record_failure(360.0) is True  # failed probe
         assert b.state == BREAKER_OPEN
-        assert b.opened_at == 60.0
+        assert b.opened_at == 360.0
 
     def test_failure_while_open_refreshes_cooldown(self):
-        b = CircuitBreaker("srv", threshold=1, window_s=100.0, cooldown_s=50.0)
+        b = CircuitBreaker("srv", threshold=1)
         b.record_failure(0.0)
-        assert b.record_failure(30.0) is False  # already open, no re-trip
-        assert b.opened_at == 30.0
-        assert b.half_open(50.0) is False  # original expiry is now stale
-        assert b.half_open(80.0) is True
+        assert b.record_failure(180.0) is False  # already open, no re-trip
+        assert b.opened_at == 180.0
+        assert b.half_open(300.0) is False  # original expiry is now stale
+        assert b.half_open(480.0) is True
 
     def test_success_while_closed_is_noop(self):
-        b = CircuitBreaker("srv", threshold=2, window_s=100.0, cooldown_s=50.0)
+        b = CircuitBreaker("srv", threshold=2)
         assert b.record_success(0.0) is False
         b.record_failure(1.0)
         assert b.record_success(2.0) is False
         assert b.state == BREAKER_CLOSED
 
 
-def make_board(threshold=2, window_s=600.0, cooldown_s=300.0):
+def make_board(threshold=2):
     sim = Simulator()
     transitions = []
     board = BreakerBoard(
         sim,
         threshold=threshold,
-        window_s=window_s,
-        cooldown_s=cooldown_s,
         on_transition=lambda *args: transitions.append(args),
     )
     return sim, board, transitions
@@ -115,7 +114,7 @@ class TestBreakerBoard:
         assert board.filter_servers(["U5", "U4"]) == ["U5", "U4"]
 
     def test_probe_half_opens_after_cooldown(self):
-        sim, board, _ = make_board(cooldown_s=300.0)
+        sim, board, _ = make_board()
         board.server_failure("U4")
         board.server_failure("U4")
         sim.run(until=299.0)
@@ -126,7 +125,7 @@ class TestBreakerBoard:
         assert board.server_allowed("U4") is True
 
     def test_path_success_closes_half_open_probe(self):
-        sim, board, transitions = make_board(cooldown_s=300.0)
+        sim, board, transitions = make_board()
         board.server_failure("U4")
         board.server_failure("U4")
         board.link_failure("l1")
@@ -142,7 +141,7 @@ class TestBreakerBoard:
         assert (KIND_SERVER, "U4", BREAKER_HALF_OPEN, BREAKER_CLOSED) in transitions
 
     def test_link_breaker_opens_and_reopens_on_failed_probe(self):
-        sim, board, _ = make_board(cooldown_s=300.0)
+        sim, board, _ = make_board()
         board.link_failure("Patra-Ioannina")
         board.link_failure("Patra-Ioannina")
         assert board.link_open("Patra-Ioannina") is True
@@ -159,7 +158,7 @@ class TestBreakerBoard:
         # A failure while already open refreshes the cooldown origin but
         # record_failure returns False there, so no fresh expiry event is
         # scheduled; the original probe must chase the moved deadline.
-        sim, board, _ = make_board(cooldown_s=300.0)
+        sim, board, _ = make_board()
         board.server_failure("U4")
         board.server_failure("U4")  # open at t=0, probe due t=300
         sim.schedule(100.0, board.server_failure, "U4")  # deadline -> 400
@@ -170,7 +169,7 @@ class TestBreakerBoard:
         assert board.half_open_by_kind[KIND_SERVER] == 1
 
     def test_log_is_chronological(self):
-        sim, board, _ = make_board(cooldown_s=300.0)
+        sim, board, _ = make_board()
         board.server_failure("U4")
         board.server_failure("U4")
         sim.run(until=301.0)

@@ -53,9 +53,7 @@ class TestServerBreakerRouting:
         assert service.decide("U2", "news").chosen_uid == other
 
     def test_successful_probe_session_closes_the_breaker(self):
-        service = make_service(
-            breaker_threshold=2, breaker_cooldown_s=300.0
-        )
+        service = make_service(breaker_threshold=2)
         service.seed_title("U4", news())
         service.seed_title("U5", news())
         service.start()

@@ -54,7 +54,7 @@ class TestMidStreamFailover:
         assert service.supervisor.tracked_count == 0
 
     def test_sole_crashed_holder_is_ridden_out_with_backoff(self):
-        service = make_service(failover_backoff_s=30.0)
+        service = make_service()
         service.seed_title("U4", feature())
         service.start()
         request, session, _ = service.request_by_home("U2", "feature")

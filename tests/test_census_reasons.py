@@ -10,9 +10,15 @@ census's five, or names a test that does not exist.  A field key, and a
 ``paper`` or ``reference`` key, must also be mentioned by a named test's
 file (or a test helper that file imports): the test reaches it on
 purpose, not by accident.
+
+``TestValueRule`` runs the knob pass's rule (a field is in use when the
+package reads it with two values) on synthetic reads, and its recorder
+on a real config.
 """
 
 import ast
+import dataclasses
+import importlib.util
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -188,3 +194,56 @@ def test_paper_and_reference_keys_are_mentioned_by_their_tests():
         if not last.startswith("_") and not any(pattern.search(t) for t in texts):
             unmentioned.append(key)
     assert unmentioned == []
+
+
+def _census_module():
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestValueRule:
+    FIELD = "core/service.py::ServiceConfig.retry_attempts"
+    READER = "core/service.py::_build_session"
+
+    def single_valued(self, *reads):
+        census = _census_module()
+        return census.single_valued([self.FIELD], [census.Read(self.FIELD, *r) for r in reads])
+
+    def test_a_field_passed_only_with_its_default_is_flagged(self):
+        assert self.single_valued((0, self.READER), (0, "core/service.py::__init__")) == [
+            self.FIELD
+        ]
+
+    def test_a_second_value_only_where_nothing_reads_it_is_flagged(self):
+        # The 5 reaches serialisation (code outside the package) and
+        # validation only; the package itself reads the default.
+        assert self.single_valued(
+            (0, self.READER), (5, None), (5, "core/service.py::__post_init__")
+        ) == [self.FIELD]
+
+    def test_a_field_never_read_is_flagged(self):
+        assert self.single_valued() == [self.FIELD]
+
+    def test_a_field_read_with_two_values_passes(self):
+        assert self.single_valued((0, self.READER), (5, self.READER)) == []
+
+    def test_the_recorder_sees_package_reads_only(self):
+        from repro.core.service import ServiceConfig
+        from repro.placement.base import PlacementConfig
+
+        census = _census_module()
+        reads = set()
+        with census.recording_config_reads(reads):
+            config = ServiceConfig(retry_attempts=3, server_overrides={"U1": {}})
+            dataclasses.asdict(config)
+            assert config.placement.fractional is False
+        # This test reads ``placement`` itself; ``fractional`` (package
+        # code) reads ``kind``.
+        assert census.values_in_use(reads) == {"placement/base.py::PlacementConfig.kind": {"dma"}}
+        assert census.Read(
+            "core/service.py::ServiceConfig.server_overrides", "{'U1': {}}", None
+        ) in reads
+        assert "__getattribute__" not in vars(ServiceConfig)
+        assert "__getattribute__" not in vars(PlacementConfig)

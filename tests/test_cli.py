@@ -128,7 +128,6 @@ class TestSimulate:
                 "--requests-per-node", "3",
                 "--placement", "prefix",
                 "--prefix-minutes", "12",
-                "--hot-points", "1",
             ]
         )
         assert code == 0
@@ -385,6 +384,12 @@ class TestBadValues:
             (["simulate", "--topology", "{tmp}/missing.json"], "cannot load topology"),
             (["chaos", "--duration-hours", "-1"], "duration must be positive"),
             (["simulate", "--cluster-mb", "0"], "cluster size must be positive"),
+            (["simulate", "--switching", "period:x"], "switching period must be an integer"),
+            # A negative count would silently turn its layer off.
+            (["chaos", "--retry-attempts", "-1"], "retry_attempts must be >= 0"),
+            (["chaos", "--breaker-threshold", "-1"], "breaker_threshold must be >= 0"),
+            (["simulate", "--admission-queue-capacity", "-3"],
+             "admission_queue_capacity must be >= 0"),
         ],
     )
     def test_a_rejected_value_is_one_error_line(self, argv, message, capsys, tmp_path):
