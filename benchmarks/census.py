@@ -1,6 +1,8 @@
-"""Reachability census: which ``src/`` functions do the user paths reach?
+"""Reachability census: which ``src/`` functions and branch arms do the
+user paths run?
 
-Runs every user path in this process under one :mod:`cProfile` profiler:
+Runs every user path in this process under one :func:`sys.settrace`
+tracer:
 
 * the CLI matrix (:data:`CLI_MATRIX`, every subcommand and the options
   that switch code on);
@@ -11,8 +13,11 @@ Runs every user path in this process under one :mod:`cProfile` profiler:
   runs it, with the ledger's ``tracing.Tracer`` installed and
   ``tracing.counters`` read, at :data:`LEDGER_SCALE` of the nominal size.
 
+The tracer's ``call`` events give the reached functions, its ``line``
+events the lines of ``src/repro`` that ran.
+
 A function of ``src/repro`` (every ``def``, methods and nested functions
-included) is *reached* when the profiler saw it called at least once.  A
+included) is *reached* when the tracer saw it called at least once.  A
 function whose body does nothing (a docstring, ``pass``, ``...`` or
 ``raise NotImplementedError``) declares an interface or a no-op default;
 it has no code to reach and is not counted.  Every unreached function must
@@ -22,6 +27,26 @@ be deleted or carry one named reason in :data:`REASONS`, of one of the
 ``--check`` exits 1 when one does not, and when a :data:`REASONS` key
 covers no unreached function any more (a user path reaches all of it:
 the reason is stale).
+
+The arm rule applies the same test inside the reached functions.  An
+*arm* (:func:`arms`) is the body of an ``if`` or ``elif`` or its
+``else``, the body of a ``for`` or ``while`` loop or its ``else``, a
+``try`` statement's ``else`` or ``except`` handler, or a ``match`` case.
+It *ran* when a line of its first statement's header ran (the whole
+statement for a simple one; ``try:`` also counts the first line of its
+body).  Its key is ``file::qualname::label``, the label being ``if``,
+``else of if``, ``for``, ``while``, ``except``, ``else of try`` or
+``case`` followed by ``ast.unparse`` of the condition (``#2``, ``#3``
+number a label repeated in one function), so an edit elsewhere in the
+file does not move it.  An arm that ends in ``raise`` or is an
+``except`` handler is of kind :data:`ERROR`: safety code, counted and
+listed but not gated.  Every other arm that did not run in a reached
+function (:func:`unrun_arms`; one inside an arm that did not run follows
+that arm and is not counted) must be deleted, reached by a user path, or
+carry a :data:`REASONS` entry keyed by its arm key whose named tests run
+it; ``--check`` also exits 1 on an arm key that names no such arm.
+Line events cannot see an ``if`` that has no ``else`` skip its body, so
+that implicit arm is not counted.
 
 The knob pass applies the same rule to the fields of the config
 dataclasses (:data:`CONFIGS`): a field is *in use* when ``src/repro``
@@ -38,11 +63,13 @@ its default, has one value in use.
 
 Usage::
 
-    python3 benchmarks/census.py            # the unreached table by file
-    python3 benchmarks/census.py --list     # ... and every unreached function
-    python3 benchmarks/census.py --check    # exit 1 on an unreasoned function, field or a stale key
+    python3 benchmarks/census.py            # the unreached and unrun tables by file
+    python3 benchmarks/census.py --list     # ... and every unreached function and unrun arm
+    python3 benchmarks/census.py --check    # exit 1 on an unreasoned function, arm, field or a stale key
 
-Standard library only; about 35 s on one Intel Xeon core.
+Standard library only.  The line events roughly double the cost of the
+user paths: about 45 s on one Intel Xeon core, against about 25 s for the
+call-only ``cProfile`` census it replaced.
 """
 
 from __future__ import annotations
@@ -50,7 +77,6 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import cProfile
 import dataclasses
 import importlib
 import importlib.util
@@ -62,7 +88,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -80,21 +106,26 @@ KINDS = {
     "item5": "strip-level caching, the paper's future work (ROADMAP item 5)",
 }
 
+#: The kind of an arm that ends in ``raise`` or is an ``except`` handler:
+#: safety code, listed by ``--list`` but not gated.
+ERROR = "error"
+
 #: The config dataclasses of the knob pass, as ``file::Class`` keys.
 CONFIGS = ("core/service.py::ServiceConfig", "placement/base.py::PlacementConfig")
 
-#: Why an unreached function or a config field read with one value
-#: stays: (kind, why, keys, tests).  A key is a file under ``src/repro``
-#: (every function in it), ``file::Class`` (every method),
-#: ``file::qualified.name`` (the function and the functions nested in it)
-#: or, for a class of :data:`CONFIGS`, ``file::Class.field`` (one field).
-#: ``tests`` are the test node ids (``path::Class::name``, from the
-#: repository root) that need the code or set the field to another value.
-#: ``tests/test_census_reasons.py``
-#: checks every key names code or a field that exists, every kind is one
-#: of :data:`KINDS`, every named test exists, and the named tests' files
-#: mention each field and each public ``paper`` and ``reference`` key's
-#: last name segment.
+#: Why an unreached function, an unrun arm or a config field read with
+#: one value stays: (kind, why, keys, tests).  A key is a file under
+#: ``src/repro`` (every function in it), ``file::Class`` (every method),
+#: ``file::qualified.name`` (the function and the functions nested in it),
+#: ``file::qualified.name::label`` (one arm, see :func:`arms`) or, for a
+#: class of :data:`CONFIGS`, ``file::Class.field`` (one field).  ``tests``
+#: are the test node ids (``path::Class::name``, from the repository root)
+#: that need the code, run the arm or set the field to another value.
+#: ``tests/test_census_reasons.py`` checks every key names code, an arm or
+#: a field that exists, every kind is one of :data:`KINDS`, every named
+#: test exists, and the named tests' files mention each field and each
+#: public ``paper`` and ``reference`` key's last name segment (an arm's
+#: function's).
 REASONS: List[Tuple[str, str, List[str], List[str]]] = [
     # -- paper: the paper's own API, kept and tested though no path calls it
     ("paper", "the limited-access database module: admin reads and writes go "
@@ -295,6 +326,258 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
     ("item5", "strip-level distributed caching (ROADMAP item 5)",
      ["extensions/strip_caching.py"],
      ["tests/extensions/test_strip_caching.py::TestEvaluator::test_replay_returns_report"]),
+    # -- arms: branch arms of reached functions that no user path runs
+    ("paper", "Figure 2's branches no user path takes: the one-victim DMA "
+     "(evict_until_fits=False, the paper's exact rule), no unpinned victim "
+     "left, and a victim evicted while the newcomer still does not fit",
+     ["placement/whole_title.py::WholeTitleDma._try_replacement::if not self.evict_until_fits",
+      "placement/whole_title.py::WholeTitleDma._try_replacement::if victim is None",
+      "placement/whole_title.py::WholeTitleDma._pass::if evicted"],
+     ["tests/core/test_dma.py::TestFigure2Branches::test_single_eviction_even_if_still_unfit",
+      "tests/core/test_vra_cache.py::test_server_load_extension_memoized_matches_reference"]),
+    ("paper", "Figure 2 at segment granularity: no victim left, a victim lost while "
+     "the segment still does not fit, a title already at its share (points "
+     "only), and a partial copy evicted cluster by cluster",
+     ["placement/base.py::FractionalPlacementPolicy._make_room::if victim is None",
+      "placement/base.py::FractionalPlacementPolicy._make_room::if evicted and (not self.array.can_store_segment(video, fraction))",
+      "placement/partial.py::PopularityWeightedPartial._pass::if target <= current + 1e-09",
+      "storage/array.py::DiskArray.remove::for (cluster_index, disk_index, _) in layout.assignments[:count]"],
+     ["tests/properties/test_placement_props.py::test_capacity_never_exceeded",
+      "tests/storage/test_array_segments.py::TestResidencyQueries::"
+      "test_remove_clears_partial_segment"]),
+    ("paper", "the database module's records: a title entry derives its bitrate from "
+     "size and duration, and a server registers with the titles it already "
+     "holds (paper: the database module)",
+     ["database/records.py::TitleInfo.__post_init__::if self.bitrate_mbps <= 0.0",
+      "database/store.py::ServiceDatabase.register_server::for title_id in entry.title_ids"],
+     ["tests/database/test_records.py::TestTitleInfo::test_frozen_and_comparable",
+      "tests/database/test_store.py::TestRegistration::test_server_with_initial_titles_indexed"]),
+    ("fault", "a session that fails, or a request rejected after the DMA stored its "
+     "title: the in-flight copy is aborted and a failure is counted (no user "
+     "path fails a session or rejects such a request)",
+     ["core/service.py::_RequestObserver.finish::else of if record.completed",
+      "core/service.py::_RequestObserver.finish::else of if record.completed #2",
+      "core/service.py::VoDService._reject::if observer.dma_stored"],
+     ["tests/obs/test_service_obs.py::TestEveryEnding::"
+      "test_disabled_tracer_is_never_handed_a_record"]),
+    ("fault", "strict QoS re-checks a request that waited in the admission queue and "
+     "blocks it",
+     ["core/service.py::VoDService._admit::if refusal is not None"],
+     ["tests/obs/test_service_obs.py::TestEveryEnding::"
+      "test_disabled_tracer_is_never_handed_a_record"]),
+    ("fault", "resilience wiring no user path exercises: a server added to a running "
+     "service gets the failover hooks, an open link breaker hides the link's "
+     "headroom and its transitions touch the link's stats, a preempted "
+     "segment resumes from another server, and a disk fails on a server with "
+     "no supervised session",
+     ["core/service.py::VoDService.add_server::if self.supervisor is not None or self.breakers is not None",
+      "core/service.py::VoDService._guarded_used::if self.breakers is not None and self.breakers.link_open(link.name)",
+      "core/service.py::VoDService._on_breaker_transition::if self.config.use_reported_stats",
+      "core/session.py::StreamingSession._deliver_cluster::if switched",
+      "resilience/supervisor.py::SessionSupervisor.on_disk_failure::if not bucket"],
+     ["tests/properties/test_incremental_lvn_props.py::"
+      "test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff",
+      "tests/resilience/test_supervisor.py::TestMidStreamFailover::"
+      "test_disk_failure_preempts_affected_sessions",
+      "tests/properties/test_failover_props.py::"
+      "test_no_session_fails_while_an_online_holder_existed"]),
+    ("fault", "the breaker state machine's repeat failures: a failed half-open probe "
+     "re-opens, a failure while open moves the cooldown and the probe chases "
+     "it, a stale or early expiry is ignored, and a success closes a "
+     "half-open link breaker",
+     ["resilience/breaker.py::CircuitBreaker.record_failure::if self.state == BREAKER_HALF_OPEN",
+      "resilience/breaker.py::CircuitBreaker.record_failure::if self.state == BREAKER_OPEN",
+      "resilience/breaker.py::CircuitBreaker.half_open::if self.state != BREAKER_OPEN",
+      "resilience/breaker.py::CircuitBreaker.half_open::if now - self.opened_at < BREAKER_COOLDOWN_S - 1e-09",
+      "resilience/breaker.py::BreakerBoard.link_success::if breaker is not None and breaker.record_success(self._sim.now)",
+      "resilience/breaker.py::BreakerBoard._probe::if breaker.state == BREAKER_OPEN"],
+     ["tests/resilience/test_breaker.py::TestCircuitBreaker::test_half_open_failure_reopens",
+      "tests/resilience/test_breaker.py::TestCircuitBreaker::"
+      "test_failure_while_open_refreshes_cooldown",
+      "tests/resilience/test_breaker.py::TestCircuitBreaker::"
+      "test_only_an_open_breaker_half_opens",
+      "tests/resilience/test_breaker.py::TestBreakerBoard::"
+      "test_path_success_closes_half_open_probe",
+      "tests/resilience/test_breaker.py::TestBreakerBoard::"
+      "test_failure_while_open_cannot_strand_the_breaker"]),
+    ("fault", "a policy swap keeps the memo from replaying a stale decision: "
+     "re-installing the built-in VRA re-reads the token",
+     ["core/service.py::VoDService.vra::if self._memo is not None"],
+     ["tests/core/test_input_clock.py::TestReinstallingTheBuiltinVra::"
+      "test_restoring_the_builtin_vra_memoizes_again"]),
+    ("fault", "the command line's failure exits: a failed placement replay gate, the "
+     "chaos gates' messages, and --placement combined with a baseline cache",
+     ["cli.py::_cmd_placement::if not comparison.gates_passed",
+      "cli.py::_cmd_chaos::if args.min_availability is not None and report.availability < args.min_availability",
+      "cli.py::_cmd_chaos::if args.min_recovered is not None and recovered_total < args.min_recovered",
+      "cli.py::_cmd_chaos::if args.max_p95_stall_s is not None and report.p95_stall_s > args.max_p95_stall_s",
+      "cli.py::main::if args.command == 'simulate' and args.placement != 'dma' and (args.cache != 'dma')"],
+     ["tests/test_cli.py::TestPlacement::test_a_failed_replay_gate_exits_1",
+      "tests/test_cli.py::TestChaos::test_min_availability_floor_gates_exit_code",
+      "tests/test_cli.py::TestChaos::test_recovered_floor_and_stall_bound_gate_exit_code",
+      "tests/test_cli.py::TestSimulate::test_placement_conflicts_with_baseline_cache"]),
+    ("fault", "a title bigger than what the LRU baseline can free: no victim left, "
+     "with or without a victim lost on the way",
+     ["baselines/caching.py::LruCachePolicy._pass::if victim is None",
+      "baselines/caching.py::LruCachePolicy._pass::if evicted",
+      "baselines/caching.py::LruCachePolicy._pass::else of if evicted"],
+     ["tests/baselines/test_caching.py::TestLru::test_title_bigger_than_array_not_stored",
+      "tests/baselines/test_caching.py::TestLru::"
+      "test_title_bigger_than_an_empty_array_is_point_only"]),
+    ("fault", "a node whose every link failed, and a Dijkstra over a weight a link "
+     "cannot take (the full run names the link), or a node with no link",
+     ["core/lvn.py::node_validation::if not online",
+      "network/compiled.py::TopologySnapshot.dijkstra::if not valid",
+      "network/compiled.py::TopologySnapshot._rebuild_structure::if not adjacent and linkless_uid is None"],
+     ["tests/core/test_vra.py::TestGoalDirectedSearch::test_partitioned_holders_still_raise",
+      "tests/network/test_compiled.py::TestCompiledDijkstra::"
+      "test_invalid_weight_matches_python_error",
+      "tests/network/test_compiled.py::TestWeightKernel::"
+      "test_linkless_node_raises_same_error_in_both_paths"]),
+    ("fault", "fault-injection edge cases: a degrade clamped to nothing undoes "
+     "nothing, a kind drawn at rate 0 schedules nothing, and no recovery yet "
+     "means a mean MTTR of 0",
+     ["faults/injector.py::FaultInjector._recover_degrade::if applied <= 0.0",
+      "faults/schedule.py::FaultSchedule.seeded::if rate_per_s <= 0.0",
+      "faults/injector.py::FaultInjector.mean_mttr_s::if self._mttr_count == 0"],
+     ["tests/faults/test_injector.py::TestLinkFaults::"
+      "test_clamped_degrades_undo_only_what_they_applied",
+      "tests/faults/test_events_and_schedule.py::TestSeededSchedule::"
+      "test_kind_streams_independent",
+      "tests/faults/test_injector.py::TestBookkeeping::"
+      "test_mean_mttr_is_zero_before_any_recovery"]),
+    ("fault", "numeric edge cases: a percentile rank on a sample (no 0 * inf), a time "
+     "average over a zero-length window, an empty histogram, and a timeline "
+     "with no samples",
+     ["metrics/stats.py::percentile::if low == high",
+      "metrics/timeseries.py::TimeSeries.time_average::if horizon == self._times[0]",
+      "obs/registry.py::Histogram.percentile::if not self._ring",
+      "experiments/report.py::render_timeline::if not kept"],
+     ["tests/metrics/test_stats.py::TestPercentile::test_median",
+      "tests/metrics/test_timeseries.py::TestTimeAverage::test_single_sample",
+      "tests/obs/test_registry.py::TestHistogram::test_empty_percentile_is_zero",
+      "tests/experiments/test_report.py::TestRenderTimeline::test_empty_and_all_empty"]),
+    ("fault", "bounds on memory: the path memo starts over at its capacity and the "
+     "histogram ring overwrites its oldest sample",
+     ["network/flows.py::FlowManager.links_of::if len(self._path_links) >= PATH_MEMO_CAPACITY",
+      "obs/registry.py::Histogram.observe::else of if len(self._ring) < self._ring_size"],
+     ["tests/network/test_flows.py::TestReservation::test_path_memo_starts_over_at_capacity",
+      "tests/obs/test_registry.py::TestHistogram::"
+      "test_ring_bounds_percentile_memory_but_not_totals"]),
+    ("fault", "a reservation a link cannot take raises the link's own error before "
+     "any link is touched",
+     ["network/flows.py::FlowManager.reserve::if rate_mbps > link.free_mbps + 1e-09"],
+     ["tests/network/test_flows.py::TestCapacityQueries::test_concurrent_flows_share_capacity"]),
+    ("fault", "topology queries on degenerate input: a node's link to itself and an "
+     "empty topology",
+     ["network/topology.py::Topology.has_link_between::if a_uid == b_uid",
+      "network/topology.py::Topology.is_connected::if not self._nodes"],
+     ["tests/network/test_topology.py::TestLookup::test_has_link_between",
+      "tests/network/test_topology.py::TestAnalysis::test_empty_topology_is_connected"]),
+    ("fault", "telemetry guards: a disabled registry hands out no-ops and summarises "
+     "in one line, a repeated registration returns the first instrument, a "
+     "non-finite sample is spelled as json does, and a tuple attribute is "
+     "made JSON-ready",
+     ["obs/registry.py::MetricsRegistry.gauge::if not self.enabled",
+      "obs/registry.py::MetricsRegistry.gauge::if existing is not None",
+      "obs/registry.py::MetricsRegistry._get_or_create::if existing is not None",
+      "obs/export.py::summarize_telemetry::if not registry.enabled",
+      "obs/sink.py::JsonlTelemetrySink.sample_writer.write_sample::else of if time - time == 0.0 and value - value == 0.0",
+      "obs/spans.py::_jsonable::if isinstance(value, tuple)"],
+     ["tests/obs/test_registry.py::TestDisabledRegistry::"
+      "test_hands_out_shared_noops_and_registers_nothing",
+      "tests/obs/test_registry.py::TestRegistry::"
+      "test_gauge_callback_kept_from_first_registration",
+      "tests/obs/test_registry.py::TestRegistry::test_label_order_does_not_matter",
+      "tests/obs/test_export.py::TestSummary::test_disabled_registry_summary",
+      "tests/obs/test_sink.py::TestSampleWriter::test_same_artifact_as_one_write_per_sample",
+      "tests/obs/test_spans.py::TestExportShape::test_to_dict_is_json_ready"]),
+    ("fault", "the streamer's lifecycle guards: start and finish are idempotent, "
+     "finish starts an unstarted stream, rows written before start are kept, "
+     "and peak RSS reads 0 without the resource module and bytes on macOS",
+     ["obs/stream.py::StreamingTelemetry.start::if self._started",
+      "obs/stream.py::StreamingTelemetry.start::for row in held.rows",
+      "obs/stream.py::StreamingTelemetry.finish::if self._finished",
+      "obs/stream.py::StreamingTelemetry.finish::if not self._started",
+      "obs/stream.py::peak_rss_kb::if resource is None",
+      "obs/stream.py::peak_rss_kb::if sys.platform == 'darwin'"],
+     ["tests/obs/test_stream.py::TestFooter::"
+      "test_start_is_idempotent_and_finish_starts_an_unstarted_stream",
+      "tests/obs/test_stream.py::TestStreaming::test_start_points_the_runs_sink_at_the_streamer",
+      "tests/obs/test_stream.py::TestFooter::test_finish_is_idempotent",
+      "tests/obs/test_stream.py::TestFooter::"
+      "test_peak_rss_reads_kib_on_linux_bytes_on_macos_and_0_without_resource"]),
+    ("fault", "a server's policy swapped before any registry is attached, and a "
+     "promoted prefix evicted before its download finished",
+     ["server/video_server.py::VideoServer._wire_policy_metrics::if registry is None",
+      "server/video_server.py::VideoServer._withdraw::if self._database.holds_title(self.node_uid, title_id)"],
+     ["tests/server/test_video_server.py::TestDeferredAdvertisement::"
+      "test_a_policy_swap_without_a_registry_wires_nothing",
+      "tests/server/test_video_server.py::TestDeferredAdvertisement::"
+      "test_evicting_a_promoted_prefix_before_commit_drops_its_advertisement"]),
+    ("fault", "engine and process guards: a second cancel, the compaction trigger, a "
+     "late resume of a finished process, an unsupported yield, and a second "
+     "start of a periodic task",
+     ["sim/engine.py::EventHandle.cancel::if not self.pending",
+      "sim/engine.py::Simulator._note_cancel::if len(heap) >= COMPACTION_FLOOR and len(heap) - self._pending > self._pending",
+      "sim/process.py::Process._resume::if self._finished",
+      "sim/process.py::Process._handle_yield::if not isinstance(yielded, Delay)",
+      "sim/timers.py::PeriodicTask.start::if self._running"],
+     ["tests/sim/test_engine.py::TestCancellation::test_double_cancel_returns_false",
+      "tests/sim/test_engine_batch.py::TestCompaction::test_on_compaction_hook_fires",
+      "tests/sim/test_process.py::TestPark::test_finished_process_ignores_a_late_resume",
+      "tests/sim/test_process.py::TestProcessBasics::"
+      "test_unsupported_yield_value_errors_process",
+      "tests/sim/test_timers.py::TestPeriodicTask::test_double_start_is_noop"]),
+    ("fault", "disk-array refusals: a title already held, a failed disk, a segment "
+     "fraction outside (0, 1], a segment already resident, and a cluster of "
+     "a title not held",
+     ["storage/array.py::DiskArray.can_store::if video.title_id in self._videos or video.title_id in self._partials",
+      "storage/array.py::DiskArray.can_store::if disk_index in self._failed_disks",
+      "storage/array.py::DiskArray.can_store_segment::if not 0.0 < fraction <= 1.0",
+      "storage/array.py::DiskArray.can_store_segment::if video.title_id in self._videos",
+      "storage/array.py::DiskArray.can_store_segment::if target <= current",
+      "storage/array.py::DiskArray.can_store_segment::if disk_index in self._failed_disks",
+      "storage/array.py::DiskArray.cluster_servable::else of if title_id in self._partials"],
+     ["tests/storage/test_array.py::TestCanStore::test_already_stored_is_not_storable",
+      "tests/experiments/test_resilience.py::TestReplay::test_same_seed_replays_bit_for_bit",
+      "tests/storage/test_array_segments.py::TestResidencyQueries::"
+      "test_can_store_segment_refusals_and_no_op",
+      "tests/storage/test_array_segments.py::TestSegmentServability::"
+      "test_cluster_servable_within_segment_only"]),
+    ("reference", "instruments read the same with the memo on or off: a replayed local "
+     "serve counts as the VRA's own would (the memo-off path is the "
+     "reference the memo tests compare)",
+     ["core/vra.py::VirtualRoutingAlgorithm.count_replayed::if decision.served_locally"],
+     ["tests/core/test_decision_cache.py::TestReplayPaysForTheTokenOnce::"
+      "test_instruments_read_the_same_with_the_memo_on_or_off"]),
+    ("reference", "a plain weight mapping, the form the reference path's weights take, "
+     "fed to the compiled kernel; and the python Dijkstra's skip of a failed "
+     "link, the reference the compiled one is compared with",
+     ["network/compiled.py::TopologySnapshot._weight_values::else of if type(weights) is CompiledWeightTable and weights.structure_token == self._token",
+      "network/routing/dijkstra.py::dijkstra::if not link.online"],
+     ["tests/network/test_compiled.py::TestCompiledDijkstra::test_accepts_plain_dict_weights",
+      "tests/core/test_input_clock.py::TestKillList::test_a_dead_tick_breaks_the_lockstep"]),
+    ("reference", "same-key coalescing inside one drain tick: the cohort tests check the "
+     "counters against the requests and drain ticks of a run",
+     ["core/admission_queue.py::AdmissionQueue._note_cohort::if key in self._cohort"],
+     ["tests/core/test_admission_queue.py::TestPacing::test_within_quota_is_immediate"]),
+    ("bench", "the X3 centralised-service baseline ('origin:<uid>') and the X7 "
+     "strict-QoS row, where a local serve is always admitted",
+     ["experiments/harness.py::_apply_selection::if key.startswith('origin:')",
+      "core/service.py::VoDService._qos_refusal::if decision.served_locally"],
+     ["tests/experiments/test_harness.py::TestBuildService::test_origin_selection_policy",
+      "tests/core/test_service_extensions.py::TestStrictQosAdmission::"
+      "test_local_serve_always_admitted"]),
+    ("item5", "strip-level caching (ROADMAP item 5): no victim left, the one-victim "
+     "mode, and a title bigger than an empty cache",
+     ["extensions/strip_caching.py::StripStore.on_request::if victim is None",
+      "extensions/strip_caching.py::StripStore.on_request::if not self.evict_until_fits",
+      "extensions/strip_caching.py::StripCachingEvaluator._title_granular_admission::if victim is None"],
+     ["tests/properties/test_strip_store_props.py::test_budget_never_exceeded",
+      "tests/extensions/test_strip_caching.py::TestStripStore::test_single_eviction_mode",
+      "tests/extensions/test_strip_caching.py::TestGranularityComparison::"
+      "test_title_mode_skips_a_title_bigger_than_an_empty_cache"]),
 ]
 
 #: CLI invocations, run as ``repro.cli.main(argv)``.  ``{tmp}`` is a
@@ -318,8 +601,13 @@ CLI_MATRIX: List[List[str]] = [
     ["obs", "--requests-per-node", "3", "--timeline", "link.utilization"],
     ["obs", "--requests-per-node", "3", "--format", "jsonl", "--out", "{tmp}/obs.jsonl",
      "--trace-out", "{tmp}/trace.jsonl"],
-    ["obs", "--requests-per-node", "2", "--format", "csv", "--out", "{tmp}/obs.csv"],
+    # Without --out the export goes to stdout: a handle the sink does not own.
+    ["obs", "--requests-per-node", "2", "--format", "csv"],
     ["obs", "--scenario", "flash-crowd", "--requests-per-node", "4"],
+    # A shedding admission queue: 12 requests queue, 2 are shed.
+    ["obs", "--scenario", "flash-crowd", "--requests-per-node", "4",
+     "--admission-queue-capacity", "2", "--admission-rate", "0.01",
+     "--admission-tick", "60", "--trace-out", "{tmp}/flash.jsonl"],
     ["chaos", "--duration-hours", "1", "--requests-per-node", "3", "--show-faults",
      "--telemetry-out", "{tmp}/chaos.csv"],
     ["chaos", "--duration-hours", "1", "--requests-per-node", "3", "--json", "--failover",
@@ -329,8 +617,8 @@ CLI_MATRIX: List[List[str]] = [
     ["chaos", "--seed", "11", "--duration-hours", "2", "--requests-per-node", "12",
      "--retry-attempts", "0", "--server-crash-rate", "6", "--link-flap-rate", "4",
      "--mean-fault-duration", "600", "--failover", "--breaker-threshold", "2",
-     "--max-stats-age", "300", "--json"],
-    ["sweep-cluster-size", "--jobs", "1"],
+     "--max-stats-age", "300"],
+    ["sweep-cluster-size"],
 ]
 
 WORKLOADS = ("grnet_day", "backbone200_churn", "decision_burst", "chaos_storm")
@@ -412,9 +700,25 @@ def reason_for(function: Function):
     return None
 
 
+def arm_kind(arm) -> Optional[str]:
+    """:data:`ERROR` for an error arm, else the kind of the :data:`REASONS`
+    entry keyed by the arm's key, or None."""
+    if arm.error:
+        return ERROR
+    for kind, _, keys, _ in REASONS:
+        if arm.key in keys:
+            return kind
+    return None
+
+
 def _is_field_key(key: str) -> bool:
     """Does ``key`` name a config field (``file::Class.field``)?"""
     return key.rpartition(".")[0] in CONFIGS
+
+
+def _is_arm_key(key: str) -> bool:
+    """Does ``key`` name an arm (``file::qualname::label``)?"""
+    return "::" in key.partition("::")[2]
 
 
 def stale_keys(unreached: List[Function]) -> List[str]:
@@ -422,8 +726,146 @@ def stale_keys(unreached: List[Function]) -> List[str]:
     covered = set().union(*map(_covering_keys, unreached))
     return [
         key for _, _, keys, _ in REASONS for key in keys
-        if not _is_field_key(key) and key not in covered
+        if not _is_field_key(key) and not _is_arm_key(key) and key not in covered
     ]
+
+
+# ---------------------------------------------------------------------- #
+# the branch arms of the reached functions
+# ---------------------------------------------------------------------- #
+class Arm(NamedTuple):
+    """One branch arm: its function (qualified name and the line its code
+    object starts on), label, the lines whose running shows it ran, its
+    body's line span, whether it is an :data:`ERROR` arm, and the key of
+    the arm it sits in (None at the top of its function)."""
+
+    path: str
+    qualname: str
+    function_first: int
+    label: str
+    entry: Tuple[int, ...]
+    first: int
+    last: int
+    error: bool
+    within: Optional[str]
+
+    @property
+    def key(self) -> str:
+        return f"{self.path}::{self.qualname}::{self.label}"
+
+
+def _first_line(statement: ast.stmt) -> int:
+    decorators = getattr(statement, "decorator_list", [])
+    return min([d.lineno for d in decorators] + [statement.lineno])
+
+
+def _entry(statement: ast.stmt) -> Tuple[int, ...]:
+    """The lines of a statement's header: all of a simple statement, a
+    compound one's up to its body (``try:`` adds its body's entry)."""
+    if isinstance(statement, ast.Match):
+        end = statement.cases[0].pattern.lineno - 1
+    elif isinstance(statement, (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With,
+                                ast.AsyncWith, ast.Try, ast.FunctionDef,
+                                ast.AsyncFunctionDef, ast.ClassDef)):
+        end = statement.body[0].lineno - 1
+    else:
+        end = statement.end_lineno
+    lines = tuple(range(_first_line(statement), max(end, statement.lineno) + 1))
+    if isinstance(statement, ast.Try):
+        lines += _entry(statement.body[0])
+    return lines
+
+
+def arms(source: str, path: str = "") -> List[Arm]:
+    """Every arm of every function defined in ``source``, in source order.
+    Qualified names follow :func:`functions`; arms outside a function (a
+    module or class body) are not listed."""
+    text = source.splitlines()
+    found: List[Arm] = []
+    labels: Dict[str, int] = {}
+
+    def add(function, label, body, error, within) -> str:
+        qualname, function_first = function
+        labels[f"{qualname}::{label}"] = count = labels.get(f"{qualname}::{label}", 0) + 1
+        if count > 1:
+            label = f"{label} #{count}"
+        arm = Arm(path, qualname, function_first, label, _entry(body[0]),
+                  _first_line(body[0]), body[-1].end_lineno,
+                  error or isinstance(body[-1], ast.Raise), within)
+        found.append(arm)
+        return arm.key
+
+    def block(statements, function, prefix, within) -> None:
+        for statement in statements:
+            visit(statement, function, prefix, within)
+
+    def branch(function, prefix, within, label, body, error=False) -> None:
+        key = add(function, label, body, error, within) if function else None
+        block(body, function, prefix, key)
+
+    def visit(node, function, prefix, within) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (prefix + node.name, _first_line(node))
+            block(node.body, inner, prefix + node.name + ".", None)
+        elif isinstance(node, ast.ClassDef):
+            block(node.body, None, prefix + node.name + ".", None)
+        elif isinstance(node, ast.If):
+            label = f"if {ast.unparse(node.test)}"
+            branch(function, prefix, within, label, node.body)
+            orelse = node.orelse
+            if (len(orelse) == 1 and isinstance(orelse[0], ast.If)
+                    and text[orelse[0].lineno - 1].lstrip().startswith("elif")):
+                visit(orelse[0], function, prefix, within)
+            elif orelse:
+                branch(function, prefix, within, f"else of {label}", orelse)
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            label = (f"while {ast.unparse(node.test)}" if isinstance(node, ast.While)
+                     else f"for {ast.unparse(node.target)} in {ast.unparse(node.iter)}")
+            branch(function, prefix, within, label, node.body)
+            if node.orelse:
+                branch(function, prefix, within, f"else of {label}", node.orelse)
+        elif isinstance(node, ast.Try):
+            block(node.body, function, prefix, within)
+            for handler in node.handlers:
+                label = "except" + (f" {ast.unparse(handler.type)}" if handler.type else "")
+                branch(function, prefix, within, label, handler.body, error=True)
+            if node.orelse:
+                branch(function, prefix, within, "else of try", node.orelse)
+            block(node.finalbody, function, prefix, within)
+        elif isinstance(node, ast.Match):
+            for case in node.cases:
+                guard = f" if {ast.unparse(case.guard)}" if case.guard else ""
+                branch(function, prefix, within, f"case {ast.unparse(case.pattern)}{guard}",
+                    case.body)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            block(node.body, function, prefix, within)
+
+    block(ast.parse(source).body, None, "", None)
+    return found
+
+
+def unrun_arms(source: str, path: str, hits: Set[int], reached: Set[int]) -> List[Arm]:
+    """The arms of ``source`` that did not run in a reached function.
+
+    ``hits`` are the lines that ran and ``reached`` the first lines of
+    the functions that were called (:attr:`Function.first`).  An arm
+    inside an arm that did not run is not listed: it follows that arm.
+    """
+    every = arms(source, path)
+    ran = {arm.key for arm in every if hits.intersection(arm.entry)}
+    return [
+        arm for arm in every
+        if arm.function_first in reached and arm.key not in ran
+        and (arm.within is None or arm.within in ran)
+    ]
+
+
+def stale_arm_keys(unrun: Iterable[Arm], reasons=None) -> List[str]:
+    """The arm keys of ``reasons`` (:data:`REASONS` by default) that name
+    no gated arm that did not run."""
+    gated = {arm.key for arm in unrun if not arm.error}
+    return [key for _, _, keys, _ in (REASONS if reasons is None else reasons)
+            for key in keys if _is_arm_key(key) and key not in gated]
 
 
 # ---------------------------------------------------------------------- #
@@ -573,33 +1015,66 @@ def _ledger_paths():
         yield f"ledger {name}", lambda argv=argv: ledger.main(argv)
 
 
-def reached_code(reads: set) -> set:
-    """(file, first line) of every code object under ``src/repro`` that a
-    user path called; adds to ``reads`` the config field reads they made."""
+@contextlib.contextmanager
+def tracing(reached: set, hits: Dict[str, set]):
+    """While the block runs, add to ``reached`` the (file, first line) of
+    every code object under ``src/repro`` that is called, and to
+    ``hits[file]`` every line of the package that runs."""
+    package = str(PACKAGE) + os.sep
+    tracers: Dict[object, object] = {}
+
+    def line_tracer(lines: set):
+        add = lines.add
+
+        def trace_lines(frame, event, _):
+            if event == "line":
+                add(frame.f_lineno)
+            return trace_lines
+
+        return trace_lines
+
+    def trace_calls(frame, event, _):
+        code = frame.f_code
+        if code not in tracers:
+            file = code.co_filename
+            if file.startswith(package):
+                path = Path(file).relative_to(PACKAGE).as_posix()
+                reached.add((path, code.co_firstlineno))
+                tracers[code] = line_tracer(hits.setdefault(path, set()))
+            else:
+                tracers[code] = None
+        return tracers[code]
+
+    sys.settrace(trace_calls)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+
+
+def run_user_paths(reads: set) -> Tuple[set, Dict[str, set]]:
+    """Run every user path under the tracer: the (file, first line) of
+    every code object under ``src/repro`` that was called, and the lines
+    that ran by file; adds to ``reads`` the config field reads made."""
     sys.path.insert(0, str(SRC))
-    profiler = cProfile.Profile()
+    reached: set = set()
+    hits: Dict[str, set] = {}
     with tempfile.TemporaryDirectory(prefix="census-") as tmp, recording_config_reads(reads):
         for paths in (_cli_paths(tmp), _example_paths(), _tutorial_paths(), _ledger_paths()):
             for label, body in paths:
-                profiler.enable()
-                try:
+                with tracing(reached, hits):
                     wall = _quiet(body)
-                finally:
-                    profiler.disable()
                 print(f"  {wall:6.1f} s  {label}", flush=True)
-    package = str(PACKAGE) + os.sep
-    reached = set()
-    for entry in profiler.getstats():
-        code = entry.code
-        if not isinstance(code, str) and code.co_filename.startswith(package):
-            path = Path(code.co_filename).relative_to(PACKAGE).as_posix()
-            reached.add((path, code.co_firstlineno))
-    return reached
+    return reached, hits
 
 
 # ---------------------------------------------------------------------- #
 # report
 # ---------------------------------------------------------------------- #
+def _line_count(spans) -> int:
+    return len({n for first, last in spans for n in range(first, last + 1)})
+
+
 def report(unreached: List[Function], total: Dict[str, int], listing: bool) -> None:
     by_file: Dict[str, List[Function]] = {}
     for function in unreached:
@@ -607,7 +1082,7 @@ def report(unreached: List[Function], total: Dict[str, int], listing: bool) -> N
     print(f"\n{'file':<36}{'unreached':>10}{'of':>5}{'lines':>7}")
     lines_total = 0
     for path in sorted(by_file):
-        lines = len({n for f in by_file[path] for n in range(f.first, f.last + 1)})
+        lines = _line_count((f.first, f.last) for f in by_file[path])
         lines_total += lines
         print(f"{path:<36}{len(by_file[path]):>10}{total[path]:>5}{lines:>7}")
     print(f"{'total':<36}{len(unreached):>10}{sum(total.values()):>5}{lines_total:>7}")
@@ -624,18 +1099,44 @@ def report(unreached: List[Function], total: Dict[str, int], listing: bool) -> N
             print(f"{entry[0] if entry else '-':<10}{function.key}")
 
 
+def report_arms(unrun: List[Arm], counted: int, listing: bool) -> None:
+    by_file: Dict[str, List[Arm]] = {}
+    for arm in unrun:
+        by_file.setdefault(arm.path, []).append(arm)
+    print(f"\n{'file':<36}{'unrun arms':>11}{'lines':>7}{ERROR:>7}{'lines':>7}")
+    totals = [0, 0, 0, 0]
+    for path in sorted(by_file):
+        gated = [(a.first, a.last) for a in by_file[path] if not a.error]
+        error = [(a.first, a.last) for a in by_file[path] if a.error]
+        row = [len(gated), _line_count(gated), len(error), _line_count(error)]
+        totals = [t + n for t, n in zip(totals, row)]
+        print(f"{path:<36}{row[0]:>11}{row[1]:>7}{row[2]:>7}{row[3]:>7}")
+    print(f"{'total':<36}{totals[0]:>11}{totals[1]:>7}{totals[2]:>7}{totals[3]:>7}")
+    kinds: Dict[str, int] = {}
+    for arm in unrun:
+        kind = arm_kind(arm) or "(none)"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    print(f"\narms of reached functions: {counted}; unrun by reason: "
+          + ", ".join(f"{k} {n}" for k, n in sorted(kinds.items())))
+    if listing:
+        print()
+        for arm in unrun:
+            print(f"{arm_kind(arm) or '-':<10}{arm.key}  (lines {arm.first}-{arm.last})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if an unreached function or a config field "
-                             "read with one value has no reason, or a key is stale")
+                        help="exit 1 if an unreached function, an unrun arm or a config "
+                             "field read with one value has no reason, or a key is stale")
     parser.add_argument("--list", action="store_true",
-                        help="print every unreached function with its reason kind")
+                        help="print every unreached function and unrun arm with its "
+                             "reason kind")
     args = parser.parse_args(argv)
 
     print("user paths:", flush=True)
     reads: set = set()
-    reached = reached_code(reads)
+    reached, hits = run_user_paths(reads)
     every = functions()
     total: Dict[str, int] = {}
     for function in every:
@@ -652,6 +1153,28 @@ def main(argv=None) -> int:
         print(f"\n{len(stale)} REASONS key(s) a user path now reaches in full:")
         for key in stale:
             print(f"  {key}")
+
+    unrun: List[Arm] = []
+    counted = 0
+    for file in sorted(PACKAGE.rglob("*.py")):
+        path = file.relative_to(PACKAGE).as_posix()
+        started = {first for where, first in reached if where == path}
+        source = file.read_text()
+        counted += sum(arm.function_first in started for arm in arms(source, path))
+        unrun += unrun_arms(source, path, hits.get(path, set()), started)
+    report_arms(unrun, counted, args.list)
+    unreasoned_arms = [arm for arm in unrun if arm_kind(arm) is None]
+    if unreasoned_arms:
+        print(f"\n{len(unreasoned_arms)} unrun arm(s) with no reason in REASONS:")
+        for arm in unreasoned_arms:
+            print(f"  {arm.key}")
+    stale_arms = stale_arm_keys(unrun)
+    if stale_arms:
+        print(f"\n{len(stale_arms)} REASONS arm key(s) that name no unrun arm "
+              "(it ran, or it is gone):")
+        for key in stale_arms:
+            print(f"  {key}")
+
     fields = config_fields()
     single = single_valued(fields, reads)
     values = values_in_use(reads)
@@ -673,7 +1196,7 @@ def main(argv=None) -> int:
         print(f"\n{len(in_use)} REASONS field key(s) a user path now reads with two values:")
         for key in in_use:
             print(f"  {key}")
-    failed = missing or stale or unreasoned or in_use
+    failed = missing or stale or unreasoned_arms or stale_arms or unreasoned or in_use
     return 1 if args.check and failed else 0
 
 

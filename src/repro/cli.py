@@ -325,14 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print the chronological fault log")
     _add_telemetry_arguments(chaos)
 
-    sweep = commands.add_parser(
+    commands.add_parser(
         "sweep-cluster-size",
         help="the X4 ablation: switching granularity vs congestion damage",
-    )
-    sweep.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="worker processes for the sweep points (default: one per "
-        "CPU; 1 = serial; output is identical at any job count)",
     )
 
     export = commands.add_parser(
@@ -653,13 +648,13 @@ def _cmd_export_grnet(path: str, time_label: Optional[str]) -> int:
     return 0
 
 
-def _cmd_sweep_cluster_size(jobs: Optional[int] = None) -> int:
+def _cmd_sweep_cluster_size() -> int:
     # Imported lazily: the helper lives with the benchmarks' scenario code.
     from repro.core.session import MIN_TRANSFER_MBPS
     from repro.experiments.sweeps import better_source_sweep
 
     rows = []
-    for cluster_mb, record in better_source_sweep(jobs=jobs):
+    for cluster_mb, record in better_source_sweep():
         duration_h = (record.completed_at - record.request.submitted_at) / 3600.0
         rows.append(
             [
@@ -708,7 +703,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "chaos":
             return _cmd_chaos(args)
         if args.command == "sweep-cluster-size":
-            return _cmd_sweep_cluster_size(args.jobs)
+            return _cmd_sweep_cluster_size()
         if args.command == "export-grnet":
             return _cmd_export_grnet(args.path, args.time)
     except BrokenPipeError:

@@ -956,27 +956,10 @@ class VoDService:
             self._bump_availability()
         elif self.config.use_reported_stats:
             self.database.touch_links([target])
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "breaker.transition",
-                f"{kind} {target}: {old} -> {new}",
-                kind=kind,
-                target=target,
-                old=old,
-                new=new,
-            )
 
     def _on_staleness_change(self, changed: List[str]) -> None:
         """Stale-set flips invalidate exactly the affected links' weights."""
         self.database.touch_links(changed)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "snmp.staleness",
-                f"{len(changed)} link(s) changed staleness",
-                links=list(changed),
-            )
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # runtime coupling stays duck-typed (tests pass fakes)
 
 from repro.client.requests import VideoRequest
 from repro.core.vra import VraDecision
-from repro.errors import LinkCapacityError, ReproError, RoutingError, SchedulingError
+from repro.errors import ReproError, RoutingError, SchedulingError
 from repro.network.flows import FlowManager
 from repro.server.video_server import VideoServer
 from repro.sim.engine import EventHandle, Simulator
@@ -295,12 +295,7 @@ class _Transfer(Park):
             if rate > bottleneck + 1e-9:
                 rate = MIN_TRANSFER_MBPS
             else:
-                try:
-                    self._flow = self._flows.reserve(self._path, rate)
-                except LinkCapacityError:
-                    # A path that crosses one link twice: the hops share
-                    # capacity the bottleneck counted once.
-                    rate = MIN_TRANSFER_MBPS
+                self._flow = self._flows.reserve(self._path, rate)
         if rate < self.min_rate:
             self.min_rate = rate
         step = self.remaining * 8.0 / rate
@@ -583,9 +578,7 @@ class StreamingSession:
         the previous cluster finished playing and cluster ``i`` finished
         downloading.  Accumulated waiting past startup is stall time.
         """
-        clusters = self.record.clusters
-        if not clusters:
-            return
+        clusters = self.record.clusters  # a completed session has them all
         request = self.record.request
         self.record.startup_delay_s = clusters[0].end - request.submitted_at
         seconds_per_mb = self._video.playback_seconds_per_mb()

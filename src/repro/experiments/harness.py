@@ -207,8 +207,7 @@ def run_service_experiment(experiment: ServiceExperiment) -> SweepResult:
                 f"request:{event.client_id}",
             )
             for event in experiment.scenario.events
-        ),
-        absolute=True,
+        )
     )
 
     horizon = experiment.run_until

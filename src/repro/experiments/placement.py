@@ -215,7 +215,7 @@ def run_placement_experiment(
             the defaults fit ~2.5 whole titles per server, so placement
             pressure is real.
         prefix_minutes / partial_floor: Policy knobs.
-        kinds: Placement kinds to compare (subset of
+        kinds: Placement kinds to compare, in order (subset of
             :data:`PLACEMENT_KINDS`).
         check: Also run the replay gate: the DMA run must replay
             byte-identically.
@@ -262,9 +262,7 @@ def run_placement_experiment(
 
     outcomes: List[PlacementOutcome] = []
     fingerprints: Dict[str, str] = {}
-    for kind in PLACEMENT_KINDS:
-        if kind not in kinds:
-            continue
+    for kind in kinds:
         result = _run_one(scenario, config_for(kind), kind)
         tallies = _policy_tallies(result)
         fingerprint = session_fingerprint(result.service.sessions)

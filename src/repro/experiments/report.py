@@ -73,19 +73,14 @@ def render_table3() -> str:
     return render_table(headers, rows, title="Table 3 — Link Validation Numbers (eqs. 1-4)")
 
 
-def render_admission_queue(
-    stats: Optional[AdmissionQueueStats], title: str = ""
-) -> str:
+def render_admission_queue(stats: AdmissionQueueStats, title: str = "") -> str:
     """Admission-queue counter table for experiment/benchmark reports.
 
     Args:
-        stats: The load-leveling front-end's counters; None renders a
-            "queue off" stub (legacy immediate admission).
+        stats: The load-leveling front-end's counters.
         title: Table caption; defaults to a generic one.
     """
     caption = title or "Admission queue — load-leveling front-end"
-    if stats is None:
-        return f"{caption}\n(admission queue disabled)"
     headers = ["Counter", "Value"]
     rows = [
         ["Offered", str(stats.offered)],
@@ -129,9 +124,8 @@ def render_dijkstra_trace(
 
 
 def _sparkline(values: Sequence[float], width: int, peak: float) -> str:
-    """Peak-preserving resample of ``values`` into ``width`` glyph buckets."""
-    if not values:
-        return " " * width
+    """Peak-preserving resample of non-empty ``values`` into ``width``
+    glyph buckets."""
     top = len(_SPARK_BLOCKS) - 1
     cells: List[str] = []
     for bucket in range(width):

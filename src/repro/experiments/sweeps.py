@@ -7,18 +7,10 @@ while a fresh copy appears at Athens.  A per-cluster VRA re-decision (the
 paper's behaviour) escapes the congestion; a frozen decision rides it to
 the end.  Used by the X1 switching ablation, the X4 cluster-size sweep and
 the ``sweep-cluster-size`` CLI command.
-
-Sweep points are independent simulations, so :func:`better_source_sweep`
-can fan them out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-(``jobs > 1``).  Each worker runs its own simulator from the same
-deterministic initial conditions, and results come back in sweep order —
-the output is byte-identical to a serial run, just faster.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.core.service import ServiceConfig, VoDService
@@ -81,34 +73,9 @@ def run_better_source_scenario(
     return session.record
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Effective worker count: None means one per CPU, floor 1."""
-    if jobs is None:
-        return os.cpu_count() or 1
-    return max(int(jobs), 1)
-
-
 def better_source_sweep(
     cluster_sizes_mb: Sequence[float] = DEFAULT_SWEEP_CLUSTERS_MB,
-    jobs: int = 1,
 ) -> Iterator[Tuple[float, SessionRecord]]:
-    """Run the scenario once per cluster size, yielding (c, record).
-
-    Args:
-        cluster_sizes_mb: The sweep points.
-        jobs: Worker processes; ``1`` (the default) runs serially in this
-            process, ``None`` uses one worker per CPU.  Every sweep point
-            is an isolated deterministic simulation, so the yielded
-            (cluster, record) pairs are identical at any job count —
-            order included.
-    """
-    sizes = [float(c) for c in cluster_sizes_mb]
-    workers = min(resolve_jobs(jobs), max(len(sizes), 1))
-    if workers <= 1:
-        for cluster_mb in sizes:
-            yield cluster_mb, run_better_source_scenario(cluster_mb)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Executor.map preserves input order regardless of completion order.
-        for cluster_mb, record in zip(sizes, pool.map(run_better_source_scenario, sizes)):
-            yield cluster_mb, record
+    """Run the scenario once per cluster size, in order, yielding (c, record)."""
+    for cluster_mb in map(float, cluster_sizes_mb):
+        yield cluster_mb, run_better_source_scenario(cluster_mb)

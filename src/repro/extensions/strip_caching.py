@@ -311,11 +311,10 @@ class StripCachingEvaluator:
                 if resident not in store._pinned:
                     store._evict(resident)
         if total <= store.free_mb + 1e-9:
+            # Not all of the title was resident, so none of it was: a title
+            # is admitted and evicted whole here.
             for key, size in zip(keys, sizes):
-                if not store.has(key):
-                    store._store(key, size)
-                else:
-                    store.tracker.give_point(key)
+                store._store(key, size)
 
     def _cheapest_holder_hops(self, key: str, home_uid: str, shortest) -> int:
         holders = [

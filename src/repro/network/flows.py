@@ -16,10 +16,12 @@ validated up front with the exact acceptance test
 links mutated — a failed admission touches nothing (no reserve/rollback
 churn in the link telemetry or the version counters).
 
-A refusal is predictable: on a simple path ``reserve(path, rate)`` raises
-exactly when ``rate > bottleneck_mbps(path) + 1e-9``.  The simulation is
-single-threaded, so nothing can take the capacity between a caller's
-measurement and its reservation; the streaming session therefore skips the
+A path must be simple (routing paths are; one that crosses a link twice
+raises :class:`~repro.errors.FlowError`), and a refusal is predictable:
+``reserve(path, rate)`` raises exactly when ``rate >
+bottleneck_mbps(path) + 1e-9``.  The simulation is single-threaded, so
+nothing can take the capacity between a caller's measurement and its
+reservation; the streaming session therefore skips the
 call when that test says it would be refused (it happens only because the
 session's floor rate lifts the request above the spare capacity of a
 saturated path) instead of paying for an exception per transfer step.
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.errors import FlowError, LinkCapacityError
+from repro.errors import FlowError
 from repro.network.link import Link
 from repro.network.topology import Topology
 
@@ -94,7 +96,8 @@ class FlowManager:
         trackable flow.
 
         Raises:
-            FlowError: If the path is empty or the rate is not positive.
+            FlowError: If the path is empty, crosses a link twice, or the
+                rate is not positive.
             LinkCapacityError: If any link lacks spare capacity; in that
                 case no link is modified.
         """
@@ -103,29 +106,17 @@ class FlowManager:
         if not (rate_mbps > 0.0):
             raise FlowError(f"flow rate must be positive, got {rate_mbps!r}")
         links = self.links_of(node_path)
-        if len(set(links)) == len(links):
-            # Normal case — no repeated links (shortest paths are simple).
-            # Check every link with Link.reserve's own acceptance test,
-            # then commit; the commit cannot fail because the links are
-            # distinct, so no rollback path is needed.
-            for link in links:
-                if rate_mbps > link.free_mbps + 1e-9:
-                    link.reserve(rate_mbps)  # raises the canonical error
-            for link in links:
-                link.reserve(rate_mbps)
-        else:
-            # Repeated links (a non-simple caller-supplied path): earlier
-            # hops consume the capacity later hops need, so fall back to
-            # sequential reserve with rollback.
-            reserved: List[Link] = []
-            try:
-                for link in links:
-                    link.reserve(rate_mbps)
-                    reserved.append(link)
-            except LinkCapacityError:
-                for link in reserved:
-                    link.release(rate_mbps)
-                raise
+        if len(set(links)) != len(links):
+            # Routing paths are simple: a repeated link is a caller's bug.
+            raise FlowError(f"flow path {tuple(node_path)!r} crosses a link twice")
+        # Check every link with Link.reserve's own acceptance test, then
+        # commit; the commit cannot fail because the links are distinct,
+        # so no rollback is needed.
+        for link in links:
+            if rate_mbps > link.free_mbps + 1e-9:
+                link.reserve(rate_mbps)  # raises the canonical error
+        for link in links:
+            link.reserve(rate_mbps)
         flow = Flow(flow_id=next(self._ids), node_path=tuple(node_path), rate_mbps=rate_mbps)
         self._active[flow.flow_id] = flow
         return flow
@@ -151,7 +142,7 @@ class FlowManager:
         """Smallest spare capacity along the path (inf for a 1-node path).
 
         ``rate > bottleneck_mbps(path) + 1e-9`` is exactly the condition
-        under which :meth:`reserve` refuses ``rate`` on a simple path.
+        under which :meth:`reserve` refuses ``rate``.
         """
         bottleneck = float("inf")
         for link in self.links_of(node_path):

@@ -6,10 +6,10 @@ of a run, when they happen: the tracer (``trace`` rows), the sampler
 service (a ``span`` row as each span closes), and the manifest,
 end-of-run rows and footer of
 :class:`~repro.obs.stream.StreamingTelemetry`.  :func:`open_sink` builds
-one of three formats: ``jsonl`` and ``csv`` write to a path (owned and
-closed by the sink) or an open handle behind the run; ``memory``
-(:class:`MemoryTelemetrySink`) keeps every row for in-process readers
-and copies them through a file sink on demand.  The ``manifest``
+one of two file formats, ``jsonl`` and ``csv``, which write to a path
+(owned and closed by the sink) or an open handle behind the run;
+:class:`MemoryTelemetrySink` keeps every row for in-process readers and
+copies them through a file sink on demand.  The ``manifest``
 (first) and ``footer`` (last) control rows frame the data rows and do
 not count toward their totals.
 """
@@ -274,15 +274,11 @@ class MemoryTelemetrySink(TelemetrySink):
         return True
 
 
-def open_sink(target: Optional[SinkTarget], fmt: str = "jsonl") -> TelemetrySink:
-    """Build the sink for a format name: ``"jsonl"`` or ``"csv"`` (writing
-    to ``target``), or ``"memory"`` (no target)."""
+def open_sink(target: SinkTarget, fmt: str = "jsonl") -> TelemetrySink:
+    """Build the file sink for a format name, ``"jsonl"`` or ``"csv"``,
+    writing to ``target``; a memory sink is :class:`MemoryTelemetrySink`."""
     if fmt == "jsonl":
         return JsonlTelemetrySink(target)
     if fmt == "csv":
         return CsvTelemetrySink(target)
-    if fmt == "memory":
-        if target is not None:
-            raise ReproError("a memory sink takes no target")
-        return MemoryTelemetrySink()
-    raise ReproError(f"unknown telemetry sink format {fmt!r} (jsonl, csv or memory)")
+    raise ReproError(f"unknown telemetry sink format {fmt!r} (jsonl or csv)")

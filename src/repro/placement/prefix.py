@@ -80,9 +80,8 @@ class PrefixReplication(FractionalPlacementPolicy):
         self.prefix_minutes = float(prefix_minutes)
 
     def target_fraction(self, video: VideoTitle) -> float:
-        """Fraction of ``video`` covered by the prefix window."""
-        if video.duration_s <= 0.0:
-            return 1.0
+        """Fraction of ``video`` covered by the prefix window (a
+        :class:`VideoTitle`'s duration is positive)."""
         return min(1.0, (self.prefix_minutes * 60.0) / video.duration_s)
 
     # ------------------------------------------------------------------ #

@@ -237,22 +237,16 @@ class Simulator:
         self._pending += 1
         return handle
 
-    def schedule_many(
-        self,
-        entries: Iterable[Sequence[Any]],
-        *,
-        absolute: bool = False,
-    ) -> List[EventHandle]:
-        """Bulk-schedule a batch of events in one heap operation.
+    def schedule_many(self, entries: Iterable[Sequence[Any]]) -> List[EventHandle]:
+        """Bulk-schedule a batch of events at absolute times in one heap
+        operation.
 
-        Each entry is ``(delay, callback)``, ``(delay, callback, args)`` or
-        ``(delay, callback, args, name)`` — the same semantics as one
-        :meth:`schedule` call per entry (``absolute=True`` reads the first
-        element as an absolute time, i.e. :meth:`schedule_at`), and the
-        resulting firing order is identical: events pop by ``(time, seq)``
-        no matter how they entered the heap.  For batches that rival the
-        heap's size, one ``heapify`` over the extended list is O(n + k)
-        instead of k pushes at O(k log n).
+        Each entry is ``(time, callback)``, ``(time, callback, args)`` or
+        ``(time, callback, args, name)`` — the same semantics as one
+        :meth:`schedule_at` call per entry, and the resulting firing order
+        is identical: events pop by ``(time, seq)`` no matter how they
+        entered the heap.  One ``heapify`` over the extended list is
+        O(n + k) instead of k pushes at O(k log n).
 
         Returns:
             Handles in entry order.
@@ -265,32 +259,21 @@ class Simulator:
         handles: List[EventHandle] = []
         now, seq = self._now, self._seq
         for entry in entries:
-            time_value, callback = entry[0], entry[1]
+            time, callback = entry[0], entry[1]
             args = tuple(entry[2]) if len(entry) > 2 else ()
             name = entry[3] if len(entry) > 3 else ""
-            if absolute:
-                if not (now <= time_value < _INF):
-                    raise self._bad_time(time_value, name or callback)
-                time = float(time_value)
-            else:
-                if not (0.0 <= time_value < _INF):
-                    raise _bad_delay(time_value)
-                time = now + float(time_value)
+            if not (now <= time < _INF):
+                raise self._bad_time(time, name or callback)
+            time = float(time)
             handle = EventHandle(time, seq, callback, args, name, self)
             new.append((time, seq, handle))
             handles.append(handle)
             seq += 1
-        if not new:
-            return handles
         # Nothing above touched the simulator: an invalid entry left no trace.
         self._seq = seq
         heap = self._heap
-        if len(new) >= max(len(heap) // 4, 8):
-            heap.extend(new)
-            heapify(heap)
-        else:
-            for item in new:
-                heappush(heap, item)
+        heap.extend(new)
+        heapify(heap)
         self._pending += len(new)
         return handles
 

@@ -2,10 +2,13 @@
 
 A :class:`Process` wraps a generator that yields either
 
-* :class:`Delay` (or a bare non-negative number) — suspend for that long, or
+* :class:`Delay` — suspend for its non-negative duration, or
 * a :class:`Park` — hand the wake-up to the yielded object itself: a
   streaming session's transfer ticks on the engine by itself and resumes
   the generator when its segment is over.
+
+Anything else (a bare number included) ends the process with a
+:class:`~repro.errors.SimulationError`.
 
 This is the idiom used by long-lived actors in the simulation, e.g. a
 streaming session that alternates "download cluster" / "re-run VRA" steps.
@@ -145,18 +148,14 @@ class Process:
             if isinstance(yielded, Park):
                 yielded._park(self)
                 return
-            if isinstance(yielded, Delay):
-                duration = yielded.duration
-            elif isinstance(yielded, (int, float)):
-                duration = yielded
-            else:
+            if not isinstance(yielded, Delay):
                 self._fail(SimulationError(
                     f"process {self.name} yielded unsupported value {yielded!r}; "
-                    "yield a Delay, a number, or a Park"
+                    "yield a Delay or a Park"
                 ))
                 return
             self._pending_handle = self._sim.schedule(
-                duration, self._resume, None, name=self._delay_name
+                yielded.duration, self._resume, None, name=self._delay_name
             )
         except SchedulingError as exc:  # negative or non-finite delay
             self._fail(exc)

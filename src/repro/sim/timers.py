@@ -59,8 +59,7 @@ class PeriodicTask:
             self._handle = None
 
     def _fire(self) -> None:
-        if not self._running:
-            return
+        # stop() cancels the pending tick, so a tick only fires while armed.
         self._callback()
         if self._running:
             self._handle = self._sim.schedule(self._period, self._fire, name=f"{self.name}:tick")

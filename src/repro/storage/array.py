@@ -310,9 +310,7 @@ class DiskArray:
         layout = self._partial_layouts[title_id]
         count = self._partial_counts[title_id]
         resident_mb = sum(size for _, _, size in layout.assignments[:count])
-        if video.size_mb <= 0.0:
-            return 1.0
-        return min(1.0, resident_mb / video.size_mb)
+        return min(1.0, resident_mb / video.size_mb)  # size_mb > 0: VideoTitle checks
 
     def resident_title_ids(self) -> List[str]:
         """Ids with any residency — full or partial — sorted."""

@@ -10,7 +10,6 @@ generic synthetic equivalent for non-GRNET topologies.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 from repro.errors import WorkloadError
 from repro.network import grnet
@@ -62,8 +61,6 @@ class DiurnalTrafficShaper:
         day_s: Period of the cycle (86400 = one day).
         phase_s: Time of the minimum (4am default).
         update_period_s: Refresh cadence.
-        jitter: Optional per-update multiplicative jitter function
-            (e.g. ``rng.uniform(0.9, 1.1)``) for irregular traffic.
     """
 
     def __init__(
@@ -75,7 +72,6 @@ class DiurnalTrafficShaper:
         day_s: float = 86_400.0,
         phase_s: float = 4 * 3600.0,
         update_period_s: float = 60.0,
-        jitter: Optional[Callable[[], float]] = None,
     ):
         if not (0.0 <= base_fraction <= peak_fraction <= 1.0):
             raise WorkloadError(
@@ -89,7 +85,6 @@ class DiurnalTrafficShaper:
         self._amplitude = peak_fraction - base_fraction
         self._day = day_s
         self._phase = phase_s
-        self._jitter = jitter
         self._task = PeriodicTask(sim, update_period_s, self._apply, name="diurnal")
 
     def utilization_at(self, t: float) -> float:
@@ -109,7 +104,4 @@ class DiurnalTrafficShaper:
     def _apply(self) -> None:
         fraction = self.utilization_at(self._sim.now)
         for link in self._topology.links():
-            level = fraction
-            if self._jitter is not None:
-                level = min(max(fraction * self._jitter(), 0.0), 1.0)
-            link.set_background_mbps(level * link.capacity_mbps)
+            link.set_background_mbps(fraction * link.capacity_mbps)

@@ -83,6 +83,11 @@ class TestLru:
         assert not result.cached
         assert result.action in (PlacementAction.POINT_ONLY, PlacementAction.EVICTED_NOT_STORED)
 
+    def test_title_bigger_than_an_empty_array_is_point_only(self, array):
+        result = LruCachePolicy(array).on_request(video("huge", 500.0))
+        assert result.action is PlacementAction.POINT_ONLY
+        assert not result.evicted and array.stored_title_ids() == []
+
     def test_seed_participates_in_recency(self, array):
         policy = LruCachePolicy(array)
         policy.seed(video("seeded"))

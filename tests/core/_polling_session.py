@@ -32,7 +32,6 @@ from repro.core.session import (
     StreamingSession,
 )
 from repro.core.vra import VraDecision
-from repro.errors import LinkCapacityError
 from repro.sim.process import Delay, Process
 
 
@@ -155,13 +154,7 @@ class PollingSession(StreamingSession):
         # would build, raise and discard a LinkCapacityError per step.
         if rate > bottleneck + 1e-9:
             return MIN_TRANSFER_MBPS, None
-        try:
-            flow = flows.reserve(node_path, rate)
-        except LinkCapacityError:
-            # A path that crosses one link twice: the hops share capacity
-            # the bottleneck counted once.
-            return MIN_TRANSFER_MBPS, None
-        return rate, flow
+        return rate, flows.reserve(node_path, rate)
 
     # ------------------------------------------------------------------ #
     def _deliver_segments(

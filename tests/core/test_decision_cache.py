@@ -309,6 +309,7 @@ class TestReplayPaysForTheTokenOnce:
 
         plain, memoed = run(False), run(True)
         obs = memoed.obs
+        # Each replay goes through count_replayed: U4's as a local serve.
         decisions = obs.counter("vra.decisions").value
         assert decisions == memoed.vra.decision_count == 36
         assert obs.counter("decision.hits").value == 24

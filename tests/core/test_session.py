@@ -175,22 +175,6 @@ class TestDegradation:
         assert seen == {"calls": sim.events_fired - 1, "refused": 0}
         assert flows.active_count == 0
 
-    def test_path_crossing_a_link_twice_falls_back_to_the_floor(self, line):
-        # 1.5 Mbps free fits the 1 Mbps bottleneck test once, but the path
-        # crosses A-B three times: reserve's own refusal is the safety net.
-        link = line.link_between("A", "B")
-        link.set_background_mbps(8.5)
-        flows = FlowManager(line)
-        seen = self.counting_reserve(flows)
-        video = VideoTitle("v", size_mb=1.0, duration_s=8.0)
-        record, _, _, _ = run_session(
-            line, lambda: make_decision(["A", "B", "A", "B"]), video=video, flows=flows
-        )
-        assert record.completed
-        assert all(c.rate_mbps == pytest.approx(0.05) for c in record.clusters)
-        assert seen["calls"] == seen["refused"] > 0
-        assert flows.active_count == 0 and link.reserved_mbps == 0.0
-
     def test_decide_failure_fails_request(self, line):
         def decide():
             raise RoutingError("no candidates")

@@ -1,7 +1,5 @@
 """Unit tests for the packaged better-source-appears scenario."""
 
-import os
-
 import pytest
 
 from repro.baselines.switching import NeverSwitch
@@ -9,7 +7,6 @@ from repro.experiments.sweeps import (
     DEFAULT_SWEEP_CLUSTERS_MB,
     SWITCHING_TITLE,
     better_source_sweep,
-    resolve_jobs,
     run_better_source_scenario,
 )
 
@@ -47,42 +44,3 @@ class TestScenario:
         assert list(results) == [150.0]
         assert len(results[150.0].clusters) == 10
 
-
-def record_fingerprint(record):
-    """Every report-visible value of a session record.
-
-    Request ids are process-local counters, so raw records from worker
-    processes are not comparable object-for-object; everything a report
-    derives from them is.
-    """
-    return (
-        record.completed,
-        record.servers_used,
-        record.switch_count,
-        record.completed_at - record.request.submitted_at,
-        record.stall_s,
-        [(c.index, c.server_uid, c.path_nodes) for c in record.clusters],
-    )
-
-
-class TestParallelSweep:
-    def test_resolve_jobs_defaults_and_floors(self):
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(0) == 1
-        assert resolve_jobs(-4) == 1
-        assert resolve_jobs(3) == 3
-
-    def test_parallel_sweep_is_identical_to_serial(self):
-        sizes = [100.0, 250.0]
-        serial = list(better_source_sweep(sizes, jobs=1))
-        parallel = list(better_source_sweep(sizes, jobs=2))
-        assert [c for c, _ in parallel] == [c for c, _ in serial] == sizes
-        for (_, srec), (_, prec) in zip(serial, parallel):
-            assert record_fingerprint(prec) == record_fingerprint(srec)
-
-    def test_worker_count_is_capped_by_sweep_points(self):
-        # More jobs than points must still return everything, in order.
-        results = list(better_source_sweep([100.0], jobs=8))
-        assert [c for c, _ in results] == [100.0]
-        assert results[0][1].completed

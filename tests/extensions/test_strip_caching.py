@@ -171,6 +171,13 @@ class TestEvaluator:
 
 
 class TestGranularityComparison:
+    def test_title_mode_skips_a_title_bigger_than_an_empty_cache(self):
+        evaluator = make_evaluator("title", cache_mb=50.0)
+        evaluator.request("U1", "t1")  # 100 MB, cached at U2 only
+        assert evaluator.resident_strip_count("U1", "t1") == 0
+        assert evaluator.stores["U1"].used_mb == 0.0
+        assert evaluator.report.strip_fetches == 4
+
     def test_title_mode_is_all_or_nothing(self):
         evaluator = make_evaluator(granularity="title", cache_mb=150.0)
         evaluator.request("U6", "t1")

@@ -219,6 +219,13 @@ class TestBookkeeping:
             ("recover", "server-crash"),
         ]
 
+    def test_mean_mttr_is_zero_before_any_recovery(self):
+        injector = run_with(
+            make_service(), LinkFlap(100.0, 5_000.0, link_name="Patra-Athens"), until=1_000.0
+        )
+        assert injector.injected_by_kind["link-flap"] == 1
+        assert injector.mean_mttr_s == 0.0
+
     def test_start_twice_rejected(self):
         service = make_service()
         injector = FaultInjector(service, FaultSchedule())

@@ -93,8 +93,7 @@ def run_scenario(scenario, compiled, churn=None, run_until=5 * 3600.0,
                 f"request:{event.client_id}",
             )
             for event in scenario.events
-        ),
-        absolute=True,
+        )
     )
     if churn is not None:
         churn(service)
@@ -140,7 +139,7 @@ def test_link_churn_bit_identical():
             entries.append((600.0 + 120.0 * i, flap, (name,), f"fail:{name}"))
             entries.append((900.0 + 120.0 * i, flap, (name,), f"heal:{name}"))
             entries.append((1_000.0 + 60.0 * i, load, (name, 2.0 + 0.5 * i), f"load:{name}"))
-        service.sim.schedule_many(entries, absolute=True)
+        service.sim.schedule_many(entries)
 
     fast = run_scenario(
         scenario(), compiled=True, churn=churn, disk_count=4, disk_capacity_mb=24_000.0
@@ -177,7 +176,7 @@ def test_backbone200_churn_bit_identical():
                 link.set_background_mbps(rng.uniform(0.0, 0.8) * link.capacity_mbps)
 
         service.sim.schedule_many(
-            ((60.0 * i, redraw, (), "churn:tick") for i in range(1, 20)), absolute=True
+            (60.0 * i, redraw, (), "churn:tick") for i in range(1, 20)
         )
 
     kwargs = dict(

@@ -37,6 +37,14 @@ class TestReservation:
         assert line.link_between("C", "D").reserved_mbps == 0.0
         assert flows.active_count == 0
 
+    def test_a_path_that_repeats_a_link_is_rejected_untouched(self, grnet):
+        flows = FlowManager(grnet)
+        with pytest.raises(FlowError, match="crosses a link twice"):
+            flows.reserve(["U1", "U2", "U1"], 1.0)
+        assert all(link.reserved_mbps == 0.0 for link in grnet.links())
+        assert all(link.traffic_version == 0 for link in grnet.links())
+        assert flows.active_count == 0
+
     def test_empty_path_rejected(self, line):
         with pytest.raises(FlowError):
             FlowManager(line).reserve([], 1.0)
@@ -68,6 +76,17 @@ class TestReservation:
         assert flows.active_count == 2
         flows.release(a)
         assert flows.active_count == 1
+
+
+    def test_path_memo_starts_over_at_capacity(self, line, monkeypatch):
+        from repro.network import flows as flows_module
+
+        monkeypatch.setattr(flows_module, "PATH_MEMO_CAPACITY", 2)
+        flows = FlowManager(line)
+        flows.links_of(["A", "B"])
+        flows.links_of(["B", "C"])
+        assert flows.links_of(["C", "D"]) == (line.link_between("C", "D"),)
+        assert list(flows._path_links) == [("C", "D")]
 
 
 class TestCapacityQueries:

@@ -47,6 +47,9 @@ class TestHistogram:
         assert hist.min == 1.0
         assert hist.max == 10.0
 
+    def test_empty_percentile_is_zero(self):
+        assert Histogram("h").percentile(50) == 0.0
+
     def test_percentiles_nearest_rank(self):
         hist = Histogram("h")
         for v in range(1, 101):

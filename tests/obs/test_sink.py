@@ -91,7 +91,6 @@ class TestCsv:
     def test_open_sink_dispatch(self, tmp_path):
         assert isinstance(open_sink(tmp_path / "a.jsonl", "jsonl"), JsonlTelemetrySink)
         assert isinstance(open_sink(tmp_path / "a.csv", "csv"), CsvTelemetrySink)
-        assert isinstance(open_sink(None, "memory"), MemoryTelemetrySink)
         with pytest.raises(ReproError):
             open_sink(tmp_path / "a.xml", "xml")
         with pytest.raises(ReproError):

@@ -268,6 +268,40 @@ class TestFooter:
         assert tail["kind"] == "footer"
         assert tail["rows_written"] == footer["rows_written"]
 
+    def test_start_is_idempotent_and_finish_starts_an_unstarted_stream(
+        self, grnet_8am, tmp_path
+    ):
+        for starts in (0, 2):
+            service = build_service(grnet_8am)
+            path = tmp_path / f"started-{starts}.jsonl"
+            streamer = StreamingTelemetry(service, JsonlTelemetrySink(path))
+            for _ in range(starts):
+                streamer.start()
+            streamer.finish()
+            kinds = [row["kind"] for row in read_jsonl(path)]
+            assert kinds[0] == "manifest" and kinds.count("manifest") == 1
+            assert kinds[-1] == "footer"
+
+    def test_peak_rss_reads_kib_on_linux_bytes_on_macos_and_0_without_resource(
+        self, monkeypatch
+    ):
+        from repro.obs import stream
+
+        class FakeResource:
+            RUSAGE_SELF = 0
+
+            @staticmethod
+            def getrusage(_):
+                return type("Usage", (), {"ru_maxrss": 2048})()
+
+        monkeypatch.setattr(stream, "resource", FakeResource)
+        monkeypatch.setattr(stream.sys, "platform", "linux")
+        assert stream.peak_rss_kb() == 2048.0
+        monkeypatch.setattr(stream.sys, "platform", "darwin")
+        assert stream.peak_rss_kb() == 2.0
+        monkeypatch.setattr(stream, "resource", None)
+        assert stream.peak_rss_kb() == 0.0
+
     def test_finish_is_idempotent(self, grnet_8am, tmp_path):
         service = build_service(grnet_8am)
         streamer = StreamingTelemetry(service, JsonlTelemetrySink(tmp_path / "r.jsonl"))

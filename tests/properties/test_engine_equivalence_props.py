@@ -74,13 +74,13 @@ class World:
 
         schedule_many = sim.schedule_many
 
-        def many(entries, *, absolute=False):
+        def many(entries):
             boxes, rewritten = [], []
             for entry in entries:
                 box = []
                 boxes.append(box)
                 rewritten.append((entry[0], observed(entry[1], box), *entry[2:]))
-            made = schedule_many(rewritten, absolute=absolute)
+            made = schedule_many(rewritten)
             for box, handle in zip(boxes, made):
                 box.append(handle)
             handles.extend(made)
@@ -118,12 +118,9 @@ class World:
         elif kind == "at":
             sim.schedule_at(sim.now + self._delay(), self.act, None, name=self._name("at"))
         elif kind == "many":
-            absolute = rng.random() < 0.5
-            base = sim.now if absolute else 0.0
             sim.schedule_many(
-                [(base + self._delay(), self.act, (), self._name("batch"))
-                 for _ in range(rng.randint(1, 12))],
-                absolute=absolute,
+                [(sim.now + self._delay(), self.act, (), self._name("batch"))
+                 for _ in range(rng.randint(1, 12))]
             )
         elif kind == "cancel":
             if self.handles:

@@ -52,6 +52,11 @@ class TestCircuitBreaker:
         assert b.record_success(360.0) is True
         assert b.state == BREAKER_CLOSED
 
+    def test_only_an_open_breaker_half_opens(self):
+        b = CircuitBreaker("srv", threshold=1)
+        assert b.half_open(BREAKER_COOLDOWN_S) is False
+        assert b.state == BREAKER_CLOSED
+
     def test_half_open_failure_reopens(self):
         b = CircuitBreaker("srv", threshold=1)
         b.record_failure(0.0)

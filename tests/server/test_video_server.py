@@ -117,6 +117,28 @@ class TestDeferredAdvertisement:
         server.commit_download("ghost")
         server.abort_download("ghost")
 
+    def test_evicting_a_promoted_prefix_before_commit_drops_its_advertisement(self):
+        # A fractional policy advertised a prefix, then grew it into a full
+        # copy whose download is still in flight: evicting it now must also
+        # withdraw the prefix advertisement.
+        server = make_server()
+        server._register_catalog_info(video())
+        server._advertise_partial("v", 0.5)
+        server._advertise("v")
+        assert server.pending_title_ids() == ["v"]
+        assert server._database.holds_title("U1", "v")
+        server._withdraw("v")
+        assert server.pending_title_ids() == []
+        assert not server._database.holds_title("U1", "v")
+
+    def test_a_policy_swap_without_a_registry_wires_nothing(self):
+        from repro.baselines.caching import LruCachePolicy
+
+        server = make_server()
+        server.set_cache_policy(LruCachePolicy)
+        assert isinstance(server.policy, LruCachePolicy)
+        assert server.on_download_begins(video()).cached
+
     def test_pending_eviction_before_commit_is_silent(self):
         # A pending (in-flight) title evicted by a later DMA pass must not
         # touch the database, since it was never advertised.

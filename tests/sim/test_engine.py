@@ -63,8 +63,7 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             sim.schedule_many(
                 [(1.0, fired.append, ("a",)), (bad, fired.append, ("poison",)),
-                 (2.0, fired.append, ("b",))],
-                absolute=True,
+                 (2.0, fired.append, ("b",))]
             )
         assert sim.pending_count == 0 and sim.heap_depth == 0
         assert sim.peek() is None

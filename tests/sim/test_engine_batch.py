@@ -35,8 +35,8 @@ class TestScheduleMany:
         entries = [(3.0, batched.append, (3,)), (1.0, batched.append, (1,)),
                    (2.0, batched.append, (2,)), (1.0, batched.append, (10,))]
         sim_a.schedule_many(entries)
-        for delay, _cb, args in entries:
-            sim_b.schedule(delay, sequential.append, *args)
+        for time, _cb, args in entries:
+            sim_b.schedule_at(time, sequential.append, *args)
         sim_a.run()
         sim_b.run()
         assert batched == sequential == [1, 10, 2, 3]
@@ -45,8 +45,7 @@ class TestScheduleMany:
         sim = Simulator(start_time=100.0)
         fired = []
         sim.schedule_many(
-            [(150.0, fired.append, (1,)), (120.0, fired.append, (2,))],
-            absolute=True,
+            [(150.0, fired.append, (1,)), (120.0, fired.append, (2,))]
         )
         sim.run()
         assert fired == [2, 1]
@@ -88,7 +87,7 @@ class TestScheduleMany:
     def test_past_absolute_time_rejected(self):
         sim = Simulator(start_time=10.0)
         with pytest.raises(SchedulingError):
-            sim.schedule_many([(5.0, lambda: None)], absolute=True)
+            sim.schedule_many([(5.0, lambda: None)])
 
 
 class TestCompaction:

@@ -38,18 +38,19 @@ class TestProcessBasics:
         sim.run()
         assert times == [0.0, 3.0, 7.0]
 
-    def test_bare_numbers_act_as_delays(self, sim):
-        times = []
+    def test_a_bare_number_yield_errors_the_process(self, sim):
+        after = []
 
         def body():
             yield 2.5
-            times.append(sim.now)
-            yield 1
-            times.append(sim.now)
+            after.append(sim.now)
 
-        Process(sim, body())
+        process = Process(sim, body())
         sim.run()
-        assert times == [2.5, 3.5]
+        assert after == []
+        assert isinstance(process.error, SimulationError)
+        assert "yield a Delay or a Park" in str(process.error)
+        assert sim.pending_count == 0
 
     def test_construction_does_not_run_body_synchronously(self, sim):
         ran = []
@@ -113,8 +114,11 @@ class TestProcessBasics:
         sim.run()  # must not raise: the other processes complete
         assert log == [("faulty closed", 1.0), ("healthy done", 6.0)]
         assert bad_process.finished and good_process.check() == "ok"
-        with pytest.raises(SchedulingError):
+        # A bare number is no delay at all: an unsupported yield.
+        expected = SchedulingError if isinstance(bad, Delay) else SimulationError
+        with pytest.raises(expected) as excinfo:
             bad_process.check()
+        assert type(excinfo.value) is expected
         assert sim.pending_count == 0 and sim.now == 6.0
 
     def test_two_processes_interleave(self, sim):

@@ -101,6 +101,16 @@ class TestResidencyQueries:
         # Extending to 1.0 needs just one more 10 MB cluster.
         assert array.can_store_segment(video(), 1.0)
 
+    def test_can_store_segment_refusals_and_no_op(self, array):
+        for bad in (0.0, -0.5, 1.5):
+            assert not array.can_store_segment(video(), bad)
+        array.store_segment(video(), 0.5)
+        assert array.can_store_segment(video(), 0.3)  # already resident
+        array.store(video("whole", 50.0))
+        assert not array.can_store_segment(video("whole", 50.0), 0.5)
+        array.fail_disk(1)
+        assert not array.can_store_segment(video("new", 20.0), 1.0)
+
 
 class TestSegmentServability:
     def test_cluster_servable_within_segment_only(self, array):

@@ -13,13 +13,16 @@ purpose, not by accident.
 
 ``TestValueRule`` runs the knob pass's rule (a field is in use when the
 package reads it with two values) on synthetic reads, and its recorder
-on a real config.
+on a real config; ``TestArmRule`` runs the arm rule (which branch arms
+exist, which are error arms, which did not run) on synthetic source and
+hit lines.
 """
 
 import ast
 import dataclasses
 import importlib.util
 import re
+import textwrap
 from functools import lru_cache
 from pathlib import Path
 
@@ -125,15 +128,37 @@ def test_every_reason_uses_a_known_kind_and_says_why():
         assert tests, why
 
 
+def _is_arm_key(key):
+    return "::" in key.partition("::")[2]
+
+
+@lru_cache(maxsize=None)
+def _arm_keys(path):
+    """The keys of every arm of one file under ``src/repro``."""
+    file = PACKAGE / path
+    return {arm.key for arm in _census_module().arms(file.read_text(), path)}
+
+
 def test_every_key_names_existing_code():
     stale = []
     for key, _ in _keys():
-        if _field_key(key):
+        if _field_key(key) or _is_arm_key(key):
             continue
         path, _, qualname = key.partition("::")
         file = PACKAGE / path
         if not file.is_file() or (qualname and qualname not in _qualnames(file)):
             stale.append(key)
+    assert stale == []
+
+
+def test_every_arm_key_names_an_existing_arm():
+    keys = [key for key, _ in _keys() if _is_arm_key(key)]
+    assert keys, "the arm rule keeps no arm"
+    stale = [
+        key for key in keys
+        if not (PACKAGE / key.partition("::")[0]).is_file()
+        or key not in _arm_keys(key.partition("::")[0])
+    ]
     assert stale == []
 
 
@@ -189,6 +214,8 @@ def test_paper_and_reference_keys_are_mentioned_by_their_tests():
     unmentioned = []
     for key, tests in _keys(("paper", "reference")):
         texts = [_text_with_helpers(ROOT / node_id.partition("::")[0]) for node_id in tests]
+        if _is_arm_key(key):
+            key = key.rpartition("::")[0]
         last = re.split(r"::|\.|/", key.removesuffix(".py"))[-1]
         pattern = re.compile(rf"\b{re.escape(last)}\b")
         if not last.startswith("_") and not any(pattern.search(t) for t in texts):
@@ -196,6 +223,7 @@ def test_paper_and_reference_keys_are_mentioned_by_their_tests():
     assert unmentioned == []
 
 
+@lru_cache(maxsize=None)
 def _census_module():
     spec = importlib.util.spec_from_file_location("census", CENSUS)
     module = importlib.util.module_from_spec(spec)
@@ -247,3 +275,91 @@ class TestValueRule:
         ) in reads
         assert "__getattribute__" not in vars(ServiceConfig)
         assert "__getattribute__" not in vars(PlacementConfig)
+
+
+SOURCE = textwrap.dedent("""\
+    def grade(x):
+        if x > 90:
+            mark = "A"
+        elif x > 50:
+            mark = "B"
+        else:
+            mark = "C"
+        for step in range(x):
+            if step == 7:
+                break
+        else:
+            mark += "!"
+        try:
+            value = int(mark)
+        except ValueError:
+            value = 0
+        else:
+            value += 1
+        if value < 0:
+            raise ValueError(value)
+        return mark
+
+
+    class Box:
+        def open(self):
+            while self:
+                return 1
+    """)
+
+
+class TestArmRule:
+    def arms(self):
+        return {arm.label: arm for arm in _census_module().arms(SOURCE, "m.py")}
+
+    def test_an_elif_chain_is_keyed_by_each_condition(self):
+        arms = self.arms()
+        assert [label for label in arms if "x >" in label] == [
+            "if x > 90", "if x > 50", "else of if x > 50",
+        ]
+        assert arms["if x > 50"].key == "m.py::grade::if x > 50"
+        assert arms["else of if x > 50"].entry == (7,)
+
+    def test_for_else_and_try_else_are_arms(self):
+        arms = self.arms()
+        assert arms["for step in range(x)"].entry == (9,)
+        assert arms["else of for step in range(x)"].first == 12
+        assert arms["else of try"].entry == (18,)
+        assert arms["if step == 7"].within == "m.py::grade::for step in range(x)"
+        assert _census_module().arms(SOURCE, "m.py")[-1].key == "m.py::Box.open::while self"
+
+    def test_raise_ending_arms_and_except_handlers_are_error(self):
+        errors = {label for label, arm in self.arms().items() if arm.error}
+        assert errors == {"except ValueError", "if value < 0"}
+
+    def test_an_arm_runs_when_its_first_statement_does(self):
+        census = _census_module()
+        # grade(95): the first arm, the loop to its break, int("A") fails.
+        hits = {2, 3, 8, 9, 10, 11, 14, 15, 16, 19, 21}
+        unrun = census.unrun_arms(SOURCE, "m.py", hits, {1})
+        assert [arm.label for arm in unrun] == [
+            "if x > 50", "else of if x > 50", "else of for step in range(x)",
+            "else of try", "if value < 0",
+        ]
+        # A function no call reached is the function rule's: no arms.
+        assert census.unrun_arms(SOURCE, "m.py", set(), {25}) == [
+            arm for arm in census.arms(SOURCE, "m.py") if arm.qualname == "Box.open"
+        ]
+
+    def test_an_arm_inside_an_unrun_arm_follows_it(self):
+        census = _census_module()
+        unrun = census.unrun_arms(SOURCE, "m.py", {2, 3, 8, 14, 15, 19, 21}, {1})
+        labels = [arm.label for arm in unrun]
+        assert "for step in range(x)" in labels and "if step == 7" not in labels
+
+    def test_a_stale_arm_key_is_flagged(self):
+        census = _census_module()
+        unrun = census.unrun_arms(SOURCE, "m.py", {2, 3, 8, 9, 10, 11, 14, 15, 16, 19, 21}, {1})
+        reasons = [("fault", "why", ["m.py::grade::if x > 50",
+                                     "m.py::grade::if x > 90",
+                                     "m.py::grade::if value < 0",
+                                     "m.py::grade::if gone"], ["t"])]
+        # It ran, it is an error arm (not gated), or it does not exist.
+        assert census.stale_arm_keys(unrun, reasons) == [
+            "m.py::grade::if x > 90", "m.py::grade::if value < 0", "m.py::grade::if gone",
+        ]

@@ -228,6 +228,13 @@ class TestPlacement:
         with pytest.raises(SystemExit):
             main(["placement", "--prefix-minutes", "nope"])
 
+    def test_a_failed_replay_gate_exits_1(self, capsys, monkeypatch):
+        from repro.experiments.placement import PlacementComparison
+
+        monkeypatch.setattr(PlacementComparison, "gates_passed", property(lambda self: False))
+        assert main(["placement", "--requests-per-node", "1", "--catalog-size", "2"]) == 1
+        assert "placement replay gate failed" in capsys.readouterr().err
+
 
 class TestChaos:
     FAST = ["chaos", "--duration-hours", "0.5", "--requests-per-node", "3",
@@ -261,6 +268,12 @@ class TestChaos:
         assert main(self.FAST + ["--min-availability", "0.0"]) == 0
         assert main(self.FAST + ["--min-availability", "1.01"]) == 1
         assert "below floor" in capsys.readouterr().err
+
+    def test_recovered_floor_and_stall_bound_gate_exit_code(self, capsys):
+        assert main(self.FAST + ["--min-recovered", "1000000"]) == 1
+        assert "recovered sessions 0 below floor 1000000" in capsys.readouterr().err
+        assert main(self.FAST + ["--max-p95-stall-s", "-1"]) == 1
+        assert "above bound -1.0 s" in capsys.readouterr().err
 
     def test_replays_identically(self, capsys):
         assert main(self.FAST + ["--json"]) == 0
@@ -414,8 +427,6 @@ class TestBadValues:
             (["simulate", "--title-minutes", "0"], "--title-minutes"),
             (["placement", "--title-mb", "0"], "--title-mb"),
             (["placement", "--title-minutes", "nan"], "--title-minutes"),
-            (["sweep-cluster-size", "--jobs", "0"], "--jobs"),
-            (["sweep-cluster-size", "--jobs", "-3"], "--jobs"),
         ],
     )
     def test_non_positive_size_or_job_count_is_a_usage_error(self, argv, option, capsys):

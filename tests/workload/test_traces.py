@@ -1,6 +1,5 @@
 """Unit tests for background-traffic shapers."""
 
-import random
 
 import pytest
 
@@ -55,20 +54,6 @@ class TestDiurnalTrafficShaper:
         small = triangle.link_between("A", "C")  # 2 Mb
         assert big.background_mbps == pytest.approx(5.0)
         assert small.background_mbps == pytest.approx(1.0)
-
-    def test_jitter_applied(self, triangle):
-        sim = Simulator(start_time=16 * 3600.0)
-        rng = random.Random(3)
-        shaper = DiurnalTrafficShaper(
-            sim,
-            triangle,
-            base_fraction=0.5,
-            peak_fraction=0.5,
-            jitter=lambda: rng.uniform(0.5, 1.5),
-        )
-        shaper.start()
-        levels = {l.name: l.background_mbps / l.capacity_mbps for l in triangle.links()}
-        assert len(set(round(v, 6) for v in levels.values())) > 1
 
     def test_invalid_fractions_rejected(self, triangle):
         sim = Simulator()
