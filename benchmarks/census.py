@@ -212,10 +212,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["sim/engine.py::Simulator._compact"],
      ["tests/sim/test_engine_batch.py::TestCompaction::"
       "test_compaction_triggers_when_carcasses_outnumber_pending"]),
-    ("fault", "a bad yield value ends its process, not the event loop",
-     ["sim/process.py::Process._fail"],
-     ["tests/sim/test_process.py::TestProcessBasics::"
-      "test_unsupported_yield_value_errors_process"]),
     ("fault", "spells a non-finite sample (NaN, Infinity) as json does; a "
      "finite one takes the sample writer's repr path",
      ["obs/sink.py::_json_float"],
@@ -366,40 +362,29 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/obs/test_service_obs.py::TestEveryEnding::"
       "test_disabled_tracer_is_never_handed_a_record"]),
     ("fault", "resilience wiring no user path exercises: a server added to a running "
-     "service gets the failover hooks, an open link breaker hides the link's "
-     "headroom and its transitions touch the link's stats, a preempted "
-     "segment resumes from another server, and a disk fails on a server with "
-     "no supervised session",
-     ["core/service.py::VoDService.add_server::if self.supervisor is not None or self.breakers is not None",
-      "core/service.py::VoDService._guarded_used::if self.breakers is not None and self.breakers.link_open(link.name)",
-      "core/service.py::VoDService._on_breaker_transition::if self.config.use_reported_stats",
+     "service gets the failover hook, a preempted segment resumes from "
+     "another server, and a disk fails on a server with no supervised "
+     "session",
+     ["core/service.py::VoDService.add_server::if self.supervisor is not None",
       "core/session.py::StreamingSession._deliver_cluster::if switched",
       "resilience/supervisor.py::SessionSupervisor.on_disk_failure::if not bucket"],
-     ["tests/properties/test_incremental_lvn_props.py::"
-      "test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff",
+     ["tests/resilience/test_supervisor.py::TestMidStreamFailover::"
+      "test_a_server_added_at_runtime_is_supervised_too",
       "tests/resilience/test_supervisor.py::TestMidStreamFailover::"
       "test_disk_failure_preempts_affected_sessions",
       "tests/properties/test_failover_props.py::"
       "test_no_session_fails_while_an_online_holder_existed"]),
-    ("fault", "the breaker state machine's repeat failures: a failed half-open probe "
-     "re-opens, a failure while open moves the cooldown and the probe chases "
-     "it, a stale or early expiry is ignored, and a success closes a "
-     "half-open link breaker",
-     ["resilience/breaker.py::CircuitBreaker.record_failure::if self.state == BREAKER_HALF_OPEN",
-      "resilience/breaker.py::CircuitBreaker.record_failure::if self.state == BREAKER_OPEN",
-      "resilience/breaker.py::CircuitBreaker.half_open::if self.state != BREAKER_OPEN",
-      "resilience/breaker.py::CircuitBreaker.half_open::if now - self.opened_at < BREAKER_COOLDOWN_S - 1e-09",
-      "resilience/breaker.py::BreakerBoard.link_success::if breaker is not None and breaker.record_success(self._sim.now)",
-      "resilience/breaker.py::BreakerBoard._probe::if breaker.state == BREAKER_OPEN"],
-     ["tests/resilience/test_breaker.py::TestCircuitBreaker::test_half_open_failure_reopens",
-      "tests/resilience/test_breaker.py::TestCircuitBreaker::"
-      "test_failure_while_open_refreshes_cooldown",
-      "tests/resilience/test_breaker.py::TestCircuitBreaker::"
-      "test_only_an_open_breaker_half_opens",
-      "tests/resilience/test_breaker.py::TestBreakerBoard::"
-      "test_path_success_closes_half_open_probe",
-      "tests/resilience/test_breaker.py::TestBreakerBoard::"
-      "test_failure_while_open_cannot_strand_the_breaker"]),
+    ("fault", "an error in a transfer's own step (a path that crosses a link twice, a "
+     "NaN step) is raised in its session, which fails, and a bad yield value "
+     "is raised in its generator: no user path builds such a path, step or "
+     "yield",
+     ["sim/process.py::Process._resume::if throw"],
+     ["tests/core/test_session.py::TestStepErrors::"
+      "test_a_path_crossing_a_link_twice_fails_its_session_only",
+      "tests/sim/test_process.py::TestParkedTransfer::"
+      "test_bad_step_fails_that_session_only_and_releases",
+      "tests/sim/test_process.py::TestProcessBasics::"
+      "test_unsupported_yield_value_errors_process"]),
     ("fault", "a policy swap keeps the memo from replaying a stale decision: "
      "re-installing the built-in VRA re-reads the token",
      ["core/service.py::VoDService.vra::if self._memo is not None"],
@@ -516,18 +501,15 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "tests/server/test_video_server.py::TestDeferredAdvertisement::"
       "test_evicting_a_promoted_prefix_before_commit_drops_its_advertisement"]),
     ("fault", "engine and process guards: a second cancel, the compaction trigger, a "
-     "late resume of a finished process, an unsupported yield, and a second "
-     "start of a periodic task",
+     "late resume of a finished process, and a second start of a periodic "
+     "task",
      ["sim/engine.py::EventHandle.cancel::if not self.pending",
       "sim/engine.py::Simulator._note_cancel::if len(heap) >= COMPACTION_FLOOR and len(heap) - self._pending > self._pending",
       "sim/process.py::Process._resume::if self._finished",
-      "sim/process.py::Process._handle_yield::if not isinstance(yielded, Delay)",
       "sim/timers.py::PeriodicTask.start::if self._running"],
      ["tests/sim/test_engine.py::TestCancellation::test_double_cancel_returns_false",
       "tests/sim/test_engine_batch.py::TestCompaction::test_on_compaction_hook_fires",
       "tests/sim/test_process.py::TestPark::test_finished_process_ignores_a_late_resume",
-      "tests/sim/test_process.py::TestProcessBasics::"
-      "test_unsupported_yield_value_errors_process",
       "tests/sim/test_timers.py::TestPeriodicTask::test_double_start_is_noop"]),
     ("fault", "disk-array refusals: a title already held, a failed disk, a segment "
      "fraction outside (0, 1], a segment already resident, and a cluster of "
@@ -611,13 +593,12 @@ CLI_MATRIX: List[List[str]] = [
     ["chaos", "--duration-hours", "1", "--requests-per-node", "3", "--show-faults",
      "--telemetry-out", "{tmp}/chaos.csv"],
     ["chaos", "--duration-hours", "1", "--requests-per-node", "3", "--json", "--failover",
-     "--breaker-threshold", "2", "--max-stats-age", "300", "--min-availability", "0.1",
+     "--max-stats-age", "300", "--min-availability", "0.1",
      "--min-recovered", "0", "--max-p95-stall-s", "99999"],
-    # The CI failover storm: breakers trip and probe, sessions fail over.
+    # The CI failover storm: sessions fail over.
     ["chaos", "--seed", "11", "--duration-hours", "2", "--requests-per-node", "12",
      "--retry-attempts", "0", "--server-crash-rate", "6", "--link-flap-rate", "4",
-     "--mean-fault-duration", "600", "--failover", "--breaker-threshold", "2",
-     "--max-stats-age", "300"],
+     "--mean-fault-duration", "600", "--failover", "--max-stats-age", "300"],
     ["sweep-cluster-size"],
 ]
 

@@ -297,11 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--failover", action="store_true",
                        help="enable the mid-stream session-failover "
                             "supervisor")
-    chaos.add_argument("--breaker-threshold", type=int, default=0,
-                       metavar="N",
-                       help="circuit-breaker trip threshold (failures "
-                            "within 600 s; an open breaker probes again "
-                            "after 300 s); 0 disables breakers")
     chaos.add_argument("--max-stats-age", type=float, default=None,
                        metavar="S",
                        help="staleness guard: SNMP samples older than this "
@@ -573,7 +568,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         retry_attempts=args.retry_attempts,
         session_failover=args.failover,
-        breaker_threshold=args.breaker_threshold,
         max_stats_age_s=args.max_stats_age,
         observability=args.telemetry_out is not None,
     )

@@ -50,7 +50,6 @@ from repro.network.routing.paths import Path
 from repro.network.topology import Topology
 from repro.placement.base import PlacementConfig
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.breaker import KIND_SERVER, BreakerBoard
 from repro.resilience.staleness import StalenessGuard
 from repro.resilience.supervisor import SessionSupervisor
 from repro.obs.sampler import TelemetrySampler
@@ -134,18 +133,6 @@ class ServiceConfig:
             its title remains.  Default off —
             faults mid-transfer then play out exactly as before (the
             stream limps to the boundary or dies there).
-        breaker_threshold: Per-server/per-link circuit breakers
-            (:class:`~repro.resilience.breaker.BreakerBoard`) trip after
-            this many failures inside a 600 s window.  An open
-            server breaker filters that server out of the VRA's holder
-            set (never to emptiness — with every holder tripped the
-            unfiltered set is used, so breakers cannot cause a failure);
-            an open link breaker conservatively inflates that link's
-            weight to look saturated (reported-stats path only).  After
-            a 300 s cooldown the breaker half-opens and the next success
-            closes it.  Transitions ride the existing version-counter
-            machinery — no new invalidation paths.  ``0`` (default)
-            disables breakers entirely.
         max_stats_age_s: Staleness guard over the SNMP-fed link stats
             (:class:`~repro.resilience.staleness.StalenessGuard`).  A
             link whose latest sample is older than this — e.g. during an
@@ -184,7 +171,6 @@ class ServiceConfig:
     admission_tick_s: float = DEFAULT_ADMISSION_TICK_S
     retry_attempts: int = 0
     session_failover: bool = False
-    breaker_threshold: int = 0
     max_stats_age_s: Optional[float] = None
     observability: bool = False
     telemetry_period_s: float = 60.0
@@ -195,7 +181,7 @@ class ServiceConfig:
     server_overrides: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("admission_queue_capacity", "retry_attempts", "breaker_threshold"):
+        for name in ("admission_queue_capacity", "retry_attempts"):
             if getattr(self, name) < 0:
                 raise ServiceError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
@@ -209,7 +195,7 @@ def _points_table_size(server: VideoServer) -> float:
 
 class _RequestObserver(SessionObserver):
     """What one request's session tells the service: delivery and
-    resilience counters, span events, breaker successes, and at the end
+    resilience counters, span events, and at the end
     the DMA commit or abort of the download its submit began."""
 
     __slots__ = ("service", "span", "home_server", "dma_stored")
@@ -228,15 +214,6 @@ class _RequestObserver(SessionObserver):
         service._m_clusters.inc()
         if record.switched:
             service._m_switches.inc()
-        if service.breakers is not None:
-            # A delivered cluster is the success signal that closes
-            # half-open breakers along the serving path.
-            link_names = (
-                [link.name for link in service.topology.path_links(record.path_nodes)]
-                if len(record.path_nodes) > 1
-                else []
-            )
-            service.breakers.path_success(record.server_uid, link_names)
         span = self.span
         if span is None:
             return
@@ -346,9 +323,8 @@ class VoDService:
         self._sessions_finished = 0
         #: Server-availability generation: bumped by every server whenever
         #: anything feeding a VRA poll answer moves (online state, title
-        #: residency, disk health, stream slots), and by server-breaker
-        #: transitions (they change the holder filter).  Part of the epoch
-        #: memo's token (see the VRA wiring below).
+        #: residency, disk health, stream slots).  Part of the epoch memo's
+        #: token (see the VRA wiring below).
         self._availability_version = 0
         self._register_service_instruments()
 
@@ -398,15 +374,6 @@ class VoDService:
                     description="links whose latest SNMP sample is age-expired",
                     callback=lambda: float(self.staleness_guard.stale_count),
                 )
-        #: Per-server/per-link circuit breakers; None when threshold is 0.
-        self.breakers: Optional[BreakerBoard] = None
-        if self.config.breaker_threshold > 0:
-            self.breakers = BreakerBoard(
-                sim,
-                threshold=self.config.breaker_threshold,
-                on_transition=self._on_breaker_transition,
-                registry=self.obs,
-            )
         #: Mid-stream failover supervisor; None when off.
         self.supervisor: Optional[SessionSupervisor] = None
         if self.config.session_failover:
@@ -416,17 +383,16 @@ class VoDService:
                 self.database,
                 registry=self.obs,
             )
-        if self.supervisor is not None or self.breakers is not None:
             for server in self.servers.values():
-                server.on_state_change = self._on_server_state
-            topology.on_state_change = self._on_link_state
+                server.on_state_change = self.supervisor.on_server_state
+            topology.on_state_change = self.supervisor.on_link_state
 
-        # On the reported-stats path the staleness guard and open link
-        # breakers interpose on the used-bandwidth reads; without either
-        # the plain reader keeps the default path byte-identical.
+        # On the reported-stats path the staleness guard interposes on the
+        # used-bandwidth reads; without it the plain reader keeps the
+        # default path byte-identical.
         used_of: Optional[Callable[[Link], float]] = None
         if self.config.use_reported_stats:
-            guarded = self.staleness_guard is not None or self.breakers is not None
+            guarded = self.staleness_guard is not None
             used_of = self._guarded_used if guarded else self._reported_used
         # The epoch memo's token: the routing part (routing_epoch()'s raw
         # counters, a parity test pins them), then the availability part
@@ -729,8 +695,8 @@ class VoDService:
         for link in links:
             self.topology.add_link(link)
         server = self._join_server(node)
-        if self.supervisor is not None or self.breakers is not None:
-            server.on_state_change = self._on_server_state
+        if self.supervisor is not None:
+            server.on_state_change = self.supervisor.on_server_state
         self._bump_availability()
         for link in links:
             self._join_link(link)
@@ -872,10 +838,6 @@ class VoDService:
         # cannot source a whole remote stream, so the VRA prefers
         # full holders by construction.
         holders = self.database.servers_with_title(title_id, min_fraction=1.0)
-        if self.breakers is not None:
-            # Server-breaker transitions bump the availability version,
-            # staling the token.
-            holders = self.breakers.filter_servers(holders)
         decision = self._vra.decide(
             home_uid,
             title_id,
@@ -924,38 +886,6 @@ class VoDService:
         """A server's poll-answer inputs moved; this moves the memo token."""
         self._availability_version += 1
         self._clock.value += 1
-
-    # ------------------------------------------------------------------ #
-    # resilience-layer fan-out (wired only when a knob is on)
-    # ------------------------------------------------------------------ #
-    def _on_server_state(self, server: VideoServer) -> None:
-        """A server flipped online: preempt its sessions, feed its breaker."""
-        if self.supervisor is not None:
-            self.supervisor.on_server_state(server)
-        if self.breakers is not None and not server.online:
-            self.breakers.server_failure(server.node_uid)
-
-    def _on_link_state(self, link: Link) -> None:
-        """A link flipped online: preempt path users, feed its breaker."""
-        if self.supervisor is not None:
-            self.supervisor.on_link_state(link)
-        if self.breakers is not None and not link.online:
-            self.breakers.link_failure(link.name)
-
-    def _on_breaker_transition(
-        self, kind: str, target: str, old: str, new: str
-    ) -> None:
-        """Ride breaker transitions on the existing invalidation machinery.
-
-        A server breaker changes holder filtering, which is exactly the
-        class of change the availability version covers.  A link breaker
-        changes that link's effective weight, which is exactly what a
-        reported-stats write would — so it bumps the same version.
-        """
-        if kind == KIND_SERVER:
-            self._bump_availability()
-        elif self.config.use_reported_stats:
-            self.database.touch_links([target])
 
     def _on_staleness_change(self, changed: List[str]) -> None:
         """Stale-set flips invalidate exactly the affected links' weights."""
@@ -1310,19 +1240,11 @@ class VoDService:
         return self.database.link_entry(link.name).used_mbps
 
     def _guarded_used(self, link: Link) -> float:
-        """Reported used bandwidth through the resilience interposers.
-
-        An open link breaker makes the link look saturated (still
-        routable — Dijkstra only deprioritises it); a stale sample keeps
-        only ``1/factor`` of its reported headroom.  Links that are
-        neither return the plain reported figure, bit-for-bit.
-        """
-        if self.breakers is not None and self.breakers.link_open(link.name):
-            return link.capacity_mbps
+        """Reported used bandwidth through the staleness guard: a stale
+        sample keeps only ``1/factor`` of its reported headroom; a fresh
+        one returns the plain reported figure, bit-for-bit."""
         used = self.database.link_entry(link.name).used_mbps
-        if self.staleness_guard is not None:
-            return self.staleness_guard.adjusted_used(link, used)
-        return used
+        return self.staleness_guard.adjusted_used(link, used)
 
     def _server_load(self, node_uid: str) -> float:
         """Stream-slot occupancy of a node's server, in [0, 1].

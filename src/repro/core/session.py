@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # runtime coupling stays duck-typed (tests pass fakes)
 
 from repro.client.requests import VideoRequest
 from repro.core.vra import VraDecision
-from repro.errors import ReproError, RoutingError, SchedulingError
+from repro.errors import ReproError, RoutingError
 from repro.network.flows import FlowManager
 from repro.server.video_server import VideoServer
 from repro.sim.engine import EventHandle, Simulator
@@ -188,7 +188,10 @@ class _Transfer(Park):
     preempted — resumes the session in the same event.  So a step costs no
     generator wake-up, and the events are those the session would have
     scheduled itself, one ``delay:<process>`` a step, all on one handle
-    that each step re-arms until a cut (:meth:`settle`) lets it go.
+    that each step re-arms until a cut (:meth:`settle`) lets it go.  A
+    :class:`~repro.errors.ReproError` in a step (a path that crosses a
+    link twice, a NaN step) is raised in the session at its ``yield``, so
+    that session fails and the run goes on.
 
     Attributes:
         server_uid, title_id, links: What the failover supervisor indexes
@@ -279,40 +282,41 @@ class _Transfer(Park):
         # session crawls at the floor rate without a reservation.
         rate = self._target_mbps
         links = self.links
-        if links:
-            bottleneck = _INF
-            for link in links:
-                free = link.free_mbps
-                if free < bottleneck:
-                    bottleneck = free
-            if rate > bottleneck:
-                rate = bottleneck
-            if rate < MIN_TRANSFER_MBPS:
-                rate = MIN_TRANSFER_MBPS
-            # FlowManager.reserve's own refusal test (nothing runs between
-            # the measurement and the reservation, so it is exact): asking
-            # anyway would build and discard a LinkCapacityError per step.
-            if rate > bottleneck + 1e-9:
-                rate = MIN_TRANSFER_MBPS
-            else:
-                self._flow = self._flows.reserve(self._path, rate)
-        if rate < self.min_rate:
-            self.min_rate = rate
-        step = self.remaining * 8.0 / rate
-        if step > self._quantum:
-            step = self._quantum
-        self._rate = rate
-        self._step = step
-        sim = self._sim
-        self._started = sim.now
         try:
+            if links:
+                bottleneck = _INF
+                for link in links:
+                    free = link.free_mbps
+                    if free < bottleneck:
+                        bottleneck = free
+                if rate > bottleneck:
+                    rate = bottleneck
+                if rate < MIN_TRANSFER_MBPS:
+                    rate = MIN_TRANSFER_MBPS
+                # FlowManager.reserve's own refusal test (nothing runs
+                # between the measurement and the reservation, so it is
+                # exact): asking anyway would build and discard a
+                # LinkCapacityError per step.
+                if rate > bottleneck + 1e-9:
+                    rate = MIN_TRANSFER_MBPS
+                else:
+                    self._flow = self._flows.reserve(self._path, rate)
+            if rate < self.min_rate:
+                self.min_rate = rate
+            step = self.remaining * 8.0 / rate
+            if step > self._quantum:
+                step = self._quantum
+            self._rate = rate
+            self._step = step
+            sim = self._sim
+            self._started = sim.now
             if cut:  # the first step, or the first after a poke
                 self._handle = sim.schedule(step, self._tick, name=process._delay_name)
             else:  # called by the handle that just fired
                 sim.rearm(self._handle, step)
             process._pending_handle = self._handle
-        except SchedulingError as exc:  # NaN or negative step
-            process._fail(exc)
+        except ReproError as exc:  # a bad path, or a NaN or negative step
+            process._resume(exc, True)
 
 
 class StreamingSession:

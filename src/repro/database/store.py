@@ -258,8 +258,7 @@ class ServiceDatabase:
 
     def touch_links(self, link_names: Iterable[str]) -> None:
         """Mark links whose *routing-visible* weight changed without a
-        new SNMP sample (staleness-guard inflation toggles, link-breaker
-        trips and resets).
+        new SNMP sample (staleness-guard inflation toggles).
 
         The entries themselves are untouched — the adjustment lives in
         the service's weight provider — but the epoch counter bumps, so

@@ -317,7 +317,7 @@ def render_placement_comparison(comparison: PlacementComparison) -> str:
     ]
     lines = [
         render_table(
-            headers, rows, title="Placement-policy comparison (GRNET, X5)"
+            headers, rows, title="Placement-policy comparison (GRNET, X11)"
         )
     ]
     if comparison.deterministic is not None:

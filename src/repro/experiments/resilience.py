@@ -65,8 +65,6 @@ class ResilienceReport:
         preemptions: Transfer segments interrupted by a path fault.
         p95_stall_s: 95th-percentile total playback stall over completed
             sessions (s) — the chaos CLI's ``--max-p95-stall-s`` gate.
-        breaker_trips: Open transitions by breaker kind (server/link).
-        breaker_resets: Closed transitions by breaker kind.
         stale_transitions: Staleness-guard refreshes that changed the
             stale set.
     """
@@ -94,8 +92,6 @@ class ResilienceReport:
     failover_failed_sessions: int = 0
     preemptions: int = 0
     p95_stall_s: float = 0.0
-    breaker_trips: Dict[str, int] = field(default_factory=dict)
-    breaker_resets: Dict[str, int] = field(default_factory=dict)
     stale_transitions: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -135,7 +131,7 @@ def run_resilience_experiment(
     with the rates given, targeting every link and server of the
     topology.  Sessions run with retry/backoff enabled (unless a custom
     ``config`` says otherwise), so mid-stream source loss is survivable.
-    Every resilience setting (retry, failover, breakers, staleness) is a
+    Every resilience setting (retry, failover, staleness) is a
     ``config`` field.
 
     Args:
@@ -224,7 +220,6 @@ def _build_report(
     supervisor = service.supervisor
     stalls = supervisor.stall_log if supervisor is not None else []
     completed_stalls = [r.stall_s for r in completed]
-    breakers = service.breakers
     guard = service.staleness_guard
     return ResilienceReport(
         name="resilience",
@@ -254,8 +249,6 @@ def _build_report(
         p95_stall_s=(
             percentile(completed_stalls, 95.0) if completed_stalls else 0.0
         ),
-        breaker_trips=dict(breakers.opened_by_kind) if breakers is not None else {},
-        breaker_resets=dict(breakers.closed_by_kind) if breakers is not None else {},
         stale_transitions=guard.transition_count if guard is not None else 0,
     )
 
@@ -291,15 +284,6 @@ def render_resilience_report(report: ResilienceReport) -> str:
             f"  stall         {report.failover_stall_s_total:8.1f} s total   "
             f"p95 {report.failover_stall_s_p95:8.1f} s per failover   "
             f"({report.preemptions} preemption(s))"
-        )
-    if report.breaker_trips:
-        trips = sum(report.breaker_trips.values())
-        resets = sum(report.breaker_resets.values())
-        lines.append(
-            f"breakers      {trips:6d} tripped     {resets:6d} closed      "
-            + "  ".join(
-                f"{kind}:{count}" for kind, count in sorted(report.breaker_trips.items())
-            )
         )
     if report.stale_transitions:
         lines.append(

@@ -47,9 +47,8 @@ class Topology:
         self.clock, self.traffic_clock = InputClock(), InputClock()
         #: Optional listener fired (after versioning) whenever a link's
         #: online state flips, with the link.  The service wires
-        #: its resilience layer here — session supervisor preemption and
-        #: link circuit breakers — so fault events reach them in the same
-        #: event that flipped the link.
+        #: its session supervisor here, so a fault preempts the sessions
+        #: on the link in the same event that flipped it.
         self.on_state_change: Optional[Callable[[Link], None]] = None
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Reactive resilience: session failover, circuit breakers, staleness guard.
+"""Reactive resilience: session failover and the staleness guard.
 
 The package turns fault *events* into session *recoveries*:
 
@@ -6,10 +6,6 @@ The package turns fault *events* into session *recoveries*:
   streaming sessions by serving server and by the links of their current
   delivery path, preempts them the moment a fault hits one of those
   resources, and migrates the stream to a surviving holder;
-* :class:`~repro.resilience.breaker.BreakerBoard` keeps one
-  :class:`~repro.resilience.breaker.CircuitBreaker` per server and per
-  link so flapping resources are held out of VRA polls and LVN weights
-  until a cooldown probe proves them healthy again;
 * :class:`~repro.resilience.staleness.StalenessGuard` inflates the LVN
   weights of links whose SNMP sample is older than ``max_stats_age_s``
   (blackouts included) and marks the resulting decisions ``degraded``.
@@ -20,22 +16,10 @@ seeded chaos runs replay bit-for-bit; with the corresponding
 of these objects is even constructed and legacy runs stay byte-identical.
 """
 
-from repro.resilience.breaker import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerBoard,
-    CircuitBreaker,
-)
 from repro.resilience.staleness import StalenessGuard
 from repro.resilience.supervisor import SessionSupervisor
 
 __all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "BreakerBoard",
-    "CircuitBreaker",
     "SessionSupervisor",
     "StalenessGuard",
 ]

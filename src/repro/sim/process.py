@@ -7,8 +7,9 @@ A :class:`Process` wraps a generator that yields either
   streaming session's transfer ticks on the engine by itself and resumes
   the generator when its segment is over.
 
-Anything else (a bare number included) ends the process with a
-:class:`~repro.errors.SimulationError`.
+Anything else (a bare number included), or a bad delay, raises a
+:class:`~repro.errors.SimulationError` in the generator at its ``yield``;
+uncaught, it ends the process and not the event loop.
 
 This is the idiom used by long-lived actors in the simulation, e.g. a
 streaming session that alternates "download cluster" / "re-run VRA" steps.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, NamedTuple, Optional
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
 
@@ -40,8 +41,9 @@ class Park:
     object that waits on engine events of its own keeps the pending one in
     ``process._pending_handle`` (and names it ``process._delay_name``), so
     :meth:`Process.interrupt` and :meth:`Process.poke` cancel it exactly as
-    they cancel a :class:`Delay`; a :class:`~repro.errors.SchedulingError`
-    from a later event of its own goes to ``process._fail``.
+    they cancel a :class:`Delay`.  An error in one of its own events is
+    raised in the generator, at the ``yield``, by
+    ``process._resume(error, True)``: the generator may handle it.
     """
 
     __slots__ = ()
@@ -127,12 +129,17 @@ class Process:
         return True
 
     # ------------------------------------------------------------------ #
-    def _resume(self, payload: Any) -> None:
+    def _resume(self, payload: Any, throw: bool = False) -> None:
+        """Run the generator to its next yield: send it ``payload``, or
+        with ``throw`` raise ``payload`` at the yield it sleeps on."""
         if self._finished:
             return
         self._pending_handle = None
         try:
-            yielded = self._generator.send(payload)
+            if throw:
+                yielded = self._generator.throw(payload)
+            else:
+                yielded = self._generator.send(payload)
         except StopIteration as stop:
             self.result = stop.value
             self._finish()
@@ -149,22 +156,18 @@ class Process:
                 yielded._park(self)
                 return
             if not isinstance(yielded, Delay):
-                self._fail(SimulationError(
+                raise SimulationError(
                     f"process {self.name} yielded unsupported value {yielded!r}; "
                     "yield a Delay or a Park"
-                ))
-                return
+                )
             self._pending_handle = self._sim.schedule(
                 yielded.duration, self._resume, None, name=self._delay_name
             )
-        except SchedulingError as exc:  # negative or non-finite delay
-            self._fail(exc)
-
-    def _fail(self, error: BaseException) -> None:
-        """A bad yield value ends this process, not the event loop."""
-        self.error = error
-        self._generator.close()
-        self._finish()
+        except SimulationError as exc:
+            # A bad yield (a negative or non-finite delay, or neither a
+            # Delay nor a Park) is raised in the generator at the yield;
+            # uncaught, it ends this process, not the event loop.
+            self._resume(exc, True)
 
     def _finish(self) -> None:
         self._finished = True

@@ -34,9 +34,7 @@ def movie(title_id="m1", size_mb=400.0, duration_s=3600.0):
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "name", ["admission_queue_capacity", "retry_attempts", "breaker_threshold"]
-    )
+    @pytest.mark.parametrize("name", ["admission_queue_capacity", "retry_attempts"])
     def test_negative_count_is_rejected_not_read_as_off(self, name):
         with pytest.raises(ServiceError, match=f"{name} must be >= 0"):
             ServiceConfig(**{name: -1})

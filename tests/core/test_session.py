@@ -200,6 +200,59 @@ class TestDegradation:
         assert flows.active_count == 0  # nothing leaked
 
 
+class _LeaseCounter:
+    """A server stand-in that counts the stream leases it has out."""
+
+    def __init__(self):
+        self.out = 0
+
+    def begin_serving(self, title_id):
+        self.out += 1
+        return title_id
+
+    def end_serving(self, lease):
+        self.out -= 1
+
+
+class TestStepErrors:
+    """An error in a transfer step fails that session, not the run."""
+
+    def test_a_path_crossing_a_link_twice_fails_its_session_only(self, line):
+        # FlowManager.reserve refuses the path in the first step.
+        sim = Simulator()
+        flows = FlowManager(line)
+        video = VideoTitle("v", size_mb=100.0, duration_s=800.0)
+        servers = {"B": _LeaseCounter(), "C": _LeaseCounter()}
+        finished = []
+
+        class Finish(SessionObserver):
+            def finish(self, record):
+                finished.append(record.request.client_id)
+
+        def start(client_id, nodes):
+            request = VideoRequest(
+                client_id=client_id, home_uid="A", title_id="v", submitted_at=0.0
+            )
+            session = StreamingSession(
+                sim=sim, request=request, video=video, cluster_mb=25.0,
+                decide=lambda: make_decision(nodes), flows=flows,
+                servers=servers, observer=Finish(),
+            )
+            return session.record, Process(sim, session.run(), name=client_id)
+
+        bad, bad_process = start("bad", ["A", "B", "A", "B"])
+        good, _ = start("good", ["A", "B", "C"])
+        sim.run()  # must not raise
+        assert bad.request.status is RequestStatus.FAILED
+        assert "crosses a link twice" in bad.request.failure_reason
+        assert bad_process.finished and bad_process.error is None
+        assert good.completed
+        assert sorted(finished) == ["bad", "good"]
+        assert flows.active_count == 0
+        assert all(link.reserved_mbps == 0.0 for link in line.links())
+        assert [server.out for server in servers.values()] == [0, 0]
+
+
 class TestPoke:
     def run_once(self, line, poke_at=None):
         sim = Simulator()

@@ -5,8 +5,10 @@ performance machinery: with the memo on, every session record must stay
 byte-identical to a reference-path run (``compiled_routing=False``: no
 memo at all) of the same interleaving of requests,
 link flaps, server crashes, traffic shifts and SNMP blackouts — under
-any combination of the resilience knobs, whose breaker and staleness
-transitions the memo's token has to cover; with the queue on but
+any combination of the resilience knobs.  Two ops move the memo's token
+with no session running: a ``crash`` step (a server crash or recovery
+bumps the availability version) and a ``blackout`` step followed by
+time (the staleness guard's flip calls ``touch_links``); with the queue on but
 under-loaded (drain quota never exhausted) the front-end must fall
 through to the exact legacy admission path; and an over-loaded queue
 must shed *deterministically* — the same arrival sequence sheds the
@@ -44,8 +46,8 @@ def build_service(**overrides):
         }
     )
     service = VoDService(Simulator(), topology, config)
-    # Two holders each, so a server breaker's holder filter has a choice
-    # to change (it never filters down to nothing).
+    # Two holders each, so a crash or recovery of one changes which
+    # holder a decision picks, not whether there is one.
     for uid in ("U4", "U5"):
         service.seed_title(uid, VideoTitle("m1", size_mb=300.0, duration_s=1_800.0))
     for uid in ("U2", "U6"):
@@ -192,14 +194,15 @@ steps = st.lists(
 )
 
 
-#: Every knob whose transitions (breaker trips and probes, staleness
-#: flips, failover re-decisions, retries, fractional holders) have to move
-#: the memo's token.  The staleness guard needs the reported-stats arm.
+#: Every knob whose transitions (staleness flips, failover re-decisions,
+#: retries, fractional holders) have to move the memo's token.  The
+#: staleness guard needs the reported-stats arm.  ``steps`` keeps both
+#: session-free token movers in the mix: ``crash`` (availability version)
+#: and ``blackout`` (staleness flips, so ``touch_links``).
 knobs = st.fixed_dictionaries(
     {
         "use_reported_stats": st.booleans(),
         "session_failover": st.booleans(),
-        "breaker_threshold": st.sampled_from([0, 1, 2]),
         "max_stats_age_s": st.sampled_from([None, 400.0]),
         "retry_attempts": st.sampled_from([0, 2]),
         "placement": st.sampled_from([PlacementConfig(), PlacementConfig(kind="partial")]),
@@ -210,7 +213,6 @@ knobs = st.fixed_dictionaries(
 QUIET = {
     "use_reported_stats": False,
     "session_failover": False,
-    "breaker_threshold": 0,
     "max_stats_age_s": None,
     "retry_attempts": 0,
     "placement": PlacementConfig(),
@@ -219,15 +221,17 @@ QUIET = {
 
 @given(steps, knobs)
 @example(
-    # A server breaker half-opens on its cooldown timer: U5 is let back
-    # into the holder set with nothing else in the network moving.
+    # A holder crashes and recovers with nothing else in the network
+    # moving: each flip bumps the availability version, so each probe
+    # after one must re-decide rather than replay.
     interleaving=[
-        (0.0, ("crash", 4)),
+        (0.0, ("probe", 0, 0)),
         (0.0, ("crash", 4)),
         (0.0, ("probe", 0, 0)),
-        (400.0, ("probe", 0, 0)),
+        (400.0, ("crash", 4)),
+        (0.0, ("probe", 0, 0)),
     ],
-    config={**QUIET, "breaker_threshold": 1},
+    config=QUIET,
 )
 @example(
     # Links age out during a blackout: the guard's periodic check flips

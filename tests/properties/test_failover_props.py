@@ -74,7 +74,6 @@ def test_no_session_fails_while_an_online_holder_existed(seed, crash, flap):
 def test_seeded_replay_is_byte_identical_with_all_knobs_on(seed):
     kwargs = dict(
         session_failover=True,
-        breaker_threshold=2,
         max_stats_age_s=300.0,
     )
     a = run_storm(seed, 4.0, 3.0, **kwargs)
@@ -82,7 +81,7 @@ def test_seeded_replay_is_byte_identical_with_all_knobs_on(seed):
     assert a.report.as_dict() == b.report.as_dict()
     assert a.injector.log == b.injector.log
     assert a.service.supervisor.stall_log == b.service.supervisor.stall_log
-    assert a.service.breakers.log == b.service.breakers.log
+    assert a.service.supervisor.failed_log == b.service.supervisor.failed_log
     assert session_fingerprint(a.service) == session_fingerprint(b.service)
 
 
@@ -97,7 +96,6 @@ def test_knobs_off_runs_match_explicit_default_knobs(seed):
         4.0,
         3.0,
         session_failover=False,
-        breaker_threshold=0,
         max_stats_age_s=None,
     )
     assert a.report.as_dict() == b.report.as_dict()

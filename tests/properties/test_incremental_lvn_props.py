@@ -162,11 +162,10 @@ def test_dirty_link_disconnecting_cached_tree_source():
 # the cached table, at the service level
 # --------------------------------------------------------------------------- #
 #: One service-level op: traffic churn, an online flip, an SNMP sample for one
-#: link, a link-breaker trip, clock ageing (staleness toggles; breaker
-#: cooldowns run out) or runtime expansion.
+#: link, clock ageing (staleness toggles) or runtime expansion.
 service_ops = st.lists(
     st.tuples(
-        st.sampled_from(["traffic", "toggle", "report", "trip", "age", "expand"]),
+        st.sampled_from(["traffic", "toggle", "report", "age", "expand"]),
         st.sampled_from(LINK_NAMES),
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
@@ -192,9 +191,6 @@ def apply_service_ops(service, ops):
                     timestamp=sim.now,
                 ),
             )
-        elif kind == "trip":
-            for _ in range(service.config.breaker_threshold):
-                service.breakers.link_failure(name)
         elif kind == "age":
             sim.run(until=sim.now + 600.0 * u)
             service.staleness_guard.refresh()
@@ -215,10 +211,7 @@ def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches):
     service = VoDService(
         Simulator(),
         build_grnet_topology(),
-        ServiceConfig(
-            breaker_threshold=2,
-            max_stats_age_s=90.0,
-        ),
+        ServiceConfig(max_stats_age_s=90.0),
     )
     topology, vra = service.topology, service.vra
 

@@ -128,5 +128,4 @@ class TestServiceWiring:
     def test_guard_absent_by_default(self):
         service = make_service()
         assert service.staleness_guard is None
-        assert service.breakers is None
         assert service.supervisor is None

@@ -6,6 +6,8 @@ from repro.client.requests import RequestStatus
 from repro.core.service import ServiceConfig, VoDService
 from repro.faults import DiskFailure, FaultInjector, FaultSchedule
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
+from repro.network.link import Link
+from repro.network.node import Node
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 
@@ -52,6 +54,27 @@ class TestMidStreamFailover:
         assert all(stall >= 0.0 for stall in service.supervisor.stall_log)
         assert service.flows.active_count == 0  # no leaked reservations
         assert service.supervisor.tracked_count == 0
+
+    def test_a_server_added_at_runtime_is_supervised_too(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.start()
+        # Kalamata joins next to Patra with a copy: the nearest holder.
+        service.add_server(
+            Node("U7", name="Kalamata"),
+            [Link("U7", "U2", capacity_mbps=10.0, name="Kalamata-Patra")],
+        )
+        service.seed_title("U7", feature())
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        sim.schedule(600.0, lambda: setattr(service.servers["U7"], "online", False))
+        sim.run(until=sim.now + 3 * 3600.0)
+
+        # Its crash reached the supervisor: the segment was preempted
+        # mid-cluster and the stream moved to the other holder.
+        assert request.status is RequestStatus.COMPLETED
+        assert service.supervisor.preemption_count >= 1
+        assert session.record.servers_used == ["U7", "U4"]
 
     def test_sole_crashed_holder_is_ridden_out_with_backoff(self):
         service = make_service()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.client.requests import VideoRequest
+from repro.client.requests import RequestStatus, VideoRequest
 from repro.core.session import StreamingSession
 from repro.core.vra import VraDecision
 from repro.errors import SchedulingError, SimulationError
@@ -186,7 +186,7 @@ class Countdown(Park):
                 self.gap, self._tick, name=process._delay_name
             )
         except SchedulingError as exc:
-            process._fail(exc)
+            process._resume(exc, True)
 
     def _tick(self):
         self.ticks += 1
@@ -341,14 +341,16 @@ class TestParkedTransfer:
     @pytest.mark.parametrize("read_mbps", [float("nan"), -5.0])
     def test_bad_step_fails_that_session_only_and_releases(self, sim, line, read_mbps):
         # A home-server serve at a NaN / negative disk rate: the first
-        # step's delay is one the engine refuses.
+        # step's delay is one the engine refuses.  The error is raised in
+        # the session, which fails its request and ends normally.
         bad, bad_session, _, bad_servers = self.start(
             sim, line, nodes=("A",), local_read_mbps=read_mbps
         )
         good, good_session, flows, servers = self.start(sim, line)
         sim.run()
-        with pytest.raises(SchedulingError):
-            bad.check()
+        assert bad.check() is bad_session.record
+        assert bad_session.record.request.status is RequestStatus.FAILED
+        assert "non-negative and finite" in bad_session.record.request.failure_reason
         assert bad_servers["A"].active_streams == 0
         assert bad_session.record.clusters == []
         assert good.check() is good_session.record and good_session.record.completed

@@ -285,6 +285,13 @@ class TestChaos:
         with pytest.raises(SystemExit):
             main(["chaos", "--link-flap-rate", "often"])
 
+    def test_breaker_threshold_is_gone(self, capsys):
+        # The circuit breakers were deleted: the option is unknown.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--breaker-threshold", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --breaker-threshold 2" in capsys.readouterr().err
+
 
 class TestObs:
     FAST = ["obs", "--requests-per-node", "2", "--catalog-size", "3",
@@ -400,7 +407,7 @@ class TestBadValues:
             (["simulate", "--switching", "period:x"], "switching period must be an integer"),
             # A negative count would silently turn its layer off.
             (["chaos", "--retry-attempts", "-1"], "retry_attempts must be >= 0"),
-            (["chaos", "--breaker-threshold", "-1"], "breaker_threshold must be >= 0"),
+            (["chaos", "--max-stats-age", "0"], "max_stats_age_s must be positive"),
             (["simulate", "--admission-queue-capacity", "-3"],
              "admission_queue_capacity must be >= 0"),
         ],
