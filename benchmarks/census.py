@@ -151,7 +151,8 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "database/store.py::ServiceDatabase.server_title_ids",
       "database/store.py::ServiceDatabase.server_uids",
       "database/store.py::ServiceDatabase.link_entries",
-      "database/store.py::ServiceDatabase.update_server_config"],
+      "database/store.py::ServiceDatabase.update_server_config",
+      "database/store.py::ServiceDatabase.servers_with_title"],
      ["tests/conformance/test_paper_interface.py::TestDatabaseModules::"
       "test_users_browse_and_search_the_catalogue",
       "tests/conformance/test_paper_interface.py::TestDatabaseModules::"
@@ -203,6 +204,12 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["core/vra.py::VraDecision.download_route",
       "network/routing/paths.py::Path.reversed"],
      ["tests/core/test_vra.py::TestRemoteSelection::test_download_route_reverses_path"]),
+    ("paper", "a baseline's decision keeps the VraDecision audit contract (the "
+     "candidate list with each one's path, DESIGN.md 5b.12): its min-hop paths; "
+     "no user path reads a baseline's audit",
+     ["baselines/selection.py::_hop_audit"],
+     ["tests/baselines/test_selection.py::TestFullTreeConsumer::"
+      "test_candidate_paths_span_every_reachable_node"]),
     # -- fault: error, validation and fault handlers
     ("fault", "builds the SchedulingError of a bad delay or event time",
      ["sim/engine.py::_bad_delay", "sim/engine.py::Simulator._bad_time"],
@@ -250,6 +257,13 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
     ("reference", "the Zipf probabilities the sampler's frequencies are tested against",
      ["workload/zipf.py::ZipfSampler.probability_of_rank"],
      ["tests/workload/test_zipf.py::TestZipfSampler::test_empirical_matches_theoretical"]),
+    ("reference", "a decision record's value equality (every field but its audit): "
+     "the memo-on/memo-off and one-reporter/both-ends properties compare "
+     "decisions with it; no user path compares two",
+     ["core/vra.py::VraDecision.__eq__", "core/vra.py::VraDecision.__ne__"],
+     ["tests/properties/test_decision_memo_props.py::"
+      "test_decision_memo_invisible_in_session_records",
+      "tests/core/test_vra.py::TestDecisionRecord::test_equality_ignores_the_audit"]),
     ("reference", "the full search a compiled prefix search must agree with "
      "(DESIGN.md 5b.12), and the path helpers the routing tests compare",
      ["core/vra.py::VraDecision.dijkstra_result",
@@ -385,6 +399,13 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_bad_step_fails_that_session_only_and_releases",
       "tests/sim/test_process.py::TestProcessBasics::"
       "test_unsupported_yield_value_errors_process"]),
+    ("fault", "an unchanged token keeps every table, search and decision: a clock "
+     "tick that moved no token input (extra ticks are safe, DESIGN.md 5b.14) and "
+     "a memo without a clock, which reads its token on every lookup",
+     ["network/routing/cache.py::RoutingCache.sync::if token == self.token"],
+     ["tests/network/test_routing_cache.py::TestRoutingCache::test_weights_hit_within_epoch",
+      "tests/core/test_vra.py::TestGoalDirectedSearch::"
+      "test_second_title_beyond_the_cached_prefix_is_researched"]),
     ("fault", "a policy swap keeps the memo from replaying a stale decision: "
      "re-installing the built-in VRA re-reads the token",
      ["core/service.py::VoDService.vra::if self._memo is not None"],

@@ -21,7 +21,7 @@ picked:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.vra import PollFn, VraDecision
 from repro.errors import RoutingError, TitleUnavailableError
@@ -92,8 +92,15 @@ class _BaselineSelection:
             chosen_uid=chosen,
             served_locally=False,
             path=paths[chosen],
-            audit_of=lambda _weights: (dict(paths), None),
+            audit_of=(_hop_audit, paths),
         )
+
+
+def _hop_audit(
+    _decision: VraDecision, paths: Dict[str, Path]
+) -> Tuple[Dict[str, Path], None]:
+    """A baseline decision's audit: the hop paths it chose from, no tree."""
+    return dict(paths), None
 
 
 class RandomSelection(_BaselineSelection):

@@ -22,7 +22,7 @@ link bandwidths and per-server title lists) maps to the constructor plus
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.client.client import Client
@@ -824,7 +824,7 @@ class VoDService:
                 memo.current()
             decision = memo.decisions.get((home_uid, title_id))
             if decision is not None:
-                memo.decision_stats.hits += 1
+                memo.decision_hits += 1
                 if self._replays_watched:  # instruments read as if the VRA ran
                     if self._obs_enabled:
                         self._m_decision_hits.inc()
@@ -832,12 +832,12 @@ class VoDService:
                     if self.tracer.enabled:
                         self._trace_decision(home_uid, title_id, decision)
                 return decision
-            memo.decision_stats.misses += 1
+            memo.decision_misses += 1
             self._m_decision_misses.inc()
         # Full holders only: a server advertising a prefix fraction
         # cannot source a whole remote stream, so the VRA prefers
         # full holders by construction.
-        holders = self.database.servers_with_title(title_id, min_fraction=1.0)
+        holders = self.database.full_holders(title_id)
         decision = self._vra.decide(
             home_uid,
             title_id,
@@ -852,7 +852,7 @@ class VoDService:
             # Stamped outside the VRA; the memo stores the marked one
             # (safe: every stale-set flip bumps the link-stats version,
             # which moves the token).
-            decision = replace(decision, degraded=True)
+            decision = decision.marked_degraded()
         if memo is not None:
             # Errors never get here, so they are never stored.
             memo.decisions[(home_uid, title_id)] = decision

@@ -521,8 +521,10 @@ class StreamingSession:
           and ``retry_wait_s``; a source found here marks the session
           ``recovered``;
         * the failover stall, under a supervisor only: a boundary whose
-          budget is spent re-decides at once, and a segment the
-          supervisor preempted (``preempted`` is its reason) starts here.
+          budget is spent goes on from its last failure (no event can run
+          between, so deciding again at the same instant could not
+          differ), and a segment the supervisor preempted (``preempted``
+          is its reason) starts here.
           A failure waits :data:`FAILOVER_WAIT_S` while a full holder of
           the title is registered somewhere; when none remains, the
           supervisor logs the verdict and the session fails.  The
@@ -551,17 +553,17 @@ class StreamingSession:
                     wait = min(wait * 2.0, RETRY_MAX_WAIT_S)
                 elif control is None:
                     raise
-                elif reason is None:
-                    reason = "boundary"
-                    stall_started = self._sim.now
-                elif control.holder_exists(self._video.title_id):
-                    yield Delay(FAILOVER_WAIT_S)
                 else:
-                    control.note_failed(self._video.title_id, reason)
-                    raise ReproError(
-                        f"failover ({reason}): no full holder of title "
-                        f"{self._video.title_id!r} remains: {exc}"
-                    ) from exc
+                    if reason is None:  # a boundary whose retry budget is spent
+                        reason = "boundary"
+                        stall_started = self._sim.now
+                    if not control.holder_exists(self._video.title_id):
+                        control.note_failed(self._video.title_id, reason)
+                        raise ReproError(
+                            f"failover ({reason}): no full holder of title "
+                            f"{self._video.title_id!r} remains: {exc}"
+                        ) from exc
+                    yield Delay(FAILOVER_WAIT_S)
                 continue
             if reason is not None:
                 stall = self._sim.now - stall_started

@@ -21,9 +21,10 @@ searches no further than that and completes the trail on first read
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.lvn import (
     DEFAULT_NORMALIZATION_CONSTANT,
@@ -54,13 +55,33 @@ PollFn = Callable[[str], bool]
 #: LVN equations or Dijkstra (for a service: of a decision) could have.
 EpochFn = Callable[[], Hashable]
 
-#: ``weights -> (candidate_paths, dijkstra_result)`` of one decision.
-AuditFn = Callable[[Dict[str, float]], Tuple[Dict[str, Path], Optional[DijkstraResult]]]
+#: ``(derive, *inputs)`` of one decision's audit: ``derive(decision,
+#: *inputs)`` gives ``(candidate_paths, dijkstra_result)``.  A plain tuple,
+#: so a routed miss allocates no closure for it.
+AuditOf = Tuple[Callable[..., Tuple[Dict[str, Path], Optional[DijkstraResult]]], ...]
+
+#: The weight table of a decision that routed nothing (read-only, shared).
+_NO_WEIGHTS: Dict[str, float] = {}
 
 
-@dataclass(frozen=True)
-class VraDecision:
-    """The outcome of one VRA run.
+class _DecisionFields(NamedTuple):
+    title_id: str
+    home_uid: str
+    chosen_uid: str
+    served_locally: bool
+    path: Path
+    weights: Dict[str, float] = _NO_WEIGHTS
+    polled_out: Sequence[str] = ()
+    candidate_count: int = 0
+    degraded: bool = False
+    audit_of: Optional[AuditOf] = None
+
+
+class VraDecision(_DecisionFields):
+    """The outcome of one VRA run: one immutable, unhashable record.
+
+    Built positionally on the VRA's hot paths (keywords work too).  Equal
+    records agree on every field but ``audit_of``.
 
     Attributes:
         title_id: The requested title.
@@ -80,28 +101,35 @@ class VraDecision:
         degraded: True when the decision was taken while the staleness
             guard had age-expired link stats inflated — the routing ran
             on conservative, not measured, weights.  Stamped by the
-            service layer (``dataclasses.replace``), never by the VRA.
-        audit_of: Derives ``candidate_paths`` and ``dijkstra_result`` from
-            ``weights`` on first read (None: no candidates, no tree).  A
-            copy made by ``dataclasses.replace`` derives them afresh from
-            *its* ``weights``; read them while the decision is current —
+            service layer (:meth:`marked_degraded`), never by the VRA.
+        audit_of: ``(derive, *inputs)``: ``derive(decision, *inputs)``
+            gives ``candidate_paths`` and ``dijkstra_result`` on first
+            read, from the decision's own ``home_uid`` and ``weights``
+            (None: no candidates, no tree).  A copy derives them afresh
+            from *its* fields; read them while the decision is current —
             the derivation sees the topology's online state at read time.
     """
 
-    title_id: str
-    home_uid: str
-    chosen_uid: str
-    served_locally: bool
-    path: Path
-    weights: Dict[str, float] = field(default_factory=dict)
-    polled_out: Sequence[str] = ()
-    candidate_count: int = 0
-    degraded: bool = False
-    audit_of: Optional[AuditFn] = field(default=None, repr=False, compare=False)
+    # A decision holds a dict (its weights), so it is not hashable.
+    __hash__ = None  # type: ignore[assignment]
+
+    # Only another decision can be equal: a plain tuple of the same
+    # fields is not (tuple's own comparison would say it is).
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def marked_degraded(self) -> "VraDecision":
+        """This decision stamped ``degraded`` (the staleness guard's
+        mark); the copy derives its audit afresh from its own weights."""
+        return self._replace(degraded=True)
 
     @cached_property
     def _audit(self) -> Tuple[Dict[str, Path], Optional[DijkstraResult]]:
-        return ({}, None) if self.audit_of is None else self.audit_of(self.weights)
+        audit_of = self.audit_of
+        return ({}, None) if audit_of is None else audit_of[0](self, *audit_of[1:])
 
     @property
     def candidate_paths(self) -> Dict[str, Path]:
@@ -172,6 +200,10 @@ class VirtualRoutingAlgorithm:
             RoutingCache(epoch_of, routing_width) if epoch_of is not None else None
         )
         self._runs = 0
+        #: One 1-node, cost-0 path per home: every local serve shares it.
+        self._local_paths: Dict[str, Path] = {}
+        #: Bound once: a routed decision's ``audit_of`` names it.
+        self._derive_audit = self._audit
         # Instruments resolve once here; a disabled registry hands back
         # shared no-ops, so the decide() hot path pays one call per event.
         registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
@@ -192,7 +224,7 @@ class VirtualRoutingAlgorithm:
     @property
     def decision_count(self) -> int:
         """Decisions answered: VRA runs plus replays of its memo."""
-        return self._runs + (self.cache.decision_stats.hits if self.cache else 0)
+        return self._runs + (self.cache.decision_hits if self.cache else 0)
 
     @property
     def cache_stats(self) -> Optional[RoutingCacheStats]:
@@ -222,7 +254,8 @@ class VirtualRoutingAlgorithm:
         """Current LVN table ("Calculate the Link Validation Number for
         each network link")."""
         if self.cache is not None:
-            return self.cache.weights(self.cache.current(), self._compute_weights)
+            self.cache.current()
+            return self.cache.weights(self._compute_weights)
         return self._compute_weights()
 
     def _compute_weights(self) -> Dict[str, float]:
@@ -243,13 +276,14 @@ class VirtualRoutingAlgorithm:
         cached decisions share the table/search objects, which callers
         treat as read-only.
         """
-        if self.cache is None:
+        cache = self.cache
+        if cache is None:
             weights = self._compute_weights()
             return weights, self._run_dijkstra(home_uid, weights, targets)
-        token = self.cache.current()
-        weights = self.cache.weights(token, self._compute_weights)
-        result = self.cache.tree(
-            token, home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
+        cache.current()  # the one sync: both lookups below read under its token
+        weights = cache.weights(self._compute_weights)
+        result = cache.tree(
+            home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
         )
         return weights, result
 
@@ -261,18 +295,17 @@ class VirtualRoutingAlgorithm:
         return dijkstra(self._topology, home_uid, weight=lambda link: weights[link.name])
 
     def _audit(
-        self, home_uid: str, available: Sequence[str], search: DijkstraResult,
-        weights: Dict[str, float],
+        self, decision: VraDecision, available: Sequence[str], search: DijkstraResult
     ) -> Tuple[Dict[str, Path], DijkstraResult]:
         """A routed decision's ``(candidate_paths, dijkstra_result)``.
 
         The python path's search is the complete tree, so it is the audit.
-        A compiled search is a prefix: the audit is a full run under
-        ``weights``, the table the decision holds *now* — what a cold
-        decision would embed.
+        A compiled search is a prefix: the audit is a full run from the
+        decision's home under its ``weights``, the table the decision
+        holds *now* — what a cold decision would embed.
         """
         if self._snapshot is not None:
-            search = self._snapshot.dijkstra(home_uid, weights)
+            search = self._snapshot.dijkstra(decision.home_uid, decision.weights)
         return {uid: search.path(uid) for uid in available if search.reaches(uid)}, search
 
     def decide(
@@ -321,13 +354,10 @@ class VirtualRoutingAlgorithm:
         # the requested video THEN authorize ... QUIT".
         if home_uid in holder_list and poll_fn(home_uid):
             self._m_local_serves.inc()
-            return VraDecision(
-                title_id=title_id,
-                home_uid=home_uid,
-                chosen_uid=home_uid,
-                served_locally=True,
-                path=Path(nodes=(home_uid,), cost=0.0),
-            )
+            path = self._local_paths.get(home_uid)
+            if path is None:
+                path = self._local_paths[home_uid] = Path(nodes=(home_uid,), cost=0.0)
+            return VraDecision(title_id, home_uid, home_uid, True, path)
 
         # Single pass: each remote holder is polled exactly once and lands
         # in exactly one of the two buckets.
@@ -363,13 +393,6 @@ class VirtualRoutingAlgorithm:
             )
         chosen_uid = min(reachable)[1]
         return VraDecision(
-            title_id=title_id,
-            home_uid=home_uid,
-            chosen_uid=chosen_uid,
-            served_locally=False,
-            path=result.path(chosen_uid),
-            weights=weights,
-            polled_out=polled_out,
-            candidate_count=len(available),
-            audit_of=partial(self._audit, home_uid, available, result),
+            title_id, home_uid, chosen_uid, False, result.path(chosen_uid), weights,
+            polled_out, len(available), False, (self._derive_audit, available, result),
         )

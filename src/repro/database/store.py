@@ -32,6 +32,9 @@ class ServiceDatabase:
         #: when below 1.0 — servers registered through ``ServerEntry``
         #: title sets and plain advertisements are full holders by default.
         self._holder_fractions: Dict[Tuple[str, str], float] = {}
+        #: Sorted uids of the full holders per title (fraction 1.0), kept
+        #: by every advertise / withdraw so a decision reads, not sorts.
+        self._full_holders: Dict[str, Tuple[str, ...]] = {}
         #: Bumped with every holder-list change (advertise / withdraw).
         self._locations_version = 0
         self._link_stats_version = 0
@@ -72,6 +75,7 @@ class ServiceDatabase:
         self._servers[entry.server_uid] = entry
         for title_id in entry.title_ids:
             self._title_locations.setdefault(title_id, set()).add(entry.server_uid)
+            self._index_full_holders(title_id)
         return entry
 
     def register_link(self, entry: LinkEntry) -> LinkEntry:
@@ -140,10 +144,12 @@ class ServiceDatabase:
         Args:
             title_id: The title to look up.
             min_fraction: Keep only holders advertising at least this
-                resident fraction.  The VRA passes 1.0 so prefix holders
-                never enter the full-holder candidate list; the default
-                0.0 returns every advertisement.
+                resident fraction.  1.0 lists the full holders, the VRA's
+                candidates (:meth:`full_holders`, read from the index);
+                the default 0.0 returns every advertisement.
         """
+        if min_fraction == 1.0:
+            return list(self.full_holders(title_id))
         self.title_info(title_id)  # raise MissingEntryError on unknown title
         holders = self._title_locations.get(title_id, ())
         if min_fraction <= 0.0 or not self._holder_fractions:
@@ -154,6 +160,27 @@ class ServiceDatabase:
             if self._holder_fractions.get((title_id, uid), 1.0)
             >= min_fraction - 1e-9
         )
+
+    def full_holders(self, title_id: str) -> Tuple[str, ...]:
+        """Sorted uids of the servers holding all of a title — what
+        ``servers_with_title(title_id, min_fraction=1.0)`` lists, read from
+        the index instead of sorted per call.
+
+        Raises:
+            MissingEntryError: If the title was never registered.
+        """
+        if title_id not in self._titles:
+            raise MissingEntryError(f"unknown title {title_id!r}")
+        return self._full_holders.get(title_id, ())
+
+    def _index_full_holders(self, title_id: str) -> None:
+        """Rebuild one title's entry of the full-holder index."""
+        fractions = self._holder_fractions
+        self._full_holders[title_id] = tuple(sorted(
+            uid
+            for uid in self._title_locations.get(title_id, ())
+            if (title_id, uid) not in fractions
+        ))
 
     def add_title_to_server(
         self, server_uid: str, title_id: str, fraction: float = 1.0
@@ -175,6 +202,7 @@ class ServiceDatabase:
             self._holder_fractions.pop((title_id, server_uid), None)
         else:
             self._holder_fractions[(title_id, server_uid)] = fraction
+        self._index_full_holders(title_id)
         self._locations_version += 1
         self._clock.value += 1
 
@@ -194,6 +222,7 @@ class ServiceDatabase:
         if holders:
             holders.discard(server_uid)
         self._holder_fractions.pop((title_id, server_uid), None)
+        self._index_full_holders(title_id)
         self._locations_version += 1
         self._clock.value += 1
 

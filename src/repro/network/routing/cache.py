@@ -110,7 +110,10 @@ class RoutingCache:
     token_of: Optional[Callable[[], Hashable]] = field(default=None, repr=False)
     routing_width: Optional[int] = None
     stats: RoutingCacheStats = field(default_factory=RoutingCacheStats)
-    decision_stats: DecisionCacheStats = field(default_factory=DecisionCacheStats)
+    #: Decision replays and VRA runs; a replay is one int bump here, and
+    #: :attr:`decision_stats` reads both.
+    decision_hits: int = 0
+    decision_misses: int = 0
     #: The token everything below was computed under (None before use).
     token: Optional[Hashable] = field(default=None, repr=False)
     #: ``(home_uid, title_id) -> VraDecision`` under ``token``; filled and
@@ -122,6 +125,11 @@ class RoutingCache:
     _weights: Optional[Dict[str, float]] = field(default=None, repr=False)
     _trees: Dict[str, DijkstraResult] = field(default_factory=dict, repr=False)
 
+    @property
+    def decision_stats(self) -> DecisionCacheStats:
+        """Whole-decision replay counters, read as one value."""
+        return DecisionCacheStats(self.decision_hits, self.decision_misses)
+
     def current(self) -> Hashable:
         """The synced token, read from ``token_of`` only if the clock
         moved since the last read (always, without a clock)."""
@@ -130,11 +138,9 @@ class RoutingCache:
             self.sync(self.token_of())
         return self.token
 
-    def weights(
-        self, token: Hashable, compute: Callable[[], Dict[str, float]]
-    ) -> Dict[str, float]:
-        """The LVN table for ``token``, computing via ``compute`` on miss."""
-        self.sync(token)
+    def weights(self, compute: Callable[[], Dict[str, float]]) -> Dict[str, float]:
+        """The LVN table for the synced token, computing via ``compute`` on
+        miss (the caller syncs first: :meth:`current` or :meth:`sync`)."""
         if self._weights is None:
             self.stats.weight_misses += 1
             self._weights = compute()
@@ -144,12 +150,11 @@ class RoutingCache:
 
     def tree(
         self,
-        token: Hashable,
         source: str,
         compute: Callable[[], DijkstraResult],
         targets: Sequence[str] = (),
     ) -> DijkstraResult:
-        """The Dijkstra search from ``source`` for ``token``.
+        """The Dijkstra search from ``source`` for the synced token.
 
         ``targets`` are the nodes the caller will read (none = the whole
         tree).  A cached *prefix* answers iff one of them lies inside it:
@@ -158,7 +163,6 @@ class RoutingCache:
         under the current weights and its longer result replaces the
         entry; a prefix is never extended in place.
         """
-        self.sync(token)
         cached = self._trees.get(source)
         if cached is not None and (
             cached.complete or not cached.distances.keys().isdisjoint(targets)

@@ -177,7 +177,7 @@ class SessionSupervisor:
         logged); by then :meth:`holder_online` is necessarily False
         too, which is the invariant the property suite checks.
         """
-        return bool(self._database.servers_with_title(title_id, min_fraction=1.0))
+        return bool(self._database.full_holders(title_id))
 
     def holder_online(self, title_id: str) -> bool:
         """Does any online, servable full holder exist right now?
@@ -186,7 +186,7 @@ class SessionSupervisor:
         suite asserts no session ever failed at an instant this was
         True.
         """
-        for uid in self._database.servers_with_title(title_id, min_fraction=1.0):
+        for uid in self._database.full_holders(title_id):
             server = self._servers.get(uid)
             if server is not None and server.online and server.has_title(title_id):
                 return True

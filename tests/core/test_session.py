@@ -200,6 +200,67 @@ class TestDegradation:
         assert flows.active_count == 0  # nothing leaked
 
 
+class _HolderKeeper:
+    """A failover control whose title always keeps a full holder."""
+
+    def __init__(self):
+        self.stalls = []
+
+    def track(self, transfer):
+        pass
+
+    def untrack(self, transfer):
+        pass
+
+    def holder_exists(self, title_id):
+        return True
+
+    def note_failover(self, stall_s):
+        self.stalls.append(stall_s)
+
+    def note_failed(self, title_id, reason):  # pragma: no cover - never fails here
+        raise AssertionError("the holder never vanishes here")
+
+
+class TestSupervisedBoundary:
+    """A boundary whose retry budget is spent waits from its last failure:
+    nothing can change between two decides at one simulated instant."""
+
+    @pytest.mark.parametrize(
+        "retry_attempts, failed_at, stall_s",
+        [(0, [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0], 105.0),
+         (2, [0.0, 20.0, 60.0, 75.0, 90.0], 45.0)],
+    )
+    def test_one_decide_per_simulated_instant(
+        self, line, retry_attempts, failed_at, stall_s
+    ):
+        sim = Simulator()
+        calls = []
+
+        def decide():
+            calls.append(sim.now)
+            if sim.now < 100.0:
+                raise RoutingError("every holder is down")
+            return make_decision(["A", "B"])
+
+        control = _HolderKeeper()
+        video = VideoTitle("v", size_mb=100.0, duration_s=800.0)
+        request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0)
+        session = StreamingSession(
+            sim=sim, request=request, video=video, cluster_mb=50.0, decide=decide,
+            flows=FlowManager(line), servers={}, retry_attempts=retry_attempts,
+            failover=control,
+        )
+        Process(sim, session.run(), name="s")
+        sim.run()
+        assert calls[:-2] == failed_at
+        assert len(calls) == len(set(calls)), calls
+        assert session.record.completed
+        assert session.record.retry_count == retry_attempts
+        assert control.stalls == [stall_s]
+        assert session.record.failover_stall_s == stall_s
+
+
 class _LeaseCounter:
     """A server stand-in that counts the stream leases it has out."""
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.vra import VirtualRoutingAlgorithm
+from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.errors import RoutingError, TitleUnavailableError
+from repro.network.routing.paths import Path
 
 
 class TestLocalShortcut:
@@ -151,7 +152,7 @@ class TestGoalDirectedSearch:
         decision = vra.decide("U2", "movie", holders=["U1", "U5"])
         expected = oracle.decide("U2", "movie", holders=["U1", "U5"])
         # A hit (compute is never called): the prefix the decision read.
-        search = vra.cache.tree(vra.cache.token, "U2", None, [decision.chosen_uid])
+        search = vra.cache.tree("U2", None, [decision.chosen_uid])
         assert not search.complete and not search.reaches("U5")
         assert (decision.chosen_uid, decision.path) == (expected.chosen_uid, expected.path)
         # The audit trail is the complete tree and every candidate's path.
@@ -181,3 +182,86 @@ class TestGoalDirectedSearch:
             )
             assert decision.dijkstra_result.complete
             assert len(decision.dijkstra_result.distances) == grnet_8am.node_count
+
+
+class TestDecisionRecord:
+    """A decision is one immutable, unhashable record whose equality
+    ignores its audit and whose audit is derived from its own fields."""
+
+    def routed(self, topology):
+        vra = VirtualRoutingAlgorithm(topology, compiled=True)
+        return vra.decide("U2", "movie", holders=["U1", "U5"])
+
+    def test_assigning_a_field_raises(self, grnet_8am):
+        decision = self.routed(grnet_8am)
+        chosen = decision.chosen_uid
+        with pytest.raises(AttributeError):
+            decision.chosen_uid = "U9"
+        with pytest.raises(AttributeError):
+            decision.degraded = True
+        assert decision.chosen_uid == chosen and decision.degraded is False
+
+    def test_hash_raises_type_error(self, grnet_8am):
+        decision = self.routed(grnet_8am)
+        with pytest.raises(TypeError):
+            hash(decision)
+        with pytest.raises(TypeError):
+            {decision}
+
+    def test_equality_ignores_the_audit(self, grnet_8am):
+        decision = self.routed(grnet_8am)
+        other = decision._replace(audit_of=None)
+        assert other == decision and not other != decision
+        assert other.candidate_paths == {} and decision.candidate_paths != {}
+        assert decision != decision._replace(candidate_count=0)
+        assert decision != tuple(decision)
+
+    def test_degraded_copy_derives_its_audit_from_its_own_weights(self):
+        seen = []
+
+        def derive(record, tag):
+            seen.append((tag, record.weights, record.degraded))
+            return {"U9": record.path}, None
+
+        path = Path(nodes=("U1", "U9"), cost=0.5)
+        weights = {"U1-U9": 0.5}
+        decision = VraDecision(
+            "t", "U1", "U9", False, path, weights, (), 1, False, (derive, "in")
+        )
+        assert decision.candidate_paths == {"U9": path}
+        assert decision.dijkstra_result is None
+        assert seen == [("in", weights, False)]  # derived once, on first read
+        stamped = decision.marked_degraded()
+        assert stamped.degraded and not decision.degraded
+        assert stamped == decision._replace(degraded=True)
+        assert stamped.candidate_paths == {"U9": path}
+        assert seen == [("in", weights, False), ("in", weights, True)]
+        assert seen[1][1] is stamped.weights
+
+    def test_positional_and_keyword_construction_agree(self, grnet_8am):
+        decision = self.routed(grnet_8am)
+        rebuilt = VraDecision(
+            title_id=decision.title_id,
+            home_uid=decision.home_uid,
+            chosen_uid=decision.chosen_uid,
+            served_locally=decision.served_locally,
+            path=decision.path,
+            weights=decision.weights,
+            polled_out=decision.polled_out,
+            candidate_count=decision.candidate_count,
+            degraded=decision.degraded,
+            audit_of=decision.audit_of,
+        )
+        assert rebuilt == decision and rebuilt == VraDecision(*decision)
+        local = VraDecision("t", "U1", "U1", True, Path(nodes=("U1",), cost=0.0))
+        assert local == VraDecision(
+            title_id="t", home_uid="U1", chosen_uid="U1", served_locally=True,
+            path=Path(nodes=("U1",), cost=0.0),
+        )
+        assert (local.weights, local.polled_out, local.candidate_count) == ({}, (), 0)
+
+    def test_local_serves_at_one_home_share_one_path(self, grnet_8am):
+        vra = VirtualRoutingAlgorithm(grnet_8am)
+        first = vra.decide("U2", "a", holders=["U2"])
+        second = vra.decide("U2", "b", holders=["U2", "U4"])
+        assert first.path is second.path and first.path.nodes == ("U2",)

@@ -170,6 +170,7 @@ class TestRoutingCachePrefixes:
         self.topology, self.weights = build(LINE)
         self.snap = TopologySnapshot(self.topology)
         self.cache = RoutingCache()
+        self.cache.sync(1)
         self.runs = []
 
     def tree(self, targets):
@@ -177,7 +178,7 @@ class TestRoutingCachePrefixes:
             self.runs.append(tuple(targets))
             return self.snap.dijkstra("S", self.weights, targets)
 
-        return self.cache.tree(1, "S", compute, targets)
+        return self.cache.tree("S", compute, targets)
 
     def test_prefix_answers_any_target_inside_it(self):
         first = self.tree(["C"])

@@ -120,8 +120,10 @@ class TestRoutingCache:
             calls.append(1)
             return {"A-B": 1.0}
 
-        first = cache.weights(("db", 1), compute)
-        second = cache.weights(("db", 1), compute)
+        cache.sync(("db", 1))
+        first = cache.weights(compute)
+        cache.sync(("db", 1))
+        second = cache.weights(compute)
         assert first is second
         assert len(calls) == 1
         assert cache.stats.weight_hits == 1
@@ -130,12 +132,14 @@ class TestRoutingCache:
     def test_epoch_change_invalidates(self):
         topology, _ = build_pair()
         cache = RoutingCache()
-        cache.weights(("db", 1), lambda: {"A-B": 1.0})
-        cache.tree(("db", 1), "A", lambda: self.tree_for(topology))
-        cache.weights(("db", 2), lambda: {"A-B": 2.0})
+        cache.sync(("db", 1))
+        cache.weights(lambda: {"A-B": 1.0})
+        cache.tree("A", lambda: self.tree_for(topology))
+        cache.sync(("db", 2))
+        cache.weights(lambda: {"A-B": 2.0})
         assert cache.stats.invalidations == 1
         # The tree cached under epoch 1 is gone.
-        cache.tree(("db", 2), "A", lambda: self.tree_for(topology))
+        cache.tree("A", lambda: self.tree_for(topology))
         assert cache.stats.tree_misses == 2
         assert cache.stats.tree_hits == 0
 

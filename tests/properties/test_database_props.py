@@ -1,12 +1,13 @@
 """Property-based tests: the database's title-location index stays
 consistent under arbitrary advertise/withdraw sequences."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database.records import ServerEntry, TitleInfo
 from repro.database.store import ServiceDatabase
-from repro.errors import MissingEntryError
+from repro.errors import DuplicateEntryError, MissingEntryError
 
 SERVERS = ["U1", "U2", "U3"]
 TITLES = ["t1", "t2", "t3", "t4"]
@@ -75,3 +76,58 @@ def test_add_remove_are_inverse(ops):
                     pass
     for uid in SERVERS:
         assert database.server_title_ids(uid) == model[uid]
+
+
+index_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(SERVERS + ["U4"]),
+            st.sampled_from(TITLES),
+            st.sampled_from([0.25, 0.5, 1.0 - 1e-10, 1.0]),
+        ),
+        st.tuples(
+            st.just("remove"), st.sampled_from(SERVERS + ["U4"]),
+            st.sampled_from(TITLES), st.just(0.0),
+        ),
+        st.tuples(
+            st.just("register"), st.just("U4"), st.sampled_from(TITLES), st.just(0.0)
+        ),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def from_scratch_full_holders(database: ServiceDatabase, title_id: str):
+    """The full-holder list recomputed from the raw location and
+    fraction stores, the way ``servers_with_title`` once sorted it."""
+    return tuple(sorted(
+        uid
+        for uid in database._title_locations.get(title_id, ())
+        if database._holder_fractions.get((title_id, uid), 1.0) >= 1.0 - 1e-9
+    ))
+
+
+@given(index_operations)
+@settings(max_examples=150, deadline=None)
+def test_full_holder_index_matches_a_from_scratch_sort(ops):
+    database = fresh_database()
+    for op, uid, title_id, fraction in ops:
+        try:
+            if op == "add":
+                database.add_title_to_server(uid, title_id, fraction)
+            elif op == "remove":
+                database.remove_title_from_server(uid, title_id)
+            else:  # a late server registering with a title it already holds
+                database.register_server(ServerEntry(uid, title_ids={title_id}))
+        except (MissingEntryError, DuplicateEntryError):
+            pass  # U4 before it registers, a withdrawn title, a re-register
+        for title in TITLES:
+            expected = from_scratch_full_holders(database, title)
+            assert database.full_holders(title) == expected, (title, ops)
+            assert database.servers_with_title(title, min_fraction=1.0) == list(expected)
+    with pytest.raises(MissingEntryError):
+        database.full_holders("no-such-title")
+    with pytest.raises(MissingEntryError):
+        database.servers_with_title("no-such-title", min_fraction=1.0)
