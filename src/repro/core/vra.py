@@ -121,6 +121,12 @@ class VraDecision(_DecisionFields):
     def __ne__(self, other: object) -> bool:
         return not self == other
 
+    # Every field but the audit inputs (a bound method, the candidates, a
+    # search tree), which stay out of the repr as they did out of equality.
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:-1]))
+        return f"{self.__class__.__name__}({fields})"
+
     def marked_degraded(self) -> "VraDecision":
         """This decision stamped ``degraded`` (the staleness guard's
         mark); the copy derives its audit afresh from its own weights."""
@@ -200,8 +206,6 @@ class VirtualRoutingAlgorithm:
             RoutingCache(epoch_of, routing_width) if epoch_of is not None else None
         )
         self._runs = 0
-        #: One 1-node, cost-0 path per home: every local serve shares it.
-        self._local_paths: Dict[str, Path] = {}
         #: Bound once: a routed decision's ``audit_of`` names it.
         self._derive_audit = self._audit
         # Instruments resolve once here; a disabled registry hands back
@@ -354,10 +358,9 @@ class VirtualRoutingAlgorithm:
         # the requested video THEN authorize ... QUIT".
         if home_uid in holder_list and poll_fn(home_uid):
             self._m_local_serves.inc()
-            path = self._local_paths.get(home_uid)
-            if path is None:
-                path = self._local_paths[home_uid] = Path(nodes=(home_uid,), cost=0.0)
-            return VraDecision(title_id, home_uid, home_uid, True, path)
+            return VraDecision(
+                title_id, home_uid, home_uid, True, Path(nodes=(home_uid,), cost=0.0)
+            )
 
         # Single pass: each remote holder is polled exactly once and lands
         # in exactly one of the two buckets.

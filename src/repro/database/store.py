@@ -144,12 +144,10 @@ class ServiceDatabase:
         Args:
             title_id: The title to look up.
             min_fraction: Keep only holders advertising at least this
-                resident fraction.  1.0 lists the full holders, the VRA's
-                candidates (:meth:`full_holders`, read from the index);
-                the default 0.0 returns every advertisement.
+                resident fraction.  1.0 lists the full holders, the list
+                :meth:`full_holders` keeps indexed for the VRA; the
+                default 0.0 returns every advertisement.
         """
-        if min_fraction == 1.0:
-            return list(self.full_holders(title_id))
         self.title_info(title_id)  # raise MissingEntryError on unknown title
         holders = self._title_locations.get(title_id, ())
         if min_fraction <= 0.0 or not self._holder_fractions:

@@ -260,8 +260,10 @@ class TestDecisionRecord:
         )
         assert (local.weights, local.polled_out, local.candidate_count) == ({}, (), 0)
 
-    def test_local_serves_at_one_home_share_one_path(self, grnet_8am):
-        vra = VirtualRoutingAlgorithm(grnet_8am)
-        first = vra.decide("U2", "a", holders=["U2"])
-        second = vra.decide("U2", "b", holders=["U2", "U4"])
-        assert first.path is second.path and first.path.nodes == ("U2",)
+    def test_repr_leaves_the_audit_out(self, grnet_8am):
+        decision = self.routed(grnet_8am)
+        text = repr(decision)
+        assert text.startswith("VraDecision(title_id='movie', home_uid='U2', ")
+        assert text.endswith(", degraded=False)")
+        assert "audit_of" not in text and "DijkstraResult" not in text
+        assert repr(decision._replace(audit_of=None)) == text

@@ -101,7 +101,8 @@ index_operations = st.lists(
 
 def from_scratch_full_holders(database: ServiceDatabase, title_id: str):
     """The full-holder list recomputed from the raw location and
-    fraction stores, the way ``servers_with_title`` once sorted it."""
+    fraction stores, the way ``servers_with_title``'s fraction filter
+    sorts it."""
     return tuple(sorted(
         uid
         for uid in database._title_locations.get(title_id, ())
