@@ -416,17 +416,15 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["core/service.py::VoDService.vra::if self._memo is not None"],
      ["tests/core/test_input_clock.py::TestReinstallingTheBuiltinVra::"
       "test_restoring_the_builtin_vra_memoizes_again"]),
-    ("fault", "the command line's failure exits: a failed placement replay gate, the "
-     "chaos gates' messages, and --placement combined with a baseline cache",
+    ("fault", "the command line's failure exits: a failed placement replay gate and "
+     "the chaos gates' messages",
      ["cli.py::_cmd_placement::if not comparison.gates_passed",
       "cli.py::_cmd_chaos::if args.min_availability is not None and report.availability < args.min_availability",
       "cli.py::_cmd_chaos::if args.min_recovered is not None and recovered_total < args.min_recovered",
-      "cli.py::_cmd_chaos::if args.max_p95_stall_s is not None and report.p95_stall_s > args.max_p95_stall_s",
-      "cli.py::main::if args.command == 'simulate' and args.placement != 'dma' and (args.cache != 'dma')"],
+      "cli.py::_cmd_chaos::if args.max_p95_stall_s is not None and report.p95_stall_s > args.max_p95_stall_s"],
      ["tests/test_cli.py::TestPlacement::test_a_failed_replay_gate_exits_1",
       "tests/test_cli.py::TestChaos::test_min_availability_floor_gates_exit_code",
-      "tests/test_cli.py::TestChaos::test_recovered_floor_and_stall_bound_gate_exit_code",
-      "tests/test_cli.py::TestSimulate::test_placement_conflicts_with_baseline_cache"]),
+      "tests/test_cli.py::TestChaos::test_recovered_floor_and_stall_bound_gate_exit_code"]),
     ("fault", "a title bigger than what the LRU baseline can free: no victim left, "
      "with or without a victim lost on the way",
      ["baselines/caching.py::LruCachePolicy._pass::if victim is None",
@@ -518,13 +516,9 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "tests/obs/test_stream.py::TestFooter::test_finish_is_idempotent",
       "tests/obs/test_stream.py::TestFooter::"
       "test_peak_rss_reads_kib_on_linux_bytes_on_macos_and_0_without_resource"]),
-    ("fault", "a server's policy swapped before any registry is attached, and a "
-     "promoted prefix evicted before its download finished",
-     ["server/video_server.py::VideoServer._wire_policy_metrics::if registry is None",
-      "server/video_server.py::VideoServer._withdraw::if self._database.holds_title(self.node_uid, title_id)"],
+    ("fault", "a promoted prefix evicted before its download finished",
+     ["server/video_server.py::VideoServer._withdraw::if self._database.holds_title(self.node_uid, title_id)"],
      ["tests/server/test_video_server.py::TestDeferredAdvertisement::"
-      "test_a_policy_swap_without_a_registry_wires_nothing",
-      "tests/server/test_video_server.py::TestDeferredAdvertisement::"
       "test_evicting_a_promoted_prefix_before_commit_drops_its_advertisement"]),
     ("fault", "engine and process guards: a second cancel, the compaction trigger, a "
      "late resume of a finished process, and a second start of a periodic "
@@ -537,14 +531,10 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "tests/sim/test_engine_batch.py::TestCompaction::test_on_compaction_hook_fires",
       "tests/sim/test_process.py::TestPark::test_finished_process_ignores_a_late_resume",
       "tests/sim/test_timers.py::TestPeriodicTask::test_double_start_is_noop"]),
-    ("fault", "disk-array refusals: a title already held, a failed disk, a segment "
-     "fraction outside (0, 1], a segment already resident, and a cluster of "
-     "a title not held",
+    ("fault", "disk-array refusals: a title already held, a failed disk, and a "
+     "cluster of a title not held",
      ["storage/array.py::DiskArray.can_store::if video.title_id in self._videos or video.title_id in self._partials",
       "storage/array.py::DiskArray.can_store::if disk_index in self._failed_disks",
-      "storage/array.py::DiskArray.can_store_segment::if not 0.0 < fraction <= 1.0",
-      "storage/array.py::DiskArray.can_store_segment::if video.title_id in self._videos",
-      "storage/array.py::DiskArray.can_store_segment::if target <= current",
       "storage/array.py::DiskArray.can_store_segment::if disk_index in self._failed_disks",
       "storage/array.py::DiskArray.cluster_servable::else of if title_id in self._partials"],
      ["tests/storage/test_array.py::TestCanStore::test_already_stored_is_not_storable",
@@ -598,11 +588,11 @@ CLI_MATRIX: List[List[str]] = [
     ["simulate", "--requests-per-node", "2", "--seed", "7", "--report",
      "--topology", "{tmp}/grnet.json", "--telemetry-out", "{tmp}/sim.jsonl"],
     ["simulate", "--requests-per-node", "2", "--replay-table2", "--selection", "minhop",
-     "--switching", "never", "--cache", "lru", "--admission-queue-capacity", "4"],
+     "--switching", "never", "--placement", "lru", "--admission-queue-capacity", "4"],
     ["simulate", "--requests-per-node", "2", "--selection", "random",
-     "--switching", "period:2", "--cache", "dma-greedy"],
-    ["simulate", "--requests-per-node", "2", "--selection", "static", "--cache", "nocache"],
-    ["simulate", "--requests-per-node", "2", "--cache", "fullrep", "--title-mb", "120"],
+     "--switching", "period:2", "--placement", "dma-greedy"],
+    ["simulate", "--requests-per-node", "2", "--selection", "static", "--placement", "nocache"],
+    ["simulate", "--requests-per-node", "2", "--placement", "fullrep", "--title-mb", "120"],
     ["simulate", "--requests-per-node", "2", "--placement", "prefix"],
     ["simulate", "--requests-per-node", "2", "--placement", "partial"],
     ["placement", "--requests-per-node", "3", "--catalog-size", "4", "--check"],

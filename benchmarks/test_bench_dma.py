@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.service import ServiceConfig
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
-from repro.placement import PlacementAction, WholeTitleDma
+from repro.placement import PlacementAction, PlacementConfig, WholeTitleDma
 from repro.storage.array import DiskArray
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import regional_scenario
@@ -91,8 +91,8 @@ def run_cache_experiment(cache_key: str):
             disk_capacity_mb=250.0,  # room for ~5 of 18 titles per server
             max_streams=64,
             use_reported_stats=False,
+            placement=PlacementConfig(kind=cache_key),
         ),
-        cache=cache_key,
         run_until=24 * 3600.0,
     )
     return run_service_experiment(experiment).metrics

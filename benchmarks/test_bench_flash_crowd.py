@@ -17,6 +17,7 @@ import pytest
 from repro.core.service import ServiceConfig
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
 from repro.metrics.analysis import analyze_sessions
+from repro.placement import PlacementConfig
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import flash_crowd_scenario
 
@@ -37,8 +38,8 @@ def run_crowd(cache_key: str, viewer_count: int = 40, ramp_s: float = 7_200.0):
             disk_capacity_mb=1_000.0,
             max_streams=256,
             use_reported_stats=False,
+            placement=PlacementConfig(kind=cache_key),
         ),
-        cache=cache_key,
         seed_origin_uids=["U4"],  # the title starts at Thessaloniki only
         run_until=12 * 3600.0,
     )

@@ -29,6 +29,7 @@ from repro.core.vra import VirtualRoutingAlgorithm
 from repro.experiments.casestudy import topology_at
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
 from repro.network.grnet import SAMPLE_TIMES
+from repro.placement import PlacementConfig
 from repro.workload.scenarios import regional_scenario
 
 GRNET_NODES = ["U1", "U2", "U3", "U4", "U5", "U6"]
@@ -110,9 +111,9 @@ def run_selection_experiment(selection_key: str):
             disk_capacity_mb=10_000.0,
             max_streams=64,
             use_reported_stats=False,
+            placement=PlacementConfig(kind="nocache"),
         ),
         selection=selection_key,
-        cache="nocache",
         replay_table2=True,
         start_time=8 * 3600.0,
         run_until=24 * 3600.0,

@@ -85,11 +85,8 @@ def main() -> None:
     entries = []
     for uid in sorted(service.servers):
         server = service.servers[uid]
-        tracker = getattr(server.dma, "tracker", None)
-        if tracker is None:
-            continue
         cached = set(server.stored_title_ids())
-        for title_id, points in tracker.ranking():
+        for title_id, points in server.policy.tracker.ranking():
             entries.append((points, uid, title_id, title_id in cached))
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
     print()

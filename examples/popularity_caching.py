@@ -14,6 +14,7 @@ Run:  python examples/popularity_caching.py
 
 from repro.core.service import ServiceConfig
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
+from repro.placement import PlacementConfig
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import regional_scenario
 
@@ -36,9 +37,9 @@ def build_scenario():
     )
 
 
-def run(cache_key: str):
+def run(kind: str):
     experiment = ServiceExperiment(
-        name=f"cache-{cache_key}",
+        name=f"cache-{kind}",
         scenario=build_scenario(),
         config=ServiceConfig(
             cluster_mb=50.0,
@@ -46,8 +47,8 @@ def run(cache_key: str):
             disk_capacity_mb=250.0,  # each server caches ~5 of 18 titles
             max_streams=64,
             use_reported_stats=False,
+            placement=PlacementConfig(kind=kind),
         ),
-        cache=cache_key,
         run_until=24 * 3600.0,
     )
     return run_service_experiment(experiment)
@@ -87,7 +88,7 @@ def main() -> None:
     server = result.service.servers["U2"]
     print("\nPatra (U2) after the day:")
     print(f"  cached titles : {server.stored_title_ids()}")
-    ranking = server.dma.tracker.ranking()[:8]
+    ranking = server.policy.tracker.ranking()[:8]
     print("  request points: " + ", ".join(f"{t}={p}" for t, p in ranking))
 
 

@@ -3,7 +3,7 @@
 * :mod:`repro.baselines.selection` — server-selection alternatives to the
   VRA (random, min-hop, static nearest, origin-only);
 * :mod:`repro.baselines.caching` — cache-policy alternatives to the DMA
-  (no cache, LRU, pure LFU, full replication);
+  (no cache, LRU, full replication), built as placement kinds;
 * :mod:`repro.baselines.switching` — mid-stream switching alternatives
   (never switch, periodic recompute) wrapped around any decide function.
 """

@@ -1,9 +1,9 @@
 """Cache-policy baselines for the DMA comparison (DESIGN.md X2).
 
 Each policy is a :class:`~repro.placement.base.PlacementPolicy` over the
-same :class:`~repro.storage.array.DiskArray`, so
-:meth:`repro.server.video_server.VideoServer.set_cache_policy` can swap
-them in.
+same :class:`~repro.storage.array.DiskArray`, built by
+:meth:`repro.placement.base.PlacementConfig.build` as the placement kinds
+``nocache``, ``lru`` and ``fullrep``.
 
 * :class:`NoCachePolicy` — never stores anything beyond its seeds: the
   lower bound, a pure "origin servers only" deployment;
@@ -23,69 +23,44 @@ from repro.placement.base import (
     PlacementAction,
     PlacementPolicy,
     PlacementResult,
-    StoreHook,
 )
-from repro.storage.array import DiskArray
 from repro.storage.video import VideoTitle
 
 
-class _BaseCachePolicy(PlacementPolicy):
-    """Common plumbing: the policy interface with the baseline-friendly
-    ``(array, on_store, on_evict)`` constructor the harness factories use."""
-
-    def __init__(
-        self, array: DiskArray, on_store: StoreHook = None, on_evict: StoreHook = None
-    ):
-        super().__init__(array, on_store=on_store, on_evict=on_evict)
-
-
-class NoCachePolicy(_BaseCachePolicy):
+class NoCachePolicy(PlacementPolicy):
     """Never caches on demand; only seeded titles are ever resident."""
 
     def _pass(self, video: VideoTitle) -> PlacementResult:
         """Count the request; store nothing."""
-        points = self.tracker.give_point(video.title_id)
-        if self.array.has_video(video.title_id):
-            return PlacementResult(
-                title_id=video.title_id,
-                action=PlacementAction.HIT,
-                points=points,
-                cached=True,
-                resident_fraction=1.0,
-            )
         return PlacementResult(
             title_id=video.title_id,
             action=PlacementAction.POINT_ONLY,
-            points=points,
+            points=self.tracker.give_point(video.title_id),
             cached=False,
         )
 
 
-class LruCachePolicy(_BaseCachePolicy):
+class LruCachePolicy(PlacementPolicy):
     """Proxy-style cache: admit everything, evict least recently used."""
 
-    def __init__(
-        self, array: DiskArray, on_store: StoreHook = None, on_evict: StoreHook = None
-    ):
-        super().__init__(array, on_store, on_evict)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._recency: List[str] = []  # least recent first
 
     def seed(self, video: VideoTitle) -> None:
         super().seed(video)
         self._touch(video.title_id)
 
+    def on_request(self, video: VideoTitle) -> PlacementResult:
+        """A pass that leaves the title cached makes it the most recent."""
+        result = super().on_request(video)
+        if result.cached:
+            self._touch(video.title_id)
+        return result
+
     def _pass(self, video: VideoTitle) -> PlacementResult:
         """Admit the title, evicting LRU victims until it fits."""
         points = self.tracker.give_point(video.title_id)
-        if self.array.has_video(video.title_id):
-            self._touch(video.title_id)
-            return PlacementResult(
-                title_id=video.title_id,
-                action=PlacementAction.HIT,
-                points=points,
-                cached=True,
-                resident_fraction=1.0,
-            )
         evicted: List[str] = []
         while not self.array.can_store(video):
             victim = self._least_recent()
@@ -96,7 +71,6 @@ class LruCachePolicy(_BaseCachePolicy):
             evicted.append(victim)
         if self.array.can_store(video):
             self._store(video)
-            self._touch(video.title_id)
             action = PlacementAction.REPLACED if evicted else PlacementAction.STORED
             return PlacementResult(
                 title_id=video.title_id,
@@ -133,20 +107,12 @@ class LruCachePolicy(_BaseCachePolicy):
         return None
 
 
-class FullReplicationPolicy(_BaseCachePolicy):
+class FullReplicationPolicy(PlacementPolicy):
     """Store every requested title while space lasts; never evict."""
 
     def _pass(self, video: VideoTitle) -> PlacementResult:
         """Admit if it fits; otherwise just count the request."""
         points = self.tracker.give_point(video.title_id)
-        if self.array.has_video(video.title_id):
-            return PlacementResult(
-                title_id=video.title_id,
-                action=PlacementAction.HIT,
-                points=points,
-                cached=True,
-                resident_fraction=1.0,
-            )
         if self.array.can_store(video):
             self._store(video)
             return PlacementResult(

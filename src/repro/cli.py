@@ -5,7 +5,7 @@ Exposes the reproduction's main entry points without writing Python::
     python -m repro case-study                 # Tables 2-5 + Experiments A-D
     python -m repro experiment A               # one experiment, full trace
     python -m repro lvn --time 4pm             # the LVN weight table
-    python -m repro simulate --cache dma ...   # a service-level workload run
+    python -m repro simulate --placement lru   # a service-level workload run
     python -m repro placement --check          # placement-policy comparison + gates
     python -m repro obs --format jsonl         # telemetry of an instrumented run
     python -m repro chaos --seed 7             # seeded fault storm + resilience report
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from repro.core.service import ServiceConfig
 from repro.errors import ReproError
-from repro.placement.base import PLACEMENT_KINDS, PlacementConfig
+from repro.placement.base import PLACEMENT_KINDS
 from repro.experiments.casestudy import (
     EXPERIMENTS,
     compute_table3_lvn,
@@ -32,6 +32,11 @@ from repro.experiments.casestudy import (
     run_experiment,
 )
 from repro.experiments.harness import ServiceExperiment, run_service_experiment
+from repro.experiments.placement import (
+    placement_config,
+    render_placement_comparison,
+    run_placement_experiment,
+)
 from repro.experiments.report import (
     render_experiment,
     render_table,
@@ -81,15 +86,6 @@ def _add_placement_arguments(subparser: argparse.ArgumentParser) -> None:
         help="minimum cached fraction per admitted title under "
              "--placement=partial",
     )
-
-
-def _placement_config_from(args: argparse.Namespace, kind: str) -> PlacementConfig:
-    """Build the single placement config object from the shared CLI knobs."""
-    if kind == "prefix":
-        return PlacementConfig(kind="prefix", prefix_minutes=args.prefix_minutes)
-    if kind == "partial":
-        return PlacementConfig(kind="partial", partial_floor=args.partial_floor)
-    return PlacementConfig(kind="dma")
 
 
 def _add_telemetry_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -193,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="run a service-level workload on GRNET and print metrics"
     )
-    simulate.add_argument("--cache", default="dma",
-                          choices=["dma", "dma-greedy", "nocache", "lru", "fullrep"])
     simulate.add_argument("--placement", default="dma",
                           choices=list(PLACEMENT_KINDS),
-                          help="placement policy for the default cache: the "
-                               "paper's whole-title DMA, prefix replication, "
-                               "or popularity-weighted partial caching "
-                               "(requires --cache=dma)")
+                          help="placement policy: the paper's whole-title DMA, "
+                               "prefix replication, popularity-weighted "
+                               "partial caching, the greedy DMA, or the cache "
+                               "baselines (no cache, LRU, full replication)")
     simulate.add_argument("--selection", default="vra",
                           choices=["vra", "random", "minhop", "static"])
     simulate.add_argument("--switching", default="always",
@@ -412,10 +406,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             max_streams=64,
             use_reported_stats=False,
             observability=args.telemetry_out is not None,
-            placement=_placement_config_from(args, args.placement),
+            placement=placement_config(
+                args.placement, args.prefix_minutes, args.partial_floor
+            ),
             **_fast_path_config_kwargs(args),
         ),
-        cache=args.cache,
         selection=args.selection,
         switching=args.switching,
         replay_table2=args.replay_table2,
@@ -457,11 +452,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_placement(args: argparse.Namespace) -> int:
-    from repro.experiments.placement import (
-        render_placement_comparison,
-        run_placement_experiment,
-    )
-
     comparison = run_placement_experiment(
         requests_per_node=args.requests_per_node,
         catalog_size=args.catalog_size,
@@ -674,13 +664,7 @@ def _cmd_sweep_cluster_size() -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "simulate" and args.placement != "dma" and args.cache != "dma":
-        parser.error(
-            "--placement overrides the default cache policy; "
-            "it cannot be combined with --cache=" + args.cache
-        )
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "case-study":
             return _cmd_case_study()

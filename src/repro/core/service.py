@@ -186,13 +186,6 @@ class ServiceConfig:
                 raise ServiceError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
-def _points_table_size(server: VideoServer) -> float:
-    """Entries in a server's DMA points table; 0 for trackerless policies
-    (the caching baselines keep no popularity state)."""
-    tracker = getattr(server.dma, "tracker", None)
-    return float(len(tracker)) if tracker is not None else 0.0
-
-
 class _RequestObserver(SessionObserver):
     """What one request's session tells the service: delivery and
     resilience counters, span events, and at the end
@@ -588,7 +581,7 @@ class VoDService:
         obs.gauge(
             "dma.points_table_size", subsystem="server", labels=labels,
             description="titles tracked in the DMA points table",
-            callback=lambda s=server: float(_points_table_size(s)),
+            callback=lambda s=server: float(len(s.policy.tracker)),
         )
 
     def _register_link_gauges(self, link: Link) -> None:

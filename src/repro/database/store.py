@@ -138,31 +138,16 @@ class ServiceDatabase:
     def has_title(self, title_id: str) -> bool:
         return title_id in self._titles
 
-    def servers_with_title(self, title_id: str, min_fraction: float = 0.0) -> List[str]:
-        """Uids of servers advertising a title, sorted for determinism.
-
-        Args:
-            title_id: The title to look up.
-            min_fraction: Keep only holders advertising at least this
-                resident fraction.  1.0 lists the full holders, the list
-                :meth:`full_holders` keeps indexed for the VRA; the
-                default 0.0 returns every advertisement.
-        """
+    def servers_with_title(self, title_id: str) -> List[str]:
+        """Uids of every server advertising a title (any resident
+        fraction), sorted for determinism; :meth:`full_holders` lists the
+        full holders only."""
         self.title_info(title_id)  # raise MissingEntryError on unknown title
-        holders = self._title_locations.get(title_id, ())
-        if min_fraction <= 0.0 or not self._holder_fractions:
-            return sorted(holders)
-        return sorted(
-            uid
-            for uid in holders
-            if self._holder_fractions.get((title_id, uid), 1.0)
-            >= min_fraction - 1e-9
-        )
+        return sorted(self._title_locations.get(title_id, ()))
 
     def full_holders(self, title_id: str) -> Tuple[str, ...]:
-        """Sorted uids of the servers holding all of a title — what
-        ``servers_with_title(title_id, min_fraction=1.0)`` lists, read from
-        the index instead of sorted per call.
+        """Sorted uids of the servers holding all of a title (advertised
+        fraction 1.0), read from the index instead of sorted per call.
 
         Raises:
             MissingEntryError: If the title was never registered.

@@ -1,18 +1,19 @@
 """Service-level experiment runner.
 
 A :class:`ServiceExperiment` bundles everything one comparison run needs —
-topology, workload scenario, selection policy, cache policy, switching
-cadence, traffic shaping — and :func:`run_service_experiment` executes it
-end to end on the discrete-event engine, returning aggregate
+topology, workload scenario, service config (the placement policy
+included), selection policy, switching cadence, traffic shaping — and
+:func:`run_service_experiment` executes it end to end on the
+discrete-event engine, returning aggregate
 :class:`~repro.metrics.collectors.SessionMetrics`.
 
-The policy knobs are strings so benchmark parameter sweeps stay declarative:
+The policy knobs are strings so benchmark parameter sweeps stay declarative
+(the placement policy is ``config.placement``, a
+:class:`~repro.placement.base.PlacementConfig` kind):
 
 =============  =====================================================
 ``selection``  ``"vra"`` | ``"random"`` | ``"minhop"`` | ``"static"``
                | ``"origin:<uid>"``
-``cache``      ``"dma"`` | ``"dma-greedy"`` (evict_until_fits) |
-               ``"nocache"`` | ``"lru"`` | ``"fullrep"``
 ``switching``  ``"always"`` | ``"never"`` | ``"period:<n>"``
 =============  =====================================================
 """
@@ -23,11 +24,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.baselines.caching import (
-    FullReplicationPolicy,
-    LruCachePolicy,
-    NoCachePolicy,
-)
 from repro.baselines.selection import (
     HomeOnlySelection,
     MinHopSelection,
@@ -40,7 +36,6 @@ from repro.errors import ReproError, ServiceError
 from repro.metrics.collectors import SessionMetrics, summarize_sessions
 from repro.network.grnet import build_grnet_topology
 from repro.network.topology import Topology
-from repro.placement.whole_title import WholeTitleDma
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.trace import Tracer
@@ -55,9 +50,8 @@ class ServiceExperiment:
     Attributes:
         name: Label for reports.
         scenario: The request schedule and catalog.
-        config: Service deployment knobs.
+        config: Service deployment knobs, the placement policy included.
         selection: Server-selection policy key (see module docstring).
-        cache: Cache policy key.
         switching: Mid-stream switching cadence key.
         topology_factory: Builds the network (defaults to GRNET).
         seed_origin_uids: Servers receiving the initial single copy of each
@@ -81,7 +75,6 @@ class ServiceExperiment:
     scenario: WorkloadScenario
     config: ServiceConfig = field(default_factory=ServiceConfig)
     selection: str = "vra"
-    cache: str = "dma"
     switching: str = "always"
     topology_factory: Callable[[], Topology] = build_grnet_topology
     seed_origin_uids: Optional[Sequence[str]] = None
@@ -123,23 +116,6 @@ def _apply_selection(service: VoDService, key: str, seed: int) -> None:
         raise ReproError(f"unknown selection policy {key!r}")
 
 
-def _apply_cache(service: VoDService, key: str) -> None:
-    if key == "dma":
-        return
-    factories = {
-        "dma-greedy": lambda array, on_store, on_evict: WholeTitleDma(
-            array, on_store=on_store, on_evict=on_evict, evict_until_fits=True
-        ),
-        "nocache": NoCachePolicy,
-        "lru": LruCachePolicy,
-        "fullrep": FullReplicationPolicy,
-    }
-    if key not in factories:
-        raise ReproError(f"unknown cache policy {key!r}")
-    for server in service.servers.values():
-        server.set_cache_policy(factories[key])
-
-
 def _apply_switching(service: VoDService, key: str) -> None:
     if key == "always":
         return
@@ -163,7 +139,6 @@ def build_service(experiment: ServiceExperiment) -> VoDService:
     topology = experiment.topology_factory()
     service = VoDService(sim, topology, experiment.config, tracer=experiment.tracer)
     _apply_selection(service, experiment.selection, experiment.seed)
-    _apply_cache(service, experiment.cache)
     _apply_switching(service, experiment.switching)
 
     origins = list(

@@ -26,16 +26,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.service import ServiceConfig
 from repro.core.session import SessionRecord
-from repro.errors import ReproError
 from repro.experiments.harness import ServiceExperiment, SweepResult, run_service_experiment
 from repro.experiments.report import render_table
 from repro.metrics.collectors import SessionMetrics
-from repro.placement.base import PLACEMENT_KINDS, PlacementConfig
+from repro.placement.base import PlacementConfig
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import WorkloadScenario, regional_scenario
 
 #: Simulated clock at experiment start (the GRNET Table 2 morning).
 START_TIME_S = 8 * 3600.0
+
+#: The placement kinds the X11 comparison runs, in table order.
+COMPARED_KINDS: Tuple[str, ...] = ("dma", "prefix", "partial")
 
 
 def session_fingerprint(records: Sequence[SessionRecord]) -> str:
@@ -127,7 +129,7 @@ class PlacementComparison:
     """The full comparison: one outcome per policy plus the gate verdict.
 
     Attributes:
-        outcomes: Per-policy outcomes, in :data:`PLACEMENT_KINDS` order.
+        outcomes: Per-policy outcomes, in :data:`COMPARED_KINDS` order.
         deterministic: DMA rerun fingerprint matched (None = not checked).
     """
 
@@ -140,16 +142,18 @@ class PlacementComparison:
         return self.deterministic is not False
 
 
-def _placement_config(
+def placement_config(
     kind: str,
     prefix_minutes: float,
     partial_floor: float,
 ) -> PlacementConfig:
+    """The placement config of ``kind``, carrying only the knob that kind
+    reads (the others keep their defaults)."""
     if kind == "prefix":
         return PlacementConfig(kind="prefix", prefix_minutes=prefix_minutes)
     if kind == "partial":
         return PlacementConfig(kind="partial", partial_floor=partial_floor)
-    return PlacementConfig(kind="dma")
+    return PlacementConfig(kind=kind)
 
 
 def _policy_tallies(result: SweepResult) -> Dict[str, int]:
@@ -201,7 +205,6 @@ def run_placement_experiment(
     disk_capacity_mb: float = 500.0,
     prefix_minutes: float = 10.0,
     partial_floor: float = 0.1,
-    kinds: Sequence[str] = PLACEMENT_KINDS,
     check: bool = False,
 ) -> PlacementComparison:
     """Run the placement-policy comparison on GRNET.
@@ -215,23 +218,9 @@ def run_placement_experiment(
             the defaults fit ~2.5 whole titles per server, so placement
             pressure is real.
         prefix_minutes / partial_floor: Policy knobs.
-        kinds: Placement kinds to compare, in order (subset of
-            :data:`PLACEMENT_KINDS`).
         check: Also run the replay gate: the DMA run must replay
             byte-identically.
-
-    Raises:
-        ReproError: For an unknown placement kind, or when ``check`` is
-            requested without the ``dma`` kind.
     """
-    for kind in kinds:
-        if kind not in PLACEMENT_KINDS:
-            raise ReproError(
-                f"unknown placement kind {kind!r}; expected one of {PLACEMENT_KINDS}"
-            )
-    if check and "dma" not in kinds:
-        raise ReproError("the replay gate needs the 'dma' kind in the comparison")
-
     from repro.network.grnet import build_grnet_topology
 
     nodes = build_grnet_topology().node_uids()
@@ -257,12 +246,12 @@ def run_placement_experiment(
             disk_capacity_mb=disk_capacity_mb,
             max_streams=64,
             use_reported_stats=False,
-            placement=_placement_config(kind, prefix_minutes, partial_floor),
+            placement=placement_config(kind, prefix_minutes, partial_floor),
         )
 
     outcomes: List[PlacementOutcome] = []
     fingerprints: Dict[str, str] = {}
-    for kind in kinds:
+    for kind in COMPARED_KINDS:
         result = _run_one(scenario, config_for(kind), kind)
         tallies = _policy_tallies(result)
         fingerprint = session_fingerprint(result.service.sessions)

@@ -39,8 +39,11 @@ from repro.storage.array import DiskArray
 from repro.storage.cache import PopularityTracker
 from repro.storage.video import VideoTitle
 
-#: Valid ``PlacementConfig.kind`` values, in comparison-table order.
-PLACEMENT_KINDS: Tuple[str, ...] = ("dma", "prefix", "partial")
+#: Valid ``PlacementConfig.kind`` values: the paper's DMA, the two
+#: fractional policies (X11) and the cache baselines (X2).
+PLACEMENT_KINDS: Tuple[str, ...] = (
+    "dma", "prefix", "partial", "dma-greedy", "nocache", "lru", "fullrep",
+)
 
 StoreHook = Optional[Callable[[str], None]]
 PartialHook = Optional[Callable[[str, float], None]]
@@ -96,9 +99,10 @@ class PlacementPolicy(abc.ABC):
 
     One instance runs per server, bound to that server's
     :class:`~repro.storage.array.DiskArray`.  Subclasses implement
-    :meth:`_pass` (the per-request placement step); the public
-    :meth:`on_request` template adds the shared pass counting and
-    hit/prefix-hit tallies every policy reports identically.
+    :meth:`_pass` (the per-request placement step for a title not fully
+    resident); the public :meth:`on_request` template holds the HIT
+    branch, the pass counting and the hit/prefix-hit tallies every policy
+    shares.
 
     Args:
         array: The server's striped disk array.
@@ -149,22 +153,36 @@ class PlacementPolicy(abc.ABC):
     # the contract
     # ------------------------------------------------------------------ #
     def on_request(self, video: VideoTitle) -> PlacementResult:
-        """Run one placement pass for a video the server begins serving."""
+        """Run one placement pass for a video the server begins serving.
+
+        A fully resident title is a HIT under every policy: it receives a
+        point and nothing else moves.  Any other request runs the
+        policy's :meth:`_pass`.
+        """
         self.pass_count += 1
-        prior_fraction = self.array.resident_fraction(video.title_id)
-        result = self._pass(video)
+        title_id = video.title_id
+        if self.array.has_video(title_id):
+            self.hit_count += 1
+            result = PlacementResult(
+                title_id=title_id,
+                action=PlacementAction.HIT,
+                points=self.tracker.give_point(title_id),
+                cached=True,
+                resident_fraction=1.0,
+            )
+        else:
+            if self.array.resident_fraction(title_id) > 0.0:
+                self.prefix_hit_count += 1
+            result = self._pass(video)
         self.action_counts[result.action.value] = (
             self.action_counts.get(result.action.value, 0) + 1
         )
-        if result.action is PlacementAction.HIT:
-            self.hit_count += 1
-        elif prior_fraction > 0.0:
-            self.prefix_hit_count += 1
         return result
 
     @abc.abstractmethod
     def _pass(self, video: VideoTitle) -> PlacementResult:
-        """One policy-specific placement step (called by :meth:`on_request`)."""
+        """One policy-specific placement step for a title that is not
+        fully resident (called by :meth:`on_request`)."""
 
     def seed(self, video: VideoTitle) -> None:
         """Pre-load a full copy outside the request loop (service
@@ -223,7 +241,7 @@ class FractionalPlacementPolicy(PlacementPolicy):
 
         Mirrors the DMA's comparison — a victim is only deleted while the
         newcomer's points strictly exceed the victim's — but, like the
-        greedy DMA (``--cache dma-greedy``), keeps going until the segment
+        greedy DMA (``--placement dma-greedy``), keeps going until the segment
         fits or no qualifying victim remains.
         """
         evicted: List[str] = []
@@ -301,13 +319,16 @@ class PlacementConfig:
     """Declarative placement-policy choice plus its knobs.
 
     One frozen object configures the whole deployment
-    (``ServiceConfig.placement``, ``--placement`` on the CLI) instead of
-    the historical ad-hoc DMA kwargs.
+    (``ServiceConfig.placement``, ``--placement`` on the CLI).
 
     Attributes:
-        kind: ``"dma"`` (whole-title Figure 2, the default),
-            ``"prefix"`` (first-N-minutes prefix of hot titles) or
-            ``"partial"`` (popularity-proportional fractional caching).
+        kind: One of :data:`PLACEMENT_KINDS`: ``"dma"`` (whole-title
+            Figure 2, the default), ``"prefix"`` (first-N-minutes prefix
+            of hot titles), ``"partial"`` (popularity-proportional
+            fractional caching), ``"dma-greedy"`` (Figure 2 evicting until
+            the newcomer fits), or the cache baselines ``"nocache"``,
+            ``"lru"`` and ``"fullrep"``
+            (:mod:`repro.baselines.caching`).
         prefix_minutes: Prefix length cached for hot titles, in playback
             minutes (kind ``prefix``).
         partial_floor: Minimum fraction cached for any requested title
@@ -337,7 +358,7 @@ class PlacementConfig:
     def fractional(self) -> bool:
         """True when the policy can leave partial residents on the array
         (enables the service's prefix-local serving fast path)."""
-        return self.kind != "dma"
+        return self.kind in ("prefix", "partial")
 
     def build(
         self,
@@ -351,25 +372,24 @@ class PlacementConfig:
         from repro.placement.prefix import PrefixReplication
         from repro.placement.whole_title import WholeTitleDma
 
-        if self.kind == "dma":
-            return WholeTitleDma(
-                array,
-                on_store=on_store,
-                on_evict=on_evict,
-                on_partial=on_partial,
-            )
+        hooks = dict(on_store=on_store, on_evict=on_evict, on_partial=on_partial)
         if self.kind == "prefix":
-            return PrefixReplication(
-                array,
-                on_store=on_store,
-                on_evict=on_evict,
-                on_partial=on_partial,
-                prefix_minutes=self.prefix_minutes,
+            return PrefixReplication(array, prefix_minutes=self.prefix_minutes, **hooks)
+        if self.kind == "partial":
+            return PopularityWeightedPartial(
+                array, floor_fraction=self.partial_floor, **hooks
             )
-        return PopularityWeightedPartial(
-            array,
-            on_store=on_store,
-            on_evict=on_evict,
-            on_partial=on_partial,
-            floor_fraction=self.partial_floor,
-        )
+        if self.kind in ("dma", "dma-greedy"):
+            return WholeTitleDma(
+                array, evict_until_fits=self.kind == "dma-greedy", **hooks
+            )
+        # Imported here so a deployment of the paper's policies never
+        # loads the baselines package.
+        from repro.baselines import caching
+
+        baselines = {
+            "nocache": caching.NoCachePolicy,
+            "lru": caching.LruCachePolicy,
+            "fullrep": caching.FullReplicationPolicy,
+        }
+        return baselines[self.kind](array, **hooks)

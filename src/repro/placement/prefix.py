@@ -87,16 +87,6 @@ class PrefixReplication(FractionalPlacementPolicy):
     # ------------------------------------------------------------------ #
     def _pass(self, video: VideoTitle) -> PlacementResult:
         title_id = video.title_id
-        if self.array.has_video(title_id):
-            points = self.tracker.give_point(title_id)
-            return PlacementResult(
-                title_id=title_id,
-                action=PlacementAction.HIT,
-                points=points,
-                cached=True,
-                resident_fraction=1.0,
-            )
-
         points = self.tracker.give_point(title_id)
         current = self.array.resident_fraction(title_id)
         target = self.target_fraction(video)

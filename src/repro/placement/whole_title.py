@@ -83,17 +83,8 @@ class WholeTitleDma(PlacementPolicy):
 
     # ------------------------------------------------------------------ #
     def _pass(self, video: VideoTitle) -> PlacementResult:
-        """One Figure 2 pass for a video the server begins serving."""
-        if self.array.has_video(video.title_id):
-            points = self.tracker.give_point(video.title_id)
-            return PlacementResult(
-                title_id=video.title_id,
-                action=PlacementAction.HIT,
-                points=points,
-                cached=True,
-                resident_fraction=1.0,
-            )
-
+        """One Figure 2 pass for a video not yet on the disks (the HIT
+        branch is :meth:`PlacementPolicy.on_request`'s)."""
         if self.array.can_store(video):
             self._store(video)
             return PlacementResult(

@@ -52,7 +52,6 @@ class VideoServer:
         self._database = database
         self.array = DiskArray(disk_count, disk_capacity_mb, cluster_mb)
         self.admission = AdmissionController(max_streams)
-        self.placement_config = placement
         self.policy: PlacementPolicy = placement.build(
             self.array,
             on_store=self._advertise,
@@ -92,7 +91,6 @@ class VideoServer:
         self._m_dma_stores = NULL_COUNTER
         self._m_dma_evictions = NULL_COUNTER
         self._m_prefix_stores = NULL_COUNTER
-        self._registry: Optional[MetricsRegistry] = None
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Resolve this server's telemetry counters from a registry.
@@ -103,7 +101,6 @@ class VideoServer:
         lost-victim counter).  Safe to call on a disabled registry
         (everything stays a no-op).
         """
-        self._registry = registry
         labels = {"server": self.node_uid}
         self._m_serves = registry.counter(
             "server.serves", subsystem="server", labels=labels,
@@ -121,27 +118,15 @@ class VideoServer:
             "placement.prefix_stores", subsystem="server", labels=labels,
             description="prefix/partial segments the placement policy stored",
         )
-        self._wire_policy_metrics()
-
-    def _wire_policy_metrics(self) -> None:
-        """Point the active policy's instruments at the attached registry
-        (re-run whenever the policy is swapped)."""
-        registry = self._registry
-        if registry is None:
-            return
-        labels = {"server": self.node_uid}
-        tracker = getattr(self.policy, "tracker", None)
-        if tracker is not None:
-            tracker.points_counter = registry.counter(
-                "placement.points_awarded", subsystem="server", labels=labels,
-                description="popularity points awarded by the placement policy",
-            )
-        if hasattr(self.policy, "lost_victim_counter"):
-            self.policy.lost_victim_counter = registry.counter(
-                "placement.lost_victims", subsystem="server", labels=labels,
-                description="eviction passes that deleted victim(s) without "
-                "storing the newcomer",
-            )
+        self.policy.tracker.points_counter = registry.counter(
+            "placement.points_awarded", subsystem="server", labels=labels,
+            description="popularity points awarded by the placement policy",
+        )
+        self.policy.lost_victim_counter = registry.counter(
+            "placement.lost_victims", subsystem="server", labels=labels,
+            description="eviction passes that deleted victim(s) without "
+            "storing the newcomer",
+        )
 
     # ------------------------------------------------------------------ #
     # operational state
@@ -172,33 +157,6 @@ class VideoServer:
         return self._state_version
 
     # ------------------------------------------------------------------ #
-    # cache-policy plumbing
-    # ------------------------------------------------------------------ #
-    @property
-    def dma(self) -> PlacementPolicy:
-        """Historical name for the active placement policy (the default
-        policy *is* the paper's DMA, so existing call sites read on)."""
-        return self.policy
-
-    @dma.setter
-    def dma(self, policy: PlacementPolicy) -> None:
-        self.policy = policy
-        self._wire_policy_metrics()
-
-    def set_cache_policy(self, factory) -> None:
-        """Swap the placement policy for a baseline cache policy.
-
-        Args:
-            factory: Callable ``factory(array, on_store, on_evict)``
-                returning an object with the policy surface
-                (``on_request``, ``seed``) — e.g. the classes in
-                :mod:`repro.baselines.caching`.  Must be called before any
-                titles are seeded or requested, so the old policy holds no
-                state worth migrating.
-        """
-        self.dma = factory(self.array, self._advertise, self._withdraw)
-
-    # ------------------------------------------------------------------ #
     # catalog
     # ------------------------------------------------------------------ #
     def seed_title(self, video: VideoTitle) -> None:
@@ -213,11 +171,11 @@ class VideoServer:
         self._register_catalog_info(video)
         self._seeding = True
         try:
-            self.dma.seed(video)
+            self.policy.seed(video)
         finally:
             self._seeding = False
         if self.pin_seeded:
-            self.dma.pinned.add(video.title_id)
+            self.policy.pinned.add(video.title_id)
 
     def has_title(self, title_id: str) -> bool:
         """True if the full title is resident and servable (a DMA store

@@ -226,15 +226,11 @@ class DiskArray:
     def can_store_segment(self, video: VideoTitle, fraction: float) -> bool:
         """True when the leading segment covering ``fraction`` of the video
         fits (extending any already-resident prefix counts only the new
-        clusters)."""
-        if not (0.0 < fraction <= 1.0):
-            return False
-        if video.title_id in self._videos:
-            return False
+        clusters; a segment already that long fits).  Only the disk-fit
+        question: :meth:`store_segment` refuses a fully stored title and a
+        fraction outside (0, 1] before it asks."""
         target = self._segment_cluster_count(video, fraction)
         current = self._partial_counts.get(video.title_id, 0)
-        if target <= current:
-            return True
         layout = (
             self._partial_layouts.get(video.title_id) or self.layout_for(video)
         )

@@ -21,6 +21,16 @@ def title(title_id: str = "m", size_mb: float = 200.0) -> VideoTitle:
     return VideoTitle(title_id, size_mb=size_mb, duration_s=3600.0)
 
 
+def holders_with_at_least(database, title_id: str, fraction: float):
+    """The servers advertising at least ``fraction`` of a title, from the
+    raw location and fraction stores (a full copy has no fraction entry)."""
+    return sorted(
+        uid
+        for uid in database.servers_with_title(title_id)
+        if database._holder_fractions.get((title_id, uid), 1.0) >= fraction - 1e-9
+    )
+
+
 class TestTraceFamilies:
     def test_default_policy_emits_placement_pass_only(self, grnet_8am):
         tracer = Tracer()
@@ -45,10 +55,12 @@ class TestFractionAwareAdvertisement:
             service.request_by_home("U2", "m")
             service.sim.run(until=service.sim.now + 3600.0)
         # 15 of 60 minutes -> a quarter of the title at the home server.
-        holders = service.database.servers_with_title
-        assert holders("m", min_fraction=0.25) == ["U2", "U4"]
-        assert holders("m", min_fraction=0.26) == ["U4"]
-        assert holders("m", min_fraction=1.0) == ["U4"]
+        database = service.database
+        assert database.servers_with_title("m") == ["U2", "U4"]
+        assert holders_with_at_least(database, "m", 0.25) == ["U2", "U4"]
+        assert holders_with_at_least(database, "m", 0.26) == ["U4"]
+        assert holders_with_at_least(database, "m", 1.0) == ["U4"]
+        assert database.full_holders("m") == ("U4",)
 
     def test_vra_prefers_full_holders_over_prefix_holders(self, grnet_8am):
         service = build_service(
@@ -60,8 +72,7 @@ class TestFractionAwareAdvertisement:
             service.request_by_home("U2", "m")
             service.sim.run(until=service.sim.now + 3600.0)
         # U2 now holds a prefix; the full-holder list must exclude it.
-        holders = service.database.servers_with_title("m", min_fraction=1.0)
-        assert holders == ["U4"]
+        assert service.database.full_holders("m") == ("U4",)
         # A neighbouring request must therefore stream its remote clusters
         # from U4, never from the prefix holder U2.  (It is U1's first
         # request of the title, so U1 holds no prefix of its own yet.)

@@ -9,6 +9,7 @@ from repro.experiments.harness import (
     build_service,
     run_service_experiment,
 )
+from repro.placement import PlacementConfig
 from repro.workload.scenarios import regional_scenario
 
 GRNET_NODES = ["U1", "U2", "U3", "U4", "U5", "U6"]
@@ -89,19 +90,26 @@ class TestBuildService:
         from repro.baselines.caching import NoCachePolicy
 
         experiment = ServiceExperiment(
-            name="t", scenario=small_scenario(), config=small_config(), cache="nocache"
+            name="t",
+            scenario=small_scenario(),
+            config=small_config(placement=PlacementConfig(kind="nocache")),
         )
         service = build_service(experiment)
         assert all(
-            isinstance(server.dma, NoCachePolicy) for server in service.servers.values()
+            isinstance(server.policy, NoCachePolicy)
+            for server in service.servers.values()
         )
 
     def test_greedy_dma_variant(self):
         experiment = ServiceExperiment(
-            name="t", scenario=small_scenario(), config=small_config(), cache="dma-greedy"
+            name="t",
+            scenario=small_scenario(),
+            config=small_config(placement=PlacementConfig(kind="dma-greedy")),
         )
         service = build_service(experiment)
-        assert all(server.dma.evict_until_fits for server in service.servers.values())
+        assert all(
+            server.policy.evict_until_fits for server in service.servers.values()
+        )
 
     def test_switching_policies_applied(self):
         experiment = ServiceExperiment(
@@ -110,16 +118,14 @@ class TestBuildService:
         assert build_service(experiment).decide_wrapper is not None
 
     def test_unknown_policies_rejected(self):
-        for kwargs in (
-            {"selection": "bogus"},
-            {"cache": "bogus"},
-            {"switching": "bogus"},
-        ):
+        for kwargs in ({"selection": "bogus"}, {"switching": "bogus"}):
             experiment = ServiceExperiment(
                 name="t", scenario=small_scenario(), config=small_config(), **kwargs
             )
             with pytest.raises(ReproError):
                 build_service(experiment)
+        with pytest.raises(ReproError):
+            small_config(placement=PlacementConfig(kind="bogus"))
 
 
 class TestRunExperiment:

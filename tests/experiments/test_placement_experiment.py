@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ReproError
 from repro.experiments.placement import (
     PlacementComparison,
     render_placement_comparison,
@@ -38,14 +37,6 @@ class TestComparison:
         assert comparison.deterministic is True
         assert comparison.gates_passed
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ReproError):
-            run_placement_experiment(kinds=("mru",))
-
-    def test_check_requires_dma(self):
-        with pytest.raises(ReproError):
-            run_placement_experiment(kinds=("prefix",), check=True)
-
 
 class TestRendering:
     def test_table_lists_policies_and_gates(self, comparison):
@@ -62,7 +53,7 @@ class TestRendering:
 
     def test_gate_lines_absent_without_check(self):
         unchecked = run_placement_experiment(
-            requests_per_node=2, catalog_size=4, kinds=("dma",)
+            requests_per_node=2, catalog_size=4
         )
         text = render_placement_comparison(unchecked)
         assert "replay determinism" not in text

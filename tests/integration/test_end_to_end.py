@@ -83,8 +83,8 @@ class TestFullRequestCycle:
             service.sim.run(until=service.sim.now + 3 * 3600.0)
         # First request STOREs at U2 (no point, Figure 2 quirk); the next
         # two are HITs awarding points.
-        assert service.servers["U2"].dma.points_of("m1") == 2
-        assert service.servers["U4"].dma.points_of("m1") == 0
+        assert service.servers["U2"].policy.points_of("m1") == 2
+        assert service.servers["U4"].policy.points_of("m1") == 0
 
 
 class TestReportedStatsPath:

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.baselines.caching import (
+    FullReplicationPolicy,
+    LruCachePolicy,
+    NoCachePolicy,
+)
 from repro.errors import ServiceError
 from repro.placement import (
     PLACEMENT_KINDS,
@@ -86,6 +91,8 @@ class TestPlacementConfig:
     def test_fractional_kinds(self):
         assert PlacementConfig(kind="prefix").fractional
         assert PlacementConfig(kind="partial").fractional
+        for kind in ("dma-greedy", "nocache", "lru", "fullrep"):
+            assert not PlacementConfig(kind=kind).fractional
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ServiceError):
@@ -102,6 +109,10 @@ class TestPlacementConfig:
             "dma": WholeTitleDma,
             "prefix": PrefixReplication,
             "partial": PopularityWeightedPartial,
+            "dma-greedy": WholeTitleDma,
+            "nocache": NoCachePolicy,
+            "lru": LruCachePolicy,
+            "fullrep": FullReplicationPolicy,
         }
         assert set(cases) == set(PLACEMENT_KINDS)
         for kind, cls in cases.items():
@@ -109,6 +120,8 @@ class TestPlacementConfig:
                 DiskArray(disk_count=2, disk_capacity_mb=100.0, cluster_mb=25.0)
             )
             assert type(policy) is cls
+            if cls is WholeTitleDma:
+                assert policy.evict_until_fits == (kind == "dma-greedy")
 
     def test_build_forwards_hooks(self, array):
         stored, evicted = [], []

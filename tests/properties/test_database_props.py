@@ -101,8 +101,7 @@ index_operations = st.lists(
 
 def from_scratch_full_holders(database: ServiceDatabase, title_id: str):
     """The full-holder list recomputed from the raw location and
-    fraction stores, the way ``servers_with_title``'s fraction filter
-    sorts it."""
+    fraction stores: every advertiser whose fraction reaches 1.0, sorted."""
     return tuple(sorted(
         uid
         for uid in database._title_locations.get(title_id, ())
@@ -127,8 +126,7 @@ def test_full_holder_index_matches_a_from_scratch_sort(ops):
         for title in TITLES:
             expected = from_scratch_full_holders(database, title)
             assert database.full_holders(title) == expected, (title, ops)
-            assert database.servers_with_title(title, min_fraction=1.0) == list(expected)
     with pytest.raises(MissingEntryError):
         database.full_holders("no-such-title")
     with pytest.raises(MissingEntryError):
-        database.servers_with_title("no-such-title", min_fraction=1.0)
+        database.servers_with_title("no-such-title")

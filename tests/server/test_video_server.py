@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.placement import PlacementAction
+from repro.placement import PlacementAction, PlacementConfig
 from repro.database.store import ServiceDatabase
 from repro.errors import AdmissionError, StorageError
 from repro.server.video_server import VideoServer
@@ -131,11 +131,10 @@ class TestDeferredAdvertisement:
         assert server.pending_title_ids() == []
         assert not server._database.holds_title("U1", "v")
 
-    def test_a_policy_swap_without_a_registry_wires_nothing(self):
+    def test_a_baseline_kind_builds_its_policy(self):
         from repro.baselines.caching import LruCachePolicy
 
-        server = make_server()
-        server.set_cache_policy(LruCachePolicy)
+        server = make_server(placement=PlacementConfig(kind="lru"))
         assert isinstance(server.policy, LruCachePolicy)
         assert server.on_download_begins(video()).cached
 
@@ -166,4 +165,4 @@ class TestDmaHitPath:
         server.seed_title(video())
         result = server.on_download_begins(video())
         assert result.action is PlacementAction.HIT
-        assert server.dma.points_of("v") == 1
+        assert server.policy.points_of("v") == 1

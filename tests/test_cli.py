@@ -102,16 +102,12 @@ class TestSimulate:
                 "simulate",
                 "--catalog-size", "6",
                 "--requests-per-node", "3",
-                "--cache", "lru",
+                "--placement", "lru",
                 "--selection", "minhop",
                 "--switching", "never",
             ]
         )
         assert code == 0
-
-    def test_bad_cache_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--cache", "magic"])
 
     @pytest.mark.parametrize("command", ["simulate", "obs"])
     def test_decision_cache_size_rejected(self, command, capsys):
@@ -136,10 +132,6 @@ class TestSimulate:
     def test_bad_placement_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--placement", "mru"])
-
-    def test_placement_conflicts_with_baseline_cache(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--placement", "prefix", "--cache", "lru"])
 
     def test_report_flag_prints_analysis(self, capsys):
         code = main(
@@ -441,11 +433,3 @@ class TestBadValues:
             main(argv)
         assert excinfo.value.code == 2
         assert f"argument {option}: must be a positive" in capsys.readouterr().err
-
-    def test_placement_with_a_baseline_cache_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--placement", "prefix", "--cache", "lru"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: repro")
-        assert "cannot be combined with --cache=lru" in err
