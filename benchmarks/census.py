@@ -166,9 +166,15 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_administrators_write_network_and_configuration",
       "tests/snmp/test_collector.py::TestNodeStatisticsModule::"
       "test_second_poll_writes_utilization"]),
-    ("paper", "equation (1) for one link; weight_table computes the whole column",
-     ["core/lvn.py::link_validation_number"],
-     ["tests/core/test_lvn.py::TestLinkValidationNumber::test_eq1_patra_athens_8am"]),
+    ("paper", "equations (1)-(4) for one node or link, the paper's public API; "
+     "weight_table computes the whole column on the routing kernel",
+     ["core/lvn.py::link_validation_number", "core/lvn.py::node_validation",
+      "core/lvn.py::link_value", "core/lvn.py::link_traffic",
+      "core/lvn.py::link_utilization_term", "core/lvn.py::_ground_truth"],
+     ["tests/core/test_lvn.py::TestLinkValidationNumber::test_eq1_patra_athens_8am",
+      "tests/core/test_lvn.py::TestNodeValidation::test_eq2_aggregates_adjacent_links",
+      "tests/core/test_lvn.py::TestLinkValue::test_eq4_divides_by_k",
+      "tests/core/test_lvn.py::TestLinkTrafficAndLU::test_eq3_lu_is_lt_times_lv"]),
     ("paper", "Figure 3 striping: p = ceil(size / c) clusters laid cyclically "
      "over the disks, and which disk holds each",
      ["storage/striping.py::StripingLayout.disk_of",
@@ -269,7 +275,7 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      "failing test's message prints it, no user path does",
      ["core/vra.py::VraDecision.__repr__"],
      ["tests/core/test_vra.py::TestDecisionRecord::test_repr_leaves_the_audit_out"]),
-    ("reference", "the full search a compiled prefix search must agree with "
+    ("reference", "the full search a goal-directed prefix search must agree with "
      "(DESIGN.md 5b.12), and the path helpers the routing tests compare",
      ["core/vra.py::VraDecision.dijkstra_result",
       "network/routing/dijkstra.py::DijkstraResult.node_path",
@@ -355,7 +361,7 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      "only), and a partial copy evicted cluster by cluster",
      ["placement/base.py::FractionalPlacementPolicy._make_room::if victim is None",
       "placement/base.py::FractionalPlacementPolicy._make_room::if evicted and (not self.array.can_store_segment(video, fraction))",
-      "placement/partial.py::PopularityWeightedPartial._pass::if target <= current + 1e-09",
+      "placement/partial.py::PopularityWeightedPartial._pass::if target <= resident + 1e-09",
       "storage/array.py::DiskArray.remove::for (cluster_index, disk_index, _) in layout.assignments[:count]"],
      ["tests/properties/test_placement_props.py::test_capacity_never_exceeded",
       "tests/storage/test_array_segments.py::TestResidencyQueries::"
@@ -433,11 +439,10 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/baselines/test_caching.py::TestLru::test_title_bigger_than_array_not_stored",
       "tests/baselines/test_caching.py::TestLru::"
       "test_title_bigger_than_an_empty_array_is_point_only"]),
-    ("fault", "a node whose every link failed, and a Dijkstra over a weight a link "
-     "cannot take (the full run names the link), or a node with no link",
-     ["core/lvn.py::node_validation::if not online",
-      "network/compiled.py::TopologySnapshot.dijkstra::if not valid",
-      "network/compiled.py::TopologySnapshot._rebuild_structure::if not adjacent and linkless_uid is None"],
+    ("fault", "a Dijkstra over a weight a link cannot take (the full run names the "
+     "link), or a node with no link",
+     ["network/compiled.py::TopologySnapshot.dijkstra::if not valid",
+      "network/compiled.py::TopologySnapshot._rebuild_structure::if not adjacent and linkless_pos is None"],
      ["tests/core/test_vra.py::TestGoalDirectedSearch::test_partitioned_holders_still_raise",
       "tests/network/test_compiled.py::TestCompiledDijkstra::"
       "test_invalid_weight_matches_python_error",
@@ -549,13 +554,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["core/vra.py::VirtualRoutingAlgorithm.count_replayed::if decision.served_locally"],
      ["tests/core/test_decision_cache.py::TestReplayPaysForTheTokenOnce::"
       "test_instruments_read_the_same_with_the_memo_on_or_off"]),
-    ("reference", "a plain weight mapping, the form the reference path's weights take, "
-     "fed to the compiled kernel; and the python Dijkstra's skip of a failed "
-     "link, the reference the compiled one is compared with",
-     ["network/compiled.py::TopologySnapshot._weight_values::else of if type(weights) is CompiledWeightTable and weights.structure_token == self._token",
-      "network/routing/dijkstra.py::dijkstra::if not link.online"],
-     ["tests/network/test_compiled.py::TestCompiledDijkstra::test_accepts_plain_dict_weights",
-      "tests/core/test_input_clock.py::TestKillList::test_a_dead_tick_breaks_the_lockstep"]),
     ("reference", "same-key coalescing inside one drain tick: the cohort tests check the "
      "counters against the requests and drain ticks of a run",
      ["core/admission_queue.py::AdmissionQueue._note_cohort::if key in self._cohort"],

@@ -30,7 +30,7 @@ from repro.storage.video import VideoTitle
 class NoCachePolicy(PlacementPolicy):
     """Never caches on demand; only seeded titles are ever resident."""
 
-    def _pass(self, video: VideoTitle) -> PlacementResult:
+    def _pass(self, video: VideoTitle, resident: float) -> PlacementResult:
         """Count the request; store nothing."""
         return PlacementResult(
             title_id=video.title_id,
@@ -58,7 +58,7 @@ class LruCachePolicy(PlacementPolicy):
             self._touch(video.title_id)
         return result
 
-    def _pass(self, video: VideoTitle) -> PlacementResult:
+    def _pass(self, video: VideoTitle, resident: float) -> PlacementResult:
         """Admit the title, evicting LRU victims until it fits."""
         points = self.tracker.give_point(video.title_id)
         evicted: List[str] = []
@@ -110,7 +110,7 @@ class LruCachePolicy(PlacementPolicy):
 class FullReplicationPolicy(PlacementPolicy):
     """Store every requested title while space lasts; never evict."""
 
-    def _pass(self, video: VideoTitle) -> PlacementResult:
+    def _pass(self, video: VideoTitle, resident: float) -> PlacementResult:
         """Admit if it fits; otherwise just count the request."""
         points = self.tracker.give_point(video.title_id)
         if self.array.can_store(video):

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.vra import PollFn, VraDecision
 from repro.errors import RoutingError, TitleUnavailableError
-from repro.network.routing.dijkstra import dijkstra
+from repro.network.compiled import TopologySnapshot
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
 
@@ -35,6 +35,7 @@ class _BaselineSelection:
 
     def __init__(self, topology: Topology):
         self._topology = topology
+        self._snapshot = TopologySnapshot(topology)
         self.decision_count = 0
 
     def decide(
@@ -71,8 +72,9 @@ class _BaselineSelection:
         raise NotImplementedError
 
     def _hop_paths(self, home_uid: str) -> Dict[str, Path]:
-        """Min-hop path to every reachable node (unit link weights)."""
-        result = dijkstra(self._topology, home_uid, weight=lambda _link: 1.0)
+        """Min-hop path to every reachable node (a unit-weight table)."""
+        unit = dict.fromkeys((link.name for link in self._topology.links()), 1.0)
+        result = self._snapshot.dijkstra(home_uid, unit)
         return {
             uid: result.path(uid)
             for uid in result.distances

@@ -24,13 +24,19 @@ used bandwidth in Mbps.  The default reads ground truth from the link
 object; the VoD service instead passes a database-backed provider so the
 VRA sees exactly what the SNMP statistics module last reported — including
 its staleness, which is part of the system being reproduced.
+
+These scalar functions are the paper's public equations.  Whole tables —
+what the VRA routes on — come from the one routing kernel,
+:class:`repro.network.compiled.TopologySnapshot`, which computes the same
+numbers over flat arrays (:func:`weight_table` answers from it).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
+from repro.network.compiled import TopologySnapshot
 from repro.network.link import Link
 from repro.network.topology import Topology
 
@@ -149,30 +155,10 @@ def weight_table(
 ) -> Dict[str, float]:
     """LVN for every link of the topology, keyed by link name.
 
-    Node validations are computed once per node rather than twice per link,
-    so one snapshot costs O(nodes + links).
+    Answered by the routing kernel
+    (:meth:`repro.network.compiled.TopologySnapshot.weight_table`), which
+    computes each node validation once rather than twice per link — one
+    table costs O(nodes + links) — and equals
+    :func:`link_validation_number` per link bit for bit.
     """
-    return weight_table_with_nv(topology, used_of, normalization_constant, node_load)[0]
-
-
-def weight_table_with_nv(
-    topology: Topology,
-    used_of: Optional[UsedBandwidthFn] = None,
-    normalization_constant: float = DEFAULT_NORMALIZATION_CONSTANT,
-    node_load: Optional[NodeLoadFn] = None,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """:func:`weight_table` plus the per-node NV map it was built from.
-
-    The NV map is what the compiled kernel's differential tests compare
-    against, node by node.
-    """
-    used = _ground_truth if used_of is None else used_of
-    nv: Dict[str, float] = {
-        node.uid: node_validation(topology, node.uid, used, node_load)
-        for node in topology.nodes()
-    }
-    table: Dict[str, float] = {}
-    for link in topology.links():
-        lu = link_utilization_term(link, used, normalization_constant)
-        table[link.name] = max(nv[link.a_uid], nv[link.b_uid]) + lu
-    return table, nv
+    return TopologySnapshot(topology).weight_table(used_of, normalization_constant, node_load)

@@ -96,13 +96,15 @@ class ServiceConfig:
             delete a title's last network-wide copy.  Default True — a
             deployable service needs it; set False for exact Figure 2
             behaviour (the hazard is pinned by a failure-injection test).
-        compiled_routing: Run the VRA on the array-compiled kernels
-            (:class:`~repro.network.compiled.TopologySnapshot`; python ones
-            under ``use_server_load_in_vra``) behind its epoch memo
+        compiled_routing: Put the VRA behind its epoch memo
             (:mod:`repro.network.routing.cache`).  ``False`` is the one
-            reference path: the python kernels (``core/lvn.py``, the dict
-            ``dijkstra``) and no memo.  Decisions are bit-for-bit
-            identical either way (the equivalence suites pin it).
+            reference path: every decision recomputes its LVN table and
+            search, as in the paper's Figure 5.  Both run on the one
+            routing kernel (:class:`~repro.network.compiled.TopologySnapshot`),
+            and decisions are bit-for-bit identical either way (the
+            memo-on vs memo-off suites pin it).  The name predates the
+            single kernel; renaming it waits for a change that also
+            updates the ledger, whose ``decision_burst`` oracle sets it.
         admission_queue_capacity: Enables the load-leveling admission
             front-end (:class:`~repro.core.admission_queue.AdmissionQueue`)
             when > 0: requests drain from a bounded deterministic FIFO at
@@ -397,16 +399,14 @@ class VoDService:
         if not reported:
             topo.traffic_clock = self._clock  # live traffic is a token input
         load_in_vra = self.config.use_server_load_in_vra
-        reference = not self.config.compiled_routing
         self._vra = VirtualRoutingAlgorithm(
             topology,
             used_of=used_of,
             normalization_constant=self.config.normalization_constant,
             node_load=self._server_load if load_in_vra else None,
-            epoch_of=None if reference else token_of,
+            epoch_of=token_of if self.config.compiled_routing else None,
             routing_width=3 if load_in_vra else 2,
             metrics=self.obs,
-            compiled=not reference,
         )
         self._builtin_vra = self._vra
         #: The VRA's epoch memo, which ``decide`` reads and fills; None on

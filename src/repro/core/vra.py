@@ -12,11 +12,10 @@ Given a client request, the VRA:
 
 The decision object exposes the complete audit trail — weight table, Dijkstra
 result, every candidate's best path — which is what the case-study benchmarks
-print.  It never carries a step table: the Tables 4-5 printers ask
-:func:`~repro.network.routing.dijkstra.dijkstra` for one themselves.
-Choosing only needs the *nearest* available holder, so the compiled path
-searches no further than that and completes the trail on first read
-(DESIGN.md §5b.12).
+print.  It never carries a step table: the Tables 4-5 printers ask the
+routing kernel for a traced search themselves.  Choosing only needs the
+*nearest* available holder, so the search goes no further than that and
+the trail is completed on first read (DESIGN.md §5b.12).
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ from typing import (
     Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro.core.lvn import (
-    DEFAULT_NORMALIZATION_CONSTANT,
-    NodeLoadFn,
-    UsedBandwidthFn,
-    weight_table,
-)
+from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT, NodeLoadFn, UsedBandwidthFn
 from repro.errors import (
     NoReachableHolderError,
     RoutingError,
@@ -44,7 +38,7 @@ from repro.network.routing.cache import (
     RoutingCacheStats,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.network.routing.dijkstra import DijkstraResult, dijkstra
+from repro.network.routing.dijkstra import DijkstraResult
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
 
@@ -172,16 +166,14 @@ class VirtualRoutingAlgorithm:
         epoch_of: Optional memo-token provider.  When given, the VRA owns
             the epoch memo ``cache`` (:mod:`repro.network.routing.cache`);
             None (the default) recomputes everything per decision,
-            exactly the paper's Figure 5.
+            exactly the paper's Figure 5.  Either way the LVN table and
+            the search run on the one routing kernel,
+            :class:`~repro.network.compiled.TopologySnapshot`.
         routing_width: Leading token entries forming its routing part
             (None: all of it).
         metrics: Optional telemetry registry; when given (and enabled)
             the VRA counts decisions / local serves and records a
             candidate-count histogram under the ``vra.*`` families.
-        compiled: Route weight-table builds and Dijkstra runs through the
-            array-compiled :class:`~repro.network.compiled.TopologySnapshot`
-            (bit-for-bit identical output).  Ignored under ``node_load``
-            (the kernel implements only the paper's exact eq. 2).
     """
 
     def __init__(
@@ -193,17 +185,15 @@ class VirtualRoutingAlgorithm:
         epoch_of: Optional[EpochFn] = None,
         routing_width: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        compiled: bool = False,
     ):
-        self._topology = topology
         self._used_of = used_of
         self._k = normalization_constant
         self._node_load = node_load
-        self._snapshot: Optional[TopologySnapshot] = (
-            TopologySnapshot(topology) if compiled and node_load is None else None
-        )
+        self._snapshot = TopologySnapshot(topology)
         self.cache: Optional[RoutingCache] = (
-            RoutingCache(epoch_of, routing_width) if epoch_of is not None else None
+            RoutingCache(epoch_of, routing_width, search=self._snapshot.dijkstra)
+            if epoch_of is not None
+            else None
         )
         self._runs = 0
         #: Bound once: a routed decision's ``audit_of`` names it.
@@ -264,52 +254,37 @@ class VirtualRoutingAlgorithm:
 
     def _compute_weights(self) -> Dict[str, float]:
         """One cold build of the LVN table — the only builder there is."""
-        if self._snapshot is not None:
-            return self._snapshot.weight_table(self._used_of, self._k)
-        return weight_table(self._topology, self._used_of, self._k, self._node_load)
+        return self._snapshot.weight_table(self._used_of, self._k, self._node_load)
 
     def _routing_state(
         self, home_uid: str, targets: Sequence[str]
     ) -> "tuple[Dict[str, float], DijkstraResult]":
         """The LVN table and shortest-path search for one decision.
 
-        The compiled path searches only as far as the nearest of
-        ``targets`` (the available holders); the python path settles
-        everything.  With the memo on, both come from it under the one
-        synced token (so the pair is always mutually consistent);
-        cached decisions share the table/search objects, which callers
-        treat as read-only.
+        The search goes only as far as the nearest of ``targets`` (the
+        available holders).  With the memo on, both come from it under
+        the one synced token (so the pair is always mutually
+        consistent); cached decisions share the table/search objects,
+        which callers treat as read-only.
         """
         cache = self.cache
         if cache is None:
             weights = self._compute_weights()
-            return weights, self._run_dijkstra(home_uid, weights, targets)
+            return weights, self._snapshot.dijkstra(home_uid, weights, targets)
         cache.current()  # the one sync: both lookups below read under its token
         weights = cache.weights(self._compute_weights)
-        result = cache.tree(
-            home_uid, lambda: self._run_dijkstra(home_uid, weights, targets), targets
-        )
-        return weights, result
-
-    def _run_dijkstra(
-        self, home_uid: str, weights: Dict[str, float], targets: Sequence[str] = ()
-    ) -> DijkstraResult:
-        if self._snapshot is not None:
-            return self._snapshot.dijkstra(home_uid, weights, targets)
-        return dijkstra(self._topology, home_uid, weight=lambda link: weights[link.name])
+        return weights, cache.tree(home_uid, weights, targets)
 
     def _audit(
-        self, decision: VraDecision, available: Sequence[str], search: DijkstraResult
+        self, decision: VraDecision, available: Sequence[str]
     ) -> Tuple[Dict[str, Path], DijkstraResult]:
         """A routed decision's ``(candidate_paths, dijkstra_result)``.
 
-        The python path's search is the complete tree, so it is the audit.
-        A compiled search is a prefix: the audit is a full run from the
-        decision's home under its ``weights``, the table the decision
+        The decision's search is a prefix: the audit is a full run from
+        the decision's home under its ``weights``, the table the decision
         holds *now* — what a cold decision would embed.
         """
-        if self._snapshot is not None:
-            search = self._snapshot.dijkstra(decision.home_uid, decision.weights)
+        search = self._snapshot.dijkstra(decision.home_uid, decision.weights)
         return {uid: search.path(uid) for uid in available if search.reaches(uid)}, search
 
     def decide(
@@ -397,5 +372,5 @@ class VirtualRoutingAlgorithm:
         chosen_uid = min(reachable)[1]
         return VraDecision(
             title_id, home_uid, chosen_uid, False, result.path(chosen_uid), weights,
-            polled_out, len(available), False, (self._derive_audit, available, result),
+            polled_out, len(available), False, (self._derive_audit, available),
         )

@@ -27,7 +27,8 @@ from typing import Dict, List, Tuple
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT, weight_table
 from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.network import grnet
-from repro.network.routing.dijkstra import DijkstraStep, dijkstra
+from repro.network.compiled import TopologySnapshot
+from repro.network.routing.dijkstra import DijkstraStep
 from repro.network.topology import Topology
 
 
@@ -219,8 +220,9 @@ def compute_table3_lvn(
     """Recompute Table 3: the LVN of every link at every sampling instant."""
     table: Dict[str, Dict[str, float]] = {name: {} for name, _, _ in grnet.GRNET_LINKS}
     for time_label in grnet.SAMPLE_TIMES:
-        topology = topology_at(time_label)
-        weights = weight_table(topology, normalization_constant=normalization_constant)
+        weights = weight_table(
+            topology_at(time_label), normalization_constant=normalization_constant
+        )
         for link_name, lvn in weights.items():
             table[link_name][time_label] = lvn
     return table
@@ -283,7 +285,7 @@ def run_experiment(exp_id: str, trace: bool = True) -> ExperimentOutcome:
     topology = topology_at(spec.time_label)
     vra = VirtualRoutingAlgorithm(topology)
     decision = vra.decide(spec.home_uid, title_id=f"case-study-{exp_id}", holders=list(spec.holder_uids))
-    steps = dijkstra(topology, spec.home_uid, lambda link: decision.weights[link.name], trace=trace).steps
+    steps = TopologySnapshot(topology).dijkstra(spec.home_uid, decision.weights, trace=trace).steps
     candidate_costs = {uid: path.cost for uid, path in decision.candidate_paths.items()}
     candidate_paths = {uid: path.nodes for uid, path in decision.candidate_paths.items()}
     return ExperimentOutcome(

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.lvn import weight_table
 from repro.errors import CacheError, ReproError, TitleUnavailableError
-from repro.network.routing.dijkstra import dijkstra
+from repro.network.compiled import TopologySnapshot
 from repro.network.topology import Topology
 from repro.storage.cache import PopularityTracker
 from repro.storage.striping import cluster_sizes
@@ -186,7 +185,7 @@ class StripCachingEvaluator:
     ):
         if granularity not in ("strip", "title"):
             raise ReproError(f"granularity must be 'strip' or 'title', got {granularity!r}")
-        self._topology = topology
+        self._snapshot = TopologySnapshot(topology)
         self._videos = {video.title_id: video for video in catalog}
         self._origins = dict(origins)
         for title_id, origin in self._origins.items():
@@ -217,10 +216,7 @@ class StripCachingEvaluator:
         video = self._videos.get(title_id)
         if video is None:
             raise TitleUnavailableError(f"unknown title {title_id!r}")
-        weights = weight_table(self._topology)
-        shortest = dijkstra(
-            self._topology, home_uid, weight=lambda link: weights[link.name]
-        )
+        shortest = self._snapshot.dijkstra(home_uid, self._snapshot.weight_table())
         cost_before = self.report.megabyte_hops
         if self.granularity == "strip":
             self._deliver_strips(home_uid, video, shortest)

@@ -5,8 +5,10 @@ advance" with specific, limited per-link bandwidth.  This subpackage models
 exactly that: named nodes (:mod:`repro.network.node`), undirected
 capacity-limited links (:mod:`repro.network.link`), a validated topology
 (:mod:`repro.network.topology`), bandwidth reservation/flow accounting
-(:mod:`repro.network.flows`), from-scratch Dijkstra routing with a
-paper-style step-table trace (:mod:`repro.network.routing`), and the GRNET
+(:mod:`repro.network.flows`), the routing kernel — the LVN table and a
+from-scratch Dijkstra with a paper-style step-table trace over one CSR
+snapshot (:mod:`repro.network.compiled`) — with its results
+(:mod:`repro.network.routing`), and the GRNET
 backbone of the paper's Figure 6 plus the Table 2 traffic trace
 (:mod:`repro.network.grnet`).
 """
@@ -15,7 +17,8 @@ from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.topology import Topology
 from repro.network.flows import Flow, FlowManager
-from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep, dijkstra
+from repro.network.compiled import TopologySnapshot
+from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep
 from repro.network.routing.paths import Path
 from repro.network.topologies import random_topology
 
@@ -28,6 +31,6 @@ __all__ = [
     "Node",
     "Path",
     "Topology",
-    "dijkstra",
+    "TopologySnapshot",
     "random_topology",
 ]

@@ -1,32 +1,36 @@
-"""Array-compiled routing core: CSR topology snapshots for the hot path.
+"""The routing kernel: CSR topology snapshots for every LVN table and search.
 
 :class:`TopologySnapshot` freezes a :class:`~repro.network.topology.Topology`
 into flat int-indexed arrays — per-link endpoint/capacity/online arrays and a
 CSR adjacency over node *positions* — and reuses them across decisions,
 refreshing off the topology's ``state_version`` counter instead of re-walking
-object adjacency per decision.  Two kernels run on top:
+object adjacency per decision.  It is the only LVN table builder and the only
+Dijkstra the package runs:
 
-* :meth:`TopologySnapshot.weight_table_with_nv` — equations (1)-(4) over the
-  link arrays, and
+* :meth:`TopologySnapshot.weight_table` — equations (1)-(4) over the link
+  arrays, with the optional per-node load term of the server-load extension;
 * :meth:`TopologySnapshot.dijkstra` — shortest paths over the CSR arrays,
-  optionally goal-directed: given targets it stops at the nearest one and
-  returns that prefix of the full tree.
+  optionally goal-directed (given targets it stops at the nearest one and
+  returns that prefix of the full tree), or traced (the paper's Tables 4-5
+  step rows).
 
-Correctness contract — **bit-for-bit**: every table, NV map and Dijkstra
-result must equal the python path
-(:func:`repro.core.lvn.weight_table_with_nv`,
-:func:`repro.network.routing.dijkstra.dijkstra`) down to the last ulp *and*
-down to dict insertion order.  The rules that enforce it:
+Correctness contract — **bit-for-bit** against the textbook formulation:
+every table, NV value and Dijkstra result (trace rows included) equals the
+scalar equations of :mod:`repro.core.lvn` applied node by node and a
+heap-of-``(distance, uid)`` Dijkstra over ``topology.links_at`` down to the
+last ulp *and* down to dict insertion order.  ``tests/reference`` holds that
+textbook formulation as the oracle of the kernel's tests.  The rules that
+enforce it:
 
-* The kernel executes the python path's scalar operations in the python
-  path's order: NV segment sums accumulate strictly left-to-right in
-  ``links_at`` order, exactly like the python ``sum()``.
+* The kernel executes the scalar equations' operations in their order: NV
+  segment sums accumulate strictly left-to-right in ``links_at`` order,
+  exactly like a python ``sum()``, and the load term is added last.
 * Dijkstra's heap orders by ``(distance, uid-rank)`` where the rank is the
-  node's index in sorted-uid order — the same total order as the python
-  path's ``(distance, uid)`` string comparison — and relaxation stays
-  strict, so settlement order and the predecessor tree are untouched.
-  A goal-directed run is the same loop cut short, so its result is the
-  full run's restricted to the nodes it settled.
+  node's index in sorted-uid order — the same total order as a
+  ``(distance, uid)`` string comparison — and relaxation stays strict, so
+  settlement order and the predecessor tree are determined by the weights
+  alone.  A goal-directed run is the same loop cut short, so its result is
+  the full run's restricted to the nodes it settled.
 
 Everything here is plain python lists — the standard library only.
 """
@@ -38,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError, RoutingError, TopologyError
 from repro.network.link import Link
-from repro.network.routing.dijkstra import DijkstraResult
+from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep
 from repro.network.topology import Topology
 
 #: The paper's suggested normalization constant (eq. 4); mirrors
@@ -50,22 +54,23 @@ _DEFAULT_K = 10.0
 class CompiledWeightTable(dict):
     """A weight table that also carries its values as a flat link array.
 
-    Behaves exactly like the plain ``Dict[str, float]`` the python path
-    returns (same keys, same insertion order, same values), but keeps the
-    per-link value list aligned with the snapshot's link order so
-    :meth:`TopologySnapshot.dijkstra` can skip the per-link dict lookups.
-    ``structure_token`` guards against reusing the array after the snapshot
-    rebuilt its structure (the dict fallback still works then).
+    A plain ``Dict[str, float]`` keyed by link name in ``topology.links()``
+    order, which also keeps the per-link value list aligned with the
+    snapshot's link order so :meth:`TopologySnapshot.dijkstra` can skip the
+    per-link dict lookups, and the per-node NV list (eq. 2, load term
+    included) in ``topology.node_uids()`` order.  ``structure_token``
+    guards against reusing the array after the snapshot rebuilt its
+    structure (the dict lookup still works then).
     """
 
-    __slots__ = ("link_values", "structure_token", "__weakref__")
+    __slots__ = ("link_values", "node_values", "structure_token", "__weakref__")
 
 
 class TopologySnapshot:
     """Int-indexed CSR view of a topology, invalidated by version counters.
 
     Nodes are addressed by *position* (insertion order — the order
-    ``topology.nodes()`` yields, which the python path's dicts follow) and
+    ``topology.nodes()`` yields, which every result dict follows) and
     carry their *rank* in sorted-uid order for Dijkstra tie-breaks.  Links
     are addressed by their ``topology.links()`` insertion index.
 
@@ -101,7 +106,7 @@ class TopologySnapshot:
         n = len(uids)
         pos_of = {uid: p for p, uid in enumerate(uids)}
         # Rank = index in sorted-uid order; (dist, rank) compares exactly
-        # like the python path's (dist, uid) because rank is monotone in uid.
+        # like (dist, uid) because rank is monotone in uid.
         rank = [0] * n
         for r, p in enumerate(sorted(range(n), key=uids.__getitem__)):
             rank[p] = r
@@ -116,15 +121,15 @@ class TopologySnapshot:
         self._online = [link.online for link in links]
 
         # One CSR over node positions, segments in links_at() order — the
-        # exact order the python path's NV sums and Dijkstra scans use.
+        # order of eq. 2's sums and of the textbook Dijkstra scan.
         inc_off = [0]
         inc_link: List[int] = []
         inc_nbr: List[int] = []
-        linkless_uid: Optional[str] = None
-        for uid in uids:
+        linkless_pos: Optional[int] = None
+        for p, uid in enumerate(uids):
             adjacent = topology.links_at(uid)
-            if not adjacent and linkless_uid is None:
-                linkless_uid = uid
+            if not adjacent and linkless_pos is None:
+                linkless_pos = p
             for link in adjacent:
                 inc_link.append(index_of[link.name])
                 inc_nbr.append(pos_of[link.other_end(uid)])
@@ -136,7 +141,7 @@ class TopologySnapshot:
         self._inc_off = inc_off
         self._inc_link = inc_link
         self._inc_nbr = inc_nbr
-        self._linkless_uid = linkless_uid
+        self._linkless_pos = linkless_pos
         self._lv_cache: Dict[float, List[float]] = {}
         self._values_memo: Optional[Tuple[Dict[str, float], List[float], bool]] = None
         self._structure_version += 1
@@ -152,10 +157,10 @@ class TopologySnapshot:
         than decisions are made, so everything the per-call kernels would
         otherwise re-derive from the online mask is hoisted here: the
         online-filtered NV segments with their capacity totals (the
-        denominators of eq. 1 — summed strictly left-to-right in
+        denominators of eq. 2 — summed strictly left-to-right in
         ``links_at`` order, like the python ``sum()``), and Dijkstra's
         online-only edge lists (kept in ``links_at`` order so lazy weight
-        validation fires in the python path's scan order).
+        validation fires in the textbook scan order).
         """
         n = self._node_count
         inc_off, inc_link, inc_nbr = self._inc_off, self._inc_link, self._inc_nbr
@@ -217,29 +222,36 @@ class TopologySnapshot:
         self,
         used_of: Optional[Callable[[Link], float]] = None,
         normalization_constant: float = _DEFAULT_K,
+        node_load: Optional[Callable[[str], float]] = None,
     ) -> CompiledWeightTable:
-        """The LVN table alone (mirrors :func:`repro.core.lvn.weight_table`)."""
-        return self.weight_table_with_nv(used_of, normalization_constant, _nv=False)[0]
+        """Equations (1)-(4) over the arrays, bit-identical to
+        :func:`repro.core.lvn.link_validation_number` per link.
 
-    def weight_table_with_nv(
-        self,
-        used_of: Optional[Callable[[Link], float]] = None,
-        normalization_constant: float = _DEFAULT_K,
-        _nv: bool = True,
-    ) -> Tuple[CompiledWeightTable, Optional[Dict[str, float]]]:
-        """Equations (1)-(4) over the arrays, bit-identical to the python path.
+        ``node_load`` is the server-load extension's per-node term: each
+        NV is the link ratio plus ``node_load(uid)``, exactly
+        :func:`repro.core.lvn.node_validation` with that term.
 
         Raises:
-            ReproError: If a node has no adjacent links (matching
-                :func:`repro.core.lvn.node_validation` — the first such node
-                in insertion order), or the normalization constant is not
-                positive.  A node whose links are all *offline* gets NV 0.0
-                in both paths (the shared degenerate-topology rule).
+            ReproError: What the scalar equations raise first in node
+                order: a node with no adjacent links, or a negative load;
+                then a non-positive normalization constant.  A node whose
+                links are all *offline* gets ratio 0.0.
         """
         self.refresh()
-        if self._linkless_uid is not None:
+        linkless = self._linkless_pos
+        loads: Optional[List[float]] = None
+        if node_load is not None:
+            loads = []
+            for uid in self._uids[:linkless]:  # all of them when None
+                load = node_load(uid)
+                if load < 0.0:
+                    raise ReproError(
+                        f"node load for {uid!r} cannot be negative, got {load!r}"
+                    )
+                loads.append(load)
+        if linkless is not None:
             raise ReproError(
-                f"node {self._linkless_uid!r} has no adjacent links; NV undefined"
+                f"node {self._uids[linkless]!r} has no adjacent links; NV undefined"
             )
         if self._link_count and not (normalization_constant > 0.0):
             raise ReproError(
@@ -251,15 +263,6 @@ class TopologySnapshot:
         else:
             used_vals = [used_of(link) for link in links]
 
-        nv_vals, weights = self._kernel_list(used_vals, normalization_constant)
-        table = CompiledWeightTable(zip(self._link_names, weights))
-        table.link_values = weights
-        table.structure_token = self._token
-        return table, dict(zip(self._uids, nv_vals)) if _nv else None
-
-    def _kernel_list(
-        self, used_vals: List[float], k: float
-    ) -> Tuple[List[float], List[float]]:
         nv_vals = [0.0] * self._node_count
         for p, segment in enumerate(self._nv_links):
             total_cap = self._nv_cap[p]
@@ -268,14 +271,20 @@ class TopologySnapshot:
                 for i in segment:
                     total_used += used_vals[i]
                 nv_vals[p] = total_used / total_cap
-        lv = self._lv_values(k)
+        if loads is not None:
+            nv_vals = [ratio + load for ratio, load in zip(nv_vals, loads)]
+        lv = self._lv_values(normalization_constant)
         weights = [
             (nv_vals[a] if nv_vals[a] >= nv_vals[b] else nv_vals[b]) + (u / c) * v
             for a, b, u, c, v in zip(
                 self._a_pos, self._b_pos, used_vals, self._cap, lv
             )
         ]
-        return nv_vals, weights
+        table = CompiledWeightTable(zip(self._link_names, weights))
+        table.link_values = weights
+        table.node_values = nv_vals
+        table.structure_token = self._token
+        return table
 
     # ------------------------------------------------------------------ #
     # Dijkstra over the CSR arrays
@@ -302,14 +311,25 @@ class TopologySnapshot:
         return values, valid
 
     def dijkstra(
-        self, source: str, weights: Dict[str, float], targets: Iterable[str] = ()
+        self,
+        source: str,
+        weights: Dict[str, float],
+        targets: Iterable[str] = (),
+        trace: bool = False,
     ) -> DijkstraResult:
-        """Shortest paths from ``source``, bit-identical to the python path.
+        """Shortest paths from ``source`` over the link weights ``weights``.
 
-        Without ``targets``: the full single-source tree — same determinism
-        contract, error messages and dict insertion order as
-        :func:`repro.network.routing.dijkstra.dijkstra` (trace mode is not
-        supported here; the VRA falls back to the python path for it).
+        Without ``targets``: the full single-source tree.  Ties break on
+        the node uid and a relaxation wins only on a strict improvement,
+        so the result is a pure function of (topology, online set,
+        weights) — which is what lets a tree cached under one routing
+        epoch stand in for a fresh run anywhere in that epoch.
+
+        ``trace=True`` records one :class:`DijkstraStep` per settled node
+        in the layout of the paper's Tables 4-5 (``steps``).  The paper's
+        own Table 4 misses a relaxation (DESIGN.md §5); this search
+        performs all of them, so its Experiment A row differs from the
+        misprinted one.
 
         With ``targets`` (the VRA passes the available holders) the search
         stops once the nearest target is settled and the heap top is
@@ -319,15 +339,20 @@ class TopologySnapshot:
         :class:`~repro.network.routing.dijkstra.DijkstraResult`).  Unknown
         or unreachable targets never stop it.  A table holding a negative
         or NaN weight anywhere is searched in full, so the lazy scan raises
-        the python path's ``RoutingError`` for the python path's link even
+        its ``RoutingError`` for the first such link in scan order even
         when that link lies beyond the stopping radius.
+
+        Raises:
+            TopologyError: If ``source`` is not in the topology.
+            RoutingError: If an online link the scan reaches has a
+                negative or NaN weight.
         """
         self.refresh()
         pos_of = self._pos_of
         pos = pos_of.get(source)
         if pos is None:
             # Checked before weight resolution so an unknown source raises
-            # the python path's TopologyError even with stale/empty weights.
+            # TopologyError even with stale/empty weights.
             raise TopologyError(
                 f"Dijkstra source {source!r} is not in topology {self._topology.name!r}"
             )
@@ -349,6 +374,8 @@ class TopologySnapshot:
         dist[pos] = 0.0
         reached = [pos]  # dict insertion order: source, then first relaxations
         heap: List[Tuple[float, int, int]] = [(0.0, rank[pos], pos)]
+        order: List[int] = []  # settlement order, kept only when tracing
+        steps: List[DijkstraStep] = []
         while heap:
             d, _, u = heappop(heap)
             if settled[u]:
@@ -361,8 +388,8 @@ class TopologySnapshot:
             settled[u] = 1
             if u in goals:
                 radius = d
-            # Offline links are already filtered out of the edge lists —
-            # before validation, matching the python path's lazy scan.
+            # Offline links are already filtered out of the edge lists, so
+            # an offline link's weight is never validated.
             for v, i in adj[u]:
                 cost = values[i]
                 if not (cost >= 0.0):  # rejects negatives and NaN
@@ -379,6 +406,9 @@ class TopologySnapshot:
                     dist[v] = candidate
                     prev[v] = u
                     heappush(heap, (candidate, rank[v], v))
+            if trace:
+                order.append(u)
+                steps.append(self._trace_step(order, reached, dist, prev))
 
         if not complete:
             # Reached-but-unsettled nodes hold tentative distances only.
@@ -392,8 +422,33 @@ class TopologySnapshot:
             source=source,
             distances=distances,
             predecessors=predecessors,
+            steps=steps,
             complete=complete,
             radius=inf if complete else radius,
+        )
+
+    def _trace_step(
+        self, order: List[int], reached: List[int], dist: List[float], prev: List[int]
+    ) -> DijkstraStep:
+        """The tentative table after a settlement, paper-style: every node
+        reached so far but the source, in first-relaxation order."""
+        uids = self._uids
+        distances: Dict[str, float] = {}
+        paths: Dict[str, Tuple[str, ...]] = {}
+        for p in reached[1:]:
+            nodes: List[str] = []
+            cursor = p
+            while cursor >= 0:
+                nodes.append(uids[cursor])
+                cursor = prev[cursor]
+            nodes.reverse()
+            distances[uids[p]] = dist[p]
+            paths[uids[p]] = tuple(nodes)
+        return DijkstraStep(
+            step=len(order),
+            settled=tuple(uids[p] for p in order),
+            distances=distances,
+            paths=paths,
         )
 
 

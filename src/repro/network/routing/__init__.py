@@ -1,8 +1,10 @@
-"""Routing algorithms over :class:`~repro.network.topology.Topology`.
+"""Routing results and the epoch memo over :class:`~repro.network.topology.Topology`.
 
-:mod:`repro.network.routing.dijkstra` is a from-scratch Dijkstra used by the
-paper's VRA; it offers a *trace mode* that records the per-step tentative
-distance table in exactly the layout of the paper's Tables 4 and 5.
+The search itself is the routing kernel's
+(:meth:`repro.network.compiled.TopologySnapshot.dijkstra`); this package
+holds its results (:mod:`repro.network.routing.dijkstra`, including the
+per-step tentative distance rows of the paper's Tables 4 and 5), paths,
+and the epoch memo in front of the VRA (:mod:`repro.network.routing.cache`).
 """
 
 from repro.network.routing.cache import (
@@ -10,7 +12,7 @@ from repro.network.routing.cache import (
     RoutingCache,
     RoutingCacheStats,
 )
-from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep, dijkstra
+from repro.network.routing.dijkstra import DijkstraResult, DijkstraStep
 from repro.network.routing.paths import Path
 
 __all__ = [
@@ -20,5 +22,4 @@ __all__ = [
     "Path",
     "RoutingCache",
     "RoutingCacheStats",
-    "dijkstra",
 ]

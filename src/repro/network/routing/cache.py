@@ -7,9 +7,9 @@ token over those counters through this memo.  Its leading
 ``routing_width`` entries are the *routing part* (``routing_epoch()``'s
 counters, plus server availability when the node-load extension folds
 stream slots into the weights); while it stands the memo reuses the LVN
-``weight_table`` and one ``DijkstraResult`` per home — a complete tree on
-the python path, the goal-directed *prefix* (everything within ``radius``)
-on the compiled one (:meth:`RoutingCache.tree`).  The rest is the
+``weight_table`` and one ``DijkstraResult`` per home — the goal-directed
+*prefix* (everything within ``radius``) the routing kernel's search
+returned (:meth:`RoutingCache.tree`).  The rest is the
 *availability part* (poll answers, holder lists): while the whole token
 stands, the service replays the :class:`~repro.core.vra.VraDecision` per
 ``(home, title)`` stored here.  :meth:`RoutingCache.sync` flushes
@@ -105,6 +105,9 @@ class RoutingCache:
             routing.  Older tokens are never asked for again: the
             counters feeding them are monotonic.
         clock: Ticks with every token input (None: read it per lookup).
+        search: The search a tree miss runs, called as ``search(source,
+            weights, targets)`` (the VRA passes its routing kernel's
+            :meth:`~repro.network.compiled.TopologySnapshot.dijkstra`).
     """
 
     token_of: Optional[Callable[[], Hashable]] = field(default=None, repr=False)
@@ -122,6 +125,9 @@ class RoutingCache:
     clock: Any = field(default=None, repr=False)
     #: ``clock.value`` at the last token read (-1: read it next time).
     seen: int = field(default=-1, repr=False)
+    search: Optional[Callable[[str, Dict[str, float], Sequence[str]], DijkstraResult]] = field(
+        default=None, repr=False
+    )
     _weights: Optional[Dict[str, float]] = field(default=None, repr=False)
     _trees: Dict[str, DijkstraResult] = field(default_factory=dict, repr=False)
 
@@ -151,17 +157,18 @@ class RoutingCache:
     def tree(
         self,
         source: str,
-        compute: Callable[[], DijkstraResult],
+        weights: Dict[str, float],
         targets: Sequence[str] = (),
     ) -> DijkstraResult:
         """The Dijkstra search from ``source`` for the synced token.
 
+        ``weights`` is the table :meth:`weights` returned under it;
         ``targets`` are the nodes the caller will read (none = the whole
         tree).  A cached *prefix* answers iff one of them lies inside it:
         the nearest target, and every target tying with it, is then inside
-        too.  Otherwise it is a miss — ``compute`` searches further out
-        under the current weights and its longer result replaces the
-        entry; a prefix is never extended in place.
+        too.  Otherwise it is a miss — :attr:`search` runs further out
+        over ``weights`` and its longer result replaces the entry; a
+        prefix is never extended in place.
         """
         cached = self._trees.get(source)
         if cached is not None and (
@@ -170,7 +177,7 @@ class RoutingCache:
             self.stats.tree_hits += 1
             return cached
         self.stats.tree_misses += 1
-        result = compute()
+        result = self.search(source, weights, targets)
         self._trees[source] = result
         return result
 

@@ -143,9 +143,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node {uid!r} in topology {self.name!r}") from None
 
-    def has_node(self, uid: str) -> bool:
-        return uid in self._nodes
-
     def nodes(self) -> Iterator[Node]:
         """All nodes, in insertion order."""
         return iter(self._nodes.values())

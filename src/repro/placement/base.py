@@ -171,18 +171,20 @@ class PlacementPolicy(abc.ABC):
                 resident_fraction=1.0,
             )
         else:
-            if self.array.resident_fraction(title_id) > 0.0:
+            resident = self.array.resident_fraction(title_id)
+            if resident > 0.0:
                 self.prefix_hit_count += 1
-            result = self._pass(video)
+            result = self._pass(video, resident)
         self.action_counts[result.action.value] = (
             self.action_counts.get(result.action.value, 0) + 1
         )
         return result
 
     @abc.abstractmethod
-    def _pass(self, video: VideoTitle) -> PlacementResult:
+    def _pass(self, video: VideoTitle, resident: float) -> PlacementResult:
         """One policy-specific placement step for a title that is not
-        fully resident (called by :meth:`on_request`)."""
+        fully resident (called by :meth:`on_request`, which read the
+        title's ``resident`` fraction once for the whole pass)."""
 
     def seed(self, video: VideoTitle) -> None:
         """Pre-load a full copy outside the request loop (service
@@ -264,9 +266,16 @@ class FractionalPlacementPolicy(PlacementPolicy):
         return evicted
 
     def _admit_fraction(
-        self, video: VideoTitle, fraction: float, points: int, evicted: List[str]
+        self,
+        video: VideoTitle,
+        fraction: float,
+        points: int,
+        evicted: List[str],
+        resident: float,
     ) -> PlacementResult:
-        """Store/extend the leading segment and report the outcome."""
+        """Store/extend the leading segment and report the outcome
+        (``resident``: the title's fraction before the pass, which
+        evicting other titles leaves as it was)."""
         title_id = video.title_id
         if not self.array.can_store_segment(video, fraction):
             action = (
@@ -280,7 +289,7 @@ class FractionalPlacementPolicy(PlacementPolicy):
                 points=points,
                 evicted=tuple(evicted),
                 cached=False,
-                resident_fraction=self.array.resident_fraction(title_id),
+                resident_fraction=resident,
             )
         achieved = self.array.store_segment(video, fraction)
         if self.array.has_video(title_id):

@@ -80,18 +80,17 @@ class PopularityWeightedPartial(FractionalPlacementPolicy):
         return min(1.0, max(self.floor_fraction, share))
 
     # ------------------------------------------------------------------ #
-    def _pass(self, video: VideoTitle) -> PlacementResult:
+    def _pass(self, video: VideoTitle, resident: float) -> PlacementResult:
         title_id = video.title_id
         points = self.tracker.give_point(title_id)
-        current = self.array.resident_fraction(title_id)
         target = self.target_fraction(video)
-        if target <= current + 1e-9:
+        if target <= resident + 1e-9:
             return PlacementResult(
                 title_id=title_id,
                 action=PlacementAction.POINT_ONLY,
                 points=points,
-                resident_fraction=current,
+                resident_fraction=resident,
             )
 
         evicted = self._make_room(video, target)
-        return self._admit_fraction(video, target, points, evicted)
+        return self._admit_fraction(video, target, points, evicted, resident)

@@ -82,7 +82,7 @@ class WholeTitleDma(PlacementPolicy):
         self.evict_until_fits = evict_until_fits
 
     # ------------------------------------------------------------------ #
-    def _pass(self, video: VideoTitle) -> PlacementResult:
+    def _pass(self, video: VideoTitle, resident: float) -> PlacementResult:
         """One Figure 2 pass for a video not yet on the disks (the HIT
         branch is :meth:`PlacementPolicy.on_request`'s)."""
         if self.array.can_store(video):

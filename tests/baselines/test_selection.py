@@ -143,16 +143,16 @@ class TestFullTreeConsumer:
     def test_candidate_paths_span_every_reachable_node(
         self, grnet_8am, factory, monkeypatch
     ):
-        import repro.baselines.selection as selection
+        from repro.network.compiled import TopologySnapshot
 
         trees = []
-        real = selection.dijkstra
+        real = TopologySnapshot.dijkstra
 
         def recording(*args, **kwargs):
             trees.append(real(*args, **kwargs))
             return trees[-1]
 
-        monkeypatch.setattr(selection, "dijkstra", recording)
+        monkeypatch.setattr(TopologySnapshot, "dijkstra", recording)
         # U1 is one hop from U2, U5 three: a prefix would end at U1.
         decision = factory(grnet_8am).decide("U2", "m", holders=["U1", "U5"])
         assert trees and all(tree.complete for tree in trees)

@@ -235,7 +235,7 @@ class TestStalenessFlipMovesTheToken:
 
     @staticmethod
     def check(service, observed):
-        from repro.core.lvn import weight_table
+        from tests.reference.lvn import weight_table
 
         (fresh, m1), (stale, m2), (healed, m3) = observed
         assert (m1, m2, m3) == (1, 2, 3)  # one fresh VRA run per state

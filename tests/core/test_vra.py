@@ -5,6 +5,7 @@ import pytest
 from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.errors import RoutingError, TitleUnavailableError
 from repro.network.routing.paths import Path
+from tests.reference.vra import ReferenceVra
 
 
 class TestLocalShortcut:
@@ -116,43 +117,45 @@ class TestConfiguration:
 
 
 class TestGoalDirectedSearch:
-    """The compiled path searches to the nearest holder only; the decision
-    and its lazily completed audit trail must not show it."""
+    """The search goes to the nearest holder only; the decision and its
+    lazily completed audit trail must not show it."""
 
     def cached_vra(self, topology, **kwargs):
         return VirtualRoutingAlgorithm(
             topology,
-            compiled=True,
             epoch_of=lambda: (topology.traffic_version, topology.state_version),
             **kwargs,
         )
 
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_idle_network_equidistant_holders_pick_smallest_uid(self, grnet, compiled):
+    def vra(self, topology, memo):
+        return self.cached_vra(topology) if memo else VirtualRoutingAlgorithm(topology)
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_idle_network_equidistant_holders_pick_smallest_uid(self, grnet, memo):
         # No traffic: every LVN is 0, every holder ties at cost 0.
-        vra = VirtualRoutingAlgorithm(grnet, compiled=compiled)
+        vra = self.vra(grnet, memo)
         decision = vra.decide("U1", "movie", holders=["U6", "U3", "U5"])
         assert decision.cost == 0.0
         assert decision.chosen_uid == "U3"
         assert set(decision.candidate_paths) == {"U3", "U5", "U6"}
 
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_partitioned_holders_still_raise(self, grnet_8am, compiled):
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_partitioned_holders_still_raise(self, grnet_8am, memo):
         from repro.errors import NoReachableHolderError
 
         for link in grnet_8am.links_at("U2"):
             link.online = False
-        vra = VirtualRoutingAlgorithm(grnet_8am, compiled=compiled)
+        vra = self.vra(grnet_8am, memo)
         with pytest.raises(NoReachableHolderError, match=r"\['U4', 'U5'\]"):
             vra.decide("U2", "movie", holders=["U4", "U5"])
 
     def test_decision_is_read_from_a_prefix_and_audited_in_full(self, grnet_8am):
         vra = self.cached_vra(grnet_8am)
-        oracle = VirtualRoutingAlgorithm(grnet_8am)
+        oracle = ReferenceVra(grnet_8am)
         decision = vra.decide("U2", "movie", holders=["U1", "U5"])
         expected = oracle.decide("U2", "movie", holders=["U1", "U5"])
         # A hit (compute is never called): the prefix the decision read.
-        search = vra.cache.tree("U2", None, [decision.chosen_uid])
+        search = vra.cache.tree("U2", decision.weights, [decision.chosen_uid])
         assert not search.complete and not search.reaches("U5")
         assert (decision.chosen_uid, decision.path) == (expected.chosen_uid, expected.path)
         # The audit trail is the complete tree and every candidate's path.
@@ -164,7 +167,7 @@ class TestGoalDirectedSearch:
 
     def test_second_title_beyond_the_cached_prefix_is_researched(self, grnet_8am):
         vra = self.cached_vra(grnet_8am)
-        oracle = VirtualRoutingAlgorithm(grnet_8am)
+        oracle = ReferenceVra(grnet_8am)
         near = vra.decide("U2", "near", holders=["U1"])
         assert vra.cache_stats.tree_misses == 1
         far = vra.decide("U2", "far", holders=["U5"])  # U5 outside that prefix
@@ -175,9 +178,9 @@ class TestGoalDirectedSearch:
         assert (vra.cache_stats.tree_hits, vra.cache_stats.tree_misses) == (1, 2)
         assert again.path == near.path
 
-    def test_python_and_compiled_audits_are_complete_trees(self, grnet_8am):
-        for compiled in (False, True):
-            decision = VirtualRoutingAlgorithm(grnet_8am, compiled=compiled).decide(
+    def test_audits_are_complete_trees_with_and_without_memo(self, grnet_8am):
+        for memo in (False, True):
+            decision = self.vra(grnet_8am, memo).decide(
                 "U2", "movie", holders=["U1", "U5"]
             )
             assert decision.dijkstra_result.complete
@@ -189,7 +192,7 @@ class TestDecisionRecord:
     ignores its audit and whose audit is derived from its own fields."""
 
     def routed(self, topology):
-        vra = VirtualRoutingAlgorithm(topology, compiled=True)
+        vra = VirtualRoutingAlgorithm(topology)
         return vra.decide("U2", "movie", holders=["U1", "U5"])
 
     def test_assigning_a_field_raises(self, grnet_8am):

@@ -89,3 +89,35 @@ class TestFingerprint:
         assert all(len(p) == 64 for p in prints)
         # Different policies produce different session histories.
         assert len(prints) == 3
+
+
+class TestResidentFractionReads:
+    def test_read_once_per_miss(self, monkeypatch):
+        """A placement miss reads the title's resident fraction once, in
+        ``on_request``, and passes it down; the only other read is the one
+        ``store_segment`` returns (62 misses and 15 segment stores here)."""
+        from repro.placement.base import PlacementPolicy
+        from repro.storage.array import DiskArray
+
+        counts = {"reads": 0, "misses": 0, "segments": 0}
+        read, store_segment = DiskArray.resident_fraction, DiskArray.store_segment
+        on_request = PlacementPolicy.on_request
+
+        def counted_read(array, title_id):
+            counts["reads"] += 1
+            return read(array, title_id)
+
+        def counted_store_segment(array, *args, **kwargs):
+            counts["segments"] += 1
+            return store_segment(array, *args, **kwargs)
+
+        def counted_on_request(policy, video):
+            counts["misses"] += not policy.array.has_video(video.title_id)
+            return on_request(policy, video)
+
+        monkeypatch.setattr(DiskArray, "resident_fraction", counted_read)
+        monkeypatch.setattr(DiskArray, "store_segment", counted_store_segment)
+        monkeypatch.setattr(PlacementPolicy, "on_request", counted_on_request)
+        run_placement_experiment(requests_per_node=6, catalog_size=8)
+        assert (counts["misses"], counts["segments"]) == (62, 15)
+        assert counts["reads"] == counts["misses"] + counts["segments"] == 77

@@ -217,16 +217,16 @@ class TestFullTreeConsumer:
     def test_requests_route_over_complete_trees(self, monkeypatch):
         """Holders are looked up in the tree *after* it is built, so the
         evaluator must never be handed a goal-directed prefix."""
-        import repro.extensions.strip_caching as strip_caching
+        from repro.network.compiled import TopologySnapshot
 
         trees = []
-        real = strip_caching.dijkstra
+        real = TopologySnapshot.dijkstra
 
         def recording(*args, **kwargs):
             trees.append(real(*args, **kwargs))
             return trees[-1]
 
-        monkeypatch.setattr(strip_caching, "dijkstra", recording)
+        monkeypatch.setattr(TopologySnapshot, "dijkstra", recording)
         for granularity in ("strip", "title"):
             evaluator = make_evaluator(granularity=granularity)
             assert evaluator.request("U5", "t1") > 0.0  # origin U2, hops away

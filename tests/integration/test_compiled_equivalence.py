@@ -1,12 +1,15 @@
-"""Compiled routing core changes no decision — full-service equivalence.
+"""The epoch memo changes no decision — full-service equivalence.
 
-``ServiceConfig.compiled_routing`` swaps the VRA's weight/Dijkstra kernels
-for the array-compiled :class:`~repro.network.compiled.TopologySnapshot`.
-The contract is *bit-for-bit* service-level equivalence: the same scenario
-run compiled and pure-python must produce identical VRA decisions (server,
-path, cost), identical per-cluster delivery records, and identical session
-outcomes — across a flash crowd, a link-churn storm, a churning 200-node
-backbone, and a seeded chaos run with fault injection.
+Every decision runs on the one routing kernel
+(:class:`~repro.network.compiled.TopologySnapshot`);
+``ServiceConfig.compiled_routing`` only puts the VRA's epoch memo in front
+of it (the name predates the single kernel).  The contract is *bit-for-bit* service-level
+equivalence: the same scenario run with the memo on and off must produce
+identical VRA decisions (server, path, cost), identical per-cluster
+delivery records, and identical session outcomes — across a flash crowd,
+a link-churn storm, a churning 200-node backbone, and a seeded chaos run
+with fault injection.  The kernel itself is checked against the dict
+kernels of ``tests/reference`` in ``tests/properties/test_compiled_props.py``.
 """
 
 import random
@@ -60,11 +63,11 @@ def session_fingerprint(service):
     ]
 
 
-def run_scenario(scenario, compiled, churn=None, run_until=5 * 3600.0,
+def run_scenario(scenario, memo, churn=None, run_until=5 * 3600.0,
                  disk_count=2, disk_capacity_mb=1_000.0,
                  topology_factory=build_grnet_topology, seed_origin_uids=("U4",)):
     experiment = ServiceExperiment(
-        name=f"compiled-{compiled}",
+        name=f"memo-{memo}",
         scenario=scenario,
         config=ServiceConfig(
             cluster_mb=50.0,
@@ -72,7 +75,7 @@ def run_scenario(scenario, compiled, churn=None, run_until=5 * 3600.0,
             disk_capacity_mb=disk_capacity_mb,
             max_streams=64,
             use_reported_stats=True,
-            compiled_routing=compiled,
+            compiled_routing=memo,
         ),
         topology_factory=topology_factory,
         seed_origin_uids=list(seed_origin_uids),
@@ -107,8 +110,8 @@ def test_flash_crowd_bit_identical():
             "U2", SPECIAL, viewer_count=12, start_s=300.0, ramp_s=1_800.0
         )
 
-    fast = run_scenario(scenario(), compiled=True)
-    plain = run_scenario(scenario(), compiled=False)
+    fast = run_scenario(scenario(), memo=True)
+    plain = run_scenario(scenario(), memo=False)
     assert fast == plain
     assert len(fast[0]) > 0
     assert all(clusters for *_, clusters in fast[1])
@@ -142,10 +145,10 @@ def test_link_churn_bit_identical():
         service.sim.schedule_many(entries)
 
     fast = run_scenario(
-        scenario(), compiled=True, churn=churn, disk_count=4, disk_capacity_mb=24_000.0
+        scenario(), memo=True, churn=churn, disk_count=4, disk_capacity_mb=24_000.0
     )
     plain = run_scenario(
-        scenario(), compiled=False, churn=churn, disk_count=4, disk_capacity_mb=24_000.0
+        scenario(), memo=False, churn=churn, disk_count=4, disk_capacity_mb=24_000.0
     )
     assert fast == plain
     assert len(fast[0]) > 0
@@ -183,8 +186,8 @@ def test_backbone200_churn_bit_identical():
         churn=churn, run_until=2_400.0, topology_factory=backbone200,
         seed_origin_uids=uids[::10],
     )
-    fast = run_scenario(scenario(), compiled=True, **kwargs)
-    plain = run_scenario(scenario(), compiled=False, **kwargs)
+    fast = run_scenario(scenario(), memo=True, **kwargs)
+    plain = run_scenario(scenario(), memo=False, **kwargs)
     assert fast == plain
     assert len(fast[0]) > len(fast[1]) > 100
 
@@ -192,12 +195,12 @@ def test_backbone200_churn_bit_identical():
 @pytest.mark.parametrize("seed", [13, 29])
 def test_chaos_run_bit_identical(seed):
     """Seeded fault storm (crashes, flaps, degrades, SNMP blackouts):
-    compiled and python runs must agree on every session and the report."""
+    memo-on and memo-off runs must agree on every session and the report."""
 
-    def config(compiled):
+    def config(memo):
         return ServiceConfig(
             retry_attempts=5,
-            compiled_routing=compiled,
+            compiled_routing=memo,
         )
 
     kwargs = dict(

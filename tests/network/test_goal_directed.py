@@ -13,8 +13,8 @@ from repro.network.compiled import TopologySnapshot
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.cache import RoutingCache
-from repro.network.routing.dijkstra import dijkstra
 from repro.network.topology import Topology
+from tests.reference.dijkstra import dijkstra
 
 INF = float("inf")
 
@@ -24,7 +24,7 @@ def build(edges):
     topology = Topology(name="t")
     for name in edges:
         for uid in name.split("-"):
-            if not topology.has_node(uid):
+            if uid not in topology.node_uids():
                 topology.add_node(Node(uid))
     for name in edges:
         a, b = name.split("-")
@@ -169,16 +169,16 @@ class TestRoutingCachePrefixes:
     def setup_method(self):
         self.topology, self.weights = build(LINE)
         self.snap = TopologySnapshot(self.topology)
-        self.cache = RoutingCache()
+        self.cache = RoutingCache(search=self.search)
         self.cache.sync(1)
         self.runs = []
 
-    def tree(self, targets):
-        def compute():
-            self.runs.append(tuple(targets))
-            return self.snap.dijkstra("S", self.weights, targets)
+    def search(self, source, weights, targets):
+        self.runs.append(tuple(targets))
+        return self.snap.dijkstra(source, weights, targets)
 
-        return self.cache.tree("S", compute, targets)
+    def tree(self, targets):
+        return self.cache.tree("S", self.weights, targets)
 
     def test_prefix_answers_any_target_inside_it(self):
         first = self.tree(["C"])

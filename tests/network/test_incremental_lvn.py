@@ -1,10 +1,10 @@
 """Unit tests: the cached LVN table across routing epochs."""
 
-from repro.core.lvn import weight_table
 from repro.core.vra import VirtualRoutingAlgorithm
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.network.link import Link
 from repro.network.node import Node
+from tests.reference.lvn import weight_table
 
 
 def cached_vra(topology):

@@ -8,8 +8,8 @@ from repro.database.store import ServiceDatabase
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.routing.cache import RoutingCache, RoutingCacheStats
-from repro.network.routing.dijkstra import dijkstra
 from repro.network.topology import Topology
+from tests.reference.dijkstra import dijkstra
 
 
 def build_pair():
@@ -131,15 +131,14 @@ class TestRoutingCache:
 
     def test_epoch_change_invalidates(self):
         topology, _ = build_pair()
-        cache = RoutingCache()
+        cache = RoutingCache(search=lambda source, _w, _t: self.tree_for(topology, source))
         cache.sync(("db", 1))
-        cache.weights(lambda: {"A-B": 1.0})
-        cache.tree("A", lambda: self.tree_for(topology))
+        cache.tree("A", cache.weights(lambda: {"A-B": 1.0}))
         cache.sync(("db", 2))
-        cache.weights(lambda: {"A-B": 2.0})
+        weights = cache.weights(lambda: {"A-B": 2.0})
         assert cache.stats.invalidations == 1
         # The tree cached under epoch 1 is gone.
-        cache.tree("A", lambda: self.tree_for(topology))
+        cache.tree("A", weights)
         assert cache.stats.tree_misses == 2
         assert cache.stats.tree_hits == 0
 

@@ -17,7 +17,7 @@ def explicit_topology(name, pairs):
     topology = Topology(name=name)
     for a, b in pairs:
         for uid in (a, b):
-            if not topology.has_node(uid):
+            if uid not in topology.node_uids():
                 topology.add_node(Node(uid))
         topology.add_link(Link(a, b, capacity_mbps=10.0))
     topology.validate()

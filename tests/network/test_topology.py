@@ -12,8 +12,8 @@ class TestConstruction:
     def test_add_and_lookup_nodes(self, triangle):
         assert triangle.node_count == 3
         assert triangle.node("A").uid == "A"
-        assert triangle.has_node("B")
-        assert not triangle.has_node("Z")
+        assert "B" in triangle.node_uids()
+        assert "Z" not in triangle.node_uids()
 
     def test_duplicate_node_rejected(self, triangle):
         with pytest.raises(TopologyError):

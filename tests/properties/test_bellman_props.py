@@ -3,8 +3,8 @@ weights, on random connected graphs."""
 
 from hypothesis import given, settings
 
-from tests.network._bellman_ford import bellman_ford
-from repro.network.routing.dijkstra import dijkstra
+from tests.reference.bellman_ford import bellman_ford
+from tests.reference.dijkstra import dijkstra
 
 from .topology_strategies import random_weighted_topology
 

@@ -1,12 +1,14 @@
-"""Property tests: the compiled routing core is bit-for-bit the python path.
+"""Property tests: the routing kernel is bit-for-bit the textbook oracle.
 
-``TopologySnapshot`` is a performance substrate with a hard correctness
-contract: under ANY interleaving of traffic rewrites and link failures /
-recoveries, the compiled kernels must reproduce the pure-python path
-*byte for byte* — same weight/NV tables (same dict order, same float
-reprs), same Dijkstra trees (same settlement order, same tie-breaks),
-same exceptions.  A last-ulp drift here would silently change admission
-decisions, so these properties compare representations, not just values.
+``TopologySnapshot`` is the one LVN table builder and the one Dijkstra the
+package runs, with a hard correctness contract: under ANY interleaving of
+traffic rewrites and link failures / recoveries, and any per-node load
+term, it must reproduce the dict kernels of ``tests/reference`` *byte for
+byte* — same weight/NV tables (same dict order, same float reprs), same
+Dijkstra trees and Tables 4-5 trace rows (same settlement order, same
+tie-breaks), same exceptions.  A last-ulp drift here would silently change
+admission decisions, so these properties compare representations, not
+just values.
 """
 
 import json
@@ -14,13 +16,14 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.lvn import weight_table_with_nv
 from repro.core.vra import VirtualRoutingAlgorithm
 from repro.errors import LinkCapacityError, ReproError
 from repro.network.compiled import TopologySnapshot
 from repro.network.flows import FlowManager
 from repro.network.grnet import GRNET_LINKS, GRNET_NODES, build_grnet_topology
-from repro.network.routing.dijkstra import dijkstra
+from tests.reference.dijkstra import dijkstra
+from tests.reference.lvn import weight_table_with_nv
+from tests.reference.vra import ReferenceVra
 
 NODES = sorted(GRNET_NODES)
 LINK_NAMES = [name for name, _, _ in GRNET_LINKS]
@@ -40,6 +43,25 @@ link_ops = st.lists(
 churn_runs = st.lists(
     st.tuples(link_ops, st.sampled_from(NODES)), min_size=1, max_size=8
 )
+#: The server-load extension's per-node term (None: the paper's eq. 2);
+#: a negative entry must raise what ``node_validation`` raises.
+node_loads = st.one_of(
+    st.none(),
+    st.lists(
+        st.floats(min_value=-0.25, max_value=1.0, allow_nan=False),
+        min_size=len(NODES),
+        max_size=len(NODES),
+    ),
+)
+#: Both links of Patra (U2) toggled: from the all-online start, U2's
+#: links are all offline.
+ISOLATE_U2 = [("Patra-Athens", "toggle", 0.0), ("Patra-Ioannina", "toggle", 0.0)]
+
+
+def kernel_tables(snapshot, *args):
+    """The kernel's table and its NV list as the oracle's ``(table, nv)``."""
+    table = snapshot.weight_table(*args)
+    return table, dict(zip(snapshot._uids, table.node_values))
 
 
 def apply_ops(topology, ops):
@@ -75,31 +97,49 @@ def tree_fingerprint(result):
     )
 
 
+def trace_fingerprint(result):
+    """Every Tables 4-5 row, dict insertion order and float reprs included."""
+    return [
+        (
+            step.step,
+            step.settled,
+            [(uid, repr(d)) for uid, d in step.distances.items()],
+            list(step.paths.items()),
+        )
+        for step in result.steps
+    ]
+
+
 class TestWeightTableEquivalence:
-    @given(churn_runs)
+    @given(churn_runs, node_loads)
+    @example(runs=[(ISOLATE_U2, "U1")], loads=None)
+    @example(runs=[(ISOLATE_U2, "U1")], loads=[0.5, 0.25, 0.0, 1.0, 0.125, 0.75])
+    @example(runs=[([], "U1")], loads=[0.5, 0.25, -0.125, 1.0, -0.5, 0.75])
     @settings(max_examples=60, deadline=None)
-    def test_tables_bit_identical_under_churn(self, runs):
+    def test_tables_bit_identical_under_churn(self, runs, loads):
         topology = build_grnet_topology()
         snapshot = TopologySnapshot(topology)
+        node_load = None if loads is None else dict(zip(NODES, loads)).__getitem__
         for ops, _home in runs:
             apply_ops(topology, ops)
             compiled = tables_or_error(
-                lambda: snapshot.weight_table_with_nv(None, 10.0)
+                lambda: kernel_tables(snapshot, None, 10.0, node_load)
             )
             python = tables_or_error(
-                lambda: weight_table_with_nv(topology, None, 10.0)
+                lambda: weight_table_with_nv(topology, None, 10.0, node_load)
             )
             assert compiled == python
             if compiled[0] != "error":
                 # The tables must also survive a JSON round-trip identically
                 # (they are persisted in decision audit records).
-                weights, _ = snapshot.weight_table_with_nv(None, 10.0)
-                reference, _ = weight_table_with_nv(topology, None, 10.0)
+                weights, _ = kernel_tables(snapshot, None, 10.0, node_load)
+                reference, _ = weight_table_with_nv(topology, None, 10.0, node_load)
                 assert json.dumps(weights) == json.dumps(reference)
 
 
 class TestDijkstraEquivalence:
     @given(churn_runs)
+    @example(runs=[(ISOLATE_U2, "U1"), ([], "U2")])
     @settings(max_examples=60, deadline=None)
     def test_trees_bit_identical_under_churn(self, runs):
         topology = build_grnet_topology()
@@ -112,6 +152,14 @@ class TestDijkstraEquivalence:
             assert tree_fingerprint(compiled) == tree_fingerprint(python)
             for uid in compiled.distances:
                 assert compiled.node_path(uid) == python.node_path(uid)
+            # Trace mode: the same tree plus the paper's step rows.
+            traced = snapshot.dijkstra(source, table, trace=True)
+            python_traced = dijkstra(
+                topology, source, lambda link: table[link.name], trace=True
+            )
+            assert tree_fingerprint(traced) == tree_fingerprint(compiled)
+            assert trace_fingerprint(traced) == trace_fingerprint(python_traced)
+            assert len(traced.steps) == len(traced.distances)
 
 
 class TestFlowLedgerEquivalence:
@@ -230,10 +278,10 @@ class TestVraEquivalence:
     @given(routed_runs)
     @settings(max_examples=80, deadline=None)
     def test_compiled_vra_decisions_match_python_vra(self, runs):
-        """Goal-directed compiled search vs the full-tree python oracle."""
+        """Goal-directed kernel search vs the full-tree dict-kernel oracle."""
         topology = build_grnet_topology()
-        fast = VirtualRoutingAlgorithm(topology, compiled=True)
-        plain = VirtualRoutingAlgorithm(topology, compiled=False)
+        fast = VirtualRoutingAlgorithm(topology)
+        plain = ReferenceVra(topology)
         for ops, home, holders, down in runs:
             apply_ops(topology, ops)
             assert decision_fingerprint(
@@ -255,19 +303,18 @@ class TestVraEquivalence:
     )
     @settings(max_examples=80, deadline=None)
     def test_compiled_delta_vra_matches_python_cold(self, runs):
-        """Compiled snapshot + the routing cache, against a cache-less
-        pure-python VRA computing everything from scratch.  Re-asked
+        """The kernel + the routing cache, against a cache-less
+        dict-kernel VRA computing everything from scratch.  Re-asked
         questions are answered by prefixes cached since the last churn
         batch, so their audit trail must equal a cold run under the
         *new* table."""
         topology = build_grnet_topology()
         cached = VirtualRoutingAlgorithm(
             topology,
-            compiled=True,
             epoch_of=lambda: (topology.traffic_version, topology.state_version),
         )
         assert cached.cache is not None
-        plain = VirtualRoutingAlgorithm(topology, compiled=False)
+        plain = ReferenceVra(topology)
         asked = []
         for ops, home, holders, down in runs:
             apply_ops(topology, ops)

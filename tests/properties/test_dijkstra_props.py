@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.network.compiled import TopologySnapshot
 from repro.network.link import Link
 from repro.network.node import Node
-from repro.network.routing.dijkstra import dijkstra
 from repro.network.topology import Topology
+from tests.reference.dijkstra import dijkstra
 
 
 @st.composite

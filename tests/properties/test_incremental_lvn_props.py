@@ -12,7 +12,6 @@ the same exceptions when routing is impossible.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lvn import weight_table
 from repro.core.service import ServiceConfig, VoDService
 from repro.core.vra import VirtualRoutingAlgorithm
 from repro.database.records import LinkEntry, LinkStats
@@ -22,6 +21,7 @@ from repro.network.grnet import GRNET_LINKS, GRNET_NODES, build_grnet_topology
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.sim.engine import Simulator
+from tests.reference.lvn import weight_table
 
 NODES = sorted(GRNET_NODES)
 LINK_NAMES = [name for name, _, _ in GRNET_LINKS]
@@ -205,7 +205,7 @@ def apply_service_ops(service, ops):
 @settings(max_examples=60, deadline=None)
 def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches):
     """The token says when: whatever moved a routing input also moved the
-    epoch, so the table the cache holds is ``core.lvn.weight_table`` bit
+    epoch, so the table the cache holds is the reference ``weight_table`` bit
     for bit and in key order; an unmoved epoch keeps the very same table
     object, and a table handed out earlier is never written to again."""
     service = VoDService(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.vra import VirtualRoutingAlgorithm
 from repro.network.grnet import GRNET_LINKS, GRNET_NODES, build_grnet_topology
-from repro.network.routing.dijkstra import dijkstra
+from tests.reference.dijkstra import dijkstra
 
 NODES = sorted(GRNET_NODES)
 

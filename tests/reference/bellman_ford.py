@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
-from repro.network.routing.dijkstra import WeightFn
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
+from tests.reference.dijkstra import WeightFn
 
 
 @dataclass
@@ -91,7 +91,7 @@ def bellman_ford(topology: Topology, source: str, weight: WeightFn) -> BellmanFo
     Raises:
         TopologyError: If ``source`` is not in the topology.
     """
-    if not topology.has_node(source):
+    if source not in topology.node_uids():
         raise TopologyError(
             f"Bellman-Ford source {source!r} is not in topology {topology.name!r}"
         )
