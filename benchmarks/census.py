@@ -308,18 +308,9 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/properties/test_flows_props.py::"
       "test_reserve_refuses_exactly_when_the_rate_exceeds_the_bottleneck",
       "tests/properties/test_session_props.py::test_transfer_matches_the_polling_oracle"]),
-    ("reference", "per-link and per-server change counters: the value-aware "
-     "setter and zero-reserve tests read them to show a no-op notifies nothing, "
-     "and the structure token shows an online flip rebuilds no structure",
-     ["network/link.py::Link.state_version", "network/link.py::Link.traffic_version",
-      "server/video_server.py::VideoServer.state_version",
-      "network/compiled.py::TopologySnapshot.structure_token"],
-     ["tests/faults/test_value_aware_state.py::TestLinkOnlineValueAware::"
-      "test_same_value_assign_bumps_nothing",
-      "tests/faults/test_value_aware_state.py::TestServerOnlineValueAware::"
-      "test_same_value_assign_bumps_nothing",
-      "tests/network/test_routing_cache.py::TestLinkVersions::test_zero_reserve_is_not_a_change",
-      "tests/network/test_compiled.py::TestStructure::"
+    ("reference", "the structure token shows an online flip rebuilds no structure",
+     ["network/compiled.py::TopologySnapshot.structure_token"],
+     ["tests/network/test_compiled.py::TestStructure::"
       "test_online_flip_refreshes_mask_without_structure_rebuild"]),
     ("reference", "the both-ends SNMP oracle copies the poll period and skips a "
      "blacked-out round; the one-reporter test reads each end's agent",
@@ -387,11 +378,10 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/obs/test_service_obs.py::TestEveryEnding::"
       "test_disabled_tracer_is_never_handed_a_record"]),
     ("fault", "resilience wiring no user path exercises: a server added to a running "
-     "service gets the failover hook, a preempted segment resumes from "
+     "service is supervised too, a preempted segment resumes from "
      "another server, and a disk fails on a server with no supervised "
      "session",
-     ["core/service.py::VoDService.add_server::if self.supervisor is not None",
-      "core/session.py::StreamingSession._deliver_cluster::if switched",
+     ["core/session.py::StreamingSession._deliver_cluster::if switched",
       "resilience/supervisor.py::SessionSupervisor.on_disk_failure::if not bucket"],
      ["tests/resilience/test_supervisor.py::TestMidStreamFailover::"
       "test_a_server_added_at_runtime_is_supervised_too",
@@ -410,13 +400,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_bad_step_fails_that_session_only_and_releases",
       "tests/sim/test_process.py::TestProcessBasics::"
       "test_unsupported_yield_value_errors_process"]),
-    ("fault", "an unchanged token keeps every table, search and decision: a clock "
-     "tick that moved no token input (extra ticks are safe, DESIGN.md 5b.14) and "
-     "a memo without a clock, which reads its token on every lookup",
-     ["network/routing/cache.py::RoutingCache.sync::if token == self.token"],
-     ["tests/network/test_routing_cache.py::TestRoutingCache::test_weights_hit_within_epoch",
-      "tests/core/test_vra.py::TestGoalDirectedSearch::"
-      "test_second_title_beyond_the_cached_prefix_is_researched"]),
     ("fault", "a policy swap keeps the memo from replaying a stale decision: "
      "re-installing the built-in VRA re-reads the token",
      ["core/service.py::VoDService.vra::if self._memo is not None"],

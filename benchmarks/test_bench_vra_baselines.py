@@ -140,10 +140,11 @@ def test_x3_service_level(benchmark, show, selection_key):
         run_selection_experiment, args=(selection_key,), rounds=1, iterations=1
     )
     assert metrics.completed_count > 0
+    # Every figure after the count is over the completed sessions only.
     show(
-        f"X3[{selection_key:9s}]: completed={metrics.completed_count}/"
-        f"{metrics.session_count} "
+        f"X3[{selection_key:9s}]: "
         f"qos-violations={metrics.qos_violation_fraction:.3f} "
+        f"over completed={metrics.completed_count}/{metrics.session_count} "
         f"stall={metrics.mean_stall_s:.0f}s "
         f"MB-hops={metrics.megabyte_hops:.0f}"
     )

@@ -43,6 +43,7 @@ from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.database.records import LinkEntry, ServerEntry
 from repro.database.store import ServiceDatabase
 from repro.errors import ReproError, ServiceError
+from repro.network.feed import AVAILABILITY, LINK_STATS, LOCATIONS, STATE, TRAFFIC
 from repro.network.flows import FlowManager
 from repro.network.link import Link
 from repro.network.node import Node
@@ -305,22 +306,17 @@ class VoDService:
         self.open_spans: Dict[int, SessionSpan] = {}
         #: Numbers the requests this service creates: 1, 2, ...
         self._request_ids = itertools.count(1)
-        #: Ticks with every memo-token input (DESIGN.md §5b.14).
-        self._clock = topology.clock
-        self.database = ServiceDatabase(self._clock)
+        #: Every memo-token input publishes here (DESIGN.md §5b.14).
+        self._feed = topology.feed
+        self.database = ServiceDatabase(self._feed)
         self.flows = FlowManager(topology)
         self._subnet_map: Dict[str, str] = {}
         self._clients: Dict[str, Client] = {}
         self.sessions: List[SessionRecord] = []
         #: How many requests in ``sessions`` are terminal: bumped where a
         #: request ends (the session observer's ``finish``, ``_reject``)
-        #: so ``service.sessions_active`` is counted, not scanned.
+        #: so the ``service.sessions_active`` gauge is counted, not scanned.
         self._sessions_finished = 0
-        #: Server-availability generation: bumped by every server whenever
-        #: anything feeding a VRA poll answer moves (online state, title
-        #: residency, disk health, stream slots).  Part of the epoch memo's
-        #: token (see the VRA wiring below).
-        self._availability_version = 0
         self._register_service_instruments()
 
         # Overrides may name nodes that do not exist *yet*: they apply
@@ -358,11 +354,7 @@ class VoDService:
                 topology,
                 max_age_s=self.config.max_stats_age_s,
                 check_period_s=self.config.snmp_period_s,
-                on_change=self._on_staleness_change,
             )
-            # Fresh samples clear staleness in the collection round that
-            # wrote them (blackout-skipped rounds do not fire this).
-            self.statistics.on_round = self.staleness_guard.refresh
             if self._obs_enabled:
                 self.obs.gauge(
                     "snmp.stale_links", subsystem="snmp",
@@ -378,9 +370,6 @@ class VoDService:
                 self.database,
                 registry=self.obs,
             )
-            for server in self.servers.values():
-                server.on_state_change = self.supervisor.on_server_state
-            topology.on_state_change = self.supervisor.on_link_state
 
         # On the reported-stats path the staleness guard interposes on the
         # used-bandwidth reads; without it the plain reader keeps the
@@ -392,12 +381,11 @@ class VoDService:
         # The epoch memo's token: the routing part (routing_epoch()'s raw
         # counters, a parity test pins them), then the availability part
         # (poll answers, holder lists), which joins the routing part when
-        # stream slots feed the weights.  Read once per clock tick.
-        db, topo, reported = self.database, topology, self.config.use_reported_stats
-        token_of = lambda: (db._link_stats_version if reported else topo._traffic_version,  # noqa: E731
-                            topo._state_version, self._availability_version, db._locations_version)
-        if not reported:
-            topo.traffic_clock = self._clock  # live traffic is a token input
+        # stream slots feed the weights.  Read once per feed move.
+        counts = self._feed.counts
+        live = LINK_STATS if self.config.use_reported_stats else TRAFFIC
+        token_of = lambda: (counts[live], counts[STATE], counts[AVAILABILITY],  # noqa: E731
+                            counts[LOCATIONS])
         load_in_vra = self.config.use_server_load_in_vra
         self._vra = VirtualRoutingAlgorithm(
             topology,
@@ -413,7 +401,7 @@ class VoDService:
         #: the reference path and while another policy is installed.
         self._memo = self._vra.cache
         if self._memo is not None:
-            self._memo.clock = self._clock
+            self._memo.feed = self._feed
         self._m_decision_hits = self.obs.counter(
             "decision.hits", subsystem="core",
             description="decide() calls answered whole from the epoch memo",
@@ -688,9 +676,6 @@ class VoDService:
         for link in links:
             self.topology.add_link(link)
         server = self._join_server(node)
-        if self.supervisor is not None:
-            server.on_state_change = self.supervisor.on_server_state
-        self._bump_availability()
         for link in links:
             self._join_link(link)
         self.statistics.add_node(node.uid)
@@ -706,7 +691,7 @@ class VoDService:
 
     def _join_server(self, node: Node) -> VideoServer:
         """Build one node's video server and register it everywhere: the
-        server map, the availability token, metrics and the database."""
+        server map, metrics and the database."""
         hardware = self._server_hardware(node.uid)
         server = VideoServer(
             node_uid=node.uid,
@@ -719,7 +704,6 @@ class VoDService:
             placement=self.config.placement,
         )
         self.servers[node.uid] = server
-        server.on_availability_change = self._bump_availability
         server.attach_metrics(self.obs)
         self._register_server_gauges(server)
         self.database.register_server(
@@ -808,12 +792,12 @@ class VoDService:
         previous decision (holder list, poll answers, LVN weights,
         topology) is provably unchanged, so the stored decision is
         returned without re-entering the VRA.  The token itself is read
-        only when the input clock moved: a replay is one int compare and
+        only when the change feed moved: a replay is one int compare and
         one dict probe (DESIGN.md §5b.14).
         """
         memo = self._memo
         if memo is not None:
-            if self._clock.value != memo.seen:
+            if self._feed.value != memo.seen:
                 memo.current()
             decision = memo.decisions.get((home_uid, title_id))
             if decision is not None:
@@ -874,15 +858,6 @@ class VoDService:
             cost=decision.cost,
             served_locally=decision.served_locally,
         )
-
-    def _bump_availability(self) -> None:
-        """A server's poll-answer inputs moved; this moves the memo token."""
-        self._availability_version += 1
-        self._clock.value += 1
-
-    def _on_staleness_change(self, changed: List[str]) -> None:
-        """Stale-set flips invalidate exactly the affected links' weights."""
-        self.database.touch_links(changed)
 
     # ------------------------------------------------------------------ #
     # introspection

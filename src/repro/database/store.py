@@ -15,15 +15,16 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.database.access import AccessLevel, DatabaseHandle
 from repro.database.records import LinkEntry, LinkStats, ServerEntry, TitleInfo
 from repro.errors import DuplicateEntryError, MissingEntryError
-from repro.network.topology import InputClock
+from repro.network.feed import LINK_STATS, LOCATIONS, ChangeFeed
 
 
 class ServiceDatabase:
     """Authoritative state store of the VoD service."""
 
-    def __init__(self, clock: Optional[InputClock] = None):
-        #: Ticked with every version bump below (the service's memo clock).
-        self._clock = clock if clock is not None else InputClock()
+    def __init__(self, feed: Optional[ChangeFeed] = None):
+        #: Its link-entry writes and holder-list moves publish here (a
+        #: service passes its topology's feed).
+        self.feed = feed if feed is not None else ChangeFeed()
         self._servers: Dict[str, ServerEntry] = {}
         self._links: Dict[str, LinkEntry] = {}
         self._titles: Dict[str, TitleInfo] = {}
@@ -35,9 +36,6 @@ class ServiceDatabase:
         #: Sorted uids of the full holders per title (fraction 1.0), kept
         #: by every advertise / withdraw so a decision reads, not sorts.
         self._full_holders: Dict[str, Tuple[str, ...]] = {}
-        #: Bumped with every holder-list change (advertise / withdraw).
-        self._locations_version = 0
-        self._link_stats_version = 0
 
     @property
     def link_stats_version(self) -> int:
@@ -47,8 +45,9 @@ class ServiceDatabase:
         The paper-faithful VRA reads link usage from this database, so any
         epoch that embeds this counter is guaranteed to change whenever the
         VRA's routing inputs could have changed — the contract the
-        epoch-versioned routing cache relies on."""
-        return self._link_stats_version
+        epoch-versioned routing cache relies on.  It is the feed's
+        ``LINK_STATS`` count."""
+        return self.feed.counts[LINK_STATS]
 
     # ------------------------------------------------------------------ #
     # handles
@@ -87,8 +86,7 @@ class ServiceDatabase:
         if entry.link_name in self._links:
             raise DuplicateEntryError(f"link {entry.link_name!r} already registered")
         self._links[entry.link_name] = entry
-        self._link_stats_version += 1
-        self._clock.value += 1
+        self.feed.publish(LINK_STATS, entry.link_name)
         return entry
 
     def register_title(self, info: TitleInfo) -> TitleInfo:
@@ -186,8 +184,7 @@ class ServiceDatabase:
         else:
             self._holder_fractions[(title_id, server_uid)] = fraction
         self._index_full_holders(title_id)
-        self._locations_version += 1
-        self._clock.value += 1
+        self.feed.publish(LOCATIONS, title_id)
 
     def remove_title_from_server(self, server_uid: str, title_id: str) -> None:
         """Withdraw a title from a server (placement-policy cache eviction).
@@ -206,8 +203,7 @@ class ServiceDatabase:
             holders.discard(server_uid)
         self._holder_fractions.pop((title_id, server_uid), None)
         self._index_full_holders(title_id)
-        self._locations_version += 1
-        self._clock.value += 1
+        self.feed.publish(LOCATIONS, title_id)
 
     def holds_title(self, server_uid: str, title_id: str) -> bool:
         """True when the server currently advertises the title (any
@@ -252,8 +248,7 @@ class ServiceDatabase:
         to rebuild, nothing records what moved (DESIGN.md §5b.7).
         """
         self.link_entry(link_name).latest_stats = stats
-        self._link_stats_version += 1
-        self._clock.value += 1
+        self.feed.publish(LINK_STATS, link_name)
 
     def update_link_stats_round(self, samples: Mapping[str, LinkStats]) -> None:
         """Record one SNMP collection round: every sample is stored and
@@ -265,8 +260,7 @@ class ServiceDatabase:
         for entry, stats in zip(entries, samples.values()):
             entry.latest_stats = stats
         if entries:
-            self._link_stats_version += 1
-            self._clock.value += 1
+            self.feed.publish(LINK_STATS)
 
     def touch_links(self, link_names: Iterable[str]) -> None:
         """Mark links whose *routing-visible* weight changed without a
@@ -278,13 +272,11 @@ class ServiceDatabase:
         it.  Cache invalidation thereby rides the existing machinery
         with no new paths.
         """
-        touched = False
-        for link_name in link_names:
+        names = list(link_names)
+        for link_name in names:
             self.link_entry(link_name)  # validate
-            touched = True
-        if touched:
-            self._link_stats_version += 1
-            self._clock.value += 1
+        if names:
+            self.feed.publish(LINK_STATS, names)
 
     def update_server_config(self, server_uid: str, **attributes: object) -> None:
         """Update configuration attributes on a server entry.

@@ -165,12 +165,6 @@ class FaultInjector:
         elif event.kind == DISK_FAILURE:
             if first:
                 self._server_of(event.server_uid).array.fail_disk(event.disk_index)
-                # Crashes and link flaps reach the failover supervisor via
-                # the state-change listeners; a disk death leaves the
-                # server online, so it is reported here explicitly.
-                supervisor = self._service.supervisor
-                if supervisor is not None:
-                    supervisor.on_disk_failure(event.server_uid)
         elif event.kind == SNMP_BLACKOUT:
             self._service.statistics.blackout()
         else:  # pragma: no cover - schedule validation rejects unknown kinds

@@ -19,17 +19,23 @@ from repro.metrics.stats import mean, percentile
 class SessionMetrics:
     """Aggregate metrics over a batch of sessions.
 
+    Every figure but the three counts is over the *completed* sessions
+    only: a policy that leaves its worst sessions unfinished reads
+    better, so read each figure beside ``completed_count`` /
+    ``session_count``.
+
     Attributes:
         session_count: Sessions considered.
         completed_count: Sessions that delivered every cluster.
         failed_count: Sessions that errored out.
         local_serve_fraction: Fraction of completed sessions fully served
             by the client's home server.
-        mean_startup_s / p95_startup_s: Startup-delay stats (completed).
-        mean_stall_s: Mean total stall time (completed).
-        total_switches: Mid-stream server switches across the batch.
+        mean_startup_s / p95_startup_s: Startup-delay stats.
+        mean_stall_s: Mean total stall time.
+        total_switches: Mid-stream server switches.
         switches_per_session: Mean switches per completed session.
-        qos_violation_fraction: Violating clusters over all clusters.
+        qos_violation_fraction: Violating clusters over all clusters of
+            completed sessions.
         mean_hop_count: Mean path hops weighted per cluster.
         megabyte_hops: Sum over clusters of size_mb * hop_count — the
             network transport cost the caching policies compete on.

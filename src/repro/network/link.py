@@ -16,13 +16,10 @@ single used-bandwidth figure, matching how Table 2 reports each link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import LinkCapacityError
-
-#: Change-notification kinds emitted to a link's version listener.
-STATE_CHANGE = "state"
-TRAFFIC_CHANGE = "traffic"
+from repro.network.feed import STATE, TRAFFIC, ChangeFeed
 
 
 def link_key(a_uid: str, b_uid: str) -> Tuple[str, str]:
@@ -54,19 +51,10 @@ class Link:
     _online: bool = field(default=True, repr=False)
     _background_mbps: float = field(default=0.0, repr=False)
     _reserved_mbps: float = field(default=0.0, repr=False)
-    #: Monotonic counter of online/offline transitions (routing-relevant
-    #: *structural* state).  Feeds the epoch-versioned routing cache.
-    _state_version: int = field(default=0, repr=False, compare=False)
-    #: Monotonic counter of used-bandwidth mutations (background traffic
-    #: and flow reservations) — routing-relevant only on the ground-truth
-    #: (``use_reported_stats=False``) path.
-    _traffic_version: int = field(default=0, repr=False, compare=False)
-    #: Set by :meth:`Topology.add_link` so the owning topology can expose a
-    #: combined version without scanning every link per lookup.  Called
-    #: with ``(kind, link)``.
-    _version_listener: Optional[Callable[[str, "Link"], None]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: The owning topology's change feed, set by :meth:`Topology.add_link`:
+    #: an online flip publishes ``STATE`` and a used-bandwidth change
+    #: ``TRAFFIC``, with the link as key.
+    _feed: Optional[ChangeFeed] = field(default=None, repr=False, compare=False)
     free_mbps: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -85,36 +73,19 @@ class Link:
         routing and excluded from the LVN node validations; existing
         reservations are not forcibly torn down (in-flight cluster transfers
         finish at their current rate and reroute at the next cluster
-        boundary).  A flip advances :attr:`state_version`."""
+        boundary).  A flip publishes ``STATE`` on the topology's feed."""
         return self._online
 
     @online.setter
     def online(self, value: bool) -> None:
         previous, self._online = self._online, value
         if bool(previous) != bool(value):
-            self._notify(STATE_CHANGE)
+            self._publish(STATE)
 
-    # ------------------------------------------------------------------ #
-    # change versioning
-    # ------------------------------------------------------------------ #
-    @property
-    def state_version(self) -> int:
-        """Counter of online/offline transitions on this link."""
-        return self._state_version
-
-    @property
-    def traffic_version(self) -> int:
-        """Counter of used-bandwidth mutations on this link."""
-        return self._traffic_version
-
-    def _notify(self, kind: str) -> None:
-        if kind == STATE_CHANGE:
-            self._state_version += 1
-        else:
-            self._traffic_version += 1
-        listener = self._version_listener
-        if listener is not None:
-            listener(kind, self)
+    def _publish(self, kind: int) -> None:
+        feed = self._feed
+        if feed is not None:
+            feed.publish(kind, self)
 
     # ------------------------------------------------------------------ #
     @property
@@ -159,7 +130,7 @@ class Link:
         if clamped != self._background_mbps:
             self._background_mbps = clamped
             self._set_free()
-            self._notify(TRAFFIC_CHANGE)
+            self._publish(TRAFFIC)
 
     @property
     def reserved_mbps(self) -> float:
@@ -199,7 +170,7 @@ class Link:
         if mbps > 0.0:
             self._reserved_mbps += mbps
             self._set_free()
-            self._notify(TRAFFIC_CHANGE)
+            self._publish(TRAFFIC)
 
     def release(self, mbps: float) -> None:
         """Release a previous reservation of ``mbps``."""
@@ -216,7 +187,7 @@ class Link:
             self._reserved_mbps = 0.0
         self._set_free()
         if mbps > 0.0:
-            self._notify(TRAFFIC_CHANGE)
+            self._publish(TRAFFIC)
 
     def __hash__(self) -> int:
         return hash(self.key)

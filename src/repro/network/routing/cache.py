@@ -20,9 +20,10 @@ often than an SNMP round lands (DESIGN.md §5b.8).
 Correctness contract: the token MUST change whenever any input could have
 changed; a hit then returns the same decision bit-for-bit as a cold run
 (the SNMP *staleness* the paper reproduces lives in the database values,
-not in the act of recomputing).  With a ``clock`` the token is read only
-when the clock moved, so every bump of a token input MUST tick it too:
-the token stays the contract, the clock only says whether to read it.
+not in the act of recomputing).  With a ``feed`` the token is read only
+when the feed's ``value`` moved, so every token input MUST publish on it
+(:mod:`repro.network.feed`): the token stays the contract, the feed only
+says whether to read it.
 A move is a flush, never a repair: an SNMP round rewrites most links, so
 almost no tree survives one and proving that one did costs what
 re-running it does (DESIGN.md §5b.7).
@@ -104,7 +105,8 @@ class RoutingCache:
             routing part; ``None`` makes the whole token (any hashable)
             routing.  Older tokens are never asked for again: the
             counters feeding them are monotonic.
-        clock: Ticks with every token input (None: read it per lookup).
+        feed: The change feed every token input publishes on (None: read
+            the token per lookup).
         search: The search a tree miss runs, called as ``search(source,
             weights, targets)`` (the VRA passes its routing kernel's
             :meth:`~repro.network.compiled.TopologySnapshot.dijkstra`).
@@ -122,8 +124,8 @@ class RoutingCache:
     #: ``(home_uid, title_id) -> VraDecision`` under ``token``; filled and
     #: read by the service, dropped here on every token move.
     decisions: Dict[Tuple[str, str], Any] = field(default_factory=dict, repr=False)
-    clock: Any = field(default=None, repr=False)
-    #: ``clock.value`` at the last token read (-1: read it next time).
+    feed: Any = field(default=None, repr=False)
+    #: ``feed.value`` at the last token read (-1: read it next time).
     seen: int = field(default=-1, repr=False)
     search: Optional[Callable[[str, Dict[str, float], Sequence[str]], DijkstraResult]] = field(
         default=None, repr=False
@@ -137,10 +139,10 @@ class RoutingCache:
         return DecisionCacheStats(self.decision_hits, self.decision_misses)
 
     def current(self) -> Hashable:
-        """The synced token, read from ``token_of`` only if the clock
-        moved since the last read (always, without a clock)."""
-        if self.clock is None or self.clock.value != self.seen:
-            self.seen = -1 if self.clock is None else self.clock.value
+        """The synced token, read from ``token_of`` only if the feed
+        moved since the last read (always, without a feed)."""
+        if self.feed is None or self.feed.value != self.seen:
+            self.seen = -1 if self.feed is None else self.feed.value
             self.sync(self.token_of())
         return self.token
 

@@ -8,21 +8,12 @@ Dijkstra need.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import TopologyError
-from repro.network.link import STATE_CHANGE, Link, link_key
+from repro.network.feed import STATE, TRAFFIC, ChangeFeed
+from repro.network.link import Link, link_key
 from repro.network.node import Node
-
-
-class InputClock:
-    """Ticks with every bump of a memo-token input: the epoch memo reads
-    its token only when this moved (``RoutingCache.current``)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
 
 
 class Topology:
@@ -39,42 +30,25 @@ class Topology:
         self._links: Dict[Tuple[str, str], Link] = {}
         self._links_by_name: Dict[str, Link] = {}
         self._adjacency: Dict[str, List[Link]] = {}
-        self._state_version = 0
-        self._traffic_version = 0
-        #: Ticked by structural changes (a service shares ``clock`` with
-        #: its database and memo) and by traffic ones (``clock`` too only
-        #: on the ground-truth path, whose token reads live traffic).
-        self.clock, self.traffic_clock = InputClock(), InputClock()
-        #: Optional listener fired (after versioning) whenever a link's
-        #: online state flips, with the link.  The service wires
-        #: its session supervisor here, so a fault preempts the sessions
-        #: on the link in the same event that flipped it.
-        self.on_state_change: Optional[Callable[[Link], None]] = None
+        #: The change feed: this topology publishes its structural and
+        #: link changes here, and a service shares it with its database,
+        #: servers and memo (:mod:`repro.network.feed`).
+        self.feed = ChangeFeed()
 
     # ------------------------------------------------------------------ #
-    # change versioning (feeds the epoch-versioned routing cache)
+    # change counters (read off the feed)
     # ------------------------------------------------------------------ #
     @property
     def state_version(self) -> int:
         """Monotonic counter of routing-relevant *structural* changes:
         node/link additions and link online/offline transitions."""
-        return self._state_version
+        return self.feed.counts[STATE]
 
     @property
     def traffic_version(self) -> int:
         """Monotonic counter of ground-truth used-bandwidth mutations
         (background traffic writes, flow reservations/releases)."""
-        return self._traffic_version
-
-    def _on_link_change(self, kind: str, link: Link) -> None:
-        if kind == STATE_CHANGE:
-            self._state_version += 1
-            self.clock.value += 1
-        else:
-            self._traffic_version += 1
-            self.traffic_clock.value += 1
-        if kind == STATE_CHANGE and self.on_state_change is not None:
-            self.on_state_change(link)
+        return self.feed.counts[TRAFFIC]
 
     # ------------------------------------------------------------------ #
     # construction
@@ -89,8 +63,7 @@ class Topology:
             raise TopologyError(f"duplicate node uid {node.uid!r} in topology {self.name!r}")
         self._nodes[node.uid] = node
         self._adjacency[node.uid] = []
-        self._state_version += 1
-        self.clock.value += 1
+        self.feed.publish(STATE, node)
         return node
 
     def add_link(self, link: Link) -> Link:
@@ -116,9 +89,8 @@ class Topology:
         self._links_by_name[link.name] = link
         self._adjacency[link.a_uid].append(link)
         self._adjacency[link.b_uid].append(link)
-        link._version_listener = self._on_link_change
-        self._state_version += 1
-        self.clock.value += 1
+        link._feed = self.feed
+        self.feed.publish(STATE, link)
         return link
 
     # ------------------------------------------------------------------ #

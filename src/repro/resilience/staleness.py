@@ -17,19 +17,20 @@ freshly-measured ones.  Decisions taken while any
 link is stale are marked ``degraded`` by the service.
 
 The stale set is recomputed on a periodic simulated-clock tick and after
-every SNMP collection round; whenever membership changes the guard
-reports the changed links so the service can
-:meth:`~repro.database.store.ServiceDatabase.touch_links` them — the
-routing epoch moves, the next decision rebuilds the weight table, and
-no new cache-invalidation path is needed.
+every SNMP collection round (the guard subscribes to the change feed's
+``SNMP_ROUND``); whenever membership changes the guard
+:meth:`~repro.database.store.ServiceDatabase.touch_links` the changed
+links — the routing epoch moves, the next decision rebuilds the weight
+table, and no new cache-invalidation path is needed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import List, Set
 
 from repro.database.store import ServiceDatabase
 from repro.errors import ReproError
+from repro.network.feed import SNMP_ROUND
 from repro.network.link import Link
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
@@ -38,10 +39,6 @@ from repro.sim.timers import PeriodicTask
 #: Headroom divisor for stale links: a stale link keeps a quarter of its
 #: last-reported headroom.
 STALE_INFLATION_FACTOR = 4.0
-
-#: Changed-membership callback: the link names entering or leaving the
-#: stale set this refresh.
-ChangeFn = Callable[[List[str]], None]
 
 
 class StalenessGuard:
@@ -55,8 +52,10 @@ class StalenessGuard:
             received a sample (timestamp 0.0 baseline) ages like any
             other, so a blackout from t=0 trips the guard too.
         check_period_s: Spacing of the periodic refresh tick.
-        on_change: Invoked with the sorted list of links whose staleness
-            flipped — the service routes this into ``touch_links``.
+
+    The guard also refreshes on every ``SNMP_ROUND`` its topology's feed
+    publishes, so fresh samples clear degraded routing in the round that
+    wrote them.
     """
 
     def __init__(
@@ -66,7 +65,6 @@ class StalenessGuard:
         topology: Topology,
         max_age_s: float,
         check_period_s: float = 60.0,
-        on_change: Optional[ChangeFn] = None,
     ):
         if not (max_age_s > 0.0):
             raise ReproError(f"max_stats_age_s must be positive, got {max_age_s!r}")
@@ -79,10 +77,10 @@ class StalenessGuard:
         self._topology = topology
         self.max_age_s = max_age_s
         self._stale: Set[str] = set()
-        self.on_change = on_change
         #: Number of refreshes that changed the stale set (for reports).
         self.transition_count = 0
         self._task = PeriodicTask(sim, check_period_s, self._tick, name="staleness-guard")
+        topology.feed.subscribe(SNMP_ROUND, self._tick)
 
     # ------------------------------------------------------------------ #
     def start(self) -> "StalenessGuard":
@@ -118,9 +116,9 @@ class StalenessGuard:
     def refresh(self) -> List[str]:
         """Recompute the stale set; returns the links whose state flipped.
 
-        Also invokes ``on_change`` (inside the refresh, before returning)
-        when membership moved, so epoch counters bump in the same event
-        that observed the flip.
+        When membership moved it also touches the flipped links in the
+        database (inside the refresh, before returning), so the routing
+        epoch moves in the same event that observed the flip.
         """
         now = self._sim.now
         floor = now - self.max_age_s
@@ -134,9 +132,9 @@ class StalenessGuard:
         if changed:
             self._stale = stale_now
             self.transition_count += 1
-            if self.on_change is not None:
-                self.on_change(changed)
+            self._database.touch_links(changed)
         return changed
 
-    def _tick(self) -> None:
+    def _tick(self, _round: object = None) -> None:
+        """The periodic check, and the ``SNMP_ROUND`` subscriber."""
         self.refresh()

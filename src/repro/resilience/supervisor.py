@@ -28,21 +28,23 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.database.store import ServiceDatabase
+from repro.network.feed import DISK, SERVER, STATE
+from repro.network.link import Link
 from repro.obs.registry import MetricsRegistry
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # import cycle: session takes the supervisor as a param
     from repro.core.session import _Transfer
-    from repro.network.link import Link
 
 
 class SessionSupervisor:
     """Index of active transfers by the resources currently serving them.
 
     The service constructs one when ``ServiceConfig.session_failover`` is
-    on and routes fault events (server/link state changes, disk failures)
-    into it.  Sessions call :meth:`track` / :meth:`untrack` around each
+    on; it subscribes to the database's change feed for the fault events
+    (``SERVER`` and ``STATE`` flips, ``DISK`` deaths), whoever applies
+    them.  Sessions call :meth:`track` / :meth:`untrack` around each
     transfer segment — the transfer carries the server uid and the link
     tuple it already resolved — and use the supervisor as their
     failover-control surface (:meth:`holder_exists`,
@@ -51,7 +53,8 @@ class SessionSupervisor:
     Args:
         sim: The simulation engine.
         servers: The service's servers by node uid.
-        database: The service database (full-holder lookups).
+        database: The service database (full-holder lookups); its
+            change feed is the one subscribed to.
         registry: Telemetry registry for the ``resilience.*`` instruments
             (deterministic counters below are what reports read).
     """
@@ -95,6 +98,10 @@ class SessionSupervisor:
             "resilience.failover_failed", subsystem="resilience",
             description="sessions failed with no online full holder left",
         )
+        feed = database.feed
+        feed.subscribe(SERVER, self.on_server_state)
+        feed.subscribe(STATE, self.on_link_state)
+        feed.subscribe(DISK, self.on_disk_failure)
 
     # ------------------------------------------------------------------ #
     # segment index (session call sites)
@@ -125,7 +132,7 @@ class SessionSupervisor:
         return sum(len(bucket) for bucket in self._by_server.values())
 
     # ------------------------------------------------------------------ #
-    # fault-event intake (service + injector call sites)
+    # fault-event intake (change-feed subscribers)
     # ------------------------------------------------------------------ #
     def on_server_state(self, server: VideoServer) -> None:
         """A server flipped online state; preempt its sessions if down."""
@@ -135,21 +142,21 @@ class SessionSupervisor:
             self._by_server.get(server.node_uid), f"server:{server.node_uid}"
         )
 
-    def on_link_state(self, link: "Link") -> None:
-        """A link flipped online state; preempt path users if down."""
-        if link.online:
+    def on_link_state(self, changed: object) -> None:
+        """The topology changed; preempt a downed link's path users (a
+        new node or link carries no transfer yet)."""
+        if not isinstance(changed, Link) or changed.online:
             return
-        self._preempt_bucket(self._by_link.get(link.name), f"link:{link.name}")
+        self._preempt_bucket(self._by_link.get(changed.name), f"link:{changed.name}")
 
-    def on_disk_failure(self, server_uid: str) -> None:
+    def on_disk_failure(self, server: VideoServer) -> None:
         """A disk died; preempt sessions whose title it made unservable."""
-        bucket = self._by_server.get(server_uid)
+        bucket = self._by_server.get(server.node_uid)
         if not bucket:
             return
-        server = self._servers.get(server_uid)
         for transfer in list(bucket):
-            if server is None or not server.has_title(transfer.title_id):
-                self._preempt(transfer, f"disk:{server_uid}")
+            if not server.has_title(transfer.title_id):
+                self._preempt(transfer, f"disk:{server.node_uid}")
 
     def _preempt_bucket(
         self, bucket: Optional[Dict["_Transfer", None]], reason: str

@@ -14,9 +14,13 @@ from repro.errors import AdmissionError
 
 
 class AdmissionController:
-    """Counting semaphore over stream slots with named leases."""
+    """Counting semaphore over stream slots with named leases.
 
-    def __init__(self, max_streams: int):
+    ``on_change()`` is called whenever the occupied-slot count moves (an
+    input of the VRA poll answer, which its server publishes).
+    """
+
+    def __init__(self, max_streams: int, on_change: Optional[Callable[[], None]] = None):
         if max_streams < 1:
             raise AdmissionError(f"max_streams must be >= 1, got {max_streams}")
         self.max_streams = max_streams
@@ -24,10 +28,7 @@ class AdmissionController:
         self._next_lease = 1
         self.rejected_count = 0
         self.admitted_count = 0
-        #: Optional listener fired whenever the occupied-slot count moves
-        #: (an input of the VRA poll answer; the service's decision memo
-        #: is cleared on it).
-        self.on_change: Optional[Callable[[], None]] = None
+        self._on_change = on_change
 
     @property
     def active_count(self) -> int:
@@ -62,8 +63,8 @@ class AdmissionController:
         self._next_lease += 1
         self._active.add(lease)
         self.admitted_count += 1
-        if self.on_change is not None:
-            self.on_change()
+        if self._on_change is not None:
+            self._on_change()
         return lease
 
     def release(self, lease: int) -> None:
@@ -75,5 +76,5 @@ class AdmissionController:
         if lease not in self._active:
             raise AdmissionError(f"lease {lease} is not active (double release?)")
         self._active.discard(lease)
-        if self.on_change is not None:
-            self.on_change()
+        if self._on_change is not None:
+            self._on_change()

@@ -10,11 +10,12 @@ reflects cache contents — fraction aware, full holders first.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import List, Set
 
 from repro.database.records import TitleInfo
 from repro.database.store import ServiceDatabase
 from repro.errors import StorageError
+from repro.network.feed import AVAILABILITY, DISK, SERVER
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
 from repro.placement.base import PlacementConfig, PlacementPolicy, PlacementResult
 from repro.server.admission import AdmissionController
@@ -50,8 +51,18 @@ class VideoServer:
     ):
         self.node_uid = node_uid
         self._database = database
-        self.array = DiskArray(disk_count, disk_capacity_mb, cluster_mb)
-        self.admission = AdmissionController(max_streams)
+        #: The database's change feed.  Whatever can move this server's
+        #: VRA poll answer (:meth:`can_provide`) publishes
+        #: ``AVAILABILITY``: online state, title residency and pending
+        #: downloads, disk health, stream slots.  An online flip also
+        #: publishes ``SERVER``, and a disk death ``DISK``.
+        self._feed = database.feed
+        self.array = DiskArray(
+            disk_count, disk_capacity_mb, cluster_mb, on_change=self._array_changed
+        )
+        self.admission = AdmissionController(
+            max_streams, on_change=self._availability_moved
+        )
         self.policy: PlacementPolicy = placement.build(
             self.array,
             on_store=self._advertise,
@@ -59,21 +70,6 @@ class VideoServer:
             on_partial=self._advertise_partial,
         )
         self._online = True
-        #: Monotonic counter of online/offline transitions.  Value-aware:
-        #: re-assigning the current value bumps nothing (mirrors the
-        #: link/SNMP value-aware write contracts), so crash-recovery
-        #: storms that re-kill a dead server are free.
-        self._state_version = 0
-        #: Optional ``listener(server)`` invoked on each actual
-        #: online/offline transition (the fault injector's crash hook).
-        self.on_state_change: Optional[Callable[["VideoServer"], None]] = None
-        #: Optional listener fired whenever anything feeding this server's
-        #: VRA poll answer (:meth:`can_provide`) can move: online state,
-        #: title residency/pending downloads, disk health, stream slots.
-        #: The service wires it to the VRA epoch memo's token.
-        self.on_availability_change: Optional[Callable[[], None]] = None
-        self.admission.on_change = self._touch_availability
-        self.array.on_change = self._touch_availability
         self.serve_count = 0
         # A title the DMA stores during a request is only *bytes in flight*
         # until that request's own download completes; deferral keeps it out
@@ -138,23 +134,25 @@ class VideoServer:
 
     @online.setter
     def online(self, value: bool) -> None:
+        # Value-aware: re-assigning the current value publishes nothing
+        # (like a link's setter), so crash-recovery storms that re-kill a
+        # dead server are free.
         value = bool(value)
         if value == self._online:
             return
         self._online = value
-        self._state_version += 1
-        self._touch_availability()
-        if self.on_state_change is not None:
-            self.on_state_change(self)
+        self._availability_moved()
+        self._feed.publish(SERVER, self)
 
-    def _touch_availability(self) -> None:
-        if self.on_availability_change is not None:
-            self.on_availability_change()
+    def _availability_moved(self) -> None:
+        """Something feeding this server's poll answer moved."""
+        self._feed.publish(AVAILABILITY, self)
 
-    @property
-    def state_version(self) -> int:
-        """Counter of online/offline transitions on this server."""
-        return self._state_version
+    def _array_changed(self, disk_failed: bool) -> None:
+        """The array's one callback: servability moved, maybe by a death."""
+        self._availability_moved()
+        if disk_failed:
+            self._feed.publish(DISK, self)
 
     # ------------------------------------------------------------------ #
     # catalog
@@ -245,14 +243,14 @@ class VideoServer:
         """The deferred download of ``title_id`` completed: advertise it."""
         if title_id in self._pending_advertisements:
             self._pending_advertisements.discard(title_id)
-            self._touch_availability()
+            self._availability_moved()
             self._database.add_title_to_server(self.node_uid, title_id)
 
     def abort_download(self, title_id: str) -> None:
         """The deferred download failed: drop the partial bytes silently."""
         if title_id in self._pending_advertisements:
             self._pending_advertisements.discard(title_id)
-            self._touch_availability()
+            self._availability_moved()
             if self.array.has_video(title_id):
                 self.array.remove(title_id)
             if self._database.holds_title(self.node_uid, title_id):
@@ -279,7 +277,7 @@ class VideoServer:
 
     def _advertise(self, title_id: str) -> None:
         self._m_dma_stores.inc()
-        self._touch_availability()
+        self._availability_moved()
         if self._seeding:
             self._database.add_title_to_server(self.node_uid, title_id)
         else:
@@ -291,12 +289,12 @@ class VideoServer:
         background transfers, and the VRA's full-holder filter keeps
         remote requests away regardless."""
         self._m_prefix_stores.inc()
-        self._touch_availability()
+        self._availability_moved()
         self._database.add_title_to_server(self.node_uid, title_id, fraction=fraction)
 
     def _withdraw(self, title_id: str) -> None:
         self._m_dma_evictions.inc()
-        self._touch_availability()
+        self._availability_moved()
         if title_id in self._pending_advertisements:
             # Evicted before its download finished: it was never advertised
             # as a full copy — but a fractional policy may have advertised

@@ -14,11 +14,12 @@ once: one store per link, one epoch bump per round (DESIGN.md §5b.14).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.database.access import DatabaseHandle
 from repro.database.records import LinkStats
 from repro.errors import SnmpError
+from repro.network.feed import SNMP_ROUND
 from repro.network.topology import Topology
 from repro.obs.registry import NULL_COUNTER, MetricsRegistry
 from repro.sim.engine import Simulator
@@ -138,12 +139,6 @@ class StatisticsService:
         self._m_samples = NULL_COUNTER
         self._m_changed = NULL_COUNTER
         self._m_blackout_skips = NULL_COUNTER
-        #: Optional listener fired after each successful (non-blacked-out)
-        #: collection round.  The service wires the staleness guard's
-        #: refresh here so fresh samples clear degraded routing in the
-        #: same event that wrote them; blackout-skipped rounds do not
-        #: fire it (the guard's own periodic check covers the gap).
-        self.on_round: Optional[Callable[[], None]] = None
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Resolve the collection-round / sample counters from a registry."""
@@ -229,5 +224,7 @@ class StatisticsService:
             self._m_changed.inc(module.changed_samples - changed_before)
         self._m_samples.inc(len(samples))
         self._db.update_link_stats_round(samples)
-        if self.on_round is not None:
-            self.on_round()
+        # A written round publishes SNMP_ROUND (the staleness guard
+        # refreshes on it, in the event that wrote the samples); a
+        # blacked-out one returned above and publishes nothing.
+        self._topology.feed.publish(SNMP_ROUND)

@@ -28,9 +28,17 @@ from repro.storage.video import VideoTitle
 
 
 class DiskArray:
-    """``n`` disks of equal capacity behind one striping policy."""
+    """``n`` disks of equal capacity behind one striping policy.
 
-    def __init__(self, disk_count: int, disk_capacity_mb: float, cluster_mb: float):
+    ``on_change(disk_failed)`` is called whenever servability can move
+    (store, remove, disk failure or restore; ``disk_failed`` is True for
+    a death), and its server publishes it.
+    """
+
+    def __init__(
+        self, disk_count: int, disk_capacity_mb: float, cluster_mb: float,
+        on_change: Optional[Callable[[bool], None]] = None,
+    ):
         if disk_count < 1:
             raise StripingError(f"disk count must be >= 1, got {disk_count}")
         if not (cluster_mb > 0.0):
@@ -48,14 +56,11 @@ class DiskArray:
         self._partial_layouts: Dict[str, StripingLayout] = {}
         self._partial_counts: Dict[str, int] = {}
         self._failed_disks: Set[int] = set()
-        #: Optional listener fired when servability can move (store,
-        #: remove, disk failure/restore) — an input of the VRA poll
-        #: answer; the service's decision memo is cleared on it.
-        self.on_change: Optional[Callable[[], None]] = None
+        self._on_change = on_change
 
-    def _touch(self) -> None:
-        if self.on_change is not None:
-            self.on_change()
+    def _touch(self, disk_failed: bool = False) -> None:
+        if self._on_change is not None:
+            self._on_change(disk_failed)
 
     # ------------------------------------------------------------------ #
     # capacity
@@ -101,7 +106,7 @@ class DiskArray:
         """
         self.disk(index)  # range check
         self._failed_disks.add(index)
-        self._touch()
+        self._touch(disk_failed=True)
 
     def restore_disk(self, index: int) -> None:
         """Bring a failed disk back into service.  Idempotent.

@@ -1,11 +1,13 @@
-"""The input clock in front of the epoch memo's token.
+"""The change feed's ``value``, the input clock in front of the epoch
+memo's token.
 
-``VoDService.decide`` reads the four-counter token only when the input
-clock moved since its last read; a replay is one int compare and one dict
-probe.  The token stays the correctness contract, so every bump of a
-token counter must tick the clock.  Pinned here:
+``VoDService.decide`` reads the four-counter token only when the feed's
+``value`` moved since its last read; a replay is one int compare and one
+dict probe.  The token stays the correctness contract, so every token
+input must publish on the feed (a publish is the clock's tick).  Pinned
+here:
 
-* the kill-list: each tick site, made a no-op, breaks a lock-step
+* the kill-list: each publish site, made silent, breaks a lock-step
   differential against the reference path (``compiled_routing=False``,
   no memo) — or the test says why that site cannot be killed;
 * the hit path is a probe: no token read while the clock stands, and
@@ -16,8 +18,12 @@ token counter must tick the clock.  Pinned here:
 * re-installing the built-in VRA re-attaches its memo.
 """
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.baselines.selection import MinHopSelection
 from repro.core.service import ServiceConfig, VoDService
 from repro.database.records import LinkStats
@@ -25,9 +31,23 @@ from repro.database.store import ServiceDatabase
 from repro.errors import ReproError
 from repro.experiments.placement import session_fingerprint
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
-from repro.network.link import STATE_CHANGE, TRAFFIC_CHANGE, Link
+from repro.network import feed
+from repro.network.feed import (
+    AVAILABILITY,
+    DISK,
+    LINK_STATS,
+    LOCATIONS,
+    SERVER,
+    SNMP_ROUND,
+    STATE,
+    TRAFFIC,
+    ChangeFeed,
+)
+from repro.network.link import Link
 from repro.network.topology import Topology
+from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
+from repro.snmp.collector import StatisticsService
 from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
 from tests.trace_rows import trace_rows
@@ -128,11 +148,11 @@ def run_until(time_s, collector=None):
 STALENESS = dict(snmp_period_s=60.0, max_stats_age_s=150.0)
 
 #: site -> (scenario steps, config).  Every scenario passes as written and
-#: fails once its site's tick is a no-op.
+#: fails once its site's publish is silent.
 SCENARIOS = {
     "update_link_stats": ((report("8am"), report("4pm")), {}),
     "update_link_stats_round": ((report_round("8am"), report_round("4pm")), {}),
-    # A stale-set flip writes nothing: only touch_links tells the clock.
+    # A stale-set flip writes nothing: only touch_links publishes.
     "touch_links": (
         (run_until(121.0), run_until(400.0, "blackout"), run_until(481.0, "restore")),
         STALENESS,
@@ -159,12 +179,15 @@ def answers(service):
     return out
 
 
-def divergence(site):
+def divergence(site, victims=None):
     """Run the site's scenario on a memoized service and its reference
     twin in lock-step, deciding every pair twice between steps; return
-    the first step index whose answers differ (None: they never do)."""
+    the first step index whose answers differ (None: they never do).
+    The memoized service's feed joins ``victims`` once it is built."""
     steps, config = SCENARIOS[site]
     memoized, reference = build(True, **config), build(False, **config)
+    if victims is not None:
+        victims.append(memoized.topology.feed)
     for index in range(len(steps) + 1):
         expected = answers(reference)
         if answers(memoized) != expected or answers(memoized) != expected:
@@ -175,70 +198,108 @@ def divergence(site):
     return None
 
 
-def untick(monkeypatch, owner, name, clock_of, kind=None):
-    """Make the tick inside ``owner.name`` a no-op: every call that moved
-    ``clock_of(self)`` has its tick taken back (for ``_on_link_change``,
-    only calls of ``kind``).  No scenario here nests one tick site in
-    another, so this is exactly the site without its tick."""
+def kill(monkeypatch, owner, name, kind):
+    """Drop every publish of ``kind`` that ``owner.name`` makes on a feed
+    in the returned list: the site without its publish (no counter moves,
+    no subscriber hears it).  Only the memoized twin's feed goes in the
+    list, so the reference twin stays a whole service: a dead ``STATE``
+    publish also leaves the routing kernel's snapshot stale, which would
+    otherwise fool both twins alike.  No scenario here nests one site in
+    another, so this is exactly that site made silent."""
+    victims, muted = [], []
+    publish = ChangeFeed.publish
+
+    def quiet(feed, published, key=None):
+        if published not in muted or feed not in victims:
+            publish(feed, published, key)
+
     original = getattr(owner, name)
 
     def patched(self, *args, **kwargs):
-        clock = clock_of(self)
-        before = clock.value
-        result = original(self, *args, **kwargs)
-        if clock.value > before and (kind is None or args[0] == kind):
-            clock.value -= 1
-        return result
+        muted.append(kind)
+        try:
+            return original(self, *args, **kwargs)
+        finally:
+            muted.pop()
 
+    monkeypatch.setattr(ChangeFeed, "publish", quiet)
     monkeypatch.setattr(owner, name, patched)
+    return victims
 
 
-def database_clock(database):
-    return database._clock
-
-
-#: site -> how to kill its tick.
+#: site -> how to kill its publish: ``(owner, method, kind)``.  A link's
+#: sites (its online setter, its traffic writes) publish through
+#: ``Link._publish``, so one kill per kind covers them.
 KILLS = {
-    "update_link_stats": (ServiceDatabase, "update_link_stats", database_clock),
-    "update_link_stats_round": (ServiceDatabase, "update_link_stats_round", database_clock),
-    "touch_links": (ServiceDatabase, "touch_links", database_clock),
-    "add_title_to_server": (ServiceDatabase, "add_title_to_server", database_clock),
-    "remove_title_from_server": (ServiceDatabase, "remove_title_from_server", database_clock),
-    "bump_availability": (VoDService, "_bump_availability", lambda service: service._clock),
-    "link_online_flip": (Topology, "_on_link_change", lambda topo: topo.clock, STATE_CHANGE),
-    "add_link": (Topology, "add_link", lambda topo: topo.clock),
-    "link_traffic": (
-        Topology, "_on_link_change", lambda topo: topo.traffic_clock, TRAFFIC_CHANGE
-    ),
+    "update_link_stats": (ServiceDatabase, "update_link_stats", LINK_STATS),
+    "update_link_stats_round": (ServiceDatabase, "update_link_stats_round", LINK_STATS),
+    "touch_links": (ServiceDatabase, "touch_links", LINK_STATS),
+    "add_title_to_server": (ServiceDatabase, "add_title_to_server", LOCATIONS),
+    "remove_title_from_server": (ServiceDatabase, "remove_title_from_server", LOCATIONS),
+    "bump_availability": (VideoServer, "_availability_moved", AVAILABILITY),
+    "link_online_flip": (Link, "_publish", STATE),
+    "add_link": (Topology, "add_link", STATE),
+    "link_traffic": (Link, "_publish", TRAFFIC),
 }
 
-#: Tick sites no decision-level differential can kill, and why.
+#: Publish sites no decision-level differential can kill, and why.
 UNKILLABLE = {
     # A node alone has no link and no video server: no decision can
-    # change until a link reaches it, and add_link ticks.
-    "add_node": (Topology, "add_node"),
+    # change until a link reaches it, and add_link publishes.
+    "add_node": (Topology, "add_node", STATE),
     # A registration matters only for a link the topology already has and
     # the database did not; while such a link exists no weight table can
     # be built (``_reported_used`` raises) and errors are never stored, so
     # the memo holds nothing that could replay.  ``add_server`` registers
-    # its links right after ``add_link`` and ``_bump_availability`` tick.
-    "register_link": (ServiceDatabase, "register_link"),
+    # its links right after ``add_link`` published.
+    "register_link": (ServiceDatabase, "register_link", LINK_STATS),
+    # The last three kinds are no memo-token input: each follows a token
+    # publish in the same call (AVAILABILITY before SERVER and DISK,
+    # LINK_STATS before SNMP_ROUND), so the memo cannot tell them apart
+    # from it, and a kill silences both twins' subscribers alike.  Their
+    # subscribers are pinned where they act: the supervisor's in
+    # tests/resilience/test_supervisor.py, the staleness guard's in
+    # tests/resilience/test_staleness.py.
+    "server_flip": (VideoServer, "online", SERVER),
+    "disk_death": (VideoServer, "_array_changed", DISK),
+    "snmp_round": (StatisticsService, "_collect_all", SNMP_ROUND),
 }
+
+
+def publish_sites():
+    """Every ``(Class.method, KIND)`` in ``src/`` that publishes a named
+    kind; a call to ``Link._publish(KIND)`` counts as that method's."""
+    root = pathlib.Path(repro.__file__).parent
+    found = set()
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+                for call in ast.walk(method):
+                    if not (
+                        isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in ("publish", "_publish")
+                        and call.args
+                        and isinstance(call.args[0], ast.Name)
+                        and call.args[0].id.isupper()
+                    ):
+                        continue
+                    where = "Link._publish" if call.func.attr == "_publish" else (
+                        f"{cls.name}.{method.name}"
+                    )
+                    found.add((where, call.args[0].id))
+    return found
 
 
 class TestKillList:
     def test_every_tick_site_is_listed(self):
-        import inspect
-
-        ticking = {
-            (cls, name)
-            for cls in (ServiceDatabase, Topology)
-            for name, member in vars(cls).items()
-            if callable(member) and ".value += 1" in inspect.getsource(member)
+        names = {value: name for name, value in vars(feed).items() if name.isupper()}
+        listed = {
+            (f"{owner.__name__}.{method}", names[kind])
+            for owner, method, kind in (*KILLS.values(), *UNKILLABLE.values())
         }
-        listed = {spec[:2] for spec in KILLS.values()} | set(UNKILLABLE.values())
-        assert ticking <= listed
-        assert (VoDService, "_bump_availability") in listed
+        assert publish_sites() == listed
 
     @pytest.mark.parametrize("site", sorted(SCENARIOS))
     def test_the_memo_agrees_with_the_reference_path(self, site):
@@ -246,8 +307,8 @@ class TestKillList:
 
     @pytest.mark.parametrize("site", sorted(KILLS))
     def test_a_dead_tick_breaks_the_lockstep(self, site, monkeypatch):
-        untick(monkeypatch, *KILLS[site])
-        assert divergence(site) is not None
+        victims = kill(monkeypatch, *KILLS[site])
+        assert divergence(site, victims) is not None
 
 
 # ---------------------------------------------------------------------- #
@@ -329,12 +390,12 @@ class TestHitPathIsAProbe:
 # ---------------------------------------------------------------------- #
 # the ground-truth path: live link traffic is a token input
 # ---------------------------------------------------------------------- #
-def ground_truth_flash_crowd(compiled_routing):
+def ground_truth_flash_crowd(compiled_routing, victims=None):
     """A flash crowd at U2 under shifting live traffic, on the ground-truth
     path.  Every 10 minutes a probe at U3 decides, the background traffic
     moves to the next Table 2 column, and it decides again in the same
     event: between those two calls only link traffic moved.  Returns the
-    service and the probe answers."""
+    service and the probe answers; the service's feed joins ``victims``."""
     from repro.experiments.harness import ServiceExperiment
     from repro.experiments.harness import build_service as build_experiment
     from repro.workload.scenarios import flash_crowd_scenario
@@ -358,6 +419,8 @@ def ground_truth_flash_crowd(compiled_routing):
         run_until=5 * 3600.0,
     )
     service = build_experiment(experiment)
+    if victims is not None:
+        victims.append(service.topology.feed)
     service.start()
     sim = service.sim
     for event in scenario.events:
@@ -394,14 +457,17 @@ class TestGroundTruthPath:
         assert probes == expected
 
     def test_the_probes_see_a_dead_traffic_tick(self, monkeypatch):
-        untick(monkeypatch, *KILLS["link_traffic"])
-        assert ground_truth_flash_crowd(True)[1] != ground_truth_flash_crowd(False)[1]
+        victims = kill(monkeypatch, *KILLS["link_traffic"])
+        assert ground_truth_flash_crowd(True, victims)[1] != ground_truth_flash_crowd(False)[1]
 
-    def test_the_traffic_clock_is_the_service_clock_only_there(self):
-        ground = build(use_reported_stats=False)
-        reported = build()
-        assert ground.topology.traffic_clock is ground.topology.clock
-        assert reported.topology.traffic_clock is not reported.topology.clock
+    def test_traffic_moves_the_token_only_there(self):
+        """Every traffic change publishes; on the reported-stats path the
+        token reads no traffic, so the memo re-reads it and replays."""
+        for reported in (True, False):
+            service = build(use_reported_stats=reported)
+            first = service.decide("U2", "movie")
+            traffic("4pm")(service)
+            assert (service.decide("U2", "movie") is first) is reported
 
 
 # ---------------------------------------------------------------------- #

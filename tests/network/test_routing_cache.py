@@ -1,5 +1,5 @@
 """Unit tests for the epoch-versioned routing cache and its version
-counters (links, topology, database)."""
+counters (the topology's and the database's, read off the change feed)."""
 
 import pytest
 
@@ -21,42 +21,45 @@ def build_pair():
 
 
 class TestLinkVersions:
+    """A link publishes on its topology's feed, which the topology's
+    counters read."""
+
     def test_online_flip_bumps_state_version(self):
-        link = Link("A", "B", capacity_mbps=10.0)
-        before = link.state_version
+        topology, link = build_pair()
+        before = topology.state_version
         link.online = False
-        assert link.state_version == before + 1
+        assert topology.state_version == before + 1
         link.online = True
-        assert link.state_version == before + 2
+        assert topology.state_version == before + 2
 
     def test_same_online_value_does_not_bump(self):
-        link = Link("A", "B", capacity_mbps=10.0)
-        before = link.state_version
+        topology, link = build_pair()
+        before = topology.feed.value
         link.online = True
-        assert link.state_version == before
+        assert topology.feed.value == before
 
     def test_background_write_bumps_traffic_version(self):
-        link = Link("A", "B", capacity_mbps=10.0)
-        before = link.traffic_version
+        topology, link = build_pair()
+        before = topology.traffic_version
         link.set_background_mbps(3.0)
-        assert link.traffic_version == before + 1
+        assert topology.traffic_version == before + 1
         # Writing the identical value is not a change.
         link.set_background_mbps(3.0)
-        assert link.traffic_version == before + 1
+        assert topology.traffic_version == before + 1
 
     def test_reserve_release_bump_traffic_version(self):
-        link = Link("A", "B", capacity_mbps=10.0)
-        before = link.traffic_version
+        topology, link = build_pair()
+        before = topology.traffic_version
         link.reserve(2.0)
         link.release(2.0)
-        assert link.traffic_version == before + 2
+        assert topology.traffic_version == before + 2
 
     def test_zero_reserve_is_not_a_change(self):
-        link = Link("A", "B", capacity_mbps=10.0)
-        before = link.traffic_version
+        topology, link = build_pair()
+        before = topology.feed.value
         link.reserve(0.0)
         link.release(0.0)
-        assert link.traffic_version == before
+        assert topology.feed.value == before
 
 
 class TestTopologyVersions:

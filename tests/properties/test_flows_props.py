@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.session import MIN_TRANSFER_MBPS
 from repro.errors import FlowError, LinkCapacityError
 from repro.network.flows import FlowManager
+from repro.network.feed import TRAFFIC
 from repro.network.grnet import build_grnet_topology
 from .topology_strategies import random_weighted_topology
 
@@ -162,14 +163,20 @@ def test_reserve_refuses_exactly_when_the_rate_exceeds_the_bottleneck(case):
     links = list(topology.links())
     predicted_refusal = rate > flows.bottleneck_mbps(path) + 1e-9
     assert flows.path_fits(path, rate) == (not predicted_refusal)
-    before = [(link.reserved_mbps, link.traffic_version) for link in links]
+    published = dict.fromkeys(links, 0)  # TRAFFIC publishes per link
+
+    def count(link):
+        published[link] += 1
+
+    topology.feed.subscribe(TRAFFIC, count)
+    before = [(link.reserved_mbps, published[link]) for link in links]
     active = flows.active_count
     try:
         flow = flows.reserve(path, rate)
     except LinkCapacityError:
         assert predicted_refusal
         # A refusal touches nothing: no reserve/rollback churn.
-        assert [(link.reserved_mbps, link.traffic_version) for link in links] == before
+        assert [(link.reserved_mbps, published[link]) for link in links] == before
         assert flows.active_count == active
         return
     assert not predicted_refusal
@@ -178,8 +185,8 @@ def test_reserve_refuses_exactly_when_the_rate_exceeds_the_bottleneck(case):
     for link, (reserved, version) in zip(links, before):
         if link.key in on_path:
             assert link.reserved_mbps == reserved + rate
-            assert link.traffic_version == version + 1
+            assert published[link] == version + 1
         else:
-            assert (link.reserved_mbps, link.traffic_version) == (reserved, version)
+            assert (link.reserved_mbps, published[link]) == (reserved, version)
     flows.release(flow)
     assert flows.active_count == active

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.errors import ReproError, ServiceError
+from repro.network.feed import LINK_STATS
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.resilience.staleness import StalenessGuard
 from repro.sim.engine import Simulator
@@ -87,15 +88,17 @@ class TestStalenessGuardUnit:
         assert guard.adjusted_used(link, capacity + 5.0) == capacity
 
     def test_on_change_receives_sorted_flips(self):
+        """A stale-set flip touches the flipped links in the database:
+        one ``LINK_STATS`` publish keyed by their sorted names."""
         service = make_service()
-        seen = []
         guard = StalenessGuard(
             service.sim,
             service.database,
             service.topology,
             max_age_s=100.0,
-            on_change=seen.append,
         )
+        seen = []
+        service.database.feed.subscribe(LINK_STATS, seen.append)
         advance(service.sim, 200.0)
         guard.refresh()
         assert len(seen) == 1

@@ -116,10 +116,28 @@ class TestMidStreamFailover:
         sim.run(until=sim.now + 4 * 3600.0)
 
         assert request.status is RequestStatus.COMPLETED
-        # The server stayed online, so only the explicit disk-failure
-        # notification can have caused the preemption.
+        # The server stayed online, so only the disk's DISK publish can
+        # have caused the preemption.
         assert service.supervisor.preemption_count >= 1
         assert session.record.failover_count >= 1
+        assert service.flows.active_count == 0
+
+    def test_a_disk_failure_preempts_whoever_applies_it(self):
+        """The array publishes the death on the change feed, so a disk
+        failed outside the fault injector preempts just the same."""
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.seed_title("U5", feature())
+        service.start()
+        source = service.decide("U2", "feature").chosen_uid
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        sim.schedule(600.0, lambda: service.servers[source].array.fail_disk(0))
+        sim.run(until=sim.now + 4 * 3600.0)
+
+        assert request.status is RequestStatus.COMPLETED
+        assert service.supervisor.preemption_count == 1
+        assert session.record.servers_used == [source, ({"U4", "U5"} - {source}).pop()]
         assert service.flows.active_count == 0
 
     def test_session_fails_only_when_last_copy_is_gone(self):

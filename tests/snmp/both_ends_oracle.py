@@ -8,6 +8,7 @@ Nothing in ``src/`` runs this any more; the differential tests hold the
 one-reporter round (``StatisticsService._collect_all``) to it.
 """
 
+from repro.network.feed import SNMP_ROUND
 from repro.snmp.collector import StatisticsService
 
 
@@ -22,8 +23,7 @@ class BothEndsStatisticsService(StatisticsService):
         for module in self.modules:
             for link_name, stats in module.sample(now).items():
                 self._db.update_link_stats(link_name, stats)
-        if self.on_round is not None:
-            self.on_round()
+        self._topology.feed.publish(SNMP_ROUND)
 
 
 def link_stats(database):
@@ -33,14 +33,13 @@ def link_stats(database):
 
 def use_both_ends_oracle(service) -> BothEndsStatisticsService:
     """Swap a not-yet-started ``VoDService``'s collector for the oracle,
-    keeping its period and its ``on_round`` listener (the staleness
-    guard's refresh)."""
+    keeping its period; its rounds publish ``SNMP_ROUND`` on the same feed
+    (the staleness guard refreshes on it)."""
     oracle = BothEndsStatisticsService(
         service.sim,
         service.topology,
         service.database.limited_access(),
         period_s=service.statistics.period_s,
     )
-    oracle.on_round = service.statistics.on_round
     service.statistics = oracle
     return oracle
