@@ -255,11 +255,10 @@ UNKILLABLE = {
     "register_link": (ServiceDatabase, "register_link", LINK_STATS),
     # The last three kinds are no memo-token input: each follows a token
     # publish in the same call (AVAILABILITY before SERVER and DISK,
-    # LINK_STATS before SNMP_ROUND), so the memo cannot tell them apart
-    # from it, and a kill silences both twins' subscribers alike.  Their
-    # subscribers are pinned where they act: the supervisor's in
-    # tests/resilience/test_supervisor.py, the staleness guard's in
-    # tests/resilience/test_staleness.py.
+    # LINK_STATS before SNMP_ROUND), which already moved the memo's
+    # clock.  What they feed is pinned where it acts: the supervisor's
+    # preemptions in tests/resilience/test_supervisor.py, the staleness
+    # guard's refresh in tests/resilience/test_staleness.py.
     "server_flip": (VideoServer, "online", SERVER),
     "disk_death": (VideoServer, "_array_changed", DISK),
     "snmp_round": (StatisticsService, "_collect_all", SNMP_ROUND),

@@ -106,6 +106,21 @@ class TestStalenessGuardUnit:
         assert len(seen[0]) == guard.stale_count
 
 
+    def test_a_written_round_refreshes_it_in_the_same_event(self):
+        """The guard hears every written SNMP round on the change feed: with
+        no periodic tick of its own running, fresh samples still clear it."""
+        service = make_service()
+        guard = StalenessGuard(
+            service.sim, service.database, service.topology, max_age_s=100.0
+        )
+        advance(service.sim, 200.0)
+        guard.refresh()
+        assert guard.degraded is True
+        service.statistics.start()  # the baseline poll writes no sample yet
+        advance(service.sim, 261.0)  # the first round that writes
+        assert guard.degraded is False
+
+
 class TestServiceWiring:
     def test_blackout_marks_decisions_degraded_then_recovers(self):
         service = make_service(max_stats_age_s=150.0, snmp_period_s=60.0)

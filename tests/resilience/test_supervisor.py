@@ -122,6 +122,23 @@ class TestMidStreamFailover:
         assert session.record.failover_count >= 1
         assert service.flows.active_count == 0
 
+    def test_a_link_outage_preempts_the_segment_on_it(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.seed_title("U5", feature())
+        service.start()
+        path = service.decide("U2", "feature").path.nodes
+        link = service.topology.link_between(path[0], path[1])
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        sim.schedule(600.0, lambda: setattr(link, "online", False))
+        sim.run(until=sim.now + 4 * 3600.0)
+
+        assert request.status is RequestStatus.COMPLETED
+        assert service.supervisor.preemption_count == 1
+        assert session.record.failover_count >= 1
+        assert service.flows.active_count == 0
+
     def test_a_disk_failure_preempts_whoever_applies_it(self):
         """The array publishes the death on the change feed, so a disk
         failed outside the fault injector preempts just the same."""
