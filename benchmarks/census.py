@@ -230,10 +230,15 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["obs/sink.py::_json_float"],
      ["tests/obs/test_sink.py::TestSampleWriter::"
       "test_same_artifact_as_one_write_per_sample"]),
-    ("fault", "a session is about to fail with no online full holder left",
-     ["resilience/supervisor.py::SessionSupervisor.note_failed"],
+    ("fault", "a session is about to fail with no full copy of its title left: "
+     "logged, and its error built, when it decides or when the last copy goes "
+     "while it stalls",
+     ["resilience/supervisor.py::SessionSupervisor.note_failed",
+      "resilience/supervisor.py::SessionSupervisor._lost"],
      ["tests/resilience/test_supervisor.py::TestMidStreamFailover::"
-      "test_session_fails_only_when_last_copy_is_gone"]),
+      "test_session_fails_only_when_last_copy_is_gone",
+      "tests/resilience/test_supervisor.py::TestStallWakeUps::"
+      "test_losing_the_last_copy_fails_its_waiters_at_that_instant"]),
     ("fault", "a deferred download failed: the partial bytes and any stale "
      "advertisement go",
      ["server/video_server.py::VideoServer.abort_download"],
@@ -389,6 +394,18 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_disk_failure_preempts_affected_sessions",
       "tests/properties/test_failover_props.py::"
       "test_no_session_fails_while_an_online_holder_existed"]),
+    ("fault", "a failover stall parked by a partition and woken by a link-up, or "
+     "woken or failed by its title's holder list moving: the census runs' stalls "
+     "all end on a holder's poll answer",
+     ["resilience/supervisor.py::SessionSupervisor._index::if stall.partitioned",
+      "resilience/supervisor.py::SessionSupervisor.on_locations::if self.holder_exists(title_id)",
+      "resilience/supervisor.py::SessionSupervisor.on_locations::for stall in list(bucket)"],
+     ["tests/resilience/test_supervisor.py::TestStallWakeUps::"
+      "test_a_partitioned_stall_resumes_at_the_link_up",
+      "tests/resilience/test_supervisor.py::TestStallWakeUps::"
+      "test_a_new_holder_ends_the_stall_as_it_is_advertised",
+      "tests/resilience/test_supervisor.py::TestStallWakeUps::"
+      "test_losing_the_last_copy_fails_its_waiters_at_that_instant"]),
     ("fault", "an error in a transfer's own step (a path that crosses a link twice, a "
      "NaN step) is raised in its session, which fails, and a bad yield value "
      "is raised in its generator: no user path builds such a path, step or "
@@ -524,7 +541,7 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["storage/array.py::DiskArray.can_store::if video.title_id in self._videos or video.title_id in self._partials",
       "storage/array.py::DiskArray.can_store::if disk_index in self._failed_disks",
       "storage/array.py::DiskArray.can_store_segment::if disk_index in self._failed_disks",
-      "storage/array.py::DiskArray.cluster_servable::else of if title_id in self._partials"],
+      "storage/array.py::DiskArray._cluster_disk::else of if title_id in self._partials"],
      ["tests/storage/test_array.py::TestCanStore::test_already_stored_is_not_storable",
       "tests/experiments/test_resilience.py::TestReplay::test_same_seed_replays_bit_for_bit",
       "tests/storage/test_array_segments.py::TestResidencyQueries::"

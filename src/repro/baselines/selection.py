@@ -24,7 +24,7 @@ import random
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.vra import PollFn, VraDecision
-from repro.errors import RoutingError, TitleUnavailableError
+from repro.errors import NoReachableHolderError, RoutingError, TitleUnavailableError
 from repro.network.compiled import TopologySnapshot
 from repro.network.routing.paths import Path
 from repro.network.topology import Topology
@@ -85,7 +85,7 @@ class _BaselineSelection:
         self, home_uid: str, title_id: str, chosen: str, paths: Dict[str, Path]
     ) -> VraDecision:
         if chosen not in paths:
-            raise RoutingError(
+            raise NoReachableHolderError(
                 f"server {chosen!r} unreachable from {home_uid!r}"
             )
         return VraDecision(
@@ -116,7 +116,7 @@ class RandomSelection(_BaselineSelection):
         paths = self._hop_paths(home_uid)
         reachable = [uid for uid in available if uid in paths]
         if not reachable:
-            raise RoutingError(
+            raise NoReachableHolderError(
                 f"title {title_id!r}: no reachable holder among {list(available)}"
             )
         chosen = self._rng.choice(sorted(reachable))
@@ -130,7 +130,7 @@ class MinHopSelection(_BaselineSelection):
         paths = self._hop_paths(home_uid)
         reachable = [uid for uid in available if uid in paths]
         if not reachable:
-            raise RoutingError(
+            raise NoReachableHolderError(
                 f"title {title_id!r}: no reachable holder among {list(available)}"
             )
         chosen = min(reachable, key=lambda uid: (paths[uid].cost, uid))

@@ -130,10 +130,10 @@ class ServiceConfig:
             and path links; a fault on either (server crash, disk
             failure taking the title, path link offline) *preempts* the
             session immediately — it re-runs the VRA and migrates the
-            remainder of the cluster to a surviving holder, stalling
-            through 15 s waits while holders exist but none is currently
-            usable.  A session fails only when no online full holder of
-            its title remains.  Default off —
+            remainder of the cluster to a surviving holder, parked on the
+            change feed while holders exist but none is currently usable
+            until an input that can end the outage moves.  A session
+            fails only when no full copy of its title remains.  Default off —
             faults mid-transfer then play out exactly as before (the
             stream limps to the boundary or dies there).
         max_stats_age_s: Staleness guard over the SNMP-fed link stats
@@ -1104,16 +1104,7 @@ class VoDService:
         serve while the cluster is resident at home, VRA otherwise."""
 
         def decide_cluster(cluster_index: int) -> VraDecision:
-            home = self.servers[home_uid]
-            # serves_segment excludes a full store whose download is still
-            # in flight (pending advertisement): those bytes arrive via
-            # this very session, so they cannot source it.
-            if (
-                home.online
-                and home.admission.has_capacity
-                and home.serves_segment(title_id)
-                and home.array.cluster_servable(title_id, cluster_index)
-            ):
+            if self.servers[home_uid].serves_cluster(title_id, cluster_index):
                 return VraDecision(
                     title_id=title_id,
                     home_uid=home_uid,

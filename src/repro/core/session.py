@@ -57,10 +57,6 @@ DEFAULT_RATE_UPDATE_PERIOD_S = 60.0
 RETRY_FIRST_WAIT_S = 20.0
 RETRY_MAX_WAIT_S = 300.0
 
-#: A failover stall re-decides this often while a full holder of the
-#: title is registered somewhere.
-FAILOVER_WAIT_S = 15.0
-
 DecideFn = Callable[[], VraDecision]
 
 _INF = float("inf")
@@ -402,7 +398,7 @@ class StreamingSession:
         try:
             for index, size_mb in enumerate(self._cluster_sizes):
                 get_decision = self._decider_for(index)
-                decision = yield from self._decide_or_wait(get_decision)
+                decision = yield from self._decide_or_wait(get_decision, index)
                 server_uid = decision.chosen_uid
                 switched = previous_server is not None and server_uid != previous_server
                 if switched:
@@ -500,15 +496,16 @@ class StreamingSession:
                 return decision.chosen_uid
             size_mb = remaining
             old_uid = decision.chosen_uid
-            decision = yield from self._decide_or_wait(get_decision, transfer.reason)
+            decision = yield from self._decide_or_wait(get_decision, index, transfer.reason)
             switched = decision.chosen_uid != old_uid
             if switched:
                 self.record.switch_count += 1
 
     def _decide_or_wait(
-        self, get_decision: DecideFn, preempted: Optional[str] = None
-    ) -> Generator[Delay, None, VraDecision]:
-        """One decision, waiting out routing failures while that may help.
+        self, get_decision: DecideFn, index: int, preempted: Optional[str] = None
+    ) -> Generator[Any, None, VraDecision]:
+        """One decision for cluster ``index``, waiting out routing failures
+        while that may help.
 
         A :class:`RoutingError` (every holder crashed or polled out, the
         home server partitioned from them, their stream slots full) is
@@ -521,14 +518,14 @@ class StreamingSession:
           and ``retry_wait_s``; a source found here marks the session
           ``recovered``;
         * the failover stall, under a supervisor only: a boundary whose
-          budget is spent goes on from its last failure (no event can run
-          between, so deciding again at the same instant could not
-          differ), and a segment the supervisor preempted (``preempted``
-          is its reason) starts here.
-          A failure waits :data:`FAILOVER_WAIT_S` while a full holder of
-          the title is registered somewhere; when none remains, the
-          supervisor logs the verdict and the session fails.  The
-          decision that ends the stall counts one failover.
+          budget is spent goes on from its last failure, and a segment
+          the supervisor preempted (``preempted`` is its reason) starts
+          here.  A failure parks the session on the supervisor's
+          :meth:`~repro.resilience.supervisor.SessionSupervisor.stall`
+          until an input that can end it moves, then it decides once
+          more; when no full holder of the title remains, the supervisor
+          logs the verdict and the session fails.  The decision that
+          ends the stall counts one failover.
 
         Without a supervisor the last routing error propagates once the
         budget is spent (with none, the first: the paper's fail-fast).
@@ -557,13 +554,17 @@ class StreamingSession:
                     if reason is None:  # a boundary whose retry budget is spent
                         reason = "boundary"
                         stall_started = self._sim.now
-                    if not control.holder_exists(self._video.title_id):
-                        control.note_failed(self._video.title_id, reason)
-                        raise ReproError(
-                            f"failover ({reason}): no full holder of title "
-                            f"{self._video.title_id!r} remains: {exc}"
-                        ) from exc
-                    yield Delay(FAILOVER_WAIT_S)
+                    # A prefix-local serve is the home's own answer for
+                    # this cluster, so the stall watches it too.
+                    local = index if self._decide_for_cluster is not None else None
+                    parked = control.stall(
+                        self._video.title_id, record.request.home_uid, local, exc, reason
+                    )
+                    try:
+                        yield parked
+                    finally:
+                        control.discard(parked)
+                    control.note_stall_decide()
                 continue
             if reason is not None:
                 stall = self._sim.now - stall_started

@@ -30,6 +30,9 @@ from repro.workload.scenarios import regional_scenario
 #: other resilience layer off (``repro chaos``'s defaults).
 CHAOS_CONFIG = ServiceConfig(retry_attempts=5)
 
+#: Report fields that exist only when a failover supervisor ran.
+_SUPERVISOR_ONLY = ("failover_stall_s_p50", "failover_wakeups", "failover_stall_decides")
+
 
 @dataclass(frozen=True)
 class ResilienceReport:
@@ -58,6 +61,13 @@ class ResilienceReport:
             (0 unless ``session_failover`` is on).
         failover_stall_s_total: Total stall seconds across failovers.
         failover_stall_s_p95: 95th-percentile stall per failover (s).
+        failover_stall_s_p50: Median stall per failover (s).
+        failover_wakeups: Wake-ups the supervisor sent to parked stalls.
+        failover_stall_decides: Decides stalled sessions ran after a
+            failure; never more than ``failover_wakeups``.  These three
+            are None without a supervisor and then left out of
+            :meth:`as_dict`, so such a run prints the JSON it printed
+            before they existed.
         sessions_failed_over: Distinct sessions that migrated at least
             once mid-stream.
         failover_failed_sessions: Sessions the supervisor let fail
@@ -93,10 +103,16 @@ class ResilienceReport:
     preemptions: int = 0
     p95_stall_s: float = 0.0
     stale_transitions: int = 0
+    failover_stall_s_p50: Optional[float] = None
+    failover_wakeups: Optional[int] = None
+    failover_stall_decides: Optional[int] = None
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict form (JSON-serialisable) for the chaos CLI."""
-        return asdict(self)
+        return {
+            key: value for key, value in asdict(self).items()
+            if value is not None or key not in _SUPERVISOR_ONLY
+        }
 
 
 @dataclass
@@ -250,6 +266,13 @@ def _build_report(
             percentile(completed_stalls, 95.0) if completed_stalls else 0.0
         ),
         stale_transitions=guard.transition_count if guard is not None else 0,
+        failover_stall_s_p50=(
+            (percentile(stalls, 50.0) if stalls else 0.0) if supervisor is not None else None
+        ),
+        failover_wakeups=supervisor.wakeups if supervisor is not None else None,
+        failover_stall_decides=(
+            supervisor.stall_decides if supervisor is not None else None
+        ),
     )
 
 
@@ -284,6 +307,11 @@ def render_resilience_report(report: ResilienceReport) -> str:
             f"  stall         {report.failover_stall_s_total:8.1f} s total   "
             f"p95 {report.failover_stall_s_p95:8.1f} s per failover   "
             f"({report.preemptions} preemption(s))"
+        )
+        lines.append(
+            f"  wake-ups      {report.failover_wakeups:6d} sent        "
+            f"{report.failover_stall_decides:6d} decides after a failure   "
+            f"p50 stall {report.failover_stall_s_p50:8.1f} s"
         )
     if report.stale_transitions:
         lines.append(

@@ -11,13 +11,20 @@ the session re-runs the VRA immediately and migrates the remainder of
 the cluster to a surviving holder instead of stalling until the boundary
 (or dying).
 
-A session under failover fails only when no full copy of its title
-remains registered anywhere — transient outages (crashed holders that
-will recover, saturated stream slots, congested paths) are ridden out
-with backoff instead.  Every fail verdict lands in :attr:`failed_log`
-with the simulated timestamp; since a lost last copy implies no *online*
-full holder either, the property suite can check every entry against
-the stronger invariant.
+A session whose re-decide fails *parks* on the change feed
+(:meth:`SessionSupervisor.stall`) instead of polling: the supervisor
+keeps a waiter index by title, by the holders whose poll answer was no,
+and of the partitioned waiters, and wakes a waiter with one zero-delay
+``signal:`` event when an input moves that can end its failure — a
+watched holder's poll answer turns yes, a link comes online (a partition
+only), or the title's holder set changes.  So a stall lasts exactly as
+long as the outage.  A session fails only when no full copy of its title
+remains registered anywhere; transient outages (crashed holders that
+will recover, saturated stream slots, severed paths) are waited out.
+Every fail verdict lands in :attr:`failed_log` with the simulated
+timestamp; since a lost last copy implies no *online* full holder
+either, the property suite can check every entry against the stronger
+invariant.
 
 All bookkeeping is plain dicts keyed in insertion order and driven by
 the simulation clock, so seeded chaos runs replay bit-for-bit.
@@ -25,17 +32,62 @@ the simulation clock, so seeded chaos runs replay bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.database.store import ServiceDatabase
-from repro.network.feed import DISK, SERVER, STATE
+from repro.errors import NoReachableHolderError, ReproError, RoutingError
+from repro.network.feed import AVAILABILITY, DISK, LOCATIONS, SERVER, STATE
 from repro.network.link import Link
 from repro.obs.registry import MetricsRegistry
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
+from repro.sim.process import Park, Process
 
 if TYPE_CHECKING:  # import cycle: session takes the supervisor as a param
     from repro.core.session import _Transfer
+
+
+class _Stall(Park):
+    """A failover stall parked on the change feed (:meth:`SessionSupervisor.stall`).
+
+    Attributes:
+        title_id: The session's title.
+        watched: ``(uid, cluster)`` of each server whose answer turning
+            yes can end the failure: every full holder that answered no
+            (``cluster`` None: it can provide the title), and the home
+            for the cluster it serves itself under a fractional
+            placement, when that cluster is resident there (one that
+            arrives comes with a holder-list move).
+        partitioned: The decide found holders but no path to them, so a
+            link coming online can end it too.
+        reason, message: The stall's cause and the text of the routing
+            error that parked it (the fail verdict quotes both; the
+            error itself is not kept, nor the frames its traceback holds).
+        process: The parked process (set when it parks).
+    """
+
+    __slots__ = ("_supervisor", "title_id", "watched", "partitioned", "reason", "message", "process")
+
+    def __init__(
+        self,
+        supervisor: "SessionSupervisor",
+        title_id: str,
+        watched: Tuple[Tuple[str, Optional[int]], ...],
+        partitioned: bool,
+        reason: str,
+        message: str,
+    ):
+        self._supervisor = supervisor
+        self.title_id = title_id
+        self.watched = watched
+        self.partitioned = partitioned
+        self.reason = reason
+        self.message = message
+        self.process: Optional[Process] = None
+
+    def _park(self, process: Process) -> None:
+        self.process = process
+        self._supervisor._index(self)
 
 
 class SessionSupervisor:
@@ -44,11 +96,12 @@ class SessionSupervisor:
     The service constructs one when ``ServiceConfig.session_failover`` is
     on; it subscribes to the database's change feed for the fault events
     (``SERVER`` and ``STATE`` flips, ``DISK`` deaths), whoever applies
-    them.  Sessions call :meth:`track` / :meth:`untrack` around each
-    transfer segment — the transfer carries the server uid and the link
-    tuple it already resolved — and use the supervisor as their
-    failover-control surface (:meth:`holder_exists`,
-    :meth:`note_failover`, :meth:`note_failed`).
+    them, and for the inputs that can end a stall (``AVAILABILITY``,
+    ``STATE``, ``LOCATIONS``).  Sessions call :meth:`track` /
+    :meth:`untrack` around each transfer segment — the transfer carries
+    the server uid and the link tuple it already resolved — and use the
+    supervisor as their failover-control surface (:meth:`stall`,
+    :meth:`discard`, :meth:`note_stall_decide`, :meth:`note_failover`).
 
     Args:
         sim: The simulation engine.
@@ -73,10 +126,22 @@ class SessionSupervisor:
         #: the buckets are insertion-ordered sets.
         self._by_server: Dict[str, Dict["_Transfer", None]] = {}
         self._by_link: Dict[str, Dict["_Transfer", None]] = {}
+        #: Parked stalls in park order, and the same stalls by title, by
+        #: watched server uid and then by what it must answer for them
+        #: (``(title_id, cluster)``, one test per group), and the
+        #: partitioned ones.
+        self._waiters: Dict[_Stall, None] = {}
+        self._by_title: Dict[str, Dict[_Stall, None]] = {}
+        self._by_watched: Dict[str, Dict[Tuple[str, Optional[int]], Dict[_Stall, None]]] = {}
+        self._partitioned: Dict[_Stall, None] = {}
         #: Deterministic counters and logs (reports + property suites).
         self.preemption_count = 0
         self.failover_count = 0
         self.failed_count = 0
+        #: Wake-ups sent to parked stalls, and the decides stalled
+        #: sessions ran after a failure (never more than the wake-ups).
+        self.wakeups = 0
+        self.stall_decides = 0
         self.stall_log: List[float] = []
         #: One entry per session failed for want of an online full holder:
         #: ``{"at_s", "title_id", "reason"}``, chronological.
@@ -102,6 +167,8 @@ class SessionSupervisor:
         feed.subscribe(SERVER, self.on_server_state)
         feed.subscribe(STATE, self.on_link_state)
         feed.subscribe(DISK, self.on_disk_failure)
+        feed.subscribe(AVAILABILITY, self.on_availability)
+        feed.subscribe(LOCATIONS, self.on_locations)
 
     # ------------------------------------------------------------------ #
     # segment index (session call sites)
@@ -119,10 +186,10 @@ class SessionSupervisor:
             self._drop(self._by_link, link.name, transfer)
 
     @staticmethod
-    def _drop(index: Dict[str, Dict["_Transfer", None]], key: str, transfer) -> None:
+    def _drop(index: Dict[object, Dict[object, None]], key: object, item: object) -> None:
         bucket = index.get(key)
         if bucket is not None:
-            bucket.pop(transfer, None)
+            bucket.pop(item, None)
             if not bucket:
                 del index[key]
 
@@ -143,11 +210,14 @@ class SessionSupervisor:
         )
 
     def on_link_state(self, changed: object) -> None:
-        """The topology changed; preempt a downed link's path users (a
-        new node or link carries no transfer yet)."""
-        if not isinstance(changed, Link) or changed.online:
-            return
-        self._preempt_bucket(self._by_link.get(changed.name), f"link:{changed.name}")
+        """The topology changed: a link that came online (or joined) wakes
+        the partitioned stalls, a downed link preempts its path users (a
+        joined node carries no transfer and reconnects nothing by itself)."""
+        if isinstance(changed, Link):
+            if changed.online:
+                self._wake_all(self._partitioned)
+            else:
+                self._preempt_bucket(self._by_link.get(changed.name), f"link:{changed.name}")
 
     def on_disk_failure(self, server: VideoServer) -> None:
         """A disk died; preempt sessions whose title it made unservable."""
@@ -172,17 +242,138 @@ class SessionSupervisor:
         self._m_preemptions.inc()
 
     # ------------------------------------------------------------------ #
+    # stall wake-ups (change-feed subscribers)
+    # ------------------------------------------------------------------ #
+    def on_availability(self, server: VideoServer) -> None:
+        """A server's poll answer may have moved: wake the stalls watching
+        it for a title it can now provide (for a home watched for a
+        resident cluster, one it can now serve itself)."""
+        groups = self._by_watched.get(server.node_uid)
+        if not groups:
+            return
+        for (title_id, cluster), bucket in list(groups.items()):
+            if cluster is None:
+                ready = server.can_provide(title_id)
+            else:
+                ready = server.serves_cluster(title_id, cluster)
+            if ready:
+                self._wake_all(bucket)
+
+    def on_locations(self, title_id: str) -> None:
+        """A title's holder list moved: wake its stalls, or fail them at
+        this instant if that removed the last full copy."""
+        bucket = self._by_title.get(title_id)
+        if not bucket:
+            return
+        if self.holder_exists(title_id):
+            self._wake_all(bucket)
+            return
+        for stall in list(bucket):
+            self._wake(stall, self._lost(stall.title_id, stall.reason, stall.message))
+
+    def _wake_all(self, bucket: Dict[_Stall, None]) -> None:
+        for stall in list(bucket):
+            self._wake(stall)
+
+    def _wake(self, stall: _Stall, error: Optional[ReproError] = None) -> None:
+        """Resume a parked stall in one zero-delay ``signal:`` event, to
+        decide again or, given the fail verdict's ``error``, to raise it.
+        The stall leaves the index, so a second input moving at this
+        instant sends it no second wake-up."""
+        self._unindex(stall)
+        if error is None:
+            self.wakeups += 1
+        process = stall.process
+        process._pending_handle = self._sim.schedule(
+            0.0, process._resume, error, error is not None, name=f"signal:{process.name}"
+        )
+
+    def _index(self, stall: _Stall) -> None:
+        title_id = stall.title_id
+        self._waiters[stall] = None
+        self._by_title.setdefault(title_id, {})[stall] = None
+        for uid, cluster in stall.watched:
+            self._by_watched.setdefault(uid, {}).setdefault((title_id, cluster), {})[stall] = None
+        if stall.partitioned:
+            self._partitioned[stall] = None
+
+    def _unindex(self, stall: _Stall) -> None:
+        if stall not in self._waiters:
+            return
+        del self._waiters[stall]
+        self._drop(self._by_title, stall.title_id, stall)
+        for uid, cluster in stall.watched:
+            groups = self._by_watched[uid]
+            self._drop(groups, (stall.title_id, cluster), stall)
+            if not groups:
+                del self._by_watched[uid]
+        self._partitioned.pop(stall, None)
+
+    # ------------------------------------------------------------------ #
     # failover-control surface (session call sites)
     # ------------------------------------------------------------------ #
+    def stall(
+        self,
+        title_id: str,
+        home_uid: str,
+        local_cluster: Optional[int],
+        error: RoutingError,
+        reason: str,
+    ) -> _Stall:
+        """Fail-or-wait after a decide raised ``error``: the stall a
+        session yields to park until an input that can end this failure
+        moves.
+
+        Args:
+            title_id, home_uid: The session's title and home server.
+            local_cluster: The cluster the home serves itself when a
+                prefix holds it (fractional placements), else None.
+            error: The routing error the decide raised.
+            reason: The stall's cause (a preemption's, or ``boundary``).
+
+        Raises:
+            ReproError: No full copy of the title is registered any more;
+                the verdict is logged (:meth:`note_failed`).
+        """
+        if not self.holder_exists(title_id):
+            raise self._lost(title_id, reason, str(error)) from error
+        servers = self._servers
+        watched = [
+            (uid, None) for uid in self._database.full_holders(title_id)
+            if not servers[uid].can_provide(title_id)
+        ]
+        if local_cluster is not None and servers[home_uid].array.cluster_resident(
+            title_id, local_cluster
+        ):
+            # The home's own test for the cluster covers its poll answer.
+            watched = [w for w in watched if w[0] != home_uid]
+            watched.append((home_uid, local_cluster))
+        return _Stall(
+            self, title_id, tuple(watched), isinstance(error, NoReachableHolderError),
+            reason, str(error),
+        )
+
+    def discard(self, stall: _Stall) -> None:
+        """The stall's session resumed or closed: forget it (a no-op once
+        a wake-up or a fail verdict took it out of the index)."""
+        self._unindex(stall)
+
+    def _lost(self, title_id: str, reason: str, message: str) -> ReproError:
+        """Log the fail verdict and build the session's error."""
+        self.note_failed(title_id, reason)
+        return ReproError(
+            f"failover ({reason}): no full holder of title {title_id!r} remains: {message}"
+        )
+
     def holder_exists(self, title_id: str) -> bool:
         """Is a full copy of the title still registered anywhere?
 
-        The session's fail-or-wait verdict: a routing failure while a
-        full holder remains (crashed but recovering, slots full, path
-        congested) is transient — keep stalling.  Only when the last
-        full copy is gone does the session fail (and the verdict is
-        logged); by then :meth:`holder_online` is necessarily False
-        too, which is the invariant the property suite checks.
+        The fail-or-wait verdict: a routing failure while a full holder
+        remains (crashed but recovering, slots full, path severed) is
+        transient — the session stalls.  Only when the last full copy is
+        gone does the session fail (and the verdict is logged); by then
+        :meth:`holder_online` is necessarily False too, which is the
+        invariant the property suite checks.
         """
         return bool(self._database.full_holders(title_id))
 
@@ -198,6 +389,10 @@ class SessionSupervisor:
             if server is not None and server.online and server.has_title(title_id):
                 return True
         return False
+
+    def note_stall_decide(self) -> None:
+        """A woken stall is about to decide again."""
+        self.stall_decides += 1
 
     def note_failover(self, stall_s: float) -> None:
         """A session migrated mid-stream after ``stall_s`` of stall."""

@@ -200,6 +200,18 @@ class VideoServer:
         """The VRA poll answer: online, title resident, slot available."""
         return self.online and self.has_title(title_id) and self.admission.has_capacity
 
+    def serves_cluster(self, title_id: str, cluster_index: int) -> bool:
+        """The prefix-local poll answer: online, a slot free, and the
+        cluster resident on a healthy disk of a servable copy or prefix.
+        A full store whose download is still in flight does not count:
+        those bytes arrive through the very session asking."""
+        return (
+            self.online
+            and self.admission.has_capacity
+            and self.serves_segment(title_id)
+            and self.array.cluster_servable(title_id, cluster_index)
+        )
+
     def begin_serving(self, title_id: str) -> int:
         """Admit one outgoing stream of a resident title.
 

@@ -335,6 +335,16 @@ class DiskArray:
     def cluster_servable(self, title_id: str, cluster_index: int) -> bool:
         """True when one specific cluster is resident on a healthy disk —
         the per-cluster question a prefix-serving session asks."""
+        disk_index = self._cluster_disk(title_id, cluster_index)
+        return disk_index is not None and disk_index not in self._failed_disks
+
+    def cluster_resident(self, title_id: str, cluster_index: int) -> bool:
+        """True when one specific cluster is resident, on a healthy disk
+        or not."""
+        return self._cluster_disk(title_id, cluster_index) is not None
+
+    def _cluster_disk(self, title_id: str, cluster_index: int) -> Optional[int]:
+        """The disk a resident cluster lies on; None when not resident."""
         if title_id in self._videos:
             layout = self._layouts[title_id]
             count = layout.cluster_count
@@ -342,7 +352,7 @@ class DiskArray:
             layout = self._partial_layouts[title_id]
             count = self._partial_counts[title_id]
         else:
-            return False
+            return None
         if not (0 <= cluster_index < count):
-            return False
-        return layout.assignments[cluster_index][1] not in self._failed_disks
+            return None
+        return layout.assignments[cluster_index][1]

@@ -190,7 +190,7 @@ class PollingSession(StreamingSession):
             reason = self._preempt_reason or "fault"
             self._preempt_reason = None
             old_uid = current.chosen_uid
-            current = yield from self._decide_or_wait(get_decision, reason)
+            current = yield from self._decide_or_wait(get_decision, index, reason)
             segment_switched = current.chosen_uid != old_uid
             if segment_switched:
                 self.record.switch_count += 1

@@ -11,6 +11,7 @@ from repro.network.routing.paths import Path
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.storage.video import VideoTitle
+from tests.core._fake_failover import FakeFailover
 
 
 def make_decision(nodes, cost=0.1):
@@ -200,36 +201,15 @@ class TestDegradation:
         assert flows.active_count == 0  # nothing leaked
 
 
-class _HolderKeeper:
-    """A failover control whose title always keeps a full holder."""
-
-    def __init__(self):
-        self.stalls = []
-
-    def track(self, transfer):
-        pass
-
-    def untrack(self, transfer):
-        pass
-
-    def holder_exists(self, title_id):
-        return True
-
-    def note_failover(self, stall_s):
-        self.stalls.append(stall_s)
-
-    def note_failed(self, title_id, reason):  # pragma: no cover - never fails here
-        raise AssertionError("the holder never vanishes here")
-
-
 class TestSupervisedBoundary:
-    """A boundary whose retry budget is spent waits from its last failure:
-    nothing can change between two decides at one simulated instant."""
+    """A boundary whose retry budget is spent parks from its last failure
+    and decides once per wake-up: nothing can change between two decides
+    at one simulated instant, or while nothing woke the stall."""
 
     @pytest.mark.parametrize(
         "retry_attempts, failed_at, stall_s",
-        [(0, [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0], 105.0),
-         (2, [0.0, 20.0, 60.0, 75.0, 90.0], 45.0)],
+        [(0, [0.0], 105.0),
+         (2, [0.0, 20.0, 60.0], 45.0)],
     )
     def test_one_decide_per_simulated_instant(
         self, line, retry_attempts, failed_at, stall_s
@@ -243,7 +223,8 @@ class TestSupervisedBoundary:
                 raise RoutingError("every holder is down")
             return make_decision(["A", "B"])
 
-        control = _HolderKeeper()
+        # The control's wake-up ends the stall at 105 s, after the outage.
+        control = FakeFailover(wake_after=lambda now: 105.0 - now)
         video = VideoTitle("v", size_mb=100.0, duration_s=800.0)
         request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0)
         session = StreamingSession(
@@ -254,9 +235,11 @@ class TestSupervisedBoundary:
         Process(sim, session.run(), name="s")
         sim.run()
         assert calls[:-2] == failed_at
+        assert calls[-2] == 105.0
         assert len(calls) == len(set(calls)), calls
         assert session.record.completed
         assert session.record.retry_count == retry_attempts
+        assert control.parked == control.stall_decides == 1
         assert control.stalls == [stall_s]
         assert session.record.failover_stall_s == stall_s
 

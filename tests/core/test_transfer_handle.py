@@ -24,6 +24,7 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.storage.video import VideoTitle
 from repro.workload.scenarios import regional_scenario
+from tests.core._fake_failover import FakeFailover
 
 
 def make_decision(nodes):
@@ -36,29 +37,18 @@ def make_decision(nodes):
     )
 
 
-class Control:
+class Control(FakeFailover):
     """A failover control that keeps only weak references to what it tracks."""
 
     def __init__(self):
+        super().__init__()
         self.tracked = []
 
     def track(self, transfer):
         self.tracked.append(weakref.ref(transfer))
 
-    def untrack(self, transfer):
-        pass
-
     def live(self):
         return [ref() for ref in self.tracked if ref() is not None]
-
-    def holder_exists(self, title_id):
-        return True
-
-    def note_failover(self, stall_s):
-        pass
-
-    def note_failed(self, title_id, reason):  # pragma: no cover - holders never vanish
-        raise AssertionError("the holder never vanishes here")
 
 
 def start_session(line, control=None, quantum=10.0):

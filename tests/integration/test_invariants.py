@@ -111,6 +111,8 @@ def test_invariants_hold_under_a_storm_with_every_layer_on():
     stepped(service, HORIZON_S + 2 * 3600.0, scenario.events)
     supervisor = service.supervisor
     assert supervisor.preemption_count > 0 and supervisor.failover_count > 0
+    # Stalls parked and woke, and each decide after a failure had a wake-up.
+    assert 0 < supervisor.stall_decides <= supervisor.wakeups
     assert service.staleness_guard.transition_count > 0
     assert service.admission_queue.stats.delayed > 0 and service.admission_queue.stats.shed > 0
     assert sum(injector.injected_by_kind.values()) > 10

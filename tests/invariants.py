@@ -10,6 +10,10 @@ empty list: all hold).  It is meant to run after each ``sim.step()``:
 * per disk, the resident megabytes never exceed the capacity;
 * the failover supervisor's index holds exactly the live transfers, each
   under its server and under every link of its path;
+* a session with nothing scheduled is a parked failover stall: it sits in
+  the supervisor's waiter index exactly once, holds no pending event and
+  is not finished, and every waiter is such a session (without a
+  supervisor, every unfinished session has an event scheduled);
 * the ``service.sessions_active`` count equals a scan of the sessions;
 * no terminal request is still scheduled.
 
@@ -17,7 +21,8 @@ A live transfer is found by its pending step: between events every
 transfer segment in flight has exactly one pending ``_tick`` (its step or
 the poke that cuts it), and the process of a request is found through the
 frame of its ``_admit`` generator.  Nothing in ``src/`` keeps a registry
-for this check.
+for this check: a sleeping session is an unfinished request that no
+pending event belongs to.
 """
 
 from __future__ import annotations
@@ -124,6 +129,53 @@ def check_invariants(service: VoDService) -> List[str]:
                 f"supervisor link index: {len(by_link - want_link)} stale, "
                 f"{len(want_link - by_link)} missing"
             )
+
+    # A session with nothing scheduled is parked on the feed, in the
+    # waiter index exactly once; every waiter is such a session.
+    awake = {id(_request_of(process)) for process, _ in scheduled if process is not None}
+    sleeping = {
+        id(record.request): record.request.request_id
+        for record in service.sessions
+        if not record.request.finished and id(record.request) not in awake
+    }
+    waiters = list(supervisor._waiters) if supervisor is not None else []
+    parked = {}
+    for stall in waiters:
+        process = stall.process
+        request = _request_of(process) if process is not None else None
+        if request is None or process.finished or request.finished:
+            problems.append(f"waiter of {stall.title_id} is no unfinished session")
+            continue
+        if process._pending_handle is not None or id(request) in awake:
+            problems.append(f"parked request {request.request_id} has an event pending")
+        if id(request) in parked:
+            problems.append(f"request {request.request_id} parked twice")
+        parked[id(request)] = request.request_id
+    if parked.keys() != sleeping.keys():
+        problems.append(
+            f"sleeping sessions {sorted(sleeping.values())} != parked "
+            f"{sorted(parked.values())}"
+        )
+    if supervisor is not None:
+        by_title = {
+            (title, stall) for title, bucket in supervisor._by_title.items() for stall in bucket
+        }
+        by_watched = {
+            (uid, key, stall)
+            for uid, groups in supervisor._by_watched.items()
+            for key, bucket in groups.items()
+            for stall in bucket
+        }
+        if (
+            by_title != {(stall.title_id, stall) for stall in waiters}
+            or by_watched != {
+                (uid, (stall.title_id, cluster), stall)
+                for stall in waiters
+                for uid, cluster in stall.watched
+            }
+            or set(supervisor._partitioned) != {s for s in waiters if s.partitioned}
+        ):
+            problems.append("supervisor waiter index out of step with its waiters")
 
     # The active-session count is counted, not scanned: compare.
     scan = sum(1 for record in service.sessions if not record.request.finished)

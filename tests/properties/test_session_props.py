@@ -18,6 +18,7 @@ from repro.network.routing.paths import Path
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.storage.video import VideoTitle
+from tests.core._fake_failover import FakeFailover
 from tests.core._polling_session import PollingSession
 
 #: Candidate routes from U2 the decision stream cycles through.
@@ -155,30 +156,22 @@ class SlotServer:
         self.active_streams -= 1
 
 
-class Control:
+class Control(FakeFailover):
     """Failover control for either session kind: indexes whatever the
     session tracks (a transfer, or the polling session itself) and
-    preempts it through its own ``preempt(reason)``."""
+    preempts it through its own ``preempt(reason)``; a stall ends 15 s
+    after it parks."""
 
     def __init__(self):
+        super().__init__()
         self.tracked = {}
         self.preemptions = 0
-        self.stalls = []
 
     def track(self, item, decision=None):
         self.tracked[item] = None
 
     def untrack(self, item):
         self.tracked.pop(item, None)
-
-    def holder_exists(self, title_id):
-        return True
-
-    def note_failover(self, stall_s):
-        self.stalls.append(stall_s)
-
-    def note_failed(self, title_id, reason):  # pragma: no cover - holders never vanish
-        raise AssertionError("a holder always exists in these scenarios")
 
     def preempt_all(self, reason):
         for item in list(self.tracked):

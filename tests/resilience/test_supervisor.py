@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.selection import MinHopSelection
 from repro.client.requests import RequestStatus
 from repro.core.service import ServiceConfig, VoDService
 from repro.faults import DiskFailure, FaultInjector, FaultSchedule
@@ -251,3 +252,169 @@ class TestFaultFreeEquivalence:
             assert a.size_mb == pytest.approx(b.size_mb)
         assert on.completed_at == off.completed_at
         assert on.stall_s == off.stall_s
+
+
+class TestStallWakeUps:
+    """A failed re-decide parks on the change feed: the stall ends in the
+    event of the input that ends the outage, with one decide per wake-up."""
+
+    @staticmethod
+    def count_decides(service):
+        """Count ``service.decide`` calls (sessions look it up per call)."""
+        calls = []
+        decide = service.decide
+
+        def counted(home_uid, title_id):
+            calls.append(service.sim.now)
+            return decide(home_uid, title_id)
+
+        service.decide = counted
+        return calls
+
+    def test_a_recovery_resumes_the_stall_in_its_own_event(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.start()
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        crash_at, recover_at = sim.now + 600.0, sim.now + 1_537.25
+        server = service.servers["U4"]
+        sim.schedule_at(crash_at, lambda: setattr(server, "online", False))
+        sim.schedule_at(recover_at, lambda: setattr(server, "online", True))
+        sim.run(until=recover_at)
+
+        record = session.record
+        supervisor = service.supervisor
+        assert not supervisor._waiters
+        assert (supervisor.wakeups, supervisor.stall_decides, supervisor.failover_count) == (1, 1, 1)
+        # The stall is the outage itself, not a multiple of a poll period.
+        assert supervisor.stall_log == [recover_at - crash_at] == [937.25]
+        assert record.failover_stall_s == 937.25
+        sim.run(until=sim.now + 6 * 3600.0)
+        assert request.status is RequestStatus.COMPLETED
+        resumed = [c for c in record.clusters if c.start > crash_at]
+        assert resumed[0].start == recover_at
+
+    @pytest.mark.parametrize("policy", [None, MinHopSelection])
+    def test_a_partitioned_stall_resumes_at_the_link_up(self, policy):
+        service = make_service()
+        if policy is not None:  # a baseline's partition is a partition too
+            service.vra = policy(service.topology)
+        service.seed_title("U4", feature())
+        service.start()
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        links = [service.topology.link_named(name) for name in ("Patra-Athens", "Patra-Ioannina")]
+        cut_at, mend_at = sim.now + 600.0, sim.now + 2_000.5
+
+        def cut():
+            for link in links:
+                link.online = False
+
+        sim.schedule_at(cut_at, cut)
+        sim.schedule_at(mend_at, lambda: setattr(links[1], "online", True))
+        calls = self.count_decides(service)
+        sim.run(until=mend_at)
+
+        supervisor = service.supervisor
+        # One decide found the home cut off; slot churn at the holder it
+        # could not reach woke nothing; the link-up woke it once.
+        assert [t for t in calls if t > cut_at - 1.0] == [cut_at, mend_at]
+        assert (supervisor.wakeups, supervisor.stall_decides) == (1, 1)
+        assert supervisor.stall_log == [mend_at - cut_at]
+        sim.run(until=sim.now + 6 * 3600.0)
+        assert request.status is RequestStatus.COMPLETED
+        assert session.record.clusters[-1].path_nodes[:2] == ("U2", "U3")
+
+    def test_slot_churn_at_an_unservable_holder_wakes_nobody(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.start()
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        holder = service.servers["U4"]
+        fail_at, restore_at = sim.now + 600.0, sim.now + 3_000.0
+        sim.schedule_at(fail_at, holder.array.fail_disk, 0)
+        leases = []
+        for k in range(10):  # another stream comes and goes at the holder
+            sim.schedule_at(fail_at + 100.0 + 200.0 * k, lambda: leases.append(holder.admission.admit()))
+            sim.schedule_at(fail_at + 200.0 + 200.0 * k, lambda: holder.admission.release(leases.pop()))
+        sim.schedule_at(restore_at, holder.array.restore_disk, 0)
+        calls = self.count_decides(service)
+        sim.run(until=restore_at)
+
+        supervisor = service.supervisor
+        assert [t for t in calls if t >= fail_at] == [fail_at, restore_at]
+        assert supervisor.wakeups == supervisor.stall_decides == 1
+        assert supervisor.stall_log == [restore_at - fail_at]
+        sim.run(until=sim.now + 6 * 3600.0)
+        assert request.status is RequestStatus.COMPLETED
+
+    def test_a_recovery_wakes_each_waiter_once(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.start()
+        sessions = [service.request_by_home(home, "feature")[1] for home in ("U1", "U2", "U3")]
+        sim = service.sim
+        server = service.servers["U4"]
+        crash_at, recover_at = sim.now + 600.0, sim.now + 1_200.0
+        sim.schedule_at(crash_at, lambda: setattr(server, "online", False))
+        sim.schedule_at(recover_at, lambda: setattr(server, "online", True))
+        signals = []
+        schedule = sim.schedule
+
+        def spy(delay, callback, *args, name=""):
+            if name.startswith("signal:"):
+                signals.append((sim.now, name))
+            return schedule(delay, callback, *args, name=name)
+
+        sim.schedule = spy
+        sim.run(until=sim.now + 6 * 3600.0)
+
+        supervisor = service.supervisor
+        # The recovery publishes AVAILABILITY then SERVER: one wake-up each.
+        assert [at for at, _ in signals] == [recover_at] * len(sessions)
+        assert supervisor.wakeups == supervisor.stall_decides == len(sessions)
+        assert supervisor.stall_log == [recover_at - crash_at] * len(sessions)
+        assert all(s.record.request.status is RequestStatus.COMPLETED for s in sessions)
+
+    def test_a_new_holder_ends_the_stall_as_it_is_advertised(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.start()
+        request, session, _ = service.request_by_home("U2", "feature")
+        sim = service.sim
+        crash_at, seed_at = sim.now + 600.0, sim.now + 900.0
+        sim.schedule_at(crash_at, lambda: setattr(service.servers["U4"], "online", False))
+        sim.schedule_at(seed_at, service.seed_title, "U5", feature())
+        sim.run(until=sim.now + 6 * 3600.0)
+
+        supervisor = service.supervisor
+        assert request.status is RequestStatus.COMPLETED
+        assert (supervisor.wakeups, supervisor.stall_decides) == (1, 1)
+        assert supervisor.stall_log == [seed_at - crash_at]
+        assert session.record.servers_used == ["U4", "U5"]
+
+    def test_losing_the_last_copy_fails_its_waiters_at_that_instant(self):
+        service = make_service()
+        service.seed_title("U4", feature())
+        service.start()
+        requests = [service.request_by_home(home, "feature")[0] for home in ("U1", "U2")]
+        sim = service.sim
+        crash_at, lost_at = sim.now + 600.0, sim.now + 1_000.0
+        sim.schedule_at(crash_at, lambda: setattr(service.servers["U4"], "online", False))
+        sim.schedule_at(
+            lost_at, service.database.remove_title_from_server, "U4", "feature"
+        )
+        calls = self.count_decides(service)
+        sim.run(until=lost_at)
+
+        supervisor = service.supervisor
+        assert [request.status for request in requests] == [RequestStatus.FAILED] * 2
+        assert all("no full holder" in request.failure_reason for request in requests)
+        assert [entry["at_s"] for entry in supervisor.failed_log] == [lost_at, lost_at]
+        # Failed by the supervisor, not by another decide.
+        assert [t for t in calls if t > crash_at] == []
+        assert supervisor.wakeups == supervisor.stall_decides == 0
+        assert not supervisor._waiters
+        assert service.flows.active_count == 0
