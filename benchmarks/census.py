@@ -22,8 +22,8 @@ function whose body does nothing (a docstring, ``pass``, ``...`` or
 ``raise NotImplementedError``) declares an interface or a no-op default;
 it has no code to reach and is not counted.  Every unreached function must
 be deleted or carry one named reason in :data:`REASONS`, of one of the
-:data:`KINDS` ``paper``, ``fault``, ``reference``, ``bench`` or ``item5``
-(code that only its own unit tests call has no reason to stay).
+:data:`KINDS` ``paper``, ``fault``, ``reference`` or ``bench`` (code
+that only its own unit tests call has no reason to stay).
 ``--check`` exits 1 when one does not, and when a :data:`REASONS` key
 covers no unreached function any more (a user path reaches all of it:
 the reason is stale).
@@ -103,7 +103,6 @@ KINDS = {
     "fault": "error, validation or fault handler: safety code",
     "reference": "an oracle that tests compare the production path against",
     "bench": "regenerates an EXPERIMENTS.md row from benchmarks/",
-    "item5": "strip-level caching, the paper's future work (ROADMAP item 5)",
 }
 
 #: The kind of an arm that ends in ``raise`` or is an ``except`` handler:
@@ -339,10 +338,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["workload/zipf.py::ZipfSampler.sample_many",
       "placement/base.py::PlacementPolicy.cached_title_ids"],
      ["benchmarks/test_bench_dma.py::test_figure2_dma_converges_to_most_popular"]),
-    # -- item5: strip-level caching, the paper's future work
-    ("item5", "strip-level distributed caching (ROADMAP item 5)",
-     ["extensions/strip_caching.py"],
-     ["tests/extensions/test_strip_caching.py::TestEvaluator::test_replay_returns_report"]),
     # -- arms: branch arms of reached functions that no user path runs
     ("paper", "Figure 2's branches no user path takes: the one-victim DMA "
      "(evict_until_fits=False, the paper's exact rule), no unpinned victim "
@@ -352,16 +347,14 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "placement/whole_title.py::WholeTitleDma._pass::if evicted"],
      ["tests/core/test_dma.py::TestFigure2Branches::test_single_eviction_even_if_still_unfit",
       "tests/core/test_vra_cache.py::test_server_load_extension_memoized_matches_reference"]),
-    ("paper", "Figure 2 at segment granularity: no victim left, a victim lost while "
-     "the segment still does not fit, a title already at its share (points "
-     "only), and a partial copy evicted cluster by cluster",
-     ["placement/base.py::FractionalPlacementPolicy._make_room::if victim is None",
-      "placement/base.py::FractionalPlacementPolicy._make_room::if evicted and (not self.array.can_store_segment(video, fraction))",
-      "placement/partial.py::PopularityWeightedPartial._pass::if target <= resident + 1e-09",
-      "storage/array.py::DiskArray.remove::for (cluster_index, disk_index, _) in layout.assignments[:count]"],
-     ["tests/properties/test_placement_props.py::test_capacity_never_exceeded",
-      "tests/storage/test_array_segments.py::TestResidencyQueries::"
-      "test_remove_clears_partial_segment"]),
+    ("paper", "Figure 2 at segment granularity: no victim left",
+     ["placement/base.py::FractionalPlacementPolicy._make_room::if victim is None"],
+     ["tests/properties/test_placement_props.py::test_capacity_never_exceeded"]),
+    ("reference", "a full copy's resident fraction: the placement passes ask the array "
+     "whether a title is whole first, and the property suite compares every "
+     "pass's reported fraction against this answer",
+     ["storage/array.py::DiskArray.resident_fraction::if title_id in self._videos"],
+     ["tests/properties/test_placement_props.py::test_result_fraction_matches_array_state"]),
     ("paper", "the database module's records: a title entry derives its bitrate from "
      "size and duration, and a server registers with the titles it already "
      "holds (paper: the database module)",
@@ -460,15 +453,12 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_kind_streams_independent",
       "tests/faults/test_injector.py::TestBookkeeping::"
       "test_mean_mttr_is_zero_before_any_recovery"]),
-    ("fault", "numeric edge cases: a percentile rank on a sample (no 0 * inf), a time "
-     "average over a zero-length window, an empty histogram, and a timeline "
-     "with no samples",
-     ["metrics/stats.py::percentile::if low == high",
-      "metrics/timeseries.py::TimeSeries.time_average::if horizon == self._times[0]",
+    ("fault", "numeric edge cases: a time average over a zero-length window, an "
+     "empty histogram, and a timeline with no samples",
+     ["metrics/timeseries.py::TimeSeries.time_average::if horizon == self._times[0]",
       "obs/registry.py::Histogram.percentile::if not self._ring",
       "experiments/report.py::render_timeline::if not kept"],
-     ["tests/metrics/test_stats.py::TestPercentile::test_median",
-      "tests/metrics/test_timeseries.py::TestTimeAverage::test_single_sample",
+     ["tests/metrics/test_timeseries.py::TestTimeAverage::test_single_sample",
       "tests/obs/test_registry.py::TestHistogram::test_empty_percentile_is_zero",
       "tests/experiments/test_report.py::TestRenderTimeline::test_empty_and_all_empty"]),
     ("fault", "bounds on memory: the path memo starts over at its capacity and the "
@@ -536,18 +526,26 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "tests/sim/test_engine_batch.py::TestCompaction::test_on_compaction_hook_fires",
       "tests/sim/test_process.py::TestPark::test_finished_process_ignores_a_late_resume",
       "tests/sim/test_timers.py::TestPeriodicTask::test_double_start_is_noop"]),
-    ("fault", "disk-array refusals: a title already held, a failed disk, and a "
-     "cluster of a title not held",
+    ("fault", "disk-array refusals: a title already held, a failed disk, a title "
+     "not held, and a cluster a poll never asks about (past a segment, of a "
+     "title not held, or of a full copy, which answers for the whole title)",
      ["storage/array.py::DiskArray.can_store::if video.title_id in self._videos or video.title_id in self._partials",
       "storage/array.py::DiskArray.can_store::if disk_index in self._failed_disks",
       "storage/array.py::DiskArray.can_store_segment::if disk_index in self._failed_disks",
-      "storage/array.py::DiskArray._cluster_disk::else of if title_id in self._partials"],
+      "storage/array.py::DiskArray.is_servable::if title_id not in self._videos",
+      "storage/array.py::DiskArray.cluster_servable::if title_id in self._videos",
+      "storage/array.py::DiskArray.cluster_servable::else of if title_id in self._partials",
+      "storage/array.py::DiskArray.cluster_servable::if not 0 <= cluster_index < count"],
      ["tests/storage/test_array.py::TestCanStore::test_already_stored_is_not_storable",
       "tests/experiments/test_resilience.py::TestReplay::test_same_seed_replays_bit_for_bit",
       "tests/storage/test_array_segments.py::TestResidencyQueries::"
       "test_can_store_segment_refusals_and_no_op",
+      "tests/server/test_video_server.py::TestServing::"
+      "test_can_provide_requires_title_and_capacity",
       "tests/storage/test_array_segments.py::TestSegmentServability::"
-      "test_cluster_servable_within_segment_only"]),
+      "test_cluster_servable_within_segment_only",
+      "tests/storage/test_array_segments.py::TestSegmentServability::"
+      "test_cluster_servable_full_video"]),
     ("reference", "instruments read the same with the memo on or off: a replayed local "
      "serve counts as the VRA's own would (the memo-off path is the "
      "reference the memo tests compare)",
@@ -565,15 +563,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/experiments/test_harness.py::TestBuildService::test_origin_selection_policy",
       "tests/core/test_service_extensions.py::TestStrictQosAdmission::"
       "test_local_serve_always_admitted"]),
-    ("item5", "strip-level caching (ROADMAP item 5): no victim left, the one-victim "
-     "mode, and a title bigger than an empty cache",
-     ["extensions/strip_caching.py::StripStore.on_request::if victim is None",
-      "extensions/strip_caching.py::StripStore.on_request::if not self.evict_until_fits",
-      "extensions/strip_caching.py::StripCachingEvaluator._title_granular_admission::if victim is None"],
-     ["tests/properties/test_strip_store_props.py::test_budget_never_exceeded",
-      "tests/extensions/test_strip_caching.py::TestStripStore::test_single_eviction_mode",
-      "tests/extensions/test_strip_caching.py::TestGranularityComparison::"
-      "test_title_mode_skips_a_title_bigger_than_an_empty_cache"]),
 ]
 
 #: CLI invocations, run as ``repro.cli.main(argv)``.  ``{tmp}`` is a

@@ -10,11 +10,21 @@ Two levels of comparison:
 
 2. *Service level*: a regional workload runs end to end under each policy
    and the aggregate QoS metrics are reported.
+
+   The QoS comparison between policies (``service_qos``) counts every
+   request, not only the completed ones: its QoS-violation fraction is the
+   share of sessions that either delivered a cluster below the title's
+   playback rate or did not finish by the horizon (failed, or still
+   streaming).  An unfinished session at the horizon counts as
+   QoS-violated, so a policy cannot read better by leaving its worst
+   sessions unfinished.  ``SessionMetrics`` figures, printed per policy by
+   ``test_x3_service_level``, stay over the completed sessions only.
 """
 
 import itertools
 import random
 import zlib
+from typing import NamedTuple
 
 import pytest
 
@@ -95,6 +105,22 @@ def test_x3_decision_level_optimality(benchmark, show):
     assert totals["random"] > totals["vra"]
 
 
+class ServiceQos(NamedTuple):
+    """The X3 QoS comparison over every request (module docstring)."""
+
+    qos_violation_fraction: float
+    completed: int
+    sessions: int
+
+
+def service_qos(sessions) -> ServiceQos:
+    """Sessions with a cluster below the playback rate or unfinished at
+    the horizon, over all sessions."""
+    violated = sum(1 for r in sessions if not r.completed or r.qos_violation_count)
+    completed = sum(1 for r in sessions if r.completed)
+    return ServiceQos(violated / len(sessions), completed, len(sessions))
+
+
 def run_selection_experiment(selection_key: str):
     scenario = regional_scenario(
         GRNET_NODES,
@@ -130,15 +156,14 @@ def run_selection_experiment(selection_key: str):
         seed_origin_uids=GRNET_NODES,
         service_hook=seed_second_holder,
     )
-    result = run_service_experiment(experiment)
-    return result.metrics
+    return run_service_experiment(experiment)
 
 
 @pytest.mark.parametrize("selection_key", ["vra", "minhop", "random", "origin:U1"])
 def test_x3_service_level(benchmark, show, selection_key):
     metrics = benchmark.pedantic(
         run_selection_experiment, args=(selection_key,), rounds=1, iterations=1
-    )
+    ).metrics
     assert metrics.completed_count > 0
     # Every figure after the count is over the completed sessions only.
     show(
@@ -153,7 +178,7 @@ def test_x3_service_level(benchmark, show, selection_key):
 def test_x3_vra_no_worse_qos_than_blind_baselines(benchmark, show):
     def run_three():
         return {
-            key: run_selection_experiment(key)
+            key: service_qos(run_selection_experiment(key).service.sessions)
             for key in ("vra", "minhop", "random")
         }
 
@@ -162,8 +187,10 @@ def test_x3_vra_no_worse_qos_than_blind_baselines(benchmark, show):
     for name in ("minhop", "random"):
         assert vra.qos_violation_fraction <= results[name].qos_violation_fraction + 0.02, name
     show(
-        "X3 service level QoS-violation fractions: "
+        "X3 service level QoS-violation fractions over every request: "
         + ", ".join(
-            f"{k}={results[k].qos_violation_fraction:.3f}" for k in sorted(results)
+            f"{k}={results[k].qos_violation_fraction:.3f} "
+            f"(completed {results[k].completed}/{results[k].sessions})"
+            for k in sorted(results)
         )
     )

@@ -12,17 +12,20 @@ so the switching ablation isolates exactly one variable:
   paper's always-recompute behaviour).
 
 Both are callables compatible with the ``decide`` argument of
-:class:`repro.core.session.StreamingSession`.
+:class:`repro.core.session.StreamingSession`.  A decision they hold over
+several clusters is a whole-title one (the wrapped decision asked with
+``None``): its source holds every cluster, whereas a partial copy chosen
+for one cluster may not hold the next.  Under whole-title placements the
+two are the same decision.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.core.session import DecideFn
 from repro.core.vra import VraDecision
 from repro.errors import ReproError
-
-DecideFn = Callable[[], VraDecision]
 
 
 class NeverSwitch:
@@ -33,9 +36,9 @@ class NeverSwitch:
         self._frozen: Optional[VraDecision] = None
         self.underlying_calls = 0
 
-    def __call__(self) -> VraDecision:
+    def __call__(self, cluster: int) -> VraDecision:
         if self._frozen is None:
-            self._frozen = self._decide()
+            self._frozen = self._decide(None)
             self.underlying_calls += 1
         return self._frozen
 
@@ -57,9 +60,9 @@ class PeriodicRecompute:
         self._current: Optional[VraDecision] = None
         self.underlying_calls = 0
 
-    def __call__(self) -> VraDecision:
+    def __call__(self, cluster: int) -> VraDecision:
         if self._current is None or self._calls % self.period == 0:
-            self._current = self._decide()
+            self._current = self._decide(None)
             self.underlying_calls += 1
         self._calls += 1
         return self._current

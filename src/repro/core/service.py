@@ -35,6 +35,7 @@ from repro.core.admission_queue import (
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT
 from repro.core.session import (
     ClusterRecord,
+    DecideFn,
     SessionObserver,
     SessionRecord,
     StreamingSession,
@@ -47,7 +48,6 @@ from repro.network.feed import AVAILABILITY, LINK_STATS, LOCATIONS, STATE, TRAFF
 from repro.network.flows import FlowManager
 from repro.network.link import Link
 from repro.network.node import Node
-from repro.network.routing.paths import Path
 from repro.network.topology import Topology
 from repro.placement.base import PlacementConfig
 from repro.obs.registry import MetricsRegistry
@@ -368,6 +368,7 @@ class VoDService:
                 sim,
                 self.servers,
                 self.database,
+                self._holders_of,
                 registry=self.obs,
             )
 
@@ -429,8 +430,9 @@ class VoDService:
         self._started = False
         #: Optional per-session wrapper around the decide function, used by
         #: the switching baselines (e.g. ``NeverSwitch``): called once per
-        #: session with the fresh decide closure, returns the one to use.
-        self.decide_wrapper: Optional[Callable[[Callable[[], VraDecision]], Callable[[], VraDecision]]] = None
+        #: session with the fresh per-cluster decide closure, returns the
+        #: one to use.
+        self.decide_wrapper: Optional[Callable[[DecideFn], DecideFn]] = None
 
     # ------------------------------------------------------------------ #
     # telemetry registration
@@ -785,21 +787,40 @@ class VoDService:
         if self._memo is not None:
             self._memo.seen = -1  # re-read the token before any replay
 
-    def decide(self, home_uid: str, title_id: str) -> VraDecision:
-        """One VRA decision for a request at ``home_uid`` (no streaming).
+    def decide(
+        self, home_uid: str, title_id: str, cluster: Optional[int] = None
+    ) -> VraDecision:
+        """One VRA decision for a request at ``home_uid`` (no streaming):
+        for the whole title, or for one cluster of it.
 
-        While the memo's token is unchanged, every input of this pair's
+        Cluster ``cluster`` can be served by every full holder and by
+        each partial holder whose advertised fraction covers the end of
+        that cluster (:meth:`ServiceDatabase.cluster_holders`), polled
+        for that cluster; the home is one of them when its own prefix
+        covers it, so Figure 5's local branch serves it.  A cluster no
+        partial copy covers — and a call without ``cluster`` — is the
+        whole-title decision over the full holders, under one memo key
+        ``(home, title)``; only a covered cluster's key adds the index.
+
+        While the memo's token is unchanged, every input of a key's
         previous decision (holder list, poll answers, LVN weights,
         topology) is provably unchanged, so the stored decision is
         returned without re-entering the VRA.  The token itself is read
         only when the change feed moved: a replay is one int compare and
         one dict probe (DESIGN.md §5b.14).
         """
+        key = (home_uid, title_id)
+        if cluster is None:
+            holders = None
+        else:
+            holders, cluster = self._holders_of(title_id, cluster)
+            if cluster is not None:
+                key = (home_uid, title_id, cluster)
         memo = self._memo
         if memo is not None:
             if self._feed.value != memo.seen:
                 memo.current()
-            decision = memo.decisions.get((home_uid, title_id))
+            decision = memo.decisions.get(key)
             if decision is not None:
                 memo.decision_hits += 1
                 if self._replays_watched:  # instruments read as if the VRA ran
@@ -811,15 +832,13 @@ class VoDService:
                 return decision
             memo.decision_misses += 1
             self._m_decision_misses.inc()
-        # Full holders only: a server advertising a prefix fraction
-        # cannot source a whole remote stream, so the VRA prefers
-        # full holders by construction.
-        holders = self.database.full_holders(title_id)
+        if holders is None:
+            holders = self.database.full_holders(title_id)
         decision = self._vra.decide(
             home_uid,
             title_id,
             holders,
-            poll=lambda uid: self.servers[uid].can_provide(title_id),
+            poll=lambda uid: self.servers[uid].can_provide(title_id, cluster),
         )
         if (
             self.staleness_guard is not None
@@ -832,10 +851,26 @@ class VoDService:
             decision = decision.marked_degraded()
         if memo is not None:
             # Errors never get here, so they are never stored.
-            memo.decisions[(home_uid, title_id)] = decision
+            memo.decisions[key] = decision
         if self.tracer.enabled:
             self._trace_decision(home_uid, title_id, decision)
         return decision
+
+    def _holders_of(
+        self, title_id: str, cluster: int
+    ) -> Tuple[Tuple[str, ...], Optional[int]]:
+        """The servers that can serve cluster ``cluster`` of a title, and
+        what their poll is asked: every full holder plus each partial
+        holder covering the cluster, asked about that cluster — or, when
+        no partial copy covers it, the full holders, asked about the
+        whole title (None).  The decide and the failover stall both
+        use it."""
+        holders = self.database.cluster_holders(
+            title_id, (cluster + 1) * self.config.cluster_mb
+        )
+        if holders is None:
+            return self.database.full_holders(title_id), None
+        return holders, cluster
 
     def _close_span(self, span: SessionSpan, status: str) -> None:
         """Finish a span and write it, as its ``span`` row, into the run's
@@ -1064,22 +1099,13 @@ class VoDService:
     ) -> StreamingSession:
         """The fully wired streaming session for a request."""
         home_uid, title_id = request.home_uid, request.title_id
-        decide = lambda: self.decide(home_uid, title_id)  # noqa: E731
+        decide = lambda cluster: self.decide(home_uid, title_id, cluster)  # noqa: E731
         if self.decide_wrapper is not None:
             decide = self.decide_wrapper(decide)
         if observer.span is not None:
             # Wrap *outside* decide_wrapper so the span sees the decision
             # the session actually uses (e.g. NeverSwitch's frozen one).
             decide = self._span_decide(decide, observer.span)
-        decide_for_cluster = None
-        if self.config.placement.fractional:
-            # Prefix-serving fast path: while a requested cluster is
-            # resident on the home server's healthy disks and a stream
-            # slot is free, serve it locally; the VRA routes the suffix.
-            decide_for_cluster = self._prefix_cluster_decider(
-                home_uid, title_id, decide
-            )
-
         return StreamingSession(
             sim=self.sim,
             request=request,
@@ -1088,41 +1114,16 @@ class VoDService:
             decide=decide,
             flows=self.flows,
             servers=self.servers,
-            decide_for_cluster=decide_for_cluster,
             retry_attempts=self.config.retry_attempts,
             failover=self.supervisor,
             observer=observer,
         )
 
-    def _prefix_cluster_decider(
-        self,
-        home_uid: str,
-        title_id: str,
-        decide: Callable[[], VraDecision],
-    ) -> Callable[[int], VraDecision]:
-        """Per-cluster decision function for fractional placements: local
-        serve while the cluster is resident at home, VRA otherwise."""
-
-        def decide_cluster(cluster_index: int) -> VraDecision:
-            if self.servers[home_uid].serves_cluster(title_id, cluster_index):
-                return VraDecision(
-                    title_id=title_id,
-                    home_uid=home_uid,
-                    chosen_uid=home_uid,
-                    served_locally=True,
-                    path=Path(nodes=(home_uid,), cost=0.0),
-                )
-            return decide()
-
-        return decide_cluster
-
-    def _span_decide(
-        self, decide: Callable[[], VraDecision], span: SessionSpan
-    ) -> Callable[[], VraDecision]:
+    def _span_decide(self, decide: DecideFn, span: SessionSpan) -> DecideFn:
         """Record each per-cluster VRA decision into the session span."""
 
-        def wrapped() -> VraDecision:
-            decision = decide()
+        def wrapped(cluster: int) -> VraDecision:
+            decision = decide(cluster)
             span.add(
                 self.sim.now,
                 "vra.decision",

@@ -57,7 +57,10 @@ DEFAULT_RATE_UPDATE_PERIOD_S = 60.0
 RETRY_FIRST_WAIT_S = 20.0
 RETRY_MAX_WAIT_S = 300.0
 
-DecideFn = Callable[[], VraDecision]
+#: A session's decision function: the current decision for one cluster
+#: (None: for the whole title, which a wrapper holding one decision over
+#: several clusters asks for).
+DecideFn = Callable[[Optional[int]], VraDecision]
 
 _INF = float("inf")
 
@@ -192,22 +195,26 @@ class _Transfer(Park):
     Attributes:
         server_uid, title_id, links: What the failover supervisor indexes
             the segment by (``links`` is empty for a home-server serve).
+        cluster: The index of the cluster the segment carries.
         remaining: Undelivered MB.
         min_rate: Slowest step rate so far, Mbps.
         reason: Why the supervisor preempted the segment (None: it did not).
     """
 
     __slots__ = (
-        "server_uid", "title_id", "links", "remaining", "min_rate", "reason",
+        "server_uid", "title_id", "cluster", "links", "remaining", "min_rate", "reason",
         "_sim", "_flows", "_path", "_target_mbps", "_quantum", "_by_elapsed",
         "_process", "_rate", "_step", "_started", "_flow", "_handle", "__weakref__",
     )
 
-    def __init__(self, session: "StreamingSession", decision: VraDecision, size_mb: float):
+    def __init__(
+        self, session: "StreamingSession", decision: VraDecision, cluster: int, size_mb: float
+    ):
         path = decision.path
         local = decision.served_locally or path.hop_count == 0
         self.server_uid = decision.chosen_uid
         self.title_id = session._video.title_id
+        self.cluster = cluster
         self.links = () if local else session._flows.links_of(path.nodes)
         self.remaining = size_mb
         self.min_rate = _INF
@@ -329,14 +336,10 @@ class StreamingSession:
         cluster_mb: Striping cluster size ``c`` (decides switching
             granularity, as the paper notes).
         decide: Re-runs the VRA for this request and returns the current
-            decision; called once per cluster ("the routing algorithm also
-            continues to run at the connecting server").
-        decide_for_cluster: Optional cluster-aware decision function
-            ``f(cluster_index) -> VraDecision`` used *instead of*
-            ``decide`` when set.  Fractional placement policies install
-            one so prefix-resident clusters serve from the home server
-            while the suffix routes through the VRA.  None (default)
-            keeps the paper's index-blind per-cluster decide.
+            decision for the cluster index it is given; called once per
+            cluster ("the routing algorithm also continues to run at the
+            connecting server"), and again for the rest of a cluster a
+            failover preempted.
         flows: Bandwidth reservation manager for the topology.
         servers: Video servers by node uid (for admission bookkeeping).
         local_read_mbps: Transfer rate for home-server serves.
@@ -364,7 +367,6 @@ class StreamingSession:
         decide: DecideFn,
         flows: FlowManager,
         servers: Dict[str, VideoServer],
-        decide_for_cluster: Optional[Callable[[int], VraDecision]] = None,
         local_read_mbps: float = DEFAULT_LOCAL_READ_MBPS,
         rate_update_period_s: float = DEFAULT_RATE_UPDATE_PERIOD_S,
         retry_attempts: int = 0,
@@ -379,7 +381,6 @@ class StreamingSession:
         self._video = video
         self._cluster_sizes = cluster_sizes(video.size_mb, cluster_mb)
         self._decide = decide
-        self._decide_for_cluster = decide_for_cluster
         self._flows = flows
         self._servers = servers
         self._local_read_mbps = local_read_mbps
@@ -397,14 +398,13 @@ class StreamingSession:
         previous_server: Optional[str] = None
         try:
             for index, size_mb in enumerate(self._cluster_sizes):
-                get_decision = self._decider_for(index)
-                decision = yield from self._decide_or_wait(get_decision, index)
+                decision = yield from self._decide_or_wait(index)
                 server_uid = decision.chosen_uid
                 switched = previous_server is not None and server_uid != previous_server
                 if switched:
                     self.record.switch_count += 1
                 previous_server = yield from self._deliver_cluster(
-                    index, size_mb, decision, switched, get_decision
+                    index, size_mb, decision, switched
                 )
         except ReproError as exc:
             request.mark_failed(str(exc))
@@ -416,13 +416,6 @@ class StreamingSession:
         self._observer.finish(self.record)
         return self.record
 
-    def _decider_for(self, index: int) -> DecideFn:
-        """The decision function for one cluster: index-aware when a
-        fractional placement installed one, the plain VRA call otherwise."""
-        if self._decide_for_cluster is None:
-            return self._decide
-        return lambda: self._decide_for_cluster(index)
-
     # ------------------------------------------------------------------ #
     def _deliver_cluster(
         self,
@@ -430,7 +423,6 @@ class StreamingSession:
         size_mb: float,
         decision: VraDecision,
         switched: bool,
-        get_decision: DecideFn,
     ) -> Generator[Any, None, str]:
         """Deliver one cluster as a chain of preemptible segments.
 
@@ -450,9 +442,9 @@ class StreamingSession:
         control = self._failover
         title_id = self._video.title_id
         while True:
-            transfer = _Transfer(self, decision, size_mb)
+            transfer = _Transfer(self, decision, index, size_mb)
             server = self._servers.get(decision.chosen_uid)
-            lease = server.begin_serving(title_id) if server is not None else None
+            lease = server.begin_serving(title_id, index) if server is not None else None
             start = self._sim.now
             if control is not None:
                 control.track(transfer)
@@ -496,13 +488,13 @@ class StreamingSession:
                 return decision.chosen_uid
             size_mb = remaining
             old_uid = decision.chosen_uid
-            decision = yield from self._decide_or_wait(get_decision, index, transfer.reason)
+            decision = yield from self._decide_or_wait(index, transfer.reason)
             switched = decision.chosen_uid != old_uid
             if switched:
                 self.record.switch_count += 1
 
     def _decide_or_wait(
-        self, get_decision: DecideFn, index: int, preempted: Optional[str] = None
+        self, index: int, preempted: Optional[str] = None
     ) -> Generator[Any, None, VraDecision]:
         """One decision for cluster ``index``, waiting out routing failures
         while that may help.
@@ -522,10 +514,10 @@ class StreamingSession:
           the supervisor preempted (``preempted`` is its reason) starts
           here.  A failure parks the session on the supervisor's
           :meth:`~repro.resilience.supervisor.SessionSupervisor.stall`
-          until an input that can end it moves, then it decides once
-          more; when no full holder of the title remains, the supervisor
-          logs the verdict and the session fails.  The decision that
-          ends the stall counts one failover.
+          for this cluster until an input that can end it moves, then it
+          decides once more; when no full holder of the title remains,
+          the supervisor logs the verdict and the session fails.  The
+          decision that ends the stall counts one failover.
 
         Without a supervisor the last routing error propagates once the
         budget is spent (with none, the first: the paper's fail-fast).
@@ -539,7 +531,7 @@ class StreamingSession:
         blocked_since = stall_started = self._sim.now
         while True:
             try:
-                decision = get_decision()
+                decision = self._decide(index)
             except RoutingError as exc:
                 if reason is None and tries < self._retry_attempts:
                     tries += 1
@@ -554,12 +546,7 @@ class StreamingSession:
                     if reason is None:  # a boundary whose retry budget is spent
                         reason = "boundary"
                         stall_started = self._sim.now
-                    # A prefix-local serve is the home's own answer for
-                    # this cluster, so the stall watches it too.
-                    local = index if self._decide_for_cluster is not None else None
-                    parked = control.stall(
-                        self._video.title_id, record.request.home_uid, local, exc, reason
-                    )
+                    parked = control.stall(self._video.title_id, index, exc, reason)
                     try:
                         yield parked
                     finally:

@@ -29,10 +29,10 @@ class ServiceDatabase:
         self._links: Dict[str, LinkEntry] = {}
         self._titles: Dict[str, TitleInfo] = {}
         self._title_locations: Dict[str, Set[str]] = {}
-        #: Resident fraction per (title, server) advertisement, stored only
-        #: when below 1.0 — servers registered through ``ServerEntry``
+        #: Advertised resident fraction by title, then by server, stored
+        #: only when below 1.0 — servers registered through ``ServerEntry``
         #: title sets and plain advertisements are full holders by default.
-        self._holder_fractions: Dict[Tuple[str, str], float] = {}
+        self._holder_fractions: Dict[str, Dict[str, float]] = {}
         #: Sorted uids of the full holders per title (fraction 1.0), kept
         #: by every advertise / withdraw so a decision reads, not sorts.
         self._full_holders: Dict[str, Tuple[str, ...]] = {}
@@ -154,14 +154,42 @@ class ServiceDatabase:
             raise MissingEntryError(f"unknown title {title_id!r}")
         return self._full_holders.get(title_id, ())
 
+    def cluster_holders(self, title_id: str, through_mb: float) -> Optional[Tuple[str, ...]]:
+        """The servers holding a title's first ``through_mb`` MB: every
+        full holder plus each partial holder whose advertised fraction
+        covers them (within 1e-9), sorted — or None when no partial copy
+        covers them, and :meth:`full_holders` is the answer."""
+        partials = self._holder_fractions.get(title_id)
+        if not partials:
+            return None
+        size_mb = self._titles[title_id].size_mb
+        needed = min(through_mb, size_mb) / size_mb - 1e-9
+        covering = [uid for uid, fraction in partials.items() if fraction >= needed]
+        if not covering:
+            return None
+        return tuple(sorted(self._full_holders.get(title_id, ()) + tuple(covering)))
+
     def _index_full_holders(self, title_id: str) -> None:
         """Rebuild one title's entry of the full-holder index."""
-        fractions = self._holder_fractions
+        partials = self._holder_fractions.get(title_id, ())
         self._full_holders[title_id] = tuple(sorted(
             uid
             for uid in self._title_locations.get(title_id, ())
-            if (title_id, uid) not in fractions
+            if uid not in partials
         ))
+
+    def _set_fraction(self, title_id: str, server_uid: str, fraction: float) -> None:
+        """Record a server's advertised fraction of a title; a full holder
+        (1.0) and a withdrawn one keep no entry."""
+        partials = self._holder_fractions.get(title_id)
+        if fraction < 1.0 - 1e-9:
+            if partials is None:
+                partials = self._holder_fractions[title_id] = {}
+            partials[server_uid] = fraction
+        elif partials is not None:
+            partials.pop(server_uid, None)
+            if not partials:
+                del self._holder_fractions[title_id]
 
     def add_title_to_server(
         self, server_uid: str, title_id: str, fraction: float = 1.0
@@ -179,10 +207,7 @@ class ServiceDatabase:
         self.title_info(title_id)
         entry.title_ids.add(title_id)
         self._title_locations.setdefault(title_id, set()).add(server_uid)
-        if fraction >= 1.0 - 1e-9:
-            self._holder_fractions.pop((title_id, server_uid), None)
-        else:
-            self._holder_fractions[(title_id, server_uid)] = fraction
+        self._set_fraction(title_id, server_uid, fraction)
         self._index_full_holders(title_id)
         self.feed.publish(LOCATIONS, title_id)
 
@@ -201,7 +226,7 @@ class ServiceDatabase:
         holders = self._title_locations.get(title_id)
         if holders:
             holders.discard(server_uid)
-        self._holder_fractions.pop((title_id, server_uid), None)
+        self._set_fraction(title_id, server_uid, 1.0)  # drops a partial entry
         self._index_full_holders(title_id)
         self.feed.publish(LOCATIONS, title_id)
 

@@ -23,7 +23,7 @@ the storage seam is generalised here:
 Every policy routes stores and evictions through the same hooks the DMA
 used (``on_store`` / ``on_evict``), plus ``on_partial`` for prefix
 segments — partial residency is advertised to the database *fraction
-aware*, so the VRA can keep preferring full holders over prefix holders.
+aware*, so a segment is a holder of exactly the clusters it covers.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class PlacementAction(enum.Enum):
     #: Victim(s) evicted, yet the video still did not fit.
     EVICTED_NOT_STORED = "evicted_not_stored"
     #: A leading segment (prefix) of the video was written; the suffix
-    #: still streams from remote full holders.
+    #: streams from the holders of each later cluster.
     PREFIX_STORED = "prefix_stored"
 
 
@@ -309,8 +309,8 @@ class FractionalPlacementPolicy(PlacementPolicy):
             )
         # Prefix bytes are modelled as an instantaneous background fill
         # (they are small by construction), so the fraction-aware
-        # advertisement is immediate — the VRA filters them out of the
-        # full-holder list anyway.
+        # advertisement is immediate: the segment serves the clusters it
+        # covers at once.
         self.tracker.track(title_id)
         self._note_partial(title_id, achieved)
         return PlacementResult(
@@ -362,12 +362,6 @@ class PlacementConfig:
             raise ServiceError(
                 f"partial_floor must be in (0, 1], got {self.partial_floor!r}"
             )
-
-    @property
-    def fractional(self) -> bool:
-        """True when the policy can leave partial residents on the array
-        (enables the service's prefix-local serving fast path)."""
-        return self.kind in ("prefix", "partial")
 
     def build(
         self,

@@ -14,7 +14,7 @@ eviction of the whole segment when hotter titles need the room.
 
 Full stores (a title whose target reaches 1.0) go through the same
 deferred-download advertisement path the DMA uses; partial segments are
-advertised fraction-aware so the VRA keeps preferring full holders.
+advertised fraction-aware, so each is a holder of the clusters it covers.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ Placement rules, per request:
 
 Prefix segments are advertised to the database *fraction aware*
 (:meth:`ServiceDatabase.add_title_to_server` with ``fraction < 1``), so
-the VRA keeps routing remote requests to full holders only; the segment
-serves the local head-of-stream instead (the service's per-cluster
-decision fast path).
+the per-cluster VRA counts the segment as a holder of the clusters it
+covers: the home serves its own head-of-stream locally, and a neighbour
+may fetch it from there; later clusters route to full holders.
 """
 
 from __future__ import annotations

@@ -13,12 +13,12 @@ the cluster to a surviving holder instead of stalling until the boundary
 
 A session whose re-decide fails *parks* on the change feed
 (:meth:`SessionSupervisor.stall`) instead of polling: the supervisor
-keeps a waiter index by title, by the holders whose poll answer was no,
-and of the partitioned waiters, and wakes a waiter with one zero-delay
-``signal:`` event when an input moves that can end its failure — a
-watched holder's poll answer turns yes, a link comes online (a partition
-only), or the title's holder set changes.  So a stall lasts exactly as
-long as the outage.  A session fails only when no full copy of its title
+keeps a waiter index by title, by the holders of the stalled cluster
+whose poll answer was no, and of the partitioned waiters, and wakes a
+waiter with one zero-delay ``signal:`` event when an input moves that
+can end its failure — a watched holder's poll answer turns yes, a link
+comes online (a partition only), or the title's holder set changes.  So
+a stall lasts exactly as long as the outage.  A session fails only when no full copy of its title
 remains registered anywhere; transient outages (crashed holders that
 will recover, saturated stream slots, severed paths) are waited out.
 Every fail verdict lands in :attr:`failed_log` with the simulated
@@ -32,7 +32,7 @@ the simulation clock, so seeded chaos runs replay bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.database.store import ServiceDatabase
 from repro.errors import NoReachableHolderError, ReproError, RoutingError
@@ -52,12 +52,12 @@ class _Stall(Park):
 
     Attributes:
         title_id: The session's title.
-        watched: ``(uid, cluster)`` of each server whose answer turning
-            yes can end the failure: every full holder that answered no
-            (``cluster`` None: it can provide the title), and the home
-            for the cluster it serves itself under a fractional
-            placement, when that cluster is resident there (one that
-            arrives comes with a holder-list move).
+        watched: ``(uid, cluster)`` of each holder of the stalled cluster
+            whose answer turning yes can end the failure: the ones whose
+            poll said no.  ``cluster`` is what the poll asks about: the
+            cluster index when a partial copy covers it, else None (the
+            whole title, and the full holders only).  A holder that
+            arrives comes with a holder-list move.
         partitioned: The decide found holders but no path to them, so a
             link coming online can end it too.
         reason, message: The stall's cause and the text of the routing
@@ -108,6 +108,11 @@ class SessionSupervisor:
         servers: The service's servers by node uid.
         database: The service database (full-holder lookups); its
             change feed is the one subscribed to.
+        holders_of: ``(title_id, cluster) -> (holders, asked)``: the
+            holders a decide for that cluster polls and the cluster
+            their poll is asked about (None: the whole title) — the
+            service's rule, so a stall watches exactly what it decided
+            over.
         registry: Telemetry registry for the ``resilience.*`` instruments
             (deterministic counters below are what reports read).
     """
@@ -117,11 +122,13 @@ class SessionSupervisor:
         sim: Simulator,
         servers: Dict[str, VideoServer],
         database: ServiceDatabase,
+        holders_of: Callable[[str, int], Tuple[Tuple[str, ...], Optional[int]]],
         registry: Optional[MetricsRegistry] = None,
     ):
         self._sim = sim
         self._servers = servers
         self._database = database
+        self._holders_of = holders_of
         #: In-flight segments by serving server and by path link name;
         #: the buckets are insertion-ordered sets.
         self._by_server: Dict[str, Dict["_Transfer", None]] = {}
@@ -220,12 +227,13 @@ class SessionSupervisor:
                 self._preempt_bucket(self._by_link.get(changed.name), f"link:{changed.name}")
 
     def on_disk_failure(self, server: VideoServer) -> None:
-        """A disk died; preempt sessions whose title it made unservable."""
+        """A disk died; preempt sessions whose title (a partial copy's:
+        whose cluster) it made unservable."""
         bucket = self._by_server.get(server.node_uid)
         if not bucket:
             return
         for transfer in list(bucket):
-            if not server.has_title(transfer.title_id):
+            if not server.has_title(transfer.title_id, transfer.cluster):
                 self._preempt(transfer, f"disk:{server.node_uid}")
 
     def _preempt_bucket(
@@ -246,17 +254,12 @@ class SessionSupervisor:
     # ------------------------------------------------------------------ #
     def on_availability(self, server: VideoServer) -> None:
         """A server's poll answer may have moved: wake the stalls watching
-        it for a title it can now provide (for a home watched for a
-        resident cluster, one it can now serve itself)."""
+        it for a title (or a cluster) it can now provide."""
         groups = self._by_watched.get(server.node_uid)
         if not groups:
             return
         for (title_id, cluster), bucket in list(groups.items()):
-            if cluster is None:
-                ready = server.can_provide(title_id)
-            else:
-                ready = server.serves_cluster(title_id, cluster)
-            if ready:
+            if server.can_provide(title_id, cluster):
                 self._wake_all(bucket)
 
     def on_locations(self, title_id: str) -> None:
@@ -313,21 +316,18 @@ class SessionSupervisor:
     # failover-control surface (session call sites)
     # ------------------------------------------------------------------ #
     def stall(
-        self,
-        title_id: str,
-        home_uid: str,
-        local_cluster: Optional[int],
-        error: RoutingError,
-        reason: str,
+        self, title_id: str, cluster: int, error: RoutingError, reason: str
     ) -> _Stall:
-        """Fail-or-wait after a decide raised ``error``: the stall a
-        session yields to park until an input that can end this failure
-        moves.
+        """Fail-or-wait after a decide for ``cluster`` raised ``error``:
+        the stall a session yields to park until an input that can end
+        this failure moves.
+
+        The stall watches the holders the decide polled (``holders_of``)
+        whose poll said no.
 
         Args:
-            title_id, home_uid: The session's title and home server.
-            local_cluster: The cluster the home serves itself when a
-                prefix holds it (fractional placements), else None.
+            title_id: The session's title.
+            cluster: The index of the cluster the decide was for.
             error: The routing error the decide raised.
             reason: The stall's cause (a preemption's, or ``boundary``).
 
@@ -337,19 +337,13 @@ class SessionSupervisor:
         """
         if not self.holder_exists(title_id):
             raise self._lost(title_id, reason, str(error)) from error
+        holders, asked = self._holders_of(title_id, cluster)
         servers = self._servers
-        watched = [
-            (uid, None) for uid in self._database.full_holders(title_id)
-            if not servers[uid].can_provide(title_id)
-        ]
-        if local_cluster is not None and servers[home_uid].array.cluster_resident(
-            title_id, local_cluster
-        ):
-            # The home's own test for the cluster covers its poll answer.
-            watched = [w for w in watched if w[0] != home_uid]
-            watched.append((home_uid, local_cluster))
+        watched = tuple(
+            (uid, asked) for uid in holders if not servers[uid].can_provide(title_id, asked)
+        )
         return _Stall(
-            self, title_id, tuple(watched), isinstance(error, NoReachableHolderError),
+            self, title_id, watched, isinstance(error, NoReachableHolderError),
             reason, str(error),
         )
 

@@ -5,12 +5,13 @@ Combines the striped :class:`~repro.storage.array.DiskArray`, a
 default) and an :class:`~repro.server.admission.AdmissionController`.
 The database is kept in sync through the policy's store/evict/partial
 callbacks, so the VRA's "servers that have the video stored" list always
-reflects cache contents — fraction aware, full holders first.
+reflects cache contents — fraction aware, so a partial copy is a holder of
+the clusters it covers.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set
 
 from repro.database.records import TitleInfo
 from repro.database.store import ServiceDatabase
@@ -175,55 +176,48 @@ class VideoServer:
         if self.pin_seeded:
             self.policy.pinned.add(video.title_id)
 
-    def has_title(self, title_id: str) -> bool:
+    def has_title(self, title_id: str, cluster: Optional[int] = None) -> bool:
         """True if the full title is resident and servable (a DMA store
         whose download is still in flight, or a title with clusters on a
-        failed disk, does not count)."""
-        return (
-            self.array.is_servable(title_id)
-            and title_id not in self._pending_advertisements
-        )
+        failed disk, does not count).  Given ``cluster``, a leading
+        segment holding that cluster on a healthy disk counts too; a full
+        copy still answers for the whole title."""
+        if title_id in self._pending_advertisements:
+            return False
+        array = self.array
+        if cluster is None or array.has_video(title_id):
+            return array.is_servable(title_id)
+        return array.cluster_servable(title_id, cluster)
 
     def stored_title_ids(self) -> List[str]:
         """Locally resident title ids, sorted."""
         return self.array.stored_title_ids()
 
-    def serves_segment(self, title_id: str) -> bool:
-        """True when this server can source at least the leading clusters
-        of the title — a full servable copy or a healthy prefix segment."""
-        return self.has_title(title_id) or self.array.segment_servable(title_id)
-
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
-    def can_provide(self, title_id: str) -> bool:
-        """The VRA poll answer: online, title resident, slot available."""
-        return self.online and self.has_title(title_id) and self.admission.has_capacity
-
-    def serves_cluster(self, title_id: str, cluster_index: int) -> bool:
-        """The prefix-local poll answer: online, a slot free, and the
-        cluster resident on a healthy disk of a servable copy or prefix.
-        A full store whose download is still in flight does not count:
-        those bytes arrive through the very session asking."""
+    def can_provide(self, title_id: str, cluster: Optional[int] = None) -> bool:
+        """The VRA poll answer: online, the title (or, given ``cluster``,
+        that cluster) resident per :meth:`has_title`, a slot available."""
         return (
             self.online
+            and self.has_title(title_id, cluster)
             and self.admission.has_capacity
-            and self.serves_segment(title_id)
-            and self.array.cluster_servable(title_id, cluster_index)
         )
 
-    def begin_serving(self, title_id: str) -> int:
-        """Admit one outgoing stream of a resident title.
+    def begin_serving(self, title_id: str, cluster: Optional[int] = None) -> int:
+        """Admit one outgoing stream of a resident title (or, given
+        ``cluster``, of that resident cluster).
 
         Returns:
             The admission lease to release when the stream ends.
 
         Raises:
-            StorageError: If the title is not resident (neither a full
-                servable copy nor a prefix segment).
+            StorageError: If the title or cluster is not resident and
+                servable (:meth:`has_title`).
             AdmissionError: If the server is at stream capacity.
         """
-        if not self.serves_segment(title_id):
+        if not self.has_title(title_id, cluster):
             raise StorageError(
                 f"server {self.node_uid!r} asked to serve non-resident "
                 f"title {title_id!r}"
@@ -298,8 +292,8 @@ class VideoServer:
     def _advertise_partial(self, title_id: str, fraction: float) -> None:
         """Advertise a prefix/partial segment, fraction aware and
         immediately — segment fills are modelled as instantaneous
-        background transfers, and the VRA's full-holder filter keeps
-        remote requests away regardless."""
+        background transfers; from then on the segment sources the
+        clusters it covers, for the home and for remote requests alike."""
         self._m_prefix_stores.inc()
         self._availability_moved()
         self._database.add_title_to_server(self.node_uid, title_id, fraction=fraction)

@@ -12,8 +12,9 @@ clusters of a video's layout, tracked separately from full residents
 (:meth:`store_segment` / :meth:`resident_fraction`).  A segment that grows
 to cover every cluster is promoted to an ordinary full resident in place.
 The whole-title API (:meth:`has_video`, :meth:`stored_title_ids`,
-:meth:`is_servable`) keeps meaning *fully* resident, so the DMA and the
-VRA's full-holder reasoning are untouched by partial residency.
+:meth:`is_servable`) keeps meaning *fully* resident, so the DMA's
+reasoning is untouched by partial residency; :meth:`cluster_servable`
+answers for one cluster of either.
 """
 
 from __future__ import annotations
@@ -293,11 +294,13 @@ class DiskArray:
                 self._partial_counts.pop(title_id, None)
                 self._videos[title_id] = video
                 self._layouts[title_id] = layout
-            else:
-                self._partials[title_id] = video
-                self._partial_layouts[title_id] = layout
-                self._partial_counts[title_id] = target
+                self._touch()
+                return 1.0
+            self._partials[title_id] = video
+            self._partial_layouts[title_id] = layout
+            self._partial_counts[title_id] = target
             self._touch()
+            return _leading_share(video, layout, target)
         return self.resident_fraction(title_id)
 
     def resident_fraction(self, title_id: str) -> float:
@@ -308,10 +311,9 @@ class DiskArray:
         video = self._partials.get(title_id)
         if video is None:
             return 0.0
-        layout = self._partial_layouts[title_id]
-        count = self._partial_counts[title_id]
-        resident_mb = sum(size for _, _, size in layout.assignments[:count])
-        return min(1.0, resident_mb / video.size_mb)  # size_mb > 0: VideoTitle checks
+        return _leading_share(
+            video, self._partial_layouts[title_id], self._partial_counts[title_id]
+        )
 
     def resident_title_ids(self) -> List[str]:
         """Ids with any residency — full or partial — sorted."""
@@ -319,32 +321,9 @@ class DiskArray:
             return self.stored_title_ids()
         return sorted(set(self._videos) | set(self._partials))
 
-    def segment_servable(self, title_id: str) -> bool:
-        """True when a partial segment is resident and touches no failed
-        disk (the analogue of :meth:`is_servable` for prefixes)."""
-        if title_id not in self._partials:
-            return False
-        if not self._failed_disks:
-            return True
-        count = self._partial_counts[title_id]
-        return all(
-            disk_index not in self._failed_disks
-            for _, disk_index, _ in self._partial_layouts[title_id].assignments[:count]
-        )
-
     def cluster_servable(self, title_id: str, cluster_index: int) -> bool:
         """True when one specific cluster is resident on a healthy disk —
-        the per-cluster question a prefix-serving session asks."""
-        disk_index = self._cluster_disk(title_id, cluster_index)
-        return disk_index is not None and disk_index not in self._failed_disks
-
-    def cluster_resident(self, title_id: str, cluster_index: int) -> bool:
-        """True when one specific cluster is resident, on a healthy disk
-        or not."""
-        return self._cluster_disk(title_id, cluster_index) is not None
-
-    def _cluster_disk(self, title_id: str, cluster_index: int) -> Optional[int]:
-        """The disk a resident cluster lies on; None when not resident."""
+        the per-cluster question a partial holder answers."""
         if title_id in self._videos:
             layout = self._layouts[title_id]
             count = layout.cluster_count
@@ -352,7 +331,13 @@ class DiskArray:
             layout = self._partial_layouts[title_id]
             count = self._partial_counts[title_id]
         else:
-            return None
+            return False
         if not (0 <= cluster_index < count):
-            return None
-        return layout.assignments[cluster_index][1]
+            return False
+        return layout.assignments[cluster_index][1] not in self._failed_disks
+
+
+def _leading_share(video: VideoTitle, layout: StripingLayout, count: int) -> float:
+    """The share of ``video`` its first ``count`` clusters hold."""
+    resident_mb = sum(size for _, _, size in layout.assignments[:count])
+    return min(1.0, resident_mb / video.size_mb)  # size_mb > 0: VideoTitle checks

@@ -21,7 +21,7 @@ def decision(server):
 def rotating_decider(servers):
     state = {"i": 0}
 
-    def decide():
+    def decide(cluster):
         value = decision(servers[state["i"] % len(servers)])
         state["i"] += 1
         return value
@@ -32,7 +32,7 @@ def rotating_decider(servers):
 class TestNeverSwitch:
     def test_freezes_first_decision(self):
         wrapper = NeverSwitch(rotating_decider(["B", "C", "D"]))
-        results = [wrapper().chosen_uid for _ in range(5)]
+        results = [wrapper(0).chosen_uid for _ in range(5)]
         assert results == ["B"] * 5
         assert wrapper.underlying_calls == 1
 
@@ -40,22 +40,22 @@ class TestNeverSwitch:
         decide = rotating_decider(["B", "C"])
         first = NeverSwitch(decide)
         second = NeverSwitch(decide)
-        assert first().chosen_uid == "B"
-        assert second().chosen_uid == "C"
+        assert first(0).chosen_uid == "B"
+        assert second(0).chosen_uid == "C"
 
 
 class TestPeriodicRecompute:
     def test_period_one_recomputes_always(self):
         wrapper = PeriodicRecompute(rotating_decider(["B", "C", "D"]), period=1)
-        assert [wrapper().chosen_uid for _ in range(3)] == ["B", "C", "D"]
+        assert [wrapper(0).chosen_uid for _ in range(3)] == ["B", "C", "D"]
         assert wrapper.underlying_calls == 3
 
     def test_period_three_holds_decision(self):
         wrapper = PeriodicRecompute(rotating_decider(["B", "C", "D"]), period=3)
-        results = [wrapper().chosen_uid for _ in range(7)]
+        results = [wrapper(0).chosen_uid for _ in range(7)]
         assert results == ["B", "B", "B", "C", "C", "C", "D"]
         assert wrapper.underlying_calls == 3
 
     def test_invalid_period_rejected(self):
         with pytest.raises(ReproError):
-            PeriodicRecompute(lambda: decision("B"), period=0)
+            PeriodicRecompute(lambda cluster: decision("B"), period=0)

@@ -52,7 +52,7 @@ class FakeFailover:
     def untrack(self, transfer) -> None:
         pass
 
-    def stall(self, title_id, home_uid, local_cluster, error, reason) -> TimedStall:
+    def stall(self, title_id, cluster, error, reason) -> TimedStall:
         self.parked += 1
         return TimedStall(self.wake_after)
 

@@ -6,7 +6,8 @@ were two copies of the loop: ``_transfer_cluster`` (no supervisor) and
 ``_acquire_rate``.  They are kept here **verbatim** (the second entry point
 renamed ``_deliver_segments``, the cluster callback now the session
 observer's ``cluster``, the failover re-decide now the session's one
-``_decide_or_wait`` loop; nothing else touched) as the reference the
+``_decide_or_wait`` loop, which calls the session's per-cluster decide
+itself; nothing else touched) as the reference the
 engine-driven transfer is held to, event for event and bit for bit
 (``tests/properties/test_session_props.py``).
 
@@ -28,7 +29,6 @@ from typing import Generator, Optional, Tuple
 from repro.core.session import (
     MIN_TRANSFER_MBPS,
     ClusterRecord,
-    DecideFn,
     StreamingSession,
 )
 from repro.core.vra import VraDecision
@@ -62,14 +62,12 @@ class PollingSession(StreamingSession):
         if self.process is not None:
             self.process.poke(reason)
 
-    def _deliver_cluster(self, index, size_mb, decision, switched, get_decision):
+    def _deliver_cluster(self, index, size_mb, decision, switched):
         """``run()``'s dispatch between the two loops, as it was."""
         if self._failover is None:
             yield from self._transfer_cluster(index, size_mb, decision, switched)
             return decision.chosen_uid
-        uid = yield from self._deliver_segments(
-            index, size_mb, decision, switched, get_decision
-        )
+        uid = yield from self._deliver_segments(index, size_mb, decision, switched)
         if self._preempt_reason is not None:
             self.stale_preempts += 1
         return uid
@@ -163,7 +161,6 @@ class PollingSession(StreamingSession):
         size_mb: float,
         decision: VraDecision,
         switched: bool,
-        get_decision: DecideFn,
     ) -> Generator[Delay, None, str]:
         """Deliver one cluster as a chain of preemptible segments.
 
@@ -190,7 +187,7 @@ class PollingSession(StreamingSession):
             reason = self._preempt_reason or "fault"
             self._preempt_reason = None
             old_uid = current.chosen_uid
-            current = yield from self._decide_or_wait(get_decision, index, reason)
+            current = yield from self._decide_or_wait(index, reason)
             segment_switched = current.chosen_uid != old_uid
             if segment_switched:
                 self.record.switch_count += 1

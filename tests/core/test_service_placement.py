@@ -1,5 +1,6 @@
 """Service-level placement behaviour: trace families, fraction-aware
-holder advertisement, and the prefix-local serving fast path."""
+holder advertisement, and per-cluster holder sets (a partial copy serves
+the clusters it holds, at home and to its neighbours)."""
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.placement import PlacementConfig
@@ -27,7 +28,7 @@ def holders_with_at_least(database, title_id: str, fraction: float):
     return sorted(
         uid
         for uid in database.servers_with_title(title_id)
-        if database._holder_fractions.get((title_id, uid), 1.0) >= fraction - 1e-9
+        if database._holder_fractions.get(title_id, {}).get(uid, 1.0) >= fraction - 1e-9
     )
 
 
@@ -62,7 +63,7 @@ class TestFractionAwareAdvertisement:
         assert holders_with_at_least(database, "m", 1.0) == ["U4"]
         assert database.full_holders("m") == ("U4",)
 
-    def test_vra_prefers_full_holders_over_prefix_holders(self, grnet_8am):
+    def test_a_remote_prefix_holder_sources_only_the_clusters_it_holds(self, grnet_8am):
         service = build_service(
             grnet_8am,
             placement=PlacementConfig(kind="prefix", prefix_minutes=15.0),
@@ -71,16 +72,28 @@ class TestFractionAwareAdvertisement:
         for _ in range(2):  # the second request makes the title hot at U2
             service.request_by_home("U2", "m")
             service.sim.run(until=service.sim.now + 3600.0)
-        # U2 now holds a prefix; the full-holder list must exclude it.
-        assert service.database.full_holders("m") == ("U4",)
-        # A neighbouring request must therefore stream its remote clusters
-        # from U4, never from the prefix holder U2.  (It is U1's first
-        # request of the title, so U1 holds no prefix of its own yet.)
+        # U2 holds the first of four 50 MB clusters: a holder of cluster
+        # 0 only, and never of the whole title.
+        database = service.database
+        assert database.full_holders("m") == ("U4",)
+        assert database.cluster_holders("m", 50.0) == ("U2", "U4")
+        assert database.cluster_holders("m", 100.0) is None
+        # U1 (its first request of the title, so no prefix of its own)
+        # fetches cluster 0 from its neighbour U2, and every later
+        # cluster from the full holder U4.
         _, session, _ = service.request_by_home("U1", "m")
         service.sim.run(until=service.sim.now + 3600.0)
-        sources = {c.server_uid for c in session.record.clusters}
-        assert "U2" not in sources
-        assert "U4" in sources
+        record = session.record
+        assert record.completed_at is not None
+        assert [(c.index, c.server_uid) for c in record.clusters] == [
+            (0, "U2"), (1, "U4"), (2, "U4"), (3, "U4"),
+        ]
+        assert record.clusters[0].path_nodes == ("U1", "U2")
+        # The per-cluster decision is keyed by the cluster; the
+        # whole-title question still sees the full holder only.
+        assert service.decide("U1", "m").chosen_uid == "U4"
+        assert service.decide("U1", "m", 0).chosen_uid == "U2"
+        assert service.decide("U1", "m", 1) == service.decide("U1", "m")
 
 
 class TestPrefixLocalServing:
@@ -100,11 +113,3 @@ class TestPrefixLocalServing:
         assert record.clusters[0].server_uid == "U2"
         assert record.clusters[0].path_nodes == ("U2",)
         assert {c.server_uid for c in record.clusters[1:]} == {"U4"}
-
-    def test_default_dma_path_has_no_cluster_decider(self, grnet_8am):
-        service = build_service(grnet_8am)
-        service.seed_title("U4", title())
-        _, session, _ = service.request_by_home("U2", "m")
-        assert session._decide_for_cluster is None
-        service.sim.run(until=service.sim.now + 3600.0)
-        assert session.record.completed_at is not None

@@ -5,18 +5,19 @@ import pytest
 from repro.baselines.switching import NeverSwitch, PeriodicRecompute
 from repro.core.service import ServiceConfig, VoDService
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
+from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 
 
-def make_service():
+def make_service(**config):
     sim = Simulator(start_time=8 * 3600.0)
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     return VoDService(
         sim,
         topology,
-        ServiceConfig(cluster_mb=100.0, use_reported_stats=False),
+        ServiceConfig(cluster_mb=100.0, use_reported_stats=False, **config),
     )
 
 
@@ -49,6 +50,21 @@ class TestDecideWrapperWiring:
         # Frozen within the session, but the session-start decision is new.
         assert second.record.servers_used == ["U1"]
         assert second.record.switch_count == 0
+
+    @pytest.mark.parametrize("wrapper", [NeverSwitch, lambda decide: PeriodicRecompute(decide, 2)])
+    def test_a_held_decision_is_a_whole_title_one(self, wrapper):
+        # U2 holds the first of four clusters; a decision held over
+        # several clusters must come from a server holding all of them.
+        service = make_service(placement=PlacementConfig(kind="prefix", prefix_minutes=15.0))
+        service.seed_title("U4", movie())
+        for _ in range(2):  # the second pass makes the title hot at U2
+            service.servers["U2"].on_download_begins(movie())
+        assert service.decide("U2", "m", 0).served_locally
+        service.decide_wrapper = wrapper
+        _, session, _ = service.request_by_home("U2", "m")
+        service.sim.run(until=service.sim.now + 3 * 3600.0)
+        assert session.record.completed
+        assert session.record.servers_used == ["U4"]
 
     def test_periodic_wrapper_counts_underlying_calls(self):
         service = make_service()

@@ -47,20 +47,20 @@ def run_session(line, decide, video=None, cluster_mb=25.0, local_read_mbps=100.0
 
 class TestDelivery:
     def test_all_clusters_delivered_in_order(self, line):
-        record, _, _, _ = run_session(line, lambda: make_decision(["A", "B", "C"]))
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A", "B", "C"]))
         assert record.request.status is RequestStatus.COMPLETED
         assert [c.index for c in record.clusters] == [0, 1, 2, 3]
         assert sum(c.size_mb for c in record.clusters) == pytest.approx(100.0)
 
     def test_transfer_time_matches_rate(self, line):
         # 100 MB at 1 Mbps bitrate = 800 s total.
-        record, _, sim, _ = run_session(line, lambda: make_decision(["A", "B"]))
+        record, _, sim, _ = run_session(line, lambda cluster: make_decision(["A", "B"]))
         assert record.completed_at == pytest.approx(800.0)
         assert sim.now == pytest.approx(800.0)
 
     def test_local_serve_uses_disk_rate(self, line):
         # 100 MB at 100 Mbps = 8 s.
-        record, _, _, _ = run_session(line, lambda: make_decision(["A"]))
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A"]))
         assert record.completed_at == pytest.approx(8.0)
         assert all(c.rate_mbps == 100.0 for c in record.clusters)
         assert record.servers_used == ["A"]
@@ -68,7 +68,7 @@ class TestDelivery:
     def test_flows_reserved_during_transfer_and_released_after(self, line):
         states = []
 
-        def decide():
+        def decide(cluster):
             states.append(line.link_between("A", "B").reserved_mbps)
             return make_decision(["A", "B"])
 
@@ -79,12 +79,12 @@ class TestDelivery:
         assert record.completed
 
     def test_startup_delay_is_first_cluster_time(self, line):
-        record, _, _, _ = run_session(line, lambda: make_decision(["A", "B"]))
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A", "B"]))
         # 25 MB at 1 Mbps = 200 s.
         assert record.startup_delay_s == pytest.approx(200.0)
 
     def test_no_stall_when_bandwidth_sufficient(self, line):
-        record, _, _, _ = run_session(line, lambda: make_decision(["A", "B"]))
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A", "B"]))
         assert record.stall_s == pytest.approx(0.0)
 
 
@@ -98,19 +98,19 @@ class TestSwitching:
                 make_decision(["A", "B", "C"]),
             ]
         )
-        record, _, _, _ = run_session(line, lambda: next(decisions))
+        record, _, _, _ = run_session(line, lambda cluster: next(decisions))
         assert record.switch_count == 1
         assert record.servers_used == ["B", "C"]
         assert [c.switched for c in record.clusters] == [False, False, True, False]
 
     def test_no_switch_when_server_stable(self, line):
-        record, _, _, _ = run_session(line, lambda: make_decision(["A", "B"]))
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A", "B"]))
         assert record.switch_count == 0
 
     def test_cluster_size_sets_decision_granularity(self, line):
         calls = []
 
-        def decide():
+        def decide(cluster):
             calls.append(True)
             return make_decision(["A", "B"])
 
@@ -121,7 +121,7 @@ class TestSwitching:
 class TestDegradation:
     def test_congested_path_degrades_rate_and_flags_qos(self, line):
         line.link_between("A", "B").set_background_mbps(9.5)  # 0.5 Mbps free
-        record, _, _, _ = run_session(line, lambda: make_decision(["A", "B"]))
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A", "B"]))
         assert record.completed
         assert record.qos_violation_count == len(record.clusters)
         assert all(c.rate_mbps == pytest.approx(0.5) for c in record.clusters)
@@ -130,7 +130,7 @@ class TestDegradation:
     def test_fully_saturated_path_uses_floor_rate(self, line):
         line.link_between("A", "B").set_background_mbps(10.0)
         video = VideoTitle("v", size_mb=1.0, duration_s=8.0)  # tiny, 1 Mbps
-        record, _, _, _ = run_session(line, lambda: make_decision(["A", "B"]), video=video)
+        record, _, _, _ = run_session(line, lambda cluster: make_decision(["A", "B"]), video=video)
         assert record.completed
         assert all(c.rate_mbps == pytest.approx(0.05) for c in record.clusters)
 
@@ -158,7 +158,7 @@ class TestDegradation:
         seen = self.counting_reserve(flows)
         video = VideoTitle("v", size_mb=1.0, duration_s=8.0)
         record, _, _, _ = run_session(
-            line, lambda: make_decision(["A", "B"]), video=video, flows=flows
+            line, lambda cluster: make_decision(["A", "B"]), video=video, flows=flows
         )
         assert record.completed
         assert all(c.rate_mbps == pytest.approx(0.05) for c in record.clusters)
@@ -170,14 +170,14 @@ class TestDegradation:
         line.link_between("A", "B").set_background_mbps(9.5)
         flows = FlowManager(line)
         seen = self.counting_reserve(flows)
-        record, _, sim, _ = run_session(line, lambda: make_decision(["A", "B"]), flows=flows)
+        record, _, sim, _ = run_session(line, lambda cluster: make_decision(["A", "B"]), flows=flows)
         assert record.completed
         # 100 MB at 0.5 Mbps in 60 s quanta: one granted reservation a step.
         assert seen == {"calls": sim.events_fired - 1, "refused": 0}
         assert flows.active_count == 0
 
     def test_decide_failure_fails_request(self, line):
-        def decide():
+        def decide(cluster):
             raise RoutingError("no candidates")
 
         record, process, _, _ = run_session(line, decide)
@@ -189,7 +189,7 @@ class TestDegradation:
     def test_mid_stream_failure_keeps_partial_clusters(self, line):
         calls = {"n": 0}
 
-        def decide():
+        def decide(cluster):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise RoutingError("source died")
@@ -217,7 +217,7 @@ class TestSupervisedBoundary:
         sim = Simulator()
         calls = []
 
-        def decide():
+        def decide(cluster):
             calls.append(sim.now)
             if sim.now < 100.0:
                 raise RoutingError("every holder is down")
@@ -250,7 +250,7 @@ class _LeaseCounter:
     def __init__(self):
         self.out = 0
 
-    def begin_serving(self, title_id):
+    def begin_serving(self, title_id, cluster=None):
         self.out += 1
         return title_id
 
@@ -279,7 +279,7 @@ class TestStepErrors:
             )
             session = StreamingSession(
                 sim=sim, request=request, video=video, cluster_mb=25.0,
-                decide=lambda: make_decision(nodes), flows=flows,
+                decide=lambda cluster: make_decision(nodes), flows=flows,
                 servers=servers, observer=Finish(),
             )
             return session.record, Process(sim, session.run(), name=client_id)
@@ -305,7 +305,7 @@ class TestPoke:
         request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0)
         session = StreamingSession(
             sim=sim, request=request, video=video, cluster_mb=25.0,
-            decide=lambda: make_decision(["A", "B"]), flows=flows, servers={},
+            decide=lambda cluster: make_decision(["A", "B"]), flows=flows, servers={},
         )
         process = Process(sim, session.run(), name="poked")
         if poke_at is not None:
@@ -334,7 +334,7 @@ class TestPlaybackMetrics:
             [make_decision(["A"])] + [make_decision(["A", "B"])] * 3
         )
         video = VideoTitle("v", size_mb=100.0, duration_s=100.0)  # 8 Mbps playback
-        record, _, _, _ = run_session(line, lambda: next(decisions), video=video)
+        record, _, _, _ = run_session(line, lambda cluster: next(decisions), video=video)
         assert record.completed
         assert record.stall_s > 0.0
 
@@ -360,7 +360,7 @@ class TestPlaybackMetrics:
             request=request,
             video=video,
             cluster_mb=25.0,
-            decide=lambda: make_decision(["A", "B"]),
+            decide=lambda cluster: make_decision(["A", "B"]),
             flows=flows,
             servers={},
             observer=observer,

@@ -32,7 +32,7 @@ def build_session(line, video, quantum=60.0):
         request=request,
         video=video,
         cluster_mb=video.size_mb,  # single cluster: isolates in-flight behaviour
-        decide=lambda: make_decision(["A", "B"]),
+        decide=lambda cluster: make_decision(["A", "B"]),
         flows=flows,
         servers={},
         rate_update_period_s=quantum,

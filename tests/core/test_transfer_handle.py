@@ -59,7 +59,7 @@ def start_session(line, control=None, quantum=10.0):
     request = VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0)
     session = StreamingSession(
         sim=sim, request=request, video=video, cluster_mb=100.0,
-        decide=lambda: make_decision(["A", "B"]), flows=flows, servers={},
+        decide=lambda cluster: make_decision(["A", "B"]), flows=flows, servers={},
         rate_update_period_s=quantum, failover=control,
     )
     process = Process(sim, session.run(), name="s")

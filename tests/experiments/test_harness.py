@@ -159,7 +159,7 @@ class TestRunExperiment:
 
     def test_a_session_process_dying_on_an_unhandled_exception_raises(self):
         def broken(decide):
-            def raising():
+            def raising(cluster):
                 raise RuntimeError("boom")
 
             return raising

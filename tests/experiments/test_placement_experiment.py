@@ -94,8 +94,9 @@ class TestFingerprint:
 class TestResidentFractionReads:
     def test_read_once_per_miss(self, monkeypatch):
         """A placement miss reads the title's resident fraction once, in
-        ``on_request``, and passes it down; the only other read is the one
-        ``store_segment`` returns (62 misses and 15 segment stores here)."""
+        ``on_request``, and passes it down; ``store_segment`` returns the
+        share it just wrote without reading it again (62 misses and 15
+        segment stores here)."""
         from repro.placement.base import PlacementPolicy
         from repro.storage.array import DiskArray
 
@@ -120,4 +121,4 @@ class TestResidentFractionReads:
         monkeypatch.setattr(PlacementPolicy, "on_request", counted_on_request)
         run_placement_experiment(requests_per_node=6, catalog_size=8)
         assert (counts["misses"], counts["segments"]) == (62, 15)
-        assert counts["reads"] == counts["misses"] + counts["segments"] == 77
+        assert counts["reads"] == counts["misses"] == 62

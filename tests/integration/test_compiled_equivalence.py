@@ -30,8 +30,8 @@ GRNET_UIDS = ["U1", "U2", "U3", "U4", "U5", "U6"]
 
 def capture_decisions(service, sink):
     def wrap(decide):
-        def wrapped():
-            decision = decide()
+        def wrapped(cluster):
+            decision = decide(cluster)
             sink.append(
                 (
                     decision.home_uid,

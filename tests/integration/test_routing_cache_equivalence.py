@@ -42,8 +42,8 @@ def run_flash_crowd(compiled_routing: bool, use_reported_stats: bool):
     decisions = []
 
     def capture(decide):
-        def wrapped():
-            decision = decide()
+        def wrapped(cluster):
+            decision = decide(cluster)
             decisions.append(
                 (
                     decision.home_uid,

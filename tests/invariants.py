@@ -8,6 +8,10 @@ empty list: all hold).  It is meant to run after each ``sim.step()``:
   crossing it, and never exceeds the capacity;
 * per server, the admitted streams never exceed ``max_streams``;
 * per disk, the resident megabytes never exceed the capacity;
+* the database's advertisements are what the arrays hold — the per-cluster
+  holder sets trust them: a partial holder's advertised fraction equals
+  its array's resident fraction, and every full holder has the whole
+  title resident;
 * the failover supervisor's index holds exactly the live transfers, each
   under its server and under every link of its path;
 * a session with nothing scheduled is a parked failover stall: it sits in
@@ -92,6 +96,27 @@ def check_invariants(service: VoDService) -> List[str]:
                     f"server {uid} disk {index}: {disk.used_mb!r} MB resident > "
                     f"capacity {disk.capacity_mb!r} MB"
                 )
+
+    # Advertised fractions: a partial entry is the array's own share, and a
+    # full holder holds the whole title.  The one exception is a prefix
+    # promoted to a full store whose download is still in flight: the array
+    # already holds every cluster, and the advertisement keeps its old
+    # fraction until the download commits.
+    database = service.database
+    for title_id, partials in database._holder_fractions.items():
+        for uid, fraction in partials.items():
+            server = service.servers[uid]
+            if title_id in server._pending_advertisements and server.array.has_video(title_id):
+                continue
+            resident = server.array.resident_fraction(title_id)
+            if fraction != resident:
+                problems.append(
+                    f"server {uid}: advertises {fraction!r} of {title_id}, holds {resident!r}"
+                )
+    for title_id, holders in database._full_holders.items():
+        for uid in holders:
+            if not service.servers[uid].array.has_video(title_id):
+                problems.append(f"server {uid}: a full holder of {title_id} without the title")
 
     # Live transfers and the processes with a pending wake-up.
     pending = _pending_handles(service.sim)

@@ -86,13 +86,6 @@ class TestPlacementConfig:
     def test_default_is_dma(self):
         config = PlacementConfig()
         assert config.kind == "dma"
-        assert not config.fractional
-
-    def test_fractional_kinds(self):
-        assert PlacementConfig(kind="prefix").fractional
-        assert PlacementConfig(kind="partial").fractional
-        for kind in ("dma-greedy", "nocache", "lru", "fullrep"):
-            assert not PlacementConfig(kind=kind).fractional
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ServiceError):

@@ -99,13 +99,14 @@ index_operations = st.lists(
 )
 
 
-def from_scratch_full_holders(database: ServiceDatabase, title_id: str):
-    """The full-holder list recomputed from the raw location and
-    fraction stores: every advertiser whose fraction reaches 1.0, sorted."""
+def from_scratch_holders(database: ServiceDatabase, title_id: str, fraction: float = 1.0):
+    """The holders of ``fraction`` of a title recomputed from the raw
+    location and fraction stores: every advertiser whose fraction reaches
+    it, sorted."""
     return tuple(sorted(
         uid
         for uid in database._title_locations.get(title_id, ())
-        if database._holder_fractions.get((title_id, uid), 1.0) >= 1.0 - 1e-9
+        if database._holder_fractions.get(title_id, {}).get(uid, 1.0) >= fraction - 1e-9
     ))
 
 
@@ -124,8 +125,14 @@ def test_full_holder_index_matches_a_from_scratch_sort(ops):
         except (MissingEntryError, DuplicateEntryError):
             pass  # U4 before it registers, a withdrawn title, a re-register
         for title in TITLES:
-            expected = from_scratch_full_holders(database, title)
-            assert database.full_holders(title) == expected, (title, ops)
+            full = from_scratch_holders(database, title)
+            assert database.full_holders(title) == full, (title, ops)
+            # The 100 MB titles' first 25 / 50 / 60 MB: a partial copy
+            # covering them adds its holder, else the full list answers.
+            for through_mb, fraction in ((25.0, 0.25), (50.0, 0.5), (60.0, 0.6)):
+                expected = from_scratch_holders(database, title, fraction)
+                got = database.cluster_holders(title, through_mb)
+                assert got == (None if expected == full else expected), (title, through_mb, ops)
     with pytest.raises(MissingEntryError):
         database.full_holders("no-such-title")
     with pytest.raises(MissingEntryError):

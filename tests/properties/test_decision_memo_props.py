@@ -83,8 +83,11 @@ def apply_step(service, step, request_counter):
         home, title = HOMES[step[1] % len(HOMES)], TITLES[step[2] % len(TITLES)]
         for _ in range(2):
             # Decisions compare by value: choice, path, weight table,
-            # polled-out holders, candidate count, degraded stamp.
+            # polled-out holders, candidate count, degraded stamp.  The
+            # first cluster's decision has its own key while a partial
+            # copy covers it.
             service.probes.append(decide_outcome(service, home, title))
+            service.probes.append(decide_outcome(service, home, title, 0))
     else:  # traffic
         _, link_index, fraction = step
         link = service.topology.link_named(LINKS[link_index % len(LINKS)])
@@ -195,7 +198,8 @@ steps = st.lists(
 
 
 #: Every knob whose transitions (staleness flips, failover re-decisions,
-#: retries, fractional holders) have to move the memo's token.  The
+#: retries, fractional holders and their per-cluster holder sets) have to
+#: move the memo's token.  The
 #: staleness guard needs the reported-stats arm.  ``steps`` keeps both
 #: session-free token movers in the mix: ``crash`` (availability version)
 #: and ``blackout`` (staleness flips, so ``touch_links``).
@@ -205,7 +209,11 @@ knobs = st.fixed_dictionaries(
         "session_failover": st.booleans(),
         "max_stats_age_s": st.sampled_from([None, 400.0]),
         "retry_attempts": st.sampled_from([0, 2]),
-        "placement": st.sampled_from([PlacementConfig(), PlacementConfig(kind="partial")]),
+        "placement": st.sampled_from([
+            PlacementConfig(),
+            PlacementConfig(kind="partial"),
+            PlacementConfig(kind="prefix", prefix_minutes=5.0),
+        ]),
     }
 ).map(lambda k: k if k["use_reported_stats"] else {**k, "max_stats_age_s": None})
 
@@ -243,6 +251,19 @@ QUIET = {
         (600.0, ("probe", 0, 0)),
     ],
     config={**QUIET, "use_reported_stats": True, "max_stats_age_s": 400.0},
+)
+@example(
+    # A second request makes m1 hot at U1, which cuts a one-cluster
+    # prefix: U1 then holds cluster 0 (served locally at U1, maybe
+    # fetched from U1 by U3) but not the title, so the same instant's
+    # whole-title and cluster-0 decisions differ and must not share a key.
+    interleaving=[
+        (0.0, ("request", 0, 0)),
+        (0.0, ("request", 0, 0)),
+        (10.0, ("probe", 0, 0)),
+        (0.0, ("probe", 2, 0)),
+    ],
+    config={**QUIET, "placement": PlacementConfig(kind="prefix", prefix_minutes=5.0)},
 )
 @settings(max_examples=60, deadline=None)
 def test_decision_memo_invisible_in_session_records(interleaving, config):

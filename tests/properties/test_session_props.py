@@ -60,7 +60,7 @@ def run_session(choices, utilizations, size_mb):
     request = VideoRequest(client_id="c", home_uid="U2", title_id="v", submitted_at=0.0)
     state = {"i": 0}
 
-    def decide():
+    def decide(cluster):
         route = ROUTES[choices[state["i"] % len(choices)]]
         state["i"] += 1
         return make_decision(route)
@@ -148,7 +148,7 @@ class SlotServer:
     def __init__(self):
         self.active_streams = 0
 
-    def begin_serving(self, title_id):
+    def begin_serving(self, title_id, cluster=None):
         self.active_streams += 1
         return self.active_streams
 
@@ -235,7 +235,7 @@ def build_world(scenario, session_class, faults=()):
         )
         state = {"i": 0}
 
-        def decide():
+        def decide(cluster):
             choice = choices[state["i"] % len(choices)]
             state["i"] += 1
             if choice < 0:

@@ -9,6 +9,7 @@ from repro.faults import DiskFailure, FaultInjector, FaultSchedule
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.network.link import Link
 from repro.network.node import Node
+from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 
@@ -264,9 +265,9 @@ class TestStallWakeUps:
         calls = []
         decide = service.decide
 
-        def counted(home_uid, title_id):
+        def counted(home_uid, title_id, cluster=None):
             calls.append(service.sim.now)
-            return decide(home_uid, title_id)
+            return decide(home_uid, title_id, cluster)
 
         service.decide = counted
         return calls
@@ -394,6 +395,42 @@ class TestStallWakeUps:
         assert (supervisor.wakeups, supervisor.stall_decides) == (1, 1)
         assert supervisor.stall_log == [seed_at - crash_at]
         assert session.record.servers_used == ["U4", "U5"]
+
+    def test_a_stall_on_a_partial_holders_cluster_wakes_when_it_can_serve_it(self):
+        service = make_service(placement=PlacementConfig(kind="prefix", prefix_minutes=15.0))
+        service.seed_title("U4", feature())
+        prefix = service.servers["U2"]
+        for _ in range(2):  # the second pass makes the title hot: a 200 MB prefix
+            prefix.on_download_begins(feature())
+        assert service.database.cluster_holders("feature", 100.0) == ("U2", "U4")
+        service.start()
+        request, session, _ = service.request_by_home("U1", "feature")
+        sim = service.sim
+        crash_at, back_at, full_back_at = sim.now + 200.0, sim.now + 700.0, sim.now + 2_000.0
+        full = service.servers["U4"]
+
+        def crash():
+            prefix.online = False
+            full.online = False
+
+        sim.schedule_at(crash_at, crash)
+        sim.schedule_at(back_at, lambda: setattr(prefix, "online", True))
+        sim.schedule_at(full_back_at, lambda: setattr(full, "online", True))
+        sim.run(until=back_at - 1.0)
+
+        supervisor = service.supervisor
+        # Cluster 0 came from the neighbour's prefix; both its holders are
+        # down, and the stall watches each for cluster 0.
+        assert [stall.watched for stall in supervisor._waiters] == [(("U2", 0), ("U4", 0))]
+        sim.run(until=back_at)
+        assert (supervisor.wakeups, supervisor.stall_decides) == (1, 1)
+        assert supervisor.stall_log == [back_at - crash_at]
+        sim.run(until=sim.now + 6 * 3600.0)
+        assert request.status is RequestStatus.COMPLETED
+        assert [(c.index, c.server_uid) for c in session.record.clusters][:3] == [
+            (0, "U2"), (0, "U2"), (1, "U2"),
+        ]
+        assert {c.server_uid for c in session.record.clusters[3:]} == {"U4"}
 
     def test_losing_the_last_copy_fails_its_waiters_at_that_instant(self):
         service = make_service()

@@ -297,7 +297,7 @@ class SlotServer:
     def __init__(self):
         self.active_streams = 0
 
-    def begin_serving(self, title_id):
+    def begin_serving(self, title_id, cluster=None):
         self.active_streams += 1
         return self.active_streams
 
@@ -319,7 +319,7 @@ class TestParkedTransfer:
             sim=sim,
             request=VideoRequest(client_id="c", home_uid="A", title_id="v", submitted_at=0.0),
             video=VideoTitle("v", size_mb=100.0, duration_s=800.0),  # 1 Mbps
-            cluster_mb=25.0, decide=lambda: decision, flows=flows, servers=servers,
+            cluster_mb=25.0, decide=lambda cluster: decision, flows=flows, servers=servers,
             **session_args,
         )
         return Process(sim, session.run(), name="s"), session, flows, servers

@@ -29,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CENSUS = ROOT / "benchmarks" / "census.py"
 PACKAGE = ROOT / "src" / "repro"
-KINDS = {"paper", "fault", "reference", "bench", "item5"}
+KINDS = {"paper", "fault", "reference", "bench"}
 
 
 def _assigned(name):
@@ -260,15 +260,16 @@ class TestValueRule:
     def test_the_recorder_sees_package_reads_only(self):
         from repro.core.service import ServiceConfig
         from repro.placement.base import PlacementConfig
+        from repro.storage.array import DiskArray
 
         census = _census_module()
         reads = set()
         with census.recording_config_reads(reads):
             config = ServiceConfig(retry_attempts=3, server_overrides={"U1": {}})
             dataclasses.asdict(config)
-            assert config.placement.fractional is False
-        # This test reads ``placement`` itself; ``fractional`` (package
-        # code) reads ``kind``.
+            config.placement.build(DiskArray(1, 100.0, 10.0))
+        # This test reads ``placement`` itself; ``build`` (package code)
+        # reads ``kind``.
         assert census.values_in_use(reads) == {"placement/base.py::PlacementConfig.kind": {"dma"}}
         assert census.Read(
             "core/service.py::ServiceConfig.server_overrides", "{'U1': {}}", None

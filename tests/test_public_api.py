@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.core",
     "repro.database",
     "repro.experiments",
-    "repro.extensions",
     "repro.faults",
     "repro.metrics",
     "repro.network",

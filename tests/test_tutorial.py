@@ -31,6 +31,6 @@ def test_tutorial_mentions_every_config_extension():
         "use_server_load_in_vra",
         "strict_qos_admission",
         "server_overrides",
-        "StripCachingEvaluator",
+        'PlacementConfig(kind="partial")',
     ):
         assert flag in text, flag
