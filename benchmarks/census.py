@@ -338,6 +338,9 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["workload/zipf.py::ZipfSampler.sample_many",
       "placement/base.py::PlacementPolicy.cached_title_ids"],
      ["benchmarks/test_bench_dma.py::test_figure2_dma_converges_to_most_popular"]),
+    ("bench", "the Figure 5 bench prints each chosen path paper-style",
+     ["network/routing/paths.py::Path.as_label"],
+     ["benchmarks/test_bench_vra_service.py::test_figure5_service_decision"]),
     # -- arms: branch arms of reached functions that no user path runs
     ("paper", "Figure 2's branches no user path takes: the one-victim DMA "
      "(evict_until_fits=False, the paper's exact rule), no unpinned victim "
@@ -369,12 +372,12 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "core/service.py::_RequestObserver.finish::else of if record.completed #2",
       "core/service.py::VoDService._reject::if observer.dma_stored"],
      ["tests/obs/test_service_obs.py::TestEveryEnding::"
-      "test_disabled_tracer_is_never_handed_a_record"]),
+      "test_every_ending_with_observability_on_or_off"]),
     ("fault", "strict QoS re-checks a request that waited in the admission queue and "
      "blocks it",
      ["core/service.py::VoDService._admit::if refusal is not None"],
      ["tests/obs/test_service_obs.py::TestEveryEnding::"
-      "test_disabled_tracer_is_never_handed_a_record"]),
+      "test_every_ending_with_observability_on_or_off"]),
     ("fault", "resilience wiring no user path exercises: a server added to a running "
      "service is supervised too, a preempted segment resumes from "
      "another server, and a disk fails on a server with no supervised "

@@ -5,10 +5,11 @@ Runs the quickstart workload with ``observability=True`` so the unified
 telemetry layer is live: a metrics registry of counters/gauges/histograms,
 a sim-time sampler writing each snapshot as ``sample`` rows, and one
 session span per client request, written as a ``span`` row when it
-closes.  The tracer and a :class:`~repro.obs.stream.StreamingTelemetry`
-share one in-memory row stream.  Afterwards the script prints the operator summary read from
-that stream, a link-utilisation sparkline timeline, and the top-N
-hottest cache entries (DMA popularity points per server).
+closes: the request's one trail.  A
+:class:`~repro.obs.stream.StreamingTelemetry` writes the run into one
+in-memory row stream.  Afterwards the script prints the operator summary
+read from that stream, a link-utilisation sparkline timeline, and the
+top-N hottest cache entries (DMA popularity points per server).
 
 Run:  python examples/observability.py
 """
@@ -18,7 +19,6 @@ from repro.experiments.report import render_timeline
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs import MemoryTelemetrySink, StreamingTelemetry, summarize_telemetry
 from repro.obs.export import sample_series
-from repro.sim.trace import Tracer
 
 
 def main() -> None:
@@ -33,7 +33,6 @@ def main() -> None:
         sim,
         topology,
         ServiceConfig(cluster_mb=50.0, observability=True, telemetry_period_s=120.0),
-        tracer=Tracer(sink=sink),
     )
     streamer = StreamingTelemetry(service, sink)
     streamer.start()

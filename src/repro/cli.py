@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--out", metavar="FILE", default=None,
                      help="write the jsonl/csv export to FILE instead of stdout")
     obs.add_argument("--trace-out", metavar="FILE", default=None,
-                     help="also write the run's trace and span rows as JSONL")
+                     help="also write the run's span rows (one per request) as JSONL")
     obs.add_argument("--timeline", metavar="FAMILY", default=None,
                      help="print a sparkline timeline of one sampled gauge "
                           "family, e.g. link.utilization")
@@ -476,7 +476,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_timeline
     from repro.obs.export import sample_series, summarize_telemetry
     from repro.obs.sink import MemoryTelemetrySink, open_sink
-    from repro.sim.trace import Tracer
     from repro.storage.video import VideoTitle
     from repro.workload.scenarios import flash_crowd_scenario
 
@@ -498,8 +497,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             seed=args.seed,
             catalog=catalog,
         )
-    # One row stream: the tracer and the streamer share one memory sink,
-    # which the summary reads and the exports copy through a file sink.
+    # One row stream: the streamer writes into one memory sink, which the
+    # summary reads and the exports copy through a file sink.
     sink = MemoryTelemetrySink()
     hook, box = _streaming_hook(lambda: sink, args.seed, f"obs:{args.scenario}")
     experiment = ServiceExperiment(
@@ -516,7 +515,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             **_fast_path_config_kwargs(args),
         ),
         seed=args.seed,
-        tracer=Tracer(sink=sink),
         service_hook=hook,
     )
     service = run_service_experiment(experiment).service
@@ -535,8 +533,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.trace_out is not None:
         out = open_sink(args.trace_out, "jsonl")
-        sink.copy_to(out, kinds=("trace", "span"))
-        print(f"wrote {out.written} trace and span rows to {args.trace_out}")
+        sink.copy_to(out, kinds=("span",))
+        print(f"wrote {out.written} span rows to {args.trace_out}")
 
     if args.timeline is not None:
         rows = [

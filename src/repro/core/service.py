@@ -58,7 +58,6 @@ from repro.obs.spans import SessionSpan
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
 from repro.sim.process import Delay, Process
-from repro.sim.trace import Tracer
 from repro.snmp.collector import DEFAULT_POLL_PERIOD_S, StatisticsService
 from repro.storage.video import VideoTitle
 
@@ -248,26 +247,13 @@ class _RequestObserver(SessionObserver):
             service._m_completed.inc()
             service._m_startup.observe(record.startup_delay_s)
             service._m_stall.observe(record.stall_s)
+            outcome = {"startup_s": record.startup_delay_s, "stall_s": record.stall_s}
         else:
             service._m_failed.inc()
+            outcome = {"reason": record.request.failure_reason}
         service._sessions_finished += 1
-        status = record.request.status.value
         if self.span is not None:
-            service._close_span(self.span, status)
-        if service.tracer.enabled:
-            service.tracer.record(
-                service.sim.now,
-                "session.finished",
-                f"{record.request.client_id}: {title_id} {status}, "
-                f"sources {record.servers_used}, {record.switch_count} switch(es)",
-                client_id=record.request.client_id,
-                title_id=title_id,
-                status=status,
-                servers_used=record.servers_used,
-                switches=record.switch_count,
-                startup_s=record.startup_delay_s,
-                stall_s=record.stall_s,
-            )
+            service._close_span(self.span, record.request.status.value, **outcome)
 
 
 class VoDService:
@@ -278,17 +264,12 @@ class VoDService:
         sim: Simulator,
         topology: Topology,
         config: Optional[ServiceConfig] = None,
-        tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         topology.validate()
         self.sim = sim
         self.topology = topology
         self.config = config if config is not None else ServiceConfig()
-        #: Structured event trace (disabled by default); categories:
-        #: request.submitted / request.blocked, vra.decision,
-        #: placement.pass, session.finished, service.expanded.
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: The telemetry instrument registry.  Disabled (all no-ops)
         #: unless ``config.observability`` is set or an enabled registry
         #: is passed in explicitly.
@@ -297,9 +278,9 @@ class VoDService:
             if registry is not None
             else MetricsRegistry(enabled=self.config.observability)
         )
+        #: Whether anything reads the instruments: a memo replay feeds
+        #: only its hit counter when this is off.
         self._obs_enabled = self.obs.enabled
-        #: Whether a memo replay feeds anything besides its hit counter.
-        self._replays_watched = self._obs_enabled or self.tracer.enabled
         #: The session spans still open, by request id (populated only
         #: when observability is on).  A span leaves when it closes, as a
         #: ``span`` row written into ``telemetry.sink``.
@@ -681,14 +662,6 @@ class VoDService:
         for link in links:
             self._join_link(link)
         self.statistics.add_node(node.uid)
-        self.tracer.record(
-            self.sim.now,
-            "service.expanded",
-            f"node {node.uid} ({node.name}) joined with "
-            f"{len(links)} link(s)",
-            node_uid=node.uid,
-            links=[link.name for link in links],
-        )
         return server
 
     def _join_server(self, node: Node) -> VideoServer:
@@ -823,12 +796,9 @@ class VoDService:
             decision = memo.decisions.get(key)
             if decision is not None:
                 memo.decision_hits += 1
-                if self._replays_watched:  # instruments read as if the VRA ran
-                    if self._obs_enabled:
-                        self._m_decision_hits.inc()
-                        self._vra.count_replayed(decision)
-                    if self.tracer.enabled:
-                        self._trace_decision(home_uid, title_id, decision)
+                if self._obs_enabled:  # instruments read as if the VRA ran
+                    self._m_decision_hits.inc()
+                    self._vra.count_replayed(decision)
                 return decision
             memo.decision_misses += 1
             self._m_decision_misses.inc()
@@ -852,8 +822,6 @@ class VoDService:
         if memo is not None:
             # Errors never get here, so they are never stored.
             memo.decisions[key] = decision
-        if self.tracer.enabled:
-            self._trace_decision(home_uid, title_id, decision)
         return decision
 
     def _holders_of(
@@ -872,27 +840,14 @@ class VoDService:
             return self.database.full_holders(title_id), None
         return holders, cluster
 
-    def _close_span(self, span: SessionSpan, status: str) -> None:
-        """Finish a span and write it, as its ``span`` row, into the run's
-        sink; the service keeps nothing of it."""
-        span.finish(self.sim.now, status)
+    def _close_span(self, span: SessionSpan, status: str, **outcome: object) -> None:
+        """Finish a span with its request's ``status`` and ``outcome`` (the
+        failure reason, or a completed stream's startup and stall) and
+        write it, as its ``span`` row, into the run's sink; the service
+        keeps nothing of it."""
+        span.finish(self.sim.now, status, **outcome)
         self.open_spans.pop(span.request_id, None)
         self.telemetry.sink.write({"kind": "span", **span.to_dict()})
-
-    def _trace_decision(
-        self, home_uid: str, title_id: str, decision: VraDecision
-    ) -> None:
-        self.tracer.record(
-            self.sim.now,
-            "vra.decision",
-            f"{title_id} at {home_uid}: chose {decision.chosen_uid} "
-            f"via {decision.path.as_label()} (cost {decision.cost:.4f})",
-            home_uid=home_uid,
-            title_id=title_id,
-            chosen_uid=decision.chosen_uid,
-            cost=decision.cost,
-            served_locally=decision.served_locally,
-        )
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -946,29 +901,7 @@ class VoDService:
             submitted_at=self.sim.now,
         )
         home_server = self.servers[home_uid]
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "request.submitted",
-                f"{client_id} at {home_uid} requests {title_id}",
-                client_id=client_id,
-                home_uid=home_uid,
-                title_id=title_id,
-            )
         dma_result = home_server.on_download_begins(video)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "placement.pass",
-                f"{home_uid}: {title_id} -> {dma_result.action.value} "
-                f"(points {dma_result.points}, evicted {list(dma_result.evicted)})",
-                home_uid=home_uid,
-                title_id=title_id,
-                action=dma_result.action.value,
-                points=dma_result.points,
-                evicted=list(dma_result.evicted),
-                resident_fraction=dma_result.resident_fraction,
-            )
         dma_stored = dma_result.cached and dma_result.action.value != "hit"
         self._m_requests.inc()
         span: Optional[SessionSpan] = None
@@ -986,6 +919,8 @@ class VoDService:
                 "submitted",
                 dma_action=dma_result.action.value,
                 dma_points=dma_result.points,
+                dma_evicted=list(dma_result.evicted),
+                dma_resident_fraction=dma_result.resident_fraction,
             )
         observer = _RequestObserver(self, span, home_server, dma_stored)
         session = self._build_session(request, video, observer)
@@ -1008,23 +943,10 @@ class VoDService:
             self._reject(
                 request, observer,
                 f"admission-shed: queue full ({slot.depth} waiting)",
-                "request.shed", depth=slot.depth,
             )
         elif slot is not None and slot.wait_s > 0.0:
             name = f"queued:{request.request_id}"
             wait_s = session.record.admission_wait_s = slot.wait_s
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.sim.now,
-                    "request.queued",
-                    f"{client_id} at {home_uid}: {title_id} admission "
-                    f"delayed {wait_s:.3f}s ({slot.depth} ahead)",
-                    client_id=client_id,
-                    home_uid=home_uid,
-                    title_id=title_id,
-                    wait_s=wait_s,
-                    depth=slot.depth,
-                )
             if span is not None:
                 span.add(
                     self.sim.now, "queued",
@@ -1035,7 +957,7 @@ class VoDService:
             if refusal is not None:
                 name = f"blocked:{request.request_id}"
                 self._m_blocked.inc()
-                self._reject(request, observer, refusal, "request.blocked")
+                self._reject(request, observer, refusal)
         process = Process(
             self.sim, self._admit(session, observer, video, wait_s), name=name
         )
@@ -1064,33 +986,20 @@ class VoDService:
             refusal = self._qos_refusal(request.home_uid, request.title_id, video)
             if refusal is not None:
                 self._m_blocked.inc()
-                self._reject(request, observer, refusal, "request.blocked")
+                self._reject(request, observer, refusal)
                 return session.record
         return (yield from session.run())
 
     def _reject(
-        self, request: VideoRequest, observer: "_RequestObserver",
-        reason: str, category: str, **data: object,
+        self, request: VideoRequest, observer: "_RequestObserver", reason: str
     ) -> None:
         """End a request before its stream starts (shed, or strict-QoS
         blocked): fail it with ``reason``, count it finished, close its
-        span, write the ``category`` trace row and abort the DMA download
-        its submit began."""
+        span and abort the DMA download its submit began."""
         request.mark_failed(reason)
         self._sessions_finished += 1
         if observer.span is not None:
-            self._close_span(observer.span, request.status.value)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                category,
-                f"{request.client_id} at {request.home_uid}: "
-                f"{request.title_id} {reason}",
-                client_id=request.client_id,
-                home_uid=request.home_uid,
-                title_id=request.title_id,
-                **data,
-            )
+            self._close_span(observer.span, request.status.value, reason=reason)
         if observer.dma_stored:
             observer.home_server.abort_download(request.title_id)
 

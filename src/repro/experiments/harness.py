@@ -38,7 +38,6 @@ from repro.network.grnet import build_grnet_topology
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
-from repro.sim.trace import Tracer
 from repro.workload.scenarios import WorkloadScenario
 from repro.workload.traces import Table2Replayer
 
@@ -63,8 +62,6 @@ class ServiceExperiment:
         seed: Seed for any randomised policy (e.g. random selection).
         start_time: Simulated clock at experiment start (e.g. 8am for
             Table 2 replays).
-        tracer: Optional structured event trace handed to the service
-            (the obs CLI passes an enabled one so spans land somewhere).
         service_hook: Optional callable invoked with the freshly built
             service before it starts — the CLI uses it to attach a
             streaming telemetry sink; fault/chaos tooling can use it to
@@ -82,7 +79,6 @@ class ServiceExperiment:
     run_until: Optional[float] = None
     seed: int = 0
     start_time: float = 0.0
-    tracer: Optional[Tracer] = None
     service_hook: Optional[Callable[[VoDService], None]] = None
 
 
@@ -137,7 +133,7 @@ def build_service(experiment: ServiceExperiment) -> VoDService:
     """Construct and seed the service for an experiment (no requests yet)."""
     sim = Simulator(start_time=experiment.start_time)
     topology = experiment.topology_factory()
-    service = VoDService(sim, topology, experiment.config, tracer=experiment.tracer)
+    service = VoDService(sim, topology, experiment.config)
     _apply_selection(service, experiment.selection, experiment.seed)
     _apply_switching(service, experiment.switching)
 

@@ -173,17 +173,8 @@ class FaultInjector:
         self._active += 1
         self.injected_by_kind[event.kind] += 1
         self._m_injected[event.kind].inc()
-        now = self._sim.now
         self.log.append(
-            {"at_s": now, "action": "inject", **event.as_dict()}
-        )
-        self._service.tracer.record(
-            now,
-            "fault.injected",
-            f"{event.kind} on {event.target} for {event.duration_s:g}s",
-            kind=event.kind,
-            target=event.target,
-            duration_s=event.duration_s,
+            {"at_s": self._sim.now, "action": "inject", **event.as_dict()}
         )
         self._sim.schedule(
             event.duration_s,
@@ -224,16 +215,8 @@ class FaultInjector:
         self._mttr_total_s += event.duration_s
         self._mttr_count += 1
         self._m_mttr.observe(event.duration_s)
-        now = self._sim.now
         self.log.append(
-            {"at_s": now, "action": "recover", **event.as_dict()}
-        )
-        self._service.tracer.record(
-            now,
-            "fault.recovered",
-            f"{event.kind} on {event.target} recovered",
-            kind=event.kind,
-            target=event.target,
+            {"at_s": self._sim.now, "action": "recover", **event.as_dict()}
         )
 
     def _apply_degrade(self, event: LinkDegrade) -> None:

@@ -10,14 +10,14 @@ Three cooperating pieces turn a service run into measurable telemetry:
 * :mod:`repro.obs.sampler` — a periodic simulator process snapshotting
   every registered gauge and writing each snapshot, when it takes it, as
   ``sample`` rows into the run's sink.
-* :mod:`repro.obs.spans` — per-request session spans recording each VRA
-  decision (with its routing epoch), per-cluster deliveries and
-  mid-stream switches.
+* :mod:`repro.obs.spans` — per-request session spans, the one trail of
+  a request: its submission and DMA pass, each VRA decision (with its
+  routing epoch), per-cluster deliveries, mid-stream switches and the
+  outcome.
 
 Every row a run records reaches a file or memory through one
 :class:`~repro.obs.sink.TelemetrySink` (JSONL, CSV or
-:class:`~repro.obs.sink.MemoryTelemetrySink`) when it happens: the
-structured :class:`~repro.sim.trace.Tracer`'s ``trace`` rows; each
+:class:`~repro.obs.sink.MemoryTelemetrySink`) when it happens: each
 sampler tick's ``sample`` rows and each closed span's ``span`` row,
 written into the run's one sink (``service.telemetry.sink``, a memory
 sink unless a :class:`~repro.obs.stream.StreamingTelemetry` points it at

@@ -56,7 +56,7 @@ def summarize_telemetry(
     """Operator-facing text summary of one run's telemetry.
 
     Instrument counts come from ``registry``; everything else is read
-    from the rows ``sink`` holds (samples, totals, spans, trace events).
+    from the rows ``sink`` holds (samples, totals, spans).
     """
     lines: List[str] = ["Telemetry summary", "=" * 40]
     if not registry.enabled:
@@ -119,10 +119,6 @@ def summarize_telemetry(
             f"spans: {len(spans)} sessions ({finished} finished), "
             f"{decisions} VRA decisions, {switches} switches"
         )
-    trace = rows.get("trace", [])
-    if trace:
-        categories = {row["category"] for row in trace}
-        lines.append(f"trace: {len(trace)} events in {len(categories)} categories")
     return "\n".join(lines)
 
 

@@ -1,9 +1,9 @@
 """Telemetry sinks: the one writer every telemetry row goes through.
 
 A :class:`TelemetrySink` takes rows one at a time from every producer
-of a run, when they happen: the tracer (``trace`` rows), the sampler
-(``sample`` rows, through :meth:`TelemetrySink.sample_writer`), the
-service (a ``span`` row as each span closes), and the manifest,
+of a run, when they happen: the sampler (``sample`` rows, through
+:meth:`TelemetrySink.sample_writer`), the service (a ``span`` row as
+each span closes, the one trail of a request), and the manifest,
 end-of-run rows and footer of
 :class:`~repro.obs.stream.StreamingTelemetry`.  :func:`open_sink` builds
 one of two file formats, ``jsonl`` and ``csv``, which write to a path
@@ -52,9 +52,8 @@ def _json_float(x: float) -> str:
 def csv_record(row: Dict[str, object]) -> Optional[List[object]]:
     """Flatten one telemetry row to the :data:`CSV_FIELDS` column list.
 
-    Returns None for rows that do not fit the flat table (spans, trace
-    events and the manifest/footer control rows) so callers can count
-    them as skipped.
+    Returns None for rows that do not fit the flat table (spans and the
+    manifest/footer control rows) so callers can count them as skipped.
     """
     kind = row.get("kind")
     labels = ";".join(f"{k}={v}" for k, v in sorted(dict(row.get("labels", {})).items()))
@@ -219,7 +218,7 @@ class CsvTelemetrySink(FileTelemetrySink):
 
     Control rows are written as ``#``-prefixed JSON comment lines so the
     manifest and footer survive in-band without breaking the table; span
-    and trace rows do not fit the flat schema and are skipped (counted).
+    rows do not fit the flat schema and are skipped (counted).
     """
 
     _newline = ""

@@ -63,11 +63,13 @@ class SessionSpan:
         self.events.append(event)
         return event
 
-    def finish(self, time: float, status: str) -> None:
-        """Close the span with the request's final status."""
+    def finish(self, time: float, status: str, **outcome: object) -> None:
+        """Close the span with the request's final status and its
+        ``outcome`` attributes (a failure's ``reason``, a completed
+        stream's ``startup_s`` and ``stall_s``)."""
         self.finished_at = time
         self.status = status
-        self.add(time, "finished", status=status)
+        self.add(time, "finished", status=status, **outcome)
 
     # ------------------------------------------------------------------ #
     # queries

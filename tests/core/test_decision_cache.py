@@ -17,7 +17,6 @@ from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
 from tests.decide_outcome import decide_outcome
-from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 
@@ -321,20 +320,16 @@ class TestReplayPaysForTheTokenOnce:
 
 
 class TestFailedDecision:
-    def test_a_failure_is_the_same_with_the_tracer_on_or_off(self):
-        from repro.sim.trace import Tracer
-
-        def run(tracer):
-            service = VoDService(
-                Simulator(), build_grnet_topology(), ServiceConfig(), tracer=tracer
-            )
-            service.seed_title("U4", MOVIE)
-            service.start()
+    def test_a_failure_is_the_same_observed_or_not(self):
+        def run(observability):
+            service = build_service(observability=observability)
+            service.servers["U5"].online = False
             service.servers["U4"].online = False
-            return decide_outcome(service, "U2", "movie")
+            return service, decide_outcome(service, "U2", "movie")
 
-        outcome = run(Tracer())
-        assert outcome[0] == "RoutingError"  # the one holder polled out
-        silent = Tracer(enabled=False)
-        assert run(silent) == outcome
-        assert trace_rows(silent) == []
+        observed, outcome = run(True)
+        assert outcome[0] == "RoutingError"  # every holder polled out
+        assert run(False)[1] == outcome
+        # A failure is stored nowhere, so it is counted as a miss only.
+        assert observed.obs.counter("decision.misses").value == 1
+        assert observed.obs.counter("decision.hits").value == 0

@@ -11,8 +11,8 @@ here:
   differential against the reference path (``compiled_routing=False``,
   no memo) — or the test says why that site cannot be killed;
 * the hit path is a probe: no token read while the clock stands, and
-  every counter, instrument and trace row reads what it read when each
-  replay paid for the token;
+  every counter, instrument and returned decision reads what it read
+  when each replay paid for the token;
 * the ground-truth path, the only one where link traffic is a token
   input;
 * re-installing the built-in VRA re-attaches its memo.
@@ -48,23 +48,20 @@ from repro.network.topology import Topology
 from repro.server.video_server import VideoServer
 from repro.sim.engine import Simulator
 from repro.snmp.collector import StatisticsService
-from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
-from tests.trace_rows import trace_rows
 
 MOVIE = VideoTitle("movie", size_mb=600.0, duration_s=3_600.0)
 #: Every home asks for the one title its two holders (U4, U5) serve.
 PAIRS = tuple((home, "movie") for home in ("U1", "U2", "U3", "U4", "U5", "U6"))
 
 
-def build(compiled_routing=True, tracer=None, **config):
+def build(compiled_routing=True, **config):
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
     service = VoDService(
         Simulator(),
         topology,
         ServiceConfig(compiled_routing=compiled_routing, **config),
-        tracer=tracer,
     )
     service.seed_title("U4", MOVIE)
     service.seed_title("U5", MOVIE)
@@ -331,10 +328,10 @@ class TestHitPathIsAProbe:
 
     @staticmethod
     def scripted(observability):
-        """Hit, miss, availability bump, routing bump; what each reads."""
-        tracer = Tracer()
-        service = build(observability=observability, tracer=tracer)
-        readings = []
+        """Hit, miss, availability bump, routing bump; what each reads,
+        and each decision returned as (home, chosen, cost)."""
+        service = build(observability=observability)
+        readings, rows = [], []
 
         def read():
             stats = service.vra.decision_cache_stats
@@ -351,8 +348,9 @@ class TestHitPathIsAProbe:
             readings.append(row)
 
         def decide_all():
-            for key in (("U2", "movie"), ("U4", "movie"), ("U2", "movie"), ("U4", "movie")):
-                service.decide(*key)
+            for home in ("U2", "U4", "U2", "U4"):
+                decision = service.decide(home, "movie")
+                rows.append((home, decision.chosen_uid, decision.cost))
             read()
 
         decide_all()  # two misses (one local), two hits
@@ -361,19 +359,14 @@ class TestHitPathIsAProbe:
         decide_all()
         report("4pm")(service)  # routing bump
         decide_all()
-        rows = [
-            (row["data"]["home_uid"], row["data"]["chosen_uid"], row["data"]["cost"])
-            for row in trace_rows(tracer, "vra.decision")
-        ]
         return readings, rows, service.vra.cache_stats
 
     def test_counters_read_what_a_token_paying_replay_read(self):
-        readings, rows, routing = self.scripted(observability=False)
+        readings, _, routing = self.scripted(observability=False)
         assert readings == [[4, 2, 2], [8, 6, 2], [12, 8, 4], [16, 10, 6]]
-        assert len(rows) == 16
         assert routing.tree_hits == 1 and routing.invalidations == 1
 
-    def test_instruments_and_trace_rows_read_the_same(self):
+    def test_instruments_and_decisions_read_the_same(self):
         readings, rows, _ = self.scripted(observability=True)
         assert readings == [
             [4, 2, 2, 2, 4, 2, 2, 4],

@@ -1,21 +1,20 @@
-"""Service-level placement behaviour: trace families, fraction-aware
-holder advertisement, and per-cluster holder sets (a partial copy serves
-the clusters it holds, at home and to its neighbours)."""
+"""Service-level placement behaviour: the placement pass on a request's
+span, fraction-aware holder advertisement, and per-cluster holder sets
+(a partial copy serves the clusters it holds, at home and to its
+neighbours)."""
 
 from repro.core.service import ServiceConfig, VoDService
 from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
-from tests.trace_rows import trace_rows
 
 
-def build_service(grnet_8am, tracer=None, **config_kwargs) -> VoDService:
+def build_service(grnet_8am, **config_kwargs) -> VoDService:
     config = ServiceConfig(
         cluster_mb=50.0, use_reported_stats=False, **config_kwargs
     )
     sim = Simulator(start_time=8 * 3600.0)
-    return VoDService(sim, grnet_8am, config, tracer=tracer)
+    return VoDService(sim, grnet_8am, config)
 
 
 def title(title_id: str = "m", size_mb: float = 200.0) -> VideoTitle:
@@ -34,15 +33,19 @@ def holders_with_at_least(database, title_id: str, fraction: float):
 
 class TestTraceFamilies:
     def test_default_policy_emits_placement_pass_only(self, grnet_8am):
-        tracer = Tracer()
-        service = build_service(grnet_8am, tracer=tracer)
+        """The home's placement pass is recorded once, on the span's
+        ``submitted`` event, and nowhere else in the row stream."""
+        service = build_service(grnet_8am, observability=True)
         service.seed_title("U4", title())
         service.request_by_home("U2", "m")
         service.sim.run(until=service.sim.now + 3600.0)
-        passes = trace_rows(tracer, "placement.pass")
-        assert passes
-        assert "resident_fraction" in passes[0]["data"]
-        assert trace_rows(tracer, "dma.pass") == []
+        [span] = [row for row in service.telemetry.sink.rows if row["kind"] == "span"]
+        submitted = span["events"][0]
+        assert submitted["kind"] == "submitted"
+        assert submitted["dma_action"] == "stored"
+        assert submitted["dma_evicted"] == []
+        assert submitted["dma_resident_fraction"] == 1.0
+        assert {row["kind"] for row in service.telemetry.sink.rows} == {"span"}
 
 
 class TestFractionAwareAdvertisement:

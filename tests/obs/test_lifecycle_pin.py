@@ -9,9 +9,8 @@ before a session's retry and failover waits became one loop; a refactor
 must leave every one of them unchanged:
 
 * the session fingerprint (every record, reason and cluster);
-* the ordered trace categories;
-* each span row's event kinds, in submission order (spans are rows of
-  their own, not ``span.*`` trace events);
+* each span row's event kinds, in submission order (the span is a
+  request's one trail);
 * the name of each request's one process (request ids read ``#``);
 * ``sim.events_fired``.
 """
@@ -22,8 +21,6 @@ import tests.obs.test_service_obs as service_obs
 from repro.experiments.placement import session_fingerprint
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs.export import telemetry_rows
-from repro.sim.trace import Tracer
-from tests.trace_rows import trace_rows
 
 #: The event kinds of the served spans.
 SERVED = ("submitted", "vra.decision", "cluster.delivered", "vra.decision",
@@ -35,7 +32,6 @@ class Pin(NamedTuple):
     fingerprint: str
     events_fired: int
     processes: Tuple[str, ...]
-    categories: list
     span_kinds: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
 
 
@@ -43,17 +39,6 @@ PIN = Pin(
     fingerprint="e494f7993699dc5c9ce162d8cea0f885e08b84a4749b5ee3167864feace1f23e",
     events_fired=239,
     processes=("session:a:m", "queued:#", "shed:#", "blocked:#", "session:e:m", "queued:#"),
-    categories="""
-        request.submitted placement.pass vra.decision
-        request.submitted placement.pass request.queued
-        request.submitted placement.pass request.shed vra.decision
-        vra.decision vra.decision request.submitted placement.pass
-        vra.decision request.blocked request.submitted
-        placement.pass vra.decision request.submitted
-        placement.pass request.queued vra.decision vra.decision
-        request.blocked vra.decision session.finished vra.decision
-        session.finished session.finished
-    """.split(),
     span_kinds=(
         ("a", "completed", SERVED),
         ("b", "failed", QUEUED_THEN_SERVED),
@@ -68,9 +53,8 @@ PIN = Pin(
 def run_every_ending() -> Pin:
     topology = build_grnet_topology()
     apply_traffic_sample(topology, "8am")
-    tracer = Tracer()
     scenario = service_obs.TestEveryEnding
-    service = scenario.build(topology, 0, tracer=tracer)
+    service = scenario.build(topology, 0)
     processes = []
     submit = service.request_by_home
 
@@ -94,7 +78,6 @@ def run_every_ending() -> Pin:
         fingerprint=session_fingerprint(service.sessions),
         events_fired=service.sim.events_fired,
         processes=tuple(processes),
-        categories=[row["category"] for row in trace_rows(tracer)],
         span_kinds=tuple(
             (row["client_id"], row["status"], tuple(e["kind"] for e in row["events"]))
             for row in sorted(spans, key=lambda row: row["request_id"])
@@ -107,6 +90,5 @@ def test_every_ending_replays_the_pinned_lifecycle():
     run = run_every_ending()
     assert run.fingerprint == pinned.fingerprint
     assert run.processes == pinned.processes
-    assert run.categories == pinned.categories
     assert run.span_kinds == pinned.span_kinds
     assert run.events_fired == pinned.events_fired

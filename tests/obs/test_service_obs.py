@@ -8,9 +8,7 @@ from repro.core.service import ServiceConfig, VoDService
 from repro.experiments.placement import session_fingerprint
 from repro.obs.export import sample_series
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.storage.video import VideoTitle
-from tests.trace_rows import trace_rows
 
 
 def rows_of(service, kind, name=None):
@@ -21,7 +19,7 @@ def rows_of(service, kind, name=None):
     ]
 
 
-def run_service(topology, observability=True, tracer=None, period=30.0, **config):
+def run_service(topology, observability=True, period=30.0, **config):
     sim = Simulator(start_time=8 * 3600.0)
     service = VoDService(
         sim,
@@ -33,7 +31,6 @@ def run_service(topology, observability=True, tracer=None, period=30.0, **config
             telemetry_period_s=period,
             **config,
         ),
-        tracer=tracer,
     )
     service.seed_title("U4", VideoTitle("m", size_mb=200.0, duration_s=1200.0))
     service.start()
@@ -78,8 +75,7 @@ class TestEnabled:
         assert any(series.maximum() > 0.0 for _, series in pairs)
 
     def test_span_follows_the_request_end_to_end(self, grnet_8am):
-        tracer = Tracer()
-        service = run_service(grnet_8am, tracer=tracer)
+        service = run_service(grnet_8am)
         # The span closed, so it left the service as its one span row.
         assert service.open_spans == {}
         [span] = rows_of(service, "span")
@@ -91,10 +87,10 @@ class TestEnabled:
         decision = next(e for e in span["events"] if e["kind"] == "vra.decision")
         assert decision["chosen_uid"] == "U4"
         assert isinstance(decision["epoch"], list)
-        # No wall-clock values in the span, and no span copies in the
-        # trace: the span reaches the row stream once, as a span row.
+        # No wall-clock values in the span, and it is the request's one
+        # trail: the row stream holds no other per-request rows.
         assert "latency_ms" not in decision
-        assert not any(row["category"].startswith("span.") for row in trace_rows(tracer))
+        assert {row["kind"] for row in service.telemetry.sink.rows} == {"sample", "span"}
 
     def test_per_server_labeled_counters(self, grnet_8am):
         service = run_service(grnet_8am)
@@ -195,7 +191,7 @@ class TestEveryEnding:
     """
 
     @staticmethod
-    def build(topology, retry_attempts, observability=True, tracer=None):
+    def build(topology, retry_attempts, observability=True):
         sim = Simulator(start_time=8 * 3600.0)
         service = VoDService(
             sim,
@@ -213,7 +209,6 @@ class TestEveryEnding:
                 admission_rate_per_s=0.01,
                 admission_tick_s=60.0,
             ),
-            tracer=tracer,
         )
         service.seed_title("U4", VideoTitle("m", size_mb=200.0, duration_s=1200.0))
         service.seed_title("U5", VideoTitle("solo", size_mb=200.0, duration_s=1200.0))
@@ -303,19 +298,33 @@ class TestEveryEnding:
 
     @pytest.mark.parametrize("observability", [True, False])
     @pytest.mark.parametrize("retry_attempts", [0, 2])
-    def test_disabled_tracer_is_never_handed_a_record(
+    def test_every_ending_with_observability_on_or_off(
         self, grnet_8am, retry_attempts, observability
     ):
-        class Untouchable(Tracer):
-            def __init__(self):
-                super().__init__(enabled=False)
-
-            def record(self, time, category, message, **data):
-                raise AssertionError(f"formatted {category!r} for a disabled tracer")
-
-        service = self.build(
-            grnet_8am, retry_attempts, observability, tracer=Untouchable()
-        )
+        service = self.build(grnet_8am, retry_attempts, observability)
         requests = self.drive(service)
         self.assert_endings(service, requests, retry_attempts)
         assert service.open_spans == {}
+
+    @pytest.mark.parametrize("retry_attempts", [0, 2])
+    def test_the_finished_event_carries_the_outcome(self, grnet_8am, retry_attempts):
+        """A failure's span ends with the request's reason; a completed
+        stream's with the startup and stall of its session record."""
+        service = self.build(grnet_8am, retry_attempts)
+        requests = self.drive(service)
+        self.assert_endings(service, requests, retry_attempts)
+        records = {r.request.client_id: r for r in service.sessions}
+        finished = {row["client_id"]: row["events"][-1] for row in rows_of(service, "span")}
+        assert finished.keys() == records.keys()
+        for name, request in requests.items():
+            event = finished[request.client_id]
+            assert event["kind"] == "finished"
+            assert event["status"] == request.status.value
+            if name == "completed":
+                record = records[request.client_id]
+                assert event["startup_s"] == record.startup_delay_s
+                assert event["stall_s"] == record.stall_s
+                assert "reason" not in event
+            else:  # shed, blocked at submit or admit, failed mid-stream
+                assert event["reason"] == request.failure_reason
+                assert "startup_s" not in event and "stall_s" not in event

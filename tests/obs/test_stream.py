@@ -184,8 +184,12 @@ class TestMemory:
 #: were dropped from the earlier reference before hashing (the
 #: decision-latency histogram, the span events' ``latency_ms``, the 245
 #: ``resilience.degraded_decisions`` and the 245 ``resilience.requeues``
-#: sample and counter rows): every other row is unchanged.
-PINNED_CHAOS_ROWS = (28_401, "b068967447523bd949b378e0306efdc1f53b596d4ae47dc3355eac10c5650343")
+#: sample and counter rows): every other row is unchanged.  Since the
+#: span became a request's one trail, its ``submitted`` event also holds
+#: ``dma_evicted`` and ``dma_resident_fraction`` and its ``finished``
+#: event the ``reason`` or ``startup_s`` and ``stall_s``; without those
+#: five keys the rows hash to the earlier reference (``b0689674…``).
+PINNED_CHAOS_ROWS = (28_401, "d9d698415adce8044b67863080c0a1f3bc289a0aa0014135bc8cd93dcb7202dd")
 
 
 class TestPinnedRows:
