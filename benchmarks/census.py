@@ -413,11 +413,6 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_bad_step_fails_that_session_only_and_releases",
       "tests/sim/test_process.py::TestProcessBasics::"
       "test_unsupported_yield_value_errors_process"]),
-    ("fault", "a policy swap keeps the memo from replaying a stale decision: "
-     "re-installing the built-in VRA re-reads the token",
-     ["core/service.py::VoDService.vra::if self._memo is not None"],
-     ["tests/core/test_input_clock.py::TestReinstallingTheBuiltinVra::"
-      "test_restoring_the_builtin_vra_memoizes_again"]),
     ("fault", "the command line's failure exits: a failed placement replay gate and "
      "the chaos gates' messages",
      ["cli.py::_cmd_placement::if not comparison.gates_passed",

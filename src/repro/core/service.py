@@ -40,7 +40,7 @@ from repro.core.session import (
     SessionRecord,
     StreamingSession,
 )
-from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
+from repro.core.vra import PollFn, VirtualRoutingAlgorithm, VraDecision
 from repro.database.records import LinkEntry, ServerEntry
 from repro.database.store import ServiceDatabase
 from repro.errors import ReproError, ServiceError
@@ -287,7 +287,7 @@ class VoDService:
         self.open_spans: Dict[int, SessionSpan] = {}
         #: Numbers the requests this service creates: 1, 2, ...
         self._request_ids = itertools.count(1)
-        #: Every memo-token input publishes here (DESIGN.md §5b.14).
+        #: Every decision input publishes here (DESIGN.md §5b.14).
         self._feed = topology.feed
         self.database = ServiceDatabase(self._feed)
         self.flows = FlowManager(topology)
@@ -342,6 +342,48 @@ class VoDService:
                     description="links whose latest SNMP sample is age-expired",
                     callback=lambda: float(self.staleness_guard.stale_count),
                 )
+        # On the reported-stats path the staleness guard interposes on the
+        # used-bandwidth reads; without it the plain reader keeps the
+        # default path byte-identical.
+        used_of: Optional[Callable[[Link], float]] = None
+        if self.config.use_reported_stats:
+            guarded = self.staleness_guard is not None
+            used_of = self._guarded_used if guarded else self._reported_used
+        load_in_vra = self.config.use_server_load_in_vra
+        self._vra = VirtualRoutingAlgorithm(
+            topology,
+            used_of=used_of,
+            normalization_constant=self.config.normalization_constant,
+            node_load=self._server_load if load_in_vra else None,
+            memo=self.config.compiled_routing,
+            metrics=self.obs,
+        )
+        self._builtin_vra = self._vra
+        #: The VRA's epoch memo, which ``decide`` reads and fills; None on
+        #: the reference path and while another policy is installed.
+        self._memo = self._vra.cache
+        if self._memo is not None:
+            # Every input of a decision publishes.  Subscribed before the
+            # supervisor and anything outside the service, so a later
+            # subscriber deciding inside a publish sees the memo flushed.
+            # A routing input (routing_epoch()'s counters, plus stream
+            # slots when they feed the weights) drops everything; an
+            # availability input (poll answers, holder lists) only the
+            # decisions.
+            flush, flush_decisions = self._memo.flush, self._memo.flush_decisions
+            live = LINK_STATS if self.config.use_reported_stats else TRAFFIC
+            self._feed.subscribe(live, flush)
+            self._feed.subscribe(STATE, flush)
+            self._feed.subscribe(AVAILABILITY, flush if load_in_vra else flush_decisions)
+            self._feed.subscribe(LOCATIONS, flush_decisions)
+        self._m_decision_hits = self.obs.counter(
+            "decision.hits", subsystem="core",
+            description="decide() calls answered whole from the epoch memo",
+        )
+        self._m_decision_misses = self.obs.counter(
+            "decision.misses", subsystem="core",
+            description="epoch-memo decision lookups that ran the VRA",
+        )
         #: Mid-stream failover supervisor; None when off.
         self.supervisor: Optional[SessionSupervisor] = None
         if self.config.session_failover:
@@ -353,45 +395,6 @@ class VoDService:
                 registry=self.obs,
             )
 
-        # On the reported-stats path the staleness guard interposes on the
-        # used-bandwidth reads; without it the plain reader keeps the
-        # default path byte-identical.
-        used_of: Optional[Callable[[Link], float]] = None
-        if self.config.use_reported_stats:
-            guarded = self.staleness_guard is not None
-            used_of = self._guarded_used if guarded else self._reported_used
-        # The epoch memo's token: the routing part (routing_epoch()'s raw
-        # counters, a parity test pins them), then the availability part
-        # (poll answers, holder lists), which joins the routing part when
-        # stream slots feed the weights.  Read once per feed move.
-        counts = self._feed.counts
-        live = LINK_STATS if self.config.use_reported_stats else TRAFFIC
-        token_of = lambda: (counts[live], counts[STATE], counts[AVAILABILITY],  # noqa: E731
-                            counts[LOCATIONS])
-        load_in_vra = self.config.use_server_load_in_vra
-        self._vra = VirtualRoutingAlgorithm(
-            topology,
-            used_of=used_of,
-            normalization_constant=self.config.normalization_constant,
-            node_load=self._server_load if load_in_vra else None,
-            epoch_of=token_of if self.config.compiled_routing else None,
-            routing_width=3 if load_in_vra else 2,
-            metrics=self.obs,
-        )
-        self._builtin_vra = self._vra
-        #: The VRA's epoch memo, which ``decide`` reads and fills; None on
-        #: the reference path and while another policy is installed.
-        self._memo = self._vra.cache
-        if self._memo is not None:
-            self._memo.feed = self._feed
-        self._m_decision_hits = self.obs.counter(
-            "decision.hits", subsystem="core",
-            description="decide() calls answered whole from the epoch memo",
-        )
-        self._m_decision_misses = self.obs.counter(
-            "decision.misses", subsystem="core",
-            description="epoch-memo decision lookups that ran the VRA",
-        )
         #: The load-leveling admission front-end; None when the knob is 0
         #: (requests go straight to session start, legacy-identical).
         self.admission_queue: Optional[AdmissionQueue] = None
@@ -751,14 +754,12 @@ class VoDService:
 
     @vra.setter
     def vra(self, policy) -> None:
-        # The memo's token covers the built-in VRA's inputs; it says
+        # The memo's flushes follow the built-in VRA's inputs; they say
         # nothing about a substitute's (RandomSelection draws from an
         # RNG), so a replaced policy always runs unmemoized; restoring the
-        # built-in one re-attaches its memo.
+        # built-in one re-attaches its memo, which the feed kept flushing.
         self._vra = policy
         self._memo = policy.cache if policy is self._builtin_vra else None
-        if self._memo is not None:
-            self._memo.seen = -1  # re-read the token before any replay
 
     def decide(
         self, home_uid: str, title_id: str, cluster: Optional[int] = None
@@ -775,12 +776,11 @@ class VoDService:
         whole-title decision over the full holders, under one memo key
         ``(home, title)``; only a covered cluster's key adds the index.
 
-        While the memo's token is unchanged, every input of a key's
-        previous decision (holder list, poll answers, LVN weights,
-        topology) is provably unchanged, so the stored decision is
-        returned without re-entering the VRA.  The token itself is read
-        only when the change feed moved: a replay is one int compare and
-        one dict probe (DESIGN.md §5b.14).
+        Every input of a key's previous decision (holder list, poll
+        answers, LVN weights, topology) publishes on the change feed when
+        it moves, and that publish flushes the memo; while the decision
+        is still stored it is returned without re-entering the VRA.  A
+        replay is one dict probe and one int bump (DESIGN.md §5b.14).
         """
         key = (home_uid, title_id)
         if cluster is None:
@@ -791,8 +791,6 @@ class VoDService:
                 key = (home_uid, title_id, cluster)
         memo = self._memo
         if memo is not None:
-            if self._feed.value != memo.seen:
-                memo.current()
             decision = memo.decisions.get(key)
             if decision is not None:
                 memo.decision_hits += 1
@@ -805,10 +803,7 @@ class VoDService:
         if holders is None:
             holders = self.database.full_holders(title_id)
         decision = self._vra.decide(
-            home_uid,
-            title_id,
-            holders,
-            poll=lambda uid: self.servers[uid].can_provide(title_id, cluster),
+            home_uid, title_id, holders, self._poll(title_id, cluster)
         )
         if (
             self.staleness_guard is not None
@@ -816,13 +811,18 @@ class VoDService:
             and not decision.degraded
         ):
             # Stamped outside the VRA; the memo stores the marked one
-            # (safe: every stale-set flip bumps the link-stats version,
-            # which moves the token).
+            # (safe: every stale-set flip publishes link stats, which
+            # flushes the memo).
             decision = decision.marked_degraded()
         if memo is not None:
             # Errors never get here, so they are never stored.
             memo.decisions[key] = decision
         return decision
+
+    def _poll(self, title_id: str, cluster: Optional[int]) -> PollFn:
+        """The VRA's availability poll for one decision miss (built only
+        there, so ``decide`` itself closes over nothing)."""
+        return lambda uid: self.servers[uid].can_provide(title_id, cluster)
 
     def _holders_of(
         self, title_id: str, cluster: int
@@ -862,8 +862,8 @@ class VoDService:
         structural change (link online/offline, runtime expansion); on
         the ground-truth path it also tracks every link-usage mutation.
         Equal tokens guarantee bit-identical LVN tables and Dijkstra
-        trees: it is the memo token's routing part (less the node-load
-        extension's availability counter).
+        trees: its counters are kinds the memo's full flush subscribes
+        to (as is, under the node-load extension, availability).
         """
         if self.config.use_reported_stats:
             return (

@@ -21,9 +21,7 @@ the trail is completed on first read (DESIGN.md §5b.12).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import (
-    Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT, NodeLoadFn, UsedBandwidthFn
 from repro.errors import (
@@ -44,10 +42,6 @@ from repro.network.topology import Topology
 
 #: Poll callback: may a given server currently provide the title?
 PollFn = Callable[[str], bool]
-
-#: Memo-token provider: a hashable that changes whenever any input of the
-#: LVN equations or Dijkstra (for a service: of a decision) could have.
-EpochFn = Callable[[], Hashable]
 
 #: ``(derive, *inputs)`` of one decision's audit: ``derive(decision,
 #: *inputs)`` gives ``(candidate_paths, dijkstra_result)``.  A plain tuple,
@@ -163,14 +157,13 @@ class VirtualRoutingAlgorithm:
         node_load: Optional server-workload term folded into the node
             validations (the paper's future-work extension for "Server
             configuration factor(s)"); None gives the paper's exact eq. 2.
-        epoch_of: Optional memo-token provider.  When given, the VRA owns
-            the epoch memo ``cache`` (:mod:`repro.network.routing.cache`);
-            None (the default) recomputes everything per decision,
-            exactly the paper's Figure 5.  Either way the LVN table and
-            the search run on the one routing kernel,
+        memo: When true, the VRA owns the epoch memo ``cache``
+            (:mod:`repro.network.routing.cache`), which its owner keeps
+            current by subscribing the memo's flushes to the change
+            feed; false (the default) recomputes everything per
+            decision, exactly the paper's Figure 5.  Either way the LVN
+            table and the search run on the one routing kernel,
             :class:`~repro.network.compiled.TopologySnapshot`.
-        routing_width: Leading token entries forming its routing part
-            (None: all of it).
         metrics: Optional telemetry registry; when given (and enabled)
             the VRA counts decisions / local serves and records a
             candidate-count histogram under the ``vra.*`` families.
@@ -182,8 +175,7 @@ class VirtualRoutingAlgorithm:
         used_of: Optional[UsedBandwidthFn] = None,
         normalization_constant: float = DEFAULT_NORMALIZATION_CONSTANT,
         node_load: Optional[NodeLoadFn] = None,
-        epoch_of: Optional[EpochFn] = None,
-        routing_width: Optional[int] = None,
+        memo: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self._used_of = used_of
@@ -191,9 +183,7 @@ class VirtualRoutingAlgorithm:
         self._node_load = node_load
         self._snapshot = TopologySnapshot(topology)
         self.cache: Optional[RoutingCache] = (
-            RoutingCache(epoch_of, routing_width, search=self._snapshot.dijkstra)
-            if epoch_of is not None
-            else None
+            RoutingCache(search=self._snapshot.dijkstra) if memo else None
         )
         self._runs = 0
         #: Bound once: a routed decision's ``audit_of`` names it.
@@ -248,7 +238,6 @@ class VirtualRoutingAlgorithm:
         """Current LVN table ("Calculate the Link Validation Number for
         each network link")."""
         if self.cache is not None:
-            self.cache.current()
             return self.cache.weights(self._compute_weights)
         return self._compute_weights()
 
@@ -262,8 +251,8 @@ class VirtualRoutingAlgorithm:
         """The LVN table and shortest-path search for one decision.
 
         The search goes only as far as the nearest of ``targets`` (the
-        available holders).  With the memo on, both come from it under
-        the one synced token (so the pair is always mutually
+        available holders).  With the memo on, both come from it, filled
+        since its last flush (so the pair is always mutually
         consistent); cached decisions share the table/search objects,
         which callers treat as read-only.
         """
@@ -271,7 +260,6 @@ class VirtualRoutingAlgorithm:
         if cache is None:
             weights = self._compute_weights()
             return weights, self._snapshot.dijkstra(home_uid, weights, targets)
-        cache.current()  # the one sync: both lookups below read under its token
         weights = cache.weights(self._compute_weights)
         return weights, cache.tree(home_uid, weights, targets)
 
@@ -360,8 +348,13 @@ class VirtualRoutingAlgorithm:
         # search that stopped at the nearest holder also holds every holder
         # tying with it, so this is the global minimum.
         distances = result.distances
-        reachable = [(distances[uid], uid) for uid in available if uid in distances]
-        if not reachable:
+        best = None
+        for uid in available:
+            if uid in distances:
+                candidate = (distances[uid], uid)
+                if best is None or candidate < best:
+                    best = candidate
+        if best is None:
             # The partition case: holders answered the poll but every path
             # from the home server is severed.  A distinct subclass so the
             # session retry loop can treat it as transient.
@@ -369,7 +362,7 @@ class VirtualRoutingAlgorithm:
                 f"title {title_id!r}: no candidate server {available} is "
                 f"reachable from home server {home_uid!r}"
             )
-        chosen_uid = min(reachable)[1]
+        chosen_uid = best[1]
         return VraDecision(
             title_id, home_uid, chosen_uid, False, result.path(chosen_uid), weights,
             polled_out, len(available), False, (self._derive_audit, available),

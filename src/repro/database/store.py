@@ -269,7 +269,7 @@ class ServiceDatabase:
         """Record the latest SNMP sample for one link (the admin write).
 
         Every write bumps :attr:`link_stats_version` (the routing-epoch
-        contract), whether or not the value moved: the token says when
+        contract), whether or not the value moved: the publish says when
         to rebuild, nothing records what moved (DESIGN.md §5b.7).
         """
         self.link_entry(link_name).latest_stats = stats

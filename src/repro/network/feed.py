@@ -4,16 +4,19 @@ The VRA (paper Figure 5) re-runs at every cluster boundary, so a changed
 input — an SNMP round, a link or server going down, a stream slot, a
 title's holders — must reach the epoch memo and the failover supervisor.
 The object that changed calls :meth:`ChangeFeed.publish` with its kind
-and a key.  The topology owns the feed; a service shares it with its
-database, its servers and its memo (DESIGN.md §5b.14).
+and a key, and the subscribers of that kind act on it: the memo is
+flushed, a supervisor preempts or wakes a stall.  The topology owns the
+feed; a service shares it with its database and its servers, and
+subscribes its memo's flushes first (DESIGN.md §5b.14).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Tuple
 
-# Kinds, with the key each publishes.  The first five are memo-token
-# inputs, read through ``ChangeFeed.counts``.
+# Kinds, with the key each publishes.  The first five are decision
+# inputs, each subscribed to a flush of the memo (TRAFFIC only on the
+# ground-truth path); ``routing_epoch()`` reads the routing ones' counters.
 LINK_STATS = 0  # a database link-entry write: the link name(s), None for a round
 TRAFFIC = 1  # a link's used bandwidth moved: the link
 STATE = 2  # a node or link joined, or a link flipped online state: it
@@ -28,19 +31,17 @@ Subscriber = Callable[[Any], None]
 
 
 class ChangeFeed:
-    """Counters and subscribers per kind, plus one total.
+    """Counters and subscribers per kind.
 
-    A publish bumps :attr:`value` (the int the memo compares before it
-    reads its token), then the kind's counter in :attr:`counts` (what the
-    token and ``routing_epoch()`` read), then calls the kind's
-    subscribers in subscription order, so a subscriber sees the counters
-    already moved.
+    A publish bumps the kind's counter in :attr:`counts` (what
+    ``routing_epoch()`` reads), then calls the kind's subscribers in
+    subscription order, so a subscriber sees the counter already moved
+    and every earlier subscriber already acted.
     """
 
-    __slots__ = ("value", "counts", "_subscribers")
+    __slots__ = ("counts", "_subscribers")
 
     def __init__(self) -> None:
-        self.value = 0
         self.counts: List[int] = [0] * KIND_COUNT
         self._subscribers: List[Tuple[Subscriber, ...]] = [()] * KIND_COUNT
 
@@ -50,7 +51,6 @@ class ChangeFeed:
 
     def publish(self, kind: int, key: Any = None) -> None:
         """Record one change of ``kind`` to ``key`` and tell its subscribers."""
-        self.value += 1
         self.counts[kind] += 1
         for callback in self._subscribers[kind]:
             callback(key)

@@ -2,37 +2,36 @@
 
 The VRA (paper Figure 5) is a pure function of the holder list, the poll
 answers, the SNMP-reported link usage and the topology state, and each
-moves only when a version counter does.  The service threads one flat
-token over those counters through this memo.  Its leading
-``routing_width`` entries are the *routing part* (``routing_epoch()``'s
-counters, plus server availability when the node-load extension folds
-stream slots into the weights); while it stands the memo reuses the LVN
-``weight_table`` and one ``DijkstraResult`` per home — the goal-directed
-*prefix* (everything within ``radius``) the routing kernel's search
-returned (:meth:`RoutingCache.tree`).  The rest is the
-*availability part* (poll answers, holder lists): while the whole token
-stands, the service replays the :class:`~repro.core.vra.VraDecision` per
-``(home, title)`` stored here.  :meth:`RoutingCache.sync` flushes
-everything when the routing part moves and only the decisions when just
-the availability part does — every stream-slot change bumps it, far more
+of those moves only when something writes it — and every such write
+publishes on the one change feed (:mod:`repro.network.feed`).  The
+service subscribes this memo's two flushes to that feed, so the memo
+never asks whether it is current; it is flushed when it stops being so.
+
+It holds the LVN ``weight_table``, one ``DijkstraResult`` per home — the
+goal-directed *prefix* (everything within ``radius``) the routing
+kernel's search returned (:meth:`RoutingCache.tree`) — and the
+:class:`~repro.core.vra.VraDecision` per ``(home, title)`` the service
+replays.  A routing input's publish (link stats, or link traffic on the
+ground-truth path; topology state; stream slots when the node-load
+extension folds them into the weights) calls :meth:`RoutingCache.flush`,
+which drops all three.  An availability input's publish (poll answers,
+holder lists) calls :meth:`RoutingCache.flush_decisions`, which drops
+only the decisions: every stream-slot change publishes one, far more
 often than an SNMP round lands (DESIGN.md §5b.8).
 
-Correctness contract: the token MUST change whenever any input could have
-changed; a hit then returns the same decision bit-for-bit as a cold run
-(the SNMP *staleness* the paper reproduces lives in the database values,
-not in the act of recomputing).  With a ``feed`` the token is read only
-when the feed's ``value`` moved, so every token input MUST publish on it
-(:mod:`repro.network.feed`): the token stays the contract, the feed only
-says whether to read it.
-A move is a flush, never a repair: an SNMP round rewrites most links, so
-almost no tree survives one and proving that one did costs what
-re-running it does (DESIGN.md §5b.7).
+Correctness contract: every input publishes, and the flush runs before
+any other subscriber of its kind can ask for a decision; a hit then
+returns the same decision bit-for-bit as a cold run (the SNMP
+*staleness* the paper reproduces lives in the database values, not in
+the act of recomputing).  A move is a flush, never a repair: an SNMP
+round rewrites most links, so almost no tree survives one and proving
+that one did costs what re-running it does (DESIGN.md §5b.7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.network.routing.dijkstra import DijkstraResult
 
@@ -46,7 +45,7 @@ class RoutingCacheStats:
         weight_misses: LVN table requests that recomputed.
         tree_hits: Dijkstra-tree requests answered from the memo.
         tree_misses: Dijkstra-tree requests that recomputed.
-        invalidations: Routing-part moves (each one flushed everything).
+        invalidations: Flushes that dropped a table or a tree.
     """
 
     weight_hits: int = 0
@@ -96,40 +95,25 @@ def _rate(hits: int, misses: int) -> float:
 
 @dataclass
 class RoutingCache:
-    """The memo of one token: LVN table, search per home, decisions.
+    """The memo between two flushes: LVN table, search per home, decisions.
 
     Args:
-        token_of: The token provider its owner reads before a lookup
-            (the memo itself only compares what it is handed).
-        routing_width: How many leading entries of a tuple token form the
-            routing part; ``None`` makes the whole token (any hashable)
-            routing.  Older tokens are never asked for again: the
-            counters feeding them are monotonic.
-        feed: The change feed every token input publishes on (None: read
-            the token per lookup).
         search: The search a tree miss runs, called as ``search(source,
             weights, targets)`` (the VRA passes its routing kernel's
             :meth:`~repro.network.compiled.TopologySnapshot.dijkstra`).
     """
 
-    token_of: Optional[Callable[[], Hashable]] = field(default=None, repr=False)
-    routing_width: Optional[int] = None
+    search: Optional[Callable[[str, Dict[str, float], Sequence[str]], DijkstraResult]] = field(
+        default=None, repr=False
+    )
     stats: RoutingCacheStats = field(default_factory=RoutingCacheStats)
     #: Decision replays and VRA runs; a replay is one int bump here, and
     #: :attr:`decision_stats` reads both.
     decision_hits: int = 0
     decision_misses: int = 0
-    #: The token everything below was computed under (None before use).
-    token: Optional[Hashable] = field(default=None, repr=False)
-    #: ``(home_uid, title_id) -> VraDecision`` under ``token``; filled and
-    #: read by the service, dropped here on every token move.
+    #: ``(home_uid, title_id) -> VraDecision`` since the last flush;
+    #: filled and read by the service.
     decisions: Dict[Tuple[str, str], Any] = field(default_factory=dict, repr=False)
-    feed: Any = field(default=None, repr=False)
-    #: ``feed.value`` at the last token read (-1: read it next time).
-    seen: int = field(default=-1, repr=False)
-    search: Optional[Callable[[str, Dict[str, float], Sequence[str]], DijkstraResult]] = field(
-        default=None, repr=False
-    )
     _weights: Optional[Dict[str, float]] = field(default=None, repr=False)
     _trees: Dict[str, DijkstraResult] = field(default_factory=dict, repr=False)
 
@@ -138,17 +122,25 @@ class RoutingCache:
         """Whole-decision replay counters, read as one value."""
         return DecisionCacheStats(self.decision_hits, self.decision_misses)
 
-    def current(self) -> Hashable:
-        """The synced token, read from ``token_of`` only if the feed
-        moved since the last read (always, without a feed)."""
-        if self.feed is None or self.feed.value != self.seen:
-            self.seen = -1 if self.feed is None else self.feed.value
-            self.sync(self.token_of())
-        return self.token
+    def flush(self, _key: object = None) -> None:
+        """A routing input moved: drop the table, every tree and every
+        decision.  Counted as an invalidation only when it dropped a
+        table or a tree, so a storm of publishes between two decisions
+        counts once.  A feed subscriber (the key is ignored)."""
+        if self._weights is not None or self._trees:
+            self.stats.invalidations += 1
+            self._weights = None
+            self._trees.clear()
+        self.decisions.clear()
+
+    def flush_decisions(self, _key: object = None) -> None:
+        """An availability input moved: drop every decision, keep the
+        table and the trees.  A feed subscriber (the key is ignored)."""
+        self.decisions.clear()
 
     def weights(self, compute: Callable[[], Dict[str, float]]) -> Dict[str, float]:
-        """The LVN table for the synced token, computing via ``compute`` on
-        miss (the caller syncs first: :meth:`current` or :meth:`sync`)."""
+        """The LVN table since the last flush, computing via ``compute``
+        on miss."""
         if self._weights is None:
             self.stats.weight_misses += 1
             self._weights = compute()
@@ -162,9 +154,9 @@ class RoutingCache:
         weights: Dict[str, float],
         targets: Sequence[str] = (),
     ) -> DijkstraResult:
-        """The Dijkstra search from ``source`` for the synced token.
+        """The Dijkstra search from ``source`` since the last flush.
 
-        ``weights`` is the table :meth:`weights` returned under it;
+        ``weights`` is the table :meth:`weights` returned;
         ``targets`` are the nodes the caller will read (none = the whole
         tree).  A cached *prefix* answers iff one of them lies inside it:
         the nearest target, and every target tying with it, is then inside
@@ -182,18 +174,3 @@ class RoutingCache:
         result = self.search(source, weights, targets)
         self._trees[source] = result
         return result
-
-    def sync(self, token: Hashable) -> None:
-        """Bring the memo onto ``token``: a no-op while it is unchanged,
-        a decisions-only drop when just the availability part moved, and
-        a full flush when the routing part did."""
-        if token == self.token:
-            return
-        old, width = self.token, self.routing_width
-        if old is None or width is None or token[:width] != old[:width]:
-            if old is not None:
-                self.stats.invalidations += 1
-            self._weights = None
-            self._trees.clear()
-        self.decisions.clear()
-        self.token = token

@@ -1,8 +1,9 @@
 """The decision half of the VRA's epoch memo as
-:class:`~repro.core.service.VoDService` wires it: the token that clears
-it (its routing part pinned against ``routing_epoch()`` as promised in the
-service source), the availability hooks that move the token, telemetry
-parity on replays, and the counters the VRA and the admission queue keep.
+:class:`~repro.core.service.VoDService` wires it: the publishes that
+flush it (every counter ``routing_epoch()`` reads is a kind subscribed to
+the full flush, as promised in the service source), the availability
+hooks that drop its decisions, telemetry parity on replays, and the
+counters the VRA and the admission queue keep.
 """
 
 import gc
@@ -13,6 +14,7 @@ import pytest
 from repro.core.service import ServiceConfig, VoDService
 from repro.database.records import LinkStats
 from repro.errors import RoutingError
+from repro.network.feed import KIND_COUNT
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.sim.engine import Simulator
 from repro.storage.video import VideoTitle
@@ -71,34 +73,21 @@ class TestServiceWiring:
         assert stats.hits == 1 and stats.misses == 1
 
     @pytest.mark.parametrize("use_reported_stats", [True, False])
-    def test_freshness_token_pins_routing_epoch(self, use_reported_stats):
-        """The memo token's routing part is ``routing_epoch()``'s
-        counters, so it moves whenever the epoch does — the parity
-        promised in the service source."""
-        service = build_service(use_reported_stats=use_reported_stats)
-
-        def observe():
-            token, epoch = service.vra.cache.token_of(), service.routing_epoch()
-            assert token[:2] == epoch[1:]
-            return token, epoch
-
-        token, epoch = observe()
-        for mutate in (
-            lambda: report_traffic(service),
-            lambda: setattr(
-                service.topology.link_named("Thessaloniki-Athens"),
-                "online",
-                False,
-            ),
-            lambda: service.topology.link_named(
-                "Patra-Athens"
-            ).set_background_mbps(3.0),
-        ):
-            mutate()
-            new_token, new_epoch = observe()
-            if new_epoch != epoch:
-                assert new_token != token
-            token, epoch = new_token, new_epoch
+    def test_routing_epoch_moves_only_with_a_flush(self, use_reported_stats):
+        """Whenever ``routing_epoch()`` moves, the publish that moved it
+        flushed the table and the trees — the parity promised in the
+        service source.  Each kind is published bare on a warm memo."""
+        moved = []
+        for kind in range(KIND_COUNT):
+            service = build_service(use_reported_stats=use_reported_stats)
+            service.decide("U2", "movie")  # routed: a table and a tree
+            stats, epoch = service.vra.cache_stats, service.routing_epoch()
+            service.topology.feed.publish(kind)
+            if service.routing_epoch() != epoch:
+                moved.append(kind)
+                assert stats.invalidations == 1, kind
+                assert service.vra.cache.decisions == {}
+        assert len(moved) == 2  # the live stats kind and STATE
 
     def test_availability_churn_invalidates_the_replay(self):
         service = build_service()
@@ -118,8 +107,8 @@ class TestServiceWiring:
         assert third.chosen_uid == first.chosen_uid
 
     def test_replay_forgets_everything_decided_under_an_older_token(self):
-        """The token's counters only grow, so a replay entry of an older
-        token can never hit again — and must not pin that epoch's table."""
+        """A flush drops every decision of the epoch it ends, so none can
+        hit again — and none pins that epoch's table."""
         service = build_service()
         report_traffic(service)
         service.decide("U2", "movie")
@@ -128,7 +117,7 @@ class TestServiceWiring:
         old_table = weakref.ref(service.decide("U2", "movie").weights)
         assert old_table() is not None
 
-        report_traffic(service, "4pm")  # the token (and every weight) moves
+        report_traffic(service, "4pm")  # a full flush (every weight moves)
         fresh = service.decide("U2", "movie")
         assert set(service.vra.cache.decisions) == {("U2", "movie")}
         assert service.vra.cache.decisions["U2", "movie"] is fresh
@@ -136,17 +125,17 @@ class TestServiceWiring:
         gc.collect()
         assert old_table() is None
 
-    def test_dma_title_and_disk_and_crash_churn_move_the_token(self):
+    def test_title_disk_and_crash_churn_drop_the_decisions(self):
         service = build_service()
-        token = service.vra.cache.token_of()
-        service.database.add_title_to_server("U1", "movie")
-        assert service.vra.cache.token_of() != token
-        token = service.vra.cache.token_of()
-        service.servers["U4"].array.fail_disk(0)
-        assert service.vra.cache.token_of() != token
-        token = service.vra.cache.token_of()
-        service.servers["U5"].online = False
-        assert service.vra.cache.token_of() != token
+        for churn in (
+            lambda: service.database.add_title_to_server("U1", "movie"),
+            lambda: service.servers["U4"].array.fail_disk(0),
+            lambda: setattr(service.servers["U5"], "online", False),
+        ):
+            service.decide("U2", "movie")
+            assert service.vra.cache.decisions
+            churn()
+            assert service.vra.cache.decisions == {}
 
     def test_errors_are_never_cached(self):
         service = build_service()
@@ -197,7 +186,7 @@ class TestServiceWiring:
 
 class TestStalenessFlipMovesTheToken:
     """A stale-set flip writes nothing to the database, so only the
-    ``touch_links`` call in ``_on_staleness_change`` tells the memo."""
+    ``touch_links`` publish in ``StalenessGuard.refresh`` flushes the memo."""
 
     @staticmethod
     def scenario():
@@ -283,7 +272,7 @@ class TestReplayPaysForTheTokenOnce:
             forbid(patch)
             for _ in range(5):
                 assert service.decide("U2", "movie") is first
-        report_traffic(service)  # the token moves
+        report_traffic(service)  # a full flush
         second = service.decide("U2", "movie")  # miss again
         assert second is not first
         with monkeypatch.context() as patch:

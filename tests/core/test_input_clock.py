@@ -1,20 +1,20 @@
-"""The change feed's ``value``, the input clock in front of the epoch
-memo's token.
+"""The change feed, the epoch memo's only input clock.
 
-``VoDService.decide`` reads the four-counter token only when the feed's
-``value`` moved since its last read; a replay is one int compare and one
-dict probe.  The token stays the correctness contract, so every token
-input must publish on the feed (a publish is the clock's tick).  Pinned
-here:
+Every input of a decision publishes on the feed when it moves (a publish
+is the clock's tick), and the service subscribes its memo's flushes to
+those kinds before anything else can subscribe; ``VoDService.decide``
+then never asks whether the memo is current, and a replay is one dict
+probe.  Pinned here:
 
 * the kill-list: each publish site, made silent, breaks a lock-step
   differential against the reference path (``compiled_routing=False``,
   no memo) — or the test says why that site cannot be killed;
-* the hit path is a probe: no token read while the clock stands, and
-  every counter, instrument and returned decision reads what it read
-  when each replay paid for the token;
-* the ground-truth path, the only one where link traffic is a token
-  input;
+* a publish flushes first: a subscriber that decides inside a publish of
+  any flush kind gets what the reference path answers;
+* the hit path is a probe: a replay never re-enters the VRA, neither
+  ``decide`` closes over anything, and every counter, instrument and
+  returned decision reads its pinned value;
+* the ground-truth path, the only one where link traffic flushes;
 * re-installing the built-in VRA re-attaches its memo.
 """
 
@@ -250,10 +250,10 @@ UNKILLABLE = {
     # the memo holds nothing that could replay.  ``add_server`` registers
     # its links right after ``add_link`` published.
     "register_link": (ServiceDatabase, "register_link", LINK_STATS),
-    # The last three kinds are no memo-token input: each follows a token
+    # The last three kinds flush nothing: each follows a flushing
     # publish in the same call (AVAILABILITY before SERVER and DISK,
-    # LINK_STATS before SNMP_ROUND), which already moved the memo's
-    # clock.  What they feed is pinned where it acts: the supervisor's
+    # LINK_STATS before SNMP_ROUND), which already flushed the memo.
+    # What they feed is pinned where it acts: the supervisor's
     # preemptions in tests/resilience/test_supervisor.py, the staleness
     # guard's refresh in tests/resilience/test_staleness.py.
     "server_flip": (VideoServer, "online", SERVER),
@@ -307,24 +307,69 @@ class TestKillList:
         assert divergence(site, victims) is not None
 
 
+class TestAPublishFlushesFirst:
+    """The memo's flushes are the first subscribers of their kinds, so a
+    subscriber registered after the service that decides from inside a
+    publish already sees the memo flushed."""
+
+    @pytest.mark.parametrize("site", sorted(SCENARIOS))
+    def test_a_later_subscriber_decides_what_the_reference_path_does(self, site):
+        steps, config = SCENARIOS[site]
+        twins = build(True, **config), build(False, **config)
+        heard = ([], [])
+        for service, log in zip(twins, heard):
+            service.topology.feed.subscribe(
+                KILLS[site][2], lambda _key, s=service, log=log: log.append(answers(s))
+            )
+        for step in steps:
+            for service in twins:
+                answers(service)  # the memo holds every pair
+                step(service)
+        memoized, reference = heard
+        assert memoized and memoized == reference
+
+    def test_a_traffic_publish_keeps_everything_on_the_reported_path(self):
+        service = build()
+        memo = service.vra.cache
+        for home, title in PAIRS:
+            service.decide(home, title)
+        decisions, trees = dict(memo.decisions), dict(memo._trees)
+        table = service.vra.weights()
+        traffic("4pm")(service)  # every link's background traffic moves
+        assert memo.decisions == decisions and memo._trees == trees
+        assert all(memo.decisions[key] is decisions[key] for key in decisions)
+        assert service.vra.weights() is table
+        assert memo.stats.invalidations == 0
+
+
 # ---------------------------------------------------------------------- #
 # the hit path is a probe
 # ---------------------------------------------------------------------- #
 class TestHitPathIsAProbe:
-    def test_replays_read_no_token_while_the_clock_stands(self):
+    def test_replays_never_reenter_the_vra(self, monkeypatch):
         service = build()
         memo = service.vra.cache
         first = service.decide("U2", "movie")
-        reads = []
-        token_of = memo.token_of
-        memo.token_of = lambda: reads.append(1) or token_of()
+        runs = []
+        decide = service.vra.decide
+        monkeypatch.setattr(
+            service.vra, "decide", lambda *args, **kwargs: runs.append(1) or decide(*args, **kwargs)
+        )
         for _ in range(1_000):
             assert service.decide("U2", "movie") is first
-        assert reads == []
-        report("8am")(service)  # the clock moves: one read, then a miss
+        assert runs == []
+        report("8am")(service)  # the clock ticks: the next call is a miss
         assert service.decide("U2", "movie") is not first
-        assert len(reads) == 1
+        assert len(runs) == 1
         assert memo.decision_stats.hits == 1_000
+
+    def test_neither_decide_closes_over_anything(self):
+        """No call allocates a closure cell: the only closure on the
+        decision path is the poll a miss builds (``VoDService._poll``)."""
+        from repro.core.vra import VirtualRoutingAlgorithm
+
+        assert VoDService.decide.__code__.co_cellvars == ()
+        assert VirtualRoutingAlgorithm.decide.__code__.co_cellvars == ()
 
     @staticmethod
     def scripted(observability):
@@ -380,7 +425,7 @@ class TestHitPathIsAProbe:
 
 
 # ---------------------------------------------------------------------- #
-# the ground-truth path: live link traffic is a token input
+# the ground-truth path: live link traffic flushes the memo
 # ---------------------------------------------------------------------- #
 def ground_truth_flash_crowd(compiled_routing, victims=None):
     """A flash crowd at U2 under shifting live traffic, on the ground-truth
@@ -453,8 +498,8 @@ class TestGroundTruthPath:
         assert ground_truth_flash_crowd(True, victims)[1] != ground_truth_flash_crowd(False)[1]
 
     def test_traffic_moves_the_token_only_there(self):
-        """Every traffic change publishes; on the reported-stats path the
-        token reads no traffic, so the memo re-reads it and replays."""
+        """Every traffic change publishes; only the ground-truth path
+        subscribes a flush to it, so the reported-stats path replays."""
         for reported in (True, False):
             service = build(use_reported_stats=reported)
             first = service.decide("U2", "movie")

@@ -5,6 +5,7 @@ import pytest
 from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.errors import RoutingError, TitleUnavailableError
 from repro.network.routing.paths import Path
+from tests.memoized_vra import memoized_vra
 from tests.reference.vra import ReferenceVra
 
 
@@ -121,11 +122,7 @@ class TestGoalDirectedSearch:
     lazily completed audit trail must not show it."""
 
     def cached_vra(self, topology, **kwargs):
-        return VirtualRoutingAlgorithm(
-            topology,
-            epoch_of=lambda: (topology.traffic_version, topology.state_version),
-            **kwargs,
-        )
+        return memoized_vra(topology, **kwargs)
 
     def vra(self, topology, memo):
         return self.cached_vra(topology) if memo else VirtualRoutingAlgorithm(topology)

@@ -51,7 +51,12 @@ class TestCacheWiring:
     def test_cache_on_by_default(self):
         service = build_service()
         assert service.vra.cache is not None
-        assert service.vra.cache.routing_width == 2
+        # A stream slot is availability only: it keeps the table.
+        service.decide("U2", "movie")
+        churn_a_stream_slot(service)
+        service.decide("U2", "movie")
+        stats = service.vra.cache_stats
+        assert (stats.invalidations, stats.weight_hits) == (0, 1)
 
     def test_reference_mode_bypasses_cache(self):
         service = build_service(compiled_routing=False)
@@ -66,7 +71,11 @@ class TestCacheWiring:
         service = build_service(use_server_load_in_vra=True)
         assert service.vra.cache is not None
         # Stream slots feed the weights: availability is routing here.
-        assert service.vra.cache.routing_width == 3
+        service.decide("U2", "movie")
+        churn_a_stream_slot(service)
+        service.decide("U2", "movie")
+        stats = service.vra.cache_stats
+        assert (stats.invalidations, stats.weight_hits) == (1, 0)
 
     def test_standalone_vra_defaults_uncached(self, grnet_8am):
         vra = VirtualRoutingAlgorithm(grnet_8am)
@@ -137,7 +146,7 @@ class TestInvalidationEdges:
             churn_a_stream_slot(service)
             for home in homes:
                 service.decide(home, "movie")
-            # Nothing cached under the older token answered: one search per
+            # Nothing cached before the flush answered: one search per
             # home, then — past an availability-only bump — one hit per home.
             assert stats.tree_misses == misses + len(homes)
             assert stats.tree_hits == hits + len(homes)
@@ -239,7 +248,7 @@ class TestCacheStats:
 
 class TestTwoPartToken:
     """Availability moves far more often than routing does (every stream
-    slot bumps it), so it must cost the decisions only."""
+    slot publishes it), so its flush drops the decisions only."""
 
     def test_availability_bump_keeps_table_and_prefixes_and_drops_decisions(self):
         service = build_service()

@@ -153,7 +153,7 @@ class TestRunExperiment:
         result = run_service_experiment(experiment)
         assert result.metrics.completed_count > 0
         assert all(record.request.finished for record in result.service.sessions)
-        # The memo's token vouches for the built-in VRA's inputs only.
+        # The memo's flushes follow the built-in VRA's inputs only.
         memo = getattr(result.service.vra, "decision_cache_stats", None)
         assert (memo is not None) == (selection == "vra")
 

@@ -170,7 +170,6 @@ class TestRoutingCachePrefixes:
         self.topology, self.weights = build(LINE)
         self.snap = TopologySnapshot(self.topology)
         self.cache = RoutingCache(search=self.search)
-        self.cache.sync(1)
         self.runs = []
 
     def search(self, source, weights, targets):

@@ -1,23 +1,20 @@
 """Unit tests: the cached LVN table across routing epochs."""
 
-from repro.core.vra import VirtualRoutingAlgorithm
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.network.link import Link
 from repro.network.node import Node
 from tests.reference.lvn import weight_table
+from tests.memoized_vra import memoized_vra
 
 
 def cached_vra(topology):
-    """A cached VRA on the ground-truth epoch: ``weights()`` is the table
-    the routing cache holds for the current token."""
-    return VirtualRoutingAlgorithm(
-        topology,
-        epoch_of=lambda: (topology.traffic_version, topology.state_version),
-    )
+    """A cached VRA on the ground-truth path: ``weights()`` is the table
+    the routing cache holds since its last flush."""
+    return memoized_vra(topology)
 
 
 class TestIncrementalLvnTable:
-    """The LVN table across epochs: one cold build per token, whatever
+    """The LVN table across epochs: one cold build per flush, whatever
     moved it ("patch" in these ids is the next epoch's table)."""
 
     def test_rebuild_matches_cold_weight_table(self):

@@ -1,5 +1,5 @@
-"""Unit tests for the epoch-versioned routing cache and its version
-counters (the topology's and the database's, read off the change feed)."""
+"""Unit tests for the flush-driven routing cache and the version counters
+(the topology's and the database's, read off the change feed)."""
 
 import pytest
 
@@ -34,9 +34,9 @@ class TestLinkVersions:
 
     def test_same_online_value_does_not_bump(self):
         topology, link = build_pair()
-        before = topology.feed.value
+        before = list(topology.feed.counts)
         link.online = True
-        assert topology.feed.value == before
+        assert topology.feed.counts == before
 
     def test_background_write_bumps_traffic_version(self):
         topology, link = build_pair()
@@ -56,10 +56,10 @@ class TestLinkVersions:
 
     def test_zero_reserve_is_not_a_change(self):
         topology, link = build_pair()
-        before = topology.feed.value
+        before = list(topology.feed.counts)
         link.reserve(0.0)
         link.release(0.0)
-        assert topology.feed.value == before
+        assert topology.feed.counts == before
 
 
 class TestTopologyVersions:
@@ -123,9 +123,8 @@ class TestRoutingCache:
             calls.append(1)
             return {"A-B": 1.0}
 
-        cache.sync(("db", 1))
         first = cache.weights(compute)
-        cache.sync(("db", 1))
+        cache.flush_decisions()  # an availability move keeps the table
         second = cache.weights(compute)
         assert first is second
         assert len(calls) == 1
@@ -135,15 +134,35 @@ class TestRoutingCache:
     def test_epoch_change_invalidates(self):
         topology, _ = build_pair()
         cache = RoutingCache(search=lambda source, _w, _t: self.tree_for(topology, source))
-        cache.sync(("db", 1))
         cache.tree("A", cache.weights(lambda: {"A-B": 1.0}))
-        cache.sync(("db", 2))
+        cache.flush()
         weights = cache.weights(lambda: {"A-B": 2.0})
         assert cache.stats.invalidations == 1
-        # The tree cached under epoch 1 is gone.
+        # The tree cached before the flush is gone.
         cache.tree("A", weights)
         assert cache.stats.tree_misses == 2
         assert cache.stats.tree_hits == 0
+
+    def test_a_flush_counts_only_when_it_drops_a_table_or_tree(self):
+        cache = RoutingCache()
+        cache.flush()  # nothing built yet
+        assert cache.stats.invalidations == 0
+        cache.weights(lambda: {"A-B": 1.0})
+        for _ in range(5):  # a storm between two decisions
+            cache.flush()
+        assert cache.stats.invalidations == 1
+        cache.weights(lambda: {"A-B": 2.0})
+        assert cache.stats.weight_misses == cache.stats.invalidations + 1
+
+    def test_both_flushes_drop_every_decision(self):
+        cache = RoutingCache()
+        table = cache.weights(lambda: {"A-B": 1.0})
+        for flush in (cache.flush_decisions, cache.flush):
+            cache.decisions[("A", "movie")] = object()
+            flush("key")  # a feed subscriber: the key is ignored
+            assert cache.decisions == {}
+        assert cache.weights(dict) is not table  # only flush() dropped it
+        assert cache.stats.invalidations == 1
 
     def test_stats_dict_and_hit_rate(self):
         stats = RoutingCacheStats(weight_hits=3, weight_misses=1)

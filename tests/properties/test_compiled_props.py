@@ -22,6 +22,7 @@ from repro.network.compiled import TopologySnapshot
 from repro.network.flows import FlowManager
 from repro.network.grnet import GRNET_LINKS, GRNET_NODES, build_grnet_topology
 from tests.reference.dijkstra import dijkstra
+from tests.memoized_vra import memoized_vra
 from tests.reference.lvn import weight_table_with_nv
 from tests.reference.vra import ReferenceVra
 
@@ -309,10 +310,7 @@ class TestVraEquivalence:
         batch, so their audit trail must equal a cold run under the
         *new* table."""
         topology = build_grnet_topology()
-        cached = VirtualRoutingAlgorithm(
-            topology,
-            epoch_of=lambda: (topology.traffic_version, topology.state_version),
-        )
+        cached = memoized_vra(topology)
         assert cached.cache is not None
         plain = ReferenceVra(topology)
         asked = []

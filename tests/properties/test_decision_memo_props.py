@@ -5,9 +5,9 @@ performance machinery: with the memo on, every session record must stay
 byte-identical to a reference-path run (``compiled_routing=False``: no
 memo at all) of the same interleaving of requests,
 link flaps, server crashes, traffic shifts and SNMP blackouts — under
-any combination of the resilience knobs.  Two ops move the memo's token
+any combination of the resilience knobs.  Two ops flush the memo
 with no session running: a ``crash`` step (a server crash or recovery
-bumps the availability version) and a ``blackout`` step followed by
+publishes availability) and a ``blackout`` step followed by
 time (the staleness guard's flip calls ``touch_links``); with the queue on but
 under-loaded (drain quota never exhausted) the front-end must fall
 through to the exact legacy admission path; and an over-loaded queue
@@ -76,10 +76,10 @@ def apply_step(service, step, request_counter):
         collector = service.statistics
         collector.restore() if collector.blacked_out else collector.blackout()
     elif kind == "probe":
-        # Bare decisions, asked twice: sessions move the memo's token with
-        # every stream they start, so these are the calls it answers — the
-        # second from the first, and the first from an earlier probe's
-        # unless a step in between moved the token.
+        # Bare decisions, asked twice: sessions flush the memo's decisions
+        # with every stream they start, so these are the calls it answers —
+        # the second from the first, and the first from an earlier probe's
+        # unless a step in between flushed it.
         home, title = HOMES[step[1] % len(HOMES)], TITLES[step[2] % len(TITLES)]
         for _ in range(2):
             # Decisions compare by value: choice, path, weight table,
@@ -199,9 +199,9 @@ steps = st.lists(
 
 #: Every knob whose transitions (staleness flips, failover re-decisions,
 #: retries, fractional holders and their per-cluster holder sets) have to
-#: move the memo's token.  The
+#: flush the memo.  The
 #: staleness guard needs the reported-stats arm.  ``steps`` keeps both
-#: session-free token movers in the mix: ``crash`` (availability version)
+#: session-free flushers in the mix: ``crash`` (availability publishes)
 #: and ``blackout`` (staleness flips, so ``touch_links``).
 knobs = st.fixed_dictionaries(
     {

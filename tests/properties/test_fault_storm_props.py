@@ -2,7 +2,7 @@
 
 A fault storm can mutate links arbitrarily often between two VRA
 decisions.  Nothing records the individual changes, so nothing can
-overflow: the epoch token moved, the cache drops what it held, and a
+overflow: every change published, the cache dropped what it held, and a
 cached VRA still produces exactly the decisions a cache-less VRA computes
 from scratch.  A stale route would mean streaming over a link the storm
 already killed.
@@ -16,6 +16,7 @@ from repro.errors import RoutingError
 from repro.network.link import Link
 from repro.network.node import Node
 from repro.network.topology import Topology
+from tests.memoized_vra import memoized_vra
 
 NODES = ("A", "B", "C", "D", "E")
 EDGES = (
@@ -41,11 +42,8 @@ def build_topology():
 
 
 def delta_vra(topology):
-    """A cached VRA on the ground-truth epoch."""
-    return VirtualRoutingAlgorithm(
-        topology,
-        epoch_of=lambda: (topology.traffic_version, topology.state_version),
-    )
+    """A cached VRA flushed on the ground-truth path's publishes."""
+    return memoized_vra(topology)
 
 
 def apply_storm(topology, ops):

@@ -22,6 +22,7 @@ from repro.network.link import Link
 from repro.network.node import Node
 from repro.sim.engine import Simulator
 from tests.reference.lvn import weight_table
+from tests.memoized_vra import memoized_vra
 
 NODES = sorted(GRNET_NODES)
 LINK_NAMES = [name for name, _, _ in GRNET_LINKS]
@@ -57,14 +58,8 @@ def apply_ops(topology, ops):
 
 
 def delta_vra(topology, used_of=None, db=None):
-    """A cached VRA on the epoch token VoDService hands its VRA."""
-
-    def epoch_of():
-        if db is None:
-            return ("net", topology.traffic_version, topology.state_version)
-        return ("db", db.link_stats_version, topology.state_version)
-
-    return VirtualRoutingAlgorithm(topology, used_of=used_of, epoch_of=epoch_of)
+    """A cached VRA flushed on the publishes VoDService flushes its on."""
+    return memoized_vra(topology, db, used_of=used_of)
 
 
 def decision_fingerprint(vra, home):
@@ -204,8 +199,8 @@ def apply_service_ops(service, ops):
 @given(st.lists(service_ops, min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_probe_table_is_a_cold_build_and_its_deltas_are_the_diff(batches):
-    """The token says when: whatever moved a routing input also moved the
-    epoch, so the table the cache holds is the reference ``weight_table`` bit
+    """The publish says when: whatever moved a routing input also flushed
+    the memo, so the table the cache holds is the reference ``weight_table`` bit
     for bit and in key order; an unmoved epoch keeps the very same table
     object, and a table handed out earlier is never written to again."""
     service = VoDService(

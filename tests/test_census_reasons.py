@@ -32,9 +32,15 @@ PACKAGE = ROOT / "src" / "repro"
 KINDS = {"paper", "fault", "reference", "bench"}
 
 
+@lru_cache(maxsize=None)
+def _census_body():
+    """census.py's module-level statements, parsed once per session."""
+    return ast.parse(CENSUS.read_text()).body
+
+
 def _assigned(name):
     """The literal value of a module-level ``name = ...`` in census.py."""
-    for node in ast.parse(CENSUS.read_text()).body:
+    for node in _census_body():
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
