@@ -548,7 +548,7 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      "serve counts as the VRA's own would (the memo-off path is the "
      "reference the memo tests compare)",
      ["core/vra.py::VirtualRoutingAlgorithm.count_replayed::if decision.served_locally"],
-     ["tests/core/test_decision_cache.py::TestReplayPaysForTheTokenOnce::"
+     ["tests/core/test_decision_cache.py::TestReplayInstrumentParity::"
       "test_instruments_read_the_same_with_the_memo_on_or_off"]),
     ("reference", "same-key coalescing inside one drain tick: the cohort tests check the "
      "counters against the requests and drain ticks of a run",

@@ -32,6 +32,7 @@ from repro.core.admission_queue import (
     DEFAULT_ADMISSION_TICK_S,
     AdmissionQueue,
 )
+from repro.core.decision import DecisionPipeline
 from repro.core.lvn import DEFAULT_NORMALIZATION_CONSTANT
 from repro.core.session import (
     ClusterRecord,
@@ -40,11 +41,10 @@ from repro.core.session import (
     SessionRecord,
     StreamingSession,
 )
-from repro.core.vra import PollFn, VirtualRoutingAlgorithm, VraDecision
+from repro.core.vra import VirtualRoutingAlgorithm, VraDecision
 from repro.database.records import LinkEntry, ServerEntry
 from repro.database.store import ServiceDatabase
 from repro.errors import ReproError, ServiceError
-from repro.network.feed import AVAILABILITY, LINK_STATS, LOCATIONS, STATE, TRAFFIC
 from repro.network.flows import FlowManager
 from repro.network.link import Link
 from repro.network.node import Node
@@ -349,41 +349,22 @@ class VoDService:
         if self.config.use_reported_stats:
             guarded = self.staleness_guard is not None
             used_of = self._guarded_used if guarded else self._reported_used
-        load_in_vra = self.config.use_server_load_in_vra
-        self._vra = VirtualRoutingAlgorithm(
+        vra = VirtualRoutingAlgorithm(
             topology,
             used_of=used_of,
             normalization_constant=self.config.normalization_constant,
-            node_load=self._server_load if load_in_vra else None,
+            node_load=self._server_load if self.config.use_server_load_in_vra else None,
             memo=self.config.compiled_routing,
             metrics=self.obs,
         )
-        self._builtin_vra = self._vra
-        #: The VRA's epoch memo, which ``decide`` reads and fills; None on
-        #: the reference path and while another policy is installed.
-        self._memo = self._vra.cache
-        if self._memo is not None:
-            # Every input of a decision publishes.  Subscribed before the
-            # supervisor and anything outside the service, so a later
-            # subscriber deciding inside a publish sees the memo flushed.
-            # A routing input (routing_epoch()'s counters, plus stream
-            # slots when they feed the weights) drops everything; an
-            # availability input (poll answers, holder lists) only the
-            # decisions.
-            flush, flush_decisions = self._memo.flush, self._memo.flush_decisions
-            live = LINK_STATS if self.config.use_reported_stats else TRAFFIC
-            self._feed.subscribe(live, flush)
-            self._feed.subscribe(STATE, flush)
-            self._feed.subscribe(AVAILABILITY, flush if load_in_vra else flush_decisions)
-            self._feed.subscribe(LOCATIONS, flush_decisions)
-        self._m_decision_hits = self.obs.counter(
-            "decision.hits", subsystem="core",
-            description="decide() calls answered whole from the epoch memo",
+        #: What ``decide`` runs (DESIGN.md §5b.14).
+        self._pipeline = DecisionPipeline(
+            vra, self.database, self.servers, self.config,
+            self.staleness_guard, self._feed, self.obs,
         )
-        self._m_decision_misses = self.obs.counter(
-            "decision.misses", subsystem="core",
-            description="epoch-memo decision lookups that ran the VRA",
-        )
+        #: ``decide(home_uid, title_id[, cluster])``: one VRA decision (no
+        #: streaming), replayed until a publish of one of its inputs.
+        self.decide: Callable[..., VraDecision] = self._pipeline.decide
         #: Mid-stream failover supervisor; None when off.
         self.supervisor: Optional[SessionSupervisor] = None
         if self.config.session_failover:
@@ -391,7 +372,7 @@ class VoDService:
                 sim,
                 self.servers,
                 self.database,
-                self._holders_of,
+                self._pipeline.holders_of,
                 registry=self.obs,
             )
 
@@ -509,12 +490,12 @@ class VoDService:
         obs.gauge(
             "routing.cache_hit_rate", subsystem="core",
             description="epoch-memo table/tree hits over lookups, in [0, 1]",
-            callback=lambda: self._memo.stats.hit_rate if self._memo else 0.0,
+            callback=lambda: memo.stats.hit_rate if (memo := self._pipeline.memo) else 0.0,
         )
         obs.gauge(
             "decision.cache_hit_rate", subsystem="core",
             description="epoch-memo decision replays over lookups, in [0, 1]",
-            callback=lambda: self._memo.decision_stats.hit_rate if self._memo else 0.0,
+            callback=lambda: memo.decision_stats.hit_rate if (memo := self._pipeline.memo) else 0.0,
         )
         obs.gauge(
             "admission.queue_depth", subsystem="service",
@@ -750,95 +731,12 @@ class VoDService:
         """The server-selection policy: the built-in
         :class:`VirtualRoutingAlgorithm`, or whatever was assigned over it
         (``service.vra = MinHopSelection(service.topology)``)."""
-        return self._vra
+        return self._pipeline.vra
 
     @vra.setter
     def vra(self, policy) -> None:
-        # The memo's flushes follow the built-in VRA's inputs; they say
-        # nothing about a substitute's (RandomSelection draws from an
-        # RNG), so a replaced policy always runs unmemoized; restoring the
-        # built-in one re-attaches its memo, which the feed kept flushing.
-        self._vra = policy
-        self._memo = policy.cache if policy is self._builtin_vra else None
-
-    def decide(
-        self, home_uid: str, title_id: str, cluster: Optional[int] = None
-    ) -> VraDecision:
-        """One VRA decision for a request at ``home_uid`` (no streaming):
-        for the whole title, or for one cluster of it.
-
-        Cluster ``cluster`` can be served by every full holder and by
-        each partial holder whose advertised fraction covers the end of
-        that cluster (:meth:`ServiceDatabase.cluster_holders`), polled
-        for that cluster; the home is one of them when its own prefix
-        covers it, so Figure 5's local branch serves it.  A cluster no
-        partial copy covers — and a call without ``cluster`` — is the
-        whole-title decision over the full holders, under one memo key
-        ``(home, title)``; only a covered cluster's key adds the index.
-
-        Every input of a key's previous decision (holder list, poll
-        answers, LVN weights, topology) publishes on the change feed when
-        it moves, and that publish flushes the memo; while the decision
-        is still stored it is returned without re-entering the VRA.  A
-        replay is one dict probe and one int bump (DESIGN.md §5b.14).
-        """
-        key = (home_uid, title_id)
-        if cluster is None:
-            holders = None
-        else:
-            holders, cluster = self._holders_of(title_id, cluster)
-            if cluster is not None:
-                key = (home_uid, title_id, cluster)
-        memo = self._memo
-        if memo is not None:
-            decision = memo.decisions.get(key)
-            if decision is not None:
-                memo.decision_hits += 1
-                if self._obs_enabled:  # instruments read as if the VRA ran
-                    self._m_decision_hits.inc()
-                    self._vra.count_replayed(decision)
-                return decision
-            memo.decision_misses += 1
-            self._m_decision_misses.inc()
-        if holders is None:
-            holders = self.database.full_holders(title_id)
-        decision = self._vra.decide(
-            home_uid, title_id, holders, self._poll(title_id, cluster)
-        )
-        if (
-            self.staleness_guard is not None
-            and self.staleness_guard.degraded
-            and not decision.degraded
-        ):
-            # Stamped outside the VRA; the memo stores the marked one
-            # (safe: every stale-set flip publishes link stats, which
-            # flushes the memo).
-            decision = decision.marked_degraded()
-        if memo is not None:
-            # Errors never get here, so they are never stored.
-            memo.decisions[key] = decision
-        return decision
-
-    def _poll(self, title_id: str, cluster: Optional[int]) -> PollFn:
-        """The VRA's availability poll for one decision miss (built only
-        there, so ``decide`` itself closes over nothing)."""
-        return lambda uid: self.servers[uid].can_provide(title_id, cluster)
-
-    def _holders_of(
-        self, title_id: str, cluster: int
-    ) -> Tuple[Tuple[str, ...], Optional[int]]:
-        """The servers that can serve cluster ``cluster`` of a title, and
-        what their poll is asked: every full holder plus each partial
-        holder covering the cluster, asked about that cluster — or, when
-        no partial copy covers it, the full holders, asked about the
-        whole title (None).  The decide and the failover stall both
-        use it."""
-        holders = self.database.cluster_holders(
-            title_id, (cluster + 1) * self.config.cluster_mb
-        )
-        if holders is None:
-            return self.database.full_holders(title_id), None
-        return holders, cluster
+        self._pipeline.use(policy)
+        self.decide = self._pipeline.decide
 
     def _close_span(self, span: SessionSpan, status: str, **outcome: object) -> None:
         """Finish a span with its request's ``status`` and ``outcome`` (the

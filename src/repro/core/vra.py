@@ -32,6 +32,7 @@ from repro.errors import (
 from repro.network.compiled import TopologySnapshot
 from repro.network.routing.cache import (
     DecisionCacheStats,
+    Route,
     RoutingCache,
     RoutingCacheStats,
 )
@@ -245,26 +246,34 @@ class VirtualRoutingAlgorithm:
         """One cold build of the LVN table — the only builder there is."""
         return self._snapshot.weight_table(self._used_of, self._k, self._node_load)
 
-    def _routing_state(
-        self, home_uid: str, targets: Sequence[str]
-    ) -> "tuple[Dict[str, float], DijkstraResult]":
-        """The LVN table and shortest-path search for one decision.
-
-        The search goes only as far as the nearest of ``targets`` (the
-        available holders).  With the memo on, both come from it, filled
-        since its last flush (so the pair is always mutually
-        consistent); cached decisions share the table/search objects,
-        which callers treat as read-only.
-        """
+    def _route(self, home_uid: str, available: Tuple[str, ...]) -> Optional[Route]:
+        """One cold route: the cheapest of ``available`` from the home —
+        ``(uid, path, table)`` — or None when none is reachable.  With the
+        memo on, the table and the search (as far as the nearest of them)
+        come from it, filled since its last flush; callers treat both as
+        read-only."""
         cache = self.cache
         if cache is None:
             weights = self._compute_weights()
-            return weights, self._snapshot.dijkstra(home_uid, weights, targets)
-        weights = cache.weights(self._compute_weights)
-        return weights, cache.tree(home_uid, weights, targets)
+            result = self._snapshot.dijkstra(home_uid, weights, available)
+        else:
+            weights = cache.weights(self._compute_weights)
+            result = cache.tree(home_uid, weights, available)
+        # "From those alternative least cost paths choose the one with the
+        # smallest cost."  Ties break on server uid for determinism.  A
+        # search that stopped at the nearest holder also holds every holder
+        # tying with it, so this is the global minimum.
+        distances = result.distances
+        best = None
+        for uid in available:
+            if uid in distances:
+                candidate = (distances[uid], uid)
+                if best is None or candidate < best:
+                    best = candidate
+        return None if best is None else (best[1], result.path(best[1]), weights)
 
     def _audit(
-        self, decision: VraDecision, available: Sequence[str]
+        self, decision: VraDecision, available: Tuple[str, ...]
     ) -> Tuple[Dict[str, Path], DijkstraResult]:
         """A routed decision's ``(candidate_paths, dijkstra_result)``.
 
@@ -282,7 +291,7 @@ class VirtualRoutingAlgorithm:
         holders: Iterable[str],
         poll: Optional[PollFn] = None,
     ) -> VraDecision:
-        """Run Figure 5 for one request.
+        """Run Figure 5 for one request: :meth:`poll`, then :meth:`route`.
 
         Args:
             home_uid: The client's adjacent server (already resolved from
@@ -305,65 +314,60 @@ class VirtualRoutingAlgorithm:
             NoReachableHolderError: If holders are available but the home
                 server is partitioned from all of them.
         """
+        return self.route(home_uid, title_id, *self.poll(holders, poll))
+
+    @staticmethod
+    def poll(
+        holders: Iterable[str], poll: Optional[PollFn] = None
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """Figure 5's "poll all of those servers": the holders, deduplicated
+        in first-seen order, split into ``(answering yes, answering no)``.
+        Each is polled once; with no ``poll`` every holder answers yes."""
+        if poll is None:
+            return tuple(dict.fromkeys(holders)), ()
+        up: List[str] = []
+        down: List[str] = []
+        for uid in dict.fromkeys(holders):
+            (up if poll(uid) else down).append(uid)
+        return tuple(up), tuple(down)
+
+    def route(
+        self, home_uid: str, title_id: str, up: Tuple[str, ...], down: Tuple[str, ...]
+    ) -> VraDecision:
+        """Figure 5 after :meth:`poll`: the home shortcut, else the
+        cheapest available holder.  One VRA run, counted as one, memo on
+        or off; raises as :meth:`decide`."""
         self._runs += 1
         self._m_decisions.inc()
-        # Normalize once: the caller may hand us any iterable (generator,
-        # set, database list); one pass builds the ordered, deduplicated
-        # tuple every later step works from.
-        holder_list = tuple(dict.fromkeys(holders))
-        if not holder_list:
-            raise TitleUnavailableError(
-                f"no server in the network has title {title_id!r}"
-            )
-        poll_fn = poll if poll is not None else (lambda _uid: True)
-
         # Figure 5: "IF the adjacent to the client video server can provide
         # the requested video THEN authorize ... QUIT".
-        if home_uid in holder_list and poll_fn(home_uid):
+        if home_uid in up:
             self._m_local_serves.inc()
             return VraDecision(
                 title_id, home_uid, home_uid, True, Path(nodes=(home_uid,), cost=0.0)
             )
-
-        # Single pass: each remote holder is polled exactly once and lands
-        # in exactly one of the two buckets.
-        available: List[str] = []
-        rejected: List[str] = []
-        for uid in holder_list:
-            if uid == home_uid:
-                continue
-            (available if poll_fn(uid) else rejected).append(uid)
-        polled_out = tuple(rejected)
-        self._m_candidates.observe(len(available))
-        if not available:
+        if not (up or down):
+            raise TitleUnavailableError(f"no server in the network has title {title_id!r}")
+        polled_out = tuple(uid for uid in down if uid != home_uid) if down else down
+        # The home is not in ``up``: every holder there is a candidate.
+        self._m_candidates.observe(len(up))
+        if not up:
             raise RoutingError(
-                f"title {title_id!r}: every holder {list(holder_list)} polled "
+                f"title {title_id!r}: every holder {list(down)} polled "
                 "out or is the (title-less) home server"
             )
-
-        weights, result = self._routing_state(home_uid, available)
-
-        # "From those alternative least cost paths choose the one with the
-        # smallest cost."  Ties break on server uid for determinism.  A
-        # search that stopped at the nearest holder also holds every holder
-        # tying with it, so this is the global minimum.
-        distances = result.distances
-        best = None
-        for uid in available:
-            if uid in distances:
-                candidate = (distances[uid], uid)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
+        cache = self.cache
+        route = self._route(home_uid, up) if cache is None else cache.route(home_uid, up, self._route)
+        if route is None:
             # The partition case: holders answered the poll but every path
             # from the home server is severed.  A distinct subclass so the
             # session retry loop can treat it as transient.
             raise NoReachableHolderError(
-                f"title {title_id!r}: no candidate server {available} is "
+                f"title {title_id!r}: no candidate server {list(up)} is "
                 f"reachable from home server {home_uid!r}"
             )
-        chosen_uid = best[1]
+        chosen_uid, path, weights = route
         return VraDecision(
-            title_id, home_uid, chosen_uid, False, result.path(chosen_uid), weights,
-            polled_out, len(available), False, (self._derive_audit, available),
+            title_id, home_uid, chosen_uid, False, path, weights,
+            polled_out, len(up), False, (self._derive_audit, up),
         )

@@ -59,7 +59,8 @@ class TestServiceWiring:
         service = build_service()
         stats = service.vra.decision_cache_stats
         assert (stats.hits, stats.misses, stats.hit_rate) == (0, 0, 0.0)
-        assert service.vra.cache.decisions == {}
+        first = service.decide("U2", "movie")
+        assert service.decide("U2", "movie") is first
         assert service.admission_queue is None
 
     def test_replay_returns_the_cached_object_with_counter_parity(self):
@@ -80,13 +81,13 @@ class TestServiceWiring:
         moved = []
         for kind in range(KIND_COUNT):
             service = build_service(use_reported_stats=use_reported_stats)
-            service.decide("U2", "movie")  # routed: a table and a tree
+            first = service.decide("U2", "movie")  # routed: a table and a tree
             stats, epoch = service.vra.cache_stats, service.routing_epoch()
             service.topology.feed.publish(kind)
             if service.routing_epoch() != epoch:
                 moved.append(kind)
                 assert stats.invalidations == 1, kind
-                assert service.vra.cache.decisions == {}
+                assert service.decide("U2", "movie") is not first
         assert len(moved) == 2  # the live stats kind and STATE
 
     def test_availability_churn_invalidates_the_replay(self):
@@ -106,22 +107,25 @@ class TestServiceWiring:
         third = service.decide("U2", "movie")
         assert third.chosen_uid == first.chosen_uid
 
-    def test_replay_forgets_everything_decided_under_an_older_token(self):
+    def test_a_flush_forgets_every_decision_and_its_table(self):
         """A flush drops every decision of the epoch it ends, so none can
         hit again — and none pins that epoch's table."""
         service = build_service()
         report_traffic(service)
-        service.decide("U2", "movie")
-        service.decide("U3", "movie")
-        assert set(service.vra.cache.decisions) == {("U2", "movie"), ("U3", "movie")}
-        old_table = weakref.ref(service.decide("U2", "movie").weights)
-        assert old_table() is not None
+        old = [service.decide(home, "movie") for home in ("U2", "U3")]
+        assert [service.decide(home, "movie") for home in ("U2", "U3")] == old
+        assert all(
+            service.decide(home, "movie") is decision
+            for home, decision in zip(("U2", "U3"), old)
+        )
+        old_table = weakref.ref(old[0].weights)
 
         report_traffic(service, "4pm")  # a full flush (every weight moves)
         fresh = service.decide("U2", "movie")
-        assert set(service.vra.cache.decisions) == {("U2", "movie")}
-        assert service.vra.cache.decisions["U2", "movie"] is fresh
+        assert fresh is not old[0]
+        assert service.decide("U3", "movie") is not old[1]
         assert service.decide("U2", "movie") is fresh  # still replays
+        del old
         gc.collect()
         assert old_table() is None
 
@@ -132,10 +136,10 @@ class TestServiceWiring:
             lambda: service.servers["U4"].array.fail_disk(0),
             lambda: setattr(service.servers["U5"], "online", False),
         ):
-            service.decide("U2", "movie")
-            assert service.vra.cache.decisions
+            first = service.decide("U2", "movie")
+            assert service.decide("U2", "movie") is first
             churn()
-            assert service.vra.cache.decisions == {}
+            assert decide_outcome(service, "U2", "movie") is not first
 
     def test_errors_are_never_cached(self):
         service = build_service()
@@ -147,7 +151,7 @@ class TestServiceWiring:
         stats = service.vra.decision_cache_stats
         assert stats.hits == 0
         assert stats.misses == 2
-        assert len(service.vra.cache.decisions) == 0
+        assert service.vra.cache.replays.cache_info().currsize == 0
 
     def test_stats_report_the_new_sections(self):
         plain = build_service(compiled_routing=False)
@@ -184,7 +188,7 @@ class TestServiceWiring:
         assert service.admission_queue.stats.released == 2
 
 
-class TestStalenessFlipMovesTheToken:
+class TestStalenessFlipFlushesTheMemo:
     """A stale-set flip writes nothing to the database, so only the
     ``touch_links`` publish in ``StalenessGuard.refresh`` flushes the memo."""
 
@@ -249,7 +253,7 @@ class TestStalenessFlipMovesTheToken:
             self.check(service, observed)
 
 
-class TestReplayPaysForTheTokenOnce:
+class TestReplayInstrumentParity:
     """Reader rule of DESIGN.md §5b.14: with observability off a replay
     calls nothing in ``repro.obs``; with it on every instrument reads as
     if the VRA had run."""

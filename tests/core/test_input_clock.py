@@ -2,18 +2,18 @@
 
 Every input of a decision publishes on the feed when it moves (a publish
 is the clock's tick), and the service subscribes its memo's flushes to
-those kinds before anything else can subscribe; ``VoDService.decide``
-then never asks whether the memo is current, and a replay is one dict
-probe.  Pinned here:
+those kinds before anything else can subscribe; ``service.decide``
+then never asks whether the memo is current, and a replay is one probe
+of a C memo.  Pinned here:
 
 * the kill-list: each publish site, made silent, breaks a lock-step
   differential against the reference path (``compiled_routing=False``,
   no memo) — or the test says why that site cannot be killed;
 * a publish flushes first: a subscriber that decides inside a publish of
   any flush kind gets what the reference path answers;
-* the hit path is a probe: a replay never re-enters the VRA, neither
-  ``decide`` closes over anything, and every counter, instrument and
-  returned decision reads its pinned value;
+* the hit path is a probe: a replay never re-enters the VRA nor runs a
+  Python frame, and every counter, instrument and returned decision
+  reads its pinned value, live between flushes too;
 * the ground-truth path, the only one where link traffic flushes;
 * re-installing the built-in VRA re-attaches its memo.
 """
@@ -331,13 +331,12 @@ class TestAPublishFlushesFirst:
     def test_a_traffic_publish_keeps_everything_on_the_reported_path(self):
         service = build()
         memo = service.vra.cache
-        for home, title in PAIRS:
-            service.decide(home, title)
-        decisions, trees = dict(memo.decisions), dict(memo._trees)
+        decisions = [service.decide(home, title) for home, title in PAIRS]
+        trees = dict(memo._trees)
         table = service.vra.weights()
         traffic("4pm")(service)  # every link's background traffic moves
-        assert memo.decisions == decisions and memo._trees == trees
-        assert all(memo.decisions[key] is decisions[key] for key in decisions)
+        assert memo._trees == trees
+        assert all(service.decide(*key) is d for key, d in zip(PAIRS, decisions))
         assert service.vra.weights() is table
         assert memo.stats.invalidations == 0
 
@@ -351,9 +350,9 @@ class TestHitPathIsAProbe:
         memo = service.vra.cache
         first = service.decide("U2", "movie")
         runs = []
-        decide = service.vra.decide
+        route = service.vra.route  # every VRA run, memo on or off
         monkeypatch.setattr(
-            service.vra, "decide", lambda *args, **kwargs: runs.append(1) or decide(*args, **kwargs)
+            service.vra, "route", lambda *args, **kwargs: runs.append(1) or route(*args, **kwargs)
         )
         for _ in range(1_000):
             assert service.decide("U2", "movie") is first
@@ -363,13 +362,55 @@ class TestHitPathIsAProbe:
         assert len(runs) == 1
         assert memo.decision_stats.hits == 1_000
 
-    def test_neither_decide_closes_over_anything(self):
-        """No call allocates a closure cell: the only closure on the
-        decision path is the poll a miss builds (``VoDService._poll``)."""
-        from repro.core.vra import VirtualRoutingAlgorithm
+    @pytest.mark.parametrize("cluster", [(), (None,), (0,)])
+    def test_a_replay_runs_no_python_frame(self, cluster):
+        """With observability off, ``service.decide`` is the C memo
+        itself: a replay records no Python ``call`` event — whole-title,
+        explicit ``None`` and per-cluster calls alike."""
+        import sys
 
-        assert VoDService.decide.__code__.co_cellvars == ()
-        assert VirtualRoutingAlgorithm.decide.__code__.co_cellvars == ()
+        service = build()
+        first = service.decide("U2", "movie", *cluster)
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            again = service.decide("U2", "movie", *cluster)
+        finally:
+            sys.setprofile(None)
+        assert again is first
+        assert calls == []
+
+    def test_counters_read_live_between_flushes(self):
+        """``decision_count`` and ``decision_cache_stats`` read right after
+        N replays, mid-epoch and across a flush: the C memo's own count
+        plus what every flush harvested."""
+        service = build()
+        vra = service.vra
+
+        def reading():
+            stats = vra.decision_cache_stats
+            return vra.decision_count, stats.hits, stats.misses
+
+        service.decide("U2", "movie")
+        for n in range(1, 6):
+            service.decide("U2", "movie")
+            assert reading() == (1 + n, n, 1)
+        report("4pm")(service)  # a flush harvests the five replays
+        assert reading() == (6, 5, 1)
+        service.decide("U2", "movie")
+        service.decide("U2", "movie")
+        assert reading() == (8, 6, 2)
+        service.servers["U1"].admission.admit()  # an availability flush
+        service.servers["U1"].admission.admit()  # ... with nothing to harvest
+        assert reading() == (8, 6, 2)
+        service.decide("U2", "movie", 3)  # no partial copy: the (U2, movie) key
+        service.decide("U2", "movie")
+        assert reading() == (10, 7, 3)
 
     @staticmethod
     def scripted(observability):
@@ -406,7 +447,7 @@ class TestHitPathIsAProbe:
         decide_all()
         return readings, rows, service.vra.cache_stats
 
-    def test_counters_read_what_a_token_paying_replay_read(self):
+    def test_counters_count_every_replay_and_miss(self):
         readings, _, routing = self.scripted(observability=False)
         assert readings == [[4, 2, 2], [8, 6, 2], [12, 8, 4], [16, 10, 6]]
         assert routing.tree_hits == 1 and routing.invalidations == 1
@@ -497,7 +538,7 @@ class TestGroundTruthPath:
         victims = kill(monkeypatch, *KILLS["link_traffic"])
         assert ground_truth_flash_crowd(True, victims)[1] != ground_truth_flash_crowd(False)[1]
 
-    def test_traffic_moves_the_token_only_there(self):
+    def test_traffic_flushes_only_the_ground_truth_path(self):
         """Every traffic change publishes; only the ground-truth path
         subscribes a flush to it, so the reported-stats path replays."""
         for reported in (True, False):

@@ -1,13 +1,15 @@
 """Unit tests for the flush-driven routing cache and the version counters
 (the topology's and the database's, read off the change feed)."""
 
+import functools
+
 import pytest
 
 from repro.database.records import LinkEntry, LinkStats
 from repro.database.store import ServiceDatabase
 from repro.network.link import Link
 from repro.network.node import Node
-from repro.network.routing.cache import RoutingCache, RoutingCacheStats
+from repro.network.routing.cache import DecisionCacheStats, RoutingCache, RoutingCacheStats
 from repro.network.topology import Topology
 from tests.reference.dijkstra import dijkstra
 
@@ -156,13 +158,46 @@ class TestRoutingCache:
 
     def test_both_flushes_drop_every_decision(self):
         cache = RoutingCache()
+
+        def cold(home, title):  # what the pipeline's cold decide counts
+            cache.decision_misses += 1
+            return object()
+
+        cache.replays = functools.lru_cache(maxsize=None)(cold)
         table = cache.weights(lambda: {"A-B": 1.0})
         for flush in (cache.flush_decisions, cache.flush):
-            cache.decisions[("A", "movie")] = object()
+            first = cache.replays("A", "movie")
+            assert cache.replays("A", "movie") is first
             flush("key")  # a feed subscriber: the key is ignored
-            assert cache.decisions == {}
+            assert cache.replays("A", "movie") is not first
+            flush("key")
         assert cache.weights(dict) is not table  # only flush() dropped it
         assert cache.stats.invalidations == 1
+        assert cache.decision_stats == DecisionCacheStats(hits=2, misses=4)
+
+    def test_only_an_availability_flush_drops_the_poll_answers(self):
+        cache = RoutingCache()
+        cache.polls[("movie", None)] = (("A",), ())
+        cache.flush()
+        assert cache.polls
+        cache.flush_decisions()
+        assert cache.polls == {}
+
+    def test_only_a_routing_flush_drops_the_routes(self):
+        cache = RoutingCache()
+        computed = []
+
+        def compute(home, available):
+            computed.append(home)
+            return (available[0], None, cache.weights(dict))
+
+        route = cache.route("A", ("B",), compute)
+        cache.flush_decisions()
+        assert cache.route("A", ("B",), compute) is route
+        assert cache.stats.weight_hits == cache.stats.tree_hits == 1
+        cache.flush()
+        assert cache.route("A", ("B",), compute) is not route
+        assert computed == ["A", "A"]
 
     def test_stats_dict_and_hit_rate(self):
         stats = RoutingCacheStats(weight_hits=3, weight_misses=1)

@@ -14,12 +14,23 @@ through to the exact legacy admission path; and an over-loaded queue
 must shed *deterministically* — the same arrival sequence sheds the
 same requests on every replay, because the shed set is a pure function
 of arrivals (ISSUE 6's "instead of timing out mid-decision" contract).
+
+A second, session-free property drives the decision pipeline alone:
+whole-title and per-cluster decides (a partial copy covers the first
+cluster) between publishes of every flush kind — an SNMP round, a link
+flip, stream slots taken and released, a server crash, a title added or
+withdrawn — a staleness blackout, and a policy swap and its restore.
+The memo-on service must answer every decide as the memo-off one does
+(every decision field, failures included), never replay a decide that
+raised, and read the same on every ``vra.*`` instrument.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.selection import MinHopSelection
 from repro.core.service import ServiceConfig, VoDService
+from repro.errors import ReproError
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.placement import PlacementConfig
 from repro.sim.engine import Simulator
@@ -372,3 +383,179 @@ def test_burst_sheds_beyond_capacity_deterministically():
         cid: (record.request.status.value, record.admission_wait_s)
         for cid, record in by_client.items()
     }
+
+
+# ---------------------------------------------------------------------- #
+# the decision pipeline alone
+# ---------------------------------------------------------------------- #
+M1 = VideoTitle("m1", size_mb=300.0, duration_s=1_800.0)  # three clusters
+TRAFFIC_LABELS = ("8am", "10am", "4pm", "6pm")
+#: How a decide step asks: whole title by two arguments, by an explicit
+#: None, or one cluster (only cluster 0 is covered by U1's partial copy).
+FORMS = ("whole", None, 0, 1, 2)
+#: Decided after every step: homes holding nothing, both titles, the
+#: whole-title forms, the covered cluster and an uncovered one.
+SWEEP = tuple(
+    (home, title, form)
+    for home in ("U1", "U3", "U6")
+    for title in TITLES
+    for form in ("whole", None, 0, 2)
+)
+
+
+def build_decider(compiled_routing, reported, load_in_vra):
+    topology = build_grnet_topology()
+    apply_traffic_sample(topology, "8am")
+    service = VoDService(
+        Simulator(),
+        topology,
+        ServiceConfig(
+            cluster_mb=100.0,
+            disk_count=2,
+            disk_capacity_mb=1_000.0,
+            max_streams=3,
+            snmp_period_s=300.0,
+            use_reported_stats=reported,
+            max_stats_age_s=400.0 if reported else None,
+            use_server_load_in_vra=load_in_vra,
+            compiled_routing=compiled_routing,
+            **OBSERVED,
+        ),
+    )
+    for uid in ("U4", "U5"):
+        service.seed_title(uid, M1)
+    for uid in ("U2", "U6"):
+        service.seed_title(uid, VideoTitle("m2", size_mb=200.0, duration_s=1_200.0))
+    # U1 holds m1's first cluster only: a partial holder of cluster 0.
+    service.servers["U1"].array.store_segment(M1, 1.0 / 3.0)
+    service.database.add_title_to_server("U1", "m1", fraction=1.0 / 3.0)
+    service.start()
+    service.leases = {}
+    service.builtin = service.vra
+    return service
+
+
+def decide_step(service, home, title, form):
+    """The decide, asked twice: a replay (or, after a raise, a second
+    cold run — a raised decide is never replayed)."""
+    args = (home, title) if form == "whole" else (home, title, form)
+    memo = service.vra.cache if service.vra is service.builtin else None
+    outcomes = []
+    for _ in range(2):
+        before = memo.decision_stats if memo is not None else None
+        try:
+            outcome = service.decide(*args)
+        except ReproError as exc:
+            outcome = (type(exc).__name__, str(exc))
+            if memo is not None:
+                after = memo.decision_stats
+                assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        outcomes.append(outcome)
+    assert outcomes[0] == outcomes[1]
+    service.probes.append(outcomes[0])
+
+
+def pipeline_step(service, step):
+    kind = step[0]
+    if kind == "decide":
+        _, home, title, form = step
+        decide_step(service, HOMES[home], TITLES[title], FORMS[form])
+    elif kind == "round":  # traffic moves, then two SNMP periods pass
+        apply_traffic_sample(service.topology, TRAFFIC_LABELS[step[1]])
+        service.sim.run(until=service.sim.now + 600.0)
+    elif kind == "flip":
+        link = service.topology.link_named(LINKS[step[1]])
+        link.online = not link.online
+    elif kind == "slots":  # take every stream slot, or give them back
+        server = service.servers[HOMES[step[1]]]
+        held = service.leases.pop(server.node_uid, None)
+        if held is None:
+            admission = server.admission
+            service.leases[server.node_uid] = [
+                admission.admit() for _ in range(admission.max_streams - admission.active_count)
+            ]
+        else:
+            for lease in held:
+                server.end_serving(lease)
+    elif kind == "crash":
+        server = service.servers[HOMES[step[1]]]
+        server.online = not server.online
+    elif kind == "title":  # advertise or withdraw a (full) copy
+        uid, title = HOMES[step[1]], TITLES[step[2]]
+        if service.database.holds_title(uid, title):
+            service.database.remove_title_from_server(uid, title)
+        else:
+            service.database.add_title_to_server(uid, title)
+    elif kind == "blackout":
+        collector = service.statistics
+        collector.restore() if collector.blacked_out else collector.blackout()
+    else:  # swap: another policy over the VRA, or the built-in one back
+        swapped = service.vra is not service.builtin
+        service.vra = service.builtin if swapped else MinHopSelection(service.topology)
+
+
+def index(top):
+    return st.integers(min_value=0, max_value=top - 1)
+
+
+pipeline_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("decide"), index(len(HOMES)), index(len(TITLES)), index(len(FORMS))),
+        st.tuples(st.just("round"), index(len(TRAFFIC_LABELS))),
+        st.tuples(st.just("flip"), index(len(LINKS))),
+        st.tuples(st.just("slots"), index(len(HOMES))),
+        st.tuples(st.just("crash"), index(len(HOMES))),
+        st.tuples(st.just("title"), index(len(HOMES)), index(len(TITLES))),
+        st.tuples(st.just("blackout")),
+        st.tuples(st.just("swap")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(pipeline_steps, st.booleans(), st.booleans())
+@example(
+    # A blackout ages every link out (decisions stamped degraded), a
+    # stream-slot fill flips the partial holder's cluster-0 answer, and a
+    # swap and its restore bracket a crash the memo must not miss.
+    steps=[
+        ("decide", 2, 0, 2), ("blackout",), ("round", 1), ("round", 2),
+        ("decide", 2, 0, 0), ("decide", 2, 0, 0), ("slots", 0), ("decide", 2, 0, 2),
+        ("swap",), ("crash", 3), ("decide", 1, 0, 0), ("swap",), ("decide", 1, 0, 1),
+    ],
+    reported=True,
+    load_in_vra=True,
+)
+@example(
+    # Every holder of m2 withdrawn, then one re-advertised: a decide that
+    # raises, twice, then one that routes.
+    steps=[
+        ("decide", 0, 1, 0), ("title", 1, 1), ("title", 5, 1), ("decide", 0, 1, 0),
+        ("decide", 0, 1, 1), ("title", 5, 1), ("decide", 0, 1, 1), ("flip", 0),
+        ("decide", 0, 1, 0),
+    ],
+    reported=False,
+    load_in_vra=False,
+)
+@settings(max_examples=40, deadline=None)
+def test_pipeline_memo_answers_what_the_reference_path_does(steps, reported, load_in_vra):
+    plain, memoed = (
+        build_decider(compiled, reported, load_in_vra) for compiled in (False, True)
+    )
+    for service in (plain, memoed):
+        service.probes = []
+        for step in steps:
+            pipeline_step(service, step)
+            for probe in SWEEP:  # what every input move may have changed
+                decide_step(service, *probe)
+    assert memoed.probes == plain.probes
+    assert memoed.builtin.decision_count == plain.builtin.decision_count
+    assert decision_instruments(memoed) == decision_instruments(plain)
+    obs = memoed.obs
+    assert (
+        obs.counter("decision.hits").value + obs.counter("decision.misses").value
+        == obs.counter("vra.decisions").value
+    )
+    assert plain.obs.counter("decision.hits").value == 0
+    assert plain.obs.counter("decision.misses").value == 0
