@@ -477,23 +477,20 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/network/test_topology.py::TestLookup::test_has_link_between",
       "tests/network/test_topology.py::TestAnalysis::test_empty_topology_is_connected"]),
     ("fault", "telemetry guards: a disabled registry hands out no-ops and summarises "
-     "in one line, a repeated registration returns the first instrument, a "
-     "non-finite sample is spelled as json does, and a tuple attribute is "
-     "made JSON-ready",
+     "in one line, a repeated registration returns the first instrument, and a "
+     "non-finite sample is spelled as json does",
      ["obs/registry.py::MetricsRegistry.gauge::if not self.enabled",
       "obs/registry.py::MetricsRegistry.gauge::if existing is not None",
       "obs/registry.py::MetricsRegistry._get_or_create::if existing is not None",
       "obs/export.py::summarize_telemetry::if not registry.enabled",
-      "obs/sink.py::JsonlTelemetrySink.sample_writer.write_sample::else of if time - time == 0.0 and value - value == 0.0",
-      "obs/spans.py::_jsonable::if isinstance(value, tuple)"],
+      "obs/sink.py::JsonlTelemetrySink.sample_writer.write_sample::else of if time - time == 0.0 and value - value == 0.0"],
      ["tests/obs/test_registry.py::TestDisabledRegistry::"
       "test_hands_out_shared_noops_and_registers_nothing",
       "tests/obs/test_registry.py::TestRegistry::"
       "test_gauge_callback_kept_from_first_registration",
       "tests/obs/test_registry.py::TestRegistry::test_label_order_does_not_matter",
       "tests/obs/test_export.py::TestSummary::test_disabled_registry_summary",
-      "tests/obs/test_sink.py::TestSampleWriter::test_same_artifact_as_one_write_per_sample",
-      "tests/obs/test_spans.py::TestExportShape::test_to_dict_is_json_ready"]),
+      "tests/obs/test_sink.py::TestSampleWriter::test_same_artifact_as_one_write_per_sample"]),
     ("fault", "the streamer's lifecycle guards: start and finish are idempotent, "
      "finish starts an unstarted stream, rows written before start are kept, "
      "and peak RSS reads 0 without the resource module and bytes on macOS",

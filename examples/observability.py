@@ -5,7 +5,8 @@ Runs the quickstart workload with ``observability=True`` so the unified
 telemetry layer is live: a metrics registry of counters/gauges/histograms,
 a sim-time sampler writing each snapshot as ``sample`` rows, and one
 session span per client request, written as a ``span`` row when it
-closes: the request's one trail.  A
+closes: the request's one trail, its per-cluster columns read from the
+session record.  A
 :class:`~repro.obs.stream.StreamingTelemetry` writes the run into one
 in-memory row stream.  Afterwards the script prints the operator summary
 read from that stream, a link-utilisation sparkline timeline, and the
@@ -94,12 +95,16 @@ def main() -> None:
         state = "cached" if cached else "evicted/remote"
         print(f"  {uid} {title_id:<10} {points:3d} points  [{state}]")
 
+    # A span row's cluster columns hold one entry per VRA decision: the
+    # cluster it delivered (read from the session record) and the
+    # decision's cost, served-locally flag and routing epoch.
     spans = [row for row in sink.rows if row["kind"] == "span"]
     finished = sum(1 for row in spans if row["finished_at"] is not None)
+    switches = sum(row["clusters"]["switched"].count(True) for row in spans)
     print()
     print(
         f"spans: {len(spans)} sessions traced, {finished} finished, "
-        f"{sum(row['switch_count'] for row in spans)} mid-stream switches"
+        f"{switches} mid-stream switches"
     )
 
 

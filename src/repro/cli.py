@@ -187,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = commands.add_parser(
-        "simulate", help="run a service-level workload on GRNET and print metrics"
+        "simulate", help="run a service-level workload on GRNET and print metrics",
+        description="Run a service-level workload on GRNET and print metrics.  "
+                    "The VRA routes on live ground-truth link usage "
+                    "(use_reported_stats=False), not on the latest SNMP sample "
+                    "that ServiceConfig defaults to.",
     )
     simulate.add_argument("--placement", default="dma",
                           choices=list(PLACEMENT_KINDS),

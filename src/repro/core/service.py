@@ -195,12 +195,10 @@ class _RequestObserver(SessionObserver):
 
     __slots__ = ("service", "span", "home_server", "dma_stored")
 
-    def __init__(
-        self, service: "VoDService", span: Optional[SessionSpan],
-        home_server: VideoServer, dma_stored: bool,
-    ):
+    def __init__(self, service: "VoDService", home_server: VideoServer, dma_stored: bool):
         self.service = service
-        self.span = span
+        #: The request's span, set at submit when observability is on.
+        self.span: Optional[SessionSpan] = None
         self.home_server = home_server
         self.dma_stored = dma_stored
 
@@ -209,20 +207,6 @@ class _RequestObserver(SessionObserver):
         service._m_clusters.inc()
         if record.switched:
             service._m_switches.inc()
-        span = self.span
-        if span is None:
-            return
-        if record.switched:
-            span.add(record.start, "switch", cluster=record.index, to_server=record.server_uid)
-        span.add(
-            record.end,
-            "cluster.delivered",
-            index=record.index,
-            server_uid=record.server_uid,
-            rate_mbps=record.rate_mbps,
-            size_mb=record.size_mb,
-            qos_violated=record.qos_violated,
-        )
 
     def retry(self, wait_s: float) -> None:
         self.service._m_retries.inc()
@@ -744,7 +728,7 @@ class VoDService:
         write it, as its ``span`` row, into the run's sink; the service
         keeps nothing of it."""
         span.finish(self.sim.now, status, **outcome)
-        self.open_spans.pop(span.request_id, None)
+        self.open_spans.pop(span.record.request.request_id, None)
         self.telemetry.sink.write({"kind": "span", **span.to_dict()})
 
     # ------------------------------------------------------------------ #
@@ -802,16 +786,13 @@ class VoDService:
         dma_result = home_server.on_download_begins(video)
         dma_stored = dma_result.cached and dma_result.action.value != "hit"
         self._m_requests.inc()
+        observer = _RequestObserver(self, home_server, dma_stored)
+        session = self._build_session(request, video, observer)
+        self.sessions.append(session.record)
         span: Optional[SessionSpan] = None
         if self._obs_enabled:
-            span = SessionSpan(
-                request_id=request.request_id,
-                client_id=client_id,
-                title_id=title_id,
-                home_uid=home_uid,
-                started_at=self.sim.now,
-            )
-            self.open_spans[span.request_id] = span
+            span = observer.span = SessionSpan(session.record)
+            self.open_spans[request.request_id] = span
             span.add(
                 self.sim.now,
                 "submitted",
@@ -820,9 +801,6 @@ class VoDService:
                 dma_evicted=list(dma_result.evicted),
                 dma_resident_fraction=dma_result.resident_fraction,
             )
-        observer = _RequestObserver(self, span, home_server, dma_stored)
-        session = self._build_session(request, video, observer)
-        self.sessions.append(session.record)
 
         # What can be settled at submit is settled here; the rest runs in
         # the request's one process (_admit), named after how it began.
@@ -909,10 +887,10 @@ class VoDService:
         decide = lambda cluster: self.decide(home_uid, title_id, cluster)  # noqa: E731
         if self.decide_wrapper is not None:
             decide = self.decide_wrapper(decide)
-        if observer.span is not None:
+        if self._obs_enabled:
             # Wrap *outside* decide_wrapper so the span sees the decision
             # the session actually uses (e.g. NeverSwitch's frozen one).
-            decide = self._span_decide(decide, observer.span)
+            decide = self._span_decide(decide, observer)
         return StreamingSession(
             sim=self.sim,
             request=request,
@@ -926,19 +904,18 @@ class VoDService:
             observer=observer,
         )
 
-    def _span_decide(self, decide: DecideFn, span: SessionSpan) -> DecideFn:
-        """Record each per-cluster VRA decision into the session span."""
+    def _span_decide(self, decide: DecideFn, observer: _RequestObserver) -> DecideFn:
+        """Note each per-cluster VRA decision the session uses on the
+        request's span, as one tuple (its cluster columns come from the
+        session record when the span row is written)."""
 
         def wrapped(cluster: int) -> VraDecision:
             decision = decide(cluster)
-            span.add(
-                self.sim.now,
-                "vra.decision",
-                chosen_uid=decision.chosen_uid,
-                cost=decision.cost,
-                served_locally=decision.served_locally,
-                epoch=list(self.routing_epoch()),
-            )
+            span = observer.span
+            span.decisions.append((
+                len(span.record.clusters), decision.cost, decision.served_locally,
+                self.routing_epoch(),
+            ))
             return decision
 
         return wrapped

@@ -46,6 +46,9 @@ def session_fingerprint(records: Sequence[SessionRecord]) -> str:
     Two runs are byte-identical in the replay-gate sense exactly when
     their fingerprints match: every cluster's source, path, timing, size
     and QoS flag plus every session's aggregate metrics are folded in.
+    A session's failover count and stall enter only when it failed
+    over, so a record without one hashes as it did before they were
+    folded in (and the pinned fingerprints of failover-free runs hold).
     """
     canonical = [
         {
@@ -76,6 +79,11 @@ def session_fingerprint(records: Sequence[SessionRecord]) -> str:
                 ]
                 for c in r.clusters
             ],
+            **(
+                {"failovers": r.failover_count, "failover_stall_s": r.failover_stall_s}
+                if r.failover_count
+                else {}
+            ),
         }
         for r in records
     ]

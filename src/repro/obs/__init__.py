@@ -11,9 +11,10 @@ Three cooperating pieces turn a service run into measurable telemetry:
   every registered gauge and writing each snapshot, when it takes it, as
   ``sample`` rows into the run's sink.
 * :mod:`repro.obs.spans` — per-request session spans, the one trail of
-  a request: its submission and DMA pass, each VRA decision (with its
-  routing epoch), per-cluster deliveries, mid-stream switches and the
-  outcome.
+  a request, written as one ``span`` row: its submission and DMA pass,
+  one column entry per VRA decision (cost, routing epoch and the
+  cluster it delivered, read from the session record), its failovers
+  and the outcome.
 
 Every row a run records reaches a file or memory through one
 :class:`~repro.obs.sink.TelemetrySink` (JSONL, CSV or

@@ -113,8 +113,8 @@ def summarize_telemetry(
     spans = rows.get("span", [])
     if spans:
         finished = sum(1 for row in spans if row["finished_at"] is not None)
-        switches = sum(row["switch_count"] for row in spans)
-        decisions = sum(row["decision_count"] for row in spans)
+        switches = sum(row["clusters"]["switched"].count(True) for row in spans)
+        decisions = sum(len(row["clusters"]["cost"]) for row in spans)
         lines.append(
             f"spans: {len(spans)} sessions ({finished} finished), "
             f"{decisions} VRA decisions, {switches} switches"

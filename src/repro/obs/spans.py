@@ -1,16 +1,34 @@
 """Per-request session spans.
 
-A :class:`SessionSpan` follows one client request end to end: submission,
-the DMA pass, every VRA decision (with its routing epoch), every cluster
-delivery, every mid-stream switch, and the final outcome.  A span keeps
-its events together per request; it reaches the telemetry stream once,
-as one ``span`` row (:meth:`SessionSpan.to_dict`) when it closes.
+A :class:`SessionSpan` is the telemetry trail of one client request.  Its
+one ``span`` row (:meth:`SessionSpan.to_dict`), written when the span
+closes (or by the streamer's ``finish()`` while it is still open), reads
+its per-cluster columns from the request's
+:class:`~repro.core.session.SessionRecord`.  The span keeps only what the
+record does not: one tuple per VRA decision the session used, and the
+live events ``submitted`` (the home's DMA pass), ``queued`` (the
+admission wait), ``failover`` (each migration's stall) and ``finished``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # repro.core imports repro.obs: no runtime import back
+    from repro.core.session import SessionRecord
+
+#: The span row's ``clusters`` columns, one entry per decision the session
+#: used: the :class:`~repro.core.session.ClusterRecord` fields of the
+#: segment it booked (None where the segment delivered nothing: preempted
+#: at once, failed, or still in flight), then the decision's own three.
+CLUSTER_COLUMNS = (
+    "index", "server_uid", "start", "end", "rate_mbps", "size_mb",
+    "qos_violated", "switched",
+    "cost", "served_locally", "epoch",
+)
+
+_NO_CLUSTER = (None,) * 8
 
 
 @dataclass(frozen=True)
@@ -19,8 +37,8 @@ class SpanEvent:
 
     Attributes:
         time: Simulated time of the event.
-        kind: Event kind (``"vra.decision"``, ``"cluster.delivered"``,
-            ``"switch"``, ``"finished"``, ...).
+        kind: Event kind (``"submitted"``, ``"queued"``, ``"failover"``
+            or ``"finished"``).
         attrs: Structured payload.
     """
 
@@ -38,22 +56,21 @@ class SessionSpan:
     while it is open.
 
     Attributes:
-        request_id: The request's unique id.
-        client_id: The requesting client.
-        title_id: The requested title.
-        home_uid: The client's home server.
-        started_at: Simulated submission time.
-        events: Recorded events, in order.
+        record: The request's session record (ids, submission time and
+            the delivered clusters are read from it).
+        events: The live events, in order.
+        decisions: One ``(len(record.clusters) when decided, cost,
+            served_locally, routing epoch)`` tuple per decision the
+            session used, in order.
         finished_at: Simulated completion time (None while running).
         status: Final request status (None while running).
     """
 
-    request_id: int
-    client_id: str
-    title_id: str
-    home_uid: str
-    started_at: float
+    record: "SessionRecord"
     events: List[SpanEvent] = field(default_factory=list)
+    decisions: List[Tuple[int, float, bool, Tuple[object, ...]]] = field(
+        default_factory=list
+    )
     finished_at: Optional[float] = None
     status: Optional[str] = None
 
@@ -71,59 +88,37 @@ class SessionSpan:
         self.status = status
         self.add(time, "finished", status=status, **outcome)
 
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def events_of(self, kind: str) -> List[SpanEvent]:
-        """Events of one kind, in order."""
-        return [event for event in self.events if event.kind == kind]
-
-    @property
-    def decision_count(self) -> int:
-        """VRA decisions taken for this request."""
-        return len(self.events_of("vra.decision"))
-
-    @property
-    def switch_count(self) -> int:
-        """Mid-stream server switches recorded."""
-        return len(self.events_of("switch"))
-
-    @property
-    def servers_used(self) -> List[str]:
-        """Distinct cluster source servers, in first-use order."""
-        seen: List[str] = []
-        for event in self.events_of("cluster.delivered"):
-            uid = event.attrs.get("server_uid")
-            if isinstance(uid, str) and uid not in seen:
-                seen.append(uid)
-        return seen
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation (the body of the ``span`` row)."""
+        request = self.record.request
         return {
-            "request_id": self.request_id,
-            "client_id": self.client_id,
-            "title_id": self.title_id,
-            "home_uid": self.home_uid,
-            "started_at": self.started_at,
+            "request_id": request.request_id,
+            "client_id": request.client_id,
+            "title_id": request.title_id,
+            "home_uid": request.home_uid,
+            "started_at": request.submitted_at,
             "finished_at": self.finished_at,
             "status": self.status,
-            "decision_count": self.decision_count,
-            "switch_count": self.switch_count,
-            "servers_used": self.servers_used,
-            "events": [
-                {"time": e.time, "kind": e.kind, **_jsonable(e.attrs)}
-                for e in self.events
-            ],
+            "clusters": self._columns(),
+            "events": [{"time": e.time, "kind": e.kind, **e.attrs} for e in self.events],
         }
 
+    def _columns(self) -> Dict[str, list]:
+        """:data:`CLUSTER_COLUMNS`, each a list with one entry per decision.
 
-def _jsonable(attrs: Dict[str, object]) -> Dict[str, object]:
-    """Coerce payload values JSON can't represent (tuples) to lists."""
-    out: Dict[str, object] = {}
-    for key, value in attrs.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+        A decision's segment booked ``clusters[booked]`` exactly when the
+        next decision (or the end) found more clusters booked than it did.
+        """
+        clusters = self.record.clusters
+        decisions = self.decisions
+        following = [booked for booked, *_ in decisions[1:]] + [len(clusters)]
+        entries = []
+        for (booked, cost, local, epoch), later in zip(decisions, following):
+            c = clusters[booked] if later > booked else None
+            head = _NO_CLUSTER if c is None else (
+                c.index, c.server_uid, c.start, c.end, c.rate_mbps, c.size_mb,
+                c.qos_violated, c.switched,
+            )
+            entries.append((*head, cost, local, list(epoch)))
+        columns = zip(*entries) if entries else [()] * len(CLUSTER_COLUMNS)
+        return {name: list(column) for name, column in zip(CLUSTER_COLUMNS, columns)}

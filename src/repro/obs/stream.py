@@ -41,7 +41,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None  # type: ignore[assignment]
 
 #: Manifest layout version; bump on incompatible schema changes.
-MANIFEST_SCHEMA = 4
+MANIFEST_SCHEMA = 5
 
 
 def peak_rss_kb() -> float:

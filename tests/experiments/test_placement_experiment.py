@@ -66,7 +66,7 @@ class TestFingerprint:
         from repro.client.requests import VideoRequest
         from repro.core.session import SessionRecord
 
-        def record(startup: float) -> SessionRecord:
+        def record(startup: float, failovers: int = 0) -> SessionRecord:
             return SessionRecord(
                 request=VideoRequest(
                     client_id="c1",
@@ -75,6 +75,7 @@ class TestFingerprint:
                     submitted_at=0.0,
                 ),
                 startup_delay_s=startup,
+                failover_count=failovers,
             )
 
         assert session_fingerprint([record(1.0)]) == session_fingerprint(
@@ -82,6 +83,13 @@ class TestFingerprint:
         )
         assert session_fingerprint([record(1.0)]) != session_fingerprint(
             [record(2.0)]
+        )
+        # Two runs that differ only in failover are told apart.
+        assert session_fingerprint([record(1.0, failovers=1)]) != session_fingerprint(
+            [record(1.0)]
+        )
+        assert session_fingerprint([record(1.0, failovers=1)]) != session_fingerprint(
+            [record(1.0, failovers=2)]
         )
 
     def test_outcomes_carry_fingerprints(self, comparison):

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+from repro.client.requests import VideoRequest
+from repro.core.session import SessionRecord
 from repro.obs.export import summarize_telemetry, telemetry_rows
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TelemetrySampler
@@ -31,9 +33,10 @@ def make_run():
     sampler = TelemetrySampler(sim, registry, period_s=10.0)
     sampler.start()
     sim.run(until=20.0)
-    span = SessionSpan(
-        request_id=1, client_id="c", title_id="t", home_uid="U1", started_at=0.0
+    request = VideoRequest(
+        request_id=1, client_id="c", home_uid="U1", title_id="t", submitted_at=0.0
     )
+    span = SessionSpan(SessionRecord(request=request))
     span.add(0.0, "submitted")
     span.finish(5.0, "completed")
     return registry, sampler, [span]

@@ -9,8 +9,9 @@ before a session's retry and failover waits became one loop; a refactor
 must leave every one of them unchanged:
 
 * the session fingerprint (every record, reason and cluster);
-* each span row's event kinds, in submission order (the span is a
-  request's one trail);
+* each span row's event kinds and its number of decisions (entries of
+  its cluster columns), in submission order (the span is a request's
+  one trail);
 * the name of each request's one process (request ids read ``#``);
 * ``sim.events_fired``.
 """
@@ -22,17 +23,18 @@ from repro.experiments.placement import session_fingerprint
 from repro.network.grnet import apply_traffic_sample, build_grnet_topology
 from repro.obs.export import telemetry_rows
 
-#: The event kinds of the served spans.
-SERVED = ("submitted", "vra.decision", "cluster.delivered", "vra.decision",
-          "cluster.delivered", "finished")
-QUEUED_THEN_SERVED = ("submitted", "queued", "vra.decision", "cluster.delivered", "finished")
+#: The event kinds of the served spans.  Their decisions, switches and
+#: deliveries are the row's cluster columns, not events, since the span
+#: row is written from the session record.
+SERVED = ("submitted", "finished")
+QUEUED_THEN_SERVED = ("submitted", "queued", "finished")
 
 
 class Pin(NamedTuple):
     fingerprint: str
     events_fired: int
     processes: Tuple[str, ...]
-    span_kinds: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
+    span_kinds: Tuple[Tuple[str, str, Tuple[str, ...], int], ...]
 
 
 PIN = Pin(
@@ -40,12 +42,12 @@ PIN = Pin(
     events_fired=239,
     processes=("session:a:m", "queued:#", "shed:#", "blocked:#", "session:e:m", "queued:#"),
     span_kinds=(
-        ("a", "completed", SERVED),
-        ("b", "failed", QUEUED_THEN_SERVED),
-        ("c", "failed", ("submitted", "finished")),
-        ("d", "failed", ("submitted", "finished")),
-        ("e", "completed", SERVED),
-        ("f", "failed", ("submitted", "queued", "finished")),
+        ("a", "completed", SERVED, 2),
+        ("b", "failed", QUEUED_THEN_SERVED, 1),
+        ("c", "failed", ("submitted", "finished"), 0),
+        ("d", "failed", ("submitted", "finished"), 0),
+        ("e", "completed", SERVED, 2),
+        ("f", "failed", ("submitted", "queued", "finished"), 0),
     ),
 )
 
@@ -79,7 +81,8 @@ def run_every_ending() -> Pin:
         events_fired=service.sim.events_fired,
         processes=tuple(processes),
         span_kinds=tuple(
-            (row["client_id"], row["status"], tuple(e["kind"] for e in row["events"]))
+            (row["client_id"], row["status"], tuple(e["kind"] for e in row["events"]),
+             len(row["clusters"]["cost"]))
             for row in sorted(spans, key=lambda row: row["request_id"])
         ),
     )

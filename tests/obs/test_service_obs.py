@@ -82,14 +82,16 @@ class TestEnabled:
         assert span["finished_at"] is not None
         assert span["status"] == "completed"
         assert span["home_uid"] == "U2"
-        assert span["decision_count"] == 2  # one per 100 MB cluster
-        assert span["servers_used"] == ["U4"]
-        decision = next(e for e in span["events"] if e["kind"] == "vra.decision")
-        assert decision["chosen_uid"] == "U4"
-        assert isinstance(decision["epoch"], list)
+        columns = span["clusters"]
+        assert len(columns["cost"]) == 2  # one decision per 100 MB cluster
+        assert columns["server_uid"] == ["U4", "U4"]
+        assert columns["index"] == [0, 1]
+        assert all(isinstance(epoch, list) for epoch in columns["epoch"])
+        # What the session record books is not booked again as events.
+        assert [e["kind"] for e in span["events"]] == ["submitted", "finished"]
         # No wall-clock values in the span, and it is the request's one
         # trail: the row stream holds no other per-request rows.
-        assert "latency_ms" not in decision
+        assert "latency_ms" not in columns
         assert {row["kind"] for row in service.telemetry.sink.rows} == {"sample", "span"}
 
     def test_per_server_labeled_counters(self, grnet_8am):

@@ -358,10 +358,10 @@ class TestObs:
         assert main(self.FAST + ["--trace-out", str(path)]) == 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0]["kind"] == "manifest" and rows[-1]["kind"] == "footer"
-        # The span is a request's one trail: each VRA decision is one of
-        # its events.
+        # The span is a request's one trail: each VRA decision is one
+        # entry of its cluster columns.
         assert {r["kind"] for r in rows[1:-1]} == {"span"}
-        assert any(e["kind"] == "vra.decision" for r in rows[1:-1] for e in r["events"])
+        assert any(r["clusters"]["cost"] for r in rows[1:-1])
 
     def test_same_seed_runs_replay_byte_identically(self, capsys, tmp_path):
         """Two same-seed runs in one process stream the same bytes: no
