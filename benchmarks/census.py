@@ -217,7 +217,7 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
       "test_candidate_paths_span_every_reachable_node"]),
     # -- fault: error, validation and fault handlers
     ("fault", "builds the SchedulingError of a bad delay or event time",
-     ["sim/engine.py::_bad_delay", "sim/engine.py::Simulator._bad_time"],
+     ["sim/engine.py::bad_delay", "sim/engine.py::Simulator._bad_time"],
      ["tests/sim/test_engine.py::TestScheduling::test_negative_delay_rejected",
       "tests/sim/test_engine.py::TestScheduling::test_schedule_at_non_finite_time_rejected"]),
     ("fault", "sweeps cancelled events once they crowd the heap",
@@ -244,15 +244,16 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      ["tests/server/test_video_server.py::TestDeferredAdvertisement::"
       "test_abort_drops_partial_bytes"]),
     # -- reference: oracles the tests compare the production path against
-    ("reference", "the single-step engine the engine-equivalence properties "
-     "compare run() against, and the event an ordering test reads the key of",
+    ("reference", "single steps the engine-equivalence properties compare "
+     "run() and the one-heap reference against, and the event an ordering test "
+     "reads the key of",
      ["sim/engine.py::Simulator.step", "sim/engine.py::Simulator.peek",
-      "sim/engine.py::Simulator._drop_cancelled", "sim/engine.py::Simulator.stop",
+      "sim/engine.py::Simulator._head", "sim/engine.py::Simulator.stop",
       "sim/engine.py::EventHandle.event", "sim/engine.py::EventHandle.cancelled",
       "sim/engine.py::EventHandle.fired", "sim/events.py::Event.key"],
      ["tests/properties/test_engine_equivalence_props.py::test_run_is_a_loop_of_step",
       "tests/properties/test_engine_equivalence_props.py::"
-      "test_step_returns_the_event_that_fired_when_its_callback_rearms",
+      "test_step_returns_the_event_that_fired_when_its_callback_returns_a_step",
       "tests/sim/test_engine_batch.py::TestEventKey::"
       "test_engine_orders_by_the_key_of_the_event_it_returns"]),
     ("reference", "processes that are interrupted or poked: the "
@@ -514,7 +515,7 @@ REASONS: List[Tuple[str, str, List[str], List[str]]] = [
      "late resume of a finished process, and a second start of a periodic "
      "task",
      ["sim/engine.py::EventHandle.cancel::if not self.pending",
-      "sim/engine.py::Simulator._note_cancel::if len(heap) >= COMPACTION_FLOOR and len(heap) - self._pending > self._pending",
+      "sim/engine.py::Simulator._note_cancel::if depth >= COMPACTION_FLOOR and depth - self._pending > self._pending",
       "sim/process.py::Process._resume::if self._finished",
       "sim/timers.py::PeriodicTask.start::if self._running"],
      ["tests/sim/test_engine.py::TestCancellation::test_double_cancel_returns_false",

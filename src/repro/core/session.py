@@ -15,8 +15,9 @@ stalls) so the QoS effect of switching is measurable.
 The generator wakes once per cluster segment, not once per rate-update
 step: it yields a :class:`_Transfer`, which steps itself on the engine
 (release, measure the path, reserve what it offers, sleep up to
-``rate_update_period_s``) and resumes the session only when the segment is
-delivered or a failover supervisor preempted it (DESIGN.md §5b.11).
+``rate_update_period_s``) on one stepping handle the engine re-arms, and
+resumes the session only when the segment is delivered or a failover
+supervisor preempted it (DESIGN.md §5b.11).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.vra import VraDecision
 from repro.errors import ReproError, RoutingError
 from repro.network.flows import FlowManager
 from repro.server.video_server import VideoServer
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator, bad_delay
 from repro.sim.process import Delay, Park, Process
 from repro.storage.striping import cluster_sizes
 from repro.storage.video import VideoTitle
@@ -180,14 +181,16 @@ NO_OBSERVER = SessionObserver()
 class _Transfer(Park):
     """One segment of a cluster in flight: a reservation that steps itself.
 
-    A session yields the transfer and sleeps.  :meth:`_tick` is the event
+    A session yields the transfer and sleeps.  :meth:`_advance` is the
     callback of every rate-update step: it credits the step that ended,
-    gives the reservation back, and either takes the rate the path offers
-    now and sleeps until the next tick, or — the segment delivered, or
-    preempted — resumes the session in the same event.  So a step costs no
-    generator wake-up, and the events are those the session would have
-    scheduled itself, one ``delay:<process>`` a step, all on one handle
-    that each step re-arms until a cut (:meth:`settle`) lets it go.  A
+    gives the reservation back, and either returns the next step at the
+    rate the path offers now (the engine re-arms its stepping handle by
+    it), or — the segment delivered, or preempted — resumes the session
+    in the same event.  :meth:`_tick`, the cut path (the first step, a
+    poke, a preemption), settles a step cut short and starts the next on
+    a fresh handle.  So a step costs no generator wake-up, and the events
+    are those the session would have scheduled itself, one
+    ``delay:<process>`` a step.  A
     :class:`~repro.errors.ReproError` in a step (a path that crosses a
     link twice, a NaN step) is raised in the session at its ``yield``, so
     that session fails and the run goes on.
@@ -204,7 +207,7 @@ class _Transfer(Park):
     __slots__ = (
         "server_uid", "title_id", "cluster", "links", "remaining", "min_rate", "reason",
         "_sim", "_flows", "_path", "_target_mbps", "_quantum", "_by_elapsed",
-        "_process", "_rate", "_step", "_started", "_flow", "_handle", "__weakref__",
+        "_process", "_rate", "_step", "_started", "_flow", "__weakref__",
     )
 
     def __init__(
@@ -234,12 +237,10 @@ class _Transfer(Park):
         # The step in flight (_step and _started are set with _rate).
         self._rate: Optional[float] = None
         self._flow = None
-        # The tick's handle; None before the first step and after a cut.
-        self._handle: Optional[EventHandle] = None
 
     def _park(self, process: Process) -> None:
         self._process = process
-        self._tick(True)
+        self._tick()
 
     def preempt(self, reason: str) -> None:
         """Abandon the segment now: the pending tick is cancelled and one
@@ -252,34 +253,51 @@ class _Transfer(Park):
             handle = process._pending_handle
             if handle is not None and handle.cancel():
                 process._pending_handle = self._sim.schedule(
-                    0.0, self._tick, True, name=f"poke:{process.name}"
+                    0.0, self._tick, name=f"poke:{process.name}"
                 )
 
-    def settle(self, cut: bool) -> None:
+    def settle(self) -> None:
         """Credit the step in flight, if any, and release its reservation.
-        ``cut``: the step may have ended early (a poke, a preemption, the
-        generator closing), so only the elapsed time is credited, and the
-        tick's handle, cancelled or done with, is dropped."""
-        if cut:
-            self._handle = None
+        The step may have been cut short (a poke, a preemption, the
+        generator closing), so only the elapsed time is credited."""
         rate = self._rate
         if rate is None:
             return
         self._rate = None
-        step = self._step
-        if cut or self._by_elapsed:
-            step = min(self._sim.now - self._started, step)
-        self.remaining -= rate * step / 8.0
+        self.remaining -= rate * min(self._sim.now - self._started, self._step) / 8.0
         if self._flow is not None:
             self._flows.release(self._flow)
             self._flow = None
 
-    def _tick(self, cut: bool = False) -> None:
-        self.settle(cut)
-        process = self._process
-        if self.remaining <= 1e-9 or self.reason is not None:
-            process._resume(None)
-            return
+    def _tick(self) -> None:
+        """The cut path: settle the step cut short, start the next afresh."""
+        self.settle()
+        step = self._advance()
+        if step is not None:
+            process = self._process
+            process._pending_handle = self._sim.schedule(
+                step, self._advance, name=process._delay_name, stepping=True
+            )
+
+    def _advance(self) -> Optional[float]:
+        """The stepping handle's callback: credit the step that ended and
+        return the next one, or None once the session resumed."""
+        now = self._sim.now
+        remaining = self.remaining
+        rate = self._rate
+        if rate is not None:  # the step ran whole
+            self._rate = None
+            step = self._step
+            if self._by_elapsed:
+                step = min(now - self._started, step)
+            remaining -= rate * step / 8.0
+            self.remaining = remaining
+            if self._flow is not None:
+                self._flows.release(self._flow)
+                self._flow = None
+        if remaining <= 1e-9 or self.reason is not None:
+            self._process._resume(None)
+            return None
         # Remote serves degrade to the bottleneck's spare capacity, never
         # below MIN_TRANSFER_MBPS: with less than the floor to spare the
         # session crawls at the floor rate without a reservation.
@@ -306,20 +324,18 @@ class _Transfer(Park):
                     self._flow = self._flows.reserve(self._path, rate)
             if rate < self.min_rate:
                 self.min_rate = rate
-            step = self.remaining * 8.0 / rate
+            step = remaining * 8.0 / rate
             if step > self._quantum:
                 step = self._quantum
             self._rate = rate
             self._step = step
-            sim = self._sim
-            self._started = sim.now
-            if cut:  # the first step, or the first after a poke
-                self._handle = sim.schedule(step, self._tick, name=process._delay_name)
-            else:  # called by the handle that just fired
-                sim.rearm(self._handle, step)
-            process._pending_handle = self._handle
+            self._started = now
+            if not (0.0 <= step < _INF):  # the engine re-arms unchecked
+                raise bad_delay(step)
         except ReproError as exc:  # a bad path, or a NaN or negative step
-            process._resume(exc, True)
+            self._process._resume(exc, True)
+            return None
+        return step
 
 
 class StreamingSession:
@@ -456,7 +472,7 @@ class StreamingSession:
             finally:
                 if control is not None:
                     control.untrack(transfer)
-                transfer.settle(True)
+                transfer.settle()
                 if lease is not None:
                     server.end_serving(lease)
             end = self._sim.now

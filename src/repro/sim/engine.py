@@ -1,7 +1,8 @@
 """The discrete-event simulation engine.
 
 :class:`Simulator` maintains a binary heap of scheduled events (each one
-an :class:`EventHandle`) and a simulated clock.  Everything in the
+an :class:`EventHandle`), a FIFO lane beside it for the re-arms of
+stepping handles, and a simulated clock.  Everything in the
 reproduction — SNMP collector periods, video cluster transfer completions,
 client arrivals — is driven by this one loop, which keeps runs fully
 deterministic for a given seed and schedule.
@@ -9,8 +10,9 @@ deterministic for a given seed and schedule.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event
@@ -26,7 +28,8 @@ _INF = float("inf")
 HeapEntry = Tuple[float, int, "EventHandle"]
 
 
-def _bad_delay(delay: Any) -> SchedulingError:
+def bad_delay(delay: Any) -> SchedulingError:
+    """The error for a negative or non-finite delay."""
     if delay == _INF:
         return SchedulingError("delay must be finite")
     return SchedulingError(f"delay must be non-negative and finite, got {delay!r}")
@@ -36,16 +39,19 @@ class EventHandle:
     """A scheduled event, as :meth:`Simulator.schedule` returns it.
 
     The handle *is* the event (``time, seq, callback, args, name``);
-    :attr:`event` builds the immutable :class:`Event` value on demand, and
-    :meth:`Simulator.rearm` pushes a fired handle again.  Cancelling is
-    O(1): the handle is flagged and the engine discards the event when it
-    reaches the top of the heap.
+    :attr:`event` builds the immutable :class:`Event` value on demand.  The
+    engine re-arms a *stepping* handle by the delay its callback returns,
+    as a fresh ``schedule`` would fire it (None: it is done).  Cancelling
+    is O(1): the handle is flagged and the engine discards the event when
+    it reaches the top of the queues.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "name", "_cancelled", "_fired", "_sim")
+    __slots__ = (
+        "time", "seq", "callback", "args", "name", "_cancelled", "_fired", "_stepping", "_sim",
+    )
 
     def __init__(self, time: float, seq: int, callback: Callable[..., Any],
-                 args: Tuple[Any, ...], name: str, sim: "Simulator"):
+                 args: Tuple[Any, ...], name: str, sim: "Simulator", stepping: bool = False):
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -53,6 +59,7 @@ class EventHandle:
         self.name = name
         self._cancelled = False
         self._fired = False
+        self._stepping = stepping
         self._sim = sim
 
     @property
@@ -67,12 +74,12 @@ class EventHandle:
 
     @property
     def fired(self) -> bool:
-        """True once the event's callback has run (and it was not re-armed)."""
+        """True once the event's callback has run (and no step re-armed it)."""
         return self._fired
 
     @property
     def pending(self) -> bool:
-        """True while the event is still waiting in the heap."""
+        """True while the event is still waiting to fire."""
         return not (self._cancelled or self._fired)
 
     def cancel(self) -> bool:
@@ -105,6 +112,8 @@ class Simulator:
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: List[HeapEntry] = []
+        #: Re-arms not earlier than its tail, so in ``(time, seq)`` order.
+        self._lane: Deque[HeapEntry] = deque()
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -140,13 +149,13 @@ class Simulator:
 
     @property
     def heap_depth(self) -> int:
-        """Raw heap length, cancelled carcasses included.
+        """Raw length of the heap and the lane, cancelled carcasses included.
 
         Telemetry gauge: ``heap_depth - pending_count`` is the number of
-        cancelled events still waiting to be swept off the heap, which is
+        cancelled events still waiting to be swept off the queues, which is
         the engine's memory overhead from cancellation-heavy workloads.
         """
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     @property
     def compactions(self) -> int:
@@ -168,6 +177,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         name: str = "",
+        stepping: bool = False,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` from now.
 
@@ -176,16 +186,18 @@ class Simulator:
             callback: Callable invoked when the event fires.
             *args: Positional arguments stored with the event.
             name: Optional label used in error messages and traces.
+            stepping: Re-arm the handle, with a fresh ``seq``, by the delay
+                its callback returns: non-negative and finite, or None.
 
         Returns:
-            The event's handle; once fired, :meth:`rearm` can push it again.
+            The event's handle.
 
         Raises:
             SchedulingError: If ``delay`` is negative or not finite.
         """
         if not (0.0 <= delay < _INF):  # also rejects NaN
-            raise _bad_delay(delay)
-        return self._push(self._now + float(delay), callback, args, name)
+            raise bad_delay(delay)
+        return self._push(self._now + float(delay), callback, args, name, stepping)
 
     def schedule_at(
         self,
@@ -206,33 +218,13 @@ class Simulator:
         return self._push(float(time), callback, args, name)
 
     def _push(
-        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...], name: str
+        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...], name: str,
+        stepping: bool = False,
     ) -> EventHandle:
         """Put one validated event on the heap."""
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, name, self)
-        heappush(self._heap, (time, seq, handle))
-        self._pending += 1
-        return handle
-
-    def rearm(self, handle: EventHandle, delay: float) -> EventHandle:
-        """Push a *fired* handle again, to fire ``delay`` from now, with a
-        fresh ``seq`` from :meth:`schedule`'s counter: the firing order of a
-        fresh ``schedule`` of the same callback, without a new handle.
-
-        Raises:
-            SchedulingError: If ``delay`` is negative or not finite.
-            SimulationError: If the handle is pending or cancelled.
-        """
-        if not (0.0 <= delay < _INF):  # also rejects NaN
-            raise _bad_delay(delay)
-        if not handle._fired:
-            raise SimulationError(f"cannot re-arm unfired event {handle.name or handle.callback!r}")
-        time = handle.time = self._now + float(delay)
-        seq = handle.seq = self._seq
-        self._seq = seq + 1
-        handle._fired = False
+        handle = EventHandle(time, seq, callback, args, name, self, stepping)
         heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
@@ -281,18 +273,20 @@ class Simulator:
         self._pending -= 1
         # Compact when carcasses outnumber live events: lazy top-sweeping
         # alone lets a cancellation-heavy workload (failover storms, poke
-        # churn) grow the heap with bodies that never reach the top.
-        heap = self._heap
-        if len(heap) >= COMPACTION_FLOOR and len(heap) - self._pending > self._pending:
+        # churn) grow the queues with bodies that never reach the top.
+        depth = len(self._heap) + len(self._lane)
+        if depth >= COMPACTION_FLOOR and depth - self._pending > self._pending:
             self._compact()
 
     def _compact(self) -> None:
-        heap = self._heap
-        live = [entry for entry in heap if not entry[2]._cancelled]
         # In-place so a running event loop holding a reference to the heap
-        # list keeps seeing the compacted state.
-        heap[:] = live
+        # list and the lane keeps seeing the compacted state.
+        heap, lane = self._heap, self._lane
+        heap[:] = [entry for entry in heap if not entry[2]._cancelled]
         heapify(heap)
+        live = [entry for entry in lane if not entry[2]._cancelled]
+        lane.clear()
+        lane.extend(live)
         self._compactions += 1
         if self.on_compaction is not None:
             self.on_compaction()
@@ -309,29 +303,22 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------ #
     def peek(self) -> Optional[float]:
-        """Time of the next pending event, or None if the heap is empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        """Time of the next pending event, or None if none is pending."""
+        head = self._head()
+        return None if head is None else head.time
 
     def step(self) -> Optional[Event]:
-        """Fire the single next pending event.
+        """Fire the single next pending event: :meth:`run` for one event.
 
         Returns:
-            The event that fired, or None if no pending events remain.
+            The event that fired (as it was before a stepping handle's
+            re-arm moved it), or None if no pending events remain.
         """
-        self._drop_cancelled()
-        if not self._heap:
+        head = self._head()
+        if head is None:
             return None
-        time, _, handle = heappop(self._heap)
-        self._now = time
-        handle._fired = True
-        self._pending -= 1
-        self._events_fired += 1
-        # Built first: a callback that re-arms the handle moves its seq.
-        event = handle.event
-        handle.callback(*handle.args)
+        event = head.event
+        self.run(max_events=1)
         return event
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -359,27 +346,54 @@ class Simulator:
         self._running = True
         self._stopped = False
         # One bound for both limits keeps the per-event test to a compare
-        # each; the heap alias survives compaction, which rebuilds in place.
+        # each; the queue aliases survive compaction, which works in place.
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
-        heap = self._heap
+        heap, lane = self._heap, self._lane
         fired = 0
         try:
-            # The body of step() inlined (sweep, pop, clock and counters,
-            # callback), so one event costs one heappop and one call; the
-            # engine's equivalence property holds the two to the same trace.
+            # Sweep, pop, clock and counters, callback, re-arm: a step of a
+            # stepping handle costs one lane pop, one call and one append.
+            # The equivalence property holds this loop (and step(), which
+            # runs it once) to a one-heap reference engine's trace.
             while not self._stopped:
-                while heap and heap[0][2]._cancelled:
+                if lane and (not heap or lane[0] < heap[0]):
+                    entry = lane.popleft()
+                    time, _, handle = entry
+                    if handle._cancelled:
+                        continue
+                    if time > horizon or fired >= budget:
+                        lane.appendleft(entry)
+                        break
+                elif heap:
+                    time, _, handle = heap[0]
+                    if handle._cancelled:
+                        heappop(heap)
+                        continue
+                    if time > horizon or fired >= budget:
+                        break
                     heappop(heap)
-                if not heap or heap[0][0] > horizon or fired >= budget:
+                else:
                     break
-                time, _, handle = heappop(heap)
                 self._now = time
                 handle._fired = True
                 self._pending -= 1
                 self._events_fired += 1
-                handle.callback(*handle.args)
                 fired += 1
+                if handle._stepping:
+                    delay = handle.callback(*handle.args)
+                    if delay is not None:
+                        time = handle.time = time + delay
+                        seq = handle.seq = self._seq
+                        self._seq = seq + 1
+                        handle._fired = False
+                        if not lane or time >= lane[-1][0]:
+                            lane.append((time, seq, handle))
+                        else:
+                            heappush(heap, (time, seq, handle))
+                        self._pending += 1
+                else:
+                    handle.callback(*handle.args)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
@@ -390,13 +404,19 @@ class Simulator:
         """Request the current :meth:`run` loop to exit after this event."""
         self._stopped = True
 
-    def _drop_cancelled(self) -> None:
-        """Sweep cancelled carcasses off the heap top.
-
-        Shared by :meth:`peek` and :meth:`step`; :meth:`run` inlines the
-        same rule.  A fired event has left the heap, so "not pending" on
-        the heap means cancelled.
-        """
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heappop(heap)
+    def _head(self) -> Optional[EventHandle]:
+        """Sweep cancelled carcasses off the global top, the earlier of the
+        two heads, and return the handle that fires next (None: none).
+        :meth:`run` inlines the same rule.  A fired event has left the
+        queues, so "not pending" in them means cancelled."""
+        heap, lane = self._heap, self._lane
+        while lane or heap:
+            if lane and (not heap or lane[0] < heap[0]):
+                if not lane[0][2]._cancelled:
+                    return lane[0][2]
+                lane.popleft()
+            elif heap[0][2]._cancelled:
+                heappop(heap)
+            else:
+                return heap[0][2]
+        return None

@@ -47,9 +47,10 @@ class PeriodicTask:
         """Arm the task.  ``start_delay`` defaults to one period."""
         if self._running:
             return
-        self._running = True
         delay = self._period if start_delay is None else start_delay
+        # Armed first: a refused delay leaves the task stopped, not dead.
         self._handle = self._sim.schedule(delay, self._fire, name=f"{self.name}:tick")
+        self._running = True
 
     def stop(self) -> None:
         """Disarm the task; safe to call from inside the callback."""

@@ -1,9 +1,10 @@
 """A cluster transfer owns one event handle (DESIGN.md §5b.11).
 
-The first step schedules it, every step after its own tick re-arms it,
-and a cut step (a preemption, a ``Process.poke``, the session closing)
-lets it go: the next step schedules a fresh one, and a finished transfer
-is freed by reference counting alone.
+The first step schedules it as a stepping handle, the engine re-arms it
+by the step each of its callbacks returns, and a cut step (a preemption,
+a ``Process.poke``, the session closing) lets it go: the next step
+schedules a fresh one, and a finished transfer is freed by reference
+counting alone.
 """
 
 import gc

@@ -21,10 +21,11 @@ empty list: all hold).  It is meant to run after each ``sim.step()``:
 * the ``service.sessions_active`` count equals a scan of the sessions;
 * no terminal request is still scheduled.
 
-A live transfer is found by its pending step: between events every
-transfer segment in flight has exactly one pending ``_tick`` (its step or
-the poke that cuts it), and the process of a request is found through the
-frame of its ``_admit`` generator.  Nothing in ``src/`` keeps a registry
+A live transfer is found by its pending handle: between events every
+transfer segment in flight has exactly one pending event whose callback
+is a method of the transfer (its stepping handle, or the poke that cuts
+it), in the engine's heap or its lane, and the process of a request is
+found through the frame of its ``_admit`` generator.  Nothing in ``src/`` keeps a registry
 for this check: a sleeping session is an unfinished request that no
 pending event belongs to.
 """
@@ -42,12 +43,13 @@ EPS = 1e-9
 #: Reserved bandwidth is a running float sum of reserve/release steps.
 SUM_TOLERANCE = 1e-6
 
-_TICK = _Transfer._tick
 _ADMIT = VoDService._admit.__code__
 
 
 def _pending_handles(sim):
-    return [handle for _, _, handle in sim._heap if handle.pending]
+    return [
+        handle for queue in (sim._heap, sim._lane) for _, _, handle in queue if handle.pending
+    ]
 
 
 def _request_of(process: Process):
@@ -124,7 +126,7 @@ def check_invariants(service: VoDService) -> List[str]:
     scheduled = []
     for handle in pending:
         owner = getattr(handle.callback, "__self__", None)
-        if getattr(handle.callback, "__func__", None) is _TICK:
+        if isinstance(owner, _Transfer):
             live[owner] = None
             scheduled.append((owner._process, handle))
         elif isinstance(owner, Process):

@@ -364,10 +364,10 @@ class TestStallWakeUps:
         signals = []
         schedule = sim.schedule
 
-        def spy(delay, callback, *args, name=""):
+        def spy(delay, callback, *args, name="", **options):  # passes stepping= on
             if name.startswith("signal:"):
                 signals.append((sim.now, name))
-            return schedule(delay, callback, *args, name=name)
+            return schedule(delay, callback, *args, name=name, **options)
 
         sim.schedule = spy
         sim.run(until=sim.now + 6 * 3600.0)

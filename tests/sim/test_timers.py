@@ -75,3 +75,13 @@ class TestPeriodicTask:
         task.start()
         sim.run(until=26.0)
         assert times == [5.0, 25.0]
+
+    def test_a_refused_start_leaves_the_task_stopped(self, sim):
+        times = []
+        task = PeriodicTask(sim, 5.0, lambda: times.append(sim.now))
+        with pytest.raises(SchedulingError):
+            task.start(start_delay=-1.0)
+        assert not task.running and sim.pending_count == 0
+        task.start(0.0)
+        sim.run(until=6.0)
+        assert task.running and times == [0.0, 5.0]
